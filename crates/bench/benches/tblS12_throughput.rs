@@ -227,7 +227,7 @@ fn replica_update(tick: u32) -> UpdateMsg {
     attrs.as_path = AsPath::from_seq([65_000 + (tick % 7), 65_100, 65_200]);
     UpdateMsg {
         withdrawn: vec![pfx("10.1.0.0/24")],
-        attrs: Some(attrs),
+        attrs: Some(attrs.into()),
         nlri: vec![pfx("10.2.0.0/24"), pfx("10.3.0.0/24")],
     }
 }

@@ -5,7 +5,10 @@
 //! (RFC 6793), so the AS4_PATH compatibility dance is unnecessary.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use crate::types::Asn;
 use crate::wire::{CodecError, Reader, Writer};
@@ -525,6 +528,60 @@ impl PathAttributes {
             communities,
             unknown,
         })
+    }
+}
+
+/// A shared, copy-on-write handle to one route's [`PathAttributes`].
+///
+/// Every per-route slot of the router (Adj-RIB-In, Loc-RIB, the pending
+/// export queue, Adj-RIB-Out, [`UpdateMsg`](crate::msg::UpdateMsg)) holds
+/// one of these, so handing a route from one stage to the next is a
+/// reference-count bump instead of a deep copy of two heap vectors. Reads
+/// go through `Deref`; a write through `DerefMut` edits in place while the
+/// handle is the only one and takes a private copy first otherwise, so a
+/// write is never visible through another handle.
+#[derive(Debug, Clone)]
+pub struct SharedAttrs(Arc<PathAttributes>);
+
+impl SharedAttrs {
+    /// True when both handles point at the same allocation (equal without
+    /// comparing contents).
+    pub fn ptr_eq(a: &SharedAttrs, b: &SharedAttrs) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl From<PathAttributes> for SharedAttrs {
+    fn from(attrs: PathAttributes) -> SharedAttrs {
+        SharedAttrs(Arc::new(attrs))
+    }
+}
+
+impl Deref for SharedAttrs {
+    type Target = PathAttributes;
+
+    fn deref(&self) -> &PathAttributes {
+        &self.0
+    }
+}
+
+impl DerefMut for SharedAttrs {
+    fn deref_mut(&mut self) -> &mut PathAttributes {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl PartialEq for SharedAttrs {
+    fn eq(&self, other: &SharedAttrs) -> bool {
+        SharedAttrs::ptr_eq(self, other) || *self.0 == *other.0
+    }
+}
+
+impl Eq for SharedAttrs {}
+
+impl Hash for SharedAttrs {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
     }
 }
 

@@ -10,7 +10,8 @@
 //! * the **session FSM** ([`fsm`]) shared by routers, the cluster BGP
 //!   speaker and the route collector;
 //! * the three **RIBs** ([`rib`]) and the RFC 4271 §9.1 **decision process**
-//!   ([`decision`]);
+//!   ([`decision`]); a route's attributes are decoded once and handed from
+//!   stage to stage by [`SharedAttrs`] handle;
 //! * **policy** ([`policy`]): Gao–Rexford relationship templates (the
 //!   paper's customer-to-provider / peer-to-peer configuration) and
 //!   Quagga-style route maps;
@@ -34,7 +35,7 @@ pub mod router;
 pub mod types;
 pub mod wire;
 
-pub use attrs::{AsPath, Community, Origin, PathAttributes, Segment};
+pub use attrs::{AsPath, Community, Origin, PathAttributes, Segment, SharedAttrs};
 pub use config::{NeighborConfig, RouterConfig, TimingConfig};
 pub use damping::{DampingConfig, DampingState};
 pub use decision::{Candidate, DecisionConfig};

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::attrs::PathAttributes;
+use crate::attrs::{PathAttributes, SharedAttrs};
 use crate::types::{Asn, Prefix, RouterId};
 use crate::wire::{CodecError, Reader, Writer};
 
@@ -93,18 +93,19 @@ impl OpenMsg {
 pub struct UpdateMsg {
     /// Prefixes no longer reachable via the sender.
     pub withdrawn: Vec<Prefix>,
-    /// Attributes for the advertised NLRI (must be present when `nlri` is).
-    pub attrs: Option<PathAttributes>,
+    /// Attributes for the advertised NLRI (must be present when `nlri` is),
+    /// shared by handle with whoever built or will store them.
+    pub attrs: Option<SharedAttrs>,
     /// Newly advertised prefixes.
     pub nlri: Vec<Prefix>,
 }
 
 impl UpdateMsg {
     /// An announcement of `prefixes` with shared `attrs`.
-    pub fn announce(prefixes: Vec<Prefix>, attrs: PathAttributes) -> UpdateMsg {
+    pub fn announce(prefixes: Vec<Prefix>, attrs: impl Into<SharedAttrs>) -> UpdateMsg {
         UpdateMsg {
             withdrawn: vec![],
-            attrs: Some(attrs),
+            attrs: Some(attrs.into()),
             nlri: prefixes,
         }
     }
@@ -423,7 +424,7 @@ impl BgpMessage {
                 let attrs = if at_len == 0 {
                     None
                 } else {
-                    Some(PathAttributes::decode(&mut at)?)
+                    Some(PathAttributes::decode(&mut at)?.into())
                 };
                 let mut nlri = Vec::new();
                 while !r.is_empty() {
@@ -599,7 +600,7 @@ mod tests {
         let attrs = PathAttributes::originate(Ipv4Addr::new(192, 0, 2, 1));
         let m = BgpMessage::Update(UpdateMsg {
             withdrawn: vec![pfx("198.51.100.0/24")],
-            attrs: Some(attrs),
+            attrs: Some(attrs.into()),
             nlri: vec![pfx("203.0.113.0/24")],
         });
         assert_eq!(roundtrip(&m), m);

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use bgpsdn_netsim::SimTime;
 
-use crate::attrs::PathAttributes;
+use crate::attrs::SharedAttrs;
 use crate::inline::InlineVec;
 use crate::types::{Prefix, RouterId};
 
@@ -28,8 +28,9 @@ pub enum RouteSource {
 /// A route as stored in Adj-RIB-In.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RibInEntry {
-    /// Path attributes exactly as accepted by import policy.
-    pub attrs: PathAttributes,
+    /// Path attributes exactly as accepted by import policy; the handle is
+    /// shared with every other NLRI of the UPDATE that carried the route.
+    pub attrs: SharedAttrs,
     /// Router-id of the advertising peer (decision tie-break).
     pub peer_router_id: RouterId,
     /// When the route was (last) received.
@@ -40,6 +41,10 @@ pub struct RibInEntry {
 #[derive(Debug, Default)]
 pub struct AdjRibIn {
     routes: BTreeMap<Prefix, BTreeMap<PeerIdx, RibInEntry>>,
+    /// Routes currently stored per peer (indexed by `PeerIdx`, grown on
+    /// demand), so the maximum-prefix guardrail reads a counter instead of
+    /// scanning every prefix slot on each UPDATE.
+    peer_counts: Vec<usize>,
 }
 
 impl AdjRibIn {
@@ -57,7 +62,12 @@ impl AdjRibIn {
                 false
             }
             _ => {
-                slot.insert(peer, entry);
+                if slot.insert(peer, entry).is_none() {
+                    if self.peer_counts.len() <= peer {
+                        self.peer_counts.resize(peer + 1, 0);
+                    }
+                    self.peer_counts[peer] += 1;
+                }
                 true
             }
         }
@@ -70,6 +80,9 @@ impl AdjRibIn {
             let removed = slot.remove(&peer).is_some();
             if slot.is_empty() {
                 self.routes.remove(&prefix);
+            }
+            if removed {
+                self.peer_counts[peer] -= 1;
             }
             removed
         } else {
@@ -88,6 +101,9 @@ impl AdjRibIn {
             }
             !slot.is_empty()
         });
+        if let Some(count) = self.peer_counts.get_mut(peer) {
+            *count = 0;
+        }
         affected
     }
 
@@ -107,6 +123,9 @@ impl AdjRibIn {
             }
             !slot.is_empty()
         });
+        if !affected.is_empty() {
+            self.peer_counts[peer] -= affected.len();
+        }
         affected
     }
 
@@ -136,10 +155,7 @@ impl AdjRibIn {
     /// Number of prefixes currently learned from one peer (the
     /// maximum-prefix guardrail's counter).
     pub fn count_for_peer(&self, peer: PeerIdx) -> usize {
-        self.routes
-            .values()
-            .filter(|slot| slot.contains_key(&peer))
-            .count()
+        self.peer_counts.get(peer).copied().unwrap_or(0)
     }
 }
 
@@ -148,8 +164,9 @@ impl AdjRibIn {
 pub struct LocRibEntry {
     /// Who supplied the route.
     pub source: RouteSource,
-    /// Attributes of the winning route (import-policy view).
-    pub attrs: PathAttributes,
+    /// Attributes of the winning route (import-policy view): the winning
+    /// Adj-RIB-In entry's own handle, not a copy.
+    pub attrs: SharedAttrs,
     /// When this selection was made.
     pub since: SimTime,
 }
@@ -241,13 +258,13 @@ impl LocRib {
 /// prefix.
 #[derive(Debug, Default)]
 pub struct AdjRibOut {
-    advertised: BTreeMap<Prefix, PathAttributes>,
+    advertised: BTreeMap<Prefix, SharedAttrs>,
 }
 
 impl AdjRibOut {
     /// Record an advertisement. Returns true when it differs from what was
     /// previously advertised (i.e. an UPDATE is warranted).
-    pub fn advertise(&mut self, prefix: Prefix, attrs: PathAttributes) -> bool {
+    pub fn advertise(&mut self, prefix: Prefix, attrs: SharedAttrs) -> bool {
         match self.advertised.get(&prefix) {
             Some(old) if *old == attrs => false,
             _ => {
@@ -263,12 +280,12 @@ impl AdjRibOut {
     }
 
     /// Attributes last advertised for a prefix.
-    pub fn get(&self, prefix: Prefix) -> Option<&PathAttributes> {
+    pub fn get(&self, prefix: Prefix) -> Option<&SharedAttrs> {
         self.advertised.get(&prefix)
     }
 
     /// Everything currently advertised, in prefix order.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &PathAttributes)> {
+    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &SharedAttrs)> {
         self.advertised.iter().map(|(p, a)| (*p, a))
     }
 
@@ -291,12 +308,13 @@ impl AdjRibOut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrs::PathAttributes;
     use crate::types::pfx;
     use std::net::Ipv4Addr;
 
     fn entry(nh: u8) -> RibInEntry {
         RibInEntry {
-            attrs: PathAttributes::originate(Ipv4Addr::new(10, 0, 0, nh)),
+            attrs: PathAttributes::originate(Ipv4Addr::new(10, 0, 0, nh)).into(),
             peer_router_id: RouterId(nh as u32),
             learned_at: SimTime::ZERO,
         }
@@ -382,7 +400,7 @@ mod tests {
         let p = pfx("10.0.0.0/8");
         let e = LocRibEntry {
             source: RouteSource::Peer(0),
-            attrs: PathAttributes::originate(Ipv4Addr::new(1, 1, 1, 1)),
+            attrs: PathAttributes::originate(Ipv4Addr::new(1, 1, 1, 1)).into(),
             since: SimTime::ZERO,
         };
         assert!(rib.set(p, e.clone()));
@@ -404,7 +422,7 @@ mod tests {
         let p = pfx("10.0.0.0/8");
         let mk = |t| LocRibEntry {
             source: RouteSource::Local,
-            attrs: PathAttributes::originate(Ipv4Addr::new(1, 1, 1, 1)),
+            attrs: PathAttributes::originate(Ipv4Addr::new(1, 1, 1, 1)).into(),
             since: t,
         };
         assert!(rib.set(p, mk(SimTime::ZERO)));
@@ -417,8 +435,8 @@ mod tests {
     fn adj_out_delta_logic() {
         let mut out = AdjRibOut::default();
         let p = pfx("10.0.0.0/8");
-        let a1 = PathAttributes::originate(Ipv4Addr::new(1, 1, 1, 1));
-        let a2 = PathAttributes::originate(Ipv4Addr::new(2, 2, 2, 2));
+        let a1 = SharedAttrs::from(PathAttributes::originate(Ipv4Addr::new(1, 1, 1, 1)));
+        let a2 = SharedAttrs::from(PathAttributes::originate(Ipv4Addr::new(2, 2, 2, 2)));
         assert!(out.advertise(p, a1.clone()));
         assert!(!out.advertise(p, a1.clone()), "same attrs suppressed");
         assert!(out.advertise(p, a2), "changed attrs re-advertised");
@@ -434,7 +452,7 @@ mod tests {
         let mut rib = LocRib::default();
         let mk = |nh: u8| LocRibEntry {
             source: RouteSource::Peer(nh as usize),
-            attrs: PathAttributes::originate(Ipv4Addr::new(10, 0, 0, nh)),
+            attrs: PathAttributes::originate(Ipv4Addr::new(10, 0, 0, nh)).into(),
             since: SimTime::ZERO,
         };
         rib.set(pfx("10.0.0.0/8"), mk(1));
@@ -466,7 +484,7 @@ mod tests {
         let mut rib = LocRib::default();
         let mk = |nh: u8| LocRibEntry {
             source: RouteSource::Peer(nh as usize),
-            attrs: PathAttributes::originate(Ipv4Addr::new(10, 0, 0, nh)),
+            attrs: PathAttributes::originate(Ipv4Addr::new(10, 0, 0, nh)).into(),
             since: SimTime::ZERO,
         };
         let hit = |rib: &LocRib, ip: [u8; 4]| rib.lpm(Ipv4Addr::from(ip)).map(|(p, _)| p);

@@ -7,7 +7,7 @@
 //! models per-UPDATE processing delay. All messages cross the simulated
 //! links as real RFC 4271 wire bytes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::marker::PhantomData;
 
 use bgpsdn_netsim::{
@@ -15,7 +15,7 @@ use bgpsdn_netsim::{
     SimDuration, SimTime, TimerClass, TimerToken, TraceCategory, TraceEvent,
 };
 
-use crate::attrs::PathAttributes;
+use crate::attrs::{PathAttributes, SharedAttrs};
 use crate::config::{NeighborConfig, RouterConfig};
 use crate::decision::{self, Candidate};
 use crate::envelope::{BgpApp, BgpEnvelope, RouterCommand};
@@ -114,8 +114,17 @@ pub struct RouterStats {
 /// A queued outbound change for one peer and prefix.
 #[derive(Debug, Clone)]
 enum OutChange {
-    Announce(PathAttributes),
+    Announce(SharedAttrs),
     Withdraw,
+}
+
+/// Queue `change` for `prefix`, superseding an earlier one. The queue stays
+/// prefix-sorted, which fixes the order UPDATEs leave in.
+fn set_pending(pending: &mut Vec<(Prefix, OutChange)>, prefix: Prefix, change: OutChange) {
+    match pending.binary_search_by_key(&prefix, |(p, _)| *p) {
+        Ok(i) => pending[i].1 = change,
+        Err(i) => pending.insert(i, (prefix, change)),
+    }
 }
 
 /// Per-prefix causal lineage (only populated while causal tracing is on).
@@ -133,7 +142,9 @@ struct PeerRuntime {
     handshake: SessionHandshake,
     remote_router_id: RouterId,
     adj_out: AdjRibOut,
-    pending: BTreeMap<Prefix, OutChange>,
+    /// Changes not yet sent, prefix-sorted; drained in place on every flush
+    /// so the buffer is reused for the life of the session.
+    pending: Vec<(Prefix, OutChange)>,
     mrai_armed: bool,
     retries: u32,
     /// Ever reached Established (distinguishes first bring-up from a
@@ -157,7 +168,7 @@ impl PeerRuntime {
             handshake,
             remote_router_id: RouterId(0),
             adj_out: AdjRibOut::default(),
-            pending: BTreeMap::new(),
+            pending: Vec::new(),
             mrai_armed: false,
             retries: 0,
             ever_established: false,
@@ -178,7 +189,10 @@ pub struct BgpRouter<M: BgpApp> {
     loc_rib: LocRib,
     originated: BTreeSet<Prefix>,
     in_seq: u64,
-    in_queue: HashMap<u64, (PeerIdx, UpdateMsg, Cause)>,
+    /// UPDATEs waiting out their processing delay, tagged with the sequence
+    /// number of their K_PROCESS timer. `last_proc_due` makes the due times
+    /// strictly increasing, so the timers fire in queue order.
+    in_queue: VecDeque<(u64, PeerIdx, UpdateMsg, Cause)>,
     last_proc_due: SimTime,
     causes: HashMap<Prefix, PrefixCause>,
     damping: HashMap<(PeerIdx, Prefix), crate::damping::DampingState>,
@@ -219,7 +233,7 @@ impl<M: BgpApp> BgpRouter<M> {
             loc_rib: LocRib::default(),
             originated,
             in_seq: 0,
-            in_queue: HashMap::new(),
+            in_queue: VecDeque::new(),
             last_proc_due: SimTime::ZERO,
             causes: HashMap::new(),
             damping: HashMap::new(),
@@ -327,7 +341,7 @@ impl<M: BgpApp> BgpRouter<M> {
     }
 
     /// What was last advertised to a logical peer for a prefix.
-    pub fn advertised_to(&self, peer: NodeId, prefix: Prefix) -> Option<&PathAttributes> {
+    pub fn advertised_to(&self, peer: NodeId, prefix: Prefix) -> Option<&SharedAttrs> {
         let i = *self.by_peer_node.get(&peer)?;
         self.peers[i].adj_out.get(prefix)
     }
@@ -565,10 +579,15 @@ impl<M: BgpApp> BgpRouter<M> {
             ctx.set_timer(ka, tok(K_KEEPALIVE, peer as u64), TimerClass::Maintenance);
             ctx.set_timer(hold_d, tok(K_HOLD, peer as u64), TimerClass::Maintenance);
         }
-        // Initial table sync: enqueue the full export view.
+        self.export_table(ctx, peer);
+    }
+
+    /// Queue the whole Loc-RIB toward one peer (initial table sync, ROUTE
+    /// REFRESH) and flush.
+    fn export_table(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
         let prefixes: InlineVec<Prefix, 8> = self.loc_rib.iter().map(|(p, _)| p).collect();
         for p in prefixes {
-            self.enqueue_export(peer, p);
+            self.enqueue_export(peer, p, &mut None);
         }
         self.maybe_flush(ctx, peer);
     }
@@ -620,12 +639,16 @@ impl<M: BgpApp> BgpRouter<M> {
     /// Re-run the decision process for `prefix`; on change, update the
     /// Loc-RIB and enqueue exports to every peer. Returns true on change.
     fn reselect(&mut self, ctx: &mut Ctx<'_, M>, prefix: Prefix) -> bool {
-        let old_path: Option<Vec<u32>> = self.loc_rib.get(prefix).map(obs_path);
+        // Only the RibChange trace record reads the old path.
+        let old_path: Option<Vec<u32>> = ctx
+            .tracing(TraceCategory::Route)
+            .then(|| self.loc_rib.get(prefix).map(obs_path))
+            .flatten();
         let new_entry: Option<LocRibEntry> = if self.originated.contains(&prefix) {
             // A locally originated route always wins the decision process.
             Some(LocRibEntry {
                 source: RouteSource::Local,
-                attrs: PathAttributes::originate(self.cfg.next_hop),
+                attrs: PathAttributes::originate(self.cfg.next_hop).into(),
                 since: ctx.now(),
             })
         } else {
@@ -660,10 +683,18 @@ impl<M: BgpApp> BgpRouter<M> {
                 peer_router_id: e.peer_router_id,
             });
             let span = ctx.span();
-            let selected = decision::select(cands, &self.cfg.decision).map(|best| LocRibEntry {
-                source: best.source,
-                attrs: best.attrs.clone(),
-                since: now,
+            let winner = decision::select(cands, &self.cfg.decision).map(|best| best.source);
+            // The Loc-RIB takes the winning Adj-RIB-In entry's own handle.
+            let selected = winner.map(|source| {
+                let RouteSource::Peer(i) = source else {
+                    unreachable!("every candidate came from a peer")
+                };
+                let won = self.adj_in.get(prefix, i).expect("the winner is stored");
+                LocRibEntry {
+                    source,
+                    attrs: won.attrs.clone(),
+                    since: now,
+                }
             });
             ctx.end_span("bgp.decision.select_wall_ns", span);
             self.stats.damped_suppressed += suppressed_count;
@@ -692,11 +723,10 @@ impl<M: BgpApp> BgpRouter<M> {
             ctx.report(Activity::RibChange);
             ctx.report(Activity::FibChange);
             ctx.count("bgp.router.best_path_changes", 1);
-            let new_path = self.loc_rib.get(prefix).map(obs_path);
             ctx.trace(TraceCategory::Route, || TraceEvent::RibChange {
                 prefix: obs(prefix),
                 old_path,
-                new_path,
+                new_path: self.loc_rib.get(prefix).map(obs_path),
             });
             // Causal: every best-path change is a hunt step. The previous
             // change under the same trigger is an extra (and earlier, hence
@@ -731,44 +761,62 @@ impl<M: BgpApp> BgpRouter<M> {
                     }
                 }
             }
+            // One export view per best-path change, shared by every peer.
+            let mut view = None;
             for peer in 0..self.peers.len() {
-                self.enqueue_export(peer, prefix);
+                self.enqueue_export(peer, prefix, &mut view);
             }
         }
         changed
     }
 
     /// Compute the desired advertisement of `prefix` toward `peer` and queue
-    /// the delta.
-    fn enqueue_export(&mut self, peer: PeerIdx, prefix: Prefix) {
+    /// the delta. `view` caches the prefix's export view across the peers of
+    /// one fan-out: it is built for the first peer the route may go to and
+    /// every later peer gets the same handle.
+    fn enqueue_export(&mut self, peer: PeerIdx, prefix: Prefix, view: &mut Option<SharedAttrs>) {
         if !self.peers[peer].handshake.is_established() {
             return;
         }
-        let desired = self.export_attrs(peer, prefix);
-        let change = match desired {
-            Some(attrs) => OutChange::Announce(attrs),
-            None => OutChange::Withdraw,
+        let change = match self.loc_rib.get(prefix) {
+            Some(entry) if self.export_permitted(peer, entry.source) => {
+                let view = view.get_or_insert_with(|| self.export_view(entry));
+                match &self.cfg.neighbors[peer].export_map {
+                    None => OutChange::Announce(view.clone()),
+                    // A route map edits the attributes: a private copy.
+                    Some(map) => match map.apply(prefix, view, self.cfg.asn) {
+                        Some(attrs) => OutChange::Announce(attrs.into()),
+                        None => OutChange::Withdraw,
+                    },
+                }
+            }
+            _ => OutChange::Withdraw,
         };
-        self.peers[peer].pending.insert(prefix, change);
+        set_pending(&mut self.peers[peer].pending, prefix, change);
     }
 
-    /// The attributes `prefix` would be exported with toward `peer`
-    /// (policy + transformation), or `None` when it must not be exported.
-    fn export_attrs(&self, peer: PeerIdx, prefix: Prefix) -> Option<PathAttributes> {
-        let entry = self.loc_rib.get(prefix)?;
+    /// Whether a best route learned from `source` may be exported to `peer`
+    /// at all (before any per-neighbor route map).
+    fn export_permitted(&self, peer: PeerIdx, source: RouteSource) -> bool {
         // Optional sender-side loop avoidance (off by default: Quagga sends
         // the route back and lets the peer's AS_PATH check discard it, which
         // is what keeps path exploration MRAI-paced).
-        if self.cfg.timing.sender_side_loop_detection && entry.source == RouteSource::Peer(peer) {
-            return None;
+        if self.cfg.timing.sender_side_loop_detection && source == RouteSource::Peer(peer) {
+            return false;
         }
-        let n: &NeighborConfig = &self.cfg.neighbors[peer];
         let learned_from =
-            policy::source_relationship(entry.source, |i| self.cfg.neighbors[i].relationship);
-        if !policy::export_allowed(self.cfg.mode, learned_from, n.relationship) {
-            return None;
-        }
-        let mut attrs = entry.attrs.clone();
+            policy::source_relationship(source, |i| self.cfg.neighbors[i].relationship);
+        policy::export_allowed(
+            self.cfg.mode,
+            learned_from,
+            self.cfg.neighbors[peer].relationship,
+        )
+    }
+
+    /// The attributes a best route is exported with, the same toward every
+    /// peer: the eBGP transformation of the Loc-RIB attributes.
+    fn export_view(&self, entry: &LocRibEntry) -> SharedAttrs {
+        let mut attrs = PathAttributes::clone(&entry.attrs);
         // eBGP: LOCAL_PREF is local, MED is not propagated beyond the
         // originating hop.
         attrs.local_pref = None;
@@ -777,10 +825,7 @@ impl<M: BgpApp> BgpRouter<M> {
         }
         attrs.as_path.prepend(self.cfg.asn);
         attrs.next_hop = self.cfg.next_hop;
-        match &n.export_map {
-            Some(map) => map.apply(prefix, &attrs, self.cfg.asn),
-            None => Some(attrs),
-        }
+        attrs.into()
     }
 
     /// Flush pending changes to one peer, respecting MRAI.
@@ -791,19 +836,17 @@ impl<M: BgpApp> BgpRouter<M> {
         if self.peers[peer].mrai_armed {
             if !self.cfg.timing.mrai_on_withdrawals {
                 // Explicit withdrawals bypass the advertisement interval.
-                let withdraw_prefixes: InlineVec<Prefix, 8> = self.peers[peer]
-                    .pending
-                    .iter()
-                    .filter(|(_, c)| matches!(c, OutChange::Withdraw))
-                    .map(|(p, _)| *p)
-                    .collect();
+                let PeerRuntime {
+                    pending, adj_out, ..
+                } = &mut self.peers[peer];
                 let mut really: Vec<Prefix> = Vec::new();
-                for p in withdraw_prefixes {
-                    self.peers[peer].pending.remove(&p);
-                    if self.peers[peer].adj_out.withdraw(p) {
-                        really.push(p);
+                pending.retain(|(p, change)| {
+                    let withdraw = matches!(change, OutChange::Withdraw);
+                    if withdraw && adj_out.withdraw(*p) {
+                        really.push(*p);
                     }
-                }
+                    !withdraw
+                });
                 if !really.is_empty() {
                     let cause = self.update_cause(ctx, &really);
                     let msg = BgpMessage::Update(UpdateMsg::withdraw(really));
@@ -825,19 +868,22 @@ impl<M: BgpApp> BgpRouter<M> {
     /// Send everything pending toward a peer. Returns true when at least one
     /// UPDATE went out.
     fn send_pending(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) -> bool {
-        let pending = std::mem::take(&mut self.peers[peer].pending);
+        let PeerRuntime {
+            pending, adj_out, ..
+        } = &mut self.peers[peer];
         let mut withdraws: Vec<Prefix> = Vec::new();
-        // Group announcements sharing identical attributes into one UPDATE.
-        let mut groups: Vec<(PathAttributes, Vec<Prefix>)> = Vec::new();
-        for (prefix, change) in pending {
+        // Group announcements sharing identical attributes (in a fan-out:
+        // the same handle) into one UPDATE.
+        let mut groups: Vec<(SharedAttrs, Vec<Prefix>)> = Vec::new();
+        for (prefix, change) in pending.drain(..) {
             match change {
                 OutChange::Withdraw => {
-                    if self.peers[peer].adj_out.withdraw(prefix) {
+                    if adj_out.withdraw(prefix) {
                         withdraws.push(prefix);
                     }
                 }
                 OutChange::Announce(attrs) => {
-                    if self.peers[peer].adj_out.advertise(prefix, attrs.clone()) {
+                    if adj_out.advertise(prefix, attrs.clone()) {
                         match groups.iter_mut().find(|(a, _)| *a == attrs) {
                             Some((_, ps)) => ps.push(prefix),
                             None => groups.push((attrs, vec![prefix])),
@@ -902,7 +948,12 @@ impl<M: BgpApp> BgpRouter<M> {
         }
         let mut affected: BTreeSet<Prefix> = BTreeSet::new();
 
-        for p in &upd.withdrawn {
+        let UpdateMsg {
+            withdrawn,
+            attrs,
+            nlri,
+        } = upd;
+        for p in &withdrawn {
             if self.adj_in.remove(*p, peer) {
                 affected.insert(*p);
                 if let Some(dcfg) = &self.cfg.damping {
@@ -915,11 +966,18 @@ impl<M: BgpApp> BgpRouter<M> {
             }
         }
 
-        if let Some(attrs) = &upd.attrs {
+        if let Some(mut attrs) = attrs {
             let rel = self.cfg.neighbors[peer].relationship;
             let looped = attrs.as_path.contains(self.cfg.asn);
             let import_ok = policy::import_allowed(rel) && !looped;
-            for p in &upd.nlri {
+            if import_ok {
+                // The decoded handle is still the only one: this edits it in
+                // place, once for every NLRI of the UPDATE.
+                if let Some(lp) = policy::import_local_pref(self.cfg.mode, rel) {
+                    attrs.local_pref = Some(lp);
+                }
+            }
+            for p in &nlri {
                 if !import_ok {
                     if looped {
                         self.stats.loop_rejected += 1;
@@ -933,13 +991,9 @@ impl<M: BgpApp> BgpRouter<M> {
                     }
                     continue;
                 }
-                let mut eff = attrs.clone();
-                if let Some(lp) = policy::import_local_pref(self.cfg.mode, rel) {
-                    eff.local_pref = Some(lp);
-                }
                 let accepted = match &self.cfg.neighbors[peer].import_map {
-                    Some(map) => map.apply(*p, &eff, self.cfg.asn),
-                    None => Some(eff),
+                    Some(map) => map.apply(*p, &attrs, self.cfg.asn).map(SharedAttrs::from),
+                    None => Some(attrs.clone()),
                 };
                 match accepted {
                     Some(final_attrs) => {
@@ -1178,11 +1232,7 @@ impl<M: BgpApp> BgpRouter<M> {
         {
             // RFC 2918: re-send our full Adj-RIB-Out on this session.
             self.peers[peer].adj_out.clear();
-            let prefixes: InlineVec<Prefix, 8> = self.loc_rib.iter().map(|(p, _)| p).collect();
-            for p in prefixes {
-                self.enqueue_export(peer, p);
-            }
-            self.maybe_flush(ctx, peer);
+            self.export_table(ctx, peer);
             return;
         }
 
@@ -1238,7 +1288,7 @@ impl<M: BgpApp> BgpRouter<M> {
         }
         let seq = self.in_seq;
         self.in_seq += 1;
-        self.in_queue.insert(seq, (peer, upd, qcause));
+        self.in_queue.push_back((seq, peer, upd, qcause));
         ctx.set_timer_at(due, tok(K_PROCESS, seq), TimerClass::Progress);
     }
 
@@ -1507,7 +1557,10 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
                 }
             }
             K_PROCESS => {
-                if let Some((peer, upd, cause)) = self.in_queue.remove(&(payload as u64)) {
+                // A firing that outlived a restart names no queued UPDATE.
+                if self.in_queue.front().is_some_and(|q| q.0 == payload as u64) {
+                    let (_, peer, upd, cause) =
+                        self.in_queue.pop_front().expect("front was just matched");
                     self.process_update(ctx, peer, upd, cause);
                 }
             }

@@ -1,5 +1,7 @@
 //! Property-based tests for the BGP wire codec: arbitrary messages must
 //! round-trip exactly, and arbitrary byte soup must never panic the decoder.
+//! Also the shared attribute handle every decoded route travels in: it must
+//! behave exactly like the attributes it holds, and never alias a write.
 
 use std::net::Ipv4Addr;
 
@@ -7,7 +9,7 @@ use proptest::prelude::*;
 
 use bgpsdn_bgp::{
     AsPath, Asn, BgpMessage, Capability, Community, NotifCode, NotificationMsg, OpenMsg, Origin,
-    PathAttributes, Prefix, RouterId, Segment, UpdateMsg,
+    PathAttributes, Prefix, RouterId, Segment, SharedAttrs, UpdateMsg,
 };
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -64,6 +66,19 @@ fn arb_attrs() -> impl Strategy<Value = PathAttributes> {
         )
 }
 
+fn hash_of(value: &impl std::hash::Hash) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+fn attr_bytes(attrs: &PathAttributes) -> Vec<u8> {
+    let mut w = bgpsdn_bgp::wire::Writer::new();
+    attrs.encode(&mut w);
+    w.into_bytes()
+}
+
 fn arb_update() -> impl Strategy<Value = UpdateMsg> {
     (
         prop::collection::vec(arb_prefix(), 0..12),
@@ -77,7 +92,7 @@ fn arb_update() -> impl Strategy<Value = UpdateMsg> {
             }
             UpdateMsg {
                 withdrawn,
-                attrs,
+                attrs: attrs.map(Into::into),
                 nlri,
             }
         })
@@ -176,6 +191,48 @@ proptest! {
         ));
         let back = BgpMessage::decode(&msg.encode()).expect("decode");
         prop_assert_eq!(back, msg);
+    }
+
+    /// Copy-on-write: a clone shares the allocation until one side writes,
+    /// and the write is visible through the writing handle only. A handle
+    /// that is the only one edits in place.
+    #[test]
+    fn shared_attrs_writes_never_reach_a_clone(
+        attrs in arb_attrs(),
+        lp in any::<u32>(),
+        asn in arb_asn(),
+    ) {
+        let original = SharedAttrs::from(attrs.clone());
+        let mut edited = original.clone();
+        prop_assert!(SharedAttrs::ptr_eq(&original, &edited));
+        edited.local_pref = Some(lp);
+        edited.as_path.prepend(Asn(asn));
+        prop_assert!(!SharedAttrs::ptr_eq(&original, &edited));
+        prop_assert_eq!(&*original, &attrs);
+        prop_assert_ne!(&edited, &original);
+        let mut expected = attrs.clone();
+        expected.local_pref = Some(lp);
+        expected.as_path.prepend(Asn(asn));
+        prop_assert_eq!(&*edited, &expected);
+
+        let before: *const PathAttributes = &*edited;
+        edited.med = Some(lp);
+        prop_assert!(std::ptr::eq(before, &*edited), "a sole handle must not copy");
+    }
+
+    /// `Eq`, `Hash` and the wire encoding of a handle are those of the
+    /// attributes it holds, whether or not two handles share an allocation.
+    #[test]
+    fn shared_attrs_agree_with_the_attributes_they_hold(a in arb_attrs(), b in arb_attrs()) {
+        let (sa, sb) = (SharedAttrs::from(a.clone()), SharedAttrs::from(b.clone()));
+        prop_assert_eq!(sa == sb, a == b);
+        prop_assert_eq!(&sa, &sa.clone());
+        let twin = SharedAttrs::from(a.clone());
+        prop_assert!(!SharedAttrs::ptr_eq(&sa, &twin));
+        prop_assert_eq!(&sa, &twin);
+        prop_assert_eq!(hash_of(&sa), hash_of(&a));
+        prop_assert_eq!(hash_of(&sa), hash_of(&twin));
+        prop_assert_eq!(attr_bytes(&sa), attr_bytes(&a));
     }
 
     #[test]

@@ -811,3 +811,113 @@ fn communities_cross_the_wire_and_drive_import_policy() {
     let direct = r1.adj_in().get(prefix_of(0), 0).expect("direct candidate");
     assert!(direct.attrs.communities.contains(&tag));
 }
+
+#[test]
+fn fan_out_hands_one_export_view_to_every_peer() {
+    use bgpsdn_bgp::{RouteMap, SharedAttrs};
+    // Star: hub 0, leaves 1..=4. The hub's session toward leaf 4 carries an
+    // export map (permit-all: the attributes come out equal, but through a
+    // route map they are a private copy).
+    let (mut sim, nodes) = build(
+        80,
+        5,
+        &[(0, 1), (0, 2), (0, 3), (0, 4)],
+        fast_timing(),
+        PolicyMode::AllPermit,
+        &[],
+        None,
+    );
+    sim.with_node::<Router, _>(nodes[0], |r| {
+        r.config_mut().neighbors[3].export_map = Some(RouteMap::permit_all());
+    });
+    assert!(sim.run_until_quiescent(SimTime::from_secs(60)).quiescent);
+
+    // Every session is up: leaf 1's announcement reaches the hub as one
+    // best-path change that fans out to all four sessions.
+    let p = pfx("203.0.113.0/24");
+    sim.inject(nodes[1], BgpOnlyMsg::Command(RouterCommand::Announce(p)));
+    assert!(sim.run_until_quiescent(SimTime::from_secs(120)).quiescent);
+
+    let hub = sim.node_ref::<Router>(nodes[0]);
+    let learned = &hub.adj_in().get(p, 0).expect("learned from leaf 1").attrs;
+    let best = &hub.best(p).expect("selected").attrs;
+    assert!(
+        SharedAttrs::ptr_eq(best, learned),
+        "the Loc-RIB holds the winning Adj-RIB-In handle, not a copy"
+    );
+    let sent = |leaf: usize| hub.advertised_to(nodes[leaf], p).expect("advertised");
+    assert!(SharedAttrs::ptr_eq(sent(1), sent(2)));
+    assert!(SharedAttrs::ptr_eq(sent(2), sent(3)));
+    assert!(!SharedAttrs::ptr_eq(sent(3), sent(4)), "route-mapped copy");
+    assert_eq!(sent(3), sent(4));
+    assert_eq!(sent(1).as_path.flatten(), vec![asn_of(0), asn_of(1)]);
+    assert_eq!(
+        best.as_path.flatten(),
+        vec![asn_of(1)],
+        "export never edits the Loc-RIB"
+    );
+}
+
+/// A pair where router 1 takes 200 ms of CPU per UPDATE, with four UPDATEs
+/// from router 0 sitting in its processing queue 50 ms after they were sent.
+fn pair_with_queued_updates(seed: u64) -> (Sim, Vec<NodeId>, Vec<Prefix>) {
+    let slow = TimingConfig {
+        mrai: SimDuration::ZERO,
+        processing_delay: (SimDuration::from_millis(200), SimDuration::from_millis(200)),
+        ..Default::default()
+    };
+    let (mut sim, nodes) = build(seed, 2, &[(0, 1)], slow, PolicyMode::AllPermit, &[], None);
+    assert!(sim.run_until_quiescent(SimTime::from_secs(60)).quiescent);
+    let prefixes: Vec<Prefix> = (0..4).map(|i| pfx(&format!("203.0.{i}.0/24"))).collect();
+    for p in &prefixes {
+        sim.inject(nodes[0], BgpOnlyMsg::Command(RouterCommand::Announce(*p)));
+    }
+    sim.run_for(SimDuration::from_millis(50));
+    let r1 = sim.node_ref::<Router>(nodes[1]);
+    assert_eq!(r1.stats().updates_received, 4, "all four queued");
+    assert_eq!(r1.loc_rib().len(), 0, "none processed yet");
+    (sim, nodes, prefixes)
+}
+
+#[test]
+fn processing_queue_survives_a_session_drop() {
+    let (mut sim, nodes, prefixes) = pair_with_queued_updates(81);
+    // The session goes while the UPDATEs wait: their processing timers still
+    // fire and must each retire their queue entry (the UPDATE itself is
+    // discarded), or the resync after the reconnect would queue behind them
+    // forever.
+    sim.inject(
+        nodes[1],
+        BgpOnlyMsg::Command(RouterCommand::ResetSession(nodes[0])),
+    );
+    sim.run_for(SimDuration::from_millis(300));
+    assert_eq!(sim.node_ref::<Router>(nodes[1]).loc_rib().len(), 0);
+    assert!(sim.run_until_quiescent(SimTime::from_secs(120)).quiescent);
+    let r1 = sim.node_ref::<Router>(nodes[1]);
+    assert!(r1.stats().updates_received > 4, "resynced after the reset");
+    for p in &prefixes {
+        assert_eq!(r1.next_hop_node(*p), Some(nodes[0]), "{p}");
+    }
+}
+
+#[test]
+fn processing_queue_restarts_clean_after_a_crash() {
+    let (mut sim, nodes, prefixes) = pair_with_queued_updates(82);
+    // Crash with the queue full: the restart wipes it, the simulator drops
+    // the four pending processing timers, and sequence numbers keep
+    // counting, so UPDATEs queued after the restart match their own timers.
+    sim.set_node_admin(nodes[1], false);
+    sim.run_for(SimDuration::from_secs(1));
+    let stale_before = sim.stats().timers_stale;
+    assert!(
+        stale_before >= 4,
+        "the crashed router's timers died with it"
+    );
+    sim.set_node_admin(nodes[1], true);
+    assert!(sim.run_until_quiescent(SimTime::from_secs(300)).quiescent);
+    let r1 = sim.node_ref::<Router>(nodes[1]);
+    assert_eq!(r1.session_state(nodes[0]), Some(SessionState::Established));
+    for p in &prefixes {
+        assert_eq!(r1.next_hop_node(*p), Some(nodes[0]), "{p}");
+    }
+}

@@ -7,7 +7,7 @@
 //! engine after the callback returns, in order. Together with the seeded RNG
 //! and the tie-breaking event queue this makes runs bit-for-bit reproducible.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use bgpsdn_obs::{MetricsRegistry, TraceEvent, WallSpan};
 
@@ -124,6 +124,13 @@ impl<'a, M: Message> Ctx<'a, M> {
         }
     }
 
+    /// True when `category` is being traced: the gate for work whose only
+    /// consumer is a trace record (inputs a [`Ctx::trace`] closure cannot
+    /// compute by itself because they predate a state change).
+    pub fn tracing(&self, category: TraceCategory) -> bool {
+        self.trace_enabled.is_enabled(category)
+    }
+
     /// Add `delta` to this node's counter `name`
     /// (`<crate>.<subsystem>.<name>` convention).
     pub fn count(&mut self, name: &'static str, delta: u64) {
@@ -200,6 +207,17 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 }
 
+/// Generation bookkeeping of one timer name.
+#[derive(Default)]
+struct TimerGen {
+    /// Generation of the latest arm/cancel; a firing with another is stale.
+    gen: u64,
+    /// Whether the firing carrying `gen` should still be delivered.
+    armed: bool,
+    /// Firings of this timer still in the event queue.
+    queued: u32,
+}
+
 /// Result of [`Simulator::run_until_quiescent`].
 #[derive(Debug, Clone, Copy)]
 pub struct Quiescence {
@@ -220,7 +238,12 @@ pub struct Simulator<M: Message> {
     node_up: Vec<bool>,
     links: Vec<Link>,
     adjacency: Vec<Vec<(LinkId, NodeId)>>,
-    timer_gens: HashMap<(NodeId, TimerToken), (u64, bool)>,
+    /// One entry per `(node, token)` with at least one firing still in the
+    /// event queue. The generation tells the armed firing from superseded
+    /// ones; the entry goes when its last queued firing pops, so one-shot
+    /// tokens do not accumulate (no queued firing is left to mistake a
+    /// restarted generation for its own).
+    timer_gens: HashMap<(NodeId, TimerToken), TimerGen>,
     rng: SimRng,
     board: ActivityBoard,
     trace: Trace,
@@ -589,14 +612,19 @@ impl<M: Message> Simulator<M> {
                 gen,
                 class: _,
             } => {
-                let fire = self.node_up[node.index()]
-                    && match self.timer_gens.get_mut(&(node, token)) {
-                        Some((cur, armed)) if *cur == gen && *armed => {
-                            *armed = false;
-                            true
-                        }
-                        _ => false,
-                    };
+                let Entry::Occupied(mut entry) = self.timer_gens.entry((node, token)) else {
+                    unreachable!("a queued firing keeps its timer entry alive")
+                };
+                let timer = entry.get_mut();
+                timer.queued -= 1;
+                let current = timer.gen == gen && timer.armed;
+                if current {
+                    timer.armed = false;
+                }
+                if timer.queued == 0 {
+                    entry.remove();
+                }
+                let fire = current && self.node_up[node.index()];
                 if fire {
                     self.stats.timers_fired += 1;
                     self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
@@ -646,8 +674,8 @@ impl<M: Message> Simulator<M> {
                     // restored and re-arms the same tokens.
                     for ((n, _), entry) in self.timer_gens.iter_mut() {
                         if *n == node {
-                            entry.0 += 1;
-                            entry.1 = false;
+                            entry.gen += 1;
+                            entry.armed = false;
                         }
                     }
                 }
@@ -786,9 +814,10 @@ impl<M: Message> Simulator<M> {
                     );
                 }
                 Action::SetTimerAt { at, token, class } => {
-                    let entry = self.timer_gens.entry((id, token)).or_insert((0, false));
-                    entry.0 += 1;
-                    entry.1 = true;
+                    let entry = self.timer_gens.entry((id, token)).or_default();
+                    entry.gen += 1;
+                    entry.armed = true;
+                    entry.queued += 1;
                     let at = at.max(self.now);
                     self.queue.push(
                         at,
@@ -796,14 +825,14 @@ impl<M: Message> Simulator<M> {
                             node: id,
                             token,
                             class,
-                            gen: entry.0,
+                            gen: entry.gen,
                         },
                     );
                 }
                 Action::CancelTimer { token } => {
                     if let Some(entry) = self.timer_gens.get_mut(&(id, token)) {
-                        entry.0 += 1;
-                        entry.1 = false;
+                        entry.gen += 1;
+                        entry.armed = false;
                     }
                 }
                 Action::Report(kind) => {
@@ -1067,6 +1096,107 @@ mod tests {
         sim.with_node::<RearmNode, _>(n, |r| assert_eq!(r.fired, 1));
         assert_eq!(sim.stats().timers_fired, 1);
         assert_eq!(sim.stats().timers_stale, 2);
+    }
+
+    /// Arms a fresh one-shot token from every firing, like the routers'
+    /// per-UPDATE processing timers.
+    struct OneShotNode {
+        left: u64,
+    }
+    impl Node<TestMsg> for OneShotNode {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            self.on_timer(ctx, TimerToken(0));
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: NodeId, _: LinkId, _: TestMsg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, token: TimerToken) {
+            if self.left > 0 {
+                self.left -= 1;
+                ctx.set_timer(
+                    SimDuration::from_millis(1),
+                    TimerToken(token.0 + 1),
+                    TimerClass::Progress,
+                );
+            }
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn timer_table_is_bounded_by_armed_timers_not_tokens_ever_used() {
+        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        sim.add_node("o", |_| OneShotNode { left: 100_000 });
+        let mut largest = 0;
+        while sim.step() {
+            largest = largest.max(sim.timer_gens.len());
+        }
+        assert_eq!(sim.stats().timers_fired, 100_000);
+        assert_eq!(largest, 1, "one timer armed at a time");
+        assert!(sim.timer_gens.is_empty());
+    }
+
+    /// Arms WORK for 3 s, re-arms it for 1 s, and from that firing re-arms
+    /// it for 4 s later: the superseded 3 s firing is still queued while the
+    /// timer fires and restarts.
+    struct EarlierRearmNode {
+        fired_at: Vec<SimTime>,
+    }
+    impl Node<TestMsg> for EarlierRearmNode {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            ctx.set_timer(SimDuration::from_secs(3), WORK, TimerClass::Progress);
+            ctx.set_timer(SimDuration::from_secs(1), WORK, TimerClass::Progress);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: NodeId, _: LinkId, _: TestMsg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _: TimerToken) {
+            self.fired_at.push(ctx.now());
+            if self.fired_at.len() == 1 {
+                ctx.set_timer(SimDuration::from_secs(4), WORK, TimerClass::Progress);
+            }
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn superseded_firing_stays_stale_after_the_timer_fired_and_restarted() {
+        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let n = sim.add_node("e", |_| EarlierRearmNode { fired_at: vec![] });
+        let q = sim.run_until_quiescent(SimTime::from_secs(10));
+        assert!(q.quiescent);
+        sim.with_node::<EarlierRearmNode, _>(n, |e| {
+            assert_eq!(
+                e.fired_at,
+                vec![SimTime::from_secs(1), SimTime::from_secs(5)],
+                "the 3 s firing belongs to a superseded generation"
+            );
+        });
+        assert_eq!(sim.stats().timers_stale, 1);
+        assert!(sim.timer_gens.is_empty());
+    }
+
+    #[test]
+    fn restore_before_a_dead_firing_pops_keeps_it_suppressed() {
+        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let n = sim.add_node("t", |_| TimerNode { fired: vec![] });
+        // Crash at 1.5 s, restore at 2.5 s: the WORK firing armed at start is
+        // still queued for 3 s when on_restart re-arms WORK for 5.5 s.
+        sim.schedule_node_admin(SimTime::from_millis(1500), n, false);
+        sim.schedule_node_admin(SimTime::from_millis(2500), n, true);
+        let q = sim.run_until_quiescent(SimTime::from_secs(100));
+        assert!(q.quiescent);
+        assert_eq!(q.time, SimTime::from_millis(5500));
+        sim.with_node::<TimerNode, _>(n, |t| {
+            assert_eq!(t.fired.iter().filter(|f| **f == "work").count(), 1);
+        });
+        assert_eq!(sim.timer_gens.len(), 1, "only the keepalive stays armed");
     }
 
     #[test]
