@@ -9,16 +9,16 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bgpsdn_bgp::{
-    pfx, AsPath, Asn, BgpMessage, Candidate, DecisionConfig, PathAttributes, RouteSource, RouterId,
-    UpdateMsg,
+    pfx, AsPath, Asn, BgpMessage, Candidate, DecisionConfig, PathAttributes, PolicyMode,
+    RouteSource, RouterId, TimingConfig, UpdateMsg,
 };
 use bgpsdn_core::{
-    compute, compute_into, run_clique, CliqueScenario, ComputeScratch, EventKind, ExternalRoute,
-    PrefixComputation, SwitchGraph,
+    compute, compute_into, run_clique, CliqueScenario, ComputeScratch, Controller, EventKind,
+    Experiment, ExternalRoute, NetworkBuilder, PrefixComputation, SwitchGraph,
 };
-use bgpsdn_netsim::{SimDuration, SimRng};
-use bgpsdn_sdn::{FlowAction, FlowRule, FlowTable};
-use bgpsdn_topology::gen;
+use bgpsdn_netsim::{EventBody, EventQueue, NodeId, SimDuration, SimRng, SimTime};
+use bgpsdn_sdn::{ClusterMsg, FlowAction, FlowRule, FlowTable, SdnApp, SpeakerEvent};
+use bgpsdn_topology::{gen, plan, AsGraph};
 
 fn bench_codec(c: &mut Criterion) {
     let mut attrs = PathAttributes::originate(Ipv4Addr::new(10, 0, 0, 1));
@@ -114,6 +114,67 @@ fn bench_controller_compute(c: &mut Criterion) {
     });
 }
 
+fn bench_controller_recompute(c: &mut Criterion) {
+    // The Fig. 2 midpoint: a 16-AS clique with 8 members, so 64 speaker
+    // sessions and 16 prefixes. A SessionUp for a session that is already
+    // up makes the controller sweep every prefix and find nothing to send —
+    // the per-session diff, which is most of a bring-up's recompute cost.
+    let ag = AsGraph::all_peer(&gen::clique(16), 65000);
+    let tp = plan(
+        ag,
+        PolicyMode::AllPermit,
+        TimingConfig::with_mrai(SimDuration::ZERO),
+    )
+    .expect("address plan");
+    let net = NetworkBuilder::new(tp, 7).with_sdn_members(8..16).build();
+    let mut exp = Experiment::new(net);
+    assert!(exp.start(SimDuration::from_secs(3600)).converged);
+    let ctl = exp.net.controller.expect("cluster implies controller");
+    let recomputes = |exp: &Experiment| exp.net.sim.node_ref::<Controller>(ctl).stats().recomputes;
+    assert_eq!(exp.net.sim.node_ref::<Controller>(ctl).session_count(), 64);
+    c.bench_function("controller/full_recompute_k8", |b| {
+        b.iter(|| {
+            let before = recomputes(&exp);
+            exp.net.sim.inject(
+                ctl,
+                ClusterMsg::from_speaker_event(SpeakerEvent::SessionUp {
+                    session: 0,
+                    peer_asn: Asn(65000),
+                }),
+            );
+            while recomputes(&exp) == before {
+                assert!(exp.net.sim.step(), "the injected event is pending");
+            }
+        })
+    });
+}
+
+fn bench_queue_sparse(c: &mut Criterion) {
+    #[derive(Debug, Clone)]
+    struct NoMsg;
+    impl bgpsdn_netsim::Message for NoMsg {}
+    // A small network's timer schedule: one event every ~10 ms (76 empty
+    // calendar buckets apart) and a 30 s MRAI-scale tail in the overflow.
+    let mut q: EventQueue<NoMsg> = EventQueue::new();
+    let mut now = 0u64;
+    let start = EventBody::Start { node: NodeId(0) };
+    c.bench_function("queue/sparse_timers", |b| {
+        b.iter(|| {
+            for i in 1..=1_000u64 {
+                let at = now + i * 10_000_000 + (i * 7_919) % 1_000_000;
+                q.push(SimTime::from_nanos(at), start.clone());
+                if i % 100 == 0 {
+                    q.push(SimTime::from_nanos(at + 30_000_000_000), start.clone());
+                }
+            }
+            while let Some(e) = q.pop() {
+                now = e.at.as_nanos();
+            }
+            black_box(now)
+        })
+    });
+}
+
 fn bench_topology_gen(c: &mut Criterion) {
     c.bench_function("barabasi_albert_500", |b| {
         b.iter(|| {
@@ -182,6 +243,8 @@ criterion_group!(
         bench_decision,
         bench_flowtable,
         bench_controller_compute,
+        bench_controller_recompute,
+        bench_queue_sparse,
         bench_topology_gen,
         bench_trace_disabled,
         bench_end_to_end

@@ -4,8 +4,8 @@
 //!
 //! Two arms:
 //!
-//! 1. **Scale arm** — a ≥1000-AS CAIDA-style hierarchy (8 tier-1 + 192 mid
-//!    + 800 stubs, one /16 per AS ⇒ 1000 prefixes network-wide) brought to
+//! 1. **Scale arm** — a ≥1000-AS CAIDA-style hierarchy (8 tier-1, 192 mid
+//!    and 800 stubs, one /16 per AS ⇒ 1000 prefixes network-wide) brought to
 //!    steady state, then a multihomed stub withdraws its prefix. The
 //!    withdrawal phase is timed wall-clock against the engine's
 //!    `events_processed` counter, yielding events/sec and ns/event at SDN

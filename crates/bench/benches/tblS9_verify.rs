@@ -70,7 +70,7 @@ fn main() {
         "steady-state snapshot must verify clean:\n{first}"
     );
     assert!(
-        first.prefixes_checked as usize >= scenario.expected_prefixes(),
+        first.prefixes_checked >= scenario.expected_prefixes(),
         "sweep must cover every tracked prefix"
     );
 

@@ -26,6 +26,7 @@
 //! cluster through the legacy world, and using it could form a forwarding
 //! loop that distributed BGP's per-hop AS_PATH check would have caught.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, VecDeque};
 
 use bgpsdn_bgp::{Asn, SharedPath};
@@ -110,11 +111,13 @@ pub fn compute(sg: &SwitchGraph, owner: Option<usize>, ext: &[ExternalRoute]) ->
 }
 
 /// [`compute`] into caller-provided scratch and output buffers. Identical
-/// results; no per-call allocation once the buffers have warmed up.
-pub fn compute_into(
+/// results; no per-call allocation once the buffers have warmed up. Routes
+/// are taken owned or by reference, so a caller holding them in a table
+/// need not clone them out first.
+pub fn compute_into<R: Borrow<ExternalRoute>>(
     sg: &SwitchGraph,
     owner: Option<usize>,
-    ext: &[ExternalRoute],
+    ext: &[R],
     scratch: &mut ComputeScratch,
     out: &mut PrefixComputation,
 ) {
@@ -156,7 +159,7 @@ pub fn compute_into(
     // wins.
     let seeds = &mut scratch.seeds;
     seeds.clear();
-    for r in ext {
+    for r in ext.iter().map(R::borrow) {
         // An egress costs the external AS-path length (at least 1).
         let cost = (r.as_path.len() as u32).max(1);
         seeds.push((cost, r.member, MemberDecision::Egress(r.session)));
@@ -229,9 +232,7 @@ pub fn compute_into(
 
 /// The AS sequence member `x` would advertise for this prefix: its own ASN,
 /// the member ASNs along the internal path, then (for an egress) the
-/// external AS path. `None` when `x` cannot reach the prefix or the path
-/// would traverse `exclude_session` (split horizon toward the session the
-/// best route came from).
+/// external AS path. `None` when `x` cannot reach the prefix.
 pub fn announced_path(
     x: usize,
     comp: &PrefixComputation,
@@ -239,21 +240,39 @@ pub fn announced_path(
     member_asns: &[Asn],
 ) -> Option<Vec<Asn>> {
     let mut path = Vec::new();
+    announced_path_into(x, comp, ext, member_asns, &mut path).then_some(path)
+}
+
+/// [`announced_path`] appended to a caller-provided buffer. Returns false,
+/// leaving `out` as it was, when `x` cannot reach the prefix.
+pub fn announced_path_into<R: Borrow<ExternalRoute>>(
+    x: usize,
+    comp: &PrefixComputation,
+    ext: &[R],
+    member_asns: &[Asn],
+    out: &mut Vec<Asn>,
+) -> bool {
+    let start = out.len();
     let mut cur = x;
     for _ in 0..=comp.decisions.len() {
-        path.push(member_asns[cur]);
+        out.push(member_asns[cur]);
         match comp.decisions[cur] {
-            MemberDecision::Unreachable => return None,
-            MemberDecision::Local => return Some(path),
+            MemberDecision::Unreachable => break,
+            MemberDecision::Local => return true,
             MemberDecision::ViaMember(next) => cur = next,
             MemberDecision::Egress(s) => {
-                let r = ext.iter().find(|r| r.session == s)?;
-                path.extend(r.as_path.iter().copied());
-                return Some(path);
+                let Some(r) = ext.iter().map(R::borrow).find(|r| r.session == s) else {
+                    break;
+                };
+                out.extend_from_slice(&r.as_path);
+                return true;
             }
         }
     }
-    None // defensive: decision cycle (cannot happen with Dijkstra output)
+    // Unreachable, or defensively a decision cycle (cannot happen with
+    // Dijkstra output).
+    out.truncate(start);
+    false
 }
 
 /// The session the best route of member `x` ultimately egresses through,
@@ -268,6 +287,82 @@ pub fn egress_session_of(x: usize, comp: &PrefixComputation) -> Option<usize> {
         }
     }
     None
+}
+
+/// What each member would announce for the prefix just computed, walked at
+/// most once per member however many sessions sit at its border.
+///
+/// All sessions of one member are offered the same AS sequence; they differ
+/// only in split horizon and in whether the peer is already on the path. The
+/// paths live in one flat buffer reused across prefixes, and a member's
+/// [`SharedPath`] is created only when a session needs a new announcement —
+/// every such session then holds the same allocation.
+#[derive(Debug, Default)]
+pub struct AnnounceMemo {
+    /// Member paths, back to back.
+    buf: Vec<Asn>,
+    /// Indexed by member; `None` until the member's path has been walked.
+    members: Vec<Option<MemberPath>>,
+}
+
+#[derive(Debug)]
+struct MemberPath {
+    /// The session the member's best route leaves the cluster through.
+    egress: Option<usize>,
+    /// The member's path in `buf`; `None` when it cannot reach the prefix.
+    range: Option<(usize, usize)>,
+    shared: Option<SharedPath>,
+}
+
+impl AnnounceMemo {
+    /// Forget the previous prefix; `n` is the member count.
+    pub fn reset(&mut self, n: usize) {
+        self.buf.clear();
+        self.members.clear();
+        self.members.resize_with(n, || None);
+    }
+
+    /// The path member `x` should have announced on its session `s` toward
+    /// `ext_asn`, or `None` when it should announce nothing there: `x` has
+    /// no route, its best route egresses through `s` itself (split horizon),
+    /// or the peer is already on the path (it would loop-reject the route
+    /// anyway; skipping saves churn).
+    pub fn path_toward<R: Borrow<ExternalRoute>>(
+        &mut self,
+        x: usize,
+        s: usize,
+        ext_asn: Asn,
+        comp: &PrefixComputation,
+        ext: &[R],
+        member_asns: &[Asn],
+    ) -> Option<&[Asn]> {
+        let buf = &mut self.buf;
+        let mp = self.members[x].get_or_insert_with(|| {
+            let start = buf.len();
+            let reachable = announced_path_into(x, comp, ext, member_asns, buf);
+            MemberPath {
+                egress: egress_session_of(x, comp),
+                range: reachable.then_some((start, buf.len())),
+                shared: None,
+            }
+        });
+        if mp.egress == Some(s) {
+            return None;
+        }
+        let (start, end) = mp.range?;
+        let path = &self.buf[start..end];
+        (!path.contains(&ext_asn)).then_some(path)
+    }
+
+    /// The interned form of the path [`path_toward`](Self::path_toward) just
+    /// returned for member `x`, allocated on first use.
+    pub fn shared(&mut self, x: usize) -> SharedPath {
+        let mp = self.members[x].as_mut().expect("member path was walked");
+        let (start, end) = mp.range.expect("member has a path");
+        mp.shared
+            .get_or_insert_with(|| SharedPath::from(&self.buf[start..end]))
+            .clone()
+    }
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@ use bgpsdn_sdn::{
 };
 
 use as_graph::{
-    accept_route, announced_path, compute, compute_into, egress_session_of, ComputeScratch,
-    ExternalRoute, MemberDecision, PrefixComputation,
+    accept_route, compute, compute_into, AnnounceMemo, ComputeScratch, ExternalRoute,
+    MemberDecision, PrefixComputation,
 };
 use switch_graph::SwitchGraph;
 
@@ -180,8 +180,8 @@ pub struct IdrController<M> {
     scratch: ComputeScratch,
     /// Reusable per-prefix computation output buffer.
     comp_buf: PrefixComputation,
-    /// Reusable live-external-route buffer.
-    ext_buf: Vec<ExternalRoute>,
+    /// Reusable per-prefix announcement memo.
+    memo: AnnounceMemo,
     /// Reliable sender toward the speaker (commands). Its epoch doubles as
     /// the controller's channel epoch; 0 means unsynced (speaker lost), in
     /// which state no commands are issued until a Sync is adopted.
@@ -228,7 +228,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             stats: ControllerStats::default(),
             scratch: ComputeScratch::default(),
             comp_buf: PrefixComputation::default(),
-            ext_buf: Vec::new(),
+            memo: AnnounceMemo::default(),
             // Both channel ends start in epoch 1 with empty state, matching
             // the speaker's bring-up assumption (no resync needed).
             tx: ReliableSender::new(1),
@@ -279,7 +279,16 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     /// from live state; what the last recompute compiled).
     pub fn computation_for(&self, prefix: Prefix) -> PrefixComputation {
         let owner = self.owned.get(&prefix).copied();
-        let ext = self.live_ext_routes(prefix);
+        let (comp, comp_asns) = self.component_asns();
+        let ext: Vec<ExternalRoute> = live_ext_routes(
+            &self.ext_routes,
+            &self.session_up,
+            prefix,
+            &comp,
+            &comp_asns,
+        )
+        .cloned()
+        .collect();
         compute(&self.sg, owner, &ext)
     }
 
@@ -339,22 +348,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         self.ever_known.insert(_p);
     }
 
-    /// Usable external routes for a prefix under the current sub-cluster
-    /// structure. Every stored route is kept; usability is decided here,
-    /// at computation time, because it depends on the *live* components:
-    /// a route whose AS_PATH contains a member of the session's own
-    /// sub-cluster would loop and is filtered (the paper's transformation
-    /// "taking carefully into account paths that cross the legacy world and
-    /// the SDN cluster so as to avoid loops"), while a path through a member
-    /// of a *different* sub-cluster is exactly how partitioned sub-clusters
-    /// reconnect over the legacy Internet (§2).
-    fn live_ext_routes(&self, prefix: Prefix) -> Vec<ExternalRoute> {
-        let (comp, comp_asns) = self.component_asns();
-        let mut out = Vec::new();
-        self.live_ext_routes_into(prefix, &comp, &comp_asns, &mut out);
-        out
-    }
-
     /// The current sub-cluster structure: component id per member plus the
     /// member-ASN set of each component. Shared by every per-prefix
     /// computation in a batch, so it is derived once per recompute.
@@ -368,24 +361,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             comp_asns[c].insert(self.member_asns[m]);
         }
         (comp, comp_asns)
-    }
-
-    fn live_ext_routes_into(
-        &self,
-        prefix: Prefix,
-        comp: &[usize],
-        comp_asns: &[BTreeSet<Asn>],
-        out: &mut Vec<ExternalRoute>,
-    ) {
-        out.clear();
-        if let Some(m) = self.ext_routes.get(&prefix) {
-            out.extend(
-                m.values()
-                    .filter(|r| self.session_up[r.session])
-                    .filter(|r| accept_route(&r.as_path, &comp_asns[comp[r.member]]))
-                    .cloned(),
-            );
-        }
     }
 
     // ------------------------------------------------------------------
@@ -794,7 +769,9 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         let (comp_of, comp_asns) = self.component_asns();
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut comp = std::mem::take(&mut self.comp_buf);
-        let mut ext = std::mem::take(&mut self.ext_buf);
+        let mut memo = std::mem::take(&mut self.memo);
+        // Borrowed from `ext_routes`, which the loop below never touches.
+        let mut ext: Vec<&ExternalRoute> = Vec::new();
 
         // While unsynced (epoch 0) the speaker is unreachable: keep driving
         // the switches (fail-static repair still works through the OF
@@ -806,7 +783,14 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         let mut changed_any = false;
         for &prefix in &dirty {
             let owner = self.owned.get(&prefix).copied();
-            self.live_ext_routes_into(prefix, &comp_of, &comp_asns, &mut ext);
+            ext.clear();
+            ext.extend(live_ext_routes(
+                &self.ext_routes,
+                &self.session_up,
+                prefix,
+                &comp_of,
+                &comp_asns,
+            ));
             compute_into(&self.sg, owner, &ext, &mut scratch, &mut comp);
 
             // Diff desired flow state against the compiled cache, member by
@@ -860,29 +844,25 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             if !speaker_reachable {
                 continue;
             }
+            memo.reset(n);
             for (s, scfg) in self.cfg.sessions.iter().enumerate() {
-                let desired: Option<SharedPath> = if !self.session_up[s] {
-                    None
+                let x = scfg.member;
+                let desired = if self.session_up[s] {
+                    memo.path_toward(x, s, scfg.ext_asn, &comp, &ext, &self.member_asns)
                 } else {
-                    let x = scfg.member;
-                    // Split horizon: never announce back onto the session
-                    // the best route egresses through.
-                    if egress_session_of(x, &comp) == Some(s) {
-                        None
-                    } else {
-                        announced_path(x, &comp, &ext, &self.member_asns)
-                            // Don't announce a path the peer itself is on —
-                            // it would be loop-rejected anyway; skipping
-                            // saves churn.
-                            .filter(|path| !path.contains(&scfg.ext_asn))
-                            .map(SharedPath::from)
-                    }
+                    None
                 };
                 match desired {
                     Some(path) => {
-                        if self.adj_out[s].get(&prefix) == Some(&path) {
+                        if self.adj_out[s]
+                            .get(&prefix)
+                            .is_some_and(|old| **old == *path)
+                        {
                             continue;
                         }
+                        // Allocated once per member: every session of `x`
+                        // announcing in this batch shares the handle.
+                        let path = memo.shared(x);
                         self.adj_out[s].insert(prefix, path.clone());
                         self.stats.announcements += 1;
                         changed_any = true;
@@ -912,7 +892,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         self.send_speaker_cmds(ctx, out_cmds);
         self.scratch = scratch;
         self.comp_buf = comp;
-        self.ext_buf = ext;
+        self.memo = memo;
 
         let recomputed = dirty.len() as u32;
         let cached = (tracked as u32).saturating_sub(recomputed);
@@ -1071,6 +1051,33 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             RouterCommand::ResetSession(_) | RouterCommand::RequestRefresh(_) => {}
         }
     }
+}
+
+/// Usable external routes for a prefix under the current sub-cluster
+/// structure. Every stored route is kept; usability is decided here,
+/// at computation time, because it depends on the *live* components:
+/// a route whose AS_PATH contains a member of the session's own
+/// sub-cluster would loop and is filtered (the paper's transformation
+/// "taking carefully into account paths that cross the legacy world and
+/// the SDN cluster so as to avoid loops"), while a path through a member
+/// of a *different* sub-cluster is exactly how partitioned sub-clusters
+/// reconnect over the legacy Internet (§2).
+///
+/// A free function over the fields it reads, so the recompute loop can hold
+/// the borrowed routes while it updates the compiled caches.
+fn live_ext_routes<'a>(
+    ext_routes: &'a BTreeMap<Prefix, BTreeMap<usize, ExternalRoute>>,
+    session_up: &'a [bool],
+    prefix: Prefix,
+    comp: &'a [usize],
+    comp_asns: &'a [BTreeSet<Asn>],
+) -> impl Iterator<Item = &'a ExternalRoute> {
+    ext_routes
+        .get(&prefix)
+        .into_iter()
+        .flat_map(BTreeMap::values)
+        .filter(move |r| session_up[r.session])
+        .filter(move |r| accept_route(&r.as_path, &comp_asns[comp[r.member]]))
 }
 
 impl<M: SdnApp + BgpApp> Node<M> for IdrController<M> {

@@ -29,16 +29,23 @@ pub struct IntraLink {
 pub struct SwitchGraph {
     n: usize,
     links: Vec<IntraLink>,
+    /// Per member, `(neighbor, index into links)` in link insertion order:
+    /// a traversal visits a member's links without scanning everyone's.
+    adj: Vec<Vec<(usize, usize)>>,
 }
 
 impl SwitchGraph {
     /// A graph over `n` members with the given links (all initially up).
     pub fn new(n: usize, links: Vec<(usize, usize, LinkId)>) -> SwitchGraph {
-        for &(a, b, _) in &links {
+        let mut adj = vec![Vec::new(); n];
+        for (i, &(a, b, _)) in links.iter().enumerate() {
             assert!(a < n && b < n && a != b, "bad intra link {a}-{b}");
+            adj[a].push((b, i));
+            adj[b].push((a, i));
         }
         SwitchGraph {
             n,
+            adj,
             links: links
                 .into_iter()
                 .map(|(a, b, link)| IntraLink {
@@ -89,23 +96,17 @@ impl SwitchGraph {
     /// Non-allocating variant of [`neighbors_up`](Self::neighbors_up) —
     /// iterates in link insertion order, so traversals stay deterministic.
     pub fn neighbors_up_iter(&self, m: usize) -> impl Iterator<Item = (usize, LinkId)> + '_ {
-        self.links.iter().filter(|l| l.up).filter_map(move |l| {
-            if l.a == m {
-                Some((l.b, l.link))
-            } else if l.b == m {
-                Some((l.a, l.link))
-            } else {
-                None
-            }
+        self.adj[m].iter().filter_map(|&(nbr, i)| {
+            let l = &self.links[i];
+            l.up.then_some((nbr, l.link))
         })
     }
 
     /// The link between two members, if up.
     pub fn link_between(&self, a: usize, b: usize) -> Option<LinkId> {
-        self.links
-            .iter()
-            .find(|l| l.up && ((l.a == a && l.b == b) || (l.a == b && l.b == a)))
-            .map(|l| l.link)
+        self.neighbors_up_iter(a)
+            .find(|&(nbr, _)| nbr == b)
+            .map(|(_, link)| link)
     }
 
     /// Component id per member (dense from 0) and the component count —

@@ -45,7 +45,7 @@ fn quiesce(exp: &mut Experiment) {
     assert!(q.quiescent, "run did not quiesce");
 }
 
-fn router<'a>(exp: &'a Experiment, i: usize) -> &'a Router {
+fn router(exp: &Experiment, i: usize) -> &Router {
     exp.net.sim.node_ref::<Router>(exp.net.ases[i].node)
 }
 

@@ -50,7 +50,7 @@ fn snapshot_bytes(exp: &Experiment) -> String {
     exp.capture_snapshot().to_json().to_compact()
 }
 
-fn router<'a>(exp: &'a Experiment, i: usize) -> &'a Router {
+fn router(exp: &Experiment, i: usize) -> &Router {
     exp.net.sim.node_ref::<Router>(exp.net.ases[i].node)
 }
 

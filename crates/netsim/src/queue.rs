@@ -43,6 +43,8 @@ const BUCKET_WIDTH: u64 = 1 << BUCKET_BITS;
 /// overflow heap until the window slides over it.
 const NBUCKETS: usize = 2048;
 const HORIZON: u64 = BUCKET_WIDTH * NBUCKETS as u64;
+/// Words of the ring's occupancy bitmap.
+const OCC_WORDS: usize = NBUCKETS / 64;
 
 /// The original binary min-heap over `(time, seq)` keys.
 #[derive(Debug, Default)]
@@ -91,7 +93,11 @@ impl HeapQueue {
 ///   poppable until the cursor catches up.
 /// * ring buckets hold keys with `cur_end() <= time < cur_start + HORIZON`.
 /// * `overflow` holds keys at `>= cur_start + HORIZON` when pushed; it is
-///   flushed into the window every time the cursor moves.
+///   flushed into the window every time the cursor moves, so every ring key
+///   is earlier than every overflow key.
+/// * `occupied` has bit `i` set exactly when ring bucket `i` holds keys. The
+///   cursor's own bucket never does: it was merged on arrival and later
+///   pushes in its range go to `front`.
 #[derive(Debug)]
 pub(crate) struct CalendarQueue {
     buckets: Vec<Vec<Key>>,
@@ -99,8 +105,9 @@ pub(crate) struct CalendarQueue {
     overflow: BinaryHeap<Reverse<Key>>,
     /// Start time of the bucket the cursor is on.
     cur_start: u64,
-    /// Keys currently stored in ring buckets.
-    in_buckets: usize,
+    /// One bit per ring bucket (boxed: the queue sits in an enum beside
+    /// the three-word heap).
+    occupied: Box<[u64; OCC_WORDS]>,
     len: usize,
 }
 
@@ -117,7 +124,7 @@ impl CalendarQueue {
             front: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             cur_start: 0,
-            in_buckets: 0,
+            occupied: Box::new([0; OCC_WORDS]),
             len: 0,
         }
     }
@@ -144,8 +151,9 @@ impl CalendarQueue {
         if t < self.cur_end() {
             self.front.push(Reverse(key));
         } else if t - self.cur_start < HORIZON {
-            self.buckets[Self::bucket_index(t)].push(key);
-            self.in_buckets += 1;
+            let idx = Self::bucket_index(t);
+            self.buckets[idx].push(key);
+            self.occupied[idx / 64] |= 1 << (idx % 64);
         } else {
             self.overflow.push(Reverse(key));
         }
@@ -174,12 +182,15 @@ impl CalendarQueue {
     }
 
     /// Move the cursor to the next bucket that can contain the minimum:
-    /// one step when ring buckets still hold keys (the next occupied bucket
-    /// is at most a ring-scan away), or a direct teleport to the earliest
-    /// front/overflow key when they don't (skipping the dead time before a
-    /// far-out timer in one jump).
+    /// straight to the next occupied ring bucket when there is one — no
+    /// overflow key can lie in the buckets jumped over, because every ring
+    /// key precedes every overflow key — or a direct teleport to the
+    /// earliest front/overflow key when the ring is empty (skipping the
+    /// dead time before a far-out timer in one jump).
     fn advance(&mut self) {
-        if self.in_buckets == 0 {
+        if let Some(steps) = self.next_occupied() {
+            self.cur_start += steps as u64 * BUCKET_WIDTH;
+        } else {
             let front_min = self.front.peek().map(|&Reverse(k)| k.0);
             let over_min = self.overflow.peek().map(|&Reverse(k)| k.0);
             let next = match (front_min, over_min) {
@@ -189,11 +200,31 @@ impl CalendarQueue {
                 (None, None) => unreachable!("advance() called on an empty queue"),
             };
             self.cur_start = next & !(BUCKET_WIDTH - 1);
-        } else {
-            self.cur_start += BUCKET_WIDTH;
         }
         self.flush_overflow();
         self.merge_current();
+    }
+
+    /// Ring distance (`1..NBUCKETS`) from the cursor's bucket to the next
+    /// occupied one, or `None` when the ring is empty.
+    fn next_occupied(&self) -> Option<usize> {
+        let cur = Self::bucket_index(self.cur_start);
+        let start = (cur + 1) % NBUCKETS;
+        // One lap over the bitmap from `start`; the last round revisits the
+        // first word for its bits below `start`.
+        for round in 0..=OCC_WORDS {
+            let word = (start / 64 + round) % OCC_WORDS;
+            let mut bits = self.occupied[word];
+            if round == 0 {
+                bits &= !0 << (start % 64);
+            }
+            if bits != 0 {
+                let idx = word * 64 + bits.trailing_zeros() as usize;
+                debug_assert_ne!(idx, cur, "the cursor's bucket is never occupied");
+                return Some((idx + NBUCKETS - cur) % NBUCKETS);
+            }
+        }
+        None
     }
 
     /// Pull every overflow key that now falls inside the window into the
@@ -218,7 +249,7 @@ impl CalendarQueue {
             return;
         }
         let mut bucket = std::mem::take(&mut self.buckets[idx]);
-        self.in_buckets -= bucket.len();
+        self.occupied[idx / 64] &= !(1 << (idx % 64));
         for k in bucket.drain(..) {
             self.front.push(Reverse(k));
         }
@@ -235,7 +266,7 @@ impl CalendarQueue {
         for b in &mut self.buckets {
             out.append(b);
         }
-        self.in_buckets = 0;
+        self.occupied.fill(0);
         self.len = 0;
         out
     }
@@ -344,6 +375,118 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// Start time of the bucket `n` buckets after time zero.
+    fn bucket(n: u64) -> u64 {
+        n * BUCKET_WIDTH
+    }
+
+    #[test]
+    fn jump_wraps_around_the_ring_index() {
+        let mut q = CalendarQueue::new();
+        // Park the cursor three buckets before the ring index wraps.
+        let base = bucket(NBUCKETS as u64 - 3);
+        q.push((base, 0, 0));
+        assert_eq!(q.pop(), Some((base, 0, 0)));
+        assert_eq!(CalendarQueue::bucket_index(q.cur_start), NBUCKETS - 3);
+        // The next occupied buckets sit past the wrap, at ring indices 5
+        // and 70 (another bitmap word).
+        let (near, far) = (base + bucket(8) + 1, base + bucket(73));
+        q.push((far, 1, 1));
+        q.push((near, 2, 2));
+        assert_eq!(q.next_occupied(), Some(8));
+        assert_eq!(q.pop(), Some((near, 2, 2)));
+        assert_eq!(CalendarQueue::bucket_index(q.cur_start), 5);
+        assert_eq!(q.next_occupied(), Some(65));
+        assert_eq!(q.pop(), Some((far, 1, 1)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn jump_reaches_the_farthest_ring_bucket() {
+        // The last bucket of the window is NBUCKETS - 1 away: the ring slot
+        // just behind the cursor, found by the scan's final round.
+        for cursor in [0u64, 1, 63, 64, 1000, NBUCKETS as u64 - 1] {
+            let mut q = CalendarQueue::new();
+            let base = bucket(cursor);
+            q.push((base, 0, 0));
+            assert_eq!(q.pop(), Some((base, 0, 0)));
+            let last = base + HORIZON - 1;
+            q.push((last, 1, 1));
+            q.push((last + 1, 2, 2)); // first key of the overflow range
+            assert_eq!(q.next_occupied(), Some(NBUCKETS - 1), "cursor {cursor}");
+            assert_eq!(q.pop(), Some((last, 1, 1)));
+            assert_eq!(q.pop(), Some((last + 1, 2, 2)));
+            assert_eq!(q.pop(), None);
+        }
+    }
+
+    #[test]
+    fn push_behind_the_cursor_after_a_jump_pops_in_order() {
+        let mut q = CalendarQueue::new();
+        q.push((1, 0, 0));
+        let landed = bucket(700) + 50;
+        q.push((landed, 1, 1));
+        assert_eq!(q.pop(), Some((1, 0, 0)));
+        // Peeking jumps the cursor 700 buckets ahead of the clock ...
+        assert_eq!(q.peek(), Some((landed, 1, 1)));
+        assert_eq!(q.cur_start, bucket(700));
+        // ... so pushes the simulator still may make (at `now` = 1 and
+        // anywhere up to the landing bucket) fall behind it, into `front`.
+        q.push((bucket(300), 2, 2));
+        q.push((2, 3, 3));
+        q.push((landed, 4, 4));
+        q.push((landed - 1, 5, 5));
+        let order: Vec<u64> = drain(&mut q).iter().map(|k| k.1).collect();
+        assert_eq!(order, vec![3, 2, 5, 1, 4]);
+    }
+
+    #[test]
+    fn jump_pulls_overflow_keys_into_the_window() {
+        let mut q = CalendarQueue::new();
+        q.push((0, 0, 0));
+        let ring = bucket(1500) + 7;
+        q.push((ring, 1, 1));
+        // Beyond the horizon now, inside it once the cursor lands on bucket
+        // 1500: both must move to the ring on that one flush.
+        let (over_a, over_b) = (bucket(2100), bucket(3000) + 9);
+        q.push((over_b, 2, 2));
+        q.push((over_a, 3, 3));
+        assert_eq!(q.overflow.len(), 2);
+        assert_eq!(q.pop(), Some((0, 0, 0)));
+        assert_eq!(q.pop(), Some((ring, 1, 1)));
+        assert!(q.overflow.is_empty(), "one flush at the landing bucket");
+        assert_eq!(q.pop(), Some((over_a, 3, 3)));
+        assert_eq!(q.pop(), Some((over_b, 2, 2)));
+        // With the ring empty the cursor teleports, and overflow keys that
+        // share the landing bucket go straight to `front`.
+        let t = bucket(9000);
+        q.push((t + 5, 4, 4));
+        q.push((t + 3, 5, 5));
+        q.push((t + bucket(1), 6, 6));
+        assert_eq!(q.pop(), Some((t + 3, 5, 5)));
+        assert_eq!(q.cur_start, t);
+        assert_eq!(q.pop(), Some((t + 5, 4, 4)));
+        assert_eq!(q.pop(), Some((t + bucket(1), 6, 6)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn drain_unordered_leaves_no_stale_occupancy() {
+        let mut q = CalendarQueue::new();
+        for seq in 0..200u64 {
+            q.push((bucket(seq * 10 + 1), seq, seq as u32));
+        }
+        assert!(q.occupied.iter().any(|&w| w != 0));
+        assert_eq!(q.drain_unordered().len(), 200);
+        assert_eq!(*q.occupied, [0; OCC_WORDS]);
+        // A stale bit would send the cursor to an empty bucket short of
+        // this far key instead of teleporting to it.
+        let far = 40 * HORIZON + 3;
+        q.push((far, 0, 0));
+        assert_eq!(q.pop(), Some((far, 0, 0)));
+        assert_eq!(q.cur_start, far & !(BUCKET_WIDTH - 1));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! and the tie-breaking event queue this makes runs bit-for-bit reproducible.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use bgpsdn_obs::{MetricsRegistry, TraceEvent, WallSpan};
 
@@ -218,6 +219,36 @@ struct TimerGen {
     queued: u32,
 }
 
+/// Hasher for the `(NodeId, TimerToken)` keys of the timer table: one
+/// multiply and fold per field instead of SipHash. Every timer event probes
+/// the table when armed and when fired; the keys are chosen by the program's
+/// own nodes, never by outside input, and nothing depends on the table's
+/// iteration order.
+#[derive(Default)]
+struct TimerKeyHasher(u64);
+
+impl Hasher for TimerKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // Fold the well-mixed high half down: the table indexes by low bits.
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Result of [`Simulator::run_until_quiescent`].
 #[derive(Debug, Clone, Copy)]
 pub struct Quiescence {
@@ -243,7 +274,7 @@ pub struct Simulator<M: Message> {
     /// ones; the entry goes when its last queued firing pops, so one-shot
     /// tokens do not accumulate (no queued firing is left to mistake a
     /// restarted generation for its own).
-    timer_gens: HashMap<(NodeId, TimerToken), TimerGen>,
+    timer_gens: HashMap<(NodeId, TimerToken), TimerGen, BuildHasherDefault<TimerKeyHasher>>,
     rng: SimRng,
     board: ActivityBoard,
     trace: Trace,
@@ -282,7 +313,7 @@ impl<M: Message> Simulator<M> {
             node_up: Vec::new(),
             links: Vec::new(),
             adjacency: Vec::new(),
-            timer_gens: HashMap::with_capacity(events),
+            timer_gens: HashMap::with_capacity_and_hasher(events, Default::default()),
             rng: SimRng::seed_from_u64(seed),
             board: ActivityBoard::default(),
             trace: Trace::default(),
@@ -869,6 +900,16 @@ mod tests {
         fn wire_len(&self) -> usize {
             16
         }
+    }
+
+    #[test]
+    fn timer_keys_differing_in_one_field_hash_differently() {
+        use std::hash::BuildHasher;
+        let h = |n, t| {
+            BuildHasherDefault::<TimerKeyHasher>::default().hash_one((NodeId(n), TimerToken(t)))
+        };
+        assert_ne!(h(1, 7), h(2, 7), "node");
+        assert_ne!(h(1, 7), h(1, 8), "token");
     }
 
     /// Sends `Ping(i)` for i in 0..count on start; counts pongs.

@@ -694,7 +694,7 @@ mod tests {
     #[test]
     fn critical_path_telescopes_to_convergence_time() {
         let p = Some(pfx());
-        let evs = vec![
+        let evs = [
             (0, Some(1), causal(1, vec![], 1, 0, CausalPhase::Trigger, p)),
             (
                 0,
@@ -757,7 +757,7 @@ mod tests {
         let p = Some(pfx());
         // Two updates (from one trigger) buffered into one controller
         // batch; the ctrl_queue edge must attribute back to the older one.
-        let evs = vec![
+        let evs = [
             (0, Some(1), causal(1, vec![], 1, 0, CausalPhase::Trigger, p)),
             (
                 10,
@@ -799,7 +799,7 @@ mod tests {
     #[test]
     fn triggers_separate_and_dangling_counted() {
         let p = Some(pfx());
-        let evs = vec![
+        let evs = [
             (0, Some(1), causal(1, vec![], 1, 0, CausalPhase::Trigger, p)),
             (
                 5,
@@ -833,7 +833,7 @@ mod tests {
     #[test]
     fn hold_expiry_teardown_is_attributed_to_the_trigger() {
         let p = Some(pfx());
-        let evs = vec![
+        let evs = [
             // Session teardown on n3 at t=10, then the withdrawal trigger it
             // mints on the same node at the same instant.
             (
