@@ -7,7 +7,7 @@
 //!
 //! * **Safety** ([`safety`], [`spp`]) — will the policy configuration
 //!   converge at all? Gao–Rexford conformance (provider-hierarchy
-//!   acyclicity, with the SDN cluster contracted to one logical node per
+//!   acyclicity, with each SDN cluster contracted to one logical node per
 //!   the paper's transformation) plus explicit Stable-Paths-Problem
 //!   dispute-wheel detection when per-session overrides are in play.
 //! * **Prediction** ([`predict`]) — which ASes can hold a route to each
@@ -46,8 +46,7 @@ pub use predict::{
     check_reachability, components, hunt_depth_bound, hunt_depth_bound_clusters, policy_reachable,
 };
 pub use safety::{
-    check_safety, check_safety_clusters, contract_clusters, contract_members, provider_cycle,
-    Contracted, ContractedClusters, SafetyClustersInput, SafetyInput,
+    check_safety, check_safety_clusters, provider_cycle, SafetyClustersInput, SafetyInput,
 };
 pub use spp::{render_cycle, PathRule, RankedPath, SppCaps, SppInstance, SppOutcome};
 pub use validate::{

@@ -22,7 +22,7 @@
 //!    connected component. Centralization shrinks the bound: the SDN
 //!    cluster acts as one logical node (the controller hunts internally in
 //!    zero exchanged UPDATEs), so the component is measured on the
-//!    **member-contracted** graph. For the paper's 16-clique this gives
+//!    **cluster-contracted** graph. For the paper's 16-clique this gives
 //!    bounds of 15 (sdn 0), 8 (sdn 8), and 0 (sdn 16) — the static shadow
 //!    of Fig. 2's convergence-time curve.
 
@@ -30,7 +30,7 @@ use bgpsdn_bgp::{export_allowed, import_allowed, PolicyMode, Relationship};
 use bgpsdn_topology::AsGraph;
 
 use crate::finding::AnalysisReport;
-use crate::safety::contract_members;
+use crate::safety::{contract_clusters, sanitize_clusters};
 
 /// How a route is held at a node, for export gating: `None` = locally
 /// originated, `Some(rel)` = learned from a neighbor of that relationship.
@@ -176,48 +176,20 @@ pub fn check_reachability(g: &AsGraph, mode: PolicyMode, origins: &[usize]) -> A
     report
 }
 
-/// Upper bound on the number of path-hunting steps (`hunt_step` phases in
-/// `bgpsdn explain`) any node performs for a prefix originated at `origin`,
-/// with the SDN cluster `members` contracted to one logical node. Each hunt
-/// step commits to a strictly longer simple AS path, so the count is
-/// bounded by the longest simple path available: `component_size - 1`.
+/// [`hunt_depth_bound_clusters`] for one cluster.
 pub fn hunt_depth_bound(g: &AsGraph, members: &[usize], origin: usize) -> usize {
-    let mut sorted: Vec<usize> = members.iter().copied().filter(|&m| m < g.len()).collect();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let (cg, corigin) = if sorted.len() >= 2 {
-        let c = contract_members(g, &sorted);
-        let co = c.map[origin];
-        (c.graph, co)
-    } else {
-        (g.clone(), origin)
-    };
-    let comp = components(&cg);
-    let size = comp.iter().filter(|&&c| c == comp[corigin]).count();
-    size.saturating_sub(1)
+    hunt_depth_bound_clusters(g, &[members.to_vec()], origin)
 }
 
-/// Multi-cluster variant of [`hunt_depth_bound`]: **every** cluster
-/// contracts to its own logical node before the component is measured, so
-/// two 4-member clusters on a 16-clique leave `16 - 8 + 2 = 10` logical
-/// nodes and a bound of 9. With zero or one clusters this equals
-/// [`hunt_depth_bound`] over the flattened member list.
+/// Upper bound on the number of path-hunting steps (`hunt_step` phases in
+/// `bgpsdn explain`) any node performs for a prefix originated at `origin`,
+/// with **every** SDN cluster contracted to its own logical node. Each hunt
+/// step commits to a strictly longer simple AS path, so the count is
+/// bounded by the longest simple path available: `component_size - 1`. Two
+/// 4-member clusters on a 16-clique leave `16 - 8 + 2 = 10` logical nodes
+/// and a bound of 9.
 pub fn hunt_depth_bound_clusters(g: &AsGraph, clusters: &[Vec<usize>], origin: usize) -> usize {
-    let sanitized: Vec<Vec<usize>> = clusters
-        .iter()
-        .map(|members| {
-            let mut s: Vec<usize> = members.iter().copied().filter(|&m| m < g.len()).collect();
-            s.sort_unstable();
-            s.dedup();
-            s
-        })
-        .filter(|s| !s.is_empty())
-        .collect();
-    if sanitized.len() <= 1 {
-        let flat: Vec<usize> = sanitized.into_iter().flatten().collect();
-        return hunt_depth_bound(g, &flat, origin);
-    }
-    let c = crate::safety::contract_clusters(g, &sanitized);
+    let c = contract_clusters(g, &sanitize_clusters(clusters, g.len()));
     let comp = components(&c.graph);
     let size = comp.iter().filter(|&&k| k == comp[c.map[origin]]).count();
     size.saturating_sub(1)

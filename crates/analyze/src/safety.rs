@@ -13,8 +13,9 @@
 //! The hybrid deployment adds a twist the plain theorem does not cover: the
 //! paper's SDN cluster behaves as **one logical routing node** (members
 //! share the controller's RIB and decisions), so the relevant policy graph
-//! is the original graph with all cluster members *contracted* to a single
-//! vertex. Contraction can manufacture a provider cycle that the
+//! is the original graph with each cluster's members *contracted* to a
+//! single vertex — one vertex for the paper's deployment, `k` for `k`
+//! independent clusters. Contraction can manufacture a provider cycle that the
 //! uncontracted graph does not have — e.g. outside AS X is a provider of
 //! member A while member B is a provider of X: after contraction the
 //! cluster is simultaneously above and below X in the hierarchy. The pass
@@ -33,7 +34,8 @@ use bgpsdn_topology::{AsEdge, AsGraph, EdgeKind};
 use crate::finding::AnalysisReport;
 use crate::spp::{render_cycle, PathRule, SppCaps, SppInstance, SppOutcome};
 
-/// Everything the safety pass looks at.
+/// One-cluster form of [`SafetyClustersInput`]: `members` is the single
+/// cluster (empty = pure legacy BGP).
 #[derive(Debug, Clone, Copy)]
 pub struct SafetyInput<'a> {
     /// The relationship-annotated AS graph.
@@ -46,8 +48,8 @@ pub struct SafetyInput<'a> {
     pub rules: &'a [PathRule],
 }
 
-/// Multi-cluster variant of [`SafetyInput`]: each cluster contracts to its
-/// own logical vertex in the boundary proof.
+/// Everything the safety pass looks at. Each cluster contracts to its own
+/// logical vertex in the boundary proof.
 #[derive(Debug, Clone, Copy)]
 pub struct SafetyClustersInput<'a> {
     /// The relationship-annotated AS graph.
@@ -60,54 +62,66 @@ pub struct SafetyClustersInput<'a> {
     pub rules: &'a [PathRule],
 }
 
-/// Run the full safety pass.
-#[allow(clippy::too_many_lines)]
+/// [`check_safety_clusters`] for one cluster.
 pub fn check_safety(input: &SafetyInput) -> AnalysisReport {
+    check_safety_clusters(&SafetyClustersInput {
+        graph: input.graph,
+        mode: input.mode,
+        clusters: &[input.members.to_vec()],
+        rules: input.rules,
+    })
+}
+
+/// Run the full safety pass: membership validation across all clusters,
+/// the raw-hierarchy proof, the boundary proof with **every** cluster
+/// contracted to its own logical vertex, and the rule-driven SPP fallback.
+/// A lone cluster is reported as "the cluster"; several are numbered.
+pub fn check_safety_clusters(input: &SafetyClustersInput) -> AnalysisReport {
     let mut report = AnalysisReport::new();
     let g = input.graph;
     let n = g.len();
-
-    // Cluster membership must name real ASes, without duplicates.
-    for &m in input.members {
-        report.checked();
-        if m >= n {
-            report.error(
-                "cluster.member_range",
-                format!("SDN member index {m} out of range for {n} ASes"),
-            );
+    let numbered = input.clusters.len() > 1;
+    let label = |c: usize, sep: &str| {
+        if numbered {
+            format!("cluster{sep}{c}")
+        } else {
+            "cluster".to_string()
         }
-    }
-    let mut sorted_members: Vec<usize> = input.members.iter().copied().filter(|&m| m < n).collect();
-    sorted_members.sort_unstable();
-    sorted_members.dedup();
-    if sorted_members.len() != input.members.iter().filter(|&&m| m < n).count() {
-        report.warning(
-            "cluster.member_duplicate",
-            "SDN member list contains duplicate indices",
-        );
-    }
+    };
+
+    let disjoint = check_membership(input.clusters, n, &mut report);
 
     // (a) Provider hierarchy acyclicity on the raw graph.
     check_raw_hierarchy(g, input.mode, &mut report);
 
-    // (b) The legacy<->cluster boundary: contract members to one node and
-    // re-prove. Only meaningful with >= 2 members and relationship-sensitive
-    // policy.
-    if sorted_members.len() >= 2 && input.mode == PolicyMode::GaoRexford {
-        let contracted = contract_members(g, &sorted_members);
-        for (x, up, down) in &contracted.conflicts {
+    // (b) The legacy<->cluster boundary: contract every cluster to its own
+    // vertex simultaneously and re-prove. Only meaningful with a cluster of
+    // >= 2 members and relationship-sensitive policy; overlapping clusters
+    // have no well-defined contraction.
+    let sanitized = sanitize_clusters(input.clusters, n);
+    if disjoint && input.mode == PolicyMode::GaoRexford && sanitized.iter().any(|s| s.len() >= 2) {
+        let contracted = contract_clusters(g, &sanitized);
+        for &(c, x, up, down) in &contracted.conflicts {
             report.checked();
             report.error_with(
                 "cluster.boundary_conflict",
                 format!(
-                    "AS{} is provider of cluster member AS{} but customer of member AS{}; \
+                    "AS{} is provider of {} member AS{} but customer of member AS{}; \
                      after cluster contraction its relationship to the logical node is \
                      ambiguous",
-                    g.asns[*x].0, g.asns[*down].0, g.asns[*up].0
+                    g.asns[x].0,
+                    label(c, " "),
+                    g.asns[down].0,
+                    g.asns[up].0
                 ),
                 format!(
-                    "AS{} -> cluster(AS{}), cluster(AS{}) -> AS{}",
-                    g.asns[*x].0, g.asns[*down].0, g.asns[*up].0, g.asns[*x].0
+                    "AS{} -> {}(AS{}), {}(AS{}) -> AS{}",
+                    g.asns[x].0,
+                    label(c, ""),
+                    g.asns[down].0,
+                    label(c, ""),
+                    g.asns[up].0,
+                    g.asns[x].0
                 ),
             );
         }
@@ -118,9 +132,16 @@ pub fn check_safety(input: &SafetyInput) -> AnalysisReport {
             if provider_cycle(g).is_none() {
                 report.error_with(
                     "cluster.boundary_cycle",
-                    "contracting the SDN cluster to one logical node creates a provider \
-                     cycle; the hybrid deployment breaks Gao-Rexford safety",
-                    render_contracted_cycle(&contracted, &cycle),
+                    format!(
+                        "contracting the SDN {} creates a provider cycle; the hybrid \
+                         deployment breaks Gao-Rexford safety",
+                        if numbered {
+                            "clusters to logical nodes"
+                        } else {
+                            "cluster to one logical node"
+                        }
+                    ),
+                    render_clusters_cycle(&contracted, &cycle, |c| label(c, "")),
                 );
             }
         }
@@ -133,38 +154,34 @@ pub fn check_safety(input: &SafetyInput) -> AnalysisReport {
     report
 }
 
-/// Multi-cluster safety pass: membership validation across all clusters,
-/// the raw-hierarchy proof, the boundary proof with **every** cluster
-/// contracted to its own logical vertex, and the rule-driven SPP fallback.
-/// With zero or one clusters this is exactly [`check_safety`] over the
-/// flattened member list, finding for finding.
-pub fn check_safety_clusters(input: &SafetyClustersInput) -> AnalysisReport {
-    if input.clusters.len() <= 1 {
-        let flat: Vec<usize> = input.clusters.iter().flatten().copied().collect();
-        return check_safety(&SafetyInput {
-            graph: input.graph,
-            mode: input.mode,
-            members: &flat,
-            rules: input.rules,
-        });
-    }
-    let mut report = AnalysisReport::new();
-    let g = input.graph;
-    let n = g.len();
-
-    // Membership must name real ASes, and no AS may serve two controllers.
+/// Membership must name real ASes, and no AS may serve two controllers
+/// (returns whether that holds). An index repeated inside one list is only
+/// untidy: [`sanitize_clusters`] drops it.
+fn check_membership(clusters: &[Vec<usize>], n: usize, report: &mut AnalysisReport) -> bool {
+    let scope = |c: usize| {
+        if clusters.len() > 1 {
+            format!("cluster {c}: ")
+        } else {
+            String::new()
+        }
+    };
     let mut owner = vec![usize::MAX; n];
-    for (c, members) in input.clusters.iter().enumerate() {
+    let mut disjoint = true;
+    for (c, members) in clusters.iter().enumerate() {
+        let mut repeated = false;
         for &m in members {
             report.checked();
             if m >= n {
                 report.error(
                     "cluster.member_range",
-                    format!("cluster {c}: SDN member index {m} out of range for {n} ASes"),
+                    format!("{}SDN member index {m} out of range for {n} ASes", scope(c)),
                 );
             } else if owner[m] == usize::MAX {
                 owner[m] = c;
+            } else if owner[m] == c {
+                repeated = true;
             } else {
+                disjoint = false;
                 report.error(
                     "cluster.member_overlap",
                     format!(
@@ -175,15 +192,20 @@ pub fn check_safety_clusters(input: &SafetyClustersInput) -> AnalysisReport {
                 );
             }
         }
+        if repeated {
+            report.warning(
+                "cluster.member_duplicate",
+                format!("{}SDN member list contains duplicate indices", scope(c)),
+            );
+        }
     }
-    let membership_valid = report.ok();
+    disjoint
+}
 
-    check_raw_hierarchy(g, input.mode, &mut report);
-
-    // Boundary proof: contract every (valid, >= 2 member) cluster to its
-    // own vertex simultaneously and re-prove acyclicity.
-    let sanitized: Vec<Vec<usize>> = input
-        .clusters
+/// The form [`contract_clusters`] takes: out-of-range members dropped,
+/// each list sorted and deduplicated, empty lists removed.
+pub(crate) fn sanitize_clusters(clusters: &[Vec<usize>], n: usize) -> Vec<Vec<usize>> {
+    clusters
         .iter()
         .map(|members| {
             let mut s: Vec<usize> = members.iter().copied().filter(|&m| m < n).collect();
@@ -192,45 +214,7 @@ pub fn check_safety_clusters(input: &SafetyClustersInput) -> AnalysisReport {
             s
         })
         .filter(|s| !s.is_empty())
-        .collect();
-    if membership_valid
-        && input.mode == PolicyMode::GaoRexford
-        && sanitized.iter().any(|s| s.len() >= 2)
-    {
-        let contracted = contract_clusters(g, &sanitized);
-        for &(c, x, up, down) in &contracted.conflicts {
-            report.checked();
-            report.error_with(
-                "cluster.boundary_conflict",
-                format!(
-                    "AS{} is provider of cluster {c} member AS{} but customer of member \
-                     AS{}; after cluster contraction its relationship to the logical node \
-                     is ambiguous",
-                    g.asns[x].0, g.asns[down].0, g.asns[up].0
-                ),
-                format!(
-                    "AS{} -> cluster{c}(AS{}), cluster{c}(AS{}) -> AS{}",
-                    g.asns[x].0, g.asns[down].0, g.asns[up].0, g.asns[x].0
-                ),
-            );
-        }
-        report.checked();
-        if let Some(cycle) = provider_cycle(&contracted.graph) {
-            // Only boundary-induced when the raw graph was clean.
-            if provider_cycle(g).is_none() {
-                report.error_with(
-                    "cluster.boundary_cycle",
-                    "contracting the SDN clusters to logical nodes creates a provider \
-                     cycle; the hybrid deployment breaks Gao-Rexford safety",
-                    render_clusters_cycle(&contracted, &cycle),
-                );
-            }
-        }
-    }
-
-    check_rules(g, input.mode, input.rules, &mut report);
-
-    report
+        .collect()
 }
 
 /// Provider hierarchy acyclicity on the raw graph. Under AllPermit the
@@ -351,97 +335,6 @@ pub fn provider_cycle(g: &AsGraph) -> Option<Vec<usize>> {
     None
 }
 
-/// Result of contracting the cluster members to one logical vertex.
-pub struct Contracted {
-    /// The contracted graph. Non-members keep their relative order at
-    /// indices `0..n-k`; the cluster vertex is last.
-    pub graph: AsGraph,
-    /// `map[v]` = contracted index of original vertex `v`.
-    pub map: Vec<usize>,
-    /// Original indices of the vertices behind each contracted index
-    /// (members are all listed under the cluster vertex).
-    pub preimage: Vec<Vec<usize>>,
-    /// Boundary conflicts: `(outside, member_above, member_below)` — the
-    /// outside AS is customer of `member_above` but provider of
-    /// `member_below`.
-    pub conflicts: Vec<(usize, usize, usize)>,
-}
-
-/// Contract `members` (sorted, deduped, in-range) to a single vertex.
-/// Intra-cluster edges disappear; boundary edges keep their kind and
-/// orientation relative to the cluster vertex.
-pub fn contract_members(g: &AsGraph, members: &[usize]) -> Contracted {
-    let n = g.len();
-    let is_member = {
-        let mut m = vec![false; n];
-        for &v in members {
-            m[v] = true;
-        }
-        m
-    };
-    let mut map = vec![usize::MAX; n];
-    let mut preimage: Vec<Vec<usize>> = Vec::new();
-    for v in 0..n {
-        if !is_member[v] {
-            map[v] = preimage.len();
-            preimage.push(vec![v]);
-        }
-    }
-    let cluster = preimage.len();
-    preimage.push(members.to_vec());
-    for &v in members {
-        map[v] = cluster;
-    }
-
-    let mut edges: Vec<AsEdge> = Vec::new();
-    for e in &g.edges {
-        let (ca, cb) = (map[e.a], map[e.b]);
-        if ca == cb {
-            continue; // intra-cluster (or self) edge vanishes
-        }
-        // Dedup parallel contracted edges with identical orientation+kind.
-        if !edges
-            .iter()
-            .any(|d| d.a == ca && d.b == cb && d.kind == e.kind)
-        {
-            edges.push(AsEdge {
-                a: ca,
-                b: cb,
-                kind: e.kind,
-            });
-        }
-    }
-
-    // Boundary conflicts: an outside AS that is provider of one member and
-    // customer of another. Track, per outside AS, one member above and one
-    // below it (if both exist, that's the conflict witness).
-    let mut above = vec![usize::MAX; n]; // member that is x's provider
-    let mut below = vec![usize::MAX; n]; // member that is x's customer
-    for e in &g.edges {
-        if e.kind != EdgeKind::ProviderCustomer {
-            continue;
-        }
-        let (p, c) = (e.a, e.b);
-        match (is_member[p], is_member[c]) {
-            (true, false) => above[c] = p,
-            (false, true) => below[p] = c,
-            _ => {}
-        }
-    }
-    let conflicts = (0..n)
-        .filter(|&x| above[x] != usize::MAX && below[x] != usize::MAX)
-        .map(|x| (x, above[x], below[x]))
-        .collect();
-
-    let asns = preimage.iter().map(|pre| g.asns[pre[0]]).collect();
-    Contracted {
-        graph: AsGraph { asns, edges },
-        map,
-        preimage,
-        conflicts,
-    }
-}
-
 /// Result of contracting **each** cluster to its own logical vertex.
 pub struct ContractedClusters {
     /// The contracted graph. Non-members keep their relative order at the
@@ -451,7 +344,7 @@ pub struct ContractedClusters {
     pub map: Vec<usize>,
     /// Original indices of the vertices behind each contracted index.
     pub preimage: Vec<Vec<usize>>,
-    /// Contracted index of each cluster's logical vertex, in cluster order.
+    /// Index in `graph` of each cluster's logical vertex, in cluster order.
     pub cluster_vertices: Vec<usize>,
     /// Boundary conflicts `(cluster, outside, member_above, member_below)`:
     /// the outside AS is customer of `member_above` but provider of
@@ -461,8 +354,7 @@ pub struct ContractedClusters {
 
 /// Contract each cluster in `clusters` (disjoint, non-empty, sorted,
 /// deduped, in-range member lists) to its own logical vertex. Intra-cluster
-/// edges disappear; all other edges keep their kind and orientation. With
-/// one cluster this matches [`contract_members`] vertex for vertex.
+/// edges disappear; all other edges keep their kind and orientation.
 pub fn contract_clusters(g: &AsGraph, clusters: &[Vec<usize>]) -> ContractedClusters {
     let n = g.len();
     let mut owner = vec![usize::MAX; n];
@@ -489,16 +381,16 @@ pub fn contract_clusters(g: &AsGraph, clusters: &[Vec<usize>]) -> ContractedClus
         }
     }
 
+    // Parallel contracted edges of one orientation and kind collapse to
+    // the first; the set keeps contracting a cluster-free graph near-linear.
+    let mut seen = std::collections::BTreeSet::new();
     let mut edges: Vec<AsEdge> = Vec::new();
     for e in &g.edges {
         let (ca, cb) = (map[e.a], map[e.b]);
         if ca == cb {
             continue; // intra-cluster (or self) edge vanishes
         }
-        if !edges
-            .iter()
-            .any(|d| d.a == ca && d.b == cb && d.kind == e.kind)
-        {
+        if seen.insert((ca, cb, e.kind == EdgeKind::PeerPeer)) {
             edges.push(AsEdge {
                 a: ca,
                 b: cb,
@@ -542,9 +434,13 @@ pub fn contract_clusters(g: &AsGraph, clusters: &[Vec<usize>]) -> ContractedClus
     }
 }
 
-/// Render a cycle in a multi-cluster contracted graph, labelling each
-/// cluster vertex with its cluster index.
-fn render_clusters_cycle(c: &ContractedClusters, cycle: &[usize]) -> String {
+/// Render a cycle in the contracted graph, naming each cluster vertex
+/// with `label(cluster index)`.
+fn render_clusters_cycle(
+    c: &ContractedClusters,
+    cycle: &[usize],
+    label: impl Fn(usize) -> String,
+) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for &v in cycle.iter().chain(cycle.first()) {
@@ -552,25 +448,7 @@ fn render_clusters_cycle(c: &ContractedClusters, cycle: &[usize]) -> String {
             out.push_str(" -> ");
         }
         if let Some(ci) = c.cluster_vertices.iter().position(|&cv| cv == v) {
-            let _ = write!(out, "cluster{ci}");
-        } else {
-            let _ = write!(out, "AS{}", c.graph.asns[v].0);
-        }
-    }
-    out
-}
-
-/// Render a cycle in the contracted graph, labelling the cluster vertex.
-fn render_contracted_cycle(c: &Contracted, cycle: &[usize]) -> String {
-    use std::fmt::Write as _;
-    let cluster = c.preimage.len() - 1;
-    let mut out = String::new();
-    for &v in cycle.iter().chain(cycle.first()) {
-        if !out.is_empty() {
-            out.push_str(" -> ");
-        }
-        if v == cluster {
-            out.push_str("cluster");
+            out.push_str(&label(ci));
         } else {
             let _ = write!(out, "AS{}", c.graph.asns[v].0);
         }
@@ -700,7 +578,7 @@ mod tests {
     #[test]
     fn contraction_preserves_outside_structure() {
         let g = graph(5, vec![pc(0, 1), pc(0, 2), pp(3, 4), pc(3, 2)]);
-        let c = contract_members(&g, &[1, 2]);
+        let c = contract_clusters(&g, &[vec![1, 2]]);
         assert_eq!(c.graph.len(), 4);
         let cluster = 3;
         assert_eq!(c.map[1], cluster);
@@ -744,6 +622,21 @@ mod tests {
             rules: &[],
         });
         assert_eq!(r.first_error().unwrap().code, "cluster.member_overlap");
+    }
+
+    #[test]
+    fn duplicate_inside_one_of_two_clusters_is_a_warning_not_an_overlap() {
+        let g = AsGraph::all_peer(&gen::clique(5), 65000);
+        let r = check_safety_clusters(&SafetyClustersInput {
+            graph: &g,
+            mode: PolicyMode::AllPermit,
+            clusters: &[vec![0, 1, 1], vec![2, 3]],
+            rules: &[],
+        });
+        assert!(r.ok(), "{}", r.render());
+        let codes: Vec<&str> = r.findings.iter().map(|f| f.code).collect();
+        assert_eq!(codes, ["cluster.member_duplicate"]);
+        assert!(r.findings[0].message.starts_with("cluster 0: "));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use bgpsdn_bench::write_json;
-use bgpsdn_core::{run_clique_instrumented, CliqueScenario, EventKind, Experiment};
+use bgpsdn_core::{run_clique_with, CliqueRunOptions, CliqueScenario, EventKind, Experiment};
 use bgpsdn_netsim::{Activity, SimDuration, TraceCategory};
 use bgpsdn_obs::{CausalAnalysis, Json};
 
@@ -55,7 +55,8 @@ fn median(mut xs: Vec<u64>) -> u64 {
 
 fn run_off() -> (u64, Experiment) {
     let t = Instant::now();
-    let (out, exp) = run_clique_instrumented(&scenario(), EventKind::Withdrawal, |_| {});
+    let opts = CliqueRunOptions::default();
+    let (out, exp) = run_clique_with(&scenario(), EventKind::Withdrawal, &opts, |_| {});
     let wall = t.elapsed().as_nanos() as u64;
     assert!(
         out.converged && out.audit_ok,
@@ -66,7 +67,8 @@ fn run_off() -> (u64, Experiment) {
 
 fn run_causal() -> (u64, ScOutcome, Experiment) {
     let t = Instant::now();
-    let (out, exp) = run_clique_instrumented(&scenario(), EventKind::Withdrawal, |sim| {
+    let opts = CliqueRunOptions::default();
+    let (out, exp) = run_clique_with(&scenario(), EventKind::Withdrawal, &opts, |sim| {
         sim.trace_mut().enable(TraceCategory::Causal);
     });
     let wall = t.elapsed().as_nanos() as u64;

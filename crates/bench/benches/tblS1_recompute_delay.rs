@@ -9,7 +9,7 @@
 //! time; zero delay recomputes per update.
 
 use bgpsdn_bench::{runs_per_point, write_json};
-use bgpsdn_core::{run_clique_full, CliqueScenario, EventKind};
+use bgpsdn_core::{run_clique_with, CliqueRunOptions, CliqueScenario, EventKind};
 use bgpsdn_netsim::{SimDuration, Summary};
 use bgpsdn_obs::impl_to_json;
 
@@ -53,7 +53,8 @@ fn main() {
                 seed: 4000 + r * 7919,
                 control_loss: 0.0,
             };
-            let (out, exp) = run_clique_full(&scenario, EventKind::Withdrawal);
+            let opts = CliqueRunOptions::default();
+            let (out, exp) = run_clique_with(&scenario, EventKind::Withdrawal, &opts, |_| {});
             assert!(out.converged && out.audit_ok);
             times.push(out.convergence);
             let c = exp.net.controller.unwrap();

@@ -5,7 +5,7 @@
 //! routes, which is *why* convergence improves in Figure 2.
 
 use bgpsdn_bench::{runs_per_point, write_json};
-use bgpsdn_core::{run_clique_full, CliqueScenario, EventKind};
+use bgpsdn_core::{run_clique_with, CliqueRunOptions, CliqueScenario, EventKind};
 use bgpsdn_netsim::SimTime;
 use bgpsdn_obs::impl_to_json;
 
@@ -44,7 +44,8 @@ fn main() {
                 control_loss: 0.0,
                 ..CliqueScenario::fig2(sdn_count, 0)
             };
-            let (out, exp) = run_clique_full(&scenario, EventKind::Withdrawal);
+            let opts = CliqueRunOptions::default();
+            let (out, exp) = run_clique_with(&scenario, EventKind::Withdrawal, &opts, |_| {});
             assert!(out.converged && out.audit_ok);
             updates.push(out.updates as f64);
             let collector = exp.net.collector.expect("collector enabled");

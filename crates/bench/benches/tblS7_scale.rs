@@ -9,7 +9,7 @@
 //! `BENCH_recompute.json`: per-variant recompute wall-time p50/p99 and
 //! prefixes-recomputed-per-trigger, plus the measured speedup.
 
-use bgpsdn_bench::{output_dir, render_artifact, runs_per_point, write_json};
+use bgpsdn_bench::{output_dir, runs_per_point, write_json};
 use bgpsdn_core::{run_scale_instrumented, Experiment, ScaleScenario, SCALE_UPDATE_PHASE};
 use bgpsdn_obs::{impl_to_json, Json, RecomputeTrigger, ToJson, TraceCategory, TraceEvent};
 
@@ -125,7 +125,9 @@ fn run_variant(incremental: bool, runs: u64, keep_artifact: bool) -> (VariantRow
                 ),
                 ("seed".into(), Json::U64(scenario.seed)),
             ]);
-            artifact = Some(render_artifact(&info, &exp));
+            let mut text = String::new();
+            exp.render_artifact_into(&info, &mut text);
+            artifact = Some(text);
         }
     }
     let mut walls: Vec<u64> = samples.iter().map(|&(_, w)| w).collect();

@@ -14,9 +14,9 @@ pub mod regress;
 use std::fs;
 use std::path::PathBuf;
 
-use bgpsdn_core::{event_phase_name, run_clique_traced, CliqueScenario, EventKind, Experiment};
+use bgpsdn_core::{event_phase_name, run_clique_traced, CliqueScenario, EventKind};
 use bgpsdn_netsim::{SimDuration, Summary};
-use bgpsdn_obs::{impl_to_json, metrics_line, run_line, Json, ToJson};
+use bgpsdn_obs::{impl_to_json, Json, ToJson};
 
 /// Number of seeded repetitions per sweep point: the paper uses 10;
 /// override with `BGPSDN_RUNS` for quicker passes.
@@ -117,9 +117,10 @@ pub fn write_json<T: ToJson>(name: &str, value: &T) {
 }
 
 /// Run one fully-traced representative of a sweep and persist its JSONL
-/// artifact as `bench-results/<name>.jsonl`: a `run` header, the typed
-/// event stream, and one metrics snapshot per phase. `bgpsdn report` reads
-/// it back; figures can mine it without re-running the sweep.
+/// artifact as `bench-results/<name>.jsonl` (the document
+/// `Experiment::render_artifact_into` lays out). `bgpsdn report` and
+/// `bgpsdn verify --snapshot` read it back; figures can mine it without
+/// re-running the sweep.
 pub fn write_run_artifact(name: &str, scenario: &CliqueScenario, event: EventKind) -> PathBuf {
     let (out, exp) = run_clique_traced(scenario, event);
     assert!(out.converged, "artifact run did not converge");
@@ -135,22 +136,11 @@ pub fn write_run_artifact(name: &str, scenario: &CliqueScenario, event: EventKin
         ("seed".into(), Json::U64(scenario.seed)),
     ]);
     let path = output_dir().join(format!("{name}.jsonl"));
-    fs::write(&path, render_artifact(&info, &exp)).expect("write jsonl artifact");
+    let mut text = String::new();
+    exp.render_artifact_into(&info, &mut text);
+    fs::write(&path, text).expect("write jsonl artifact");
     println!("[written {}]", path.display());
     path
-}
-
-/// Render a finished experiment's telemetry as a JSONL artifact document.
-pub fn render_artifact(info: &Json, exp: &Experiment) -> String {
-    let mut text = String::new();
-    text.push_str(&run_line(info));
-    text.push('\n');
-    text.push_str(&exp.net.sim.trace().export_jsonl());
-    for (phase, snap) in exp.phase_snapshots() {
-        text.push_str(&metrics_line(phase, snap));
-        text.push('\n');
-    }
-    text
 }
 
 #[cfg(test)]
@@ -210,7 +200,10 @@ mod tests {
         let (out, exp) = run_clique_traced(&scenario, EventKind::Withdrawal);
         assert!(out.converged);
         let info = Json::Obj(vec![("bench".into(), Json::Str("test".into()))]);
-        let artifact = RunArtifact::parse(&render_artifact(&info, &exp)).unwrap();
+        let mut text = String::new();
+        exp.render_artifact_into(&info, &mut text);
+        assert!(text.contains("\n{\"type\":\"snapshot\","));
+        let artifact = RunArtifact::parse(&text).unwrap();
         assert!(!artifact.events.is_empty());
         assert_eq!(artifact.snapshots.len(), 2, "bring-up + withdrawal phases");
         assert_eq!(artifact.snapshots[0].0, "bring-up");

@@ -63,7 +63,7 @@ pub struct CampaignGrid {
     /// split into (`[1]` = the paper's single-cluster deployment).
     pub clusters: Vec<usize>,
     /// Deployment strategy selecting which ASes the clusters cover
-    /// (`"tail"` reproduces the legacy high-index layout; see
+    /// (`"tail"` is the paper's high-index layout; see
     /// [`super::deploy::DeploymentStrategy`]).
     pub strategy: &'static str,
     /// Swept axis: control-channel loss probabilities.
@@ -183,11 +183,16 @@ impl CampaignGrid {
         jobs
     }
 
-    /// True when the grid uses the classic single-cluster tail layout
-    /// everywhere — the configuration whose artifacts must stay
-    /// byte-identical to pre-multi-cluster output.
+    /// True when every job of the grid runs the paper's deployment — one
+    /// cluster on the highest AS indices. This decides formats only: such
+    /// jobs' seeds are not folded ([`fold_deployment_seed`]) and their
+    /// artifact headers omit the `clusters` and `strategy` keys, so Fig. 2
+    /// sweeps stay comparable with artifacts that predate the deployment
+    /// axes. Which code runs never depends on it.
     pub fn default_deployment(&self) -> bool {
-        (self.clusters.is_empty() || self.clusters == [1]) && self.strategy == "tail"
+        self.clusters
+            .iter()
+            .all(|&k| paper_deployment(k, self.strategy))
     }
 
     /// The merged-artifact header for this grid.
@@ -240,13 +245,26 @@ pub fn job_seed(base: u64, cluster: u64, loss_ppm: u64, latency_ns: u64, seed_in
     h | 1
 }
 
-/// Fold the multi-cluster deployment axes into a job seed. Identity for
-/// the default single-cluster tail deployment, so pre-existing sweeps
-/// reproduce bit-for-bit; any other `(cluster count, strategy)` pair
-/// derives a distinct seed that — like [`job_seed`] — depends only on the
-/// job's own parameters, never on its grid position.
+/// The job-level test behind [`CampaignGrid::default_deployment`].
+fn paper_deployment(clusters: usize, strategy: &str) -> bool {
+    clusters <= 1 && matches!(strategy, "" | "tail")
+}
+
+impl CliqueRunOptions {
+    /// True when the options describe the paper's deployment (see
+    /// [`CampaignGrid::default_deployment`]).
+    pub fn default_deployment(&self) -> bool {
+        paper_deployment(self.clusters, self.strategy)
+    }
+}
+
+/// Fold the deployment axes into a job seed. Identity for the paper's
+/// deployment, so Fig. 2 sweeps reproduce bit-for-bit; any other
+/// `(cluster count, strategy)` pair derives a distinct seed that — like
+/// [`job_seed`] — depends only on the job's own parameters, never on its
+/// grid position.
 pub fn fold_deployment_seed(seed: u64, clusters: u64, strategy: &str) -> u64 {
-    if clusters <= 1 && strategy == "tail" {
+    if paper_deployment(clusters as usize, strategy) {
         return seed;
     }
     let sid = bgpsdn_analyze::STRATEGY_NAMES
@@ -278,7 +296,7 @@ pub struct CampaignJob {
     /// SDN cluster size.
     pub cluster: usize,
     /// How many independent clusters the members are split into (1 = the
-    /// classic single-cluster deployment).
+    /// paper's single-cluster deployment).
     pub clusters: usize,
     /// Deployment strategy placing the clusters.
     pub strategy: &'static str,
@@ -535,23 +553,14 @@ pub fn run_job_scratch(job: &CampaignJob, trace: bool, scratch: &mut JobScratch)
     }
 }
 
-/// Render one job's isolated JSONL artifact: a `run` header carrying the
-/// job coordinates, the typed event stream, the final verifier snapshot,
-/// and one metrics line per phase — the same document shape `bgpsdn run
-/// --trace-out` writes, so `bgpsdn report` and `bgpsdn verify` work on
-/// per-job artifacts unchanged.
-pub fn render_job_artifact(job: &CampaignJob, exp: &Experiment) -> String {
-    let mut out = String::new();
-    render_job_artifact_into(job, exp, &mut out);
-    out
-}
-
-/// [`render_job_artifact`] appending to a caller-owned buffer (capacity
-/// reuse across jobs on a campaign worker).
+/// Render one job's isolated JSONL artifact into `text` (a campaign worker
+/// reuses the buffer's capacity across jobs): a `run` header carrying the
+/// job coordinates, then the experiment's telemetry as
+/// [`Experiment::render_artifact_into`] lays it out — the same document
+/// shape `bgpsdn run --trace-out` writes, so `bgpsdn report` and
+/// `bgpsdn verify` work on per-job artifacts unchanged.
 pub fn render_job_artifact_into(job: &CampaignJob, exp: &Experiment, text: &mut String) {
-    let trace = exp.net.sim.trace();
-    let mut info_kv = vec![
-        ("type".into(), Json::Str("run".into())),
+    let mut info = vec![
         ("scenario".into(), Json::Str("clique".into())),
         (
             "event".into(),
@@ -561,6 +570,12 @@ pub fn render_job_artifact_into(job: &CampaignJob, exp: &Experiment, text: &mut 
         ("cell".into(), Json::U64(job.cell as u64)),
         ("n".into(), Json::U64(job.n as u64)),
         ("sdn".into(), Json::U64(job.cluster as u64)),
+    ];
+    if !paper_deployment(job.clusters, job.strategy) {
+        info.push(("clusters".into(), Json::U64(job.clusters as u64)));
+        info.push(("strategy".into(), Json::Str(job.strategy.into())));
+    }
+    info.extend([
         ("loss_ppm".into(), Json::U64(loss_ppm(job.loss))),
         (
             "ctl_latency_ns".into(),
@@ -568,36 +583,12 @@ pub fn render_job_artifact_into(job: &CampaignJob, exp: &Experiment, text: &mut 
         ),
         ("mrai_ns".into(), Json::U64(job.mrai.as_nanos())),
         ("seed".into(), Json::U64(job.seed)),
-        ("dropped_events".into(), Json::U64(trace.dropped())),
-    ];
-    if job.clusters > 1 || job.strategy != "tail" {
-        let sdn_at = info_kv
-            .iter()
-            .position(|(k, _)| k == "sdn")
-            .expect("job artifact header always carries an sdn key");
-        info_kv.insert(
-            sdn_at + 1,
-            ("clusters".into(), Json::U64(job.clusters as u64)),
-        );
-        info_kv.insert(
-            sdn_at + 2,
-            ("strategy".into(), Json::Str(job.strategy.into())),
-        );
-    }
-    let info = Json::Obj(info_kv);
-    text.push_str(&info.to_compact());
-    text.push('\n');
-    text.push_str(&trace.export_jsonl());
-    let snapshot = exp.capture_snapshot().to_json();
-    if let Json::Obj(mut kv) = snapshot {
-        kv.insert(0, ("type".into(), Json::Str("snapshot".into())));
-        text.push_str(&Json::Obj(kv).to_compact());
-        text.push('\n');
-    }
-    for (phase, snap) in exp.phase_snapshots() {
-        text.push_str(&bgpsdn_obs::metrics_line(phase, snap));
-        text.push('\n');
-    }
+        (
+            "dropped_events".into(),
+            Json::U64(exp.net.sim.trace().dropped()),
+        ),
+    ]);
+    exp.render_artifact_into(&Json::Obj(info), text);
 }
 
 /// Execute a grid on `workers` threads. See [`run_campaign_scratch`] for
@@ -617,17 +608,6 @@ pub fn run_campaign(grid: &CampaignGrid, workers: usize, trace: bool) -> Campaig
         |job, scratch| run_job_scratch(job, trace, scratch),
         |_| {},
     )
-}
-
-/// Execute an explicit job list on a `std::thread::scope` worker pool.
-/// [`run_campaign_scratch`] with stateless workers.
-pub fn run_campaign_with(
-    jobs: Vec<CampaignJob>,
-    workers: usize,
-    runner: impl Fn(&CampaignJob) -> JobOutcome + Sync,
-    on_done: impl Fn(&JobResult) + Sync,
-) -> CampaignRunReport {
-    run_campaign_scratch(jobs, workers, || (), |job, _| runner(job), on_done)
 }
 
 /// Execute an explicit job list on a `std::thread::scope` worker pool,
@@ -893,10 +873,11 @@ mod tests {
     fn pool_isolates_panicking_jobs() {
         let jobs = tiny_grid().expand();
         let total = jobs.len();
-        let report = run_campaign_with(
+        let report = run_campaign_scratch(
             jobs,
             3,
-            |job| {
+            || (),
+            |job, ()| {
                 if job.id == 4 {
                     panic!("injected failure in job 4");
                 }
@@ -935,10 +916,11 @@ mod tests {
     fn single_worker_pool_preserves_job_order() {
         let jobs = tiny_grid().expand();
         let order = std::sync::Mutex::new(Vec::new());
-        run_campaign_with(
+        run_campaign_scratch(
             jobs,
             1,
-            |job| {
+            || (),
+            |job, ()| {
                 order.lock().unwrap().push(job.id);
                 JobOutcome {
                     outcome: ScenarioOutcome {

@@ -19,10 +19,9 @@ use bgpsdn_topology::AsGraph;
 pub enum DeploymentStrategy {
     /// Explicit membership lists, one per cluster.
     Explicit(Vec<Vec<usize>>),
-    /// The legacy layout: the `total` highest AS indices, split into
-    /// `clusters` contiguous groups. With `clusters == 1` this is exactly
-    /// the single-cluster `(n - total..n)` placement the paper's clique
-    /// experiments use.
+    /// The paper's layout: the `total` highest AS indices, split into
+    /// `clusters` contiguous groups. With `clusters == 1` this is the
+    /// `(n - total..n)` placement of the Fig. 2 clique experiments.
     Tail {
         /// Number of independent clusters.
         clusters: usize,

@@ -15,6 +15,7 @@ use bgpsdn_netsim::ObsPrefix;
 use bgpsdn_netsim::{
     Activity, MetricsSnapshot, NodeId, SimDuration, SimTime, TraceCategory, TraceEvent,
 };
+use bgpsdn_obs::{metrics_line, run_line, Json};
 use bgpsdn_sdn::{ClusterMsg, FlowAction};
 use bgpsdn_verify::{Report, Snapshot, Verifier};
 
@@ -158,6 +159,26 @@ impl Experiment {
     /// Name of the current measurement phase.
     pub fn phase_name(&self) -> &str {
         &self.phase_name
+    }
+
+    /// Append this experiment's telemetry to `text` as a JSONL run
+    /// artifact: a `run` header carrying `info`'s members, every retained
+    /// typed trace event, the frozen verifier snapshot (`bgpsdn verify
+    /// --snapshot` input), and one metrics line per closed phase. Call
+    /// after [`Experiment::finish`] so the last phase is included.
+    pub fn render_artifact_into(&self, info: &Json, text: &mut String) {
+        text.push_str(&run_line(info));
+        text.push('\n');
+        text.push_str(&self.net.sim.trace().export_jsonl());
+        if let Json::Obj(mut kv) = self.capture_snapshot().to_json() {
+            kv.insert(0, ("type".into(), Json::Str("snapshot".into())));
+            text.push_str(&Json::Obj(kv).to_compact());
+            text.push('\n');
+        }
+        for (phase, snap) in &self.snapshots {
+            text.push_str(&metrics_line(phase, snap));
+            text.push('\n');
+        }
     }
 
     /// Run until the network re-converges (or `max` elapses) and measure

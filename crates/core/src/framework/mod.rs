@@ -17,9 +17,9 @@ pub mod traffic;
 pub mod verify;
 
 pub use campaign::{
-    job_seed, loss_ppm, render_job_artifact, render_job_artifact_into, run_campaign,
-    run_campaign_scratch, run_campaign_with, run_job, run_job_scratch, CampaignGrid, CampaignJob,
-    CampaignRunReport, FaultSpec, JobOutcome, JobResult, JobScratch,
+    fold_deployment_seed, job_seed, loss_ppm, render_job_artifact_into, run_campaign,
+    run_campaign_scratch, run_job, run_job_scratch, CampaignGrid, CampaignJob, CampaignRunReport,
+    FaultSpec, JobOutcome, JobResult, JobScratch,
 };
 pub use deploy::{validate_clusters, DeploymentStrategy};
 pub use experiment::Experiment;
@@ -28,11 +28,11 @@ pub use network::{
     AsHandle, AsKind, ClusterHandle, Collector, Controller, HybridNetwork, NetworkBuilder, Router,
     Sim, Speaker, Switch, COLLECTOR_ASN,
 };
-pub use preflight::{check_plan, check_plan_clusters, PreflightContext};
+pub use preflight::{check_plan, PreflightContext};
 pub use scenarios::{
-    clique_sweep_point, event_phase_name, run_clique, run_clique_full, run_clique_instrumented,
-    run_clique_traced, run_clique_with, run_scale, run_scale_instrumented, CliqueRunOptions,
-    CliqueScenario, EventKind, ScaleOutcome, ScaleScenario, ScenarioOutcome, SCALE_UPDATE_PHASE,
+    clique_sweep_point, event_phase_name, run_clique, run_clique_traced, run_clique_with,
+    run_scale_instrumented, CliqueRunOptions, CliqueScenario, EventKind, ScaleOutcome,
+    ScaleScenario, ScenarioOutcome, SCALE_UPDATE_PHASE,
 };
 pub use script::{Script, ScriptAction, ScriptReport, StepOutcome};
 pub use traffic::ProbeReport;

@@ -135,11 +135,6 @@ impl HybridNetwork {
         self.ases.iter().filter(|a| a.kind == AsKind::SdnMember)
     }
 
-    /// Number of deployed clusters.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-
     /// The cluster handle owning an AS index, if it is a member.
     pub fn cluster_for(&self, as_index: usize) -> Option<&ClusterHandle> {
         self.cluster_of.get(&as_index).map(|&c| &self.clusters[c])
@@ -201,7 +196,7 @@ impl NetworkBuilder {
     /// consistency. Inspect it without building anything.
     pub fn preflight(&self) -> bgpsdn_analyze::AnalysisReport {
         match self.resolved_clusters() {
-            Ok(clusters) => super::preflight::check_plan_clusters(&self.plan, &clusters),
+            Ok(clusters) => super::preflight::check_plan(&self.plan, &clusters),
             Err(e) => super::preflight::deployment_error_report(&e),
         }
     }
@@ -351,7 +346,7 @@ impl NetworkBuilder {
             .resolved_clusters()
             .unwrap_or_else(|e| panic!("invalid cluster deployment: {e}"));
         if self.preflight {
-            let report = super::preflight::check_plan_clusters(&self.plan, &clusters);
+            let report = super::preflight::check_plan(&self.plan, &clusters);
             assert!(
                 report.ok(),
                 "pre-flight check failed (use without_preflight() to override):\n{}",
@@ -360,8 +355,6 @@ impl NetworkBuilder {
         }
         let plan = self.plan;
         let n = plan.as_graph.len();
-        validate_clusters(&clusters, n)
-            .unwrap_or_else(|e| panic!("invalid cluster deployment: {e}"));
         let k = clusters.len();
         // Membership maps: global member indices run cluster-major, so a
         // single cluster reproduces the historical ascending-AS numbering.
@@ -720,7 +713,7 @@ mod tests {
         let net = NetworkBuilder::new(clique_plan(6), 1)
             .with_clusters([vec![0, 1], vec![4, 5]])
             .build();
-        assert_eq!(net.cluster_count(), 2);
+        assert_eq!(net.clusters.len(), 2);
         assert_eq!(net.members().count(), 4);
         assert_ne!(net.clusters[0].controller, net.clusters[1].controller);
         assert_ne!(net.clusters[0].speaker_link, net.clusters[1].speaker_link);
@@ -745,7 +738,7 @@ mod tests {
                 total: 4,
             })
             .build();
-        assert_eq!(net.cluster_count(), 2);
+        assert_eq!(net.clusters.len(), 2);
         assert_eq!(net.clusters[0].members, vec![4, 5]);
         assert_eq!(net.clusters[1].members, vec![6, 7]);
     }

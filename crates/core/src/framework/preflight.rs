@@ -10,7 +10,8 @@
 //! Three gates sit on top of the conversions, all on by default:
 //!
 //! * [`NetworkBuilder::build`](super::network::NetworkBuilder::build) runs
-//!   [`check_plan`] and panics on error findings (opt out with
+//!   [`check_plan`] over the resolved cluster membership lists — none, the
+//!   paper's one, or `k` — and panics on error findings (opt out with
 //!   `without_preflight`);
 //! * [`Experiment::run_script`](super::experiment::Experiment) runs
 //!   [`Experiment::script_preflight`] and returns a failed pre-flight step
@@ -19,8 +20,8 @@
 //!   before any worker spins.
 
 use bgpsdn_analyze::{
-    check_actions, check_grid, check_safety, check_safety_clusters, check_timed, check_timing,
-    Action, ActionContext, AnalysisReport, GridSpec, SafetyClustersInput, SafetyInput,
+    check_actions, check_grid, check_safety_clusters, check_timed, check_timing, Action,
+    ActionContext, AnalysisReport, GridSpec, SafetyClustersInput,
 };
 use bgpsdn_bgp::{PolicyMode, Prefix};
 use bgpsdn_netsim::SimDuration;
@@ -29,7 +30,7 @@ use bgpsdn_topology::TopologyPlan;
 use super::campaign::CampaignGrid;
 use super::experiment::Experiment;
 use super::faults::{FaultAction, FaultPlan};
-use super::scenarios::EventKind;
+use super::scenarios::event_phase_name;
 use super::script::{Script, ScriptAction};
 
 /// Owned storage behind an [`ActionContext`] (which borrows its slices).
@@ -154,33 +155,11 @@ impl FaultPlan {
     }
 }
 
-/// Static safety check of a topology plan + cluster membership: policy
-/// safety (Gao–Rexford provider hierarchy, cluster boundary contraction)
-/// and timer consistency. This is what the builder gate runs.
-pub fn check_plan(plan: &TopologyPlan, members: &[usize]) -> AnalysisReport {
-    let mode = plan
-        .routers
-        .first()
-        .map_or(PolicyMode::AllPermit, |r| r.mode);
-    let mut report = check_safety(&SafetyInput {
-        graph: &plan.as_graph,
-        mode,
-        members,
-        rules: &[],
-    });
-    if let Some(r) = plan.routers.first() {
-        report.merge(check_timing(
-            u64::from(r.timing.hold_time_secs),
-            u64::from(r.timing.graceful_restart_secs),
-        ));
-    }
-    report
-}
-
-/// Multi-cluster variant of [`check_plan`]: each cluster contracts to its
-/// own logical vertex in the boundary proof. With zero or one clusters the
-/// findings are exactly [`check_plan`]'s over the flattened member list.
-pub fn check_plan_clusters(plan: &TopologyPlan, clusters: &[Vec<usize>]) -> AnalysisReport {
+/// Static safety check of a topology plan + cluster membership lists:
+/// policy safety (Gao–Rexford provider hierarchy, boundary proof with each
+/// cluster contracted to its own logical vertex) and timer consistency.
+/// This is what the builder gate runs.
+pub fn check_plan(plan: &TopologyPlan, clusters: &[Vec<usize>]) -> AnalysisReport {
     let mode = plan
         .routers
         .first()
@@ -226,14 +205,9 @@ impl CampaignGrid {
     /// topology, loss ranges, per-event topology minimums, chaos spec
     /// consistency. Run before any worker spins.
     pub fn preflight(&self) -> AnalysisReport {
-        let event = match self.event {
-            EventKind::Withdrawal => "withdrawal",
-            EventKind::Announcement => "announcement",
-            EventKind::Failover => "failover",
-        };
         check_grid(&GridSpec {
             n: self.n,
-            event,
+            event: event_phase_name(self.event),
             cluster_sizes: self.cluster_sizes.clone(),
             losses: self.loss.clone(),
             ctl_latency_count: self.ctl_latency.len(),
@@ -266,7 +240,7 @@ mod tests {
     #[test]
     fn clean_plan_passes_preflight() {
         let tp = clique_plan(4);
-        assert!(check_plan(&tp, &[2, 3]).clean());
+        assert!(check_plan(&tp, &[vec![2, 3]]).clean());
     }
 
     #[test]

@@ -1,17 +1,23 @@
 //! Canned experiment scenarios — the runs behind the paper's evaluation.
 //!
-//! [`run_clique`] reproduces the §4 experiments: an `n`-AS clique with a
-//! configurable number of ASes under centralized control, subjected to a
-//! route withdrawal (Figure 2), a route announcement, or a link fail-over,
-//! measuring IDR convergence time. Used by the benches, the examples and
-//! the integration tests.
+//! [`run_clique_with`] reproduces the §4 experiments: an `n`-AS clique
+//! with a configurable number of ASes under centralized control, subjected
+//! to a route withdrawal (Figure 2), a route announcement, or a link
+//! fail-over, measuring IDR convergence time. It is the one clique job
+//! path: a [`CliqueScenario`] plus [`CliqueRunOptions`] resolve to cluster
+//! membership lists once (one tail cluster by default; `k` clusters under
+//! any [`DeploymentStrategy`] otherwise) and feed one builder call.
+//! [`run_clique`] and [`run_clique_traced`] are that call under the default
+//! options. Used by the campaign engine, the benches, the examples and the
+//! integration tests.
 
 use std::net::Ipv4Addr;
 
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
-use bgpsdn_netsim::{LatencyModel, SimDuration, SimRng, SimTime};
+use bgpsdn_netsim::{LatencyModel, SimDuration, SimRng};
 use bgpsdn_topology::{caida, gen, plan, AsGraph};
 
+use super::deploy::DeploymentStrategy;
 use super::experiment::Experiment;
 use super::faults::FaultPlan;
 use super::network::NetworkBuilder;
@@ -49,8 +55,18 @@ impl CliqueScenario {
         }
     }
 
-    /// The member AS indices implied by `sdn_count`.
+    /// The member AS indices of the one tail cluster `sdn_count` implies.
+    ///
+    /// # Panics
+    ///
+    /// When `sdn_count` exceeds the clique size.
     pub fn members(&self) -> Vec<usize> {
+        assert!(
+            self.sdn_count <= self.n,
+            "sdn_count {} exceeds the clique size {}",
+            self.sdn_count,
+            self.n
+        );
         (self.n - self.sdn_count..self.n).collect()
     }
 }
@@ -88,22 +104,6 @@ pub struct ScenarioOutcome {
 /// Hard deadline for a single convergence phase.
 const PHASE_DEADLINE: SimDuration = SimDuration::from_secs(3600);
 
-/// Build, bring up and drive one clique experiment, returning the outcome
-/// together with the still-inspectable experiment (collector log, RIBs,
-/// flow tables) — what log-analysis benches use.
-///
-/// Withdrawal and announcement events run on the full `n`-clique. The
-/// fail-over event runs on the thesis' variant: ASes `1..n` form the
-/// clique and the origin is dual-homed to AS 1 (primary) and AS 2
-/// (backup); failing the primary link forces the whole network from
-/// `… 1 0` paths onto `… 2 0` paths.
-pub fn run_clique_full(
-    scenario: &CliqueScenario,
-    event: EventKind,
-) -> (ScenarioOutcome, Experiment) {
-    run_clique_instrumented(scenario, event, |_| {})
-}
-
 /// Extra knobs a clique run can carry beyond the [`CliqueScenario`]
 /// parameters — what the campaign engine sweeps and injects per job.
 #[derive(Debug, Clone, Default)]
@@ -126,39 +126,37 @@ pub struct CliqueRunOptions {
     /// A note recorded in the trace at bring-up — campaigns use it to
     /// record why a fault class was dropped as inapplicable for this cell.
     pub fault_note: Option<String>,
-    /// How many independent SDN clusters the members are split into.
-    /// `0` or `1` keeps the classic single-cluster path (byte-identical
-    /// artifacts to pre-multi-cluster runs).
+    /// How many independent SDN clusters the `sdn_count` members are split
+    /// into (`0` counts as `1`, the paper's deployment).
     pub clusters: usize,
     /// Deployment strategy placing the clusters (see
-    /// [`super::deploy::DeploymentStrategy::by_name`]). Empty or `"tail"`
-    /// with a single cluster keeps the classic path.
+    /// [`super::deploy::DeploymentStrategy::by_name`]); empty means
+    /// `"tail"`, the paper's high-index layout.
     pub strategy: &'static str,
 }
 
-impl CliqueRunOptions {
-    /// True when the options describe the classic single-cluster tail
-    /// deployment — the path whose artifacts must stay byte-identical.
-    pub fn default_deployment(&self) -> bool {
-        self.clusters <= 1 && (self.strategy.is_empty() || self.strategy == "tail")
-    }
-}
-
-/// [`run_clique_full`] with a caller-chosen instrumentation hook applied to
-/// the simulator between build and bring-up — enable trace categories, turn
-/// on profiling, resize the trace ring. Phases are closed on return, so the
-/// experiment's `phase_snapshots()` is complete.
-pub fn run_clique_instrumented(
-    scenario: &CliqueScenario,
-    event: EventKind,
-    instrument: impl FnOnce(&mut super::network::Sim),
-) -> (ScenarioOutcome, Experiment) {
-    run_clique_with(scenario, event, &CliqueRunOptions::default(), instrument)
-}
-
-/// [`run_clique_instrumented`] plus per-run options: an optional fault
-/// schedule, automatic verification checkpoints, and a control-channel
-/// latency override. This is the campaign engine's job runner.
+/// Build, bring up and drive one clique experiment, returning the outcome
+/// together with the still-inspectable experiment (collector log, RIBs,
+/// flow tables) — what the campaign engine and log-analysis benches use.
+///
+/// `opts` carries an optional fault schedule, automatic verification
+/// checkpoints, a control-channel latency override and the cluster
+/// deployment; `instrument` is applied to the simulator between build and
+/// bring-up — enable trace categories, turn on profiling, resize the trace
+/// ring. Phases are closed on return, so the experiment's
+/// `phase_snapshots()` is complete.
+///
+/// Withdrawal and announcement events run on the full `n`-clique. The
+/// fail-over event runs on the thesis' variant: ASes `2..n` form the
+/// clique and the origin is dual-homed to AS 2 (primary) and, over the
+/// stub relay AS 1, to AS 3 (backup); failing the primary link forces the
+/// whole network onto the one-hop-longer backup.
+///
+/// # Panics
+///
+/// When `scenario.sdn_count` members cannot be deployed (more members than
+/// ASes, fewer than clusters, an unknown strategy name), when the fault
+/// plan fails its pre-flight, or when bring-up does not converge.
 pub fn run_clique_with(
     scenario: &CliqueScenario,
     event: EventKind,
@@ -192,36 +190,26 @@ pub fn run_clique_with(
     timing.hold_time_secs = opts.hold_secs;
     timing.graceful_restart_secs = opts.graceful_restart_secs;
     let tp = plan(ag, PolicyMode::AllPermit, timing).expect("address plan");
-    // The classic single-cluster tail layout goes through with_sdn_members
-    // exactly as before (byte-identical artifacts); any other deployment
-    // resolves a strategy against the topology and seed.
-    let deployment = (!opts.default_deployment() && scenario.sdn_count > 0).then(|| {
+    // Resolve the deployment once; the fault-plan pre-flight and the
+    // builder both work from the resolved lists.
+    let clusters = if scenario.sdn_count == 0 {
+        Vec::new()
+    } else {
         let name = if opts.strategy.is_empty() {
             "tail"
         } else {
             opts.strategy
         };
-        super::deploy::DeploymentStrategy::by_name(name, opts.clusters.max(1), scenario.sdn_count)
+        DeploymentStrategy::by_name(name, opts.clusters.max(1), scenario.sdn_count)
             .unwrap_or_else(|| panic!("unknown deployment strategy `{name}`"))
-    });
+            .assign(&tp.as_graph, scenario.seed)
+            .unwrap_or_else(|e| panic!("invalid cluster deployment: {e}"))
+    };
     if let Some(fp) = &opts.fault_plan {
         // Pre-flight the schedule: indices, edges, and hold-timer
         // detectability (router/link faults are invisible with hold 0).
-        let horizon = fp.horizon();
-        let members = match &deployment {
-            Some(strategy) => {
-                let mut flat: Vec<usize> = strategy
-                    .assign(&tp.as_graph, scenario.seed)
-                    .unwrap_or_else(|e| panic!("invalid cluster deployment: {e}"))
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                flat.sort_unstable();
-                flat
-            }
-            None => scenario.members(),
-        };
-        let report = fp.preflight(&tp, &members, horizon, u64::from(opts.hold_secs));
+        let members: Vec<usize> = clusters.iter().flatten().copied().collect();
+        let report = fp.preflight(&tp, &members, fp.horizon(), u64::from(opts.hold_secs));
         assert!(
             report.ok(),
             "fault plan failed pre-flight:\n{}",
@@ -230,11 +218,8 @@ pub fn run_clique_with(
     }
     let mut builder = NetworkBuilder::new(tp, scenario.seed)
         .with_recompute_delay(scenario.recompute_delay)
-        .with_control_loss(scenario.control_loss);
-    builder = match deployment {
-        Some(strategy) => builder.with_deployment(strategy),
-        None => builder.with_sdn_members(scenario.members()),
-    };
+        .with_control_loss(scenario.control_loss)
+        .with_clusters(clusters);
     if let Some(model) = &opts.ctl_latency {
         builder = builder.with_ctl_latency(model.clone());
     }
@@ -309,22 +294,22 @@ pub fn event_phase_name(event: EventKind) -> &'static str {
     }
 }
 
-/// Build, bring up and drive one clique experiment.
+/// [`run_clique_with`] under the default options, outcome only.
 pub fn run_clique(scenario: &CliqueScenario, event: EventKind) -> ScenarioOutcome {
-    run_clique_full(scenario, event).0
+    run_clique_with(scenario, event, &CliqueRunOptions::default(), |_| {}).0
 }
 
-/// [`run_clique_full`] with the telemetry layer switched on: every trace
-/// category enabled, wall-clock profiling spans collected, and the
-/// experiment's phases closed out so `phase_snapshots()` holds one
-/// metrics snapshot per phase (`bring-up`, then the event phase). The
-/// returned experiment's simulator trace buffer holds the typed event
-/// stream — ready for JSONL export (`bgpsdn run --trace-out`).
+/// [`run_clique_with`] under the default options with the telemetry layer
+/// switched on: every trace category enabled and wall-clock profiling
+/// spans collected, so `phase_snapshots()` holds one metrics snapshot per
+/// phase (`bring-up`, then the event phase) and the simulator's trace
+/// buffer holds the typed event stream — ready for JSONL export
+/// (`bgpsdn run --trace-out`).
 pub fn run_clique_traced(
     scenario: &CliqueScenario,
     event: EventKind,
 ) -> (ScenarioOutcome, Experiment) {
-    run_clique_instrumented(scenario, event, |sim| {
+    run_clique_with(scenario, event, &CliqueRunOptions::default(), |sim| {
         sim.trace_mut().enable_all();
         sim.set_profiling(true);
     })
@@ -345,11 +330,6 @@ pub fn clique_sweep_point(base: &CliqueScenario, event: EventKind, runs: u64) ->
             out.convergence
         })
         .collect()
-}
-
-/// Convenience: the `SimTime` horizon scenarios run within.
-pub fn phase_deadline() -> SimTime {
-    SimTime::ZERO + PHASE_DEADLINE
 }
 
 // ----------------------------------------------------------------------
@@ -522,9 +502,4 @@ pub fn run_scale_instrumented(
     };
     exp.finish();
     (outcome, exp)
-}
-
-/// Build, bring up and drive one scale experiment.
-pub fn run_scale(scenario: &ScaleScenario) -> ScaleOutcome {
-    run_scale_instrumented(scenario, |_| {}).0
 }

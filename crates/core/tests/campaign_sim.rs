@@ -3,7 +3,7 @@
 //! statistics must match hand-computed order statistics over the job
 //! records.
 
-use bgpsdn_core::{run_campaign_with, run_job, CampaignGrid, EventKind};
+use bgpsdn_core::{run_campaign_scratch, run_job, CampaignGrid, EventKind};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::aggregate_cells;
 
@@ -39,7 +39,13 @@ fn parallel_sweep_matches_serial_execution() {
         .map(|job| (job.clone(), run_job(job, false)))
         .collect();
 
-    let report = run_campaign_with(grid.expand(), 4, |job| run_job(job, false), |_| {});
+    let report = run_campaign_scratch(
+        grid.expand(),
+        4,
+        || (),
+        |job, ()| run_job(job, false),
+        |_| {},
+    );
     assert_eq!(report.results.len(), serial.len());
 
     for (result, (job, reference)) in report.results.iter().zip(&serial) {
@@ -56,7 +62,13 @@ fn parallel_sweep_matches_serial_execution() {
 #[test]
 fn aggregated_medians_match_manual_computation() {
     let grid = grid();
-    let report = run_campaign_with(grid.expand(), 2, |job| run_job(job, false), |_| {});
+    let report = run_campaign_scratch(
+        grid.expand(),
+        2,
+        || (),
+        |job, ()| run_job(job, false),
+        |_| {},
+    );
     let records = report.records();
     let cells = aggregate_cells(&records);
     assert_eq!(cells.len(), 4);

@@ -1,4 +1,4 @@
-use bgpsdn_core::{run_clique, run_scale, CliqueScenario, EventKind, ScaleScenario};
+use bgpsdn_core::{run_clique, run_scale_instrumented, CliqueScenario, EventKind, ScaleScenario};
 use bgpsdn_netsim::SimDuration;
 
 #[test]
@@ -34,7 +34,7 @@ fn smoke_scale_incremental_and_full() {
             incremental,
             ..ScaleScenario::tbl_s7(11)
         };
-        let out = run_scale(&s);
+        let out = run_scale_instrumented(&s, |_| {}).0;
         eprintln!(
             "incremental={incremental}: seeded={} seed_conv={} update_conv={} audit={}",
             out.seeded_prefixes, out.seed_convergence, out.update_convergence, out.audit_ok
@@ -43,4 +43,18 @@ fn smoke_scale_incremental_and_full() {
         assert!(out.audit_ok, "incremental={incremental}");
         assert_eq!(out.seeded_prefixes, 16);
     }
+}
+
+#[test]
+#[should_panic(expected = "budget 9 exceeds topology size 6")]
+fn more_members_than_ases_is_rejected_not_wrapped() {
+    let s = CliqueScenario {
+        n: 6,
+        sdn_count: 9,
+        mrai: SimDuration::from_secs(10),
+        recompute_delay: SimDuration::from_millis(100),
+        seed: 42,
+        control_loss: 0.0,
+    };
+    run_clique(&s, EventKind::Withdrawal);
 }

@@ -7,6 +7,8 @@
 //! [`Summary`] computes the five-number boxplot summaries the paper's
 //! Figure 2 reports.
 
+use bgpsdn_obs::quantile;
+
 use crate::time::{SimDuration, SimTime};
 
 /// Raw engine counters for one run.
@@ -182,19 +184,12 @@ impl Summary {
         }
         let mut v: Vec<f64> = values.to_vec();
         v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));
-        let q = |p: f64| -> f64 {
-            // Linear interpolation between closest ranks (type-7 quantile).
-            let h = p * (v.len() - 1) as f64;
-            let lo = h.floor() as usize;
-            let hi = h.ceil() as usize;
-            v[lo] + (h - lo as f64) * (v[hi] - v[lo])
-        };
         Some(Summary {
             n: v.len(),
             min: v[0],
-            q1: q(0.25),
-            median: q(0.5),
-            q3: q(0.75),
+            q1: quantile(&v, 0.25),
+            median: quantile(&v, 0.5),
+            q3: quantile(&v, 0.75),
             max: v[v.len() - 1],
             mean: v.iter().sum::<f64>() / v.len() as f64,
         })
@@ -319,6 +314,7 @@ mod tests {
         assert_eq!(s.median, 2.5);
         assert_eq!(s.q1, 1.75);
         assert_eq!(s.q3, 3.25);
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.25), 1.75);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use std::fmt::Write as _;
 use crate::causal::PhaseBreakdown;
 use crate::event::CausalPhase;
 use crate::json::Json;
+use crate::metrics::quantile;
 
 /// Summary of one campaign job (a single emulation run).
 #[derive(Debug, Clone, PartialEq)]
@@ -162,16 +163,11 @@ impl AggStats {
         }
         let mut v = values.to_vec();
         v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in campaign stats"));
-        let q = |p: f64| -> f64 {
-            let h = p * (v.len() - 1) as f64;
-            let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
-            v[lo] + (h - lo as f64) * (v[hi] - v[lo])
-        };
         Some(AggStats {
             n: v.len() as u64,
             min: v[0],
-            median: q(0.5),
-            p90: q(0.9),
+            median: quantile(&v, 0.5),
+            p90: quantile(&v, 0.9),
             max: v[v.len() - 1],
             mean: v.iter().sum::<f64>() / v.len() as f64,
         })
@@ -661,6 +657,7 @@ mod tests {
         assert_eq!(s.max, 5.0);
         assert_eq!(s.mean, 3.0);
         assert!((s.p90 - 4.6).abs() < 1e-9, "type-7 p90 of 1..5 is 4.6");
+        assert_eq!(s.p90, quantile(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.9));
         assert!(AggStats::of(&[]).is_none());
     }
 

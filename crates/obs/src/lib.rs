@@ -55,6 +55,6 @@ pub use event::{
 };
 pub use json::{Json, JsonError, ToJson};
 pub use metrics::{
-    log2_bucket, Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot,
+    log2_bucket, quantile, Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use span::{sim_span_ns, WallSpan};

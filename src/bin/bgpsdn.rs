@@ -18,6 +18,7 @@
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use bgp_sdn_emu::core::framework::preflight::deployment_error_report;
 use bgp_sdn_emu::prelude::*;
 
 fn usage() -> ExitCode {
@@ -197,17 +198,14 @@ fn cmd_fig2(args: &Args) -> Result<(), String> {
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let event = match args.get_str("event") {
-        Some("withdrawal") => EventKind::Withdrawal,
-        Some("announcement") => EventKind::Announcement,
-        Some("failover") => EventKind::Failover,
-        other => {
-            return Err(format!(
-                "--event must be withdrawal|announcement|failover, got {other:?}"
-            ))
-        }
+        None => return Err("--event must be withdrawal|announcement|failover, got None".into()),
+        raw => parse_event(raw)?,
     };
     let sdn: usize = args.get("sdn", 0)?;
     let s = scenario(args, sdn)?;
+    if s.sdn_count > s.n {
+        return Err("--sdn must be <= --n".into());
+    }
     println!(
         "running {event:?} on a {}-AS clique, {} SDN members, MRAI {}, seed {}",
         s.n, s.sdn_count, s.mrai, s.seed
@@ -215,7 +213,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let out = match args.get_str("trace-out") {
         Some(path) => {
             let (out, exp) = run_clique_traced(&s, event);
-            write_artifact(path, &s, event, &exp)?;
+            write_run_artifact(path, &s, event, &exp)?;
             out
         }
         None => run_clique(&s, event),
@@ -237,17 +235,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Write the run's JSONL artifact: a `run` header line, every retained
-/// typed trace event, and one phase-scoped metrics snapshot per phase.
-fn write_artifact(
+/// Write the run's JSONL artifact: a `run` header line with the scenario
+/// parameters, then the experiment's telemetry.
+fn write_run_artifact(
     path: &str,
     s: &CliqueScenario,
     event: EventKind,
     exp: &Experiment,
 ) -> Result<(), String> {
     let trace = exp.net.sim.trace();
-    let mut text = String::new();
-    text.push_str(&run_line(&Json::Obj(vec![
+    let header = Json::Obj(vec![
         ("scenario".into(), Json::Str("clique".into())),
         ("event".into(), Json::Str(event_phase_name(event).into())),
         ("n".into(), Json::U64(s.n as u64)),
@@ -259,19 +256,9 @@ fn write_artifact(
         ),
         ("seed".into(), Json::U64(s.seed)),
         ("dropped_events".into(), Json::U64(trace.dropped())),
-    ])));
-    text.push('\n');
-    text.push_str(&trace.export_jsonl());
-    let snapshot = exp.capture_snapshot().to_json();
-    if let Json::Obj(mut kv) = snapshot {
-        kv.insert(0, ("type".into(), Json::Str("snapshot".into())));
-        text.push_str(&Json::Obj(kv).to_compact());
-        text.push('\n');
-    }
-    for (phase, snap) in exp.phase_snapshots() {
-        text.push_str(&metrics_line(phase, snap));
-        text.push('\n');
-    }
+    ]);
+    let mut text = String::new();
+    exp.render_artifact_into(&header, &mut text);
     std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
     println!(
         "trace artifact:   {path} ({} events, {} dropped, {} phases)",
@@ -309,6 +296,31 @@ fn parse_event(raw: Option<&str>) -> Result<EventKind, String> {
     }
 }
 
+/// The explicit `--sizes K1,K2,...` grid with every axis and scenario flag
+/// applied, nothing validated.
+fn sizes_grid(args: &Args, seeds: u64) -> Result<CampaignGrid, String> {
+    Ok(CampaignGrid {
+        name: "sweep".to_string(),
+        n: args.get("n", 16)?,
+        event: parse_event(args.get_str("event"))?,
+        cluster_sizes: args.get_list("sizes", vec![])?,
+        clusters: args.get_list("clusters", vec![1usize])?,
+        strategy: parse_strategy(args.get_str("strategy"))?,
+        loss: args.get_list("loss", vec![0.0])?,
+        ctl_latency: args
+            .get_list("ctl-latency-ms", vec![1u64])?
+            .into_iter()
+            .map(SimDuration::from_millis)
+            .collect(),
+        mrai: SimDuration::from_secs(args.get("mrai", 30u64)?),
+        recompute_delay: SimDuration::from_millis(args.get("recompute-ms", 100u64)?),
+        seeds,
+        base_seed: args.get("base-seed", 1000u64)?,
+        faults: None,
+        verify: args.has("verify"),
+    })
+}
+
 /// Build the campaign grid a `sweep` invocation describes.
 fn sweep_grid(args: &Args) -> Result<CampaignGrid, String> {
     let seeds: u64 = args.get("seeds", 10)?;
@@ -318,34 +330,14 @@ fn sweep_grid(args: &Args) -> Result<CampaignGrid, String> {
     let mut grid = if args.has("fig2") {
         CampaignGrid::fig2(seeds)
     } else {
-        let sizes: Vec<usize> = args.get_list("sizes", vec![])?;
-        if sizes.is_empty() {
+        let grid = sizes_grid(args, seeds)?;
+        if grid.cluster_sizes.is_empty() {
             return Err("sweep needs --fig2 or --sizes K1,K2,...".into());
         }
-        let n: usize = args.get("n", 16)?;
-        if sizes.iter().any(|&k| k > n) {
-            return Err(format!("--sizes entries must be <= --n ({n})"));
+        if grid.cluster_sizes.iter().any(|&k| k > grid.n) {
+            return Err(format!("--sizes entries must be <= --n ({})", grid.n));
         }
-        CampaignGrid {
-            name: "sweep".to_string(),
-            n,
-            event: parse_event(args.get_str("event"))?,
-            cluster_sizes: sizes,
-            clusters: args.get_list("clusters", vec![1usize])?,
-            strategy: parse_strategy(args.get_str("strategy"))?,
-            loss: args.get_list("loss", vec![0.0])?,
-            ctl_latency: args
-                .get_list("ctl-latency-ms", vec![1u64])?
-                .into_iter()
-                .map(SimDuration::from_millis)
-                .collect(),
-            mrai: SimDuration::from_secs(args.get("mrai", 30u64)?),
-            recompute_delay: SimDuration::from_millis(args.get("recompute-ms", 100u64)?),
-            seeds,
-            base_seed: args.get("base-seed", 1000u64)?,
-            faults: None,
-            verify: args.has("verify"),
-        }
+        grid
     };
     // Flags that refine the fig2 preset too.
     if args.has("fig2") {
@@ -538,81 +530,64 @@ impl CheckTarget {
     }
 }
 
-/// Per-cluster-size static checks of a clique scenario: policy safety with
-/// the last `k` ASes contracted into the SDN cluster, plus the predicted
-/// path-hunting depth bound the measured `hunt_step` phases must respect.
-fn clique_targets(n: usize, sizes: &[usize]) -> Vec<CheckTarget> {
+/// Static checks of the clique deployments a grid describes, without
+/// simulating: policy safety with every cluster contracted to its own
+/// logical node, plus the predicted path-hunting depth bound the measured
+/// `hunt_step` phases must respect. Returns two groups: every cluster size
+/// as the paper's one tail cluster (`sdn{k}`) followed by the origin's
+/// reachability, and every size split into each `count > 1` of the grid's
+/// cluster-count axis under its strategy (`sdn{k}x{count}-{strategy}`).
+fn clique_targets(grid: &CampaignGrid) -> (Vec<CheckTarget>, Vec<CheckTarget>) {
+    let n = grid.n;
     let g = AsGraph::all_peer(&gen::clique(n), 65000);
-    let mut sizes: Vec<usize> = sizes.iter().copied().filter(|&k| k <= n).collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    let mut targets = Vec::new();
-    for k in sizes {
-        let members: Vec<usize> = (n - k..n).collect();
-        let report = check_safety(&SafetyInput {
-            graph: &g,
-            mode: PolicyMode::AllPermit,
-            members: &members,
-            rules: &[],
-        });
-        let mut t = CheckTarget::new(format!("clique{n}:sdn{k}"), report);
-        t.hunt_bound = Some(hunt_depth_bound(&g, &members, 0) as u64);
-        targets.push(t);
-    }
-    targets.push(CheckTarget::new(
-        format!("clique{n}:reachability"),
-        check_reachability(&g, PolicyMode::AllPermit, &[0]),
-    ));
-    targets
-}
-
-/// Multi-cluster static checks: resolve the grid's deployment strategy for
-/// every (cluster size, cluster count) cell, then check policy safety with
-/// *each* cluster contracted to its own logical node and predict the
-/// path-hunting bound over the contracted graph.
-fn clique_cluster_targets(grid: &CampaignGrid) -> Vec<CheckTarget> {
-    let g = AsGraph::all_peer(&gen::clique(grid.n), 65000);
     let mut sizes: Vec<usize> = grid
         .cluster_sizes
         .iter()
         .copied()
-        .filter(|&k| k > 0 && k <= grid.n)
+        .filter(|&k| k <= n)
         .collect();
     sizes.sort_unstable();
     sizes.dedup();
-    let mut targets = Vec::new();
+    let target = |name: String, k: usize, count: usize, strategy: &str| {
+        let seed = fold_deployment_seed(grid.base_seed, count as u64, strategy);
+        let clusters = if k == 0 {
+            Ok(Vec::new())
+        } else {
+            DeploymentStrategy::by_name(strategy, count, k)
+                .ok_or_else(|| format!("unknown deployment strategy `{strategy}`"))
+                .and_then(|deployment| deployment.assign(&g, seed))
+        };
+        match clusters {
+            Ok(clusters) => {
+                let report = check_safety_clusters(&SafetyClustersInput {
+                    graph: &g,
+                    mode: PolicyMode::AllPermit,
+                    clusters: &clusters,
+                    rules: &[],
+                });
+                let mut t = CheckTarget::new(name, report);
+                t.hunt_bound = Some(hunt_depth_bound_clusters(&g, &clusters, 0) as u64);
+                t
+            }
+            Err(e) => CheckTarget::new(name, deployment_error_report(&e)),
+        }
+    };
+    let mut single: Vec<CheckTarget> = sizes
+        .iter()
+        .map(|&k| target(format!("clique{n}:sdn{k}"), k, 1, "tail"))
+        .collect();
+    single.push(CheckTarget::new(
+        format!("clique{n}:reachability"),
+        check_reachability(&g, PolicyMode::AllPermit, &[0]),
+    ));
+    let mut split = Vec::new();
     for &k in &sizes {
-        for &count in &grid.clusters {
-            if count <= 1 || count > k {
-                continue;
-            }
-            let name = format!("clique{}:sdn{k}x{count}-{}", grid.n, grid.strategy);
-            let Some(strategy) = DeploymentStrategy::by_name(grid.strategy, count, k) else {
-                continue;
-            };
-            let seed = fold_deployment_seed(grid.base_seed, count as u64, grid.strategy);
-            match strategy.assign(&g, seed) {
-                Ok(clusters) => {
-                    let report = check_safety_clusters(&SafetyClustersInput {
-                        graph: &g,
-                        mode: PolicyMode::AllPermit,
-                        clusters: &clusters,
-                        rules: &[],
-                    });
-                    let mut t = CheckTarget::new(name, report);
-                    t.hunt_bound = Some(hunt_depth_bound_clusters(&g, &clusters, 0) as u64);
-                    targets.push(t);
-                }
-                Err(e) => {
-                    let mut report = AnalysisReport::new();
-                    report.checked();
-                    report.error("cluster.deployment", e);
-                    targets.push(CheckTarget::new(name, report));
-                }
-            }
+        for &count in grid.clusters.iter().filter(|&&c| c > 1 && c <= k) {
+            let name = format!("clique{n}:sdn{k}x{count}-{}", grid.strategy);
+            split.push(target(name, k, count, grid.strategy));
         }
     }
-    targets
+    (single, split)
 }
 
 /// Build the campaign grid a `check` invocation describes. Unlike
@@ -621,26 +596,7 @@ fn clique_cluster_targets(grid: &CampaignGrid) -> Vec<CheckTarget> {
 fn check_grid_args(args: &Args) -> Result<CampaignGrid, String> {
     let seeds: u64 = args.get("seeds", 10)?;
     let mut grid = if args.has("sizes") {
-        CampaignGrid {
-            name: "sweep".to_string(),
-            n: args.get("n", 16)?,
-            event: parse_event(args.get_str("event"))?,
-            cluster_sizes: args.get_list("sizes", vec![])?,
-            clusters: args.get_list("clusters", vec![1usize])?,
-            strategy: parse_strategy(args.get_str("strategy"))?,
-            loss: args.get_list("loss", vec![0.0])?,
-            ctl_latency: args
-                .get_list("ctl-latency-ms", vec![1u64])?
-                .into_iter()
-                .map(SimDuration::from_millis)
-                .collect(),
-            mrai: SimDuration::from_secs(args.get("mrai", 30u64)?),
-            recompute_delay: SimDuration::from_millis(args.get("recompute-ms", 100u64)?),
-            seeds,
-            base_seed: args.get("base-seed", 1000u64)?,
-            faults: None,
-            verify: args.has("verify"),
-        }
+        sizes_grid(args, seeds)?
     } else {
         CampaignGrid::fig2(seeds)
     };
@@ -662,22 +618,26 @@ fn builtin_targets() -> Result<Vec<CheckTarget>, String> {
     let mut targets = Vec::new();
     let fig2 = CampaignGrid::fig2(10);
     targets.push(CheckTarget::new("grid:fig2", fig2.preflight()));
-    targets.extend(clique_targets(fig2.n, &[0, fig2.n / 2, fig2.n]));
+    let fig2_ends = CampaignGrid {
+        cluster_sizes: vec![0, fig2.n / 2, fig2.n],
+        ..fig2
+    };
+    targets.extend(clique_targets(&fig2_ends).0);
 
     let mut failover = CampaignGrid::fig2(10);
     failover.name = "failover".to_string();
     failover.event = EventKind::Failover;
     targets.push(CheckTarget::new("grid:failover", failover.preflight()));
 
-    // The multi-cluster deployment variant of the Fig. 2 grid: the same
-    // clique split into 2 and 4 degree-placed clusters.
+    // The Fig. 2 clique with its members split into 2 and 4 degree-placed
+    // clusters.
     let mut multi = CampaignGrid::fig2(10);
     multi.name = "multicluster".to_string();
     multi.cluster_sizes = vec![8, 16];
     multi.clusters = vec![1, 2, 4];
     multi.strategy = "degree";
     targets.push(CheckTarget::new("grid:multicluster", multi.preflight()));
-    targets.extend(clique_cluster_targets(&multi));
+    targets.extend(clique_targets(&multi).1);
 
     // A CAIDA-like tiered hierarchy under Gao-Rexford: the provider DAG is
     // acyclic by construction and a tier-1 origin must be valley-free
@@ -735,10 +695,9 @@ fn cmd_check(args: &Args) -> Result<(), String> {
             format!("grid:{}", grid.name),
             grid.preflight(),
         )];
-        targets.extend(clique_targets(grid.n, &grid.cluster_sizes));
-        if !grid.default_deployment() {
-            targets.extend(clique_cluster_targets(&grid));
-        }
+        let (single, split) = clique_targets(&grid);
+        targets.extend(single);
+        targets.extend(split);
         targets
     } else {
         builtin_targets()?

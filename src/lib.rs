@@ -65,21 +65,20 @@ pub mod prelude {
     };
     pub use bgpsdn_collector::{ConnectivityReport, ConvergenceReport, UpdateLog};
     pub use bgpsdn_core::{
-        check_plan, check_plan_clusters, clique_sweep_point, event_phase_name,
-        fold_deployment_seed, run_campaign, run_campaign_scratch, run_campaign_with, run_clique,
-        run_clique_traced, run_clique_with, run_job, run_job_scratch, AsKind, CampaignGrid,
-        CampaignJob, CampaignRunReport, CliqueRunOptions, CliqueScenario, ClusterHandle,
-        Controller, DeploymentStrategy, EventKind, Experiment, FaultAction, FaultClasses,
-        FaultPlan, FaultSpec, HybridNetwork, JobResult, JobScratch, NetworkBuilder,
-        PreflightContext, Router, ScenarioOutcome, Script, Speaker, Switch,
+        check_plan, clique_sweep_point, event_phase_name, fold_deployment_seed, run_campaign,
+        run_campaign_scratch, run_clique, run_clique_traced, run_clique_with, run_job,
+        run_job_scratch, AsKind, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions,
+        CliqueScenario, ClusterHandle, Controller, DeploymentStrategy, EventKind, Experiment,
+        FaultAction, FaultClasses, FaultPlan, FaultSpec, HybridNetwork, JobResult, JobScratch,
+        NetworkBuilder, PreflightContext, Router, ScenarioOutcome, Script, Speaker, Switch,
     };
     pub use bgpsdn_netsim::{
         Activity, DataPacket, LatencyModel, SimDuration, SimRng, SimTime, Simulator, Summary,
         TraceCategory, TraceEvent,
     };
     pub use bgpsdn_obs::{
-        canonicalize_jsonl, metrics_line, run_line, CampaignArtifact, CausalAnalysis, CausalPhase,
-        Json, PhaseBreakdown, RunAnalysis, RunArtifact,
+        canonicalize_jsonl, CampaignArtifact, CausalAnalysis, CausalPhase, Json, PhaseBreakdown,
+        RunAnalysis, RunArtifact,
     };
     pub use bgpsdn_sdn::{ClusterMsg, FlowAction, SpeakerCmd, SpeakerEvent};
     pub use bgpsdn_topology::{caida, gen, plan, AsGraph, TopologyPlan};

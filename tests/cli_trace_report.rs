@@ -226,3 +226,19 @@ fn report_rejects_malformed_artifacts() {
         .expect("spawn report");
     assert!(!missing.status.success(), "missing file must fail");
 }
+
+#[test]
+fn run_rejects_more_members_than_ases() {
+    let run = bgpsdn()
+        .args(["run", "--event", "withdrawal", "--sdn", "99", "--n", "8"])
+        .output()
+        .expect("spawn bgpsdn run");
+    assert_eq!(
+        run.status.code(),
+        Some(1),
+        "a runtime error, not a pure-BGP run"
+    );
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("error: --sdn must be <= --n"), "{err}");
+    assert!(run.stdout.is_empty(), "rejected before anything is printed");
+}

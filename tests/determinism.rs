@@ -114,7 +114,6 @@ fn profiled_runs_canonicalize_identically() {
 
 #[test]
 fn queue_backend_swap_is_byte_invisible() {
-    use bgp_sdn_emu::core::run_clique_instrumented;
     use bgp_sdn_emu::netsim::QueueBackend;
 
     let scenario = CliqueScenario {
@@ -130,7 +129,8 @@ fn queue_backend_swap_is_byte_invisible() {
     // so the full trace artifact — not just the summary numbers — has to
     // match byte for byte.
     let run = |backend: QueueBackend| {
-        let (out, exp) = run_clique_instrumented(&scenario, EventKind::Withdrawal, |sim| {
+        let opts = CliqueRunOptions::default();
+        let (out, exp) = run_clique_with(&scenario, EventKind::Withdrawal, &opts, |sim| {
             sim.set_queue_backend(backend);
             sim.trace_mut().enable_all();
         });

@@ -1,11 +1,10 @@
 //! Property-based tests of cluster deployment strategies.
 //!
-//! The multi-cluster generalization must be invisible when it is not
-//! used: building a network through `with_deployment` with a single
-//! tail cluster has to produce the *byte-identical* trace artifact the
-//! legacy `with_sdn_members` path produces — same node ids, same event
-//! order, same convergence time. And when it *is* used, multi-cluster
-//! runs must stay as deterministic as everything else in the framework.
+//! The builder holds one list of cluster membership lists, however it is
+//! named: `with_sdn_members(n - k..n)` and `with_deployment` of a single
+//! tail cluster must build the *byte-identical* network — same node ids,
+//! same event order, same convergence time. And multi-cluster runs must
+//! stay as deterministic as everything else in the framework.
 
 use bgp_sdn_emu::prelude::*;
 use proptest::prelude::*;
@@ -37,8 +36,8 @@ fn run_withdrawal(
 
 proptest! {
     /// A 1-cluster tail deployment resolved through the strategy layer is
-    /// byte-for-byte the legacy `with_sdn_members((n - k..n))` network:
-    /// identical trace artifact, identical convergence time.
+    /// byte-for-byte the `with_sdn_members((n - k..n))` network: identical
+    /// trace artifact, identical convergence time.
     #[test]
     fn single_tail_cluster_matches_legacy_path_exactly(
         n in 5usize..=7,
@@ -56,7 +55,7 @@ proptest! {
         prop_assert!(!legacy_trace.is_empty());
         prop_assert_eq!(
             legacy_trace, deployed_trace,
-            "1-cluster tail deployment must be byte-identical to the legacy path \
+            "1-cluster tail deployment must be byte-identical to with_sdn_members \
              (n={n}, k={k}, seed={seed})"
         );
     }
