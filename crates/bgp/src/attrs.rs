@@ -10,6 +10,7 @@ use std::net::Ipv4Addr;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
+use crate::inline::InlineVec;
 use crate::types::Asn;
 use crate::wire::{CodecError, Reader, Writer};
 
@@ -58,35 +59,110 @@ pub enum Segment {
     Set(Vec<Asn>),
 }
 
+impl Segment {
+    /// Wire segment type and members.
+    fn parts(&self) -> (u8, &[Asn]) {
+        match self {
+            Segment::Set(v) => (SEG_SET, v),
+            Segment::Sequence(v) => (SEG_SEQUENCE, v),
+        }
+    }
+}
+
 const SEG_SET: u8 = 1;
 const SEG_SEQUENCE: u8 = 2;
 
+/// ASNs of the leading AS_SEQUENCE an [`AsPath`] holds in place.
+const INLINE_ASNS: usize = 7;
+
+/// A segment's ASN count is one octet on the wire (RFC 4271 §4.3).
+const MAX_SEGMENT_ASNS: usize = 255;
+
 /// The AS_PATH attribute: the ASes a route has traversed, most recent first.
+///
+/// Nearly every path is one short AS_SEQUENCE, and the layout is built for
+/// that: the leading AS_SEQUENCE is `lead` — stored inside the struct up to
+/// [`INLINE_ASNS`] ASNs, one heap vector beyond — and `rest`, whatever
+/// follows it on the wire (AS_SETs from aggregation, further AS_SEQUENCEs),
+/// stays an unallocated `Vec`. Such a path owns no heap block and cloning it
+/// is a copy.
+///
+/// The form is canonical: the first wire segment is in `lead` exactly when
+/// it is an AS_SEQUENCE (so an empty `lead` means an empty path or one that
+/// starts with an AS_SET), no segment of `rest` is empty, and segment
+/// boundaries are kept. Every wire path therefore re-encodes to the bytes
+/// it was decoded from, and `Eq`/`Hash` compare what the path says, not
+/// where it is stored.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct AsPath {
-    /// Segments, first segment is nearest.
-    pub segments: Vec<Segment>,
+    lead: InlineVec<Asn, INLINE_ASNS>,
+    rest: Vec<Segment>,
 }
 
 impl AsPath {
     /// The empty path (a locally originated route).
     pub fn empty() -> AsPath {
-        AsPath { segments: vec![] }
+        AsPath::default()
     }
 
-    /// A pure sequence path.
+    /// A pure sequence path. More than 255 ASNs make several AS_SEQUENCEs,
+    /// split where [`prepend`](AsPath::prepend)ing them one by one from the
+    /// origin would: the full segments at the origin end.
     pub fn from_seq(asns: impl IntoIterator<Item = u32>) -> AsPath {
-        AsPath {
-            segments: vec![Segment::Sequence(asns.into_iter().map(Asn).collect())],
+        let asns = asns.into_iter();
+        let mut lead = InlineVec::with_capacity(asns.size_hint().0);
+        lead.extend(asns.map(Asn));
+        let mut rest = Vec::new();
+        if lead.len() > MAX_SEGMENT_ASNS {
+            let short = match lead.len() % MAX_SEGMENT_ASNS {
+                0 => MAX_SEGMENT_ASNS,
+                n => n,
+            };
+            rest = lead.as_slice()[short..]
+                .chunks(MAX_SEGMENT_ASNS)
+                .map(|c| Segment::Sequence(c.to_vec()))
+                .collect();
+            lead.truncate(short);
         }
+        AsPath { lead, rest }
     }
 
-    /// Prepend one AS (what a router does on eBGP export).
-    pub fn prepend(&mut self, asn: Asn) {
-        match self.segments.first_mut() {
-            Some(Segment::Sequence(seq)) => seq.insert(0, asn),
-            _ => self.segments.insert(0, Segment::Sequence(vec![asn])),
+    /// A path of the given wire segments, nearest first — how a path with an
+    /// AS_SET is stated. Empty segments are dropped and a segment of more
+    /// than 255 ASNs is split: the wire carries neither.
+    pub fn from_segments(segments: impl IntoIterator<Item = Segment>) -> AsPath {
+        let mut path = AsPath::empty();
+        for seg in segments {
+            let (ty, asns) = seg.parts();
+            for chunk in asns.chunks(MAX_SEGMENT_ASNS) {
+                if ty == SEG_SET {
+                    path.rest.push(Segment::Set(chunk.to_vec()));
+                } else if path.is_empty() {
+                    path.lead.extend(chunk.iter().copied());
+                } else {
+                    path.rest.push(Segment::Sequence(chunk.to_vec()));
+                }
+            }
         }
+        path
+    }
+
+    /// The wire segments in order, as `(segment type, members)`.
+    fn wire_segments(&self) -> impl Iterator<Item = (u8, &[Asn])> {
+        let lead = (!self.lead.is_empty()).then_some((SEG_SEQUENCE, self.lead.as_slice()));
+        lead.into_iter().chain(self.rest.iter().map(Segment::parts))
+    }
+
+    /// Prepend one AS (what a router does on eBGP export). A leading
+    /// AS_SEQUENCE that already holds 255 ASNs stays as it is and a new one
+    /// starts in front of it (RFC 4271 §5.1.2).
+    pub fn prepend(&mut self, asn: Asn) {
+        if self.lead.len() == MAX_SEGMENT_ASNS {
+            let full = std::mem::take(&mut self.lead);
+            self.rest
+                .insert(0, Segment::Sequence(full.as_slice().to_vec()));
+        }
+        self.lead.insert(0, asn);
     }
 
     /// Prepend the same AS `n` times (path prepending policy action).
@@ -99,62 +175,51 @@ impl AsPath {
     /// Decision-process length: each sequence member counts 1, each set
     /// counts 1 in total (RFC 4271 §9.1.2.2 a).
     pub fn path_len(&self) -> usize {
-        self.segments
+        let rest: usize = self
+            .rest
             .iter()
             .map(|s| match s {
                 Segment::Sequence(seq) => seq.len(),
                 Segment::Set(_) => 1,
             })
-            .sum()
+            .sum();
+        self.lead.len() + rest
     }
 
     /// True when `asn` appears anywhere (loop detection).
     pub fn contains(&self, asn: Asn) -> bool {
-        self.segments.iter().any(|s| match s {
-            Segment::Sequence(v) | Segment::Set(v) => v.contains(&asn),
-        })
+        self.wire_segments().any(|(_, v)| v.contains(&asn))
     }
 
-    /// The neighboring AS: first AS of the first sequence segment.
+    /// The neighboring AS: first AS of the first segment.
     pub fn first_asn(&self) -> Option<Asn> {
-        match self.segments.first() {
-            Some(Segment::Sequence(v)) => v.first().copied(),
-            Some(Segment::Set(v)) => v.first().copied(),
-            None => None,
-        }
+        let (_, first) = self.wire_segments().next()?;
+        first.first().copied()
     }
 
     /// The originating AS: last AS of the last segment.
     pub fn origin_asn(&self) -> Option<Asn> {
-        match self.segments.last() {
-            Some(Segment::Sequence(v)) => v.last().copied(),
-            Some(Segment::Set(v)) => v.last().copied(),
-            None => None,
-        }
+        let (_, last) = self.wire_segments().last()?;
+        last.last().copied()
     }
 
     /// All ASes in order of appearance (sets flattened in stored order).
     pub fn flatten(&self) -> Vec<Asn> {
-        let mut out = Vec::new();
-        for s in &self.segments {
-            match s {
-                Segment::Sequence(v) | Segment::Set(v) => out.extend_from_slice(v),
-            }
+        let mut out = Vec::with_capacity(self.lead.len());
+        for (_, v) in self.wire_segments() {
+            out.extend_from_slice(v);
         }
         out
     }
 
     /// True for a locally-originated (empty) path.
     pub fn is_empty(&self) -> bool {
-        self.path_len() == 0
+        self.lead.is_empty() && self.rest.is_empty()
     }
 
     pub(crate) fn encode(&self, w: &mut Writer) {
-        for seg in &self.segments {
-            let (ty, asns) = match seg {
-                Segment::Set(v) => (SEG_SET, v),
-                Segment::Sequence(v) => (SEG_SEQUENCE, v),
-            };
+        for (ty, asns) in self.wire_segments() {
+            debug_assert!(asns.len() <= MAX_SEGMENT_ASNS, "segment count is one octet");
             w.u8(ty);
             w.u8(asns.len() as u8);
             for a in asns {
@@ -167,19 +232,13 @@ impl AsPath {
     /// framing write its length header up front instead of detouring
     /// through a scratch buffer.
     pub(crate) fn wire_len(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|seg| {
-                let asns = match seg {
-                    Segment::Set(v) | Segment::Sequence(v) => v,
-                };
-                2 + 4 * asns.len()
-            })
+        self.wire_segments()
+            .map(|(_, asns)| 2 + 4 * asns.len())
             .sum()
     }
 
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<AsPath, CodecError> {
-        let mut segments = Vec::new();
+        let mut path = AsPath::empty();
         while !r.is_empty() {
             let ty = r.u8("as_path segment type")?;
             let n = r.u8("as_path segment count")? as usize;
@@ -189,11 +248,19 @@ impl AsPath {
                     reason: "empty segment",
                 });
             }
+            if ty == SEG_SEQUENCE && path.is_empty() {
+                // The leading AS_SEQUENCE goes straight into its slots.
+                path.lead = InlineVec::with_capacity(n);
+                for _ in 0..n {
+                    path.lead.push(Asn(r.u32("as_path asn")?));
+                }
+                continue;
+            }
             let mut asns = Vec::with_capacity(n);
             for _ in 0..n {
                 asns.push(Asn(r.u32("as_path asn")?));
             }
-            segments.push(match ty {
+            path.rest.push(match ty {
                 SEG_SET => Segment::Set(asns),
                 SEG_SEQUENCE => Segment::Sequence(asns),
                 _ => {
@@ -204,31 +271,32 @@ impl AsPath {
                 }
             });
         }
-        Ok(AsPath { segments })
+        Ok(path)
     }
 }
 
 impl fmt::Display for AsPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for seg in &self.segments {
-            if !first {
+        if self.is_empty() {
+            return write!(f, "<local>");
+        }
+        for (i, (ty, asns)) in self.wire_segments().enumerate() {
+            let (open, sep, close) = if ty == SEG_SET {
+                ("{", ",", "}")
+            } else {
+                ("", " ", "")
+            };
+            if i > 0 {
                 write!(f, " ")?;
             }
-            first = false;
-            match seg {
-                Segment::Sequence(v) => {
-                    let parts: Vec<String> = v.iter().map(|a| a.0.to_string()).collect();
-                    write!(f, "{}", parts.join(" "))?;
+            write!(f, "{open}")?;
+            for (j, a) in asns.iter().enumerate() {
+                if j > 0 {
+                    write!(f, "{sep}")?;
                 }
-                Segment::Set(v) => {
-                    let parts: Vec<String> = v.iter().map(|a| a.0.to_string()).collect();
-                    write!(f, "{{{}}}", parts.join(","))?;
-                }
+                write!(f, "{}", a.0)?;
             }
-        }
-        if self.segments.is_empty() {
-            write!(f, "<local>")?;
+            write!(f, "{close}")?;
         }
         Ok(())
     }
@@ -609,8 +677,10 @@ mod tests {
     fn full_attrs_roundtrip() {
         let mut a = PathAttributes::originate(Ipv4Addr::new(10, 9, 8, 7));
         a.origin = Origin::Incomplete;
-        a.as_path = AsPath::from_seq([65001, 65002, 65003]);
-        a.as_path.segments.push(Segment::Set(vec![Asn(1), Asn(2)]));
+        a.as_path = AsPath::from_segments([
+            Segment::Sequence(vec![Asn(65001), Asn(65002), Asn(65003)]),
+            Segment::Set(vec![Asn(1), Asn(2)]),
+        ]);
         a.med = Some(77);
         a.local_pref = Some(130);
         a.atomic_aggregate = true;
@@ -641,12 +711,10 @@ mod tests {
 
     #[test]
     fn as_path_set_counts_one() {
-        let p = AsPath {
-            segments: vec![
-                Segment::Sequence(vec![Asn(1), Asn(2)]),
-                Segment::Set(vec![Asn(3), Asn(4), Asn(5)]),
-            ],
-        };
+        let p = AsPath::from_segments([
+            Segment::Sequence(vec![Asn(1), Asn(2)]),
+            Segment::Set(vec![Asn(3), Asn(4), Asn(5)]),
+        ]);
         assert_eq!(p.path_len(), 3);
         assert_eq!(p.origin_asn(), Some(Asn(5)));
         assert_eq!(p.to_string(), "1 2 {3,4,5}");
@@ -660,6 +728,71 @@ mod tests {
         p.prepend_n(Asn(5), 3);
         assert_eq!(p.flatten(), vec![Asn(5), Asn(5), Asn(5), Asn(7)]);
         assert_eq!(p.path_len(), 4);
+    }
+
+    fn path_roundtrip(p: &AsPath) -> AsPath {
+        let mut w = Writer::new();
+        p.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), p.wire_len());
+        AsPath::decode(&mut Reader::new(&bytes)).expect("own encoding must decode")
+    }
+
+    /// RFC 4271 §5.1.2: a full leading AS_SEQUENCE is not grown, a new one
+    /// starts in front of it — two policies prepending 200 each must not
+    /// wrap the one-octet segment count.
+    #[test]
+    fn prepend_past_255_starts_a_new_segment() {
+        let mut p = AsPath::empty();
+        p.prepend_n(Asn(65002), 200);
+        p.prepend_n(Asn(65001), 200);
+        assert_eq!(p.path_len(), 400);
+        assert_eq!(p.wire_len(), 2 * 2 + 4 * 400);
+        assert_eq!(path_roundtrip(&p), p);
+        assert_eq!(p.first_asn(), Some(Asn(65001)));
+        assert_eq!(p.origin_asn(), Some(Asn(65002)));
+        let mut expected = vec![Asn(65001); 200];
+        expected.extend([Asn(65002); 200]);
+        assert_eq!(p.flatten(), expected);
+        assert_eq!(p, AsPath::from_seq(expected.iter().map(|a| a.0)));
+        // 262 = 7 + 255: `from_seq` leaves the short leading segment in the
+        // vector it collected into, prepending builds it in place.
+        let spilled = AsPath::from_seq(0..262);
+        let mut inline = AsPath::empty();
+        for asn in (0..262).rev() {
+            inline.prepend(Asn(asn));
+        }
+        assert!(spilled.lead.spilled() && !inline.lead.spilled());
+        assert_eq!(spilled, inline);
+        // An exact multiple leaves no short segment in front.
+        let full = AsPath::from_seq(0..510);
+        assert_eq!(full.wire_len(), 2 * 2 + 4 * 510);
+        assert_eq!(path_roundtrip(&full), full);
+    }
+
+    /// Segment boundaries survive the canonical form: a leading AS_SET and
+    /// consecutive AS_SEQUENCEs re-encode to the bytes they came from.
+    #[test]
+    fn leading_set_and_consecutive_sequences_roundtrip() {
+        #[rustfmt::skip]
+        let wire = [
+            SEG_SET, 2, 0, 0, 0, 9, 0, 0, 0, 8,
+            SEG_SEQUENCE, 1, 0, 0, 0, 7,
+            SEG_SEQUENCE, 2, 0, 0, 0, 6, 0, 0, 0, 5,
+        ];
+        let p = AsPath::decode(&mut Reader::new(&wire)).unwrap();
+        assert_eq!(p.to_string(), "{9,8} 7 6 5");
+        assert_eq!(p.path_len(), 4);
+        assert_eq!(p.first_asn(), Some(Asn(9)));
+        let mut w = Writer::new();
+        p.encode(&mut w);
+        assert_eq!(w.as_bytes(), &wire);
+        let mut q = p.clone();
+        q.prepend(Asn(1));
+        assert_eq!(q.to_string(), "1 {9,8} 7 6 5");
+        let two = AsPath::decode(&mut Reader::new(&wire[10..])).unwrap();
+        assert_ne!(two, AsPath::from_seq([7, 6, 5]), "boundaries are content");
+        assert_eq!(path_roundtrip(&two), two);
     }
 
     #[test]

@@ -1,33 +1,39 @@
-//! Hand-rolled SmallVec-style storage for short, transient lists.
+//! Hand-rolled SmallVec-style storage for short lists.
 //!
 //! The router hot path builds many tiny lists per event — the peers on a
-//! flapped link, the prefixes withdrawn in one flush round, the Loc-RIB
-//! snapshot exported at session bring-up. Almost all of them hold a handful
-//! of elements, so a heap `Vec` pays an allocation for nothing. An
-//! [`InlineVec<T, N>`] keeps the first `N` elements in a plain array on the
-//! stack and only touches the heap when a list actually grows past that —
-//! the common case allocates zero bytes.
+//! flapped link, the prefixes one UPDATE touched, the prefixes withdrawn in
+//! one flush round — and every route carries one: the leading AS_SEQUENCE of
+//! its AS_PATH. Almost all of them hold a handful of elements, so a heap
+//! `Vec` pays an allocation for nothing. An [`InlineVec<T, N>`] keeps up to
+//! `N` elements in a plain array inside itself and moves to one heap vector
+//! only when a list actually grows past that — the common case allocates
+//! zero bytes. Either way the elements are one contiguous slice.
 //!
 //! `T: Copy + Default` keeps the implementation `unsafe`-free (the inline
 //! slots are pre-initialized with `T::default()`); the lists this is for
-//! carry `Prefix` and peer indices, which are all trivially copyable.
+//! carry `Prefix`, `Asn` and peer indices, which are all trivially copyable.
 
-/// A vector that stores its first `N` elements inline and spills the rest
-/// to the heap.
-#[derive(Debug, Clone)]
-pub struct InlineVec<T: Copy + Default, const N: usize> {
-    inline: [T; N],
-    len: usize,
-    spill: Vec<T>,
+use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// A vector that stores up to `N` elements inline and moves all of them to
+/// the heap beyond that. `N` is at most 255.
+#[derive(Clone)]
+pub struct InlineVec<T: Copy + Default, const N: usize>(Repr<T, N>);
+
+#[derive(Clone)]
+enum Repr<T, const N: usize> {
+    Inline { len: u8, slots: [T; N] },
+    Heap(Vec<T>),
 }
 
 impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
     fn default() -> Self {
-        InlineVec {
-            inline: [T::default(); N],
+        const { assert!(N <= u8::MAX as usize, "the inline length is one byte") };
+        InlineVec(Repr::Inline {
             len: 0,
-            spill: Vec::new(),
-        }
+            slots: [T::default(); N],
+        })
     }
 }
 
@@ -37,66 +43,144 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         Self::default()
     }
 
-    /// Number of stored elements (inline + spilled).
+    /// Empty list with room for `n` elements: allocated (exactly once, if
+    /// it does not grow past `n`) only when `n` exceeds `N`.
+    pub fn with_capacity(n: usize) -> Self {
+        if n <= N {
+            Self::default()
+        } else {
+            InlineVec(Repr::Heap(Vec::with_capacity(n)))
+        }
+    }
+
+    /// The elements in order.
+    pub fn as_slice(&self) -> &[T] {
+        match &self.0 {
+            Repr::Inline { len, slots } => &slots[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+
+    /// Number of stored elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.as_slice().len()
     }
 
-    /// True when nothing was pushed.
+    /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.as_slice().is_empty()
     }
 
-    /// True when the list outgrew its inline capacity.
+    /// True when the elements live on the heap.
     pub fn spilled(&self) -> bool {
-        self.len > N
+        matches!(self.0, Repr::Heap(_))
     }
 
     /// Append an element; allocation-free until the list exceeds `N`.
     pub fn push(&mut self, v: T) {
-        if self.len < N {
-            self.inline[self.len] = v;
-        } else {
-            self.spill.push(v);
+        self.insert(self.len(), v);
+    }
+
+    /// Insert an element at `index`, shifting everything after it.
+    ///
+    /// # Panics
+    /// When `index > len`.
+    pub fn insert(&mut self, index: usize, v: T) {
+        match &mut self.0 {
+            Repr::Inline { len, slots } if (*len as usize) < N => {
+                let n = *len as usize;
+                assert!(index <= n, "insertion index {index} out of 0..={n}");
+                slots.copy_within(index..n, index + 1);
+                slots[index] = v;
+                *len += 1;
+            }
+            Repr::Inline { slots, .. } => {
+                let mut heap = Vec::with_capacity(2 * N + 2);
+                heap.extend_from_slice(slots);
+                heap.insert(index, v);
+                self.0 = Repr::Heap(heap);
+            }
+            Repr::Heap(heap) => heap.insert(index, v),
         }
-        self.len += 1;
     }
 
-    /// Drop all elements, keeping any spill allocation for reuse.
+    /// Keep the first `len` elements (no-op when there are fewer).
+    pub fn truncate(&mut self, len: usize) {
+        match &mut self.0 {
+            Repr::Inline { len: cur, .. } if len < *cur as usize => *cur = len as u8,
+            Repr::Inline { .. } => {}
+            Repr::Heap(v) => v.truncate(len),
+        }
+    }
+
+    /// Drop all elements, keeping any heap allocation for reuse.
     pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
+        self.truncate(0);
     }
 
-    /// Iterate over the elements in push order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.inline[..self.len.min(N)]
-            .iter()
-            .chain(self.spill.iter())
+    /// Iterate over the elements in order.
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.as_slice().iter()
+    }
+}
+
+// Equality, hashing and `Debug` see the elements only, never where they are
+// stored.
+impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Copy + Default + Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: Copy + Default + Hash, const N: usize> Hash for InlineVec<T, N> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Owning iterator of an [`InlineVec`].
+#[derive(Debug, Clone)]
+pub struct IntoIter<T: Copy + Default, const N: usize> {
+    list: InlineVec<T, N>,
+    next: usize,
+}
+
+impl<T: Copy + Default, const N: usize> Iterator for IntoIter<T, N> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        let v = self.list.as_slice().get(self.next).copied();
+        self.next += 1;
+        v
     }
 }
 
 impl<T: Copy + Default, const N: usize> IntoIterator for InlineVec<T, N> {
     type Item = T;
-    type IntoIter =
-        std::iter::Chain<std::iter::Take<std::array::IntoIter<T, N>>, std::vec::IntoIter<T>>;
+    type IntoIter = IntoIter<T, N>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.inline
-            .into_iter()
-            .take(self.len.min(N))
-            .chain(self.spill)
+    fn into_iter(self) -> IntoIter<T, N> {
+        IntoIter {
+            list: self,
+            next: 0,
+        }
     }
 }
 
 impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     type Item = &'a T;
-    type IntoIter = std::iter::Chain<std::slice::Iter<'a, T>, std::slice::Iter<'a, T>>;
+    type IntoIter = std::slice::Iter<'a, T>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.inline[..self.len.min(N)]
-            .iter()
-            .chain(self.spill.iter())
+        self.iter()
     }
 }
 
@@ -115,7 +199,6 @@ impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
         v
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +241,38 @@ mod tests {
             sum += x;
         }
         assert_eq!(sum, 15);
+    }
+
+    #[test]
+    fn insert_shifts_and_crosses_the_inline_boundary() {
+        let mut v: InlineVec<u32, 3> = InlineVec::new();
+        for x in [30, 10, 20, 0] {
+            let at = v.as_slice().partition_point(|&y| y < x);
+            v.insert(at, x);
+        }
+        assert!(v.spilled());
+        assert_eq!(v.as_slice(), &[0, 10, 20, 30]);
+        v.insert(4, 40);
+        assert_eq!(v.as_slice(), &[0, 10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn equality_and_hash_ignore_where_the_elements_live() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |v: &InlineVec<u32, 4>| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        let inline: InlineVec<u32, 4> = (0..3).collect();
+        let mut heap: InlineVec<u32, 4> = InlineVec::with_capacity(9);
+        heap.extend(0..6);
+        assert!(heap.spilled() && !inline.spilled());
+        assert_ne!(inline, heap);
+        heap.truncate(3);
+        assert_eq!(inline, heap);
+        assert_eq!(hash(&inline), hash(&heap));
+        assert_eq!(format!("{heap:?}"), "[0, 1, 2]");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! downstream of it, including which UPDATE goes out first — is
 //! deterministic.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use bgpsdn_netsim::SimTime;
 
@@ -37,10 +37,20 @@ pub struct RibInEntry {
     pub learned_at: SimTime,
 }
 
+/// One prefix's accepted routes, sorted by peer index: a flat row, so the
+/// decision process reads its candidates from consecutive memory.
+type RibInRow = Vec<(PeerIdx, RibInEntry)>;
+
+/// Where `peer`'s route is (`Ok`) or would go (`Err`) in a row.
+pub(crate) fn row_slot(row: &[(PeerIdx, RibInEntry)], peer: PeerIdx) -> Result<usize, usize> {
+    row.binary_search_by_key(&peer, |(p, _)| *p)
+}
+
 /// Per-prefix, per-peer store of accepted routes.
 #[derive(Debug, Default)]
 pub struct AdjRibIn {
-    routes: BTreeMap<Prefix, BTreeMap<PeerIdx, RibInEntry>>,
+    /// No row is empty.
+    routes: BTreeMap<Prefix, RibInRow>,
     /// Routes currently stored per peer (indexed by `PeerIdx`, grown on
     /// demand), so the maximum-prefix guardrail reads a counter instead of
     /// scanning every prefix slot on each UPDATE.
@@ -54,20 +64,25 @@ impl AdjRibIn {
     /// still refreshes `learned_at` — graceful restart distinguishes
     /// stale-retained routes from re-announced ones by that timestamp.
     pub fn insert(&mut self, prefix: Prefix, peer: PeerIdx, entry: RibInEntry) -> bool {
-        let slot = self.routes.entry(prefix).or_default();
-        match slot.get_mut(&peer) {
-            Some(old) if old.attrs == entry.attrs => {
-                old.learned_at = entry.learned_at;
-                old.peer_router_id = entry.peer_router_id;
-                false
-            }
-            _ => {
-                if slot.insert(peer, entry).is_none() {
-                    if self.peer_counts.len() <= peer {
-                        self.peer_counts.resize(peer + 1, 0);
-                    }
-                    self.peer_counts[peer] += 1;
+        let row = self.routes.entry(prefix).or_default();
+        match row_slot(row, peer) {
+            Ok(i) => {
+                let old = &mut row[i].1;
+                if old.attrs == entry.attrs {
+                    old.learned_at = entry.learned_at;
+                    old.peer_router_id = entry.peer_router_id;
+                    false
+                } else {
+                    *old = entry;
+                    true
                 }
+            }
+            Err(i) => {
+                row.insert(i, (peer, entry));
+                if self.peer_counts.len() <= peer {
+                    self.peer_counts.resize(peer + 1, 0);
+                }
+                self.peer_counts[peer] += 1;
                 true
             }
         }
@@ -76,35 +91,48 @@ impl AdjRibIn {
     /// Remove the peer's route for a prefix. Returns true when a route was
     /// actually removed.
     pub fn remove(&mut self, prefix: Prefix, peer: PeerIdx) -> bool {
-        if let Some(slot) = self.routes.get_mut(&prefix) {
-            let removed = slot.remove(&peer).is_some();
-            if slot.is_empty() {
-                self.routes.remove(&prefix);
-            }
-            if removed {
-                self.peer_counts[peer] -= 1;
-            }
-            removed
-        } else {
-            false
+        let Entry::Occupied(mut row) = self.routes.entry(prefix) else {
+            return false;
+        };
+        let Ok(i) = row_slot(row.get(), peer) else {
+            return false;
+        };
+        row.get_mut().remove(i);
+        if row.get().is_empty() {
+            row.remove();
         }
+        self.peer_counts[peer] -= 1;
+        true
+    }
+
+    /// Remove every route learned from `peer` for which `goes` holds and
+    /// return the affected prefixes in prefix order; sessions carrying few
+    /// routes (the common clique case) stay allocation-free.
+    fn remove_peer_routes(
+        &mut self,
+        peer: PeerIdx,
+        mut goes: impl FnMut(&RibInEntry) -> bool,
+    ) -> InlineVec<Prefix, 8> {
+        let mut affected = InlineVec::new();
+        self.routes.retain(|prefix, row| {
+            if let Ok(i) = row_slot(row, peer) {
+                if goes(&row[i].1) {
+                    row.remove(i);
+                    affected.push(*prefix);
+                }
+            }
+            !row.is_empty()
+        });
+        if let Some(count) = self.peer_counts.get_mut(peer) {
+            *count -= affected.len();
+        }
+        affected
     }
 
     /// Remove every route learned from `peer` (session reset). Returns the
-    /// affected prefixes; sessions carrying few routes (the common clique
-    /// case) stay allocation-free.
+    /// affected prefixes.
     pub fn remove_peer(&mut self, peer: PeerIdx) -> InlineVec<Prefix, 8> {
-        let mut affected = InlineVec::new();
-        self.routes.retain(|prefix, slot| {
-            if slot.remove(&peer).is_some() {
-                affected.push(*prefix);
-            }
-            !slot.is_empty()
-        });
-        if let Some(count) = self.peer_counts.get_mut(peer) {
-            *count = 0;
-        }
-        affected
+        self.remove_peer_routes(peer, |_| true)
     }
 
     /// Remove every route learned from `peer` that was last received
@@ -113,33 +141,23 @@ impl AdjRibIn {
     /// fresh `learned_at` and survives; anything it didn't is stale and
     /// goes. Returns the affected prefixes.
     pub fn flush_stale(&mut self, peer: PeerIdx, cutoff: SimTime) -> InlineVec<Prefix, 8> {
-        let mut affected = InlineVec::new();
-        self.routes.retain(|prefix, slot| {
-            if let Some(e) = slot.get(&peer) {
-                if e.learned_at < cutoff {
-                    slot.remove(&peer);
-                    affected.push(*prefix);
-                }
-            }
-            !slot.is_empty()
-        });
-        if !affected.is_empty() {
-            self.peer_counts[peer] -= affected.len();
-        }
-        affected
+        self.remove_peer_routes(peer, |e| e.learned_at < cutoff)
+    }
+
+    /// One prefix's routes in peer-index order (empty when there are none).
+    pub(crate) fn row(&self, prefix: Prefix) -> &[(PeerIdx, RibInEntry)] {
+        self.routes.get(&prefix).map_or(&[], Vec::as_slice)
     }
 
     /// Candidate routes for one prefix, in peer-index order.
     pub fn candidates(&self, prefix: Prefix) -> impl Iterator<Item = (PeerIdx, &RibInEntry)> {
-        self.routes
-            .get(&prefix)
-            .into_iter()
-            .flat_map(|slot| slot.iter().map(|(p, e)| (*p, e)))
+        self.row(prefix).iter().map(|(p, e)| (*p, e))
     }
 
     /// The peer's route for a prefix, if accepted.
     pub fn get(&self, prefix: Prefix, peer: PeerIdx) -> Option<&RibInEntry> {
-        self.routes.get(&prefix)?.get(&peer)
+        let row = self.row(prefix);
+        row_slot(row, peer).ok().map(|i| &row[i].1)
     }
 
     /// All prefixes with at least one candidate.
@@ -194,12 +212,18 @@ impl LocRib {
     /// Set the best route for a prefix. Returns true when the selection
     /// changed (source or attributes differ).
     pub fn set(&mut self, prefix: Prefix, entry: LocRibEntry) -> bool {
-        match self.best.get(&prefix) {
-            Some(old) if old.source == entry.source && old.attrs == entry.attrs => false,
-            _ => {
-                if self.best.insert(prefix, entry).is_none() {
-                    self.len_counts[prefix.len() as usize] += 1;
+        match self.best.entry(prefix) {
+            Entry::Occupied(mut old) => {
+                let old = old.get_mut();
+                let changed = old.source != entry.source || old.attrs != entry.attrs;
+                if changed {
+                    *old = entry;
                 }
+                changed
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(entry);
+                self.len_counts[prefix.len() as usize] += 1;
                 true
             }
         }
@@ -265,10 +289,16 @@ impl AdjRibOut {
     /// Record an advertisement. Returns true when it differs from what was
     /// previously advertised (i.e. an UPDATE is warranted).
     pub fn advertise(&mut self, prefix: Prefix, attrs: SharedAttrs) -> bool {
-        match self.advertised.get(&prefix) {
-            Some(old) if *old == attrs => false,
-            _ => {
-                self.advertised.insert(prefix, attrs);
+        match self.advertised.entry(prefix) {
+            Entry::Occupied(mut old) => {
+                let changed = *old.get() != attrs;
+                if changed {
+                    old.insert(attrs);
+                }
+                changed
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(attrs);
                 true
             }
         }

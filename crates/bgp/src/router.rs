@@ -23,7 +23,9 @@ use crate::fsm::{CloseReason, SessionEvent, SessionHandshake, SessionState};
 use crate::inline::InlineVec;
 use crate::msg::{BgpMessage, NotifCode, NotificationMsg, UpdateMsg};
 use crate::policy;
-use crate::rib::{AdjRibIn, AdjRibOut, LocRib, LocRibEntry, PeerIdx, RibInEntry, RouteSource};
+use crate::rib::{
+    self, AdjRibIn, AdjRibOut, LocRib, LocRibEntry, PeerIdx, RibInEntry, RouteSource,
+};
 use crate::types::{Asn, Prefix, RouterId};
 use crate::wire::Writer;
 
@@ -183,7 +185,9 @@ impl PeerRuntime {
 pub struct BgpRouter<M: BgpApp> {
     id: NodeId,
     cfg: RouterConfig,
-    by_peer_node: HashMap<NodeId, PeerIdx>,
+    /// `(neighbor node, its index)`, sorted by node: the lookup every
+    /// received message starts with.
+    by_peer_node: Vec<(NodeId, PeerIdx)>,
     peers: Vec<PeerRuntime>,
     adj_in: AdjRibIn,
     loc_rib: LocRib,
@@ -208,27 +212,14 @@ pub struct BgpRouter<M: BgpApp> {
 
 impl<M: BgpApp> BgpRouter<M> {
     /// Build a router for the given node id and configuration.
-    pub fn new(id: NodeId, cfg: RouterConfig) -> Self {
-        let mut by_peer_node = HashMap::new();
-        let mut peers = Vec::with_capacity(cfg.neighbors.len());
-        for (i, n) in cfg.neighbors.iter().enumerate() {
-            let dup = by_peer_node.insert(n.peer, i);
-            assert!(dup.is_none(), "duplicate neighbor {}", n.peer);
-            let mut handshake = SessionHandshake::new(
-                cfg.asn,
-                cfg.router_id,
-                cfg.timing.hold_time_secs,
-                Some(n.remote_asn),
-            );
-            handshake.set_graceful_restart(cfg.timing.graceful_restart_secs);
-            peers.push(PeerRuntime::new(handshake));
-        }
+    pub fn new(id: NodeId, mut cfg: RouterConfig) -> Self {
+        let neighbors = std::mem::take(&mut cfg.neighbors);
         let originated: BTreeSet<Prefix> = cfg.originate.iter().copied().collect();
-        BgpRouter {
+        let mut router = BgpRouter {
             id,
             cfg,
-            by_peer_node,
-            peers,
+            by_peer_node: Vec::with_capacity(neighbors.len()),
+            peers: Vec::with_capacity(neighbors.len()),
             adj_in: AdjRibIn::default(),
             loc_rib: LocRib::default(),
             originated,
@@ -242,7 +233,11 @@ impl<M: BgpApp> BgpRouter<M> {
             wire_scratch: Writer::with_capacity(64),
             stats: RouterStats::default(),
             _m: PhantomData,
+        };
+        for n in neighbors {
+            router.add_neighbor(n);
         }
+        router
     }
 
     /// Add a neighbor after construction. Node and link ids only exist once
@@ -250,9 +245,13 @@ impl<M: BgpApp> BgpRouter<M> {
     /// routers bare and attach neighbors before the simulation starts.
     /// Must not be called on a running router.
     pub fn add_neighbor(&mut self, n: NeighborConfig) {
-        let idx = self.peers.len();
-        let dup = self.by_peer_node.insert(n.peer, idx);
-        assert!(dup.is_none(), "duplicate neighbor {}", n.peer);
+        match self
+            .by_peer_node
+            .binary_search_by_key(&n.peer, |(node, _)| *node)
+        {
+            Ok(_) => panic!("duplicate neighbor {}", n.peer),
+            Err(at) => self.by_peer_node.insert(at, (n.peer, self.peers.len())),
+        }
         let mut handshake = SessionHandshake::new(
             self.cfg.asn,
             self.cfg.router_id,
@@ -305,11 +304,18 @@ impl<M: BgpApp> BgpRouter<M> {
         self.originated.iter().copied()
     }
 
+    /// Index of the neighbor behind a node.
+    fn peer_idx(&self, peer: NodeId) -> Option<PeerIdx> {
+        let at = self
+            .by_peer_node
+            .binary_search_by_key(&peer, |(node, _)| *node)
+            .ok()?;
+        Some(self.by_peer_node[at].1)
+    }
+
     /// Session state toward a logical peer.
     pub fn session_state(&self, peer: NodeId) -> Option<SessionState> {
-        self.by_peer_node
-            .get(&peer)
-            .map(|&i| self.peers[i].handshake.state())
+        self.peer_idx(peer).map(|i| self.peers[i].handshake.state())
     }
 
     /// The best route for a prefix, if any.
@@ -342,8 +348,7 @@ impl<M: BgpApp> BgpRouter<M> {
 
     /// What was last advertised to a logical peer for a prefix.
     pub fn advertised_to(&self, peer: NodeId, prefix: Prefix) -> Option<&SharedAttrs> {
-        let i = *self.by_peer_node.get(&peer)?;
-        self.peers[i].adj_out.get(prefix)
+        self.peers[self.peer_idx(peer)?].adj_out.get(prefix)
     }
 
     // ------------------------------------------------------------------
@@ -585,9 +590,15 @@ impl<M: BgpApp> BgpRouter<M> {
     /// Queue the whole Loc-RIB toward one peer (initial table sync, ROUTE
     /// REFRESH) and flush.
     fn export_table(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
-        let prefixes: InlineVec<Prefix, 8> = self.loc_rib.iter().map(|(p, _)| p).collect();
-        for p in prefixes {
-            self.enqueue_export(peer, p, &mut None);
+        for (p, best) in self.loc_rib.iter() {
+            Self::enqueue_export(
+                &self.cfg,
+                &mut self.peers[peer],
+                peer,
+                p,
+                Some(best),
+                &mut None,
+            );
         }
         self.maybe_flush(ctx, peer);
     }
@@ -660,7 +671,8 @@ impl<M: BgpApp> BgpRouter<M> {
             let mut earliest_reuse: Option<bgpsdn_netsim::SimDuration> = None;
             let damping_map = &mut self.damping;
             let dcfg = self.cfg.damping.as_ref();
-            let cands = self.adj_in.candidates(prefix).filter(|(i, _)| {
+            let row = self.adj_in.row(prefix);
+            let cands = row.iter().filter(|(i, _)| {
                 let Some(dcfg) = dcfg else { return true };
                 let suppressed = damping_map.get_mut(&(*i, prefix)).is_some_and(|st| {
                     if !st.is_suppressed(dcfg, now) {
@@ -679,7 +691,7 @@ impl<M: BgpApp> BgpRouter<M> {
             });
             let cands = cands.map(|(i, e)| Candidate {
                 attrs: &e.attrs,
-                source: RouteSource::Peer(i),
+                source: RouteSource::Peer(*i),
                 peer_router_id: e.peer_router_id,
             });
             let span = ctx.span();
@@ -689,7 +701,8 @@ impl<M: BgpApp> BgpRouter<M> {
                 let RouteSource::Peer(i) = source else {
                     unreachable!("every candidate came from a peer")
                 };
-                let won = self.adj_in.get(prefix, i).expect("the winner is stored");
+                let at = rib::row_slot(row, i).expect("the winner is in the row");
+                let won = &row[at].1;
                 LocRibEntry {
                     source,
                     attrs: won.attrs.clone(),
@@ -723,10 +736,12 @@ impl<M: BgpApp> BgpRouter<M> {
             ctx.report(Activity::RibChange);
             ctx.report(Activity::FibChange);
             ctx.count("bgp.router.best_path_changes", 1);
+            // Read once; every peer of the fan-out below gets this entry.
+            let best = self.loc_rib.get(prefix);
             ctx.trace(TraceCategory::Route, || TraceEvent::RibChange {
                 prefix: obs(prefix),
                 old_path,
-                new_path: self.loc_rib.get(prefix).map(obs_path),
+                new_path: best.map(obs_path),
             });
             // Causal: every best-path change is a hunt step. The previous
             // change under the same trigger is an extra (and earlier, hence
@@ -763,28 +778,36 @@ impl<M: BgpApp> BgpRouter<M> {
             }
             // One export view per best-path change, shared by every peer.
             let mut view = None;
-            for peer in 0..self.peers.len() {
-                self.enqueue_export(peer, prefix, &mut view);
+            for (peer, rt) in self.peers.iter_mut().enumerate() {
+                Self::enqueue_export(&self.cfg, rt, peer, prefix, best, &mut view);
             }
         }
         changed
     }
 
-    /// Compute the desired advertisement of `prefix` toward `peer` and queue
+    /// Compute the desired advertisement of `prefix` toward `peer` (whose
+    /// runtime is `rt`), given the prefix's Loc-RIB entry `best`, and queue
     /// the delta. `view` caches the prefix's export view across the peers of
     /// one fan-out: it is built for the first peer the route may go to and
     /// every later peer gets the same handle.
-    fn enqueue_export(&mut self, peer: PeerIdx, prefix: Prefix, view: &mut Option<SharedAttrs>) {
-        if !self.peers[peer].handshake.is_established() {
+    fn enqueue_export(
+        cfg: &RouterConfig,
+        rt: &mut PeerRuntime,
+        peer: PeerIdx,
+        prefix: Prefix,
+        best: Option<&LocRibEntry>,
+        view: &mut Option<SharedAttrs>,
+    ) {
+        if !rt.handshake.is_established() {
             return;
         }
-        let change = match self.loc_rib.get(prefix) {
-            Some(entry) if self.export_permitted(peer, entry.source) => {
-                let view = view.get_or_insert_with(|| self.export_view(entry));
-                match &self.cfg.neighbors[peer].export_map {
+        let change = match best {
+            Some(entry) if Self::export_permitted(cfg, peer, entry.source) => {
+                let view = view.get_or_insert_with(|| Self::export_view(cfg, entry));
+                match &cfg.neighbors[peer].export_map {
                     None => OutChange::Announce(view.clone()),
                     // A route map edits the attributes: a private copy.
-                    Some(map) => match map.apply(prefix, view, self.cfg.asn) {
+                    Some(map) => match map.apply(prefix, view, cfg.asn) {
                         Some(attrs) => OutChange::Announce(attrs.into()),
                         None => OutChange::Withdraw,
                     },
@@ -792,30 +815,25 @@ impl<M: BgpApp> BgpRouter<M> {
             }
             _ => OutChange::Withdraw,
         };
-        set_pending(&mut self.peers[peer].pending, prefix, change);
+        set_pending(&mut rt.pending, prefix, change);
     }
 
     /// Whether a best route learned from `source` may be exported to `peer`
     /// at all (before any per-neighbor route map).
-    fn export_permitted(&self, peer: PeerIdx, source: RouteSource) -> bool {
+    fn export_permitted(cfg: &RouterConfig, peer: PeerIdx, source: RouteSource) -> bool {
         // Optional sender-side loop avoidance (off by default: Quagga sends
         // the route back and lets the peer's AS_PATH check discard it, which
         // is what keeps path exploration MRAI-paced).
-        if self.cfg.timing.sender_side_loop_detection && source == RouteSource::Peer(peer) {
+        if cfg.timing.sender_side_loop_detection && source == RouteSource::Peer(peer) {
             return false;
         }
-        let learned_from =
-            policy::source_relationship(source, |i| self.cfg.neighbors[i].relationship);
-        policy::export_allowed(
-            self.cfg.mode,
-            learned_from,
-            self.cfg.neighbors[peer].relationship,
-        )
+        let learned_from = policy::source_relationship(source, |i| cfg.neighbors[i].relationship);
+        policy::export_allowed(cfg.mode, learned_from, cfg.neighbors[peer].relationship)
     }
 
     /// The attributes a best route is exported with, the same toward every
     /// peer: the eBGP transformation of the Loc-RIB attributes.
-    fn export_view(&self, entry: &LocRibEntry) -> SharedAttrs {
+    fn export_view(cfg: &RouterConfig, entry: &LocRibEntry) -> SharedAttrs {
         let mut attrs = PathAttributes::clone(&entry.attrs);
         // eBGP: LOCAL_PREF is local, MED is not propagated beyond the
         // originating hop.
@@ -823,8 +841,8 @@ impl<M: BgpApp> BgpRouter<M> {
         if entry.source != RouteSource::Local {
             attrs.med = None;
         }
-        attrs.as_path.prepend(self.cfg.asn);
-        attrs.next_hop = self.cfg.next_hop;
+        attrs.as_path.prepend(cfg.asn);
+        attrs.next_hop = cfg.next_hop;
         attrs.into()
     }
 
@@ -946,7 +964,13 @@ impl<M: BgpApp> BgpRouter<M> {
                 cur = cause.step(id);
             }
         }
-        let mut affected: BTreeSet<Prefix> = BTreeSet::new();
+        // Prefix-sorted and free of duplicates: the order the decisions run in.
+        let mut affected: InlineVec<Prefix, 8> = InlineVec::new();
+        let mut touch = |p: Prefix| {
+            if let Err(at) = affected.as_slice().binary_search(&p) {
+                affected.insert(at, p);
+            }
+        };
 
         let UpdateMsg {
             withdrawn,
@@ -955,7 +979,7 @@ impl<M: BgpApp> BgpRouter<M> {
         } = upd;
         for p in &withdrawn {
             if self.adj_in.remove(*p, peer) {
-                affected.insert(*p);
+                touch(*p);
                 if let Some(dcfg) = &self.cfg.damping {
                     let now = ctx.now();
                     self.damping
@@ -987,7 +1011,7 @@ impl<M: BgpApp> BgpRouter<M> {
                     // A rejected route still implicitly replaces (removes)
                     // any earlier accepted one from this peer.
                     if self.adj_in.remove(*p, peer) {
-                        affected.insert(*p);
+                        touch(*p);
                     }
                     continue;
                 }
@@ -997,14 +1021,16 @@ impl<M: BgpApp> BgpRouter<M> {
                 };
                 match accepted {
                     Some(final_attrs) => {
-                        let existed = self.adj_in.get(*p, peer).is_some();
+                        // Only damping asks whether this replaces a route.
+                        let existed =
+                            self.cfg.damping.is_some() && self.adj_in.get(*p, peer).is_some();
                         let entry = RibInEntry {
                             attrs: final_attrs,
                             peer_router_id: self.peers[peer].remote_router_id,
                             learned_at: ctx.now(),
                         };
                         if self.adj_in.insert(*p, peer, entry) {
-                            affected.insert(*p);
+                            touch(*p);
                             // A replacement announcement is a flap too.
                             if existed {
                                 if let Some(dcfg) = &self.cfg.damping {
@@ -1020,7 +1046,7 @@ impl<M: BgpApp> BgpRouter<M> {
                     None => {
                         self.stats.policy_rejected += 1;
                         if self.adj_in.remove(*p, peer) {
-                            affected.insert(*p);
+                            touch(*p);
                         }
                     }
                 }
@@ -1077,12 +1103,12 @@ impl<M: BgpApp> BgpRouter<M> {
                 self.flush_all(ctx);
             }
             RouterCommand::ResetSession(peer_node) => {
-                if let Some(&i) = self.by_peer_node.get(peer_node) {
+                if let Some(i) = self.peer_idx(*peer_node) {
                     self.drop_session(ctx, i, CloseReason::AdminReset, Some(NotifCode::Cease));
                 }
             }
             RouterCommand::RequestRefresh(peer_node) => {
-                if let Some(&i) = self.by_peer_node.get(peer_node) {
+                if let Some(i) = self.peer_idx(*peer_node) {
                     if self.peers[i].handshake.is_established() {
                         self.send_msg(ctx, i, &BgpMessage::RouteRefresh { afi: 1, safi: 1 });
                     }
@@ -1155,9 +1181,8 @@ impl<M: BgpApp> BgpRouter<M> {
             // Not for us: routers do not relay control traffic.
             return;
         }
-        let peer = match self.by_peer_node.get(&env.src) {
-            Some(&i) => i,
-            None => return, // unknown speaker; ignore
+        let Some(peer) = self.peer_idx(env.src) else {
+            return; // unknown speaker; ignore
         };
         let msg = match env.decode() {
             Ok(m) => m,

@@ -4,8 +4,10 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
-/// An Autonomous System number (4-octet capable, RFC 6793).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// An Autonomous System number (4-octet capable, RFC 6793). The default,
+/// reserved AS 0, is what unused [`InlineVec`](crate::inline::InlineVec)
+/// slots hold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Asn(pub u32);
 
 impl Asn {

@@ -1,0 +1,170 @@
+//! What a route costs in heap blocks and in bytes, pinned.
+//!
+//! The router is memory-bound, so the number of allocations a route makes
+//! on its way through (decode, export) and the size of the per-route
+//! structs are performance properties of their own. A counting allocator
+//! checks the first, `size_of` the second: a field added to a per-route
+//! struct, or a `Vec` that creeps back into `AsPath`, fails here and becomes
+//! a decision instead of a drift.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use bgpsdn_bgp::{
+    pfx, AsPath, Asn, BgpMessage, BgpOnlyMsg, BgpRouter, LocRibEntry, NeighborConfig,
+    PathAttributes, PolicyMode, Relationship, RibInEntry, RouterCommand, RouterConfig, SharedAttrs,
+    TimingConfig, UpdateMsg,
+};
+use bgpsdn_netsim::{LatencyModel, SimDuration, SimTime, Simulator};
+
+thread_local! {
+    // Per thread, so the tests of this file can run side by side.
+    static BLOCKS: Cell<usize> = const { Cell::new(0) };
+    static RESIZES: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is handed to `System` unchanged; the counters are
+// plain thread-local cells without destructors, so touching them allocates
+// nothing and never re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BLOCKS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        RESIZES.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's contract, passed on as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Run `f`; its result, the blocks it allocated and the blocks it resized.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = (BLOCKS.get(), RESIZES.get());
+    let out = f();
+    (out, BLOCKS.get() - before.0, RESIZES.get() - before.1)
+}
+
+fn announcement(hops: u32) -> Vec<u8> {
+    let mut attrs = PathAttributes::originate("10.0.0.1".parse().unwrap());
+    attrs.as_path = AsPath::from_seq(65001..65001 + hops);
+    BgpMessage::Update(UpdateMsg::announce(vec![pfx("10.1.0.0/16")], attrs)).encode()
+}
+
+/// A received route is its shared attribute block and the NLRI list; the
+/// AS_PATH rides inside the block.
+#[test]
+fn decoding_a_route_allocates_its_attribute_block_and_its_nlri() {
+    for hops in [1, 6, 7] {
+        let bytes = announcement(hops);
+        let (msg, blocks, resizes) = counted(|| BgpMessage::decode(&bytes));
+        assert!(msg.is_ok());
+        assert!(
+            blocks <= 2 && resizes == 0,
+            "{hops}-hop path: {blocks} blocks, {resizes} resized"
+        );
+    }
+    // Past the inline capacity the leading sequence is one more block.
+    let bytes = announcement(8);
+    let (msg, blocks, _) = counted(|| BgpMessage::decode(&bytes));
+    assert!(msg.is_ok());
+    assert_eq!(blocks, 3);
+}
+
+/// One best-path change at a hub with 8 established peers: every peer is
+/// advertised the same export view, and building that view — the Loc-RIB
+/// attributes copied, own AS prepended, wrapped for sharing — is one heap
+/// block. The router's `export_view` is private, so the view is rebuilt here
+/// from the hub's own Loc-RIB entry and checked equal to what the hub sent.
+#[test]
+fn a_fan_out_builds_its_export_view_in_one_block() {
+    type Router = BgpRouter<BgpOnlyMsg>;
+    const LEAVES: usize = 8;
+    let mut sim: Simulator<BgpOnlyMsg> = Simulator::new(16);
+    let timing = TimingConfig {
+        mrai: SimDuration::ZERO,
+        ..Default::default()
+    };
+    let asn = |i: usize| Asn(65000 + i as u32);
+    // Node 0 is the hub, nodes 1..=8 its leaves; leaf 1 will originate.
+    let nodes: Vec<_> = (0..=LEAVES)
+        .map(|i| {
+            let cfg = RouterConfig::new(asn(i))
+                .with_mode(PolicyMode::AllPermit)
+                .with_timing(timing.clone());
+            sim.add_node(format!("r{i}"), |id| Router::new(id, cfg))
+        })
+        .collect();
+    for leaf in 1..=LEAVES {
+        let link = sim.add_link(
+            nodes[0],
+            nodes[leaf],
+            LatencyModel::Fixed(SimDuration::from_millis(5)),
+        );
+        sim.with_node::<Router, _>(nodes[0], |r| {
+            r.add_neighbor(NeighborConfig::new(
+                nodes[leaf],
+                link,
+                asn(leaf),
+                Relationship::Peer,
+            ));
+        });
+        sim.with_node::<Router, _>(nodes[leaf], |r| {
+            r.add_neighbor(NeighborConfig::new(
+                nodes[0],
+                link,
+                asn(0),
+                Relationship::Peer,
+            ));
+        });
+    }
+    assert!(sim.run_until_quiescent(SimTime::from_secs(60)).quiescent);
+    let p = pfx("203.0.113.0/24");
+    sim.inject(nodes[1], BgpOnlyMsg::Command(RouterCommand::Announce(p)));
+    assert!(sim.run_until_quiescent(SimTime::from_secs(120)).quiescent);
+
+    let hub = sim.node_ref::<Router>(nodes[0]);
+    assert_eq!(hub.stats().best_path_changes, 1);
+    let sent = |leaf: usize| hub.advertised_to(nodes[leaf], p).expect("advertised");
+    for leaf in 2..=LEAVES {
+        assert!(
+            SharedAttrs::ptr_eq(sent(1), sent(leaf)),
+            "leaf {leaf} got a view of its own"
+        );
+    }
+    let best = hub.best(p).expect("selected");
+    let (view, blocks, resizes) = counted(|| {
+        let mut attrs = PathAttributes::clone(&best.attrs);
+        attrs.local_pref = None;
+        attrs.as_path.prepend(hub.asn());
+        attrs.next_hop = hub.config().next_hop;
+        SharedAttrs::from(attrs)
+    });
+    assert_eq!(&view, sent(1), "this is the view the hub built");
+    assert_eq!((blocks, resizes), (1, 0));
+}
+
+/// The per-route structs, in bytes (64-bit). `PathAttributes` is what every
+/// route allocates once (plus 16 bytes of reference counts); an Adj-RIB-In
+/// row holds one `(PeerIdx, RibInEntry)` per candidate.
+#[test]
+fn per_route_structs_keep_their_size() {
+    use std::mem::size_of;
+    assert_eq!(size_of::<AsPath>(), 56);
+    assert_eq!(size_of::<PathAttributes>(), 144);
+    assert_eq!(size_of::<SharedAttrs>(), 8);
+    assert_eq!(size_of::<RibInEntry>(), 24);
+    assert_eq!(size_of::<LocRibEntry>(), 32);
+}

@@ -1,7 +1,9 @@
 //! Property-based tests for the BGP wire codec: arbitrary messages must
 //! round-trip exactly, and arbitrary byte soup must never panic the decoder.
 //! Also the shared attribute handle every decoded route travels in: it must
-//! behave exactly like the attributes it holds, and never alias a write.
+//! behave exactly like the attributes it holds, and never alias a write; and
+//! the AS_PATH layout (leading AS_SEQUENCE in place, the rest behind it) must
+//! behave exactly like the plain list of wire segments it stands for.
 
 use std::net::Ipv4Addr;
 
@@ -29,7 +31,114 @@ fn arb_segment() -> impl Strategy<Value = Segment> {
 }
 
 fn arb_as_path() -> impl Strategy<Value = AsPath> {
-    prop::collection::vec(arb_segment(), 0..4).prop_map(|segments| AsPath { segments })
+    prop::collection::vec(arb_segment(), 0..4).prop_map(AsPath::from_segments)
+}
+
+/// One step of the AS_PATH model property.
+#[derive(Debug, Clone)]
+enum PathOp {
+    Prepend(u32),
+    PrependN(u32, usize),
+    /// `decode(encode(path))`.
+    Reparse,
+}
+
+fn arb_path_op() -> impl Strategy<Value = PathOp> {
+    // ASNs from a small pool so `contains` hits as often as it misses;
+    // counts that step over the inline capacity and over the 255-ASN
+    // segment limit.
+    prop_oneof![
+        (1u32..12).prop_map(PathOp::Prepend),
+        (1u32..12, prop_oneof![0usize..10, 250usize..260])
+            .prop_map(|(asn, n)| PathOp::PrependN(asn, n)),
+        Just(PathOp::Reparse),
+    ]
+}
+
+/// Starting segments: mostly a leading AS_SEQUENCE around the inline
+/// capacity, but also a leading AS_SET and two AS_SEQUENCEs in a row.
+fn arb_model_start() -> impl Strategy<Value = Vec<Segment>> {
+    let seq = |len| prop::collection::vec((1u32..12).prop_map(Asn), len);
+    prop_oneof![
+        seq(0..12).prop_map(|v| if v.is_empty() {
+            vec![]
+        } else {
+            vec![Segment::Sequence(v)]
+        }),
+        (seq(1..4), seq(1..9)).prop_map(|(set, s)| vec![Segment::Set(set), Segment::Sequence(s)]),
+        (seq(1..9), seq(1..9)).prop_map(|(a, b)| vec![Segment::Sequence(a), Segment::Sequence(b)]),
+        (seq(1..9), seq(1..4), seq(1..4)).prop_map(|(a, set, b)| vec![
+            Segment::Sequence(a),
+            Segment::Set(set),
+            Segment::Sequence(b)
+        ]),
+    ]
+}
+
+/// The reference `prepend`: grow a leading AS_SEQUENCE that has room, else
+/// start a new one (RFC 4271 §5.1.2).
+fn model_prepend(model: &mut Vec<Segment>, asn: Asn) {
+    match model.first_mut() {
+        Some(Segment::Sequence(seq)) if seq.len() < 255 => seq.insert(0, asn),
+        _ => model.insert(0, Segment::Sequence(vec![asn])),
+    }
+}
+
+fn model_members(seg: &Segment) -> &[Asn] {
+    match seg {
+        Segment::Sequence(v) | Segment::Set(v) => v,
+    }
+}
+
+fn model_display(model: &[Segment]) -> String {
+    if model.is_empty() {
+        return "<local>".to_string();
+    }
+    let parts: Vec<String> = model
+        .iter()
+        .map(|seg| {
+            let asns: Vec<String> = model_members(seg).iter().map(|a| a.0.to_string()).collect();
+            match seg {
+                Segment::Sequence(_) => asns.join(" "),
+                Segment::Set(_) => format!("{{{}}}", asns.join(",")),
+            }
+        })
+        .collect();
+    parts.join(" ")
+}
+
+/// The attribute block of `PathAttributes::originate(0.0.0.0)` carrying the
+/// model path, written out by hand.
+fn model_attr_bytes(model: &[Segment]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for seg in model {
+        body.push(match seg {
+            Segment::Set(_) => 1,
+            Segment::Sequence(_) => 2,
+        });
+        let asns = model_members(seg);
+        body.push(u8::try_from(asns.len()).expect("model segments hold at most 255"));
+        for a in asns {
+            body.extend_from_slice(&a.0.to_be_bytes());
+        }
+    }
+    let mut out = vec![0x40, 1, 1, 0]; // ORIGIN igp
+    match u8::try_from(body.len()) {
+        Ok(len) => out.extend_from_slice(&[0x40, 2, len]),
+        Err(_) => {
+            out.extend_from_slice(&[0x50, 2]);
+            out.extend_from_slice(&(body.len() as u16).to_be_bytes());
+        }
+    }
+    out.extend_from_slice(&body);
+    out.extend_from_slice(&[0x40, 3, 4, 0, 0, 0, 0]); // NEXT_HOP
+    out
+}
+
+fn path_attrs(path: &AsPath) -> PathAttributes {
+    let mut attrs = PathAttributes::originate(Ipv4Addr::UNSPECIFIED);
+    attrs.as_path = path.clone();
+    attrs
 }
 
 fn arb_origin() -> impl Strategy<Value = Origin> {
@@ -318,6 +427,95 @@ proptest! {
         let s = p.to_string();
         let back: Prefix = s.parse().expect("display must parse");
         prop_assert_eq!(back, p);
+    }
+
+    /// The AS_PATH layout against the plain list of segments it replaced:
+    /// through any sequence of prepends and re-parses — across the inline
+    /// capacity, across the 255-ASN segment limit, from a leading AS_SET or
+    /// two AS_SEQUENCEs in a row — every reader and the wire agree with
+    /// the list, and a path equals (and hashes like) the same path rebuilt
+    /// from the list.
+    #[test]
+    fn as_path_matches_a_plain_segment_list(
+        start in arb_model_start(),
+        ops in prop::collection::vec(arb_path_op(), 0..8),
+    ) {
+        let mut model = start.clone();
+        let mut path = AsPath::from_segments(start);
+        for op in ops {
+            let before = path.clone();
+            match op {
+                PathOp::Prepend(asn) => {
+                    path.prepend(Asn(asn));
+                    model_prepend(&mut model, Asn(asn));
+                    prop_assert_ne!(&path, &before);
+                }
+                PathOp::PrependN(asn, n) => {
+                    path.prepend_n(Asn(asn), n);
+                    for _ in 0..n {
+                        model_prepend(&mut model, Asn(asn));
+                    }
+                    prop_assert_eq!(path == before, n == 0);
+                }
+                PathOp::Reparse => {
+                    let bytes = attr_bytes(&path_attrs(&path));
+                    path = PathAttributes::decode(&mut bgpsdn_bgp::wire::Reader::new(&bytes))
+                        .expect("own encoding must decode")
+                        .as_path;
+                    prop_assert_eq!(&path, &before);
+                    prop_assert_eq!(hash_of(&path), hash_of(&before));
+                }
+            }
+            let flat: Vec<Asn> = model.iter().flat_map(|s| model_members(s).to_vec()).collect();
+            let len: usize = model
+                .iter()
+                .map(|s| match s {
+                    Segment::Sequence(v) => v.len(),
+                    Segment::Set(_) => 1,
+                })
+                .sum();
+            prop_assert_eq!(path.path_len(), len);
+            prop_assert_eq!(path.is_empty(), model.is_empty());
+            for asn in (0..13).map(Asn) {
+                prop_assert_eq!(path.contains(asn), flat.contains(&asn), "{}", asn);
+            }
+            prop_assert_eq!(path.first_asn(), flat.first().copied());
+            prop_assert_eq!(path.origin_asn(), flat.last().copied());
+            prop_assert_eq!(path.to_string(), model_display(&model));
+            prop_assert_eq!(attr_bytes(&path_attrs(&path)), model_attr_bytes(&model));
+            prop_assert_eq!(&path.flatten(), &flat);
+            let rebuilt = AsPath::from_segments(model.clone());
+            prop_assert_eq!(&path, &rebuilt);
+            prop_assert_eq!(hash_of(&path), hash_of(&rebuilt));
+        }
+    }
+
+    /// The same short path stored in place and stored on the heap: a long
+    /// pure sequence splits into full segments behind a short leading one,
+    /// which `from_seq` leaves in the vector it collected into while
+    /// `from_segments` builds it in place.
+    #[test]
+    fn a_path_built_inline_equals_the_same_path_built_spilled(
+        lead in 1usize..12,
+        full in 1usize..3,
+        asns in prop::collection::vec(arb_asn(), 12 + 2 * 255),
+    ) {
+        let asns = &asns[..lead + full * 255];
+        let spilled = AsPath::from_seq(asns.iter().copied());
+        let mut segments = vec![Segment::Sequence(asns[..lead].iter().copied().map(Asn).collect())];
+        segments.extend(
+            asns[lead..].chunks(255).map(|c| Segment::Sequence(c.iter().copied().map(Asn).collect())),
+        );
+        let inline = AsPath::from_segments(segments);
+        prop_assert_eq!(&spilled, &inline);
+        prop_assert_eq!(hash_of(&spilled), hash_of(&inline));
+        prop_assert_eq!(attr_bytes(&path_attrs(&spilled)), attr_bytes(&path_attrs(&inline)));
+        let mut built = AsPath::empty();
+        for asn in asns.iter().rev() {
+            built.prepend(Asn(*asn));
+        }
+        prop_assert_eq!(&built, &spilled);
+        prop_assert_eq!(hash_of(&built), hash_of(&spilled));
     }
 
     #[test]

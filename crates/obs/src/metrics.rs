@@ -236,10 +236,18 @@ impl MetricsSnapshot {
     }
 }
 
+/// One node's counters, in first-touch order. A node touches a handful of
+/// names, and the same call site passes the same `&'static str`, so a slot
+/// is found by comparing pointers; two sites that spell one name in two
+/// string literals share a slot through the string fallback.
+type CounterRow = Vec<(&'static str, u64)>;
+
 /// The live registry: counters, gauges, histograms keyed by `(node, name)`.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<MetricKey, u64>,
+    /// Counters are the per-event hot path: one row per node that ever
+    /// counted, sorted by node (`None` first), never empty.
+    counters: Vec<(Option<u32>, CounterRow)>,
     gauges: BTreeMap<MetricKey, i64>,
     histograms: BTreeMap<MetricKey, Histogram>,
 }
@@ -252,7 +260,22 @@ impl MetricsRegistry {
 
     /// Add `delta` to a counter.
     pub fn count(&mut self, node: Option<u32>, name: &'static str, delta: u64) {
-        *self.counters.entry((node, name)).or_insert(0) += delta;
+        let at = match self.counters.binary_search_by_key(&node, |(n, _)| *n) {
+            Ok(at) => at,
+            Err(at) => {
+                self.counters.insert(at, (node, Vec::new()));
+                at
+            }
+        };
+        let row = &mut self.counters[at].1;
+        let slot = row
+            .iter()
+            .position(|(k, _)| std::ptr::eq(*k, name))
+            .or_else(|| row.iter().position(|(k, _)| *k == name));
+        match slot {
+            Some(slot) => row[slot].1 += delta,
+            None => row.push((name, delta)),
+        }
     }
 
     /// Set a gauge.
@@ -270,11 +293,11 @@ impl MetricsRegistry {
 
     /// Current counter value (0 when never touched).
     pub fn counter(&self, node: Option<u32>, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|((n, k), _)| *n == node && *k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        let Ok(at) = self.counters.binary_search_by_key(&node, |(n, _)| *n) else {
+            return 0;
+        };
+        let row = &self.counters[at].1;
+        row.iter().find(|(k, _)| *k == name).map_or(0, |(_, v)| *v)
     }
 
     /// Current gauge value.
@@ -297,7 +320,8 @@ impl MetricsRegistry {
     pub fn counter_total(&self, name: &str) -> u64 {
         self.counters
             .iter()
-            .filter(|((_, k), _)| *k == name)
+            .flat_map(|(_, row)| row)
+            .filter(|(k, _)| *k == name)
             .map(|(_, v)| *v)
             .sum()
     }
@@ -328,8 +352,10 @@ impl MetricsRegistry {
     /// Owned point-in-time copy, sorted by (node, name).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut entries: Vec<(Option<u32>, String, MetricValue)> = Vec::new();
-        for ((node, name), v) in &self.counters {
-            entries.push((*node, (*name).to_string(), MetricValue::Counter(*v)));
+        for (node, row) in &self.counters {
+            for (name, v) in row {
+                entries.push((*node, (*name).to_string(), MetricValue::Counter(*v)));
+            }
         }
         for ((node, name), v) in &self.gauges {
             entries.push((*node, (*name).to_string(), MetricValue::Gauge(*v)));
@@ -423,6 +449,81 @@ mod tests {
         assert_eq!(snap.entries.len(), 5);
         r.reset();
         assert!(r.is_empty());
+    }
+
+    /// Counters live in per-node rows, not in a map: touched in any node
+    /// and name order — through distinct string literals of one name too —
+    /// they must read back exactly like a `(node, name)`-keyed map.
+    #[test]
+    fn counters_touched_in_any_order_match_a_map_model() {
+        const NAMES: [&str; 4] = ["b.x.sent", "a.x.recv", "c.x.drop", "a.x.recv2"];
+        // A second literal of NAMES[1]; `to_owned` + `leak` guarantees an
+        // address of its own, whatever the linker merges.
+        let twin: &'static str = String::from(NAMES[1]).leak();
+        assert!(!std::ptr::eq(twin, NAMES[1]));
+        let mut r = MetricsRegistry::new();
+        let mut model: BTreeMap<(Option<u32>, &str), u64> = BTreeMap::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..500u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let node = match (state >> 33) % 8 {
+                0 => None,
+                n => Some((n as u32 * 37) % 11),
+            };
+            let mut name = NAMES[((state >> 40) % 4) as usize];
+            if name == NAMES[1] && step % 2 == 0 {
+                name = twin;
+            }
+            let delta = (state >> 50) % 5;
+            r.count(node, name, delta);
+            *model.entry((node, name)).or_insert(0) += delta;
+        }
+        r.gauge(Some(4), "a.x.recv", -1);
+        for (&(node, name), &v) in &model {
+            assert_eq!(r.counter(node, name), v, "{node:?} {name}");
+        }
+        assert_eq!(r.counter(Some(99), NAMES[0]), 0);
+        assert_eq!(r.counter(Some(3), "never.touched"), 0);
+        for name in NAMES {
+            let total: u64 = model
+                .iter()
+                .filter(|((_, k), _)| *k == name)
+                .map(|(_, v)| v)
+                .sum();
+            assert_eq!(r.counter_total(name), total, "{name}");
+        }
+        let counters: Vec<(Option<u32>, String, u64)> = r
+            .snapshot()
+            .entries
+            .into_iter()
+            .filter_map(|(node, name, v)| match v {
+                MetricValue::Counter(c) => Some((node, name, c)),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<(Option<u32>, String, u64)> = model
+            .iter()
+            .map(|(&(node, name), &v)| (node, name.to_string(), v))
+            .collect();
+        assert_eq!(counters, expected, "snapshot is sorted by (node, name)");
+        // A gauge and a counter of one key keep their relative order.
+        let snap = r.snapshot();
+        let at = snap
+            .entries
+            .iter()
+            .position(|(n, k, _)| *n == Some(4) && k == "a.x.recv");
+        let at = at.expect("both kinds recorded");
+        assert!(matches!(snap.entries[at].2, MetricValue::Counter(_)));
+        assert!(matches!(snap.entries[at + 1].2, MetricValue::Gauge(-1)));
+        r.reset();
+        assert!(r.is_empty());
+        assert_eq!(r.counter_total(NAMES[0]), 0);
+        assert!(r.snapshot().entries.is_empty());
+        r.count(Some(7), NAMES[2], 1);
+        assert_eq!(r.counter(Some(7), NAMES[2]), 1);
+        assert!(!r.is_empty());
     }
 
     #[test]
