@@ -220,6 +220,56 @@ fn bench_trace_disabled(c: &mut Criterion) {
     assert!(trace.is_empty(), "nothing may be recorded while disabled");
 }
 
+fn bench_trace_codec(c: &mut Criterion) {
+    use bgpsdn_obs::{event_line, CausalPhase, ObsPrefix, RunArtifact, TraceEvent};
+    // The three shapes that make up ~90 % of a traced run's bytes.
+    let prefix = ObsPrefix::new(0x0a01_0000, 16);
+    let shapes = [
+        TraceEvent::UpdateSent {
+            peer: 7,
+            announced: vec![prefix],
+            withdrawn: vec![],
+        },
+        TraceEvent::Causal {
+            id: 4_711,
+            parents: vec![4_702],
+            trigger: 4_001,
+            hop: 5,
+            phase: CausalPhase::LinkProp,
+            prefix: Some(prefix),
+        },
+        TraceEvent::RibChange {
+            prefix,
+            old_path: None,
+            new_path: Some((65_001..65_007).collect()),
+        },
+    ];
+    c.bench_function("obs/event_line", |b| {
+        b.iter(|| {
+            for e in black_box(&shapes) {
+                black_box(event_line(106_418_814_359, Some(12), e));
+            }
+        })
+    });
+    let mut artifact = String::new();
+    for i in 0..1_000 {
+        artifact.push_str(&event_line(
+            i * 1_000_003,
+            Some(12),
+            &shapes[i as usize % 3],
+        ));
+        artifact.push('\n');
+    }
+    c.bench_function("obs/artifact_parse", |b| {
+        b.iter(|| {
+            RunArtifact::parse(black_box(&artifact))
+                .unwrap()
+                .events
+                .len()
+        })
+    });
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     // A full framework run: build + bring-up + withdrawal + convergence on
     // a 8-AS clique with half the ASes centralized (MRAI 0 keeps it tight).
@@ -247,6 +297,7 @@ criterion_group!(
         bench_queue_sparse,
         bench_topology_gen,
         bench_trace_disabled,
+        bench_trace_codec,
         bench_end_to_end
 );
 criterion_main!(benches);

@@ -494,13 +494,14 @@ pub fn run_job(job: &CampaignJob, trace: bool) -> JobOutcome {
     run_job_scratch(job, trace, &mut JobScratch::default())
 }
 
-/// Per-worker state reused across the jobs a worker claims. The artifact
-/// buffer keeps its capacity between jobs, so every job after a worker's
-/// first renders its JSONL without re-growing a multi-megabyte string
-/// through the doubling schedule.
+/// Per-worker state reused across the jobs a worker claims: the size of
+/// the last artifact it rendered, which the next job's buffer is created
+/// with — every job after a worker's first renders its JSONL without
+/// re-growing a multi-megabyte string through the doubling schedule, and
+/// the buffer itself goes to the caller instead of being copied.
 #[derive(Default)]
 pub struct JobScratch {
-    jsonl: String,
+    artifact_len: usize,
 }
 
 /// [`run_job`] with a caller-owned [`JobScratch`] (the worker-pool entry
@@ -541,9 +542,10 @@ pub fn run_job_scratch(job: &CampaignJob, trace: bool, scratch: &mut JobScratch)
     )
     .phase_totals();
     let artifact = trace.then(|| {
-        scratch.jsonl.clear();
-        render_job_artifact_into(job, &exp, &mut scratch.jsonl);
-        scratch.jsonl.clone()
+        let mut text = String::with_capacity(scratch.artifact_len);
+        render_job_artifact_into(job, &exp, &mut text);
+        scratch.artifact_len = text.len();
+        text
     });
     JobOutcome {
         outcome,

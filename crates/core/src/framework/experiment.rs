@@ -169,7 +169,7 @@ impl Experiment {
     pub fn render_artifact_into(&self, info: &Json, text: &mut String) {
         text.push_str(&run_line(info));
         text.push('\n');
-        text.push_str(&self.net.sim.trace().export_jsonl());
+        self.net.sim.trace().export_jsonl_into(text);
         if let Json::Obj(mut kv) = self.capture_snapshot().to_json() {
             kv.insert(0, ("type".into(), Json::Str("snapshot".into())));
             text.push_str(&Json::Obj(kv).to_compact());

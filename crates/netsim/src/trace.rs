@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use bgpsdn_obs::{event_line, RunArtifact, TraceEvent};
+use bgpsdn_obs::{event_line, write_event_line, RunArtifact, TraceEvent, EVENT_LINE_BYTES};
 
 pub use bgpsdn_obs::TraceCategory;
 
@@ -176,11 +176,18 @@ impl Trace {
     /// Export every retained record as JSONL artifact lines.
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
+        self.export_jsonl_into(&mut out);
+        out
+    }
+
+    /// Append every retained record to `out` as JSONL artifact lines,
+    /// growing it once for all of them.
+    pub fn export_jsonl_into(&self, out: &mut String) {
+        out.reserve(self.records.len() * EVENT_LINE_BYTES);
         for r in &self.records {
-            out.push_str(&r.to_jsonl());
+            write_event_line(out, r.time.as_nanos(), r.node.map(|n| n.0), &r.event);
             out.push('\n');
         }
-        out
     }
 
     /// Parse records back from JSONL (non-event lines are ignored).
@@ -354,5 +361,13 @@ mod tests {
         let back = Trace::import_jsonl(&text).unwrap();
         let original: Vec<TraceRecord> = t.records().cloned().collect();
         assert_eq!(back, original);
+        // Appending leaves what the buffer held alone, and each record's
+        // own line is the line the export wrote.
+        let mut appended = String::from("{\"type\":\"run\"}\n");
+        t.export_jsonl_into(&mut appended);
+        assert_eq!(appended, format!("{{\"type\":\"run\"}}\n{text}"));
+        let by_record: String = t.records().map(|r| r.to_jsonl() + "\n").collect();
+        assert_eq!(by_record, text);
+        assert_eq!(Trace::import_jsonl(&appended).unwrap(), original);
     }
 }

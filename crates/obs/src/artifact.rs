@@ -16,8 +16,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::event::TraceEvent;
-use crate::json::Json;
+use crate::event::{PartialEvent, TraceEvent, KIND_KEY};
+use crate::json::{self, Json, JsonReader, JsonWriter};
 use crate::metrics::{Histogram, MetricsSnapshot};
 
 /// One event line, parsed.
@@ -31,23 +31,96 @@ pub struct EventRecord {
     pub event: TraceEvent,
 }
 
+/// Append one event line (no newline) to `out`, straight from the event:
+/// no [`Json`] is built.
+pub fn write_event_line(out: &mut String, t: u64, node: Option<u32>, event: &TraceEvent) {
+    let mut w = JsonWriter::new(out);
+    w.begin_object();
+    w.key(TYPE_KEY);
+    w.str(EVENT_TYPE);
+    w.key(T_KEY);
+    w.u64(t);
+    w.key(NODE_KEY);
+    match node {
+        Some(n) => w.u64(n as u64),
+        None => w.null(),
+    }
+    event.write_members(&mut w);
+    w.end_object();
+}
+
 /// Serialize one event line.
 pub fn event_line(t: u64, node: Option<u32>, event: &TraceEvent) -> String {
-    let mut members: Vec<(String, Json)> = vec![
-        ("type".into(), Json::Str("event".into())),
-        ("t".into(), Json::U64(t)),
-        (
-            "node".into(),
-            match node {
-                Some(n) => Json::U64(n as u64),
-                None => Json::Null,
-            },
-        ),
-    ];
-    if let Json::Obj(event_members) = event.to_json() {
-        members.extend(event_members);
+    let mut out = String::with_capacity(EVENT_LINE_BYTES);
+    write_event_line(&mut out, t, node, event);
+    out
+}
+
+/// Room to reserve per event line: a little over the ~130 bytes the lines
+/// of a traced run average.
+pub const EVENT_LINE_BYTES: usize = 144;
+
+const TYPE_KEY: &str = "type";
+const EVENT_TYPE: &str = "event";
+const T_KEY: &str = "t";
+const NODE_KEY: &str = "node";
+
+/// Read the members of an event line whose `{` has been consumed (`more`
+/// is what [`JsonReader::open`] said) through the end of the line. Members
+/// come in any order; the first of duplicates wins; ones the variant does
+/// not have are checked and skipped.
+fn read_event_line(r: &mut JsonReader<'_>, mut more: bool) -> Result<EventRecord, String> {
+    let mut t = None;
+    let mut node = None;
+    let mut event: Option<PartialEvent> = None;
+    while more {
+        let key = r.key()?;
+        match &*key {
+            T_KEY if t.is_none() => t = Some(r.u64()?.ok_or("bad \"t\"")?),
+            NODE_KEY if node.is_none() => {
+                node = Some(if r.peek() == Some(b'n') {
+                    r.literal("null")?;
+                    None
+                } else {
+                    let n = r.u64()?.and_then(|n| u32::try_from(n).ok());
+                    Some(n.ok_or("bad \"node\"")?)
+                });
+            }
+            KIND_KEY if event.is_none() => event = Some(read_kind(r)?),
+            TYPE_KEY | T_KEY | NODE_KEY | KIND_KEY => r.skip_value()?,
+            _ => {
+                let event = match &mut event {
+                    Some(event) => event,
+                    None => event.insert(kind_ahead(*r)?),
+                };
+                event.member(&key, r)?;
+            }
+        }
+        more = r.next(b'}')?;
     }
-    Json::Obj(members).to_compact()
+    r.finish()?;
+    Ok(EventRecord {
+        t: t.ok_or("bad \"t\"")?,
+        node: node.flatten(),
+        event: event.ok_or("missing \"kind\"")?.finish()?,
+    })
+}
+
+/// A field came ahead of its kind: from a copy of the reader at that
+/// field's value, find the kind among the members still to come.
+fn kind_ahead(mut r: JsonReader<'_>) -> Result<PartialEvent, String> {
+    r.skip_value()?;
+    let more = r.next(b'}')?;
+    if !r.seek_member(more, KIND_KEY)? {
+        return Err("missing \"kind\"".into());
+    }
+    read_kind(&mut r)
+}
+
+/// The value of a `"kind"` member, as the variant it names.
+fn read_kind(r: &mut JsonReader<'_>) -> Result<PartialEvent, String> {
+    let kind = r.str()?.ok_or("missing \"kind\"")?;
+    PartialEvent::of_kind(&kind).ok_or_else(|| format!("unknown event kind {kind:?}"))
 }
 
 /// Serialize one metrics-snapshot line.
@@ -86,7 +159,7 @@ impl RunArtifact {
     /// compatibility); malformed lines are errors.
     pub fn parse(text: &str) -> Result<RunArtifact, String> {
         let mut out = RunArtifact::default();
-        crate::jsonl::scan(text, |_, v| out.ingest(&v))?;
+        crate::jsonl::scan(text, |_, raw| out.ingest(raw))?;
         Ok(out)
     }
 
@@ -98,7 +171,7 @@ impl RunArtifact {
     pub fn parse_lenient(text: &str) -> Result<(RunArtifact, Vec<String>), String> {
         let mut out = RunArtifact::default();
         let mut warnings = Vec::new();
-        crate::jsonl::scan_lenient(text, &mut warnings, |_, v| out.ingest(&v))?;
+        crate::jsonl::scan_lenient(text, &mut warnings, |_, raw| out.ingest(raw))?;
         if out.run.is_none() && out.events.is_empty() && out.snapshots.is_empty() {
             return Err("artifact has no recognizable lines (not a run artifact?)".into());
         }
@@ -108,26 +181,28 @@ impl RunArtifact {
         Ok((out, warnings))
     }
 
-    /// Dispatch one parsed artifact line into the accumulating document.
-    fn ingest(&mut self, v: &Json) -> Result<(), String> {
-        match v.get("type").and_then(Json::as_str) {
-            Some("event") => {
-                let t = v
-                    .get("t")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| "bad \"t\"".to_string())?;
-                let node = match v.get("node") {
-                    None | Some(Json::Null) => None,
-                    Some(n) => Some(
-                        n.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or_else(|| "bad \"node\"".to_string())?,
-                    ),
-                };
-                let event = TraceEvent::from_json(v)?;
-                self.events.push(EventRecord { t, node, event });
+    /// Dispatch one artifact line into the accumulating document. Event
+    /// lines — nearly all of them — are decoded straight off the bytes; a
+    /// line of unknown type is checked and skipped the same way; only the
+    /// few `run` and `metrics` lines become a [`Json`].
+    fn ingest(&mut self, raw: &str) -> Result<(), String> {
+        let mut r = JsonReader::new(raw);
+        r.skip_ws();
+        // Only an object has members, let alone a type.
+        let more = r.peek() == Some(b'{') && r.open(b'}')?;
+        let members = r;
+        let line_type = if r.seek_member(more, TYPE_KEY)? {
+            r.str()?
+        } else {
+            None
+        };
+        match line_type.as_deref() {
+            Some(EVENT_TYPE) => {
+                let mut r = members;
+                self.events.push(read_event_line(&mut r, more)?);
             }
             Some("metrics") => {
+                let v = Json::parse(raw)?;
                 let phase = v
                     .get("phase")
                     .and_then(Json::as_str)
@@ -140,18 +215,18 @@ impl RunArtifact {
                 self.snapshots.push((phase, metrics));
             }
             Some("run") => {
-                let members = match v {
-                    Json::Obj(m) => m
-                        .iter()
-                        .filter(|(k, _)| k != "type")
-                        .cloned()
-                        .collect::<Vec<_>>(),
+                let members = match Json::parse(raw)? {
+                    Json::Obj(m) => m.into_iter().filter(|(k, _)| k != TYPE_KEY).collect(),
                     _ => Vec::new(),
                 };
                 self.run = Some(Json::Obj(members));
             }
-            Some(_) => {} // unknown line type: skip
-            None => return Err("missing \"type\"".into()),
+            // Unknown line type: skipped, once it is known to be JSON.
+            Some(_) => json::check(raw)?,
+            None => {
+                json::check(raw)?;
+                return Err("missing \"type\"".into());
+            }
         }
         Ok(())
     }
@@ -545,6 +620,180 @@ mod tests {
         assert!(RunArtifact::parse("not json").is_err());
         let ok = RunArtifact::parse("{\"type\":\"future-thing\",\"x\":1}\n\n").unwrap();
         assert!(ok.events.is_empty());
+    }
+
+    fn one_event(line: &str) -> Result<EventRecord, String> {
+        RunArtifact::parse(line).map(|a| a.events.into_iter().next().expect("one event line"))
+    }
+
+    #[test]
+    fn narrowed_integers_are_range_checked() {
+        let flow = |priority: &str| {
+            format!(
+                "{{\"type\":\"event\",\"t\":1,\"node\":2,\"kind\":\"flow_installed\",\
+                 \"prefix\":\"10.0.0.0/8\",\"priority\":{priority},\"action\":\"drop\"}}"
+            )
+        };
+        assert!(matches!(
+            one_event(&flow("65535")).unwrap().event,
+            TraceEvent::FlowInstalled {
+                priority: u16::MAX,
+                ..
+            }
+        ));
+        // Used to come back as 4464.
+        assert_eq!(
+            one_event(&flow("70000")).unwrap_err(),
+            "line 1: bad \"priority\""
+        );
+        assert_eq!(
+            one_event(&flow("-1")).unwrap_err(),
+            "line 1: bad \"priority\""
+        );
+        let session = |node: &str, peer: &str| {
+            format!(
+                "{{\"type\":\"event\",\"t\":1,\"node\":{node},\"kind\":\"session_up\",\"peer\":{peer}}}"
+            )
+        };
+        assert_eq!(
+            one_event(&session("4294967295", "4294967295"))
+                .unwrap()
+                .node,
+            Some(u32::MAX)
+        );
+        assert_eq!(
+            one_event(&session("4294967296", "1")).unwrap_err(),
+            "line 1: bad \"node\""
+        );
+        assert_eq!(
+            one_event(&session("1", "4294967296")).unwrap_err(),
+            "line 1: bad \"peer\""
+        );
+        let rib = "{\"type\":\"event\",\"t\":1,\"node\":2,\"kind\":\"rib_change\",\
+                   \"prefix\":\"10.0.0.0/33\",\"old\":null,\"new\":[4294967296]}";
+        assert_eq!(one_event(rib).unwrap_err(), "line 1: bad \"prefix\"");
+        assert_eq!(
+            one_event(&rib.replace("/33", "/32")).unwrap_err(),
+            "line 1: bad \"new\""
+        );
+    }
+
+    #[test]
+    fn reader_accepts_what_the_tree_accepted() {
+        let want = EventRecord {
+            t: 3,
+            node: None,
+            event: TraceEvent::ControllerRecompute {
+                trigger: RecomputeTrigger::Resync,
+                prefixes: 4,
+                prefixes_dirty: 0,
+                prefixes_recomputed: 2,
+                prefixes_cached: 0,
+                members: 8,
+                links_up: 28,
+                flow_mods: 12,
+                announcements: 3,
+                withdrawals: 1,
+                wall_ns: 9,
+            },
+        };
+        // Fields ahead of "kind" and "type", a duplicate (the first wins),
+        // unknown members with nested values, an escaped key and an escaped
+        // value, integral floats, whitespace, "dirty" absent and "cached"
+        // unusable (both read as 0), "node" absent.
+        let line = " { \"members\" : 8.0 , \"future\" : { \"a\" : [ 1 , { \"b\" : null } ] } ,
+            \"\\u0074\" : 3e0 , \"t\" : 99 , \"kind\" : \"recompute\" , \"kind\" : \"phase\" ,
+            \"trigger\" : \"re\\u0073ync\" , \"prefixes\" : 4 , \"recomputed\" : 2 ,
+            \"cached\" : \"many\" , \"links_up\" : 28 , \"flow_mods\" : 12 , \"type\" : \"event\" ,
+            \"announcements\" : 3 , \"withdrawals\" : 1 , \"wall_ns\" : 9 , \"peer\" : [ ] } "
+            .replace('\n', " ");
+        assert_eq!(one_event(&line).unwrap(), want);
+        // Absent optional prefix; `null` is not "absent".
+        let causal = "{\"type\":\"event\",\"t\":1,\"kind\":\"causal\",\"id\":1,\"parents\":[],\
+                      \"trigger\":1,\"hop\":0,\"phase\":\"trigger\"}";
+        assert!(matches!(
+            one_event(causal).unwrap().event,
+            TraceEvent::Causal { prefix: None, .. }
+        ));
+        let null_prefix = causal.replace("}", ",\"prefix\":null}");
+        assert_eq!(
+            one_event(&null_prefix).unwrap_err(),
+            "line 1: bad \"prefix\""
+        );
+        // What stays refused.
+        for (bad, why) in [
+            ("{\"type\":\"event\",\"t\":1}", "missing \"kind\""),
+            (
+                "{\"type\":\"event\",\"t\":1,\"peer\":1}",
+                "missing \"kind\"",
+            ),
+            (
+                "{\"type\":\"event\",\"t\":1,\"kind\":7}",
+                "missing \"kind\"",
+            ),
+            (
+                "{\"type\":\"event\",\"t\":1,\"kind\":\"nope\"}",
+                "unknown event kind \"nope\"",
+            ),
+            (
+                "{\"type\":\"event\",\"kind\":\"session_up\",\"peer\":1}",
+                "bad \"t\"",
+            ),
+            (
+                "{\"type\":\"event\",\"t\":1,\"kind\":\"session_up\"}",
+                "bad \"peer\"",
+            ),
+            (
+                "{\"type\":\"event\",\"t\":1,\"kind\":\"session_up\",\"peer\":\"x\",\"peer\":1}",
+                "bad \"peer\"",
+            ),
+            ("{\"type\":7,\"t\":1}", "missing \"type\""),
+            ("{\"t\":1}", "missing \"type\""),
+            ("[1]", "missing \"type\""),
+        ] {
+            assert_eq!(
+                RunArtifact::parse(bad).unwrap_err(),
+                format!("line 1: {why}"),
+                "{bad}"
+            );
+        }
+        for malformed in [
+            "{\"type\":\"event\",\"t\":1,\"kind\":\"session_up\",\"peer\":1} x",
+            "{\"type\":\"event\",\"t\":1,\"kind\":\"session_up\",\"peer\":1,}",
+            "{\"type\":\"event\",\"t\":1,\"kind\":\"session_up\",\"peer\":1,\"x\":[1,}",
+            "{\"type\":\"later\",\"x\":[1,}",
+            "{\"x\":tru,\"type\":\"event\"}",
+        ] {
+            let err = RunArtifact::parse(malformed).unwrap_err();
+            assert!(
+                err.starts_with("line 1: json error at byte "),
+                "{malformed}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn skipped_values_share_the_depth_cap() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        // The line's own object is one level.
+        for (inner, ok) in [(126, true), (127, true), (128, false), (200_000, false)] {
+            for line in [
+                format!(
+                    "{{\"type\":\"event\",\"t\":1,\"kind\":\"session_up\",\"peer\":1,\"x\":{}}}",
+                    arrays(inner)
+                ),
+                format!("{{\"type\":\"snapshot\",\"nodes\":{}}}", arrays(inner)),
+                format!("{{\"nodes\":{},\"type\":\"later\"}}", arrays(inner)),
+            ] {
+                let got = RunArtifact::parse(&line);
+                assert_eq!(got.is_ok(), ok, "{inner} arrays inside: {got:?}");
+                assert_eq!(
+                    Json::parse(&line).is_ok(),
+                    ok,
+                    "{inner} arrays inside (tree)"
+                );
+            }
+        }
     }
 
     #[test]

@@ -393,7 +393,7 @@ impl CampaignArtifact {
     /// artifact (jobs only) still reports. Unknown line types are skipped.
     pub fn parse(text: &str) -> Result<CampaignArtifact, String> {
         let mut out = CampaignArtifact::default();
-        crate::jsonl::scan(text, |_, v| out.ingest(&v))?;
+        crate::jsonl::scan(text, |_, raw| out.ingest(&Json::parse(raw)?))?;
         out.finish();
         Ok(out)
     }
@@ -404,7 +404,7 @@ impl CampaignArtifact {
     pub fn parse_lenient(text: &str) -> Result<(CampaignArtifact, Vec<String>), String> {
         let mut out = CampaignArtifact::default();
         let mut warnings = Vec::new();
-        crate::jsonl::scan_lenient(text, &mut warnings, |_, v| out.ingest(&v))?;
+        crate::jsonl::scan_lenient(text, &mut warnings, |_, raw| out.ingest(&Json::parse(raw)?))?;
         if out.header.is_none() && out.jobs.is_empty() && out.cells.is_empty() {
             return Err("artifact has no recognizable lines (not a campaign artifact?)".into());
         }

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use crate::json::{Json, ToJson};
+use crate::json::{member_head, push_u64, JsonError, JsonReader, JsonWriter};
 
 /// Category of a trace record, used for enable/disable filtering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,12 +154,6 @@ impl std::str::FromStr for ObsPrefix {
     }
 }
 
-impl ToJson for ObsPrefix {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
 /// Flow-rule action, mirrored from `bgpsdn_sdn::FlowAction` so this crate
 /// stays dependency-free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,25 +175,6 @@ impl fmt::Display for FlowActionRepr {
             FlowActionRepr::ToController => f.write_str("controller"),
             FlowActionRepr::Drop => f.write_str("drop"),
             FlowActionRepr::Local => f.write_str("local"),
-        }
-    }
-}
-
-impl FlowActionRepr {
-    fn to_json(self) -> Json {
-        Json::Str(self.to_string())
-    }
-
-    fn from_json(v: &Json) -> Option<FlowActionRepr> {
-        let s = v.as_str()?;
-        match s {
-            "controller" => Some(FlowActionRepr::ToController),
-            "drop" => Some(FlowActionRepr::Drop),
-            "local" => Some(FlowActionRepr::Local),
-            _ => {
-                let port = s.strip_prefix("output:")?.parse().ok()?;
-                Some(FlowActionRepr::Output(port))
-            }
         }
     }
 }
@@ -567,31 +542,6 @@ impl TraceEvent {
         }
     }
 
-    /// Stable kind tag used in the JSONL schema.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::UpdateSent { .. } => "update_sent",
-            TraceEvent::UpdateDelivered { .. } => "update_delivered",
-            TraceEvent::RibChange { .. } => "rib_change",
-            TraceEvent::FlowInstalled { .. } => "flow_installed",
-            TraceEvent::FlowRemoved { .. } => "flow_removed",
-            TraceEvent::SessionUp { .. } => "session_up",
-            TraceEvent::SessionDown { .. } => "session_down",
-            TraceEvent::ControllerRecompute { .. } => "recompute",
-            TraceEvent::Phase { .. } => "phase",
-            TraceEvent::LinkAdmin { .. } => "link_admin",
-            TraceEvent::TimerFired { .. } => "timer_fired",
-            TraceEvent::NodeAdmin { .. } => "node_admin",
-            TraceEvent::SpeakerHeadless { .. } => "speaker_headless",
-            TraceEvent::ControlResync { .. } => "control_resync",
-            TraceEvent::ControlRetransmit { .. } => "control_retransmit",
-            TraceEvent::SpeakerEventDropped { .. } => "speaker_event_dropped",
-            TraceEvent::VerifyViolation { .. } => "verify_violation",
-            TraceEvent::Causal { .. } => "causal",
-            TraceEvent::Note { .. } => "note",
-        }
-    }
-
     /// True when this event represents a routing state change — the signal
     /// the convergence detector watches.
     pub fn is_routing_change(&self) -> bool {
@@ -602,403 +552,515 @@ impl TraceEvent {
                 | TraceEvent::FlowRemoved { .. }
         )
     }
+}
 
-    /// JSON object form: `{"kind": ..., ...fields}`.
-    pub fn to_json(&self) -> Json {
-        let mut m: Vec<(String, Json)> = vec![("kind".into(), Json::Str(self.kind().into()))];
+/// Why a member's value was refused.
+enum Bad {
+    /// The line is not JSON at this point.
+    Syntax(JsonError),
+    /// Well-formed, but not a value the field can hold.
+    Type,
+}
+
+impl From<JsonError> for Bad {
+    fn from(e: JsonError) -> Bad {
+        Bad::Syntax(e)
+    }
+}
+
+/// How one kind of field travels as a member of an event line. The
+/// `wire_table!` entries name a codec per field; the line writer and the
+/// line reader are both generated from them.
+trait Codec {
+    /// The Rust type of the field.
+    type Value;
+
+    /// Write the member's value.
+    fn write(w: &mut JsonWriter<'_>, value: &Self::Value);
+
+    /// True for a value that is written as no member at all.
+    fn omitted(_value: &Self::Value) -> bool {
+        false
+    }
+
+    /// Read the member's value, consuming exactly that value.
+    fn read(r: &mut JsonReader<'_>) -> Result<Self::Value, Bad>;
+
+    /// The field's value when the line has no such member; `None` makes
+    /// the member required.
+    fn absent() -> Option<Self::Value> {
+        None
+    }
+}
+
+/// An unsigned integer, range-checked into `T` (integral floats such as
+/// `3.0` are accepted, as everywhere a `Json` integer is).
+struct Uint<T>(std::marker::PhantomData<T>);
+
+fn read_uint<T: TryFrom<u64>>(r: &mut JsonReader<'_>) -> Result<T, Bad> {
+    r.u64()?.and_then(|n| T::try_from(n).ok()).ok_or(Bad::Type)
+}
+
+impl<T: Copy + Into<u64> + TryFrom<u64>> Codec for Uint<T> {
+    type Value = T;
+
+    fn write(w: &mut JsonWriter<'_>, value: &T) {
+        w.u64((*value).into());
+    }
+
+    fn read(r: &mut JsonReader<'_>) -> Result<T, Bad> {
+        read_uint(r)
+    }
+}
+
+/// A `u32` that reads as 0 when the member is absent or is not a `u32`:
+/// counters that artifacts written before they existed do not carry.
+struct U32OrZero;
+
+impl Codec for U32OrZero {
+    type Value = u32;
+
+    fn write(w: &mut JsonWriter<'_>, value: &u32) {
+        w.u64(*value as u64);
+    }
+
+    fn read(r: &mut JsonReader<'_>) -> Result<u32, Bad> {
+        match read_uint(r) {
+            Err(Bad::Type) => Ok(0),
+            other => other,
+        }
+    }
+
+    fn absent() -> Option<u32> {
+        Some(0)
+    }
+}
+
+struct Bool;
+
+impl Codec for Bool {
+    type Value = bool;
+
+    fn write(w: &mut JsonWriter<'_>, value: &bool) {
+        w.bool(*value);
+    }
+
+    fn read(r: &mut JsonReader<'_>) -> Result<bool, Bad> {
+        r.bool()?.ok_or(Bad::Type)
+    }
+}
+
+struct Str;
+
+impl Codec for Str {
+    type Value = String;
+
+    fn write(w: &mut JsonWriter<'_>, value: &String) {
+        w.str(value);
+    }
+
+    fn read(r: &mut JsonReader<'_>) -> Result<String, Bad> {
+        Ok(r.str()?.ok_or(Bad::Type)?.into_owned())
+    }
+}
+
+/// A value with a string form: written as that string, read back through
+/// `parse` (prefixes, flow actions and the `name()`/`from_name()` enums).
+struct Text<T>(std::marker::PhantomData<T>);
+
+/// The string form [`Text`] writes and parses.
+trait WireText: Sized {
+    /// Append the string form; it must need no JSON escaping.
+    fn push(&self, out: &mut String);
+    /// Inverse of [`WireText::push`].
+    fn parse(s: &str) -> Option<Self>;
+}
+
+fn write_text<T: WireText>(w: &mut JsonWriter<'_>, value: &T) {
+    let out = w.raw();
+    out.push('"');
+    value.push(out);
+    out.push('"');
+}
+
+fn read_text<T: WireText>(r: &mut JsonReader<'_>) -> Result<T, Bad> {
+    r.str()?.and_then(|s| T::parse(&s)).ok_or(Bad::Type)
+}
+
+impl<T: WireText> Codec for Text<T> {
+    type Value = T;
+
+    fn write(w: &mut JsonWriter<'_>, value: &T) {
+        write_text(w, value);
+    }
+
+    fn read(r: &mut JsonReader<'_>) -> Result<T, Bad> {
+        read_text(r)
+    }
+}
+
+/// A [`Text`] member that is left out when the field is `None`.
+struct OptText<T>(std::marker::PhantomData<T>);
+
+impl<T: WireText> Codec for OptText<T> {
+    type Value = Option<T>;
+
+    fn write(w: &mut JsonWriter<'_>, value: &Option<T>) {
+        if let Some(v) = value {
+            write_text(w, v);
+        }
+    }
+
+    fn omitted(value: &Option<T>) -> bool {
+        value.is_none()
+    }
+
+    fn read(r: &mut JsonReader<'_>) -> Result<Option<T>, Bad> {
+        read_text(r).map(Some)
+    }
+
+    fn absent() -> Option<Option<T>> {
+        Some(None)
+    }
+}
+
+impl WireText for ObsPrefix {
+    fn push(&self, out: &mut String) {
+        let [a, b, c, d] = self.addr.to_be_bytes();
+        for (octet, sep) in [(a, '.'), (b, '.'), (c, '.'), (d, '/')] {
+            push_u64(out, octet as u64);
+            out.push(sep);
+        }
+        push_u64(out, self.len as u64);
+    }
+
+    fn parse(s: &str) -> Option<ObsPrefix> {
+        s.parse().ok()
+    }
+}
+
+impl WireText for FlowActionRepr {
+    fn push(&self, out: &mut String) {
         match self {
-            TraceEvent::UpdateSent {
-                peer,
-                announced,
-                withdrawn,
+            FlowActionRepr::Output(port) => {
+                out.push_str("output:");
+                push_u64(out, *port as u64);
             }
-            | TraceEvent::UpdateDelivered {
-                peer,
-                announced,
-                withdrawn,
-            } => {
-                m.push(("peer".into(), Json::U64(*peer as u64)));
-                m.push(("announced".into(), announced.to_json()));
-                m.push(("withdrawn".into(), withdrawn.to_json()));
-            }
-            TraceEvent::RibChange {
-                prefix,
-                old_path,
-                new_path,
-            } => {
-                m.push(("prefix".into(), prefix.to_json()));
-                m.push(("old".into(), path_json(old_path)));
-                m.push(("new".into(), path_json(new_path)));
-            }
-            TraceEvent::FlowInstalled {
-                prefix,
-                priority,
-                action,
-            }
-            | TraceEvent::FlowRemoved {
-                prefix,
-                priority,
-                action,
-            } => {
-                m.push(("prefix".into(), prefix.to_json()));
-                m.push(("priority".into(), Json::U64(*priority as u64)));
-                m.push(("action".into(), action.to_json()));
-            }
-            TraceEvent::SessionUp { peer } => {
-                m.push(("peer".into(), Json::U64(*peer as u64)));
-            }
-            TraceEvent::SessionDown { peer, reason } => {
-                m.push(("peer".into(), Json::U64(*peer as u64)));
-                m.push(("reason".into(), Json::Str(reason.clone())));
-            }
-            TraceEvent::ControllerRecompute {
-                trigger,
-                prefixes,
-                prefixes_dirty,
-                prefixes_recomputed,
-                prefixes_cached,
-                members,
-                links_up,
-                flow_mods,
-                announcements,
-                withdrawals,
-                wall_ns,
-            } => {
-                m.push(("trigger".into(), Json::Str(trigger.name().into())));
-                m.push(("prefixes".into(), Json::U64(*prefixes as u64)));
-                m.push(("dirty".into(), Json::U64(*prefixes_dirty as u64)));
-                m.push(("recomputed".into(), Json::U64(*prefixes_recomputed as u64)));
-                m.push(("cached".into(), Json::U64(*prefixes_cached as u64)));
-                m.push(("members".into(), Json::U64(*members as u64)));
-                m.push(("links_up".into(), Json::U64(*links_up as u64)));
-                m.push(("flow_mods".into(), Json::U64(*flow_mods as u64)));
-                m.push(("announcements".into(), Json::U64(*announcements as u64)));
-                m.push(("withdrawals".into(), Json::U64(*withdrawals as u64)));
-                m.push(("wall_ns".into(), Json::U64(*wall_ns)));
-            }
-            TraceEvent::Phase { name, started } => {
-                m.push(("name".into(), Json::Str(name.clone())));
-                m.push(("started".into(), Json::Bool(*started)));
-            }
-            TraceEvent::LinkAdmin { link, up } => {
-                m.push(("link".into(), Json::U64(*link as u64)));
-                m.push(("up".into(), Json::Bool(*up)));
-            }
-            TraceEvent::TimerFired { token } => {
-                m.push(("token".into(), Json::U64(*token)));
-            }
-            TraceEvent::NodeAdmin { node, up } => {
-                // "target", not "node": artifact lines already use a
-                // top-level "node" key for event attribution.
-                m.push(("target".into(), Json::U64(*node as u64)));
-                m.push(("up".into(), Json::Bool(*up)));
-            }
-            TraceEvent::SpeakerHeadless { entered } => {
-                m.push(("entered".into(), Json::Bool(*entered)));
-            }
-            TraceEvent::ControlResync {
-                epoch,
-                sessions,
-                routes,
-            } => {
-                m.push(("epoch".into(), Json::U64(*epoch)));
-                m.push(("sessions".into(), Json::U64(*sessions as u64)));
-                m.push(("routes".into(), Json::U64(*routes as u64)));
-            }
-            TraceEvent::ControlRetransmit {
-                from_controller,
-                oldest_seq,
-                outstanding,
-            } => {
-                m.push(("from_controller".into(), Json::Bool(*from_controller)));
-                m.push(("oldest_seq".into(), Json::U64(*oldest_seq)));
-                m.push(("outstanding".into(), Json::U64(*outstanding as u64)));
-            }
-            TraceEvent::SpeakerEventDropped { session } => {
-                m.push(("session".into(), Json::U64(*session as u64)));
-            }
-            TraceEvent::VerifyViolation {
-                check,
-                prefix,
-                offender,
-                witness,
-            } => {
-                m.push(("check".into(), Json::Str(check.clone())));
-                if let Some(p) = prefix {
-                    m.push(("prefix".into(), Json::Str(p.to_string())));
-                }
-                // "offender", not "node": artifact lines already use a
-                // top-level "node" key for event attribution.
-                m.push(("offender".into(), Json::Str(offender.clone())));
-                m.push(("witness".into(), Json::Str(witness.clone())));
-            }
-            TraceEvent::Causal {
-                id,
-                parents,
-                trigger,
-                hop,
-                phase,
-                prefix,
-            } => {
-                m.push(("id".into(), Json::U64(*id)));
-                m.push((
-                    "parents".into(),
-                    Json::Arr(parents.iter().map(|&p| Json::U64(p)).collect()),
-                ));
-                m.push(("trigger".into(), Json::U64(*trigger)));
-                m.push(("hop".into(), Json::U64(*hop as u64)));
-                m.push(("phase".into(), Json::Str(phase.name().into())));
-                if let Some(p) = prefix {
-                    m.push(("prefix".into(), p.to_json()));
-                }
-            }
-            TraceEvent::Note { category, text } => {
-                m.push(("cat".into(), Json::Str(category.name().into())));
-                m.push(("text".into(), Json::Str(text.clone())));
+            FlowActionRepr::ToController => out.push_str("controller"),
+            FlowActionRepr::Drop => out.push_str("drop"),
+            FlowActionRepr::Local => out.push_str("local"),
+        }
+    }
+
+    fn parse(s: &str) -> Option<FlowActionRepr> {
+        match s {
+            "controller" => Some(FlowActionRepr::ToController),
+            "drop" => Some(FlowActionRepr::Drop),
+            "local" => Some(FlowActionRepr::Local),
+            _ => {
+                let port = s.strip_prefix("output:")?.parse().ok()?;
+                Some(FlowActionRepr::Output(port))
             }
         }
-        Json::Obj(m)
+    }
+}
+
+macro_rules! wire_text_by_name {
+    ($($ty:ty),*) => {$(
+        impl WireText for $ty {
+            fn push(&self, out: &mut String) {
+                out.push_str(self.name());
+            }
+
+            fn parse(s: &str) -> Option<$ty> {
+                <$ty>::from_name(s)
+            }
+        }
+    )*};
+}
+
+wire_text_by_name!(TraceCategory, RecomputeTrigger, CausalPhase);
+
+fn write_list<T>(w: &mut JsonWriter<'_>, items: &[T], item: impl Fn(&mut JsonWriter<'_>, &T)) {
+    w.begin_array();
+    for i in items {
+        item(w, i);
+    }
+    w.end_array();
+}
+
+fn read_list<T>(
+    r: &mut JsonReader<'_>,
+    item: impl Fn(&mut JsonReader<'_>) -> Result<T, Bad>,
+) -> Result<Vec<T>, Bad> {
+    if r.peek() != Some(b'[') {
+        r.skip_value()?;
+        return Err(Bad::Type);
+    }
+    let mut items = Vec::new();
+    let mut more = r.open(b']')?;
+    while more {
+        items.push(item(r)?);
+        more = r.next(b']')?;
+    }
+    Ok(items)
+}
+
+struct PrefixList;
+
+impl Codec for PrefixList {
+    type Value = Vec<ObsPrefix>;
+
+    fn write(w: &mut JsonWriter<'_>, value: &Vec<ObsPrefix>) {
+        write_list(w, value, write_text);
     }
 
-    /// Parse an event from its JSON object form. Extra keys are ignored, so
-    /// artifact lines (which add `t`/`node`) parse directly.
-    pub fn from_json(v: &Json) -> Result<TraceEvent, String> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("missing \"kind\"")?;
-        let peer = || -> Result<u32, String> { get_u32(v, "peer") };
-        Ok(match kind {
-            "update_sent" | "update_delivered" => {
-                let announced = prefix_list(v, "announced")?;
-                let withdrawn = prefix_list(v, "withdrawn")?;
-                if kind == "update_sent" {
-                    TraceEvent::UpdateSent {
-                        peer: peer()?,
-                        announced,
-                        withdrawn,
-                    }
-                } else {
-                    TraceEvent::UpdateDelivered {
-                        peer: peer()?,
-                        announced,
-                        withdrawn,
-                    }
+    fn read(r: &mut JsonReader<'_>) -> Result<Vec<ObsPrefix>, Bad> {
+        read_list(r, read_text)
+    }
+}
+
+/// Causal event ids.
+struct IdList;
+
+impl Codec for IdList {
+    type Value = Vec<u64>;
+
+    fn write(w: &mut JsonWriter<'_>, value: &Vec<u64>) {
+        write_list(w, value, |w, id| w.u64(*id));
+    }
+
+    fn read(r: &mut JsonReader<'_>) -> Result<Vec<u64>, Bad> {
+        read_list(r, read_uint)
+    }
+}
+
+/// An AS path, or `null` for "no route".
+struct Path;
+
+impl Codec for Path {
+    type Value = Option<Vec<u32>>;
+
+    fn write(w: &mut JsonWriter<'_>, value: &Option<Vec<u32>>) {
+        match value {
+            Some(hops) => write_list(w, hops, |w, asn| w.u64(*asn as u64)),
+            None => w.null(),
+        }
+    }
+
+    fn read(r: &mut JsonReader<'_>) -> Result<Option<Vec<u32>>, Bad> {
+        if r.peek() == Some(b'n') {
+            r.literal("null")?;
+            return Ok(None);
+        }
+        read_list(r, read_uint).map(Some)
+    }
+}
+
+/// The first of duplicate members wins, as [`crate::json::Json::get`] has it.
+fn read_member<C: Codec>(
+    slot: &mut Option<C::Value>,
+    key: &str,
+    r: &mut JsonReader<'_>,
+) -> Result<(), String> {
+    if slot.is_some() {
+        return Ok(r.skip_value()?);
+    }
+    match C::read(r) {
+        Ok(v) => {
+            *slot = Some(v);
+            Ok(())
+        }
+        Err(Bad::Syntax(e)) => Err(e.into()),
+        Err(Bad::Type) => Err(bad(key)),
+    }
+}
+
+fn bad(key: &str) -> String {
+    format!("bad {key:?}")
+}
+
+/// The wire form of every [`TraceEvent`] variant, stated once: its kind
+/// tag and, per field, the JSON key and the [`Codec`]. Generates
+/// [`TraceEvent::kind`], the line writer ([`TraceEvent::write_members`])
+/// and the line reader ([`PartialEvent`]).
+macro_rules! wire_table {
+    ($(
+        $variant:ident = $kind:literal {
+            $( $field:ident : $key:literal => $codec:ty ),* $(,)?
+        }
+    )*) => {
+        impl TraceEvent {
+            /// Stable kind tag used in the JSONL schema.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $kind, )*
                 }
             }
-            "rib_change" => TraceEvent::RibChange {
-                prefix: get_prefix(v, "prefix")?,
-                old_path: path_from_json(v.get("old").ok_or("missing \"old\"")?)?,
-                new_path: path_from_json(v.get("new").ok_or("missing \"new\"")?)?,
-            },
-            "flow_installed" | "flow_removed" => {
-                let prefix = get_prefix(v, "prefix")?;
-                let priority = get_u32(v, "priority")? as u16;
-                let action = v
-                    .get("action")
-                    .and_then(FlowActionRepr::from_json)
-                    .ok_or("bad \"action\"")?;
-                if kind == "flow_installed" {
-                    TraceEvent::FlowInstalled {
-                        prefix,
-                        priority,
-                        action,
-                    }
-                } else {
-                    TraceEvent::FlowRemoved {
-                        prefix,
-                        priority,
-                        action,
-                    }
+
+            /// Write the event's members into an open object: `"kind"`,
+            /// then the variant's fields in declaration order.
+            pub(crate) fn write_members(&self, w: &mut JsonWriter<'_>) {
+                w.key(KIND_KEY);
+                w.str(self.kind());
+                match self {
+                    $( TraceEvent::$variant { $( $field ),* } => {
+                        $( if !<$codec as Codec>::omitted($field) {
+                            w.member(member_head!($key));
+                            <$codec as Codec>::write(w, $field);
+                        } )*
+                    } )*
                 }
             }
-            "session_up" => TraceEvent::SessionUp { peer: peer()? },
-            "session_down" => TraceEvent::SessionDown {
-                peer: peer()?,
-                reason: get_str(v, "reason")?,
-            },
-            "recompute" => TraceEvent::ControllerRecompute {
-                trigger: v
-                    .get("trigger")
-                    .and_then(Json::as_str)
-                    .and_then(RecomputeTrigger::from_name)
-                    .ok_or("bad \"trigger\"")?,
-                prefixes: get_u32(v, "prefixes")?,
-                // Absent in artifacts written before incremental
-                // recomputation existed; default to 0 so old runs parse.
-                prefixes_dirty: get_u32(v, "dirty").unwrap_or(0),
-                prefixes_recomputed: get_u32(v, "recomputed").unwrap_or(0),
-                prefixes_cached: get_u32(v, "cached").unwrap_or(0),
-                members: get_u32(v, "members")?,
-                links_up: get_u32(v, "links_up")?,
-                flow_mods: get_u32(v, "flow_mods")?,
-                announcements: get_u32(v, "announcements")?,
-                withdrawals: get_u32(v, "withdrawals")?,
-                wall_ns: v
-                    .get("wall_ns")
-                    .and_then(Json::as_u64)
-                    .ok_or("bad \"wall_ns\"")?,
-            },
-            "phase" => TraceEvent::Phase {
-                name: get_str(v, "name")?,
-                started: v
-                    .get("started")
-                    .and_then(Json::as_bool)
-                    .ok_or("bad \"started\"")?,
-            },
-            "link_admin" => TraceEvent::LinkAdmin {
-                link: get_u32(v, "link")?,
-                up: v.get("up").and_then(Json::as_bool).ok_or("bad \"up\"")?,
-            },
-            "timer_fired" => TraceEvent::TimerFired {
-                token: v
-                    .get("token")
-                    .and_then(Json::as_u64)
-                    .ok_or("bad \"token\"")?,
-            },
-            "node_admin" => TraceEvent::NodeAdmin {
-                node: get_u32(v, "target")?,
-                up: v.get("up").and_then(Json::as_bool).ok_or("bad \"up\"")?,
-            },
-            "speaker_headless" => TraceEvent::SpeakerHeadless {
-                entered: v
-                    .get("entered")
-                    .and_then(Json::as_bool)
-                    .ok_or("bad \"entered\"")?,
-            },
-            "control_resync" => TraceEvent::ControlResync {
-                epoch: v
-                    .get("epoch")
-                    .and_then(Json::as_u64)
-                    .ok_or("bad \"epoch\"")?,
-                sessions: get_u32(v, "sessions")?,
-                routes: get_u32(v, "routes")?,
-            },
-            "control_retransmit" => TraceEvent::ControlRetransmit {
-                from_controller: v
-                    .get("from_controller")
-                    .and_then(Json::as_bool)
-                    .ok_or("bad \"from_controller\"")?,
-                oldest_seq: v
-                    .get("oldest_seq")
-                    .and_then(Json::as_u64)
-                    .ok_or("bad \"oldest_seq\"")?,
-                outstanding: get_u32(v, "outstanding")?,
-            },
-            "speaker_event_dropped" => TraceEvent::SpeakerEventDropped {
-                session: get_u32(v, "session")?,
-            },
-            "verify_violation" => TraceEvent::VerifyViolation {
-                check: get_str(v, "check")?,
-                prefix: match v.get("prefix") {
-                    Some(p) => Some(
-                        p.as_str()
-                            .ok_or("bad \"prefix\"")?
-                            .parse()
-                            .map_err(|e: String| e)?,
-                    ),
-                    None => None,
-                },
-                offender: get_str(v, "offender")?,
-                witness: get_str(v, "witness")?,
-            },
-            "causal" => TraceEvent::Causal {
-                id: v.get("id").and_then(Json::as_u64).ok_or("bad \"id\"")?,
-                parents: v
-                    .get("parents")
-                    .and_then(Json::as_arr)
-                    .ok_or("bad \"parents\"")?
-                    .iter()
-                    .map(|p| p.as_u64().ok_or_else(|| "bad parent id".to_string()))
-                    .collect::<Result<Vec<u64>, String>>()?,
-                trigger: v
-                    .get("trigger")
-                    .and_then(Json::as_u64)
-                    .ok_or("bad \"trigger\"")?,
-                hop: get_u32(v, "hop")?,
-                phase: v
-                    .get("phase")
-                    .and_then(Json::as_str)
-                    .and_then(CausalPhase::from_name)
-                    .ok_or("bad \"phase\"")?,
-                prefix: match v.get("prefix") {
-                    Some(p) => Some(
-                        p.as_str()
-                            .ok_or("bad \"prefix\"")?
-                            .parse()
-                            .map_err(|e: String| e)?,
-                    ),
-                    None => None,
-                },
-            },
-            "note" => TraceEvent::Note {
-                category: v
-                    .get("cat")
-                    .and_then(Json::as_str)
-                    .and_then(TraceCategory::from_name)
-                    .ok_or("bad \"cat\"")?,
-                text: get_str(v, "text")?,
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        })
+        }
+
+        /// An event being read off a line: the variant is known, the
+        /// fields arrive member by member in whatever order the line has.
+        pub(crate) struct PartialEvent(Fields);
+
+        enum Fields {
+            $( $variant { $( $field: Option<<$codec as Codec>::Value> ),* }, )*
+        }
+
+        impl PartialEvent {
+            /// An event of this kind with no field read yet.
+            pub(crate) fn of_kind(kind: &str) -> Option<PartialEvent> {
+                Some(PartialEvent(match kind {
+                    $( $kind => Fields::$variant { $( $field: None ),* }, )*
+                    _ => return None,
+                }))
+            }
+
+            /// Take the member `key`, whose value is under the reader's
+            /// cursor: into its field, or skipped when the variant has no
+            /// such field or already has it.
+            pub(crate) fn member(
+                &mut self,
+                key: &str,
+                r: &mut JsonReader<'_>,
+            ) -> Result<(), String> {
+                match &mut self.0 {
+                    $( Fields::$variant { $( $field ),* } => match key {
+                        $( $key => read_member::<$codec>($field, key, r), )*
+                        _ => Ok(r.skip_value()?),
+                    }, )*
+                }
+            }
+
+            /// The event, once the line has ended.
+            pub(crate) fn finish(self) -> Result<TraceEvent, String> {
+                match self.0 {
+                    $( Fields::$variant { $( $field ),* } => Ok(TraceEvent::$variant {
+                        $( $field: $field
+                            .or_else(<$codec as Codec>::absent)
+                            .ok_or_else(|| bad($key))?, )*
+                    }), )*
+                }
+            }
+        }
+    };
+}
+
+/// Key of the member that names an event line's variant.
+pub(crate) const KIND_KEY: &str = "kind";
+
+wire_table! {
+    UpdateSent = "update_sent" {
+        peer: "peer" => Uint<u32>,
+        announced: "announced" => PrefixList,
+        withdrawn: "withdrawn" => PrefixList,
     }
-}
-
-fn path_json(path: &Option<Vec<u32>>) -> Json {
-    match path {
-        None => Json::Null,
-        Some(hops) => Json::Arr(hops.iter().map(|&a| Json::U64(a as u64)).collect()),
+    UpdateDelivered = "update_delivered" {
+        peer: "peer" => Uint<u32>,
+        announced: "announced" => PrefixList,
+        withdrawn: "withdrawn" => PrefixList,
     }
-}
-
-fn path_from_json(v: &Json) -> Result<Option<Vec<u32>>, String> {
-    match v {
-        Json::Null => Ok(None),
-        Json::Arr(items) => items
-            .iter()
-            .map(|i| {
-                i.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| "bad AS number in path".to_string())
-            })
-            .collect::<Result<Vec<u32>, String>>()
-            .map(Some),
-        _ => Err("path must be null or an array".into()),
+    RibChange = "rib_change" {
+        prefix: "prefix" => Text<ObsPrefix>,
+        old_path: "old" => Path,
+        new_path: "new" => Path,
     }
-}
-
-fn get_u32(v: &Json, key: &str) -> Result<u32, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| format!("bad {key:?}"))
-}
-
-fn get_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("bad {key:?}"))
-}
-
-fn get_prefix(v: &Json, key: &str) -> Result<ObsPrefix, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("bad {key:?}"))?
-        .parse()
-}
-
-fn prefix_list(v: &Json, key: &str) -> Result<Vec<ObsPrefix>, String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("bad {key:?}"))?
-        .iter()
-        .map(|item| {
-            item.as_str()
-                .ok_or_else(|| format!("non-string prefix in {key:?}"))?
-                .parse()
-        })
-        .collect()
+    FlowInstalled = "flow_installed" {
+        prefix: "prefix" => Text<ObsPrefix>,
+        priority: "priority" => Uint<u16>,
+        action: "action" => Text<FlowActionRepr>,
+    }
+    FlowRemoved = "flow_removed" {
+        prefix: "prefix" => Text<ObsPrefix>,
+        priority: "priority" => Uint<u16>,
+        action: "action" => Text<FlowActionRepr>,
+    }
+    SessionUp = "session_up" {
+        peer: "peer" => Uint<u32>,
+    }
+    SessionDown = "session_down" {
+        peer: "peer" => Uint<u32>,
+        reason: "reason" => Str,
+    }
+    ControllerRecompute = "recompute" {
+        trigger: "trigger" => Text<RecomputeTrigger>,
+        prefixes: "prefixes" => Uint<u32>,
+        prefixes_dirty: "dirty" => U32OrZero,
+        prefixes_recomputed: "recomputed" => U32OrZero,
+        prefixes_cached: "cached" => U32OrZero,
+        members: "members" => Uint<u32>,
+        links_up: "links_up" => Uint<u32>,
+        flow_mods: "flow_mods" => Uint<u32>,
+        announcements: "announcements" => Uint<u32>,
+        withdrawals: "withdrawals" => Uint<u32>,
+        wall_ns: "wall_ns" => Uint<u64>,
+    }
+    Phase = "phase" {
+        name: "name" => Str,
+        started: "started" => Bool,
+    }
+    LinkAdmin = "link_admin" {
+        link: "link" => Uint<u32>,
+        up: "up" => Bool,
+    }
+    TimerFired = "timer_fired" {
+        token: "token" => Uint<u64>,
+    }
+    // "target" and "offender", not "node": an event line already has a
+    // top-level "node" member for attribution.
+    NodeAdmin = "node_admin" {
+        node: "target" => Uint<u32>,
+        up: "up" => Bool,
+    }
+    SpeakerHeadless = "speaker_headless" {
+        entered: "entered" => Bool,
+    }
+    ControlResync = "control_resync" {
+        epoch: "epoch" => Uint<u64>,
+        sessions: "sessions" => Uint<u32>,
+        routes: "routes" => Uint<u32>,
+    }
+    ControlRetransmit = "control_retransmit" {
+        from_controller: "from_controller" => Bool,
+        oldest_seq: "oldest_seq" => Uint<u64>,
+        outstanding: "outstanding" => Uint<u32>,
+    }
+    SpeakerEventDropped = "speaker_event_dropped" {
+        session: "session" => Uint<u32>,
+    }
+    VerifyViolation = "verify_violation" {
+        check: "check" => Str,
+        prefix: "prefix" => OptText<ObsPrefix>,
+        offender: "offender" => Str,
+        witness: "witness" => Str,
+    }
+    Causal = "causal" {
+        id: "id" => Uint<u64>,
+        parents: "parents" => IdList,
+        trigger: "trigger" => Uint<u64>,
+        hop: "hop" => Uint<u32>,
+        phase: "phase" => Text<CausalPhase>,
+        prefix: "prefix" => OptText<ObsPrefix>,
+    }
+    Note = "note" {
+        category: "cat" => Text<TraceCategory>,
+        text: "text" => Str,
+    }
 }
 
 fn fmt_path(f: &mut fmt::Formatter<'_>, path: &Option<Vec<u32>>) -> fmt::Result {
@@ -1152,12 +1214,13 @@ impl fmt::Display for TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{event_line, RunArtifact};
 
     fn roundtrip(e: TraceEvent) {
-        let j = e.to_json();
-        let text = j.to_compact();
-        let back = TraceEvent::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, e);
+        let line = event_line(7, None, &e);
+        let back = RunArtifact::parse(&line).unwrap();
+        assert_eq!(back.events.len(), 1, "{line}");
+        assert_eq!(back.events[0].event, e);
     }
 
     #[test]

@@ -1,58 +1,50 @@
 //! Shared JSONL scanning for artifact parsers.
 //!
 //! Run and campaign artifacts are both line-oriented JSON documents; this
-//! module is the one line-reader they share. Strict scans fail on the
-//! first bad line. Lenient scans tolerate exactly one malformed *final*
-//! line — the signature of a run that died mid-write — downgrading it to
-//! a warning so `bgpsdn report` can still render everything recorded
-//! before the truncation.
+//! module is the one line-reader they share, and what a line holds is the
+//! caller's business. Strict scans fail on the first bad line. Lenient
+//! scans tolerate exactly one malformed *final* line — the signature of a
+//! run that died mid-write — downgrading it to a warning so `bgpsdn report`
+//! can still render everything recorded before the truncation.
 
-use crate::json::Json;
-
-/// Scan every non-empty line of a JSONL document, parsing each as JSON and
-/// handing `(line_number, value)` to `line` (line numbers are 1-based).
-/// Parse failures and callback errors alike abort the scan, prefixed with
-/// the offending line number.
-pub fn scan(text: &str, line: impl FnMut(usize, Json) -> Result<(), String>) -> Result<(), String> {
-    scan_inner(text, false, &mut Vec::new(), line)
+/// Scan every non-empty line of a JSONL document, handing `(line_number,
+/// trimmed line)` to `line` (line numbers are 1-based), which parses it.
+/// An error from the callback aborts the scan, prefixed with the offending
+/// line number.
+pub fn scan(text: &str, line: impl FnMut(usize, &str) -> Result<(), String>) -> Result<(), String> {
+    scan_inner(text, None, line)
 }
 
-/// Like [`scan`], but a malformed **final** line (or one the callback
-/// rejects) is recorded in `warnings` instead of failing the whole scan: a
-/// truncated tail is the normal shape of an artifact whose writer was
-/// killed mid-line. Malformed lines anywhere else remain hard errors.
+/// Like [`scan`], but a **final** line the callback rejects is recorded in
+/// `warnings` instead of failing the whole scan: a truncated tail is the
+/// normal shape of an artifact whose writer was killed mid-line. Malformed
+/// lines anywhere else remain hard errors.
 pub fn scan_lenient(
     text: &str,
     warnings: &mut Vec<String>,
-    line: impl FnMut(usize, Json) -> Result<(), String>,
+    line: impl FnMut(usize, &str) -> Result<(), String>,
 ) -> Result<(), String> {
-    scan_inner(text, true, warnings, line)
+    scan_inner(text, Some(warnings), line)
 }
 
 fn scan_inner(
     text: &str,
-    lenient: bool,
-    warnings: &mut Vec<String>,
-    mut line: impl FnMut(usize, Json) -> Result<(), String>,
+    mut lenient: Option<&mut Vec<String>>,
+    mut line: impl FnMut(usize, &str) -> Result<(), String>,
 ) -> Result<(), String> {
-    let lines: Vec<(usize, &str)> = text
+    let mut lines = text
         .lines()
         .enumerate()
         .map(|(i, l)| (i + 1, l.trim()))
         .filter(|(_, l)| !l.is_empty())
-        .collect();
-    let last = lines.last().map(|&(n, _)| n);
-    for (lineno, raw) in lines {
-        let res = Json::parse(raw)
-            .map_err(|e| e.to_string())
-            .and_then(|v| line(lineno, v));
-        if let Err(e) = res {
-            if lenient && Some(lineno) == last {
-                warnings.push(format!(
+        .peekable();
+    while let Some((lineno, raw)) = lines.next() {
+        if let Err(e) = line(lineno, raw) {
+            match &mut lenient {
+                Some(warnings) if lines.peek().is_none() => warnings.push(format!(
                     "line {lineno}: ignoring truncated or malformed final line: {e}"
-                ));
-            } else {
-                return Err(format!("line {lineno}: {e}"));
+                )),
+                _ => return Err(format!("line {lineno}: {e}")),
             }
         }
     }
@@ -62,11 +54,13 @@ fn scan_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::check;
 
     #[test]
     fn strict_fails_on_any_bad_line() {
         let mut seen = 0;
-        let err = scan("{\"a\":1}\nnot json\n{\"b\":2}\n", |_, _| {
+        let err = scan("{\"a\":1}\nnot json\n{\"b\":2}\n", |_, raw| {
+            check(raw)?;
             seen += 1;
             Ok(())
         })
@@ -79,7 +73,8 @@ mod tests {
     fn lenient_tolerates_only_the_final_line() {
         let mut warnings = Vec::new();
         let mut seen = 0;
-        scan_lenient("{\"a\":1}\n{\"trunc", &mut warnings, |_, _| {
+        scan_lenient("{\"a\":1}\n{\"trunc", &mut warnings, |_, raw| {
+            check(raw)?;
             seen += 1;
             Ok(())
         })
@@ -88,8 +83,10 @@ mod tests {
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("line 2"), "{}", warnings[0]);
 
-        let err = scan_lenient("bad\n{\"a\":1}\n", &mut Vec::new(), |_, _| Ok(()))
-            .expect_err("non-final bad line must stay fatal");
+        let err = scan_lenient("bad\n{\"a\":1}\n", &mut Vec::new(), |_, raw| {
+            Ok(check(raw)?)
+        })
+        .expect_err("non-final bad line must stay fatal");
         assert!(err.starts_with("line 1:"), "{err}");
     }
 

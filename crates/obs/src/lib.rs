@@ -4,13 +4,14 @@
 //!
 //! * [`event`]: the typed [`TraceEvent`] enum — update send/deliver, RIB
 //!   changes with old/new best path, flow install/remove, session
-//!   transitions, controller recomputes, experiment phase markers — plus
-//!   the [`TraceCategory`] filter taxonomy;
+//!   transitions, controller recomputes, experiment phase markers — its
+//!   wire form, stated once per variant, and the [`TraceCategory`] filter
+//!   taxonomy;
 //! * [`metrics`]: [`MetricsRegistry`] — counters, gauges, and log2-bucket
 //!   histograms keyed by `(node, metric)`, with snapshot/export;
 //! * [`span`]: wall-clock timing spans that cost one branch when disabled;
-//! * [`json`]: the dependency-free JSON value type the above serialize
-//!   through;
+//! * [`json`]: the dependency-free JSON value type, and the streaming
+//!   writer and pull reader event lines go through without building one;
 //! * [`artifact`]: JSONL run artifacts and the analysis behind
 //!   `bgpsdn report` (per-node update counts, recompute latency
 //!   histograms, convergence timelines);
@@ -40,8 +41,8 @@ pub mod metrics;
 pub mod span;
 
 pub use artifact::{
-    event_line, last_routing_change, metrics_line, run_line, EventRecord, PhaseSummary,
-    RunAnalysis, RunArtifact,
+    event_line, last_routing_change, metrics_line, run_line, write_event_line, EventRecord,
+    PhaseSummary, RunAnalysis, RunArtifact, EVENT_LINE_BYTES,
 };
 pub use campaign::{
     aggregate_cells, canonicalize_jsonl, AggStats, CampaignArtifact, CellStats, JobRecord,
