@@ -4,24 +4,19 @@
 //! reductions" — announcements converge in one propagation wave regardless
 //! of centralization, so the reduction is far smaller than Figure 2's.
 
-use bgpsdn_bench::{print_header, print_row, runs_per_point, write_json, SweepRow};
-use bgpsdn_core::{clique_sweep_point, CliqueScenario, EventKind};
+use bgpsdn_bench::{print_sweep, sweep, write_json, RUNS};
+use bgpsdn_core::{CampaignGrid, EventKind};
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Experiment A: announcement convergence vs SDN fraction ==");
-    println!("16-AS clique, MRAI 30 s, {runs} runs/point (seconds)\n");
-    print_header("SDN %");
-
-    let mut rows = Vec::new();
-    for sdn_count in (0..=16).step_by(2) {
-        let base = CliqueScenario::fig2(sdn_count, 2000 + sdn_count as u64 * 131);
-        let times = clique_sweep_point(&base, EventKind::Announcement, runs);
-        let pct = sdn_count as f64 * 100.0 / 16.0;
-        let row = SweepRow::from_durations(pct, &times);
-        print_row(&format!("{pct:.0}%"), &row);
-        rows.push(row);
-    }
+    println!("16-AS clique, MRAI 30 s, {RUNS} runs/point (seconds)\n");
+    let rows = sweep(&CampaignGrid {
+        name: "expA".to_string(),
+        event: EventKind::Announcement,
+        cluster_sizes: (0..=16).step_by(2).collect(),
+        ..CampaignGrid::fig2(RUNS)
+    });
+    print_sweep("SDN %", "%", &rows);
 
     // Shape: reductions exist but are much smaller than the withdrawal
     // case — the 0 %-to-takeover ratio stays moderate.
@@ -34,5 +29,5 @@ fn main() {
     );
     println!("\nshape check: PASS (small reductions; no exploration blow-up at 0%)");
 
-    write_json("expA_announcement", &rows);
+    write_json("expA_announcement", &[], &rows);
 }

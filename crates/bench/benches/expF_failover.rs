@@ -4,27 +4,22 @@
 //! settle on an alternative path. Like the announcement case, the paper
 //! reports "smaller reductions" than the withdrawal experiment.
 
-use bgpsdn_bench::{print_header, print_row, runs_per_point, write_json, SweepRow};
-use bgpsdn_core::{clique_sweep_point, CliqueScenario, EventKind};
+use bgpsdn_bench::{print_sweep, sweep, write_json, RUNS};
+use bgpsdn_core::{CampaignGrid, EventKind};
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Experiment F: fail-over convergence vs SDN fraction ==");
-    println!("16-AS clique, MRAI 30 s, fail link origin<->AS1, {runs} runs/point (seconds)\n");
-    print_header("SDN %");
-
-    let mut rows = Vec::new();
-    for sdn_count in (0..=14).step_by(2) {
-        // At sdn_count == 16 the failed edge is intra-cluster, a different
-        // experiment (see tblS3); sweep stops at 14 like the paper's
+    println!("16-AS clique, MRAI 30 s, fail link origin<->AS1, {RUNS} runs/point (seconds)\n");
+    let rows = sweep(&CampaignGrid {
+        name: "expF".to_string(),
+        event: EventKind::Failover,
+        // At 16 members the failed edge is intra-cluster, a different
+        // experiment (see tblS3); the sweep stops at 14 like the paper's
         // partial-deployment focus.
-        let base = CliqueScenario::fig2(sdn_count, 3000 + sdn_count as u64 * 131);
-        let times = clique_sweep_point(&base, EventKind::Failover, runs);
-        let pct = sdn_count as f64 * 100.0 / 16.0;
-        let row = SweepRow::from_durations(pct, &times);
-        print_row(&format!("{pct:.0}%"), &row);
-        rows.push(row);
-    }
+        cluster_sizes: (0..=14).step_by(2).collect(),
+        ..CampaignGrid::fig2(RUNS)
+    });
+    print_sweep("SDN %", "%", &rows);
 
     let first = rows.first().unwrap().median;
     let last = rows.last().unwrap().median;
@@ -35,5 +30,5 @@ fn main() {
     println!("\nshape check: PASS (fail-over settles to an existing alternate;");
     println!("reductions are smaller than the withdrawal case)");
 
-    write_json("expF_failover", &rows);
+    write_json("expF_failover", &[], &rows);
 }

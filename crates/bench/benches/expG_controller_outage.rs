@@ -163,5 +163,5 @@ fn main() {
     }
     println!("\nshape check: PASS (loss grows with D; recovery is a bounded resync)");
 
-    write_json("BENCH_outage", &rows);
+    write_json("expG_controller_outage", &[], &rows);
 }

@@ -15,7 +15,7 @@ use bgpsdn_bench::write_json;
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
 use bgpsdn_core::{Experiment, NetworkBuilder, Router};
 use bgpsdn_netsim::SimDuration;
-use bgpsdn_obs::{impl_to_json, Json, ToJson};
+use bgpsdn_obs::impl_to_json;
 use bgpsdn_topology::{gen, plan, AsGraph};
 
 /// Clique size (the paper's Figure 2 topology).
@@ -216,9 +216,9 @@ fn main() {
             );
         }
     }
-    // Headline for the regression gate: worst-case (minimum) churn
-    // reduction factor across all BGP-bearing cells — how much louder
-    // reconvergence gets when graceful restart is switched off.
+    // Headline: worst-case (minimum) churn reduction factor across all
+    // BGP-bearing cells — how much louder reconvergence gets when graceful
+    // restart is switched off.
     let gr_churn_ratio = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
     println!(
         "\nshape check: PASS (loss grows with D; GR cuts churn >= {gr_churn_ratio:.2}x; \
@@ -226,16 +226,8 @@ fn main() {
     );
 
     write_json(
-        "BENCH_router_outage",
-        &Json::Obj(vec![
-            (
-                "router_outage".into(),
-                Json::Obj(vec![("gr_churn_ratio".into(), Json::F64(gr_churn_ratio))]),
-            ),
-            (
-                "rows".into(),
-                Json::Arr(rows.iter().map(|r| r.to_json()).collect()),
-            ),
-        ]),
+        "expH_router_outage",
+        &[("gr_churn_ratio", gr_churn_ratio)],
+        &rows,
     );
 }

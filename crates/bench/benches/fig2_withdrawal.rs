@@ -2,35 +2,27 @@
 //! clique topology versus the fraction of ASes with centralized route
 //! control. The remaining ASes use standard BGP. Boxplots over 10 runs.
 //!
+//! This is `CampaignGrid::fig2` — the grid `bgpsdn sweep --fig2` runs — so
+//! the medians here, in the CLI's cell table and in EXPERIMENTS.md are the
+//! same numbers.
+//!
 //! Paper-shape expectations: a roughly linear decrease of the median as the
 //! SDN fraction grows, collapsing to ~0 at full deployment.
 
-use bgpsdn_bench::{
-    print_header, print_row, runs_per_point, write_json, write_run_artifact, SweepRow,
-};
-use bgpsdn_core::{clique_sweep_point, CliqueScenario, EventKind};
+use bgpsdn_bench::{print_sweep, sweep, write_json, RUNS};
+use bgpsdn_core::CampaignGrid;
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Figure 2: withdrawal convergence vs SDN fraction ==");
-    println!("16-AS clique, full transit, MRAI 30 s, recompute delay 100 ms, {runs} runs/point");
+    println!("16-AS clique, full transit, MRAI 30 s, recompute delay 100 ms, {RUNS} runs/point");
     println!("(seconds)\n");
-    print_header("SDN %");
-
-    let mut rows = Vec::new();
-    for sdn_count in (0..=16).step_by(2) {
-        let base = CliqueScenario::fig2(sdn_count, 1000 + sdn_count as u64 * 131);
-        let times = clique_sweep_point(&base, EventKind::Withdrawal, runs);
-        let pct = sdn_count as f64 * 100.0 / 16.0;
-        let row = SweepRow::from_durations(pct, &times);
-        print_row(&format!("{pct:.0}%"), &row);
-        rows.push(row);
-    }
+    let rows = sweep(&CampaignGrid::fig2(RUNS));
+    print_sweep("SDN %", "%", &rows);
 
     // Shape assertions: monotone decrease of the median, collapse at 100 %.
     for w in rows.windows(2) {
         assert!(
-            w[1].median <= w[0].median * 1.05,
+            w[1].median <= w[0].median,
             "median must not grow with centralization: {} -> {}",
             w[0].median,
             w[1].median
@@ -46,14 +38,5 @@ fn main() {
     );
     println!("\nshape check: PASS (monotone decrease, collapse at 100%)");
 
-    write_json("fig2_withdrawal", &rows);
-
-    // One representative run (50 % SDN) re-traced with full telemetry: the
-    // typed-event JSONL artifact lands next to the summary JSON, ready for
-    // `bgpsdn report`.
-    write_run_artifact(
-        "fig2_withdrawal",
-        &CliqueScenario::fig2(8, 1000 + 8 * 131),
-        EventKind::Withdrawal,
-    );
+    write_json("fig2_withdrawal", &[], &rows);
 }

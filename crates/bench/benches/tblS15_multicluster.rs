@@ -10,14 +10,13 @@
 //! over all ASes), split into 1 or 2 independent clusters, and a stub
 //! withdrawal is timed. Degree-ordered placement must beat random
 //! placement at the equal fraction — the headline `degree_advantage`
-//! ratio (random median / degree median) feeds the CI regression gate
-//! as `BENCH_multicluster.json`.
+//! ratio (random median / degree median) is written beside the rows.
 
-use bgpsdn_bench::{runs_per_point, write_json};
+use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
 use bgpsdn_core::{DeploymentStrategy, Experiment, NetworkBuilder};
 use bgpsdn_netsim::{SimDuration, SimRng, Summary};
-use bgpsdn_obs::{impl_to_json, Json};
+use bgpsdn_obs::impl_to_json;
 use bgpsdn_topology::caida::{synthesize, SynthesisParams};
 use bgpsdn_topology::plan;
 
@@ -49,11 +48,11 @@ fn strategy_for(name: &'static str, clusters: usize) -> DeploymentStrategy {
     }
 }
 
-fn sweep_point(name: &'static str, clusters: usize, runs: u64) -> Row {
+fn sweep_point(name: &'static str, clusters: usize) -> Row {
     let hour = SimDuration::from_secs(3600);
     let mut times = Vec::new();
     let mut updates = Vec::new();
-    for r in 0..runs {
+    for r in 0..RUNS {
         // Same topology + seed per run index across strategies: the only
         // thing that differs between the compared cells is the placement.
         let mut rng = SimRng::seed_from_u64(15000 + r);
@@ -97,10 +96,9 @@ fn sweep_point(name: &'static str, clusters: usize, runs: u64) -> Row {
 }
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Table S15: multi-cluster deployment strategies ==");
     println!("37-AS CAIDA-style hierarchy (3 tier-1 + 10 mid + 24 stubs), policy-free");
-    println!("transit, MRAI 30 s, {TOTAL_MEMBERS} members, stub withdrawal, {runs} runs/point\n");
+    println!("transit, MRAI 30 s, {TOTAL_MEMBERS} members, stub withdrawal, {RUNS} runs/point\n");
 
     let mut rows = Vec::new();
     println!(
@@ -109,7 +107,7 @@ fn main() {
     );
     for &clusters in &[1usize, 2] {
         for name in ["degree", "random"] {
-            let row = sweep_point(name, clusters, runs);
+            let row = sweep_point(name, clusters);
             println!(
                 "{:>10} {:>9} {:>12.2}s {:>10.2}s {:>13.1}",
                 row.strategy, row.clusters, row.conv_median_s, row.conv_mean_s, row.updates_mean
@@ -140,23 +138,12 @@ fn main() {
     );
     println!("\nshape check: PASS (degree placement beats random at both cluster counts)");
 
-    write_json("tblS15_multicluster", &rows);
     write_json(
-        "BENCH_multicluster",
-        &Json::Obj(vec![(
-            "deployment".into(),
-            Json::Obj(vec![
-                ("degree_advantage".into(), Json::F64(advantage_2)),
-                ("degree_advantage_single".into(), Json::F64(advantage_1)),
-                (
-                    "degree_conv_median_s".into(),
-                    Json::F64(median("degree", 2)),
-                ),
-                (
-                    "random_conv_median_s".into(),
-                    Json::F64(median("random", 2)),
-                ),
-            ]),
-        )]),
+        "tblS15_multicluster",
+        &[
+            ("degree_advantage", advantage_2),
+            ("degree_advantage_single", advantage_1),
+        ],
+        &rows,
     );
 }

@@ -8,7 +8,7 @@
 //! (and few flow mods / announcements) while barely moving convergence
 //! time; zero delay recomputes per update.
 
-use bgpsdn_bench::{runs_per_point, write_json};
+use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_core::{run_clique_with, CliqueRunOptions, CliqueScenario, EventKind};
 use bgpsdn_netsim::{SimDuration, Summary};
 use bgpsdn_obs::impl_to_json;
@@ -30,9 +30,8 @@ impl_to_json!(Row {
 });
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Table S1: controller recompute-delay ablation ==");
-    println!("16-AS clique, 50% SDN, withdrawal, MRAI 30 s, {runs} runs/point\n");
+    println!("16-AS clique, 50% SDN, withdrawal, MRAI 30 s, {RUNS} runs/point\n");
     println!(
         "{:>9} {:>12} {:>12} {:>10} {:>14}",
         "delay", "conv median", "recomputes", "flowmods", "announcements"
@@ -44,7 +43,7 @@ fn main() {
         let mut recomputes = Vec::new();
         let mut flow_mods = Vec::new();
         let mut anns = Vec::new();
-        for r in 0..runs {
+        for r in 0..RUNS {
             let scenario = CliqueScenario {
                 n: 16,
                 sdn_count: 8,
@@ -91,5 +90,5 @@ fn main() {
     );
     println!("\nshape check: PASS (delayed recomputation rate-limits controller churn)");
 
-    write_json("tblS1_recompute_delay", &rows);
+    write_json("tblS1_recompute_delay", &[], &rows);
 }

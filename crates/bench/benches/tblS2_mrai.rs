@@ -4,9 +4,9 @@
 //! MRAI-paced rounds); the SDN-assisted network is far flatter because the
 //! cluster explores as a single decision point.
 
-use bgpsdn_bench::{runs_per_point, write_json};
-use bgpsdn_core::{clique_sweep_point, CliqueScenario, EventKind};
-use bgpsdn_netsim::{SimDuration, Summary};
+use bgpsdn_bench::{sweep, write_json, RUNS};
+use bgpsdn_core::CampaignGrid;
+use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::impl_to_json;
 
 struct Row {
@@ -24,9 +24,8 @@ impl_to_json!(Row {
 });
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Table S2: MRAI sensitivity, pure BGP vs 50% SDN ==");
-    println!("16-AS clique withdrawal, {runs} runs/point (medians, seconds)\n");
+    println!("16-AS clique withdrawal, {RUNS} runs/point (medians, seconds)\n");
     println!(
         "{:>8} {:>12} {:>12} {:>9}",
         "MRAI", "pure BGP", "50% SDN", "speedup"
@@ -34,20 +33,14 @@ fn main() {
 
     let mut rows = Vec::new();
     for &mrai_s in &[0u64, 5, 15, 30] {
-        let median = |sdn_count: usize, seed: u64| -> f64 {
-            let base = CliqueScenario {
-                n: 16,
-                sdn_count,
-                mrai: SimDuration::from_secs(mrai_s),
-                recompute_delay: SimDuration::from_millis(100),
-                seed,
-                control_loss: 0.0,
-            };
-            let times = clique_sweep_point(&base, EventKind::Withdrawal, runs);
-            Summary::of_durations(&times).unwrap().median
-        };
-        let pure = median(0, 5000 + mrai_s);
-        let half = median(8, 6000 + mrai_s);
+        // The Figure 2 grid at this MRAI, cut down to its 0 % and 50 % cells.
+        let cells = sweep(&CampaignGrid {
+            name: "tblS2".to_string(),
+            cluster_sizes: vec![0, 8],
+            mrai: SimDuration::from_secs(mrai_s),
+            ..CampaignGrid::fig2(RUNS)
+        });
+        let (pure, half) = (cells[0].median, cells[1].median);
         let speedup = if half > 0.0 {
             pure / half
         } else {
@@ -82,5 +75,5 @@ fn main() {
     );
     println!("\nshape check: PASS (steady >2x speedup; absolute saving grows with MRAI)");
 
-    write_json("tblS2_mrai", &rows);
+    write_json("tblS2_mrai", &[], &rows);
 }

@@ -11,7 +11,7 @@
 //!    A ===== B
 //! ```
 
-use bgpsdn_bench::{runs_per_point, write_json};
+use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{Asn, PolicyMode, TimingConfig};
 use bgpsdn_core::{Controller, Experiment, NetworkBuilder};
 use bgpsdn_netsim::{SimDuration, Summary};
@@ -73,9 +73,8 @@ fn bridge_plan(extra_legacy: usize) -> bgpsdn_topology::TopologyPlan {
 }
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Table S3: sub-cluster partition tolerance ==");
-    println!("2 members bridged by one intra link, legacy chain below, {runs} runs\n");
+    println!("2 members bridged by one intra link, legacy chain below, {RUNS} runs\n");
 
     let hour = SimDuration::from_secs(3600);
     let mut split_times = Vec::new();
@@ -84,7 +83,7 @@ fn main() {
     let mut heal_conn = Vec::new();
     let mut subclusters_after_split = 0usize;
 
-    for r in 0..runs {
+    for r in 0..RUNS {
         let tp = bridge_plan(2);
         let n = tp.as_graph.len();
         let (a_idx, b_idx) = (n - 2, n - 1);
@@ -159,5 +158,5 @@ fn main() {
     assert!((rows[1].connectivity - 1.0).abs() < 1e-9);
     println!("\nshape check: PASS (full connectivity through both phases)");
 
-    write_json("tblS3_subcluster", &rows);
+    write_json("tblS3_subcluster", &[], &rows);
 }

@@ -4,7 +4,7 @@
 //! (tier-1s first, then regionals) — the deployment the clustering proposal
 //! (paper refs [8,9]) envisions.
 
-use bgpsdn_bench::{print_header, print_row, runs_per_point, write_json, SweepRow};
+use bgpsdn_bench::{print_sweep, write_json, SweepRow, RUNS};
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
 use bgpsdn_core::{Experiment, NetworkBuilder};
 use bgpsdn_netsim::{SimDuration, SimRng};
@@ -12,18 +12,16 @@ use bgpsdn_topology::caida::{synthesize, SynthesisParams};
 use bgpsdn_topology::plan;
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Table S4: internet-like topology, cluster size sweep ==");
     println!("~100-AS CAIDA-style hierarchy (4 tier-1 + 16 mid + 80 stubs),");
-    println!("Gao-Rexford, MRAI 30 s, withdrawal at a multihomed stub, {runs} runs/point\n");
-    print_header("cluster");
+    println!("Gao-Rexford, MRAI 30 s, withdrawal at a multihomed stub, {RUNS} runs/point\n");
 
     let hour = SimDuration::from_secs(3600);
     let mut rows = Vec::new();
     // Cluster sizes: none, tier-1s only, +half the mid tier, +all mids.
     for &cluster_size in &[0usize, 4, 12, 20] {
         let mut times = Vec::new();
-        for r in 0..runs {
+        for r in 0..RUNS {
             let mut rng = SimRng::seed_from_u64(8000 + r);
             let params = SynthesisParams::default();
             let ag = synthesize(&params, &mut rng);
@@ -47,10 +45,9 @@ fn main() {
             assert!(exp.prefix_fully_gone(exp.net.ases[stub].prefix));
             times.push(rep.duration);
         }
-        let row = SweepRow::from_durations(cluster_size as f64, &times);
-        print_row(&format!("{cluster_size} ASes"), &row);
-        rows.push(row);
+        rows.push(SweepRow::from_durations(cluster_size as f64, &times));
     }
+    print_sweep("cluster", " ASes", &rows);
 
     // Honest shape: under Gao-Rexford, valley-free policy already suppresses
     // most path exploration, so stub withdrawals converge fast with or
@@ -70,5 +67,5 @@ fn main() {
     println!("either way — the clique's linear gain needs policy-free transit; the");
     println!("cluster adds only its recompute-delay overhead here)");
 
-    write_json("tblS4_internet", &rows);
+    write_json("tblS4_internet", &[], &rows);
 }

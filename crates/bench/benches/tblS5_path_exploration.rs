@@ -4,7 +4,7 @@
 //! withdrawal, versus the SDN fraction. Centralization suppresses ghost
 //! routes, which is *why* convergence improves in Figure 2.
 
-use bgpsdn_bench::{runs_per_point, write_json};
+use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_core::{run_clique_with, CliqueRunOptions, CliqueScenario, EventKind};
 use bgpsdn_netsim::SimTime;
 use bgpsdn_obs::impl_to_json;
@@ -24,10 +24,9 @@ impl_to_json!(Row {
 });
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Table S5: path exploration during withdrawal ==");
     println!("16-AS clique, MRAI 30 s; distinct AS paths per legacy router as");
-    println!("seen by the route collector, {runs} runs/point\n");
+    println!("seen by the route collector, {RUNS} runs/point\n");
     println!(
         "{:>8} {:>18} {:>10} {:>10}",
         "SDN %", "paths/router mean", "max", "updates"
@@ -38,7 +37,7 @@ fn main() {
         let mut mean_paths = Vec::new();
         let mut max_paths = 0usize;
         let mut updates = Vec::new();
-        for r in 0..runs {
+        for r in 0..RUNS {
             let scenario = CliqueScenario {
                 seed: 9000 + r * 7919,
                 control_loss: 0.0,
@@ -88,5 +87,5 @@ fn main() {
     );
     println!("\nshape check: PASS (ghost-route exploration shrinks with the cluster)");
 
-    write_json("tblS5_path_exploration", &rows);
+    write_json("tblS5_path_exploration", &[], &rows);
 }

@@ -10,7 +10,7 @@
 //!   the controller absorbs the burst, legacy routers accumulate less
 //!   penalty, and recovery is faster.
 
-use bgpsdn_bench::{runs_per_point, write_json};
+use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{DampingConfig, PolicyMode, TimingConfig};
 use bgpsdn_core::{Experiment, NetworkBuilder};
 use bgpsdn_netsim::{SimDuration, Summary};
@@ -37,26 +37,24 @@ const FLAP_GAP: SimDuration = SimDuration::from_millis(1500);
 
 fn run_once(damping: bool, sdn_count: usize, seed: u64) -> (SimDuration, u64) {
     let ag = AsGraph::all_peer(&gen::clique(N), 65000);
-    let mut tp = plan(
+    let tp = plan(
         ag,
         PolicyMode::AllPermit,
         TimingConfig::with_mrai(SimDuration::from_secs(2)),
     )
     .unwrap();
-    if damping {
-        for r in &mut tp.routers {
-            r.damping = Some(DampingConfig {
-                half_life: SimDuration::from_secs(60),
-                ..Default::default()
-            });
-        }
-    }
     let members: Vec<usize> = (N - sdn_count..N).collect();
-    let net = NetworkBuilder::new(tp, seed)
+    let mut builder = NetworkBuilder::new(tp, seed)
         .with_sdn_members(members)
         // Wider than the flap period: the cluster can absorb the burst.
-        .with_recompute_delay(SimDuration::from_secs(4))
-        .build();
+        .with_recompute_delay(SimDuration::from_secs(4));
+    if damping {
+        builder = builder.with_damping(DampingConfig {
+            half_life: SimDuration::from_secs(60),
+            ..Default::default()
+        });
+    }
+    let net = builder.build();
     let mut exp = Experiment::new(net);
     assert!(exp.start(SimDuration::from_secs(3600)).converged);
 
@@ -98,10 +96,9 @@ fn run_once(damping: bool, sdn_count: usize, seed: u64) -> (SimDuration, u64) {
 }
 
 fn main() {
-    let runs = runs_per_point();
     println!("== Table S6: route-flap damping vs centralized rate-limiting ==");
     println!("{N}-AS clique, origin flaps {FLAPS}x then stabilizes; MRAI 2 s,");
-    println!("damping half-life 60 s, controller recompute window 4 s, {runs} runs/point\n");
+    println!("damping half-life 60 s, controller recompute window 4 s, {RUNS} runs/point\n");
     println!(
         "{:>9} {:>6} {:>16} {:>12}",
         "damping", "SDN", "recovery median", "suppressions"
@@ -111,7 +108,7 @@ fn main() {
     for &(damping, sdn_count) in &[(false, 0usize), (true, 0), (true, N / 2)] {
         let mut times = Vec::new();
         let mut sup = Vec::new();
-        for r in 0..runs {
+        for r in 0..RUNS {
             let (t, s) = run_once(damping, sdn_count, 11_000 + r * 7919);
             times.push(t);
             sup.push(s as f64);
@@ -148,5 +145,5 @@ fn main() {
     println!("\nshape check: PASS (damping exacerbates recovery; centralized");
     println!("rate-limiting absorbs the burst and reduces suppression)");
 
-    write_json("tblS6_damping", &rows);
+    write_json("tblS6_damping", &[], &rows);
 }

@@ -2,45 +2,29 @@
 //!
 //! Every table and figure of the paper's evaluation has a bench target in
 //! `benches/` that regenerates it: a workload, a parameter sweep, and
-//! printed rows matching what the paper reports. Results are also written
-//! as JSON under `bench-results/` at the workspace root so figures can be
-//! re-plotted, and [`write_run_artifact`] captures one representative run
-//! per bench as a typed-event JSONL artifact (`bgpsdn report` input) next
-//! to the summary JSON.
+//! printed rows matching what the paper reports. Each target also writes
+//! its rows to `bench-results/<target>.json` at the workspace root through
+//! [`write_json`]. Everything written is simulated time or an exact count,
+//! so the files are deterministic and the committed copies are the gate:
+//! `cargo bench -p bgpsdn-bench && git diff --exit-code -- bench-results`.
+//! Wall-clock is measured by `benchmark/` (see `BENCHMARK.json`), and here
+//! only by the `perf_micro` kernel bench, which writes nothing.
 
 pub mod detlint;
-pub mod regress;
 
 use std::fs;
 use std::path::PathBuf;
 
-use bgpsdn_core::{event_phase_name, run_clique_traced, CliqueScenario, EventKind};
+use bgpsdn_core::{run_campaign, CampaignGrid, CampaignRunReport};
 use bgpsdn_netsim::{SimDuration, Summary};
 use bgpsdn_obs::{impl_to_json, Json, ToJson};
 
-/// Number of seeded repetitions per sweep point: the paper uses 10;
-/// override with `BGPSDN_RUNS` for quicker passes.
-pub fn runs_per_point() -> u64 {
-    std::env::var("BGPSDN_RUNS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10)
-}
+/// Seeded repetitions per sweep point — the paper's "10 runs per point".
+pub const RUNS: u64 = 10;
 
-/// Where bench outputs land: `<workspace>/bench-results`, or
-/// `BGPSDN_BENCH_DIR` when set (CI writes fresh results beside the
-/// committed baselines so the regression gate can diff them).
-pub fn output_dir() -> PathBuf {
-    let dir = match std::env::var_os("BGPSDN_BENCH_DIR") {
-        Some(d) => PathBuf::from(d),
-        None => {
-            let here = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-            let root = here.parent().and_then(|p| p.parent()).unwrap_or(&here);
-            root.join("bench-results")
-        }
-    };
-    fs::create_dir_all(&dir).expect("create bench-results");
-    dir
+/// Where bench outputs land: `<workspace>/bench-results`.
+fn output_dir() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench-results"))
 }
 
 /// One boxplot row of a sweep.
@@ -92,61 +76,81 @@ impl SweepRow {
     }
 }
 
-/// Print a standard boxplot table header.
-pub fn print_header(xlabel: &str) {
+/// Run a clique grid through the campaign engine, one worker per core, and
+/// summarise every cell as a boxplot row (see [`cell_rows`]). Job results
+/// do not depend on the worker count, so neither do the rows.
+pub fn sweep(grid: &CampaignGrid) -> Vec<SweepRow> {
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    cell_rows(&run_campaign(grid, workers, false))
+}
+
+/// One boxplot row per grid cell, in cell order, keyed by the cell's SDN
+/// fraction in percent. The campaign artifact's cell lines carry
+/// min/median/p95/max only; the quartiles come from the job records.
+///
+/// # Panics
+///
+/// When a job panicked, missed convergence or failed its post-event audit.
+pub fn cell_rows(report: &CampaignRunReport) -> Vec<SweepRow> {
+    report
+        .results
+        .chunk_by(|a, b| a.job.cell == b.job.cell)
+        .map(|cell| {
+            let times: Vec<SimDuration> = cell
+                .iter()
+                .map(|r| {
+                    let id = r.job.id;
+                    let out = match &r.outcome {
+                        Ok(o) => &o.outcome,
+                        Err(e) => panic!("job {id} died: {e}"),
+                    };
+                    assert!(out.converged, "job {id} did not converge");
+                    assert!(out.audit_ok, "job {id} failed its post-event audit");
+                    out.convergence
+                })
+                .collect();
+            let job = &cell[0].job;
+            SweepRow::from_durations(job.cluster as f64 * 100.0 / job.n as f64, &times)
+        })
+        .collect()
+}
+
+/// Print a sweep as a boxplot table: one line per row, labelled by the
+/// row's `x` followed by `unit` (`"%"`, `" ASes"`) under the `xlabel` column.
+pub fn print_sweep(xlabel: &str, unit: &str, rows: &[SweepRow]) {
     println!(
         "{:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         xlabel, "min", "q1", "median", "q3", "max", "mean"
     );
+    for row in rows {
+        println!(
+            "{:>12} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            format!("{}{unit}", row.x),
+            row.min,
+            row.q1,
+            row.median,
+            row.q3,
+            row.max,
+            row.mean
+        );
+    }
 }
 
-/// Print one boxplot row.
-pub fn print_row(label: &str, row: &SweepRow) {
-    println!(
-        "{label:>12} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-        row.min, row.q1, row.median, row.q3, row.max, row.mean
-    );
-}
-
-/// Persist a bench result as JSON.
-pub fn write_json<T: ToJson>(name: &str, value: &T) {
-    let path = output_dir().join(format!("{name}.json"));
-    let json = value.to_json().to_pretty();
-    fs::write(&path, json).expect("write json");
-    println!("\n[written {}]", path.display());
-}
-
-/// Run one fully-traced representative of a sweep and persist its JSONL
-/// artifact as `bench-results/<name>.jsonl` (the document
-/// `Experiment::render_artifact_into` lays out). `bgpsdn report` and
-/// `bgpsdn verify --snapshot` read it back; figures can mine it without
-/// re-running the sweep.
-pub fn write_run_artifact(name: &str, scenario: &CliqueScenario, event: EventKind) -> PathBuf {
-    let (out, exp) = run_clique_traced(scenario, event);
-    assert!(out.converged, "artifact run did not converge");
-    let info = Json::Obj(vec![
-        ("bench".into(), Json::Str(name.to_string())),
-        ("scenario".into(), Json::Str("clique".into())),
-        (
-            "event".into(),
-            Json::Str(event_phase_name(event).to_string()),
-        ),
-        ("n".into(), Json::U64(scenario.n as u64)),
-        ("sdn".into(), Json::U64(scenario.sdn_count as u64)),
-        ("seed".into(), Json::U64(scenario.seed)),
-    ]);
-    let path = output_dir().join(format!("{name}.jsonl"));
-    let mut text = String::new();
-    exp.render_artifact_into(&info, &mut text);
-    fs::write(&path, text).expect("write jsonl artifact");
-    println!("[written {}]", path.display());
-    path
+/// Persist a bench result as `bench-results/<bench>.json` — the one shape
+/// every target writes: an object with the bench name, any summary scalars
+/// the bench derives from its rows, and the rows.
+pub fn write_json<T: ToJson>(bench: &str, summary: &[(&str, f64)], rows: &[T]) {
+    let mut kv = vec![("bench".to_string(), Json::Str(bench.to_string()))];
+    kv.extend(summary.iter().map(|&(k, v)| (k.to_string(), Json::F64(v))));
+    kv.push(("rows".to_string(), rows.to_json()));
+    let file = format!("{bench}.json");
+    fs::write(output_dir().join(&file), Json::Obj(kv).to_pretty()).expect("write json");
+    println!("\n[written bench-results/{file}]");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsdn_obs::RunArtifact;
 
     #[test]
     fn sweep_row_from_durations() {
@@ -174,39 +178,60 @@ mod tests {
     }
 
     #[test]
-    fn output_dir_exists() {
-        let d = output_dir();
-        assert!(d.ends_with("bench-results"));
-        assert!(d.is_dir());
-    }
-
-    #[test]
-    fn runs_default_is_ten() {
-        if std::env::var("BGPSDN_RUNS").is_err() {
-            assert_eq!(runs_per_point(), 10);
-        }
-    }
-
-    #[test]
-    fn rendered_artifact_parses_back() {
-        let scenario = CliqueScenario {
-            n: 5,
-            sdn_count: 2,
+    fn cell_rows_do_not_depend_on_the_worker_count() {
+        let grid = CampaignGrid {
+            n: 6,
+            cluster_sizes: vec![0, 3, 6],
             mrai: SimDuration::from_secs(1),
-            recompute_delay: SimDuration::from_millis(100),
-            seed: 11,
-            control_loss: 0.0,
+            ..CampaignGrid::fig2(3)
         };
-        let (out, exp) = run_clique_traced(&scenario, EventKind::Withdrawal);
-        assert!(out.converged);
-        let info = Json::Obj(vec![("bench".into(), Json::Str("test".into()))]);
-        let mut text = String::new();
-        exp.render_artifact_into(&info, &mut text);
-        assert!(text.contains("\n{\"type\":\"snapshot\","));
-        let artifact = RunArtifact::parse(&text).unwrap();
-        assert!(!artifact.events.is_empty());
-        assert_eq!(artifact.snapshots.len(), 2, "bring-up + withdrawal phases");
-        assert_eq!(artifact.snapshots[0].0, "bring-up");
-        assert_eq!(artifact.snapshots[1].0, "withdrawal");
+        let serial = cell_rows(&run_campaign(&grid, 1, false));
+        let pooled = cell_rows(&run_campaign(&grid, 3, false));
+        assert_eq!(
+            serial.iter().map(|r| r.x).collect::<Vec<_>>(),
+            [0.0, 50.0, 100.0]
+        );
+        assert!(serial.iter().all(|r| r.n == 3));
+        assert_eq!(
+            serial.to_json().to_pretty(),
+            pooled.to_json().to_pretty(),
+            "rows must be byte-identical across worker counts"
+        );
+    }
+
+    /// The committed results are the reproduction gate, so a forgotten or
+    /// orphaned file must fail tier-1: `bench-results/` holds exactly one
+    /// `<target>.json` per `[[bench]]` target, `perf_micro` (the kernel
+    /// bench, which writes nothing) excepted.
+    #[test]
+    fn bench_results_match_the_bench_targets() {
+        let manifest = include_str!("../Cargo.toml");
+        let mut expected: Vec<String> = manifest
+            .split("[[bench]]")
+            .skip(1)
+            .map(|entry| {
+                let name = entry
+                    .lines()
+                    .find_map(|l| l.trim().strip_prefix("name = "))
+                    .expect("every [[bench]] entry names its target");
+                name.trim_matches('"').to_string()
+            })
+            .filter(|name| name != "perf_micro")
+            .map(|name| format!("{name}.json"))
+            .collect();
+        expected.sort();
+        let mut found: Vec<String> = fs::read_dir(output_dir())
+            .expect("bench-results exists")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        found.sort();
+        assert_eq!(found, expected);
+        for file in &found {
+            let text = fs::read_to_string(output_dir().join(file)).unwrap();
+            let doc = Json::parse(&text).unwrap();
+            let bench = doc.get("bench").and_then(Json::as_str);
+            assert_eq!(bench, file.strip_suffix(".json"), "{file}");
+            assert!(doc.get("rows").and_then(Json::as_arr).is_some(), "{file}");
+        }
     }
 }

@@ -82,7 +82,7 @@ const MAX_SEGMENT_ASNS: usize = 255;
 ///
 /// Nearly every path is one short AS_SEQUENCE, and the layout is built for
 /// that: the leading AS_SEQUENCE is `lead` — stored inside the struct up to
-/// [`INLINE_ASNS`] ASNs, one heap vector beyond — and `rest`, whatever
+/// `INLINE_ASNS` (7) ASNs, one heap vector beyond — and `rest`, whatever
 /// follows it on the wire (AS_SETs from aggregation, further AS_SEQUENCEs),
 /// stays an unallocated `Vec`. Such a path owns no heap block and cloning it
 /// is a copy.

@@ -30,9 +30,9 @@ pub use network::{
 };
 pub use preflight::{check_plan, PreflightContext};
 pub use scenarios::{
-    clique_sweep_point, event_phase_name, run_clique, run_clique_traced, run_clique_with,
-    run_scale_instrumented, CliqueRunOptions, CliqueScenario, EventKind, ScaleOutcome,
-    ScaleScenario, ScenarioOutcome, SCALE_UPDATE_PHASE,
+    event_phase_name, run_clique, run_clique_traced, run_clique_with, run_scale_instrumented,
+    CliqueRunOptions, CliqueScenario, EventKind, ScaleOutcome, ScaleScenario, ScenarioOutcome,
+    SCALE_UPDATE_PHASE,
 };
 pub use script::{Script, ScriptAction, ScriptReport, StepOutcome};
 pub use traffic::ProbeReport;

@@ -315,23 +315,6 @@ pub fn run_clique_traced(
     })
 }
 
-/// Run `runs` seeded repetitions and collect the convergence durations —
-/// one boxplot point of Figure 2.
-pub fn clique_sweep_point(base: &CliqueScenario, event: EventKind, runs: u64) -> Vec<SimDuration> {
-    (0..runs)
-        .map(|r| {
-            let scenario = CliqueScenario {
-                seed: base.seed.wrapping_add(r * 7919),
-                ..base.clone()
-            };
-            let out = run_clique(&scenario, event);
-            assert!(out.converged, "run {r} did not converge");
-            assert!(out.audit_ok, "run {r} failed its post-event audit");
-            out.convergence
-        })
-        .collect()
-}
-
 // ----------------------------------------------------------------------
 // Table S7: scale run on a CAIDA-like tiered topology
 // ----------------------------------------------------------------------

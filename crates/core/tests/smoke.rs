@@ -1,5 +1,8 @@
-use bgpsdn_core::{run_clique, run_scale_instrumented, CliqueScenario, EventKind, ScaleScenario};
+use bgpsdn_core::{
+    run_clique, run_clique_traced, run_scale_instrumented, CliqueScenario, EventKind, ScaleScenario,
+};
 use bgpsdn_netsim::SimDuration;
+use bgpsdn_obs::{Json, RunArtifact};
 
 #[test]
 fn smoke_hybrid_withdrawal() {
@@ -57,4 +60,27 @@ fn more_members_than_ases_is_rejected_not_wrapped() {
         control_loss: 0.0,
     };
     run_clique(&s, EventKind::Withdrawal);
+}
+
+#[test]
+fn rendered_artifact_parses_back() {
+    let scenario = CliqueScenario {
+        n: 5,
+        sdn_count: 2,
+        mrai: SimDuration::from_secs(1),
+        recompute_delay: SimDuration::from_millis(100),
+        seed: 11,
+        control_loss: 0.0,
+    };
+    let (out, exp) = run_clique_traced(&scenario, EventKind::Withdrawal);
+    assert!(out.converged);
+    let info = Json::Obj(vec![("bench".into(), Json::Str("test".into()))]);
+    let mut text = String::new();
+    exp.render_artifact_into(&info, &mut text);
+    assert!(text.contains("\n{\"type\":\"snapshot\","));
+    let artifact = RunArtifact::parse(&text).unwrap();
+    assert!(!artifact.events.is_empty());
+    assert_eq!(artifact.snapshots.len(), 2, "bring-up + withdrawal phases");
+    assert_eq!(artifact.snapshots[0].0, "bring-up");
+    assert_eq!(artifact.snapshots[1].0, "withdrawal");
 }

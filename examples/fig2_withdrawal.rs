@@ -1,42 +1,20 @@
-//! Reproduce the paper's Figure 2 at full scale: IDR convergence time of a
-//! route withdrawal on a 16-AS clique versus the fraction of ASes with
-//! centralized route control — boxplots over 10 seeded runs per point.
+//! Reproduce the paper's Figure 2: IDR convergence time of a route
+//! withdrawal on a 16-AS clique versus the number of ASes with centralized
+//! route control, 10 seeded runs per point — the grid `bgpsdn sweep --fig2`
+//! runs, as a library call.
 //!
 //! ```sh
-//! cargo run --release --example fig2_withdrawal          # 10 runs/point
-//! cargo run --release --example fig2_withdrawal -- 3     # quicker: 3 runs
+//! cargo run --release --example fig2_withdrawal
 //! ```
 
 use bgp_sdn_emu::prelude::*;
 
 fn main() {
-    let runs: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
-
-    println!("Figure 2: withdrawal convergence vs SDN fraction");
-    println!("16-AS clique, full transit, MRAI 30 s, {runs} runs per point\n");
-    println!(
-        "{:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "fraction", "min", "q1", "median", "q3", "max", "mean"
-    );
-
-    for sdn_count in (0..=16).step_by(2) {
-        let base = CliqueScenario::fig2(sdn_count, 1000);
-        let times = clique_sweep_point(&base, EventKind::Withdrawal, runs);
-        let s = Summary::of_durations(&times).expect("non-empty");
-        println!(
-            "{:>8}% {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-            sdn_count * 100 / 16,
-            s.min,
-            s.q1,
-            s.median,
-            s.q3,
-            s.max,
-            s.mean
-        );
-    }
-    println!("\n(values in seconds; compare the shape with the paper's boxplots:");
-    println!(" a roughly linear decrease, collapsing at full deployment)");
+    let grid = CampaignGrid::fig2(10);
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let report = run_campaign(&grid, workers, false);
+    let artifact = CampaignArtifact::parse(&report.render_artifact(&grid)).expect("own artifact");
+    // One line per cluster size: a roughly linear decrease of the median,
+    // collapsing at full deployment.
+    print!("{}", artifact.render_report());
 }

@@ -1,7 +1,6 @@
 //! `bgpsdn` — command-line front end for the hybrid BGP-SDN framework.
 //!
 //! ```text
-//! bgpsdn fig2   [--runs N] [--n SIZE] [--mrai SECS]
 //! bgpsdn run    --event withdrawal|announcement|failover --sdn K
 //!               [--n SIZE] [--mrai SECS] [--seed S] [--recompute-ms MS]
 //!               [--trace-out FILE]
@@ -12,8 +11,11 @@
 //! bgpsdn report FILE
 //! bgpsdn explain FILE [--json] [--top N]
 //! bgpsdn verify --snapshot FILE
-//! bgpsdn ping   --sdn K [--n SIZE] [--fail-at TICK] [--heal-at TICK]
+//! bgpsdn ping   --sdn K [--n SIZE] [--fail-at TICK] [--heal-at TICK] [--seed S]
 //! ```
+//!
+//! Each subcommand reads a fixed set of flags ([`known_flags`]); anything
+//! else on its command line is a usage error (exit 2) that names the flag.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,9 +26,6 @@ use bgp_sdn_emu::prelude::*;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  bgpsdn fig2 [--runs N] [--n SIZE] [--mrai SECS]
-      regenerate the paper's Figure 2 sweep
-
   bgpsdn run --event withdrawal|announcement|failover --sdn K
              [--n SIZE] [--mrai SECS] [--seed S] [--recompute-ms MS]
              [--trace-out FILE]
@@ -37,7 +36,10 @@ fn usage() -> ExitCode {
       run a parameter-sweep campaign on a worker pool and merge the runs
       into one campaign artifact with per-grid-cell statistics.
       --fig2              the paper's Figure 2 grid (16-AS clique
-                          withdrawal, cluster sizes 0..=16)
+                          withdrawal, MRAI 30 s, cluster sizes 0..=16);
+                          refined only by --seeds, --base-seed, --clusters,
+                          --strategy, --chaos and --verify — spell any
+                          other grid with --sizes
       --sizes K1,K2,...   explicit cluster-size axis
       --clusters C1,C2,...
                           cluster-count axis: split each cell's members
@@ -54,8 +56,8 @@ fn usage() -> ExitCode {
       --n SIZE --mrai SECS --recompute-ms MS --base-seed S
                           shared scenario parameters
       --event withdrawal|announcement|failover (default withdrawal)
-      --chaos OUTAGES [--chaos-horizon SECS]
-                          seeded per-job control-plane outage schedules
+      --chaos OUTAGES [--chaos-horizon SECS] [--chaos-classes all|control|data]
+                          seeded per-job outage schedules
       --verify            static-verifier checkpoints in every job
       --out FILE          merged campaign artifact (default
                           <name>_campaign.jsonl)
@@ -91,7 +93,7 @@ fn usage() -> ExitCode {
       intent consistency, valley-free) over a JSONL artifact's frozen
       snapshot line; exits nonzero if any invariant is violated
 
-  bgpsdn ping --sdn K [--n SIZE] [--fail-at TICK] [--heal-at TICK]
+  bgpsdn ping --sdn K [--n SIZE] [--fail-at TICK] [--heal-at TICK] [--seed S]
       data-plane probe stream across a link failure"
     );
     ExitCode::from(2)
@@ -159,6 +161,82 @@ impl Args {
     }
 }
 
+/// The flags `cmd` reads, or `None` for an unknown subcommand.
+fn known_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    // What spells a campaign grid; `sweep` runs it, `check` analyzes it.
+    const GRID: &[&str] = &[
+        "fig2",
+        "sizes",
+        "clusters",
+        "strategy",
+        "loss",
+        "ctl-latency-ms",
+        "seeds",
+        "n",
+        "mrai",
+        "recompute-ms",
+        "base-seed",
+        "event",
+        "chaos",
+        "chaos-horizon",
+        "chaos-classes",
+        "verify",
+    ];
+    let own: &[&str] = match cmd {
+        "run" => &[
+            "event",
+            "sdn",
+            "n",
+            "mrai",
+            "seed",
+            "recompute-ms",
+            "trace-out",
+        ],
+        "sweep" => &["workers", "out", "artifacts"],
+        "check" => &["json"],
+        "report" => &[],
+        "explain" => &["json", "top"],
+        "verify" => &["snapshot"],
+        "ping" => &["sdn", "n", "fail-at", "heal-at", "seed"],
+        _ => return None,
+    };
+    let grid = match cmd {
+        "sweep" | "check" => GRID,
+        _ => &[],
+    };
+    Some([own, grid].concat())
+}
+
+/// Reject what `cmd` would otherwise silently drop: a flag it does not read
+/// (`run --sed 9` must not run seed 1), or a flag the `--fig2` preset fixes
+/// (`sweep --fig2 --n 6` must not run the 16-AS grid).
+fn check_flags(cmd: &str, known: &[&str], args: &Args) -> Result<(), String> {
+    if let Some((flag, _)) = args
+        .flags
+        .iter()
+        .find(|(f, _)| !known.contains(&f.as_str()))
+    {
+        return Err(format!("`bgpsdn {cmd}` does not read --{flag}"));
+    }
+    const FIG2_FIXES: &[&str] = &[
+        "n",
+        "mrai",
+        "event",
+        "sizes",
+        "loss",
+        "ctl-latency-ms",
+        "recompute-ms",
+    ];
+    if args.has("fig2") {
+        if let Some(flag) = FIG2_FIXES.iter().find(|f| args.has(f)) {
+            return Err(format!(
+                "--fig2 fixes --{flag}; spell the grid with --sizes K1,K2,... instead"
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn scenario(args: &Args, sdn: usize) -> Result<CliqueScenario, String> {
     Ok(CliqueScenario {
         n: args.get("n", 16usize)?,
@@ -168,32 +246,6 @@ fn scenario(args: &Args, sdn: usize) -> Result<CliqueScenario, String> {
         seed: args.get("seed", 1u64)?,
         control_loss: 0.0,
     })
-}
-
-fn cmd_fig2(args: &Args) -> Result<(), String> {
-    let runs: u64 = args.get("runs", 10)?;
-    let n: usize = args.get("n", 16)?;
-    let mrai: u64 = args.get("mrai", 30)?;
-    println!("Figure 2 sweep: {n}-AS clique, MRAI {mrai}s, {runs} runs/point\n");
-    println!("{:>8} {:>10} {:>10} {:>10}", "SDN", "min", "median", "max");
-    let step = (n / 8).max(1);
-    for k in (0..=n).step_by(step) {
-        let base = CliqueScenario {
-            n,
-            sdn_count: k,
-            mrai: SimDuration::from_secs(mrai),
-            recompute_delay: SimDuration::from_millis(100),
-            seed: 1000 + k as u64,
-            control_loss: 0.0,
-        };
-        let times = clique_sweep_point(&base, EventKind::Withdrawal, runs);
-        let s = Summary::of_durations(&times).expect("non-empty");
-        println!(
-            "{:>5}/{n} {:>9.2}s {:>9.2}s {:>9.2}s",
-            k, s.min, s.median, s.max
-        );
-    }
-    Ok(())
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
@@ -296,72 +348,72 @@ fn parse_event(raw: Option<&str>) -> Result<EventKind, String> {
     }
 }
 
-/// The explicit `--sizes K1,K2,...` grid with every axis and scenario flag
-/// applied, nothing validated.
-fn sizes_grid(args: &Args, seeds: u64) -> Result<CampaignGrid, String> {
-    Ok(CampaignGrid {
-        name: "sweep".to_string(),
-        n: args.get("n", 16)?,
-        event: parse_event(args.get_str("event"))?,
-        cluster_sizes: args.get_list("sizes", vec![])?,
-        clusters: args.get_list("clusters", vec![1usize])?,
-        strategy: parse_strategy(args.get_str("strategy"))?,
-        loss: args.get_list("loss", vec![0.0])?,
-        ctl_latency: args
-            .get_list("ctl-latency-ms", vec![1u64])?
-            .into_iter()
-            .map(SimDuration::from_millis)
-            .collect(),
-        mrai: SimDuration::from_secs(args.get("mrai", 30u64)?),
-        recompute_delay: SimDuration::from_millis(args.get("recompute-ms", 100u64)?),
-        seeds,
-        base_seed: args.get("base-seed", 1000u64)?,
-        faults: None,
-        verify: args.has("verify"),
-    })
+/// The `--chaos OUTAGES [--chaos-horizon SECS] [--chaos-classes C]` spec.
+fn fault_spec(args: &Args) -> Result<Option<FaultSpec>, String> {
+    let outages: usize = args.get("chaos", 0)?;
+    if outages == 0 {
+        return Ok(None);
+    }
+    Ok(Some(FaultSpec {
+        outages,
+        horizon: SimDuration::from_secs(args.get("chaos-horizon", 60u64)?),
+        classes: match args.get_str("chaos-classes").unwrap_or("all") {
+            "all" => FaultClasses::ALL,
+            "control" => FaultClasses::CONTROL_ONLY,
+            "data" => FaultClasses::DATA_PLANE,
+            other => {
+                return Err(format!(
+                    "--chaos-classes must be all|control|data, got {other}"
+                ))
+            }
+        },
+    }))
+}
+
+/// The campaign grid the grid flags describe, nothing validated: the
+/// `--fig2` preset, or the explicit `--sizes K1,K2,...` grid spelled by
+/// exactly the flags the preset fixes (`check_flags` rejects those next to
+/// `--fig2`), refined by the flags both accept.
+fn grid_from_args(args: &Args) -> Result<CampaignGrid, String> {
+    let fig2 = CampaignGrid::fig2(args.get("seeds", 10)?);
+    let mut grid = if args.has("fig2") {
+        fig2
+    } else {
+        CampaignGrid {
+            name: "sweep".to_string(),
+            n: args.get("n", 16)?,
+            event: parse_event(args.get_str("event"))?,
+            cluster_sizes: args.get_list("sizes", vec![])?,
+            loss: args.get_list("loss", vec![0.0])?,
+            ctl_latency: args
+                .get_list("ctl-latency-ms", vec![1u64])?
+                .into_iter()
+                .map(SimDuration::from_millis)
+                .collect(),
+            mrai: SimDuration::from_secs(args.get("mrai", 30u64)?),
+            recompute_delay: SimDuration::from_millis(args.get("recompute-ms", 100u64)?),
+            ..fig2
+        }
+    };
+    grid.clusters = args.get_list("clusters", grid.clusters)?;
+    grid.strategy = parse_strategy(args.get_str("strategy"))?;
+    grid.base_seed = args.get("base-seed", grid.base_seed)?;
+    grid.faults = fault_spec(args)?;
+    grid.verify = args.has("verify");
+    Ok(grid)
 }
 
 /// Build the campaign grid a `sweep` invocation describes.
 fn sweep_grid(args: &Args) -> Result<CampaignGrid, String> {
-    let seeds: u64 = args.get("seeds", 10)?;
-    if seeds == 0 {
+    let grid = grid_from_args(args)?;
+    if grid.seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    let mut grid = if args.has("fig2") {
-        CampaignGrid::fig2(seeds)
-    } else {
-        let grid = sizes_grid(args, seeds)?;
-        if grid.cluster_sizes.is_empty() {
-            return Err("sweep needs --fig2 or --sizes K1,K2,...".into());
-        }
-        if grid.cluster_sizes.iter().any(|&k| k > grid.n) {
-            return Err(format!("--sizes entries must be <= --n ({})", grid.n));
-        }
-        grid
-    };
-    // Flags that refine the fig2 preset too.
-    if args.has("fig2") {
-        grid.base_seed = args.get("base-seed", grid.base_seed)?;
-        grid.verify = args.has("verify");
-        grid.clusters = args.get_list("clusters", grid.clusters)?;
-        grid.strategy = parse_strategy(args.get_str("strategy"))?;
+    if grid.cluster_sizes.is_empty() {
+        return Err("sweep needs --fig2 or --sizes K1,K2,...".into());
     }
-    let outages: usize = args.get("chaos", 0)?;
-    if outages > 0 {
-        grid.faults = Some(FaultSpec {
-            outages,
-            horizon: SimDuration::from_secs(args.get("chaos-horizon", 60u64)?),
-            classes: match args.get_str("chaos-classes").unwrap_or("all") {
-                "all" => FaultClasses::ALL,
-                "control" => FaultClasses::CONTROL_ONLY,
-                "data" => FaultClasses::DATA_PLANE,
-                other => {
-                    return Err(format!(
-                        "--chaos-classes must be all|control|data, got {other}"
-                    ))
-                }
-            },
-        });
+    if grid.cluster_sizes.iter().any(|&k| k > grid.n) {
+        return Err(format!("--sizes entries must be <= --n ({})", grid.n));
     }
     Ok(grid)
 }
@@ -590,27 +642,6 @@ fn clique_targets(grid: &CampaignGrid) -> (Vec<CheckTarget>, Vec<CheckTarget>) {
     (single, split)
 }
 
-/// Build the campaign grid a `check` invocation describes. Unlike
-/// [`sweep_grid`] this does not pre-validate sizes or seeds — surfacing
-/// those as analyzer findings is the point.
-fn check_grid_args(args: &Args) -> Result<CampaignGrid, String> {
-    let seeds: u64 = args.get("seeds", 10)?;
-    let mut grid = if args.has("sizes") {
-        sizes_grid(args, seeds)?
-    } else {
-        CampaignGrid::fig2(seeds)
-    };
-    let outages: usize = args.get("chaos", 0)?;
-    if outages > 0 {
-        grid.faults = Some(FaultSpec {
-            outages,
-            horizon: SimDuration::from_secs(args.get("chaos-horizon", 60u64)?),
-            classes: FaultClasses::ALL,
-        });
-    }
-    Ok(grid)
-}
-
 /// The built-in pre-flight suite: the Fig. 2 grid, the clique scenarios it
 /// expands to (with hunt-depth bounds), a fail-over grid, a CAIDA-like
 /// Gao-Rexford hierarchy, and the demo experiment script.
@@ -688,9 +719,13 @@ fn builtin_targets() -> Result<Vec<CheckTarget>, String> {
 /// scripts without running a single simulated event. Exits nonzero when
 /// any finding (error or warning) is reported.
 fn cmd_check(args: &Args) -> Result<(), String> {
-    let grid_requested = args.has("fig2") || args.has("sizes");
+    // Any grid flag asks for a grid: `check --n 6` alone must not run the
+    // built-in suite and drop the flag.
+    let grid_requested = args.flags.iter().any(|(f, _)| f != "json");
     let targets = if grid_requested {
-        let grid = check_grid_args(args)?;
+        // Unlike `sweep`, sizes and seeds are not pre-validated here —
+        // surfacing those as analyzer findings is the point.
+        let grid = grid_from_args(args)?;
         let mut targets = vec![CheckTarget::new(
             format!("grid:{}", grid.name),
             grid.preflight(),
@@ -891,45 +926,30 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = argv.split_first() else {
         return usage();
     };
-    if cmd == "report" {
-        let Some(path) = rest.first().filter(|_| rest.len() == 1) else {
-            return usage();
-        };
-        return match cmd_report(path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd == "explain" {
-        // `explain FILE [--json] [--top N]`: the path is positional.
-        let Some((path, flags)) = rest.split_first() else {
-            return usage();
-        };
-        if path.starts_with("--") {
-            return usage();
-        }
-        let Some(args) = Args::parse(flags) else {
-            return usage();
-        };
-        return match cmd_explain(path, &args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let Some(args) = Args::parse(rest) else {
+    let Some(known) = known_flags(cmd) else {
         return usage();
     };
+    // `report FILE` and `explain FILE [flags]` take the path positionally.
+    let (path, flags) = match cmd.as_str() {
+        "report" | "explain" => match rest.split_first() {
+            Some((path, flags)) if !path.starts_with("--") => (path.as_str(), flags),
+            _ => return usage(),
+        },
+        _ => ("", rest),
+    };
+    let Some(args) = Args::parse(flags) else {
+        return usage();
+    };
+    if let Err(e) = check_flags(cmd, &known, &args) {
+        eprintln!("error: {e} (run `bgpsdn` alone for usage)");
+        return ExitCode::from(2);
+    }
     let result = match cmd.as_str() {
-        "fig2" => cmd_fig2(&args),
         "run" => cmd_run(&args),
         "sweep" => cmd_sweep(&args),
         "check" => cmd_check(&args),
+        "report" => cmd_report(path),
+        "explain" => cmd_explain(path, &args),
         "verify" => cmd_verify(&args),
         "ping" => cmd_ping(&args),
         _ => return usage(),

@@ -65,12 +65,12 @@ pub mod prelude {
     };
     pub use bgpsdn_collector::{ConnectivityReport, ConvergenceReport, UpdateLog};
     pub use bgpsdn_core::{
-        check_plan, clique_sweep_point, event_phase_name, fold_deployment_seed, run_campaign,
-        run_campaign_scratch, run_clique, run_clique_traced, run_clique_with, run_job,
-        run_job_scratch, AsKind, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions,
-        CliqueScenario, ClusterHandle, Controller, DeploymentStrategy, EventKind, Experiment,
-        FaultAction, FaultClasses, FaultPlan, FaultSpec, HybridNetwork, JobResult, JobScratch,
-        NetworkBuilder, PreflightContext, Router, ScenarioOutcome, Script, Speaker, Switch,
+        check_plan, event_phase_name, fold_deployment_seed, run_campaign, run_campaign_scratch,
+        run_clique, run_clique_traced, run_clique_with, run_job, run_job_scratch, AsKind,
+        CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions, CliqueScenario,
+        ClusterHandle, Controller, DeploymentStrategy, EventKind, Experiment, FaultAction,
+        FaultClasses, FaultPlan, FaultSpec, HybridNetwork, JobResult, JobScratch, NetworkBuilder,
+        PreflightContext, Router, ScenarioOutcome, Script, Speaker, Switch,
     };
     pub use bgpsdn_netsim::{
         Activity, DataPacket, LatencyModel, SimDuration, SimRng, SimTime, Simulator, Summary,

@@ -19,6 +19,16 @@ fn analyze(exp: &Experiment) -> CausalAnalysis {
     )
 }
 
+/// The longest critical path over all triggers of the event phase.
+fn critical_path_ns(analysis: &CausalAnalysis) -> u64 {
+    analysis
+        .triggers
+        .iter()
+        .filter_map(|t| t.convergence_ns())
+        .max()
+        .expect("withdrawal trigger settles")
+}
+
 #[test]
 fn critical_path_matches_last_table_change() {
     let scenario = CliqueScenario {
@@ -33,12 +43,7 @@ fn critical_path_matches_last_table_change() {
     assert!(out.converged);
     let analysis = analyze(&exp);
     assert_eq!(analysis.dangling, 0, "lineage must be complete");
-    let critical_ns = analysis
-        .triggers
-        .iter()
-        .filter_map(|t| t.convergence_ns())
-        .max()
-        .expect("withdrawal trigger settles");
+    let critical_ns = critical_path_ns(&analysis);
     let phase_start = exp.phase_start();
     let settled_ns = [
         Activity::RibChange,
@@ -60,6 +65,31 @@ fn critical_path_matches_last_table_change() {
     let longest = &t.paths[0];
     assert!(longest.complete, "walk must reach the trigger root");
     assert_eq!(longest.phases.total(), longest.total_ns);
+}
+
+#[test]
+fn collector_trails_the_critical_path_by_one_hop() {
+    // The collector sits one control link (1 ms propagation) away from the
+    // routers, so on the Fig. 2 clique its convergence reading trails the
+    // critical path — the last table change — by one hop; allow two in
+    // case the final update rides a retransmit.
+    const COLLECTOR_HOP_NS: u64 = 2_000_000;
+    let scenario = CliqueScenario::fig2(8, 4242);
+    let opts = CliqueRunOptions::default();
+    let (out, exp) = run_clique_with(&scenario, EventKind::Withdrawal, &opts, |sim| {
+        sim.trace_mut().enable(TraceCategory::Causal);
+    });
+    assert!(out.converged && out.audit_ok);
+    let critical_ns = critical_path_ns(&analyze(&exp));
+    let collector_ns = out
+        .collector_convergence
+        .expect("clique runs have a collector")
+        .as_nanos();
+    assert!(
+        collector_ns.abs_diff(critical_ns) <= COLLECTOR_HOP_NS,
+        "collector convergence ({collector_ns} ns) must trail the critical \
+         path ({critical_ns} ns) by at most one collector hop"
+    );
 }
 
 #[test]

@@ -71,3 +71,28 @@ fn impossible_grid_is_rejected_with_the_finding_code() {
         "finding code missing from output:\n{text}"
     );
 }
+
+#[test]
+fn grid_flags_are_read_or_rejected_never_dropped() {
+    // `check` builds its grid like `sweep` does: a bad --chaos-classes is
+    // an error (it used to be dropped, and the classes forced to `all`).
+    let out = bgpsdn()
+        .args(["check", "--sizes", "4", "--n", "8", "--chaos", "2"])
+        .args(["--chaos-classes", "bogus"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--chaos-classes must be"), "{err}");
+
+    // Unknown flags and flags the preset fixes are usage errors.
+    for (args, needle) in [
+        (["check", "--fig2", "--bogus", "7"], "does not read --bogus"),
+        (["check", "--fig2", "--n", "6"], "--fig2 fixes --n"),
+    ] {
+        let out = bgpsdn().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+    }
+}

@@ -109,3 +109,32 @@ fn sweep_rejects_bad_grids() {
         .expect("spawn");
     assert!(!zero.status.success());
 }
+
+/// A usage error: exit 2, nothing on stdout, the reason on stderr.
+fn usage_error(args: &[&str]) -> String {
+    let out = bgpsdn().args(args).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+    assert!(out.stdout.is_empty(), "{args:?} ran before being rejected");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn sweep_rejects_flags_it_would_drop() {
+    // The preset fixes the clique size and MRAI: this used to run the
+    // 16-AS / 30 s grid and report 329 s convergences for a "6-AS" sweep.
+    let err = usage_error(&["sweep", "--fig2", "--n", "6", "--mrai", "1", "--seeds", "1"]);
+    assert!(err.contains("--fig2 fixes --n"), "{err}");
+    assert!(err.contains("--sizes"), "must point at --sizes: {err}");
+
+    // A flag no subcommand knows.
+    let err = usage_error(&["sweep", "--fig2", "--bogus", "7"]);
+    assert!(err.contains("does not read --bogus"), "{err}");
+}
+
+#[test]
+fn fig2_subcommand_is_gone() {
+    // `sweep --fig2` is Figure 2; the serial twin prints the usage text.
+    let err = usage_error(&["fig2", "--runs", "3"]);
+    assert!(err.starts_with("usage:"), "{err}");
+    assert!(err.contains("bgpsdn sweep --fig2"), "{err}");
+}

@@ -242,3 +242,16 @@ fn run_rejects_more_members_than_ases() {
     assert!(err.contains("error: --sdn must be <= --n"), "{err}");
     assert!(run.stdout.is_empty(), "rejected before anything is printed");
 }
+
+#[test]
+fn run_rejects_a_mistyped_flag() {
+    // `--sed 9` (for `--seed 9`) used to be dropped and seed 1 run instead.
+    let run = bgpsdn()
+        .args(["run", "--event", "withdrawal", "--sdn", "2", "--sed", "9"])
+        .output()
+        .expect("spawn bgpsdn run");
+    assert_eq!(run.status.code(), Some(2), "a usage error");
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("does not read --sed"), "{err}");
+    assert!(run.stdout.is_empty(), "rejected before anything is printed");
+}
