@@ -16,7 +16,10 @@ use bgpsdn_core::{
     compute, compute_into, run_clique, CliqueScenario, ComputeScratch, Controller, EventKind,
     Experiment, ExternalRoute, NetworkBuilder, PrefixComputation, SwitchGraph,
 };
-use bgpsdn_netsim::{EventBody, EventQueue, NodeId, SimDuration, SimRng, SimTime};
+use bgpsdn_netsim::{
+    Ctx, EventBody, EventQueue, LinkId, Node, NodeId, SimDuration, SimRng, SimTime, Simulator,
+    TimerClass, TimerToken,
+};
 use bgpsdn_sdn::{ClusterMsg, FlowAction, FlowRule, FlowTable, SdnApp, SpeakerEvent};
 use bgpsdn_topology::{gen, plan, AsGraph};
 
@@ -149,10 +152,11 @@ fn bench_controller_recompute(c: &mut Criterion) {
     });
 }
 
+#[derive(Debug, Clone)]
+struct NoMsg;
+impl bgpsdn_netsim::Message for NoMsg {}
+
 fn bench_queue_sparse(c: &mut Criterion) {
-    #[derive(Debug, Clone)]
-    struct NoMsg;
-    impl bgpsdn_netsim::Message for NoMsg {}
     // A small network's timer schedule: one event every ~10 ms (76 empty
     // calendar buckets apart) and a 30 s MRAI-scale tail in the overflow.
     let mut q: EventQueue<NoMsg> = EventQueue::new();
@@ -173,6 +177,67 @@ fn bench_queue_sparse(c: &mut Criterion) {
             black_box(now)
         })
     });
+}
+
+/// The two kinds of timer through the whole simulator (action buffer, queue,
+/// dispatch), next to the bare queue above. `timers/one_shot`: 100 000
+/// one-shot firings at a standing depth of 1 000, each scheduling its
+/// successor. `timers/rearm`: 100 000 arms of named timers — a 1 ms tick that
+/// re-arms itself and a 90 ms hold timer 50 000 times, so half the pops are
+/// superseded firings.
+fn bench_timers(c: &mut Criterion) {
+    const TICK: TimerToken = TimerToken(0);
+    const HOLD: TimerToken = TimerToken(1);
+    const MS: SimDuration = SimDuration::from_millis(1);
+    struct TimerLoad {
+        one_shot: bool,
+        left: u32,
+    }
+    impl Node<NoMsg> for TimerLoad {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, NoMsg>) {
+            if self.one_shot {
+                for i in 0..1_000 {
+                    let at = ctx.now() + SimDuration::from_micros(i);
+                    ctx.schedule_timer(at, TICK, TimerClass::Progress);
+                }
+            } else {
+                ctx.set_timer(MS, TICK, TimerClass::Progress);
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, NoMsg>, _: NodeId, _: LinkId, _: NoMsg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, NoMsg>, token: TimerToken) {
+            if self.left == 0 || token == HOLD {
+                return;
+            }
+            self.left -= 1;
+            if self.one_shot {
+                ctx.schedule_timer(ctx.now() + MS, TICK, TimerClass::Progress);
+            } else {
+                ctx.set_timer(MS, TICK, TimerClass::Progress);
+                ctx.set_timer(MS * 90, HOLD, TimerClass::Progress);
+            }
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+    for (name, one_shot, left, fired) in [
+        ("timers/one_shot", true, 99_000, 100_000),
+        ("timers/rearm", false, 50_000, 50_002),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut sim: Simulator<NoMsg> = Simulator::new(1);
+                sim.add_node("t", |_| TimerLoad { one_shot, left });
+                while sim.step() {}
+                assert_eq!(sim.stats().timers_fired, fired);
+                black_box(sim.stats().timers_stale)
+            })
+        });
+    }
 }
 
 fn bench_topology_gen(c: &mut Criterion) {
@@ -295,6 +360,7 @@ criterion_group!(
         bench_controller_compute,
         bench_controller_recompute,
         bench_queue_sparse,
+        bench_timers,
         bench_topology_gen,
         bench_trace_disabled,
         bench_trace_codec,

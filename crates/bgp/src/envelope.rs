@@ -12,9 +12,17 @@
 
 use bgpsdn_netsim::{Cause, DataApp, DataPacket, Message, NodeId};
 
+use crate::inline::InlineVec;
 use crate::msg::BgpMessage;
 use crate::types::Prefix;
 use crate::wire::{CodecError, Writer};
+
+/// The encoded bytes of one message. Up to 64 ride inside the envelope —
+/// and so inside the queued event — which covers a one-prefix UPDATE with
+/// a path of up to 5 hops (42 bytes + 4 per hop: the 54–62 byte mode of
+/// the hierarchy workloads), every KEEPALIVE and the standard OPEN; longer
+/// messages spill to one exact-size heap vector.
+pub type WireBytes = InlineVec<u8, 64>;
 
 /// A BGP message in flight: wire bytes plus logical endpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +33,7 @@ pub struct BgpEnvelope {
     /// Logical receiver.
     pub dst: NodeId,
     /// Encoded BGP message (header included).
-    pub bytes: Vec<u8>,
+    pub bytes: WireBytes,
     /// Causal lineage riding alongside the wire bytes (never encoded, never
     /// counted in [`BgpEnvelope::wire_len`]); [`Cause::NONE`] when causal
     /// tracing is off.
@@ -35,12 +43,7 @@ pub struct BgpEnvelope {
 impl BgpEnvelope {
     /// Encode `msg` into an envelope with no causal lineage.
     pub fn new(src: NodeId, dst: NodeId, msg: &BgpMessage) -> Self {
-        BgpEnvelope {
-            src,
-            dst,
-            bytes: msg.encode(),
-            cause: Cause::NONE,
-        }
+        Self::with_cause(src, dst, msg, Cause::NONE)
     }
 
     /// Encode `msg` into an envelope carrying causal lineage.
@@ -48,16 +51,16 @@ impl BgpEnvelope {
         BgpEnvelope {
             src,
             dst,
-            bytes: msg.encode(),
+            bytes: msg.encode().into(),
             cause,
         }
     }
 
     /// [`with_cause`](Self::with_cause), encoding through a caller-owned
     /// scratch writer. Senders on the hot path (the router, the cluster
-    /// speaker) keep one [`Writer`] per node, turning the two allocations
-    /// per message of the plain constructors into a single exact-size
-    /// `bytes` allocation.
+    /// speaker) keep one [`Writer`] per node, so a message that fits
+    /// [`WireBytes`] inline is sent without allocating and a longer one
+    /// with a single exact-size allocation.
     pub fn with_cause_scratch(
         src: NodeId,
         dst: NodeId,
@@ -69,7 +72,7 @@ impl BgpEnvelope {
         BgpEnvelope {
             src,
             dst,
-            bytes: scratch.as_bytes().to_vec(),
+            bytes: WireBytes::from_slice(scratch.as_bytes()),
             cause,
         }
     }

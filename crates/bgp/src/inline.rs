@@ -2,19 +2,22 @@
 //!
 //! The router hot path builds many tiny lists per event — the peers on a
 //! flapped link, the prefixes one UPDATE touched, the prefixes withdrawn in
-//! one flush round — and every route carries one: the leading AS_SEQUENCE of
-//! its AS_PATH. Almost all of them hold a handful of elements, so a heap
-//! `Vec` pays an allocation for nothing. An [`InlineVec<T, N>`] keeps up to
-//! `N` elements in a plain array inside itself and moves to one heap vector
-//! only when a list actually grows past that — the common case allocates
-//! zero bytes. Either way the elements are one contiguous slice.
+//! one flush round — every route carries one (the leading AS_SEQUENCE of
+//! its AS_PATH), and so does every message: the prefix lists of an UPDATE
+//! and the wire bytes of its envelope. Almost all of them hold a handful of
+//! elements, so a heap `Vec` pays an allocation for nothing. An
+//! [`InlineVec<T, N>`] keeps up to `N` elements in a plain array inside
+//! itself and moves to one heap vector only when a list actually grows past
+//! that — the common case allocates zero bytes. Either way the elements are
+//! one contiguous slice.
 //!
 //! `T: Copy + Default` keeps the implementation `unsafe`-free (the inline
 //! slots are pre-initialized with `T::default()`); the lists this is for
-//! carry `Prefix`, `Asn` and peer indices, which are all trivially copyable.
+//! carry `Prefix`, `Asn`, peer indices and bytes, all trivially copyable.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// A vector that stores up to `N` elements inline and moves all of them to
 /// the heap beyond that. `N` is at most 255.
@@ -29,11 +32,7 @@ enum Repr<T, const N: usize> {
 
 impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
     fn default() -> Self {
-        const { assert!(N <= u8::MAX as usize, "the inline length is one byte") };
-        InlineVec(Repr::Inline {
-            len: 0,
-            slots: [T::default(); N],
-        })
+        Self::from_slice(&[])
     }
 }
 
@@ -53,22 +52,28 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
+    /// A copy of `elems`: inline when they fit, otherwise one heap vector
+    /// of exactly their length.
+    pub fn from_slice(elems: &[T]) -> Self {
+        const { assert!(N <= u8::MAX as usize, "the inline length is one byte") };
+        if elems.len() <= N {
+            let mut slots = [T::default(); N];
+            slots[..elems.len()].copy_from_slice(elems);
+            InlineVec(Repr::Inline {
+                len: elems.len() as u8,
+                slots,
+            })
+        } else {
+            InlineVec(Repr::Heap(elems.to_vec()))
+        }
+    }
+
     /// The elements in order.
     pub fn as_slice(&self) -> &[T] {
         match &self.0 {
             Repr::Inline { len, slots } => &slots[..*len as usize],
             Repr::Heap(v) => v,
         }
-    }
-
-    /// Number of stored elements.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// True when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
     }
 
     /// True when the elements live on the heap.
@@ -117,10 +122,42 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     pub fn clear(&mut self) {
         self.truncate(0);
     }
+}
 
-    /// Iterate over the elements in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.as_slice().iter()
+/// The list is its slice: `len`, `iter`, indexing, `contains`, … all come
+/// from `[T]`, and elements can be overwritten in place.
+impl<T: Copy + Default, const N: usize> Deref for InlineVec<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        self.as_slice()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Repr::Inline { len, slots } => &mut slots[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+/// A vector that fits is copied inline and freed; a longer one becomes the
+/// heap storage as it is.
+impl<T: Copy + Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
+    fn from(v: Vec<T>) -> Self {
+        if v.len() <= N {
+            Self::from_slice(&v)
+        } else {
+            InlineVec(Repr::Heap(v))
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize, const K: usize> From<[T; K]> for InlineVec<T, N> {
+    fn from(elems: [T; K]) -> Self {
+        Self::from_slice(&elems)
     }
 }
 
@@ -273,6 +310,30 @@ mod tests {
         assert_eq!(inline, heap);
         assert_eq!(hash(&inline), hash(&heap));
         assert_eq!(format!("{heap:?}"), "[0, 1, 2]");
+    }
+
+    #[test]
+    fn copies_and_conversions_go_inline_when_they_fit() {
+        let fits: InlineVec<u8, 4> = InlineVec::from_slice(&[1, 2, 3, 4]);
+        assert!(!fits.spilled());
+        let long: InlineVec<u8, 4> = InlineVec::from_slice(&[1, 2, 3, 4, 5]);
+        assert!(long.spilled());
+        assert_eq!(*long, [1, 2, 3, 4, 5]);
+        assert_eq!(InlineVec::<u8, 4>::from(vec![1, 2, 3, 4]), fits);
+        assert!(!InlineVec::<u8, 4>::from(vec![1, 2, 3, 4]).spilled());
+        assert_eq!(InlineVec::<u8, 4>::from(vec![1, 2, 3, 4, 5]), long);
+        assert_eq!(InlineVec::<u8, 4>::from([1, 2, 3, 4]), fits);
+    }
+
+    #[test]
+    fn elements_can_be_overwritten_in_place() {
+        let mut inline: InlineVec<u8, 4> = InlineVec::from_slice(&[1, 2, 3]);
+        let mut heap: InlineVec<u8, 2> = InlineVec::from_slice(&[1, 2, 3]);
+        inline[2] ^= 0xFF;
+        heap[2] ^= 0xFF;
+        assert_eq!(*inline, [1, 2, 0xFC]);
+        assert_eq!(*heap, *inline);
+        assert_eq!((inline.len(), inline.first()), (3, Some(&1)));
     }
 
     #[test]

@@ -39,10 +39,10 @@ pub use attrs::{AsPath, Community, Origin, PathAttributes, Segment, SharedAttrs}
 pub use config::{NeighborConfig, RouterConfig, TimingConfig};
 pub use damping::{DampingConfig, DampingState};
 pub use decision::{Candidate, DecisionConfig};
-pub use envelope::{BgpApp, BgpEnvelope, BgpOnlyMsg, RouterCommand};
+pub use envelope::{BgpApp, BgpEnvelope, BgpOnlyMsg, RouterCommand, WireBytes};
 pub use fsm::{CloseReason, SessionEvent, SessionHandshake, SessionState};
 pub use inline::InlineVec;
-pub use msg::{BgpMessage, Capability, NotifCode, NotificationMsg, OpenMsg, UpdateMsg};
+pub use msg::{BgpMessage, Capability, NotifCode, NotificationMsg, OpenMsg, PrefixList, UpdateMsg};
 pub use policy::{
     export_allowed, import_allowed, import_local_pref, MatchCond, PolicyMode, Relationship,
     RouteMap, Rule, SetAction,

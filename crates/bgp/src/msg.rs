@@ -7,6 +7,7 @@
 use std::fmt;
 
 use crate::attrs::{PathAttributes, SharedAttrs};
+use crate::inline::InlineVec;
 use crate::types::{Asn, Prefix, RouterId};
 use crate::wire::{CodecError, Reader, Writer};
 
@@ -87,35 +88,40 @@ impl OpenMsg {
     }
 }
 
+/// The prefixes of one UPDATE block. Nearly every UPDATE names one prefix
+/// (each attribute set is its own message), so up to three sit inside the
+/// message and only a table dump or a mass withdrawal allocates.
+pub type PrefixList = InlineVec<Prefix, 3>;
+
 /// UPDATE message: withdrawals plus (optionally) one advertisement of a set
 /// of prefixes sharing path attributes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct UpdateMsg {
     /// Prefixes no longer reachable via the sender.
-    pub withdrawn: Vec<Prefix>,
+    pub withdrawn: PrefixList,
     /// Attributes for the advertised NLRI (must be present when `nlri` is),
     /// shared by handle with whoever built or will store them.
     pub attrs: Option<SharedAttrs>,
     /// Newly advertised prefixes.
-    pub nlri: Vec<Prefix>,
+    pub nlri: PrefixList,
 }
 
 impl UpdateMsg {
     /// An announcement of `prefixes` with shared `attrs`.
-    pub fn announce(prefixes: Vec<Prefix>, attrs: impl Into<SharedAttrs>) -> UpdateMsg {
+    pub fn announce(prefixes: impl Into<PrefixList>, attrs: impl Into<SharedAttrs>) -> UpdateMsg {
         UpdateMsg {
-            withdrawn: vec![],
+            withdrawn: PrefixList::new(),
             attrs: Some(attrs.into()),
-            nlri: prefixes,
+            nlri: prefixes.into(),
         }
     }
 
     /// A pure withdrawal of `prefixes`.
-    pub fn withdraw(prefixes: Vec<Prefix>) -> UpdateMsg {
+    pub fn withdraw(prefixes: impl Into<PrefixList>) -> UpdateMsg {
         UpdateMsg {
-            withdrawn: prefixes,
+            withdrawn: prefixes.into(),
             attrs: None,
-            nlri: vec![],
+            nlri: PrefixList::new(),
         }
     }
 
@@ -147,7 +153,7 @@ impl UpdateMsg {
         }
         let wd_len = r.u16("withdrawn length").ok()? as usize;
         let mut wd = r.sub(wd_len, "withdrawn routes").ok()?;
-        let mut withdrawn = Vec::new();
+        let mut withdrawn = PrefixList::new();
         while !wd.is_empty() {
             withdrawn.push(wd.nlri_prefix().ok()?);
         }
@@ -415,7 +421,7 @@ impl BgpMessage {
             TYPE_UPDATE => {
                 let wd_len = r.u16("withdrawn length")? as usize;
                 let mut wd = r.sub(wd_len, "withdrawn routes")?;
-                let mut withdrawn = Vec::new();
+                let mut withdrawn = PrefixList::new();
                 while !wd.is_empty() {
                     withdrawn.push(wd.nlri_prefix()?);
                 }
@@ -426,7 +432,7 @@ impl BgpMessage {
                 } else {
                     Some(PathAttributes::decode(&mut at)?.into())
                 };
-                let mut nlri = Vec::new();
+                let mut nlri = PrefixList::new();
                 while !r.is_empty() {
                     nlri.push(r.nlri_prefix()?);
                 }
@@ -599,9 +605,9 @@ mod tests {
     fn update_mixed_roundtrip() {
         let attrs = PathAttributes::originate(Ipv4Addr::new(192, 0, 2, 1));
         let m = BgpMessage::Update(UpdateMsg {
-            withdrawn: vec![pfx("198.51.100.0/24")],
+            withdrawn: [pfx("198.51.100.0/24")].into(),
             attrs: Some(attrs.into()),
-            nlri: vec![pfx("203.0.113.0/24")],
+            nlri: [pfx("203.0.113.0/24")].into(),
         });
         assert_eq!(roundtrip(&m), m);
     }

@@ -21,7 +21,7 @@ use crate::decision::{self, Candidate};
 use crate::envelope::{BgpApp, BgpEnvelope, RouterCommand};
 use crate::fsm::{CloseReason, SessionEvent, SessionHandshake, SessionState};
 use crate::inline::InlineVec;
-use crate::msg::{BgpMessage, NotifCode, NotificationMsg, UpdateMsg};
+use crate::msg::{BgpMessage, NotifCode, NotificationMsg, PrefixList, UpdateMsg};
 use crate::policy;
 use crate::rib::{
     self, AdjRibIn, AdjRibOut, LocRib, LocRibEntry, PeerIdx, RibInEntry, RouteSource,
@@ -29,20 +29,23 @@ use crate::rib::{
 use crate::types::{Asn, Prefix, RouterId};
 use crate::wire::Writer;
 
-// Timer token layout: kind in the top byte, payload (peer index or
-// processing sequence number) below.
-const K_CONNECT: u64 = 1 << 56;
-const K_MRAI: u64 = 2 << 56;
-const K_KEEPALIVE: u64 = 3 << 56;
-const K_HOLD: u64 = 4 << 56;
-const K_PROCESS: u64 = 5 << 56;
-const K_DAMP: u64 = 6 << 56;
-const K_GRSTALE: u64 = 7 << 56;
-const KIND_MASK: u64 = 0xFF << 56;
+// Timer token layout: `payload << 3 | kind`. The five per-peer timers are
+// named timers (re-armed and cancelled; payload = peer index), so their
+// tokens are small and dense as the simulator requires of named tokens.
+// K_PROCESS and K_DAMP are one-shot firings: K_PROCESS carries no payload
+// (the firing takes the front of `in_queue`), K_DAMP the prefix to
+// reselect (`network << 8 | length`).
+const K_CONNECT: u64 = 0;
+const K_MRAI: u64 = 1;
+const K_KEEPALIVE: u64 = 2;
+const K_HOLD: u64 = 3;
+const K_GRSTALE: u64 = 4;
+const K_PROCESS: u64 = 5;
+const K_DAMP: u64 = 6;
+const KIND_BITS: u32 = 3;
 
 fn tok(kind: u64, payload: u64) -> TimerToken {
-    debug_assert_eq!(payload & KIND_MASK, 0);
-    TimerToken(kind | payload)
+    TimerToken(payload << KIND_BITS | kind)
 }
 
 /// Telemetry-plane form of a prefix.
@@ -192,20 +195,18 @@ pub struct BgpRouter<M: BgpApp> {
     adj_in: AdjRibIn,
     loc_rib: LocRib,
     originated: BTreeSet<Prefix>,
-    in_seq: u64,
-    /// UPDATEs waiting out their processing delay, tagged with the sequence
-    /// number of their K_PROCESS timer. `last_proc_due` makes the due times
-    /// strictly increasing, so the timers fire in queue order.
-    in_queue: VecDeque<(u64, PeerIdx, UpdateMsg, Cause)>,
+    /// UPDATEs waiting out their processing delay, one K_PROCESS firing
+    /// each. `last_proc_due` makes the due times strictly increasing, so the
+    /// firings arrive in queue order and each takes the front.
+    in_queue: VecDeque<(PeerIdx, UpdateMsg, Cause)>,
     last_proc_due: SimTime,
     causes: HashMap<Prefix, PrefixCause>,
     damping: HashMap<(PeerIdx, Prefix), crate::damping::DampingState>,
-    damp_seq: u64,
-    damp_reuse: HashMap<u64, Prefix>,
     /// Encode scratch reused for every outgoing message, so the send path
-    /// performs exactly one allocation per message (the envelope's
-    /// exact-size byte vector).
+    /// allocates only for a message too long to ride inline in its envelope.
     wire_scratch: Writer,
+    /// Grouping buffer of `send_pending`, drained by every flush.
+    groups: Vec<(SharedAttrs, PrefixList)>,
     stats: RouterStats,
     _m: PhantomData<fn() -> M>,
 }
@@ -223,14 +224,12 @@ impl<M: BgpApp> BgpRouter<M> {
             adj_in: AdjRibIn::default(),
             loc_rib: LocRib::default(),
             originated,
-            in_seq: 0,
             in_queue: VecDeque::new(),
             last_proc_due: SimTime::ZERO,
             causes: HashMap::new(),
             damping: HashMap::new(),
-            damp_seq: 0,
-            damp_reuse: HashMap::new(),
             wire_scratch: Writer::with_capacity(64),
+            groups: Vec::new(),
             stats: RouterStats::default(),
             _m: PhantomData,
         };
@@ -715,12 +714,10 @@ impl<M: BgpApp> BgpRouter<M> {
                 ctx.count("bgp.router.damped_suppressed", suppressed_count);
             }
             if let Some(eta) = earliest_reuse {
-                let seq = self.damp_seq;
-                self.damp_seq += 1;
-                self.damp_reuse.insert(seq, prefix);
-                ctx.set_timer(
-                    eta + bgpsdn_netsim::SimDuration::from_millis(1),
-                    tok(K_DAMP, seq),
+                let payload = u64::from(prefix.network_u32()) << 8 | u64::from(prefix.len());
+                ctx.schedule_timer(
+                    now + eta + SimDuration::from_millis(1),
+                    tok(K_DAMP, payload),
                     TimerClass::Progress,
                 );
             }
@@ -857,7 +854,7 @@ impl<M: BgpApp> BgpRouter<M> {
                 let PeerRuntime {
                     pending, adj_out, ..
                 } = &mut self.peers[peer];
-                let mut really: Vec<Prefix> = Vec::new();
+                let mut really = PrefixList::new();
                 pending.retain(|(p, change)| {
                     let withdraw = matches!(change, OutChange::Withdraw);
                     if withdraw && adj_out.withdraw(*p) {
@@ -889,10 +886,10 @@ impl<M: BgpApp> BgpRouter<M> {
         let PeerRuntime {
             pending, adj_out, ..
         } = &mut self.peers[peer];
-        let mut withdraws: Vec<Prefix> = Vec::new();
+        let mut withdraws = PrefixList::new();
         // Group announcements sharing identical attributes (in a fan-out:
         // the same handle) into one UPDATE.
-        let mut groups: Vec<(SharedAttrs, Vec<Prefix>)> = Vec::new();
+        let mut groups = std::mem::take(&mut self.groups);
         for (prefix, change) in pending.drain(..) {
             match change {
                 OutChange::Withdraw => {
@@ -904,7 +901,7 @@ impl<M: BgpApp> BgpRouter<M> {
                     if adj_out.advertise(prefix, attrs.clone()) {
                         match groups.iter_mut().find(|(a, _)| *a == attrs) {
                             Some((_, ps)) => ps.push(prefix),
-                            None => groups.push((attrs, vec![prefix])),
+                            None => groups.push((attrs, [prefix].into())),
                         }
                     }
                 }
@@ -917,12 +914,13 @@ impl<M: BgpApp> BgpRouter<M> {
             self.send_msg_caused(ctx, peer, &msg, cause);
             sent = true;
         }
-        for (attrs, prefixes) in groups {
+        for (attrs, prefixes) in groups.drain(..) {
             let cause = self.update_cause(ctx, &prefixes);
             let msg = BgpMessage::Update(UpdateMsg::announce(prefixes, attrs));
             self.send_msg_caused(ctx, peer, &msg, cause);
             sent = true;
         }
+        self.groups = groups;
         sent
     }
 
@@ -1311,10 +1309,8 @@ impl<M: BgpApp> BgpRouter<M> {
                 qcause = cause.step(id);
             }
         }
-        let seq = self.in_seq;
-        self.in_seq += 1;
-        self.in_queue.push_back((seq, peer, upd, qcause));
-        ctx.set_timer_at(due, tok(K_PROCESS, seq), TimerClass::Progress);
+        self.in_queue.push_back((peer, upd, qcause));
+        ctx.schedule_timer(due, tok(K_PROCESS, 0), TimerClass::Progress);
     }
 
     /// End of the RFC 4724 restart window: flush every route from `peer`
@@ -1550,53 +1546,50 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, token: TimerToken) {
-        let kind = token.0 & KIND_MASK;
-        let payload = (token.0 & !KIND_MASK) as usize;
+        let kind = token.0 & ((1 << KIND_BITS) - 1);
+        let payload = token.0 >> KIND_BITS;
+        let peer = payload as usize;
         match kind {
-            K_CONNECT => self.connect_now(ctx, payload),
+            K_CONNECT => self.connect_now(ctx, peer),
             K_MRAI => {
-                self.peers[payload].mrai_armed = false;
-                self.maybe_flush(ctx, payload);
+                self.peers[peer].mrai_armed = false;
+                self.maybe_flush(ctx, peer);
             }
             K_KEEPALIVE => {
-                if self.peers[payload].handshake.is_established() {
-                    self.send_msg(ctx, payload, &BgpMessage::Keepalive);
-                    let hold = self.peers[payload].handshake.negotiated_hold_secs();
+                if self.peers[peer].handshake.is_established() {
+                    self.send_msg(ctx, peer, &BgpMessage::Keepalive);
+                    let hold = self.peers[peer].handshake.negotiated_hold_secs();
                     let ka = SimDuration::from_secs(hold as u64)
                         / self.cfg.timing.keepalive_divisor as u64;
-                    ctx.set_timer(
-                        ka,
-                        tok(K_KEEPALIVE, payload as u64),
-                        TimerClass::Maintenance,
-                    );
+                    ctx.set_timer(ka, token, TimerClass::Maintenance);
                 }
             }
             K_HOLD => {
-                if self.peers[payload].handshake.is_established() {
+                if self.peers[peer].handshake.is_established() {
                     self.drop_session(
                         ctx,
-                        payload,
+                        peer,
                         CloseReason::HoldExpired,
                         Some(NotifCode::HoldTimerExpired),
                     );
                 }
             }
             K_PROCESS => {
-                // A firing that outlived a restart names no queued UPDATE.
-                if self.in_queue.front().is_some_and(|q| q.0 == payload as u64) {
-                    let (_, peer, upd, cause) =
-                        self.in_queue.pop_front().expect("front was just matched");
-                    self.process_update(ctx, peer, upd, cause);
-                }
+                let (from, upd, cause) = self
+                    .in_queue
+                    .pop_front()
+                    .expect("one processing firing per queued UPDATE");
+                self.process_update(ctx, from, upd, cause);
             }
             K_DAMP => {
-                if let Some(prefix) = self.damp_reuse.remove(&(payload as u64)) {
-                    // A suppressed candidate may be reusable now.
-                    self.reselect(ctx, prefix);
-                    self.flush_all(ctx);
-                }
+                let network = std::net::Ipv4Addr::from((payload >> 8) as u32);
+                let prefix = Prefix::new(network, payload as u8)
+                    .expect("a K_DAMP token carries a canonical prefix");
+                // A suppressed candidate may be reusable now.
+                self.reselect(ctx, prefix);
+                self.flush_all(ctx);
             }
-            K_GRSTALE => self.gr_stale_flush(ctx, payload),
+            K_GRSTALE => self.gr_stale_flush(ctx, peer),
             _ => unreachable!("unknown timer kind"),
         }
     }
@@ -1625,7 +1618,6 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
         self.last_proc_due = SimTime::ZERO;
         self.causes.clear();
         self.damping.clear();
-        self.damp_reuse.clear();
         ctx.trace(TraceCategory::Session, || TraceEvent::Note {
             category: TraceCategory::Session,
             text: "router restarted: volatile state wiped".to_string(),

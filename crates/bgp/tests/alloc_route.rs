@@ -1,21 +1,21 @@
 //! What a route costs in heap blocks and in bytes, pinned.
 //!
 //! The router is memory-bound, so the number of allocations a route makes
-//! on its way through (decode, export) and the size of the per-route
-//! structs are performance properties of their own. A counting allocator
-//! checks the first, `size_of` the second: a field added to a per-route
-//! struct, or a `Vec` that creeps back into `AsPath`, fails here and becomes
-//! a decision instead of a drift.
+//! on its way through (build, encode, decode, export) and the size of the
+//! per-route and per-message structs are performance properties of their
+//! own. A counting allocator checks the first, `size_of` the second: a field
+//! added to a per-route struct, or a `Vec` that creeps back into `AsPath`,
+//! fails here and becomes a decision instead of a drift.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bgpsdn_bgp::{
-    pfx, AsPath, Asn, BgpMessage, BgpOnlyMsg, BgpRouter, LocRibEntry, NeighborConfig,
-    PathAttributes, PolicyMode, Relationship, RibInEntry, RouterCommand, RouterConfig, SharedAttrs,
-    TimingConfig, UpdateMsg,
+    pfx, wire::Writer, AsPath, Asn, BgpEnvelope, BgpMessage, BgpOnlyMsg, BgpRouter, LocRibEntry,
+    NeighborConfig, PathAttributes, PolicyMode, Relationship, RibInEntry, RouterCommand,
+    RouterConfig, SharedAttrs, TimingConfig, UpdateMsg,
 };
-use bgpsdn_netsim::{LatencyModel, SimDuration, SimTime, Simulator};
+use bgpsdn_netsim::{Cause, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
 
 thread_local! {
     // Per thread, so the tests of this file can run side by side.
@@ -57,30 +57,55 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     (out, BLOCKS.get() - before.0, RESIZES.get() - before.1)
 }
 
-fn announcement(hops: u32) -> Vec<u8> {
+fn announcement(hops: u32) -> BgpMessage {
     let mut attrs = PathAttributes::originate("10.0.0.1".parse().unwrap());
     attrs.as_path = AsPath::from_seq(65001..65001 + hops);
-    BgpMessage::Update(UpdateMsg::announce(vec![pfx("10.1.0.0/16")], attrs)).encode()
+    BgpMessage::Update(UpdateMsg::announce([pfx("10.1.0.0/16")], attrs))
 }
 
-/// A received route is its shared attribute block and the NLRI list; the
-/// AS_PATH rides inside the block.
+/// A received route is its shared attribute block; the AS_PATH rides inside
+/// the block and the NLRI inside the message.
 #[test]
-fn decoding_a_route_allocates_its_attribute_block_and_its_nlri() {
+fn decoding_a_route_allocates_only_its_attribute_block() {
     for hops in [1, 6, 7] {
-        let bytes = announcement(hops);
+        let bytes = announcement(hops).encode();
         let (msg, blocks, resizes) = counted(|| BgpMessage::decode(&bytes));
         assert!(msg.is_ok());
-        assert!(
-            blocks <= 2 && resizes == 0,
-            "{hops}-hop path: {blocks} blocks, {resizes} resized"
-        );
+        assert_eq!((blocks, resizes), (1, 0), "{hops}-hop path");
     }
     // Past the inline capacity the leading sequence is one more block.
-    let bytes = announcement(8);
+    let bytes = announcement(8).encode();
     let (msg, blocks, _) = counted(|| BgpMessage::decode(&bytes));
     assert!(msg.is_ok());
-    assert_eq!(blocks, 3);
+    assert_eq!(blocks, 2);
+}
+
+/// An UPDATE of up to three prefixes is built without touching the heap,
+/// and sending it allocates only when its bytes outgrow the envelope.
+#[test]
+fn building_and_enveloping_a_short_update_allocates_nothing() {
+    let attrs = SharedAttrs::from(PathAttributes::originate("10.0.0.1".parse().unwrap()));
+    let three = [pfx("10.1.0.0/16"), pfx("10.2.0.0/16"), pfx("10.3.0.0/16")];
+    let (_, blocks, _) = counted(|| UpdateMsg::announce(three, attrs.clone()));
+    assert_eq!(blocks, 0, "announce");
+    let (_, blocks, _) = counted(|| UpdateMsg::withdraw(three));
+    assert_eq!(blocks, 0, "withdraw");
+
+    let mut scratch = Writer::with_capacity(64);
+    let mut envelope = |msg: &BgpMessage| {
+        counted(|| {
+            BgpEnvelope::with_cause_scratch(NodeId(1), NodeId(2), msg, Cause::NONE, &mut scratch)
+        })
+    };
+    // Warm the scratch with the longest message first.
+    envelope(&announcement(8));
+    // 42 bytes of framing, origin, next hop and a /16, four per hop.
+    let (env, blocks, resizes) = envelope(&announcement(5));
+    assert_eq!((env.bytes.len(), env.bytes.spilled()), (62, false));
+    assert_eq!((blocks, resizes), (0, 0), "inline");
+    let (env, blocks, resizes) = envelope(&announcement(6));
+    assert_eq!((env.bytes.len(), env.bytes.spilled()), (66, true));
+    assert_eq!((blocks, resizes), (1, 0), "spilled");
 }
 
 /// One best-path change at a hub with 8 established peers: every peer is
@@ -158,7 +183,8 @@ fn a_fan_out_builds_its_export_view_in_one_block() {
 
 /// The per-route structs, in bytes (64-bit). `PathAttributes` is what every
 /// route allocates once (plus 16 bytes of reference counts); an Adj-RIB-In
-/// row holds one `(PeerIdx, RibInEntry)` per candidate.
+/// row holds one `(PeerIdx, RibInEntry)` per candidate. The per-message
+/// structs are upper bounds: the compiler may find a niche for a tag.
 #[test]
 fn per_route_structs_keep_their_size() {
     use std::mem::size_of;
@@ -167,4 +193,6 @@ fn per_route_structs_keep_their_size() {
     assert_eq!(size_of::<SharedAttrs>(), 8);
     assert_eq!(size_of::<RibInEntry>(), 24);
     assert_eq!(size_of::<LocRibEntry>(), 32);
+    assert!(size_of::<UpdateMsg>() <= 72);
+    assert!(size_of::<BgpEnvelope>() <= 104);
 }

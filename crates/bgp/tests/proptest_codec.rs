@@ -10,9 +10,10 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 
 use bgpsdn_bgp::{
-    AsPath, Asn, BgpMessage, Capability, Community, NotifCode, NotificationMsg, OpenMsg, Origin,
-    PathAttributes, Prefix, RouterId, Segment, SharedAttrs, UpdateMsg,
+    AsPath, Asn, BgpEnvelope, BgpMessage, Capability, Community, NotifCode, NotificationMsg,
+    OpenMsg, Origin, PathAttributes, Prefix, RouterId, Segment, SharedAttrs, UpdateMsg, WireBytes,
 };
+use bgpsdn_netsim::NodeId;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32)
@@ -200,9 +201,9 @@ fn arb_update() -> impl Strategy<Value = UpdateMsg> {
                 nlri.clear();
             }
             UpdateMsg {
-                withdrawn,
+                withdrawn: withdrawn.into(),
                 attrs: attrs.map(Into::into),
-                nlri,
+                nlri: nlri.into(),
             }
         })
 }
@@ -261,7 +262,51 @@ impl Canonical for NotifCode {
     }
 }
 
+/// A NOTIFICATION of exactly `len` wire bytes (21 of them are framing).
+fn notification_of(len: usize, fill: u8) -> BgpMessage {
+    BgpMessage::Notification(NotificationMsg {
+        code: NotifCode::Cease,
+        subcode: 0,
+        data: vec![fill; len - 21],
+    })
+}
+
+/// An envelope is its bytes, not where they live: the one the constructors
+/// build and one forced onto the heap compare equal, hash equal and decode
+/// equal.
+fn check_envelope_inline_or_spilled(msg: &BgpMessage) {
+    use std::hash::{BuildHasher, RandomState};
+    let env = BgpEnvelope::new(NodeId(1), NodeId(2), msg);
+    assert_eq!(env.bytes.as_slice(), msg.encode().as_slice());
+    assert_eq!(env.bytes.spilled(), env.bytes.len() > 64);
+    let mut on_heap = WireBytes::with_capacity(env.bytes.len().max(65));
+    on_heap.extend(env.bytes.iter().copied());
+    assert!(on_heap.spilled());
+    let hasher = RandomState::new();
+    assert_eq!(hasher.hash_one(&env.bytes), hasher.hash_one(&on_heap));
+    let spilled = BgpEnvelope {
+        bytes: on_heap,
+        ..env.clone()
+    };
+    assert_eq!(spilled, env);
+    assert_eq!(spilled.wire_len(), env.wire_len());
+    assert_eq!(spilled.decode().as_ref(), Ok(msg));
+    assert_eq!(env.decode().as_ref(), Ok(msg));
+}
+
+#[test]
+fn envelope_at_the_inline_boundary() {
+    for len in [21, 63, 64, 65, 66, 128, 255, 256, 4096] {
+        check_envelope_inline_or_spilled(&notification_of(len, len as u8));
+    }
+}
+
 proptest! {
+    #[test]
+    fn envelope_is_the_same_inline_or_spilled(msg in arb_message()) {
+        check_envelope_inline_or_spilled(&msg);
+    }
+
     #[test]
     fn message_roundtrips(msg in arb_message()) {
         let bytes = msg.encode();

@@ -858,12 +858,12 @@ fn fan_out_hands_one_export_view_to_every_peer() {
     );
 }
 
-/// A pair where router 1 takes 200 ms of CPU per UPDATE, with four UPDATEs
-/// from router 0 sitting in its processing queue 50 ms after they were sent.
-fn pair_with_queued_updates(seed: u64) -> (Sim, Vec<NodeId>, Vec<Prefix>) {
+/// A pair where router 1 takes `cpu` per UPDATE, with four UPDATEs from
+/// router 0 sitting in its processing queue 50 ms after they were sent.
+fn pair_with_queued_updates(seed: u64, cpu: SimDuration) -> (Sim, Vec<NodeId>, Vec<Prefix>) {
     let slow = TimingConfig {
         mrai: SimDuration::ZERO,
-        processing_delay: (SimDuration::from_millis(200), SimDuration::from_millis(200)),
+        processing_delay: (cpu, cpu),
         ..Default::default()
     };
     let (mut sim, nodes) = build(seed, 2, &[(0, 1)], slow, PolicyMode::AllPermit, &[], None);
@@ -881,7 +881,7 @@ fn pair_with_queued_updates(seed: u64) -> (Sim, Vec<NodeId>, Vec<Prefix>) {
 
 #[test]
 fn processing_queue_survives_a_session_drop() {
-    let (mut sim, nodes, prefixes) = pair_with_queued_updates(81);
+    let (mut sim, nodes, prefixes) = pair_with_queued_updates(81, SimDuration::from_millis(200));
     // The session goes while the UPDATEs wait: their processing timers still
     // fire and must each retire their queue entry (the UPDATE itself is
     // discarded), or the resync after the reconnect would queue behind them
@@ -902,10 +902,10 @@ fn processing_queue_survives_a_session_drop() {
 
 #[test]
 fn processing_queue_restarts_clean_after_a_crash() {
-    let (mut sim, nodes, prefixes) = pair_with_queued_updates(82);
-    // Crash with the queue full: the restart wipes it, the simulator drops
-    // the four pending processing timers, and sequence numbers keep
-    // counting, so UPDATEs queued after the restart match their own timers.
+    let (mut sim, nodes, prefixes) = pair_with_queued_updates(82, SimDuration::from_millis(200));
+    // Crash with the queue full: the restart wipes it and the simulator
+    // drops the four pending processing firings, so every firing after the
+    // restart belongs to an UPDATE queued after it.
     sim.set_node_admin(nodes[1], false);
     sim.run_for(SimDuration::from_secs(1));
     let stale_before = sim.stats().timers_stale;
@@ -920,4 +920,46 @@ fn processing_queue_restarts_clean_after_a_crash() {
     for p in &prefixes {
         assert_eq!(r1.next_hop_node(*p), Some(nodes[0]), "{p}");
     }
+}
+
+#[test]
+fn firings_of_a_crashed_queue_never_process_the_restarted_one() {
+    // Five seconds of CPU per UPDATE: the four processing firings armed
+    // before the crash are due 4.955 s from here, long after the router is
+    // back and holds the resynced table in its new queue.
+    let (mut sim, nodes, prefixes) = pair_with_queued_updates(83, SimDuration::from_secs(5));
+    let t0 = sim.now();
+    let (fired, stale) = (sim.stats().timers_fired, sim.stats().timers_stale);
+    sim.set_node_admin(nodes[1], false);
+    sim.run_for(SimDuration::from_millis(10));
+    sim.set_node_admin(nodes[1], true);
+    // Just before the dead firings are due the session is back and the
+    // resync waits out its own processing delay.
+    sim.run_until(t0 + SimDuration::from_millis(4_900));
+    let r1 = sim.node_ref::<Router>(nodes[1]);
+    assert_eq!(r1.session_state(nodes[0]), Some(SessionState::Established));
+    assert!(r1.stats().updates_received > 4, "the resync is queued");
+    assert_eq!(r1.loc_rib().len(), 0, "and not yet processed");
+    let stale_at_restore = sim.stats().timers_stale;
+    // The four dead firings pop: each is stale, none takes a queue entry.
+    sim.run_until(t0 + SimDuration::from_millis(5_400));
+    assert_eq!(sim.stats().timers_stale, stale_at_restore + 4);
+    assert_eq!(
+        sim.node_ref::<Router>(nodes[1]).loc_rib().len(),
+        0,
+        "a dead firing processed a live UPDATE early"
+    );
+    assert!(sim.run_until_quiescent(SimTime::from_secs(300)).quiescent);
+    let r1 = sim.node_ref::<Router>(nodes[1]);
+    for p in &prefixes {
+        assert_eq!(r1.next_hop_node(*p), Some(nodes[0]), "{p}");
+    }
+    // The same numbers before and after one-shot timers replaced the table.
+    assert_eq!(
+        (
+            sim.stats().timers_fired - fired,
+            sim.stats().timers_stale - stale
+        ),
+        (6, 4)
+    );
 }

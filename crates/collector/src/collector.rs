@@ -7,8 +7,6 @@
 //! and unthrottled), decodes every UPDATE and appends prefix events to an
 //! [`UpdateLog`].
 
-use std::collections::HashMap;
-
 use bgpsdn_bgp::{Asn, BgpApp, BgpEnvelope, BgpMessage, RouterId, SessionEvent, SessionHandshake};
 use bgpsdn_netsim::{Ctx, LinkId, Node, NodeId, TraceCategory, TraceEvent};
 
@@ -36,7 +34,9 @@ pub struct RouteCollector<M> {
     id: NodeId,
     my_asn: Asn,
     my_id: RouterId,
-    peers: HashMap<NodeId, MonitoredPeer>,
+    /// Monitored routers, sorted by node: the lookup every received
+    /// message starts with.
+    peers: Vec<(NodeId, MonitoredPeer)>,
     log: UpdateLog,
     stats: CollectorStats,
     _m: std::marker::PhantomData<fn() -> M>,
@@ -49,7 +49,7 @@ impl<M: BgpApp> RouteCollector<M> {
             id,
             my_asn,
             my_id,
-            peers: HashMap::new(),
+            peers: Vec::new(),
             log: UpdateLog::default(),
             stats: CollectorStats::default(),
             _m: std::marker::PhantomData,
@@ -57,7 +57,7 @@ impl<M: BgpApp> RouteCollector<M> {
     }
 
     /// Pre-size the peer table — the network builder knows the monitored
-    /// router count up front, so registration never rehashes.
+    /// router count up front, so registration never reallocates.
     pub fn reserve_peers(&mut self, additional: usize) {
         self.peers.reserve(additional);
     }
@@ -66,15 +66,16 @@ impl<M: BgpApp> RouteCollector<M> {
     /// toward the collector over `link`). The collector stays passive: the
     /// router initiates.
     pub fn add_monitored(&mut self, router: NodeId, router_asn: Asn, link: LinkId) {
-        self.peers.insert(
-            router,
-            MonitoredPeer {
-                // Accept any ASN: collectors don't validate peers.
-                handshake: SessionHandshake::new(self.my_asn, self.my_id, 0, None),
-                link,
-                asn: router_asn,
-            },
-        );
+        let peer = MonitoredPeer {
+            // Accept any ASN: collectors don't validate peers.
+            handshake: SessionHandshake::new(self.my_asn, self.my_id, 0, None),
+            link,
+            asn: router_asn,
+        };
+        match self.peers.binary_search_by_key(&router, |(node, _)| *node) {
+            Ok(at) => self.peers[at].1 = peer,
+            Err(at) => self.peers.insert(at, (router, peer)),
+        }
     }
 
     /// The recorded update log.
@@ -95,8 +96,8 @@ impl<M: BgpApp> RouteCollector<M> {
     /// How many monitored sessions are currently established.
     pub fn established_count(&self) -> usize {
         self.peers
-            .values()
-            .filter(|p| p.handshake.is_established())
+            .iter()
+            .filter(|(_, p)| p.handshake.is_established())
             .count()
     }
 }
@@ -108,9 +109,13 @@ impl<M: BgpApp> Node<M> for RouteCollector<M> {
             _ => return,
         };
         let peer_node = env.src;
-        let Some(peer) = self.peers.get_mut(&peer_node) else {
+        let Ok(at) = self
+            .peers
+            .binary_search_by_key(&peer_node, |(node, _)| *node)
+        else {
             return;
         };
+        let peer = &mut self.peers[at].1;
         let bgp = match env.decode() {
             Ok(m) => m,
             Err(e) => {

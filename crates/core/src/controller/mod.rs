@@ -35,6 +35,7 @@ use as_graph::{
 };
 use switch_graph::SwitchGraph;
 
+// All four are named timers (re-armed and cancelled): small, dense tokens.
 const RECOMPUTE: TimerToken = TimerToken(1);
 const RETX: TimerToken = TimerToken(2);
 const HEARTBEAT: TimerToken = TimerToken(3);
@@ -162,7 +163,7 @@ pub struct IdrController<M> {
     /// What was announced per session: prefix → AS path (the compiled
     /// announcement cache).
     adj_out: Vec<BTreeMap<Prefix, SharedPath>>,
-    pending: Vec<(usize, UpdateMsg, Cause)>,
+    pending: Vec<(usize, Box<UpdateMsg>, Cause)>,
     /// Cause lineage of everything feeding the next recompute batch: one
     /// entry per buffered update or local trigger, deduplicated by parent
     /// event id at merge time. Dirty-prefix batching merges *sets* of
@@ -371,7 +372,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         &mut self,
         ctx: &mut Ctx<'_, M>,
         session: usize,
-        update: UpdateMsg,
+        update: Box<UpdateMsg>,
         cause: Cause,
     ) {
         self.stats.updates_buffered += 1;

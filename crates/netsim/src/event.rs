@@ -43,8 +43,9 @@ pub enum EventBody<M> {
         /// The payload.
         msg: M,
     },
-    /// Fire a node timer. `gen` must match the currently armed generation,
-    /// otherwise the timer was cancelled or re-armed and this firing is stale.
+    /// Fire a named node timer. `gen` must match the currently armed
+    /// generation, otherwise the timer was cancelled or re-armed and this
+    /// firing is stale.
     Timer {
         /// Owning node.
         node: NodeId,
@@ -54,6 +55,18 @@ pub enum EventBody<M> {
         class: TimerClass,
         /// Arming generation; stale firings are suppressed.
         gen: u64,
+    },
+    /// Fire a one-shot node timer: nothing can supersede it, only a crash
+    /// of its node makes it stale.
+    OneShot {
+        /// Owning node.
+        node: NodeId,
+        /// The token handed back to the node.
+        token: TimerToken,
+        /// Progress or maintenance (quiescence accounting).
+        class: TimerClass,
+        /// The node's crash count when the firing was scheduled.
+        epoch: u64,
     },
     /// Administratively set a link up or down.
     LinkAdmin {
@@ -91,6 +104,9 @@ impl<M> EventBody<M> {
         matches!(
             self,
             EventBody::Timer {
+                class: TimerClass::Maintenance,
+                ..
+            } | EventBody::OneShot {
                 class: TimerClass::Maintenance,
                 ..
             }

@@ -30,9 +30,14 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Application-chosen identifier for a timer. Setting a timer with a token
-/// that is already armed re-arms it (the earlier instance is cancelled), so a
-/// token names *one* logical timer per node, e.g. "MRAI toward peer 7".
+/// Application-chosen identifier for a timer, handed back to
+/// [`Node::on_timer`]. There are two kinds of timer. A *named* timer
+/// ([`Ctx::set_timer`]) is one logical timer per node and token, e.g. "MRAI
+/// toward peer 7": setting it while armed re-arms it (the earlier instance is
+/// cancelled), and its token is a small dense integer, below
+/// [`NAMED_TIMER_TOKENS`](crate::NAMED_TIMER_TOKENS). A *one-shot* firing
+/// ([`Ctx::schedule_timer`]) runs once and cannot be re-armed or cancelled;
+/// its token is any value the node finds useful.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerToken(pub u64);
 

@@ -7,9 +7,6 @@
 //! engine after the callback returns, in order. Together with the seeded RNG
 //! and the tie-breaking event queue this makes runs bit-for-bit reproducible.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-
 use bgpsdn_obs::{MetricsRegistry, TraceEvent, WallSpan};
 
 use crate::event::{EventBody, EventQueue, PoolStats, QueueBackend};
@@ -34,6 +31,11 @@ enum Action<M> {
     },
     CancelTimer {
         token: TimerToken,
+    },
+    ScheduleTimer {
+        at: SimTime,
+        token: TimerToken,
+        class: TimerClass,
     },
     Report(Activity),
     Trace {
@@ -91,20 +93,33 @@ impl<'a, M: Message> Ctx<'a, M> {
         self.actions.push(Action::Send { link, msg });
     }
 
-    /// Arm (or re-arm) the timer named `token` to fire after `delay`.
+    /// Arm (or re-arm) the *named* timer `token` to fire after `delay`: at
+    /// most one firing per token is live, a later arm or
+    /// [`cancel_timer`](Self::cancel_timer) supersedes it. The simulator
+    /// indexes a per-node table by the token's value, so named tokens are
+    /// small dense integers, below [`NAMED_TIMER_TOKENS`].
     pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken, class: TimerClass) {
-        let at = self.now + delay;
-        self.actions.push(Action::SetTimerAt { at, token, class });
+        self.set_timer_at(self.now + delay, token, class);
     }
 
-    /// Arm (or re-arm) the timer named `token` to fire at absolute time `at`.
+    /// [`set_timer`](Self::set_timer) with an absolute firing time.
     pub fn set_timer_at(&mut self, at: SimTime, token: TimerToken, class: TimerClass) {
         self.actions.push(Action::SetTimerAt { at, token, class });
     }
 
-    /// Cancel the timer named `token` (no-op if not armed).
+    /// Cancel the named timer `token` (no-op if not armed).
     pub fn cancel_timer(&mut self, token: TimerToken) {
         self.actions.push(Action::CancelTimer { token });
+    }
+
+    /// Schedule a *one-shot* firing: `on_timer(token)` runs exactly once at
+    /// `max(at, now)` unless this node crashes first. Any number may be
+    /// outstanding for one token and `token` may be any value; a one-shot
+    /// cannot be re-armed or cancelled, and in exchange it is never looked
+    /// up anywhere — the queued event carries all there is to know.
+    pub fn schedule_timer(&mut self, at: SimTime, token: TimerToken, class: TimerClass) {
+        self.actions
+            .push(Action::ScheduleTimer { at, token, class });
     }
 
     /// Report semantic routing-plane activity to the measurement board.
@@ -208,45 +223,32 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 }
 
-/// Generation bookkeeping of one timer name.
-#[derive(Default)]
+/// Exclusive bound on the token value of a *named* timer
+/// ([`Ctx::set_timer`], [`Ctx::cancel_timer`]). A node's named timers index
+/// a dense per-node row, so their tokens pack small: `peer << 3 | kind`
+/// leaves room for 131 072 peers with eight kinds of timer each. One-shot
+/// tokens ([`Ctx::schedule_timer`]) are not bounded.
+pub const NAMED_TIMER_TOKENS: u64 = 1 << 20;
+
+/// Generation bookkeeping of one named timer.
+#[derive(Clone, Default)]
 struct TimerGen {
-    /// Generation of the latest arm/cancel; a firing with another is stale.
+    /// Generation of the latest arm/cancel/crash; a firing with another is
+    /// stale.
     gen: u64,
     /// Whether the firing carrying `gen` should still be delivered.
     armed: bool,
-    /// Firings of this timer still in the event queue.
-    queued: u32,
 }
 
-/// Hasher for the `(NodeId, TimerToken)` keys of the timer table: one
-/// multiply and fold per field instead of SipHash. Every timer event probes
-/// the table when armed and when fired; the keys are chosen by the program's
-/// own nodes, never by outside input, and nothing depends on the table's
-/// iteration order.
-#[derive(Default)]
-struct TimerKeyHasher(u64);
-
-impl Hasher for TimerKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let h = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        // Fold the well-mixed high half down: the table indexes by low bits.
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Row index of a named timer.
+fn named_slot(token: TimerToken) -> usize {
+    assert!(
+        token.0 < NAMED_TIMER_TOKENS,
+        "named timer token {} is not below NAMED_TIMER_TOKENS ({NAMED_TIMER_TOKENS}): \
+         pack named tokens densely or use a one-shot",
+        token.0
+    );
+    token.0 as usize
 }
 
 /// Result of [`Simulator::run_until_quiescent`].
@@ -269,12 +271,13 @@ pub struct Simulator<M: Message> {
     node_up: Vec<bool>,
     links: Vec<Link>,
     adjacency: Vec<Vec<(LinkId, NodeId)>>,
-    /// One entry per `(node, token)` with at least one firing still in the
-    /// event queue. The generation tells the armed firing from superseded
-    /// ones; the entry goes when its last queued firing pops, so one-shot
-    /// tokens do not accumulate (no queued firing is left to mistake a
-    /// restarted generation for its own).
-    timer_gens: HashMap<(NodeId, TimerToken), TimerGen, BuildHasherDefault<TimerKeyHasher>>,
+    /// Named timers, by node then by token value: a row grows to the
+    /// largest token its node ever armed and its entries persist, so
+    /// generations only move forward.
+    timers: Vec<Vec<TimerGen>>,
+    /// How often each node has crashed. A one-shot firing carries the count
+    /// it was scheduled under and is stale once the node has crashed since.
+    crash_epochs: Vec<u64>,
     rng: SimRng,
     board: ActivityBoard,
     trace: Trace,
@@ -313,7 +316,8 @@ impl<M: Message> Simulator<M> {
             node_up: Vec::new(),
             links: Vec::new(),
             adjacency: Vec::new(),
-            timer_gens: HashMap::with_capacity_and_hasher(events, Default::default()),
+            timers: Vec::new(),
+            crash_epochs: Vec::new(),
             rng: SimRng::seed_from_u64(seed),
             board: ActivityBoard::default(),
             trace: Trace::default(),
@@ -377,6 +381,8 @@ impl<M: Message> Simulator<M> {
         self.nodes.push(Some(Box::new(build(id))));
         self.node_names.push(name.into());
         self.node_up.push(true);
+        self.timers.push(Vec::new());
+        self.crash_epochs.push(0);
         self.adjacency.push(Vec::new());
         if self.started {
             self.queue.push(self.now, EventBody::Start { node: id });
@@ -643,25 +649,21 @@ impl<M: Message> Simulator<M> {
                 gen,
                 class: _,
             } => {
-                let Entry::Occupied(mut entry) = self.timer_gens.entry((node, token)) else {
-                    unreachable!("a queued firing keeps its timer entry alive")
-                };
-                let timer = entry.get_mut();
-                timer.queued -= 1;
+                let timer = &mut self.timers[node.index()][token.0 as usize];
                 let current = timer.gen == gen && timer.armed;
                 if current {
                     timer.armed = false;
                 }
-                if timer.queued == 0 {
-                    entry.remove();
-                }
-                let fire = current && self.node_up[node.index()];
-                if fire {
-                    self.stats.timers_fired += 1;
-                    self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
-                } else {
-                    self.stats.timers_stale += 1;
-                }
+                self.fire_timer(node, token, current);
+            }
+            EventBody::OneShot {
+                node,
+                token,
+                epoch,
+                class: _,
+            } => {
+                let live = self.crash_epochs[node.index()] == epoch;
+                self.fire_timer(node, token, live);
             }
             EventBody::LinkAdmin { link, up } => {
                 let l = &mut self.links[link.index()];
@@ -700,19 +702,30 @@ impl<M: Message> Simulator<M> {
                 if up {
                     self.dispatch(node, |n, ctx| n.on_restart(ctx));
                 } else {
-                    // A crash loses every armed timer: bump the generation so
-                    // the queued firings arrive stale even if the node is
-                    // restored and re-arms the same tokens.
-                    for ((n, _), entry) in self.timer_gens.iter_mut() {
-                        if *n == node {
-                            entry.gen += 1;
-                            entry.armed = false;
-                        }
+                    // A crash loses every timer: bump the generations and the
+                    // epoch so the queued firings arrive stale even if the
+                    // node is restored and arms the same tokens again.
+                    for timer in &mut self.timers[node.index()] {
+                        timer.gen += 1;
+                        timer.armed = false;
                     }
+                    self.crash_epochs[node.index()] += 1;
                 }
             }
         }
         true
+    }
+
+    /// Deliver a popped timer firing, or count it stale. A crash stales
+    /// every firing of its node, so a live one finds the node up.
+    fn fire_timer(&mut self, node: NodeId, token: TimerToken, live: bool) {
+        if live {
+            debug_assert!(self.node_up[node.index()], "live firing for crashed {node}");
+            self.stats.timers_fired += 1;
+            self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
+        } else {
+            self.stats.timers_stale += 1;
+        }
     }
 
     /// Run until the queue empties or simulated time would pass `deadline`.
@@ -845,26 +858,40 @@ impl<M: Message> Simulator<M> {
                     );
                 }
                 Action::SetTimerAt { at, token, class } => {
-                    let entry = self.timer_gens.entry((id, token)).or_default();
-                    entry.gen += 1;
-                    entry.armed = true;
-                    entry.queued += 1;
-                    let at = at.max(self.now);
+                    let slot = named_slot(token);
+                    let row = &mut self.timers[id.index()];
+                    if row.len() <= slot {
+                        row.resize(slot + 1, TimerGen::default());
+                    }
+                    let timer = &mut row[slot];
+                    timer.gen += 1;
+                    timer.armed = true;
                     self.queue.push(
-                        at,
+                        at.max(self.now),
                         EventBody::Timer {
                             node: id,
                             token,
                             class,
-                            gen: entry.gen,
+                            gen: timer.gen,
                         },
                     );
                 }
                 Action::CancelTimer { token } => {
-                    if let Some(entry) = self.timer_gens.get_mut(&(id, token)) {
-                        entry.gen += 1;
-                        entry.armed = false;
+                    if let Some(timer) = self.timers[id.index()].get_mut(named_slot(token)) {
+                        timer.gen += 1;
+                        timer.armed = false;
                     }
+                }
+                Action::ScheduleTimer { at, token, class } => {
+                    self.queue.push(
+                        at.max(self.now),
+                        EventBody::OneShot {
+                            node: id,
+                            token,
+                            class,
+                            epoch: self.crash_epochs[id.index()],
+                        },
+                    );
                 }
                 Action::Report(kind) => {
                     self.board.report(self.now, kind);
@@ -900,16 +927,6 @@ mod tests {
         fn wire_len(&self) -> usize {
             16
         }
-    }
-
-    #[test]
-    fn timer_keys_differing_in_one_field_hash_differently() {
-        use std::hash::BuildHasher;
-        let h = |n, t| {
-            BuildHasherDefault::<TimerKeyHasher>::default().hash_one((NodeId(n), TimerToken(t)))
-        };
-        assert_ne!(h(1, 7), h(2, 7), "node");
-        assert_ne!(h(1, 7), h(1, 8), "token");
     }
 
     /// Sends `Ping(i)` for i in 0..count on start; counts pongs.
@@ -1139,8 +1156,7 @@ mod tests {
         assert_eq!(sim.stats().timers_stale, 2);
     }
 
-    /// Arms a fresh one-shot token from every firing, like the routers'
-    /// per-UPDATE processing timers.
+    /// Schedules a one-shot with a fresh token from every firing.
     struct OneShotNode {
         left: u64,
     }
@@ -1152,8 +1168,8 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, token: TimerToken) {
             if self.left > 0 {
                 self.left -= 1;
-                ctx.set_timer(
-                    SimDuration::from_millis(1),
+                ctx.schedule_timer(
+                    ctx.now() + SimDuration::from_millis(1),
                     TimerToken(token.0 + 1),
                     TimerClass::Progress,
                 );
@@ -1170,14 +1186,39 @@ mod tests {
     #[test]
     fn timer_table_is_bounded_by_armed_timers_not_tokens_ever_used() {
         let mut sim: Simulator<TestMsg> = Simulator::new(1);
-        sim.add_node("o", |_| OneShotNode { left: 100_000 });
-        let mut largest = 0;
-        while sim.step() {
-            largest = largest.max(sim.timer_gens.len());
-        }
+        let n = sim.add_node("o", |_| OneShotNode { left: 100_000 });
+        while sim.step() {}
         assert_eq!(sim.stats().timers_fired, 100_000);
-        assert_eq!(largest, 1, "one timer armed at a time");
-        assert!(sim.timer_gens.is_empty());
+        assert_eq!(sim.stats().timers_stale, 0);
+        assert!(
+            sim.timers[n.index()].is_empty(),
+            "a one-shot leaves no table entry, whatever its token"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "NAMED_TIMER_TOKENS (1048576)")]
+    fn a_named_token_past_the_bound_panics() {
+        struct Sparse;
+        impl Node<TestMsg> for Sparse {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+                ctx.set_timer(
+                    SimDuration::from_secs(1),
+                    TimerToken(5 << 56),
+                    TimerClass::Progress,
+                );
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: NodeId, _: LinkId, _: TestMsg) {}
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        sim.add_node("s", |_| Sparse);
+        sim.step();
     }
 
     /// Arms WORK for 3 s, re-arms it for 1 s, and from that firing re-arms
@@ -1220,7 +1261,6 @@ mod tests {
             );
         });
         assert_eq!(sim.stats().timers_stale, 1);
-        assert!(sim.timer_gens.is_empty());
     }
 
     #[test]
@@ -1237,7 +1277,16 @@ mod tests {
         sim.with_node::<TimerNode, _>(n, |t| {
             assert_eq!(t.fired.iter().filter(|f| **f == "work").count(), 1);
         });
-        assert_eq!(sim.timer_gens.len(), 1, "only the keepalive stays armed");
+        assert_eq!(
+            sim.stats().timers_stale,
+            2,
+            "the keepalive and WORK of the crash"
+        );
+        // Only the keepalive stays armed: due at 5.5 s and every second on.
+        let fired = sim.stats().timers_fired;
+        sim.run_for(SimDuration::from_secs(3));
+        assert_eq!(sim.stats().timers_fired - fired, 4);
+        assert_eq!(sim.stats().timers_stale, 2);
     }
 
     #[test]

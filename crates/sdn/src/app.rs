@@ -32,8 +32,9 @@ pub enum SpeakerEvent {
     Update {
         /// Speaker-local session index.
         session: usize,
-        /// The decoded message.
-        update: UpdateMsg,
+        /// The decoded message, boxed: its inline prefix lists would
+        /// otherwise make this the variant that sizes every queued event.
+        update: Box<UpdateMsg>,
         /// Causal lineage of the update (survives channel retransmission;
         /// [`Cause::NONE`] when causal tracing is off). Not counted in
         /// wire sizes.
@@ -395,13 +396,17 @@ mod tests {
     use super::*;
 
     /// Every queued simulator event is one `EventBody<ClusterMsg>`, so its
-    /// size (64-bit) is what the event queue pays per entry: a variant that
-    /// outgrows the others shows up here before it shows up in a profile.
+    /// size (64-bit) is what the event queue pays per entry: two cache
+    /// lines, most of them the BGP envelope with its wire bytes inline. A
+    /// variant that outgrows the envelope shows up here before it shows up
+    /// in a profile (bounds, not equalities: where the enum tags go is the
+    /// compiler's choice).
     #[test]
     fn a_queued_event_keeps_its_size() {
         use std::mem::size_of;
-        assert_eq!(size_of::<ClusterMsg>(), 104);
-        assert_eq!(size_of::<bgpsdn_netsim::EventBody<ClusterMsg>>(), 120);
+        assert!(size_of::<CtrlMsg>() <= 96);
+        assert!(size_of::<ClusterMsg>() <= 112);
+        assert!(size_of::<bgpsdn_netsim::EventBody<ClusterMsg>>() <= 128);
     }
 
     #[test]

@@ -43,12 +43,18 @@ use bgpsdn_netsim::{
 use crate::app::{CtrlMsg, SdnApp, SessionSync, SpeakerCmd, SpeakerEvent, SpeakerSyncState};
 use crate::channel::{Accept, ReliableReceiver, ReliableSender};
 
-// Timer-token namespaces, dispatched on the high byte. K_CONNECT carries a
-// session index in its low bits; the others name singleton timers.
-const K_CONNECT: u64 = 1 << 56;
-const K_RETX: u64 = 2 << 56;
-const K_HEARTBEAT: u64 = 3 << 56;
-const K_HOLD: u64 = 4 << 56;
+// Timer tokens, all named timers and so small and dense: `session << 3 |
+// kind`. K_CONNECT carries a session index; the others name singleton
+// timers (session 0).
+const K_CONNECT: u64 = 0;
+const K_RETX: u64 = 1;
+const K_HEARTBEAT: u64 = 2;
+const K_HOLD: u64 = 3;
+const KIND_BITS: u32 = 3;
+
+fn connect_token(session: usize) -> TimerToken {
+    TimerToken((session as u64) << KIND_BITS | K_CONNECT)
+}
 
 /// Heartbeat interval on the speaker↔controller channel (both directions).
 pub const HEARTBEAT_EVERY: SimDuration = SimDuration::from_secs(1);
@@ -493,8 +499,8 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 return;
             }
         };
-        if let BgpMessage::Update(upd) = &msg {
-            if self.sessions[idx].handshake.is_established() {
+        let msg = match msg {
+            BgpMessage::Update(upd) if self.sessions[idx].handshake.is_established() => {
                 self.stats.updates_in += 1;
                 ctx.report(Activity::UpdateReceived);
                 ctx.count("sdn.speaker.updates_in", 1);
@@ -524,13 +530,14 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                     ctx,
                     SpeakerEvent::Update {
                         session: idx,
-                        update: upd.clone(),
+                        update: Box::new(upd),
                         cause,
                     },
                 );
                 return;
             }
-        }
+            other => other,
+        };
         let (to_send, event) = self.sessions[idx].handshake.on_message(&msg);
         for m in to_send {
             self.send_bgp(ctx, idx, &m);
@@ -579,11 +586,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 .rng()
                 .jittered(SimDuration::from_secs(1), 0.75, 1.0)
                 .saturating_mul(1 << (self.sessions[idx].retries - 1).min(4));
-            ctx.set_timer(
-                delay,
-                TimerToken(K_CONNECT | idx as u64),
-                TimerClass::Progress,
-            );
+            ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
         }
     }
 
@@ -610,7 +613,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 attrs.med = med;
                 s.advertised.insert(prefix, key);
                 let cause = step_link_prop(ctx, cause, Some(prefix));
-                let msg = BgpMessage::Update(UpdateMsg::announce(vec![prefix], attrs));
+                let msg = BgpMessage::Update(UpdateMsg::announce([prefix], attrs));
                 self.send_bgp_caused(ctx, session, &msg, cause);
             }
             SpeakerCmd::Withdraw {
@@ -626,7 +629,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                     return; // never announced here
                 }
                 let cause = step_link_prop(ctx, cause, Some(prefix));
-                let msg = BgpMessage::Update(UpdateMsg::withdraw(vec![prefix]));
+                let msg = BgpMessage::Update(UpdateMsg::withdraw([prefix]));
                 self.send_bgp_caused(ctx, session, &msg, cause);
             }
         }
@@ -639,11 +642,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
             let delay = ctx
                 .rng()
                 .duration_between(SimDuration::ZERO, SimDuration::from_millis(100));
-            ctx.set_timer(
-                delay,
-                TimerToken(K_CONNECT | idx as u64),
-                TimerClass::Progress,
-            );
+            ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
         }
         if self.controller_link.is_some() {
             ctx.set_timer(
@@ -678,9 +677,9 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, token: TimerToken) {
-        match token.0 >> 56 {
-            1 => {
-                let idx = (token.0 & !(0xFFu64 << 56)) as usize;
+        match token.0 & ((1 << KIND_BITS) - 1) {
+            K_CONNECT => {
+                let idx = (token.0 >> KIND_BITS) as usize;
                 if self.sessions[idx].handshake.state() == bgpsdn_bgp::SessionState::Idle {
                     let msgs = self.sessions[idx].handshake.start();
                     for m in msgs {
@@ -688,7 +687,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
                     }
                 }
             }
-            2 => {
+            K_RETX => {
                 // Retransmit everything unacked, with exponential backoff.
                 if self.headless || !self.tx.pending() {
                     return;
@@ -710,7 +709,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
                 self.retx_scratch = burst;
                 self.arm_retx(ctx);
             }
-            3 => {
+            K_HEARTBEAT => {
                 let hb = CtrlMsg::Heartbeat {
                     from_controller: false,
                     epoch: self.tx.epoch(),
@@ -722,7 +721,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
                     TimerClass::Maintenance,
                 );
             }
-            4 => {
+            K_HOLD => {
                 // Hold expired: nothing heard from the controller.
                 self.enter_headless(ctx);
             }
@@ -756,11 +755,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
                 let delay = ctx
                     .rng()
                     .duration_between(SimDuration::ZERO, SimDuration::from_millis(100));
-                ctx.set_timer(
-                    delay,
-                    TimerToken(K_CONNECT | idx as u64),
-                    TimerClass::Progress,
-                );
+                ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
             } else if self.sessions[idx].handshake.state() != bgpsdn_bgp::SessionState::Idle {
                 self.session_down(ctx, idx, false);
             }
