@@ -14,10 +14,11 @@
 //!   origin (valley-free reachability, partition detection), and how many
 //!   path-hunting steps a withdrawal can trigger per cluster size (the
 //!   static bound that measured `hunt_step` phases must respect).
-//! * **Validation** ([`validate`]) — are the scripted actions, fault
-//!   plans, timers, and campaign grids well-formed: index ranges, loss
-//!   bounds, horizon consistency, graceful-restart vs hold timers,
-//!   expectations that could never hold.
+//! * **Validation** ([`validate`]) — are the scripted actions (the one
+//!   [`ScriptAction`] vocabulary scripts and chaos schedules share),
+//!   timers, and campaign grids well-formed: index ranges, links that
+//!   exist, loss bounds, graceful-restart vs hold timers, expectations that
+//!   could never hold.
 //!
 //! Results are [`Finding`]s in an [`AnalysisReport`] with stable codes,
 //! optional witnesses (e.g. the rim of a dispute wheel), deterministic
@@ -50,6 +51,5 @@ pub use safety::{
 };
 pub use spp::{render_cycle, PathRule, RankedPath, SppCaps, SppInstance, SppOutcome};
 pub use validate::{
-    check_actions, check_grid, check_timed, check_timing, Action, ActionContext, GridSpec,
-    STRATEGY_NAMES,
+    check_actions, check_grid, check_timing, ActionContext, GridSpec, ScriptAction, STRATEGY_NAMES,
 };

@@ -1,111 +1,198 @@
-//! Validation pass — scripts, fault plans, timing, and campaign grids.
+//! Validation pass — scripts, timing, and campaign grids.
 //!
 //! The framework's builders accept anything and fail late: an out-of-range
-//! AS index panics deep inside the simulator, a fault scheduled past the
-//! chaos horizon silently never fires, and an `expect_reachable` against a
+//! AS index panics deep inside the simulator, a fault on a link that does
+//! not exist panics mid-run, and an `expect_reachable` against a
 //! never-announced prefix burns a full convergence run before failing. This
-//! pass walks the declarative experiment inputs — an action sequence, a
-//! timed fault plan, the timer configuration, a campaign grid — and reports
-//! everything that is statically wrong or statically pointless.
+//! pass walks the declarative experiment inputs — an action sequence, the
+//! timer configuration, a campaign grid — and reports everything that is
+//! statically wrong or statically pointless.
 //!
-//! The pass works on a neutral [`Action`] IR rather than the framework's
-//! own `ScriptAction`/`FaultAction` enums so the analyzer stays below the
-//! core crate in the dependency order; core converts losslessly.
+//! [`ScriptAction`] lives here, below the core crate in the dependency
+//! order, so the analyzer validates the very values the framework executes:
+//! core re-exports the type and its `Script` is a plain `Vec<ScriptAction>`.
+
+use std::fmt;
 
 use bgpsdn_bgp::Prefix;
 use bgpsdn_netsim::SimDuration;
+use bgpsdn_topology::TopologyPlan;
 
 use crate::finding::AnalysisReport;
 
-/// Neutral mirror of the framework's script/fault actions.
+/// One step of an experiment script: an intervention, a wait, or an
+/// executable expectation. AS arguments are topology indices.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Action {
-    /// Announce a prefix (`None` = the AS's own default prefix).
+pub enum ScriptAction {
+    /// AS announces a prefix (its own when `None`).
     Announce {
-        /// Announcing AS index.
+        /// AS index in the plan.
         as_index: usize,
-        /// Explicit prefix, or the AS's default.
+        /// Specific prefix, or the AS's own.
         prefix: Option<Prefix>,
     },
-    /// Withdraw a prefix (`None` = the AS's own default prefix).
+    /// AS withdraws a prefix (its own when `None`).
     Withdraw {
-        /// Withdrawing AS index.
+        /// AS index in the plan.
         as_index: usize,
-        /// Explicit prefix, or the AS's default.
+        /// Specific prefix, or the AS's own.
         prefix: Option<Prefix>,
     },
-    /// Take the data link between two ASes down.
+    /// Fail the link between two adjacent ASes.
     FailEdge(usize, usize),
-    /// Bring a failed link back.
+    /// Restore the link between two adjacent ASes.
     RestoreEdge(usize, usize),
-    /// Crash the IDR controller.
+    /// Crash the IDR controller (speakers go headless; fail-static
+    /// forwarding keeps the data plane up).
     CrashController,
-    /// Restart the controller.
+    /// Restart a crashed controller (triggers a full-state resync).
     RestoreController,
     /// Partition the speaker↔controller channel.
     PartitionControlChannel,
-    /// Heal the control-channel partition.
+    /// Heal a control-channel partition.
     HealControlChannel,
-    /// Set loss on the control channel.
+    /// Set random per-message loss on the speaker↔controller channel.
     SetControlLoss(f64),
-    /// Set loss on a data link.
+    /// Set random per-message loss on the link between two adjacent ASes.
     SetEdgeLoss(usize, usize, f64),
-    /// Crash one AS's router.
+    /// Crash the router device of an AS (peers detect it via hold-timer
+    /// expiry; the device cold-starts on restore).
     CrashRouter(usize),
     /// Restore a crashed router.
     RestoreRouter(usize),
-    /// 100% silent loss on a link (hold-timer-only detection).
+    /// Silently drop all traffic on the link between two adjacent ASes
+    /// (100% loss with the link administratively up).
     DropEdgeTraffic(usize, usize),
     /// End a traffic-drop window.
     RestoreEdgeTraffic(usize, usize),
-    /// Collector timeline mark (always valid).
+    /// Start a fresh measurement phase (reset activity and collector log).
     Mark,
-    /// Run until convergence or the deadline.
+    /// Run until the network converges (or the deadline passes); records a
+    /// convergence report for the current phase.
     WaitConverged {
-        /// Convergence deadline.
+        /// Give up after this much simulated time.
         max: SimDuration,
     },
-    /// Run for a fixed duration.
+    /// Advance simulated time unconditionally.
     RunFor(SimDuration),
-    /// Assert a prefix is reachable network-wide with the given origin.
+    /// Expect every other AS to hold a route for `prefix`.
     ExpectReachable {
-        /// The prefix asserted present.
+        /// The prefix to check.
         prefix: Prefix,
-        /// Expected originating AS index.
+        /// Its origin (excluded from the check).
         origin: usize,
     },
-    /// Assert a prefix is gone network-wide.
+    /// Expect no AS to hold any state for `prefix`.
     ExpectGone {
-        /// The prefix asserted absent.
+        /// The prefix to check.
         prefix: Prefix,
     },
-    /// Assert full data-plane connectivity.
+    /// Expect the all-pairs forwarding audit to pass.
     ExpectFullConnectivity,
 }
 
+impl ScriptAction {
+    /// True for the paired down/up faults a chaos schedule draws from:
+    /// controller crash/restore, control-channel partition/heal, router
+    /// crash/restore, link fail/restore and traffic drop/restore.
+    pub fn is_fault(&self) -> bool {
+        matches!(
+            self,
+            ScriptAction::CrashController
+                | ScriptAction::RestoreController
+                | ScriptAction::PartitionControlChannel
+                | ScriptAction::HealControlChannel
+                | ScriptAction::CrashRouter(_)
+                | ScriptAction::RestoreRouter(_)
+                | ScriptAction::FailEdge(..)
+                | ScriptAction::RestoreEdge(..)
+                | ScriptAction::DropEdgeTraffic(..)
+                | ScriptAction::RestoreEdgeTraffic(..)
+        )
+    }
+
+    /// True for a data-plane fault that BGP hold timers are there to
+    /// detect: a crashed router, or a failed, dropping or lossy link. A
+    /// schedule holding one must run with a non-zero hold time.
+    pub fn needs_hold_timers(&self) -> bool {
+        matches!(
+            self,
+            ScriptAction::CrashRouter(_)
+                | ScriptAction::FailEdge(..)
+                | ScriptAction::DropEdgeTraffic(..)
+                | ScriptAction::SetEdgeLoss(..)
+        )
+    }
+}
+
+impl fmt::Display for ScriptAction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScriptAction::Announce { as_index, prefix } => match prefix {
+                Some(p) => write!(f, "announce {p} from AS#{as_index}"),
+                None => write!(f, "announce own prefix of AS#{as_index}"),
+            },
+            ScriptAction::Withdraw { as_index, prefix } => match prefix {
+                Some(p) => write!(f, "withdraw {p} from AS#{as_index}"),
+                None => write!(f, "withdraw own prefix of AS#{as_index}"),
+            },
+            ScriptAction::FailEdge(a, b) => write!(f, "fail link {a}-{b}"),
+            ScriptAction::RestoreEdge(a, b) => write!(f, "restore link {a}-{b}"),
+            ScriptAction::CrashController => write!(f, "crash controller"),
+            ScriptAction::RestoreController => write!(f, "restore controller"),
+            ScriptAction::PartitionControlChannel => write!(f, "partition control channel"),
+            ScriptAction::HealControlChannel => write!(f, "heal control channel"),
+            ScriptAction::SetControlLoss(p) => write!(f, "set control-channel loss to {p}"),
+            ScriptAction::SetEdgeLoss(a, b, p) => write!(f, "set link {a}-{b} loss to {p}"),
+            ScriptAction::CrashRouter(i) => write!(f, "crash router AS#{i}"),
+            ScriptAction::RestoreRouter(i) => write!(f, "restore router AS#{i}"),
+            ScriptAction::DropEdgeTraffic(a, b) => write!(f, "drop all traffic on link {a}-{b}"),
+            ScriptAction::RestoreEdgeTraffic(a, b) => {
+                write!(f, "restore traffic on link {a}-{b}")
+            }
+            ScriptAction::Mark => write!(f, "mark"),
+            ScriptAction::WaitConverged { max } => write!(f, "wait converged (max {max})"),
+            ScriptAction::RunFor(d) => write!(f, "run for {d}"),
+            ScriptAction::ExpectReachable { prefix, .. } => {
+                write!(f, "expect {prefix} reachable everywhere")
+            }
+            ScriptAction::ExpectGone { prefix } => write!(f, "expect {prefix} fully gone"),
+            ScriptAction::ExpectFullConnectivity => write!(f, "expect full connectivity"),
+        }
+    }
+}
+
 /// Static facts about the network a sequence of actions runs against.
-#[derive(Debug, Clone, Copy)]
-pub struct ActionContext<'a> {
+#[derive(Debug, Clone)]
+pub struct ActionContext {
     /// AS count.
     pub n: usize,
     /// Undirected inter-AS links, as index pairs.
-    pub edges: &'a [(usize, usize)],
+    pub edges: Vec<(usize, usize)>,
     /// True when an SDN cluster (controller + speaker) exists.
     pub has_cluster: bool,
-    /// BGP hold time in seconds (0 = hold timers disabled).
-    pub hold_secs: u64,
-    /// Graceful-restart window in seconds (0 = GR disabled).
-    pub graceful_restart_secs: u64,
     /// Default announced prefix per AS index, when known (used to resolve
     /// `prefix: None` and to match expectations; empty = unknown).
-    pub origin_prefixes: &'a [Prefix],
+    pub origin_prefixes: Vec<Prefix>,
     /// True when the sequence runs against an already-started network whose
     /// origin prefixes are announced at bring-up (the framework's
     /// `run_script` semantics); false when it starts from a silent network.
     pub origins_announced: bool,
 }
 
-impl ActionContext<'_> {
+impl ActionContext {
+    /// The facts of a planned network with the given cluster members,
+    /// started (its origin prefixes announced).
+    pub fn from_plan(plan: &TopologyPlan, members: &[usize]) -> ActionContext {
+        ActionContext {
+            n: plan.as_graph.len(),
+            edges: plan.as_graph.edges.iter().map(|e| (e.a, e.b)).collect(),
+            has_cluster: !members.is_empty(),
+            origin_prefixes: plan.addresses.as_prefixes.clone(),
+            origins_announced: true,
+        }
+    }
+
     fn has_edge(&self, a: usize, b: usize) -> bool {
         self.edges
             .iter()
@@ -133,9 +220,9 @@ fn key(a: usize, b: usize) -> (usize, usize) {
     (a.min(b), a.max(b))
 }
 
-/// Validate an ordered action sequence (a script, or the actions of a
-/// fault plan in offset order) against the network facts.
-pub fn check_actions(actions: &[Action], ctx: &ActionContext) -> AnalysisReport {
+/// Validate an ordered action sequence — a script or a lowered chaos
+/// schedule — against the network facts.
+pub fn check_actions(actions: &[ScriptAction], ctx: &ActionContext) -> AnalysisReport {
     let mut report = AnalysisReport::new();
     let mut st = WalkState::default();
     if ctx.origins_announced {
@@ -152,7 +239,7 @@ pub fn check_actions(actions: &[Action], ctx: &ActionContext) -> AnalysisReport 
 #[allow(clippy::too_many_lines)]
 fn check_one(
     i: usize,
-    action: &Action,
+    action: &ScriptAction,
     ctx: &ActionContext,
     st: &mut WalkState,
     report: &mut AnalysisReport,
@@ -170,7 +257,7 @@ fn check_one(
         }
     };
     match *action {
-        Action::Announce { as_index, prefix } => {
+        ScriptAction::Announce { as_index, prefix } => {
             if as_in_range(as_index, "announce AS") {
                 let p = prefix.or_else(|| ctx.default_prefix(as_index));
                 if let Some(p) = p {
@@ -180,7 +267,7 @@ fn check_one(
                 }
             }
         }
-        Action::Withdraw { as_index, prefix } => {
+        ScriptAction::Withdraw { as_index, prefix } => {
             if as_in_range(as_index, "withdraw AS") {
                 let p = prefix.or_else(|| ctx.default_prefix(as_index));
                 if let Some(p) = p {
@@ -196,8 +283,8 @@ fn check_one(
                 }
             }
         }
-        Action::FailEdge(a, b) | Action::DropEdgeTraffic(a, b) => {
-            let drop = matches!(action, Action::DropEdgeTraffic(..));
+        ScriptAction::FailEdge(a, b) | ScriptAction::DropEdgeTraffic(a, b) => {
+            let drop = matches!(action, ScriptAction::DropEdgeTraffic(..));
             if as_in_range(a, "edge endpoint") && as_in_range(b, "edge endpoint") {
                 if ctx.has_edge(a, b) {
                     let set = if drop {
@@ -222,8 +309,8 @@ fn check_one(
                 }
             }
         }
-        Action::RestoreEdge(a, b) | Action::RestoreEdgeTraffic(a, b) => {
-            let drop = matches!(action, Action::RestoreEdgeTraffic(..));
+        ScriptAction::RestoreEdge(a, b) | ScriptAction::RestoreEdgeTraffic(a, b) => {
+            let drop = matches!(action, ScriptAction::RestoreEdgeTraffic(..));
             if as_in_range(a, "edge endpoint") && as_in_range(b, "edge endpoint") {
                 if ctx.has_edge(a, b) {
                     let set = if drop {
@@ -248,7 +335,7 @@ fn check_one(
                 }
             }
         }
-        Action::CrashRouter(idx) => {
+        ScriptAction::CrashRouter(idx) => {
             if as_in_range(idx, "router") {
                 if st.crashed_routers.contains(&idx) {
                     report.warning(
@@ -261,7 +348,7 @@ fn check_one(
                 st.degraded = true;
             }
         }
-        Action::RestoreRouter(idx) => {
+        ScriptAction::RestoreRouter(idx) => {
             if as_in_range(idx, "router") {
                 match st.crashed_routers.iter().position(|&r| r == idx) {
                     Some(pos) => {
@@ -274,15 +361,15 @@ fn check_one(
                 }
             }
         }
-        Action::CrashController
-        | Action::RestoreController
-        | Action::PartitionControlChannel
-        | Action::HealControlChannel
-        | Action::SetControlLoss(_) => {
+        ScriptAction::CrashController
+        | ScriptAction::RestoreController
+        | ScriptAction::PartitionControlChannel
+        | ScriptAction::HealControlChannel
+        | ScriptAction::SetControlLoss(_) => {
             if ctx.has_cluster {
                 match *action {
-                    Action::CrashController => st.controller_down = true,
-                    Action::RestoreController => {
+                    ScriptAction::CrashController => st.controller_down = true,
+                    ScriptAction::RestoreController => {
                         if !st.controller_down {
                             report.warning(
                                 "script.restore_unfailed",
@@ -291,8 +378,8 @@ fn check_one(
                         }
                         st.controller_down = false;
                     }
-                    Action::PartitionControlChannel => st.channel_partitioned = true,
-                    Action::HealControlChannel => {
+                    ScriptAction::PartitionControlChannel => st.channel_partitioned = true,
+                    ScriptAction::HealControlChannel => {
                         if !st.channel_partitioned {
                             report.warning(
                                 "script.restore_unfailed",
@@ -301,7 +388,7 @@ fn check_one(
                         }
                         st.channel_partitioned = false;
                     }
-                    Action::SetControlLoss(loss) => check_loss(&step, loss, report),
+                    ScriptAction::SetControlLoss(loss) => check_loss(&step, loss, report),
                     _ => unreachable!(),
                 }
             } else {
@@ -311,7 +398,7 @@ fn check_one(
                 );
             }
         }
-        Action::SetEdgeLoss(a, b, loss) => {
+        ScriptAction::SetEdgeLoss(a, b, loss) => {
             if as_in_range(a, "edge endpoint") && as_in_range(b, "edge endpoint") {
                 if !ctx.has_edge(a, b) {
                     report.error(
@@ -325,8 +412,8 @@ fn check_one(
                 }
             }
         }
-        Action::Mark => {}
-        Action::WaitConverged { max } => {
+        ScriptAction::Mark => {}
+        ScriptAction::WaitConverged { max } => {
             if max == SimDuration::ZERO {
                 report.warning(
                     "script.zero_wait",
@@ -336,7 +423,7 @@ fn check_one(
                 );
             }
         }
-        Action::RunFor(d) => {
+        ScriptAction::RunFor(d) => {
             if d == SimDuration::ZERO {
                 report.warning(
                     "script.zero_wait",
@@ -344,7 +431,7 @@ fn check_one(
                 );
             }
         }
-        Action::ExpectReachable { prefix, origin } => {
+        ScriptAction::ExpectReachable { prefix, origin } => {
             if as_in_range(origin, "expected origin") {
                 match st.announced.iter().find(|&&(q, _)| q == prefix) {
                     None => report.error(
@@ -374,7 +461,7 @@ fn check_one(
                 }
             }
         }
-        Action::ExpectGone { prefix } => {
+        ScriptAction::ExpectGone { prefix } => {
             if let Some(&(_, origin)) = st.announced.iter().find(|&&(q, _)| q == prefix) {
                 if !st.degraded {
                     report.error(
@@ -387,7 +474,7 @@ fn check_one(
                 }
             }
         }
-        Action::ExpectFullConnectivity => {
+        ScriptAction::ExpectFullConnectivity => {
             if let Some(&r) = st.crashed_routers.first() {
                 report.error(
                     "script.expect_unreachable",
@@ -405,50 +492,6 @@ fn check_loss(step: &str, loss: f64, report: &mut AnalysisReport) {
             format!("{step}: loss {loss} outside [0, 1]"),
         );
     }
-}
-
-/// Validate a timed fault plan: per-action checks (in offset order) plus
-/// horizon and hold-timer consistency.
-pub fn check_timed(
-    events: &[(SimDuration, Action)],
-    horizon: SimDuration,
-    ctx: &ActionContext,
-) -> AnalysisReport {
-    let mut ordered: Vec<(SimDuration, Action)> = events.to_vec();
-    ordered.sort_by_key(|&(t, _)| t);
-    let actions: Vec<Action> = ordered.iter().map(|&(_, a)| a).collect();
-    let mut report = check_actions(&actions, ctx);
-    for &(t, ref a) in &ordered {
-        report.checked();
-        if t > horizon {
-            report.error(
-                "plan.past_horizon",
-                format!(
-                    "fault at +{}ms is past the plan horizon (+{}ms) and will never fire \
-                     within the measured window",
-                    t.as_millis(),
-                    horizon.as_millis()
-                ),
-            );
-        }
-        let needs_hold = matches!(
-            a,
-            Action::CrashRouter(_)
-                | Action::FailEdge(..)
-                | Action::DropEdgeTraffic(..)
-                | Action::SetEdgeLoss(..)
-        );
-        if needs_hold && ctx.hold_secs == 0 {
-            report.error(
-                "plan.hold_timers",
-                format!(
-                    "fault `{a:?}` needs hold timers to be detectable, but hold time is 0 \
-                     (sessions never expire)"
-                ),
-            );
-        }
-    }
-    report
 }
 
 /// Validate the timer configuration itself.
@@ -610,14 +653,12 @@ mod tests {
     use super::*;
     use bgpsdn_bgp::pfx;
 
-    fn ctx<'a>(edges: &'a [(usize, usize)], prefixes: &'a [Prefix]) -> ActionContext<'a> {
+    fn ctx(edges: &[(usize, usize)], prefixes: &[Prefix]) -> ActionContext {
         ActionContext {
             n: 4,
-            edges,
+            edges: edges.to_vec(),
             has_cluster: false,
-            hold_secs: 9,
-            graceful_restart_secs: 0,
-            origin_prefixes: prefixes,
+            origin_prefixes: prefixes.to_vec(),
             origins_announced: false,
         }
     }
@@ -627,7 +668,7 @@ mod tests {
         let edges = [(0, 1)];
         let c = ctx(&edges, &[]);
         let r = check_actions(
-            &[Action::Announce {
+            &[ScriptAction::Announce {
                 as_index: 7,
                 prefix: None,
             }],
@@ -640,7 +681,7 @@ mod tests {
     fn unknown_edge_is_an_error() {
         let edges = [(0, 1)];
         let c = ctx(&edges, &[]);
-        let r = check_actions(&[Action::FailEdge(2, 3)], &c);
+        let r = check_actions(&[ScriptAction::FailEdge(2, 3)], &c);
         assert_eq!(r.first_error().unwrap().code, "script.unknown_edge");
     }
 
@@ -648,9 +689,9 @@ mod tests {
     fn loss_range_is_checked() {
         let edges = [(0, 1)];
         let c = ctx(&edges, &[]);
-        let r = check_actions(&[Action::SetEdgeLoss(0, 1, 1.5)], &c);
+        let r = check_actions(&[ScriptAction::SetEdgeLoss(0, 1, 1.5)], &c);
         assert_eq!(r.first_error().unwrap().code, "script.loss_range");
-        let r = check_actions(&[Action::SetEdgeLoss(0, 1, f64::NAN)], &c);
+        let r = check_actions(&[ScriptAction::SetEdgeLoss(0, 1, f64::NAN)], &c);
         assert_eq!(r.first_error().unwrap().code, "script.loss_range");
     }
 
@@ -658,7 +699,7 @@ mod tests {
     fn controller_actions_need_a_cluster() {
         let edges = [(0, 1)];
         let c = ctx(&edges, &[]);
-        let r = check_actions(&[Action::CrashController], &c);
+        let r = check_actions(&[ScriptAction::CrashController], &c);
         assert_eq!(r.first_error().unwrap().code, "script.no_cluster");
     }
 
@@ -671,7 +712,7 @@ mod tests {
         let c = ctx(&edges, &prefixes);
         // Reachable-before-announce is an error.
         let r = check_actions(
-            &[Action::ExpectReachable {
+            &[ScriptAction::ExpectReachable {
                 prefix: p,
                 origin: 0,
             }],
@@ -681,11 +722,11 @@ mod tests {
         // Wrong origin is an error.
         let r = check_actions(
             &[
-                Action::Announce {
+                ScriptAction::Announce {
                     as_index: 0,
                     prefix: Some(p),
                 },
-                Action::ExpectReachable {
+                ScriptAction::ExpectReachable {
                     prefix: p,
                     origin: 1,
                 },
@@ -700,11 +741,11 @@ mod tests {
         // is accepted.
         let r = check_actions(
             &[
-                Action::Announce {
+                ScriptAction::Announce {
                     as_index: 0,
                     prefix: Some(p),
                 },
-                Action::ExpectGone { prefix: p },
+                ScriptAction::ExpectGone { prefix: p },
             ],
             &c,
         );
@@ -714,12 +755,12 @@ mod tests {
         );
         let r = check_actions(
             &[
-                Action::Announce {
+                ScriptAction::Announce {
                     as_index: 0,
                     prefix: Some(p),
                 },
-                Action::FailEdge(0, 1),
-                Action::ExpectGone { prefix: p },
+                ScriptAction::FailEdge(0, 1),
+                ScriptAction::ExpectGone { prefix: p },
             ],
             &c,
         );
@@ -727,19 +768,19 @@ mod tests {
         // The happy path (announce, expect, withdraw, expect gone) is clean.
         let r = check_actions(
             &[
-                Action::Announce {
+                ScriptAction::Announce {
                     as_index: 0,
                     prefix: None,
                 },
-                Action::ExpectReachable {
+                ScriptAction::ExpectReachable {
                     prefix: p,
                     origin: 0,
                 },
-                Action::Withdraw {
+                ScriptAction::Withdraw {
                     as_index: 0,
                     prefix: None,
                 },
-                Action::ExpectGone { prefix: p },
+                ScriptAction::ExpectGone { prefix: p },
             ],
             &c,
         );
@@ -757,7 +798,7 @@ mod tests {
         // On a started network the origin prefixes are reachable without a
         // script-level announce...
         let r = check_actions(
-            &[Action::ExpectReachable {
+            &[ScriptAction::ExpectReachable {
                 prefix: q,
                 origin: 1,
             }],
@@ -765,7 +806,7 @@ mod tests {
         );
         assert!(r.clean(), "{}", r.render());
         // ...and expecting one gone without a withdraw or fault is impossible.
-        let r = check_actions(&[Action::ExpectGone { prefix: p }], &c);
+        let r = check_actions(&[ScriptAction::ExpectGone { prefix: p }], &c);
         assert_eq!(
             r.first_error().unwrap().code,
             "script.expect_gone_announced"
@@ -773,11 +814,11 @@ mod tests {
         // Withdrawing a seeded prefix is not "unannounced".
         let r = check_actions(
             &[
-                Action::Withdraw {
+                ScriptAction::Withdraw {
                     as_index: 0,
                     prefix: None,
                 },
-                Action::ExpectGone { prefix: p },
+                ScriptAction::ExpectGone { prefix: p },
             ],
             &c,
         );
@@ -790,11 +831,11 @@ mod tests {
         let c = ctx(&edges, &[]);
         let r = check_actions(
             &[
-                Action::FailEdge(0, 1),
-                Action::FailEdge(0, 1),
-                Action::RestoreEdge(0, 1),
-                Action::RestoreEdge(0, 1),
-                Action::RestoreRouter(2),
+                ScriptAction::FailEdge(0, 1),
+                ScriptAction::FailEdge(0, 1),
+                ScriptAction::RestoreEdge(0, 1),
+                ScriptAction::RestoreEdge(0, 1),
+                ScriptAction::RestoreRouter(2),
             ],
             &c,
         );
@@ -811,31 +852,37 @@ mod tests {
     }
 
     #[test]
-    fn plan_horizon_and_hold_timers() {
-        let edges = [(0, 1)];
-        let mut c = ctx(&edges, &[]);
-        c.hold_secs = 0;
-        let horizon = SimDuration::from_secs(60);
-        let events = vec![
-            (SimDuration::from_secs(10), Action::FailEdge(0, 1)),
-            (SimDuration::from_secs(90), Action::RestoreEdge(0, 1)),
-        ];
-        let r = check_timed(&events, horizon, &c);
-        let codes: Vec<&str> = r
-            .findings
-            .iter()
-            .filter(|f| f.severity == crate::finding::Severity::Error)
-            .map(|f| f.code)
-            .collect();
-        assert!(codes.contains(&"plan.past_horizon"), "{codes:?}");
-        assert!(codes.contains(&"plan.hold_timers"), "{codes:?}");
-        // With hold timers and an in-horizon restore, clean.
-        c.hold_secs = 9;
-        let events = vec![
-            (SimDuration::from_secs(10), Action::FailEdge(0, 1)),
-            (SimDuration::from_secs(30), Action::RestoreEdge(0, 1)),
-        ];
-        assert!(check_timed(&events, horizon, &c).clean());
+    fn hold_timers_are_needed_by_data_plane_downs_only() {
+        let needs: Vec<ScriptAction> = [
+            ScriptAction::CrashController,
+            ScriptAction::RestoreController,
+            ScriptAction::PartitionControlChannel,
+            ScriptAction::HealControlChannel,
+            ScriptAction::CrashRouter(1),
+            ScriptAction::RestoreRouter(1),
+            ScriptAction::FailEdge(0, 1),
+            ScriptAction::RestoreEdge(0, 1),
+            ScriptAction::DropEdgeTraffic(0, 1),
+            ScriptAction::RestoreEdgeTraffic(0, 1),
+            ScriptAction::SetEdgeLoss(0, 1, 0.5),
+            ScriptAction::SetControlLoss(0.5),
+            ScriptAction::Mark,
+        ]
+        .into_iter()
+        .filter(ScriptAction::needs_hold_timers)
+        .collect();
+        assert_eq!(
+            needs,
+            vec![
+                ScriptAction::CrashRouter(1),
+                ScriptAction::FailEdge(0, 1),
+                ScriptAction::DropEdgeTraffic(0, 1),
+                ScriptAction::SetEdgeLoss(0, 1, 0.5),
+            ]
+        );
+        // Every data-plane outage a chaos schedule can draw opens with one.
+        assert!(needs[..3].iter().all(ScriptAction::is_fault));
+        assert!(!ScriptAction::SetEdgeLoss(0, 1, 0.5).is_fault());
     }
 
     #[test]

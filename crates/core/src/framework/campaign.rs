@@ -26,26 +26,12 @@ use bgpsdn_netsim::{LatencyModel, SimDuration, TraceCategory};
 use bgpsdn_obs::{CampaignArtifact, CausalAnalysis, JobRecord, Json, PhaseBreakdown};
 
 use super::experiment::Experiment;
-use super::faults::{FaultClasses, FaultPlan};
+use super::faults::FaultSpec;
 use super::scenarios::{
-    event_phase_name, run_clique_with, CliqueRunOptions, CliqueScenario, EventKind, ScenarioOutcome,
+    clique_deployment, event_phase_name, run_clique_with, CliqueRunOptions, CliqueScenario,
+    EventKind, ScenarioOutcome,
 };
-
-/// A seeded chaos-schedule spec applied to every job: each job derives its
-/// own [`FaultPlan::chaos_mixed`] from its job seed, so different seeds
-/// explore different outage patterns of the same intensity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Paired down/up outages per job.
-    pub outages: usize,
-    /// Window the outages land in, measured from event injection.
-    pub horizon: SimDuration,
-    /// Which fault classes jobs draw from. Classes a cell cannot run
-    /// (control faults without an SDN cluster, data-plane faults without
-    /// enough legacy ASes) are stripped per job and recorded as a trace
-    /// note instead of silently dropping the whole schedule.
-    pub classes: FaultClasses,
-}
+use super::script::ScriptAction;
 
 /// A declarative parameter grid: the cartesian product of the swept axes,
 /// times `seeds` repetitions per cell.
@@ -335,46 +321,36 @@ impl CampaignJob {
         }
     }
 
-    /// The run options this job carries (fault plan derived from the job
+    /// The run options this job carries (chaos schedule drawn from the job
     /// seed, verification flag, latency override).
     ///
-    /// Every cell gets a chaos plan: fault classes the cell cannot run
-    /// (control-plane faults without an SDN cluster, data-plane faults
-    /// without at least two legacy ASes) are stripped for that job and the
-    /// reason is recorded as an experiment note — previously a cluster-0
-    /// cell silently dropped its whole schedule. Plans containing router
-    /// or link faults switch the cell's hold timers on (9 s), since silent
-    /// data-plane outages are only detectable through hold expiry.
+    /// Every cell gets a chaos schedule: fault classes the cell cannot run
+    /// are dropped for that job and named in an experiment note. Schedules
+    /// holding router or link faults switch the cell's hold timers on
+    /// (9 s), since silent data-plane outages are only detectable through
+    /// hold expiry.
     pub fn run_options(&self) -> CliqueRunOptions {
         let mut hold_secs = 0u16;
         let mut fault_note = None;
         let fault_plan = self.faults.and_then(|f| {
-            let legacy = self.n - self.cluster;
-            let mut classes = f.classes;
-            let mut dropped = Vec::new();
-            if classes.control && self.cluster == 0 {
-                classes.control = false;
-                dropped.push("control (no SDN cluster)");
-            }
-            if classes.router && legacy < 2 {
-                classes.router = false;
-                dropped.push("router (fewer than 2 legacy ASes)");
-            }
-            if classes.link && legacy < 2 {
-                classes.link = false;
-                dropped.push("link (fewer than 2 legacy ASes)");
-            }
-            if !dropped.is_empty() {
-                fault_note = Some(format!(
-                    "inapplicable fault classes dropped for this cell: {}",
-                    dropped.join(", ")
-                ));
-            }
-            let plan = FaultPlan::chaos_mixed(self.seed, f.horizon, f.outages, classes, legacy);
-            if plan.needs_hold_timers() {
+            // Target what the job will build: its event graph under its
+            // resolved deployment.
+            let (graph, clusters) =
+                clique_deployment(&self.scenario(), self.event, self.clusters, self.strategy);
+            let members = clusters.concat();
+            let legacy: Vec<usize> = (0..graph.len()).filter(|i| !members.contains(i)).collect();
+            let links: Vec<(usize, usize)> = graph
+                .edges
+                .iter()
+                .map(|e| (e.a, e.b))
+                .filter(|(a, b)| legacy.contains(a) && legacy.contains(b))
+                .collect();
+            let (schedule, note) = f.schedule(self.seed, !members.is_empty(), &legacy, &links);
+            fault_note = note;
+            if schedule.steps.iter().any(ScriptAction::needs_hold_timers) {
                 hold_secs = 9;
             }
-            (!plan.events.is_empty()).then_some(plan)
+            (!schedule.steps.is_empty()).then_some(schedule)
         });
         CliqueRunOptions {
             fault_plan,
@@ -703,6 +679,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::faults::FaultClasses;
+    use bgpsdn_topology::plan;
 
     fn tiny_grid() -> CampaignGrid {
         CampaignGrid {
@@ -845,7 +823,8 @@ mod tests {
             let plan = opts
                 .fault_plan
                 .expect("every cell, including cluster 0, runs under chaos");
-            assert!(!plan.events.is_empty(), "job {} plan is empty", job.id);
+            assert!(!plan.steps.is_empty(), "job {} plan is empty", job.id);
+            let needs_hold = plan.steps.iter().any(ScriptAction::needs_hold_timers);
             if job.cluster == 0 {
                 // Pure-BGP cell: control faults stripped (and recorded),
                 // data-plane chaos remains, hold timers switched on.
@@ -854,7 +833,7 @@ mod tests {
                     .as_deref()
                     .expect("dropped class must be noted");
                 assert!(note.contains("control"), "note was: {note}");
-                assert!(plan.needs_hold_timers());
+                assert!(needs_hold);
                 assert_eq!(opts.hold_secs, 9);
             }
             if job.cluster == grid.n {
@@ -865,8 +844,62 @@ mod tests {
                     .as_deref()
                     .expect("dropped classes must be noted");
                 assert!(note.contains("router") && note.contains("link"));
-                assert!(!plan.needs_hold_timers());
+                assert!(!needs_hold);
                 assert_eq!(opts.hold_secs, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn chaos_targets_only_links_and_legacy_ases_that_exist() {
+        use bgpsdn_analyze::{check_actions, ActionContext};
+        use bgpsdn_bgp::{PolicyMode, TimingConfig};
+        let grids = [
+            (EventKind::Withdrawal, "tail", vec![0, 4, 8]),
+            (EventKind::Withdrawal, "random", vec![4, 8]),
+            (EventKind::Withdrawal, "degree", vec![4, 8]),
+            (EventKind::Failover, "tail", vec![0, 3]),
+        ];
+        for (event, strategy, cluster_sizes) in grids {
+            let mut grid = tiny_grid();
+            (grid.n, grid.event, grid.strategy) = (10, event, strategy);
+            grid.cluster_sizes = cluster_sizes;
+            grid.loss = vec![0.0];
+            grid.seeds = 6;
+            grid.faults = Some(FaultSpec {
+                outages: 4,
+                horizon: SimDuration::from_secs(60),
+                classes: FaultClasses::ALL,
+            });
+            for job in grid.expand() {
+                let schedule = job.run_options().fault_plan.expect("a schedule");
+                let (graph, clusters) =
+                    clique_deployment(&job.scenario(), event, job.clusters, strategy);
+                let members = clusters.concat();
+                let tp = plan(graph, PolicyMode::AllPermit, TimingConfig::default()).unwrap();
+                let report =
+                    check_actions(&schedule.steps, &ActionContext::from_plan(&tp, &members));
+                assert!(
+                    report.ok(),
+                    "{strategy} job {}:\n{}",
+                    job.id,
+                    report.render()
+                );
+                for step in &schedule.steps {
+                    let ases = match *step {
+                        ScriptAction::CrashRouter(r) | ScriptAction::RestoreRouter(r) => vec![r],
+                        ScriptAction::FailEdge(a, b)
+                        | ScriptAction::RestoreEdge(a, b)
+                        | ScriptAction::DropEdgeTraffic(a, b)
+                        | ScriptAction::RestoreEdgeTraffic(a, b) => vec![a, b],
+                        _ => vec![],
+                    };
+                    assert!(
+                        ases.iter().all(|a| *a != 0 && !members.contains(a)),
+                        "{strategy} job {}: `{step}` touches the origin or a member",
+                        job.id
+                    );
+                }
             }
         }
     }

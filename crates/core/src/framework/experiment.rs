@@ -19,7 +19,7 @@ use bgpsdn_obs::{metrics_line, run_line, Json};
 use bgpsdn_sdn::{ClusterMsg, FlowAction};
 use bgpsdn_verify::{Report, Snapshot, Verifier};
 
-use super::network::{AsKind, Collector, Controller, HybridNetwork, Router, Switch};
+use super::network::{AsKind, ClusterHandle, Collector, Controller, HybridNetwork, Router, Switch};
 use super::verify::capture_snapshot;
 
 /// A running hybrid experiment.
@@ -342,33 +342,18 @@ impl Experiment {
     // Fault injection (the chaos layer)
     // ------------------------------------------------------------------
 
-    fn controller_node_of(&self, cluster: usize) -> NodeId {
+    fn first_cluster(&self) -> &ClusterHandle {
         self.net
             .clusters
-            .get(cluster)
-            .unwrap_or_else(|| panic!("fault injection targets missing cluster {cluster}"))
-            .controller
-    }
-
-    fn control_channel_of(&self, cluster: usize) -> bgpsdn_netsim::LinkId {
-        self.net
-            .clusters
-            .get(cluster)
-            .unwrap_or_else(|| panic!("fault injection targets missing cluster {cluster}"))
-            .speaker_link
+            .first()
+            .expect("fault injection targets missing cluster 0")
     }
 
     /// Crash the IDR controller: it stops processing entirely, its timers
     /// die, and in-flight messages toward it are lost. Speakers fall back
-    /// to headless fail-static forwarding. Targets the first cluster; see
-    /// [`Experiment::crash_controller_of`] for multi-cluster deployments.
+    /// to headless fail-static forwarding. Targets the first cluster.
     pub fn crash_controller(&mut self) {
-        self.crash_controller_of(0);
-    }
-
-    /// Crash cluster `cluster`'s IDR controller.
-    pub fn crash_controller_of(&mut self, cluster: usize) {
-        let c = self.controller_node_of(cluster);
+        let c = self.first_cluster().controller;
         self.net.sim.set_node_admin(c, false);
     }
 
@@ -377,56 +362,35 @@ impl Experiment {
     /// re-learns everything else through the speaker resync and switch
     /// table replies.
     pub fn restore_controller(&mut self) {
-        self.restore_controller_of(0);
-    }
-
-    /// Restart cluster `cluster`'s crashed controller.
-    pub fn restore_controller_of(&mut self, cluster: usize) {
-        let c = self.controller_node_of(cluster);
+        let c = self.first_cluster().controller;
         self.net.sim.set_node_admin(c, true);
     }
 
     /// Whether the first cluster's controller node is currently up.
     pub fn controller_is_up(&self) -> bool {
-        self.controller_is_up_of(0)
-    }
-
-    /// Whether cluster `cluster`'s controller node is currently up.
-    pub fn controller_is_up_of(&self, cluster: usize) -> bool {
         self.net
             .clusters
-            .get(cluster)
-            .map(|h| self.net.sim.node_is_up(h.controller))
-            .unwrap_or(false)
+            .first()
+            .is_some_and(|h| self.net.sim.node_is_up(h.controller))
     }
 
     /// Partition the first cluster's speaker↔controller channel (both stay
     /// alive but cannot talk; each side's hold timer eventually fires).
     pub fn partition_control_channel(&mut self) {
-        self.partition_control_channel_of(0);
-    }
-
-    /// Partition cluster `cluster`'s speaker↔controller channel.
-    pub fn partition_control_channel_of(&mut self, cluster: usize) {
-        let l = self.control_channel_of(cluster);
+        let l = self.first_cluster().speaker_link;
         self.net.sim.set_link_admin(l, false);
     }
 
     /// Heal a control-channel partition (first cluster).
     pub fn heal_control_channel(&mut self) {
-        self.heal_control_channel_of(0);
-    }
-
-    /// Heal cluster `cluster`'s control-channel partition.
-    pub fn heal_control_channel_of(&mut self, cluster: usize) {
-        let l = self.control_channel_of(cluster);
+        let l = self.first_cluster().speaker_link;
         self.net.sim.set_link_admin(l, true);
     }
 
     /// Set the random per-message loss probability of the first cluster's
     /// speaker↔controller channel.
     pub fn set_control_loss(&mut self, loss: f64) {
-        let l = self.control_channel_of(0);
+        let l = self.first_cluster().speaker_link;
         self.net.sim.set_link_loss(l, loss);
     }
 

@@ -1,64 +1,15 @@
 //! Seeded chaos schedules for the control plane and the data plane.
 //!
-//! A [`FaultPlan`] is a time-ordered list of faults — controller
-//! crashes/restarts, control-channel partitions/heals, router
-//! crashes/restarts, data-link flaps and keepalive-loss windows — that
-//! replays deterministically against an [`Experiment`]. The
-//! [`FaultPlan::chaos`] constructor derives a control-plane-only schedule
-//! (unchanged since PR 5, so existing seeds stay byte-identical);
-//! [`FaultPlan::chaos_mixed`] extends it with router and link fault
-//! classes so *every* campaign cell, including the pure-BGP baseline,
-//! runs under chaos.
+//! A chaos schedule is a [`Script`]: paired down/up faults — controller
+//! crashes, control-channel partitions, router crashes, link flaps and
+//! keepalive-loss windows — drawn from a seed by [`FaultSpec::schedule`]
+//! and lowered to `RunFor(gap)` + action steps, so
+//! [`Experiment::run_script`](super::experiment::Experiment::run_script)
+//! replays it like any other script.
 
-use bgpsdn_netsim::{SimDuration, SimTime};
+use bgpsdn_netsim::{SimDuration, SimRng};
 
-use super::experiment::Experiment;
-
-/// One injectable fault. AS arguments are topology indices (the same
-/// indices `CliqueScenario`/`ScaleScenario` use).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Crash the IDR controller.
-    CrashController,
-    /// Restart a crashed controller.
-    RestoreController,
-    /// Partition the speaker↔controller channel.
-    PartitionControlChannel,
-    /// Heal a control-channel partition.
-    HealControlChannel,
-    /// Crash the router device of one AS (it stops processing; peers'
-    /// hold timers expire).
-    CrashRouter(usize),
-    /// Restore a crashed router (cold start + full re-advertisement).
-    RestoreRouter(usize),
-    /// Take the data link between two ASes down.
-    FailEdge(usize, usize),
-    /// Bring a failed data link back up.
-    RestoreEdge(usize, usize),
-    /// Silently drop all traffic on the link between two ASes (100% loss:
-    /// keepalives die but the link stays administratively up, so only the
-    /// hold timer can notice).
-    DropEdgeTraffic(usize, usize),
-    /// End a traffic-drop window (loss back to 0).
-    RestoreEdgeTraffic(usize, usize),
-}
-
-impl std::fmt::Display for FaultAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultAction::CrashController => write!(f, "crash controller"),
-            FaultAction::RestoreController => write!(f, "restore controller"),
-            FaultAction::PartitionControlChannel => write!(f, "partition control channel"),
-            FaultAction::HealControlChannel => write!(f, "heal control channel"),
-            FaultAction::CrashRouter(i) => write!(f, "crash router AS{i}"),
-            FaultAction::RestoreRouter(i) => write!(f, "restore router AS{i}"),
-            FaultAction::FailEdge(a, b) => write!(f, "fail edge AS{a}-AS{b}"),
-            FaultAction::RestoreEdge(a, b) => write!(f, "restore edge AS{a}-AS{b}"),
-            FaultAction::DropEdgeTraffic(a, b) => write!(f, "drop traffic AS{a}-AS{b}"),
-            FaultAction::RestoreEdgeTraffic(a, b) => write!(f, "restore traffic AS{a}-AS{b}"),
-        }
-    }
-}
+use super::script::{Script, ScriptAction};
 
 /// Which fault classes a chaos schedule may draw from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +29,7 @@ impl FaultClasses {
         router: true,
         link: true,
     };
-    /// Control-plane faults only (the pre-PR-8 behaviour).
+    /// Control-plane faults only.
     pub const CONTROL_ONLY: FaultClasses = FaultClasses {
         control: true,
         router: false,
@@ -93,308 +44,249 @@ impl FaultClasses {
     };
 }
 
-/// A deterministic schedule of control-plane faults, with offsets relative
-/// to the moment [`FaultPlan::apply`] is called.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// `(offset, fault)` pairs; applied in offset order.
-    pub events: Vec<(SimDuration, FaultAction)>,
+/// A seeded chaos-schedule spec: each campaign job draws its own
+/// [`FaultSpec::schedule`] from its job seed, so different seeds explore
+/// different outage patterns of the same intensity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultSpec {
+    /// Paired down/up outages per job.
+    pub outages: usize,
+    /// Window the outages start in, measured from event injection.
+    pub horizon: SimDuration,
+    /// Which fault classes jobs draw from. Classes a network cannot run
+    /// are dropped per job and named in a trace note instead of silently
+    /// dropping the whole schedule.
+    pub classes: FaultClasses,
 }
 
-impl FaultPlan {
-    /// Empty plan.
-    pub fn new() -> FaultPlan {
-        FaultPlan::default()
-    }
+/// Router crashes and keepalive-loss windows last 12–20 s: long enough
+/// that a 9 s hold timer expires inside the window (the only way a silent
+/// fault is detectable), short enough that the reconnect backoff outlives
+/// it.
+const SILENT_MIN: SimDuration = SimDuration::from_secs(12);
+const SILENT_MAX: SimDuration = SimDuration::from_secs(20);
 
-    /// Add a fault at an offset from the plan's application time.
-    pub fn at(mut self, offset: SimDuration, action: FaultAction) -> Self {
-        self.events.push((offset, action));
-        self
-    }
+/// The [`SimRng::fork`] stream a chaos schedule draws from, so it shares no
+/// draws with a random deployment seeded from the same job seed.
+const CHAOS_STREAM: u64 = 0xc4a0_5eed;
 
-    /// A seeded chaos schedule: `outages` paired down/up faults placed
-    /// within `horizon`. Each outage independently picks its start, a
-    /// duration between 5% and 25% of the horizon, and whether it is a
-    /// controller crash or a channel partition. The same seed always yields
-    /// the same schedule; outages may overlap (the underlying admin
-    /// operations are idempotent).
-    pub fn chaos(seed: u64, horizon: SimDuration, outages: usize) -> FaultPlan {
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state
-        };
-        let span = horizon.as_nanos().max(1);
-        let mut events = Vec::with_capacity(outages * 2);
-        for _ in 0..outages {
-            let start = next() % span;
-            let dur = span / 20 + next() % (span / 5).max(1);
-            let (down, up) = if next() & 1 == 1 {
-                (
-                    FaultAction::PartitionControlChannel,
-                    FaultAction::HealControlChannel,
-                )
-            } else {
-                (FaultAction::CrashController, FaultAction::RestoreController)
-            };
-            events.push((SimDuration::from_nanos(start), down));
-            events.push((SimDuration::from_nanos(start.saturating_add(dur)), up));
-        }
-        events.sort_by_key(|(at, _)| *at);
-        FaultPlan { events }
-    }
-
-    /// A seeded chaos schedule mixing control-, router- and link-class
-    /// faults. `n` is the topology size and `legacy` the number of
-    /// classic-BGP ASes (indices `0..legacy`); router and link faults
-    /// target only legacy ASes `1..legacy` so the origin (AS 0) and SDN
-    /// cluster members stay up, and they require `legacy >= 2` — when a
-    /// class has no applicable target it is silently excluded from the
-    /// draw (callers that care should check [`FaultClasses`] against
-    /// `legacy` themselves and record a note).
+impl FaultSpec {
+    /// Draw the seeded schedule for one network. `cluster` says whether it
+    /// has an SDN cluster, `legacy` lists its classic-BGP ASes and `links`
+    /// the links between two of them. Router and link faults never touch
+    /// the origin AS 0, so the routing event under test keeps its origin.
     ///
-    /// Router crashes and keepalive-loss windows are clamped to 12–20 s:
-    /// long enough that a 9 s hold timer expires inside the window (the
-    /// only way a silent fault is detectable), short enough that the
-    /// reconnect backoff outlives it. Callers scheduling router or link
-    /// faults must therefore run with hold timers enabled (hold ≤ 9 s);
-    /// with `hold_secs == 0` a traffic-drop window would silently eat
-    /// UPDATEs forever. Control-plane outages and edge flaps keep the
-    /// 5–25%-of-horizon durations that [`FaultPlan::chaos`] uses, and
-    /// that constructor's schedules remain byte-identical to PR 5.
-    pub fn chaos_mixed(
+    /// A class applies when it has a target — control needs the cluster,
+    /// router a legacy AS other than the origin, link a link between two
+    /// such ASes — and each outage picks its start within the horizon, an
+    /// applicable class and a target uniformly. Control outages and link
+    /// flaps last 5–25 % of the horizon, router crashes and traffic-drop
+    /// windows 12–20 s; schedules holding router or link faults need hold
+    /// timers ([`ScriptAction::needs_hold_timers`]). Returns the schedule
+    /// and a note naming every requested class that had nothing to fault.
+    pub fn schedule(
+        &self,
         seed: u64,
-        horizon: SimDuration,
-        outages: usize,
-        classes: FaultClasses,
-        legacy: usize,
-    ) -> FaultPlan {
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state
-        };
-        let mut applicable = Vec::new();
-        if classes.control {
-            applicable.push(0u8);
+        cluster: bool,
+        legacy: &[usize],
+        links: &[(usize, usize)],
+    ) -> (Script, Option<String>) {
+        let routers: Vec<usize> = legacy.iter().copied().filter(|&r| r != 0).collect();
+        let links: Vec<(usize, usize)> = links
+            .iter()
+            .copied()
+            .filter(|&(a, b)| a != 0 && b != 0)
+            .collect();
+        let mut classes = Vec::new();
+        let mut dropped = Vec::new();
+        for (wanted, class, has_target, why) in [
+            (
+                self.classes.control,
+                0u8,
+                cluster,
+                "control (no SDN cluster)",
+            ),
+            (
+                self.classes.router,
+                1,
+                !routers.is_empty(),
+                "router (no legacy AS besides the origin)",
+            ),
+            (
+                self.classes.link,
+                2,
+                !links.is_empty(),
+                "link (no link between two legacy ASes besides the origin)",
+            ),
+        ] {
+            match (wanted, has_target) {
+                (true, true) => classes.push(class),
+                (true, false) => dropped.push(why),
+                (false, _) => {}
+            }
         }
-        if classes.router && legacy >= 2 {
-            applicable.push(1);
-        }
-        if classes.link && legacy >= 2 {
-            applicable.push(2);
-        }
-        if applicable.is_empty() {
-            return FaultPlan::default();
-        }
-        let span = horizon.as_nanos().max(1);
-        const CLAMP_MIN: u64 = 12_000_000_000;
-        const CLAMP_JITTER: u64 = 8_000_000_000;
-        let mut events = Vec::with_capacity(outages * 2);
-        for _ in 0..outages {
-            let start = next() % span;
-            let class = applicable[(next() % applicable.len() as u64) as usize];
+        let note = (!dropped.is_empty()).then(|| {
+            format!(
+                "inapplicable fault classes dropped for this cell: {}",
+                dropped.join(", ")
+            )
+        });
+        let mut rng = SimRng::seed_from_u64(seed).fork(CHAOS_STREAM);
+        let span = self.horizon.max(SimDuration::from_nanos(1));
+        let mut events = Vec::with_capacity(self.outages * 2);
+        for _ in 0..self.outages {
+            let Some(&class) = rng.choose(&classes) else {
+                break;
+            };
+            let start = rng.duration_between(SimDuration::ZERO, span);
+            let flap = rng.duration_between(span / 20, span / 4);
+            let silent = rng.duration_between(SILENT_MIN, SILENT_MAX);
+            let heads = rng.chance(0.5);
             let (down, up, dur) = match class {
-                0 => {
-                    let dur = span / 20 + next() % (span / 5).max(1);
-                    if next() & 1 == 1 {
-                        (
-                            FaultAction::PartitionControlChannel,
-                            FaultAction::HealControlChannel,
-                            dur,
-                        )
-                    } else {
-                        (
-                            FaultAction::CrashController,
-                            FaultAction::RestoreController,
-                            dur,
-                        )
-                    }
-                }
+                0 if heads => (
+                    ScriptAction::PartitionControlChannel,
+                    ScriptAction::HealControlChannel,
+                    flap,
+                ),
+                0 => (
+                    ScriptAction::CrashController,
+                    ScriptAction::RestoreController,
+                    flap,
+                ),
                 1 => {
-                    let target = 1 + (next() % (legacy as u64 - 1)) as usize;
-                    let dur = CLAMP_MIN + next() % CLAMP_JITTER;
+                    let r = routers[rng.below_usize(routers.len())];
                     (
-                        FaultAction::CrashRouter(target),
-                        FaultAction::RestoreRouter(target),
-                        dur,
+                        ScriptAction::CrashRouter(r),
+                        ScriptAction::RestoreRouter(r),
+                        silent,
                     )
                 }
                 _ => {
-                    let a = 1 + (next() % (legacy as u64 - 1)) as usize;
-                    let mut b = (next() % legacy as u64) as usize;
-                    if b == a {
-                        b = if a == legacy - 1 { 0 } else { legacy - 1 };
-                    }
-                    if next() & 1 == 1 {
-                        let dur = span / 20 + next() % (span / 5).max(1);
+                    let (a, b) = links[rng.below_usize(links.len())];
+                    if heads {
                         (
-                            FaultAction::FailEdge(a, b),
-                            FaultAction::RestoreEdge(a, b),
-                            dur,
+                            ScriptAction::FailEdge(a, b),
+                            ScriptAction::RestoreEdge(a, b),
+                            flap,
                         )
                     } else {
-                        let dur = CLAMP_MIN + next() % CLAMP_JITTER;
                         (
-                            FaultAction::DropEdgeTraffic(a, b),
-                            FaultAction::RestoreEdgeTraffic(a, b),
-                            dur,
+                            ScriptAction::DropEdgeTraffic(a, b),
+                            ScriptAction::RestoreEdgeTraffic(a, b),
+                            silent,
                         )
                     }
                 }
             };
-            events.push((SimDuration::from_nanos(start), down));
-            events.push((SimDuration::from_nanos(start.saturating_add(dur)), up));
+            events.push((start, down));
+            events.push((start + dur, up));
         }
-        events.sort_by_key(|(at, _)| *at);
-        FaultPlan { events }
-    }
-
-    /// True if any event in the plan is a router- or link-class fault —
-    /// i.e. the run needs hold timers enabled to detect silent failures.
-    pub fn needs_hold_timers(&self) -> bool {
-        self.events.iter().any(|(_, f)| {
-            !matches!(
-                f,
-                FaultAction::CrashController
-                    | FaultAction::RestoreController
-                    | FaultAction::PartitionControlChannel
-                    | FaultAction::HealControlChannel
-            )
-        })
-    }
-
-    /// The offset of the last event, i.e. the schedule's length.
-    pub fn horizon(&self) -> SimDuration {
-        self.events
-            .iter()
-            .map(|(at, _)| *at)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Replay the plan: advance the simulation to each fault's time (in
-    /// offset order, relative to now) and inject it. Returns the absolute
-    /// time of the last fault.
-    pub fn apply(&self, exp: &mut Experiment) -> SimTime {
-        let mut events = self.events.clone();
-        events.sort_by_key(|(at, _)| *at);
-        let base = exp.net.sim.now();
-        for (offset, action) in events {
-            let target = base + offset;
-            if target > exp.net.sim.now() {
-                exp.net.sim.run_until(target);
-            }
-            match action {
-                FaultAction::CrashController => exp.crash_controller(),
-                FaultAction::RestoreController => exp.restore_controller(),
-                FaultAction::PartitionControlChannel => exp.partition_control_channel(),
-                FaultAction::HealControlChannel => exp.heal_control_channel(),
-                FaultAction::CrashRouter(i) => exp.crash_router(i),
-                FaultAction::RestoreRouter(i) => exp.restore_router(i),
-                FaultAction::FailEdge(a, b) => exp.fail_edge(a, b),
-                FaultAction::RestoreEdge(a, b) => exp.restore_edge(a, b),
-                FaultAction::DropEdgeTraffic(a, b) => exp.drop_edge_traffic(a, b),
-                FaultAction::RestoreEdgeTraffic(a, b) => exp.restore_edge_traffic(a, b),
-            }
-            exp.auto_verify_checkpoint();
-        }
-        base + self.horizon()
+        (Script::from_offsets(events), note)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::campaign::job_seed;
+
+    fn spec(classes: FaultClasses) -> FaultSpec {
+        FaultSpec {
+            outages: 3,
+            horizon: SimDuration::from_secs(60),
+            classes,
+        }
+    }
+
+    /// A 6-clique's ASes 0..4 legacy, all links among them.
+    fn legacy_clique() -> (Vec<usize>, Vec<(usize, usize)>) {
+        let legacy: Vec<usize> = (0..4).collect();
+        let links = legacy
+            .iter()
+            .flat_map(|&a| legacy.iter().filter(move |&&b| b > a).map(move |&b| (a, b)))
+            .collect();
+        (legacy, links)
+    }
 
     #[test]
     fn chaos_is_deterministic_and_paired() {
-        let a = FaultPlan::chaos(42, SimDuration::from_secs(60), 4);
-        let b = FaultPlan::chaos(42, SimDuration::from_secs(60), 4);
-        assert_eq!(a, b, "same seed, same schedule");
-        assert_eq!(a.events.len(), 8, "each outage is a down/up pair");
-        let downs = a
-            .events
-            .iter()
-            .filter(|(_, f)| {
-                matches!(
-                    f,
-                    FaultAction::CrashController | FaultAction::PartitionControlChannel
-                )
-            })
-            .count();
-        assert_eq!(downs, 4);
-        assert!(a.events.windows(2).all(|w| w[0].0 <= w[1].0), "sorted");
-
-        let c = FaultPlan::chaos(43, SimDuration::from_secs(60), 4);
-        assert_ne!(a, c, "different seed, different schedule");
+        let (legacy, links) = legacy_clique();
+        let draw = |seed| {
+            spec(FaultClasses::ALL)
+                .schedule(seed, true, &legacy, &links)
+                .0
+        };
+        let a = draw(42);
+        assert_eq!(a.steps, draw(42).steps, "same seed, same schedule");
+        assert_ne!(
+            a.steps,
+            draw(43).steps,
+            "different seed, different schedule"
+        );
+        let faults = a.steps.iter().filter(|s| s.is_fault()).count();
+        assert_eq!(faults, 6, "each outage is a down/up pair");
+        let gaps_positive = a.steps.iter().all(|s| match s {
+            ScriptAction::RunFor(d) => *d > SimDuration::ZERO,
+            other => other.is_fault(),
+        });
+        assert!(
+            gaps_positive,
+            "only faults and non-zero gaps: {:?}",
+            a.steps
+        );
     }
 
     #[test]
     fn chaos_mixed_is_deterministic_and_respects_classes() {
-        let a = FaultPlan::chaos_mixed(7, SimDuration::from_secs(120), 6, FaultClasses::ALL, 8);
-        let b = FaultPlan::chaos_mixed(7, SimDuration::from_secs(120), 6, FaultClasses::ALL, 8);
-        assert_eq!(a, b, "same seed, same schedule");
-        assert_eq!(a.events.len(), 12, "each outage is a down/up pair");
-        assert!(a.events.windows(2).all(|w| w[0].0 <= w[1].0), "sorted");
-
-        let data = FaultPlan::chaos_mixed(
-            7,
-            SimDuration::from_secs(120),
-            6,
-            FaultClasses::DATA_PLANE,
-            8,
+        // Campaign job seeds are always odd; the schedule must still reach
+        // every kind its classes allow, and no other.
+        let (legacy, links) = legacy_clique();
+        let kinds = |classes| {
+            let mut seen = std::collections::BTreeSet::new();
+            for i in 0..256 {
+                let seed = job_seed(1000, 8, 0, 1_000_000, i);
+                assert_eq!(seed & 1, 1);
+                let (script, _) = spec(classes).schedule(seed, true, &legacy, &links);
+                seen.extend(script.steps.iter().filter_map(|s| match s {
+                    ScriptAction::CrashController => Some("crash"),
+                    ScriptAction::PartitionControlChannel => Some("partition"),
+                    ScriptAction::CrashRouter(_) => Some("router"),
+                    ScriptAction::FailEdge(..) => Some("flap"),
+                    ScriptAction::DropEdgeTraffic(..) => Some("drop"),
+                    _ => None,
+                }));
+            }
+            seen.into_iter().collect::<Vec<_>>()
+        };
+        assert_eq!(
+            kinds(FaultClasses::ALL),
+            ["crash", "drop", "flap", "partition", "router"]
         );
-        assert!(
-            data.events.iter().all(|(_, f)| !matches!(
-                f,
-                FaultAction::CrashController
-                    | FaultAction::RestoreController
-                    | FaultAction::PartitionControlChannel
-                    | FaultAction::HealControlChannel
-            )),
-            "data-plane plan contains no control faults"
-        );
-        assert!(data.needs_hold_timers());
-
-        let ctl = FaultPlan::chaos_mixed(
-            7,
-            SimDuration::from_secs(120),
-            6,
-            FaultClasses::CONTROL_ONLY,
-            8,
-        );
-        assert!(!ctl.needs_hold_timers());
+        assert_eq!(kinds(FaultClasses::DATA_PLANE), ["drop", "flap", "router"]);
+        assert_eq!(kinds(FaultClasses::CONTROL_ONLY), ["crash", "partition"]);
     }
 
     #[test]
     fn chaos_mixed_targets_stay_in_legacy_range_and_avoid_origin() {
+        // Legacy ASes scattered as a random placement leaves them, and only
+        // some links among them.
+        let legacy = [0, 2, 5, 7];
+        let links = [(0, 2), (2, 5), (5, 7), (0, 7)];
         for seed in 0..32u64 {
-            let plan = FaultPlan::chaos_mixed(
-                seed,
-                SimDuration::from_secs(240),
-                8,
-                FaultClasses::DATA_PLANE,
-                5,
-            );
-            for (_, f) in &plan.events {
-                match *f {
-                    FaultAction::CrashRouter(i) | FaultAction::RestoreRouter(i) => {
-                        assert!((1..5).contains(&i), "crash target {i} out of range");
+            let (script, _) = spec(FaultClasses::DATA_PLANE).schedule(seed, false, &legacy, &links);
+            for step in &script.steps {
+                match *step {
+                    ScriptAction::CrashRouter(r) | ScriptAction::RestoreRouter(r) => {
+                        assert!([2, 5, 7].contains(&r), "crash target AS{r}");
                     }
-                    FaultAction::FailEdge(a, b)
-                    | FaultAction::RestoreEdge(a, b)
-                    | FaultAction::DropEdgeTraffic(a, b)
-                    | FaultAction::RestoreEdgeTraffic(a, b) => {
-                        assert!(a < 5 && b < 5 && a != b, "bad edge AS{a}-AS{b}");
-                        assert!(a != 0, "edge faults keep one endpoint off the origin");
+                    ScriptAction::FailEdge(a, b)
+                    | ScriptAction::RestoreEdge(a, b)
+                    | ScriptAction::DropEdgeTraffic(a, b)
+                    | ScriptAction::RestoreEdgeTraffic(a, b) => {
+                        assert!([(2, 5), (5, 7)].contains(&(a, b)), "edge AS{a}-AS{b}");
                     }
-                    _ => panic!("control fault in data-plane plan"),
+                    ScriptAction::RunFor(_) => {}
+                    other => panic!("`{other}` in a data-plane schedule"),
                 }
             }
         }
@@ -402,24 +294,45 @@ mod tests {
 
     #[test]
     fn chaos_mixed_with_no_applicable_class_is_empty() {
-        // Full-SDN cell (legacy < 2) asked for data-plane faults only:
-        // nothing applies, the plan is empty rather than panicking.
-        let plan = FaultPlan::chaos_mixed(
-            9,
-            SimDuration::from_secs(60),
-            4,
-            FaultClasses::DATA_PLANE,
-            1,
-        );
-        assert!(plan.events.is_empty());
+        // Full-SDN cell: only the origin is legacy, so router and link
+        // faults have nothing to touch and the schedule is control-only.
+        let (script, note) = spec(FaultClasses::ALL).schedule(9, true, &[0], &[]);
+        let note = note.expect("dropped classes are noted");
+        assert!(note.contains("router") && note.contains("link"), "{note}");
+        assert!(!script.steps.iter().any(ScriptAction::needs_hold_timers));
+        // Two legacy ASes: routers apply, but their one link touches the
+        // origin, so links do not.
+        let (script, note) = spec(FaultClasses::DATA_PLANE).schedule(9, false, &[0, 1], &[(0, 1)]);
+        assert!(note.is_some_and(|n| n.contains("link") && !n.contains("router")));
+        assert!(script.steps.iter().all(|s| matches!(
+            s,
+            ScriptAction::RunFor(_) | ScriptAction::CrashRouter(1) | ScriptAction::RestoreRouter(1)
+        )));
+        // Nothing applicable at all: an empty schedule, not a panic.
+        let (script, note) = spec(FaultClasses::DATA_PLANE).schedule(9, true, &[0], &[]);
+        assert!(script.steps.is_empty() && note.is_some());
     }
 
     #[test]
     fn builder_orders_by_offset_at_apply_time() {
-        let plan = FaultPlan::new()
-            .at(SimDuration::from_secs(9), FaultAction::RestoreController)
-            .at(SimDuration::from_secs(3), FaultAction::CrashController);
-        assert_eq!(plan.horizon(), SimDuration::from_secs(9));
-        assert_eq!(plan.events.len(), 2);
+        let secs = SimDuration::from_secs;
+        let script = Script::from_offsets(vec![
+            (secs(9), ScriptAction::RestoreController),
+            (secs(0), ScriptAction::PartitionControlChannel),
+            (secs(3), ScriptAction::CrashController),
+            (secs(3), ScriptAction::HealControlChannel),
+        ]);
+        // Sorted by offset, ties in insertion order, no zero gap.
+        assert_eq!(
+            script.steps,
+            [
+                ScriptAction::PartitionControlChannel,
+                ScriptAction::RunFor(secs(3)),
+                ScriptAction::CrashController,
+                ScriptAction::HealControlChannel,
+                ScriptAction::RunFor(secs(6)),
+                ScriptAction::RestoreController,
+            ]
+        );
     }
 }

@@ -19,16 +19,16 @@ pub mod verify;
 pub use campaign::{
     fold_deployment_seed, job_seed, loss_ppm, render_job_artifact_into, run_campaign,
     run_campaign_scratch, run_job, run_job_scratch, CampaignGrid, CampaignJob, CampaignRunReport,
-    FaultSpec, JobOutcome, JobResult, JobScratch,
+    JobOutcome, JobResult, JobScratch,
 };
 pub use deploy::{validate_clusters, DeploymentStrategy};
 pub use experiment::Experiment;
-pub use faults::{FaultAction, FaultClasses, FaultPlan};
+pub use faults::{FaultClasses, FaultSpec};
 pub use network::{
     AsHandle, AsKind, ClusterHandle, Collector, Controller, HybridNetwork, NetworkBuilder, Router,
     Sim, Speaker, Switch, COLLECTOR_ASN,
 };
-pub use preflight::{check_plan, PreflightContext};
+pub use preflight::check_plan;
 pub use scenarios::{
     event_phase_name, run_clique, run_clique_traced, run_clique_with, run_scale_instrumented,
     CliqueRunOptions, CliqueScenario, EventKind, ScaleOutcome, ScaleScenario, ScenarioOutcome,

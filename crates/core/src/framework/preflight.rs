@@ -1,13 +1,10 @@
 //! Pre-flight gates: run the static analyzer over framework inputs.
 //!
-//! This module is the bridge between the framework's concrete types
-//! (`TopologyPlan`, [`Script`], [`FaultPlan`], [`CampaignGrid`]) and the
-//! analyzer's neutral IR in `bgpsdn-analyze`. Every conversion is lossless
-//! for the properties the analyzer checks; the analyzer stays below this
-//! crate in the dependency order so the `bgpsdn check` CLI, proptests, and
-//! other front-ends can use it without pulling in the whole framework.
-//!
-//! Three gates sit on top of the conversions, all on by default:
+//! The analyzer (`bgpsdn-analyze`) sits below this crate in the dependency
+//! order so the `bgpsdn check` CLI, proptests, and other front-ends can use
+//! it without pulling in the whole framework; scripts need no conversion,
+//! since [`ScriptAction`](super::script::ScriptAction) is the analyzer's
+//! own type. Three gates sit on top, all on by default:
 //!
 //! * [`NetworkBuilder::build`](super::network::NetworkBuilder::build) runs
 //!   [`check_plan`] over the resolved cluster membership lists — none, the
@@ -15,145 +12,22 @@
 //!   `without_preflight`);
 //! * [`Experiment::run_script`](super::experiment::Experiment) runs
 //!   [`Experiment::script_preflight`] and returns a failed pre-flight step
-//!   instead of executing a structurally broken script;
+//!   instead of executing a structurally broken script — chaos schedules
+//!   included;
 //! * [`run_campaign`](super::campaign::run_campaign) rejects a bad grid
 //!   before any worker spins.
 
 use bgpsdn_analyze::{
-    check_actions, check_grid, check_safety_clusters, check_timed, check_timing, Action,
-    ActionContext, AnalysisReport, GridSpec, SafetyClustersInput,
+    check_actions, check_grid, check_safety_clusters, check_timing, ActionContext, AnalysisReport,
+    GridSpec, SafetyClustersInput,
 };
-use bgpsdn_bgp::{PolicyMode, Prefix};
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_bgp::PolicyMode;
 use bgpsdn_topology::TopologyPlan;
 
 use super::campaign::CampaignGrid;
 use super::experiment::Experiment;
-use super::faults::{FaultAction, FaultPlan};
 use super::scenarios::event_phase_name;
-use super::script::{Script, ScriptAction};
-
-/// Owned storage behind an [`ActionContext`] (which borrows its slices).
-pub struct PreflightContext {
-    n: usize,
-    edges: Vec<(usize, usize)>,
-    has_cluster: bool,
-    hold_secs: u64,
-    graceful_restart_secs: u64,
-    origin_prefixes: Vec<Prefix>,
-    origins_announced: bool,
-}
-
-impl PreflightContext {
-    /// Derive the static facts from a plan and the cluster member list.
-    pub fn from_plan(plan: &TopologyPlan, members: &[usize]) -> PreflightContext {
-        let timing = plan
-            .routers
-            .first()
-            .map(|r| &r.timing)
-            .cloned()
-            .unwrap_or_default();
-        PreflightContext {
-            n: plan.as_graph.len(),
-            edges: plan.as_graph.edges.iter().map(|e| (e.a, e.b)).collect(),
-            has_cluster: !members.is_empty(),
-            hold_secs: u64::from(timing.hold_time_secs),
-            graceful_restart_secs: u64::from(timing.graceful_restart_secs),
-            origin_prefixes: plan.addresses.as_prefixes.clone(),
-            origins_announced: true,
-        }
-    }
-
-    /// Borrow as the analyzer's context type.
-    pub fn as_action_context(&self) -> ActionContext<'_> {
-        ActionContext {
-            n: self.n,
-            edges: &self.edges,
-            has_cluster: self.has_cluster,
-            hold_secs: self.hold_secs,
-            graceful_restart_secs: self.graceful_restart_secs,
-            origin_prefixes: &self.origin_prefixes,
-            origins_announced: self.origins_announced,
-        }
-    }
-}
-
-/// Convert one script action to the analyzer IR.
-fn convert_script_action(a: &ScriptAction) -> Action {
-    match *a {
-        ScriptAction::Announce { as_index, prefix } => Action::Announce { as_index, prefix },
-        ScriptAction::Withdraw { as_index, prefix } => Action::Withdraw { as_index, prefix },
-        ScriptAction::FailEdge(a, b) => Action::FailEdge(a, b),
-        ScriptAction::RestoreEdge(a, b) => Action::RestoreEdge(a, b),
-        ScriptAction::CrashController => Action::CrashController,
-        ScriptAction::RestoreController => Action::RestoreController,
-        ScriptAction::PartitionControlChannel => Action::PartitionControlChannel,
-        ScriptAction::HealControlChannel => Action::HealControlChannel,
-        ScriptAction::SetControlLoss(l) => Action::SetControlLoss(l),
-        ScriptAction::SetEdgeLoss(a, b, l) => Action::SetEdgeLoss(a, b, l),
-        ScriptAction::CrashRouter(i) => Action::CrashRouter(i),
-        ScriptAction::RestoreRouter(i) => Action::RestoreRouter(i),
-        ScriptAction::DropEdgeTraffic(a, b) => Action::DropEdgeTraffic(a, b),
-        ScriptAction::RestoreEdgeTraffic(a, b) => Action::RestoreEdgeTraffic(a, b),
-        ScriptAction::Mark => Action::Mark,
-        ScriptAction::WaitConverged { max } => Action::WaitConverged { max },
-        ScriptAction::RunFor(d) => Action::RunFor(d),
-        ScriptAction::ExpectReachable { prefix, origin } => {
-            Action::ExpectReachable { prefix, origin }
-        }
-        ScriptAction::ExpectGone { prefix } => Action::ExpectGone { prefix },
-        ScriptAction::ExpectFullConnectivity => Action::ExpectFullConnectivity,
-    }
-}
-
-/// Convert one fault action to the analyzer IR.
-fn convert_fault_action(a: &FaultAction) -> Action {
-    match *a {
-        FaultAction::CrashController => Action::CrashController,
-        FaultAction::RestoreController => Action::RestoreController,
-        FaultAction::PartitionControlChannel => Action::PartitionControlChannel,
-        FaultAction::HealControlChannel => Action::HealControlChannel,
-        FaultAction::CrashRouter(i) => Action::CrashRouter(i),
-        FaultAction::RestoreRouter(i) => Action::RestoreRouter(i),
-        FaultAction::FailEdge(a, b) => Action::FailEdge(a, b),
-        FaultAction::RestoreEdge(a, b) => Action::RestoreEdge(a, b),
-        FaultAction::DropEdgeTraffic(a, b) => Action::DropEdgeTraffic(a, b),
-        FaultAction::RestoreEdgeTraffic(a, b) => Action::RestoreEdgeTraffic(a, b),
-    }
-}
-
-impl Script {
-    /// The script as analyzer IR.
-    pub fn to_actions(&self) -> Vec<Action> {
-        self.steps.iter().map(convert_script_action).collect()
-    }
-}
-
-impl FaultPlan {
-    /// The plan's timed events as analyzer IR.
-    pub fn to_actions(&self) -> Vec<(SimDuration, Action)> {
-        self.events
-            .iter()
-            .map(|(t, a)| (*t, convert_fault_action(a)))
-            .collect()
-    }
-
-    /// Statically validate this plan against a network: per-action index
-    /// and topology checks, horizon consistency, and hold-timer
-    /// detectability. `horizon` is the window faults are expected to fire
-    /// within.
-    pub fn preflight(
-        &self,
-        plan: &TopologyPlan,
-        members: &[usize],
-        horizon: SimDuration,
-        hold_secs: u64,
-    ) -> AnalysisReport {
-        let mut ctx = PreflightContext::from_plan(plan, members);
-        ctx.hold_secs = hold_secs;
-        check_timed(&self.to_actions(), horizon, &ctx.as_action_context())
-    }
-}
+use super::script::Script;
 
 /// Static safety check of a topology plan + cluster membership lists:
 /// policy safety (Gao–Rexford provider hierarchy, boundary proof with each
@@ -195,8 +69,10 @@ impl Experiment {
     /// cluster configuration, and timers — without executing anything.
     pub fn script_preflight(&self, script: &Script) -> AnalysisReport {
         let members: Vec<usize> = self.net.member_index.keys().copied().collect();
-        let ctx = PreflightContext::from_plan(&self.net.plan, &members);
-        check_actions(&script.to_actions(), &ctx.as_action_context())
+        check_actions(
+            &script.steps,
+            &ActionContext::from_plan(&self.net.plan, &members),
+        )
     }
 }
 
@@ -222,10 +98,14 @@ impl CampaignGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::campaign::FaultSpec;
+    use crate::framework::faults::{FaultClasses, FaultSpec};
     use crate::framework::network::NetworkBuilder;
-    use bgpsdn_analyze::Severity;
+    use crate::framework::scenarios::{
+        run_clique_with, CliqueRunOptions, CliqueScenario, EventKind,
+    };
+    use crate::framework::script::ScriptAction;
     use bgpsdn_bgp::TimingConfig;
+    use bgpsdn_netsim::SimDuration;
     use bgpsdn_topology::{gen, plan, AsGraph};
 
     fn clique_plan(n: usize) -> TopologyPlan {
@@ -274,15 +154,37 @@ mod tests {
 
     #[test]
     fn fault_plan_preflight_flags_missing_hold_timers() {
-        let tp = clique_plan(4);
-        let plan = FaultPlan::new().at(SimDuration::from_secs(5), FaultAction::FailEdge(0, 1));
-        let report = plan.preflight(&tp, &[], SimDuration::from_secs(60), 0);
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.code == "plan.hold_timers" && f.severity == Severity::Error));
-        let report = plan.preflight(&tp, &[], SimDuration::from_secs(60), 9);
-        assert!(report.ok(), "{}", report.render());
+        let scenario = CliqueScenario {
+            n: 4,
+            sdn_count: 0,
+            mrai: SimDuration::ZERO,
+            recompute_delay: SimDuration::from_millis(100),
+            seed: 3,
+            control_loss: 0.0,
+        };
+        let flap = Script::from_offsets(vec![
+            (SimDuration::from_secs(5), ScriptAction::FailEdge(1, 2)),
+            (SimDuration::from_secs(15), ScriptAction::RestoreEdge(1, 2)),
+        ]);
+        let run = |fault_plan: Script, hold_secs| {
+            let opts = CliqueRunOptions {
+                fault_plan: Some(fault_plan),
+                hold_secs,
+                ..CliqueRunOptions::default()
+            };
+            std::panic::catch_unwind(|| {
+                run_clique_with(&scenario, EventKind::Withdrawal, &opts, |_| {}).0
+            })
+        };
+        let err = run(flap.clone(), 0).expect_err("a link fault with hold 0 is rejected");
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("needs hold timers"), "{msg}");
+        assert!(run(flap, 9).is_ok_and(|o| o.converged && o.audit_ok));
+        // A structurally broken schedule never runs: run_script's
+        // pre-flight rejects the unknown AS before any fault fires.
+        let err = run(Script::new().crash_router(7), 9).expect_err("unknown AS is rejected");
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("script.index_range"), "{msg}");
     }
 
     #[test]
@@ -298,7 +200,7 @@ mod tests {
         grid.faults = Some(FaultSpec {
             outages: 2,
             horizon: SimDuration::ZERO,
-            classes: crate::framework::faults::FaultClasses::ALL,
+            classes: FaultClasses::ALL,
         });
         assert_eq!(
             grid.preflight().first_error().unwrap().code,

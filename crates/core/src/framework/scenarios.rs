@@ -19,8 +19,8 @@ use bgpsdn_topology::{caida, gen, plan, AsGraph};
 
 use super::deploy::DeploymentStrategy;
 use super::experiment::Experiment;
-use super::faults::FaultPlan;
 use super::network::NetworkBuilder;
+use super::script::Script;
 
 /// Parameters of a clique experiment.
 #[derive(Debug, Clone)]
@@ -108,10 +108,10 @@ const PHASE_DEADLINE: SimDuration = SimDuration::from_secs(3600);
 /// parameters — what the campaign engine sweeps and injects per job.
 #[derive(Debug, Clone, Default)]
 pub struct CliqueRunOptions {
-    /// A fault schedule (control- and/or data-plane) replayed after the
-    /// routing event is injected (the convergence wait resumes once the
-    /// schedule finishes).
-    pub fault_plan: Option<FaultPlan>,
+    /// A fault schedule (control- and/or data-plane) replayed through
+    /// [`Experiment::run_script`] right after the routing event is injected
+    /// (the convergence wait resumes once the schedule finishes).
+    pub fault_plan: Option<Script>,
     /// Run the static data-plane verifier at experiment checkpoints.
     pub verification: bool,
     /// Override the speaker↔controller channel latency model.
@@ -163,57 +163,18 @@ pub fn run_clique_with(
     opts: &CliqueRunOptions,
     instrument: impl FnOnce(&mut super::network::Sim),
 ) -> (ScenarioOutcome, Experiment) {
-    let ag = match event {
-        EventKind::Withdrawal | EventKind::Announcement => {
-            AsGraph::all_peer(&gen::clique(scenario.n), 65000)
-        }
-        EventKind::Failover => {
-            // Origin 0 is dual-homed: primary link straight into the clique
-            // (AS 2), backup over a stub relay (AS 1), making the backup one
-            // hop longer. Failing the primary leaves equal-length ghost
-            // paths competing with the real backup — genuine fail-over
-            // exploration.
-            assert!(scenario.n >= 5, "fail-over needs n >= 5");
-            let mut g = bgpsdn_topology::Graph::new(scenario.n);
-            for i in 2..scenario.n {
-                for j in (i + 1)..scenario.n {
-                    g.add_edge(i, j);
-                }
-            }
-            g.add_edge(0, 2); // primary
-            g.add_edge(0, 1); // origin — relay
-            g.add_edge(1, 3); // relay — backup entry
-            AsGraph::all_peer(&g, 65000)
-        }
-    };
+    let (ag, clusters) = clique_deployment(scenario, event, opts.clusters, opts.strategy);
     let mut timing = TimingConfig::with_mrai(scenario.mrai);
     timing.hold_time_secs = opts.hold_secs;
     timing.graceful_restart_secs = opts.graceful_restart_secs;
     let tp = plan(ag, PolicyMode::AllPermit, timing).expect("address plan");
-    // Resolve the deployment once; the fault-plan pre-flight and the
-    // builder both work from the resolved lists.
-    let clusters = if scenario.sdn_count == 0 {
-        Vec::new()
-    } else {
-        let name = if opts.strategy.is_empty() {
-            "tail"
-        } else {
-            opts.strategy
-        };
-        DeploymentStrategy::by_name(name, opts.clusters.max(1), scenario.sdn_count)
-            .unwrap_or_else(|| panic!("unknown deployment strategy `{name}`"))
-            .assign(&tp.as_graph, scenario.seed)
-            .unwrap_or_else(|e| panic!("invalid cluster deployment: {e}"))
-    };
-    if let Some(fp) = &opts.fault_plan {
-        // Pre-flight the schedule: indices, edges, and hold-timer
-        // detectability (router/link faults are invisible with hold 0).
-        let members: Vec<usize> = clusters.iter().flatten().copied().collect();
-        let report = fp.preflight(&tp, &members, fp.horizon(), u64::from(opts.hold_secs));
+    // Router and link faults are invisible with hold timers off.
+    let mut steps = opts.fault_plan.iter().flat_map(|s| &s.steps);
+    if let Some(fault) = steps.find(|a| a.needs_hold_timers()) {
         assert!(
-            report.ok(),
-            "fault plan failed pre-flight:\n{}",
-            report.render()
+            opts.hold_secs > 0,
+            "fault plan failed pre-flight: `{fault}` needs hold timers to be detectable, \
+             but hold time is 0"
         );
     }
     let mut builder = NetworkBuilder::new(tp, scenario.seed)
@@ -259,8 +220,13 @@ pub fn run_clique_with(
             (origin_prefix, false)
         }
     };
-    if let Some(plan) = &opts.fault_plan {
-        plan.apply(&mut exp);
+    if let Some(schedule) = &opts.fault_plan {
+        let report = exp.run_script(schedule);
+        assert!(
+            report.ok(),
+            "fault plan failed pre-flight:\n{}",
+            report.render()
+        );
     }
     let report = exp.wait_converged(PHASE_DEADLINE);
 
@@ -283,6 +249,55 @@ pub fn run_clique_with(
     };
     exp.finish();
     (outcome, exp)
+}
+
+/// The AS graph `event` runs on and the cluster lists the scenario's
+/// `sdn_count` members resolve to under `clusters`/`strategy` — what
+/// [`run_clique_with`] builds, and what a campaign job's chaos schedule
+/// may target.
+pub(crate) fn clique_deployment(
+    scenario: &CliqueScenario,
+    event: EventKind,
+    clusters: usize,
+    strategy: &str,
+) -> (AsGraph, Vec<Vec<usize>>) {
+    let ag = match event {
+        EventKind::Withdrawal | EventKind::Announcement => {
+            AsGraph::all_peer(&gen::clique(scenario.n), 65000)
+        }
+        EventKind::Failover => {
+            // Origin 0 is dual-homed: primary link straight into the clique
+            // (AS 2), backup over a stub relay (AS 1), making the backup one
+            // hop longer. Failing the primary leaves equal-length ghost
+            // paths competing with the real backup — genuine fail-over
+            // exploration.
+            assert!(scenario.n >= 5, "fail-over needs n >= 5");
+            let mut g = bgpsdn_topology::Graph::new(scenario.n);
+            for i in 2..scenario.n {
+                for j in (i + 1)..scenario.n {
+                    g.add_edge(i, j);
+                }
+            }
+            g.add_edge(0, 2); // primary
+            g.add_edge(0, 1); // origin — relay
+            g.add_edge(1, 3); // relay — backup entry
+            AsGraph::all_peer(&g, 65000)
+        }
+    };
+    let lists = if scenario.sdn_count == 0 {
+        Vec::new()
+    } else {
+        let name = if strategy.is_empty() {
+            "tail"
+        } else {
+            strategy
+        };
+        DeploymentStrategy::by_name(name, clusters.max(1), scenario.sdn_count)
+            .unwrap_or_else(|| panic!("unknown deployment strategy `{name}`"))
+            .assign(&ag, scenario.seed)
+            .unwrap_or_else(|e| panic!("invalid cluster deployment: {e}"))
+    };
+    (ag, lists)
 }
 
 /// The phase name a routing event runs under in trace artifacts.

@@ -6,122 +6,17 @@
 //! orchestration layer in data form: a sequence of actions (announce,
 //! withdraw, fail/restore links, wait for convergence) interleaved with
 //! executable expectations (prefix reachable/gone, full connectivity),
-//! replayed against an [`Experiment`] into a step-by-step report.
-
-use std::fmt;
+//! replayed against an [`Experiment`] into a step-by-step report. A seeded
+//! chaos schedule ([`super::faults`]) is a script too, and
+//! [`Experiment::run_script`] is the one executor of both.
 
 use bgpsdn_bgp::Prefix;
 use bgpsdn_collector::ConvergenceReport;
 use bgpsdn_netsim::SimDuration;
 
+pub use bgpsdn_analyze::ScriptAction;
+
 use super::experiment::Experiment;
-
-/// One scripted step.
-#[derive(Debug, Clone)]
-pub enum ScriptAction {
-    /// AS announces a prefix (its own when `None`).
-    Announce {
-        /// AS index in the plan.
-        as_index: usize,
-        /// Specific prefix, or the AS's own.
-        prefix: Option<Prefix>,
-    },
-    /// AS withdraws a prefix (its own when `None`).
-    Withdraw {
-        /// AS index in the plan.
-        as_index: usize,
-        /// Specific prefix, or the AS's own.
-        prefix: Option<Prefix>,
-    },
-    /// Fail the link between two adjacent ASes.
-    FailEdge(usize, usize),
-    /// Restore the link between two adjacent ASes.
-    RestoreEdge(usize, usize),
-    /// Crash the IDR controller (speakers go headless; fail-static
-    /// forwarding keeps the data plane up).
-    CrashController,
-    /// Restart a crashed controller (triggers a full-state resync).
-    RestoreController,
-    /// Partition the speaker↔controller channel.
-    PartitionControlChannel,
-    /// Heal a control-channel partition.
-    HealControlChannel,
-    /// Set random per-message loss on the speaker↔controller channel.
-    SetControlLoss(f64),
-    /// Set random per-message loss on the link between two adjacent ASes.
-    SetEdgeLoss(usize, usize, f64),
-    /// Crash the router device of an AS (peers detect it via hold-timer
-    /// expiry; the device cold-starts on restore).
-    CrashRouter(usize),
-    /// Restore a crashed router.
-    RestoreRouter(usize),
-    /// Silently drop all traffic on the link between two adjacent ASes
-    /// (100% loss with the link administratively up).
-    DropEdgeTraffic(usize, usize),
-    /// End a traffic-drop window.
-    RestoreEdgeTraffic(usize, usize),
-    /// Start a fresh measurement phase (reset activity and collector log).
-    Mark,
-    /// Run until the network converges (or the deadline passes); records a
-    /// convergence report for the current phase.
-    WaitConverged {
-        /// Give up after this much simulated time.
-        max: SimDuration,
-    },
-    /// Advance simulated time unconditionally.
-    RunFor(SimDuration),
-    /// Expect every other AS to hold a route for `prefix`.
-    ExpectReachable {
-        /// The prefix to check.
-        prefix: Prefix,
-        /// Its origin (excluded from the check).
-        origin: usize,
-    },
-    /// Expect no AS to hold any state for `prefix`.
-    ExpectGone {
-        /// The prefix to check.
-        prefix: Prefix,
-    },
-    /// Expect the all-pairs forwarding audit to pass.
-    ExpectFullConnectivity,
-}
-
-impl fmt::Display for ScriptAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScriptAction::Announce { as_index, prefix } => match prefix {
-                Some(p) => write!(f, "announce {p} from AS#{as_index}"),
-                None => write!(f, "announce own prefix of AS#{as_index}"),
-            },
-            ScriptAction::Withdraw { as_index, prefix } => match prefix {
-                Some(p) => write!(f, "withdraw {p} from AS#{as_index}"),
-                None => write!(f, "withdraw own prefix of AS#{as_index}"),
-            },
-            ScriptAction::FailEdge(a, b) => write!(f, "fail link {a}-{b}"),
-            ScriptAction::RestoreEdge(a, b) => write!(f, "restore link {a}-{b}"),
-            ScriptAction::CrashController => write!(f, "crash controller"),
-            ScriptAction::RestoreController => write!(f, "restore controller"),
-            ScriptAction::PartitionControlChannel => write!(f, "partition control channel"),
-            ScriptAction::HealControlChannel => write!(f, "heal control channel"),
-            ScriptAction::SetControlLoss(p) => write!(f, "set control-channel loss to {p}"),
-            ScriptAction::SetEdgeLoss(a, b, p) => write!(f, "set link {a}-{b} loss to {p}"),
-            ScriptAction::CrashRouter(i) => write!(f, "crash router AS#{i}"),
-            ScriptAction::RestoreRouter(i) => write!(f, "restore router AS#{i}"),
-            ScriptAction::DropEdgeTraffic(a, b) => write!(f, "drop all traffic on link {a}-{b}"),
-            ScriptAction::RestoreEdgeTraffic(a, b) => {
-                write!(f, "restore traffic on link {a}-{b}")
-            }
-            ScriptAction::Mark => write!(f, "mark"),
-            ScriptAction::WaitConverged { max } => write!(f, "wait converged (max {max})"),
-            ScriptAction::RunFor(d) => write!(f, "run for {d}"),
-            ScriptAction::ExpectReachable { prefix, .. } => {
-                write!(f, "expect {prefix} reachable everywhere")
-            }
-            ScriptAction::ExpectGone { prefix } => write!(f, "expect {prefix} fully gone"),
-            ScriptAction::ExpectFullConnectivity => write!(f, "expect full connectivity"),
-        }
-    }
-}
 
 /// An ordered experiment script with a builder API.
 #[derive(Debug, Clone, Default)]
@@ -140,6 +35,25 @@ impl Script {
     pub fn step(mut self, action: ScriptAction) -> Self {
         self.steps.push(action);
         self
+    }
+
+    /// A timed schedule as a script: actions sorted by offset (stable, so
+    /// equal offsets keep their order), each preceded by a
+    /// [`RunFor`](ScriptAction::RunFor) of the gap since the previous one —
+    /// none for a zero gap. Replayed from time `t`, every action fires at
+    /// `t + offset`.
+    pub fn from_offsets(mut events: Vec<(SimDuration, ScriptAction)>) -> Script {
+        events.sort_by_key(|&(at, _)| at);
+        let mut steps = Vec::with_capacity(events.len() * 2);
+        let mut now = SimDuration::ZERO;
+        for (at, action) in events {
+            if at > now {
+                steps.push(ScriptAction::RunFor(at - now));
+                now = at;
+            }
+            steps.push(action);
+        }
+        Script { steps }
     }
 
     /// Announce the AS's own prefix.
@@ -297,7 +211,10 @@ impl ScriptReport {
 
 impl Experiment {
     /// Replay a script. Expectation failures are recorded (not panics) so a
-    /// report always comes back; driving continues after failures.
+    /// report always comes back; driving continues after failures. With
+    /// verification on, every fault action (see
+    /// [`ScriptAction::is_fault`]) is followed by a verifier checkpoint,
+    /// as every convergence wait is.
     ///
     /// Before touching the simulator the script is statically validated
     /// ([`script_preflight`](Experiment::script_preflight)); a script with
@@ -396,6 +313,9 @@ impl Experiment {
                 ScriptAction::ExpectGone { prefix } => self.prefix_fully_gone(*prefix),
                 ScriptAction::ExpectFullConnectivity => self.connectivity_audit().fully_connected(),
             };
+            if action.is_fault() {
+                self.auto_verify_checkpoint();
+            }
             steps.push(StepOutcome {
                 index,
                 action: action.to_string(),

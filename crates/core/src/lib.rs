@@ -35,9 +35,8 @@ pub use framework::{
     render_job_artifact_into, run_campaign, run_campaign_scratch, run_clique, run_clique_traced,
     run_clique_with, run_job, run_job_scratch, run_scale_instrumented, validate_clusters, AsHandle,
     AsKind, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions, CliqueScenario,
-    ClusterHandle, Collector, Controller, DeploymentStrategy, EventKind, Experiment, FaultAction,
-    FaultClasses, FaultPlan, FaultSpec, HybridNetwork, JobOutcome, JobResult, JobScratch,
-    NetworkBuilder, PreflightContext, ProbeReport, Router, ScaleOutcome, ScaleScenario,
-    ScenarioOutcome, Script, ScriptAction, ScriptReport, Sim, Speaker, Switch, COLLECTOR_ASN,
-    SCALE_UPDATE_PHASE,
+    ClusterHandle, Collector, Controller, DeploymentStrategy, EventKind, Experiment, FaultClasses,
+    FaultSpec, HybridNetwork, JobOutcome, JobResult, JobScratch, NetworkBuilder, ProbeReport,
+    Router, ScaleOutcome, ScaleScenario, ScenarioOutcome, Script, ScriptAction, ScriptReport, Sim,
+    Speaker, Switch, COLLECTOR_ASN, SCALE_UPDATE_PHASE,
 };

@@ -8,7 +8,8 @@
 
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
 use bgpsdn_core::{
-    Controller, Experiment, FaultAction, FaultPlan, NetworkBuilder, Script, Speaker, Switch,
+    Controller, Experiment, FaultClasses, FaultSpec, NetworkBuilder, Script, ScriptAction, Speaker,
+    Switch,
 };
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_sdn::FlowRule;
@@ -275,16 +276,23 @@ fn chaos_fault_plan_converges_to_oracle_state() {
     let mut faulty = build(23, 0.0);
     let mut oracle = build(23, 0.0);
 
-    let plan = FaultPlan::chaos(23, SimDuration::from_secs(30), 3);
-    assert_eq!(plan.events.len(), 6);
-    plan.apply(&mut faulty);
+    let spec = FaultSpec {
+        outages: 3,
+        horizon: SimDuration::from_secs(30),
+        classes: FaultClasses::CONTROL_ONLY,
+    };
+    let (schedule, note) = spec.schedule(23, true, &[0, 1, 2], &[]);
+    assert!(note.is_none());
+    assert_eq!(schedule.steps.iter().filter(|s| s.is_fault()).count(), 6);
+    let report = faulty.run_script(&schedule);
+    assert!(report.ok(), "{}", report.render());
     quiesce(&mut faulty);
     // Chaos must leave the system restored: every down fault has its up
     // twin, so the faulty run ends with controller up and channel healed.
     assert!(faulty.controller_is_up());
     quiesce(&mut oracle);
 
-    assert_state_identical(&faulty, &oracle, "chaos plan");
+    assert_state_identical(&faulty, &oracle, "chaos schedule");
 
     // And the restored data plane must pass the full static verifier.
     let v = faulty.verify_now();
@@ -294,12 +302,22 @@ fn chaos_fault_plan_converges_to_oracle_state() {
 #[test]
 fn explicit_fault_plan_replays_in_offset_order() {
     let mut exp = build(29, 0.0);
-    let plan = FaultPlan::new()
-        .at(SimDuration::from_secs(8), FaultAction::RestoreController)
-        .at(SimDuration::from_secs(2), FaultAction::CrashController);
+    let schedule = Script::from_offsets(vec![
+        (SimDuration::from_secs(8), ScriptAction::RestoreController),
+        (SimDuration::from_secs(2), ScriptAction::CrashController),
+    ]);
+    assert_eq!(
+        schedule.steps,
+        vec![
+            ScriptAction::RunFor(SimDuration::from_secs(2)),
+            ScriptAction::CrashController,
+            ScriptAction::RunFor(SimDuration::from_secs(6)),
+            ScriptAction::RestoreController,
+        ]
+    );
     let t0 = exp.net.sim.now();
-    let end = plan.apply(&mut exp);
-    assert_eq!(end, t0 + SimDuration::from_secs(8));
+    assert!(exp.run_script(&schedule).ok());
+    assert_eq!(exp.net.sim.now(), t0 + SimDuration::from_secs(8));
     quiesce(&mut exp);
     assert!(exp.controller_is_up());
     assert!(exp.connectivity_audit().fully_connected());

@@ -20,6 +20,7 @@
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use bgp_sdn_emu::analyze::ActionContext;
 use bgp_sdn_emu::core::framework::preflight::deployment_error_report;
 use bgp_sdn_emu::prelude::*;
 
@@ -698,7 +699,7 @@ fn builtin_targets() -> Result<Vec<CheckTarget>, String> {
     .map_err(|e| e.to_string())?;
     let members = [3usize, 4, 5];
     let prefix = tp.addresses.as_prefixes[0];
-    let ctx = PreflightContext::from_plan(&tp, &members);
+    let ctx = ActionContext::from_plan(&tp, &members);
     let script = Script::new()
         .expect_full_connectivity()
         .mark()
@@ -710,7 +711,7 @@ fn builtin_targets() -> Result<Vec<CheckTarget>, String> {
         .expect_reachable(prefix, 0);
     targets.push(CheckTarget::new(
         "script:demo",
-        check_actions(&script.to_actions(), &ctx.as_action_context()),
+        check_actions(&script.steps, &ctx),
     ));
     Ok(targets)
 }

@@ -56,8 +56,8 @@ pub use bgpsdn_verify as verify;
 pub mod prelude {
     pub use bgpsdn_analyze::{
         check_actions, check_grid, check_reachability, check_safety, check_safety_clusters,
-        check_timed, check_timing, hunt_depth_bound, hunt_depth_bound_clusters, AnalysisReport,
-        Finding, SafetyClustersInput, SafetyInput, Severity, STRATEGY_NAMES,
+        check_timing, hunt_depth_bound, hunt_depth_bound_clusters, AnalysisReport, Finding,
+        SafetyClustersInput, SafetyInput, Severity, STRATEGY_NAMES,
     };
     pub use bgpsdn_bgp::{
         pfx, Asn, BgpRouter, NeighborConfig, PolicyMode, Prefix, Relationship, RouterCommand,
@@ -68,9 +68,9 @@ pub mod prelude {
         check_plan, event_phase_name, fold_deployment_seed, run_campaign, run_campaign_scratch,
         run_clique, run_clique_traced, run_clique_with, run_job, run_job_scratch, AsKind,
         CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions, CliqueScenario,
-        ClusterHandle, Controller, DeploymentStrategy, EventKind, Experiment, FaultAction,
-        FaultClasses, FaultPlan, FaultSpec, HybridNetwork, JobResult, JobScratch, NetworkBuilder,
-        PreflightContext, Router, ScenarioOutcome, Script, Speaker, Switch,
+        ClusterHandle, Controller, DeploymentStrategy, EventKind, Experiment, FaultClasses,
+        FaultSpec, HybridNetwork, JobResult, JobScratch, NetworkBuilder, Router, ScenarioOutcome,
+        Script, ScriptAction, Speaker, Switch,
     };
     pub use bgpsdn_netsim::{
         Activity, DataPacket, LatencyModel, SimDuration, SimRng, SimTime, Simulator, Summary,
