@@ -84,20 +84,26 @@ const MAX_SEGMENT_ASNS: usize = 255;
 /// that: the leading AS_SEQUENCE is `lead` — stored inside the struct up to
 /// `INLINE_ASNS` (7) ASNs, one heap vector beyond — and `rest`, whatever
 /// follows it on the wire (AS_SETs from aggregation, further AS_SEQUENCEs),
-/// stays an unallocated `Vec`. Such a path owns no heap block and cloning it
-/// is a copy.
+/// sits behind one nullable pointer that stays null. Such a path owns no
+/// heap block, cloning it is a copy, and it is 40 bytes.
 ///
 /// The form is canonical: the first wire segment is in `lead` exactly when
 /// it is an AS_SEQUENCE (so an empty `lead` means an empty path or one that
-/// starts with an AS_SET), no segment of `rest` is empty, and segment
-/// boundaries are kept. Every wire path therefore re-encodes to the bytes
-/// it was decoded from, and `Eq`/`Hash` compare what the path says, not
-/// where it is stored.
+/// starts with an AS_SET), `rest` is `None` exactly when nothing follows,
+/// no segment of `rest` is empty, and segment boundaries are kept. Every
+/// wire path therefore re-encodes to the bytes it was decoded from, and
+/// `Eq`/`Hash` compare what the path says, not where it is stored.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct AsPath {
     lead: InlineVec<Asn, INLINE_ASNS>,
-    rest: Vec<Segment>,
+    rest: Option<Box<Tail>>,
 }
+
+/// The wire segments after the leading AS_SEQUENCE. Rare (AS_SETs from
+/// aggregation, sequences past 255 ASNs), so a path reaches them through
+/// one thin pointer instead of carrying a `Vec` header of its own.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+struct Tail(Vec<Segment>);
 
 impl AsPath {
     /// The empty path (a locally originated route).
@@ -112,16 +118,18 @@ impl AsPath {
         let asns = asns.into_iter();
         let mut lead = InlineVec::with_capacity(asns.size_hint().0);
         lead.extend(asns.map(Asn));
-        let mut rest = Vec::new();
+        let mut rest = None;
         if lead.len() > MAX_SEGMENT_ASNS {
             let short = match lead.len() % MAX_SEGMENT_ASNS {
                 0 => MAX_SEGMENT_ASNS,
                 n => n,
             };
-            rest = lead.as_slice()[short..]
-                .chunks(MAX_SEGMENT_ASNS)
-                .map(|c| Segment::Sequence(c.to_vec()))
-                .collect();
+            rest = Some(Box::new(Tail(
+                lead.as_slice()[short..]
+                    .chunks(MAX_SEGMENT_ASNS)
+                    .map(|c| Segment::Sequence(c.to_vec()))
+                    .collect(),
+            )));
             lead.truncate(short);
         }
         AsPath { lead, rest }
@@ -136,21 +144,33 @@ impl AsPath {
             let (ty, asns) = seg.parts();
             for chunk in asns.chunks(MAX_SEGMENT_ASNS) {
                 if ty == SEG_SET {
-                    path.rest.push(Segment::Set(chunk.to_vec()));
+                    path.rest_mut().push(Segment::Set(chunk.to_vec()));
                 } else if path.is_empty() {
                     path.lead.extend(chunk.iter().copied());
                 } else {
-                    path.rest.push(Segment::Sequence(chunk.to_vec()));
+                    path.rest_mut().push(Segment::Sequence(chunk.to_vec()));
                 }
             }
         }
         path
     }
 
+    /// The wire segments after the leading AS_SEQUENCE.
+    fn rest(&self) -> &[Segment] {
+        self.rest.as_deref().map_or(&[], |tail| &tail.0)
+    }
+
+    /// The segments after the leading AS_SEQUENCE, for a caller about to
+    /// add one (so the allocation is never left empty).
+    fn rest_mut(&mut self) -> &mut Vec<Segment> {
+        &mut self.rest.get_or_insert_with(Box::default).0
+    }
+
     /// The wire segments in order, as `(segment type, members)`.
     fn wire_segments(&self) -> impl Iterator<Item = (u8, &[Asn])> {
         let lead = (!self.lead.is_empty()).then_some((SEG_SEQUENCE, self.lead.as_slice()));
-        lead.into_iter().chain(self.rest.iter().map(Segment::parts))
+        lead.into_iter()
+            .chain(self.rest().iter().map(Segment::parts))
     }
 
     /// Prepend one AS (what a router does on eBGP export). A leading
@@ -159,7 +179,7 @@ impl AsPath {
     pub fn prepend(&mut self, asn: Asn) {
         if self.lead.len() == MAX_SEGMENT_ASNS {
             let full = std::mem::take(&mut self.lead);
-            self.rest
+            self.rest_mut()
                 .insert(0, Segment::Sequence(full.as_slice().to_vec()));
         }
         self.lead.insert(0, asn);
@@ -176,7 +196,7 @@ impl AsPath {
     /// counts 1 in total (RFC 4271 §9.1.2.2 a).
     pub fn path_len(&self) -> usize {
         let rest: usize = self
-            .rest
+            .rest()
             .iter()
             .map(|s| match s {
                 Segment::Sequence(seq) => seq.len(),
@@ -214,7 +234,7 @@ impl AsPath {
 
     /// True for a locally-originated (empty) path.
     pub fn is_empty(&self) -> bool {
-        self.lead.is_empty() && self.rest.is_empty()
+        self.lead.is_empty() && self.rest.is_none()
     }
 
     pub(crate) fn encode(&self, w: &mut Writer) {
@@ -260,7 +280,7 @@ impl AsPath {
             for _ in 0..n {
                 asns.push(Asn(r.u32("as_path asn")?));
             }
-            path.rest.push(match ty {
+            path.rest_mut().push(match ty {
                 SEG_SET => Segment::Set(asns),
                 SEG_SEQUENCE => Segment::Sequence(asns),
                 _ => {
@@ -393,7 +413,7 @@ pub struct PathAttributes {
     /// Standard communities.
     pub communities: Vec<Community>,
     /// Unknown optional-transitive attributes passed through.
-    pub unknown: Vec<RawAttribute>,
+    pub unknown: Box<[RawAttribute]>,
 }
 
 impl PathAttributes {
@@ -408,7 +428,7 @@ impl PathAttributes {
             atomic_aggregate: false,
             aggregator: None,
             communities: Vec::new(),
-            unknown: Vec::new(),
+            unknown: Box::default(),
         }
     }
 
@@ -594,7 +614,7 @@ impl PathAttributes {
             atomic_aggregate,
             aggregator,
             communities,
-            unknown,
+            unknown: unknown.into_boxed_slice(),
         })
     }
 }
@@ -686,11 +706,11 @@ mod tests {
         a.atomic_aggregate = true;
         a.aggregator = Some((Asn(65001), Ipv4Addr::new(1, 1, 1, 1)));
         a.communities = vec![Community::new(65001, 42), Community::NO_EXPORT];
-        a.unknown.push(RawAttribute {
+        a.unknown = Box::new([RawAttribute {
             flags: 0xC0,
             code: 99,
             value: vec![1, 2, 3],
-        });
+        }]);
         assert_eq!(roundtrip(&a), a);
     }
 

@@ -236,6 +236,13 @@ mod tests {
         log
     }
 
+    /// The collector keeps one entry per prefix event for the whole run, so
+    /// its size is the log's memory: a path with no tail stays inline.
+    #[test]
+    fn a_log_entry_fits_64_bytes() {
+        assert!(std::mem::size_of::<LogEntry>() <= 64);
+    }
+
     #[test]
     fn counts_and_windows() {
         let log = sample();

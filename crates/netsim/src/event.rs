@@ -6,22 +6,18 @@
 //! The queue also tracks how many *progress* events it holds so that
 //! quiescence detection ("only keepalives left") is O(1).
 //!
-//! Internally the queue separates *ordering* from *storage*:
-//!
-//! * Payloads ([`EventBody`]) live in a slab whose freed slots are recycled
-//!   through a freelist, so the steady-state schedule→fire cycle performs
-//!   no allocation at all — a slot only comes into existence when the
-//!   in-flight population exceeds everything seen before (and the
-//!   [`with_capacity`](EventQueue::with_capacity) reservation).
-//! * Ordering works on `(time, seq, slot)` keys in one of two backends
-//!   ([`QueueBackend`]): the O(1)-amortized calendar queue (default) or
-//!   the original binary heap, kept as the reference implementation. Both
-//!   produce identical pop sequences and identical slab traffic, so runs
-//!   are byte-for-byte reproducible across the backend switch.
+//! Each pending event is one slab record — time, sequence, payload
+//! ([`EventBody`]) and a list link — ordered by an O(1)-amortized calendar
+//! queue whose ring buckets are lists threaded through those links. Freed
+//! records are recycled through a freelist, so the steady-state
+//! schedule→fire cycle performs no allocation at all: a record only comes
+//! into existence when the in-flight population exceeds everything seen
+//! before (and the [`with_capacity`](EventQueue::with_capacity)
+//! reservation).
 
 use crate::link::LinkId;
 use crate::node::{Message, NodeId, TimerClass, TimerToken};
-use crate::queue::{CalendarQueue, HeapQueue, Key};
+use crate::queue::CalendarQueue;
 use crate::time::SimTime;
 
 /// What happens when an event fires.
@@ -125,119 +121,6 @@ pub struct Event<M> {
     pub body: EventBody<M>,
 }
 
-/// Which priority structure orders the pending events.
-///
-/// Both deliver the exact same `(time, sequence)` order — the calendar
-/// queue is the fast default, the binary heap is the reference the
-/// determinism suite and the ordering oracle diff it against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Bucketed calendar queue: O(1) amortized push/pop (default).
-    Calendar,
-    /// The original binary min-heap: O(log n) per operation.
-    Heap,
-}
-
-#[derive(Debug)]
-enum Backend {
-    Calendar(CalendarQueue),
-    Heap(HeapQueue),
-}
-
-impl Backend {
-    fn push(&mut self, key: Key) {
-        match self {
-            Backend::Calendar(q) => q.push(key),
-            Backend::Heap(q) => q.push(key),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Key> {
-        match self {
-            Backend::Calendar(q) => q.pop(),
-            Backend::Heap(q) => q.pop(),
-        }
-    }
-
-    fn peek(&mut self) -> Option<Key> {
-        match self {
-            Backend::Calendar(q) => q.peek(),
-            Backend::Heap(q) => q.peek(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Backend::Calendar(q) => q.len(),
-            Backend::Heap(q) => q.len(),
-        }
-    }
-
-    fn drain_unordered(&mut self) -> Vec<Key> {
-        match self {
-            Backend::Calendar(q) => q.drain_unordered(),
-            Backend::Heap(q) => q.drain_unordered(),
-        }
-    }
-
-    fn kind(&self) -> QueueBackend {
-        match self {
-            Backend::Calendar(_) => QueueBackend::Calendar,
-            Backend::Heap(_) => QueueBackend::Heap,
-        }
-    }
-}
-
-/// Slab of event payloads with freelist recycling.
-#[derive(Debug)]
-struct Slab<M> {
-    slots: Vec<Option<EventBody<M>>>,
-    free: Vec<u32>,
-    /// Slots handed out from the freelist — the pooled hot path.
-    pooled: u64,
-    /// Slots created past the reservation watermark — each one is a fresh
-    /// allocation (or amortized growth) taken on the hot path.
-    allocs_hot: u64,
-    /// Reservation watermark: slot creation below it is pre-paid.
-    reserved: usize,
-}
-
-impl<M> Slab<M> {
-    fn with_capacity(capacity: usize) -> Self {
-        Slab {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-            pooled: 0,
-            allocs_hot: 0,
-            reserved: capacity,
-        }
-    }
-
-    fn insert(&mut self, body: EventBody<M>) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.pooled += 1;
-            debug_assert!(self.slots[slot as usize].is_none());
-            self.slots[slot as usize] = Some(body);
-            slot
-        } else {
-            if self.slots.len() >= self.reserved {
-                self.allocs_hot += 1;
-            }
-            let slot = u32::try_from(self.slots.len()).expect("event population fits u32");
-            self.slots.push(Some(body));
-            slot
-        }
-    }
-
-    fn remove(&mut self, slot: u32) -> EventBody<M> {
-        let body = self.slots[slot as usize]
-            .take()
-            .expect("queue keys reference live slots");
-        self.free.push(slot);
-        body
-    }
-}
-
 /// Allocation accounting for the event hot path, reported as the
 /// `core.sim.events_pooled` / `core.sim.allocs_hot` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -256,8 +139,7 @@ impl<M: Message> Default for EventQueue<M> {
 
 /// Deterministic event queue with O(1) progress accounting.
 pub struct EventQueue<M> {
-    slab: Slab<M>,
-    backend: Backend,
+    events: CalendarQueue<EventBody<M>>,
     next_seq: u64,
     progress: usize,
 }
@@ -273,46 +155,9 @@ impl<M: Message> EventQueue<M> {
     /// nodes + links) never reallocates the slab mid-dispatch.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            slab: Slab::with_capacity(capacity),
-            backend: Backend::Calendar(CalendarQueue::new()),
+            events: CalendarQueue::with_capacity(capacity),
             next_seq: 0,
             progress: 0,
-        }
-    }
-
-    /// Reserve room for at least `additional` more events.
-    #[allow(dead_code)]
-    pub fn reserve(&mut self, additional: usize) {
-        self.slab.slots.reserve(additional);
-        self.slab.free.reserve(additional);
-        self.slab.reserved = self.slab.reserved.max(self.slab.slots.len() + additional);
-    }
-
-    /// Current allocated capacity.
-    #[allow(dead_code)]
-    pub fn capacity(&self) -> usize {
-        self.slab.slots.capacity()
-    }
-
-    /// The active ordering backend.
-    pub fn backend(&self) -> QueueBackend {
-        self.backend.kind()
-    }
-
-    /// Switch the ordering backend, migrating every pending event. Order is
-    /// preserved because both backends sort by the same `(time, seq)` keys;
-    /// slab slots (and therefore pooling counters) are untouched.
-    pub fn set_backend(&mut self, backend: QueueBackend) {
-        if self.backend.kind() == backend {
-            return;
-        }
-        let keys = self.backend.drain_unordered();
-        self.backend = match backend {
-            QueueBackend::Calendar => Backend::Calendar(CalendarQueue::new()),
-            QueueBackend::Heap => Backend::Heap(HeapQueue::new()),
-        };
-        for key in keys {
-            self.backend.push(key);
         }
     }
 
@@ -323,14 +168,12 @@ impl<M: Message> EventQueue<M> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.slab.insert(body);
-        self.backend.push((at.as_nanos(), seq, slot));
+        self.events.push(at.as_nanos(), seq, body);
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event<M>> {
-        let (t, seq, slot) = self.backend.pop()?;
-        let body = self.slab.remove(slot);
+        let (t, seq, body) = self.events.pop()?;
         if !body.is_maintenance() {
             self.progress -= 1;
         }
@@ -343,19 +186,7 @@ impl<M: Message> EventQueue<M> {
 
     /// Time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.backend.peek().map(|k| SimTime::from_nanos(k.0))
-    }
-
-    /// Number of pending events of any class.
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.backend.len()
-    }
-
-    /// True when no events remain at all.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.backend.len() == 0
+        self.events.peek().map(SimTime::from_nanos)
     }
 
     /// True when every pending event is maintenance-class — i.e. the
@@ -366,10 +197,7 @@ impl<M: Message> EventQueue<M> {
 
     /// Slab recycling counters for the `core.sim.*` metrics.
     pub fn pool_stats(&self) -> PoolStats {
-        PoolStats {
-            events_pooled: self.slab.pooled,
-            allocs_hot: self.slab.allocs_hot,
-        }
+        self.events.pool_stats()
     }
 }
 
@@ -393,15 +221,12 @@ mod tests {
     #[test]
     fn with_capacity_preallocates() {
         let mut q: EventQueue<NoMsg> = EventQueue::with_capacity(64);
-        assert!(q.capacity() >= 64);
-        let before = q.capacity();
         for n in 0..64u32 {
             q.push(t(n as u64), start(n));
         }
-        assert_eq!(q.capacity(), before, "no growth within the reservation");
         assert_eq!(q.pool_stats().allocs_hot, 0, "reserved slots are pre-paid");
-        q.reserve(128);
-        assert!(q.capacity() >= 64 + 128);
+        q.push(t(64), start(64));
+        assert_eq!(q.pool_stats().allocs_hot, 1, "the reservation is exact");
     }
 
     #[test]
@@ -459,7 +284,7 @@ mod tests {
         assert!(!q.only_maintenance());
         q.pop();
         assert!(q.only_maintenance());
-        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -485,45 +310,5 @@ mod tests {
             q.push(t(n as u64), start(n));
         }
         assert_eq!(q.pool_stats().allocs_hot, 6);
-    }
-
-    #[test]
-    fn backend_switch_preserves_order_and_pending_events() {
-        let mut q: EventQueue<NoMsg> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::Calendar);
-        for n in 0..20u32 {
-            // Mix of near, far (overflow-range) and tied timestamps.
-            let at = match n % 3 {
-                0 => t(5),
-                1 => t(n as u64),
-                _ => t(40_000 + n as u64),
-            };
-            q.push(at, start(n));
-        }
-        // Pop a few on the calendar, switch mid-stream, finish on the heap.
-        let mut order = Vec::new();
-        for _ in 0..7 {
-            order.push(q.pop().unwrap().seq);
-        }
-        q.set_backend(QueueBackend::Heap);
-        assert_eq!(q.backend(), QueueBackend::Heap);
-        assert_eq!(q.len(), 13);
-        while let Some(e) = q.pop() {
-            order.push(e.seq);
-        }
-
-        // Reference order from a fresh heap-backed queue.
-        let mut r: EventQueue<NoMsg> = EventQueue::new();
-        r.set_backend(QueueBackend::Heap);
-        for n in 0..20u32 {
-            let at = match n % 3 {
-                0 => t(5),
-                1 => t(n as u64),
-                _ => t(40_000 + n as u64),
-            };
-            r.push(at, start(n));
-        }
-        let expect: Vec<u64> = std::iter::from_fn(|| r.pop()).map(|e| e.seq).collect();
-        assert_eq!(order, expect);
     }
 }

@@ -41,7 +41,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use event::{Event, EventBody, EventQueue, PoolStats, QueueBackend};
+pub use event::{Event, EventBody, EventQueue, PoolStats};
 pub use link::{LatencyModel, Link, LinkId};
 pub use node::{Message, Node, NodeId, TimerClass, TimerToken};
 pub use packet::{DataApp, DataPacket, PacketKind};

@@ -1,38 +1,43 @@
-//! Priority structures behind the event queue.
+//! The storage and ordering behind the event queue: one slab record per
+//! pending event, ordered by a calendar queue (Brown 1988).
 //!
-//! Both structures order *keys* — `(time_ns, seq, slot)` triples whose
-//! payloads live in the [`event`](crate::event) slab — by `(time, seq)`,
-//! exactly the order the original `BinaryHeap<Event>` produced. Keeping the
-//! ordering logic payload-free makes the two backends trivially swappable
-//! and lets the ordering oracle exercise them without a simulator.
+//! Every pending event is one [`Slot`] `{ at, seq, next, body }` in a slab
+//! whose vacant slots form a freelist threaded through `next`, so the
+//! steady-state schedule→fire cycle allocates nothing. Ordering is by
+//! `(time, seq)`, exactly the order the original `BinaryHeap<Event>`
+//! produced:
 //!
-//! * [`HeapQueue`] is the original binary min-heap: O(log n) per
-//!   operation, kept as the reference implementation (the proptest oracle
-//!   diffs the calendar queue against it) and as the benchmark baseline.
-//! * [`CalendarQueue`] is a calendar queue (Brown 1988): a ring of
-//!   fixed-width time buckets covering a sliding ~270 ms window, a small
-//!   *front* heap holding only the events of the bucket currently being
-//!   drained, and an overflow heap for far-future work (MRAI, hold and
-//!   keepalive timers). For the delivery-dense BGP workload — most events
-//!   land within a few link latencies of *now* — push and pop touch a
-//!   bucket vector and a front heap of a handful of entries, which is O(1)
-//!   amortized instead of O(log n) over the whole event population.
+//! * a ring of fixed-width time buckets covers a sliding ~270 ms window.
+//!   A bucket is a list head threaded through the slots' `next` links, so
+//!   the ring owns no storage of its own;
+//! * a small *front* heap holds `(time, seq, slot)` keys for the bucket
+//!   currently being drained;
+//! * an *overflow* heap holds keys of far-future work (MRAI, hold and
+//!   keepalive timers) until the window slides over them.
+//!
+//! For the delivery-dense BGP workload — most events land within a few link
+//! latencies of *now* — push and pop touch one slot and a front heap of a
+//! handful of keys, which is O(1) amortized instead of O(log n) over the
+//! whole event population.
 //!
 //! Determinism: a bucket is merged into the front heap *in full* before
 //! anything in its time range can be popped, and the front heap compares
 //! `(time, seq)`, so equal-timestamp events still fire in scheduling order
-//! no matter which structure they travelled through. Pushes that land at or
-//! behind the current bucket (the simulator only schedules at `>= now`, but
-//! the cursor may already sit past `now` within the bucket) go straight to
-//! the front heap, which keeps them orderable before the bucket boundary.
+//! no matter which structure they travelled through, and slot numbering
+//! never influences order. Pushes that land at or behind the current bucket
+//! (the simulator only schedules at `>= now`, but the cursor may already sit
+//! past `now` within the bucket) go straight to the front heap, which keeps
+//! them orderable before the bucket boundary.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::event::PoolStats;
+
 /// `(time_ns, seq, slot)` — ordered by time then sequence; the slot index
-/// resolves the payload in the event slab and never influences ordering
+/// resolves the record in the slab and never influences ordering
 /// (sequences are unique).
-pub(crate) type Key = (u64, u64, u32);
+type Key = (u64, u64, u32);
 
 /// Log2 of the bucket width: 2^17 ns ≈ 131 µs per bucket, finer than the
 /// millisecond link latencies that space the bulk of deliveries.
@@ -45,87 +50,71 @@ const NBUCKETS: usize = 2048;
 const HORIZON: u64 = BUCKET_WIDTH * NBUCKETS as u64;
 /// Words of the ring's occupancy bitmap.
 const OCC_WORDS: usize = NBUCKETS / 64;
+/// The null `next` link. Slot indices stay below it.
+const NIL: u32 = u32::MAX;
 
-/// The original binary min-heap over `(time, seq)` keys.
-#[derive(Debug, Default)]
-pub(crate) struct HeapQueue {
-    heap: BinaryHeap<Reverse<Key>>,
+/// One pending event, or a vacant slot on the freelist (`body: None`).
+#[derive(Debug)]
+struct Slot<T> {
+    at: u64,
+    seq: u64,
+    /// The next slot of the same ring bucket, or of the freelist.
+    next: u32,
+    body: Option<T>,
 }
 
-impl HeapQueue {
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    pub fn push(&mut self, key: Key) {
-        self.heap.push(Reverse(key));
-    }
-
-    pub fn pop(&mut self) -> Option<Key> {
-        self.heap.pop().map(|Reverse(k)| k)
-    }
-
-    pub fn peek(&self) -> Option<Key> {
-        self.heap.peek().map(|&Reverse(k)| k)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Remove every key, in no particular order (backend migration).
-    pub fn drain_unordered(&mut self) -> Vec<Key> {
-        std::mem::take(&mut self.heap)
-            .into_iter()
-            .map(|Reverse(k)| k)
-            .collect()
-    }
-}
-
-/// Calendar queue over `(time, seq)` keys. See the module docs for the
-/// invariants; the short version:
+/// Calendar queue over slab records. See the module docs for the design;
+/// the invariants:
 ///
 /// * `front` holds every key with `time < cur_end()` (the current bucket,
 ///   already merged, plus late pushes) and possibly keys beyond it that
 ///   were pushed while the cursor sat earlier — those are simply not
 ///   poppable until the cursor catches up.
-/// * ring buckets hold keys with `cur_end() <= time < cur_start + HORIZON`.
+/// * ring lists hold slots with `cur_end() <= time < cur_start + HORIZON`.
 /// * `overflow` holds keys at `>= cur_start + HORIZON` when pushed; it is
-///   flushed into the window every time the cursor moves, so every ring key
+///   flushed into the window every time the cursor moves, so every ring slot
 ///   is earlier than every overflow key.
-/// * `occupied` has bit `i` set exactly when ring bucket `i` holds keys. The
-///   cursor's own bucket never does: it was merged on arrival and later
-///   pushes in its range go to `front`.
+/// * `occupied` has bit `i` set exactly when `heads[i]` is not [`NIL`]. The
+///   cursor's own bucket never is: it was merged on arrival and later pushes
+///   in its range go to `front`.
 #[derive(Debug)]
-pub(crate) struct CalendarQueue {
-    buckets: Vec<Vec<Key>>,
+pub(crate) struct CalendarQueue<T> {
+    slots: Vec<Slot<T>>,
+    /// Head of the freelist of vacant slots.
+    free: u32,
+    /// Head of each ring bucket's list.
+    heads: Box<[u32; NBUCKETS]>,
     front: BinaryHeap<Reverse<Key>>,
     overflow: BinaryHeap<Reverse<Key>>,
     /// Start time of the bucket the cursor is on.
     cur_start: u64,
-    /// One bit per ring bucket (boxed: the queue sits in an enum beside
-    /// the three-word heap).
-    occupied: Box<[u64; OCC_WORDS]>,
+    /// One bit per ring bucket.
+    occupied: [u64; OCC_WORDS],
     len: usize,
+    /// Slots handed out from the freelist — the pooled hot path.
+    pooled: u64,
+    /// Slots created past the reservation watermark — each one is a fresh
+    /// allocation (or amortized growth) taken on the hot path.
+    allocs_hot: u64,
+    /// Reservation watermark: slot creation below it is pre-paid.
+    reserved: usize,
 }
 
-impl Default for CalendarQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CalendarQueue {
-    pub fn new() -> Self {
+impl<T> CalendarQueue<T> {
+    /// An empty queue with `capacity` slots reserved.
+    pub fn with_capacity(capacity: usize) -> Self {
         CalendarQueue {
-            buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
+            slots: Vec::with_capacity(capacity),
+            free: NIL,
+            heads: Box::new([NIL; NBUCKETS]),
             front: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             cur_start: 0,
-            occupied: Box::new([0; OCC_WORDS]),
+            occupied: [0; OCC_WORDS],
             len: 0,
+            pooled: 0,
+            allocs_hot: 0,
+            reserved: capacity,
         }
     }
 
@@ -137,54 +126,91 @@ impl CalendarQueue {
         ((t >> BUCKET_BITS) as usize) & (NBUCKETS - 1)
     }
 
-    pub fn len(&self) -> usize {
-        self.len
+    /// Slab recycling counters.
+    pub fn pool_stats(&self) -> PoolStats {
+        PoolStats {
+            events_pooled: self.pooled,
+            allocs_hot: self.allocs_hot,
+        }
     }
 
-    pub fn push(&mut self, key: Key) {
+    /// Schedule `body` at `at` with tie-break `seq`.
+    pub fn push(&mut self, at: u64, seq: u64, body: T) {
+        let record = Slot {
+            at,
+            seq,
+            next: NIL,
+            body: Some(body),
+        };
+        let slot = if self.free != NIL {
+            self.pooled += 1;
+            let slot = self.free;
+            let vacant = &mut self.slots[slot as usize];
+            debug_assert!(vacant.body.is_none(), "the freelist holds vacant slots");
+            self.free = vacant.next;
+            *vacant = record;
+            slot
+        } else {
+            if self.slots.len() >= self.reserved {
+                self.allocs_hot += 1;
+            }
+            assert!(
+                self.slots.len() < NIL as usize,
+                "event population must stay below u32::MAX, the null slot link"
+            );
+            self.slots.push(record);
+            (self.slots.len() - 1) as u32
+        };
         self.len += 1;
-        self.route(key);
+        self.route((at, seq, slot));
     }
 
     fn route(&mut self, key: Key) {
-        let t = key.0;
+        let (t, _, slot) = key;
         if t < self.cur_end() {
             self.front.push(Reverse(key));
         } else if t - self.cur_start < HORIZON {
             let idx = Self::bucket_index(t);
-            self.buckets[idx].push(key);
+            self.slots[slot as usize].next = self.heads[idx];
+            self.heads[idx] = slot;
             self.occupied[idx / 64] |= 1 << (idx % 64);
         } else {
             self.overflow.push(Reverse(key));
         }
     }
 
-    /// The earliest key, advancing the cursor as needed so that it ends up
-    /// in the front heap.
-    pub fn peek(&mut self) -> Option<Key> {
+    /// Time of the earliest event, advancing the cursor as needed so that
+    /// its key ends up in the front heap.
+    pub fn peek(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
         loop {
-            if let Some(&Reverse(k)) = self.front.peek() {
-                if k.0 < self.cur_end() {
-                    return Some(k);
+            if let Some(&Reverse((t, _, _))) = self.front.peek() {
+                if t < self.cur_end() {
+                    return Some(t);
                 }
             }
             self.advance();
         }
     }
 
-    pub fn pop(&mut self) -> Option<Key> {
+    /// Remove the earliest event: its time, sequence and payload.
+    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         self.peek()?;
+        let Reverse((t, seq, slot)) = self.front.pop()?;
         self.len -= 1;
-        self.front.pop().map(|Reverse(k)| k)
+        let record = &mut self.slots[slot as usize];
+        let body = record.body.take().expect("queue keys reference live slots");
+        record.next = self.free;
+        self.free = slot;
+        Some((t, seq, body))
     }
 
     /// Move the cursor to the next bucket that can contain the minimum:
     /// straight to the next occupied ring bucket when there is one — no
     /// overflow key can lie in the buckets jumped over, because every ring
-    /// key precedes every overflow key — or a direct teleport to the
+    /// slot precedes every overflow key — or a direct teleport to the
     /// earliest front/overflow key when the ring is empty (skipping the
     /// dead time before a far-out timer in one jump).
     fn advance(&mut self) {
@@ -245,30 +271,17 @@ impl CalendarQueue {
     /// order across the ring.
     fn merge_current(&mut self) {
         let idx = Self::bucket_index(self.cur_start);
-        if self.buckets[idx].is_empty() {
-            return;
-        }
-        let mut bucket = std::mem::take(&mut self.buckets[idx]);
+        let mut slot = std::mem::replace(&mut self.heads[idx], NIL);
         self.occupied[idx / 64] &= !(1 << (idx % 64));
-        for k in bucket.drain(..) {
-            self.front.push(Reverse(k));
+        while slot != NIL {
+            let record = &self.slots[slot as usize];
+            debug_assert!(
+                (self.cur_start..self.cur_end()).contains(&record.at),
+                "a ring list holds only its bucket's time range"
+            );
+            self.front.push(Reverse((record.at, record.seq, slot)));
+            slot = record.next;
         }
-        // Hand the (empty, still-allocated) vector back to the ring so the
-        // bucket never reallocates in steady state.
-        self.buckets[idx] = bucket;
-    }
-
-    /// Remove every key, in no particular order (backend migration).
-    pub fn drain_unordered(&mut self) -> Vec<Key> {
-        let mut out = Vec::with_capacity(self.len);
-        out.extend(std::mem::take(&mut self.front).into_iter().map(|r| r.0));
-        out.extend(std::mem::take(&mut self.overflow).into_iter().map(|r| r.0));
-        for b in &mut self.buckets {
-            out.append(b);
-        }
-        self.occupied.fill(0);
-        self.len = 0;
-        out
     }
 }
 
@@ -276,31 +289,48 @@ impl CalendarQueue {
 mod tests {
     use super::*;
 
-    fn drain(q: &mut CalendarQueue) -> Vec<Key> {
+    impl crate::node::Message for [u64; 6] {}
+
+    fn queue() -> CalendarQueue<u32> {
+        CalendarQueue::with_capacity(0)
+    }
+
+    fn drain(q: &mut CalendarQueue<u32>) -> Vec<(u64, u64, u32)> {
         std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    /// A slot costs its key and link on top of its payload, and nothing
+    /// more: `at`, `seq` and `next` pack into 24 bytes beside any 8-aligned
+    /// body, and a vacant slot is the body's niche, not an extra tag.
+    #[test]
+    fn a_slot_is_its_body_plus_24_bytes() {
+        use crate::event::EventBody;
+        use std::mem::size_of;
+        type Body = EventBody<[u64; 6]>;
+        assert!(size_of::<Slot<Body>>() - size_of::<Body>() <= 24);
     }
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut q = CalendarQueue::new();
-        q.push((30, 0, 0));
-        q.push((10, 1, 1));
-        q.push((10, 2, 2));
-        q.push((20, 3, 3));
-        assert_eq!(q.len(), 4);
+        let mut q = queue();
+        q.push(30, 0, 0);
+        q.push(10, 1, 1);
+        q.push(10, 2, 2);
+        q.push(20, 3, 3);
+        assert_eq!(q.len, 4);
         let order: Vec<u64> = drain(&mut q).iter().map(|k| k.1).collect();
         assert_eq!(order, vec![1, 2, 3, 0]);
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.len, 0);
         assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn equal_time_burst_respects_sequence_across_structures() {
         // A burst at one instant, pushed while the cursor is far behind.
-        let mut q = CalendarQueue::new();
+        let mut q = queue();
         let t = 5 * HORIZON + 3; // deep in overflow territory
         for seq in 0..100 {
-            q.push((t, seq, seq as u32));
+            q.push(t, seq, seq as u32);
         }
         let seqs: Vec<u64> = drain(&mut q).iter().map(|k| k.1).collect();
         assert_eq!(seqs, (0..100).collect::<Vec<_>>());
@@ -308,10 +338,10 @@ mod tests {
 
     #[test]
     fn far_future_timers_survive_the_window_slide() {
-        let mut q = CalendarQueue::new();
-        q.push((1, 0, 0));
-        q.push((30_000_000_000, 1, 1)); // an MRAI-scale 30 s timer
-        q.push((2, 2, 2));
+        let mut q = queue();
+        q.push(1, 0, 0);
+        q.push(30_000_000_000, 1, 1); // an MRAI-scale 30 s timer
+        q.push(2, 2, 2);
         assert_eq!(q.pop(), Some((1, 0, 0)));
         assert_eq!(q.pop(), Some((2, 2, 2)));
         // Cursor must teleport across ~110 windows without losing the key.
@@ -321,14 +351,14 @@ mod tests {
 
     #[test]
     fn push_behind_cursor_is_still_poppable_in_order() {
-        let mut q = CalendarQueue::new();
-        q.push((10_000_000, 0, 0));
+        let mut q = queue();
+        q.push(10_000_000, 0, 0);
         assert_eq!(q.pop(), Some((10_000_000, 0, 0)));
         // The cursor now sits on the 10 ms bucket; a push earlier in that
         // same bucket (legal: the simulator's `now` is 10 ms, the bucket
         // spans ~131 µs) must not be lost or misordered.
-        q.push((10_000_001, 1, 1));
-        q.push((10_000_000, 2, 2));
+        q.push(10_000_001, 1, 1);
+        q.push(10_000_000, 2, 2);
         assert_eq!(q.pop(), Some((10_000_000, 2, 2)));
         assert_eq!(q.pop(), Some((10_000_001, 1, 1)));
     }
@@ -336,9 +366,9 @@ mod tests {
     #[test]
     fn matches_heap_on_a_randomized_schedule() {
         // Deterministic xorshift schedule: interleaved pushes and pops with
-        // heavy timestamp collisions, diffed against the reference heap.
-        let mut cal = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
+        // heavy timestamp collisions, diffed against a plain binary heap.
+        let mut cal = queue();
+        let mut heap = BinaryHeap::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut rnd = || {
             state ^= state << 13;
@@ -349,7 +379,7 @@ mod tests {
         let mut now = 0u64;
         let mut seq = 0u64;
         for step in 0..50_000 {
-            if rnd() % 3 != 0 || cal.len() == 0 {
+            if rnd() % 3 != 0 || cal.len == 0 {
                 // Push: mostly near-future (collision-prone, quantized to
                 // 1 µs), sometimes seconds out like protocol timers.
                 let dt = if rnd() % 20 == 0 {
@@ -357,19 +387,18 @@ mod tests {
                 } else {
                     (rnd() % 5_000) * 1_000
                 };
-                let key = (now + dt, seq, seq as u32);
+                cal.push(now + dt, seq, seq as u32);
+                heap.push(Reverse((now + dt, seq, seq as u32)));
                 seq += 1;
-                cal.push(key);
-                heap.push(key);
             } else {
                 let a = cal.pop();
-                let b = heap.pop();
+                let b = heap.pop().map(|Reverse(k)| k);
                 assert_eq!(a, b, "divergence at step {step}");
                 now = a.unwrap().0;
             }
         }
         loop {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (cal.pop(), heap.pop().map(|Reverse(k)| k));
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -384,20 +413,23 @@ mod tests {
 
     #[test]
     fn jump_wraps_around_the_ring_index() {
-        let mut q = CalendarQueue::new();
+        let mut q = queue();
         // Park the cursor three buckets before the ring index wraps.
         let base = bucket(NBUCKETS as u64 - 3);
-        q.push((base, 0, 0));
+        q.push(base, 0, 0);
         assert_eq!(q.pop(), Some((base, 0, 0)));
-        assert_eq!(CalendarQueue::bucket_index(q.cur_start), NBUCKETS - 3);
+        assert_eq!(
+            CalendarQueue::<u32>::bucket_index(q.cur_start),
+            NBUCKETS - 3
+        );
         // The next occupied buckets sit past the wrap, at ring indices 5
         // and 70 (another bitmap word).
         let (near, far) = (base + bucket(8) + 1, base + bucket(73));
-        q.push((far, 1, 1));
-        q.push((near, 2, 2));
+        q.push(far, 1, 1);
+        q.push(near, 2, 2);
         assert_eq!(q.next_occupied(), Some(8));
         assert_eq!(q.pop(), Some((near, 2, 2)));
-        assert_eq!(CalendarQueue::bucket_index(q.cur_start), 5);
+        assert_eq!(CalendarQueue::<u32>::bucket_index(q.cur_start), 5);
         assert_eq!(q.next_occupied(), Some(65));
         assert_eq!(q.pop(), Some((far, 1, 1)));
         assert_eq!(q.pop(), None);
@@ -408,13 +440,13 @@ mod tests {
         // The last bucket of the window is NBUCKETS - 1 away: the ring slot
         // just behind the cursor, found by the scan's final round.
         for cursor in [0u64, 1, 63, 64, 1000, NBUCKETS as u64 - 1] {
-            let mut q = CalendarQueue::new();
+            let mut q = queue();
             let base = bucket(cursor);
-            q.push((base, 0, 0));
+            q.push(base, 0, 0);
             assert_eq!(q.pop(), Some((base, 0, 0)));
             let last = base + HORIZON - 1;
-            q.push((last, 1, 1));
-            q.push((last + 1, 2, 2)); // first key of the overflow range
+            q.push(last, 1, 1);
+            q.push(last + 1, 2, 2); // first key of the overflow range
             assert_eq!(q.next_occupied(), Some(NBUCKETS - 1), "cursor {cursor}");
             assert_eq!(q.pop(), Some((last, 1, 1)));
             assert_eq!(q.pop(), Some((last + 1, 2, 2)));
@@ -424,35 +456,35 @@ mod tests {
 
     #[test]
     fn push_behind_the_cursor_after_a_jump_pops_in_order() {
-        let mut q = CalendarQueue::new();
-        q.push((1, 0, 0));
+        let mut q = queue();
+        q.push(1, 0, 0);
         let landed = bucket(700) + 50;
-        q.push((landed, 1, 1));
+        q.push(landed, 1, 1);
         assert_eq!(q.pop(), Some((1, 0, 0)));
         // Peeking jumps the cursor 700 buckets ahead of the clock ...
-        assert_eq!(q.peek(), Some((landed, 1, 1)));
+        assert_eq!(q.peek(), Some(landed));
         assert_eq!(q.cur_start, bucket(700));
         // ... so pushes the simulator still may make (at `now` = 1 and
         // anywhere up to the landing bucket) fall behind it, into `front`.
-        q.push((bucket(300), 2, 2));
-        q.push((2, 3, 3));
-        q.push((landed, 4, 4));
-        q.push((landed - 1, 5, 5));
+        q.push(bucket(300), 2, 2);
+        q.push(2, 3, 3);
+        q.push(landed, 4, 4);
+        q.push(landed - 1, 5, 5);
         let order: Vec<u64> = drain(&mut q).iter().map(|k| k.1).collect();
         assert_eq!(order, vec![3, 2, 5, 1, 4]);
     }
 
     #[test]
     fn jump_pulls_overflow_keys_into_the_window() {
-        let mut q = CalendarQueue::new();
-        q.push((0, 0, 0));
+        let mut q = queue();
+        q.push(0, 0, 0);
         let ring = bucket(1500) + 7;
-        q.push((ring, 1, 1));
+        q.push(ring, 1, 1);
         // Beyond the horizon now, inside it once the cursor lands on bucket
         // 1500: both must move to the ring on that one flush.
         let (over_a, over_b) = (bucket(2100), bucket(3000) + 9);
-        q.push((over_b, 2, 2));
-        q.push((over_a, 3, 3));
+        q.push(over_b, 2, 2);
+        q.push(over_a, 3, 3);
         assert_eq!(q.overflow.len(), 2);
         assert_eq!(q.pop(), Some((0, 0, 0)));
         assert_eq!(q.pop(), Some((ring, 1, 1)));
@@ -462,9 +494,9 @@ mod tests {
         // With the ring empty the cursor teleports, and overflow keys that
         // share the landing bucket go straight to `front`.
         let t = bucket(9000);
-        q.push((t + 5, 4, 4));
-        q.push((t + 3, 5, 5));
-        q.push((t + bucket(1), 6, 6));
+        q.push(t + 5, 4, 4);
+        q.push(t + 3, 5, 5);
+        q.push(t + bucket(1), 6, 6);
         assert_eq!(q.pop(), Some((t + 3, 5, 5)));
         assert_eq!(q.cur_start, t);
         assert_eq!(q.pop(), Some((t + 5, 4, 4)));
@@ -472,34 +504,49 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// Popping a ring empty unlinks every bucket: a stale head or bit would
+    /// send the cursor to an empty bucket short of a far key instead of
+    /// teleporting to it.
     #[test]
-    fn drain_unordered_leaves_no_stale_occupancy() {
-        let mut q = CalendarQueue::new();
+    fn a_drained_ring_leaves_no_stale_occupancy() {
+        let mut q = queue();
         for seq in 0..200u64 {
-            q.push((bucket(seq * 10 + 1), seq, seq as u32));
+            q.push(bucket(seq * 10 + 1), seq, seq as u32);
         }
         assert!(q.occupied.iter().any(|&w| w != 0));
-        assert_eq!(q.drain_unordered().len(), 200);
-        assert_eq!(*q.occupied, [0; OCC_WORDS]);
-        // A stale bit would send the cursor to an empty bucket short of
-        // this far key instead of teleporting to it.
+        assert_eq!(drain(&mut q).len(), 200);
+        assert_eq!(q.occupied, [0; OCC_WORDS]);
+        assert!(q.heads.iter().all(|&h| h == NIL));
         let far = 40 * HORIZON + 3;
-        q.push((far, 0, 0));
-        assert_eq!(q.pop(), Some((far, 0, 0)));
+        q.push(far, 200, 200);
+        assert_eq!(q.pop(), Some((far, 200, 200)));
         assert_eq!(q.cur_start, far & !(BUCKET_WIDTH - 1));
     }
 
+    /// Slots freed out of order come back in the freelist's order, so ring
+    /// lists end up threaded through non-monotone slots; every pushed event
+    /// still pops exactly once, in order, and the slab never grows past the
+    /// peak population.
     #[test]
-    fn drain_unordered_returns_everything() {
-        let mut q = CalendarQueue::new();
+    fn recycled_slots_thread_lists_out_of_order() {
+        let mut q = queue();
         for seq in 0..500u64 {
-            q.push((seq * 1_000_003, seq, seq as u32));
+            q.push((500 - seq) * 1_000_003, seq, seq as u32);
         }
-        q.pop();
-        let mut keys = q.drain_unordered();
-        assert_eq!(keys.len(), 499);
-        assert_eq!(q.len(), 0);
-        keys.sort_unstable();
-        assert_eq!(keys[0].1, 1);
+        let mut popped = drain(&mut q);
+        let now = popped[499].0;
+        for seq in 500..1000u64 {
+            q.push(now + seq * 997 % 211 * 1_000_003, seq, seq as u32);
+        }
+        popped.extend(drain(&mut q));
+        assert_eq!(popped.len(), 1000);
+        assert!(popped
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        let mut ids: Vec<u32> = popped.iter().map(|k| k.2).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..1000).collect::<Vec<_>>());
+        assert_eq!(q.slots.len(), 500);
+        assert_eq!(q.pool_stats().events_pooled, 500);
     }
 }

@@ -9,7 +9,7 @@
 
 use bgpsdn_obs::{MetricsRegistry, TraceEvent, WallSpan};
 
-use crate::event::{EventBody, EventQueue, PoolStats, QueueBackend};
+use crate::event::{EventBody, EventQueue, PoolStats};
 use crate::link::{LatencyModel, Link, LinkId};
 use crate::node::{Message, Node, NodeId, TimerClass, TimerToken};
 use crate::rng::SimRng;
@@ -306,7 +306,7 @@ impl<M: Message> Simulator<M> {
 
     /// [`Simulator::new`] with `events` slots of event-queue capacity
     /// pre-reserved. Builders that know the node/link counts up front use
-    /// this so the dispatch loop never reallocates the heap.
+    /// this so the dispatch loop never reallocates the event slab.
     pub fn with_event_capacity(seed: u64, events: usize) -> Self {
         Simulator {
             now: SimTime::ZERO,
@@ -331,19 +331,6 @@ impl<M: Message> Simulator<M> {
             last_event_key: (0, 0),
             max_events_per_run: 200_000_000,
         }
-    }
-
-    /// Switch the event queue's ordering backend ([`QueueBackend`]),
-    /// migrating any pending events. Both backends produce the identical
-    /// `(time, sequence)` delivery order, so this never changes behavior —
-    /// the determinism suite byte-diffs runs across the switch to prove it.
-    pub fn set_queue_backend(&mut self, backend: QueueBackend) {
-        self.queue.set_backend(backend);
-    }
-
-    /// The active event-queue backend.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     /// Event-slab recycling counters since the start of the run.
@@ -600,8 +587,7 @@ impl<M: Message> Simulator<M> {
             None => return false,
         };
         debug_assert!(ev.at >= self.now, "time went backwards");
-        // The queue contract: pops are strictly increasing in (time, seq),
-        // whichever backend is ordering them.
+        // The queue contract: pops are strictly increasing in (time, seq).
         debug_assert!(
             self.stats.events_processed == 0 || (ev.at.as_nanos(), ev.seq) > self.last_event_key,
             "event queue violated (time, seq) order"

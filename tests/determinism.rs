@@ -113,47 +113,6 @@ fn profiled_runs_canonicalize_identically() {
 }
 
 #[test]
-fn queue_backend_swap_is_byte_invisible() {
-    use bgp_sdn_emu::netsim::QueueBackend;
-
-    let scenario = CliqueScenario {
-        n: 6,
-        sdn_count: 3,
-        mrai: SimDuration::from_secs(2),
-        recompute_delay: SimDuration::from_millis(100),
-        seed: 9,
-        control_loss: 0.0,
-    };
-    // Same seed, same scenario, opposite queue backends: the calendar
-    // queue and the reference heap must produce the identical event order,
-    // so the full trace artifact — not just the summary numbers — has to
-    // match byte for byte.
-    let run = |backend: QueueBackend| {
-        let opts = CliqueRunOptions::default();
-        let (out, exp) = run_clique_with(&scenario, EventKind::Withdrawal, &opts, |sim| {
-            sim.set_queue_backend(backend);
-            sim.trace_mut().enable_all();
-        });
-        assert!(out.converged && out.audit_ok);
-        assert_eq!(exp.net.sim.queue_backend(), backend);
-        (
-            out.convergence,
-            exp.net.sim.stats().events_processed,
-            exp.net.sim.trace().export_jsonl(),
-        )
-    };
-    let (conv_cal, events_cal, trace_cal) = run(QueueBackend::Calendar);
-    let (conv_heap, events_heap, trace_heap) = run(QueueBackend::Heap);
-    assert_eq!(conv_cal, conv_heap, "convergence time must not move");
-    assert_eq!(events_cal, events_heap, "event counts must match");
-    assert!(!trace_cal.is_empty());
-    assert_eq!(
-        trace_cal, trace_heap,
-        "trace artifacts must be byte-identical across the queue swap"
-    );
-}
-
-#[test]
 fn campaign_records_are_identical_across_reruns() {
     let grid = small_grid();
     let r1 = run_campaign(&grid, 2, false);
