@@ -190,17 +190,7 @@ impl SessionHandshake {
                     (vec![], None)
                 } else {
                     // UPDATE before Established is an FSM error.
-                    self.reset();
-                    (
-                        vec![BgpMessage::Notification(NotificationMsg {
-                            code: NotifCode::FsmError,
-                            subcode: 0,
-                            data: vec![],
-                        })],
-                        Some(SessionEvent::Closed(CloseReason::LocalError(
-                            NotifCode::FsmError,
-                        ))),
-                    )
+                    self.fsm_error()
                 }
             }
         }
@@ -237,17 +227,7 @@ impl SessionHandshake {
             SessionState::OpenConfirm | SessionState::Established => {
                 // Duplicate OPEN: collision resolution simplified to an FSM
                 // error (cannot occur with the simulated transport).
-                self.reset();
-                (
-                    vec![BgpMessage::Notification(NotificationMsg {
-                        code: NotifCode::FsmError,
-                        subcode: 0,
-                        data: vec![],
-                    })],
-                    Some(SessionEvent::Closed(CloseReason::LocalError(
-                        NotifCode::FsmError,
-                    ))),
-                )
+                self.fsm_error()
             }
         }
     }
@@ -262,10 +242,33 @@ impl SessionHandshake {
                     .expect("OpenConfirm implies remote OPEN seen");
                 (vec![], Some(SessionEvent::Established(open)))
             }
+            // RFC 4271 §8.2.2: a KEEPALIVE in OpenSent is an FSM error. The
+            // peer answered our OPEN from its own OpenSent, so its OPEN to
+            // us was lost (sent while we were down). Ignoring the KEEPALIVE
+            // would leave the peer in OpenConfirm and this end in OpenSent,
+            // both waiting forever with no timer running; resetting both
+            // ends lets the owner's retry start over.
+            SessionState::OpenSent => self.fsm_error(),
             // In Established keepalives just refresh the hold timer (owner's
-            // job); elsewhere they are ignored.
-            _ => (vec![], None),
+            // job); in Idle they are ignored.
+            SessionState::Idle | SessionState::Established => (vec![], None),
         }
+    }
+
+    /// Reset to Idle on a protocol error: NOTIFICATION (FSM error) to
+    /// send, and the close to surface.
+    fn fsm_error(&mut self) -> (Vec<BgpMessage>, Option<SessionEvent>) {
+        self.reset();
+        (
+            vec![BgpMessage::Notification(NotificationMsg {
+                code: NotifCode::FsmError,
+                subcode: 0,
+                data: vec![],
+            })],
+            Some(SessionEvent::Closed(CloseReason::LocalError(
+                NotifCode::FsmError,
+            ))),
+        )
     }
 }
 
@@ -390,6 +393,30 @@ mod tests {
             )))
         ));
         assert!(matches!(send[0], BgpMessage::Notification(_)));
+    }
+
+    #[test]
+    fn keepalive_in_open_sent_is_fsm_error() {
+        // a's OPEN is lost while b is down. b restarts and opens; a answers
+        // from OpenSent with a KEEPALIVE only, which reaches b in OpenSent.
+        let (mut a, mut b) = pair();
+        let _lost = a.start();
+        let (reply, _) = a.on_message(&b.start()[0]);
+        assert_eq!(a.state(), SessionState::OpenConfirm);
+        assert_eq!(reply, vec![BgpMessage::Keepalive]);
+        let (send, ev) = b.on_message(&reply[0]);
+        assert_eq!(
+            ev,
+            Some(SessionEvent::Closed(CloseReason::LocalError(
+                NotifCode::FsmError
+            )))
+        );
+        assert_eq!(b.state(), SessionState::Idle);
+        // The NOTIFICATION resets a as well, so a retry starts clean.
+        a.on_message(&send[0]);
+        assert_eq!(a.state(), SessionState::Idle);
+        run_handshake(&mut a, &mut b, true, false);
+        assert!(a.is_established() && b.is_established());
     }
 
     #[test]

@@ -331,20 +331,6 @@ impl<M: BgpApp> BgpRouter<M> {
         }
     }
 
-    /// Data-plane forwarding decision for an address, mirroring
-    /// `handle_data`: `None` = no route (blackhole), `Some(None)` = local
-    /// delivery, `Some(Some(n))` = forward to node `n`. Used by the offline
-    /// connectivity walker.
-    pub fn forward_lookup(&self, ip: std::net::Ipv4Addr) -> Option<Option<NodeId>> {
-        if self.originated.iter().any(|p| p.contains(ip)) {
-            return Some(None);
-        }
-        match self.loc_rib.lpm(ip)?.1.source {
-            RouteSource::Local => Some(None),
-            RouteSource::Peer(i) => Some(Some(self.cfg.neighbors[i].peer)),
-        }
-    }
-
     /// What was last advertised to a logical peer for a prefix.
     pub fn advertised_to(&self, peer: NodeId, prefix: Prefix) -> Option<&SharedAttrs> {
         self.peers[self.peer_idx(peer)?].adj_out.get(prefix)

@@ -7,20 +7,21 @@
 //!   path-exploration counts, per-router update counts, timelines);
 //! * [`convergence`]: "wait until BGP has converged" — exact
 //!   quiescence-based measurement and an emulation-style stability window;
-//! * [`reach`]: offline data-plane reachability audit (loop and blackhole
-//!   detection over installed FIBs/flow tables);
 //! * [`viz`]: Graphviz export with best-path highlighting.
+//!
+//! Whether traffic gets through is not measured here: every connectivity
+//! audit is a query on the static verifier's forwarding model
+//! (`bgpsdn-verify`), over a snapshot of the installed FIBs and flow
+//! tables.
 
 #![warn(missing_docs)]
 
 pub mod collector;
 pub mod convergence;
 pub mod logview;
-pub mod reach;
 pub mod viz;
 
 pub use collector::{CollectorStats, RouteCollector};
 pub use convergence::{measure, measure_trace, ConvergenceReport, StabilityProbe};
 pub use logview::{LogAction, LogEntry, UpdateLog};
-pub use reach::{audit, walk, ConnectivityReport, Hop, PathResult};
 pub use viz::{render_dot, VizNode, VizRole};

@@ -10,16 +10,18 @@
 use std::net::Ipv4Addr;
 
 use bgpsdn_bgp::{Prefix, RouterCommand};
-use bgpsdn_collector::{audit, measure, ConnectivityReport, ConvergenceReport, Hop};
+use bgpsdn_collector::{measure, ConvergenceReport};
 use bgpsdn_netsim::ObsPrefix;
 use bgpsdn_netsim::{
     Activity, MetricsSnapshot, NodeId, SimDuration, SimTime, TraceCategory, TraceEvent,
 };
 use bgpsdn_obs::{metrics_line, run_line, Json};
-use bgpsdn_sdn::{ClusterMsg, FlowAction};
-use bgpsdn_verify::{Report, Snapshot, Verifier};
+use bgpsdn_sdn::ClusterMsg;
+use bgpsdn_verify::{ConnectivityReport, Report, Snapshot, Verifier};
 
-use super::network::{AsKind, ClusterHandle, Collector, Controller, HybridNetwork, Router, Switch};
+use super::network::{
+    AsHandle, AsKind, ClusterHandle, Collector, Controller, HybridNetwork, Router, Switch,
+};
 use super::verify::capture_snapshot;
 
 /// A running hybrid experiment.
@@ -455,106 +457,73 @@ impl Experiment {
     // Audits
     // ------------------------------------------------------------------
 
+    /// True when AS `a`'s device holds a route for exactly `prefix`: a
+    /// Loc-RIB best route on a legacy router, a flow rule on a member.
+    fn holds_route(&self, a: &AsHandle, prefix: Prefix) -> bool {
+        match a.kind {
+            AsKind::Legacy => self
+                .net
+                .sim
+                .node_ref::<Router>(a.node)
+                .best(prefix)
+                .is_some(),
+            AsKind::SdnMember => self
+                .net
+                .sim
+                .node_ref::<Switch>(a.node)
+                .table()
+                .iter()
+                .any(|rule| rule.prefix == prefix),
+        }
+    }
+
     /// True when no AS (legacy Loc-RIB, controller RIB or switch flow
     /// table) still carries a route for `prefix` — the paper's "verify the
     /// effects of changes" for a withdrawal.
+    ///
+    /// A control-plane *presence* check, not a forwarding query: it also
+    /// sees controller state no data plane shows, and it needs no
+    /// snapshot, so it stays cheap enough to run after every trigger.
     pub fn prefix_fully_gone(&self, prefix: Prefix) -> bool {
-        for a in &self.net.ases {
-            match a.kind {
-                AsKind::Legacy => {
-                    let r = self.net.sim.node_ref::<Router>(a.node);
-                    if r.best(prefix).is_some() {
-                        return false;
-                    }
-                }
-                AsKind::SdnMember => {
-                    let sw = self.net.sim.node_ref::<Switch>(a.node);
-                    if sw.table().iter().any(|rule| rule.prefix == prefix) {
-                        return false;
-                    }
-                }
-            }
+        if self.net.ases.iter().any(|a| self.holds_route(a, prefix)) {
+            return false;
         }
-        for handle in &self.net.clusters {
+        self.net.clusters.iter().all(|handle| {
             let ctl = self.net.sim.node_ref::<Controller>(handle.controller);
-            if ctl.ext_route_count(prefix) > 0 {
-                return false;
-            }
-            if ctl.owned_prefixes().any(|(p, _)| p == prefix) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// True when every *other* AS holds a route for `prefix`.
-    pub fn prefix_reachable_from_all(&self, prefix: Prefix, origin: usize) -> bool {
-        self.net.ases.iter().all(|a| {
-            if a.index == origin {
-                return true;
-            }
-            match a.kind {
-                AsKind::Legacy => self
-                    .net
-                    .sim
-                    .node_ref::<Router>(a.node)
-                    .best(prefix)
-                    .is_some(),
-                AsKind::SdnMember => self
-                    .net
-                    .sim
-                    .node_ref::<Switch>(a.node)
-                    .table()
-                    .iter()
-                    .any(|rule| rule.prefix == prefix),
-            }
+            ctl.ext_route_count(prefix) == 0 && !ctl.owned_prefixes().any(|(p, _)| p == prefix)
         })
     }
 
-    /// Forwarding decision of any AS device for an address (the glue
-    /// between node types and the offline reachability walker).
-    fn decide(&self, node: NodeId, dst: Ipv4Addr) -> Hop {
-        let handle = self.net.ases.iter().find(|a| a.node == node);
-        match handle.map(|a| a.kind) {
-            Some(AsKind::Legacy) => {
-                let r = self.net.sim.node_ref::<Router>(node);
-                match r.forward_lookup(dst) {
-                    Some(None) => Hop::Deliver,
-                    Some(Some(next)) => Hop::Forward(next),
-                    None => Hop::Blackhole,
-                }
-            }
-            Some(AsKind::SdnMember) => {
-                let sw = self.net.sim.node_ref::<Switch>(node);
-                match sw.next_hop_port(dst) {
-                    Some(FlowAction::Local) => Hop::Deliver,
-                    Some(FlowAction::Output(port)) => {
-                        let link = self.net.sim.link(bgpsdn_netsim::LinkId(port));
-                        if link.up {
-                            Hop::Forward(link.other(node))
-                        } else {
-                            Hop::Blackhole
-                        }
-                    }
-                    _ => Hop::Blackhole,
-                }
-            }
-            None => Hop::Blackhole,
-        }
+    /// True when every *other* AS holds a route for `prefix`.
+    ///
+    /// A control-plane *presence* check: a held route may still loop or
+    /// die on a down link. Whether traffic arrives is
+    /// [`Experiment::connectivity_audit`]'s question; this one needs no
+    /// snapshot, so it stays cheap enough to run after every trigger.
+    pub fn prefix_reachable_from_all(&self, prefix: Prefix, origin: usize) -> bool {
+        self.net
+            .ases
+            .iter()
+            .all(|a| a.index == origin || self.holds_route(a, prefix))
+    }
+
+    /// Does traffic from every other AS reach each `(AS index, address)`
+    /// target? A query on the verifier's forwarding model over a fresh
+    /// snapshot.
+    pub(crate) fn connectivity(&self, targets: &[(usize, Ipv4Addr)]) -> ConnectivityReport {
+        Verifier::new().connectivity(&capture_snapshot(&self.net), targets)
     }
 
     /// Audit data-plane connectivity from every AS to every AS's identity
     /// address — the paper's "stable connectivity between all hosts" check.
     pub fn connectivity_audit(&self) -> ConnectivityReport {
-        let sources: Vec<NodeId> = self.net.ases.iter().map(|a| a.node).collect();
-        let destinations: Vec<(NodeId, Ipv4Addr)> = self
+        let targets: Vec<(usize, Ipv4Addr)> = self
             .net
             .ases
             .iter()
-            .map(|a| (a.node, a.router_ip))
+            .map(|a| (a.index, a.router_ip))
             .collect();
-        let max_hops = self.net.ases.len() * 2 + 4;
-        audit(&sources, &destinations, max_hops, |n, d| self.decide(n, d))
+        self.connectivity(&targets)
     }
 
     // ------------------------------------------------------------------

@@ -201,23 +201,23 @@ pub fn run_clique_with(
     let origin_prefix = exp.net.ases[origin].prefix;
 
     exp.mark_named(event_phase_name(event));
-    let (audit_prefix, expect_gone) = match event {
+    let audit_prefix = match event {
         EventKind::Withdrawal => {
             exp.withdraw(origin, None);
-            (origin_prefix, true)
+            origin_prefix
         }
         EventKind::Announcement => {
             // A fresh /17 inside the origin's block: unknown to everyone.
             let (lo, _) = origin_prefix.split();
             exp.announce(origin, Some(lo));
-            (lo, false)
+            lo
         }
         EventKind::Failover => {
             // Fail the dual-homed origin's primary link (into clique AS 2);
             // the network must converge onto the longer backup via the
             // relay, exploring equal-length ghost paths on the way.
             exp.fail_edge(origin, 2);
-            (origin_prefix, false)
+            origin_prefix
         }
     };
     if let Some(schedule) = &opts.fault_plan {
@@ -230,13 +230,21 @@ pub fn run_clique_with(
     }
     let report = exp.wait_converged(PHASE_DEADLINE);
 
+    // Withdrawal: nothing is left anywhere, control plane included.
+    // Announcement and fail-over: every other AS's traffic to the prefix
+    // is delivered at the origin. The announced /17 sits inside the
+    // origin's /16, whose route alone would deliver that traffic, so an
+    // announcement also needs every other AS to hold the /17 itself.
+    let delivered = |exp: &Experiment| {
+        exp.connectivity(&[(origin, audit_prefix.network())])
+            .fully_connected()
+    };
     let audit_ok = match event {
-        EventKind::Withdrawal => exp.prefix_fully_gone(audit_prefix) == expect_gone,
-        EventKind::Announcement => exp.prefix_reachable_from_all(audit_prefix, origin),
-        EventKind::Failover => {
-            // AS 1 must still reach the origin prefix (via some 2-hop path).
-            exp.prefix_reachable_from_all(audit_prefix, origin)
+        EventKind::Withdrawal => exp.prefix_fully_gone(audit_prefix),
+        EventKind::Announcement => {
+            exp.prefix_reachable_from_all(audit_prefix, origin) && delivered(&exp)
         }
+        EventKind::Failover => delivered(&exp),
     };
 
     let outcome = ScenarioOutcome {

@@ -4,11 +4,12 @@
 
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
 use bgpsdn_core::{
-    run_clique, AsKind, CliqueScenario, Controller, EventKind, Experiment, NetworkBuilder, Router,
-    Speaker, Switch,
+    run_clique, run_clique_with, AsKind, CliqueRunOptions, CliqueScenario, Controller, EventKind,
+    Experiment, NetworkBuilder, Router, Script, ScriptAction, Speaker, Switch,
 };
 use bgpsdn_netsim::{LatencyModel, SimDuration};
 use bgpsdn_sdn::FlowAction;
+use bgpsdn_topology::ipalloc::as_prefix;
 use bgpsdn_topology::{gen, plan, AsEdge, AsGraph, EdgeKind, TopologyPlan};
 
 fn clique_plan(n: usize, mrai_secs: u64) -> TopologyPlan {
@@ -73,7 +74,7 @@ fn member_prefixes_route_internally() {
     let m4 = exp.net.ases[4].node;
     let p4 = exp.net.ases[4].prefix;
     let sw = exp.net.sim.node_ref::<Switch>(m3);
-    match sw.next_hop_port(p4.nth(1)) {
+    match sw.table().lookup(p4.nth(1)).map(|r| r.action) {
         Some(FlowAction::Output(port)) => {
             let link = exp.net.sim.link(bgpsdn_netsim::LinkId(port));
             assert_eq!(link.other(m3), m4, "one intra-cluster hop");
@@ -82,7 +83,10 @@ fn member_prefixes_route_internally() {
     }
     // And at the owner the flow delivers locally.
     let sw4 = exp.net.sim.node_ref::<Switch>(m4);
-    assert_eq!(sw4.next_hop_port(p4.nth(1)), Some(FlowAction::Local));
+    assert_eq!(
+        sw4.table().lookup(p4.nth(1)).map(|r| r.action),
+        Some(FlowAction::Local)
+    );
 }
 
 #[test]
@@ -116,6 +120,34 @@ fn announcement_event_reaches_everyone() {
         let out = run_clique(&s, EventKind::Announcement);
         assert!(out.converged && out.audit_ok, "k={k}");
         assert!(out.updates > 0);
+    }
+}
+
+/// The announced /17 lies inside the origin's /16, which alone delivers
+/// traffic to it: an announcement that never spreads must still fail the
+/// audit.
+#[test]
+fn an_announcement_withdrawn_again_fails_its_audit() {
+    let (lo, _) = as_prefix(0).unwrap().split();
+    for &k in &[0usize, 3] {
+        let s = CliqueScenario {
+            n: 6,
+            sdn_count: k,
+            mrai: SimDuration::from_secs(5),
+            recompute_delay: SimDuration::from_millis(100),
+            seed: 5,
+            control_loss: 0.0,
+        };
+        let opts = CliqueRunOptions {
+            fault_plan: Some(Script::new().step(ScriptAction::Withdraw {
+                as_index: 0,
+                prefix: Some(lo),
+            })),
+            ..CliqueRunOptions::default()
+        };
+        let (out, exp) = run_clique_with(&s, EventKind::Announcement, &opts, |_| {});
+        assert!(out.converged && !out.audit_ok, "k={k}: {out:?}");
+        assert!(exp.connectivity_audit().fully_connected(), "k={k}");
     }
 }
 
@@ -251,7 +283,7 @@ fn subcluster_partition_recovers_over_legacy_world() {
     let b_node = exp.net.ases[3].node;
     let b_prefix = exp.net.ases[3].prefix;
     let sw_a = exp.net.sim.node_ref::<Switch>(a_node);
-    match sw_a.next_hop_port(b_prefix.nth(1)) {
+    match sw_a.table().lookup(b_prefix.nth(1)).map(|r| r.action) {
         Some(FlowAction::Output(port)) => {
             assert_eq!(
                 exp.net.sim.link(bgpsdn_netsim::LinkId(port)).other(a_node),
@@ -277,7 +309,7 @@ fn subcluster_partition_recovers_over_legacy_world() {
     // sub-clusters".
     let sw_a = exp.net.sim.node_ref::<Switch>(a_node);
     let l0_node = exp.net.ases[0].node;
-    match sw_a.next_hop_port(b_prefix.nth(1)) {
+    match sw_a.table().lookup(b_prefix.nth(1)).map(|r| r.action) {
         Some(FlowAction::Output(port)) => {
             assert_eq!(
                 exp.net.sim.link(bgpsdn_netsim::LinkId(port)).other(a_node),
@@ -299,7 +331,7 @@ fn subcluster_partition_recovers_over_legacy_world() {
     exp.restore_edge(2, 3);
     assert!(exp.wait_converged(HOUR).converged);
     let sw_a = exp.net.sim.node_ref::<Switch>(a_node);
-    match sw_a.next_hop_port(b_prefix.nth(1)) {
+    match sw_a.table().lookup(b_prefix.nth(1)).map(|r| r.action) {
         Some(FlowAction::Output(port)) => {
             assert_eq!(
                 exp.net.sim.link(bgpsdn_netsim::LinkId(port)).other(a_node),
@@ -640,15 +672,13 @@ fn more_specific_prefix_wins_in_both_planes() {
 
     // Legacy AS 2 routes by LPM.
     let r2 = exp.net.sim.node_ref::<Router>(exp.net.ases[2].node);
-    assert_eq!(r2.forward_lookup(in_17), Some(Some(exp.net.ases[1].node)));
-    assert_eq!(
-        r2.forward_lookup(in_16_only),
-        Some(Some(exp.net.ases[0].node))
-    );
+    let next = |ip| r2.loc_rib().lpm(ip).and_then(|(p, _)| r2.next_hop_node(p));
+    assert_eq!(next(in_17), Some(exp.net.ases[1].node));
+    assert_eq!(next(in_16_only), Some(exp.net.ases[0].node));
 
     // Member switch routes by flow-table LPM toward the right egress.
     let sw = exp.net.sim.node_ref::<Switch>(exp.net.ases[4].node);
-    let via = |ip| match sw.next_hop_port(ip) {
+    let via = |ip| match sw.table().lookup(ip).map(|r| r.action) {
         Some(bgpsdn_sdn::FlowAction::Output(port)) => exp
             .net
             .sim

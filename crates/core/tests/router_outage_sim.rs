@@ -10,7 +10,10 @@
 //! frozen verifier snapshots end up byte-identical.
 
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{Experiment, NetworkBuilder, Router, Script};
+use bgpsdn_core::{
+    run_clique_with, CliqueRunOptions, CliqueScenario, EventKind, Experiment, NetworkBuilder,
+    Router, Script, ScriptAction,
+};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_topology::{gen, plan, AsGraph};
 
@@ -252,4 +255,43 @@ fn script_actions_drive_a_router_outage() {
         .expect_full_connectivity();
     let report = exp.run_script(&script);
     assert!(report.ok(), "script failed:\n{}", report.render());
+}
+
+/// A fail-over chaos job that used to end with the network split in two,
+/// {AS0, AS1} and {AS2..AS5}. Fail-over topology, n 6, MRAI 1 s, hold 9 s,
+/// GR off. The event fails 0–2 at 2.78 s (end of bring-up); then, in
+/// absolute time, AS2 crashes at 47.12 s, 1–3 fails at 51.35 s, AS3
+/// crashes at 54.35 s, 1–3 comes back at 57.08 s, AS2 at 60.46 s and AS3
+/// at 66.42 s. The OPENs AS2 (restart) and AS1 (link up) send toward the
+/// crashed AS3 are lost; AS3's own OPEN later moves both to OpenConfirm,
+/// and their KEEPALIVE replies reach AS3 in OpenSent. Ignoring them wedged
+/// both sessions; RFC 4271 makes them an FSM error that a retry heals.
+#[test]
+fn overlapping_crashes_around_a_relay_flap_heal() {
+    let scenario = CliqueScenario {
+        n: 6,
+        sdn_count: 0,
+        mrai: SimDuration::from_secs(1),
+        recompute_delay: SimDuration::from_millis(100),
+        seed: 12_518_816_874_335_010_179,
+        control_loss: 0.0,
+    };
+    let at = SimDuration::from_nanos;
+    let faults = Script::from_offsets(vec![
+        (at(44_337_945_504), ScriptAction::CrashRouter(2)),
+        (at(48_567_199_132), ScriptAction::FailEdge(1, 3)),
+        (at(51_576_296_516), ScriptAction::CrashRouter(3)),
+        (at(54_304_425_243), ScriptAction::RestoreEdge(1, 3)),
+        (at(57_684_886_417), ScriptAction::RestoreRouter(2)),
+        (at(63_642_159_857), ScriptAction::RestoreRouter(3)),
+    ]);
+    let opts = CliqueRunOptions {
+        fault_plan: Some(faults),
+        hold_secs: 9,
+        ..CliqueRunOptions::default()
+    };
+    let (outcome, mut exp) = run_clique_with(&scenario, EventKind::Failover, &opts, |_| {});
+    assert!(outcome.converged && outcome.audit_ok, "{outcome:?}");
+    let report = exp.run_script(&Script::new().expect_full_connectivity());
+    assert!(report.ok(), "{}", report.render());
 }

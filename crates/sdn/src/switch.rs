@@ -120,12 +120,6 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
         self.datapath_id
     }
 
-    /// Where data for `dst` currently leaves this switch, if anywhere
-    /// (used by the offline connectivity walker).
-    pub fn next_hop_port(&self, dst: std::net::Ipv4Addr) -> Option<FlowAction> {
-        self.table.lookup(dst).map(|r| r.action)
-    }
-
     fn send_to_controller(&mut self, ctx: &mut Ctx<'_, M>, msg: &OfMessage) {
         if let Some(link) = self.controller_link {
             ctx.send(link, M::from_of(OfEnvelope::new(msg)));

@@ -22,6 +22,12 @@
 //!    export rules. (Skipped under all-permit policies, where any
 //!    multi-hop peer path would trivially "violate" the property.)
 //!
+//! The same per-prefix successor function answers "does traffic from X
+//! reach Y": [`Verifier::connectivity`] classifies every node's chain
+//! toward a queried address and returns a [`ConnectivityReport`]. It is
+//! the framework's one forwarding model; every connectivity and
+//! forwarding audit is a query on it.
+//!
 //! The [`Verifier`] keeps preallocated scratch (per-node lookup indexes,
 //! walk coloring, outcome memoization) so repeated passes allocate
 //! almost nothing and a 256-prefix scale scenario verifies in
@@ -38,4 +44,4 @@ pub use snapshot::{
     ControlHealth, Device, EdgeRel, LegacyRoute, NextHop, NodeState, PolicyKind, PortState,
     RelKind, RuleAction, SessionSnap, Snapshot, SwitchRule,
 };
-pub use verifier::{Report, StaleNote, Verifier, Violation, ViolationKind};
+pub use verifier::{ConnectivityReport, Report, StaleNote, Verifier, Violation, ViolationKind};

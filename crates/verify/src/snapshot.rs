@@ -7,8 +7,6 @@
 //! carries no references into the simulator, so it can be serialized into
 //! a JSONL run artifact and re-analyzed offline with `bgpsdn verify`.
 
-use std::net::Ipv4Addr;
-
 use bgpsdn_bgp::{Asn, Prefix};
 use bgpsdn_obs::Json;
 
@@ -478,13 +476,6 @@ impl NodeState {
 }
 
 impl Snapshot {
-    /// A representative address inside a prefix, used for longest-prefix
-    /// lookups when building the per-prefix forwarding graph.
-    #[must_use]
-    pub fn probe_address(prefix: Prefix) -> Ipv4Addr {
-        prefix.network()
-    }
-
     /// JSON object form, suitable for embedding as a
     /// `{"type":"snapshot",...}` line of a run artifact.
     #[must_use]

@@ -8,9 +8,15 @@
 //! classifies the resulting functional graph with one O(nodes + edges)
 //! walk using preallocated scratch buffers, so a full run over hundreds of
 //! prefixes stays in the low milliseconds.
+//!
+//! That successor function is the framework's only forwarding model: the
+//! invariant checks and every "does traffic from X reach Y" question
+//! ([`Verifier::connectivity`]) read the same per-node terminal of the
+//! same walk, so they cannot disagree.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::net::Ipv4Addr;
 
 use bgpsdn_bgp::{Asn, Prefix};
 
@@ -138,6 +144,46 @@ impl std::fmt::Display for Report {
     }
 }
 
+/// Result of a connectivity query: does traffic from every other node
+/// reach each queried destination?
+#[derive(Debug, Clone, Default)]
+pub struct ConnectivityReport {
+    /// Pairs whose traffic is delivered at an origin of the address.
+    pub delivered: usize,
+    /// Pairs whose traffic dies first: no route, a drop rule, a down link
+    /// (graceful-restart stale or not), a punt or an unknown port.
+    pub blackholed: usize,
+    /// Pairs whose traffic enters a forwarding loop.
+    pub looped: usize,
+    /// The failing pairs `(source vertex, destination address, witness)`.
+    pub failures: Vec<(usize, Ipv4Addr, String)>,
+}
+
+impl ConnectivityReport {
+    /// Total pairs checked.
+    #[must_use]
+    pub fn total(&self) -> usize {
+        self.delivered + self.blackholed + self.looped
+    }
+
+    /// True when every pair was delivered (and there was at least one).
+    #[must_use]
+    pub fn fully_connected(&self) -> bool {
+        self.blackholed == 0 && self.looped == 0 && self.delivered > 0
+    }
+
+    /// Fraction of pairs delivered (1.0 when nothing was checked).
+    #[must_use]
+    pub fn delivery_ratio(&self) -> f64 {
+        let count = |n: usize| f64::from(u32::try_from(n).unwrap_or(u32::MAX));
+        if self.total() == 0 {
+            1.0
+        } else {
+            count(self.delivered) / count(self.total())
+        }
+    }
+}
+
 /// Resolved forwarding decision of one node for the current prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Hop {
@@ -162,17 +208,28 @@ enum Hop {
     DeadPort { port: u32, entry: u32 },
 }
 
-/// Terminal classification of a node's forwarding chain.
+/// Terminal classification of a node's forwarding chain. `Delivered`,
+/// `Dropped`, `NoRoute` and `Stale` break no invariant; only `Delivered`
+/// is traffic arriving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
     Unknown,
-    /// Chain ends in legitimate delivery or an explicit drop.
-    Ok,
+    /// Chain ends in local delivery at an origin of the destination.
+    Delivered,
+    /// Chain ends in an explicit drop rule.
+    Dropped,
+    /// The chain's first node holds no route.
+    NoRoute,
+    /// Chain ends in an RFC 4724 stale route over a down link.
+    Stale,
     /// Chain ends in a dead end (violation already reported downstream).
     Bad,
     /// Chain enters a cycle (violation already reported).
     Cycle,
 }
+
+/// `blame` value of a chain that ended without a violation.
+const NO_BLAME: usize = usize::MAX;
 
 /// Walk colors for the functional-graph traversal.
 const UNVISITED: u8 = 0;
@@ -252,6 +309,8 @@ pub struct Verifier {
     hops: Vec<Hop>,
     state: Vec<u8>,
     outcome: Vec<Outcome>,
+    /// Index of the violation each settled chain ended in (`NO_BLAME`).
+    blame: Vec<usize>,
     path: Vec<usize>,
     verts: Vec<usize>,
 }
@@ -285,9 +344,60 @@ impl Verifier {
         };
         self.prepare(snap);
         self.check_forwarding(snap, &mut report);
-        self.check_intent(snap, &mut report);
+        check_intent(snap, &mut report);
         self.check_valley(snap, &mut report);
         report
+    }
+
+    /// Does traffic from every other node reach each `(destination vertex,
+    /// address)` target? One classification walk per target — the walk
+    /// behind the loop and blackhole checks — settles every node's chain;
+    /// a pair counts as delivered when its source's chain ends in local
+    /// delivery at an origin of the address. A failing pair carries the
+    /// witness of the violation its chain ended in.
+    ///
+    /// # Panics
+    ///
+    /// Never: each address is probed as a /32, which has no host bits.
+    pub fn connectivity(
+        &mut self,
+        snap: &Snapshot,
+        targets: &[(usize, Ipv4Addr)],
+    ) -> ConnectivityReport {
+        self.prepare(snap);
+        let mut out = ConnectivityReport::default();
+        let mut found = Report::default();
+        for &(dst, addr) in targets {
+            let probe = Prefix::new(addr, 32).expect("a /32 has no host bits");
+            found.violations.clear();
+            found.stale.clear();
+            self.resolve_hops(snap, probe.network_u32());
+            self.walk_prefix(snap, probe, &mut found);
+            for src in (0..snap.nodes.len()).filter(|&v| v != dst) {
+                let terminal = self.outcome[src];
+                match terminal {
+                    Outcome::Delivered => {
+                        out.delivered += 1;
+                        continue;
+                    }
+                    Outcome::Cycle => out.looped += 1,
+                    _ => out.blackholed += 1,
+                }
+                let witness = match (self.blame[src], terminal) {
+                    (NO_BLAME, Outcome::NoRoute) => format!("{} (no route)", snap.nodes[src].name),
+                    (NO_BLAME, Outcome::Dropped) => {
+                        format!("{} (ends in an explicit drop)", snap.nodes[src].name)
+                    }
+                    (NO_BLAME, _) => format!(
+                        "{} (ends in a graceful-restart stale route over a down link)",
+                        snap.nodes[src].name
+                    ),
+                    (v, _) => found.violations[v].witness.clone(),
+                };
+                out.failures.push((src, addr, witness));
+            }
+        }
+        out
     }
 
     // ------------------------------------------------------------------
@@ -345,6 +455,7 @@ impl Verifier {
         self.hops.resize(n, Hop::NoRoute);
         self.state.resize(n, UNVISITED);
         self.outcome.resize(n, Outcome::Unknown);
+        self.blame.resize(n, NO_BLAME);
     }
 
     // ------------------------------------------------------------------
@@ -356,7 +467,7 @@ impl Verifier {
         // borrowable, and put it back for the next pass.
         let prefixes = std::mem::take(&mut self.prefixes);
         for &prefix in &prefixes {
-            self.resolve_hops(snap, prefix);
+            self.resolve_hops(snap, prefix.network_u32());
             self.walk_prefix(snap, prefix, report);
             report.prefixes_checked += 1;
             report.checks += 2; // loop-freedom + blackhole for this prefix
@@ -364,16 +475,15 @@ impl Verifier {
         self.prefixes = prefixes;
     }
 
-    /// Resolve every node's own lookup of the prefix's probe address into
-    /// the successor function for this prefix.
-    fn resolve_hops(&mut self, snap: &Snapshot, prefix: Prefix) {
-        let addr = prefix.network_u32();
+    /// Resolve every node's own lookup of a probe address (a prefix's
+    /// network address, or a queried host) into the successor function.
+    fn resolve_hops(&mut self, snap: &Snapshot, addr: u32) {
         for (v, node) in snap.nodes.iter().enumerate() {
             self.state[v] = UNVISITED;
             self.outcome[v] = Outcome::Unknown;
-            // Originated prefixes deliver locally before any table lookup
-            // (mirrors the legacy router's `forward_lookup`).
-            if node.originated.iter().any(|p| p.contains(prefix.network())) {
+            // Originated prefixes deliver locally before any table lookup,
+            // as the legacy router's data path does.
+            if node.originated.iter().any(|p| p.contains(addr.into())) {
                 self.hops[v] = Hop::Deliver;
                 continue;
             }
@@ -411,14 +521,16 @@ impl Verifier {
         }
     }
 
-    /// Classify the functional graph: one violation per distinct cycle or
-    /// dead end, with the discovering walk as the witness path.
+    /// Classify the functional graph: settle every node's chain on its
+    /// terminal, with one violation per distinct cycle or dead end and the
+    /// discovering walk as the witness path.
     fn walk_prefix(&mut self, snap: &Snapshot, prefix: Prefix, report: &mut Report) {
         for start in 0..snap.nodes.len() {
             if self.state[start] != UNVISITED {
                 continue;
             }
             self.path.clear();
+            let reported = report.violations.len();
             let mut cur = start;
             let outcome = loop {
                 match self.state[cur] {
@@ -426,9 +538,7 @@ impl Verifier {
                         // A routeless node is fine standalone but a dead
                         // end for any chain that forwards into it; report
                         // that once, on first arrival.
-                        if matches!(self.hops[cur], Hop::NoRoute)
-                            && self.outcome[cur] == Outcome::Ok
-                        {
+                        if self.outcome[cur] == Outcome::NoRoute {
                             self.path.push(cur);
                             self.report_dead_end(snap, prefix, "next hop has no route", report);
                             break Outcome::Bad;
@@ -452,16 +562,16 @@ impl Verifier {
                             self.report_dead_end(snap, prefix, "next hop has no route", report);
                             break Outcome::Bad;
                         }
-                        break Outcome::Ok;
+                        break Outcome::NoRoute;
                     }
                     Hop::Deliver => {
                         if origin_covers(snap, cur, prefix) {
-                            break Outcome::Ok;
+                            break Outcome::Delivered;
                         }
                         self.report_dead_end(snap, prefix, "delivered off-origin", report);
                         break Outcome::Bad;
                     }
-                    Hop::Drop => break Outcome::Ok, // explicit drop is a legal terminal
+                    Hop::Drop => break Outcome::Dropped, // a legal terminal
                     Hop::Punt => {
                         self.report_dead_end(snap, prefix, "punts to controller", report);
                         break Outcome::Bad;
@@ -485,7 +595,7 @@ impl Verifier {
                                      over a down link toward {} (consistent-but-stale)",
                                     snap.nodes[cur].name, snap.nodes[peer].name
                                 ));
-                                break Outcome::Ok;
+                                break Outcome::Stale;
                             }
                             self.report_dead_end(snap, prefix, "next-hop link is down", report);
                             break Outcome::Bad;
@@ -494,14 +604,19 @@ impl Verifier {
                     }
                 }
             };
-            let settled = match outcome {
-                Outcome::Cycle => Outcome::Cycle,
-                Outcome::Bad => Outcome::Bad,
-                _ => Outcome::Ok,
+            // A chain that ends in a new violation is blamed on it; one
+            // that ran into a settled chain inherits that chain's blame.
+            let blame = if report.violations.len() > reported {
+                report.violations.len() - 1
+            } else if self.state[cur] == DONE {
+                self.blame[cur]
+            } else {
+                NO_BLAME
             };
             for &v in &self.path {
                 self.state[v] = DONE;
-                self.outcome[v] = settled;
+                self.outcome[v] = outcome;
+                self.blame[v] = blame;
             }
         }
     }
@@ -600,31 +715,6 @@ impl Verifier {
                 Hop::Punt => "punt to controller".to_string(),
                 _ => "no route".to_string(),
             },
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Intent consistency
-    // ------------------------------------------------------------------
-
-    #[allow(clippy::unused_self)] // kept as a method for check symmetry
-    fn check_intent(&self, snap: &Snapshot, report: &mut Report) {
-        if snap.control == ControlHealth::NoCluster {
-            return;
-        }
-        for (v, node) in snap.nodes.iter().enumerate() {
-            let Device::Member { member, rules, .. } = &node.device else {
-                continue;
-            };
-            report.checks += 1;
-            let Some(intent) = snap.intent_flows.get(*member) else {
-                continue;
-            };
-            diff_member(snap, v, *member, rules, intent, report);
-        }
-        for (s, sess) in snap.sessions.iter().enumerate() {
-            report.checks += 1;
-            diff_session(snap, s, sess, report);
         }
     }
 
@@ -737,6 +827,28 @@ impl Verifier {
                 return;
             }
         }
+    }
+}
+
+/// Intent consistency: every member's flow table and every session's
+/// adj-out against the controller's last computed state.
+fn check_intent(snap: &Snapshot, report: &mut Report) {
+    if snap.control == ControlHealth::NoCluster {
+        return;
+    }
+    for (v, node) in snap.nodes.iter().enumerate() {
+        let Device::Member { member, rules, .. } = &node.device else {
+            continue;
+        };
+        report.checks += 1;
+        let Some(intent) = snap.intent_flows.get(*member) else {
+            continue;
+        };
+        diff_member(snap, v, *member, rules, intent, report);
+    }
+    for (s, sess) in snap.sessions.iter().enumerate() {
+        report.checks += 1;
+        diff_session(snap, s, sess, report);
     }
 }
 

@@ -2,6 +2,8 @@
 //! and each deliberate corruption produces exactly the expected violation
 //! with a witness naming the offending node/rule.
 
+use std::net::Ipv4Addr;
+
 use bgpsdn_bgp::{Asn, Prefix};
 use bgpsdn_verify::{
     ControlHealth, Device, EdgeRel, LegacyRoute, NextHop, NodeState, PolicyKind, PortState,
@@ -523,4 +525,91 @@ fn verifier_scratch_is_reusable_across_snapshots() {
     assert!(verifier.verify(&clean).ok());
     assert_eq!(verifier.verify(&looped).count_of(ViolationKind::Loop), 1);
     assert!(verifier.verify(&clean).ok(), "scratch must fully reset");
+}
+
+// ----------------------------------------------------------------------
+// Connectivity queries: the same walk, read per source
+// ----------------------------------------------------------------------
+
+/// An address inside the clean snapshot's only prefix, originated by as10.
+fn as10_host() -> Ipv4Addr {
+    Ipv4Addr::new(10, 0, 0, 1)
+}
+
+#[test]
+fn connectivity_delivers_along_a_chain() {
+    let report = Verifier::new().connectivity(&clean_snapshot(), &[(0, as10_host())]);
+    assert_eq!(report.delivered, 3, "{:?}", report.failures);
+    assert_eq!(report.total(), 3, "the destination itself is no source");
+    assert!(report.fully_connected());
+    assert_eq!(report.delivery_ratio(), 1.0);
+}
+
+#[test]
+fn connectivity_counts_a_loop_with_its_witness() {
+    let mut snap = clean_snapshot();
+    let Device::Member { rules, .. } = &mut snap.nodes[1].device else {
+        panic!("sw20 is a member");
+    };
+    rules[0].action = RuleAction::Output(2);
+
+    let report = Verifier::new().connectivity(&snap, &[(0, as10_host())]);
+    assert_eq!((report.delivered, report.looped), (0, 3));
+    assert!(!report.fully_connected());
+    let (src, addr, witness) = &report.failures[2];
+    assert_eq!((*src, *addr), (3, as10_host()));
+    assert!(
+        witness.contains("sw20 --[") && witness.contains("sw30 --["),
+        "{witness}"
+    );
+}
+
+#[test]
+fn connectivity_counts_blackholes_with_their_witness() {
+    // sw30 loses its rule: as40 forwards into a routeless node, sw30 has
+    // no route of its own, sw20 still delivers.
+    let mut snap = clean_snapshot();
+    let Device::Member { rules, .. } = &mut snap.nodes[2].device else {
+        panic!("sw30 is a member");
+    };
+    rules.clear();
+    let report = Verifier::new().connectivity(&snap, &[(0, as10_host())]);
+    assert_eq!((report.delivered, report.blackholed), (1, 2));
+    assert!((report.delivery_ratio() - 1.0 / 3.0).abs() < 1e-9);
+    let witness = &report.failures.iter().find(|f| f.0 == 3).expect("as40").2;
+    assert!(witness.contains("no route"), "{witness}");
+
+    // A down link is a blackhole, too.
+    let mut snap = clean_snapshot();
+    let Device::Member { ports, .. } = &mut snap.nodes[1].device else {
+        panic!("sw20 is a member");
+    };
+    ports[0].up = false;
+    let report = Verifier::new().connectivity(&snap, &[(0, as10_host())]);
+    assert_eq!((report.delivered, report.blackholed), (0, 3));
+    assert!(report.failures[0].2.contains("link is down"));
+}
+
+#[test]
+fn gr_stale_route_is_legal_but_delivers_nothing() {
+    // The invariants accept the RFC 4724 trade-off; traffic still dies.
+    let mut snap = clean_snapshot();
+    let Device::Legacy { routes } = &mut snap.nodes[3].device else {
+        panic!("as40 is legacy");
+    };
+    routes[0].next = NextHop::Via { peer: 2, up: false };
+    routes[0].stale = true;
+    let mut verifier = Verifier::new();
+    assert!(verifier.verify(&snap).ok());
+    let report = verifier.connectivity(&snap, &[(0, as10_host())]);
+    assert_eq!((report.delivered, report.blackholed), (2, 1));
+    assert!(report.failures[0].2.contains("graceful-restart"));
+}
+
+#[test]
+fn empty_connectivity_query_is_not_evidence() {
+    let report = Verifier::new().connectivity(&clean_snapshot(), &[]);
+    assert_eq!(report.total(), 0);
+    assert!(!report.fully_connected(), "no pairs means no evidence");
+    assert_eq!(report.delivery_ratio(), 1.0);
 }

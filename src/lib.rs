@@ -19,9 +19,11 @@
 //! * [`topology`] — generators, CAIDA/iPlane dataset support, relationship
 //!   policy templates, IP allocation;
 //! * [`collector`] — route collector, convergence measurement, log
-//!   analysis, reachability audits, visualization;
+//!   analysis, visualization;
 //! * [`core`] — the paper's contribution: the hybrid experiment framework
-//!   and the IDR SDN controller.
+//!   and the IDR SDN controller;
+//! * [`verify`] — static data-plane verification over frozen snapshots,
+//!   the one forwarding model behind every connectivity audit.
 //!
 //! ## Quickstart
 //!
@@ -63,7 +65,7 @@ pub mod prelude {
         pfx, Asn, BgpRouter, NeighborConfig, PolicyMode, Prefix, Relationship, RouterCommand,
         RouterConfig, TimingConfig,
     };
-    pub use bgpsdn_collector::{ConnectivityReport, ConvergenceReport, UpdateLog};
+    pub use bgpsdn_collector::{ConvergenceReport, UpdateLog};
     pub use bgpsdn_core::{
         check_plan, event_phase_name, fold_deployment_seed, run_campaign, run_campaign_scratch,
         run_clique, run_clique_traced, run_clique_with, run_job, run_job_scratch, AsKind,
@@ -82,5 +84,7 @@ pub mod prelude {
     };
     pub use bgpsdn_sdn::{ClusterMsg, FlowAction, SpeakerCmd, SpeakerEvent};
     pub use bgpsdn_topology::{caida, gen, plan, AsGraph, TopologyPlan};
-    pub use bgpsdn_verify::{Report as VerifyReport, Snapshot, Verifier, Violation, ViolationKind};
+    pub use bgpsdn_verify::{
+        ConnectivityReport, Report as VerifyReport, Snapshot, Verifier, Violation, ViolationKind,
+    };
 }

@@ -110,6 +110,39 @@ fn sweep_rejects_bad_grids() {
     assert!(!zero.status.success());
 }
 
+#[test]
+fn failover_data_chaos_grid_is_healthy() {
+    // Its job 2 crashes AS2 and AS3 while the relay link 1–3 flaps; the
+    // network used to end split in two over a wedged OpenSent session.
+    let out = tmp("failover.jsonl");
+    let sweep = bgpsdn()
+        .args([
+            "sweep",
+            "--sizes",
+            "0",
+            "--event",
+            "failover",
+            "--n",
+            "6",
+            "--chaos",
+            "3",
+            "--chaos-classes",
+            "data",
+            "--seeds",
+            "12",
+            "--mrai",
+            "1",
+        ])
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("spawn bgpsdn sweep");
+    let _ = std::fs::remove_file(&out);
+    let stdout = String::from_utf8_lossy(&sweep.stdout);
+    assert!(sweep.status.success(), "{stdout}");
+    assert!(stdout.contains(" 0 audit failures"), "{stdout}");
+}
+
 /// A usage error: exit 2, nothing on stdout, the reason on stderr.
 fn usage_error(args: &[&str]) -> String {
     let out = bgpsdn().args(args).output().expect("spawn");
