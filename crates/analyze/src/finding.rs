@@ -83,7 +83,7 @@ impl AnalysisReport {
     }
 
     /// Record `n` evaluated checks.
-    pub fn checked_n(&mut self, n: u64) {
+    pub(crate) fn checked_n(&mut self, n: u64) {
         self.checks += n;
     }
 
@@ -98,7 +98,7 @@ impl AnalysisReport {
     }
 
     /// Push an error finding with a witness.
-    pub fn error_with(
+    pub(crate) fn error_with(
         &mut self,
         code: &'static str,
         message: impl Into<String>,

@@ -43,13 +43,9 @@ pub mod spp;
 pub mod validate;
 
 pub use finding::{AnalysisReport, Finding, Severity};
-pub use predict::{
-    check_reachability, components, hunt_depth_bound, hunt_depth_bound_clusters, policy_reachable,
-};
-pub use safety::{
-    check_safety, check_safety_clusters, provider_cycle, SafetyClustersInput, SafetyInput,
-};
-pub use spp::{render_cycle, PathRule, RankedPath, SppCaps, SppInstance, SppOutcome};
+pub use predict::{check_reachability, components, hunt_depth_bound, hunt_depth_bound_clusters};
+pub use safety::{check_safety, check_safety_clusters, SafetyClustersInput, SafetyInput};
+pub use spp::{PathRule, RankedPath, SppCaps, SppInstance, SppOutcome};
 pub use validate::{
     check_actions, check_grid, check_timing, ActionContext, GridSpec, ScriptAction, STRATEGY_NAMES,
 };

@@ -55,7 +55,7 @@ fn class_idx(c: HeldAs) -> usize {
 
 /// Which nodes can hold a route originated at `origin`, under `mode`'s
 /// import/export policy — BFS over `(node, learned-from-class)` states.
-pub fn policy_reachable(g: &AsGraph, mode: PolicyMode, origin: usize) -> Vec<bool> {
+fn policy_reachable(g: &AsGraph, mode: PolicyMode, origin: usize) -> Vec<bool> {
     let n = g.len();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n]; // edge indices
     for (i, e) in g.edges.iter().enumerate() {

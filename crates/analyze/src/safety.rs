@@ -282,7 +282,7 @@ fn check_rules(g: &AsGraph, mode: PolicyMode, rules: &[PathRule], report: &mut A
 /// Find a cycle in the customer→provider digraph, as vertex indices in
 /// order, or `None` when the hierarchy is a DAG. Edges point customer →
 /// provider (i.e. `b → a` for every `ProviderCustomer` edge).
-pub fn provider_cycle(g: &AsGraph) -> Option<Vec<usize>> {
+fn provider_cycle(g: &AsGraph) -> Option<Vec<usize>> {
     // Iterative DFS with colors; `parent` recovers the cycle.
     const WHITE: u8 = 0;
     const GRAY: u8 = 1;
@@ -355,7 +355,7 @@ pub struct ContractedClusters {
 /// Contract each cluster in `clusters` (disjoint, non-empty, sorted,
 /// deduped, in-range member lists) to its own logical vertex. Intra-cluster
 /// edges disappear; all other edges keep their kind and orientation.
-pub fn contract_clusters(g: &AsGraph, clusters: &[Vec<usize>]) -> ContractedClusters {
+pub(crate) fn contract_clusters(g: &AsGraph, clusters: &[Vec<usize>]) -> ContractedClusters {
     let n = g.len();
     let mut owner = vec![usize::MAX; n];
     for (c, members) in clusters.iter().enumerate() {

@@ -417,7 +417,7 @@ pub fn bad_gadget_rules() -> Vec<PathRule> {
 }
 
 /// Render a witness cycle with ASNs: `AS65001 -> AS65002 -> AS65001`.
-pub fn render_cycle(g: &AsGraph, cycle: &[usize]) -> String {
+pub(crate) fn render_cycle(g: &AsGraph, cycle: &[usize]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for &v in cycle.iter().chain(cycle.first()) {

@@ -10,7 +10,7 @@ use std::hint::black_box;
 
 use bgpsdn_bgp::{
     pfx, AsPath, Asn, BgpMessage, Candidate, DecisionConfig, PathAttributes, PolicyMode,
-    RouteSource, RouterId, TimingConfig, UpdateMsg,
+    RouteSource, RouterCommand, RouterId, TimingConfig, UpdateMsg,
 };
 use bgpsdn_core::{
     compute, compute_into, run_clique, CliqueScenario, ComputeScratch, Controller, EventKind,
@@ -20,7 +20,7 @@ use bgpsdn_netsim::{
     Ctx, EventBody, EventQueue, LinkId, Node, NodeId, SimDuration, SimRng, SimTime, Simulator,
     TimerClass, TimerToken,
 };
-use bgpsdn_sdn::{ClusterMsg, FlowAction, FlowRule, FlowTable, SdnApp, SpeakerEvent};
+use bgpsdn_sdn::{ClusterMsg, FlowAction, FlowRule, FlowTable};
 use bgpsdn_topology::{gen, plan, AsGraph};
 
 fn bench_codec(c: &mut Criterion) {
@@ -119,9 +119,10 @@ fn bench_controller_compute(c: &mut Criterion) {
 
 fn bench_controller_recompute(c: &mut Criterion) {
     // The Fig. 2 midpoint: a 16-AS clique with 8 members, so 64 speaker
-    // sessions and 16 prefixes. A SessionUp for a session that is already
-    // up makes the controller sweep every prefix and find nothing to send —
-    // the per-session diff, which is most of a bring-up's recompute cost.
+    // sessions and 16 prefixes. On a full-recompute controller, an operator
+    // re-announcing a prefix the cluster already originates makes it sweep
+    // every prefix and find nothing to send — the per-session diff, which
+    // is most of a bring-up's recompute cost.
     let ag = AsGraph::all_peer(&gen::clique(16), 65000);
     let tp = plan(
         ag,
@@ -129,22 +130,22 @@ fn bench_controller_recompute(c: &mut Criterion) {
         TimingConfig::with_mrai(SimDuration::ZERO),
     )
     .expect("address plan");
-    let net = NetworkBuilder::new(tp, 7).with_sdn_members(8..16).build();
+    let net = NetworkBuilder::new(tp, 7)
+        .with_sdn_members(8..16)
+        .with_full_recompute()
+        .build();
     let mut exp = Experiment::new(net);
     assert!(exp.start(SimDuration::from_secs(3600)).converged);
     let ctl = exp.net.controller.expect("cluster implies controller");
     let recomputes = |exp: &Experiment| exp.net.sim.node_ref::<Controller>(ctl).stats().recomputes;
     assert_eq!(exp.net.sim.node_ref::<Controller>(ctl).session_count(), 64);
+    let owned = exp.net.ases[8].prefix;
     c.bench_function("controller/full_recompute_k8", |b| {
         b.iter(|| {
             let before = recomputes(&exp);
-            exp.net.sim.inject(
-                ctl,
-                ClusterMsg::from_speaker_event(SpeakerEvent::SessionUp {
-                    session: 0,
-                    peer_asn: Asn(65000),
-                }),
-            );
+            exp.net
+                .sim
+                .inject(ctl, ClusterMsg::Command(RouterCommand::Announce(owned)));
             while recomputes(&exp) == before {
                 assert!(exp.net.sim.step(), "the injected event is pending");
             }

@@ -7,14 +7,18 @@
 //! Scans the simulation-critical crates for determinism hazards
 //! (`HashMap`/`HashSet` iteration order, host clocks, OS-seeded RNGs) and
 //! diffs the per-(file, hazard) occurrence counts against the committed
-//! baseline. Exits 0 when nothing increased, 1 on any new or increased
-//! hazard, 2 on usage or IO errors. `--write` regenerates the baseline
-//! after an audited change.
+//! baseline; then lists every `pub fn` of those crates (and of this one)
+//! that no other source file calls. Exits 0 when nothing increased and no
+//! `pub fn` is uncalled, 1 on any new or increased hazard, a baseline row
+//! naming a missing file, or an uncalled `pub fn`, 2 on usage or IO
+//! errors. `--write` regenerates the baseline after an audited change.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bgpsdn_bench::detlint::{diff, parse_baseline, render_baseline, scan_tree, Drift};
+use bgpsdn_bench::detlint::{
+    diff, parse_baseline, render_baseline, scan_tree, uncalled_pub_fns, Drift,
+};
 
 /// The source roots the lint guards, relative to the workspace root:
 /// everything that executes inside (or serializes the output of) the
@@ -34,6 +38,39 @@ const GUARDED: &[&str] = &[
     "crates/verify/src",
     "crates/analyze/src",
 ];
+
+/// Where a `pub fn` of the guarded roots or of `crates/bench/src` may
+/// find its callers, besides `crates/*/{src,tests,benches}`. The frozen
+/// `benchmark/` harness counts: what it calls stays public.
+const CALLER_ROOTS: &[&str] = &["src", "tests", "examples", "benchmark/src"];
+
+/// Every `pub fn` that no other file calls, as one line each; empty when
+/// the public surface is all in use.
+fn uncalled_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, String> {
+    let mut defining = guarded.to_vec();
+    defining.push(root.join("crates/bench/src"));
+    let mut callers: Vec<PathBuf> = CALLER_ROOTS.iter().map(|r| root.join(r)).collect();
+    let crates = root.join("crates");
+    let entries =
+        std::fs::read_dir(&crates).map_err(|e| format!("reading {}: {e}", crates.display()))?;
+    for entry in entries {
+        let dir = entry
+            .map_err(|e| format!("reading {}: {e}", crates.display()))?
+            .path();
+        callers.extend(["src", "tests", "benches"].map(|sub| dir.join(sub)));
+    }
+    callers.retain(|p| p.is_dir());
+    Ok(uncalled_pub_fns(root, &defining, &callers)?
+        .into_iter()
+        .map(|f| {
+            format!(
+                "detlint: {}:{}: `pub fn {}` has no caller in any other file; delete it, \
+                 make it private, or mark the line `// detlint: allow <reason>`",
+                f.path, f.line, f.name
+            )
+        })
+        .collect())
+}
 
 fn usage() -> ExitCode {
     eprintln!("usage: detlint [--root DIR] [--baseline FILE] [--write]");
@@ -116,7 +153,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let drifts = diff(&current, &baseline);
+    let drifts = diff(&current, &baseline, |path| root.join(path).is_file());
     let mut failed = false;
     for d in &drifts {
         match d {
@@ -133,6 +170,13 @@ fn main() -> ExitCode {
                      audit the line and mark it `// detlint: allow`"
                 );
             }
+            Drift::Missing { path, hazard } => {
+                failed = true;
+                eprintln!(
+                    "detlint: the baseline counts `{hazard}` in {path}, which no longer \
+                     exists; refresh the baseline with --write"
+                );
+            }
             Drift::Stale {
                 path,
                 hazard,
@@ -146,12 +190,22 @@ fn main() -> ExitCode {
             }
         }
     }
-    if failed {
+    let uncalled = match uncalled_report(&root, &roots) {
+        Ok(u) => u,
+        Err(e) => {
+            eprintln!("detlint: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    for line in &uncalled {
+        eprintln!("{line}");
+    }
+    if failed || !uncalled.is_empty() {
         eprintln!("detlint: FAILED (baseline: {})", baseline_path.display());
         return ExitCode::FAILURE;
     }
     println!(
-        "detlint: ok ({} files scanned against {} baseline entries)",
+        "detlint: ok ({} files scanned against {} baseline entries; 0 uncalled pub fn)",
         current
             .keys()
             .map(|(p, _)| p.as_str())

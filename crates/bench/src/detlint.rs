@@ -18,8 +18,19 @@
 //! `--write`). Individual lines can be exempted with a trailing
 //! `// detlint: allow` comment; test modules (everything after a
 //! `#[cfg(test)]` line) are skipped entirely.
+//!
+//! A second pass, [`uncalled_pub_fns`], keeps the public surface honest:
+//! rustc's `dead_code` lint sees no further than its own crate, so a
+//! `pub fn` that nothing in the workspace calls survives `-D warnings`.
+//! The pass flags every non-test `pub fn` whose name appears in no other
+//! source file, outside comments and `use` declarations (a re-export is
+//! not a call). It matches on identifier tokens, so it never flags a
+//! function that is called by name; a name shared with another function
+//! (such as `new`) can only make it miss one. It has no baseline: the
+//! tree must pass with zero findings, and a `// detlint: allow <reason>`
+//! on the `pub fn` line exempts that one function.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// The hazard patterns the lint searches for, as plain substrings.
@@ -41,7 +52,7 @@ pub type Counts = BTreeMap<(String, String), usize>;
 /// Count hazard occurrences in one file's source text. Lines after a
 /// `#[cfg(test)]` marker, comment-only lines, and lines carrying the
 /// [`ALLOW_MARKER`] are skipped.
-pub fn scan_source(text: &str) -> BTreeMap<String, usize> {
+fn scan_source(text: &str) -> BTreeMap<String, usize> {
     let mut counts = BTreeMap::new();
     let mut in_tests = false;
     for line in text.lines() {
@@ -66,14 +77,14 @@ pub fn scan_source(text: &str) -> BTreeMap<String, usize> {
     counts
 }
 
-/// Recursively scan `.rs` files under each root, keying results by the
-/// path relative to `base`.
+/// Read every `.rs` file under each root, as `(path relative to base,
+/// text)` pairs sorted by path.
 ///
 /// # Errors
 ///
 /// Propagates IO errors reading directories or files.
-pub fn scan_tree(base: &Path, roots: &[PathBuf]) -> Result<Counts, String> {
-    let mut counts = Counts::new();
+fn read_tree(base: &Path, roots: &[PathBuf]) -> Result<Vec<(String, String)>, String> {
+    let mut files = Vec::new();
     for root in roots {
         let mut stack = vec![root.clone()];
         while let Some(dir) = stack.pop() {
@@ -92,14 +103,160 @@ pub fn scan_tree(base: &Path, roots: &[PathBuf]) -> Result<Counts, String> {
                         .unwrap_or(&path)
                         .to_string_lossy()
                         .replace('\\', "/");
-                    for (hazard, n) in scan_source(&text) {
-                        counts.insert((rel.clone(), hazard), n);
-                    }
+                    files.push((rel, text));
                 }
             }
         }
     }
+    files.sort();
+    files.dedup_by(|a, b| a.0 == b.0);
+    Ok(files)
+}
+
+/// Recursively scan `.rs` files under each root, keying results by the
+/// path relative to `base`.
+///
+/// # Errors
+///
+/// Propagates IO errors reading directories or files.
+pub fn scan_tree(base: &Path, roots: &[PathBuf]) -> Result<Counts, String> {
+    let mut counts = Counts::new();
+    for (rel, text) in read_tree(base, roots)? {
+        for (hazard, n) in scan_source(&text) {
+            counts.insert((rel.clone(), hazard), n);
+        }
+    }
     Ok(counts)
+}
+
+/// One `pub fn` that no other source file mentions.
+#[derive(Debug, PartialEq, Eq)]
+pub struct UncalledFn {
+    /// Relative path of the defining file.
+    pub path: String,
+    /// 1-based line of the definition.
+    pub line: usize,
+    /// The function's name.
+    pub name: String,
+}
+
+/// The code part of a line: everything before a `//` that is not inside a
+/// string literal.
+fn strip_comment(line: &str) -> &str {
+    let bytes = line.as_bytes();
+    let (mut in_str, mut i) = (false, 0);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' if in_str => i += 1,
+            b'"' => in_str = !in_str,
+            b'/' if !in_str && bytes.get(i + 1) == Some(&b'/') => return &line[..i],
+            _ => {}
+        }
+        i += 1;
+    }
+    line
+}
+
+/// Split a line into its identifier tokens.
+fn idents(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|t| t.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// The `pub fn` names a file defines before its first `#[cfg(test)]`
+/// (`const`, `async` and `unsafe` ones included), with their 1-based
+/// lines. A definition whose line carries [`ALLOW_MARKER`] is left out.
+fn pub_fns(text: &str) -> Vec<(usize, String)> {
+    let mut found = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let trimmed = line.trim_start();
+        if trimmed.starts_with("#[cfg(test)]") {
+            break;
+        }
+        if trimmed.starts_with("//") || line.contains(ALLOW_MARKER) {
+            continue;
+        }
+        let mut toks = idents(trimmed);
+        if toks.next() != Some("pub") {
+            continue;
+        }
+        let mut tok = toks.next();
+        while matches!(tok, Some("const" | "async" | "unsafe")) {
+            tok = toks.next();
+        }
+        if tok == Some("fn") {
+            if let Some(name) = toks.next() {
+                found.push((i + 1, name.to_string()));
+            }
+        }
+    }
+    found
+}
+
+/// The identifier tokens a file mentions as code: comments and `use`
+/// declarations (including `pub use` re-exports, over as many lines as
+/// they run) do not count.
+fn code_idents(text: &str) -> BTreeSet<&str> {
+    let mut seen = BTreeSet::new();
+    let mut in_use = false;
+    for line in text.lines() {
+        let code = strip_comment(line);
+        let trimmed = code.trim_start();
+        if !in_use {
+            // Drop a visibility (`pub`, `pub(crate)`, ...) before `use`.
+            let item = match trimmed.strip_prefix("pub") {
+                Some(rest) if rest.starts_with('(') => rest.split_once(')').map_or("", |r| r.1),
+                Some(rest) => rest,
+                None => trimmed,
+            };
+            in_use = item.trim_start().starts_with("use ");
+        }
+        if in_use {
+            in_use = !code.contains(';');
+            continue;
+        }
+        seen.extend(idents(code));
+    }
+    seen
+}
+
+/// Every `pub fn` defined under `defining` whose name no other file under
+/// `callers` mentions as code (see `code_idents`). The defining roots
+/// are searched for callers too.
+///
+/// # Errors
+///
+/// Propagates IO errors reading directories or files.
+pub fn uncalled_pub_fns(
+    base: &Path,
+    defining: &[PathBuf],
+    callers: &[PathBuf],
+) -> Result<Vec<UncalledFn>, String> {
+    let defined = read_tree(base, defining)?;
+    let mut all = read_tree(base, callers)?;
+    all.extend(defined.iter().cloned());
+    all.sort();
+    all.dedup_by(|a, b| a.0 == b.0);
+    let tokens: Vec<(&str, BTreeSet<&str>)> = all
+        .iter()
+        .map(|(path, text)| (path.as_str(), code_idents(text)))
+        .collect();
+    let mut uncalled = Vec::new();
+    for (path, text) in &defined {
+        for (line, name) in pub_fns(text) {
+            let called = tokens
+                .iter()
+                .any(|(other, idents)| other != path && idents.contains(name.as_str()));
+            if !called {
+                uncalled.push(UncalledFn {
+                    path: path.clone(),
+                    line,
+                    name,
+                });
+            }
+        }
+    }
+    Ok(uncalled)
 }
 
 /// Serialize counts in the committed baseline format: one
@@ -151,7 +308,15 @@ pub enum Drift {
         /// Current count.
         now: usize,
     },
-    /// Count shrank or the file disappeared: stale baseline, non-fatal.
+    /// The baseline names a file that no longer exists: fails the lint,
+    /// so the baseline cannot outlive the tree.
+    Missing {
+        /// Relative file path.
+        path: String,
+        /// Hazard pattern.
+        hazard: String,
+    },
+    /// Count shrank: stale baseline, non-fatal.
     Stale {
         /// Relative file path.
         path: String,
@@ -164,8 +329,9 @@ pub enum Drift {
     },
 }
 
-/// Diff a fresh scan against the committed baseline.
-pub fn diff(current: &Counts, baseline: &Counts) -> Vec<Drift> {
+/// Diff a fresh scan against the committed baseline. `file_exists` says
+/// whether a baseline row's path is still in the tree.
+pub fn diff(current: &Counts, baseline: &Counts, file_exists: impl Fn(&str) -> bool) -> Vec<Drift> {
     let mut drifts = Vec::new();
     for ((path, hazard), &now) in current {
         let was = baseline.get(&(path.clone(), hazard.clone())).copied();
@@ -192,7 +358,12 @@ pub fn diff(current: &Counts, baseline: &Counts) -> Vec<Drift> {
         }
     }
     for ((path, hazard), &was) in baseline {
-        if !current.contains_key(&(path.clone(), hazard.clone())) {
+        if !file_exists(path) {
+            drifts.push(Drift::Missing {
+                path: path.clone(),
+                hazard: hazard.clone(),
+            });
+        } else if !current.contains_key(&(path.clone(), hazard.clone())) {
             drifts.push(Drift::Stale {
                 path: path.clone(),
                 hazard: hazard.clone(),
@@ -243,7 +414,8 @@ mod tests {
         let mut cur = Counts::new();
         cur.insert(("a.rs".into(), "HashMap".into()), 3);
         cur.insert(("new.rs".into(), "thread_rng".into()), 1);
-        let drifts = diff(&cur, &base);
+        base.insert(("shrunk.rs".into(), "SystemTime".into()), 1);
+        let drifts = diff(&cur, &base, |p| p != "gone.rs");
         assert!(drifts.contains(&Drift::Increased {
             path: "a.rs".into(),
             hazard: "HashMap".into(),
@@ -256,12 +428,67 @@ mod tests {
             was: 0,
             now: 1
         }));
-        assert!(drifts.contains(&Drift::Stale {
+        assert!(drifts.contains(&Drift::Missing {
             path: "gone.rs".into(),
+            hazard: "SystemTime".into(),
+        }));
+        assert!(drifts.contains(&Drift::Stale {
+            path: "shrunk.rs".into(),
             hazard: "SystemTime".into(),
             was: 1,
             now: 0
         }));
-        assert!(diff(&base, &base).is_empty());
+        assert!(diff(&base, &base, |_| true).is_empty());
+    }
+
+    #[test]
+    fn pub_fn_pass_flags_only_functions_nothing_else_mentions() {
+        let dir = std::env::temp_dir().join(format!("detlint-pubfn-{}", std::process::id()));
+        let (lib, user) = (dir.join("lib"), dir.join("user"));
+        std::fs::create_dir_all(&lib).unwrap();
+        std::fs::create_dir_all(&user).unwrap();
+        std::fs::write(
+            lib.join("a.rs"),
+            "\
+pub fn called() {}
+pub fn reexported_only() {}
+pub fn in_a_comment_only() {}
+pub fn exempt() {} // detlint: allow kept for an out-of-tree caller
+pub const fn planted() {}
+pub(crate) fn crate_visible() {}
+#[cfg(test)]
+mod tests {
+    pub fn test_helper() {}
+}
+",
+        )
+        .unwrap();
+        std::fs::write(
+            user.join("b.rs"),
+            "\
+pub use crate::a::reexported_only;
+use crate::a::{
+    called,
+    planted,
+};
+// in_a_comment_only() would be a call, were it code
+fn main() {
+    let url = \"http://example\"; called(); /* */ // planted()
+}
+",
+        )
+        .unwrap();
+        let found = uncalled_pub_fns(&dir, std::slice::from_ref(&lib), &[user]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let names: Vec<(usize, &str)> = found.iter().map(|f| (f.line, f.name.as_str())).collect();
+        assert_eq!(
+            names,
+            [
+                (2, "reexported_only"),
+                (3, "in_a_comment_only"),
+                (5, "planted")
+            ]
+        );
+        assert!(found.iter().all(|f| f.path == "lib/a.rs"));
     }
 }

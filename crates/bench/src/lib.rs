@@ -77,7 +77,7 @@ impl SweepRow {
 }
 
 /// Run a clique grid through the campaign engine, one worker per core, and
-/// summarise every cell as a boxplot row (see [`cell_rows`]). Job results
+/// summarise every cell as a boxplot row (see `cell_rows`). Job results
 /// do not depend on the worker count, so neither do the rows.
 pub fn sweep(grid: &CampaignGrid) -> Vec<SweepRow> {
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -91,7 +91,7 @@ pub fn sweep(grid: &CampaignGrid) -> Vec<SweepRow> {
 /// # Panics
 ///
 /// When a job panicked, missed convergence or failed its post-event audit.
-pub fn cell_rows(report: &CampaignRunReport) -> Vec<SweepRow> {
+fn cell_rows(report: &CampaignRunReport) -> Vec<SweepRow> {
     report
         .results
         .chunk_by(|a, b| a.job.cell == b.job.cell)

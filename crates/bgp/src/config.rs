@@ -173,12 +173,6 @@ impl RouterConfig {
         }
     }
 
-    /// Add a neighbor (builder style).
-    pub fn with_neighbor(mut self, n: NeighborConfig) -> Self {
-        self.neighbors.push(n);
-        self
-    }
-
     /// Originate a prefix at startup (builder style).
     pub fn with_origin(mut self, p: Prefix) -> Self {
         self.originate.push(p);
@@ -224,15 +218,8 @@ mod tests {
         let c = RouterConfig::new(Asn(1))
             .with_mode(PolicyMode::GaoRexford)
             .with_origin(crate::types::pfx("10.1.0.0/16"))
-            .with_neighbor(NeighborConfig::new(
-                NodeId(2),
-                LinkId(0),
-                Asn(2),
-                Relationship::Peer,
-            ))
             .with_timing(TimingConfig::with_mrai(SimDuration::from_secs(5)));
         assert_eq!(c.mode, PolicyMode::GaoRexford);
-        assert_eq!(c.neighbors.len(), 1);
         assert_eq!(c.originate.len(), 1);
         assert_eq!(c.timing.mrai, SimDuration::from_secs(5));
     }

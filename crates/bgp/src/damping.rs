@@ -79,12 +79,12 @@ impl DampingState {
     }
 
     /// Record a withdrawal flap. Returns the new suppression state.
-    pub fn on_withdrawal(&mut self, cfg: &DampingConfig, now: SimTime) -> bool {
+    pub(crate) fn on_withdrawal(&mut self, cfg: &DampingConfig, now: SimTime) -> bool {
         self.bump(cfg, now, cfg.withdrawal_penalty)
     }
 
     /// Record a re-advertisement with changed attributes.
-    pub fn on_attribute_change(&mut self, cfg: &DampingConfig, now: SimTime) -> bool {
+    pub(crate) fn on_attribute_change(&mut self, cfg: &DampingConfig, now: SimTime) -> bool {
         self.bump(cfg, now, cfg.attribute_penalty)
     }
 
@@ -98,7 +98,7 @@ impl DampingState {
     }
 
     /// Whether the route is currently suppressed, updating decay first.
-    pub fn is_suppressed(&mut self, cfg: &DampingConfig, now: SimTime) -> bool {
+    pub(crate) fn is_suppressed(&mut self, cfg: &DampingConfig, now: SimTime) -> bool {
         self.decay_to(cfg, now);
         if self.suppressed && self.penalty < cfg.reuse_threshold {
             self.suppressed = false;
@@ -114,7 +114,7 @@ impl DampingState {
 
     /// Time from `now` until a suppressed route decays to the reuse
     /// threshold (`None` when not suppressed).
-    pub fn reuse_eta(&mut self, cfg: &DampingConfig, now: SimTime) -> Option<SimDuration> {
+    pub(crate) fn reuse_eta(&mut self, cfg: &DampingConfig, now: SimTime) -> Option<SimDuration> {
         if !self.is_suppressed(cfg, now) {
             return None;
         }

@@ -91,7 +91,7 @@ impl SessionHandshake {
 
     /// Advertise the RFC 4724 graceful-restart capability with this restart
     /// time in subsequent OPENs (0 withdraws the capability).
-    pub fn set_graceful_restart(&mut self, secs: u16) {
+    pub(crate) fn set_graceful_restart(&mut self, secs: u16) {
         self.gr_secs = secs;
     }
 
@@ -102,7 +102,7 @@ impl SessionHandshake {
 
     /// The peer's advertised RFC 4724 restart time, if its OPEN carried the
     /// capability. `None` means the peer doesn't do graceful restart.
-    pub fn peer_graceful_restart_secs(&self) -> Option<u16> {
+    pub(crate) fn peer_graceful_restart_secs(&self) -> Option<u16> {
         self.remote_open
             .as_ref()?
             .capabilities
@@ -124,12 +124,12 @@ impl SessionHandshake {
     }
 
     /// The peer's OPEN message, once the handshake has seen it.
-    pub fn remote_open(&self) -> Option<&OpenMsg> {
+    pub(crate) fn remote_open(&self) -> Option<&OpenMsg> {
         self.remote_open.as_ref()
     }
 
     /// Negotiated hold time: the smaller of both proposals (0 = disabled).
-    pub fn negotiated_hold_secs(&self) -> u16 {
+    pub(crate) fn negotiated_hold_secs(&self) -> u16 {
         match &self.remote_open {
             Some(o) => self.hold_secs.min(o.hold_time_secs),
             None => self.hold_secs,

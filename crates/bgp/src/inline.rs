@@ -54,7 +54,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 
     /// A copy of `elems`: inline when they fit, otherwise one heap vector
     /// of exactly their length.
-    pub fn from_slice(elems: &[T]) -> Self {
+    pub(crate) fn from_slice(elems: &[T]) -> Self {
         const { assert!(N <= u8::MAX as usize, "the inline length is one byte") };
         if elems.len() <= N {
             let mut slots = [T::default(); N];

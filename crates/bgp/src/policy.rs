@@ -99,7 +99,7 @@ pub fn export_allowed(
 }
 
 /// Helper: relationship class of a Loc-RIB source given the neighbor table.
-pub fn source_relationship(
+pub(crate) fn source_relationship(
     source: RouteSource,
     rel_of_peer: impl Fn(usize) -> Relationship,
 ) -> Option<Relationship> {

@@ -1156,7 +1156,7 @@ impl<M: BgpApp> BgpRouter<M> {
     }
 
     /// Originate a data packet from this AS (used by ping drivers).
-    pub fn send_packet(&mut self, ctx: &mut Ctx<'_, M>, pkt: DataPacket) {
+    fn send_packet(&mut self, ctx: &mut Ctx<'_, M>, pkt: DataPacket) {
         self.route_packet_out(ctx, pkt);
     }
 

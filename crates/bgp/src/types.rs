@@ -16,7 +16,7 @@ impl Asn {
     pub const TRANS: Asn = Asn(23456);
 
     /// True when this ASN fits the classic 2-octet field.
-    pub fn is_16bit(self) -> bool {
+    pub(crate) fn is_16bit(self) -> bool {
         self.0 <= u16::MAX as u32
     }
 }

@@ -223,7 +223,7 @@ impl Writer {
     }
 
     /// Overwrite the byte at `pos` (for back-patching one-byte lengths).
-    pub fn patch_u8(&mut self, pos: usize, v: u8) {
+    pub(crate) fn patch_u8(&mut self, pos: usize, v: u8) {
         self.buf[pos] = v;
     }
 }

@@ -92,14 +92,6 @@ impl<M: BgpApp> RouteCollector<M> {
     pub fn stats(&self) -> &CollectorStats {
         &self.stats
     }
-
-    /// How many monitored sessions are currently established.
-    pub fn established_count(&self) -> usize {
-        self.peers
-            .iter()
-            .filter(|(_, p)| p.handshake.is_established())
-            .count()
-    }
 }
 
 impl<M: BgpApp> Node<M> for RouteCollector<M> {

@@ -1,17 +1,15 @@
-//! Convergence detection and measurement.
+//! Convergence measurement.
 //!
-//! The framework offers the paper's "wait until BGP has converged" command
-//! in two flavors:
-//!
-//! * **Quiescence-based** (exact): run the simulator until only maintenance
-//!   events remain, then read the last routing-plane change off the
-//!   [`ActivityBoard`]. Deterministic and precise — the default.
-//! * **Stability-window** (emulation-faithful): poll in fixed steps and
-//!   declare convergence after a window with no routing activity, the way a
-//!   real testbed (or the paper's Mininet framework) must. Useful when
-//!   background noise (keepalives with real BGP churn) never quiesces.
+//! One detector: [`measure`] reads the last routing-plane change at or
+//! after an event off the simulator's [`ActivityBoard`]. Every way the
+//! framework waits for "BGP has converged" ends in it: running until only
+//! maintenance events remain (exact, the default) and the stability window
+//! of `Experiment::wait_converged_windowed` (poll in fixed steps until a
+//! window passes with no routing activity, the way a real testbed must).
+//! `bgpsdn report` computes the same instant offline from an artifact's
+//! typed events with `bgpsdn_obs::last_routing_change`.
 
-use bgpsdn_netsim::{ActivityBoard, SimDuration, SimTime, TraceRecord};
+use bgpsdn_netsim::{ActivityBoard, SimDuration, SimTime};
 
 /// Outcome of a convergence measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,70 +33,6 @@ pub fn measure(board: &ActivityBoard, event: SimTime, quiescent: bool) -> Conver
         duration: last
             .map(|t| t.saturating_since(event))
             .unwrap_or(SimDuration::ZERO),
-    }
-}
-
-/// Measure convergence from typed trace records instead of the activity
-/// board: the last record at or after `event` whose payload
-/// [`is_routing_change`](bgpsdn_netsim::TraceEvent::is_routing_change) —
-/// RIB changes and flow-table mutations, never free-text notes — marks the
-/// end of the transient. This is what `bgpsdn report` computes offline from
-/// a JSONL artifact; the board-based [`measure`] is its online equivalent.
-pub fn measure_trace<'a>(
-    records: impl IntoIterator<Item = &'a TraceRecord>,
-    event: SimTime,
-    quiescent: bool,
-) -> ConvergenceReport {
-    let last = records
-        .into_iter()
-        .filter(|r| r.time >= event && r.event.is_routing_change())
-        .map(|r| r.time)
-        .max();
-    ConvergenceReport {
-        converged: quiescent,
-        last_change: last,
-        duration: last
-            .map(|t| t.saturating_since(event))
-            .unwrap_or(SimDuration::ZERO),
-    }
-}
-
-/// Incremental stability-window detector for step-wise runs.
-#[derive(Debug, Clone)]
-pub struct StabilityProbe {
-    window: SimDuration,
-    /// Last routing change the probe has seen.
-    last_change: Option<SimTime>,
-}
-
-impl StabilityProbe {
-    /// A probe declaring convergence after `window` without routing changes.
-    pub fn new(window: SimDuration) -> Self {
-        StabilityProbe {
-            window,
-            last_change: None,
-        }
-    }
-
-    /// Feed the current board state at time `now`; returns `Some(report)`
-    /// once the stability window has elapsed since the last change.
-    pub fn poll(&mut self, board: &ActivityBoard, now: SimTime) -> Option<ConvergenceReport> {
-        self.last_change = board.last_routing_change().or(self.last_change);
-        let reference = self.last_change.unwrap_or(SimTime::ZERO);
-        if now.saturating_since(reference) >= self.window {
-            Some(ConvergenceReport {
-                converged: true,
-                last_change: self.last_change,
-                duration: SimDuration::ZERO, // caller computes vs. its event
-            })
-        } else {
-            None
-        }
-    }
-
-    /// The last routing change the probe observed.
-    pub fn last_change(&self) -> Option<SimTime> {
-        self.last_change
     }
 }
 
@@ -132,70 +66,5 @@ mod tests {
         let board = ActivityBoard::default();
         let r = measure(&board, SimTime::ZERO, false);
         assert!(!r.converged);
-    }
-
-    #[test]
-    fn measure_trace_uses_typed_routing_changes_only() {
-        use bgpsdn_netsim::{NodeId, ObsPrefix, Trace, TraceCategory, TraceEvent};
-        let mut t = Trace::new(16);
-        t.enable_all();
-        t.record(
-            SimTime::from_secs(1),
-            Some(NodeId(1)),
-            TraceCategory::Route,
-            || TraceEvent::RibChange {
-                prefix: ObsPrefix::new(0x0a000000, 8),
-                old_path: None,
-                new_path: Some(vec![65001]),
-            },
-        );
-        t.record(
-            SimTime::from_secs(5),
-            Some(NodeId(2)),
-            TraceCategory::Route,
-            || TraceEvent::RibChange {
-                prefix: ObsPrefix::new(0x0a000000, 8),
-                old_path: Some(vec![65001]),
-                new_path: None,
-            },
-        );
-        // A later session event is not a routing change and must not extend
-        // the measured transient.
-        t.record(
-            SimTime::from_secs(9),
-            Some(NodeId(2)),
-            TraceCategory::Session,
-            || TraceEvent::SessionUp { peer: 3 },
-        );
-        let r = measure_trace(t.records(), SimTime::from_secs(2), true);
-        assert!(r.converged);
-        assert_eq!(r.last_change, Some(SimTime::from_secs(5)));
-        assert_eq!(r.duration, SimDuration::from_secs(3));
-        // Changes before the event are excluded.
-        let r = measure_trace(t.records(), SimTime::from_secs(6), true);
-        assert_eq!(r.last_change, None);
-    }
-
-    #[test]
-    fn stability_probe_waits_out_the_window() {
-        let mut board = ActivityBoard::default();
-        let mut probe = StabilityProbe::new(SimDuration::from_secs(5));
-        board.report(SimTime::from_secs(1), Activity::FibChange);
-        assert!(probe.poll(&board, SimTime::from_secs(3)).is_none());
-        assert!(probe.poll(&board, SimTime::from_secs(5)).is_none());
-        let r = probe.poll(&board, SimTime::from_secs(6)).unwrap();
-        assert!(r.converged);
-        assert_eq!(probe.last_change(), Some(SimTime::from_secs(1)));
-    }
-
-    #[test]
-    fn stability_probe_resets_on_new_activity() {
-        let mut board = ActivityBoard::default();
-        let mut probe = StabilityProbe::new(SimDuration::from_secs(5));
-        board.report(SimTime::from_secs(1), Activity::FibChange);
-        assert!(probe.poll(&board, SimTime::from_secs(4)).is_none());
-        board.report(SimTime::from_secs(4), Activity::FibChange);
-        assert!(probe.poll(&board, SimTime::from_secs(8)).is_none());
-        assert!(probe.poll(&board, SimTime::from_secs(9)).is_some());
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! * [`collector`]: the passive BGP route collector every router peers with;
 //! * [`logview`]: the update log and its analysis (convergence instants,
-//!   path-exploration counts, per-router update counts, timelines);
-//! * [`convergence`]: "wait until BGP has converged" — exact
-//!   quiescence-based measurement and an emulation-style stability window;
+//!   path-exploration counts, timelines);
+//! * [`convergence`]: the one convergence detector, [`measure`], which
+//!   reads the last routing change after an event off the activity board;
 //! * [`viz`]: Graphviz export with best-path highlighting.
 //!
 //! Whether traffic gets through is not measured here: every connectivity
@@ -22,6 +22,6 @@ pub mod logview;
 pub mod viz;
 
 pub use collector::{CollectorStats, RouteCollector};
-pub use convergence::{measure, measure_trace, ConvergenceReport, StabilityProbe};
+pub use convergence::{measure, ConvergenceReport};
 pub use logview::{LogAction, LogEntry, UpdateLog};
 pub use viz::{render_dot, VizNode, VizRole};

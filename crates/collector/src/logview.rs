@@ -74,13 +74,13 @@ impl UpdateLog {
     }
 
     /// Entries touching one prefix.
-    pub fn for_prefix(&self, prefix: Prefix) -> impl Iterator<Item = &LogEntry> {
+    fn for_prefix(&self, prefix: Prefix) -> impl Iterator<Item = &LogEntry> {
         self.entries.iter().filter(move |e| e.prefix == prefix)
     }
 
     /// Timestamp of the last entry at or after `from` (the classic
     /// "convergence instant" in collector-based measurement).
-    pub fn last_activity_since(&self, from: SimTime) -> Option<SimTime> {
+    fn last_activity_since(&self, from: SimTime) -> Option<SimTime> {
         self.entries
             .iter()
             .rev()
@@ -118,65 +118,6 @@ impl UpdateLog {
             }
         }
         seen.into_iter().map(|(a, v)| (a, v.len())).collect()
-    }
-
-    /// Total updates per monitored router within `[from, to)`.
-    pub fn update_counts(&self, from: SimTime, to: SimTime) -> BTreeMap<Asn, usize> {
-        let mut out: BTreeMap<Asn, usize> = BTreeMap::new();
-        for e in self.between(from, to) {
-            *out.entry(e.peer_asn).or_default() += 1;
-        }
-        out
-    }
-
-    /// The final state each router reported for `prefix`: `Some(path)` when
-    /// the last event was an announce, `None` after a withdraw (routers that
-    /// never mentioned the prefix are absent).
-    pub fn final_state(&self, prefix: Prefix) -> BTreeMap<Asn, Option<AsPath>> {
-        let mut out: BTreeMap<Asn, Option<AsPath>> = BTreeMap::new();
-        for e in self.for_prefix(prefix) {
-            let v = match &e.action {
-                LogAction::Announce(p) => Some(p.clone()),
-                LogAction::Withdraw => None,
-            };
-            out.insert(e.peer_asn, v);
-        }
-        out
-    }
-
-    /// Updates per time bin — the update-rate series the paper's log
-    /// analysis plots. Returns `(bin_start, count)` for every non-empty bin
-    /// within `[from, to)`.
-    pub fn rate_series(
-        &self,
-        from: SimTime,
-        to: SimTime,
-        bin: SimDuration,
-    ) -> Vec<(SimTime, usize)> {
-        assert!(!bin.is_zero(), "bin must be positive");
-        let mut out: Vec<(SimTime, usize)> = Vec::new();
-        for e in self.between(from, to) {
-            let offset = e.time.saturating_since(from).as_nanos() / bin.as_nanos();
-            let start = from + bin.saturating_mul(offset);
-            match out.last_mut() {
-                Some((s, c)) if *s == start => *c += 1,
-                _ => out.push((start, 1)),
-            }
-        }
-        out
-    }
-
-    /// Instability metric per prefix: total prefix events (announce or
-    /// withdraw) within the window, sorted by descending event count —
-    /// which prefixes churned most.
-    pub fn instability(&self, from: SimTime, to: SimTime) -> Vec<(Prefix, usize)> {
-        let mut counts: BTreeMap<Prefix, usize> = BTreeMap::new();
-        for e in self.between(from, to) {
-            *counts.entry(e.prefix).or_default() += 1;
-        }
-        let mut out: Vec<(Prefix, usize)> = counts.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
     }
 
     /// Render a human-readable timeline for one prefix (the route-change
@@ -252,9 +193,6 @@ mod tests {
                 .count(),
             2
         );
-        let counts = log.update_counts(SimTime::ZERO, SimTime::MAX);
-        assert_eq!(counts[&Asn(1)], 3);
-        assert_eq!(counts[&Asn(2)], 3);
     }
 
     #[test]
@@ -281,48 +219,12 @@ mod tests {
     }
 
     #[test]
-    fn final_state_reflects_withdrawals() {
-        let log = sample();
-        let state = log.final_state(pfx("10.0.0.0/16"));
-        assert_eq!(state[&Asn(1)], None);
-        assert_eq!(state[&Asn(2)], None);
-        let state2 = log.final_state(pfx("10.1.0.0/16"));
-        assert!(state2[&Asn(2)].is_some());
-    }
-
-    #[test]
     fn timeline_renders() {
         let log = sample();
         let t = log.render_timeline(pfx("10.0.0.0/16"));
         assert!(t.contains("+ [9]"));
         assert!(t.contains("- withdrawn"));
         assert!(!t.contains("10.1.0.0/16 entry"), "other prefixes excluded");
-    }
-
-    #[test]
-    fn rate_series_bins_counts() {
-        let log = sample();
-        let series = log.rate_series(SimTime::ZERO, SimTime::MAX, SimDuration::from_millis(500));
-        // Entries at 10,20 / 500,900 (bins 0 and 1) and 950,960 (bin 1).
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0], (SimTime::ZERO, 2));
-        assert_eq!(series[1], (SimTime::from_millis(500), 4));
-        // Windowed query only sees what's inside.
-        let w = log.rate_series(
-            SimTime::from_millis(900),
-            SimTime::from_millis(960),
-            SimDuration::from_millis(1000),
-        );
-        assert_eq!(w, vec![(SimTime::from_millis(900), 2)]);
-    }
-
-    #[test]
-    fn instability_ranks_churny_prefixes() {
-        let log = sample();
-        let inst = log.instability(SimTime::ZERO, SimTime::MAX);
-        assert_eq!(inst[0].0, pfx("10.0.0.0/16"));
-        assert_eq!(inst[0].1, 5);
-        assert_eq!(inst[1], (pfx("10.1.0.0/16"), 1));
     }
 
     #[test]

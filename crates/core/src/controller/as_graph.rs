@@ -75,15 +75,6 @@ pub struct PrefixComputation {
     pub dist: Vec<Option<u32>>,
 }
 
-impl PrefixComputation {
-    /// True when no member can reach the prefix.
-    pub fn all_unreachable(&self) -> bool {
-        self.decisions
-            .iter()
-            .all(|d| *d == MemberDecision::Unreachable)
-    }
-}
-
 /// Reusable Dijkstra/BFS scratch buffers for [`compute_into`].
 ///
 /// One prefix computation needs five working vectors plus a BFS queue; a
@@ -245,7 +236,7 @@ pub fn announced_path(
 
 /// [`announced_path`] appended to a caller-provided buffer. Returns false,
 /// leaving `out` as it was, when `x` cannot reach the prefix.
-pub fn announced_path_into<R: Borrow<ExternalRoute>>(
+fn announced_path_into<R: Borrow<ExternalRoute>>(
     x: usize,
     comp: &PrefixComputation,
     ext: &[R],
@@ -480,14 +471,13 @@ mod tests {
         assert_eq!(comp.decisions[2], MemberDecision::Unreachable);
         assert_eq!(comp.decisions[3], MemberDecision::Unreachable);
         assert!(announced_path(2, &comp, &ext, &asns(4)).is_none());
-        assert!(!comp.all_unreachable());
     }
 
     #[test]
     fn no_routes_means_all_unreachable() {
         let sg = sg_line(3);
         let comp = compute(&sg, None, &[]);
-        assert!(comp.all_unreachable());
+        assert_eq!(comp.decisions, vec![MemberDecision::Unreachable; 3]);
         assert_eq!(comp.dist, vec![None, None, None]);
     }
 

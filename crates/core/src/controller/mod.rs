@@ -247,7 +247,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     /// Replace the configuration before the simulation starts. The network
     /// builder constructs the controller node first (its node id is needed
     /// for control links) and injects the final wiring afterwards.
-    pub fn set_config(&mut self, cfg: ControllerConfig) {
+    pub(crate) fn set_config(&mut self, cfg: ControllerConfig) {
         assert_eq!(self.stats.recomputes, 0, "reconfigure only before start");
         *self = IdrController::new(self.id, cfg);
     }
@@ -272,7 +272,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     }
 
     /// Number of accepted external routes for a prefix.
-    pub fn ext_route_count(&self, prefix: Prefix) -> usize {
+    pub(crate) fn ext_route_count(&self, prefix: Prefix) -> usize {
         self.ext_routes.get(&prefix).map(|m| m.len()).unwrap_or(0)
     }
 
@@ -1119,15 +1119,6 @@ impl<M: SdnApp + BgpApp> Node<M> for IdrController<M> {
         let msg = match msg.into_ctrl() {
             Ok(m) => {
                 self.handle_ctrl(ctx, m);
-                return;
-            }
-            Err(msg) => msg,
-        };
-        // Bare speaker events remain accepted for direct injection in tests
-        // and single-process deployments with a lossless channel.
-        let msg = match msg.into_speaker_event() {
-            Ok(ev) => {
-                self.handle_speaker_event(ctx, ev);
                 return;
             }
             Err(msg) => msg,

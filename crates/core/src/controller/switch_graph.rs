@@ -95,7 +95,7 @@ impl SwitchGraph {
 
     /// Non-allocating variant of [`neighbors_up`](Self::neighbors_up) —
     /// iterates in link insertion order, so traversals stay deterministic.
-    pub fn neighbors_up_iter(&self, m: usize) -> impl Iterator<Item = (usize, LinkId)> + '_ {
+    pub(crate) fn neighbors_up_iter(&self, m: usize) -> impl Iterator<Item = (usize, LinkId)> + '_ {
         self.adj[m].iter().filter_map(|&(nbr, i)| {
             let l = &self.links[i];
             l.up.then_some((nbr, l.link))
@@ -145,7 +145,7 @@ impl SwitchGraph {
 
     /// BFS into caller-provided buffers, so a hot loop running one search
     /// per prefix reuses its allocations instead of growing fresh vectors.
-    pub fn bfs_into(
+    pub(crate) fn bfs_into(
         &self,
         src: usize,
         dist: &mut Vec<Option<usize>>,

@@ -158,11 +158,6 @@ impl Experiment {
         &self.snapshots
     }
 
-    /// Name of the current measurement phase.
-    pub fn phase_name(&self) -> &str {
-        &self.phase_name
-    }
-
     /// Append this experiment's telemetry to `text` as a JSONL run
     /// artifact: a `run` header carrying `info`'s members, every retained
     /// typed trace event, the frozen verifier snapshot (`bgpsdn verify

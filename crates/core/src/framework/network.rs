@@ -92,7 +92,8 @@ pub struct HybridNetwork {
     /// The first cluster's IDR controller (present when there are members).
     /// Single-cluster shorthand for `clusters[0].controller`.
     pub controller: Option<NodeId>,
-    /// The route collector (when enabled).
+    /// The route collector. Every built network has one; the `Option`
+    /// stays for callers that match on it.
     pub collector: Option<NodeId>,
     /// The first cluster's controller↔speaker control channel.
     /// This is the link fault-injection targets: partitioning it or giving
@@ -136,7 +137,7 @@ impl HybridNetwork {
     }
 
     /// The cluster handle owning an AS index, if it is a member.
-    pub fn cluster_for(&self, as_index: usize) -> Option<&ClusterHandle> {
+    pub(crate) fn cluster_for(&self, as_index: usize) -> Option<&ClusterHandle> {
         self.cluster_of.get(&as_index).map(|&c| &self.clusters[c])
     }
 }
@@ -149,15 +150,12 @@ pub struct NetworkBuilder {
     seed: u64,
     data_latency: Option<LatencyModel>,
     ctl_latency: LatencyModel,
-    with_collector: bool,
     recompute_delay: SimDuration,
     edge_latencies: Option<Vec<SimDuration>>,
     incremental: bool,
     control_loss: f64,
-    data_loss: f64,
     auto_verify: bool,
     damping: Option<DampingConfig>,
-    preflight: bool,
 }
 
 impl NetworkBuilder {
@@ -170,25 +168,13 @@ impl NetworkBuilder {
             seed,
             data_latency: None,
             ctl_latency: LatencyModel::Fixed(SimDuration::from_millis(1)),
-            with_collector: true,
             recompute_delay: SimDuration::from_millis(100),
             edge_latencies: None,
             incremental: true,
             control_loss: 0.0,
-            data_loss: 0.0,
             auto_verify: false,
             damping: None,
-            preflight: true,
         }
-    }
-
-    /// Skip the static pre-flight analysis in [`build`](Self::build).
-    /// Intended for experiments that deliberately construct unsafe or
-    /// partitioned configurations (e.g. to observe an oscillation the
-    /// analyzer would reject).
-    pub fn without_preflight(mut self) -> Self {
-        self.preflight = false;
-        self
     }
 
     /// The pre-flight report [`build`](Self::build) will gate on: static
@@ -208,7 +194,7 @@ impl NetworkBuilder {
     ///
     /// Propagates the strategy's fail-fast validation (infeasible budget,
     /// out-of-range or overlapping members).
-    pub fn resolved_clusters(&self) -> Result<Vec<Vec<usize>>, String> {
+    fn resolved_clusters(&self) -> Result<Vec<Vec<usize>>, String> {
         match &self.deployment {
             Some(strategy) => strategy.assign(&self.plan.as_graph, self.seed),
             None => {
@@ -290,12 +276,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Disable the route collector.
-    pub fn without_collector(mut self) -> Self {
-        self.with_collector = false;
-        self
-    }
-
     /// Override the control-plane link latency model (relay, OF control and
     /// speaker↔controller links; default: fixed 1 ms).
     pub fn with_ctl_latency(mut self, model: LatencyModel) -> Self {
@@ -309,13 +289,6 @@ impl NetworkBuilder {
     pub fn with_control_loss(mut self, loss: f64) -> Self {
         assert!((0.0..=1.0).contains(&loss));
         self.control_loss = loss;
-        self
-    }
-
-    /// Random per-message loss probability on every inter-AS link.
-    pub fn with_data_loss(mut self, loss: f64) -> Self {
-        assert!((0.0..=1.0).contains(&loss));
-        self.data_loss = loss;
         self
     }
 
@@ -337,22 +310,15 @@ impl NetworkBuilder {
     ///
     /// # Panics
     ///
-    /// Unless [`without_preflight`](Self::without_preflight) was called,
-    /// panics with the analyzer's rendered report if the static pre-flight
+    /// Panics with the analyzer's rendered report if the static pre-flight
     /// check finds any error (out-of-range cluster member, policy-unsafe
     /// provider hierarchy, cluster boundary conflict, inconsistent timers).
     pub fn build(self) -> HybridNetwork {
         let clusters = self
             .resolved_clusters()
             .unwrap_or_else(|e| panic!("invalid cluster deployment: {e}"));
-        if self.preflight {
-            let report = super::preflight::check_plan(&self.plan, &clusters);
-            assert!(
-                report.ok(),
-                "pre-flight check failed (use without_preflight() to override):\n{}",
-                report.render()
-            );
-        }
+        let report = super::preflight::check_plan(&self.plan, &clusters);
+        assert!(report.ok(), "pre-flight check failed:\n{}", report.render());
         let plan = self.plan;
         let n = plan.as_graph.len();
         let k = clusters.len();
@@ -418,10 +384,8 @@ impl NetworkBuilder {
             });
             ctl_nodes.push((sp, ct));
         }
-        let collector = self.with_collector.then(|| {
-            sim.add_node("collector", |id| {
-                Collector::new(id, COLLECTOR_ASN, RouterId(1))
-            })
+        let collector_node = sim.add_node("collector", |id| {
+            Collector::new(id, COLLECTOR_ASN, RouterId(1))
         });
 
         // 2. Inter-AS links.
@@ -436,9 +400,6 @@ impl NetworkBuilder {
                 None => default_latency.clone(),
             };
             let link = sim.add_link(ases[e.a].node, ases[e.b].node, latency);
-            if self.data_loss > 0.0 {
-                sim.set_link_loss(link, self.data_loss);
-            }
             edge_links.push(link);
         }
 
@@ -619,22 +580,20 @@ impl NetworkBuilder {
         }
 
         // 6. Collector peering with every legacy router.
-        if let Some(collector_node) = collector {
-            let legacy: Vec<usize> = (0..n).filter(|i| !member_index.contains_key(i)).collect();
-            sim.with_node::<Collector, _>(collector_node, |c| {
-                c.reserve_peers(legacy.len());
+        let legacy: Vec<usize> = (0..n).filter(|i| !member_index.contains_key(i)).collect();
+        sim.with_node::<Collector, _>(collector_node, |c| {
+            c.reserve_peers(legacy.len());
+        });
+        for i in legacy {
+            let link = sim.add_link(ases[i].node, collector_node, self.ctl_latency.clone());
+            let rn = ases[i].node;
+            sim.with_node::<Router, _>(rn, |r| {
+                r.add_neighbor(NeighborConfig::monitor(collector_node, link, COLLECTOR_ASN));
             });
-            for i in legacy {
-                let link = sim.add_link(ases[i].node, collector_node, self.ctl_latency.clone());
-                let rn = ases[i].node;
-                sim.with_node::<Router, _>(rn, |r| {
-                    r.add_neighbor(NeighborConfig::monitor(collector_node, link, COLLECTOR_ASN));
-                });
-                let asn = ases[i].asn;
-                sim.with_node::<Collector, _>(collector_node, |c| {
-                    c.add_monitored(rn, asn, link);
-                });
-            }
+            let asn = ases[i].asn;
+            sim.with_node::<Collector, _>(collector_node, |c| {
+                c.add_monitored(rn, asn, link);
+            });
         }
 
         let first = cluster_handles.first();
@@ -645,7 +604,7 @@ impl NetworkBuilder {
             sim,
             ases,
             edge_links,
-            collector,
+            collector: Some(collector_node),
             clusters: cluster_handles,
             plan,
             member_index,

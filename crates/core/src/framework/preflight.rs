@@ -4,12 +4,11 @@
 //! order so the `bgpsdn check` CLI, proptests, and other front-ends can use
 //! it without pulling in the whole framework; scripts need no conversion,
 //! since [`ScriptAction`](super::script::ScriptAction) is the analyzer's
-//! own type. Three gates sit on top, all on by default:
+//! own type. Three gates sit on top:
 //!
 //! * [`NetworkBuilder::build`](super::network::NetworkBuilder::build) runs
 //!   [`check_plan`] over the resolved cluster membership lists — none, the
-//!   paper's one, or `k` — and panics on error findings (opt out with
-//!   `without_preflight`);
+//!   paper's one, or `k` — and panics on error findings;
 //! * [`Experiment::run_script`](super::experiment::Experiment) runs
 //!   [`Experiment::script_preflight`] and returns a failed pre-flight step
 //!   instead of executing a structurally broken script — chaos schedules

@@ -393,7 +393,7 @@ impl ScaleScenario {
     }
 
     /// AS indices of the stub tier (the prefix seeders).
-    pub fn stub_indices(&self) -> std::ops::Range<usize> {
+    fn stub_indices(&self) -> std::ops::Range<usize> {
         self.tier1 + self.mid..self.n()
     }
 

@@ -107,11 +107,6 @@ impl Script {
         self.step(ScriptAction::SetControlLoss(loss))
     }
 
-    /// Set loss on an inter-AS link.
-    pub fn set_edge_loss(self, a: usize, b: usize, loss: f64) -> Self {
-        self.step(ScriptAction::SetEdgeLoss(a, b, loss))
-    }
-
     /// Crash a router device.
     pub fn crash_router(self, i: usize) -> Self {
         self.step(ScriptAction::CrashRouter(i))

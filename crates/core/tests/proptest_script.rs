@@ -122,8 +122,10 @@ fn observe(exp: &Experiment) -> (String, [u64; 3], u64) {
         "verify.prefixes_checked",
     ]
     .map(|name| m.counter_total(name));
+    let mut jsonl = String::new();
+    exp.net.sim.trace().export_jsonl_into(&mut jsonl);
     (
-        canonicalize_jsonl(&exp.net.sim.trace().export_jsonl()),
+        canonicalize_jsonl(&jsonl),
         verify,
         exp.net.sim.now().as_nanos(),
     )

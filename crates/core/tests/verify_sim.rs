@@ -130,12 +130,10 @@ fn live_flow_loop_is_caught_with_witness() {
     // the controller's computed routes.
     assert!(report.count_of(ViolationKind::IntentDrift) >= 2, "{report}");
     // And the violation reached the trace buffer as a typed event.
+    let mut jsonl = String::new();
+    exp.net.sim.trace().export_jsonl_into(&mut jsonl);
     assert!(
-        exp.net
-            .sim
-            .trace()
-            .export_jsonl()
-            .contains("verify_violation"),
+        jsonl.contains("verify_violation"),
         "violations must be recorded as trace events"
     );
 }

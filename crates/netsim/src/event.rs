@@ -185,13 +185,13 @@ impl<M: Message> EventQueue<M> {
     }
 
     /// Time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         self.events.peek().map(SimTime::from_nanos)
     }
 
     /// True when every pending event is maintenance-class — i.e. the
     /// network has no protocol work left.
-    pub fn only_maintenance(&self) -> bool {
+    pub(crate) fn only_maintenance(&self) -> bool {
         self.progress == 0
     }
 

@@ -81,16 +81,6 @@ impl LatencyModel {
             } => prop + SimDuration::from_nanos(nanos_per_byte * wire_len as u64),
         }
     }
-
-    /// Lower bound of the delay this model can produce (used in tests and
-    /// sanity checks).
-    pub fn min_delay(&self) -> SimDuration {
-        match *self {
-            LatencyModel::Fixed(d) => d,
-            LatencyModel::Jittered { base, .. } => base,
-            LatencyModel::BandwidthDelay { prop, .. } => prop,
-        }
-    }
 }
 
 /// A bidirectional point-to-point link between two nodes.

@@ -45,7 +45,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -55,11 +55,6 @@ impl SimRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-
-    /// Next raw 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Uniform integer in `[0, bound)`. `bound` must be non-zero.
@@ -119,13 +114,6 @@ impl SimRng {
             return SimDuration::from_nanos(lo);
         }
         SimDuration::from_nanos(self.range_u64(lo, hi))
-    }
-
-    /// Exponentially distributed duration with the given mean.
-    pub fn exponential(&mut self, mean: SimDuration) -> SimDuration {
-        // Draw u in (0,1]; -ln(u) * mean.
-        let u = 1.0 - self.unit_f64();
-        SimDuration::from_secs_f64(-u.ln() * mean.as_secs_f64())
     }
 
     /// Fisher–Yates shuffle.
@@ -253,16 +241,5 @@ mod tests {
         assert!(s.iter().all(|&i| i < 100));
         // k >= n returns everything
         assert_eq!(r.sample_indices(5, 99), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn exponential_mean_is_plausible() {
-        let mut r = SimRng::seed_from_u64(17);
-        let mean = SimDuration::from_millis(100);
-        let n = 4000u64;
-        let total: u64 = (0..n).map(|_| r.exponential(mean).as_nanos()).sum();
-        let avg = total / n;
-        // within 10% of the requested mean
-        assert!((85_000_000..115_000_000).contains(&avg), "avg {avg}");
     }
 }

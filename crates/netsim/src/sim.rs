@@ -179,17 +179,6 @@ impl<'a, M: Message> Ctx<'a, M> {
         Some(ns)
     }
 
-    /// True when wall-clock profiling spans are being collected.
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
-
-    /// True when causal lineage tracing ([`TraceCategory::Causal`]) is
-    /// enabled — the gate for all causal bookkeeping in the apps.
-    pub fn causal_enabled(&self) -> bool {
-        self.causal_enabled
-    }
-
     /// Mint a fresh causal event id, unique and monotone across the run,
     /// or 0 when causal tracing is disabled (apps must treat 0 as "no
     /// lineage"). Ids never influence simulation behavior, so runs with
@@ -408,7 +397,7 @@ impl<M: Message> Simulator<M> {
     }
 
     /// Schedule a link state change at an absolute time.
-    pub fn schedule_link_admin(&mut self, at: SimTime, link: LinkId, up: bool) {
+    fn schedule_link_admin(&mut self, at: SimTime, link: LinkId, up: bool) {
         assert!(at >= self.now, "cannot schedule in the past");
         self.queue.push(at, EventBody::LinkAdmin { link, up });
     }
@@ -529,16 +518,6 @@ impl<M: Message> Simulator<M> {
         self.profiling = on;
     }
 
-    /// True when wall-clock profiling spans are being collected.
-    pub fn profiling(&self) -> bool {
-        self.profiling
-    }
-
-    /// Fork an independent random substream (for topology builders etc.).
-    pub fn fork_rng(&mut self, stream: u64) -> SimRng {
-        self.rng.fork(stream)
-    }
-
     /// Typed mutable access to a node between events, e.g. to reconfigure it
     /// or inspect its RIB. Panics if `T` is not the node's concrete type.
     pub fn with_node<T: 'static, R>(&mut self, id: NodeId, f: impl FnOnce(&mut T) -> R) -> R {
@@ -564,7 +543,7 @@ impl<M: Message> Simulator<M> {
 
     /// Schedule `on_start` for every node if not done yet. Called implicitly
     /// by the `run_*` methods.
-    pub fn ensure_started(&mut self) {
+    fn ensure_started(&mut self) {
         if self.started {
             return;
         }

@@ -133,24 +133,10 @@ impl ActivityBoard {
         self.last_routing_change
     }
 
-    /// Latest timestamp across the given kinds — the maximum of the
-    /// per-kind `last` timestamps, regardless of the order reports arrived
-    /// in (reporting kind A after kind B with an earlier timestamp cannot
-    /// mask B's later one).
-    ///
-    /// Interaction with [`ActivityBoard::reset`]: a reset clears every
-    /// per-kind timestamp, so after a phase boundary `last_of` returns
-    /// `None` until the *new* phase reports one of `kinds`. Convergence
-    /// measurements relying on "last change after the event" must therefore
-    /// reset at the phase start, not after it, or pre-event activity from
-    /// the previous phase would leak into the result.
-    pub fn last_of(&self, kinds: &[Activity]) -> Option<SimTime> {
-        kinds.iter().filter_map(|&k| self.last(k)).max()
-    }
-
     /// Reset all counters and timestamps (used between experiment phases so
-    /// each phase measures only its own activity). See [`ActivityBoard::last_of`]
-    /// for the phase-boundary contract.
+    /// each phase measures only its own activity). A convergence
+    /// measurement of "last change after the event" must reset at the phase
+    /// start, not after it, or the previous phase's activity leaks into it.
     pub fn reset(&mut self) {
         *self = ActivityBoard::default();
     }
@@ -230,51 +216,11 @@ mod tests {
         assert_eq!(b.last(Activity::RibChange), Some(SimTime::from_millis(5)));
         // SessionUp is not a routing change
         assert_eq!(b.last_routing_change(), Some(SimTime::from_millis(9)));
-        assert_eq!(
-            b.last_of(&[Activity::RibChange, Activity::SessionUp]),
-            Some(SimTime::from_millis(7))
-        );
+        assert_eq!(b.last(Activity::SessionUp), Some(SimTime::from_millis(7)));
 
         b.reset();
         assert_eq!(b.count(Activity::UpdateSent), 0);
         assert_eq!(b.last_routing_change(), None);
-    }
-
-    #[test]
-    fn last_of_is_max_across_kinds_reported_out_of_order() {
-        let mut b = ActivityBoard::default();
-        // Reports arrive out of chronological order across kinds: the
-        // latest *timestamp* (t=20, FibChange) is reported first, then an
-        // earlier one for a different kind. last_of must still pick the
-        // true max, not the most recently reported value.
-        b.report(SimTime::from_millis(20), Activity::FibChange);
-        b.report(SimTime::from_millis(3), Activity::RibChange);
-        b.report(SimTime::from_millis(11), Activity::UpdateSent);
-        assert_eq!(
-            b.last_of(&[
-                Activity::RibChange,
-                Activity::FibChange,
-                Activity::UpdateSent
-            ]),
-            Some(SimTime::from_millis(20))
-        );
-        // Kinds never reported contribute nothing.
-        assert_eq!(
-            b.last_of(&[Activity::RibChange, Activity::SessionDown]),
-            Some(SimTime::from_millis(3))
-        );
-        assert_eq!(b.last_of(&[Activity::SessionDown]), None);
-        assert_eq!(b.last_of(&[]), None);
-
-        // reset() clears every timestamp: a new phase starts from None and
-        // only sees its own activity.
-        b.reset();
-        assert_eq!(b.last_of(&[Activity::FibChange]), None);
-        b.report(SimTime::from_millis(25), Activity::FibChange);
-        assert_eq!(
-            b.last_of(&[Activity::FibChange, Activity::UpdateSent]),
-            Some(SimTime::from_millis(25))
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use bgpsdn_obs::{event_line, write_event_line, RunArtifact, TraceEvent, EVENT_LINE_BYTES};
+use bgpsdn_obs::{write_event_line, TraceEvent, EVENT_LINE_BYTES};
 
 pub use bgpsdn_obs::TraceCategory;
 
@@ -33,13 +33,6 @@ pub struct TraceRecord {
     pub category: TraceCategory,
     /// Typed payload.
     pub event: TraceEvent,
-}
-
-impl TraceRecord {
-    /// The record as one JSONL artifact line.
-    pub fn to_jsonl(&self) -> String {
-        event_line(self.time.as_nanos(), self.node.map(|n| n.0), &self.event)
-    }
 }
 
 impl fmt::Display for TraceRecord {
@@ -90,13 +83,8 @@ impl Trace {
         }
     }
 
-    /// Disable recording of a category.
-    pub fn disable(&mut self, cat: TraceCategory) {
-        self.mask &= !cat.bit();
-    }
-
     /// True when `cat` is currently recorded.
-    pub fn is_enabled(&self, cat: TraceCategory) -> bool {
+    pub(crate) fn is_enabled(&self, cat: TraceCategory) -> bool {
         self.mask & cat.bit() != 0
     }
 
@@ -151,16 +139,6 @@ impl Trace {
         self.records.is_empty()
     }
 
-    /// Records of one category.
-    pub fn by_category(&self, cat: TraceCategory) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter().filter(move |r| r.category == cat)
-    }
-
-    /// Records attributed to one node.
-    pub fn by_node(&self, node: NodeId) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter().filter(move |r| r.node == Some(node))
-    }
-
     /// How many records were evicted (ring overwrite) or discarded
     /// (zero-capacity buffer).
     pub fn dropped(&self) -> u64 {
@@ -173,13 +151,6 @@ impl Trace {
         self.dropped = 0;
     }
 
-    /// Export every retained record as JSONL artifact lines.
-    pub fn export_jsonl(&self) -> String {
-        let mut out = String::new();
-        self.export_jsonl_into(&mut out);
-        out
-    }
-
     /// Append every retained record to `out` as JSONL artifact lines,
     /// growing it once for all of them.
     pub fn export_jsonl_into(&self, out: &mut String) {
@@ -189,27 +160,12 @@ impl Trace {
             out.push('\n');
         }
     }
-
-    /// Parse records back from JSONL (non-event lines are ignored).
-    pub fn import_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
-        let artifact = RunArtifact::parse(text)?;
-        Ok(artifact
-            .events
-            .into_iter()
-            .map(|r| TraceRecord {
-                time: SimTime::from_nanos(r.t),
-                node: r.node.map(NodeId),
-                category: r.event.category(),
-                event: r.event,
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsdn_obs::ObsPrefix;
+    use bgpsdn_obs::{ObsPrefix, RunArtifact};
 
     fn note(cat: TraceCategory, text: &str) -> TraceEvent {
         TraceEvent::Note {
@@ -290,27 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn filters_by_node_and_category() {
-        let mut t = Trace::new(10);
-        t.enable_all();
-        t.record(SimTime::ZERO, Some(NodeId(1)), TraceCategory::Route, || {
-            TraceEvent::RibChange {
-                prefix: ObsPrefix::new(0, 0),
-                old_path: None,
-                new_path: Some(vec![1]),
-            }
-        });
-        t.record(SimTime::ZERO, Some(NodeId(2)), TraceCategory::Route, || {
-            note(TraceCategory::Route, "b")
-        });
-        t.record(SimTime::ZERO, Some(NodeId(1)), TraceCategory::Flow, || {
-            note(TraceCategory::Flow, "c")
-        });
-        assert_eq!(t.by_node(NodeId(1)).count(), 2);
-        assert_eq!(t.by_category(TraceCategory::Route).count(), 2);
-    }
-
-    #[test]
     fn display_formats() {
         let r = TraceRecord {
             time: SimTime::from_secs(1),
@@ -322,15 +257,6 @@ mod tests {
         assert!(s.contains("session"), "{s}");
         assert!(s.contains("n4"), "{s}");
         assert!(s.contains("n9"), "{s}");
-    }
-
-    #[test]
-    fn enable_disable_roundtrip() {
-        let mut t = Trace::new(1);
-        t.enable(TraceCategory::Timer);
-        assert!(t.is_enabled(TraceCategory::Timer));
-        t.disable(TraceCategory::Timer);
-        assert!(!t.is_enabled(TraceCategory::Timer));
     }
 
     #[test]
@@ -356,18 +282,25 @@ mod tests {
                 started: true,
             },
         );
-        let text = t.export_jsonl();
+        let mut text = String::new();
+        t.export_jsonl_into(&mut text);
         assert_eq!(text.lines().count(), 2);
-        let back = Trace::import_jsonl(&text).unwrap();
+        let back: Vec<TraceRecord> = RunArtifact::parse(&text)
+            .unwrap()
+            .events
+            .into_iter()
+            .map(|r| TraceRecord {
+                time: SimTime::from_nanos(r.t),
+                node: r.node.map(NodeId),
+                category: r.event.category(),
+                event: r.event,
+            })
+            .collect();
         let original: Vec<TraceRecord> = t.records().cloned().collect();
         assert_eq!(back, original);
-        // Appending leaves what the buffer held alone, and each record's
-        // own line is the line the export wrote.
+        // Appending leaves what the buffer held alone.
         let mut appended = String::from("{\"type\":\"run\"}\n");
         t.export_jsonl_into(&mut appended);
         assert_eq!(appended, format!("{{\"type\":\"run\"}}\n{text}"));
-        let by_record: String = t.records().map(|r| r.to_jsonl() + "\n").collect();
-        assert_eq!(by_record, text);
-        assert_eq!(Trace::import_jsonl(&appended).unwrap(), original);
     }
 }

@@ -824,6 +824,35 @@ mod tests {
     }
 
     #[test]
+    fn last_routing_change_counts_typed_routing_changes_only() {
+        let events = [
+            (
+                1,
+                TraceEvent::RibChange {
+                    prefix: pfx(),
+                    old_path: None,
+                    new_path: Some(vec![65001]),
+                },
+            ),
+            (
+                5,
+                TraceEvent::RibChange {
+                    prefix: pfx(),
+                    old_path: Some(vec![65001]),
+                    new_path: None,
+                },
+            ),
+            // A later session event is not a routing change and must not
+            // extend the measured transient.
+            (9, TraceEvent::SessionUp { peer: 3 }),
+        ];
+        let at = |after| last_routing_change(events.iter().map(|(t, e)| (*t, e)), after);
+        assert_eq!(at(2), Some(5));
+        // Changes before the event are excluded.
+        assert_eq!(at(6), None);
+    }
+
+    #[test]
     fn analysis_counts_and_timeline() {
         let artifact = RunArtifact {
             run: None,

@@ -203,7 +203,7 @@ pub struct HuntChain {
 
 impl HuntChain {
     /// The ghost-route interval length, nanoseconds.
-    pub fn ghost_ns(&self) -> u64 {
+    fn ghost_ns(&self) -> u64 {
         self.last_t - self.first_t
     }
 }

@@ -311,7 +311,7 @@ impl CausalPhase {
 
     /// True for phases that mark a routing-state settlement (the events a
     /// critical path can end at).
-    pub fn is_settlement(self) -> bool {
+    pub(crate) fn is_settlement(self) -> bool {
         matches!(self, CausalPhase::HuntStep | CausalPhase::FlowInstall)
     }
 }

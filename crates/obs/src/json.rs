@@ -86,11 +86,6 @@ impl Json {
         }
     }
 
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Compact single-line rendering.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
@@ -862,7 +857,7 @@ mod tests {
     fn parses_structures() {
         let v = Json::parse(r#"{"a":[1,2,{"b":"x"}],"c":null}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert!(v.get("c").unwrap().is_null());
+        assert_eq!(v.get("c"), Some(&Json::Null));
         assert_eq!(
             v.get("a").unwrap().as_arr().unwrap()[2]
                 .get("b")

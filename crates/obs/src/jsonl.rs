@@ -19,7 +19,7 @@ pub fn scan(text: &str, line: impl FnMut(usize, &str) -> Result<(), String>) -> 
 /// `warnings` instead of failing the whole scan: a truncated tail is the
 /// normal shape of an artifact whose writer was killed mid-line. Malformed
 /// lines anywhere else remain hard errors.
-pub fn scan_lenient(
+pub(crate) fn scan_lenient(
     text: &str,
     warnings: &mut Vec<String>,
     line: impl FnMut(usize, &str) -> Result<(), String>,

@@ -55,7 +55,5 @@ pub use event::{
     CausalPhase, FlowActionRepr, ObsPrefix, RecomputeTrigger, TraceCategory, TraceEvent,
 };
 pub use json::{Json, JsonError, ToJson};
-pub use metrics::{
-    log2_bucket, quantile, Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot,
-};
-pub use span::{sim_span_ns, WallSpan};
+pub use metrics::{quantile, Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use span::WallSpan;

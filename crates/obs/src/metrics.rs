@@ -42,7 +42,7 @@ impl Default for Histogram {
 }
 
 /// Bucket index for a value (shared by record and report paths).
-pub fn log2_bucket(value: u64) -> usize {
+fn log2_bucket(value: u64) -> usize {
     63 - value.max(1).leading_zeros() as usize
 }
 
@@ -109,7 +109,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(lower_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -300,14 +300,6 @@ impl MetricsRegistry {
         row.iter().find(|(k, _)| *k == name).map_or(0, |(_, v)| *v)
     }
 
-    /// Current gauge value.
-    pub fn gauge_value(&self, node: Option<u32>, name: &str) -> Option<i64> {
-        self.gauges
-            .iter()
-            .find(|((n, k), _)| *n == node && *k == name)
-            .map(|(_, v)| *v)
-    }
-
     /// The histogram for a key, if any samples were recorded.
     pub fn histogram(&self, node: Option<u32>, name: &str) -> Option<&Histogram> {
         self.histograms
@@ -437,7 +429,7 @@ mod tests {
         r.observe(Some(1), "bgp.decision.select_wall_ns", 1500);
         assert_eq!(r.counter(Some(1), "bgp.router.updates_sent"), 2);
         assert_eq!(r.counter_total("bgp.router.updates_sent"), 5);
-        assert_eq!(r.gauge_value(None, "core.controller.members"), Some(8));
+        assert_eq!(r.gauges.get(&(None, "core.controller.members")), Some(&8));
         assert_eq!(
             r.histogram(Some(1), "bgp.decision.select_wall_ns")
                 .unwrap()

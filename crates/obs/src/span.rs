@@ -2,8 +2,7 @@
 //!
 //! A [`WallSpan`] wraps `Instant::now()` behind an enabled flag so disabled
 //! profiling costs one branch and no clock read. Sim-time spans need no
-//! helper — subtract two `SimTime`s — but [`sim_span_ns`] documents the
-//! convention of recording them into `*_sim_ns` histograms.
+//! helper: subtract two `SimTime`s.
 
 use std::time::Instant;
 
@@ -36,13 +35,6 @@ impl WallSpan {
     }
 }
 
-/// Sim-time span duration in nanoseconds: `end - start`, saturating.
-/// Record into a histogram named `<crate>.<subsystem>.<name>_sim_ns`.
-#[inline]
-pub fn sim_span_ns(start_ns: u64, end_ns: u64) -> u64 {
-    end_ns.saturating_sub(start_ns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,11 +50,5 @@ mod tests {
         let s = WallSpan::start(true);
         let ns = s.elapsed_ns().unwrap();
         assert!(ns < 10_000_000_000, "clock went backwards? {ns}");
-    }
-
-    #[test]
-    fn sim_span_saturates() {
-        assert_eq!(sim_span_ns(10, 25), 15);
-        assert_eq!(sim_span_ns(25, 10), 0);
     }
 }

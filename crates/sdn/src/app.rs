@@ -4,7 +4,8 @@
 //! The cluster BGP speaker exposes the controller-facing API that ExaBGP
 //! provides in the paper's framework: session lifecycle events and decoded
 //! route updates flow up ([`SpeakerEvent`]); announce/withdraw instructions
-//! flow down ([`SpeakerCmd`]).
+//! flow down ([`SpeakerCmd`]). Both travel only inside the reliable
+//! [`CtrlMsg`] channel, never as bare messages.
 
 use std::net::Ipv4Addr;
 
@@ -208,14 +209,6 @@ pub trait SdnApp: Message {
     fn from_of(env: OfEnvelope) -> Self;
     /// Unwrap an encoded OpenFlow message.
     fn as_of(&self) -> Option<&OfEnvelope>;
-    /// Wrap a speaker event.
-    fn from_speaker_event(e: SpeakerEvent) -> Self;
-    /// Unwrap a speaker event.
-    fn as_speaker_event(&self) -> Option<&SpeakerEvent>;
-    /// Wrap a speaker command.
-    fn from_speaker_cmd(c: SpeakerCmd) -> Self;
-    /// Unwrap a speaker command.
-    fn as_speaker_cmd(&self) -> Option<&SpeakerCmd>;
     /// Wrap a reliable control-channel message.
     fn from_ctrl(m: CtrlMsg) -> Self;
     /// Unwrap a reliable control-channel message.
@@ -223,14 +216,6 @@ pub trait SdnApp: Message {
     /// Consume the message if it is an OpenFlow envelope; hand it back
     /// otherwise. Lets dispatch take ownership instead of cloning.
     fn into_of(self) -> Result<OfEnvelope, Self>
-    where
-        Self: Sized;
-    /// Consume the message if it is a speaker event; hand it back otherwise.
-    fn into_speaker_event(self) -> Result<SpeakerEvent, Self>
-    where
-        Self: Sized;
-    /// Consume the message if it is a speaker command; hand it back otherwise.
-    fn into_speaker_cmd(self) -> Result<SpeakerCmd, Self>
     where
         Self: Sized;
     /// Consume the message if it is a reliable control-channel message;
@@ -260,10 +245,6 @@ pub enum ClusterMsg {
     Data(bgpsdn_netsim::DataPacket),
     /// OpenFlow control-channel traffic.
     Of(OfEnvelope),
-    /// Speaker → controller event.
-    SpeakerEvent(SpeakerEvent),
-    /// Controller → speaker command.
-    SpeakerCmd(SpeakerCmd),
     /// Reliable speaker↔controller control-channel traffic.
     Ctrl(CtrlMsg),
 }
@@ -275,9 +256,6 @@ impl Message for ClusterMsg {
             ClusterMsg::Command(_) => 0,
             ClusterMsg::Data(p) => p.wire_len(),
             ClusterMsg::Of(env) => env.wire_len(),
-            // The speaker/controller API rides a local channel; model a
-            // small JSON-ish message like ExaBGP's API lines.
-            ClusterMsg::SpeakerEvent(_) | ClusterMsg::SpeakerCmd(_) => 128,
             ClusterMsg::Ctrl(m) => m.wire_len(),
         }
     }
@@ -338,24 +316,6 @@ impl SdnApp for ClusterMsg {
             _ => None,
         }
     }
-    fn from_speaker_event(e: SpeakerEvent) -> Self {
-        ClusterMsg::SpeakerEvent(e)
-    }
-    fn as_speaker_event(&self) -> Option<&SpeakerEvent> {
-        match self {
-            ClusterMsg::SpeakerEvent(e) => Some(e),
-            _ => None,
-        }
-    }
-    fn from_speaker_cmd(c: SpeakerCmd) -> Self {
-        ClusterMsg::SpeakerCmd(c)
-    }
-    fn as_speaker_cmd(&self) -> Option<&SpeakerCmd> {
-        match self {
-            ClusterMsg::SpeakerCmd(c) => Some(c),
-            _ => None,
-        }
-    }
     fn from_ctrl(m: CtrlMsg) -> Self {
         ClusterMsg::Ctrl(m)
     }
@@ -368,18 +328,6 @@ impl SdnApp for ClusterMsg {
     fn into_of(self) -> Result<OfEnvelope, Self> {
         match self {
             ClusterMsg::Of(env) => Ok(env),
-            other => Err(other),
-        }
-    }
-    fn into_speaker_event(self) -> Result<SpeakerEvent, Self> {
-        match self {
-            ClusterMsg::SpeakerEvent(e) => Ok(e),
-            other => Err(other),
-        }
-    }
-    fn into_speaker_cmd(self) -> Result<SpeakerCmd, Self> {
-        match self {
-            ClusterMsg::SpeakerCmd(c) => Ok(c),
             other => Err(other),
         }
     }

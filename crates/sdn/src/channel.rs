@@ -115,18 +115,10 @@ impl ReliableSender {
         self.rto
     }
 
-    /// The retransmit timer fired: double the RTO (capped) and return
-    /// clones of every unacked payload, oldest first, for resending.
-    pub fn on_retransmit_timer(&mut self) -> Vec<CtrlMsg> {
-        let mut out = Vec::new();
-        self.retransmit_into(&mut out);
-        out
-    }
-
-    /// [`on_retransmit_timer`](Self::on_retransmit_timer) into a
-    /// caller-owned scratch vector, so nodes that retransmit every RTO on a
-    /// lossy control link reuse one buffer instead of allocating per firing.
-    /// `out` is cleared first.
+    /// The retransmit timer fired: double the RTO (capped) and fill `out`
+    /// with clones of every unacked payload, oldest first, for resending.
+    /// `out` is a caller-owned scratch vector, cleared first, so nodes that
+    /// retransmit every RTO on a lossy control link reuse one buffer.
     pub fn retransmit_into(&mut self, out: &mut Vec<CtrlMsg>) {
         self.rto = SimDuration::from_nanos((self.rto.as_nanos() * 2).min(RTO_MAX.as_nanos()));
         out.clear();
@@ -242,19 +234,21 @@ mod tests {
         tx.push(ev);
         assert_eq!(tx.rto(), RTO_INITIAL);
 
-        let again = tx.on_retransmit_timer();
+        let mut again = Vec::new();
+        tx.retransmit_into(&mut again);
         assert_eq!(again.len(), 2);
         assert_eq!(again[0].seq(), Some(1));
         assert_eq!(tx.rto(), SimDuration::from_millis(100));
 
         for _ in 0..10 {
-            tx.on_retransmit_timer();
+            tx.retransmit_into(&mut again);
         }
         assert_eq!(tx.rto(), RTO_MAX, "backoff is capped");
 
         assert!(tx.on_ack(1, 1));
         assert_eq!(tx.rto(), RTO_INITIAL, "progress resets backoff");
-        assert_eq!(tx.on_retransmit_timer().len(), 1);
+        tx.retransmit_into(&mut again);
+        assert_eq!(again.len(), 1, "the scratch vector is cleared first");
     }
 
     #[test]
@@ -332,7 +326,7 @@ mod tests {
             if !lossy(&mut state) {
                 tx.on_ack(rx.epoch(), rx.ack_seq());
             }
-            wire = tx.on_retransmit_timer();
+            tx.retransmit_into(&mut wire);
         }
         assert_eq!(delivered, vec![1, 2, 3, 4, 5]);
     }

@@ -25,7 +25,7 @@ pub enum FlowAction {
 
 impl FlowAction {
     /// Telemetry-plane representation ([`bgpsdn_netsim::FlowActionRepr`]).
-    pub fn repr(self) -> bgpsdn_netsim::FlowActionRepr {
+    pub(crate) fn repr(self) -> bgpsdn_netsim::FlowActionRepr {
         match self {
             FlowAction::Output(p) => bgpsdn_netsim::FlowActionRepr::Output(p),
             FlowAction::ToController => bgpsdn_netsim::FlowActionRepr::ToController,
@@ -85,13 +85,6 @@ impl FlowTable {
         self.rules
             .retain(|r| !(r.priority == priority && r.prefix == prefix));
         self.rules.len() != before
-    }
-
-    /// Remove every rule carrying `cookie`. Returns how many were removed.
-    pub fn remove_by_cookie(&mut self, cookie: u64) -> usize {
-        let before = self.rules.len();
-        self.rules.retain(|r| r.cookie != cookie);
-        before - self.rules.len()
     }
 
     /// Best match for a destination address.
@@ -191,8 +184,11 @@ mod tests {
             !t.remove(9, pfx("10.0.0.0/8")),
             "wrong priority: no removal"
         );
-        assert_eq!(t.remove_by_cookie(7), 2);
-        assert_eq!(t.len(), 1);
+        assert!(t.remove(1, pfx("10.0.0.0/8")));
+        assert_eq!(t.len(), 2);
+        // Removal is by (priority, prefix): the other cookie-7 rule stays.
+        let kept = t.lookup(Ipv4Addr::new(20, 0, 0, 1)).expect("20/8 kept");
+        assert_eq!(kept.cookie, 7);
         t.clear();
         assert!(t.is_empty());
     }

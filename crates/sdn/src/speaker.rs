@@ -10,7 +10,7 @@
 //! Toward the controller the speaker exposes the structured API
 //! ([`SpeakerEvent`]/[`SpeakerCmd`]) that ExaBGP's JSON pipe provides in the
 //! paper's stack: decoded updates and session lifecycle up, announce /
-//! withdraw instructions down. The speaker itself makes no routing
+//! withdraw instructions down, each inside a sequenced [`CtrlMsg`]. The speaker itself makes no routing
 //! decisions and applies no MRAI — rate limiting is the controller's job
 //! (its delayed recomputation).
 //!
@@ -270,15 +270,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     pub fn adj_out_table(&self, idx: usize) -> Vec<(Prefix, SharedPath, Option<u32>)> {
         self.sessions[idx]
             .advertised
-            .iter()
-            .map(|(p, (path, med))| (*p, path.clone(), *med))
-            .collect()
-    }
-
-    /// Routes currently held from session `idx`'s peer (Adj-RIB-In).
-    pub fn adj_in_table(&self, idx: usize) -> Vec<(Prefix, SharedPath, Option<u32>)> {
-        self.sessions[idx]
-            .adj_in
             .iter()
             .map(|(p, (path, med))| (*p, path.clone(), *med))
             .collect()
@@ -662,17 +653,8 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
             }
             Err(msg) => msg,
         };
-        let msg = match msg.into_ctrl() {
-            Ok(m) => {
-                self.handle_ctrl(ctx, m);
-                return;
-            }
-            Err(msg) => msg,
-        };
-        // Bare (unsequenced) commands still work — driver injection and
-        // legacy single-link setups bypass the reliable channel.
-        if let Ok(cmd) = msg.into_speaker_cmd() {
-            self.handle_cmd(ctx, cmd);
+        if let Ok(m) = msg.into_ctrl() {
+            self.handle_ctrl(ctx, m);
         }
     }
 

@@ -58,7 +58,6 @@ pub struct SdnSwitch<M> {
     table: FlowTable,
     relay: HashMap<NodeId, LinkId>,
     stats: SwitchStats,
-    miss_to_controller: bool,
     _m: std::marker::PhantomData<fn() -> M>,
 }
 
@@ -72,7 +71,6 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
             table: FlowTable::new(),
             relay: HashMap::new(),
             stats: SwitchStats::default(),
-            miss_to_controller: false,
             _m: std::marker::PhantomData,
         }
     }
@@ -80,11 +78,6 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
     /// Attach the controller channel (must be set before start).
     pub fn set_controller_link(&mut self, link: LinkId) {
         self.controller_link = Some(link);
-    }
-
-    /// Punt unmatched packets to the controller instead of dropping them.
-    pub fn set_miss_to_controller(&mut self, yes: bool) {
-        self.miss_to_controller = yes;
     }
 
     /// Install a control-plane relay entry: envelopes addressed to `dst`
@@ -260,16 +253,7 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
                 }
             }
             None => {
-                if self.miss_to_controller {
-                    self.stats.packets_to_controller += 1;
-                    let msg = OfMessage::PacketIn {
-                        ingress: ingress.0,
-                        packet: pkt,
-                    };
-                    self.send_to_controller(ctx, &msg);
-                } else {
-                    self.stats.packets_no_match += 1;
-                }
+                self.stats.packets_no_match += 1;
             }
         }
     }

@@ -35,7 +35,6 @@ struct EventSink {
 impl Node<ClusterMsg> for EventSink {
     fn on_message(&mut self, ctx: &mut Ctx<'_, ClusterMsg>, _f: NodeId, l: LinkId, m: ClusterMsg) {
         match m {
-            ClusterMsg::SpeakerEvent(e) => self.events.push(e),
             ClusterMsg::Ctrl(CtrlMsg::Event { epoch, seq, event }) => {
                 self.events.push(event);
                 ctx.send(l, ClusterMsg::Ctrl(CtrlMsg::EventAck { epoch, seq }));
@@ -79,6 +78,15 @@ struct Setup {
     sink: NodeId,
     sink_to_speaker: LinkId,
     ext_link: LinkId,
+}
+
+/// Send `cmd` to the speaker as the controller does: the `seq`-th command
+/// of epoch 1, the epoch the speaker's first snapshot opened.
+fn command(s: &mut Setup, seq: u64, cmd: SpeakerCmd) {
+    s.sim.inject(
+        s.speaker,
+        ClusterMsg::Ctrl(CtrlMsg::Cmd { epoch: 1, seq, cmd }),
+    );
 }
 
 fn build(seed: u64) -> Setup {
@@ -193,15 +201,16 @@ fn controller_announce_reaches_external_router() {
     // Controller announces a cluster prefix via the speaker, with the
     // member's ASN prepended (AS identity preserved).
     let p = pfx("10.200.0.0/16");
-    s.sim.inject(
-        s.speaker,
-        ClusterMsg::SpeakerCmd(SpeakerCmd::Announce {
+    command(
+        &mut s,
+        1,
+        SpeakerCmd::Announce {
             session: 0,
             prefix: p,
             as_path: vec![Asn(200)].into(),
             med: None,
             cause: bgpsdn_netsim::Cause::NONE,
-        }),
+        },
     );
     assert!(s.sim.run_until_quiescent(SimTime::from_secs(30)).quiescent);
     let ext = s.sim.node_ref::<Router>(s.ext);
@@ -209,15 +218,16 @@ fn controller_announce_reaches_external_router() {
     assert_eq!(best.attrs.as_path.flatten(), vec![Asn(200)]);
     assert_eq!(best.attrs.next_hop, Ipv4Addr::new(10, 200, 0, 1));
     // Duplicate announcements are suppressed at the speaker.
-    s.sim.inject(
-        s.speaker,
-        ClusterMsg::SpeakerCmd(SpeakerCmd::Announce {
+    command(
+        &mut s,
+        2,
+        SpeakerCmd::Announce {
             session: 0,
             prefix: p,
             as_path: vec![Asn(200)].into(),
             med: None,
             cause: bgpsdn_netsim::Cause::NONE,
-        }),
+        },
     );
     assert!(s.sim.run_until_quiescent(SimTime::from_secs(30)).quiescent);
     assert_eq!(
@@ -226,13 +236,14 @@ fn controller_announce_reaches_external_router() {
     );
 
     // Withdraw removes it again.
-    s.sim.inject(
-        s.speaker,
-        ClusterMsg::SpeakerCmd(SpeakerCmd::Withdraw {
+    command(
+        &mut s,
+        3,
+        SpeakerCmd::Withdraw {
             session: 0,
             prefix: p,
             cause: bgpsdn_netsim::Cause::NONE,
-        }),
+        },
     );
     assert!(s.sim.run_until_quiescent(SimTime::from_secs(30)).quiescent);
     assert!(s.sim.node_ref::<Router>(s.ext).best(p).is_none());

@@ -84,12 +84,6 @@ impl Graph {
         &self.edges
     }
 
-    /// Endpoints of edge `e`.
-    pub fn edge_endpoints(&self, e: usize) -> (usize, usize) {
-        let (a, b, _) = self.edges[e];
-        (a, b)
-    }
-
     /// BFS hop distances from `src` (`None` = unreachable).
     pub fn bfs_distances(&self, src: usize) -> Vec<Option<usize>> {
         let mut dist = vec![None; self.adj.len()];
@@ -191,7 +185,7 @@ impl Graph {
 
     /// Longest shortest-path hop count from `v` (`None` when the graph is
     /// disconnected from `v`'s perspective).
-    pub fn eccentricity(&self, v: usize) -> Option<usize> {
+    fn eccentricity(&self, v: usize) -> Option<usize> {
         let d = self.bfs_distances(v);
         let mut max = 0;
         for x in d {
@@ -222,7 +216,7 @@ pub struct ShortestPaths {
 impl ShortestPaths {
     /// The shortest path from the source to `dst`, inclusive of both ends,
     /// or `None` when unreachable.
-    pub fn path_to(&self, dst: usize) -> Option<Vec<usize>> {
+    fn path_to(&self, dst: usize) -> Option<Vec<usize>> {
         if self.dist[dst].is_infinite() {
             return None;
         }
@@ -267,7 +261,7 @@ mod tests {
         assert!(g.has_edge(1, 0));
         assert!(!g.has_edge(0, 2));
         assert_eq!(g.degree(1), 2);
-        assert_eq!(g.edge_endpoints(0), (0, 1));
+        assert_eq!(g.edges()[0], (0, 1, 1.0));
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub enum AllocError {
     TooManyAses(usize),
     /// More point-to-point links than 172.16/12 holds.
     TooManyLinks(usize),
-    /// More hosts than the per-AS host range holds.
-    TooManyHosts(usize),
 }
 
 impl fmt::Display for AllocError {
@@ -34,7 +32,6 @@ impl fmt::Display for AllocError {
         match self {
             AllocError::TooManyAses(n) => write!(f, "{n} ASes exceed the address plan (max 1536)"),
             AllocError::TooManyLinks(n) => write!(f, "{n} links exceed 172.16/12 capacity"),
-            AllocError::TooManyHosts(n) => write!(f, "host index {n} exceeds per-AS range"),
         }
     }
 }
@@ -61,17 +58,9 @@ pub fn router_ip(index: usize) -> Result<Ipv4Addr, AllocError> {
     Ok(as_prefix(index)?.nth(1))
 }
 
-/// The address of host `h` inside AS `index`'s prefix.
-pub fn host_ip(index: usize, h: usize) -> Result<Ipv4Addr, AllocError> {
-    if h >= 254 {
-        return Err(AllocError::TooManyHosts(h));
-    }
-    Ok(as_prefix(index)?.nth(256 + 1 + h as u64))
-}
-
 /// The /30 transfer network of link `k`, with both endpoint addresses
 /// `(subnet, addr_a, addr_b)`.
-pub fn link_subnet(k: usize) -> Result<(Prefix, Ipv4Addr, Ipv4Addr), AllocError> {
+fn link_subnet(k: usize) -> Result<(Prefix, Ipv4Addr, Ipv4Addr), AllocError> {
     if k >= MAX_LINKS {
         return Err(AllocError::TooManyLinks(k + 1));
     }
@@ -111,12 +100,6 @@ impl AddressPlan {
             link_nets,
         })
     }
-
-    /// Which AS index owns `ip`, per this plan (longest-prefix over the AS
-    /// blocks; transfer nets return `None`).
-    pub fn owner_of(&self, ip: Ipv4Addr) -> Option<usize> {
-        self.as_prefixes.iter().position(|p| p.contains(ip))
-    }
 }
 
 #[cfg(test)]
@@ -142,19 +125,14 @@ mod tests {
             Err(AllocError::TooManyAses(MAX_ASES + 1))
         );
         assert!(link_subnet(MAX_LINKS).is_err());
-        assert!(host_ip(0, 254).is_err());
     }
 
     #[test]
-    fn router_and_host_ips_inside_as_prefix() {
+    fn router_ip_inside_as_prefix() {
         let p = as_prefix(7).unwrap();
         let r = router_ip(7).unwrap();
         assert!(p.contains(r));
         assert_eq!(r, Ipv4Addr::new(10, 7, 0, 1));
-        let h = host_ip(7, 0).unwrap();
-        assert_eq!(h, Ipv4Addr::new(10, 7, 1, 1));
-        assert!(p.contains(h));
-        assert_ne!(r, h);
     }
 
     #[test]
@@ -174,9 +152,10 @@ mod tests {
         let plan = AddressPlan::build(20, 40).unwrap();
         assert_eq!(plan.as_prefixes.len(), 20);
         assert_eq!(plan.link_nets.len(), 40);
-        assert_eq!(plan.owner_of(Ipv4Addr::new(10, 3, 9, 9)), Some(3));
-        assert_eq!(plan.owner_of(Ipv4Addr::new(172, 16, 0, 1)), None);
-        assert_eq!(plan.owner_of(Ipv4Addr::new(8, 8, 8, 8)), None);
+        let owner = |ip| plan.as_prefixes.iter().position(|p| p.contains(ip));
+        assert_eq!(owner(Ipv4Addr::new(10, 3, 9, 9)), Some(3));
+        assert_eq!(owner(Ipv4Addr::new(172, 16, 0, 1)), None, "transfer net");
+        assert_eq!(owner(Ipv4Addr::new(8, 8, 8, 8)), None);
     }
 
     #[test]

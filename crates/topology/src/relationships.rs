@@ -144,16 +144,6 @@ impl AsGraph {
         g
     }
 
-    /// Vertex index of an ASN.
-    pub fn index_of(&self, asn: Asn) -> Option<usize> {
-        self.asns.iter().position(|&a| a == asn)
-    }
-
-    /// Edges incident to `v`.
-    pub fn edges_of(&self, v: usize) -> impl Iterator<Item = &AsEdge> {
-        self.edges.iter().filter(move |e| e.a == v || e.b == v)
-    }
-
     /// Customers of `v` (vertex indices).
     pub fn customers_of(&self, v: usize) -> Vec<usize> {
         self.edges
@@ -215,50 +205,6 @@ impl AsGraph {
             }
         }
         seen == n
-    }
-
-    /// Check a vertex-index path for valley-freeness under this graph's
-    /// relationships: once the path goes down (provider→customer) or
-    /// sideways (peer), it may never go up or sideways again.
-    pub fn is_valley_free(&self, path: &[usize]) -> bool {
-        let kind_between = |x: usize, y: usize| -> Option<Relationship> {
-            self.edges.iter().find_map(|e| {
-                if (e.a == x && e.b == y) || (e.a == y && e.b == x) {
-                    // Relationship of y from x's perspective.
-                    Some(e.relationship_from(x))
-                } else {
-                    None
-                }
-            })
-        };
-        let mut descending = false;
-        for w in path.windows(2) {
-            let step = match kind_between(w[0], w[1]) {
-                Some(r) => r,
-                None => return false, // not even a link
-            };
-            match step {
-                // Moving to my provider = going up.
-                Relationship::Provider => {
-                    if descending {
-                        return false;
-                    }
-                }
-                // Peer step: allowed once at the top; after it we descend.
-                Relationship::Peer => {
-                    if descending {
-                        return false;
-                    }
-                    descending = true;
-                }
-                // Moving to my customer = going down.
-                Relationship::Customer => {
-                    descending = true;
-                }
-                Relationship::Monitor => return false,
-            }
-        }
-        true
     }
 }
 
@@ -323,8 +269,6 @@ mod tests {
         let g2 = ag.to_graph();
         assert_eq!(g2.node_count(), g.node_count());
         assert_eq!(g2.edge_count(), g.edge_count());
-        assert_eq!(ag.index_of(Asn(104)), Some(4));
-        assert_eq!(ag.index_of(Asn(999)), None);
     }
 
     #[test]
@@ -350,49 +294,5 @@ mod tests {
             ],
         };
         assert!(!ag.provider_hierarchy_acyclic());
-    }
-
-    #[test]
-    fn valley_free_classification() {
-        // 0 provider of 1, 0 provider of 2, 1 peer 2, 3 customer of 1.
-        let ag = AsGraph {
-            asns: vec![Asn(1), Asn(2), Asn(3), Asn(4)],
-            edges: vec![
-                AsEdge {
-                    a: 0,
-                    b: 1,
-                    kind: EdgeKind::ProviderCustomer,
-                },
-                AsEdge {
-                    a: 0,
-                    b: 2,
-                    kind: EdgeKind::ProviderCustomer,
-                },
-                AsEdge {
-                    a: 1,
-                    b: 2,
-                    kind: EdgeKind::PeerPeer,
-                },
-                AsEdge {
-                    a: 1,
-                    b: 3,
-                    kind: EdgeKind::ProviderCustomer,
-                },
-            ],
-        };
-        // up then down: 3 -> 1 -> 0 ... wait 3->1 is up (1 is provider of 3),
-        // 1 -> 0 is up again, fine.
-        assert!(ag.is_valley_free(&[3, 1, 0]));
-        // up, peer, (end): fine.
-        assert!(ag.is_valley_free(&[3, 1, 2]));
-        // down then up is a valley: 0 -> 1 (down) -> ... 1 -> 0? use 0->1->0 invalid (repeat);
-        // 0 -> 2 (down), 2 -> 1 (peer after descending) must fail.
-        assert!(!ag.is_valley_free(&[0, 2, 1]));
-        // peer then up must fail: 2 -> 1 (peer), 1 -> 0 (up).
-        assert!(!ag.is_valley_free(&[2, 1, 0]));
-        // down then down is fine: 0 -> 1 -> 3.
-        assert!(ag.is_valley_free(&[0, 1, 3]));
-        // non-adjacent hop is not valley-free.
-        assert!(!ag.is_valley_free(&[3, 0]));
     }
 }

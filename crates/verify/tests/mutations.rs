@@ -432,29 +432,6 @@ fn valley_path_is_caught() {
 }
 
 #[test]
-fn up_then_down_path_is_valley_free() {
-    // as20 is as30's provider and as10's provider: as30 -> as20 climbs,
-    // as20 -> as10 descends. Perfectly valley-free.
-    let snap = valley_snapshot(
-        vec![
-            EdgeRel {
-                a: 1,
-                b: 0,
-                kind: RelKind::ProviderCustomer, // as20 provider of as10
-            },
-            EdgeRel {
-                a: 1,
-                b: 2,
-                kind: RelKind::ProviderCustomer, // as20 provider of as30
-            },
-        ],
-        vec![Asn(20), Asn(10)],
-    );
-    let report = Verifier::new().verify(&snap);
-    assert!(report.ok(), "report:\n{}", report.render());
-}
-
-#[test]
 fn two_peer_hops_violate_valley_freeness() {
     let snap = valley_snapshot(
         vec![
@@ -473,6 +450,65 @@ fn two_peer_hops_violate_valley_freeness() {
     );
     let report = Verifier::new().verify(&snap);
     assert_eq!(report.count_of(ViolationKind::Valley), 1);
+}
+
+/// Valley-free classification on Gao-Rexford snapshots: as30's route
+/// crosses as30 -> as20 -> as10, and a violation names the AS where the
+/// bad hop starts.
+#[test]
+fn valley_rule_classifies_chains_peers_and_gaps() {
+    let pc = |a, b| EdgeRel {
+        a,
+        b,
+        kind: RelKind::ProviderCustomer, // a is b's provider
+    };
+    let peer = |a, b| EdgeRel {
+        a,
+        b,
+        kind: RelKind::PeerPeer,
+    };
+    let cases = [
+        ("customer-to-provider chain", vec![pc(1, 2), pc(0, 1)], None),
+        ("provider-to-customer chain", vec![pc(2, 1), pc(1, 0)], None),
+        ("climb then descent", vec![pc(1, 2), pc(1, 0)], None),
+        ("climb then one peer hop", vec![pc(1, 2), peer(0, 1)], None),
+        (
+            "peer hop after a descent",
+            vec![pc(2, 1), peer(0, 1)],
+            Some(("as20", "climbs after descending")),
+        ),
+        (
+            "climb after a peer hop",
+            vec![peer(1, 2), pc(0, 1)],
+            Some(("as20", "climbs after descending")),
+        ),
+        (
+            "non-adjacent hop",
+            vec![pc(0, 1)],
+            Some(("as30", "non-adjacent hop")),
+        ),
+    ];
+    for (name, edges, want) in cases {
+        let snap = valley_snapshot(edges, vec![Asn(20), Asn(10)]);
+        let report = Verifier::new().verify(&snap);
+        let valleys: Vec<_> = report
+            .violations
+            .iter()
+            .filter(|v| v.kind == ViolationKind::Valley)
+            .collect();
+        match want {
+            None => assert!(report.ok(), "{name}:\n{}", report.render()),
+            Some((node, reason)) => {
+                assert_eq!(valleys.len(), 1, "{name}:\n{}", report.render());
+                assert_eq!(valleys[0].node, node, "{name}: the bad hop starts there");
+                assert!(
+                    valleys[0].detail.contains(reason),
+                    "{name}: {}",
+                    valleys[0].detail
+                );
+            }
+        }
+    }
 }
 
 #[test]

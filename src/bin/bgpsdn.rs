@@ -817,9 +817,8 @@ fn cmd_explain(path: &str, args: &Args) -> Result<(), String> {
 }
 
 /// Offline verification of a run artifact: find the frozen
-/// `{"type":"snapshot",...}` line and run the full invariant suite over
-/// it. Older artifacts without a snapshot line fall back to summarizing
-/// any `verify_violation` events recorded during the run.
+/// `{"type":"snapshot",...}` line that every artifact writer emits and run
+/// the full invariant suite over it. A file without one is an error.
 fn cmd_verify(args: &Args) -> Result<(), String> {
     let Some(path) = args.get_str("snapshot") else {
         return Err("--snapshot FILE is required".into());
@@ -832,41 +831,23 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
             snap = Some(Snapshot::from_json(&v)?);
         }
     }
-    if let Some(snap) = snap {
-        let mut verifier = Verifier::new();
-        let report = verifier.verify(&snap);
-        print!("{}", report.render());
-        return if report.ok() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} invariant violation(s)",
-                report.violations.len()
-            ))
-        };
+    let Some(snap) = snap else {
+        return Err(format!(
+            "{path} has no snapshot line ({{\"type\":\"snapshot\",...}}); `bgpsdn report {path}` \
+             lists the verify_violation events the run recorded"
+        ));
+    };
+    let mut verifier = Verifier::new();
+    let report = verifier.verify(&snap);
+    print!("{}", report.render());
+    if report.ok() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{} invariant violation(s)",
+            report.violations.len()
+        ))
     }
-    // No snapshot line: PR-1-era artifact. Report what the run recorded.
-    let artifact = RunArtifact::parse(&text)?;
-    let analysis = RunAnalysis::from_artifact(&artifact);
-    println!(
-        "no snapshot line in {path}; scanned {} events for recorded violations",
-        artifact.events.len()
-    );
-    if analysis.verify_violations.is_empty() {
-        println!("no verify_violation events recorded");
-        return Ok(());
-    }
-    for (t, check, prefix, offender, witness) in &analysis.verify_violations {
-        let p = prefix.as_deref().unwrap_or("-");
-        println!(
-            "t={:.3}s [{check}] {p} at {offender}: {witness}",
-            *t as f64 / 1e9
-        );
-    }
-    Err(format!(
-        "{} recorded violation(s)",
-        analysis.verify_violations.len()
-    ))
 }
 
 fn cmd_ping(args: &Args) -> Result<(), String> {

@@ -102,8 +102,9 @@ fn profiled_runs_canonicalize_identically() {
     assert!(out1.converged && out2.converged);
     assert_eq!(out1.convergence, out2.convergence, "sim time is exact");
 
-    let a = exp1.net.sim.trace().export_jsonl();
-    let b = exp2.net.sim.trace().export_jsonl();
+    let (mut a, mut b) = (String::new(), String::new());
+    exp1.net.sim.trace().export_jsonl_into(&mut a);
+    exp2.net.sim.trace().export_jsonl_into(&mut b);
     let (ca, cb) = (canonicalize_jsonl(&a), canonicalize_jsonl(&b));
     assert!(!ca.is_empty());
     assert_eq!(

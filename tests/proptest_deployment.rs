@@ -31,7 +31,9 @@ fn run_withdrawal(
     let report = exp.wait_converged(deadline);
     assert!(report.converged, "withdrawal did not converge");
     exp.finish();
-    (exp.net.sim.trace().export_jsonl(), report.duration)
+    let mut jsonl = String::new();
+    exp.net.sim.trace().export_jsonl_into(&mut jsonl);
+    (jsonl, report.duration)
 }
 
 proptest! {
