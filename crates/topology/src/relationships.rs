@@ -295,4 +295,62 @@ mod tests {
         };
         assert!(!ag.provider_hierarchy_acyclic());
     }
+
+    #[test]
+    fn valley_free_classification() {
+        // 0 provider of 1, 0 provider of 2, 1 peer 2, 3 customer of 1.
+        let ag = AsGraph {
+            asns: vec![Asn(1), Asn(2), Asn(3), Asn(4)],
+            edges: vec![
+                AsEdge {
+                    a: 0,
+                    b: 1,
+                    kind: EdgeKind::ProviderCustomer,
+                },
+                AsEdge {
+                    a: 0,
+                    b: 2,
+                    kind: EdgeKind::ProviderCustomer,
+                },
+                AsEdge {
+                    a: 1,
+                    b: 2,
+                    kind: EdgeKind::PeerPeer,
+                },
+                AsEdge {
+                    a: 1,
+                    b: 3,
+                    kind: EdgeKind::ProviderCustomer,
+                },
+            ],
+        };
+        // The relationship of each hop's far end as seen from its near end:
+        // the up / peer / down sequence a valley-free check reads.
+        let hops = |path: &[usize]| -> Option<Vec<Relationship>> {
+            path.windows(2)
+                .map(|w| {
+                    ag.edges
+                        .iter()
+                        .find(|e| (e.a, e.b) == (w[0], w[1]) || (e.a, e.b) == (w[1], w[0]))
+                        .map(|e| e.relationship_from(w[0]))
+                })
+                .collect()
+        };
+        use Relationship::{Customer, Peer, Provider};
+        // up, up: valley-free.
+        assert_eq!(hops(&[3, 1, 0]), Some(vec![Provider, Provider]));
+        // up, peer: valley-free.
+        assert_eq!(hops(&[3, 1, 2]), Some(vec![Provider, Peer]));
+        // down, then peer: a valley.
+        assert_eq!(hops(&[0, 2, 1]), Some(vec![Customer, Peer]));
+        // peer, then up: a valley.
+        assert_eq!(hops(&[2, 1, 0]), Some(vec![Peer, Provider]));
+        // down, down: valley-free.
+        assert_eq!(hops(&[0, 1, 3]), Some(vec![Customer, Customer]));
+        // A non-adjacent hop has no relationship at all.
+        assert_eq!(hops(&[3, 0]), None);
+        assert_eq!(ag.providers_of(3), vec![1]);
+        assert_eq!(ag.customers_of(0), vec![1, 2]);
+        assert!(ag.provider_hierarchy_acyclic());
+    }
 }

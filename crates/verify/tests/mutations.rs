@@ -432,6 +432,29 @@ fn valley_path_is_caught() {
 }
 
 #[test]
+fn up_then_down_path_is_valley_free() {
+    // as20 is as30's provider and as10's provider: as30 -> as20 climbs,
+    // as20 -> as10 descends. Perfectly valley-free.
+    let snap = valley_snapshot(
+        vec![
+            EdgeRel {
+                a: 1,
+                b: 0,
+                kind: RelKind::ProviderCustomer, // as20 provider of as10
+            },
+            EdgeRel {
+                a: 1,
+                b: 2,
+                kind: RelKind::ProviderCustomer, // as20 provider of as30
+            },
+        ],
+        vec![Asn(20), Asn(10)],
+    );
+    let report = Verifier::new().verify(&snap);
+    assert!(report.ok(), "report:\n{}", report.render());
+}
+
+#[test]
 fn two_peer_hops_violate_valley_freeness() {
     let snap = valley_snapshot(
         vec![
@@ -470,7 +493,6 @@ fn valley_rule_classifies_chains_peers_and_gaps() {
     let cases = [
         ("customer-to-provider chain", vec![pc(1, 2), pc(0, 1)], None),
         ("provider-to-customer chain", vec![pc(2, 1), pc(1, 0)], None),
-        ("climb then descent", vec![pc(1, 2), pc(1, 0)], None),
         ("climb then one peer hop", vec![pc(1, 2), peer(0, 1)], None),
         (
             "peer hop after a descent",
