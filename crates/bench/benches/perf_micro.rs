@@ -13,8 +13,8 @@ use bgpsdn_bgp::{
     RouteSource, RouterCommand, RouterId, TimingConfig, UpdateMsg,
 };
 use bgpsdn_core::{
-    compute, compute_into, run_clique, CliqueScenario, ComputeScratch, Controller, EventKind,
-    Experiment, ExternalRoute, NetworkBuilder, PrefixComputation, SwitchGraph,
+    compute, compute_into, ComputeScratch, Controller, Experiment, ExternalRoute, JobSpec,
+    NetworkBuilder, PrefixComputation, SwitchGraph,
 };
 use bgpsdn_netsim::{
     Ctx, EventBody, EventQueue, LinkId, Node, NodeId, SimDuration, SimRng, SimTime, Simulator,
@@ -339,16 +339,14 @@ fn bench_trace_codec(c: &mut Criterion) {
 fn bench_end_to_end(c: &mut Criterion) {
     // A full framework run: build + bring-up + withdrawal + convergence on
     // a 8-AS clique with half the ASes centralized (MRAI 0 keeps it tight).
-    let scenario = CliqueScenario {
-        n: 8,
-        sdn_count: 4,
-        mrai: SimDuration::ZERO,
+    let spec = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::ZERO),
         recompute_delay: SimDuration::from_millis(10),
         seed: 7,
-        control_loss: 0.0,
+        ..JobSpec::clique(8, 4)
     };
     c.bench_function("framework_8clique_withdrawal_e2e", |b| {
-        b.iter(|| run_clique(black_box(&scenario), EventKind::Withdrawal))
+        b.iter(|| black_box(&spec).run(|_| {}).0)
     });
 }
 

@@ -13,12 +13,10 @@
 //! ratio (random median / degree median) is written beside the rows.
 
 use bgpsdn_bench::{write_json, RUNS};
-use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{DeploymentStrategy, Experiment, NetworkBuilder};
-use bgpsdn_netsim::{SimDuration, SimRng, Summary};
+use bgpsdn_core::{DeploymentStrategy, JobSpec, Topology};
+use bgpsdn_netsim::Summary;
 use bgpsdn_obs::impl_to_json;
-use bgpsdn_topology::caida::{synthesize, SynthesisParams};
-use bgpsdn_topology::plan;
+use bgpsdn_topology::caida::SynthesisParams;
 
 /// Member budget: the tier-1 clique plus half the mid tier.
 const TOTAL_MEMBERS: usize = 8;
@@ -49,41 +47,32 @@ fn strategy_for(name: &'static str, clusters: usize) -> DeploymentStrategy {
 }
 
 fn sweep_point(name: &'static str, clusters: usize) -> Row {
-    let hour = SimDuration::from_secs(3600);
     let mut times = Vec::new();
     let mut updates = Vec::new();
     for r in 0..RUNS {
         // Same topology + seed per run index across strategies: the only
         // thing that differs between the compared cells is the placement.
-        let mut rng = SimRng::seed_from_u64(15000 + r);
-        let params = SynthesisParams {
-            tier1: 3,
-            mid: 10,
-            stubs: 24,
-            ..SynthesisParams::default()
+        let topology = Topology::Hierarchy {
+            params: SynthesisParams {
+                tier1: 3,
+                mid: 10,
+                stubs: 24,
+                ..SynthesisParams::default()
+            },
+            seed: 15000 + r,
         };
-        let ag = synthesize(&params, &mut rng);
-        let n = ag.len();
-        let tp = plan(
-            ag,
-            PolicyMode::AllPermit,
-            TimingConfig::with_mrai(SimDuration::from_secs(30)),
-        )
-        .unwrap();
-        let net = NetworkBuilder::new(tp, 15100 + r)
-            .with_deployment(strategy_for(name, clusters))
-            .build();
-        let mut exp = Experiment::new(net);
-        assert!(exp.start(hour).converged, "bring-up");
-        let stub = n - 1;
-        exp.mark();
-        exp.withdraw(stub, None);
-        let rep = exp.wait_converged(hour);
-        assert!(rep.converged, "withdrawal convergence");
-        assert!(exp.prefix_fully_gone(exp.net.ases[stub].prefix));
-        times.push(rep.duration);
-        // `updates_sent` counts since the mark — exactly the re-convergence.
-        updates.push(exp.updates_sent() as f64);
+        let spec = JobSpec {
+            deployment: strategy_for(name, clusters),
+            origin: topology.as_count() - 1,
+            seed: 15100 + r,
+            ..JobSpec::new(topology)
+        };
+        let (out, _) = spec.run(|_| {});
+        assert!(out.converged, "withdrawal convergence");
+        assert!(out.audit_ok, "the withdrawn stub prefix must be gone");
+        times.push(out.convergence);
+        // Updates count from the withdrawal on — exactly the re-convergence.
+        updates.push(out.updates as f64);
     }
     let s = Summary::of_durations(&times).unwrap();
     Row {

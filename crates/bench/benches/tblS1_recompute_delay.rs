@@ -9,7 +9,7 @@
 //! time; zero delay recomputes per update.
 
 use bgpsdn_bench::{write_json, RUNS};
-use bgpsdn_core::{run_clique_with, CliqueRunOptions, CliqueScenario, EventKind};
+use bgpsdn_core::JobSpec;
 use bgpsdn_netsim::{SimDuration, Summary};
 use bgpsdn_obs::impl_to_json;
 
@@ -44,16 +44,12 @@ fn main() {
         let mut flow_mods = Vec::new();
         let mut anns = Vec::new();
         for r in 0..RUNS {
-            let scenario = CliqueScenario {
-                n: 16,
-                sdn_count: 8,
-                mrai: SimDuration::from_secs(30),
+            let spec = JobSpec {
                 recompute_delay: SimDuration::from_millis(delay_ms),
                 seed: 4000 + r * 7919,
-                control_loss: 0.0,
+                ..JobSpec::clique(16, 8)
             };
-            let opts = CliqueRunOptions::default();
-            let (out, exp) = run_clique_with(&scenario, EventKind::Withdrawal, &opts, |_| {});
+            let (out, exp) = spec.run(|_| {});
             assert!(out.converged && out.audit_ok);
             times.push(out.convergence);
             let c = exp.net.controller.unwrap();

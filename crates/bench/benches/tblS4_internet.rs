@@ -5,45 +5,36 @@
 //! (paper refs [8,9]) envisions.
 
 use bgpsdn_bench::{print_sweep, write_json, SweepRow, RUNS};
-use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{Experiment, NetworkBuilder};
-use bgpsdn_netsim::{SimDuration, SimRng};
-use bgpsdn_topology::caida::{synthesize, SynthesisParams};
-use bgpsdn_topology::plan;
+use bgpsdn_bgp::PolicyMode;
+use bgpsdn_core::{DeploymentStrategy, JobSpec, Topology};
+use bgpsdn_topology::caida::SynthesisParams;
 
 fn main() {
     println!("== Table S4: internet-like topology, cluster size sweep ==");
     println!("~100-AS CAIDA-style hierarchy (4 tier-1 + 16 mid + 80 stubs),");
     println!("Gao-Rexford, MRAI 30 s, withdrawal at a multihomed stub, {RUNS} runs/point\n");
 
-    let hour = SimDuration::from_secs(3600);
     let mut rows = Vec::new();
-    // Cluster sizes: none, tier-1s only, +half the mid tier, +all mids.
+    // Cluster sizes: none, tier-1s only, +half the mid tier, +all mids —
+    // the lowest AS indices, which the hierarchy numbers tier by tier.
     for &cluster_size in &[0usize, 4, 12, 20] {
         let mut times = Vec::new();
         for r in 0..RUNS {
-            let mut rng = SimRng::seed_from_u64(8000 + r);
-            let params = SynthesisParams::default();
-            let ag = synthesize(&params, &mut rng);
-            let n = ag.len();
-            let tp = plan(
-                ag,
-                PolicyMode::GaoRexford,
-                TimingConfig::with_mrai(SimDuration::from_secs(30)),
-            )
-            .unwrap();
-            let net = NetworkBuilder::new(tp, 8100 + r)
-                .with_sdn_members(0..cluster_size)
-                .build();
-            let mut exp = Experiment::new(net);
-            assert!(exp.start(hour).converged, "bring-up");
-            let stub = n - 1;
-            exp.mark();
-            exp.withdraw(stub, None);
-            let rep = exp.wait_converged(hour);
-            assert!(rep.converged, "withdrawal convergence");
-            assert!(exp.prefix_fully_gone(exp.net.ases[stub].prefix));
-            times.push(rep.duration);
+            let topology = Topology::Hierarchy {
+                params: SynthesisParams::default(),
+                seed: 8000 + r,
+            };
+            let spec = JobSpec {
+                policy: PolicyMode::GaoRexford,
+                deployment: DeploymentStrategy::Explicit(vec![(0..cluster_size).collect()]),
+                origin: topology.as_count() - 1,
+                seed: 8100 + r,
+                ..JobSpec::new(topology)
+            };
+            let (out, _) = spec.run(|_| {});
+            assert!(out.converged, "withdrawal convergence");
+            assert!(out.audit_ok, "the withdrawn stub prefix must be gone");
+            times.push(out.convergence);
         }
         rows.push(SweepRow::from_durations(cluster_size as f64, &times));
     }

@@ -5,7 +5,7 @@
 //! routes, which is *why* convergence improves in Figure 2.
 
 use bgpsdn_bench::{write_json, RUNS};
-use bgpsdn_core::{run_clique_with, CliqueRunOptions, CliqueScenario, EventKind};
+use bgpsdn_core::JobSpec;
 use bgpsdn_netsim::SimTime;
 use bgpsdn_obs::impl_to_json;
 
@@ -38,13 +38,11 @@ fn main() {
         let mut max_paths = 0usize;
         let mut updates = Vec::new();
         for r in 0..RUNS {
-            let scenario = CliqueScenario {
+            let spec = JobSpec {
                 seed: 9000 + r * 7919,
-                control_loss: 0.0,
-                ..CliqueScenario::fig2(sdn_count, 0)
+                ..JobSpec::clique(16, sdn_count)
             };
-            let opts = CliqueRunOptions::default();
-            let (out, exp) = run_clique_with(&scenario, EventKind::Withdrawal, &opts, |_| {});
+            let (out, exp) = spec.run(|_| {});
             assert!(out.converged && out.audit_ok);
             updates.push(out.updates as f64);
             let collector = exp.net.collector.expect("collector enabled");

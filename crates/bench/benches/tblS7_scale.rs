@@ -8,8 +8,85 @@
 //! `core.controller.recompute_ms` and `perf_micro`'s `controller/recompute`.
 
 use bgpsdn_bench::{write_json, RUNS};
-use bgpsdn_core::{run_scale_instrumented, Experiment, ScaleScenario, SCALE_UPDATE_PHASE};
+use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
+use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, Topology};
+use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::{impl_to_json, RecomputeTrigger, TraceCategory, TraceEvent};
+use bgpsdn_topology::caida::SynthesisParams;
+
+/// Tier sizes: ~64 ASes, the whole tier-1 mesh centralized.
+const TIER1: usize = 4;
+const MID: usize = 12;
+const STUBS: usize = 48;
+/// Extra /24 sub-prefixes each stub announces during the seeding phase.
+const PER_STUB: usize = 4;
+/// Prefixes tracked once seeded: every AS's own /16 plus the stub /24s.
+const PREFIXES: usize = TIER1 + MID + STUBS + STUBS * PER_STUB;
+/// The phase the single-prefix update runs under in the trace.
+const UPDATE_PHASE: &str = "single-update";
+const HOUR: SimDuration = SimDuration::from_secs(3600);
+
+/// The job: a tiered hierarchy (topology and simulator seeded alike) with
+/// its tier-1 mesh in one cluster, Gao–Rexford, MRAI 0 to keep runs tight.
+fn spec(seed: u64) -> JobSpec {
+    let params = SynthesisParams {
+        tier1: TIER1,
+        mid: MID,
+        stubs: STUBS,
+        ..SynthesisParams::default()
+    };
+    JobSpec {
+        policy: PolicyMode::GaoRexford,
+        deployment: DeploymentStrategy::PerTier {
+            clusters: 1,
+            total: TIER1,
+        },
+        timing: TimingConfig::with_mrai(SimDuration::ZERO),
+        seed,
+        ..JobSpec::new(Topology::Hierarchy { params, seed })
+    }
+}
+
+/// The `j`-th /24 inside a stub's /16 block.
+fn sub_prefix(base: Prefix, j: usize) -> Prefix {
+    Prefix::new(base.nth((j as u64) << 8), 24).expect("aligned /24 inside the /16")
+}
+
+/// Bring the job's network up, let every stub announce its sub-prefixes in
+/// one burst, reach steady state, then announce one more prefix from the
+/// first stub. Returns that update's convergence time, whether every phase
+/// converged and the new prefix reached every AS, and the experiment.
+fn seed_then_probe(seed: u64, incremental: bool) -> (SimDuration, bool, Experiment) {
+    let mut builder = spec(seed).builder();
+    if !incremental {
+        builder = builder.with_full_recompute();
+    }
+    let mut exp = Experiment::new(builder.build());
+    exp.net.sim.trace_mut().enable(TraceCategory::Route);
+    exp.net.sim.trace_mut().enable(TraceCategory::Experiment);
+    assert!(exp.start(HOUR).converged, "scale bring-up did not converge");
+
+    exp.mark_named("seeding");
+    let stubs = TIER1 + MID..TIER1 + MID + STUBS;
+    for i in stubs.clone() {
+        let base = exp.net.ases[i].prefix;
+        for j in 0..PER_STUB {
+            exp.announce(i, Some(sub_prefix(base, j)));
+        }
+    }
+    let seeding = exp.wait_converged(HOUR);
+
+    let origin = stubs.start;
+    let update_prefix = sub_prefix(exp.net.ases[origin].prefix, PER_STUB);
+    exp.mark_named(UPDATE_PHASE);
+    exp.announce(origin, Some(update_prefix));
+    let update = exp.wait_converged(HOUR);
+    let ok = seeding.converged
+        && update.converged
+        && exp.prefix_reachable_from_all(update_prefix, origin);
+    exp.finish();
+    (update.duration, ok, exp)
+}
 
 /// Prefixes recomputed by each update-batch recompute that ran during the
 /// single-update phase.
@@ -18,7 +95,7 @@ fn update_phase_recomputes(exp: &Experiment) -> Vec<u64> {
     let mut out = Vec::new();
     for r in exp.net.sim.trace().records() {
         match &r.event {
-            TraceEvent::Phase { name, started } if name == SCALE_UPDATE_PHASE => {
+            TraceEvent::Phase { name, started } if name == UPDATE_PHASE => {
                 in_update = *started;
             }
             TraceEvent::ControllerRecompute {
@@ -59,18 +136,13 @@ fn run_variant(incremental: bool) -> VariantRow {
     let mut tracked = 0u64;
     let mut conv = 0.0f64;
     for r in 0..RUNS {
-        let scenario = ScaleScenario {
-            incremental,
-            ..ScaleScenario::tbl_s7(9000 + r)
-        };
-        let (out, exp) = run_scale_instrumented(&scenario, |sim| {
-            sim.trace_mut().enable(TraceCategory::Route);
-            sim.trace_mut().enable(TraceCategory::Experiment);
-        });
-        assert!(out.converged, "scale run did not converge");
-        assert!(out.audit_ok, "new prefix must be reachable everywhere");
-        tracked = tracked.max(scenario.expected_prefixes() as u64);
-        conv += out.update_convergence.as_secs_f64();
+        let (update_convergence, ok, exp) = seed_then_probe(9000 + r, incremental);
+        assert!(
+            ok,
+            "scale run must converge and reach every AS with the new prefix"
+        );
+        tracked = tracked.max(PREFIXES as u64);
+        conv += update_convergence.as_secs_f64();
         let recs = update_phase_recomputes(&exp);
         assert!(
             !recs.is_empty(),
@@ -108,13 +180,10 @@ fn run_variant(incremental: bool) -> VariantRow {
 }
 
 fn main() {
-    let scenario = ScaleScenario::tbl_s7(9000);
     println!("== Table S7: single-prefix update at scale, incremental vs full ==");
     println!(
-        "CAIDA-style hierarchy ({} ASes, tier-1 cluster of {}), {} prefixes",
-        scenario.n(),
-        scenario.cluster_size,
-        scenario.expected_prefixes()
+        "CAIDA-style hierarchy ({} ASes, tier-1 cluster of {TIER1}), {PREFIXES} prefixes",
+        TIER1 + MID + STUBS
     );
     println!("steady state, then one new /24 from a stub; {RUNS} runs/variant\n");
 

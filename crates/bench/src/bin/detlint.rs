@@ -12,12 +12,14 @@
 //! `pub fn` is uncalled, 1 on any new or increased hazard, a baseline row
 //! naming a missing file, or an uncalled `pub fn`, 2 on usage or IO
 //! errors. `--write` regenerates the baseline after an audited change.
+//! On success it also prints the size of `src` and `crates/*/src`: lines
+//! before each file's first `#[cfg(test)]`, and `pub fn` definitions.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use bgpsdn_bench::detlint::{
-    diff, parse_baseline, render_baseline, scan_tree, uncalled_pub_fns, Drift,
+    diff, parse_baseline, render_baseline, scan_tree, tree_size, uncalled_pub_fns, Drift,
 };
 
 /// The source roots the lint guards, relative to the workspace root:
@@ -44,22 +46,30 @@ const GUARDED: &[&str] = &[
 /// `benchmark/` harness counts: what it calls stays public.
 const CALLER_ROOTS: &[&str] = &["src", "tests", "examples", "benchmark/src"];
 
+/// `crates/*/<sub>` for each of `subs`, the directories that exist.
+fn crate_dirs(root: &Path, subs: &[&str]) -> Result<Vec<PathBuf>, String> {
+    let crates = root.join("crates");
+    let entries =
+        std::fs::read_dir(&crates).map_err(|e| format!("reading {}: {e}", crates.display()))?;
+    let mut dirs = Vec::new();
+    for entry in entries {
+        let dir = entry
+            .map_err(|e| format!("reading {}: {e}", crates.display()))?
+            .path();
+        dirs.extend(subs.iter().map(|sub| dir.join(sub)));
+    }
+    dirs.retain(|p| p.is_dir());
+    Ok(dirs)
+}
+
 /// Every `pub fn` that no other file calls, as one line each; empty when
 /// the public surface is all in use.
 fn uncalled_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, String> {
     let mut defining = guarded.to_vec();
     defining.push(root.join("crates/bench/src"));
     let mut callers: Vec<PathBuf> = CALLER_ROOTS.iter().map(|r| root.join(r)).collect();
-    let crates = root.join("crates");
-    let entries =
-        std::fs::read_dir(&crates).map_err(|e| format!("reading {}: {e}", crates.display()))?;
-    for entry in entries {
-        let dir = entry
-            .map_err(|e| format!("reading {}: {e}", crates.display()))?
-            .path();
-        callers.extend(["src", "tests", "benches"].map(|sub| dir.join(sub)));
-    }
     callers.retain(|p| p.is_dir());
+    callers.extend(crate_dirs(root, &["src", "tests", "benches"])?);
     Ok(uncalled_pub_fns(root, &defining, &callers)?
         .into_iter()
         .map(|f| {
@@ -204,6 +214,16 @@ fn main() -> ExitCode {
         eprintln!("detlint: FAILED (baseline: {})", baseline_path.display());
         return ExitCode::FAILURE;
     }
+    let size = match crate_dirs(&root, &["src"]).and_then(|mut dirs| {
+        dirs.push(root.join("src"));
+        tree_size(&root, &dirs)
+    }) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("detlint: {e}");
+            return ExitCode::from(2);
+        }
+    };
     println!(
         "detlint: ok ({} files scanned against {} baseline entries; 0 uncalled pub fn)",
         current
@@ -212,6 +232,10 @@ fn main() -> ExitCode {
             .collect::<std::collections::BTreeSet<_>>()
             .len(),
         baseline.len()
+    );
+    println!(
+        "detlint: size of src and crates/*/src: {} non-test lines, {} pub fn",
+        size.lines, size.pub_fns
     );
     ExitCode::SUCCESS
 }

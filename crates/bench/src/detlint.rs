@@ -163,34 +163,69 @@ fn idents(line: &str) -> impl Iterator<Item = &str> {
         .filter(|t| t.starts_with(|c: char| c.is_alphabetic() || c == '_'))
 }
 
-/// The `pub fn` names a file defines before its first `#[cfg(test)]`
-/// (`const`, `async` and `unsafe` ones included), with their 1-based
-/// lines. A definition whose line carries [`ALLOW_MARKER`] is left out.
+/// The name a line defines as a `pub fn` (`const`, `async` and `unsafe`
+/// ones included), if it does.
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let trimmed = line.trim_start();
+    if trimmed.starts_with("//") {
+        return None;
+    }
+    let mut toks = idents(trimmed);
+    if toks.next() != Some("pub") {
+        return None;
+    }
+    let mut tok = toks.next();
+    while matches!(tok, Some("const" | "async" | "unsafe")) {
+        tok = toks.next();
+    }
+    if tok == Some("fn") {
+        toks.next()
+    } else {
+        None
+    }
+}
+
+/// A file's lines before its first `#[cfg(test)]`.
+fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"))
+}
+
+/// The `pub fn` names a file defines before its first `#[cfg(test)]`,
+/// with their 1-based lines. A definition whose line carries
+/// [`ALLOW_MARKER`] is left out.
 fn pub_fns(text: &str) -> Vec<(usize, String)> {
-    let mut found = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("#[cfg(test)]") {
-            break;
-        }
-        if trimmed.starts_with("//") || line.contains(ALLOW_MARKER) {
-            continue;
-        }
-        let mut toks = idents(trimmed);
-        if toks.next() != Some("pub") {
-            continue;
-        }
-        let mut tok = toks.next();
-        while matches!(tok, Some("const" | "async" | "unsafe")) {
-            tok = toks.next();
-        }
-        if tok == Some("fn") {
-            if let Some(name) = toks.next() {
-                found.push((i + 1, name.to_string()));
-            }
+    non_test_lines(text)
+        .enumerate()
+        .filter(|(_, line)| !line.contains(ALLOW_MARKER))
+        .filter_map(|(i, line)| pub_fn_name(line).map(|name| (i + 1, name.to_string())))
+        .collect()
+}
+
+/// How big a source tree is, in the two numbers the ROADMAP tracks.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct TreeSize {
+    /// Lines before the first `#[cfg(test)]` of each `.rs` file.
+    pub lines: usize,
+    /// `pub fn` definitions among those lines, exempted ones included.
+    pub pub_fns: usize,
+}
+
+/// Count the non-test lines and `pub fn` definitions of every `.rs` file
+/// under `roots`.
+///
+/// # Errors
+///
+/// Propagates IO errors reading directories or files.
+pub fn tree_size(base: &Path, roots: &[PathBuf]) -> Result<TreeSize, String> {
+    let mut size = TreeSize::default();
+    for (_, text) in read_tree(base, roots)? {
+        for line in non_test_lines(&text) {
+            size.lines += 1;
+            size.pub_fns += usize::from(pub_fn_name(line).is_some());
         }
     }
-    found
+    Ok(size)
 }
 
 /// The identifier tokens a file mentions as code: comments and `use`
@@ -490,5 +525,41 @@ fn main() {
             ]
         );
         assert!(found.iter().all(|f| f.path == "lib/a.rs"));
+    }
+
+    #[test]
+    fn tree_size_counts_non_test_lines_and_pub_fns() {
+        let dir = std::env::temp_dir().join(format!("detlint-size-{}", std::process::id()));
+        let src = dir.join("src");
+        std::fs::create_dir_all(src.join("nested")).unwrap();
+        std::fs::write(
+            src.join("a.rs"),
+            "\
+//! Module docs count as lines.
+// pub fn in_a_comment() {}
+pub fn one() {}
+pub(crate) fn crate_visible() {}
+pub const fn two() {}
+#[cfg(test)]
+mod tests {
+    pub fn test_helper() {}
+}
+",
+        )
+        .unwrap();
+        std::fs::write(
+            src.join("nested/b.rs"),
+            "pub fn three() {} // detlint: allow still counted\nfn private() {}\n",
+        )
+        .unwrap();
+        let size = tree_size(&dir, &[src]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            size,
+            TreeSize {
+                lines: 7,
+                pub_fns: 3
+            }
+        );
     }
 }

@@ -22,16 +22,17 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use bgpsdn_bgp::TimingConfig;
 use bgpsdn_netsim::{LatencyModel, SimDuration, TraceCategory};
 use bgpsdn_obs::{CampaignArtifact, CausalAnalysis, JobRecord, Json, PhaseBreakdown};
 
+use super::deploy::DeploymentStrategy;
 use super::experiment::Experiment;
 use super::faults::FaultSpec;
-use super::scenarios::{
-    clique_deployment, event_phase_name, run_clique_with, CliqueRunOptions, CliqueScenario,
-    EventKind, ScenarioOutcome,
+use super::job::{
+    event_phase_name, paper_deployment, EventKind, JobSpec, ScenarioOutcome, Topology,
 };
-use super::script::ScriptAction;
+use super::script::{Script, ScriptAction};
 
 /// A declarative parameter grid: the cartesian product of the swept axes,
 /// times `seeds` repetitions per cell.
@@ -231,19 +232,6 @@ pub fn job_seed(base: u64, cluster: u64, loss_ppm: u64, latency_ns: u64, seed_in
     h | 1
 }
 
-/// The job-level test behind [`CampaignGrid::default_deployment`].
-fn paper_deployment(clusters: usize, strategy: &str) -> bool {
-    clusters <= 1 && matches!(strategy, "" | "tail")
-}
-
-impl CliqueRunOptions {
-    /// True when the options describe the paper's deployment (see
-    /// [`CampaignGrid::default_deployment`]).
-    pub fn default_deployment(&self) -> bool {
-        paper_deployment(self.clusters, self.strategy)
-    }
-}
-
 /// Fold the deployment axes into a job seed. Identity for the paper's
 /// deployment, so Fig. 2 sweeps reproduce bit-for-bit; any other
 /// `(cluster count, strategy)` pair derives a distinct seed that — like
@@ -309,7 +297,57 @@ pub struct CampaignJob {
 }
 
 impl CampaignJob {
-    /// The clique scenario this job runs.
+    /// The job this grid point runs.
+    ///
+    /// Every cell gets a chaos schedule: fault classes the cell cannot run
+    /// are dropped for that job and named in the spec's note. Schedules
+    /// holding router or link faults switch the cell's hold timers on
+    /// (9 s), since silent data-plane outages are only detectable through
+    /// hold expiry.
+    ///
+    /// # Panics
+    ///
+    /// On an unknown strategy name, or — when the grid injects faults — a
+    /// deployment the clique cannot hold.
+    pub fn spec(&self) -> JobSpec {
+        let deployment =
+            DeploymentStrategy::by_name(self.strategy, self.clusters.max(1), self.cluster)
+                .unwrap_or_else(|| panic!("unknown deployment strategy `{}`", self.strategy));
+        let mut spec = JobSpec {
+            deployment,
+            timing: TimingConfig::with_mrai(self.mrai),
+            recompute_delay: self.recompute_delay,
+            control_loss: self.loss,
+            ctl_latency: LatencyModel::Fixed(self.ctl_latency),
+            event: self.event,
+            verify: self.verify,
+            seed: self.seed,
+            ..JobSpec::new(Topology::Clique { n: self.n })
+        };
+        if let Some(f) = self.faults {
+            // Target what the job will build: its event graph under its
+            // resolved deployment.
+            let graph = spec.graph();
+            let members = spec.clusters(&graph).concat();
+            let legacy: Vec<usize> = (0..graph.len()).filter(|i| !members.contains(i)).collect();
+            let links: Vec<(usize, usize)> = graph
+                .edges
+                .iter()
+                .map(|e| (e.a, e.b))
+                .filter(|(a, b)| legacy.contains(a) && legacy.contains(b))
+                .collect();
+            let (schedule, note) = f.schedule(self.seed, !members.is_empty(), &legacy, &links);
+            spec.note = note;
+            if schedule.steps.iter().any(ScriptAction::needs_hold_timers) {
+                spec.timing.hold_time_secs = 9;
+            }
+            spec.script = (!schedule.steps.is_empty()).then_some(schedule);
+        }
+        spec
+    }
+
+    /// The clique parameters of [`CampaignJob::spec`], as the frozen
+    /// benchmark harness rebuilds a Fig. 2 job from them.
     pub fn scenario(&self) -> CliqueScenario {
         CliqueScenario {
             n: self.n,
@@ -321,47 +359,87 @@ impl CampaignJob {
         }
     }
 
-    /// The run options this job carries (chaos schedule drawn from the job
-    /// seed, verification flag, latency override).
-    ///
-    /// Every cell gets a chaos schedule: fault classes the cell cannot run
-    /// are dropped for that job and named in an experiment note. Schedules
-    /// holding router or link faults switch the cell's hold timers on
-    /// (9 s), since silent data-plane outages are only detectable through
-    /// hold expiry.
+    /// The remaining knobs of [`CampaignJob::spec`], as the frozen
+    /// benchmark harness rebuilds a Fig. 2 job from them.
     pub fn run_options(&self) -> CliqueRunOptions {
-        let mut hold_secs = 0u16;
-        let mut fault_note = None;
-        let fault_plan = self.faults.and_then(|f| {
-            // Target what the job will build: its event graph under its
-            // resolved deployment.
-            let (graph, clusters) =
-                clique_deployment(&self.scenario(), self.event, self.clusters, self.strategy);
-            let members = clusters.concat();
-            let legacy: Vec<usize> = (0..graph.len()).filter(|i| !members.contains(i)).collect();
-            let links: Vec<(usize, usize)> = graph
-                .edges
-                .iter()
-                .map(|e| (e.a, e.b))
-                .filter(|(a, b)| legacy.contains(a) && legacy.contains(b))
-                .collect();
-            let (schedule, note) = f.schedule(self.seed, !members.is_empty(), &legacy, &links);
-            fault_note = note;
-            if schedule.steps.iter().any(ScriptAction::needs_hold_timers) {
-                hold_secs = 9;
-            }
-            (!schedule.steps.is_empty()).then_some(schedule)
-        });
+        let spec = self.spec();
         CliqueRunOptions {
-            fault_plan,
-            verification: self.verify,
-            ctl_latency: Some(LatencyModel::Fixed(self.ctl_latency)),
-            hold_secs,
-            graceful_restart_secs: 0,
-            fault_note,
+            fault_plan: spec.script,
+            verification: spec.verify,
+            ctl_latency: Some(spec.ctl_latency),
+            hold_secs: spec.timing.hold_time_secs,
+            graceful_restart_secs: spec.timing.graceful_restart_secs,
+            fault_note: spec.note,
             clusters: self.clusters,
             strategy: self.strategy,
         }
+    }
+}
+
+/// A clique job's parameters: a view of [`CampaignJob::spec`] that no
+/// runner consumes. It stays only because the frozen benchmark harness
+/// rebuilds a Fig. 2 job from it; ROADMAP item 2 deletes it.
+#[derive(Debug, Clone)]
+pub struct CliqueScenario {
+    /// Clique size.
+    pub n: usize,
+    /// How many ASes are cluster members.
+    pub sdn_count: usize,
+    /// eBGP MRAI.
+    pub mrai: SimDuration,
+    /// Controller delayed-recomputation window.
+    pub recompute_delay: SimDuration,
+    /// Experiment seed.
+    pub seed: u64,
+    /// Speaker↔controller channel loss probability.
+    pub control_loss: f64,
+}
+
+impl CliqueScenario {
+    /// The member AS indices of the one tail cluster `sdn_count` implies.
+    ///
+    /// # Panics
+    ///
+    /// When `sdn_count` exceeds the clique size.
+    pub fn members(&self) -> Vec<usize> {
+        assert!(
+            self.sdn_count <= self.n,
+            "sdn_count {} exceeds the clique size {}",
+            self.sdn_count,
+            self.n
+        );
+        (self.n - self.sdn_count..self.n).collect()
+    }
+}
+
+/// A clique job's remaining knobs: a view of [`CampaignJob::spec`] that no
+/// runner consumes. It stays only because the frozen benchmark harness
+/// rebuilds a Fig. 2 job from it; ROADMAP item 2 deletes it.
+#[derive(Debug, Clone)]
+pub struct CliqueRunOptions {
+    /// The spec's script.
+    pub fault_plan: Option<Script>,
+    /// The spec's `verify`.
+    pub verification: bool,
+    /// The spec's control-channel latency.
+    pub ctl_latency: Option<LatencyModel>,
+    /// The spec's BGP hold time in seconds.
+    pub hold_secs: u16,
+    /// The spec's graceful-restart window in seconds.
+    pub graceful_restart_secs: u16,
+    /// The spec's note.
+    pub fault_note: Option<String>,
+    /// The job's cluster count.
+    pub clusters: usize,
+    /// The job's deployment strategy name.
+    pub strategy: &'static str,
+}
+
+impl CliqueRunOptions {
+    /// True when the options describe the paper's deployment (see
+    /// [`CampaignGrid::default_deployment`]).
+    pub fn default_deployment(&self) -> bool {
+        paper_deployment(self.clusters, self.strategy)
     }
 }
 
@@ -483,9 +561,8 @@ pub struct JobScratch {
 /// [`run_job`] with a caller-owned [`JobScratch`] (the worker-pool entry
 /// point; see [`run_campaign_scratch`]).
 pub fn run_job_scratch(job: &CampaignJob, trace: bool, scratch: &mut JobScratch) -> JobOutcome {
-    let scenario = job.scenario();
-    let opts = job.run_options();
-    let (outcome, mut exp) = run_clique_with(&scenario, job.event, &opts, |sim| {
+    let spec = job.spec();
+    let (outcome, mut exp) = spec.run(|sim| {
         if trace {
             sim.trace_mut().enable_all();
         } else {
@@ -519,7 +596,7 @@ pub fn run_job_scratch(job: &CampaignJob, trace: bool, scratch: &mut JobScratch)
     .phase_totals();
     let artifact = trace.then(|| {
         let mut text = String::with_capacity(scratch.artifact_len);
-        render_job_artifact_into(job, &exp, &mut text);
+        spec.render_artifact_into(Some((job.id, job.cell)), &exp, &mut text);
         scratch.artifact_len = text.len();
         text
     });
@@ -532,41 +609,11 @@ pub fn run_job_scratch(job: &CampaignJob, trace: bool, scratch: &mut JobScratch)
 }
 
 /// Render one job's isolated JSONL artifact into `text` (a campaign worker
-/// reuses the buffer's capacity across jobs): a `run` header carrying the
-/// job coordinates, then the experiment's telemetry as
-/// [`Experiment::render_artifact_into`] lays it out — the same document
-/// shape `bgpsdn run --trace-out` writes, so `bgpsdn report` and
-/// `bgpsdn verify` work on per-job artifacts unchanged.
+/// reuses the buffer's capacity across jobs): [`JobSpec::render_artifact_into`]
+/// of the job's spec, with the job's id and grid cell in the header.
 pub fn render_job_artifact_into(job: &CampaignJob, exp: &Experiment, text: &mut String) {
-    let mut info = vec![
-        ("scenario".into(), Json::Str("clique".into())),
-        (
-            "event".into(),
-            Json::Str(event_phase_name(job.event).into()),
-        ),
-        ("job".into(), Json::U64(job.id as u64)),
-        ("cell".into(), Json::U64(job.cell as u64)),
-        ("n".into(), Json::U64(job.n as u64)),
-        ("sdn".into(), Json::U64(job.cluster as u64)),
-    ];
-    if !paper_deployment(job.clusters, job.strategy) {
-        info.push(("clusters".into(), Json::U64(job.clusters as u64)));
-        info.push(("strategy".into(), Json::Str(job.strategy.into())));
-    }
-    info.extend([
-        ("loss_ppm".into(), Json::U64(loss_ppm(job.loss))),
-        (
-            "ctl_latency_ns".into(),
-            Json::U64(job.ctl_latency.as_nanos()),
-        ),
-        ("mrai_ns".into(), Json::U64(job.mrai.as_nanos())),
-        ("seed".into(), Json::U64(job.seed)),
-        (
-            "dropped_events".into(),
-            Json::U64(exp.net.sim.trace().dropped()),
-        ),
-    ]);
-    exp.render_artifact_into(&Json::Obj(info), text);
+    job.spec()
+        .render_artifact_into(Some((job.id, job.cell)), exp, text);
 }
 
 /// Execute a grid on `workers` threads. See [`run_campaign_scratch`] for
@@ -819,33 +866,27 @@ mod tests {
             classes: FaultClasses::ALL,
         });
         for job in grid.expand() {
-            let opts = job.run_options();
-            let plan = opts
-                .fault_plan
+            let spec = job.spec();
+            let plan = spec
+                .script
                 .expect("every cell, including cluster 0, runs under chaos");
             assert!(!plan.steps.is_empty(), "job {} plan is empty", job.id);
             let needs_hold = plan.steps.iter().any(ScriptAction::needs_hold_timers);
             if job.cluster == 0 {
                 // Pure-BGP cell: control faults stripped (and recorded),
                 // data-plane chaos remains, hold timers switched on.
-                let note = opts
-                    .fault_note
-                    .as_deref()
-                    .expect("dropped class must be noted");
+                let note = spec.note.as_deref().expect("dropped class must be noted");
                 assert!(note.contains("control"), "note was: {note}");
                 assert!(needs_hold);
-                assert_eq!(opts.hold_secs, 9);
+                assert_eq!(spec.timing.hold_time_secs, 9);
             }
             if job.cluster == grid.n {
                 // Full-SDN cell: no legacy ASes, so data-plane classes are
                 // stripped and the plan is control-only.
-                let note = opts
-                    .fault_note
-                    .as_deref()
-                    .expect("dropped classes must be noted");
+                let note = spec.note.as_deref().expect("dropped classes must be noted");
                 assert!(note.contains("router") && note.contains("link"));
                 assert!(!needs_hold);
-                assert_eq!(opts.hold_secs, 0);
+                assert_eq!(spec.timing.hold_time_secs, 0);
             }
         }
     }
@@ -872,10 +913,10 @@ mod tests {
                 classes: FaultClasses::ALL,
             });
             for job in grid.expand() {
-                let schedule = job.run_options().fault_plan.expect("a schedule");
-                let (graph, clusters) =
-                    clique_deployment(&job.scenario(), event, job.clusters, strategy);
-                let members = clusters.concat();
+                let spec = job.spec();
+                let graph = spec.graph();
+                let members = spec.clusters(&graph).concat();
+                let schedule = spec.script.expect("a schedule");
                 let tp = plan(graph, PolicyMode::AllPermit, TimingConfig::default()).unwrap();
                 let report =
                     check_actions(&schedule.steps, &ActionContext::from_plan(&tp, &members));

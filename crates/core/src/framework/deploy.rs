@@ -75,11 +75,25 @@ impl DeploymentStrategy {
         }
     }
 
-    /// Build a named strategy with a cluster count and deployment budget.
-    /// `explicit` is not constructible by name (it carries lists).
+    /// `(cluster count, member budget)`: for explicit lists, how many lists
+    /// and how many members they hold together.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        match self {
+            DeploymentStrategy::Explicit(lists) => (lists.len(), lists.iter().map(Vec::len).sum()),
+            DeploymentStrategy::Tail { clusters, total }
+            | DeploymentStrategy::RandomK { clusters, total }
+            | DeploymentStrategy::HighestDegree { clusters, total }
+            | DeploymentStrategy::KCore { clusters, total }
+            | DeploymentStrategy::PerTier { clusters, total } => (*clusters, *total),
+        }
+    }
+
+    /// Build a named strategy with a cluster count and deployment budget;
+    /// an empty name is `tail`. `explicit` is not constructible by name (it
+    /// carries lists).
     pub fn by_name(name: &str, clusters: usize, total: usize) -> Option<DeploymentStrategy> {
         Some(match name {
-            "tail" => DeploymentStrategy::Tail { clusters, total },
+            "" | "tail" => DeploymentStrategy::Tail { clusters, total },
             "random" => DeploymentStrategy::RandomK { clusters, total },
             "degree" => DeploymentStrategy::HighestDegree { clusters, total },
             "kcore" => DeploymentStrategy::KCore { clusters, total },
@@ -154,7 +168,7 @@ impl DeploymentStrategy {
 /// Fail-fast check that `clusters` lists are a legal deployment over `n`
 /// ASes: every cluster non-empty, every index in range, no AS in two
 /// clusters. An empty outer list (no SDN at all) is legal.
-pub fn validate_clusters(clusters: &[Vec<usize>], n: usize) -> Result<(), String> {
+fn validate_clusters(clusters: &[Vec<usize>], n: usize) -> Result<(), String> {
     let mut seen = vec![false; n];
     for (c, members) in clusters.iter().enumerate() {
         if members.is_empty() {

@@ -20,7 +20,7 @@ use bgpsdn_topology::TopologyPlan;
 
 use crate::controller::{ControllerConfig, IdrController, MemberConfig, SessionConfig};
 
-use super::deploy::{validate_clusters, DeploymentStrategy};
+use super::deploy::DeploymentStrategy;
 
 /// Concrete node types instantiated by the framework.
 pub type Router = BgpRouter<ClusterMsg>;
@@ -145,7 +145,6 @@ impl HybridNetwork {
 /// Builder with the framework's configuration-management defaults.
 pub struct NetworkBuilder {
     plan: TopologyPlan,
-    clusters: Vec<Vec<usize>>,
     deployment: Option<DeploymentStrategy>,
     seed: u64,
     data_latency: Option<LatencyModel>,
@@ -163,7 +162,6 @@ impl NetworkBuilder {
     pub fn new(plan: TopologyPlan, seed: u64) -> Self {
         NetworkBuilder {
             plan,
-            clusters: Vec::new(),
             deployment: None,
             seed,
             data_latency: None,
@@ -197,10 +195,7 @@ impl NetworkBuilder {
     fn resolved_clusters(&self) -> Result<Vec<Vec<usize>>, String> {
         match &self.deployment {
             Some(strategy) => strategy.assign(&self.plan.as_graph, self.seed),
-            None => {
-                validate_clusters(&self.clusters, self.plan.as_graph.len())?;
-                Ok(self.clusters.clone())
-            }
+            None => Ok(Vec::new()),
         }
     }
 
@@ -226,30 +221,8 @@ impl NetworkBuilder {
         let mut members: Vec<usize> = members.into_iter().collect();
         members.sort_unstable();
         members.dedup();
-        self.deployment = None;
-        self.clusters = if members.is_empty() {
-            Vec::new()
-        } else {
-            vec![members]
-        };
-        self
-    }
-
-    /// Deploy several independent SDN clusters, one membership list each.
-    /// Every cluster gets its own speaker, controller and control channel;
-    /// edges between clusters run ordinary eBGP between the two speakers
-    /// (each impersonating its border member). Lists are sorted and
-    /// deduplicated; overlap across clusters fails the build.
-    pub fn with_clusters(mut self, clusters: impl IntoIterator<Item = Vec<usize>>) -> Self {
-        self.deployment = None;
-        self.clusters = clusters
-            .into_iter()
-            .map(|mut members| {
-                members.sort_unstable();
-                members.dedup();
-                members
-            })
-            .collect();
+        self.deployment =
+            (!members.is_empty()).then(|| DeploymentStrategy::Explicit(vec![members]));
         self
     }
 
@@ -670,7 +643,7 @@ mod tests {
     #[test]
     fn two_clusters_get_independent_control_planes() {
         let net = NetworkBuilder::new(clique_plan(6), 1)
-            .with_clusters([vec![0, 1], vec![4, 5]])
+            .with_deployment(DeploymentStrategy::Explicit(vec![vec![0, 1], vec![4, 5]]))
             .build();
         assert_eq!(net.clusters.len(), 2);
         assert_eq!(net.members().count(), 4);
@@ -706,7 +679,7 @@ mod tests {
     #[should_panic(expected = "invalid cluster deployment")]
     fn overlapping_clusters_panic() {
         let _ = NetworkBuilder::new(clique_plan(6), 1)
-            .with_clusters([vec![0, 1], vec![1, 2]])
+            .with_deployment(DeploymentStrategy::Explicit(vec![vec![0, 1], vec![1, 2]]))
             .build();
     }
 }

@@ -13,8 +13,9 @@
 //!   [`Experiment::script_preflight`] and returns a failed pre-flight step
 //!   instead of executing a structurally broken script — chaos schedules
 //!   included;
-//! * [`run_campaign`](super::campaign::run_campaign) rejects a bad grid
-//!   before any worker spins.
+//! * [`run_campaign`](super::campaign::run_campaign) and `bgpsdn sweep`
+//!   reject a bad grid before any worker spins, and `bgpsdn run` rejects a
+//!   bad [`JobSpec`] by the same rules before building anything.
 
 use bgpsdn_analyze::{
     check_actions, check_grid, check_safety_clusters, check_timing, ActionContext, AnalysisReport,
@@ -25,7 +26,7 @@ use bgpsdn_topology::TopologyPlan;
 
 use super::campaign::CampaignGrid;
 use super::experiment::Experiment;
-use super::scenarios::event_phase_name;
+use super::job::{event_phase_name, EventKind, JobSpec, Topology};
 use super::script::Script;
 
 /// Static safety check of a topology plan + cluster membership lists:
@@ -94,14 +95,44 @@ impl CampaignGrid {
     }
 }
 
+impl JobSpec {
+    /// Statically validate the job by the rules [`check_grid`] applies to
+    /// one grid cell: the event against the topology size, the member
+    /// budget and cluster count against the topology. A fail-over on a
+    /// hierarchy is rejected too: only the clique has the dual-homed origin
+    /// a fail-over runs on.
+    pub fn preflight(&self) -> AnalysisReport {
+        let (clusters, members) = self.deployment.shape();
+        let mut report = check_grid(&GridSpec {
+            n: self.topology.as_count(),
+            event: event_phase_name(self.event),
+            cluster_sizes: vec![members],
+            losses: vec![self.control_loss],
+            ctl_latency_count: 1,
+            seeds: 1,
+            faults: None,
+            cluster_counts: if members == 0 { vec![] } else { vec![clusters] },
+            strategy: Some(self.deployment.name()),
+        });
+        if matches!(self.topology, Topology::Hierarchy { .. }) {
+            report.checked();
+            if self.event == EventKind::Failover {
+                report.error(
+                    "grid.event_requires",
+                    "event kind `failover` needs the clique's dual-homed origin; a hierarchy \
+                     has none",
+                );
+            }
+        }
+        report
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framework::faults::{FaultClasses, FaultSpec};
     use crate::framework::network::NetworkBuilder;
-    use crate::framework::scenarios::{
-        run_clique_with, CliqueRunOptions, CliqueScenario, EventKind,
-    };
     use crate::framework::script::ScriptAction;
     use bgpsdn_bgp::TimingConfig;
     use bgpsdn_netsim::SimDuration;
@@ -153,27 +184,22 @@ mod tests {
 
     #[test]
     fn fault_plan_preflight_flags_missing_hold_timers() {
-        let scenario = CliqueScenario {
-            n: 4,
-            sdn_count: 0,
-            mrai: SimDuration::ZERO,
-            recompute_delay: SimDuration::from_millis(100),
+        let spec = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::ZERO),
             seed: 3,
-            control_loss: 0.0,
+            ..JobSpec::clique(4, 0)
         };
         let flap = Script::from_offsets(vec![
             (SimDuration::from_secs(5), ScriptAction::FailEdge(1, 2)),
             (SimDuration::from_secs(15), ScriptAction::RestoreEdge(1, 2)),
         ]);
-        let run = |fault_plan: Script, hold_secs| {
-            let opts = CliqueRunOptions {
-                fault_plan: Some(fault_plan),
-                hold_secs,
-                ..CliqueRunOptions::default()
+        let run = |script: Script, hold_secs| {
+            let mut spec = JobSpec {
+                script: Some(script),
+                ..spec.clone()
             };
-            std::panic::catch_unwind(|| {
-                run_clique_with(&scenario, EventKind::Withdrawal, &opts, |_| {}).0
-            })
+            spec.timing.hold_time_secs = hold_secs;
+            std::panic::catch_unwind(|| spec.run(|_| {}).0)
         };
         let err = run(flap.clone(), 0).expect_err("a link fault with hold 0 is rejected");
         let msg = err.downcast_ref::<String>().unwrap();
@@ -205,5 +231,35 @@ mod tests {
             grid.preflight().first_error().unwrap().code,
             "grid.chaos_horizon"
         );
+    }
+
+    #[test]
+    fn job_preflight_applies_the_grid_rules_to_one_job() {
+        assert!(JobSpec::clique(16, 8).preflight().clean());
+        let code = |spec: JobSpec| spec.preflight().first_error().map(|f| f.code);
+        let failover = |topology| JobSpec {
+            event: EventKind::Failover,
+            ..JobSpec::new(topology)
+        };
+        assert_eq!(
+            code(failover(Topology::Clique { n: 4 })),
+            Some("grid.event_requires")
+        );
+        assert_eq!(code(failover(Topology::Clique { n: 5 })), None);
+        let hierarchy = Topology::Hierarchy {
+            params: bgpsdn_topology::caida::SynthesisParams::default(),
+            seed: 1,
+        };
+        assert_eq!(code(JobSpec::new(hierarchy.clone())), None);
+        assert_eq!(code(failover(hierarchy)), Some("grid.event_requires"));
+        assert_eq!(code(JobSpec::clique(6, 9)), Some("grid.cluster_size"));
+        let split = JobSpec {
+            deployment: crate::framework::DeploymentStrategy::HighestDegree {
+                clusters: 3,
+                total: 2,
+            },
+            ..JobSpec::clique(6, 0)
+        };
+        assert_eq!(code(split), Some("grid.cluster_count"));
     }
 }

@@ -31,12 +31,11 @@ pub use controller::{
     ControllerConfig, ControllerStats, IdrController, MemberConfig, SessionConfig,
 };
 pub use framework::{
-    capture_snapshot, check_plan, event_phase_name, fold_deployment_seed, job_seed, loss_ppm,
-    render_job_artifact_into, run_campaign, run_campaign_scratch, run_clique, run_clique_traced,
-    run_clique_with, run_job, run_job_scratch, run_scale_instrumented, validate_clusters, AsHandle,
-    AsKind, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions, CliqueScenario,
-    ClusterHandle, Collector, Controller, DeploymentStrategy, EventKind, Experiment, FaultClasses,
-    FaultSpec, HybridNetwork, JobOutcome, JobResult, JobScratch, NetworkBuilder, ProbeReport,
-    Router, ScaleOutcome, ScaleScenario, ScenarioOutcome, Script, ScriptAction, ScriptReport, Sim,
-    Speaker, Switch, COLLECTOR_ASN, SCALE_UPDATE_PHASE,
+    capture_snapshot, check_plan, fold_deployment_seed, job_seed, loss_ppm,
+    render_job_artifact_into, run_campaign, run_campaign_scratch, run_job, run_job_scratch,
+    AsHandle, AsKind, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions,
+    CliqueScenario, ClusterHandle, Collector, Controller, DeploymentStrategy, EventKind,
+    Experiment, FaultClasses, FaultSpec, HybridNetwork, JobOutcome, JobResult, JobScratch, JobSpec,
+    NetworkBuilder, ProbeReport, Router, ScenarioOutcome, Script, ScriptAction, ScriptReport, Sim,
+    Speaker, Switch, Topology, COLLECTOR_ASN,
 };

@@ -3,9 +3,13 @@
 //! statistics must match hand-computed order statistics over the job
 //! records.
 
-use bgpsdn_core::{run_campaign_scratch, run_job, CampaignGrid, EventKind};
+use bgpsdn_core::{
+    run_campaign_scratch, run_job, CampaignGrid, DeploymentStrategy, EventKind, FaultClasses,
+    FaultSpec,
+};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::aggregate_cells;
+use bgpsdn_topology::{gen, AsGraph};
 
 fn grid() -> CampaignGrid {
     CampaignGrid {
@@ -95,4 +99,73 @@ fn aggregated_medians_match_manual_computation() {
         assert_eq!(got.min, conv[0].min(conv[1]));
         assert_eq!(got.max, conv[0].max(conv[1]));
     }
+}
+
+/// `CampaignJob::{scenario, run_options}` stay only for the frozen
+/// benchmark harness, which rebuilds Fig. 2 jobs from them: they must keep
+/// describing the network `spec()` builds — every Fig. 2 job, a data-plane
+/// chaos cell and a two-cluster degree-placed cell.
+#[test]
+fn harness_views_describe_the_spec_network() {
+    let mut jobs = CampaignGrid::fig2(1).expand();
+    let mut chaos = CampaignGrid::fig2(1);
+    chaos.cluster_sizes = vec![8];
+    chaos.faults = Some(FaultSpec {
+        outages: 2,
+        horizon: SimDuration::from_secs(30),
+        classes: FaultClasses::DATA_PLANE,
+    });
+    let mut split = CampaignGrid::fig2(1);
+    split.cluster_sizes = vec![8];
+    split.clusters = vec![2];
+    split.strategy = "degree";
+    jobs.extend(chaos.expand());
+    jobs.extend(split.expand());
+    for job in &jobs {
+        let (scenario, opts, spec) = (job.scenario(), job.run_options(), job.spec());
+        let net = spec.builder().build();
+        let graph = AsGraph::all_peer(&gen::clique(scenario.n), 65000);
+        let expected = if scenario.sdn_count == 0 {
+            Vec::new()
+        } else {
+            DeploymentStrategy::by_name(opts.strategy, opts.clusters, scenario.sdn_count)
+                .unwrap()
+                .assign(&graph, scenario.seed)
+                .unwrap()
+        };
+        let members: Vec<Vec<usize>> = net.clusters.iter().map(|c| c.members.clone()).collect();
+        assert_eq!(members, expected, "job {}: members", job.id);
+        if opts.default_deployment() {
+            assert_eq!(members.concat(), scenario.members(), "job {}", job.id);
+        }
+        let timing = &net.plan.routers[0].timing;
+        assert_eq!(timing.mrai, scenario.mrai, "job {}: MRAI", job.id);
+        assert_eq!(
+            timing.hold_time_secs, opts.hold_secs,
+            "job {}: hold",
+            job.id
+        );
+        assert_eq!(
+            timing.graceful_restart_secs, opts.graceful_restart_secs,
+            "job {}: GR window",
+            job.id
+        );
+        let latency = format!("{:?}", opts.ctl_latency.expect("jobs set the latency"));
+        for cluster in &net.clusters {
+            let channel = net.sim.link(cluster.speaker_link);
+            assert_eq!(format!("{:?}", channel.latency), latency, "job {}", job.id);
+            assert_eq!(channel.loss, scenario.control_loss, "job {}: loss", job.id);
+        }
+        assert_eq!(
+            format!("{:?}", spec.script),
+            format!("{:?}", opts.fault_plan),
+            "job {}: fault script",
+            job.id
+        );
+        assert_eq!(spec.note, opts.fault_note, "job {}: note", job.id);
+    }
+    assert!(
+        jobs.iter().any(|j| j.run_options().hold_secs == 9),
+        "the chaos cell schedules data-plane faults"
+    );
 }

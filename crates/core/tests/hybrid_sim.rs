@@ -4,8 +4,8 @@
 
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
 use bgpsdn_core::{
-    run_clique, run_clique_with, AsKind, CliqueRunOptions, CliqueScenario, Controller, EventKind,
-    Experiment, NetworkBuilder, Router, Script, ScriptAction, Speaker, Switch,
+    AsKind, Controller, EventKind, Experiment, JobSpec, NetworkBuilder, Router, Script,
+    ScriptAction, Speaker, Switch,
 };
 use bgpsdn_netsim::{LatencyModel, SimDuration};
 use bgpsdn_sdn::FlowAction;
@@ -92,15 +92,12 @@ fn member_prefixes_route_internally() {
 #[test]
 fn withdrawal_converges_and_cleans_up_at_all_fractions() {
     for &k in &[0usize, 2, 5] {
-        let s = CliqueScenario {
-            n: 5,
-            sdn_count: k,
-            mrai: SimDuration::from_secs(5),
-            recompute_delay: SimDuration::from_millis(100),
+        let s = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
             seed: 77,
-            control_loss: 0.0,
+            ..JobSpec::clique(5, k)
         };
-        let out = run_clique(&s, EventKind::Withdrawal);
+        let out = s.run(|_| {}).0;
         assert!(out.converged, "k={k}");
         assert!(out.audit_ok, "k={k}: stale state after withdrawal");
     }
@@ -109,15 +106,13 @@ fn withdrawal_converges_and_cleans_up_at_all_fractions() {
 #[test]
 fn announcement_event_reaches_everyone() {
     for &k in &[0usize, 3] {
-        let s = CliqueScenario {
-            n: 6,
-            sdn_count: k,
-            mrai: SimDuration::from_secs(5),
-            recompute_delay: SimDuration::from_millis(100),
+        let s = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
             seed: 5,
-            control_loss: 0.0,
+            event: EventKind::Announcement,
+            ..JobSpec::clique(6, k)
         };
-        let out = run_clique(&s, EventKind::Announcement);
+        let out = s.run(|_| {}).0;
         assert!(out.converged && out.audit_ok, "k={k}");
         assert!(out.updates > 0);
     }
@@ -130,22 +125,17 @@ fn announcement_event_reaches_everyone() {
 fn an_announcement_withdrawn_again_fails_its_audit() {
     let (lo, _) = as_prefix(0).unwrap().split();
     for &k in &[0usize, 3] {
-        let s = CliqueScenario {
-            n: 6,
-            sdn_count: k,
-            mrai: SimDuration::from_secs(5),
-            recompute_delay: SimDuration::from_millis(100),
+        let s = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
             seed: 5,
-            control_loss: 0.0,
-        };
-        let opts = CliqueRunOptions {
-            fault_plan: Some(Script::new().step(ScriptAction::Withdraw {
+            event: EventKind::Announcement,
+            script: Some(Script::new().step(ScriptAction::Withdraw {
                 as_index: 0,
                 prefix: Some(lo),
             })),
-            ..CliqueRunOptions::default()
+            ..JobSpec::clique(6, k)
         };
-        let (out, exp) = run_clique_with(&s, EventKind::Announcement, &opts, |_| {});
+        let (out, exp) = s.run(|_| {});
         assert!(out.converged && !out.audit_ok, "k={k}: {out:?}");
         assert!(exp.connectivity_audit().fully_connected(), "k={k}");
     }
@@ -154,15 +144,13 @@ fn an_announcement_withdrawn_again_fails_its_audit() {
 #[test]
 fn failover_event_restores_reachability() {
     for &k in &[0usize, 3] {
-        let s = CliqueScenario {
-            n: 6,
-            sdn_count: k,
-            mrai: SimDuration::from_secs(5),
-            recompute_delay: SimDuration::from_millis(100),
+        let s = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
             seed: 6,
-            control_loss: 0.0,
+            event: EventKind::Failover,
+            ..JobSpec::clique(6, k)
         };
-        let out = run_clique(&s, EventKind::Failover);
+        let out = s.run(|_| {}).0;
         assert!(out.converged && out.audit_ok, "k={k}");
     }
 }
@@ -172,15 +160,12 @@ fn centralization_reduces_withdrawal_convergence_monotonically() {
     // The paper's headline claim at reduced scale: an 8-clique with MRAI
     // 10 s; convergence time must decrease as the SDN fraction grows.
     let conv = |k: usize| -> f64 {
-        let s = CliqueScenario {
-            n: 8,
-            sdn_count: k,
-            mrai: SimDuration::from_secs(10),
-            recompute_delay: SimDuration::from_millis(100),
+        let s = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::from_secs(10)),
             seed: 31,
-            control_loss: 0.0,
+            ..JobSpec::clique(8, k)
         };
-        let out = run_clique(&s, EventKind::Withdrawal);
+        let out = s.run(|_| {}).0;
         assert!(out.converged && out.audit_ok, "k={k}");
         out.convergence.as_secs_f64()
     };
@@ -345,22 +330,19 @@ fn subcluster_partition_recovers_over_legacy_world() {
 
 #[test]
 fn scenario_runs_are_deterministic() {
-    let s = CliqueScenario {
-        n: 6,
-        sdn_count: 3,
-        mrai: SimDuration::from_secs(5),
-        recompute_delay: SimDuration::from_millis(100),
+    let s = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
         seed: 99,
-        control_loss: 0.0,
+        ..JobSpec::clique(6, 3)
     };
-    let a = run_clique(&s, EventKind::Withdrawal);
-    let b = run_clique(&s, EventKind::Withdrawal);
+    let a = s.run(|_| {}).0;
+    let b = s.run(|_| {}).0;
     assert_eq!(a.convergence, b.convergence);
     assert_eq!(a.updates, b.updates);
     assert_eq!(a.flow_mods, b.flow_mods);
 
-    let s2 = CliqueScenario { seed: 100, ..s };
-    let c = run_clique(&s2, EventKind::Withdrawal);
+    let s2 = JobSpec { seed: 100, ..s };
+    let c = s2.run(|_| {}).0;
     assert_ne!(
         (a.convergence, a.updates),
         (c.convergence, c.updates),
@@ -410,21 +392,13 @@ fn recompute_delay_batches_bursty_input() {
     // With a large recompute delay, a burst of external updates triggers
     // exactly one controller recomputation.
     let run = |delay_ms: u64| -> (u64, u64) {
-        let s = CliqueScenario {
-            n: 6,
-            sdn_count: 3,
-            mrai: SimDuration::ZERO,
+        let s = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::ZERO),
             recompute_delay: SimDuration::from_millis(delay_ms),
             seed: 303,
-            control_loss: 0.0,
+            ..JobSpec::clique(6, 3)
         };
-        let ag = AsGraph::all_peer(&gen::clique(s.n), 65000);
-        let tp = plan(ag, PolicyMode::AllPermit, TimingConfig::with_mrai(s.mrai)).unwrap();
-        let net = NetworkBuilder::new(tp, s.seed)
-            .with_sdn_members(s.members())
-            .with_recompute_delay(s.recompute_delay)
-            .build();
-        let mut exp = Experiment::new(net);
+        let mut exp = Experiment::new(s.builder().build());
         assert!(exp.start(HOUR).converged);
         let c = exp.net.controller.unwrap();
         let before = exp.net.sim.node_ref::<Controller>(c).stats().recomputes;
@@ -444,15 +418,12 @@ fn recompute_delay_batches_bursty_input() {
 
 #[test]
 fn collector_sees_the_withdrawal_storm() {
-    let s = CliqueScenario {
-        n: 6,
-        sdn_count: 0,
-        mrai: SimDuration::from_secs(5),
-        recompute_delay: SimDuration::from_millis(100),
+    let s = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
         seed: 404,
-        control_loss: 0.0,
+        ..JobSpec::clique(6, 0)
     };
-    let out = run_clique(&s, EventKind::Withdrawal);
+    let out = s.run(|_| {}).0;
     let collector_time = out.collector_convergence.expect("collector present");
     assert!(
         collector_time > SimDuration::ZERO,

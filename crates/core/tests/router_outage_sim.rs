@@ -10,10 +10,7 @@
 //! frozen verifier snapshots end up byte-identical.
 
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{
-    run_clique_with, CliqueRunOptions, CliqueScenario, EventKind, Experiment, NetworkBuilder,
-    Router, Script, ScriptAction,
-};
+use bgpsdn_core::{EventKind, Experiment, JobSpec, NetworkBuilder, Router, Script, ScriptAction};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_topology::{gen, plan, AsGraph};
 
@@ -268,14 +265,6 @@ fn script_actions_drive_a_router_outage() {
 /// both sessions; RFC 4271 makes them an FSM error that a retry heals.
 #[test]
 fn overlapping_crashes_around_a_relay_flap_heal() {
-    let scenario = CliqueScenario {
-        n: 6,
-        sdn_count: 0,
-        mrai: SimDuration::from_secs(1),
-        recompute_delay: SimDuration::from_millis(100),
-        seed: 12_518_816_874_335_010_179,
-        control_loss: 0.0,
-    };
     let at = SimDuration::from_nanos;
     let faults = Script::from_offsets(vec![
         (at(44_337_945_504), ScriptAction::CrashRouter(2)),
@@ -285,12 +274,15 @@ fn overlapping_crashes_around_a_relay_flap_heal() {
         (at(57_684_886_417), ScriptAction::RestoreRouter(2)),
         (at(63_642_159_857), ScriptAction::RestoreRouter(3)),
     ]);
-    let opts = CliqueRunOptions {
-        fault_plan: Some(faults),
-        hold_secs: 9,
-        ..CliqueRunOptions::default()
+    let mut spec = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(1)),
+        event: EventKind::Failover,
+        script: Some(faults),
+        seed: 12_518_816_874_335_010_179,
+        ..JobSpec::clique(6, 0)
     };
-    let (outcome, mut exp) = run_clique_with(&scenario, EventKind::Failover, &opts, |_| {});
+    spec.timing.hold_time_secs = 9;
+    let (outcome, mut exp) = spec.run(|_| {});
     assert!(outcome.converged && outcome.audit_ok, "{outcome:?}");
     let report = exp.run_script(&Script::new().expect_full_connectivity());
     assert!(report.ok(), "{}", report.render());

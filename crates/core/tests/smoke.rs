@@ -1,21 +1,18 @@
-use bgpsdn_core::{
-    run_clique, run_clique_traced, run_scale_instrumented, CliqueScenario, EventKind, ScaleScenario,
-};
+use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
+use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, Topology};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::{Json, RunArtifact};
+use bgpsdn_topology::caida::SynthesisParams;
 
 #[test]
 fn smoke_hybrid_withdrawal() {
     for &k in &[0usize, 3, 6] {
-        let s = CliqueScenario {
-            n: 6,
-            sdn_count: k,
-            mrai: SimDuration::from_secs(10),
-            recompute_delay: SimDuration::from_millis(100),
+        let s = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::from_secs(10)),
             seed: 42,
-            control_loss: 0.0,
+            ..JobSpec::clique(6, k)
         };
-        let out = run_clique(&s, EventKind::Withdrawal);
+        let out = s.run(|_| {}).0;
         eprintln!(
             "k={k}: conv={} updates={} flows={} audit={} converged={}",
             out.convergence, out.updates, out.flow_mods, out.audit_ok, out.converged
@@ -25,54 +22,88 @@ fn smoke_hybrid_withdrawal() {
     }
 }
 
+/// A tiered hierarchy with its tier-1 mesh centralized: seed two extra /24s
+/// per stub, then probe with one more from the first stub — under the
+/// incremental recompute and under the full-table baseline.
 #[test]
 fn smoke_scale_incremental_and_full() {
+    const PER_STUB: u64 = 2;
+    let params = SynthesisParams {
+        tier1: 3,
+        mid: 4,
+        stubs: 8,
+        ..SynthesisParams::default()
+    };
+    let spec = JobSpec {
+        policy: PolicyMode::GaoRexford,
+        deployment: DeploymentStrategy::PerTier {
+            clusters: 1,
+            total: 3,
+        },
+        timing: TimingConfig::with_mrai(SimDuration::ZERO),
+        seed: 11,
+        ..JobSpec::new(Topology::Hierarchy { params, seed: 11 })
+    };
+    let sub24 = |base: Prefix, j: u64| Prefix::new(base.nth(j << 8), 24).unwrap();
+    let hour = SimDuration::from_secs(3600);
     for &incremental in &[true, false] {
-        let s = ScaleScenario {
-            tier1: 3,
-            mid: 4,
-            stubs: 8,
-            cluster_size: 3,
-            prefixes_per_stub: 2,
-            incremental,
-            ..ScaleScenario::tbl_s7(11)
-        };
-        let out = run_scale_instrumented(&s, |_| {}).0;
+        let mut builder = spec.builder();
+        if !incremental {
+            builder = builder.with_full_recompute();
+        }
+        let mut exp = Experiment::new(builder.build());
+        assert!(exp.start(hour).converged, "incremental={incremental}");
+        exp.mark_named("seeding");
+        let mut seeded = 0;
+        for i in 7..15 {
+            for j in 0..PER_STUB {
+                exp.announce(i, Some(sub24(exp.net.ases[i].prefix, j)));
+                seeded += 1;
+            }
+        }
+        let seeding = exp.wait_converged(hour);
+        let update = sub24(exp.net.ases[7].prefix, PER_STUB);
+        exp.mark_named("single-update");
+        exp.announce(7, Some(update));
+        let probe = exp.wait_converged(hour);
         eprintln!(
-            "incremental={incremental}: seeded={} seed_conv={} update_conv={} audit={}",
-            out.seeded_prefixes, out.seed_convergence, out.update_convergence, out.audit_ok
+            "incremental={incremental}: seeded={seeded} seed_conv={} update_conv={}",
+            seeding.duration, probe.duration
         );
-        assert!(out.converged, "incremental={incremental}");
-        assert!(out.audit_ok, "incremental={incremental}");
-        assert_eq!(out.seeded_prefixes, 16);
+        assert!(
+            seeding.converged && probe.converged,
+            "incremental={incremental}"
+        );
+        assert!(
+            exp.prefix_reachable_from_all(update, 7),
+            "incremental={incremental}"
+        );
+        assert_eq!(seeded, 16);
     }
 }
 
 #[test]
 #[should_panic(expected = "budget 9 exceeds topology size 6")]
 fn more_members_than_ases_is_rejected_not_wrapped() {
-    let s = CliqueScenario {
-        n: 6,
-        sdn_count: 9,
-        mrai: SimDuration::from_secs(10),
-        recompute_delay: SimDuration::from_millis(100),
+    let s = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(10)),
         seed: 42,
-        control_loss: 0.0,
+        ..JobSpec::clique(6, 9)
     };
-    run_clique(&s, EventKind::Withdrawal);
+    s.run(|_| {});
 }
 
 #[test]
 fn rendered_artifact_parses_back() {
-    let scenario = CliqueScenario {
-        n: 5,
-        sdn_count: 2,
-        mrai: SimDuration::from_secs(1),
-        recompute_delay: SimDuration::from_millis(100),
+    let scenario = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(1)),
         seed: 11,
-        control_loss: 0.0,
+        ..JobSpec::clique(5, 2)
     };
-    let (out, exp) = run_clique_traced(&scenario, EventKind::Withdrawal);
+    let (out, exp) = scenario.run(|sim| {
+        sim.trace_mut().enable_all();
+        sim.set_profiling(true);
+    });
     assert!(out.converged);
     let info = Json::Obj(vec![("bench".into(), Json::Str("test".into()))]);
     let mut text = String::new();

@@ -3,10 +3,11 @@
 //! corrupted state (flow mutations, dropped rules, stale headless tables)
 //! must produce exactly the expected violations with usable witnesses.
 
-use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{run_scale_instrumented, Experiment, NetworkBuilder, ScaleScenario, Switch};
+use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
+use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, NetworkBuilder, Switch, Topology};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_sdn::FlowAction;
+use bgpsdn_topology::caida::SynthesisParams;
 use bgpsdn_topology::{gen, plan, AsGraph, TopologyPlan};
 use bgpsdn_verify::ViolationKind;
 
@@ -68,22 +69,47 @@ fn auto_verify_runs_at_convergence_checkpoints() {
 
 #[test]
 fn scale_scenario_verifies_clean() {
-    let scenario = ScaleScenario {
+    // A tiered hierarchy, tier-1 mesh centralized, four extra /24s per
+    // stub, then one more from the first stub.
+    const PER_STUB: u64 = 4;
+    let params = SynthesisParams {
         tier1: 3,
         mid: 6,
         stubs: 12,
-        cluster_size: 3,
-        ..ScaleScenario::tbl_s7(23)
+        ..SynthesisParams::default()
     };
-    let (out, mut exp) = run_scale_instrumented(&scenario, |_| {});
-    assert!(out.converged && out.audit_ok);
+    let spec = JobSpec {
+        policy: PolicyMode::GaoRexford,
+        deployment: DeploymentStrategy::PerTier {
+            clusters: 1,
+            total: 3,
+        },
+        timing: TimingConfig::with_mrai(SimDuration::ZERO),
+        seed: 23,
+        ..JobSpec::new(Topology::Hierarchy { params, seed: 23 })
+    };
+    let sub24 = |base: Prefix, j: u64| Prefix::new(base.nth(j << 8), 24).unwrap();
+    let mut exp = Experiment::new(spec.builder().build());
+    assert!(exp.start(HOUR).converged);
+    exp.mark_named("seeding");
+    for i in 9..21 {
+        for j in 0..PER_STUB {
+            exp.announce(i, Some(sub24(exp.net.ases[i].prefix, j)));
+        }
+    }
+    let seeding = exp.wait_converged(HOUR);
+    let update = sub24(exp.net.ases[9].prefix, PER_STUB);
+    exp.mark_named("single-update");
+    exp.announce(9, Some(update));
+    assert!(seeding.converged && exp.wait_converged(HOUR).converged);
+    assert!(exp.prefix_reachable_from_all(update, 9));
     let report = exp.verify_now();
     assert!(report.ok(), "violations at scale steady state:\n{report}");
+    let expected_prefixes = 21 + 12 * PER_STUB as usize;
     assert!(
-        report.prefixes_checked >= scenario.expected_prefixes(),
-        "checked {} of {} prefixes",
+        report.prefixes_checked >= expected_prefixes,
+        "checked {} of {expected_prefixes} prefixes",
         report.prefixes_checked,
-        scenario.expected_prefixes()
     );
 }
 

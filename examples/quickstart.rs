@@ -16,15 +16,12 @@ fn main() {
     );
 
     for sdn_count in [0, 2, 4, 6, 8] {
-        let scenario = CliqueScenario {
-            n: 8,
-            sdn_count,
-            mrai: SimDuration::from_secs(10),
-            recompute_delay: SimDuration::from_millis(100),
+        let spec = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::from_secs(10)),
             seed: 42,
-            control_loss: 0.0,
+            ..JobSpec::clique(8, sdn_count)
         };
-        let out = run_clique(&scenario, EventKind::Withdrawal);
+        let (out, _) = spec.run(|_| {});
         assert!(out.converged, "did not converge");
         assert!(out.audit_ok, "stale routing state after withdrawal");
         println!(

@@ -238,39 +238,52 @@ fn check_flags(cmd: &str, known: &[&str], args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn scenario(args: &Args, sdn: usize) -> Result<CliqueScenario, String> {
-    Ok(CliqueScenario {
-        n: args.get("n", 16usize)?,
-        sdn_count: sdn,
-        mrai: SimDuration::from_secs(args.get("mrai", 30u64)?),
-        recompute_delay: SimDuration::from_millis(args.get("recompute-ms", 100u64)?),
-        seed: args.get("seed", 1u64)?,
-        control_loss: 0.0,
-    })
-}
-
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let event = match args.get_str("event") {
-        None => return Err("--event must be withdrawal|announcement|failover, got None".into()),
-        raw => parse_event(raw)?,
+    let Some(raw) = args.get_str("event") else {
+        return Err("--event is required: withdrawal|announcement|failover".into());
     };
-    let sdn: usize = args.get("sdn", 0)?;
-    let s = scenario(args, sdn)?;
-    if s.sdn_count > s.n {
+    let event = parse_event(Some(raw))?;
+    let (n, sdn): (usize, usize) = (args.get("n", 16)?, args.get("sdn", 0)?);
+    if sdn > n {
         return Err("--sdn must be <= --n".into());
     }
-    println!(
-        "running {event:?} on a {}-AS clique, {} SDN members, MRAI {}, seed {}",
-        s.n, s.sdn_count, s.mrai, s.seed
-    );
-    let out = match args.get_str("trace-out") {
-        Some(path) => {
-            let (out, exp) = run_clique_traced(&s, event);
-            write_run_artifact(path, &s, event, &exp)?;
-            out
-        }
-        None => run_clique(&s, event),
+    let spec = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(args.get("mrai", 30u64)?)),
+        recompute_delay: SimDuration::from_millis(args.get("recompute-ms", 100u64)?),
+        event,
+        seed: args.get("seed", 1u64)?,
+        ..JobSpec::clique(n, sdn)
     };
+    let preflight = spec.preflight();
+    if !preflight.ok() {
+        return Err(format!(
+            "job rejected by pre-flight — nothing was run:\n{}",
+            preflight.render()
+        ));
+    }
+    println!(
+        "running {event:?} on a {n}-AS clique, {sdn} SDN members, MRAI {}, seed {}",
+        spec.timing.mrai, spec.seed
+    );
+    let trace_out = args.get_str("trace-out");
+    let (out, exp) = spec.run(|sim| {
+        if trace_out.is_some() {
+            sim.trace_mut().enable_all();
+            sim.set_profiling(true);
+        }
+    });
+    if let Some(path) = trace_out {
+        let mut text = String::new();
+        spec.render_artifact_into(None, &exp, &mut text);
+        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
+        let trace = exp.net.sim.trace();
+        println!(
+            "trace artifact:   {path} ({} events, {} dropped, {} phases)",
+            trace.len(),
+            trace.dropped(),
+            exp.phase_snapshots().len()
+        );
+    }
     println!("converged:        {}", out.converged);
     println!("convergence time: {}", out.convergence);
     if let Some(c) = out.collector_convergence {
@@ -285,40 +298,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if !out.audit_ok {
         return Err("audit failed".into());
     }
-    Ok(())
-}
-
-/// Write the run's JSONL artifact: a `run` header line with the scenario
-/// parameters, then the experiment's telemetry.
-fn write_run_artifact(
-    path: &str,
-    s: &CliqueScenario,
-    event: EventKind,
-    exp: &Experiment,
-) -> Result<(), String> {
-    let trace = exp.net.sim.trace();
-    let header = Json::Obj(vec![
-        ("scenario".into(), Json::Str("clique".into())),
-        ("event".into(), Json::Str(event_phase_name(event).into())),
-        ("n".into(), Json::U64(s.n as u64)),
-        ("sdn".into(), Json::U64(s.sdn_count as u64)),
-        ("mrai_ns".into(), Json::U64(s.mrai.as_nanos())),
-        (
-            "recompute_delay_ns".into(),
-            Json::U64(s.recompute_delay.as_nanos()),
-        ),
-        ("seed".into(), Json::U64(s.seed)),
-        ("dropped_events".into(), Json::U64(trace.dropped())),
-    ]);
-    let mut text = String::new();
-    exp.render_artifact_into(&header, &mut text);
-    std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-    println!(
-        "trace artifact:   {path} ({} events, {} dropped, {} phases)",
-        trace.len(),
-        trace.dropped(),
-        exp.phase_snapshots().len()
-    );
     Ok(())
 }
 
@@ -404,7 +383,8 @@ fn grid_from_args(args: &Args) -> Result<CampaignGrid, String> {
     Ok(grid)
 }
 
-/// Build the campaign grid a `sweep` invocation describes.
+/// Build the campaign grid a `sweep` invocation describes, rejecting what
+/// `run_campaign`'s pre-flight would.
 fn sweep_grid(args: &Args) -> Result<CampaignGrid, String> {
     let grid = grid_from_args(args)?;
     if grid.seeds == 0 {
@@ -415,6 +395,14 @@ fn sweep_grid(args: &Args) -> Result<CampaignGrid, String> {
     }
     if grid.cluster_sizes.iter().any(|&k| k > grid.n) {
         return Err(format!("--sizes entries must be <= --n ({})", grid.n));
+    }
+    let preflight = grid.preflight();
+    if !preflight.ok() {
+        return Err(format!(
+            "campaign grid `{}` rejected by pre-flight — no job was run:\n{}",
+            grid.name,
+            preflight.render()
+        ));
     }
     Ok(grid)
 }

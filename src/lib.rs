@@ -30,16 +30,12 @@
 //! ```
 //! use bgp_sdn_emu::prelude::*;
 //!
-//! // An 8-AS clique, half of it under centralized control.
-//! let scenario = CliqueScenario {
-//!     n: 8,
-//!     sdn_count: 4,
-//!     mrai: SimDuration::from_secs(5),
-//!     recompute_delay: SimDuration::from_millis(100),
-//!     seed: 1,
-//!     control_loss: 0.0,
+//! // A withdrawal on an 8-AS clique, half of it under centralized control.
+//! let spec = JobSpec {
+//!     timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
+//!     ..JobSpec::clique(8, 4)
 //! };
-//! let out = run_clique(&scenario, EventKind::Withdrawal);
+//! let (out, _experiment) = spec.run(|_| {});
 //! assert!(out.converged);
 //! println!("withdrawal convergence: {}", out.convergence);
 //! ```
@@ -67,12 +63,11 @@ pub mod prelude {
     };
     pub use bgpsdn_collector::{ConvergenceReport, UpdateLog};
     pub use bgpsdn_core::{
-        check_plan, event_phase_name, fold_deployment_seed, run_campaign, run_campaign_scratch,
-        run_clique, run_clique_traced, run_clique_with, run_job, run_job_scratch, AsKind,
-        CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions, CliqueScenario,
-        ClusterHandle, Controller, DeploymentStrategy, EventKind, Experiment, FaultClasses,
-        FaultSpec, HybridNetwork, JobResult, JobScratch, NetworkBuilder, Router, ScenarioOutcome,
-        Script, ScriptAction, Speaker, Switch,
+        check_plan, fold_deployment_seed, run_campaign, run_campaign_scratch, run_job,
+        run_job_scratch, AsKind, CampaignGrid, CampaignJob, CampaignRunReport, ClusterHandle,
+        Controller, DeploymentStrategy, EventKind, Experiment, FaultClasses, FaultSpec,
+        HybridNetwork, JobResult, JobScratch, JobSpec, NetworkBuilder, Router, ScenarioOutcome,
+        Script, ScriptAction, Speaker, Switch, Topology,
     };
     pub use bgpsdn_netsim::{
         Activity, DataPacket, LatencyModel, SimDuration, SimRng, SimTime, Simulator, Summary,

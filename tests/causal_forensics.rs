@@ -31,15 +31,15 @@ fn critical_path_ns(analysis: &CausalAnalysis) -> u64 {
 
 #[test]
 fn critical_path_matches_last_table_change() {
-    let scenario = CliqueScenario {
-        n: 8,
-        sdn_count: 4,
-        mrai: SimDuration::from_secs(5),
-        recompute_delay: SimDuration::from_millis(100),
+    let scenario = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
         seed: 1,
-        control_loss: 0.0,
+        ..JobSpec::clique(8, 4)
     };
-    let (out, exp) = run_clique_traced(&scenario, EventKind::Withdrawal);
+    let (out, exp) = scenario.run(|sim| {
+        sim.trace_mut().enable_all();
+        sim.set_profiling(true);
+    });
     assert!(out.converged);
     let analysis = analyze(&exp);
     assert_eq!(analysis.dangling, 0, "lineage must be complete");
@@ -74,9 +74,11 @@ fn collector_trails_the_critical_path_by_one_hop() {
     // critical path — the last table change — by one hop; allow two in
     // case the final update rides a retransmit.
     const COLLECTOR_HOP_NS: u64 = 2_000_000;
-    let scenario = CliqueScenario::fig2(8, 4242);
-    let opts = CliqueRunOptions::default();
-    let (out, exp) = run_clique_with(&scenario, EventKind::Withdrawal, &opts, |sim| {
+    let spec = JobSpec {
+        seed: 4242,
+        ..JobSpec::clique(16, 8)
+    };
+    let (out, exp) = spec.run(|sim| {
         sim.trace_mut().enable(TraceCategory::Causal);
     });
     assert!(out.converged && out.audit_ok);
@@ -99,15 +101,14 @@ fn bgp_phases_shrink_as_centralization_grows() {
     // from the critical path as more of the clique is centralized.
     let mut bgp_side = Vec::new();
     for sdn in [0usize, 8, 16] {
-        let scenario = CliqueScenario {
-            n: 16,
-            sdn_count: sdn,
-            mrai: SimDuration::from_secs(30),
-            recompute_delay: SimDuration::from_millis(100),
+        let scenario = JobSpec {
             seed: 4242,
-            control_loss: 0.0,
+            ..JobSpec::clique(16, sdn)
         };
-        let (out, exp) = run_clique_traced(&scenario, EventKind::Withdrawal);
+        let (out, exp) = scenario.run(|sim| {
+            sim.trace_mut().enable_all();
+            sim.set_profiling(true);
+        });
         assert!(out.converged, "sdn={sdn} must converge");
         let phases = analyze(&exp).phase_totals();
         bgp_side.push(phases.get(CausalPhase::MraiWait) + phases.get(CausalPhase::HuntStep));

@@ -108,6 +108,44 @@ fn sweep_rejects_bad_grids() {
         .output()
         .expect("spawn");
     assert!(!zero.status.success());
+
+    // Grids only the pre-flight catches: a member budget that cannot fill
+    // its clusters, and a fail-over on a clique too small to dual-home the
+    // origin. Rejected up front, like `bgpsdn check` does — no job starts,
+    // none panics, no artifact is written.
+    for (name, grid) in [
+        (
+            "split",
+            &["--sizes", "2", "--clusters", "3", "--n", "6"][..],
+        ),
+        (
+            "failover",
+            &["--sizes", "0,2", "--n", "4", "--event", "failover"][..],
+        ),
+    ] {
+        let out = tmp(&format!("{name}.jsonl"));
+        let _ = std::fs::remove_file(&out);
+        let sweep = bgpsdn()
+            .arg("sweep")
+            .args(grid)
+            .args(["--seeds", "1", "--out"])
+            .arg(&out)
+            .output()
+            .expect("spawn");
+        assert_eq!(sweep.status.code(), Some(1), "{name}");
+        let stdout = String::from_utf8_lossy(&sweep.stdout);
+        let stderr = String::from_utf8_lossy(&sweep.stderr);
+        assert!(
+            !stdout.contains("jobs on"),
+            "{name}: a job started: {stdout}"
+        );
+        assert!(
+            !stdout.contains("PANIC"),
+            "{name}: a job panicked: {stdout}"
+        );
+        assert!(stderr.contains("pre-flight"), "{name}: {stderr}");
+        assert!(!out.exists(), "{name}: an artifact was written");
+    }
 }
 
 #[test]

@@ -244,6 +244,30 @@ fn run_rejects_more_members_than_ases() {
 }
 
 #[test]
+fn run_rejects_a_job_the_preflight_rejects() {
+    // A fail-over needs five ASes to dual-home its origin.
+    let run = bgpsdn()
+        .args(["run", "--event", "failover", "--n", "4"])
+        .output()
+        .expect("spawn bgpsdn run");
+    assert_eq!(run.status.code(), Some(1), "a runtime error, not a panic");
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("grid.event_requires"), "{err}");
+    assert!(run.stdout.is_empty(), "rejected before anything is printed");
+}
+
+#[test]
+fn run_requires_an_event() {
+    let run = bgpsdn()
+        .args(["run", "--sdn", "2"])
+        .output()
+        .expect("spawn bgpsdn run");
+    assert_eq!(run.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("--event is required"), "{err}");
+}
+
+#[test]
 fn run_rejects_a_mistyped_flag() {
     // `--sed 9` (for `--seed 9`) used to be dropped and seed 1 run instead.
     let run = bgpsdn()

@@ -4,7 +4,7 @@
 //! Campaign jobs run with wall-clock profiling off, so their JSONL
 //! artifacts are *raw-byte* reproducible — this is what lets the parallel
 //! sweep runner prove itself against serial execution. Profiled runs
-//! (`run_clique_traced`) carry host wall times in span events and metric
+//! (`bgpsdn run --trace-out`) carry host wall times in span events and metric
 //! histograms; those canonicalize away with [`canonicalize_jsonl`], and
 //! everything the simulation controls must survive identically.
 
@@ -89,16 +89,19 @@ fn mixed_chaos_jobs_are_equally_deterministic() {
 
 #[test]
 fn profiled_runs_canonicalize_identically() {
-    let scenario = CliqueScenario {
-        n: 6,
-        sdn_count: 3,
-        mrai: SimDuration::from_secs(2),
-        recompute_delay: SimDuration::from_millis(100),
+    let scenario = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(2)),
         seed: 9,
-        control_loss: 0.0,
+        ..JobSpec::clique(6, 3)
     };
-    let (out1, exp1) = run_clique_traced(&scenario, EventKind::Withdrawal);
-    let (out2, exp2) = run_clique_traced(&scenario, EventKind::Withdrawal);
+    let (out1, exp1) = scenario.run(|sim| {
+        sim.trace_mut().enable_all();
+        sim.set_profiling(true);
+    });
+    let (out2, exp2) = scenario.run(|sim| {
+        sim.trace_mut().enable_all();
+        sim.set_profiling(true);
+    });
     assert!(out1.converged && out2.converged);
     assert_eq!(out1.convergence, out2.convergence, "sim time is exact");
 

@@ -122,34 +122,26 @@ fn iplane_latencies_feed_the_simulation() {
 
 #[test]
 fn facade_prelude_runs_a_scenario() {
-    let out = run_clique(
-        &CliqueScenario {
-            n: 5,
-            sdn_count: 2,
-            mrai: SimDuration::from_secs(2),
-            recompute_delay: SimDuration::from_millis(50),
-            seed: 3,
-            control_loss: 0.0,
-        },
-        EventKind::Withdrawal,
-    );
+    let spec = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(2)),
+        recompute_delay: SimDuration::from_millis(50),
+        seed: 3,
+        ..JobSpec::clique(5, 2)
+    };
+    let (out, _) = spec.run(|_| {});
     assert!(out.converged && out.audit_ok);
 }
 
 #[test]
 fn whole_pipeline_is_deterministic() {
     let run = || {
-        let out = run_clique(
-            &CliqueScenario {
-                n: 6,
-                sdn_count: 3,
-                mrai: SimDuration::from_secs(5),
-                recompute_delay: SimDuration::from_millis(100),
-                seed: 9,
-                control_loss: 0.0,
-            },
-            EventKind::Failover,
-        );
+        let spec = JobSpec {
+            timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
+            event: EventKind::Failover,
+            seed: 9,
+            ..JobSpec::clique(6, 3)
+        };
+        let (out, _) = spec.run(|_| {});
         (out.convergence, out.updates, out.flow_mods)
     };
     assert_eq!(run(), run());

@@ -204,15 +204,14 @@ fn measured_ghost_paths_stay_within_the_static_hunt_bound() {
         let bound = hunt_depth_bound(&g, &members, 0);
         assert_eq!(bound, 16 - sdn.max(1), "clique bound is component size - 1");
 
-        let scenario = CliqueScenario {
-            n: 16,
-            sdn_count: sdn,
-            mrai: SimDuration::from_secs(30),
-            recompute_delay: SimDuration::from_millis(100),
+        let scenario = JobSpec {
             seed: 4242,
-            control_loss: 0.0,
+            ..JobSpec::clique(16, sdn)
         };
-        let (out, exp) = run_clique_traced(&scenario, EventKind::Withdrawal);
+        let (out, exp) = scenario.run(|sim| {
+            sim.trace_mut().enable_all();
+            sim.set_profiling(true);
+        });
         assert!(out.converged);
         let phase_start = exp.phase_start();
         let measured = exp
