@@ -12,7 +12,7 @@
 
 use bgpsdn_bench::write_json;
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{Experiment, NetworkBuilder, Speaker};
+use bgpsdn_core::{Experiment, NetworkBuilder, ScriptAction, Speaker};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::impl_to_json;
 use bgpsdn_topology::{plan, AsGraph, Graph};
@@ -78,11 +78,11 @@ fn run_outage(outage_s: u64) -> Row {
     let count = restore_tick + TAIL_TICKS;
     let report = exp.ping_stream(0, dst, INTERVAL, count, |e, tick| {
         if tick == CRASH_TICK {
-            e.crash_controller();
+            e.apply(&ScriptAction::CrashController);
         } else if tick == FAIL_TICK {
-            e.fail_edge(1, 3);
+            e.apply(&ScriptAction::FailEdge(1, 3));
         } else if tick == restore_tick {
-            e.restore_controller();
+            e.apply(&ScriptAction::RestoreController);
         }
     });
 

@@ -13,7 +13,7 @@
 
 use bgpsdn_bench::write_json;
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{Experiment, NetworkBuilder, Router};
+use bgpsdn_core::{Experiment, NetworkBuilder, Router, ScriptAction};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::impl_to_json;
 use bgpsdn_topology::{gen, plan, AsGraph};
@@ -97,9 +97,9 @@ fn run_outage(sdn: usize, gr: bool, outage_s: u64) -> Row {
     let count = restore_tick + TAIL_TICKS;
     let report = exp.ping_stream(2, dst, INTERVAL, count, |e, tick| {
         if tick == CRASH_TICK {
-            e.crash_router(1);
+            e.apply(&ScriptAction::CrashRouter(1));
         } else if tick == restore_tick {
-            e.restore_router(1);
+            e.apply(&ScriptAction::RestoreRouter(1));
         }
     });
     let stale_retained = legacy_sum(&exp, sdn, |r| r.stats().stale_retained);

@@ -13,7 +13,7 @@
 
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{Asn, PolicyMode, TimingConfig};
-use bgpsdn_core::{Controller, Experiment, NetworkBuilder};
+use bgpsdn_core::{Controller, Experiment, NetworkBuilder, ScriptAction};
 use bgpsdn_netsim::{SimDuration, Summary};
 use bgpsdn_obs::impl_to_json;
 use bgpsdn_topology::{plan, AsEdge, AsGraph, EdgeKind};
@@ -96,7 +96,7 @@ fn main() {
 
         // Split.
         exp.mark();
-        exp.fail_edge(a_idx, b_idx);
+        exp.apply(&ScriptAction::FailEdge(a_idx, b_idx));
         let rep = exp.wait_converged(hour);
         assert!(rep.converged);
         split_times.push(rep.duration);
@@ -113,7 +113,7 @@ fn main() {
 
         // Heal.
         exp.mark();
-        exp.restore_edge(a_idx, b_idx);
+        exp.apply(&ScriptAction::RestoreEdge(a_idx, b_idx));
         let rep = exp.wait_converged(hour);
         assert!(rep.converged);
         heal_times.push(rep.duration);

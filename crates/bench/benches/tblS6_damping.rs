@@ -12,7 +12,7 @@
 
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{DampingConfig, PolicyMode, TimingConfig};
-use bgpsdn_core::{Experiment, NetworkBuilder};
+use bgpsdn_core::{Experiment, NetworkBuilder, ScriptAction};
 use bgpsdn_netsim::{SimDuration, Summary};
 use bgpsdn_obs::impl_to_json;
 use bgpsdn_topology::{gen, plan, AsGraph};
@@ -62,9 +62,15 @@ fn run_once(damping: bool, sdn_count: usize, seed: u64) -> (SimDuration, u64) {
     let origin = 0usize;
     let p = exp.net.ases[origin].prefix;
     for _ in 0..FLAPS {
-        exp.withdraw(origin, None);
+        exp.apply(&ScriptAction::Withdraw {
+            as_index: origin,
+            prefix: None,
+        });
         exp.net.sim.run_for(FLAP_GAP);
-        exp.announce(origin, None);
+        exp.apply(&ScriptAction::Announce {
+            as_index: origin,
+            prefix: None,
+        });
         exp.net.sim.run_for(FLAP_GAP);
     }
     let t_stable = exp.net.sim.now();

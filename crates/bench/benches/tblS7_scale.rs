@@ -9,7 +9,7 @@
 
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
-use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, Topology};
+use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, ScriptAction, Topology};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::{impl_to_json, RecomputeTrigger, TraceCategory, TraceEvent};
 use bgpsdn_topology::caida::SynthesisParams;
@@ -71,7 +71,10 @@ fn seed_then_probe(seed: u64, incremental: bool) -> (SimDuration, bool, Experime
     for i in stubs.clone() {
         let base = exp.net.ases[i].prefix;
         for j in 0..PER_STUB {
-            exp.announce(i, Some(sub_prefix(base, j)));
+            exp.apply(&ScriptAction::Announce {
+                as_index: i,
+                prefix: Some(sub_prefix(base, j)),
+            });
         }
     }
     let seeding = exp.wait_converged(HOUR);
@@ -79,7 +82,10 @@ fn seed_then_probe(seed: u64, incremental: bool) -> (SimDuration, bool, Experime
     let origin = stubs.start;
     let update_prefix = sub_prefix(exp.net.ases[origin].prefix, PER_STUB);
     exp.mark_named(UPDATE_PHASE);
-    exp.announce(origin, Some(update_prefix));
+    exp.apply(&ScriptAction::Announce {
+        as_index: origin,
+        prefix: Some(update_prefix),
+    });
     let update = exp.wait_converged(HOUR);
     let ok = seeding.converged
         && update.converged

@@ -13,7 +13,9 @@
 //! naming a missing file, or an uncalled `pub fn`, 2 on usage or IO
 //! errors. `--write` regenerates the baseline after an audited change.
 //! On success it also prints the size of `src` and `crates/*/src`: lines
-//! before each file's first `#[cfg(test)]`, and `pub fn` definitions.
+//! before each file's first `#[cfg(test)]`, the `pub fn` definitions and
+//! the panic sites (`.unwrap()`, `.expect(`, `panic!(`, `unreachable!(`)
+//! among them.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -234,8 +236,8 @@ fn main() -> ExitCode {
         baseline.len()
     );
     println!(
-        "detlint: size of src and crates/*/src: {} non-test lines, {} pub fn",
-        size.lines, size.pub_fns
+        "detlint: size of src and crates/*/src: {} non-test lines, {} pub fn, {} panic sites",
+        size.lines, size.pub_fns, size.panic_sites
     );
     ExitCode::SUCCESS
 }

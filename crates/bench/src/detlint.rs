@@ -202,17 +202,23 @@ fn pub_fns(text: &str) -> Vec<(usize, String)> {
         .collect()
 }
 
-/// How big a source tree is, in the two numbers the ROADMAP tracks.
+/// How big a source tree is, in the three numbers the ROADMAP tracks.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct TreeSize {
     /// Lines before the first `#[cfg(test)]` of each `.rs` file.
     pub lines: usize,
     /// `pub fn` definitions among those lines, exempted ones included.
     pub pub_fns: usize,
+    /// Those lines whose code (comments stripped) can panic:
+    /// `.unwrap()`, `.expect(`, `panic!(` or `unreachable!(`.
+    pub panic_sites: usize,
 }
 
-/// Count the non-test lines and `pub fn` definitions of every `.rs` file
-/// under `roots`.
+/// What makes a line a panic site.
+const PANIC_PATTERNS: [&str; 4] = [".unwrap()", ".expect(", "panic!(", "unreachable!("];
+
+/// Count the non-test lines, `pub fn` definitions and panic sites of
+/// every `.rs` file under `roots`.
 ///
 /// # Errors
 ///
@@ -223,6 +229,8 @@ pub fn tree_size(base: &Path, roots: &[PathBuf]) -> Result<TreeSize, String> {
         for line in non_test_lines(&text) {
             size.lines += 1;
             size.pub_fns += usize::from(pub_fn_name(line).is_some());
+            let code = strip_comment(line);
+            size.panic_sites += usize::from(PANIC_PATTERNS.iter().any(|p| code.contains(p)));
         }
     }
     Ok(size)
@@ -540,9 +548,12 @@ fn main() {
 pub fn one() {}
 pub(crate) fn crate_visible() {}
 pub const fn two() {}
+fn site() { x.unwrap(); }
+// y.expect(\"a site in a comment\");
 #[cfg(test)]
 mod tests {
     pub fn test_helper() {}
+    fn test_site() { panic!(\"a site in a test\"); }
 }
 ",
         )
@@ -557,8 +568,9 @@ mod tests {
         assert_eq!(
             size,
             TreeSize {
-                lines: 7,
-                pub_fns: 3
+                lines: 9,
+                pub_fns: 3,
+                panic_sites: 1
             }
         );
     }

@@ -172,7 +172,7 @@ impl CampaignGrid {
 
     /// True when every job of the grid runs the paper's deployment — one
     /// cluster on the highest AS indices. This decides formats only: such
-    /// jobs' seeds are not folded ([`fold_deployment_seed`]) and their
+    /// jobs' seeds are not folded with the deployment axes and their
     /// artifact headers omit the `clusters` and `strategy` keys, so Fig. 2
     /// sweeps stay comparable with artifacts that predate the deployment
     /// axes. Which code runs never depends on it.
@@ -237,7 +237,7 @@ pub fn job_seed(base: u64, cluster: u64, loss_ppm: u64, latency_ns: u64, seed_in
 /// `(cluster count, strategy)` pair derives a distinct seed that — like
 /// [`job_seed`] — depends only on the job's own parameters, never on its
 /// grid position.
-pub fn fold_deployment_seed(seed: u64, clusters: u64, strategy: &str) -> u64 {
+fn fold_deployment_seed(seed: u64, clusters: u64, strategy: &str) -> u64 {
     if paper_deployment(clusters as usize, strategy) {
         return seed;
     }

@@ -4,8 +4,9 @@
 //! prefixes, wait until BGP has converged, etc." plus "the user should be
 //! able to actively control the experiments, e.g., dynamically changing the
 //! topology and verifying the effects of changes". [`Experiment`] is that
-//! surface: announce/withdraw, link failure/restoration, convergence
-//! waiting/measurement, RIB and connectivity audits.
+//! surface, each command a [`ScriptAction`] that [`Experiment::apply`]
+//! runs: announce/withdraw, link and device faults, convergence waits,
+//! RIB and connectivity audits.
 
 use std::net::Ipv4Addr;
 
@@ -13,7 +14,7 @@ use bgpsdn_bgp::{Prefix, RouterCommand};
 use bgpsdn_collector::{measure, ConvergenceReport};
 use bgpsdn_netsim::ObsPrefix;
 use bgpsdn_netsim::{
-    Activity, MetricsSnapshot, NodeId, SimDuration, SimTime, TraceCategory, TraceEvent,
+    Activity, LinkId, MetricsSnapshot, NodeId, SimDuration, SimTime, TraceCategory, TraceEvent,
 };
 use bgpsdn_obs::{metrics_line, run_line, Json};
 use bgpsdn_sdn::ClusterMsg;
@@ -22,6 +23,7 @@ use bgpsdn_verify::{ConnectivityReport, Report, Snapshot, Verifier};
 use super::network::{
     AsHandle, AsKind, ClusterHandle, Collector, Controller, HybridNetwork, Router, Switch,
 };
+use super::script::ScriptAction;
 use super::verify::capture_snapshot;
 
 /// A running hybrid experiment.
@@ -209,13 +211,9 @@ impl Experiment {
                 .last_routing_change()
                 .unwrap_or(self.phase_start)
                 .max(self.phase_start);
-            if now.saturating_since(last) >= window {
-                let report = measure(self.net.sim.board(), self.phase_start, true);
-                self.auto_verify_checkpoint();
-                return report;
-            }
-            if now >= deadline {
-                let report = measure(self.net.sim.board(), self.phase_start, false);
+            let quiet = now.saturating_since(last) >= window;
+            if quiet || now >= deadline {
+                let report = measure(self.net.sim.board(), self.phase_start, quiet);
                 self.auto_verify_checkpoint();
                 return report;
             }
@@ -224,8 +222,94 @@ impl Experiment {
     }
 
     // ------------------------------------------------------------------
-    // Scenario commands
+    // The command vocabulary
     // ------------------------------------------------------------------
+
+    /// Execute one action — the one place a command, fault or expectation
+    /// runs, for scripts, chaos schedules, a job's event and hand-driven
+    /// runs alike. Returns whether the step held and, for a
+    /// [`WaitConverged`](ScriptAction::WaitConverged), its report. Takes
+    /// no verifier checkpoint ([`Experiment::run_script`] adds one after a
+    /// fault). Routing commands go to the AS's router, or its controller
+    /// for a member; controller and channel faults hit the first cluster;
+    /// a traffic drop is 100 % loss on a live link, traced through the
+    /// event queue, that only hold timers detect. Restored devices
+    /// cold-start with their configuration and originated prefixes.
+    ///
+    /// # Panics
+    ///
+    /// On an AS or edge the network lacks, or a cluster action without a
+    /// cluster; [`Experiment::script_preflight`] reports these up front.
+    pub fn apply(&mut self, action: &ScriptAction) -> (bool, Option<ConvergenceReport>) {
+        match *action {
+            ScriptAction::Announce { as_index, prefix }
+            | ScriptAction::Withdraw { as_index, prefix } => {
+                let p = prefix.unwrap_or(self.net.ases[as_index].prefix);
+                let command = if matches!(action, ScriptAction::Announce { .. }) {
+                    RouterCommand::Announce(p)
+                } else {
+                    RouterCommand::Withdraw(p)
+                };
+                let target = self.command_target(as_index);
+                self.net.sim.inject(target, ClusterMsg::Command(command));
+            }
+            ScriptAction::FailEdge(a, b) | ScriptAction::RestoreEdge(a, b) => {
+                let up = matches!(action, ScriptAction::RestoreEdge(..));
+                let link = self.edge(a, b);
+                self.net.sim.set_link_admin(link, up);
+            }
+            ScriptAction::SetEdgeLoss(a, b, loss) => {
+                let link = self.edge(a, b);
+                self.net.sim.set_link_loss(link, loss);
+            }
+            ScriptAction::DropEdgeTraffic(a, b) | ScriptAction::RestoreEdgeTraffic(a, b) => {
+                let ppm = if matches!(action, ScriptAction::DropEdgeTraffic(..)) {
+                    1_000_000
+                } else {
+                    0
+                };
+                let (link, now) = (self.edge(a, b), self.net.sim.now());
+                self.net.sim.schedule_link_loss(now, link, ppm);
+                self.net.sim.run_until(now);
+            }
+            ScriptAction::CrashRouter(i) | ScriptAction::RestoreRouter(i) => {
+                let up = matches!(action, ScriptAction::RestoreRouter(_));
+                self.net.sim.set_node_admin(self.net.ases[i].node, up);
+            }
+            ScriptAction::CrashController | ScriptAction::RestoreController => {
+                let up = matches!(action, ScriptAction::RestoreController);
+                let c = self.first_cluster().controller;
+                self.net.sim.set_node_admin(c, up);
+            }
+            ScriptAction::PartitionControlChannel | ScriptAction::HealControlChannel => {
+                let up = matches!(action, ScriptAction::HealControlChannel);
+                let l = self.first_cluster().speaker_link;
+                self.net.sim.set_link_admin(l, up);
+            }
+            ScriptAction::SetControlLoss(loss) => {
+                let l = self.first_cluster().speaker_link;
+                self.net.sim.set_link_loss(l, loss);
+            }
+            ScriptAction::Mark => {
+                self.mark();
+            }
+            ScriptAction::WaitConverged { max } => {
+                let report = self.wait_converged(max);
+                return (report.converged, Some(report));
+            }
+            ScriptAction::RunFor(d) => {
+                self.net.sim.run_for(d);
+            }
+            ScriptAction::ExpectReachable { prefix, origin } => {
+                return (self.prefix_reachable_from_all(prefix, origin), None);
+            }
+            ScriptAction::ExpectGone { prefix } => return (self.prefix_fully_gone(prefix), None),
+            ScriptAction::ExpectFullConnectivity => {
+                return (self.connectivity_audit().fully_connected(), None);
+            }
+        }
+        (true, None)
+    }
 
     /// The driver target for routing commands concerning AS `i`: the router
     /// itself, or the controller when the AS is a cluster member.
@@ -241,104 +325,14 @@ impl Experiment {
         }
     }
 
-    /// AS `i` announces a prefix (its own /16 when `prefix` is `None`).
-    pub fn announce(&mut self, i: usize, prefix: Option<Prefix>) {
-        let p = prefix.unwrap_or(self.net.ases[i].prefix);
-        let target = self.command_target(i);
+    /// The link between adjacent ASes `a` and `b`.
+    fn edge(&self, a: usize, b: usize) -> LinkId {
         self.net
-            .sim
-            .inject(target, ClusterMsg::Command(RouterCommand::Announce(p)));
-    }
-
-    /// AS `i` withdraws a prefix (its own /16 when `prefix` is `None`).
-    pub fn withdraw(&mut self, i: usize, prefix: Option<Prefix>) {
-        let p = prefix.unwrap_or(self.net.ases[i].prefix);
-        let target = self.command_target(i);
-        self.net
-            .sim
-            .inject(target, ClusterMsg::Command(RouterCommand::Withdraw(p)));
-    }
-
-    /// Fail the link between adjacent ASes `a` and `b`.
-    pub fn fail_edge(&mut self, a: usize, b: usize) {
-        let link = self
-            .net
             .link_between(a, b)
-            .unwrap_or_else(|| panic!("no link between AS {a} and {b}"));
-        self.net.sim.set_link_admin(link, false);
+            .unwrap_or_else(|| panic!("no link between AS {a} and {b}"))
     }
 
-    /// Restore the link between adjacent ASes `a` and `b`.
-    pub fn restore_edge(&mut self, a: usize, b: usize) {
-        let link = self
-            .net
-            .link_between(a, b)
-            .unwrap_or_else(|| panic!("no link between AS {a} and {b}"));
-        self.net.sim.set_link_admin(link, true);
-    }
-
-    /// Set the random per-message loss probability of the link between
-    /// adjacent ASes `a` and `b`.
-    pub fn set_edge_loss(&mut self, a: usize, b: usize, loss: f64) {
-        let link = self
-            .net
-            .link_between(a, b)
-            .unwrap_or_else(|| panic!("no link between AS {a} and {b}"));
-        self.net.sim.set_link_loss(link, loss);
-    }
-
-    /// Silently drop all traffic on the edge between ASes `a` and `b`:
-    /// 100% loss with the link administratively up, so neither end sees a
-    /// link event and only hold-timer expiry can detect the outage. Goes
-    /// through the event queue so the change is traced.
-    pub fn drop_edge_traffic(&mut self, a: usize, b: usize) {
-        let link = self
-            .net
-            .link_between(a, b)
-            .unwrap_or_else(|| panic!("no link between AS {a} and {b}"));
-        let now = self.net.sim.now();
-        self.net.sim.schedule_link_loss(now, link, 1_000_000);
-        self.net.sim.run_until(now);
-    }
-
-    /// End a traffic-drop window on the edge between ASes `a` and `b`.
-    pub fn restore_edge_traffic(&mut self, a: usize, b: usize) {
-        let link = self
-            .net
-            .link_between(a, b)
-            .unwrap_or_else(|| panic!("no link between AS {a} and {b}"));
-        let now = self.net.sim.now();
-        self.net.sim.schedule_link_loss(now, link, 0);
-        self.net.sim.run_until(now);
-    }
-
-    /// Crash the router device of AS `i`: in-flight deliveries to it drop,
-    /// its timers die, and peers only find out when their hold timers
-    /// expire (or, with hold timers off, when the restarted router's OPEN
-    /// collides with the stale session).
-    pub fn crash_router(&mut self, i: usize) {
-        let node = self.net.ases[i].node;
-        self.net.sim.set_node_admin(node, false);
-    }
-
-    /// Restore a crashed router. It cold-starts: volatile state (RIBs,
-    /// sessions, damping history) is gone, operator intent (configuration
-    /// and originated prefixes) survives, and it re-advertises everything
-    /// once sessions come back.
-    pub fn restore_router(&mut self, i: usize) {
-        let node = self.net.ases[i].node;
-        self.net.sim.set_node_admin(node, true);
-    }
-
-    /// Whether the router device of AS `i` is currently up.
-    pub fn router_is_up(&self, i: usize) -> bool {
-        self.net.sim.node_is_up(self.net.ases[i].node)
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection (the chaos layer)
-    // ------------------------------------------------------------------
-
+    /// The cluster controller and channel actions target.
     fn first_cluster(&self) -> &ClusterHandle {
         self.net
             .clusters
@@ -346,21 +340,34 @@ impl Experiment {
             .expect("fault injection targets missing cluster 0")
     }
 
-    /// Crash the IDR controller: it stops processing entirely, its timers
-    /// die, and in-flight messages toward it are lost. Speakers fall back
-    /// to headless fail-static forwarding. Targets the first cluster.
-    pub fn crash_controller(&mut self) {
-        let c = self.first_cluster().controller;
-        self.net.sim.set_node_admin(c, false);
+    /// AS `as_index` announces a prefix (its own /16 when `prefix` is `None`).
+    /// Kept only because the benchmark harness calls it; its next revision
+    /// (ROADMAP item 2) moves onto [`Experiment::apply`] and deletes this.
+    pub fn announce(&mut self, as_index: usize, prefix: Option<Prefix>) {
+        self.apply(&ScriptAction::Announce { as_index, prefix });
     }
 
-    /// Restart a crashed controller (first cluster). It comes back with
-    /// operator intent only (configuration + announced prefixes) and
-    /// re-learns everything else through the speaker resync and switch
-    /// table replies.
-    pub fn restore_controller(&mut self) {
-        let c = self.first_cluster().controller;
-        self.net.sim.set_node_admin(c, true);
+    /// AS `as_index` withdraws a prefix (its own /16 when `prefix` is `None`).
+    /// Kept only for the benchmark harness, like [`Experiment::announce`].
+    pub fn withdraw(&mut self, as_index: usize, prefix: Option<Prefix>) {
+        self.apply(&ScriptAction::Withdraw { as_index, prefix });
+    }
+
+    /// Fail the link between adjacent ASes `a` and `b`. Kept only for the
+    /// benchmark harness, like [`Experiment::announce`].
+    pub fn fail_edge(&mut self, a: usize, b: usize) {
+        self.apply(&ScriptAction::FailEdge(a, b));
+    }
+
+    /// Restore the link between adjacent ASes `a` and `b`. Kept only for
+    /// the benchmark harness, like [`Experiment::announce`].
+    pub fn restore_edge(&mut self, a: usize, b: usize) {
+        self.apply(&ScriptAction::RestoreEdge(a, b));
+    }
+
+    /// Whether the router device of AS `i` is currently up.
+    pub fn router_is_up(&self, i: usize) -> bool {
+        self.net.sim.node_is_up(self.net.ases[i].node)
     }
 
     /// Whether the first cluster's controller node is currently up.
@@ -369,26 +376,6 @@ impl Experiment {
             .clusters
             .first()
             .is_some_and(|h| self.net.sim.node_is_up(h.controller))
-    }
-
-    /// Partition the first cluster's speaker↔controller channel (both stay
-    /// alive but cannot talk; each side's hold timer eventually fires).
-    pub fn partition_control_channel(&mut self) {
-        let l = self.first_cluster().speaker_link;
-        self.net.sim.set_link_admin(l, false);
-    }
-
-    /// Heal a control-channel partition (first cluster).
-    pub fn heal_control_channel(&mut self) {
-        let l = self.first_cluster().speaker_link;
-        self.net.sim.set_link_admin(l, true);
-    }
-
-    /// Set the random per-message loss probability of the first cluster's
-    /// speaker↔controller channel.
-    pub fn set_control_loss(&mut self, loss: f64) {
-        let l = self.first_cluster().speaker_link;
-        self.net.sim.set_link_loss(l, loss);
     }
 
     // ------------------------------------------------------------------

@@ -20,7 +20,7 @@ use super::campaign::loss_ppm;
 use super::deploy::DeploymentStrategy;
 use super::experiment::Experiment;
 use super::network::{NetworkBuilder, Sim};
-use super::script::Script;
+use super::script::{Script, ScriptAction};
 
 /// The AS topology a job runs on.
 #[derive(Debug, Clone)]
@@ -282,21 +282,17 @@ impl JobSpec {
 
         exp.mark_named(event_phase_name(self.event));
         let audit_prefix = match self.event {
-            EventKind::Withdrawal => {
-                exp.withdraw(origin, None);
-                origin_prefix
-            }
-            EventKind::Announcement => {
-                // A fresh /17 inside the origin's block: unknown to everyone.
-                let (lo, _) = origin_prefix.split();
-                exp.announce(origin, Some(lo));
-                lo
-            }
-            EventKind::Failover => {
-                exp.fail_edge(origin, 2);
-                origin_prefix
-            }
+            // A fresh /17 inside the origin's block: unknown to everyone.
+            EventKind::Announcement => origin_prefix.split().0,
+            EventKind::Withdrawal | EventKind::Failover => origin_prefix,
         };
+        let (as_index, prefix) = (origin, Some(audit_prefix));
+        let event = match self.event {
+            EventKind::Withdrawal => ScriptAction::Withdraw { as_index, prefix },
+            EventKind::Announcement => ScriptAction::Announce { as_index, prefix },
+            EventKind::Failover => ScriptAction::FailEdge(origin, 2),
+        };
+        exp.apply(&event);
         if let Some(script) = &self.script {
             let report = exp.run_script(script);
             assert!(

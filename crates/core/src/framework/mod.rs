@@ -17,9 +17,9 @@ pub mod traffic;
 pub mod verify;
 
 pub use campaign::{
-    fold_deployment_seed, job_seed, loss_ppm, render_job_artifact_into, run_campaign,
-    run_campaign_scratch, run_job, run_job_scratch, CampaignGrid, CampaignJob, CampaignRunReport,
-    CliqueRunOptions, CliqueScenario, JobOutcome, JobResult, JobScratch,
+    job_seed, loss_ppm, render_job_artifact_into, run_campaign, run_campaign_scratch, run_job,
+    run_job_scratch, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions,
+    CliqueScenario, JobOutcome, JobResult, JobScratch,
 };
 pub use deploy::DeploymentStrategy;
 pub use experiment::Experiment;

@@ -157,7 +157,12 @@ mod tests {
     fn script_preflight_catches_bad_index() {
         let net = NetworkBuilder::new(clique_plan(3), 1).build();
         let exp = Experiment::new(net);
-        let script = Script::new().announce(9);
+        let script = Script {
+            steps: vec![ScriptAction::Announce {
+                as_index: 9,
+                prefix: None,
+            }],
+        };
         let report = exp.script_preflight(&script);
         assert_eq!(report.first_error().unwrap().code, "script.index_range");
     }
@@ -169,15 +174,34 @@ mod tests {
             .build();
         let prefix = net.ases[0].prefix;
         let exp = Experiment::new(net);
-        let script = Script::new()
-            .announce(0)
-            .announce(1)
-            .announce(2)
-            .wait_converged(SimDuration::from_secs(600))
-            .expect_reachable(prefix, 0)
-            .withdraw(0)
-            .wait_converged(SimDuration::from_secs(600))
-            .expect_gone(prefix);
+        let script = Script {
+            steps: vec![
+                ScriptAction::Announce {
+                    as_index: 0,
+                    prefix: None,
+                },
+                ScriptAction::Announce {
+                    as_index: 1,
+                    prefix: None,
+                },
+                ScriptAction::Announce {
+                    as_index: 2,
+                    prefix: None,
+                },
+                ScriptAction::WaitConverged {
+                    max: SimDuration::from_secs(600),
+                },
+                ScriptAction::ExpectReachable { prefix, origin: 0 },
+                ScriptAction::Withdraw {
+                    as_index: 0,
+                    prefix: None,
+                },
+                ScriptAction::WaitConverged {
+                    max: SimDuration::from_secs(600),
+                },
+                ScriptAction::ExpectGone { prefix },
+            ],
+        };
         let report = exp.script_preflight(&script);
         assert!(report.clean(), "{}", report.render());
     }
@@ -207,7 +231,10 @@ mod tests {
         assert!(run(flap, 9).is_ok_and(|o| o.converged && o.audit_ok));
         // A structurally broken schedule never runs: run_script's
         // pre-flight rejects the unknown AS before any fault fires.
-        let err = run(Script::new().crash_router(7), 9).expect_err("unknown AS is rejected");
+        let unknown = Script {
+            steps: vec![ScriptAction::CrashRouter(7)],
+        };
+        let err = run(unknown, 9).expect_err("unknown AS is rejected");
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("script.index_range"), "{msg}");
     }

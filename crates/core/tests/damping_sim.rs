@@ -6,7 +6,7 @@
 //! report` can show them.
 
 use bgpsdn_bgp::{DampingConfig, PolicyMode, TimingConfig};
-use bgpsdn_core::{Experiment, NetworkBuilder, Router};
+use bgpsdn_core::{Experiment, NetworkBuilder, Router, ScriptAction};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_topology::{gen, plan, AsGraph};
 
@@ -51,9 +51,9 @@ fn router(exp: &Experiment, i: usize) -> &Router {
 
 /// Flap the 0–1 edge once: fail, let the withdrawal settle, restore.
 fn flap(exp: &mut Experiment) {
-    exp.fail_edge(0, 1);
+    exp.apply(&ScriptAction::FailEdge(0, 1));
     quiesce(exp);
-    exp.restore_edge(0, 1);
+    exp.apply(&ScriptAction::RestoreEdge(0, 1));
     quiesce(exp);
 }
 
@@ -69,9 +69,9 @@ fn session_flaps_suppress_then_reuse_after_decay() {
     // threshold.
     flap(&mut exp);
     flap(&mut exp);
-    exp.fail_edge(0, 1);
+    exp.apply(&ScriptAction::FailEdge(0, 1));
     quiesce(&mut exp);
-    exp.restore_edge(0, 1);
+    exp.apply(&ScriptAction::RestoreEdge(0, 1));
     // Mid-window look: the damping reuse timer is Progress-class, so
     // quiescing here would sail past the entire suppression. Run for a
     // fixed slice instead.

@@ -129,10 +129,12 @@ fn an_announcement_withdrawn_again_fails_its_audit() {
             timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
             seed: 5,
             event: EventKind::Announcement,
-            script: Some(Script::new().step(ScriptAction::Withdraw {
-                as_index: 0,
-                prefix: Some(lo),
-            })),
+            script: Some(Script {
+                steps: vec![ScriptAction::Withdraw {
+                    as_index: 0,
+                    prefix: Some(lo),
+                }],
+            }),
             ..JobSpec::clique(6, k)
         };
         let (out, exp) = s.run(|_| {});
@@ -280,7 +282,7 @@ fn subcluster_partition_recovers_over_legacy_world() {
 
     // Split the cluster.
     exp.mark();
-    exp.fail_edge(2, 3);
+    exp.apply(&ScriptAction::FailEdge(2, 3));
     let rep = exp.wait_converged(HOUR);
     assert!(rep.converged);
 
@@ -313,7 +315,7 @@ fn subcluster_partition_recovers_over_legacy_world() {
 
     // Healing the link restores internal routing.
     exp.mark();
-    exp.restore_edge(2, 3);
+    exp.apply(&ScriptAction::RestoreEdge(2, 3));
     assert!(exp.wait_converged(HOUR).converged);
     let sw_a = exp.net.sim.node_ref::<Switch>(a_node);
     match sw_a.table().lookup(b_prefix.nth(1)).map(|r| r.action) {
@@ -381,7 +383,10 @@ fn gao_rexford_internet_like_topology_converges() {
     let stub = 20; // last stub index (3 + 6 + 12 = 21 ASes)
     assert_eq!(exp.net.ases[stub].kind, AsKind::Legacy);
     exp.mark();
-    exp.withdraw(stub, None);
+    exp.apply(&ScriptAction::Withdraw {
+        as_index: stub,
+        prefix: None,
+    });
     let rep = exp.wait_converged(HOUR);
     assert!(rep.converged);
     assert!(exp.prefix_fully_gone(exp.net.ases[stub].prefix));
@@ -403,7 +408,10 @@ fn recompute_delay_batches_bursty_input() {
         let c = exp.net.controller.unwrap();
         let before = exp.net.sim.node_ref::<Controller>(c).stats().recomputes;
         exp.mark();
-        exp.withdraw(0, None);
+        exp.apply(&ScriptAction::Withdraw {
+            as_index: 0,
+            prefix: None,
+        });
         assert!(exp.wait_converged(HOUR).converged);
         let ctl = exp.net.sim.node_ref::<Controller>(c);
         (ctl.stats().recomputes - before, ctl.stats().flow_mods)
@@ -462,10 +470,10 @@ fn ping_stream_measures_failover_outage() {
     let dst = exp.net.ases[5].prefix.nth(9);
     let report = exp.ping_stream(1, dst, SimDuration::from_millis(100), 80, |exp, tick| {
         if tick == 20 {
-            exp.fail_edge(1, 5);
+            exp.apply(&ScriptAction::FailEdge(1, 5));
         }
         if tick == 50 {
-            exp.restore_edge(1, 5);
+            exp.apply(&ScriptAction::RestoreEdge(1, 5));
         }
     });
     assert_eq!(report.sent, 80);
@@ -506,23 +514,38 @@ fn scripted_experiment_lifecycle() {
     assert!(exp.start(HOUR).converged);
     let p0 = exp.net.ases[0].prefix;
 
-    let script = Script::new()
-        .expect_full_connectivity()
-        .mark()
-        .withdraw(0)
-        .wait_converged(HOUR)
-        .expect_gone(p0)
-        .mark()
-        .announce(0)
-        .wait_converged(HOUR)
-        .expect_reachable(p0, 0)
-        .mark()
-        .fail_edge(0, 1)
-        .wait_converged(HOUR)
-        .expect_reachable(p0, 0)
-        .restore_edge(0, 1)
-        .wait_converged(HOUR)
-        .expect_full_connectivity();
+    let script = Script {
+        steps: vec![
+            ScriptAction::ExpectFullConnectivity,
+            ScriptAction::Mark,
+            ScriptAction::Withdraw {
+                as_index: 0,
+                prefix: None,
+            },
+            ScriptAction::WaitConverged { max: HOUR },
+            ScriptAction::ExpectGone { prefix: p0 },
+            ScriptAction::Mark,
+            ScriptAction::Announce {
+                as_index: 0,
+                prefix: None,
+            },
+            ScriptAction::WaitConverged { max: HOUR },
+            ScriptAction::ExpectReachable {
+                prefix: p0,
+                origin: 0,
+            },
+            ScriptAction::Mark,
+            ScriptAction::FailEdge(0, 1),
+            ScriptAction::WaitConverged { max: HOUR },
+            ScriptAction::ExpectReachable {
+                prefix: p0,
+                origin: 0,
+            },
+            ScriptAction::RestoreEdge(0, 1),
+            ScriptAction::WaitConverged { max: HOUR },
+            ScriptAction::ExpectFullConnectivity,
+        ],
+    };
 
     let report = exp.run_script(&script);
     assert!(report.ok(), "script transcript:\n{}", report.render());
@@ -542,11 +565,18 @@ fn script_reports_expectation_failures_without_panicking() {
     // After a data-plane fault the analyzer cannot predict expectation
     // outcomes, so the script executes — and the runtime expectation
     // failure is recorded, not panicked.
-    let script = Script::new()
-        .drop_edge_traffic(0, 1)
-        .expect_gone(p0) // p0 is still reachable: fails cleanly at runtime
-        .restore_edge_traffic(0, 1)
-        .expect_reachable(p0, 0);
+    let script = Script {
+        steps: vec![
+            ScriptAction::DropEdgeTraffic(0, 1),
+            // p0 is still reachable: fails cleanly at runtime
+            ScriptAction::ExpectGone { prefix: p0 },
+            ScriptAction::RestoreEdgeTraffic(0, 1),
+            ScriptAction::ExpectReachable {
+                prefix: p0,
+                origin: 0,
+            },
+        ],
+    };
     let report = exp.run_script(&script);
     assert!(!report.ok());
     assert_eq!(report.first_failure().unwrap().index, 1);
@@ -554,7 +584,9 @@ fn script_reports_expectation_failures_without_panicking() {
 
     // A statically impossible expectation (p0 is announced and nothing in
     // the script disturbs it) is rejected by pre-flight before execution.
-    let bad = Script::new().expect_gone(p0);
+    let bad = Script {
+        steps: vec![ScriptAction::ExpectGone { prefix: p0 }],
+    };
     let report = exp.run_script(&bad);
     assert!(!report.ok());
     assert_eq!(report.steps.len(), 1);
@@ -578,7 +610,10 @@ fn windowed_convergence_matches_exact_measurement() {
         let mut exp = Experiment::new(net);
         assert!(exp.start(HOUR).converged);
         exp.mark();
-        exp.withdraw(0, None);
+        exp.apply(&ScriptAction::Withdraw {
+            as_index: 0,
+            prefix: None,
+        });
         exp.wait_converged(HOUR)
     };
     let run_windowed = || {
@@ -588,7 +623,10 @@ fn windowed_convergence_matches_exact_measurement() {
         let mut exp = Experiment::new(net);
         assert!(exp.start(HOUR).converged);
         exp.mark();
-        exp.withdraw(0, None);
+        exp.apply(&ScriptAction::Withdraw {
+            as_index: 0,
+            prefix: None,
+        });
         exp.wait_converged_windowed(SimDuration::from_secs(10), HOUR)
     };
     let exact = run_exact();
@@ -613,7 +651,10 @@ fn hybrid_runs_with_keepalives_enabled() {
     let mut exp = Experiment::new(net);
     assert!(exp.start(HOUR).converged);
     exp.mark();
-    exp.withdraw(0, None);
+    exp.apply(&ScriptAction::Withdraw {
+        as_index: 0,
+        prefix: None,
+    });
     let rep = exp.wait_converged_windowed(SimDuration::from_secs(10), HOUR);
     assert!(rep.converged);
     assert!(exp.prefix_fully_gone(exp.net.ases[0].prefix));
@@ -635,7 +676,10 @@ fn more_specific_prefix_wins_in_both_planes() {
     let p16 = exp.net.ases[0].prefix;
     let (p17, _) = p16.split();
     exp.mark();
-    exp.announce(1, Some(p17));
+    exp.apply(&ScriptAction::Announce {
+        as_index: 1,
+        prefix: Some(p17),
+    });
     assert!(exp.wait_converged(HOUR).converged);
 
     let in_17 = p17.nth(5);

@@ -113,15 +113,24 @@ fn assert_state_identical(a: &Experiment, b: &Experiment, what: &str) {
 fn routing_schedule(exp: &mut Experiment) {
     // A fresh /17 from a legacy AS, a withdrawal, and a member-member flap.
     let (lo, _) = exp.net.ases[0].prefix.split();
-    exp.announce(0, Some(lo));
+    exp.apply(&ScriptAction::Announce {
+        as_index: 0,
+        prefix: Some(lo),
+    });
     quiesce(exp);
-    exp.withdraw(1, None);
+    exp.apply(&ScriptAction::Withdraw {
+        as_index: 1,
+        prefix: None,
+    });
     quiesce(exp);
-    exp.fail_edge(3, 4);
+    exp.apply(&ScriptAction::FailEdge(3, 4));
     quiesce(exp);
-    exp.restore_edge(3, 4);
+    exp.apply(&ScriptAction::RestoreEdge(3, 4));
     quiesce(exp);
-    exp.announce(1, None);
+    exp.apply(&ScriptAction::Announce {
+        as_index: 1,
+        prefix: None,
+    });
     quiesce(exp);
 }
 
@@ -154,7 +163,7 @@ fn controller_crash_restart_matches_fault_free_oracle() {
 
     // Crash the controller, change the world underneath it, restart it.
     // Admin changes are scheduled events, so run the sim before observing.
-    faulty.crash_controller();
+    faulty.apply(&ScriptAction::CrashController);
     faulty.net.sim.run_for(SimDuration::from_secs(5));
     assert!(!faulty.controller_is_up());
     let spk = faulty
@@ -166,17 +175,23 @@ fn controller_crash_restart_matches_fault_free_oracle() {
         "speaker must detect controller loss via its hold timer"
     );
     // Legacy BGP keeps working while the cluster is headless.
-    faulty.withdraw(0, None);
+    faulty.apply(&ScriptAction::Withdraw {
+        as_index: 0,
+        prefix: None,
+    });
     quiesce(&mut faulty);
-    faulty.fail_edge(0, 1);
+    faulty.apply(&ScriptAction::FailEdge(0, 1));
     quiesce(&mut faulty);
-    faulty.restore_controller();
+    faulty.apply(&ScriptAction::RestoreController);
     quiesce(&mut faulty);
 
     // The oracle sees the same world without ever losing its controller.
-    oracle.withdraw(0, None);
+    oracle.apply(&ScriptAction::Withdraw {
+        as_index: 0,
+        prefix: None,
+    });
     quiesce(&mut oracle);
-    oracle.fail_edge(0, 1);
+    oracle.apply(&ScriptAction::FailEdge(0, 1));
     quiesce(&mut oracle);
 
     let spk = faulty
@@ -201,7 +216,7 @@ fn control_channel_partition_heals_via_resync() {
     let mut faulty = build(13, 0.0);
     let mut oracle = build(13, 0.0);
 
-    faulty.partition_control_channel();
+    faulty.apply(&ScriptAction::PartitionControlChannel);
     // Long enough for both hold timers (3 s) to fire.
     faulty.net.sim.run_for(SimDuration::from_secs(5));
     let spk = faulty
@@ -211,12 +226,18 @@ fn control_channel_partition_heals_via_resync() {
     assert!(spk.is_headless(), "partition looks like controller loss");
     // A routing change during the partition: the event is dropped headless
     // and must be recovered purely from the resync snapshot.
-    faulty.withdraw(2, None);
+    faulty.apply(&ScriptAction::Withdraw {
+        as_index: 2,
+        prefix: None,
+    });
     quiesce(&mut faulty);
-    faulty.heal_control_channel();
+    faulty.apply(&ScriptAction::HealControlChannel);
     quiesce(&mut faulty);
 
-    oracle.withdraw(2, None);
+    oracle.apply(&ScriptAction::Withdraw {
+        as_index: 2,
+        prefix: None,
+    });
     quiesce(&mut oracle);
 
     let spk = faulty
@@ -241,7 +262,7 @@ fn headless_cluster_keeps_forwarding() {
         before.fully_connected(),
         "bring-up must leave full connectivity"
     );
-    exp.crash_controller();
+    exp.apply(&ScriptAction::CrashController);
     exp.net.sim.run_for(SimDuration::from_secs(10));
     let after = exp.connectivity_audit();
     assert!(
@@ -253,20 +274,23 @@ fn headless_cluster_keeps_forwarding() {
 #[test]
 fn script_fault_actions_drive_an_outage() {
     let mut exp = build(19, 0.0);
-    let script = Script::new()
-        .mark()
-        .crash_controller()
-        .run_for(SimDuration::from_secs(5))
-        .expect_full_connectivity()
-        .restore_controller()
-        .wait_converged(DEADLINE)
-        .expect_full_connectivity()
-        .set_control_loss(0.1)
-        .partition_control_channel()
-        .run_for(SimDuration::from_secs(5))
-        .heal_control_channel()
-        .wait_converged(DEADLINE)
-        .expect_full_connectivity();
+    let script = Script {
+        steps: vec![
+            ScriptAction::Mark,
+            ScriptAction::CrashController,
+            ScriptAction::RunFor(SimDuration::from_secs(5)),
+            ScriptAction::ExpectFullConnectivity,
+            ScriptAction::RestoreController,
+            ScriptAction::WaitConverged { max: DEADLINE },
+            ScriptAction::ExpectFullConnectivity,
+            ScriptAction::SetControlLoss(0.1),
+            ScriptAction::PartitionControlChannel,
+            ScriptAction::RunFor(SimDuration::from_secs(5)),
+            ScriptAction::HealControlChannel,
+            ScriptAction::WaitConverged { max: DEADLINE },
+            ScriptAction::ExpectFullConnectivity,
+        ],
+    };
     let report = exp.run_script(&script);
     assert!(report.ok(), "script failed:\n{}", report.render());
 }

@@ -17,7 +17,7 @@ use bgpsdn_bgp::{Asn, PolicyMode, Prefix, SharedPath, TimingConfig};
 use bgpsdn_core::controller::as_graph::egress_session_of;
 use bgpsdn_core::{
     announced_path, compute, AnnounceMemo, Controller, Experiment, ExternalRoute, NetworkBuilder,
-    SwitchGraph,
+    ScriptAction, SwitchGraph,
 };
 use bgpsdn_netsim::{LinkId, SimDuration};
 use bgpsdn_topology::{gen, plan, AsGraph};
@@ -82,18 +82,24 @@ fn apply(exp: &mut Experiment, op: Op) {
     match op {
         Op::Announce { origin, sub } => {
             let p = sub_prefix(exp.net.ases[origin].prefix, sub);
-            exp.announce(origin, Some(p));
+            exp.apply(&ScriptAction::Announce {
+                as_index: origin,
+                prefix: Some(p),
+            });
             quiesce(exp);
         }
         Op::Withdraw { origin, sub } => {
             let p = sub_prefix(exp.net.ases[origin].prefix, sub);
-            exp.withdraw(origin, Some(p));
+            exp.apply(&ScriptAction::Withdraw {
+                as_index: origin,
+                prefix: Some(p),
+            });
             quiesce(exp);
         }
         Op::Flap { a, b } => {
-            exp.fail_edge(a, b);
+            exp.apply(&ScriptAction::FailEdge(a, b));
             quiesce(exp);
-            exp.restore_edge(a, b);
+            exp.apply(&ScriptAction::RestoreEdge(a, b));
             quiesce(exp);
         }
     }

@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
-use bgpsdn_core::{Controller, Experiment, NetworkBuilder, Speaker};
+use bgpsdn_core::{Controller, Experiment, NetworkBuilder, ScriptAction, Speaker};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_topology::{gen, plan, AsGraph};
 
@@ -82,18 +82,24 @@ fn apply(exp: &mut Experiment, op: Op) {
     match op {
         Op::Announce { origin, sub } => {
             let p = sub_prefix(exp.net.ases[origin].prefix, sub);
-            exp.announce(origin, Some(p));
+            exp.apply(&ScriptAction::Announce {
+                as_index: origin,
+                prefix: Some(p),
+            });
             quiesce(exp);
         }
         Op::Withdraw { origin, sub } => {
             let p = sub_prefix(exp.net.ases[origin].prefix, sub);
-            exp.withdraw(origin, Some(p));
+            exp.apply(&ScriptAction::Withdraw {
+                as_index: origin,
+                prefix: Some(p),
+            });
             quiesce(exp);
         }
         Op::Flap { a, b } => {
-            exp.fail_edge(a, b);
+            exp.apply(&ScriptAction::FailEdge(a, b));
             quiesce(exp);
-            exp.restore_edge(a, b);
+            exp.apply(&ScriptAction::RestoreEdge(a, b));
             quiesce(exp);
         }
     }
@@ -180,17 +186,17 @@ proptest! {
 /// the rejoin before quiescing.
 fn outage(exp: &mut Experiment, partition: bool, op: Op) {
     if partition {
-        exp.partition_control_channel();
+        exp.apply(&ScriptAction::PartitionControlChannel);
     } else {
-        exp.crash_controller();
+        exp.apply(&ScriptAction::CrashController);
     }
     // Both hold timers (3 s) expire; the speaker goes headless.
     exp.net.sim.run_for(SimDuration::from_secs(5));
     apply(exp, op);
     if partition {
-        exp.heal_control_channel();
+        exp.apply(&ScriptAction::HealControlChannel);
     } else {
-        exp.restore_controller();
+        exp.apply(&ScriptAction::RestoreController);
     }
     settle(exp);
 }

@@ -23,7 +23,9 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
-use bgpsdn_core::{capture_snapshot, AsKind, Experiment, NetworkBuilder, Router, Switch};
+use bgpsdn_core::{
+    capture_snapshot, AsKind, Experiment, NetworkBuilder, Router, ScriptAction, Switch,
+};
 use bgpsdn_netsim::{LinkId, NodeId, SimDuration};
 use bgpsdn_sdn::FlowAction;
 use bgpsdn_topology::{gen, plan, AsGraph};
@@ -201,41 +203,47 @@ fn apply(exp: &mut Experiment, op: Op, check: &mut dyn FnMut(&Experiment)) {
     match op {
         Op::Announce { origin, sub } => {
             let p = sub_prefix(exp.net.ases[origin].prefix, sub);
-            exp.announce(origin, Some(p));
+            exp.apply(&ScriptAction::Announce {
+                as_index: origin,
+                prefix: Some(p),
+            });
         }
         Op::Withdraw { origin, sub } => {
             let p = sub_prefix(exp.net.ases[origin].prefix, sub);
-            exp.withdraw(origin, Some(p));
+            exp.apply(&ScriptAction::Withdraw {
+                as_index: origin,
+                prefix: Some(p),
+            });
         }
         Op::CrashRouter { i } => {
-            exp.crash_router(i);
+            exp.apply(&ScriptAction::CrashRouter(i));
             exp.net.sim.run_for(DWELL);
             check(exp);
-            exp.restore_router(i);
+            exp.apply(&ScriptAction::RestoreRouter(i));
         }
         Op::OverlappingCrash { i, j } => {
-            exp.crash_router(i);
+            exp.apply(&ScriptAction::CrashRouter(i));
             exp.net.sim.run_for(DWELL);
-            exp.crash_router(j);
-            exp.net.sim.run_for(DWELL);
-            check(exp);
-            exp.restore_router(i);
+            exp.apply(&ScriptAction::CrashRouter(j));
             exp.net.sim.run_for(DWELL);
             check(exp);
-            exp.restore_router(j);
+            exp.apply(&ScriptAction::RestoreRouter(i));
+            exp.net.sim.run_for(DWELL);
+            check(exp);
+            exp.apply(&ScriptAction::RestoreRouter(j));
         }
         Op::SilentDrop { a, b } => {
-            exp.drop_edge_traffic(a, b);
+            exp.apply(&ScriptAction::DropEdgeTraffic(a, b));
             exp.net.sim.run_for(DWELL);
             check(exp);
-            exp.restore_edge_traffic(a, b);
+            exp.apply(&ScriptAction::RestoreEdgeTraffic(a, b));
         }
         Op::Flap { a, b } => {
-            exp.fail_edge(a, b);
+            exp.apply(&ScriptAction::FailEdge(a, b));
             check(exp);
             quiesce(exp);
             check(exp);
-            exp.restore_edge(a, b);
+            exp.apply(&ScriptAction::RestoreEdge(a, b));
         }
     }
     quiesce(exp);

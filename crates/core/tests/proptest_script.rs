@@ -22,10 +22,26 @@ const DEADLINE: SimDuration = SimDuration::from_secs(3600);
 const HOLD_SECS: u16 = 3;
 
 /// The replay loop the old fault-plan type ran before schedules became
-/// scripts, kept as the test-only reference.
+/// scripts, kept as the test-only reference. Each fault is written out
+/// with public simulator calls, as the per-fault `Experiment` methods did
+/// before `Experiment::apply` absorbed them, so the reference shares no
+/// executor with `run_script`.
 mod reference {
     use bgpsdn_core::{Experiment, ScriptAction};
-    use bgpsdn_netsim::{SimDuration, SimTime};
+    use bgpsdn_netsim::{LinkId, SimDuration, SimTime};
+
+    fn edge(exp: &Experiment, a: usize, b: usize) -> LinkId {
+        exp.net.link_between(a, b).expect("an edge of the clique")
+    }
+
+    /// A silent drop window on an edge starts (`ppm` 1 000 000) or ends
+    /// (0) through the event queue, so the change is traced.
+    fn schedule_edge_loss(exp: &mut Experiment, a: usize, b: usize, ppm: u32) {
+        let link = edge(exp, a, b);
+        let now = exp.net.sim.now();
+        exp.net.sim.schedule_link_loss(now, link, ppm);
+        exp.net.sim.run_until(now);
+    }
 
     pub fn apply(exp: &mut Experiment, events: &[(SimDuration, ScriptAction)]) -> SimTime {
         let mut events = events.to_vec();
@@ -36,17 +52,31 @@ mod reference {
             if target > exp.net.sim.now() {
                 exp.net.sim.run_until(target);
             }
+            let controller = exp.net.clusters[0].controller;
+            let channel = exp.net.clusters[0].speaker_link;
             match action {
-                ScriptAction::CrashController => exp.crash_controller(),
-                ScriptAction::RestoreController => exp.restore_controller(),
-                ScriptAction::PartitionControlChannel => exp.partition_control_channel(),
-                ScriptAction::HealControlChannel => exp.heal_control_channel(),
-                ScriptAction::CrashRouter(i) => exp.crash_router(i),
-                ScriptAction::RestoreRouter(i) => exp.restore_router(i),
-                ScriptAction::FailEdge(a, b) => exp.fail_edge(a, b),
-                ScriptAction::RestoreEdge(a, b) => exp.restore_edge(a, b),
-                ScriptAction::DropEdgeTraffic(a, b) => exp.drop_edge_traffic(a, b),
-                ScriptAction::RestoreEdgeTraffic(a, b) => exp.restore_edge_traffic(a, b),
+                ScriptAction::CrashController => exp.net.sim.set_node_admin(controller, false),
+                ScriptAction::RestoreController => exp.net.sim.set_node_admin(controller, true),
+                ScriptAction::PartitionControlChannel => exp.net.sim.set_link_admin(channel, false),
+                ScriptAction::HealControlChannel => exp.net.sim.set_link_admin(channel, true),
+                ScriptAction::CrashRouter(i) => {
+                    let node = exp.net.ases[i].node;
+                    exp.net.sim.set_node_admin(node, false);
+                }
+                ScriptAction::RestoreRouter(i) => {
+                    let node = exp.net.ases[i].node;
+                    exp.net.sim.set_node_admin(node, true);
+                }
+                ScriptAction::FailEdge(a, b) => {
+                    let link = edge(exp, a, b);
+                    exp.net.sim.set_link_admin(link, false);
+                }
+                ScriptAction::RestoreEdge(a, b) => {
+                    let link = edge(exp, a, b);
+                    exp.net.sim.set_link_admin(link, true);
+                }
+                ScriptAction::DropEdgeTraffic(a, b) => schedule_edge_loss(exp, a, b, 1_000_000),
+                ScriptAction::RestoreEdgeTraffic(a, b) => schedule_edge_loss(exp, a, b, 0),
                 other => panic!("`{other}` is not a fault"),
             }
             // `auto_verify_checkpoint`, spelled with public items.

@@ -60,7 +60,7 @@ fn crash_expires_holds_and_restart_readvertises() {
     let mut oracle = build(31, 0);
     let p1 = faulty.net.ases[1].prefix;
 
-    faulty.crash_router(1);
+    faulty.apply(&ScriptAction::CrashRouter(1));
     faulty.net.sim.run_for(SimDuration::from_secs(6));
     assert!(!faulty.router_is_up(1));
     // Hold timers expired at the peers: the direct route via the crashed
@@ -79,7 +79,7 @@ fn crash_expires_holds_and_restart_readvertises() {
         );
     }
 
-    faulty.restore_router(1);
+    faulty.apply(&ScriptAction::RestoreRouter(1));
     quiesce(&mut faulty);
     assert!(faulty.router_is_up(1));
     for i in [0usize, 2] {
@@ -110,7 +110,7 @@ fn graceful_restart_retains_stale_until_peer_resumes() {
     let mut oracle = build(37, 60);
     let p1 = faulty.net.ases[1].prefix;
 
-    faulty.crash_router(1);
+    faulty.apply(&ScriptAction::CrashRouter(1));
     faulty.net.sim.run_for(SimDuration::from_secs(6));
     // Hold expired, but GR was negotiated: the route survives, marked
     // stale, instead of being withdrawn.
@@ -133,7 +133,7 @@ fn graceful_restart_retains_stale_until_peer_resumes() {
         "mid-crash verify must note the stale retained paths:\n{mid}"
     );
 
-    faulty.restore_router(1);
+    faulty.apply(&ScriptAction::RestoreRouter(1));
     quiesce(&mut faulty);
     // Quiescence waits for the Progress-class stale-flush timer, so by now
     // the re-announced routes are fresh and nothing is stale any more.
@@ -159,7 +159,7 @@ fn graceful_restart_window_expiry_flushes_stale() {
     let mut oracle = build(41, 10);
     let p1 = faulty.net.ases[1].prefix;
 
-    faulty.crash_router(1);
+    faulty.apply(&ScriptAction::CrashRouter(1));
     faulty.net.sim.run_for(SimDuration::from_secs(6));
     assert!(router(&faulty, 0).route_is_gr_stale(p1));
 
@@ -174,7 +174,7 @@ fn graceful_restart_window_expiry_flushes_stale() {
         "window expiry must flush the stale direct route"
     );
 
-    faulty.restore_router(1);
+    faulty.apply(&ScriptAction::RestoreRouter(1));
     quiesce(&mut faulty);
     quiesce(&mut oracle);
     assert_eq!(
@@ -191,9 +191,9 @@ fn graceful_restart_cuts_reconvergence_churn() {
         let before: u64 = (0..MEMBERS[0])
             .map(|i| router(&exp, i).stats().updates_sent)
             .sum();
-        exp.crash_router(1);
+        exp.apply(&ScriptAction::CrashRouter(1));
         exp.net.sim.run_for(SimDuration::from_secs(6));
-        exp.restore_router(1);
+        exp.apply(&ScriptAction::RestoreRouter(1));
         quiesce(&mut exp);
         let after: u64 = (0..MEMBERS[0])
             .map(|i| router(&exp, i).stats().updates_sent)
@@ -216,14 +216,14 @@ fn silent_data_loss_is_detected_by_hold_timers() {
 
     // 100% data loss on the 0–1 edge: no LinkDown event is ever seen, so
     // only the keepalive/hold machinery can notice.
-    faulty.drop_edge_traffic(0, 1);
+    faulty.apply(&ScriptAction::DropEdgeTraffic(0, 1));
     faulty.net.sim.run_for(SimDuration::from_secs(6));
     assert!(
         router(&faulty, 0).stats().sessions_dropped >= 1,
         "hold timer must detect the silently dead session"
     );
 
-    faulty.restore_edge_traffic(0, 1);
+    faulty.apply(&ScriptAction::RestoreEdgeTraffic(0, 1));
     quiesce(&mut faulty);
     quiesce(&mut oracle);
     assert_eq!(
@@ -238,18 +238,21 @@ fn silent_data_loss_is_detected_by_hold_timers() {
 #[test]
 fn script_actions_drive_a_router_outage() {
     let mut exp = build(53, 0);
-    let script = Script::new()
-        .mark()
-        .crash_router(1)
-        .run_for(SimDuration::from_secs(6))
-        .restore_router(1)
-        .wait_converged(DEADLINE)
-        .expect_full_connectivity()
-        .drop_edge_traffic(0, 2)
-        .run_for(SimDuration::from_secs(6))
-        .restore_edge_traffic(0, 2)
-        .wait_converged(DEADLINE)
-        .expect_full_connectivity();
+    let script = Script {
+        steps: vec![
+            ScriptAction::Mark,
+            ScriptAction::CrashRouter(1),
+            ScriptAction::RunFor(SimDuration::from_secs(6)),
+            ScriptAction::RestoreRouter(1),
+            ScriptAction::WaitConverged { max: DEADLINE },
+            ScriptAction::ExpectFullConnectivity,
+            ScriptAction::DropEdgeTraffic(0, 2),
+            ScriptAction::RunFor(SimDuration::from_secs(6)),
+            ScriptAction::RestoreEdgeTraffic(0, 2),
+            ScriptAction::WaitConverged { max: DEADLINE },
+            ScriptAction::ExpectFullConnectivity,
+        ],
+    };
     let report = exp.run_script(&script);
     assert!(report.ok(), "script failed:\n{}", report.render());
 }
@@ -284,6 +287,8 @@ fn overlapping_crashes_around_a_relay_flap_heal() {
     spec.timing.hold_time_secs = 9;
     let (outcome, mut exp) = spec.run(|_| {});
     assert!(outcome.converged && outcome.audit_ok, "{outcome:?}");
-    let report = exp.run_script(&Script::new().expect_full_connectivity());
+    let report = exp.run_script(&Script {
+        steps: vec![ScriptAction::ExpectFullConnectivity],
+    });
     assert!(report.ok(), "{}", report.render());
 }

@@ -1,5 +1,5 @@
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
-use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, Topology};
+use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, ScriptAction, Topology};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::{Json, RunArtifact};
 use bgpsdn_topology::caida::SynthesisParams;
@@ -57,14 +57,20 @@ fn smoke_scale_incremental_and_full() {
         let mut seeded = 0;
         for i in 7..15 {
             for j in 0..PER_STUB {
-                exp.announce(i, Some(sub24(exp.net.ases[i].prefix, j)));
+                exp.apply(&ScriptAction::Announce {
+                    as_index: i,
+                    prefix: Some(sub24(exp.net.ases[i].prefix, j)),
+                });
                 seeded += 1;
             }
         }
         let seeding = exp.wait_converged(hour);
         let update = sub24(exp.net.ases[7].prefix, PER_STUB);
         exp.mark_named("single-update");
-        exp.announce(7, Some(update));
+        exp.apply(&ScriptAction::Announce {
+            as_index: 7,
+            prefix: Some(update),
+        });
         let probe = exp.wait_converged(hour);
         eprintln!(
             "incremental={incremental}: seeded={seeded} seed_conv={} update_conv={}",

@@ -4,7 +4,9 @@
 //! must produce exactly the expected violations with usable witnesses.
 
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
-use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, NetworkBuilder, Switch, Topology};
+use bgpsdn_core::{
+    DeploymentStrategy, Experiment, JobSpec, NetworkBuilder, ScriptAction, Switch, Topology,
+};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_sdn::FlowAction;
 use bgpsdn_topology::caida::SynthesisParams;
@@ -53,7 +55,10 @@ fn auto_verify_runs_at_convergence_checkpoints() {
         .build();
     let mut exp = Experiment::new(net);
     assert!(exp.start(HOUR).converged);
-    exp.withdraw(0, None);
+    exp.apply(&ScriptAction::Withdraw {
+        as_index: 0,
+        prefix: None,
+    });
     assert!(exp.wait_converged(HOUR).converged);
     let m = exp.net.sim.metrics();
     assert!(
@@ -94,13 +99,19 @@ fn scale_scenario_verifies_clean() {
     exp.mark_named("seeding");
     for i in 9..21 {
         for j in 0..PER_STUB {
-            exp.announce(i, Some(sub24(exp.net.ases[i].prefix, j)));
+            exp.apply(&ScriptAction::Announce {
+                as_index: i,
+                prefix: Some(sub24(exp.net.ases[i].prefix, j)),
+            });
         }
     }
     let seeding = exp.wait_converged(HOUR);
     let update = sub24(exp.net.ases[9].prefix, PER_STUB);
     exp.mark_named("single-update");
-    exp.announce(9, Some(update));
+    exp.apply(&ScriptAction::Announce {
+        as_index: 9,
+        prefix: Some(update),
+    });
     assert!(seeding.converged && exp.wait_converged(HOUR).converged);
     assert!(exp.prefix_reachable_from_all(update, 9));
     let report = exp.verify_now();
@@ -196,7 +207,7 @@ fn dead_link_is_caught_as_blackhole() {
     // Fail the edge member 4 uses to reach AS0's prefix, then verify
     // BEFORE reconvergence: the installed rule now points out a dead port.
     let t = exp.net.sim.now();
-    exp.fail_edge(0, 4);
+    exp.apply(&ScriptAction::FailEdge(0, 4));
     // Step just far enough for the link-admin event to apply, but well
     // inside the controller's recompute delay so the stale rule survives.
     exp.net.sim.run_until(t + SimDuration::from_micros(1));
@@ -216,12 +227,15 @@ fn dead_link_is_caught_as_blackhole() {
 #[test]
 fn headless_staleness_resolves_after_recovery() {
     let mut exp = converged_clique(8, 4..8, 27);
-    exp.crash_controller();
+    exp.apply(&ScriptAction::CrashController);
     // Withdraw a legacy prefix while the cluster is headless: the legacy
     // world reconverges but member flow tables are frozen stale, so the
     // data plane blackholes traffic for the withdrawn prefix at the
     // cluster boundary.
-    exp.withdraw(0, None);
+    exp.apply(&ScriptAction::Withdraw {
+        as_index: 0,
+        prefix: None,
+    });
     let deadline = exp.net.sim.now() + SimDuration::from_secs(120);
     exp.net.sim.run_until(deadline);
     let mid = exp.verify_now();
@@ -236,7 +250,7 @@ fn headless_staleness_resolves_after_recovery() {
     );
 
     // Recovery: controller restarts, resyncs, recomputes; clean again.
-    exp.restore_controller();
+    exp.apply(&ScriptAction::RestoreController);
     assert!(exp.wait_converged(HOUR).converged);
     let after = exp.verify_now();
     assert!(after.ok(), "post-recovery violations:\n{after}");

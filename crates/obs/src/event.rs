@@ -17,8 +17,6 @@ use crate::json::{member_head, push_u64, JsonError, JsonReader, JsonWriter};
 pub enum TraceCategory {
     /// Message sends and deliveries.
     Msg,
-    /// Timer arming and firing.
-    Timer,
     /// Link state changes.
     Link,
     /// Routing decisions (best path changes, RIB operations).
@@ -38,13 +36,12 @@ pub enum TraceCategory {
 }
 
 impl TraceCategory {
-    const COUNT: usize = 9;
+    const COUNT: usize = 8;
 
-    /// Bit for mask-based filtering.
+    /// Bit for mask-based filtering (bit 1 is unused).
     pub fn bit(self) -> u16 {
         match self {
             TraceCategory::Msg => 1 << 0,
-            TraceCategory::Timer => 1 << 1,
             TraceCategory::Link => 1 << 2,
             TraceCategory::Route => 1 << 3,
             TraceCategory::Flow => 1 << 4,
@@ -59,7 +56,6 @@ impl TraceCategory {
     pub fn all() -> [TraceCategory; Self::COUNT] {
         [
             TraceCategory::Msg,
-            TraceCategory::Timer,
             TraceCategory::Link,
             TraceCategory::Route,
             TraceCategory::Flow,
@@ -74,7 +70,6 @@ impl TraceCategory {
     pub fn name(self) -> &'static str {
         match self {
             TraceCategory::Msg => "msg",
-            TraceCategory::Timer => "timer",
             TraceCategory::Link => "link",
             TraceCategory::Route => "route",
             TraceCategory::Flow => "flow",
@@ -421,11 +416,6 @@ pub enum TraceEvent {
         /// New state.
         up: bool,
     },
-    /// A timer fired (rarely traced; used by timer debugging).
-    TimerFired {
-        /// The timer token value.
-        token: u64,
-    },
     /// A node was administratively crashed or restarted.
     NodeAdmin {
         /// The node id.
@@ -533,7 +523,6 @@ impl TraceEvent {
             }
             TraceEvent::Causal { .. } => TraceCategory::Causal,
             TraceEvent::LinkAdmin { .. } | TraceEvent::NodeAdmin { .. } => TraceCategory::Link,
-            TraceEvent::TimerFired { .. } => TraceCategory::Timer,
             TraceEvent::SpeakerHeadless { .. }
             | TraceEvent::ControlResync { .. }
             | TraceEvent::ControlRetransmit { .. }
@@ -1018,9 +1007,6 @@ wire_table! {
         link: "link" => Uint<u32>,
         up: "up" => Bool,
     }
-    TimerFired = "timer_fired" {
-        token: "token" => Uint<u64>,
-    }
     // "target" and "offender", not "node": an event line already has a
     // top-level "node" member for attribution.
     NodeAdmin = "node_admin" {
@@ -1148,7 +1134,6 @@ impl fmt::Display for TraceEvent {
             TraceEvent::LinkAdmin { link, up } => {
                 write!(f, "link {link} {}", if *up { "up" } else { "down" })
             }
-            TraceEvent::TimerFired { token } => write!(f, "timer {token:#x}"),
             TraceEvent::NodeAdmin { node, up } => {
                 write!(f, "node n{node} {}", if *up { "up" } else { "down" })
             }
@@ -1279,7 +1264,6 @@ mod tests {
             started: true,
         });
         roundtrip(TraceEvent::LinkAdmin { link: 5, up: false });
-        roundtrip(TraceEvent::TimerFired { token: u64::MAX });
         roundtrip(TraceEvent::NodeAdmin { node: 7, up: false });
         roundtrip(TraceEvent::SpeakerHeadless { entered: true });
         roundtrip(TraceEvent::ControlResync {

@@ -31,7 +31,6 @@ mod reference {
             TraceEvent::ControllerRecompute { .. } => "recompute",
             TraceEvent::Phase { .. } => "phase",
             TraceEvent::LinkAdmin { .. } => "link_admin",
-            TraceEvent::TimerFired { .. } => "timer_fired",
             TraceEvent::NodeAdmin { .. } => "node_admin",
             TraceEvent::SpeakerHeadless { .. } => "speaker_headless",
             TraceEvent::ControlResync { .. } => "control_resync",
@@ -138,9 +137,6 @@ mod reference {
             TraceEvent::LinkAdmin { link, up } => {
                 m.push(("link".into(), Json::U64(*link as u64)));
                 m.push(("up".into(), Json::Bool(*up)));
-            }
-            TraceEvent::TimerFired { token } => {
-                m.push(("token".into(), Json::U64(*token)));
             }
             TraceEvent::NodeAdmin { node, up } => {
                 m.push(("target".into(), Json::U64(*node as u64)));
@@ -395,9 +391,6 @@ mod reference {
                 link: get_uint(v, "link")?,
                 up: get_bool(v, "up")?,
             },
-            "timer_fired" => TraceEvent::TimerFired {
-                token: get_uint(v, "token")?,
-            },
             "node_admin" => TraceEvent::NodeAdmin {
                 node: get_uint(v, "target")?,
                 up: get_bool(v, "up")?,
@@ -647,7 +640,6 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
             ),
         (arb_text(), any::<bool>()).prop_map(|(name, started)| TraceEvent::Phase { name, started }),
         (arb_u32(), any::<bool>()).prop_map(|(link, up)| TraceEvent::LinkAdmin { link, up }),
-        arb_u64().prop_map(|token| TraceEvent::TimerFired { token }),
         (arb_u32(), any::<bool>()).prop_map(|(node, up)| TraceEvent::NodeAdmin { node, up }),
         any::<bool>().prop_map(|entered| TraceEvent::SpeakerHeadless { entered }),
         (arb_u64(), arb_u32(), arb_u32()).prop_map(|(epoch, sessions, routes)| {

@@ -103,7 +103,10 @@ fn main() {
         exp.net.ases[stub].prefix, exp.net.ases[stub].asn.0
     );
     exp.mark();
-    exp.withdraw(stub, None);
+    exp.apply(&ScriptAction::Withdraw {
+        as_index: stub,
+        prefix: None,
+    });
     let rep = exp.wait_converged(SimDuration::from_secs(3600));
     println!(
         "re-converged: {} (updates: {}, flow mods: {})",

@@ -6,7 +6,6 @@
 //! cargo run --release --example scripted_experiment
 //! ```
 
-use bgp_sdn_emu::core::Script;
 use bgp_sdn_emu::prelude::*;
 
 fn main() {
@@ -25,26 +24,43 @@ fn main() {
     let hour = SimDuration::from_secs(3600);
     let p0 = exp.net.ases[0].prefix;
 
-    let script = Script::new()
-        .expect_full_connectivity()
-        // Withdrawal round-trip.
-        .mark()
-        .withdraw(0)
-        .wait_converged(hour)
-        .expect_gone(p0)
-        .mark()
-        .announce(0)
-        .wait_converged(hour)
-        .expect_reachable(p0, 0)
-        // A link failure and repair, with connectivity verified throughout.
-        .mark()
-        .fail_edge(0, 1)
-        .wait_converged(hour)
-        .expect_reachable(p0, 0)
-        .mark()
-        .restore_edge(0, 1)
-        .wait_converged(hour)
-        .expect_full_connectivity();
+    use ScriptAction::*;
+    let converge = WaitConverged { max: hour };
+    let script = Script {
+        steps: vec![
+            ExpectFullConnectivity,
+            // Withdrawal round-trip.
+            Mark,
+            Withdraw {
+                as_index: 0,
+                prefix: None,
+            },
+            converge,
+            ExpectGone { prefix: p0 },
+            Mark,
+            Announce {
+                as_index: 0,
+                prefix: None,
+            },
+            converge,
+            ExpectReachable {
+                prefix: p0,
+                origin: 0,
+            },
+            // A link failure and repair, with connectivity verified throughout.
+            Mark,
+            FailEdge(0, 1),
+            converge,
+            ExpectReachable {
+                prefix: p0,
+                origin: 0,
+            },
+            Mark,
+            RestoreEdge(0, 1),
+            converge,
+            ExpectFullConnectivity,
+        ],
+    };
 
     let report = exp.run_script(&script);
     print!("{}", report.render());
@@ -60,4 +76,15 @@ fn main() {
         );
         std::process::exit(1);
     }
+
+    // `run_script` hands every step to `Experiment::apply`, the one
+    // executor; a run can also drive it one action at a time.
+    exp.mark();
+    exp.apply(&FailEdge(0, 1));
+    let (converged, report) = exp.apply(&converge);
+    let report = report.expect("a convergence wait reports");
+    println!(
+        "hand-driven fail-over: converged={converged} in {}",
+        report.duration
+    );
 }

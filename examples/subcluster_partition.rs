@@ -74,7 +74,7 @@ fn main() {
 
     println!("\nfailing the intra-cluster bridge A═══B ...");
     exp.mark();
-    exp.fail_edge(2, 3);
+    exp.apply(&ScriptAction::FailEdge(2, 3));
     let rep = exp.wait_converged(SimDuration::from_secs(3600));
     println!("  re-converged in {}", rep.duration);
     describe(&exp);
@@ -85,7 +85,7 @@ fn main() {
 
     println!("\nhealing the bridge ...");
     exp.mark();
-    exp.restore_edge(2, 3);
+    exp.apply(&ScriptAction::RestoreEdge(2, 3));
     let rep = exp.wait_converged(SimDuration::from_secs(3600));
     println!("  re-converged in {}", rep.duration);
     describe(&exp);

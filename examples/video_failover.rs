@@ -56,10 +56,10 @@ fn main() {
         );
         // Scenario control.
         if tick == 20 {
-            exp.fail_edge(viewer, server);
+            exp.apply(&ScriptAction::FailEdge(viewer, server));
         }
         if tick == 60 {
-            exp.restore_edge(viewer, server);
+            exp.apply(&ScriptAction::RestoreEdge(viewer, server));
         }
         let deadline = t0 + step * (tick + 1);
         exp.net.sim.run_until(deadline);

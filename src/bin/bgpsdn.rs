@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bgp_sdn_emu::analyze::ActionContext;
 use bgp_sdn_emu::core::framework::preflight::deployment_error_report;
+use bgp_sdn_emu::obs::ToJson;
 use bgp_sdn_emu::prelude::*;
 
 fn usage() -> ExitCode {
@@ -95,7 +96,8 @@ fn usage() -> ExitCode {
       snapshot line; exits nonzero if any invariant is violated
 
   bgpsdn ping --sdn K [--n SIZE] [--fail-at TICK] [--heal-at TICK] [--seed S]
-      data-plane probe stream across a link failure"
+      data-plane probe stream across a link failure, 80 ticks of 100 ms;
+      needs --fail-at (default 20) < --heal-at (default 50) < 80"
     );
     ExitCode::from(2)
 }
@@ -545,10 +547,12 @@ fn global_counter(snapshot: &bgp_sdn_emu::obs::Json, name: &str) -> u64 {
 }
 
 /// One named unit of `bgpsdn check` output: an analyzer report plus
-/// optional extra facts (e.g. the predicted hunt-depth bound).
+/// optional extra facts (the cluster placement it analyzed, the predicted
+/// hunt-depth bound).
 struct CheckTarget {
     name: String,
     report: AnalysisReport,
+    clusters: Option<Vec<Vec<usize>>>,
     hunt_bound: Option<u64>,
 }
 
@@ -557,12 +561,16 @@ impl CheckTarget {
         CheckTarget {
             name: name.into(),
             report,
+            clusters: None,
             hunt_bound: None,
         }
     }
 
     fn to_json(&self) -> Json {
         let mut kv = vec![("name".to_string(), Json::Str(self.name.clone()))];
+        if let Some(clusters) = &self.clusters {
+            kv.push(("clusters".to_string(), clusters.to_json()));
+        }
         if let Some(b) = self.hunt_bound {
             kv.push(("hunt_bound".to_string(), Json::U64(b)));
         }
@@ -577,7 +585,8 @@ impl CheckTarget {
 /// `hunt_step` phases must respect. Returns two groups: every cluster size
 /// as the paper's one tail cluster (`sdn{k}`) followed by the origin's
 /// reachability, and every size split into each `count > 1` of the grid's
-/// cluster-count axis under its strategy (`sdn{k}x{count}-{strategy}`).
+/// cluster-count axis under its strategy (`sdn{k}x{count}-{strategy}`),
+/// once per placement its jobs run (`#0`, `#1`, ... when several).
 fn clique_targets(grid: &CampaignGrid) -> (Vec<CheckTarget>, Vec<CheckTarget>) {
     let n = grid.n;
     let g = AsGraph::all_peer(&gen::clique(n), 65000);
@@ -589,45 +598,64 @@ fn clique_targets(grid: &CampaignGrid) -> (Vec<CheckTarget>, Vec<CheckTarget>) {
         .collect();
     sizes.sort_unstable();
     sizes.dedup();
-    let target = |name: String, k: usize, count: usize, strategy: &str| {
-        let seed = fold_deployment_seed(grid.base_seed, count as u64, strategy);
-        let clusters = if k == 0 {
-            Ok(Vec::new())
-        } else {
-            DeploymentStrategy::by_name(strategy, count, k)
-                .ok_or_else(|| format!("unknown deployment strategy `{strategy}`"))
-                .and_then(|deployment| deployment.assign(&g, seed))
-        };
-        match clusters {
-            Ok(clusters) => {
-                let report = check_safety_clusters(&SafetyClustersInput {
-                    graph: &g,
-                    mode: PolicyMode::AllPermit,
-                    clusters: &clusters,
-                    rules: &[],
-                });
-                let mut t = CheckTarget::new(name, report);
-                t.hunt_bound = Some(hunt_depth_bound_clusters(&g, &clusters, 0) as u64);
-                t
-            }
-            Err(e) => CheckTarget::new(name, deployment_error_report(&e)),
+    // One tail cluster, or `count` clusters placed by the grid's strategy.
+    let place = |k: usize, count: usize, seed: u64| {
+        if k == 0 {
+            return Ok(Vec::new());
         }
+        let strategy = if count == 1 { "tail" } else { grid.strategy };
+        DeploymentStrategy::by_name(strategy, count, k)
+            .ok_or_else(|| format!("unknown deployment strategy `{strategy}`"))
+            .and_then(|deployment| deployment.assign(&g, seed))
+    };
+    let target = |name: String, placement: &Result<Vec<Vec<usize>>, String>| match placement {
+        Ok(clusters) => {
+            let report = check_safety_clusters(&SafetyClustersInput {
+                graph: &g,
+                mode: PolicyMode::AllPermit,
+                clusters,
+                rules: &[],
+            });
+            let mut t = CheckTarget::new(name, report);
+            t.hunt_bound = Some(hunt_depth_bound_clusters(&g, clusters, 0) as u64);
+            t.clusters = Some(clusters.clone());
+            t
+        }
+        Err(e) => CheckTarget::new(name, deployment_error_report(e)),
     };
     let mut single: Vec<CheckTarget> = sizes
         .iter()
-        .map(|&k| target(format!("clique{n}:sdn{k}"), k, 1, "tail"))
+        .map(|&k| target(format!("clique{n}:sdn{k}"), &place(k, 1, grid.base_seed)))
         .collect();
     single.push(CheckTarget::new(
         format!("clique{n}:reachability"),
         check_reachability(&g, PolicyMode::AllPermit, &[0]),
     ));
-    let mut split = Vec::new();
-    for &k in &sizes {
-        for &count in grid.clusters.iter().filter(|&&c| c > 1 && c <= k) {
-            let name = format!("clique{n}:sdn{k}x{count}-{}", grid.strategy);
-            split.push(target(name, k, count, grid.strategy));
+    // Every distinct (size, count, placement) the split jobs run, sizes
+    // ascending and counts in axis order as the jobs expand.
+    let mut cells = Vec::new();
+    for job in grid.expand() {
+        let (k, count) = (job.cluster, job.clusters);
+        if count > 1 && count <= k && k <= n {
+            let cell = (k, count, place(k, count, job.seed));
+            if !cells.contains(&cell) {
+                cells.push(cell);
+            }
         }
     }
+    cells.sort_by_key(|&(k, _, _)| k);
+    let split = cells
+        .iter()
+        .enumerate()
+        .map(|(i, (k, count, placement))| {
+            let same = |c: &&(usize, usize, _)| (c.0, c.1) == (*k, *count);
+            let mut name = format!("clique{n}:sdn{k}x{count}-{}", grid.strategy);
+            if cells.iter().filter(same).count() > 1 {
+                name.push_str(&format!("#{}", cells[..i].iter().filter(same).count()));
+            }
+            target(name, placement)
+        })
+        .collect();
     (single, split)
 }
 
@@ -688,15 +716,27 @@ fn builtin_targets() -> Result<Vec<CheckTarget>, String> {
     let members = [3usize, 4, 5];
     let prefix = tp.addresses.as_prefixes[0];
     let ctx = ActionContext::from_plan(&tp, &members);
-    let script = Script::new()
-        .expect_full_connectivity()
-        .mark()
-        .withdraw(0)
-        .wait_converged(SimDuration::from_secs(3600))
-        .expect_gone(prefix)
-        .announce(0)
-        .wait_converged(SimDuration::from_secs(3600))
-        .expect_reachable(prefix, 0);
+    let converge = ScriptAction::WaitConverged {
+        max: SimDuration::from_secs(3600),
+    };
+    let script = Script {
+        steps: vec![
+            ScriptAction::ExpectFullConnectivity,
+            ScriptAction::Mark,
+            ScriptAction::Withdraw {
+                as_index: 0,
+                prefix: None,
+            },
+            converge,
+            ScriptAction::ExpectGone { prefix },
+            ScriptAction::Announce {
+                as_index: 0,
+                prefix: None,
+            },
+            converge,
+            ScriptAction::ExpectReachable { prefix, origin: 0 },
+        ],
+    };
     targets.push(CheckTarget::new(
         "script:demo",
         check_actions(&script.steps, &ctx),
@@ -838,6 +878,9 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     }
 }
 
+/// Probes `bgpsdn ping` sends, one per 100 ms tick.
+const PING_PROBES: u64 = 80;
+
 fn cmd_ping(args: &Args) -> Result<(), String> {
     let sdn: usize = args.get("sdn", 3)?;
     let n: usize = args.get("n", 6)?;
@@ -846,16 +889,22 @@ fn cmd_ping(args: &Args) -> Result<(), String> {
     if sdn == 0 || sdn >= n {
         return Err("--sdn must be in 1..n-1 for the ping demo".into());
     }
-    let topo = plan(
-        AsGraph::all_peer(&gen::clique(n), 65000),
-        PolicyMode::AllPermit,
-        TimingConfig::with_mrai(SimDuration::from_secs(5)),
-    )
-    .map_err(|e| e.to_string())?;
-    let net = NetworkBuilder::new(topo, args.get("seed", 7u64)?)
-        .with_sdn_members(n - sdn..n)
-        .build();
-    let mut exp = Experiment::new(net);
+    // A tick outside the stream never fires: the timeline would hide it.
+    let ticks = [("fail-at", fail_at), ("heal-at", heal_at)];
+    if let Some((flag, tick)) = ticks.into_iter().find(|&(_, t)| t >= PING_PROBES) {
+        return Err(format!(
+            "--{flag} {tick} is past the {PING_PROBES}-tick stream"
+        ));
+    }
+    if fail_at >= heal_at {
+        return Err("--fail-at must come before --heal-at".into());
+    }
+    let spec = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
+        seed: args.get("seed", 7u64)?,
+        ..JobSpec::clique(n, sdn)
+    };
+    let mut exp = Experiment::new(spec.builder().build());
     if !exp.start(SimDuration::from_secs(3600)).converged {
         return Err("bring-up did not converge".into());
     }
@@ -867,12 +916,13 @@ fn cmd_ping(args: &Args) -> Result<(), String> {
         65000 + member
     );
     println!("link fails at tick {fail_at}, heals at tick {heal_at} (100 ms ticks)\n");
-    let report = exp.ping_stream(src, dst, SimDuration::from_millis(100), 80, |exp, tick| {
+    let tick_len = SimDuration::from_millis(100);
+    let report = exp.ping_stream(src, dst, tick_len, PING_PROBES, |exp, tick| {
         if tick == fail_at {
-            exp.fail_edge(1, member);
+            exp.apply(&ScriptAction::FailEdge(1, member));
         }
         if tick == heal_at {
-            exp.restore_edge(1, member);
+            exp.apply(&ScriptAction::RestoreEdge(1, member));
         }
     });
     let line: String = report

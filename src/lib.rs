@@ -35,9 +35,21 @@
 //!     timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
 //!     ..JobSpec::clique(8, 4)
 //! };
-//! let (out, _experiment) = spec.run(|_| {});
+//! let (out, mut exp) = spec.run(|_| {});
 //! assert!(out.converged);
 //! println!("withdrawal convergence: {}", out.convergence);
+//!
+//! // Drive the network on. A script is plain data; `Experiment::apply`
+//! // runs each of its actions, and runs one action by itself too.
+//! let report = exp.run_script(&Script {
+//!     steps: vec![
+//!         ScriptAction::Announce { as_index: 0, prefix: None },
+//!         ScriptAction::WaitConverged { max: SimDuration::from_secs(3600) },
+//!     ],
+//! });
+//! assert!(report.ok(), "{}", report.render());
+//! let (connected, _) = exp.apply(&ScriptAction::ExpectFullConnectivity);
+//! assert!(connected);
 //! ```
 
 pub use bgpsdn_analyze as analyze;
@@ -63,11 +75,11 @@ pub mod prelude {
     };
     pub use bgpsdn_collector::{ConvergenceReport, UpdateLog};
     pub use bgpsdn_core::{
-        check_plan, fold_deployment_seed, run_campaign, run_campaign_scratch, run_job,
-        run_job_scratch, AsKind, CampaignGrid, CampaignJob, CampaignRunReport, ClusterHandle,
-        Controller, DeploymentStrategy, EventKind, Experiment, FaultClasses, FaultSpec,
-        HybridNetwork, JobResult, JobScratch, JobSpec, NetworkBuilder, Router, ScenarioOutcome,
-        Script, ScriptAction, Speaker, Switch, Topology,
+        check_plan, run_campaign, run_campaign_scratch, run_job, run_job_scratch, AsKind,
+        CampaignGrid, CampaignJob, CampaignRunReport, ClusterHandle, Controller,
+        DeploymentStrategy, EventKind, Experiment, FaultClasses, FaultSpec, HybridNetwork,
+        JobResult, JobScratch, JobSpec, NetworkBuilder, Router, ScenarioOutcome, Script,
+        ScriptAction, Speaker, Switch, Topology,
     };
     pub use bgpsdn_netsim::{
         Activity, DataPacket, LatencyModel, SimDuration, SimRng, SimTime, Simulator, Summary,

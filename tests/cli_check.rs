@@ -1,10 +1,14 @@
 //! End-to-end CLI test of `bgpsdn check`: the built-in pre-flight suite
 //! must self-check clean, its `--json` output must be byte-deterministic
-//! across runs, and a grid with an impossible cluster size must be
-//! rejected with a nonzero exit naming the finding.
+//! across runs, a grid with an impossible cluster size must be rejected
+//! with a nonzero exit naming the finding, and a split cell must be
+//! analyzed in exactly the placements its jobs run.
 
+use std::collections::BTreeSet;
 use std::process::Command;
 use std::time::Instant;
+
+use bgp_sdn_emu::prelude::*;
 
 fn bgpsdn() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bgpsdn"))
@@ -94,5 +98,80 @@ fn grid_flags_are_read_or_rejected_never_dropped() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(needle), "{args:?}: {err}");
+    }
+}
+
+/// The `clusters` lists of every `check --json` target whose name holds
+/// `needle`.
+fn placements(args: &[&str], needle: &str) -> Vec<Vec<Vec<usize>>> {
+    let out = bgpsdn().args(args).output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("check --json");
+    let list = |v: &Json| -> Vec<usize> {
+        let items = v.as_arr().expect("a member list");
+        items
+            .iter()
+            .map(|i| i.as_u64().expect("an AS") as usize)
+            .collect()
+    };
+    doc.get("targets")
+        .and_then(Json::as_arr)
+        .expect("targets")
+        .iter()
+        .filter(|t| {
+            t.get("name")
+                .and_then(Json::as_str)
+                .unwrap()
+                .contains(needle)
+        })
+        .map(|t| {
+            let clusters = t.get("clusters").and_then(Json::as_arr);
+            clusters
+                .expect("a split target names its placement")
+                .iter()
+                .map(list)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn split_cells_are_checked_in_the_placements_their_jobs_run() {
+    let graph = AsGraph::all_peer(&gen::clique(8), 65000);
+    for (strategy, cells) in [("random", 3), ("degree", 1)] {
+        let args = ["check", "--sizes", "4", "--n", "8", "--clusters", "2"];
+        let args = [
+            &args[..],
+            &["--strategy", strategy, "--seeds", "3", "--json"],
+        ]
+        .concat();
+        let checked = placements(&args, &format!("sdn4x2-{strategy}"));
+        // The CLI's grid, as `sweep` would run it.
+        let grid = CampaignGrid {
+            name: "sweep".to_string(),
+            n: 8,
+            cluster_sizes: vec![4],
+            clusters: vec![2],
+            strategy,
+            seeds: 3,
+            ..CampaignGrid::fig2(3)
+        };
+        let deployment = DeploymentStrategy::by_name(strategy, 2, 4).unwrap();
+        let run: BTreeSet<Vec<Vec<usize>>> = grid
+            .expand()
+            .iter()
+            .map(|job| {
+                deployment
+                    .assign(&graph, job.seed)
+                    .expect("a feasible placement")
+            })
+            .collect();
+        assert_eq!(checked.len(), cells, "{strategy}: {checked:?}");
+        let checked: BTreeSet<_> = checked.into_iter().collect();
+        assert_eq!(checked, run, "{strategy}");
     }
 }

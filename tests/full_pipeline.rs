@@ -42,7 +42,10 @@ fn topology_to_analysis_pipeline() {
     let victim = *by_degree.last().unwrap();
     let victim_prefix = exp.net.ases[victim].prefix;
     exp.mark();
-    exp.withdraw(victim, None);
+    exp.apply(&ScriptAction::Withdraw {
+        as_index: victim,
+        prefix: None,
+    });
     let rep = exp.wait_converged(HOUR);
     assert!(rep.converged);
     assert!(exp.prefix_fully_gone(victim_prefix));
@@ -181,7 +184,10 @@ fn random_waxman_topology_builds_and_converges() {
     // A random victim withdrawal cleans up globally.
     let victim = order[24];
     exp.mark();
-    exp.withdraw(victim, None);
+    exp.apply(&ScriptAction::Withdraw {
+        as_index: victim,
+        prefix: None,
+    });
     assert!(exp.wait_converged(SimDuration::from_secs(3600)).converged);
     assert!(exp.prefix_fully_gone(exp.net.ases[victim].prefix));
 }

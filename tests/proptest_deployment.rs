@@ -27,7 +27,10 @@ fn run_withdrawal(
     let up = exp.start(deadline);
     assert!(up.converged, "bring-up did not converge");
     exp.mark_named("withdrawal");
-    exp.withdraw(0, None);
+    exp.apply(&ScriptAction::Withdraw {
+        as_index: 0,
+        prefix: None,
+    });
     let report = exp.wait_converged(deadline);
     assert!(report.converged, "withdrawal did not converge");
     exp.finish();
