@@ -48,19 +48,13 @@ fn tok(kind: u64, payload: u64) -> TimerToken {
     TimerToken(payload << KIND_BITS | kind)
 }
 
-/// Telemetry-plane form of a prefix.
-fn obs(p: Prefix) -> ObsPrefix {
-    ObsPrefix::new(p.network_u32(), p.len())
-}
-
-fn obs_list(ps: &[Prefix]) -> Vec<ObsPrefix> {
-    ps.iter().map(|&p| obs(p)).collect()
-}
-
 /// The prefix an UPDATE's causal events are attributed to (first announced,
 /// else first withdrawn).
-fn first_prefix(u: &UpdateMsg) -> Option<Prefix> {
-    u.nlri.first().or_else(|| u.withdrawn.first()).copied()
+fn first_prefix(u: &UpdateMsg) -> Option<ObsPrefix> {
+    u.nlri
+        .first()
+        .or_else(|| u.withdrawn.first())
+        .map(|&p| p.into())
 }
 
 /// Flattened AS path of a Loc-RIB entry, for [`TraceEvent::RibChange`].
@@ -358,8 +352,8 @@ impl<M: BgpApp> BgpRouter<M> {
         if let BgpMessage::Update(u) = msg {
             ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateSent {
                 peer: peer_node.0,
-                announced: obs_list(&u.nlri),
-                withdrawn: obs_list(&u.withdrawn),
+                announced: u.nlri.iter().map(|&p| p.into()).collect(),
+                withdrawn: u.withdrawn.iter().map(|&p| p.into()).collect(),
             });
             self.stats.updates_sent += 1;
             self.stats.prefixes_announced += u.nlri.len() as u64;
@@ -384,35 +378,23 @@ impl<M: BgpApp> BgpRouter<M> {
     // Causal lineage
     // ------------------------------------------------------------------
 
-    /// Mint a trigger-root causal event and seed the lineage of `prefix`.
-    /// No-op (returns 0) while causal tracing is off.
-    fn mint_trigger(&mut self, ctx: &mut Ctx<'_, M>, prefix: Option<Prefix>) -> u64 {
-        let id = ctx.causal_id();
-        if id == 0 {
-            return 0;
+    /// Record a trigger root (attributed to `prefix`, if any) and seed the
+    /// lineage of every prefix in `seeds` with it. No-op while causal
+    /// tracing is off.
+    fn mint_trigger(&mut self, ctx: &mut Ctx<'_, M>, prefix: Option<Prefix>, seeds: &[Prefix]) {
+        let root = ctx.causal_root(prefix.map(Into::into));
+        if root.is_none() {
+            return;
         }
-        ctx.trace(TraceCategory::Causal, || TraceEvent::Causal {
-            id,
-            parents: vec![],
-            trigger: id,
-            hop: 0,
-            phase: CausalPhase::Trigger,
-            prefix: prefix.map(obs),
-        });
-        if let Some(p) = prefix {
+        for &p in seeds {
             self.causes.insert(
                 p,
                 PrefixCause {
-                    current: Cause {
-                        trigger: id,
-                        parent: id,
-                        hop: 0,
-                    },
+                    current: root,
                     last_rib: None,
                 },
             );
         }
-        id
     }
 
     /// Point the lineage of `prefix` at `cause` (the event that just made
@@ -441,23 +423,7 @@ impl<M: BgpApp> BgpRouter<M> {
         let Some(pc) = self.causes.get(&first) else {
             return Cause::NONE;
         };
-        let cur = pc.current;
-        if cur.is_none() {
-            return Cause::NONE;
-        }
-        let id = ctx.causal_id();
-        if id == 0 {
-            return Cause::NONE;
-        }
-        ctx.trace(TraceCategory::Causal, || TraceEvent::Causal {
-            id,
-            parents: vec![cur.parent],
-            trigger: cur.trigger,
-            hop: cur.hop + 1,
-            phase: CausalPhase::MraiWait,
-            prefix: Some(obs(first)),
-        });
-        cur.step(id)
+        ctx.causal_edge(pc.current, CausalPhase::MraiWait, Some(first.into()))
     }
 
     fn effective_mrai(&self, peer: PeerIdx) -> SimDuration {
@@ -722,7 +688,7 @@ impl<M: BgpApp> BgpRouter<M> {
             // Read once; every peer of the fan-out below gets this entry.
             let best = self.loc_rib.get(prefix);
             ctx.trace(TraceCategory::Route, || TraceEvent::RibChange {
-                prefix: obs(prefix),
+                prefix: prefix.into(),
                 old_path,
                 new_path: best.map(obs_path),
             });
@@ -748,7 +714,7 @@ impl<M: BgpApp> BgpRouter<M> {
                             trigger: cur.trigger,
                             hop,
                             phase: CausalPhase::HuntStep,
-                            prefix: Some(obs(prefix)),
+                            prefix: Some(prefix.into()),
                         });
                         pc.current = Cause {
                             trigger: cur.trigger,
@@ -932,22 +898,7 @@ impl<M: BgpApp> BgpRouter<M> {
         }
         ctx.report(Activity::UpdateReceived);
         // Causal: the dequeue closes the CPU processing-delay edge.
-        let mut cur = Cause::NONE;
-        if !cause.is_none() {
-            let id = ctx.causal_id();
-            if id != 0 {
-                let first = first_prefix(&upd);
-                ctx.trace(TraceCategory::Causal, || TraceEvent::Causal {
-                    id,
-                    parents: vec![cause.parent],
-                    trigger: cause.trigger,
-                    hop: cause.hop + 1,
-                    phase: CausalPhase::ProcDelay,
-                    prefix: first.map(obs),
-                });
-                cur = cause.step(id);
-            }
-        }
+        let cur = ctx.causal_edge(cause, CausalPhase::ProcDelay, first_prefix(&upd));
         // Prefix-sorted and free of duplicates: the order the decisions run in.
         let mut affected: InlineVec<Prefix, 8> = InlineVec::new();
         let mut touch = |p: Prefix| {
@@ -1071,7 +1022,7 @@ impl<M: BgpApp> BgpRouter<M> {
                     category: TraceCategory::Experiment,
                     text: format!("announce {p}"),
                 });
-                self.mint_trigger(ctx, Some(*p));
+                self.mint_trigger(ctx, Some(*p), &[*p]);
                 self.reselect(ctx, *p);
                 self.flush_all(ctx);
             }
@@ -1082,7 +1033,7 @@ impl<M: BgpApp> BgpRouter<M> {
                     category: TraceCategory::Experiment,
                     text: format!("withdraw {p}"),
                 });
-                self.mint_trigger(ctx, Some(*p));
+                self.mint_trigger(ctx, Some(*p), &[*p]);
                 self.reselect(ctx, *p);
                 self.flush_all(ctx);
             }
@@ -1209,8 +1160,8 @@ impl<M: BgpApp> BgpRouter<M> {
         if let BgpMessage::Update(u) = &msg {
             ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateDelivered {
                 peer: env.src.0,
-                announced: obs_list(&u.nlri),
-                withdrawn: obs_list(&u.withdrawn),
+                announced: u.nlri.iter().map(|&p| p.into()).collect(),
+                withdrawn: u.withdrawn.iter().map(|&p| p.into()).collect(),
             });
         } else {
             ctx.trace(TraceCategory::Msg, || TraceEvent::Note {
@@ -1279,22 +1230,7 @@ impl<M: BgpApp> BgpRouter<M> {
         self.last_proc_due = due;
         // Causal: the delivery closes the link-propagation edge; the
         // queue entry inherits the lineage for the processing edge.
-        let mut qcause = Cause::NONE;
-        if !cause.is_none() {
-            let id = ctx.causal_id();
-            if id != 0 {
-                let first = first_prefix(&upd);
-                ctx.trace(TraceCategory::Causal, || TraceEvent::Causal {
-                    id,
-                    parents: vec![cause.parent],
-                    trigger: cause.trigger,
-                    hop: cause.hop + 1,
-                    phase: CausalPhase::LinkProp,
-                    prefix: first.map(obs),
-                });
-                qcause = cause.step(id);
-            }
-        }
+        let qcause = ctx.causal_edge(cause, CausalPhase::LinkProp, first_prefix(&upd));
         self.in_queue.push_back((peer, upd, qcause));
         ctx.schedule_timer(due, tok(K_PROCESS, 0), TimerClass::Progress);
     }
@@ -1323,22 +1259,7 @@ impl<M: BgpApp> BgpRouter<M> {
         }
         // Causal: the end of the GR window is a trigger of its own — the
         // convergence it forces was deferred, not caused, by the crash.
-        let tid = self.mint_trigger(ctx, None);
-        if tid != 0 {
-            for &p in &affected {
-                self.causes.insert(
-                    p,
-                    PrefixCause {
-                        current: Cause {
-                            trigger: tid,
-                            parent: tid,
-                            hop: 0,
-                        },
-                        last_rib: None,
-                    },
-                );
-            }
-        }
+        self.mint_trigger(ctx, None, &affected);
         for p in affected {
             self.reselect(ctx, p);
         }
@@ -1462,22 +1383,7 @@ impl<M: BgpApp> BgpRouter<M> {
         // Causal: a session loss that invalidated routes is a convergence
         // trigger of its own (one root per endpoint that notices the loss).
         if had_routes {
-            let tid = self.mint_trigger(ctx, None);
-            if tid != 0 {
-                for &p in &affected {
-                    self.causes.insert(
-                        p,
-                        PrefixCause {
-                            current: Cause {
-                                trigger: tid,
-                                parent: tid,
-                                hop: 0,
-                            },
-                            last_rib: None,
-                        },
-                    );
-                }
-            }
+            self.mint_trigger(ctx, None, &affected);
         }
         for p in affected {
             self.reselect(ctx, p);

@@ -195,6 +195,13 @@ impl fmt::Display for Prefix {
     }
 }
 
+/// The telemetry-plane form of a prefix, as trace events carry it.
+impl From<Prefix> for bgpsdn_netsim::ObsPrefix {
+    fn from(p: Prefix) -> Self {
+        bgpsdn_netsim::ObsPrefix::new(p.network_u32(), p.len())
+    }
+}
+
 impl FromStr for Prefix {
     type Err = PrefixError;
 

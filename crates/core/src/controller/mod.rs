@@ -21,12 +21,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bgpsdn_bgp::{Asn, BgpApp, Prefix, RouterCommand, SharedPath, UpdateMsg};
 use bgpsdn_netsim::{
-    Activity, CausalPhase, Cause, Ctx, LinkId, Node, NodeId, ObsPrefix, RecomputeTrigger,
-    SimDuration, TimerClass, TimerToken, TraceCategory, TraceEvent,
+    Activity, CausalPhase, Cause, Ctx, LinkId, Node, NodeId, RecomputeTrigger, SimDuration,
+    TimerClass, TimerToken, TraceCategory, TraceEvent,
 };
 use bgpsdn_sdn::{
-    Accept, CtrlMsg, FlowAction, FlowModOp, FlowRule, OfEnvelope, OfMessage, ReliableReceiver,
-    ReliableSender, SdnApp, SpeakerCmd, SpeakerEvent, SpeakerSyncState, HEARTBEAT_EVERY, HOLD_TIME,
+    ChannelEnd, CtrlMsg, FlowAction, FlowModOp, FlowRule, OfEnvelope, OfMessage, SdnApp,
+    SpeakerCmd, SpeakerEvent, SpeakerSyncState,
 };
 
 use as_graph::{
@@ -183,14 +183,11 @@ pub struct IdrController<M> {
     comp_buf: PrefixComputation,
     /// Reusable per-prefix announcement memo.
     memo: AnnounceMemo,
-    /// Reliable sender toward the speaker (commands). Its epoch doubles as
-    /// the controller's channel epoch; 0 means unsynced (speaker lost), in
-    /// which state no commands are issued until a Sync is adopted.
-    tx: ReliableSender,
-    /// Reliable receiver for speaker events.
-    rx: ReliableReceiver,
-    /// Scratch for retransmission bursts, reused across RTO firings.
-    retx_scratch: Vec<CtrlMsg>,
+    /// The controller's end of the speaker channel: commands down, events
+    /// and syncs up. Its epoch is the controller's channel epoch; 0 means
+    /// unsynced (speaker lost), in which state no commands are issued
+    /// until a Sync is adopted.
+    chan: ChannelEnd,
     /// Switches whose [`OfMessage::TableReply`] is still outstanding during
     /// a resync. Recomputation is deferred until this reaches zero.
     table_syncs_pending: usize,
@@ -230,11 +227,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             scratch: ComputeScratch::default(),
             comp_buf: PrefixComputation::default(),
             memo: AnnounceMemo::default(),
-            // Both channel ends start in epoch 1 with empty state, matching
-            // the speaker's bring-up assumption (no resync needed).
-            tx: ReliableSender::new(1),
-            rx: ReliableReceiver::new(1),
-            retx_scratch: Vec::new(),
+            chan: ChannelEnd::new(Some(cfg.speaker_link), true, [RETX, HEARTBEAT, HOLD]),
             table_syncs_pending: 0,
             #[cfg(debug_assertions)]
             ever_known: cfg.members.iter().map(|m| m.prefix).collect(),
@@ -328,7 +321,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     /// Current control-channel epoch. 0 means unsynced: the speaker is
     /// considered lost and no commands are issued until it resyncs.
     pub fn epoch(&self) -> u64 {
-        self.tx.epoch()
+        self.chan.epoch()
     }
 
     /// Whether a resync is still waiting on switch table replies.
@@ -458,59 +451,15 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     /// the controller (operator command, link-status change) and enroll it
     /// in the next batch's cause set. No-op when causal tracing is off.
     fn mint_trigger(&mut self, ctx: &mut Ctx<'_, M>, prefix: Option<Prefix>) {
-        let id = ctx.causal_id();
-        if id == 0 {
-            return;
+        let root = ctx.causal_root(prefix.map(Into::into));
+        if !root.is_none() {
+            self.batch_causes.push(root);
         }
-        let obs = prefix.map(|p| ObsPrefix::new(p.network_u32(), p.len()));
-        ctx.trace(TraceCategory::Causal, || TraceEvent::Causal {
-            id,
-            parents: vec![],
-            trigger: id,
-            hop: 0,
-            phase: CausalPhase::Trigger,
-            prefix: obs,
-        });
-        self.batch_causes.push(Cause {
-            trigger: id,
-            parent: id,
-            hop: 0,
-        });
     }
 
     // ------------------------------------------------------------------
     // The reliable speaker channel
     // ------------------------------------------------------------------
-
-    fn send_ctrl(&mut self, ctx: &mut Ctx<'_, M>, msg: CtrlMsg) {
-        ctx.send(self.cfg.speaker_link, M::from_ctrl(msg));
-    }
-
-    fn arm_retx(&mut self, ctx: &mut Ctx<'_, M>) {
-        ctx.set_timer(self.tx.rto(), RETX, TimerClass::Progress);
-    }
-
-    fn arm_hold(&mut self, ctx: &mut Ctx<'_, M>) {
-        ctx.set_timer(HOLD_TIME, HOLD, TimerClass::Maintenance);
-    }
-
-    /// Sequence and transmit a batch of speaker commands, arming the
-    /// retransmit timer when the channel transitions to having payloads in
-    /// flight.
-    fn send_speaker_cmds(&mut self, ctx: &mut Ctx<'_, M>, cmds: Vec<SpeakerCmd>) {
-        if cmds.is_empty() {
-            return;
-        }
-        debug_assert_ne!(self.tx.epoch(), 0, "no commands while unsynced");
-        let was_pending = self.tx.pending();
-        for cmd in cmds {
-            let msg = self.tx.push(|epoch, seq| CtrlMsg::Cmd { epoch, seq, cmd });
-            self.send_ctrl(ctx, msg);
-        }
-        if !was_pending {
-            self.arm_retx(ctx);
-        }
-    }
 
     fn handle_speaker_event(&mut self, ctx: &mut Ctx<'_, M>, ev: SpeakerEvent) {
         match ev {
@@ -539,26 +488,17 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
 
     fn handle_ctrl(&mut self, ctx: &mut Ctx<'_, M>, msg: CtrlMsg) {
         // Anything from the speaker proves liveness.
-        self.arm_hold(ctx);
+        self.chan.arm_hold(ctx);
         match msg {
-            CtrlMsg::Event { epoch, seq, event } => match self.rx.accept(epoch, seq) {
-                Accept::Deliver => {
-                    let ack = self.rx.ack_seq();
-                    self.send_ctrl(ctx, CtrlMsg::EventAck { epoch, seq: ack });
+            CtrlMsg::Event { epoch, seq, event } => {
+                // Ack, then deliver.
+                if self.chan.accept(ctx, epoch, seq) {
+                    self.chan.ack(ctx);
                     self.handle_speaker_event(ctx, event);
                 }
-                Accept::Duplicate | Accept::Gap => {
-                    let (epoch, seq) = (self.rx.epoch(), self.rx.ack_seq());
-                    self.send_ctrl(ctx, CtrlMsg::EventAck { epoch, seq });
-                }
-                Accept::WrongEpoch => {}
-            },
+            }
             CtrlMsg::Sync { epoch, state, .. } => {
-                if epoch == self.rx.epoch() {
-                    // Retransmit of a snapshot already adopted: re-ack only.
-                    let (epoch, seq) = (self.rx.epoch(), self.rx.ack_seq());
-                    self.send_ctrl(ctx, CtrlMsg::EventAck { epoch, seq });
-                } else {
+                if self.chan.adopt_sync(ctx, epoch) {
                     self.apply_sync(ctx, epoch, &state);
                 }
             }
@@ -567,17 +507,11 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                 // forward; an ack can lag the current epoch (stale channel
                 // incarnation) but never lead it.
                 debug_assert!(
-                    epoch <= self.tx.epoch(),
+                    epoch <= self.chan.epoch(),
                     "CmdAck from future epoch {epoch} (current {})",
-                    self.tx.epoch()
+                    self.chan.epoch()
                 );
-                if self.tx.on_ack(epoch, seq) {
-                    if self.tx.pending() {
-                        self.arm_retx(ctx);
-                    } else {
-                        ctx.cancel_timer(RETX);
-                    }
-                }
+                self.chan.on_ack(ctx, epoch, seq);
             }
             // Liveness only (handled by the arm_hold above). The speaker
             // resyncs on epoch mismatch from *our* heartbeats; the reverse
@@ -588,17 +522,13 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         }
     }
 
-    /// Adopt a full-state snapshot from the speaker: wipe everything learned
-    /// through the old channel incarnation, rebuild sessions and external
-    /// routes from the snapshot, and re-learn the switches' installed tables
-    /// before recompiling (so the post-outage recompute diffs against what
-    /// is *actually* installed, not against a stale model).
+    /// Adopt a full-state snapshot from the speaker (the channel has just
+    /// moved to its epoch): wipe everything learned through the old channel
+    /// incarnation, rebuild sessions and external routes from the snapshot,
+    /// and re-learn the switches' installed tables before recompiling (so
+    /// the post-outage recompute diffs against what is *actually*
+    /// installed, not against a stale model).
     fn apply_sync(&mut self, ctx: &mut Ctx<'_, M>, epoch: u64, state: &SpeakerSyncState) {
-        self.rx.reset(epoch);
-        let accepted = self.rx.accept(epoch, 1); // the Sync itself is seq 1
-        debug_assert_eq!(accepted, Accept::Deliver);
-        self.tx.reset(epoch);
-        ctx.cancel_timer(RETX);
         self.pending.clear();
         self.batch_causes.clear();
         self.dirty.clear();
@@ -643,7 +573,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             sessions,
             routes,
         });
-        self.send_ctrl(ctx, CtrlMsg::EventAck { epoch, seq: 1 });
+        self.chan.ack(ctx);
         // Ask every switch for its live table; recomputation waits for the
         // replies (see the guard in `recompute_all`).
         self.installed = vec![BTreeMap::new(); self.cfg.members.len()];
@@ -705,25 +635,17 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                     phase: CausalPhase::CtrlQueue,
                     prefix: None,
                 });
-                let rid = ctx.causal_id();
+                let queued = Cause {
+                    trigger: first.trigger,
+                    parent: qid,
+                    hop: first.hop + 1,
+                };
                 let rphase = if matches!(trigger, RecomputeTrigger::Resync) {
                     CausalPhase::Resync
                 } else {
                     CausalPhase::CtrlRecompute
                 };
-                ctx.trace(TraceCategory::Causal, || TraceEvent::Causal {
-                    id: rid,
-                    parents: vec![qid],
-                    trigger: first.trigger,
-                    hop: first.hop + 2,
-                    phase: rphase,
-                    prefix: None,
-                });
-                out_cause = Cause {
-                    trigger: first.trigger,
-                    parent: rid,
-                    hop: first.hop + 2,
-                };
+                out_cause = ctx.causal_edge(queued, rphase, None);
             }
         }
         let span = ctx.span();
@@ -779,7 +701,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         // channel) but leave the announcement cache untouched — the next
         // Sync reseeds it from the speaker's real adj-out and the resync
         // recompute emits the catch-up diffs.
-        let speaker_reachable = self.tx.epoch() != 0;
+        let speaker_reachable = self.chan.epoch() != 0;
         let mut out_cmds: Vec<SpeakerCmd> = Vec::new();
         let mut changed_any = false;
         for &prefix in &dirty {
@@ -890,7 +812,16 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                 }
             }
         }
-        self.send_speaker_cmds(ctx, out_cmds);
+        debug_assert!(
+            out_cmds.is_empty() || speaker_reachable,
+            "no commands while unsynced"
+        );
+        self.chan
+            .send_reliable(ctx, out_cmds, |epoch, seq, cmd| CtrlMsg::Cmd {
+                epoch,
+                seq,
+                cmd,
+            });
         self.scratch = scratch;
         self.comp_buf = comp;
         self.memo = memo;
@@ -1017,8 +948,8 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                     }
                 }
             }
-            // Hello / FeaturesReply / EchoReply / BarrierReply are accepted
-            // silently: the IDR controller programs proactively.
+            // Hello is accepted silently: the IDR controller programs
+            // proactively.
             _ => {}
         }
     }
@@ -1085,17 +1016,10 @@ impl<M: SdnApp + BgpApp> Node<M> for IdrController<M> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
         // Compile the initial state (member prefixes) onto the switches.
         self.recompute_all(ctx, RecomputeTrigger::Startup);
-        // Liveness toward the speaker: beat forever, expect beats back.
-        let epoch = self.tx.epoch();
-        self.send_ctrl(
-            ctx,
-            CtrlMsg::Heartbeat {
-                from_controller: true,
-                epoch,
-            },
-        );
-        ctx.set_timer(HEARTBEAT_EVERY, HEARTBEAT, TimerClass::Maintenance);
-        self.arm_hold(ctx);
+        // Liveness toward the speaker: beat at once and forever, expect
+        // beats back.
+        self.chan.heartbeat(ctx);
+        self.chan.arm_hold(ctx);
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, M>) {
@@ -1110,8 +1034,7 @@ impl<M: SdnApp + BgpApp> Node<M> for IdrController<M> {
         self.owned = owned;
         // Unsynced until the speaker pushes a fresh snapshot (it will: our
         // heartbeats carry epoch 0, which mismatches whatever it has).
-        self.tx.reset(0);
-        self.rx.reset(0);
+        self.chan.reset(ctx, 0);
         self.on_start(ctx);
     }
 
@@ -1142,57 +1065,24 @@ impl<M: SdnApp + BgpApp> Node<M> for IdrController<M> {
             self.recompute_armed = false;
             self.recompute_now(ctx, RecomputeTrigger::UpdateBatch);
         } else if token == RETX {
-            if !self.tx.pending() {
-                return;
+            if self.chan.retransmit(ctx) {
+                self.stats.retransmits += 1;
             }
-            self.stats.retransmits += 1;
-            ctx.count("core.ctrl.retransmits", 1);
-            let oldest_seq = self.tx.oldest_seq().unwrap_or(0);
-            let outstanding = self.tx.outstanding() as u32;
-            ctx.trace(TraceCategory::Ctrl, || TraceEvent::ControlRetransmit {
-                from_controller: true,
-                oldest_seq,
-                outstanding,
-            });
-            let mut burst = std::mem::take(&mut self.retx_scratch);
-            self.tx.retransmit_into(&mut burst);
-            for msg in burst.drain(..) {
-                self.send_ctrl(ctx, msg);
-            }
-            self.retx_scratch = burst;
-            self.arm_retx(ctx);
         } else if token == HEARTBEAT {
-            let epoch = self.tx.epoch();
-            self.send_ctrl(
-                ctx,
-                CtrlMsg::Heartbeat {
-                    from_controller: true,
-                    epoch,
-                },
-            );
-            ctx.set_timer(HEARTBEAT_EVERY, HEARTBEAT, TimerClass::Maintenance);
-        } else if token == HOLD && self.tx.epoch() != 0 {
+            self.chan.heartbeat(ctx);
+        } else if token == HOLD && self.chan.epoch() != 0 {
             // Speaker lost: go unsynced. Outstanding commands are dropped
             // (the next Sync supersedes them); switch programming continues
             // headless through the OF channel. The speaker resyncs as soon
             // as it hears our epoch-0 heartbeats again.
-            self.tx.reset(0);
-            self.rx.reset(0);
-            ctx.cancel_timer(RETX);
+            self.chan.reset(ctx, 0);
         }
     }
 
     fn on_link_change(&mut self, ctx: &mut Ctx<'_, M>, link: LinkId, up: bool) {
-        // Probe the instant the control channel heals rather than waiting
-        // out the periodic (Maintenance-class) heartbeat: the speaker hears
-        // us, leaves headless mode, and resyncs in the same event cascade.
-        if up && link == self.cfg.speaker_link {
-            let hb = CtrlMsg::Heartbeat {
-                from_controller: true,
-                epoch: self.tx.epoch(),
-            };
-            self.send_ctrl(ctx, hb);
-        }
+        // The speaker hears the probe, leaves headless mode, and resyncs in
+        // the same event cascade.
+        self.chan.on_link_change(ctx, link, up);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

@@ -400,7 +400,7 @@ impl Experiment {
         for v in &report.violations {
             let (check, prefix, offender, witness) = (
                 v.kind.name().to_string(),
-                v.prefix.map(|p| ObsPrefix::new(p.network_u32(), p.len())),
+                v.prefix.map(ObsPrefix::from),
                 v.node.clone(),
                 v.witness.clone(),
             );

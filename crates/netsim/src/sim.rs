@@ -7,7 +7,7 @@
 //! engine after the callback returns, in order. Together with the seeded RNG
 //! and the tie-breaking event queue this makes runs bit-for-bit reproducible.
 
-use bgpsdn_obs::{MetricsRegistry, TraceEvent, WallSpan};
+use bgpsdn_obs::{CausalPhase, Cause, MetricsRegistry, ObsPrefix, TraceEvent, WallSpan};
 
 use crate::event::{EventBody, EventQueue, PoolStats};
 use crate::link::{LatencyModel, Link, LinkId};
@@ -189,6 +189,59 @@ impl<'a, M: Message> Ctx<'a, M> {
         }
         *self.causal_seq += 1;
         *self.causal_seq
+    }
+
+    /// Record a trigger root (a convergence trigger with no parent) and
+    /// return the lineage its consequences carry; [`Cause::NONE`], with no
+    /// id drawn, while causal tracing is off.
+    #[inline]
+    pub fn causal_root(&mut self, prefix: Option<ObsPrefix>) -> Cause {
+        let id = self.causal_id();
+        if id == 0 {
+            return Cause::NONE;
+        }
+        self.trace(TraceCategory::Causal, || TraceEvent::Causal {
+            id,
+            parents: vec![],
+            trigger: id,
+            hop: 0,
+            phase: CausalPhase::Trigger,
+            prefix,
+        });
+        Cause {
+            trigger: id,
+            parent: id,
+            hop: 0,
+        }
+    }
+
+    /// Record the `phase` edge that closes here on the lineage `from` and
+    /// return the lineage stepped past it; [`Cause::NONE`], with no id
+    /// drawn, when `from` carries none or causal tracing is off. Merge
+    /// points with more than one parent call [`Ctx::causal_id`] themselves.
+    #[inline]
+    pub fn causal_edge(
+        &mut self,
+        from: Cause,
+        phase: CausalPhase,
+        prefix: Option<ObsPrefix>,
+    ) -> Cause {
+        if from.is_none() {
+            return Cause::NONE;
+        }
+        let id = self.causal_id();
+        if id == 0 {
+            return Cause::NONE;
+        }
+        self.trace(TraceCategory::Causal, || TraceEvent::Causal {
+            id,
+            parents: vec![from.parent],
+            trigger: from.trigger,
+            hop: from.hop + 1,
+            phase,
+            prefix,
+        });
+        from.step(id)
     }
 
     /// The links adjacent to this node, with the neighbor at the far end.
@@ -1360,5 +1413,59 @@ mod tests {
         assert_eq!(sim.link_count(), 1);
         assert_eq!(sim.node_name(NodeId(0)), "pinger");
         assert_eq!(sim.neighbors(NodeId(0)).len(), 1);
+    }
+
+    /// Mints a root, an edge off an empty lineage and an edge off the
+    /// root on start, keeping what each returned.
+    struct Minter(Vec<Cause>);
+    impl Node<TestMsg> for Minter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            let root = ctx.causal_root(None);
+            let stray = ctx.causal_edge(Cause::NONE, CausalPhase::LinkProp, None);
+            let prefix = Some(ObsPrefix::new(0x0a00_0000, 8));
+            let step = ctx.causal_edge(root, CausalPhase::MraiWait, prefix);
+            self.0 = vec![root, stray, step];
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: NodeId, _: LinkId, _: TestMsg) {}
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn lineage_primitives_draw_ids_only_for_recorded_events() {
+        for traced in [true, false] {
+            let mut sim = Simulator::new(1);
+            if traced {
+                sim.trace_mut().enable(TraceCategory::Causal);
+            }
+            let n = sim.add_node("minter", |_| Minter(Vec::new()));
+            sim.run_until_quiescent(SimTime::from_secs(1));
+            let causes = sim.with_node::<Minter, _>(n, |m| m.0.clone());
+            let ids: Vec<u64> = sim
+                .trace()
+                .records()
+                .map(|r| match &r.event {
+                    TraceEvent::Causal { id, .. } => *id,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            if !traced {
+                assert_eq!(causes, vec![Cause::NONE; 3]);
+                assert!(ids.is_empty());
+                continue;
+            }
+            let root = Cause {
+                trigger: 1,
+                parent: 1,
+                hop: 0,
+            };
+            // The empty lineage drew no id: the step off the root is id 2.
+            assert_eq!(causes, vec![root, Cause::NONE, root.step(2)]);
+            assert_eq!(ids, vec![1, 2]);
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! The controller↔switch channel carries these messages as encoded bytes
 //! (mirroring how BGP traffic is carried), so control-plane latency reflects
 //! real message sizes and the codec is exercised by every experiment.
-//! The subset covers what the IDR use-case needs: handshake, flow
-//! programming, packet-in/out, port status, echo and barrier.
+//! The subset covers what the IDR use-case needs: the switch's greeting,
+//! flow programming, packet-in, port status, and the table dump a resync
+//! reads.
 
 use bgpsdn_bgp::wire::{CodecError, Reader, Writer};
 use bgpsdn_bgp::Prefix;
@@ -16,20 +17,13 @@ use crate::flowtable::{FlowAction, FlowRule};
 pub const OF_VERSION: u8 = 0x01;
 
 const T_HELLO: u8 = 0;
-const T_ECHO_REQUEST: u8 = 2;
-const T_ECHO_REPLY: u8 = 3;
-const T_FEATURES_REQUEST: u8 = 5;
-const T_FEATURES_REPLY: u8 = 6;
 const T_PACKET_IN: u8 = 10;
 const T_PORT_STATUS: u8 = 12;
-const T_PACKET_OUT: u8 = 13;
 const T_FLOW_MOD: u8 = 14;
 // Stats request/reply type bytes, carrying the flow-table dump used by
 // the controller's post-outage resync.
 const T_TABLE_REQUEST: u8 = 16;
 const T_TABLE_REPLY: u8 = 17;
-const T_BARRIER_REQUEST: u8 = 18;
-const T_BARRIER_REPLY: u8 = 19;
 
 /// FlowMod operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,36 +42,10 @@ pub enum OfMessage {
         /// The switch's datapath id.
         datapath_id: u64,
     },
-    /// Liveness probe.
-    EchoRequest {
-        /// Transaction id echoed back.
-        xid: u32,
-    },
-    /// Liveness response.
-    EchoReply {
-        /// Transaction id from the request.
-        xid: u32,
-    },
-    /// Controller asks for switch features.
-    FeaturesRequest,
-    /// Switch reports identity and ports.
-    FeaturesReply {
-        /// The switch's datapath id.
-        datapath_id: u64,
-        /// Raw link ids of the switch's ports.
-        ports: Vec<u32>,
-    },
     /// Data packet punted to the controller.
     PacketIn {
         /// Ingress port (raw link id).
         ingress: u32,
-        /// The packet.
-        packet: DataPacket,
-    },
-    /// Controller sends a packet out of a port.
-    PacketOut {
-        /// Egress port (raw link id).
-        out: u32,
         /// The packet.
         packet: DataPacket,
     },
@@ -109,16 +77,6 @@ pub enum OfMessage {
         rules: Vec<FlowRule>,
         /// `(raw link id, operationally up)` for every port.
         ports: Vec<(u32, bool)>,
-    },
-    /// Flush barrier.
-    BarrierRequest {
-        /// Transaction id.
-        xid: u32,
-    },
-    /// Barrier acknowledgment.
-    BarrierReply {
-        /// Transaction id from the request.
-        xid: u32,
     },
 }
 
@@ -216,43 +174,20 @@ impl OfMessage {
         w.u8(OF_VERSION);
         let (ty, xid) = match self {
             OfMessage::Hello { .. } => (T_HELLO, 0),
-            OfMessage::EchoRequest { xid } => (T_ECHO_REQUEST, *xid),
-            OfMessage::EchoReply { xid } => (T_ECHO_REPLY, *xid),
-            OfMessage::FeaturesRequest => (T_FEATURES_REQUEST, 0),
-            OfMessage::FeaturesReply { .. } => (T_FEATURES_REPLY, 0),
             OfMessage::PacketIn { .. } => (T_PACKET_IN, 0),
-            OfMessage::PacketOut { .. } => (T_PACKET_OUT, 0),
             OfMessage::FlowMod { .. } => (T_FLOW_MOD, 0),
             OfMessage::PortStatus { .. } => (T_PORT_STATUS, 0),
             OfMessage::TableRequest { xid } => (T_TABLE_REQUEST, *xid),
             OfMessage::TableReply { xid, .. } => (T_TABLE_REPLY, *xid),
-            OfMessage::BarrierRequest { xid } => (T_BARRIER_REQUEST, *xid),
-            OfMessage::BarrierReply { xid } => (T_BARRIER_REPLY, *xid),
         };
         w.u8(ty);
         w.u16(0); // length, patched
         w.u32(xid);
         match self {
             OfMessage::Hello { datapath_id } => w.bytes(&datapath_id.to_be_bytes()),
-            OfMessage::EchoRequest { .. }
-            | OfMessage::EchoReply { .. }
-            | OfMessage::FeaturesRequest
-            | OfMessage::TableRequest { .. }
-            | OfMessage::BarrierRequest { .. }
-            | OfMessage::BarrierReply { .. } => {}
-            OfMessage::FeaturesReply { datapath_id, ports } => {
-                w.bytes(&datapath_id.to_be_bytes());
-                w.u16(ports.len() as u16);
-                for p in ports {
-                    w.u32(*p);
-                }
-            }
+            OfMessage::TableRequest { .. } => {}
             OfMessage::PacketIn { ingress, packet } => {
                 w.u32(*ingress);
-                encode_packet(&mut w, packet);
-            }
-            OfMessage::PacketOut { out, packet } => {
-                w.u32(*out);
                 encode_packet(&mut w, packet);
             }
             OfMessage::FlowMod { op, rule } => {
@@ -309,25 +244,8 @@ impl OfMessage {
                     datapath_id: u64::from_be_bytes(dp.try_into().expect("8 bytes")),
                 }
             }
-            T_ECHO_REQUEST => OfMessage::EchoRequest { xid },
-            T_ECHO_REPLY => OfMessage::EchoReply { xid },
-            T_FEATURES_REQUEST => OfMessage::FeaturesRequest,
-            T_FEATURES_REPLY => {
-                let dp = r.take(8, "datapath id")?;
-                let datapath_id = u64::from_be_bytes(dp.try_into().expect("8 bytes"));
-                let n = r.u16("port count")? as usize;
-                let mut ports = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ports.push(r.u32("port")?);
-                }
-                OfMessage::FeaturesReply { datapath_id, ports }
-            }
             T_PACKET_IN => OfMessage::PacketIn {
                 ingress: r.u32("ingress")?,
-                packet: decode_packet(&mut r)?,
-            },
-            T_PACKET_OUT => OfMessage::PacketOut {
-                out: r.u32("out port")?,
                 packet: decode_packet(&mut r)?,
             },
             T_FLOW_MOD => {
@@ -384,8 +302,6 @@ impl OfMessage {
                 }
                 OfMessage::TableReply { xid, rules, ports }
             }
-            T_BARRIER_REQUEST => OfMessage::BarrierRequest { xid },
-            T_BARRIER_REPLY => OfMessage::BarrierReply { xid },
             other => return Err(CodecError::BadMessageType(other)),
         };
         if !r.is_empty() {
@@ -450,25 +366,11 @@ mod tests {
         roundtrip(OfMessage::Hello {
             datapath_id: 0xDEADBEEF,
         });
-        roundtrip(OfMessage::EchoRequest { xid: 7 });
-        roundtrip(OfMessage::EchoReply { xid: 7 });
-        roundtrip(OfMessage::FeaturesRequest);
-        roundtrip(OfMessage::FeaturesReply {
-            datapath_id: 99,
-            ports: vec![0, 3, 17],
-        });
         let pkt =
             DataPacket::echo_request(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 1, 0, 1), 123);
         roundtrip(OfMessage::PacketIn {
             ingress: 4,
             packet: pkt,
-        });
-        roundtrip(OfMessage::PacketOut {
-            out: 2,
-            packet: DataPacket {
-                kind: PacketKind::Payload(1400),
-                ..pkt
-            },
         });
         roundtrip(OfMessage::FlowMod {
             op: FlowModOp::Add,
@@ -513,13 +415,11 @@ mod tests {
             rules: vec![],
             ports: vec![],
         });
-        roundtrip(OfMessage::BarrierRequest { xid: 1 });
-        roundtrip(OfMessage::BarrierReply { xid: 1 });
     }
 
     #[test]
     fn header_carries_version_and_length() {
-        let bytes = OfMessage::FeaturesRequest.encode();
+        let bytes = OfMessage::TableRequest { xid: 1 }.encode();
         assert_eq!(bytes[0], OF_VERSION);
         assert_eq!(
             u16::from_be_bytes([bytes[2], bytes[3]]) as usize,
@@ -529,7 +429,7 @@ mod tests {
 
     #[test]
     fn bad_version_and_truncation_rejected() {
-        let mut bytes = OfMessage::FeaturesRequest.encode();
+        let mut bytes = OfMessage::TableRequest { xid: 1 }.encode();
         bytes[0] = 9;
         assert!(matches!(
             OfMessage::decode(&bytes),
@@ -544,7 +444,7 @@ mod tests {
 
     #[test]
     fn envelope_wraps() {
-        let m = OfMessage::EchoRequest { xid: 3 };
+        let m = OfMessage::TableRequest { xid: 3 };
         let env = OfEnvelope::new(&m);
         assert_eq!(env.decode().unwrap(), m);
         assert_eq!(env.wire_len(), env.bytes.len() + 40);
@@ -552,7 +452,7 @@ mod tests {
 
     #[test]
     fn unknown_type_rejected() {
-        let mut bytes = OfMessage::FeaturesRequest.encode();
+        let mut bytes = OfMessage::TableRequest { xid: 1 }.encode();
         bytes[1] = 200;
         assert!(matches!(
             OfMessage::decode(&bytes),

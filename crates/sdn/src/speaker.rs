@@ -16,17 +16,15 @@
 //!
 //! ## Surviving the controller
 //!
-//! The speaker↔controller channel runs the go-back-N protocol from
-//! [`crate::channel`]: events up and commands down carry `(epoch, seq)`
-//! and are retransmitted until acked, so a lossy control link no longer
-//! desynchronizes flow tables. Liveness comes from periodic heartbeats;
-//! when the speaker hears nothing for [`HOLD_TIME`] it enters **headless**
-//! mode: forwarding stays as last programmed (fail-static), legacy BGP
-//! sessions stay up, and events are dropped (counted) instead of queued.
-//! The first controller message after an outage triggers a full-state
-//! **resync**: the speaker opens a new epoch whose first payload is a
-//! [`SpeakerSyncState`] snapshot (session states, Adj-RIB-In, Adj-RIB-Out),
-//! from which the controller rebuilds everything it missed.
+//! The speaker's end of the controller channel is a [`ChannelEnd`]
+//! (go-back-N, heartbeats, hold timer). The policy is the speaker's: when
+//! the hold timer fires it enters **headless** mode: forwarding stays as
+//! last programmed (fail-static), legacy BGP sessions stay up, and events
+//! are dropped (counted) instead of queued. The first controller message
+//! after an outage triggers a full-state **resync**: the speaker opens a
+//! new epoch whose first payload is a [`SpeakerSyncState`] snapshot
+//! (session states, Adj-RIB-In, Adj-RIB-Out), from which the controller
+//! rebuilds everything it missed.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -36,12 +34,12 @@ use bgpsdn_bgp::{
     SessionEvent, SessionHandshake, SharedPath, UpdateMsg,
 };
 use bgpsdn_netsim::{
-    Activity, CausalPhase, Cause, Ctx, LinkId, Node, NodeId, ObsPrefix, SimDuration, TimerClass,
-    TimerToken, TraceCategory, TraceEvent,
+    Activity, CausalPhase, Cause, Ctx, LinkId, Node, NodeId, SimDuration, TimerClass, TimerToken,
+    TraceCategory, TraceEvent,
 };
 
 use crate::app::{CtrlMsg, SdnApp, SessionSync, SpeakerCmd, SpeakerEvent, SpeakerSyncState};
-use crate::channel::{Accept, ReliableReceiver, ReliableSender};
+use crate::channel::ChannelEnd;
 
 // Timer tokens, all named timers and so small and dense: `session << 3 |
 // kind`. K_CONNECT carries a session index; the others name singleton
@@ -51,50 +49,14 @@ const K_RETX: u64 = 1;
 const K_HEARTBEAT: u64 = 2;
 const K_HOLD: u64 = 3;
 const KIND_BITS: u32 = 3;
+const CHANNEL_TIMERS: [TimerToken; 3] = [
+    TimerToken(K_RETX),
+    TimerToken(K_HEARTBEAT),
+    TimerToken(K_HOLD),
+];
 
 fn connect_token(session: usize) -> TimerToken {
     TimerToken((session as u64) << KIND_BITS | K_CONNECT)
-}
-
-/// Heartbeat interval on the speaker↔controller channel (both directions).
-pub const HEARTBEAT_EVERY: SimDuration = SimDuration::from_secs(1);
-/// Silence tolerated on the channel before the peer is declared dead.
-pub const HOLD_TIME: SimDuration = SimDuration::from_secs(3);
-
-fn obs_list(ps: &[Prefix]) -> Vec<ObsPrefix> {
-    ps.iter()
-        .map(|p| ObsPrefix::new(p.network_u32(), p.len()))
-        .collect()
-}
-
-fn obs(p: Prefix) -> ObsPrefix {
-    ObsPrefix::new(p.network_u32(), p.len())
-}
-
-/// Mint the causal event closing a channel/link-propagation edge and step
-/// the lineage past it. Returns [`Cause::NONE`] when tracing is off or the
-/// incoming lineage is empty.
-fn step_link_prop<M: bgpsdn_netsim::Message>(
-    ctx: &mut Ctx<'_, M>,
-    cause: Cause,
-    prefix: Option<Prefix>,
-) -> Cause {
-    if cause.is_none() {
-        return Cause::NONE;
-    }
-    let id = ctx.causal_id();
-    if id == 0 {
-        return Cause::NONE;
-    }
-    ctx.trace(TraceCategory::Causal, || TraceEvent::Causal {
-        id,
-        parents: vec![cause.parent],
-        trigger: cause.trigger,
-        hop: cause.hop + 1,
-        phase: CausalPhase::LinkProp,
-        prefix: prefix.map(obs),
-    });
-    cause.step(id)
 }
 
 /// Configuration of one alias session.
@@ -159,16 +121,12 @@ struct SessionRuntime {
 /// The cluster BGP speaker node.
 pub struct ClusterSpeaker<M> {
     id: NodeId,
-    controller_link: Option<LinkId>,
     sessions: Vec<SessionRuntime>,
     by_endpoint: HashMap<(NodeId, NodeId), usize>,
     stats: SpeakerStats,
-    /// Reliable event/sync transmission toward the controller.
-    tx: ReliableSender,
-    /// In-order command reception from the controller.
-    rx: ReliableReceiver,
-    /// Scratch for retransmission bursts, reused across RTO firings.
-    retx_scratch: Vec<CtrlMsg>,
+    /// The speaker's end of the controller channel: events and syncs up,
+    /// commands down.
+    chan: ChannelEnd,
     /// Encode scratch reused for every outgoing BGP message.
     wire_scratch: Writer,
     /// Next epoch to open on resync (epochs are speaker-owned, monotonic).
@@ -187,13 +145,10 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     pub fn new(id: NodeId) -> Self {
         ClusterSpeaker {
             id,
-            controller_link: None,
             sessions: Vec::new(),
             by_endpoint: HashMap::new(),
             stats: SpeakerStats::default(),
-            tx: ReliableSender::new(1),
-            rx: ReliableReceiver::new(1),
-            retx_scratch: Vec::new(),
+            chan: ChannelEnd::new(None, false, CHANNEL_TIMERS),
             wire_scratch: Writer::with_capacity(64),
             next_epoch: 2,
             headless: false,
@@ -204,7 +159,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
 
     /// Attach the controller channel.
     pub fn set_controller_link(&mut self, link: LinkId) {
-        self.controller_link = Some(link);
+        self.chan.link = Some(link);
     }
 
     /// Register an alias session (before the simulation starts). Returns its
@@ -257,7 +212,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
 
     /// Current resync epoch.
     pub fn epoch(&self) -> u64 {
-        self.tx.epoch()
+        self.chan.epoch()
     }
 
     /// Is the speaker running without a live controller?
@@ -275,32 +230,15 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
             .collect()
     }
 
-    fn send_ctrl(&self, ctx: &mut Ctx<'_, M>, m: CtrlMsg) {
-        if let Some(link) = self.controller_link {
-            ctx.send(link, M::from_ctrl(m));
-        }
-    }
-
-    fn arm_retx(&self, ctx: &mut Ctx<'_, M>) {
-        ctx.set_timer(self.tx.rto(), TimerToken(K_RETX), TimerClass::Progress);
-    }
-
-    fn arm_hold(&self, ctx: &mut Ctx<'_, M>) {
-        if self.controller_link.is_some() {
-            ctx.set_timer(HOLD_TIME, TimerToken(K_HOLD), TimerClass::Maintenance);
-        }
-    }
-
     /// Open a new epoch and send the controller a full-state snapshot. The
     /// Sync is sequence 1 of the epoch, so go-back-N covers its loss too.
     fn start_resync(&mut self, ctx: &mut Ctx<'_, M>) {
-        if self.controller_link.is_none() {
+        if self.chan.link.is_none() {
             return;
         }
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        self.tx.reset(epoch);
-        self.rx.reset(epoch);
+        self.chan.reset(ctx, epoch);
         self.resync_in_flight = true;
         self.stats.resyncs += 1;
         let state = SpeakerSyncState {
@@ -323,13 +261,12 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 })
                 .collect(),
         };
-        let msg = self.tx.push(|e, s| CtrlMsg::Sync {
-            epoch: e,
-            seq: s,
-            state,
-        });
-        self.send_ctrl(ctx, msg);
-        self.arm_retx(ctx);
+        self.chan
+            .send_reliable(ctx, [state], |epoch, seq, state| CtrlMsg::Sync {
+                epoch,
+                seq,
+                state,
+            });
     }
 
     fn enter_headless(&mut self, ctx: &mut Ctx<'_, M>) {
@@ -350,7 +287,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
 
     fn handle_ctrl(&mut self, ctx: &mut Ctx<'_, M>, m: CtrlMsg) {
         // Any controller traffic refreshes liveness.
-        self.arm_hold(ctx);
+        self.chan.arm_hold(ctx);
         if self.headless {
             // The controller is back. Whatever it sent reflects a stale
             // view; rejoin via a fresh epoch and snapshot instead.
@@ -371,42 +308,24 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 // the speaker noticing: resync. Suppressed while a Sync is
                 // unacked — the controller adopts the new epoch only when
                 // the Sync arrives.
-                if !self.resync_in_flight && epoch != self.tx.epoch() {
+                if !self.resync_in_flight && epoch != self.chan.epoch() {
                     self.start_resync(ctx);
                 }
             }
             CtrlMsg::Heartbeat { .. } => {}
-            CtrlMsg::Cmd { epoch, seq, cmd } => match self.rx.accept(epoch, seq) {
-                Accept::Deliver => {
+            CtrlMsg::Cmd { epoch, seq, cmd } => {
+                // Deliver, then ack.
+                if self.chan.accept(ctx, epoch, seq) {
                     self.handle_cmd(ctx, cmd);
-                    let ack = CtrlMsg::CmdAck {
-                        epoch,
-                        seq: self.rx.ack_seq(),
-                    };
-                    self.send_ctrl(ctx, ack);
+                    self.chan.ack(ctx);
                 }
-                Accept::Duplicate | Accept::Gap => {
-                    let ack = CtrlMsg::CmdAck {
-                        epoch: self.rx.epoch(),
-                        seq: self.rx.ack_seq(),
-                    };
-                    self.send_ctrl(ctx, ack);
-                }
-                Accept::WrongEpoch => {}
-            },
+            }
             CtrlMsg::EventAck { epoch, seq } => {
-                let progressed = self.tx.on_ack(epoch, seq);
-                if epoch == self.tx.epoch() && seq >= 1 {
+                if epoch == self.chan.epoch() && seq >= 1 {
                     // The Sync (seq 1 of its epoch) has been received.
                     self.resync_in_flight = false;
                 }
-                if progressed {
-                    if self.tx.pending() {
-                        self.arm_retx(ctx);
-                    } else {
-                        ctx.cancel_timer(TimerToken(K_RETX));
-                    }
-                }
+                self.chan.on_ack(ctx, epoch, seq);
             }
             // Speaker-originated kinds echoed back: ignore.
             CtrlMsg::Event { .. } | CtrlMsg::Sync { .. } | CtrlMsg::CmdAck { .. } => {}
@@ -431,8 +350,8 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
             ctx.count("sdn.speaker.updates_out", 1);
             ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateSent {
                 peer: s.cfg.ext_peer.0,
-                announced: obs_list(&u.nlri),
-                withdrawn: obs_list(&u.withdrawn),
+                announced: u.nlri.iter().map(|&p| p.into()).collect(),
+                withdrawn: u.withdrawn.iter().map(|&p| p.into()).collect(),
             });
         } else {
             ctx.trace(TraceCategory::Msg, || TraceEvent::Note {
@@ -447,7 +366,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     }
 
     fn notify_controller(&mut self, ctx: &mut Ctx<'_, M>, ev: SpeakerEvent) {
-        if self.controller_link.is_none() || self.headless {
+        if self.chan.link.is_none() || self.headless {
             // No live controller. Drop visibly — the retained session state
             // and Adj-RIB-In mean the next resync replays what was missed.
             let session = match &ev {
@@ -462,16 +381,12 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
             });
             return;
         }
-        let was_pending = self.tx.pending();
-        let msg = self.tx.push(|epoch, seq| CtrlMsg::Event {
-            epoch,
-            seq,
-            event: ev,
-        });
-        self.send_ctrl(ctx, msg);
-        if !was_pending {
-            self.arm_retx(ctx);
-        }
+        self.chan
+            .send_reliable(ctx, [ev], |epoch, seq, event| CtrlMsg::Event {
+                epoch,
+                seq,
+                event,
+            });
     }
 
     fn handle_bgp(&mut self, ctx: &mut Ctx<'_, M>, env: &BgpEnvelope) {
@@ -497,8 +412,8 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 ctx.count("sdn.speaker.updates_in", 1);
                 ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateDelivered {
                     peer: env.src.0,
-                    announced: obs_list(&upd.nlri),
-                    withdrawn: obs_list(&upd.withdrawn),
+                    announced: upd.nlri.iter().map(|&p| p.into()).collect(),
+                    withdrawn: upd.withdrawn.iter().map(|&p| p.into()).collect(),
                 });
                 // Maintain the Adj-RIB-In replayed on resync, interning
                 // paths exactly as the controller does on this UPDATE.
@@ -515,8 +430,9 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 // Causal: close the link-propagation edge at the speaker;
                 // the controller closes the ctrl_queue edge when its batch
                 // recomputes.
-                let first = upd.nlri.first().or_else(|| upd.withdrawn.first()).copied();
-                let cause = step_link_prop(ctx, env.cause, first);
+                let first = upd.nlri.first().or_else(|| upd.withdrawn.first());
+                let cause =
+                    ctx.causal_edge(env.cause, CausalPhase::LinkProp, first.map(|&p| p.into()));
                 self.notify_controller(
                     ctx,
                     SpeakerEvent::Update {
@@ -603,7 +519,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 attrs.as_path = bgpsdn_bgp::AsPath::from_seq(key.0.iter().map(|a| a.0));
                 attrs.med = med;
                 s.advertised.insert(prefix, key);
-                let cause = step_link_prop(ctx, cause, Some(prefix));
+                let cause = ctx.causal_edge(cause, CausalPhase::LinkProp, Some(prefix.into()));
                 let msg = BgpMessage::Update(UpdateMsg::announce([prefix], attrs));
                 self.send_bgp_caused(ctx, session, &msg, cause);
             }
@@ -619,7 +535,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 if s.advertised.remove(&prefix).is_none() {
                     return; // never announced here
                 }
-                let cause = step_link_prop(ctx, cause, Some(prefix));
+                let cause = ctx.causal_edge(cause, CausalPhase::LinkProp, Some(prefix.into()));
                 let msg = BgpMessage::Update(UpdateMsg::withdraw([prefix]));
                 self.send_bgp_caused(ctx, session, &msg, cause);
             }
@@ -635,14 +551,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
                 .duration_between(SimDuration::ZERO, SimDuration::from_millis(100));
             ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
         }
-        if self.controller_link.is_some() {
-            ctx.set_timer(
-                HEARTBEAT_EVERY,
-                TimerToken(K_HEARTBEAT),
-                TimerClass::Maintenance,
-            );
-            self.arm_hold(ctx);
-        }
+        self.chan.start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, _from: NodeId, _link: LinkId, msg: M) {
@@ -669,40 +578,9 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
                     }
                 }
             }
-            K_RETX => {
-                // Retransmit everything unacked, with exponential backoff.
-                if self.headless || !self.tx.pending() {
-                    return;
-                }
-                self.stats.retransmits += 1;
-                ctx.count("core.ctrl.retransmits", 1);
-                let oldest_seq = self.tx.oldest_seq().unwrap_or(0);
-                let outstanding = self.tx.outstanding() as u32;
-                ctx.trace(TraceCategory::Ctrl, || TraceEvent::ControlRetransmit {
-                    from_controller: false,
-                    oldest_seq,
-                    outstanding,
-                });
-                let mut burst = std::mem::take(&mut self.retx_scratch);
-                self.tx.retransmit_into(&mut burst);
-                for m in burst.drain(..) {
-                    self.send_ctrl(ctx, m);
-                }
-                self.retx_scratch = burst;
-                self.arm_retx(ctx);
-            }
-            K_HEARTBEAT => {
-                let hb = CtrlMsg::Heartbeat {
-                    from_controller: false,
-                    epoch: self.tx.epoch(),
-                };
-                self.send_ctrl(ctx, hb);
-                ctx.set_timer(
-                    HEARTBEAT_EVERY,
-                    TimerToken(K_HEARTBEAT),
-                    TimerClass::Maintenance,
-                );
-            }
+            // No retransmission while headless: an outage quiesces.
+            K_RETX if !self.headless && self.chan.retransmit(ctx) => self.stats.retransmits += 1,
+            K_HEARTBEAT => self.chan.heartbeat(ctx),
             K_HOLD => {
                 // Hold expired: nothing heard from the controller.
                 self.enter_headless(ctx);
@@ -712,17 +590,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
     }
 
     fn on_link_change(&mut self, ctx: &mut Ctx<'_, M>, link: LinkId, up: bool) {
-        // The control channel healing is a recovery opportunity the
-        // periodic (Maintenance-class) heartbeat would only seize up to an
-        // interval later: probe immediately so the controller refreshes its
-        // hold timer — and answers — in the same event cascade.
-        if up && Some(link) == self.controller_link {
-            let hb = CtrlMsg::Heartbeat {
-                from_controller: false,
-                epoch: self.tx.epoch(),
-            };
-            self.send_ctrl(ctx, hb);
-        }
+        self.chan.on_link_change(ctx, link, up);
         // A relay link failing kills every session riding it.
         let affected: Vec<usize> = self
             .sessions

@@ -5,8 +5,9 @@
 //! does three jobs:
 //!
 //! 1. **Data plane**: forward [`DataPacket`](bgpsdn_netsim::DataPacket)s by flow-table lookup;
-//! 2. **Control channel**: obey FlowMod/PacketOut from the controller and
-//!    report Hello/PortStatus/PacketIn upward — as encoded OpenFlow bytes;
+//! 2. **Control channel**: obey FlowMod and TableRequest from the
+//!    controller and report Hello/PortStatus/PacketIn upward — as encoded
+//!    OpenFlow bytes;
 //! 3. **Control-plane relay**: pass BGP envelopes between external routers
 //!    and the cluster BGP speaker using a static relay table ("for every BGP
 //!    peering there is a link from the cluster BGP speaker to the border SDN
@@ -144,7 +145,7 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
                 if changed {
                     ctx.report(Activity::FlowInstalled);
                     ctx.report(Activity::FibChange);
-                    let prefix = ObsPrefix::new(rule.prefix.network_u32(), rule.prefix.len());
+                    let prefix = ObsPrefix::from(rule.prefix);
                     let (priority, action) = (rule.priority, rule.action.repr());
                     ctx.trace(TraceCategory::Flow, || match op {
                         FlowModOp::Add => TraceEvent::FlowInstalled {
@@ -160,38 +161,8 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
                     });
                     // Causal: a flow-table change is a settlement — the
                     // flow_install edge spans controller send → install.
-                    if !env.cause.is_none() {
-                        let id = ctx.causal_id();
-                        if id != 0 {
-                            let c = env.cause;
-                            ctx.trace(TraceCategory::Causal, || TraceEvent::Causal {
-                                id,
-                                parents: vec![c.parent],
-                                trigger: c.trigger,
-                                hop: c.hop + 1,
-                                phase: CausalPhase::FlowInstall,
-                                prefix: Some(prefix),
-                            });
-                        }
-                    }
+                    ctx.causal_edge(env.cause, CausalPhase::FlowInstall, Some(prefix));
                 }
-            }
-            OfMessage::PacketOut { out, packet } => {
-                ctx.send(LinkId(out), M::from_data(packet));
-            }
-            OfMessage::EchoRequest { xid } => {
-                self.send_to_controller(ctx, &OfMessage::EchoReply { xid });
-            }
-            OfMessage::FeaturesRequest => {
-                let ports: Vec<u32> = ctx.neighbors().iter().map(|(l, _)| l.0).collect();
-                let reply = OfMessage::FeaturesReply {
-                    datapath_id: self.datapath_id,
-                    ports,
-                };
-                self.send_to_controller(ctx, &reply);
-            }
-            OfMessage::BarrierRequest { xid } => {
-                self.send_to_controller(ctx, &OfMessage::BarrierReply { xid });
             }
             OfMessage::TableRequest { xid } => {
                 let reply = OfMessage::TableReply {
@@ -207,12 +178,9 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
             }
             // Controller-bound messages arriving here are ignored.
             OfMessage::Hello { .. }
-            | OfMessage::EchoReply { .. }
-            | OfMessage::FeaturesReply { .. }
             | OfMessage::PacketIn { .. }
             | OfMessage::PortStatus { .. }
-            | OfMessage::TableReply { .. }
-            | OfMessage::BarrierReply { .. } => {}
+            | OfMessage::TableReply { .. } => {}
         }
     }
 

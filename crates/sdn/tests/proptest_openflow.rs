@@ -59,22 +59,14 @@ fn arb_packet() -> impl Strategy<Value = DataPacket> {
 fn arb_message() -> impl Strategy<Value = OfMessage> {
     prop_oneof![
         any::<u64>().prop_map(|datapath_id| OfMessage::Hello { datapath_id }),
-        any::<u32>().prop_map(|xid| OfMessage::EchoRequest { xid }),
-        any::<u32>().prop_map(|xid| OfMessage::EchoReply { xid }),
-        Just(OfMessage::FeaturesRequest),
-        (any::<u64>(), prop::collection::vec(any::<u32>(), 0..16))
-            .prop_map(|(datapath_id, ports)| OfMessage::FeaturesReply { datapath_id, ports }),
         (any::<u32>(), arb_packet())
             .prop_map(|(ingress, packet)| OfMessage::PacketIn { ingress, packet }),
-        (any::<u32>(), arb_packet()).prop_map(|(out, packet)| OfMessage::PacketOut { out, packet }),
         (
             prop_oneof![Just(FlowModOp::Add), Just(FlowModOp::Delete)],
             arb_rule()
         )
             .prop_map(|(op, rule)| OfMessage::FlowMod { op, rule }),
         (any::<u32>(), any::<bool>()).prop_map(|(port, up)| OfMessage::PortStatus { port, up }),
-        any::<u32>().prop_map(|xid| OfMessage::BarrierRequest { xid }),
-        any::<u32>().prop_map(|xid| OfMessage::BarrierReply { xid }),
     ]
 }
 

@@ -389,14 +389,8 @@ fn grid_from_args(args: &Args) -> Result<CampaignGrid, String> {
 /// `run_campaign`'s pre-flight would.
 fn sweep_grid(args: &Args) -> Result<CampaignGrid, String> {
     let grid = grid_from_args(args)?;
-    if grid.seeds == 0 {
-        return Err("--seeds must be at least 1".into());
-    }
     if grid.cluster_sizes.is_empty() {
         return Err("sweep needs --fig2 or --sizes K1,K2,...".into());
-    }
-    if grid.cluster_sizes.iter().any(|&k| k > grid.n) {
-        return Err(format!("--sizes entries must be <= --n ({})", grid.n));
     }
     let preflight = grid.preflight();
     if !preflight.ok() {
@@ -886,6 +880,12 @@ fn cmd_ping(args: &Args) -> Result<(), String> {
     let n: usize = args.get("n", 6)?;
     let fail_at: u64 = args.get("fail-at", 20)?;
     let heal_at: u64 = args.get("heal-at", 50)?;
+    // The probe runs from AS 1 to the member AS n-1: they must differ.
+    if n < 3 {
+        return Err(format!(
+            "--n {n} is too small for the ping demo: it needs at least 3"
+        ));
+    }
     if sdn == 0 || sdn >= n {
         return Err("--sdn must be in 1..n-1 for the ping demo".into());
     }

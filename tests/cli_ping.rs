@@ -1,6 +1,7 @@
 //! End-to-end CLI test of `bgpsdn ping`: the default run prints a probe
 //! timeline, and a failure or heal tick the 80-probe stream never reaches,
-//! or a heal before the failure, is rejected with exit 1 naming the flag.
+//! a heal before the failure, or a clique too small to hold both probe
+//! ends, is rejected with exit 1 naming the flag.
 
 use std::process::Command;
 
@@ -42,4 +43,15 @@ fn ticks_outside_the_stream_or_out_of_order_are_rejected() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(flag), "{args:?}: {err}");
     }
+}
+
+#[test]
+fn a_clique_too_small_for_both_probe_ends_is_rejected() {
+    // The probe runs from AS 1 to the member AS n-1, which is AS 1 itself
+    // when n is 2.
+    let out = ping(&["--n", "2", "--sdn", "1"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "nothing is run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--n"), "{err}");
 }

@@ -95,19 +95,20 @@ fn sweep_rejects_bad_grids() {
     let none = bgpsdn().arg("sweep").output().expect("spawn");
     assert!(!none.status.success());
 
-    // Cluster size exceeding the clique.
-    let too_big = bgpsdn()
-        .args(["sweep", "--sizes", "9", "--n", "6"])
-        .output()
-        .expect("spawn");
-    assert!(!too_big.status.success());
-
-    // Zero seeds.
-    let zero = bgpsdn()
-        .args(["sweep", "--sizes", "2", "--n", "6", "--seeds", "0"])
-        .output()
-        .expect("spawn");
-    assert!(!zero.status.success());
+    // Cluster size exceeding the clique, and zero seeds: the pre-flight
+    // rejects both and names its finding.
+    for (args, code) in [
+        (&["--sizes", "9", "--n", "6"][..], "grid.cluster_size"),
+        (
+            &["--sizes", "2", "--n", "6", "--seeds", "0"][..],
+            "grid.no_seeds",
+        ),
+    ] {
+        let out = bgpsdn().arg("sweep").args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(code), "{args:?}: {stderr}");
+    }
 
     // Grids only the pre-flight catches: a member budget that cannot fill
     // its clusters, and a fail-over on a clique too small to dual-home the
