@@ -15,17 +15,16 @@
 //!   path-hunting steps a withdrawal can trigger per cluster size (the
 //!   static bound that measured `hunt_step` phases must respect).
 //! * **Validation** ([`validate`]) — are the scripted actions (the one
-//!   [`ScriptAction`] vocabulary scripts and chaos schedules share),
-//!   timers, and campaign grids well-formed: index ranges, links that
-//!   exist, loss bounds, graceful-restart vs hold timers, expectations that
-//!   could never hold.
+//!   [`ScriptAction`] vocabulary scripts and chaos schedules share) and
+//!   timers well-formed: index ranges, links that exist, loss bounds,
+//!   graceful-restart vs hold timers, expectations that could never hold.
 //!
 //! Results are [`Finding`]s in an [`AnalysisReport`] with stable codes,
 //! optional witnesses (e.g. the rim of a dispute wheel), deterministic
 //! ordering, and byte-deterministic JSON rendering. The `bgpsdn check`
 //! CLI, the `NetworkBuilder`/`Experiment` pre-flight gates, and the
-//! campaign runner's fail-fast cell rejection all sit on top of this
-//! crate.
+//! campaign grid's and job's own pre-flight (in the core crate, which
+//! owns their rules) all report through this crate's types.
 
 #![warn(clippy::pedantic)]
 #![warn(missing_docs)]
@@ -46,6 +45,4 @@ pub use finding::{AnalysisReport, Finding, Severity};
 pub use predict::{check_reachability, components, hunt_depth_bound, hunt_depth_bound_clusters};
 pub use safety::{check_safety, check_safety_clusters, SafetyClustersInput, SafetyInput};
 pub use spp::{PathRule, RankedPath, SppCaps, SppInstance, SppOutcome};
-pub use validate::{
-    check_actions, check_grid, check_timing, ActionContext, GridSpec, ScriptAction, STRATEGY_NAMES,
-};
+pub use validate::{check_actions, check_timing, ActionContext, ScriptAction};

@@ -1,12 +1,13 @@
-//! Validation pass — scripts, timing, and campaign grids.
+//! Validation pass — scripts and timing.
 //!
 //! The framework's builders accept anything and fail late: an out-of-range
 //! AS index panics deep inside the simulator, a fault on a link that does
 //! not exist panics mid-run, and an `expect_reachable` against a
 //! never-announced prefix burns a full convergence run before failing. This
-//! pass walks the declarative experiment inputs — an action sequence, the
-//! timer configuration, a campaign grid — and reports everything that is
-//! statically wrong or statically pointless.
+//! pass walks the declarative experiment inputs — an action sequence and
+//! the timer configuration — and reports everything that is statically
+//! wrong or statically pointless. A campaign grid's own rules live on the
+//! grid, in the core crate's pre-flight.
 //!
 //! [`ScriptAction`] lives here, below the core crate in the dependency
 //! order, so the analyzer validates the very values the framework executes:
@@ -518,136 +519,6 @@ pub fn check_timing(hold_secs: u64, graceful_restart_secs: u64) -> AnalysisRepor
     report
 }
 
-/// Neutral mirror of a campaign grid, for fail-fast cell rejection.
-#[derive(Debug, Clone)]
-pub struct GridSpec {
-    /// Topology size.
-    pub n: usize,
-    /// Event kind label (`"withdrawal"`, `"announcement"`, `"failover"`).
-    pub event: &'static str,
-    /// Cluster-size axis.
-    pub cluster_sizes: Vec<usize>,
-    /// Control-channel loss axis.
-    pub losses: Vec<f64>,
-    /// Control-latency axis (element count only matters for emptiness).
-    pub ctl_latency_count: usize,
-    /// Seeds per cell.
-    pub seeds: u64,
-    /// Chaos fault spec, when configured: `(outages, horizon)`.
-    pub faults: Option<(usize, SimDuration)>,
-    /// Cluster-count axis (`--clusters`): how many independent SDN clusters
-    /// to split each cell's members into. Empty = single-cluster default.
-    pub cluster_counts: Vec<usize>,
-    /// Deployment strategy name, when one is configured (`--strategy`).
-    pub strategy: Option<&'static str>,
-}
-
-/// Deployment strategy names the framework recognizes, in canonical order.
-pub const STRATEGY_NAMES: &[&str] = &["explicit", "tail", "random", "degree", "kcore", "tier"];
-
-/// Minimum topology size per event kind (failover needs the dual-homed
-/// origin construction).
-fn event_min_n(event: &str) -> usize {
-    match event {
-        "failover" => 5,
-        _ => 2,
-    }
-}
-
-/// Validate a campaign grid before any worker spins.
-pub fn check_grid(spec: &GridSpec) -> AnalysisReport {
-    let mut report = AnalysisReport::new();
-    report.checked();
-    if spec.seeds == 0 {
-        report.error(
-            "grid.no_seeds",
-            "grid has zero seeds per cell: no jobs would run",
-        );
-    }
-    report.checked();
-    if spec.cluster_sizes.is_empty() || spec.losses.is_empty() || spec.ctl_latency_count == 0 {
-        report.error(
-            "grid.empty_axis",
-            "a grid axis is empty: the cell product is zero and no jobs would run",
-        );
-    }
-    for &size in &spec.cluster_sizes {
-        report.checked();
-        if size > spec.n {
-            report.error(
-                "grid.cluster_size",
-                format!(
-                    "cluster size {size} exceeds the topology size {}; members would be out \
-                     of range",
-                    spec.n
-                ),
-            );
-        }
-    }
-    for &loss in &spec.losses {
-        report.checked();
-        if !(0.0..=1.0).contains(&loss) || loss.is_nan() {
-            report.error(
-                "grid.loss_range",
-                format!("control-channel loss {loss} outside [0, 1]"),
-            );
-        }
-    }
-    report.checked();
-    let min_n = event_min_n(spec.event);
-    if spec.n < min_n {
-        report.error(
-            "grid.event_requires",
-            format!(
-                "event kind `{}` needs at least {min_n} ASes, grid has n={}",
-                spec.event, spec.n
-            ),
-        );
-    }
-    if let Some((outages, horizon)) = spec.faults {
-        report.checked();
-        if outages > 0 && horizon == SimDuration::ZERO {
-            report.error(
-                "grid.chaos_horizon",
-                "chaos fault spec has outages but a zero horizon: no fault could ever fire",
-            );
-        }
-    }
-    for &k in &spec.cluster_counts {
-        report.checked();
-        if k == 0 {
-            report.error(
-                "grid.cluster_count",
-                "cluster count 0 in the clusters axis; use cluster size 0 for a \
-                 pure-legacy cell",
-            );
-            continue;
-        }
-        for &size in &spec.cluster_sizes {
-            if k > 1 && size > 0 && size < k {
-                report.checked();
-                report.error(
-                    "grid.cluster_count",
-                    format!("cannot split {size} SDN members into {k} non-empty clusters"),
-                );
-            }
-        }
-    }
-    if let Some(s) = spec.strategy {
-        report.checked();
-        if !STRATEGY_NAMES.contains(&s) {
-            report.error(
-                "grid.unknown_strategy",
-                format!(
-                    "unknown deployment strategy `{s}`; known: {}",
-                    STRATEGY_NAMES.join(", ")
-                ),
-            );
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -894,98 +765,5 @@ mod tests {
         let r = check_timing(9, 5);
         assert!(r.ok());
         assert_eq!(r.findings[0].code, "timing.gr_shorter_than_hold");
-    }
-
-    fn base_grid() -> GridSpec {
-        GridSpec {
-            n: 16,
-            event: "withdrawal",
-            cluster_sizes: (0..=16).collect(),
-            losses: vec![0.0],
-            ctl_latency_count: 1,
-            seeds: 10,
-            faults: None,
-            cluster_counts: vec![],
-            strategy: None,
-        }
-    }
-
-    #[test]
-    fn fig2_like_grid_is_clean() {
-        assert!(check_grid(&base_grid()).clean());
-    }
-
-    #[test]
-    fn grid_mutations_are_each_caught() {
-        let mut g = base_grid();
-        g.cluster_sizes = vec![20];
-        assert_eq!(
-            check_grid(&g).first_error().unwrap().code,
-            "grid.cluster_size"
-        );
-        let mut g = base_grid();
-        g.losses = vec![-0.1];
-        assert_eq!(
-            check_grid(&g).first_error().unwrap().code,
-            "grid.loss_range"
-        );
-        let mut g = base_grid();
-        g.seeds = 0;
-        assert_eq!(check_grid(&g).first_error().unwrap().code, "grid.no_seeds");
-        let mut g = base_grid();
-        g.losses = vec![];
-        assert_eq!(
-            check_grid(&g).first_error().unwrap().code,
-            "grid.empty_axis"
-        );
-        let mut g = base_grid();
-        g.event = "failover";
-        g.n = 4;
-        g.cluster_sizes = vec![0, 4];
-        assert_eq!(
-            check_grid(&g).first_error().unwrap().code,
-            "grid.event_requires"
-        );
-        let mut g = base_grid();
-        g.faults = Some((3, SimDuration::ZERO));
-        assert_eq!(
-            check_grid(&g).first_error().unwrap().code,
-            "grid.chaos_horizon"
-        );
-    }
-
-    #[test]
-    fn cluster_count_axis_is_validated() {
-        let mut g = base_grid();
-        g.cluster_sizes = vec![0, 8, 16];
-        g.cluster_counts = vec![1, 2, 4];
-        assert!(check_grid(&g).clean(), "{}", check_grid(&g).render());
-        // Size-0 cells (pure legacy) coexist with any cluster count, but a
-        // non-zero size smaller than the count is unsplittable.
-        let mut g = base_grid();
-        g.cluster_sizes = vec![0, 2];
-        g.cluster_counts = vec![4];
-        assert_eq!(
-            check_grid(&g).first_error().unwrap().code,
-            "grid.cluster_count"
-        );
-        let mut g = base_grid();
-        g.cluster_counts = vec![0];
-        assert_eq!(
-            check_grid(&g).first_error().unwrap().code,
-            "grid.cluster_count"
-        );
-    }
-
-    #[test]
-    fn strategy_names_are_validated() {
-        let mut g = base_grid();
-        g.strategy = Some("degree");
-        assert!(check_grid(&g).clean());
-        g.strategy = Some("bogus");
-        assert_eq!(
-            check_grid(&g).first_error().unwrap().code,
-            "grid.unknown_strategy"
-        );
     }
 }

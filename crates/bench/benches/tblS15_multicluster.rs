@@ -5,15 +5,15 @@
 //! the centralized core sits at the *top* of the hierarchy. This bench
 //! quantifies that assumption: on a CAIDA-style topology under
 //! policy-free transit (the regime where path exploration actually
-//! hurts), the same member budget is deployed either by
-//! `HighestDegree` (the transit core first) or by `RandomK` (uniform
+//! hurts), the same member budget is deployed either by the `Degree`
+//! placement (the transit core first) or by the `Random` one (uniform
 //! over all ASes), split into 1 or 2 independent clusters, and a stub
 //! withdrawal is timed. Degree-ordered placement must beat random
 //! placement at the equal fraction — the headline `degree_advantage`
 //! ratio (random median / degree median) is written beside the rows.
 
 use bgpsdn_bench::{write_json, RUNS};
-use bgpsdn_core::{DeploymentStrategy, JobSpec, Topology};
+use bgpsdn_core::{DeploymentStrategy, JobSpec, Placement, Topology};
 use bgpsdn_netsim::Summary;
 use bgpsdn_obs::impl_to_json;
 use bgpsdn_topology::caida::SynthesisParams;
@@ -37,16 +37,7 @@ impl_to_json!(Row {
     updates_mean
 });
 
-fn strategy_for(name: &'static str, clusters: usize) -> DeploymentStrategy {
-    let total = TOTAL_MEMBERS;
-    match name {
-        "degree" => DeploymentStrategy::HighestDegree { clusters, total },
-        "random" => DeploymentStrategy::RandomK { clusters, total },
-        other => panic!("unknown bench strategy {other}"),
-    }
-}
-
-fn sweep_point(name: &'static str, clusters: usize) -> Row {
+fn sweep_point(placement: Placement, clusters: usize) -> Row {
     let mut times = Vec::new();
     let mut updates = Vec::new();
     for r in 0..RUNS {
@@ -62,7 +53,11 @@ fn sweep_point(name: &'static str, clusters: usize) -> Row {
             seed: 15000 + r,
         };
         let spec = JobSpec {
-            deployment: strategy_for(name, clusters),
+            deployment: DeploymentStrategy::Placed {
+                placement,
+                clusters,
+                total: TOTAL_MEMBERS,
+            },
             origin: topology.as_count() - 1,
             seed: 15100 + r,
             ..JobSpec::new(topology)
@@ -76,7 +71,7 @@ fn sweep_point(name: &'static str, clusters: usize) -> Row {
     }
     let s = Summary::of_durations(&times).unwrap();
     Row {
-        strategy: name,
+        strategy: placement.name(),
         clusters,
         conv_median_s: s.median,
         conv_mean_s: s.mean,
@@ -95,8 +90,8 @@ fn main() {
         "strategy", "clusters", "conv median", "conv mean", "updates mean"
     );
     for &clusters in &[1usize, 2] {
-        for name in ["degree", "random"] {
-            let row = sweep_point(name, clusters);
+        for placement in [Placement::Degree, Placement::Random] {
+            let row = sweep_point(placement, clusters);
             println!(
                 "{:>10} {:>9} {:>12.2}s {:>10.2}s {:>13.1}",
                 row.strategy, row.clusters, row.conv_median_s, row.conv_mean_s, row.updates_mean
@@ -105,14 +100,16 @@ fn main() {
         }
     }
 
-    let median = |strategy: &str, clusters: usize| {
+    let median = |placement: Placement, clusters: usize| {
         rows.iter()
-            .find(|r| r.strategy == strategy && r.clusters == clusters)
+            .find(|r| r.strategy == placement.name() && r.clusters == clusters)
             .map(|r| r.conv_median_s)
             .unwrap()
     };
-    let advantage_1 = median("random", 1) / median("degree", 1).max(1e-9);
-    let advantage_2 = median("random", 2) / median("degree", 2).max(1e-9);
+    let advantage = |clusters| {
+        median(Placement::Random, clusters) / median(Placement::Degree, clusters).max(1e-9)
+    };
+    let (advantage_1, advantage_2) = (advantage(1), advantage(2));
     println!("\ndegree advantage (random median / degree median):");
     println!("  1 cluster : {advantage_1:.2}x");
     println!("  2 clusters: {advantage_2:.2}x");

@@ -9,7 +9,7 @@
 
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
-use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, ScriptAction, Topology};
+use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, Placement, ScriptAction, Topology};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::{impl_to_json, RecomputeTrigger, TraceCategory, TraceEvent};
 use bgpsdn_topology::caida::SynthesisParams;
@@ -37,7 +37,8 @@ fn spec(seed: u64) -> JobSpec {
     };
     JobSpec {
         policy: PolicyMode::GaoRexford,
-        deployment: DeploymentStrategy::PerTier {
+        deployment: DeploymentStrategy::Placed {
+            placement: Placement::Tier,
             clusters: 1,
             total: TIER1,
         },

@@ -16,14 +16,10 @@ use crate::types::{Asn, Prefix, RouterId};
 /// Protocol timing knobs.
 #[derive(Debug, Clone)]
 pub struct TimingConfig {
-    /// Minimum Route Advertisement Interval for eBGP sessions.
+    /// Minimum Route Advertisement Interval for eBGP sessions. It paces
+    /// advertisements only: explicit withdrawals bypass a running timer
+    /// (RFC 4271 §9.2.1.1).
     pub mrai: SimDuration,
-    /// MRAI jitter window as fractions of the base (RFC: 0.75–1.0).
-    pub mrai_jitter: (f64, f64),
-    /// Whether explicit withdrawals wait for MRAI too (RFC 4271 says the
-    /// interval applies to advertisements only; Quagga queues both — flip
-    /// this to emulate that).
-    pub mrai_on_withdrawals: bool,
     /// Uniform per-UPDATE processing delay window (router CPU model).
     pub processing_delay: (SimDuration, SimDuration),
     /// Proposed hold time in seconds; 0 disables keepalive/hold entirely.
@@ -33,36 +29,18 @@ pub struct TimingConfig {
     /// negotiated window (min of both sides) after a hold-timer expiry.
     /// 0 disables GR entirely (the default).
     pub graceful_restart_secs: u16,
-    /// Keepalive interval as a fraction of hold (RFC suggests 1/3).
-    pub keepalive_divisor: u32,
-    /// Maximum random stagger applied to initial session bring-up.
-    pub connect_stagger: SimDuration,
-    /// Base delay before a failed session is retried (exponential backoff).
-    pub connect_retry: SimDuration,
     /// Give up re-trying a session after this many consecutive failures.
     pub max_connect_retries: u32,
-    /// Sender-side loop detection (RFC 4271 §9.1.3 MAY): suppress
-    /// advertising a route back to the peer it was learned from. Quagga does
-    /// not do this — the receiver's AS_PATH check discards the update — and
-    /// the slow Tdown path-exploration behaviour the paper measures depends
-    /// on those MRAI-paced re-advertisements, so the default is off.
-    pub sender_side_loop_detection: bool,
 }
 
 impl Default for TimingConfig {
     fn default() -> Self {
         TimingConfig {
             mrai: SimDuration::from_secs(30),
-            mrai_jitter: (0.75, 1.0),
-            mrai_on_withdrawals: false,
             processing_delay: (SimDuration::from_millis(1), SimDuration::from_millis(10)),
             hold_time_secs: 0,
             graceful_restart_secs: 0,
-            keepalive_divisor: 3,
-            connect_stagger: SimDuration::from_millis(100),
-            connect_retry: SimDuration::from_secs(1),
             max_connect_retries: 5,
-            sender_side_loop_detection: false,
         }
     }
 }
@@ -86,10 +64,9 @@ pub struct NeighborConfig {
     pub link: LinkId,
     /// Expected remote ASN.
     pub remote_asn: Asn,
-    /// Business relationship of the neighbor relative to this router.
+    /// Business relationship of the neighbor relative to this router. A
+    /// [`Relationship::Monitor`] session is not MRAI-throttled.
     pub relationship: Relationship,
-    /// Per-neighbor MRAI override.
-    pub mrai_override: Option<SimDuration>,
     /// Extra import policy applied after relationship defaults.
     pub import_map: Option<RouteMap>,
     /// Extra export policy applied after relationship filtering.
@@ -107,7 +84,6 @@ impl NeighborConfig {
             link,
             remote_asn,
             relationship,
-            mrai_override: None,
             import_map: None,
             export_map: None,
             max_prefixes: None,
@@ -117,16 +93,7 @@ impl NeighborConfig {
     /// A monitoring session toward a route collector: export-only and not
     /// MRAI-throttled, so measurements see updates promptly.
     pub fn monitor(peer: NodeId, link: LinkId, remote_asn: Asn) -> Self {
-        NeighborConfig {
-            peer,
-            link,
-            remote_asn,
-            relationship: Relationship::Monitor,
-            mrai_override: Some(SimDuration::ZERO),
-            import_map: None,
-            export_map: None,
-            max_prefixes: None,
-        }
+        NeighborConfig::new(peer, link, remote_asn, Relationship::Monitor)
     }
 }
 
@@ -195,13 +162,18 @@ impl RouterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::{
+        effective_mrai, CONNECT_RETRY, CONNECT_STAGGER, KEEPALIVE_DIVISOR, MRAI_JITTER,
+    };
 
     #[test]
     fn default_timing_matches_quagga_profile() {
         let t = TimingConfig::default();
         assert_eq!(t.mrai, SimDuration::from_secs(30));
-        assert_eq!(t.mrai_jitter, (0.75, 1.0));
-        assert!(!t.mrai_on_withdrawals);
+        assert_eq!(MRAI_JITTER, (0.75, 1.0));
+        assert_eq!(KEEPALIVE_DIVISOR, 3);
+        assert_eq!(CONNECT_STAGGER, SimDuration::from_millis(100));
+        assert_eq!(CONNECT_RETRY, SimDuration::from_secs(1));
         assert_eq!(t.hold_time_secs, 0, "keepalives off by default");
         assert_eq!(t.graceful_restart_secs, 0, "GR off by default");
     }
@@ -228,6 +200,14 @@ mod tests {
     fn monitor_neighbor_unthrottled() {
         let n = NeighborConfig::monitor(NodeId(9), LinkId(3), Asn(65535));
         assert_eq!(n.relationship, Relationship::Monitor);
-        assert_eq!(n.mrai_override, Some(SimDuration::ZERO));
+        assert_eq!(
+            effective_mrai(&n, SimDuration::from_secs(30)),
+            SimDuration::ZERO
+        );
+        let peer = NeighborConfig::new(NodeId(9), LinkId(3), Asn(65535), Relationship::Peer);
+        assert_eq!(
+            effective_mrai(&peer, SimDuration::from_secs(30)),
+            SimDuration::from_secs(30)
+        );
     }
 }

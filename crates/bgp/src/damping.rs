@@ -40,17 +40,6 @@ impl Default for DampingConfig {
     }
 }
 
-impl DampingConfig {
-    /// An aggressive profile suited to short simulations (seconds-scale
-    /// half-life instead of the operational 15 minutes).
-    pub fn fast() -> DampingConfig {
-        DampingConfig {
-            half_life: SimDuration::from_secs(60),
-            ..Default::default()
-        }
-    }
-}
-
 /// Damping state of one `(peer, prefix)` route.
 #[derive(Debug, Clone)]
 pub struct DampingState {

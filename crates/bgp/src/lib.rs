@@ -48,6 +48,6 @@ pub use policy::{
     RouteMap, Rule, SetAction,
 };
 pub use rib::{AdjRibIn, AdjRibOut, LocRib, LocRibEntry, PeerIdx, RibInEntry, RouteSource};
-pub use router::{BgpRouter, RouterStats};
+pub use router::{BgpRouter, RouterStats, CONNECT_RETRY, CONNECT_STAGGER};
 pub use types::{pfx, Asn, Prefix, PrefixError, RouterId, SharedPath};
 pub use wire::CodecError;

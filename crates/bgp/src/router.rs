@@ -44,6 +44,30 @@ const K_PROCESS: u64 = 5;
 const K_DAMP: u64 = 6;
 const KIND_BITS: u32 = 3;
 
+/// MRAI jitter window as fractions of the interval (RFC 4271 §9.2.1.1:
+/// 0.75–1.0).
+pub(crate) const MRAI_JITTER: (f64, f64) = (0.75, 1.0);
+/// Keepalive interval as a fraction of the hold time (RFC 4271 suggests
+/// one third).
+pub(crate) const KEEPALIVE_DIVISOR: u64 = 3;
+/// Maximum random stagger before a session's first OPEN, at start-up and
+/// after its link comes back, so OPENs do not all collide at one instant.
+pub const CONNECT_STAGGER: SimDuration = SimDuration::from_millis(100);
+/// Base delay before a failed session is retried; it doubles per
+/// consecutive failure.
+pub const CONNECT_RETRY: SimDuration = SimDuration::from_secs(1);
+
+/// The advertisement interval toward one neighbor: a monitoring session
+/// toward a route collector is not throttled, so measurements see updates
+/// promptly; every other session runs the configured MRAI.
+pub(crate) fn effective_mrai(neighbor: &NeighborConfig, mrai: SimDuration) -> SimDuration {
+    if neighbor.relationship == policy::Relationship::Monitor {
+        SimDuration::ZERO
+    } else {
+        mrai
+    }
+}
+
 fn tok(kind: u64, payload: u64) -> TimerToken {
     TimerToken(payload << KIND_BITS | kind)
 }
@@ -426,12 +450,6 @@ impl<M: BgpApp> BgpRouter<M> {
         ctx.causal_edge(pc.current, CausalPhase::MraiWait, Some(first.into()))
     }
 
-    fn effective_mrai(&self, peer: PeerIdx) -> SimDuration {
-        self.cfg.neighbors[peer]
-            .mrai_override
-            .unwrap_or(self.cfg.timing.mrai)
-    }
-
     // ------------------------------------------------------------------
     // Session lifecycle
     // ------------------------------------------------------------------
@@ -482,11 +500,7 @@ impl<M: BgpApp> BgpRouter<M> {
         let retries = self.peers[peer].retries;
         if retries > 0 && retries < self.cfg.timing.max_connect_retries {
             self.peers[peer].retries += 1;
-            let delay = self
-                .cfg
-                .timing
-                .connect_retry
-                .saturating_mul(1 << retries.min(6));
+            let delay = CONNECT_RETRY.saturating_mul(1 << retries.min(6));
             self.schedule_connect(ctx, peer, delay);
         }
     }
@@ -531,7 +545,7 @@ impl<M: BgpApp> BgpRouter<M> {
         let hold = self.peers[peer].handshake.negotiated_hold_secs();
         if hold > 0 {
             let hold_d = SimDuration::from_secs(hold as u64);
-            let ka = hold_d / self.cfg.timing.keepalive_divisor as u64;
+            let ka = hold_d / KEEPALIVE_DIVISOR;
             ctx.set_timer(ka, tok(K_KEEPALIVE, peer as u64), TimerClass::Maintenance);
             ctx.set_timer(hold_d, tok(K_HOLD, peer as u64), TimerClass::Maintenance);
         }
@@ -585,11 +599,7 @@ impl<M: BgpApp> BgpRouter<M> {
             return;
         }
         self.peers[peer].retries += 1;
-        let base = self
-            .cfg
-            .timing
-            .connect_retry
-            .saturating_mul(1 << (self.peers[peer].retries - 1).min(6));
+        let base = CONNECT_RETRY.saturating_mul(1 << (self.peers[peer].retries - 1).min(6));
         let delay = ctx.rng().jittered(base, 0.75, 1.0);
         self.schedule_connect(ctx, peer, delay);
     }
@@ -769,13 +779,11 @@ impl<M: BgpApp> BgpRouter<M> {
 
     /// Whether a best route learned from `source` may be exported to `peer`
     /// at all (before any per-neighbor route map).
+    ///
+    /// A route goes back to the peer it was learned from, as in Quagga: the
+    /// peer's AS_PATH check discards it, and the path exploration the paper
+    /// measures depends on those MRAI-paced re-advertisements.
     fn export_permitted(cfg: &RouterConfig, peer: PeerIdx, source: RouteSource) -> bool {
-        // Optional sender-side loop avoidance (off by default: Quagga sends
-        // the route back and lets the peer's AS_PATH check discard it, which
-        // is what keeps path exploration MRAI-paced).
-        if cfg.timing.sender_side_loop_detection && source == RouteSource::Peer(peer) {
-            return false;
-        }
         let learned_from = policy::source_relationship(source, |i| cfg.neighbors[i].relationship);
         policy::export_allowed(cfg.mode, learned_from, cfg.neighbors[peer].relationship)
     }
@@ -801,32 +809,30 @@ impl<M: BgpApp> BgpRouter<M> {
             return;
         }
         if self.peers[peer].mrai_armed {
-            if !self.cfg.timing.mrai_on_withdrawals {
-                // Explicit withdrawals bypass the advertisement interval.
-                let PeerRuntime {
-                    pending, adj_out, ..
-                } = &mut self.peers[peer];
-                let mut really = PrefixList::new();
-                pending.retain(|(p, change)| {
-                    let withdraw = matches!(change, OutChange::Withdraw);
-                    if withdraw && adj_out.withdraw(*p) {
-                        really.push(*p);
-                    }
-                    !withdraw
-                });
-                if !really.is_empty() {
-                    let cause = self.update_cause(ctx, &really);
-                    let msg = BgpMessage::Update(UpdateMsg::withdraw(really));
-                    self.send_msg_caused(ctx, peer, &msg, cause);
+            // Explicit withdrawals bypass the advertisement interval.
+            let PeerRuntime {
+                pending, adj_out, ..
+            } = &mut self.peers[peer];
+            let mut really = PrefixList::new();
+            pending.retain(|(p, change)| {
+                let withdraw = matches!(change, OutChange::Withdraw);
+                if withdraw && adj_out.withdraw(*p) {
+                    really.push(*p);
                 }
+                !withdraw
+            });
+            if !really.is_empty() {
+                let cause = self.update_cause(ctx, &really);
+                let msg = BgpMessage::Update(UpdateMsg::withdraw(really));
+                self.send_msg_caused(ctx, peer, &msg, cause);
             }
             return;
         }
         let sent = self.send_pending(ctx, peer);
-        let mrai = self.effective_mrai(peer);
+        let mrai = effective_mrai(&self.cfg.neighbors[peer], self.cfg.timing.mrai);
         if sent && !mrai.is_zero() {
             self.peers[peer].mrai_armed = true;
-            let (lo, hi) = self.cfg.timing.mrai_jitter;
+            let (lo, hi) = MRAI_JITTER;
             let delay = ctx.rng().jittered(mrai, lo, hi);
             ctx.set_timer(delay, tok(K_MRAI, peer as u64), TimerClass::Progress);
         }
@@ -1405,7 +1411,7 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
         for peer in 0..self.peers.len() {
             let delay = ctx
                 .rng()
-                .duration_between(SimDuration::ZERO, self.cfg.timing.connect_stagger);
+                .duration_between(SimDuration::ZERO, CONNECT_STAGGER);
             self.schedule_connect(ctx, peer, delay);
         }
     }
@@ -1451,8 +1457,7 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
                 if self.peers[peer].handshake.is_established() {
                     self.send_msg(ctx, peer, &BgpMessage::Keepalive);
                     let hold = self.peers[peer].handshake.negotiated_hold_secs();
-                    let ka = SimDuration::from_secs(hold as u64)
-                        / self.cfg.timing.keepalive_divisor as u64;
+                    let ka = SimDuration::from_secs(hold as u64) / KEEPALIVE_DIVISOR;
                     ctx.set_timer(ka, token, TimerClass::Maintenance);
                 }
             }
@@ -1531,7 +1536,7 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
                 self.peers[peer].retries = 0;
                 let delay = ctx
                     .rng()
-                    .duration_between(SimDuration::ZERO, self.cfg.timing.connect_stagger);
+                    .duration_between(SimDuration::ZERO, CONNECT_STAGGER);
                 self.schedule_connect(ctx, peer, delay);
             } else {
                 self.drop_session(ctx, peer, CloseReason::LinkDown, None);

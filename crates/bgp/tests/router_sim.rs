@@ -963,3 +963,94 @@ fn firings_of_a_crashed_queue_never_process_the_restarted_one() {
         (6, 4)
     );
 }
+
+/// RFC 4271 §9.2.1.1: MRAI paces advertisements only. With a 30 s timer
+/// running toward a peer, an explicit withdrawal still leaves at once,
+/// while a re-announcement waits for the timer (jittered to 22.5–30 s).
+#[test]
+fn withdrawal_bypasses_a_running_mrai_timer() {
+    let (mut sim, nodes) = build(
+        31,
+        2,
+        &[(0, 1)],
+        TimingConfig::with_mrai(SimDuration::from_secs(30)),
+        PolicyMode::AllPermit,
+        &[],
+        None,
+    );
+    assert!(sim.run_until_quiescent(SimTime::from_secs(60)).quiescent);
+    let p = pfx("192.0.2.0/24");
+    let seen = |sim: &Sim| sim.node_ref::<Router>(nodes[1]).best(p).is_some();
+    let command = |sim: &mut Sim, cmd| sim.inject(nodes[0], BgpOnlyMsg::Command(cmd));
+
+    // The first announcement finds no timer running, and arms it.
+    let first = sim.now();
+    command(&mut sim, RouterCommand::Announce(p));
+    sim.run_for(SimDuration::from_secs(1));
+    assert!(seen(&sim), "the first announcement is not throttled");
+
+    command(&mut sim, RouterCommand::Withdraw(p));
+    sim.run_for(SimDuration::from_secs(1));
+    assert!(!seen(&sim), "the withdrawal waited for the MRAI timer");
+
+    command(&mut sim, RouterCommand::Announce(p));
+    sim.run_until(first + SimDuration::from_millis(22_400));
+    assert!(
+        !seen(&sim),
+        "the re-announcement left before the MRAI timer"
+    );
+    sim.run_until(first + SimDuration::from_secs(31));
+    assert!(seen(&sim), "the re-announcement never left");
+}
+
+/// A monitoring session toward a route collector is not MRAI-throttled:
+/// under a 30 s MRAI, back-to-back announcements reach the collector at
+/// once, while the second waits for the timer toward an ordinary peer.
+#[test]
+fn monitor_session_is_not_mrai_throttled() {
+    let (mut sim, nodes) = build(
+        32,
+        2,
+        &[(0, 1)],
+        TimingConfig::with_mrai(SimDuration::from_secs(30)),
+        PolicyMode::AllPermit,
+        &[],
+        None,
+    );
+    let collector_asn = Asn(65535);
+    let cfg = RouterConfig::new(collector_asn)
+        .with_timing(TimingConfig::with_mrai(SimDuration::from_secs(30)));
+    let collector = sim.add_node("collector", |id| Router::new(id, cfg));
+    let link = sim.add_link(nodes[0], collector, MS5.clone());
+    sim.with_node::<Router, _>(nodes[0], |r| {
+        r.add_neighbor(NeighborConfig::monitor(collector, link, collector_asn));
+    });
+    sim.with_node::<Router, _>(collector, |r| {
+        r.add_neighbor(NeighborConfig::new(
+            nodes[0],
+            link,
+            asn_of(0),
+            Relationship::Monitor,
+        ));
+    });
+    assert!(sim.run_until_quiescent(SimTime::from_secs(60)).quiescent);
+    let received = |sim: &Sim| sim.node_ref::<Router>(collector).stats().updates_received;
+
+    let (p, q) = (pfx("192.0.2.0/24"), pfx("198.51.100.0/24"));
+    sim.inject(nodes[0], BgpOnlyMsg::Command(RouterCommand::Announce(p)));
+    sim.run_for(SimDuration::from_secs(1));
+    let after_first = received(&sim);
+    assert!(after_first > 0, "the collector saw no update");
+    assert!(sim.node_ref::<Router>(nodes[1]).best(p).is_some());
+
+    sim.inject(nodes[0], BgpOnlyMsg::Command(RouterCommand::Announce(q)));
+    sim.run_for(SimDuration::from_secs(1));
+    assert!(
+        received(&sim) > after_first,
+        "the collector's session waited for the MRAI timer"
+    );
+    assert!(
+        sim.node_ref::<Router>(nodes[1]).best(q).is_none(),
+        "the peer session was not throttled"
+    );
+}

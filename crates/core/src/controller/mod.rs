@@ -67,6 +67,9 @@ pub struct SessionConfig {
     pub ext_link: LinkId,
 }
 
+/// The priority every controller-compiled flow rule is installed at.
+pub(crate) const FLOW_PRIORITY: u16 = 100;
+
 /// Full controller configuration. Speaker session indices must equal the
 /// positions in `sessions` (the framework builder guarantees this).
 #[derive(Debug, Clone)]
@@ -83,8 +86,6 @@ pub struct ControllerConfig {
     /// this long before one batched recomputation runs. Zero recomputes on
     /// the next event tick.
     pub recompute_delay: SimDuration,
-    /// Priority used for all compiled flow rules.
-    pub flow_priority: u16,
     /// Incremental recomputation: track dirty prefixes and re-run the
     /// per-prefix Dijkstra only for those, diffing against the cached
     /// compiled state. `false` re-derives every prefix on every trigger
@@ -94,7 +95,7 @@ pub struct ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// Config with the default 100 ms recompute delay and priority 100.
+    /// Config with the default 100 ms recompute delay.
     pub fn new(
         members: Vec<MemberConfig>,
         intra_links: Vec<(usize, usize, LinkId)>,
@@ -107,7 +108,6 @@ impl ControllerConfig {
             sessions,
             speaker_link,
             recompute_delay: SimDuration::from_millis(100),
-            flow_priority: 100,
             incremental: true,
         }
     }
@@ -327,11 +327,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     /// Whether a resync is still waiting on switch table replies.
     pub fn resync_pending(&self) -> bool {
         self.table_syncs_pending > 0
-    }
-
-    /// The priority all controller-compiled flow rules are installed at.
-    pub fn flow_priority(&self) -> u16 {
-        self.cfg.flow_priority
     }
 
     /// Record that a prefix is now known (debug-build bookkeeping for the
@@ -751,7 +746,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                 let msg = OfMessage::FlowMod {
                     op,
                     rule: FlowRule {
-                        priority: self.cfg.flow_priority,
+                        priority: FLOW_PRIORITY,
                         prefix,
                         action: rule_action,
                         cookie: 0,
@@ -918,7 +913,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                 // guards against foreign state).
                 self.installed[m] = rules
                     .iter()
-                    .filter(|r| r.priority == self.cfg.flow_priority)
+                    .filter(|r| r.priority == FLOW_PRIORITY)
                     .map(|r| (r.prefix, r.action))
                     .collect();
                 // Reconcile link state that changed while we were away.

@@ -26,7 +26,7 @@ use bgpsdn_bgp::TimingConfig;
 use bgpsdn_netsim::{LatencyModel, SimDuration, TraceCategory};
 use bgpsdn_obs::{CampaignArtifact, CausalAnalysis, JobRecord, Json, PhaseBreakdown};
 
-use super::deploy::DeploymentStrategy;
+use super::deploy::{DeploymentStrategy, Placement};
 use super::experiment::Experiment;
 use super::faults::FaultSpec;
 use super::job::{
@@ -49,10 +49,9 @@ pub struct CampaignGrid {
     /// Swept axis: how many independent clusters each cell's members are
     /// split into (`[1]` = the paper's single-cluster deployment).
     pub clusters: Vec<usize>,
-    /// Deployment strategy selecting which ASes the clusters cover
-    /// (`"tail"` is the paper's high-index layout; see
-    /// [`super::deploy::DeploymentStrategy`]).
-    pub strategy: &'static str,
+    /// Which ASes the clusters cover ([`Placement::Tail`] is the paper's
+    /// high-index layout).
+    pub strategy: Placement,
     /// Swept axis: control-channel loss probabilities.
     pub loss: Vec<f64>,
     /// Swept axis: control-channel latency.
@@ -82,7 +81,7 @@ impl CampaignGrid {
             event: EventKind::Withdrawal,
             cluster_sizes: (0..=16).collect(),
             clusters: vec![1],
-            strategy: "tail",
+            strategy: Placement::Tail,
             loss: vec![0.0],
             ctl_latency: vec![SimDuration::from_millis(1)],
             mrai: SimDuration::from_secs(30),
@@ -208,7 +207,10 @@ impl CampaignGrid {
         if !self.default_deployment() {
             let counts = self.clusters.iter().map(|&k| Json::U64(k as u64)).collect();
             kv.insert(5, ("clusters".into(), Json::Arr(counts)));
-            kv.insert(6, ("strategy".into(), Json::Str(self.strategy.into())));
+            kv.insert(
+                6,
+                ("strategy".into(), Json::Str(self.strategy.name().into())),
+            );
         }
         Json::Obj(kv)
     }
@@ -237,16 +239,12 @@ pub fn job_seed(base: u64, cluster: u64, loss_ppm: u64, latency_ns: u64, seed_in
 /// `(cluster count, strategy)` pair derives a distinct seed that — like
 /// [`job_seed`] — depends only on the job's own parameters, never on its
 /// grid position.
-fn fold_deployment_seed(seed: u64, clusters: u64, strategy: &str) -> u64 {
-    if paper_deployment(clusters as usize, strategy) {
+fn fold_deployment_seed(seed: u64, clusters: u64, placement: Placement) -> u64 {
+    if paper_deployment(clusters as usize, placement) {
         return seed;
     }
-    let sid = bgpsdn_analyze::STRATEGY_NAMES
-        .iter()
-        .position(|&s| s == strategy)
-        .map_or(u64::MAX, |i| i as u64 + 1);
     let mut h = seed;
-    for v in [clusters, sid] {
+    for v in [clusters, placement.seed_id()] {
         h = splitmix64(h ^ v.wrapping_mul(0xff51_afd7_ed55_8ccd));
     }
     h | 1
@@ -272,8 +270,8 @@ pub struct CampaignJob {
     /// How many independent clusters the members are split into (1 = the
     /// paper's single-cluster deployment).
     pub clusters: usize,
-    /// Deployment strategy placing the clusters.
-    pub strategy: &'static str,
+    /// Which ASes the clusters cover.
+    pub strategy: Placement,
     /// Control-channel loss probability.
     pub loss: f64,
     /// Control-channel latency.
@@ -307,14 +305,15 @@ impl CampaignJob {
     ///
     /// # Panics
     ///
-    /// On an unknown strategy name, or — when the grid injects faults — a
-    /// deployment the clique cannot hold.
+    /// When the grid injects faults and the clique cannot hold the job's
+    /// deployment or event.
     pub fn spec(&self) -> JobSpec {
-        let deployment =
-            DeploymentStrategy::by_name(self.strategy, self.clusters.max(1), self.cluster)
-                .unwrap_or_else(|| panic!("unknown deployment strategy `{}`", self.strategy));
         let mut spec = JobSpec {
-            deployment,
+            deployment: DeploymentStrategy::Placed {
+                placement: self.strategy,
+                clusters: self.clusters.max(1),
+                total: self.cluster,
+            },
             timing: TimingConfig::with_mrai(self.mrai),
             recompute_delay: self.recompute_delay,
             control_loss: self.loss,
@@ -431,8 +430,8 @@ pub struct CliqueRunOptions {
     pub fault_note: Option<String>,
     /// The job's cluster count.
     pub clusters: usize,
-    /// The job's deployment strategy name.
-    pub strategy: &'static str,
+    /// The job's placement.
+    pub strategy: Placement,
 }
 
 impl CliqueRunOptions {
@@ -478,7 +477,7 @@ impl JobResult {
             cell: self.job.cell as u64,
             cluster: self.job.cluster as u64,
             clusters: self.job.clusters as u64,
-            strategy: self.job.strategy.to_string(),
+            strategy: self.job.strategy.name().to_string(),
             loss_ppm: loss_ppm(self.job.loss),
             ctl_latency_ns: self.job.ctl_latency.as_nanos(),
             seed: self.job.seed,
@@ -736,7 +735,7 @@ mod tests {
             event: EventKind::Withdrawal,
             cluster_sizes: vec![0, 3, 6],
             clusters: vec![1],
-            strategy: "tail",
+            strategy: Placement::Tail,
             loss: vec![0.0, 0.05],
             ctl_latency: vec![SimDuration::from_millis(1)],
             mrai: SimDuration::from_secs(2),
@@ -800,23 +799,33 @@ mod tests {
         // The single-cluster tail deployment is the identity fold: seeds
         // (and thus artifacts) of pre-multi-cluster sweeps are unchanged.
         for seed in [1u64, 77, 0xdead_beef] {
-            assert_eq!(fold_deployment_seed(seed, 1, "tail"), seed);
-            assert_eq!(fold_deployment_seed(seed, 0, "tail"), seed);
-            assert_ne!(fold_deployment_seed(seed, 2, "tail"), seed);
-            assert_ne!(fold_deployment_seed(seed, 1, "degree"), seed);
+            assert_eq!(fold_deployment_seed(seed, 1, Placement::Tail), seed);
+            assert_eq!(fold_deployment_seed(seed, 0, Placement::Tail), seed);
+            assert_ne!(fold_deployment_seed(seed, 2, Placement::Tail), seed);
+            assert_ne!(fold_deployment_seed(seed, 1, Placement::Degree), seed);
         }
         // Distinct deployments derive distinct seeds.
-        let a = fold_deployment_seed(77, 2, "degree");
-        let b = fold_deployment_seed(77, 4, "degree");
-        let c = fold_deployment_seed(77, 2, "random");
+        let a = fold_deployment_seed(77, 2, Placement::Degree);
+        let b = fold_deployment_seed(77, 4, Placement::Degree);
+        let c = fold_deployment_seed(77, 2, Placement::Random);
         assert!(a != b && a != c && b != c);
+        // The fold ids are part of every non-paper seed.
+        let ids = [
+            Placement::Tail,
+            Placement::Random,
+            Placement::Degree,
+            Placement::KCore,
+            Placement::Tier,
+        ]
+        .map(Placement::seed_id);
+        assert_eq!(ids, [2, 3, 4, 5, 6]);
     }
 
     #[test]
     fn cluster_count_axis_multiplies_cells_in_order() {
         let mut grid = tiny_grid();
         grid.clusters = vec![1, 2];
-        grid.strategy = "degree";
+        grid.strategy = Placement::Degree;
         assert_eq!(grid.cell_count(), 12);
         assert_eq!(grid.job_count(), 24);
         let jobs = grid.expand();
@@ -830,7 +839,7 @@ mod tests {
             (0, 2, 0.0)
         );
         assert_eq!((jobs[8].cluster, jobs[8].clusters), (3, 1));
-        assert!(jobs.iter().all(|j| j.strategy == "degree"));
+        assert!(jobs.iter().all(|j| j.strategy == Placement::Degree));
         // Same (size, loss, lat, seed_index) but different cluster count
         // or strategy → different derived seed.
         assert_ne!(jobs[0].seed, jobs[4].seed);
@@ -896,10 +905,10 @@ mod tests {
         use bgpsdn_analyze::{check_actions, ActionContext};
         use bgpsdn_bgp::{PolicyMode, TimingConfig};
         let grids = [
-            (EventKind::Withdrawal, "tail", vec![0, 4, 8]),
-            (EventKind::Withdrawal, "random", vec![4, 8]),
-            (EventKind::Withdrawal, "degree", vec![4, 8]),
-            (EventKind::Failover, "tail", vec![0, 3]),
+            (EventKind::Withdrawal, Placement::Tail, vec![0, 4, 8]),
+            (EventKind::Withdrawal, Placement::Random, vec![4, 8]),
+            (EventKind::Withdrawal, Placement::Degree, vec![4, 8]),
+            (EventKind::Failover, Placement::Tail, vec![0, 3]),
         ];
         for (event, strategy, cluster_sizes) in grids {
             let mut grid = tiny_grid();
@@ -922,7 +931,7 @@ mod tests {
                     check_actions(&schedule.steps, &ActionContext::from_plan(&tp, &members));
                 assert!(
                     report.ok(),
-                    "{strategy} job {}:\n{}",
+                    "{strategy:?} job {}:\n{}",
                     job.id,
                     report.render()
                 );
@@ -937,7 +946,7 @@ mod tests {
                     };
                     assert!(
                         ases.iter().all(|a| *a != 0 && !members.contains(a)),
-                        "{strategy} job {}: `{step}` touches the origin or a member",
+                        "{strategy:?} job {}: `{step}` touches the origin or a member",
                         job.id
                     );
                 }

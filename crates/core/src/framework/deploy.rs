@@ -4,56 +4,121 @@
 //! follow-up studies (Sermpezis & Dimitropoulos 2016/2017) show that the
 //! interesting regime is **multiple independent clusters** and the choice
 //! of which ASes to centralize — random picks, the highest-degree cores,
-//! the densest k-core, or one cluster per hierarchy tier. A
-//! [`DeploymentStrategy`] turns an [`AsGraph`] plus a deployment budget
-//! into `k` disjoint membership sets, one per cluster, with fail-fast
-//! validation; [`super::NetworkBuilder::with_deployment`] consumes the
-//! result.
+//! the densest k-core, or one cluster per hierarchy tier. A [`Placement`]
+//! names that choice; a [`DeploymentStrategy`] turns an [`AsGraph`] plus
+//! a placement and a deployment budget (or explicit lists) into `k`
+//! disjoint membership sets, one per cluster, with fail-fast validation;
+//! [`super::NetworkBuilder::with_deployment`] consumes the result.
+
+use std::cmp::Reverse;
 
 use bgpsdn_bgp::Relationship;
 use bgpsdn_netsim::SimRng;
 use bgpsdn_topology::AsGraph;
+
+/// Which ASes a budget of members goes to: the one list of placement
+/// names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// The paper's layout: the highest AS indices, split into contiguous
+    /// groups. With one cluster this is the `(n - total..n)` placement of
+    /// the Fig. 2 clique experiments.
+    Tail,
+    /// ASes drawn uniformly at random (seeded), split evenly.
+    Random,
+    /// The highest-degree ASes, split evenly in degree order.
+    Degree,
+    /// The ASes of highest coreness (innermost k-core first), split evenly
+    /// in peeling order.
+    KCore,
+    /// One cluster per hierarchy tier (provider depth 0 = tier-1 clique),
+    /// highest-degree ASes first within each tier; deeper tiers absorb any
+    /// overflow when a tier is smaller than its share.
+    Tier,
+}
+
+impl Placement {
+    /// Every placement's stable name, as `bgpsdn sweep --strategy` spells
+    /// it and campaign artifacts record it, in declaration order.
+    const NAMES: [(Placement, &'static str); 5] = [
+        (Placement::Tail, "tail"),
+        (Placement::Random, "random"),
+        (Placement::Degree, "degree"),
+        (Placement::KCore, "kcore"),
+        (Placement::Tier, "tier"),
+    ];
+
+    /// The placement's stable name.
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+
+    /// The placement's id in a campaign's deployment seed fold; changing
+    /// one changes every seed of that placement (id 1 named explicit lists).
+    pub(crate) fn seed_id(self) -> u64 {
+        self as u64 + 2
+    }
+
+    /// The first `total` ASes of `graph` in this placement's order.
+    fn select(self, graph: &AsGraph, total: usize, seed: u64) -> Vec<usize> {
+        let n = graph.len();
+        let mut order = match self {
+            Placement::Tail => return (n - total..n).collect(),
+            Placement::Random => {
+                let mut picked = SimRng::seed_from_u64(seed).sample_indices(n, total);
+                picked.sort_unstable();
+                return picked;
+            }
+            Placement::Degree => {
+                let deg = degrees(graph);
+                ranked(n, |&v| (Reverse(deg[v]), v))
+            }
+            Placement::KCore => {
+                let (core, deg) = (coreness(graph), degrees(graph));
+                ranked(n, |&v| (Reverse(core[v]), Reverse(deg[v]), v))
+            }
+            Placement::Tier => {
+                let (tier, deg) = (tiers(graph), degrees(graph));
+                ranked(n, |&v| (tier[v], Reverse(deg[v]), v))
+            }
+        };
+        order.truncate(total);
+        order
+    }
+}
+
+/// All `n` ASes in ascending order of `key`.
+fn ranked<K: Ord>(n: usize, key: impl FnMut(&usize) -> K) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(key);
+    order
+}
+
+impl std::str::FromStr for Placement {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Placement, String> {
+        Self::NAMES
+            .iter()
+            .find(|(_, n)| *n == name)
+            .map(|&(p, _)| p)
+            .ok_or_else(|| {
+                let names = Self::NAMES.map(|(_, n)| n).join("|");
+                format!("must be one of {names}, got {name:?}")
+            })
+    }
+}
 
 /// How SDN cluster membership is chosen over a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeploymentStrategy {
     /// Explicit membership lists, one per cluster.
     Explicit(Vec<Vec<usize>>),
-    /// The paper's layout: the `total` highest AS indices, split into
-    /// `clusters` contiguous groups. With `clusters == 1` this is the
-    /// `(n - total..n)` placement of the Fig. 2 clique experiments.
-    Tail {
-        /// Number of independent clusters.
-        clusters: usize,
-        /// Total ASes under centralized control, across all clusters.
-        total: usize,
-    },
-    /// `total` ASes drawn uniformly at random (seeded), split evenly.
-    RandomK {
-        /// Number of independent clusters.
-        clusters: usize,
-        /// Total ASes under centralized control, across all clusters.
-        total: usize,
-    },
-    /// The `total` highest-degree ASes, split evenly in degree order.
-    HighestDegree {
-        /// Number of independent clusters.
-        clusters: usize,
-        /// Total ASes under centralized control, across all clusters.
-        total: usize,
-    },
-    /// The `total` ASes of highest coreness (innermost k-core first),
-    /// split evenly in peeling order.
-    KCore {
-        /// Number of independent clusters.
-        clusters: usize,
-        /// Total ASes under centralized control, across all clusters.
-        total: usize,
-    },
-    /// One cluster per hierarchy tier (provider depth 0 = tier-1 clique),
-    /// highest-degree ASes first within each tier; deeper tiers absorb any
-    /// overflow when a tier is smaller than its share.
-    PerTier {
+    /// `total` ASes chosen by a placement, split into `clusters` groups
+    /// whose sizes differ by at most one.
+    Placed {
+        /// Which ASes the budget goes to.
+        placement: Placement,
         /// Number of independent clusters.
         clusters: usize,
         /// Total ASes under centralized control, across all clusters.
@@ -62,16 +127,11 @@ pub enum DeploymentStrategy {
 }
 
 impl DeploymentStrategy {
-    /// The strategy's stable name, as used by `bgpsdn sweep --strategy`
-    /// and recorded in campaign artifacts.
+    /// The strategy's stable name, as recorded in artifacts.
     pub fn name(&self) -> &'static str {
         match self {
             DeploymentStrategy::Explicit(_) => "explicit",
-            DeploymentStrategy::Tail { .. } => "tail",
-            DeploymentStrategy::RandomK { .. } => "random",
-            DeploymentStrategy::HighestDegree { .. } => "degree",
-            DeploymentStrategy::KCore { .. } => "kcore",
-            DeploymentStrategy::PerTier { .. } => "tier",
+            DeploymentStrategy::Placed { placement, .. } => placement.name(),
         }
     }
 
@@ -80,31 +140,15 @@ impl DeploymentStrategy {
     pub(crate) fn shape(&self) -> (usize, usize) {
         match self {
             DeploymentStrategy::Explicit(lists) => (lists.len(), lists.iter().map(Vec::len).sum()),
-            DeploymentStrategy::Tail { clusters, total }
-            | DeploymentStrategy::RandomK { clusters, total }
-            | DeploymentStrategy::HighestDegree { clusters, total }
-            | DeploymentStrategy::KCore { clusters, total }
-            | DeploymentStrategy::PerTier { clusters, total } => (*clusters, *total),
+            DeploymentStrategy::Placed {
+                clusters, total, ..
+            } => (*clusters, *total),
         }
-    }
-
-    /// Build a named strategy with a cluster count and deployment budget;
-    /// an empty name is `tail`. `explicit` is not constructible by name (it
-    /// carries lists).
-    pub fn by_name(name: &str, clusters: usize, total: usize) -> Option<DeploymentStrategy> {
-        Some(match name {
-            "" | "tail" => DeploymentStrategy::Tail { clusters, total },
-            "random" => DeploymentStrategy::RandomK { clusters, total },
-            "degree" => DeploymentStrategy::HighestDegree { clusters, total },
-            "kcore" => DeploymentStrategy::KCore { clusters, total },
-            "tier" => DeploymentStrategy::PerTier { clusters, total },
-            _ => return None,
-        })
     }
 
     /// Resolve the strategy against a topology: returns `clusters` disjoint,
     /// individually sorted, non-empty membership sets. `seed` feeds the
-    /// random strategy only, so every other strategy is
+    /// random placement only, so every other strategy is
     /// placement-deterministic.
     ///
     /// # Errors
@@ -122,42 +166,13 @@ impl DeploymentStrategy {
                 }
                 lists
             }
-            DeploymentStrategy::Tail { clusters, total } => {
-                check_budget(n, *clusters, *total)?;
-                chunk_even((n - total..n).collect(), *clusters)
-            }
-            DeploymentStrategy::RandomK { clusters, total } => {
-                check_budget(n, *clusters, *total)?;
-                let mut rng = SimRng::seed_from_u64(seed);
-                let mut picked = rng.sample_indices(n, *total);
-                picked.sort_unstable();
-                chunk_even(picked, *clusters)
-            }
-            DeploymentStrategy::HighestDegree { clusters, total } => {
-                check_budget(n, *clusters, *total)?;
-                let deg = degrees(graph);
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&v| (std::cmp::Reverse(deg[v]), v));
-                order.truncate(*total);
-                chunk_even(order, *clusters)
-            }
-            DeploymentStrategy::KCore { clusters, total } => {
-                check_budget(n, *clusters, *total)?;
-                let core = coreness(graph);
-                let deg = degrees(graph);
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&v| (std::cmp::Reverse(core[v]), std::cmp::Reverse(deg[v]), v));
-                order.truncate(*total);
-                chunk_even(order, *clusters)
-            }
-            DeploymentStrategy::PerTier { clusters, total } => {
-                check_budget(n, *clusters, *total)?;
-                let tier = tiers(graph);
-                let deg = degrees(graph);
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&v| (tier[v], std::cmp::Reverse(deg[v]), v));
-                order.truncate(*total);
-                chunk_even(order, *clusters)
+            &DeploymentStrategy::Placed {
+                placement,
+                clusters,
+                total,
+            } => {
+                check_budget(n, clusters, total)?;
+                chunk_even(placement.select(graph, total, seed), clusters)
             }
         };
         validate_clusters(&resolved, n)?;
@@ -307,7 +322,8 @@ mod tests {
     #[test]
     fn tail_single_cluster_matches_legacy_layout() {
         let g = clique(16);
-        let strat = DeploymentStrategy::Tail {
+        let strat = DeploymentStrategy::Placed {
+            placement: Placement::Tail,
             clusters: 1,
             total: 8,
         };
@@ -320,7 +336,8 @@ mod tests {
     #[test]
     fn tail_splits_contiguously() {
         let g = clique(16);
-        let strat = DeploymentStrategy::Tail {
+        let strat = DeploymentStrategy::Placed {
+            placement: Placement::Tail,
             clusters: 2,
             total: 8,
         };
@@ -333,7 +350,8 @@ mod tests {
     #[test]
     fn uneven_budget_spreads_remainder_forward() {
         let g = clique(16);
-        let strat = DeploymentStrategy::Tail {
+        let strat = DeploymentStrategy::Placed {
+            placement: Placement::Tail,
             clusters: 3,
             total: 8,
         };
@@ -344,7 +362,8 @@ mod tests {
     #[test]
     fn random_is_seed_deterministic_and_disjoint() {
         let g = clique(16);
-        let strat = DeploymentStrategy::RandomK {
+        let strat = DeploymentStrategy::Placed {
+            placement: Placement::Random,
             clusters: 4,
             total: 8,
         };
@@ -360,7 +379,8 @@ mod tests {
     fn degree_prefers_the_core_of_a_star() {
         // Star: vertex 0 is the hub.
         let g = AsGraph::all_peer(&gen::star(9), 65000);
-        let strat = DeploymentStrategy::HighestDegree {
+        let strat = DeploymentStrategy::Placed {
+            placement: Placement::Degree,
             clusters: 1,
             total: 1,
         };
@@ -374,7 +394,8 @@ mod tests {
         raw.add_node();
         raw.add_edge(0, 4);
         let g = AsGraph::all_peer(&raw, 65000);
-        let strat = DeploymentStrategy::KCore {
+        let strat = DeploymentStrategy::Placed {
+            placement: Placement::KCore,
             clusters: 1,
             total: 4,
         };
@@ -387,7 +408,8 @@ mod tests {
         use bgpsdn_topology::caida;
         let mut rng = SimRng::seed_from_u64(7);
         let g = caida::synthesize(&caida::SynthesisParams::default(), &mut rng);
-        let strat = DeploymentStrategy::PerTier {
+        let strat = DeploymentStrategy::Placed {
+            placement: Placement::Tier,
             clusters: 2,
             total: 6,
         };
@@ -404,15 +426,18 @@ mod tests {
     fn infeasible_budgets_fail_fast() {
         let g = clique(8);
         for strat in [
-            DeploymentStrategy::Tail {
+            DeploymentStrategy::Placed {
+                placement: Placement::Tail,
                 clusters: 0,
                 total: 4,
             },
-            DeploymentStrategy::Tail {
+            DeploymentStrategy::Placed {
+                placement: Placement::Tail,
                 clusters: 5,
                 total: 4,
             },
-            DeploymentStrategy::Tail {
+            DeploymentStrategy::Placed {
+                placement: Placement::Tail,
                 clusters: 1,
                 total: 9,
             },
@@ -427,9 +452,22 @@ mod tests {
     #[test]
     fn names_round_trip() {
         for name in ["tail", "random", "degree", "kcore", "tier"] {
-            let s = DeploymentStrategy::by_name(name, 2, 4).expect("known name");
+            let placement: Placement = name.parse().expect("known name");
+            assert_eq!(placement.name(), name);
+            let s = DeploymentStrategy::Placed {
+                placement,
+                clusters: 2,
+                total: 4,
+            };
             assert_eq!(s.name(), name);
         }
-        assert!(DeploymentStrategy::by_name("bogus", 1, 1).is_none());
+        for bogus in ["bogus", "explicit", ""] {
+            let err = bogus.parse::<Placement>().expect_err("not a placement");
+            assert!(err.contains("tail|random|degree|kcore|tier"), "{err}");
+        }
+        assert_eq!(
+            DeploymentStrategy::Explicit(vec![vec![1]]).name(),
+            "explicit"
+        );
     }
 }

@@ -17,7 +17,7 @@ use bgpsdn_obs::Json;
 use bgpsdn_topology::{caida, gen, plan, AsGraph};
 
 use super::campaign::loss_ppm;
-use super::deploy::DeploymentStrategy;
+use super::deploy::{DeploymentStrategy, Placement};
 use super::experiment::Experiment;
 use super::network::{NetworkBuilder, Sim};
 use super::script::{Script, ScriptAction};
@@ -135,7 +135,8 @@ impl JobSpec {
         JobSpec {
             topology,
             policy: PolicyMode::AllPermit,
-            deployment: DeploymentStrategy::Tail {
+            deployment: DeploymentStrategy::Placed {
+                placement: Placement::Tail,
                 clusters: 1,
                 total: 0,
             },
@@ -157,7 +158,8 @@ impl JobSpec {
     /// AS 0 legacy until the whole clique is centralized.
     pub fn clique(n: usize, members: usize) -> JobSpec {
         JobSpec {
-            deployment: DeploymentStrategy::Tail {
+            deployment: DeploymentStrategy::Placed {
+                placement: Placement::Tail,
                 clusters: 1,
                 total: members,
             },
@@ -204,12 +206,13 @@ impl JobSpec {
     }
 
     /// The cluster lists the deployment resolves to on `graph` — what the
-    /// built network deploys, and what a campaign's chaos schedule avoids.
+    /// built network deploys, what a campaign's chaos schedule avoids, and
+    /// what `bgpsdn check` analyzes.
     ///
     /// # Panics
     ///
     /// When the deployment is infeasible on `graph`.
-    pub(crate) fn clusters(&self, graph: &AsGraph) -> Vec<Vec<usize>> {
+    pub fn clusters(&self, graph: &AsGraph) -> Vec<Vec<usize>> {
         if self.deployment.shape().1 == 0 {
             return Vec::new();
         }
@@ -362,7 +365,11 @@ impl JobSpec {
         let (clusters, members) = self.deployment.shape();
         info.push(("n".into(), Json::U64(self.topology.as_count() as u64)));
         info.push(("sdn".into(), Json::U64(members as u64)));
-        if !paper_deployment(clusters, self.deployment.name()) {
+        let paper = match self.deployment {
+            DeploymentStrategy::Placed { placement, .. } => paper_deployment(clusters, placement),
+            DeploymentStrategy::Explicit(_) => false,
+        };
+        if !paper {
             info.push(("clusters".into(), Json::U64(clusters as u64)));
             info.push(("strategy".into(), Json::Str(self.deployment.name().into())));
         }
@@ -385,8 +392,8 @@ impl JobSpec {
 /// True for the paper's deployment — at most one cluster, on the highest
 /// AS indices. Artifact headers and campaign seeds leave such jobs in the
 /// format that predates the deployment axes.
-pub(crate) fn paper_deployment(clusters: usize, strategy: &str) -> bool {
-    clusters <= 1 && matches!(strategy, "" | "tail")
+pub(crate) fn paper_deployment(clusters: usize, placement: Placement) -> bool {
+    clusters <= 1 && placement == Placement::Tail
 }
 
 /// The phase name a routing event runs under in trace artifacts.

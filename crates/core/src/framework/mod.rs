@@ -21,7 +21,7 @@ pub use campaign::{
     run_job_scratch, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions,
     CliqueScenario, JobOutcome, JobResult, JobScratch,
 };
-pub use deploy::DeploymentStrategy;
+pub use deploy::{DeploymentStrategy, Placement};
 pub use experiment::Experiment;
 pub use faults::{FaultClasses, FaultSpec};
 pub use job::{EventKind, JobSpec, ScenarioOutcome, Topology};

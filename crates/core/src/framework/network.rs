@@ -177,11 +177,17 @@ impl NetworkBuilder {
 
     /// The pre-flight report [`build`](Self::build) will gate on: static
     /// policy safety of the plan plus cluster-membership and timer
-    /// consistency. Inspect it without building anything.
+    /// consistency — a deployment that cannot be resolved is one
+    /// `cluster.deployment` error. Inspect it without building anything.
     pub fn preflight(&self) -> bgpsdn_analyze::AnalysisReport {
         match self.resolved_clusters() {
             Ok(clusters) => super::preflight::check_plan(&self.plan, &clusters),
-            Err(e) => super::preflight::deployment_error_report(&e),
+            Err(e) => {
+                let mut report = bgpsdn_analyze::AnalysisReport::new();
+                report.checked();
+                report.error("cluster.deployment", e);
+                report
+            }
         }
     }
 
@@ -590,6 +596,7 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::Placement;
     use bgpsdn_bgp::{PolicyMode, TimingConfig};
     use bgpsdn_topology::{gen, plan, AsGraph};
 
@@ -665,7 +672,8 @@ mod tests {
     #[test]
     fn deployment_strategy_resolves_at_build() {
         let net = NetworkBuilder::new(clique_plan(8), 3)
-            .with_deployment(DeploymentStrategy::Tail {
+            .with_deployment(DeploymentStrategy::Placed {
+                placement: Placement::Tail,
                 clusters: 2,
                 total: 4,
             })

@@ -15,13 +15,15 @@
 //!   included;
 //! * [`run_campaign`](super::campaign::run_campaign) and `bgpsdn sweep`
 //!   reject a bad grid before any worker spins, and `bgpsdn run` rejects a
-//!   bad [`JobSpec`] by the same rules before building anything.
+//!   bad [`JobSpec`] by the same per-cell rules before building anything;
+//!   the grid and the job each check their own fields.
 
 use bgpsdn_analyze::{
-    check_actions, check_grid, check_safety_clusters, check_timing, ActionContext, AnalysisReport,
-    GridSpec, SafetyClustersInput,
+    check_actions, check_safety_clusters, check_timing, ActionContext, AnalysisReport,
+    SafetyClustersInput,
 };
 use bgpsdn_bgp::PolicyMode;
+use bgpsdn_netsim::SimDuration;
 use bgpsdn_topology::TopologyPlan;
 
 use super::campaign::CampaignGrid;
@@ -53,17 +55,6 @@ pub fn check_plan(plan: &TopologyPlan, clusters: &[Vec<usize>]) -> AnalysisRepor
     report
 }
 
-/// A report carrying one error finding for a deployment strategy that
-/// could not produce a valid cluster assignment (infeasible budget,
-/// out-of-range explicit list, ...). Lets `NetworkBuilder::preflight`
-/// surface resolution failures through the same channel as safety findings.
-pub fn deployment_error_report(msg: &str) -> AnalysisReport {
-    let mut report = AnalysisReport::new();
-    report.checked();
-    report.error("cluster.deployment", msg.to_string());
-    report
-}
-
 impl Experiment {
     /// Statically validate a script against this experiment's topology,
     /// cluster configuration, and timers — without executing anything.
@@ -76,44 +67,132 @@ impl Experiment {
     }
 }
 
+/// The rules every grid cell obeys, which a job applies to itself: each
+/// member budget fits the `n`-AS topology, each control-channel loss is a
+/// probability, the topology is big enough for the event (a fail-over
+/// needs the dual-homed origin construction), and each cluster count is
+/// positive and can split every non-empty member budget.
+fn check_cells(
+    report: &mut AnalysisReport,
+    n: usize,
+    event: EventKind,
+    sizes: &[usize],
+    losses: &[f64],
+    counts: &[usize],
+) {
+    for &size in sizes {
+        report.checked();
+        if size > n {
+            report.error(
+                "grid.cluster_size",
+                format!(
+                    "cluster size {size} exceeds the topology size {n}; members would be out \
+                     of range"
+                ),
+            );
+        }
+    }
+    for &loss in losses {
+        report.checked();
+        if !(0.0..=1.0).contains(&loss) || loss.is_nan() {
+            report.error(
+                "grid.loss_range",
+                format!("control-channel loss {loss} outside [0, 1]"),
+            );
+        }
+    }
+    report.checked();
+    let min_n = if event == EventKind::Failover { 5 } else { 2 };
+    if n < min_n {
+        report.error(
+            "grid.event_requires",
+            format!(
+                "event kind `{}` needs at least {min_n} ASes, grid has n={n}",
+                event_phase_name(event)
+            ),
+        );
+    }
+    for &k in counts {
+        report.checked();
+        if k == 0 {
+            report.error(
+                "grid.cluster_count",
+                "cluster count 0 in the clusters axis; use cluster size 0 for a \
+                 pure-legacy cell",
+            );
+            continue;
+        }
+        for &size in sizes {
+            if k > 1 && size > 0 && size < k {
+                report.checked();
+                report.error(
+                    "grid.cluster_count",
+                    format!("cannot split {size} SDN members into {k} non-empty clusters"),
+                );
+            }
+        }
+    }
+}
+
 impl CampaignGrid {
-    /// Statically validate the grid: axis emptiness, cluster sizes vs the
-    /// topology, loss ranges, per-event topology minimums, chaos spec
-    /// consistency. Run before any worker spins.
+    /// Statically validate the grid: axis emptiness, every cell's rules,
+    /// chaos spec consistency. Run before any worker spins.
     pub fn preflight(&self) -> AnalysisReport {
-        check_grid(&GridSpec {
-            n: self.n,
-            event: event_phase_name(self.event),
-            cluster_sizes: self.cluster_sizes.clone(),
-            losses: self.loss.clone(),
-            ctl_latency_count: self.ctl_latency.len(),
-            seeds: self.seeds,
-            faults: self.faults.as_ref().map(|f| (f.outages, f.horizon)),
-            cluster_counts: self.clusters.clone(),
-            strategy: Some(self.strategy),
-        })
+        let mut report = AnalysisReport::new();
+        report.checked();
+        if self.seeds == 0 {
+            report.error(
+                "grid.no_seeds",
+                "grid has zero seeds per cell: no jobs would run",
+            );
+        }
+        report.checked();
+        if self.cluster_sizes.is_empty() || self.loss.is_empty() || self.ctl_latency.is_empty() {
+            report.error(
+                "grid.empty_axis",
+                "a grid axis is empty: the cell product is zero and no jobs would run",
+            );
+        }
+        check_cells(
+            &mut report,
+            self.n,
+            self.event,
+            &self.cluster_sizes,
+            &self.loss,
+            &self.clusters,
+        );
+        if let Some(f) = &self.faults {
+            report.checked();
+            if f.outages > 0 && f.horizon == SimDuration::ZERO {
+                report.error(
+                    "grid.chaos_horizon",
+                    "chaos fault spec has outages but a zero horizon: no fault could ever fire",
+                );
+            }
+        }
+        report
     }
 }
 
 impl JobSpec {
-    /// Statically validate the job by the rules [`check_grid`] applies to
-    /// one grid cell: the event against the topology size, the member
-    /// budget and cluster count against the topology. A fail-over on a
-    /// hierarchy is rejected too: only the clique has the dual-homed origin
-    /// a fail-over runs on.
+    /// Statically validate the job by the rules a grid applies to each of
+    /// its cells: the event against the topology size, the member budget
+    /// and cluster count against the topology. A fail-over on a hierarchy
+    /// is rejected too: only the clique has the dual-homed origin a
+    /// fail-over runs on.
     pub fn preflight(&self) -> AnalysisReport {
         let (clusters, members) = self.deployment.shape();
-        let mut report = check_grid(&GridSpec {
-            n: self.topology.as_count(),
-            event: event_phase_name(self.event),
-            cluster_sizes: vec![members],
-            losses: vec![self.control_loss],
-            ctl_latency_count: 1,
-            seeds: 1,
-            faults: None,
-            cluster_counts: if members == 0 { vec![] } else { vec![clusters] },
-            strategy: Some(self.deployment.name()),
-        });
+        let mut report = AnalysisReport::new();
+        // A deployment of no members has no cluster count to check.
+        let counts = if members == 0 { vec![] } else { vec![clusters] };
+        check_cells(
+            &mut report,
+            self.topology.as_count(),
+            self.event,
+            &[members],
+            &[self.control_loss],
+            &counts,
+        );
         if matches!(self.topology, Topology::Hierarchy { .. }) {
             report.checked();
             if self.event == EventKind::Failover {
@@ -281,12 +360,70 @@ mod tests {
         assert_eq!(code(failover(hierarchy)), Some("grid.event_requires"));
         assert_eq!(code(JobSpec::clique(6, 9)), Some("grid.cluster_size"));
         let split = JobSpec {
-            deployment: crate::framework::DeploymentStrategy::HighestDegree {
+            deployment: crate::framework::DeploymentStrategy::Placed {
+                placement: crate::framework::Placement::Degree,
                 clusters: 3,
                 total: 2,
             },
             ..JobSpec::clique(6, 0)
         };
         assert_eq!(code(split), Some("grid.cluster_count"));
+    }
+
+    #[test]
+    fn fig2_like_grid_is_clean() {
+        let grid = CampaignGrid::fig2(10);
+        assert!(grid.preflight().clean(), "{}", grid.preflight().render());
+    }
+
+    #[test]
+    fn grid_mutations_are_each_caught() {
+        let code = |grid: CampaignGrid| grid.preflight().first_error().map(|f| f.code);
+        let base = || CampaignGrid::fig2(10);
+        let mut g = base();
+        g.cluster_sizes = vec![20];
+        assert_eq!(code(g), Some("grid.cluster_size"));
+        let mut g = base();
+        g.loss = vec![-0.1];
+        assert_eq!(code(g), Some("grid.loss_range"));
+        let mut g = base();
+        g.seeds = 0;
+        assert_eq!(code(g), Some("grid.no_seeds"));
+        let mut g = base();
+        g.loss = vec![];
+        assert_eq!(code(g), Some("grid.empty_axis"));
+        let mut g = base();
+        g.event = EventKind::Failover;
+        g.n = 4;
+        g.cluster_sizes = vec![0, 4];
+        assert_eq!(code(g), Some("grid.event_requires"));
+        let mut g = base();
+        g.faults = Some(FaultSpec {
+            outages: 3,
+            horizon: SimDuration::ZERO,
+            classes: FaultClasses::ALL,
+        });
+        assert_eq!(code(g), Some("grid.chaos_horizon"));
+    }
+
+    #[test]
+    fn cluster_count_axis_is_validated() {
+        let mut g = CampaignGrid::fig2(10);
+        g.cluster_sizes = vec![0, 8, 16];
+        g.clusters = vec![1, 2, 4];
+        assert!(g.preflight().clean(), "{}", g.preflight().render());
+        // Size-0 cells (pure legacy) coexist with any cluster count, but a
+        // non-zero size smaller than the count is unsplittable.
+        g.cluster_sizes = vec![0, 2];
+        g.clusters = vec![4];
+        assert_eq!(
+            g.preflight().first_error().unwrap().code,
+            "grid.cluster_count"
+        );
+        g.clusters = vec![0];
+        assert_eq!(
+            g.preflight().first_error().unwrap().code,
+            "grid.cluster_count"
+        );
     }
 }

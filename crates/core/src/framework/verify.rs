@@ -18,6 +18,7 @@ use bgpsdn_verify::{
 };
 
 use super::network::{AsKind, Controller, HybridNetwork, Router, Speaker, Switch};
+use crate::controller::FLOW_PRIORITY;
 use bgpsdn_topology::EdgeKind;
 
 fn rule_action(action: FlowAction) -> RuleAction {
@@ -185,11 +186,11 @@ pub fn capture_snapshot(net: &HybridNetwork) -> Snapshot {
     // order, so a single cluster reproduces the historical layout exactly.
     let mut intent_flows = Vec::new();
     let mut sessions = Vec::new();
-    let flow_priority = net
-        .clusters
-        .first()
-        .map(|h| net.sim.node_ref::<Controller>(h.controller).flow_priority())
-        .unwrap_or(0);
+    let flow_priority = if net.clusters.is_empty() {
+        0
+    } else {
+        FLOW_PRIORITY
+    };
     for handle in &net.clusters {
         let ctl = net.sim.node_ref::<Controller>(handle.controller);
         let spk = net.sim.node_ref::<Speaker>(handle.speaker);

@@ -35,6 +35,7 @@ pub use framework::{
     run_campaign_scratch, run_job, run_job_scratch, AsHandle, AsKind, CampaignGrid, CampaignJob,
     CampaignRunReport, CliqueRunOptions, CliqueScenario, ClusterHandle, Collector, Controller,
     DeploymentStrategy, EventKind, Experiment, FaultClasses, FaultSpec, HybridNetwork, JobOutcome,
-    JobResult, JobScratch, JobSpec, NetworkBuilder, ProbeReport, Router, ScenarioOutcome, Script,
-    ScriptAction, ScriptReport, Sim, Speaker, Switch, Topology, COLLECTOR_ASN,
+    JobResult, JobScratch, JobSpec, NetworkBuilder, Placement, ProbeReport, Router,
+    ScenarioOutcome, Script, ScriptAction, ScriptReport, Sim, Speaker, Switch, Topology,
+    COLLECTOR_ASN,
 };

@@ -5,7 +5,7 @@
 
 use bgpsdn_core::{
     run_campaign_scratch, run_job, CampaignGrid, DeploymentStrategy, EventKind, FaultClasses,
-    FaultSpec,
+    FaultSpec, Placement,
 };
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::aggregate_cells;
@@ -18,7 +18,7 @@ fn grid() -> CampaignGrid {
         event: EventKind::Withdrawal,
         cluster_sizes: vec![0, 2],
         clusters: vec![1],
-        strategy: "tail",
+        strategy: Placement::Tail,
         loss: vec![0.0],
         ctl_latency: vec![SimDuration::from_millis(1), SimDuration::from_millis(5)],
         mrai: SimDuration::from_secs(2),
@@ -118,7 +118,7 @@ fn harness_views_describe_the_spec_network() {
     let mut split = CampaignGrid::fig2(1);
     split.cluster_sizes = vec![8];
     split.clusters = vec![2];
-    split.strategy = "degree";
+    split.strategy = Placement::Degree;
     jobs.extend(chaos.expand());
     jobs.extend(split.expand());
     for job in &jobs {
@@ -128,10 +128,12 @@ fn harness_views_describe_the_spec_network() {
         let expected = if scenario.sdn_count == 0 {
             Vec::new()
         } else {
-            DeploymentStrategy::by_name(opts.strategy, opts.clusters, scenario.sdn_count)
-                .unwrap()
-                .assign(&graph, scenario.seed)
-                .unwrap()
+            let deployment = DeploymentStrategy::Placed {
+                placement: opts.strategy,
+                clusters: opts.clusters,
+                total: scenario.sdn_count,
+            };
+            deployment.assign(&graph, scenario.seed).unwrap()
         };
         let members: Vec<Vec<usize>> = net.clusters.iter().map(|c| c.members.clone()).collect();
         assert_eq!(members, expected, "job {}: members", job.id);

@@ -1,5 +1,5 @@
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
-use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, ScriptAction, Topology};
+use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, Placement, ScriptAction, Topology};
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::{Json, RunArtifact};
 use bgpsdn_topology::caida::SynthesisParams;
@@ -36,7 +36,8 @@ fn smoke_scale_incremental_and_full() {
     };
     let spec = JobSpec {
         policy: PolicyMode::GaoRexford,
-        deployment: DeploymentStrategy::PerTier {
+        deployment: DeploymentStrategy::Placed {
+            placement: Placement::Tier,
             clusters: 1,
             total: 3,
         },

@@ -5,7 +5,8 @@
 
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
 use bgpsdn_core::{
-    DeploymentStrategy, Experiment, JobSpec, NetworkBuilder, ScriptAction, Switch, Topology,
+    DeploymentStrategy, Experiment, JobSpec, NetworkBuilder, Placement, ScriptAction, Switch,
+    Topology,
 };
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_sdn::FlowAction;
@@ -85,7 +86,8 @@ fn scale_scenario_verifies_clean() {
     };
     let spec = JobSpec {
         policy: PolicyMode::GaoRexford,
-        deployment: DeploymentStrategy::PerTier {
+        deployment: DeploymentStrategy::Placed {
+            placement: Placement::Tier,
             clusters: 1,
             total: 3,
         },

@@ -1,8 +1,8 @@
 //! Point-to-point links.
 //!
 //! A link connects exactly two nodes and is the only way messages move
-//! between them. Links model propagation latency (optionally jittered or
-//! bandwidth-dependent), administrative up/down state, and random loss.
+//! between them. Links model propagation latency (optionally jittered),
+//! administrative up/down state, and random loss.
 //! Delivery on a link is FIFO per direction — the simulator clamps each
 //! arrival to be strictly after the previous arrival in the same direction,
 //! which gives the in-order guarantee BGP gets from TCP without simulating a
@@ -54,18 +54,11 @@ pub enum LatencyModel {
         /// Width of the uniform jitter window.
         jitter: SimDuration,
     },
-    /// Propagation delay plus serialization at a fixed byte rate.
-    BandwidthDelay {
-        /// Propagation component.
-        prop: SimDuration,
-        /// Serialization cost per byte of encoded message.
-        nanos_per_byte: u64,
-    },
 }
 
 impl LatencyModel {
-    /// Sample the delay for one message of `wire_len` encoded bytes.
-    pub fn sample(&self, rng: &mut SimRng, wire_len: usize) -> SimDuration {
+    /// Sample the delay for one message.
+    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match *self {
             LatencyModel::Fixed(d) => d,
             LatencyModel::Jittered { base, jitter } => {
@@ -75,10 +68,6 @@ impl LatencyModel {
                     base + rng.duration_between(SimDuration::ZERO, jitter)
                 }
             }
-            LatencyModel::BandwidthDelay {
-                prop,
-                nanos_per_byte,
-            } => prop + SimDuration::from_nanos(nanos_per_byte * wire_len as u64),
         }
     }
 }
@@ -187,25 +176,16 @@ mod tests {
     fn latency_models_sample_in_bounds() {
         let mut rng = SimRng::seed_from_u64(1);
         let fixed = LatencyModel::Fixed(SimDuration::from_millis(3));
-        assert_eq!(fixed.sample(&mut rng, 100), SimDuration::from_millis(3));
+        assert_eq!(fixed.sample(&mut rng), SimDuration::from_millis(3));
 
         let jit = LatencyModel::Jittered {
             base: SimDuration::from_millis(2),
             jitter: SimDuration::from_millis(4),
         };
         for _ in 0..500 {
-            let d = jit.sample(&mut rng, 0);
+            let d = jit.sample(&mut rng);
             assert!(d >= SimDuration::from_millis(2) && d < SimDuration::from_millis(6));
         }
-
-        let bw = LatencyModel::BandwidthDelay {
-            prop: SimDuration::from_millis(1),
-            nanos_per_byte: 8, // 1 Gb/s
-        };
-        assert_eq!(
-            bw.sample(&mut rng, 1000),
-            SimDuration::from_millis(1) + SimDuration::from_micros(8)
-        );
     }
 
     #[test]

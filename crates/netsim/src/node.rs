@@ -57,11 +57,11 @@ pub enum TimerClass {
 
 /// A message that can travel over simulated links.
 ///
-/// `wire_len` is the encoded size in bytes and feeds the link's
-/// bandwidth-delay model; implementations that carry real wire bytes (the BGP
-/// envelope does) return the encoded length.
+/// `wire_len` is the encoded size in bytes and feeds the simulator's
+/// `bytes_delivered` counter; implementations that carry real wire bytes
+/// (the BGP envelope does) return the encoded length.
 pub trait Message: Clone + fmt::Debug + 'static {
-    /// Encoded size in bytes for transmission-delay purposes.
+    /// Encoded size in bytes.
     fn wire_len(&self) -> usize {
         64
     }

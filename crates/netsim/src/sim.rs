@@ -856,7 +856,7 @@ impl<M: Message> Simulator<M> {
                         continue;
                     }
                     let to = l.other(id);
-                    let delay = l.latency.sample(&mut self.rng, msg.wire_len());
+                    let delay = l.latency.sample(&mut self.rng);
                     let dir = l.dir(id);
                     // FIFO per direction: never deliver before an earlier send.
                     let mut at = self.now + delay;

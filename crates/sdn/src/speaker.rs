@@ -31,7 +31,7 @@ use std::net::Ipv4Addr;
 
 use bgpsdn_bgp::{
     wire::Writer, Asn, BgpApp, BgpEnvelope, BgpMessage, PathAttributes, Prefix, RouterId,
-    SessionEvent, SessionHandshake, SharedPath, UpdateMsg,
+    SessionEvent, SessionHandshake, SharedPath, UpdateMsg, CONNECT_RETRY, CONNECT_STAGGER,
 };
 use bgpsdn_netsim::{
     Activity, CausalPhase, Cause, Ctx, LinkId, Node, NodeId, SimDuration, TimerClass, TimerToken,
@@ -491,7 +491,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
             self.sessions[idx].retries += 1;
             let delay = ctx
                 .rng()
-                .jittered(SimDuration::from_secs(1), 0.75, 1.0)
+                .jittered(CONNECT_RETRY, 0.75, 1.0)
                 .saturating_mul(1 << (self.sessions[idx].retries - 1).min(4));
             ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
         }
@@ -548,7 +548,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
         for idx in 0..self.sessions.len() {
             let delay = ctx
                 .rng()
-                .duration_between(SimDuration::ZERO, SimDuration::from_millis(100));
+                .duration_between(SimDuration::ZERO, CONNECT_STAGGER);
             ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
         }
         self.chan.start(ctx);
@@ -604,7 +604,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
                 self.sessions[idx].retries = 0;
                 let delay = ctx
                     .rng()
-                    .duration_between(SimDuration::ZERO, SimDuration::from_millis(100));
+                    .duration_between(SimDuration::ZERO, CONNECT_STAGGER);
                 ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
             } else if self.sessions[idx].handshake.state() != bgpsdn_bgp::SessionState::Idle {
                 self.session_down(ctx, idx, false);

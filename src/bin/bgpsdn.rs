@@ -21,7 +21,6 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bgp_sdn_emu::analyze::ActionContext;
-use bgp_sdn_emu::core::framework::preflight::deployment_error_report;
 use bgp_sdn_emu::obs::ToJson;
 use bgp_sdn_emu::prelude::*;
 
@@ -303,22 +302,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolve `--strategy NAME` against the analyzer's canonical name list
-/// (the campaign grid stores the `&'static str` the analyzer owns).
-fn parse_strategy(raw: Option<&str>) -> Result<&'static str, String> {
-    let name = raw.unwrap_or("tail");
-    STRATEGY_NAMES
-        .iter()
-        .find(|&&s| s == name)
-        .copied()
-        .ok_or_else(|| {
-            format!(
-                "--strategy must be one of {}, got {name:?}",
-                STRATEGY_NAMES.join("|")
-            )
-        })
-}
-
 fn parse_event(raw: Option<&str>) -> Result<EventKind, String> {
     match raw {
         None | Some("withdrawal") => Ok(EventKind::Withdrawal),
@@ -378,7 +361,9 @@ fn grid_from_args(args: &Args) -> Result<CampaignGrid, String> {
         }
     };
     grid.clusters = args.get_list("clusters", grid.clusters)?;
-    grid.strategy = parse_strategy(args.get_str("strategy"))?;
+    if let Some(name) = args.get_str("strategy") {
+        grid.strategy = name.parse().map_err(|e| format!("--strategy {e}"))?;
+    }
     grid.base_seed = args.get("base-seed", grid.base_seed)?;
     grid.faults = fault_spec(args)?;
     grid.verify = args.has("verify");
@@ -576,80 +561,73 @@ impl CheckTarget {
 /// Static checks of the clique deployments a grid describes, without
 /// simulating: policy safety with every cluster contracted to its own
 /// logical node, plus the predicted path-hunting depth bound the measured
-/// `hunt_step` phases must respect. Returns two groups: every cluster size
-/// as the paper's one tail cluster (`sdn{k}`) followed by the origin's
-/// reachability, and every size split into each `count > 1` of the grid's
-/// cluster-count axis under its strategy (`sdn{k}x{count}-{strategy}`),
-/// once per placement its jobs run (`#0`, `#1`, ... when several).
+/// `hunt_step` phases must respect. Every placement is the one its jobs
+/// deploy, resolved through each job's own spec. Returns two groups: every
+/// cluster size as one cluster of the grid's strategy (`sdn{k}`) followed
+/// by the origin's reachability, and every size split into each
+/// `count > 1` of the grid's cluster-count axis
+/// (`sdn{k}x{count}-{strategy}`); a cell checked in several placements
+/// gets one target per placement (`#0`, `#1`, ...).
 fn clique_targets(grid: &CampaignGrid) -> (Vec<CheckTarget>, Vec<CheckTarget>) {
     let n = grid.n;
     let g = AsGraph::all_peer(&gen::clique(n), 65000);
-    let mut sizes: Vec<usize> = grid
-        .cluster_sizes
-        .iter()
-        .copied()
-        .filter(|&k| k <= n)
-        .collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    // One tail cluster, or `count` clusters placed by the grid's strategy.
-    let place = |k: usize, count: usize, seed: u64| {
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let strategy = if count == 1 { "tail" } else { grid.strategy };
-        DeploymentStrategy::by_name(strategy, count, k)
-            .ok_or_else(|| format!("unknown deployment strategy `{strategy}`"))
-            .and_then(|deployment| deployment.assign(&g, seed))
-    };
-    let target = |name: String, placement: &Result<Vec<Vec<usize>>, String>| match placement {
-        Ok(clusters) => {
-            let report = check_safety_clusters(&SafetyClustersInput {
-                graph: &g,
-                mode: PolicyMode::AllPermit,
-                clusters,
-                rules: &[],
-            });
-            let mut t = CheckTarget::new(name, report);
-            t.hunt_bound = Some(hunt_depth_bound_clusters(&g, clusters, 0) as u64);
-            t.clusters = Some(clusters.clone());
-            t
-        }
-        Err(e) => CheckTarget::new(name, deployment_error_report(e)),
-    };
-    let mut single: Vec<CheckTarget> = sizes
-        .iter()
-        .map(|&k| target(format!("clique{n}:sdn{k}"), &place(k, 1, grid.base_seed)))
-        .collect();
-    single.push(CheckTarget::new(
-        format!("clique{n}:reachability"),
-        check_reachability(&g, PolicyMode::AllPermit, &[0]),
-    ));
-    // Every distinct (size, count, placement) the split jobs run, sizes
-    // ascending and counts in axis order as the jobs expand.
-    let mut cells = Vec::new();
-    for job in grid.expand() {
-        let (k, count) = (job.cluster, job.clusters);
-        if count > 1 && count <= k && k <= n {
-            let cell = (k, count, place(k, count, job.seed));
+    // Every distinct (size, count, placement) of `jobs`, sizes ascending
+    // and counts in axis order as the jobs expand.
+    let cells = |jobs: Vec<CampaignJob>| {
+        let mut cells = Vec::new();
+        for job in jobs.into_iter().filter(|job| job.cluster <= n) {
+            let cell = (job.cluster, job.clusters, job.spec().clusters(&g));
             if !cells.contains(&cell) {
                 cells.push(cell);
             }
         }
-    }
-    cells.sort_by_key(|&(k, _, _)| k);
-    let split = cells
-        .iter()
-        .enumerate()
-        .map(|(i, (k, count, placement))| {
-            let same = |c: &&(usize, usize, _)| (c.0, c.1) == (*k, *count);
-            let mut name = format!("clique{n}:sdn{k}x{count}-{}", grid.strategy);
-            if cells.iter().filter(same).count() > 1 {
-                name.push_str(&format!("#{}", cells[..i].iter().filter(same).count()));
-            }
-            target(name, placement)
-        })
-        .collect();
+        cells.sort_by_key(|&(k, _, _)| k);
+        cells
+    };
+    let targets = |cells: Vec<(usize, usize, Vec<Vec<usize>>)>| -> Vec<CheckTarget> {
+        cells
+            .iter()
+            .enumerate()
+            .map(|(i, (k, count, clusters))| {
+                let same = |c: &&(usize, usize, _)| (c.0, c.1) == (*k, *count);
+                let mut name = format!("clique{n}:sdn{k}");
+                if *count > 1 {
+                    name.push_str(&format!("x{count}-{}", grid.strategy.name()));
+                }
+                if cells.iter().filter(same).count() > 1 {
+                    name.push_str(&format!("#{}", cells[..i].iter().filter(same).count()));
+                }
+                let report = check_safety_clusters(&SafetyClustersInput {
+                    graph: &g,
+                    mode: PolicyMode::AllPermit,
+                    clusters,
+                    rules: &[],
+                });
+                let mut t = CheckTarget::new(name, report);
+                t.hunt_bound = Some(hunt_depth_bound_clusters(&g, clusters, 0) as u64);
+                t.clusters = Some(clusters.clone());
+                t
+            })
+            .collect()
+    };
+    // Faults never move a placement, and leaving them out keeps `spec`
+    // from building a fault schedule the grid may not support.
+    let base = CampaignGrid {
+        faults: None,
+        ..grid.clone()
+    };
+    let one_cluster = CampaignGrid {
+        clusters: vec![1],
+        ..base.clone()
+    };
+    let mut single = targets(cells(one_cluster.expand()));
+    single.push(CheckTarget::new(
+        format!("clique{n}:reachability"),
+        check_reachability(&g, PolicyMode::AllPermit, &[0]),
+    ));
+    let mut jobs = base.expand();
+    jobs.retain(|job| job.clusters > 1 && job.clusters <= job.cluster);
+    let split = targets(cells(jobs));
     (single, split)
 }
 
@@ -677,7 +655,7 @@ fn builtin_targets() -> Result<Vec<CheckTarget>, String> {
     multi.name = "multicluster".to_string();
     multi.cluster_sizes = vec![8, 16];
     multi.clusters = vec![1, 2, 4];
-    multi.strategy = "degree";
+    multi.strategy = Placement::Degree;
     targets.push(CheckTarget::new("grid:multicluster", multi.preflight()));
     targets.extend(clique_targets(&multi).1);
 

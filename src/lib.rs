@@ -11,7 +11,7 @@
 //!
 //! * [`analyze`] — static control-plane analyzer: policy safety (dispute
 //!   wheels, Gao-Rexford conformance), reachability prediction and
-//!   path-hunting bounds, script/plan/grid validation — `bgpsdn check`;
+//!   path-hunting bounds, script/plan validation — `bgpsdn check`;
 //! * [`netsim`] — the discrete-event network simulator (Mininet's role);
 //! * [`bgp`] — a complete BGP-4 implementation (Quagga's role);
 //! * [`sdn`] — OpenFlow-subset switches and the cluster BGP speaker
@@ -65,9 +65,9 @@ pub use bgpsdn_verify as verify;
 /// The names almost every experiment needs.
 pub mod prelude {
     pub use bgpsdn_analyze::{
-        check_actions, check_grid, check_reachability, check_safety, check_safety_clusters,
-        check_timing, hunt_depth_bound, hunt_depth_bound_clusters, AnalysisReport, Finding,
-        SafetyClustersInput, SafetyInput, Severity, STRATEGY_NAMES,
+        check_actions, check_reachability, check_safety, check_safety_clusters, check_timing,
+        hunt_depth_bound, hunt_depth_bound_clusters, AnalysisReport, Finding, SafetyClustersInput,
+        SafetyInput, Severity,
     };
     pub use bgpsdn_bgp::{
         pfx, Asn, BgpRouter, NeighborConfig, PolicyMode, Prefix, Relationship, RouterCommand,
@@ -78,7 +78,7 @@ pub mod prelude {
         check_plan, run_campaign, run_campaign_scratch, run_job, run_job_scratch, AsKind,
         CampaignGrid, CampaignJob, CampaignRunReport, ClusterHandle, Controller,
         DeploymentStrategy, EventKind, Experiment, FaultClasses, FaultSpec, HybridNetwork,
-        JobResult, JobScratch, JobSpec, NetworkBuilder, Router, ScenarioOutcome, Script,
+        JobResult, JobScratch, JobSpec, NetworkBuilder, Placement, Router, ScenarioOutcome, Script,
         ScriptAction, Speaker, Switch, Topology,
     };
     pub use bgpsdn_netsim::{

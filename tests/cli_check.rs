@@ -1,8 +1,8 @@
 //! End-to-end CLI test of `bgpsdn check`: the built-in pre-flight suite
 //! must self-check clean, its `--json` output must be byte-deterministic
 //! across runs, a grid with an impossible cluster size must be rejected
-//! with a nonzero exit naming the finding, and a split cell must be
-//! analyzed in exactly the placements its jobs run.
+//! with a nonzero exit naming the finding, and every cell — one cluster
+//! or split — must be analyzed in exactly the placements its jobs run.
 
 use std::collections::BTreeSet;
 use std::process::Command;
@@ -89,6 +89,28 @@ fn grid_flags_are_read_or_rejected_never_dropped() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--chaos-classes must be"), "{err}");
 
+    // `explicit` names lists no grid carries: it is not a placement, so
+    // the grid is rejected before any analysis (and `sweep` before any
+    // job runs).
+    let out = bgpsdn()
+        .args([
+            "check",
+            "--sizes",
+            "4",
+            "--n",
+            "8",
+            "--strategy",
+            "explicit",
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--strategy"), "{err}");
+    for name in ["tail", "random", "degree", "kcore", "tier"] {
+        assert!(err.contains(name), "{name} missing: {err}");
+    }
+
     // Unknown flags and flags the preset fixes are usage errors.
     for (args, needle) in [
         (["check", "--fig2", "--bogus", "7"], "does not read --bogus"),
@@ -101,9 +123,9 @@ fn grid_flags_are_read_or_rejected_never_dropped() {
     }
 }
 
-/// The `clusters` lists of every `check --json` target whose name holds
-/// `needle`.
-fn placements(args: &[&str], needle: &str) -> Vec<Vec<Vec<usize>>> {
+/// The name and `clusters` lists of every `check --json` target whose
+/// name holds `needle`.
+fn placements(args: &[&str], needle: &str) -> Vec<(String, Vec<Vec<usize>>)> {
     let out = bgpsdn().args(args).output().expect("spawn");
     assert!(
         out.status.success(),
@@ -122,19 +144,17 @@ fn placements(args: &[&str], needle: &str) -> Vec<Vec<Vec<usize>>> {
         .and_then(Json::as_arr)
         .expect("targets")
         .iter()
-        .filter(|t| {
-            t.get("name")
-                .and_then(Json::as_str)
-                .unwrap()
-                .contains(needle)
-        })
-        .map(|t| {
-            let clusters = t.get("clusters").and_then(Json::as_arr);
-            clusters
-                .expect("a split target names its placement")
-                .iter()
-                .map(list)
-                .collect()
+        .filter_map(|t| {
+            let name = t.get("name").and_then(Json::as_str).unwrap();
+            name.contains(needle).then(|| {
+                let clusters = t.get("clusters").and_then(Json::as_arr);
+                let clusters = clusters
+                    .expect("a cell target names its placement")
+                    .iter()
+                    .map(list)
+                    .collect();
+                (name.to_string(), clusters)
+            })
         })
         .collect()
 }
@@ -142,25 +162,40 @@ fn placements(args: &[&str], needle: &str) -> Vec<Vec<Vec<usize>>> {
 #[test]
 fn split_cells_are_checked_in_the_placements_their_jobs_run() {
     let graph = AsGraph::all_peer(&gen::clique(8), 65000);
-    for (strategy, cells) in [("random", 3), ("degree", 1)] {
-        let args = ["check", "--sizes", "4", "--n", "8", "--clusters", "2"];
+    for (strategy, clusters, cells) in [
+        (Placement::Random, 2, 3),
+        (Placement::Degree, 2, 1),
+        (Placement::Random, 1, 3),
+        (Placement::Degree, 1, 1),
+    ] {
+        let count = clusters.to_string();
+        let args = ["check", "--sizes", "4", "--n", "8", "--clusters", &count];
         let args = [
             &args[..],
-            &["--strategy", strategy, "--seeds", "3", "--json"],
+            &["--strategy", strategy.name(), "--seeds", "3", "--json"],
         ]
         .concat();
-        let checked = placements(&args, &format!("sdn4x2-{strategy}"));
+        let cell = if clusters == 1 {
+            "clique8:sdn4".to_string()
+        } else {
+            format!("clique8:sdn4x{clusters}-{}", strategy.name())
+        };
+        let checked = placements(&args, &cell);
         // The CLI's grid, as `sweep` would run it.
         let grid = CampaignGrid {
             name: "sweep".to_string(),
             n: 8,
             cluster_sizes: vec![4],
-            clusters: vec![2],
+            clusters: vec![clusters],
             strategy,
             seeds: 3,
             ..CampaignGrid::fig2(3)
         };
-        let deployment = DeploymentStrategy::by_name(strategy, 2, 4).unwrap();
+        let deployment = DeploymentStrategy::Placed {
+            placement: strategy,
+            clusters,
+            total: 4,
+        };
         let run: BTreeSet<Vec<Vec<usize>>> = grid
             .expand()
             .iter()
@@ -170,8 +205,17 @@ fn split_cells_are_checked_in_the_placements_their_jobs_run() {
                     .expect("a feasible placement")
             })
             .collect();
-        assert_eq!(checked.len(), cells, "{strategy}: {checked:?}");
-        let checked: BTreeSet<_> = checked.into_iter().collect();
-        assert_eq!(checked, run, "{strategy}");
+        let label = format!("{strategy:?} x{clusters}");
+        assert_eq!(checked.len(), cells, "{label}: {checked:?}");
+        // One target per placement, numbered when the cell has several.
+        let names: Vec<String> = checked.iter().map(|(name, _)| name.clone()).collect();
+        let want: Vec<String> = if cells == 1 {
+            vec![cell]
+        } else {
+            (0..cells).map(|i| format!("{cell}#{i}")).collect()
+        };
+        assert_eq!(names, want, "{label}");
+        let checked: BTreeSet<_> = checked.into_iter().map(|(_, c)| c).collect();
+        assert_eq!(checked, run, "{label}");
     }
 }

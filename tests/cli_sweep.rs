@@ -147,6 +147,27 @@ fn sweep_rejects_bad_grids() {
         assert!(stderr.contains("pre-flight"), "{name}: {stderr}");
         assert!(!out.exists(), "{name}: an artifact was written");
     }
+
+    // `explicit` is no placement: the flag is rejected before any job
+    // starts, naming the five placements.
+    let out = tmp("explicit.jsonl");
+    let _ = std::fs::remove_file(&out);
+    let sweep = bgpsdn()
+        .arg("sweep")
+        .args(["--sizes", "4", "--n", "8", "--strategy", "explicit"])
+        .args(["--seeds", "1", "--mrai", "1", "--out"])
+        .arg(&out)
+        .output()
+        .expect("spawn");
+    assert_eq!(sweep.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&sweep.stdout);
+    let stderr = String::from_utf8_lossy(&sweep.stderr);
+    assert!(!stdout.contains("jobs on"), "a job started: {stdout}");
+    assert!(stderr.contains("--strategy"), "{stderr}");
+    for name in ["tail", "random", "degree", "kcore", "tier"] {
+        assert!(stderr.contains(name), "{name} missing: {stderr}");
+    }
+    assert!(!out.exists(), "an artifact was written");
 }
 
 #[test]

@@ -17,7 +17,7 @@ fn small_grid() -> CampaignGrid {
         event: EventKind::Withdrawal,
         cluster_sizes: vec![0, 3],
         clusters: vec![1],
-        strategy: "tail",
+        strategy: Placement::Tail,
         loss: vec![0.0],
         ctl_latency: vec![SimDuration::from_millis(1)],
         mrai: SimDuration::from_secs(2),
@@ -137,7 +137,7 @@ fn multicluster_campaign_is_equally_deterministic() {
     grid.name = "det-mc".to_string();
     grid.cluster_sizes = vec![0, 3, 4];
     grid.clusters = vec![1, 2];
-    grid.strategy = "degree";
+    grid.strategy = Placement::Degree;
 
     let jobs = grid.expand();
     assert_eq!(jobs.len(), 6, "3 sizes x 2 cluster counts");
@@ -146,9 +146,12 @@ fn multicluster_campaign_is_equally_deterministic() {
         let b = run_job(job, true).artifact.expect("traced");
         assert!(!a.is_empty());
         assert_eq!(
-            a, b,
+            a,
+            b,
             "multi-cluster job {} ({}x{}) artifact must be byte-stable",
-            job.id, job.clusters, job.strategy
+            job.id,
+            job.clusters,
+            job.strategy.name()
         );
     }
 

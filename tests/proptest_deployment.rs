@@ -54,7 +54,7 @@ proptest! {
         let (legacy_trace, legacy_conv) =
             run_withdrawal(n, seed, |b| b.with_sdn_members(members.clone()));
         let (deployed_trace, deployed_conv) = run_withdrawal(n, seed, |b| {
-            b.with_deployment(DeploymentStrategy::Tail { clusters: 1, total: k })
+            b.with_deployment(DeploymentStrategy::Placed { placement: Placement::Tail, clusters: 1, total: k })
         });
         prop_assert_eq!(legacy_conv, deployed_conv);
         prop_assert!(!legacy_trace.is_empty());
@@ -77,9 +77,9 @@ proptest! {
         let clusters = 2usize;
         let total = clusters + (pick as usize) % (n - clusters);
         let strategy = || match which {
-            0 => DeploymentStrategy::Tail { clusters, total },
-            1 => DeploymentStrategy::HighestDegree { clusters, total },
-            _ => DeploymentStrategy::RandomK { clusters, total },
+            0 => DeploymentStrategy::Placed { placement: Placement::Tail, clusters, total },
+            1 => DeploymentStrategy::Placed { placement: Placement::Degree, clusters, total },
+            _ => DeploymentStrategy::Placed { placement: Placement::Random, clusters, total },
         };
         let (trace_a, conv_a) = run_withdrawal(n, seed, |b| b.with_deployment(strategy()));
         let (trace_b, conv_b) = run_withdrawal(n, seed, |b| b.with_deployment(strategy()));
