@@ -1,10 +1,16 @@
-//! Findings and reports — the analyzer's output vocabulary.
+//! Findings and reports — the one output vocabulary of every check.
 //!
-//! Every pass produces [`Finding`]s collected into an [`AnalysisReport`].
-//! Reports render to humans and to deterministic JSON: finding order is the
-//! (deterministic) order the passes emit them in, and every field is
-//! plain data, so the same inputs always produce byte-identical output.
+//! Every pass, control plane and data plane alike, produces [`Finding`]s
+//! collected into an [`AnalysisReport`]. A finding renders to one line
+//! (plus its witness) through its `Display` impl, the one renderer behind
+//! both `bgpsdn check` and `bgpsdn verify`, and to deterministic JSON:
+//! finding order is the (deterministic) order the passes emit them in,
+//! and every field is plain data, so the same inputs always produce
+//! byte-identical output.
 
+use std::fmt;
+
+use bgpsdn_bgp::Prefix;
 use bgpsdn_obs::Json;
 
 /// How bad a finding is.
@@ -33,18 +39,27 @@ impl Severity {
 pub struct Finding {
     /// Severity class.
     pub severity: Severity,
-    /// Stable machine-readable code, `pass.kind` (e.g.
-    /// `safety.provider_cycle`, `script.index_range`).
+    /// Stable machine-readable code: `pass.kind` for the control-plane
+    /// passes (e.g. `safety.provider_cycle`, `script.index_range`), the
+    /// invariant for the data-plane checks (`loop`, `blackhole`,
+    /// `intent_drift`, `valley`).
     pub code: &'static str,
     /// Human-readable description.
     pub message: String,
     /// Concrete evidence when the pass can produce one — e.g. the witness
     /// cycle of a dispute wheel (`AS1 -> AS2 -> AS3 -> AS1`).
     pub witness: Option<String>,
+    /// The offending device or session of a data-plane finding; empty for
+    /// the control-plane passes.
+    pub subject: String,
+    /// The destination prefix a data-plane check ran for, when
+    /// prefix-scoped.
+    pub prefix: Option<Prefix>,
 }
 
 impl Finding {
-    /// JSON object for one finding (stable key order).
+    /// JSON object for one finding (stable key order; `subject` and
+    /// `prefix` only when set).
     pub fn to_json(&self) -> Json {
         let mut kv = vec![
             (
@@ -52,12 +67,37 @@ impl Finding {
                 Json::Str(self.severity.label().to_string()),
             ),
             ("code".to_string(), Json::Str(self.code.to_string())),
-            ("message".to_string(), Json::Str(self.message.clone())),
         ];
+        if let Some(p) = self.prefix {
+            kv.push(("prefix".to_string(), Json::Str(p.to_string())));
+        }
+        if !self.subject.is_empty() {
+            kv.push(("subject".to_string(), Json::Str(self.subject.clone())));
+        }
+        kv.push(("message".to_string(), Json::Str(self.message.clone())));
         if let Some(w) = &self.witness {
             kv.push(("witness".to_string(), Json::Str(w.clone())));
         }
         Json::Obj(kv)
+    }
+}
+
+/// The one rendering of a finding: `severity [code] prefix at subject:
+/// message`, then the witness on its own indented line.
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:>7} [{}] ", self.severity.label(), self.code)?;
+        if let Some(p) = self.prefix {
+            write!(f, "{p} ")?;
+        }
+        if !self.subject.is_empty() {
+            write!(f, "at {}: ", self.subject)?;
+        }
+        f.write_str(&self.message)?;
+        if let Some(w) = &self.witness {
+            write!(f, "\n        witness: {w}")?;
+        }
+        Ok(())
     }
 }
 
@@ -87,14 +127,27 @@ impl AnalysisReport {
         self.checks += n;
     }
 
+    /// Push a control-plane finding (no subject, no prefix).
+    fn push(
+        &mut self,
+        severity: Severity,
+        code: &'static str,
+        message: String,
+        witness: Option<String>,
+    ) {
+        self.findings.push(Finding {
+            severity,
+            code,
+            message,
+            witness,
+            subject: String::new(),
+            prefix: None,
+        });
+    }
+
     /// Push an error finding.
     pub fn error(&mut self, code: &'static str, message: impl Into<String>) {
-        self.findings.push(Finding {
-            severity: Severity::Error,
-            code,
-            message: message.into(),
-            witness: None,
-        });
+        self.push(Severity::Error, code, message.into(), None);
     }
 
     /// Push an error finding with a witness.
@@ -104,22 +157,27 @@ impl AnalysisReport {
         message: impl Into<String>,
         witness: impl Into<String>,
     ) {
-        self.findings.push(Finding {
-            severity: Severity::Error,
-            code,
-            message: message.into(),
-            witness: Some(witness.into()),
-        });
+        self.push(Severity::Error, code, message.into(), Some(witness.into()));
     }
 
     /// Push a warning finding.
     pub fn warning(&mut self, code: &'static str, message: impl Into<String>) {
-        self.findings.push(Finding {
-            severity: Severity::Warning,
+        self.push(Severity::Warning, code, message.into(), None);
+    }
+
+    /// Push a warning finding with a witness.
+    pub(crate) fn warning_with(
+        &mut self,
+        code: &'static str,
+        message: impl Into<String>,
+        witness: impl Into<String>,
+    ) {
+        self.push(
+            Severity::Warning,
             code,
-            message: message.into(),
-            witness: None,
-        });
+            message.into(),
+            Some(witness.into()),
+        );
     }
 
     /// Fold another report into this one.
@@ -164,11 +222,7 @@ impl AnalysisReport {
         }
         let mut out = String::new();
         for f in &self.findings {
-            let _ = write!(out, "{:>7} [{}] {}", f.severity.label(), f.code, f.message);
-            if let Some(w) = &f.witness {
-                let _ = write!(out, "\n        witness: {w}");
-            }
-            out.push('\n');
+            let _ = writeln!(out, "{f}");
         }
         let _ = writeln!(
             out,

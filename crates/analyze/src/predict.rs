@@ -160,17 +160,16 @@ pub fn check_reachability(g: &AsGraph, mode: PolicyMode, origins: &[usize]) -> A
             );
         }
         if !blocked.is_empty() {
-            report.findings.push(crate::finding::Finding {
-                severity: crate::finding::Severity::Warning,
-                code: "predict.unreachable",
-                message: format!(
+            report.warning_with(
+                "predict.unreachable",
+                format!(
                     "{} AS(es) are connected to origin AS{} but have no valley-free path \
                      to it under the {mode:?} policy",
                     blocked.len(),
                     g.asns[origin].0
                 ),
-                witness: Some(list_asns(g, &blocked)),
-            });
+                list_asns(g, &blocked),
+            );
         }
     }
     report

@@ -230,14 +230,12 @@ fn check_raw_hierarchy(g: &AsGraph, mode: PolicyMode, report: &mut AnalysisRepor
                 "customer->provider hierarchy has a cycle; Gao-Rexford safety does not hold",
                 witness,
             ),
-            PolicyMode::AllPermit => report.findings.push(crate::finding::Finding {
-                severity: crate::finding::Severity::Warning,
-                code: "safety.provider_cycle",
-                message: "customer->provider annotations form a cycle (ignored by the active \
-                          policy template, but relationship data looks wrong)"
-                    .to_string(),
-                witness: Some(witness),
-            }),
+            PolicyMode::AllPermit => report.warning_with(
+                "safety.provider_cycle",
+                "customer->provider annotations form a cycle (ignored by the active \
+                 policy template, but relationship data looks wrong)",
+                witness,
+            ),
         }
     }
 }

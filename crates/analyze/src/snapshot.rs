@@ -6,51 +6,12 @@
 //! per-prefix state (compiled flow rules and adj-out announcements). It
 //! carries no references into the simulator, so it can be serialized into
 //! a JSONL run artifact and re-analyzed offline with `bgpsdn verify`.
+//! Relationships, the policy regime and flow actions are the workspace's
+//! own types (`AsEdge`, `PolicyMode`, `FlowActionRepr`), not copies.
 
-use bgpsdn_bgp::{Asn, Prefix};
-use bgpsdn_obs::Json;
-
-/// What a matching flow rule does with a packet (a dependency-free mirror
-/// of the SDN crate's `FlowAction`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleAction {
-    /// Forward out of the port (the raw link id).
-    Output(u32),
-    /// Punt to the controller.
-    ToController,
-    /// Discard explicitly.
-    Drop,
-    /// Deliver locally (the destination lives in this switch's AS).
-    Local,
-}
-
-impl std::fmt::Display for RuleAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuleAction::Output(p) => write!(f, "output:{p}"),
-            RuleAction::ToController => f.write_str("controller"),
-            RuleAction::Drop => f.write_str("drop"),
-            RuleAction::Local => f.write_str("local"),
-        }
-    }
-}
-
-impl RuleAction {
-    /// Parse the stable string form (`output:N`, `controller`, `drop`,
-    /// `local`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<RuleAction> {
-        match s {
-            "controller" => Some(RuleAction::ToController),
-            "drop" => Some(RuleAction::Drop),
-            "local" => Some(RuleAction::Local),
-            _ => {
-                let port = s.strip_prefix("output:")?.parse().ok()?;
-                Some(RuleAction::Output(port))
-            }
-        }
-    }
-}
+use bgpsdn_bgp::{Asn, PolicyMode, Prefix};
+use bgpsdn_obs::{FlowActionRepr, Json};
+use bgpsdn_topology::{AsEdge, EdgeKind};
 
 /// One installed flow rule of a switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +21,7 @@ pub struct SwitchRule {
     /// Destination prefix match.
     pub prefix: Prefix,
     /// Action on match.
-    pub action: RuleAction,
+    pub action: FlowActionRepr,
 }
 
 /// One data-plane port of a switch, resolved to its remote endpoint.
@@ -136,53 +97,30 @@ pub struct NodeState {
     pub device: Device,
 }
 
-/// Relationship annotation of one inter-AS edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RelKind {
-    /// `a` is the provider of `b`.
-    ProviderCustomer,
-    /// Settlement-free peering.
-    PeerPeer,
-}
-
-/// One annotated inter-AS edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeRel {
-    /// First endpoint (the provider for [`RelKind::ProviderCustomer`]).
-    pub a: usize,
-    /// Second endpoint.
-    pub b: usize,
-    /// The business relationship.
-    pub kind: RelKind,
-}
-
-/// The export-policy regime the network was configured with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PolicyKind {
-    /// Everything is exported everywhere; valley-freeness is not expected.
-    #[default]
-    AllPermit,
-    /// Gao–Rexford customer/provider/peer export rules.
-    GaoRexford,
-}
-
 /// Health of the speaker↔controller control plane at snapshot time,
-/// deciding whether intent mismatches are violations or expected staleness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// deciding whether intent mismatches are errors or expected staleness.
+/// Ordered from healthy to worst, so several clusters' health is the max.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ControlHealth {
     /// The network has no SDN cluster; intent checks are skipped.
-    #[default]
     NoCluster,
     /// Channel synced: installed state must byte-match controller intent.
     Synced,
+    /// The channel is back but the full-state resync has not completed.
+    Resyncing,
     /// The speaker lost the controller (crash or partition); devices run
     /// fail-static on frozen state. Drift is *stale-but-consistent*.
     Headless,
-    /// The channel is back but the full-state resync has not completed.
-    Resyncing,
 }
 
 impl ControlHealth {
+    const ALL: [ControlHealth; 4] = [
+        ControlHealth::NoCluster,
+        ControlHealth::Synced,
+        ControlHealth::Resyncing,
+        ControlHealth::Headless,
+    ];
+
     /// Stable lowercase name used in the JSON form.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -214,20 +152,21 @@ pub struct SessionSnap {
 }
 
 /// A frozen network snapshot — everything the static checks need.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Per-AS state, indexed by plan vertex.
     pub nodes: Vec<NodeState>,
-    /// The annotated AS graph.
-    pub edges: Vec<EdgeRel>,
-    /// The export-policy regime.
-    pub policy: PolicyKind,
+    /// The annotated AS graph (plan vertex indices).
+    pub edges: Vec<AsEdge>,
+    /// The export-policy regime; valley-freeness is checked only under
+    /// Gao–Rexford.
+    pub policy: PolicyMode,
     /// Control-plane health (gates intent-consistency severity).
     pub control: ControlHealth,
     /// The priority the controller installs flow rules at.
     pub flow_priority: u16,
     /// Controller-intended flow rules per member: `(prefix, action)`.
-    pub intent_flows: Vec<Vec<(Prefix, RuleAction)>>,
+    pub intent_flows: Vec<Vec<(Prefix, FlowActionRepr)>>,
     /// Alias sessions: intent and actual announcements.
     pub sessions: Vec<SessionSnap>,
 }
@@ -262,11 +201,24 @@ fn path_from_json(v: &Json) -> Result<Vec<Asn>, String> {
         .collect()
 }
 
-fn get_usize(v: &Json, key: &str) -> Result<usize, String> {
+/// `v[key]` as a number of type `T`.
+fn get_num<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, String> {
     v.get(key)
         .and_then(Json::as_u64)
-        .and_then(|n| usize::try_from(n).ok())
+        .and_then(|n| T::try_from(n).ok())
         .ok_or_else(|| format!("bad {key:?}"))
+}
+
+/// A vertex index: `what`'s `key`, which must name one of the `n` nodes.
+fn get_vertex(v: &Json, what: &str, key: &str, n: usize) -> Result<usize, String> {
+    let x: usize = get_num(v, key).map_err(|e| format!("{what} {e}"))?;
+    if x < n {
+        Ok(x)
+    } else {
+        Err(format!(
+            "{what} {key:?} {x} is out of range: the snapshot has {n} nodes"
+        ))
+    }
 }
 
 fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
@@ -279,13 +231,35 @@ fn get_prefix(v: &Json, key: &str) -> Result<Prefix, String> {
     prefix_from_json(v.get(key).ok_or_else(|| format!("missing {key:?}"))?)
 }
 
-fn action_json(a: RuleAction) -> Json {
+/// `v[key]` as an array, each item parsed by `item`.
+fn get_list<T>(
+    v: &Json,
+    key: &str,
+    item: impl FnMut(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    v.get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("bad {key:?}"))?
+        .iter()
+        .map(item)
+        .collect()
+}
+
+/// The two items of a two-element array.
+fn pair<'a>(v: &'a Json, what: &str) -> Result<(&'a Json, &'a Json), String> {
+    match v.as_arr() {
+        Some([a, b]) => Ok((a, b)),
+        _ => Err(format!("{what} must be a pair")),
+    }
+}
+
+fn action_json(a: FlowActionRepr) -> Json {
     Json::Str(a.to_string())
 }
 
-fn action_from_json(v: &Json) -> Result<RuleAction, String> {
+fn action_from_json(v: &Json) -> Result<FlowActionRepr, String> {
     v.as_str()
-        .and_then(RuleAction::parse)
+        .and_then(|s| s.parse().ok())
         .ok_or_else(|| "bad rule action".to_string())
 }
 
@@ -297,18 +271,11 @@ fn announce_list_json(list: &[(Prefix, Vec<Asn>)]) -> Json {
     )
 }
 
-fn announce_list_from_json(v: &Json) -> Result<Vec<(Prefix, Vec<Asn>)>, String> {
-    v.as_arr()
-        .ok_or("announce list must be an array")?
-        .iter()
-        .map(|item| {
-            let pair = item.as_arr().ok_or("announce entry must be a pair")?;
-            if pair.len() != 2 {
-                return Err("announce entry must be a pair".to_string());
-            }
-            Ok((prefix_from_json(&pair[0])?, path_from_json(&pair[1])?))
-        })
-        .collect()
+fn announce_list_from_json(v: &Json, key: &str) -> Result<Vec<(Prefix, Vec<Asn>)>, String> {
+    get_list(v, key, |item| {
+        let (p, path) = pair(item, "announce entry")?;
+        Ok((prefix_from_json(p)?, path_from_json(path)?))
+    })
 }
 
 impl NodeState {
@@ -380,96 +347,54 @@ impl NodeState {
         Json::Obj(m)
     }
 
-    fn from_json(v: &Json) -> Result<NodeState, String> {
+    /// Parse one node of a snapshot with `n` nodes.
+    fn from_json(v: &Json, n: usize) -> Result<NodeState, String> {
         let name = v
             .get("name")
             .and_then(Json::as_str)
             .ok_or("bad \"name\"")?
             .to_string();
-        let asn = Asn(v
-            .get("asn")
-            .and_then(Json::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or("bad \"asn\"")?);
-        let originated = v
-            .get("originated")
-            .and_then(Json::as_arr)
-            .ok_or("bad \"originated\"")?
-            .iter()
-            .map(prefix_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
         let device = match v.get("kind").and_then(Json::as_str) {
-            Some("legacy") => {
-                let routes = v
-                    .get("routes")
-                    .and_then(Json::as_arr)
-                    .ok_or("bad \"routes\"")?
-                    .iter()
-                    .map(|r| {
-                        let prefix = get_prefix(r, "prefix")?;
-                        let as_path = path_from_json(r.get("path").ok_or("missing \"path\"")?)?;
-                        let next = match r.get("next") {
-                            Some(Json::Null) | None => NextHop::Deliver,
-                            Some(n) => NextHop::Via {
-                                peer: n
-                                    .as_u64()
-                                    .and_then(|x| usize::try_from(x).ok())
-                                    .ok_or("bad \"next\"")?,
-                                up: get_bool(r, "up")?,
-                            },
-                        };
-                        Ok(LegacyRoute {
-                            prefix,
-                            next,
-                            as_path,
-                            stale: r.get("stale").and_then(Json::as_bool).unwrap_or(false),
-                        })
+            Some("legacy") => Device::Legacy {
+                routes: get_list(v, "routes", |r| {
+                    let next = match r.get("next") {
+                        Some(Json::Null) | None => NextHop::Deliver,
+                        Some(_) => NextHop::Via {
+                            peer: get_vertex(r, "route", "next", n)?,
+                            up: get_bool(r, "up")?,
+                        },
+                    };
+                    Ok(LegacyRoute {
+                        prefix: get_prefix(r, "prefix")?,
+                        next,
+                        as_path: path_from_json(r.get("path").ok_or("missing \"path\"")?)?,
+                        stale: r.get("stale").and_then(Json::as_bool).unwrap_or(false),
                     })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Device::Legacy { routes }
-            }
-            Some("member") => {
-                let member = get_usize(v, "member")?;
-                let rules = v
-                    .get("rules")
-                    .and_then(Json::as_arr)
-                    .ok_or("bad \"rules\"")?
-                    .iter()
-                    .map(|r| {
-                        Ok(SwitchRule {
-                            priority: u16::try_from(get_usize(r, "priority")?)
-                                .map_err(|_| "priority out of range".to_string())?,
-                            prefix: get_prefix(r, "prefix")?,
-                            action: action_from_json(r.get("action").ok_or("missing \"action\"")?)?,
-                        })
+                })?,
+            },
+            Some("member") => Device::Member {
+                member: get_num(v, "member")?,
+                rules: get_list(v, "rules", |r| {
+                    Ok(SwitchRule {
+                        priority: get_num(r, "priority")?,
+                        prefix: get_prefix(r, "prefix")?,
+                        action: action_from_json(r.get("action").ok_or("missing \"action\"")?)?,
                     })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let ports = v
-                    .get("ports")
-                    .and_then(Json::as_arr)
-                    .ok_or("bad \"ports\"")?
-                    .iter()
-                    .map(|p| {
-                        Ok(PortState {
-                            port: u32::try_from(get_usize(p, "port")?)
-                                .map_err(|_| "port out of range".to_string())?,
-                            peer: get_usize(p, "peer")?,
-                            up: get_bool(p, "up")?,
-                        })
+                })?,
+                ports: get_list(v, "ports", |p| {
+                    Ok(PortState {
+                        port: get_num(p, "port")?,
+                        peer: get_vertex(p, "port", "peer", n)?,
+                        up: get_bool(p, "up")?,
                     })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Device::Member {
-                    member,
-                    rules,
-                    ports,
-                }
-            }
+                })?,
+            },
             _ => return Err("bad node \"kind\"".into()),
         };
         Ok(NodeState {
             name,
-            asn,
-            originated,
+            asn: Asn(get_num(v, "asn")?),
+            originated: get_list(v, "originated", prefix_from_json)?,
             device,
         })
     }
@@ -484,19 +409,14 @@ impl Snapshot {
             .edges
             .iter()
             .map(|e| {
+                let rel = match e.kind {
+                    EdgeKind::ProviderCustomer => "p2c",
+                    EdgeKind::PeerPeer => "peer",
+                };
                 Json::Obj(vec![
                     ("a".into(), Json::U64(e.a as u64)),
                     ("b".into(), Json::U64(e.b as u64)),
-                    (
-                        "rel".into(),
-                        Json::Str(
-                            match e.kind {
-                                RelKind::ProviderCustomer => "p2c",
-                                RelKind::PeerPeer => "peer",
-                            }
-                            .into(),
-                        ),
-                    ),
+                    ("rel".into(), Json::Str(rel.into())),
                 ])
             })
             .collect();
@@ -526,17 +446,12 @@ impl Snapshot {
                 ])
             })
             .collect();
+        let policy = match self.policy {
+            PolicyMode::AllPermit => "all_permit",
+            PolicyMode::GaoRexford => "gao_rexford",
+        };
         Json::Obj(vec![
-            (
-                "policy".into(),
-                Json::Str(
-                    match self.policy {
-                        PolicyKind::AllPermit => "all_permit",
-                        PolicyKind::GaoRexford => "gao_rexford",
-                    }
-                    .into(),
-                ),
-            ),
+            ("policy".into(), Json::Str(policy.into())),
             ("control".into(), Json::Str(self.control.name().into())),
             (
                 "flow_priority".into(),
@@ -556,89 +471,79 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed member encountered.
+    /// Returns a description of the first malformed member encountered,
+    /// including any vertex index that names no node and, while a cluster
+    /// exists, any member index with no `intent_flows` row: the checks
+    /// index by them.
     pub fn from_json(v: &Json) -> Result<Snapshot, String> {
         let policy = match v.get("policy").and_then(Json::as_str) {
-            Some("all_permit") => PolicyKind::AllPermit,
-            Some("gao_rexford") => PolicyKind::GaoRexford,
+            Some("all_permit") => PolicyMode::AllPermit,
+            Some("gao_rexford") => PolicyMode::GaoRexford,
             _ => return Err("bad \"policy\"".into()),
         };
-        let control = match v.get("control").and_then(Json::as_str) {
-            Some("none") => ControlHealth::NoCluster,
-            Some("synced") => ControlHealth::Synced,
-            Some("headless") => ControlHealth::Headless,
-            Some("resyncing") => ControlHealth::Resyncing,
-            _ => return Err("bad \"control\"".into()),
-        };
-        let flow_priority = u16::try_from(get_usize(v, "flow_priority")?)
-            .map_err(|_| "flow_priority out of range".to_string())?;
-        let nodes = v
+        let control = v.get("control").and_then(Json::as_str);
+        let control = ControlHealth::ALL
+            .into_iter()
+            .find(|c| Some(c.name()) == control)
+            .ok_or("bad \"control\"")?;
+        let n = v
             .get("nodes")
             .and_then(Json::as_arr)
-            .ok_or("bad \"nodes\"")?
-            .iter()
-            .map(NodeState::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let edges = v
-            .get("edges")
-            .and_then(Json::as_arr)
-            .ok_or("bad \"edges\"")?
-            .iter()
-            .map(|e| {
-                let kind = match e.get("rel").and_then(Json::as_str) {
-                    Some("p2c") => RelKind::ProviderCustomer,
-                    Some("peer") => RelKind::PeerPeer,
-                    _ => return Err("bad edge \"rel\"".to_string()),
-                };
-                Ok(EdgeRel {
-                    a: get_usize(e, "a")?,
-                    b: get_usize(e, "b")?,
-                    kind,
+            .map_or(0, <[Json]>::len);
+        let nodes = get_list(v, "nodes", |node| NodeState::from_json(node, n))?;
+        let edges = get_list(v, "edges", |e| {
+            let kind = match e.get("rel").and_then(Json::as_str) {
+                Some("p2c") => EdgeKind::ProviderCustomer,
+                Some("peer") => EdgeKind::PeerPeer,
+                _ => return Err("bad edge \"rel\"".to_string()),
+            };
+            Ok(AsEdge {
+                a: get_vertex(e, "edge", "a", n)?,
+                b: get_vertex(e, "edge", "b", n)?,
+                kind,
+            })
+        })?;
+        let intent_flows: Vec<Vec<_>> = get_list(v, "intent_flows", |flows| {
+            flows
+                .as_arr()
+                .ok_or("bad intent flow list")?
+                .iter()
+                .map(|entry| {
+                    let (p, action) = pair(entry, "intent flow entry")?;
+                    Ok((prefix_from_json(p)?, action_from_json(action)?))
                 })
+                .collect()
+        })?;
+        if control != ControlHealth::NoCluster {
+            for node in &nodes {
+                if let Device::Member { member, .. } = node.device {
+                    if member >= intent_flows.len() {
+                        return Err(format!(
+                            "{}: \"member\" {member} has no \"intent_flows\" row (the snapshot \
+                             has {})",
+                            node.name,
+                            intent_flows.len()
+                        ));
+                    }
+                }
+            }
+        }
+        let sessions = get_list(v, "sessions", |s| {
+            Ok(SessionSnap {
+                member: get_vertex(s, "session", "member", n)?,
+                ext_peer: get_vertex(s, "session", "peer", n)?,
+                established: get_bool(s, "established")?,
+                ctrl_up: get_bool(s, "ctrl_up")?,
+                intent: announce_list_from_json(s, "intent")?,
+                actual: announce_list_from_json(s, "actual")?,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let intent_flows = v
-            .get("intent_flows")
-            .and_then(Json::as_arr)
-            .ok_or("bad \"intent_flows\"")?
-            .iter()
-            .map(|flows| {
-                flows
-                    .as_arr()
-                    .ok_or("bad intent flow list")?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair.as_arr().ok_or("bad intent flow entry")?;
-                        if pair.len() != 2 {
-                            return Err("bad intent flow entry".to_string());
-                        }
-                        Ok((prefix_from_json(&pair[0])?, action_from_json(&pair[1])?))
-                    })
-                    .collect::<Result<Vec<_>, String>>()
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let sessions = v
-            .get("sessions")
-            .and_then(Json::as_arr)
-            .ok_or("bad \"sessions\"")?
-            .iter()
-            .map(|s| {
-                Ok(SessionSnap {
-                    member: get_usize(s, "member")?,
-                    ext_peer: get_usize(s, "peer")?,
-                    established: get_bool(s, "established")?,
-                    ctrl_up: get_bool(s, "ctrl_up")?,
-                    intent: announce_list_from_json(s.get("intent").ok_or("missing \"intent\"")?)?,
-                    actual: announce_list_from_json(s.get("actual").ok_or("missing \"actual\"")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        })?;
         Ok(Snapshot {
             nodes,
             edges,
             policy,
             control,
-            flow_priority,
+            flow_priority: get_num(v, "flow_priority")?,
             intent_flows,
             sessions,
         })

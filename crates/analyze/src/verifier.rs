@@ -1,6 +1,7 @@
-//! The static checks: per-prefix forwarding-graph construction plus the
-//! four invariants (loop-freedom, blackhole-freedom, intent consistency,
-//! valley-free conformance).
+//! The static data-plane checks: per-prefix forwarding-graph construction
+//! plus the four invariants (loop-freedom, blackhole-freedom, intent
+//! consistency, valley-free conformance), reported as [`Finding`]s with
+//! the codes `loop`, `blackhole`, `intent_drift` and `valley`.
 //!
 //! The verifier is Veriflow-shaped: it never simulates packets. For each
 //! tracked destination prefix it resolves every node's own longest-prefix
@@ -18,131 +19,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
-use bgpsdn_bgp::{Asn, Prefix};
+use bgpsdn_bgp::{Asn, PolicyMode, Prefix, Relationship};
+use bgpsdn_obs::FlowActionRepr;
 
-use crate::snapshot::{
-    ControlHealth, Device, NextHop, PolicyKind, RelKind, RuleAction, SessionSnap, Snapshot,
-};
-
-/// Which invariant a violation breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViolationKind {
-    /// The forwarding graph for a prefix contains a cycle.
-    Loop,
-    /// A node holds a route but traffic dies before the origin (down link,
-    /// routeless next hop, controller punt, or off-origin delivery).
-    Blackhole,
-    /// Installed device state does not byte-match controller intent while
-    /// the control plane is synced.
-    IntentDrift,
-    /// An advertised or selected AS path violates the valley-free export
-    /// rules.
-    Valley,
-}
-
-impl ViolationKind {
-    /// Stable lowercase name (used in trace events and reports).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ViolationKind::Loop => "loop",
-            ViolationKind::Blackhole => "blackhole",
-            ViolationKind::IntentDrift => "intent_drift",
-            ViolationKind::Valley => "valley",
-        }
-    }
-}
-
-impl std::fmt::Display for ViolationKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One invariant violation, with a human-readable witness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// The invariant broken.
-    pub kind: ViolationKind,
-    /// The destination prefix the check ran for, when prefix-scoped.
-    pub prefix: Option<Prefix>,
-    /// The primary offending node (device name).
-    pub node: String,
-    /// The offending rule or mismatch, in one line.
-    pub detail: String,
-    /// The witness path demonstrating the violation.
-    pub witness: String,
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.prefix {
-            Some(p) => write!(f, "[{}] {p} at {}: {}", self.kind, self.node, self.witness),
-            None => write!(f, "[{}] at {}: {}", self.kind, self.node, self.witness),
-        }
-    }
-}
-
-/// A note about state that is stale because the control plane is degraded
-/// (headless or resyncing) — reported, but not a violation.
-pub type StaleNote = String;
-
-/// The outcome of one verification pass.
-#[derive(Debug, Clone, Default)]
-pub struct Report {
-    /// Destination prefixes whose forwarding graphs were analyzed.
-    pub prefixes_checked: usize,
-    /// Individual invariant evaluations executed.
-    pub checks: usize,
-    /// All violations found, in discovery order.
-    pub violations: Vec<Violation>,
-    /// Stale-but-consistent observations (headless/resync intent drift).
-    pub stale: Vec<StaleNote>,
-    /// Control-plane health at snapshot time.
-    pub control: ControlHealth,
-}
-
-impl Report {
-    /// True when no invariant was violated.
-    #[must_use]
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Count of violations of one kind.
-    #[must_use]
-    pub fn count_of(&self, kind: ViolationKind) -> usize {
-        self.violations.iter().filter(|v| v.kind == kind).count()
-    }
-
-    /// Human-readable multi-line report.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "verify: {} prefixes, {} checks, {} violations, {} stale notes (control: {})",
-            self.prefixes_checked,
-            self.checks,
-            self.violations.len(),
-            self.stale.len(),
-            self.control.name(),
-        );
-        for v in &self.violations {
-            let _ = writeln!(out, "  VIOLATION {v}");
-        }
-        for s in &self.stale {
-            let _ = writeln!(out, "  stale: {s}");
-        }
-        out
-    }
-}
-
-impl std::fmt::Display for Report {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.render())
-    }
-}
+use crate::finding::{AnalysisReport, Finding, Severity};
+use crate::snapshot::{ControlHealth, Device, NextHop, SessionSnap, Snapshot, SwitchRule};
 
 /// Result of a connectivity query: does traffic from every other node
 /// reach each queried destination?
@@ -301,8 +182,9 @@ impl NodeTable {
 #[derive(Debug, Default)]
 pub struct Verifier {
     tables: Vec<NodeTable>,
-    /// Relationship of `b` as seen from `a`: `(a, b) → rel`.
-    rel: BTreeMap<(usize, usize), RelStep>,
+    /// The edge joining each adjacent vertex pair, both ways: `(a, b) →
+    /// index into the snapshot's edges`.
+    rel: BTreeMap<(usize, usize), usize>,
     asn_index: BTreeMap<u32, usize>,
     is_member: Vec<bool>,
     prefixes: Vec<Prefix>,
@@ -315,38 +197,22 @@ pub struct Verifier {
     verts: Vec<usize>,
 }
 
-/// A set of announcements: `(prefix, AS path)` pairs.
-type AnnounceSet = Vec<(Prefix, Vec<Asn>)>;
-
-/// One valley-free step direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RelStep {
-    /// Next hop is my provider (going up).
-    Up,
-    /// Next hop is my peer (sideways).
-    Side,
-    /// Next hop is my customer (going down).
-    Down,
-}
-
 impl Verifier {
-    /// Fresh verifier with empty scratch.
-    #[must_use]
-    pub fn new() -> Verifier {
-        Verifier::default()
-    }
-
-    /// Run all checks over a snapshot and produce a report.
-    pub fn verify(&mut self, snap: &Snapshot) -> Report {
-        let mut report = Report {
-            control: snap.control,
-            ..Report::default()
-        };
+    /// Run all checks over a snapshot. Violations are error findings;
+    /// state that is stale because the control plane is degraded
+    /// (headless or resyncing) is a warning under the check's code.
+    pub fn verify(&mut self, snap: &Snapshot) -> AnalysisReport {
+        let mut report = AnalysisReport::new();
         self.prepare(snap);
         self.check_forwarding(snap, &mut report);
         check_intent(snap, &mut report);
         self.check_valley(snap, &mut report);
         report
+    }
+
+    /// Destination prefixes the last pass analyzed.
+    pub fn prefixes_checked(&self) -> usize {
+        self.prefixes.len()
     }
 
     /// Does traffic from every other node reach each `(destination vertex,
@@ -366,11 +232,10 @@ impl Verifier {
     ) -> ConnectivityReport {
         self.prepare(snap);
         let mut out = ConnectivityReport::default();
-        let mut found = Report::default();
+        let mut found = AnalysisReport::new();
         for &(dst, addr) in targets {
             let probe = Prefix::new(addr, 32).expect("a /32 has no host bits");
-            found.violations.clear();
-            found.stale.clear();
+            found.findings.clear();
             self.resolve_hops(snap, probe.network_u32());
             self.walk_prefix(snap, probe, &mut found);
             for src in (0..snap.nodes.len()).filter(|&v| v != dst) {
@@ -392,7 +257,7 @@ impl Verifier {
                         "{} (ends in a graceful-restart stale route over a down link)",
                         snap.nodes[src].name
                     ),
-                    (v, _) => found.violations[v].witness.clone(),
+                    (v, _) => found.findings[v].witness.clone().unwrap_or_default(),
                 };
                 out.failures.push((src, addr, witness));
             }
@@ -439,18 +304,9 @@ impl Verifier {
         }
         self.prefixes.extend(universe);
         self.rel.clear();
-        for e in &snap.edges {
-            match e.kind {
-                RelKind::PeerPeer => {
-                    self.rel.insert((e.a, e.b), RelStep::Side);
-                    self.rel.insert((e.b, e.a), RelStep::Side);
-                }
-                RelKind::ProviderCustomer => {
-                    // From the provider `a`, the next hop `b` is a customer.
-                    self.rel.insert((e.a, e.b), RelStep::Down);
-                    self.rel.insert((e.b, e.a), RelStep::Up);
-                }
-            }
+        for (k, e) in snap.edges.iter().enumerate() {
+            self.rel.insert((e.a, e.b), k);
+            self.rel.insert((e.b, e.a), k);
         }
         self.hops.resize(n, Hop::NoRoute);
         self.state.resize(n, UNVISITED);
@@ -462,15 +318,14 @@ impl Verifier {
     // Per-prefix forwarding-graph checks (loop-freedom + blackholes)
     // ------------------------------------------------------------------
 
-    fn check_forwarding(&mut self, snap: &Snapshot, report: &mut Report) {
+    fn check_forwarding(&mut self, snap: &Snapshot, report: &mut AnalysisReport) {
         // The prefix list lives in scratch; take it out so `self` stays
         // borrowable, and put it back for the next pass.
         let prefixes = std::mem::take(&mut self.prefixes);
         for &prefix in &prefixes {
             self.resolve_hops(snap, prefix.network_u32());
             self.walk_prefix(snap, prefix, report);
-            report.prefixes_checked += 1;
-            report.checks += 2; // loop-freedom + blackhole for this prefix
+            report.checked_n(2); // loop-freedom + blackhole for this prefix
         }
         self.prefixes = prefixes;
     }
@@ -503,10 +358,11 @@ impl Verifier {
                 }
                 (Device::Member { rules, ports, .. }, Some(entry)) => {
                     match rules[from_entry(entry)].action {
-                        RuleAction::Local => Hop::Deliver,
-                        RuleAction::Drop => Hop::Drop,
-                        RuleAction::ToController => Hop::Punt,
-                        RuleAction::Output(port) => match ports.iter().find(|p| p.port == port) {
+                        FlowActionRepr::Local => Hop::Deliver,
+                        FlowActionRepr::Drop => Hop::Drop,
+                        FlowActionRepr::ToController => Hop::Punt,
+                        FlowActionRepr::Output(port) => match ports.iter().find(|p| p.port == port)
+                        {
                             Some(p) => Hop::Via {
                                 peer: p.peer,
                                 up: p.up,
@@ -522,15 +378,15 @@ impl Verifier {
     }
 
     /// Classify the functional graph: settle every node's chain on its
-    /// terminal, with one violation per distinct cycle or dead end and the
+    /// terminal, with one error per distinct cycle or dead end and the
     /// discovering walk as the witness path.
-    fn walk_prefix(&mut self, snap: &Snapshot, prefix: Prefix, report: &mut Report) {
+    fn walk_prefix(&mut self, snap: &Snapshot, prefix: Prefix, report: &mut AnalysisReport) {
         for start in 0..snap.nodes.len() {
             if self.state[start] != UNVISITED {
                 continue;
             }
             self.path.clear();
-            let reported = report.violations.len();
+            let reported = report.findings.len();
             let mut cur = start;
             let outcome = loop {
                 match self.state[cur] {
@@ -590,11 +446,18 @@ impl Verifier {
                                 // link is the deliberate GR trade-off, not a
                                 // blackhole: forwarding stays frozen until
                                 // the restart window closes.
-                                report.stale.push(format!(
-                                    "{} holds a graceful-restart stale route for {prefix} \
-                                     over a down link toward {} (consistent-but-stale)",
-                                    snap.nodes[cur].name, snap.nodes[peer].name
-                                ));
+                                report.findings.push(Finding {
+                                    severity: Severity::Warning,
+                                    code: "blackhole",
+                                    message: format!(
+                                        "graceful-restart stale route over a down link \
+                                         toward {} (consistent-but-stale)",
+                                        snap.nodes[peer].name
+                                    ),
+                                    witness: None,
+                                    subject: snap.nodes[cur].name.clone(),
+                                    prefix: Some(prefix),
+                                });
                                 break Outcome::Stale;
                             }
                             self.report_dead_end(snap, prefix, "next-hop link is down", report);
@@ -604,10 +467,11 @@ impl Verifier {
                     }
                 }
             };
-            // A chain that ends in a new violation is blamed on it; one
-            // that ran into a settled chain inherits that chain's blame.
-            let blame = if report.violations.len() > reported {
-                report.violations.len() - 1
+            // A chain that ends in a new violation is blamed on it (a
+            // stale chain's note is no violation); one that ran into a
+            // settled chain inherits that chain's blame.
+            let blame = if report.findings.len() > reported && outcome != Outcome::Stale {
+                report.findings.len() - 1
             } else if self.state[cur] == DONE {
                 self.blame[cur]
             } else {
@@ -621,13 +485,13 @@ impl Verifier {
         }
     }
 
-    /// Emit a loop violation; `reentry` is the node closing the cycle.
+    /// Emit a loop error; `reentry` is the node closing the cycle.
     fn report_loop(
         &mut self,
         snap: &Snapshot,
         prefix: Prefix,
         reentry: usize,
-        report: &mut Report,
+        report: &mut AnalysisReport,
     ) {
         let cycle_start = self.path.iter().position(|&v| v == reentry).unwrap_or(0);
         let cycle = &self.path[cycle_start..];
@@ -641,22 +505,23 @@ impl Verifier {
             );
         }
         let _ = write!(witness, "{}", snap.nodes[reentry].name);
-        report.violations.push(Violation {
-            kind: ViolationKind::Loop,
+        report.findings.push(Finding {
+            severity: Severity::Error,
+            code: "loop",
+            message: self.hop_detail(snap, reentry),
+            witness: Some(witness),
+            subject: snap.nodes[reentry].name.clone(),
             prefix: Some(prefix),
-            node: snap.nodes[reentry].name.clone(),
-            detail: self.hop_detail(snap, reentry),
-            witness,
         });
     }
 
-    /// Emit a blackhole violation for the tail of the current walk path.
+    /// Emit a blackhole error for the tail of the current walk path.
     fn report_dead_end(
         &mut self,
         snap: &Snapshot,
         prefix: Prefix,
         reason: &str,
-        report: &mut Report,
+        report: &mut AnalysisReport,
     ) {
         // The offender is the last node on the path that still has a route.
         let offender_pos = if matches!(
@@ -680,12 +545,13 @@ impl Verifier {
             }
         }
         let _ = write!(witness, " ({reason})");
-        report.violations.push(Violation {
-            kind: ViolationKind::Blackhole,
+        report.findings.push(Finding {
+            severity: Severity::Error,
+            code: "blackhole",
+            message: format!("{} ({reason})", self.hop_detail(snap, offender)),
+            witness: Some(witness),
+            subject: snap.nodes[offender].name.clone(),
             prefix: Some(prefix),
-            node: snap.nodes[offender].name.clone(),
-            detail: format!("{} ({reason})", self.hop_detail(snap, offender)),
-            witness,
         });
     }
 
@@ -722,34 +588,28 @@ impl Verifier {
     // Valley-free conformance
     // ------------------------------------------------------------------
 
-    fn check_valley(&mut self, snap: &Snapshot, report: &mut Report) {
-        if snap.policy != PolicyKind::GaoRexford {
+    fn check_valley(&mut self, snap: &Snapshot, report: &mut AnalysisReport) {
+        if snap.policy != PolicyMode::GaoRexford {
             return;
         }
         // Advertised paths: the speaker's actual adj-out toward each
         // external peer.
-        let sessions: Vec<(usize, AnnounceSet)> = snap
-            .sessions
-            .iter()
-            .map(|s| (s.ext_peer, s.actual.clone()))
-            .collect();
-        for (ext_peer, actual) in &sessions {
-            for (prefix, path) in actual {
-                report.checks += 1;
-                self.check_one_path(snap, *ext_peer, *prefix, path, report);
+        for s in &snap.sessions {
+            for (prefix, path) in &s.actual {
+                report.checked();
+                self.check_one_path(snap, s.ext_peer, *prefix, path, report);
             }
         }
         // Selected paths: every legacy router's Loc-RIB best routes.
-        for v in 0..snap.nodes.len() {
-            let Device::Legacy { routes } = &snap.nodes[v].device else {
+        for (v, node) in snap.nodes.iter().enumerate() {
+            let Device::Legacy { routes } = &node.device else {
                 continue;
             };
-            let routes = routes.clone();
-            for r in &routes {
+            for r in routes {
                 if r.as_path.is_empty() {
                     continue; // locally originated
                 }
-                report.checks += 1;
+                report.checked();
                 self.check_one_path(snap, v, r.prefix, &r.as_path, report);
             }
         }
@@ -764,7 +624,7 @@ impl Verifier {
         receiver: usize,
         prefix: Prefix,
         as_path: &[Asn],
-        report: &mut Report,
+        report: &mut AnalysisReport,
     ) {
         self.verts.clear();
         self.verts.push(receiver);
@@ -778,7 +638,7 @@ impl Verifier {
                 record_drift(
                     snap,
                     report,
-                    ViolationKind::Valley,
+                    "valley",
                     Some(prefix),
                     &snap.nodes[receiver].name,
                     format!("path references unknown {asn}"),
@@ -792,17 +652,22 @@ impl Verifier {
             if self.is_member[x] && self.is_member[y] {
                 continue; // intra-cluster hop
             }
-            let step = self.rel.get(&(x, y)).copied();
+            // What the next hop `y` is to `x`: climbing to a provider is
+            // fine until the path has descended or crossed a peering.
+            let step = self
+                .rel
+                .get(&(x, y))
+                .map(|&k| snap.edges[k].relationship_from(x));
             let bad = match step {
                 None => Some("non-adjacent hop"),
-                Some(RelStep::Up | RelStep::Side) if descending => {
+                Some(Relationship::Provider | Relationship::Peer) if descending => {
                     Some("path climbs after descending (valley)")
                 }
-                Some(RelStep::Side | RelStep::Down) => {
+                Some(Relationship::Peer | Relationship::Customer) => {
                     descending = true;
                     None
                 }
-                Some(RelStep::Up) => None,
+                Some(Relationship::Provider | Relationship::Monitor) => None,
             };
             if let Some(reason) = bad {
                 let mut witness = String::new();
@@ -817,12 +682,13 @@ impl Verifier {
                     " ({reason} at {} -> {})",
                     snap.nodes[x].name, snap.nodes[y].name
                 );
-                report.violations.push(Violation {
-                    kind: ViolationKind::Valley,
+                report.findings.push(Finding {
+                    severity: Severity::Error,
+                    code: "valley",
+                    message: format!("{reason}: {} -> {}", snap.nodes[x].name, snap.nodes[y].name),
+                    witness: Some(witness),
+                    subject: snap.nodes[x].name.clone(),
                     prefix: Some(prefix),
-                    node: snap.nodes[x].name.clone(),
-                    detail: format!("{reason}: {} -> {}", snap.nodes[x].name, snap.nodes[y].name),
-                    witness,
                 });
                 return;
             }
@@ -832,7 +698,7 @@ impl Verifier {
 
 /// Intent consistency: every member's flow table and every session's
 /// adj-out against the controller's last computed state.
-fn check_intent(snap: &Snapshot, report: &mut Report) {
+fn check_intent(snap: &Snapshot, report: &mut AnalysisReport) {
     if snap.control == ControlHealth::NoCluster {
         return;
     }
@@ -840,14 +706,14 @@ fn check_intent(snap: &Snapshot, report: &mut Report) {
         let Device::Member { member, rules, .. } = &node.device else {
             continue;
         };
-        report.checks += 1;
+        report.checked();
         let Some(intent) = snap.intent_flows.get(*member) else {
             continue;
         };
         diff_member(snap, v, *member, rules, intent, report);
     }
     for (s, sess) in snap.sessions.iter().enumerate() {
-        report.checks += 1;
+        report.checked();
         diff_session(snap, s, sess, report);
     }
 }
@@ -857,20 +723,13 @@ fn diff_member(
     snap: &Snapshot,
     v: usize,
     member: usize,
-    rules: &[crate::snapshot::SwitchRule],
-    intent: &[(Prefix, RuleAction)],
-    report: &mut Report,
+    rules: &[SwitchRule],
+    intent: &[(Prefix, FlowActionRepr)],
+    report: &mut AnalysisReport,
 ) {
     let name = &snap.nodes[v].name;
     let mut drift = |prefix: Prefix, detail: String| {
-        record_drift(
-            snap,
-            report,
-            ViolationKind::IntentDrift,
-            Some(prefix),
-            name,
-            detail,
-        );
+        record_drift(snap, report, "intent_drift", Some(prefix), name, detail);
     };
     // Every installed rule must be intended (at the controller priority,
     // with the intended action)…
@@ -906,18 +765,17 @@ fn diff_member(
 }
 
 /// Compare a session's actual adj-out against controller intent.
-fn diff_session(snap: &Snapshot, s: usize, sess: &SessionSnap, report: &mut Report) {
+fn diff_session(snap: &Snapshot, s: usize, sess: &SessionSnap, report: &mut AnalysisReport) {
     let name = format!(
         "session#{s} {}->{}",
         snap.nodes[sess.member].name, snap.nodes[sess.ext_peer].name
     );
+    let mut drift = |prefix: Option<Prefix>, detail: String| {
+        record_drift(snap, report, "intent_drift", prefix, &name, detail);
+    };
     if sess.established != sess.ctrl_up {
-        record_drift(
-            snap,
-            report,
-            ViolationKind::IntentDrift,
+        drift(
             None,
-            &name,
             format!(
                 "speaker says established={}, controller says up={}",
                 sess.established, sess.ctrl_up
@@ -926,20 +784,12 @@ fn diff_session(snap: &Snapshot, s: usize, sess: &SessionSnap, report: &mut Repo
     }
     for (p, path) in &sess.actual {
         match sess.intent.iter().find(|(ip, _)| ip == p) {
-            None => record_drift(
-                snap,
-                report,
-                ViolationKind::IntentDrift,
+            None => drift(
                 Some(*p),
-                &name,
                 format!("unexpected announcement {p} {}", fmt_path(path)),
             ),
-            Some((_, want)) if want != path => record_drift(
-                snap,
-                report,
-                ViolationKind::IntentDrift,
+            Some((_, want)) if want != path => drift(
                 Some(*p),
-                &name,
                 format!(
                     "announced path {} (intent {})",
                     fmt_path(path),
@@ -951,44 +801,40 @@ fn diff_session(snap: &Snapshot, s: usize, sess: &SessionSnap, report: &mut Repo
     }
     for (p, want) in &sess.intent {
         if !sess.actual.iter().any(|(ap, _)| ap == p) {
-            record_drift(
-                snap,
-                report,
-                ViolationKind::IntentDrift,
+            drift(
                 Some(*p),
-                &name,
                 format!("missing announcement {p} {}", fmt_path(want)),
             );
         }
     }
 }
 
-/// Record an intent-class mismatch: a violation when the control plane is
-/// synced, a stale-but-consistent note when it is headless or resyncing.
+/// Record an intent-class mismatch: an error when the control plane is
+/// synced, a stale-but-consistent warning when it is headless or
+/// resyncing.
 fn record_drift(
     snap: &Snapshot,
-    report: &mut Report,
-    kind: ViolationKind,
+    report: &mut AnalysisReport,
+    code: &'static str,
     prefix: Option<Prefix>,
     node: &str,
     detail: String,
 ) {
-    match snap.control {
-        ControlHealth::Headless | ControlHealth::Resyncing => {
-            report
-                .stale
-                .push(format!("{node}: {detail} ({})", snap.control.name()));
-        }
-        _ => {
-            report.violations.push(Violation {
-                kind,
-                prefix,
-                node: node.to_string(),
-                detail: detail.clone(),
-                witness: detail,
-            });
-        }
-    }
+    let (severity, message) = match snap.control {
+        ControlHealth::Headless | ControlHealth::Resyncing => (
+            Severity::Warning,
+            format!("{detail} ({})", snap.control.name()),
+        ),
+        _ => (Severity::Error, detail),
+    };
+    report.findings.push(Finding {
+        severity,
+        code,
+        message,
+        witness: None,
+        subject: node.to_string(),
+        prefix,
+    });
 }
 
 /// True when node `v` legitimately terminates traffic for `prefix`.

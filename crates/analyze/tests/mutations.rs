@@ -4,16 +4,41 @@
 
 use std::net::Ipv4Addr;
 
-use bgpsdn_bgp::{Asn, Prefix};
-use bgpsdn_verify::{
-    ControlHealth, Device, EdgeRel, LegacyRoute, NextHop, NodeState, PolicyKind, PortState,
-    RelKind, RuleAction, SessionSnap, Snapshot, SwitchRule, Verifier, ViolationKind,
+use bgpsdn_analyze::{
+    AnalysisReport, ControlHealth, Device, Finding, LegacyRoute, NextHop, NodeState, PortState,
+    SessionSnap, Severity, Snapshot, SwitchRule, Verifier,
 };
+use bgpsdn_bgp::{Asn, PolicyMode, Prefix};
+use bgpsdn_obs::FlowActionRepr;
+use bgpsdn_topology::{AsEdge, EdgeKind};
 
 const PRIO: u16 = 100;
 
 fn pfx(s: &str) -> Prefix {
     s.parse().expect("valid prefix literal")
+}
+
+/// The violations one check found: its error findings.
+fn errors<'a>(report: &'a AnalysisReport, code: &str) -> Vec<&'a Finding> {
+    report
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Error && f.code == code)
+        .collect()
+}
+
+/// The stale-but-consistent notes (warning findings), rendered.
+fn stale(report: &AnalysisReport) -> Vec<String> {
+    report
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Warning)
+        .map(ToString::to_string)
+        .collect()
+}
+
+fn witness(f: &Finding) -> &str {
+    f.witness.as_deref().unwrap_or_default()
 }
 
 /// A 4-node hybrid chain: as10 (legacy origin) — sw20 — sw30 — as40.
@@ -46,7 +71,7 @@ fn clean_snapshot() -> Snapshot {
                     rules: vec![SwitchRule {
                         priority: PRIO,
                         prefix: p,
-                        action: RuleAction::Output(1),
+                        action: FlowActionRepr::Output(1),
                     }],
                     ports: vec![
                         PortState {
@@ -71,7 +96,7 @@ fn clean_snapshot() -> Snapshot {
                     rules: vec![SwitchRule {
                         priority: PRIO,
                         prefix: p,
-                        action: RuleAction::Output(1),
+                        action: FlowActionRepr::Output(1),
                     }],
                     ports: vec![
                         PortState {
@@ -102,28 +127,28 @@ fn clean_snapshot() -> Snapshot {
             },
         ],
         edges: vec![
-            EdgeRel {
+            AsEdge {
                 a: 0,
                 b: 1,
-                kind: RelKind::PeerPeer,
+                kind: EdgeKind::PeerPeer,
             },
-            EdgeRel {
+            AsEdge {
                 a: 1,
                 b: 2,
-                kind: RelKind::PeerPeer,
+                kind: EdgeKind::PeerPeer,
             },
-            EdgeRel {
+            AsEdge {
                 a: 2,
                 b: 3,
-                kind: RelKind::PeerPeer,
+                kind: EdgeKind::PeerPeer,
             },
         ],
-        policy: PolicyKind::AllPermit,
+        policy: PolicyMode::AllPermit,
         control: ControlHealth::Synced,
         flow_priority: PRIO,
         intent_flows: vec![
-            vec![(p, RuleAction::Output(1))],
-            vec![(p, RuleAction::Output(1))],
+            vec![(p, FlowActionRepr::Output(1))],
+            vec![(p, FlowActionRepr::Output(1))],
         ],
         sessions: vec![SessionSnap {
             member: 2,
@@ -139,11 +164,12 @@ fn clean_snapshot() -> Snapshot {
 #[test]
 fn clean_snapshot_has_zero_violations() {
     let snap = clean_snapshot();
-    let report = Verifier::new().verify(&snap);
+    let mut verifier = Verifier::default();
+    let report = verifier.verify(&snap);
     assert!(report.ok(), "unexpected violations:\n{}", report.render());
-    assert_eq!(report.prefixes_checked, 1);
+    assert_eq!(verifier.prefixes_checked(), 1);
     assert!(report.checks > 0);
-    assert!(report.stale.is_empty());
+    assert!(stale(&report).is_empty());
 }
 
 #[test]
@@ -154,20 +180,20 @@ fn injected_loop_is_caught_with_witness() {
     let Device::Member { rules, .. } = &mut snap.nodes[1].device else {
         panic!("sw20 is a member");
     };
-    rules[0].action = RuleAction::Output(2);
-    snap.intent_flows[0][0].1 = RuleAction::Output(2);
+    rules[0].action = FlowActionRepr::Output(2);
+    snap.intent_flows[0][0].1 = FlowActionRepr::Output(2);
 
-    let report = Verifier::new().verify(&snap);
+    let report = Verifier::default().verify(&snap);
     assert_eq!(
-        report.count_of(ViolationKind::Loop),
+        errors(&report, "loop").len(),
         1,
         "expected exactly one loop:\n{}",
         report.render()
     );
-    let v = &report.violations[0];
-    assert_eq!(v.kind, ViolationKind::Loop);
-    assert!(v.witness.contains("sw20") && v.witness.contains("sw30"));
-    assert!(v.detail.contains("10.0.0.0/24"));
+    let v = &report.findings[0];
+    assert_eq!((v.severity, v.code), (Severity::Error, "loop"));
+    assert!(witness(v).contains("sw20") && witness(v).contains("sw30"));
+    assert!(v.message.contains("10.0.0.0/24"));
 }
 
 #[test]
@@ -181,17 +207,17 @@ fn removed_rule_creates_blackhole_with_witness() {
     rules.clear();
     snap.intent_flows[1].clear();
 
-    let report = Verifier::new().verify(&snap);
+    let report = Verifier::default().verify(&snap);
     assert_eq!(
-        report.count_of(ViolationKind::Blackhole),
+        errors(&report, "blackhole").len(),
         1,
         "expected exactly one blackhole:\n{}",
         report.render()
     );
-    let v = &report.violations[0];
-    assert_eq!(v.node, "as40", "offender is the last node with a route");
-    assert!(v.witness.contains("as40") && v.witness.contains("sw30"));
-    assert!(v.witness.contains("no route"));
+    let v = errors(&report, "blackhole")[0];
+    assert_eq!(v.subject, "as40", "offender is the last node with a route");
+    assert!(witness(v).contains("as40") && witness(v).contains("sw30"));
+    assert!(witness(v).contains("no route"));
 }
 
 #[test]
@@ -202,11 +228,15 @@ fn down_link_creates_blackhole() {
     };
     ports[0].up = false; // sw20's uplink to the origin goes down
 
-    let report = Verifier::new().verify(&snap);
-    assert_eq!(report.count_of(ViolationKind::Blackhole), 1);
-    let v = &report.violations[0];
-    assert_eq!(v.node, "sw20");
-    assert!(v.witness.contains("link is down"), "witness: {}", v.witness);
+    let report = Verifier::default().verify(&snap);
+    assert_eq!(errors(&report, "blackhole").len(), 1);
+    let v = errors(&report, "blackhole")[0];
+    assert_eq!(v.subject, "sw20");
+    assert!(
+        witness(v).contains("link is down"),
+        "witness: {}",
+        witness(v)
+    );
 }
 
 #[test]
@@ -221,18 +251,19 @@ fn gr_stale_route_over_down_link_is_stale_not_blackhole() {
     routes[0].next = NextHop::Via { peer: 2, up: false };
     routes[0].stale = true;
 
-    let report = Verifier::new().verify(&snap);
+    let report = Verifier::default().verify(&snap);
     assert_eq!(
-        report.count_of(ViolationKind::Blackhole),
+        errors(&report, "blackhole").len(),
         0,
         "GR-stale retention must not count as a blackhole:\n{}",
         report.render()
     );
-    assert_eq!(report.stale.len(), 1, "one stale note expected");
+    let notes = stale(&report);
+    assert_eq!(notes.len(), 1, "one stale note expected");
     assert!(
-        report.stale[0].contains("as40") && report.stale[0].contains("graceful-restart"),
+        notes[0].contains("as40") && notes[0].contains("graceful-restart"),
         "note: {}",
-        report.stale[0]
+        notes[0]
     );
 
     // The same dead link without the stale marker stays a blackhole.
@@ -240,8 +271,8 @@ fn gr_stale_route_over_down_link_is_stale_not_blackhole() {
         panic!("as40 is legacy");
     };
     routes[0].stale = false;
-    let report = Verifier::new().verify(&snap);
-    assert_eq!(report.count_of(ViolationKind::Blackhole), 1);
+    let report = Verifier::default().verify(&snap);
+    assert_eq!(errors(&report, "blackhole").len(), 1);
 }
 
 #[test]
@@ -266,18 +297,18 @@ fn intent_drift_is_caught_when_synced() {
     };
     rules[0].priority = PRIO - 1;
 
-    let report = Verifier::new().verify(&snap);
+    let report = Verifier::default().verify(&snap);
     assert_eq!(
-        report.count_of(ViolationKind::IntentDrift),
+        errors(&report, "intent_drift").len(),
         1,
         "report:\n{}",
         report.render()
     );
-    let v = &report.violations[0];
-    assert_eq!(v.node, "sw20");
-    assert!(v.detail.contains("p99"), "detail: {}", v.detail);
-    assert_eq!(report.count_of(ViolationKind::Loop), 0);
-    assert_eq!(report.count_of(ViolationKind::Blackhole), 0);
+    let v = errors(&report, "intent_drift")[0];
+    assert_eq!(v.subject, "sw20");
+    assert!(v.message.contains("p99"), "detail: {}", v.message);
+    assert_eq!(errors(&report, "loop").len(), 0);
+    assert_eq!(errors(&report, "blackhole").len(), 0);
 }
 
 #[test]
@@ -285,11 +316,11 @@ fn dropped_adj_out_route_is_intent_drift() {
     let mut snap = clean_snapshot();
     snap.sessions[0].actual.clear(); // speaker lost its announcement
 
-    let report = Verifier::new().verify(&snap);
-    assert_eq!(report.count_of(ViolationKind::IntentDrift), 1);
-    let v = &report.violations[0];
-    assert!(v.node.contains("sw30") && v.node.contains("as40"));
-    assert!(v.detail.contains("missing announcement 10.0.0.0/24"));
+    let report = Verifier::default().verify(&snap);
+    assert_eq!(errors(&report, "intent_drift").len(), 1);
+    let v = errors(&report, "intent_drift")[0];
+    assert!(v.subject.contains("sw30") && v.subject.contains("as40"));
+    assert!(v.message.contains("missing announcement 10.0.0.0/24"));
 }
 
 #[test]
@@ -301,15 +332,15 @@ fn headless_drift_is_stale_not_violation() {
     rules[0].priority = PRIO - 1;
     snap.control = ControlHealth::Headless;
 
-    let report = Verifier::new().verify(&snap);
+    let report = Verifier::default().verify(&snap);
     assert!(report.ok(), "headless drift must not be a violation");
-    assert_eq!(report.stale.len(), 1);
-    assert!(report.stale[0].contains("headless"));
+    assert_eq!(stale(&report).len(), 1);
+    assert!(stale(&report)[0].contains("headless"));
 
     snap.control = ControlHealth::Resyncing;
-    let report = Verifier::new().verify(&snap);
+    let report = Verifier::default().verify(&snap);
     assert!(report.ok());
-    assert!(report.stale[0].contains("resyncing"));
+    assert!(stale(&report)[0].contains("resyncing"));
 }
 
 #[test]
@@ -318,12 +349,12 @@ fn punt_to_controller_is_blackhole() {
     let Device::Member { rules, .. } = &mut snap.nodes[2].device else {
         panic!("sw30 is a member");
     };
-    rules[0].action = RuleAction::ToController;
-    snap.intent_flows[1][0].1 = RuleAction::ToController;
+    rules[0].action = FlowActionRepr::ToController;
+    snap.intent_flows[1][0].1 = FlowActionRepr::ToController;
 
-    let report = Verifier::new().verify(&snap);
-    assert_eq!(report.count_of(ViolationKind::Blackhole), 1);
-    assert!(report.violations[0].witness.contains("controller"));
+    let report = Verifier::default().verify(&snap);
+    assert_eq!(errors(&report, "blackhole").len(), 1);
+    assert!(witness(errors(&report, "blackhole")[0]).contains("controller"));
 }
 
 #[test]
@@ -332,10 +363,10 @@ fn explicit_drop_is_a_legal_terminal() {
     let Device::Member { rules, .. } = &mut snap.nodes[2].device else {
         panic!("sw30 is a member");
     };
-    rules[0].action = RuleAction::Drop;
-    snap.intent_flows[1][0].1 = RuleAction::Drop;
+    rules[0].action = FlowActionRepr::Drop;
+    snap.intent_flows[1][0].1 = FlowActionRepr::Drop;
 
-    let report = Verifier::new().verify(&snap);
+    let report = Verifier::default().verify(&snap);
     assert!(
         report.ok(),
         "drop is explicit, not a blackhole:\n{}",
@@ -345,7 +376,7 @@ fn explicit_drop_is_a_legal_terminal() {
 
 /// Three legacy ASes with Gao-Rexford relationships for valley tests:
 /// as10 (origin), as20, as30 — with the relationships set per test.
-fn valley_snapshot(edges: Vec<EdgeRel>, as30_path: Vec<Asn>) -> Snapshot {
+fn valley_snapshot(edges: Vec<AsEdge>, as30_path: Vec<Asn>) -> Snapshot {
     let p = pfx("10.0.0.0/24");
     Snapshot {
         nodes: vec![
@@ -390,7 +421,7 @@ fn valley_snapshot(edges: Vec<EdgeRel>, as30_path: Vec<Asn>) -> Snapshot {
             },
         ],
         edges,
-        policy: PolicyKind::GaoRexford,
+        policy: PolicyMode::GaoRexford,
         control: ControlHealth::NoCluster,
         flow_priority: PRIO,
         intent_flows: vec![],
@@ -405,30 +436,30 @@ fn valley_path_is_caught() {
     // (customer->provider) — a textbook valley.
     let snap = valley_snapshot(
         vec![
-            EdgeRel {
+            AsEdge {
                 a: 0,
                 b: 1,
-                kind: RelKind::ProviderCustomer, // as10 provider of as20
+                kind: EdgeKind::ProviderCustomer, // as10 provider of as20
             },
-            EdgeRel {
+            AsEdge {
                 a: 2,
                 b: 1,
-                kind: RelKind::ProviderCustomer, // as30 provider of as20
+                kind: EdgeKind::ProviderCustomer, // as30 provider of as20
             },
         ],
         vec![Asn(20), Asn(10)],
     );
-    let report = Verifier::new().verify(&snap);
+    let report = Verifier::default().verify(&snap);
     assert_eq!(
-        report.count_of(ViolationKind::Valley),
+        errors(&report, "valley").len(),
         1,
         "report:\n{}",
         report.render()
     );
-    let v = &report.violations[0];
-    assert_eq!(v.node, "as20", "the climbing hop starts at as20");
-    assert!(v.witness.contains("as30") && v.witness.contains("as10"));
-    assert!(v.witness.contains("valley"), "witness: {}", v.witness);
+    let v = errors(&report, "valley")[0];
+    assert_eq!(v.subject, "as20", "the climbing hop starts at as20");
+    assert!(witness(v).contains("as30") && witness(v).contains("as10"));
+    assert!(witness(v).contains("valley"), "witness: {}", witness(v));
 }
 
 #[test]
@@ -437,20 +468,20 @@ fn up_then_down_path_is_valley_free() {
     // as20 -> as10 descends. Perfectly valley-free.
     let snap = valley_snapshot(
         vec![
-            EdgeRel {
+            AsEdge {
                 a: 1,
                 b: 0,
-                kind: RelKind::ProviderCustomer, // as20 provider of as10
+                kind: EdgeKind::ProviderCustomer, // as20 provider of as10
             },
-            EdgeRel {
+            AsEdge {
                 a: 1,
                 b: 2,
-                kind: RelKind::ProviderCustomer, // as20 provider of as30
+                kind: EdgeKind::ProviderCustomer, // as20 provider of as30
             },
         ],
         vec![Asn(20), Asn(10)],
     );
-    let report = Verifier::new().verify(&snap);
+    let report = Verifier::default().verify(&snap);
     assert!(report.ok(), "report:\n{}", report.render());
 }
 
@@ -458,21 +489,21 @@ fn up_then_down_path_is_valley_free() {
 fn two_peer_hops_violate_valley_freeness() {
     let snap = valley_snapshot(
         vec![
-            EdgeRel {
+            AsEdge {
                 a: 0,
                 b: 1,
-                kind: RelKind::PeerPeer,
+                kind: EdgeKind::PeerPeer,
             },
-            EdgeRel {
+            AsEdge {
                 a: 1,
                 b: 2,
-                kind: RelKind::PeerPeer,
+                kind: EdgeKind::PeerPeer,
             },
         ],
         vec![Asn(20), Asn(10)],
     );
-    let report = Verifier::new().verify(&snap);
-    assert_eq!(report.count_of(ViolationKind::Valley), 1);
+    let report = Verifier::default().verify(&snap);
+    assert_eq!(errors(&report, "valley").len(), 1);
 }
 
 /// Valley-free classification on Gao-Rexford snapshots: as30's route
@@ -480,15 +511,15 @@ fn two_peer_hops_violate_valley_freeness() {
 /// bad hop starts.
 #[test]
 fn valley_rule_classifies_chains_peers_and_gaps() {
-    let pc = |a, b| EdgeRel {
+    let pc = |a, b| AsEdge {
         a,
         b,
-        kind: RelKind::ProviderCustomer, // a is b's provider
+        kind: EdgeKind::ProviderCustomer, // a is b's provider
     };
-    let peer = |a, b| EdgeRel {
+    let peer = |a, b| AsEdge {
         a,
         b,
-        kind: RelKind::PeerPeer,
+        kind: EdgeKind::PeerPeer,
     };
     let cases = [
         ("customer-to-provider chain", vec![pc(1, 2), pc(0, 1)], None),
@@ -512,21 +543,17 @@ fn valley_rule_classifies_chains_peers_and_gaps() {
     ];
     for (name, edges, want) in cases {
         let snap = valley_snapshot(edges, vec![Asn(20), Asn(10)]);
-        let report = Verifier::new().verify(&snap);
-        let valleys: Vec<_> = report
-            .violations
-            .iter()
-            .filter(|v| v.kind == ViolationKind::Valley)
-            .collect();
+        let report = Verifier::default().verify(&snap);
+        let valleys = errors(&report, "valley");
         match want {
             None => assert!(report.ok(), "{name}:\n{}", report.render()),
             Some((node, reason)) => {
                 assert_eq!(valleys.len(), 1, "{name}:\n{}", report.render());
-                assert_eq!(valleys[0].node, node, "{name}: the bad hop starts there");
+                assert_eq!(valleys[0].subject, node, "{name}: the bad hop starts there");
                 assert!(
-                    valleys[0].detail.contains(reason),
+                    valleys[0].message.contains(reason),
                     "{name}: {}",
-                    valleys[0].detail
+                    valleys[0].message
                 );
             }
         }
@@ -537,21 +564,21 @@ fn valley_rule_classifies_chains_peers_and_gaps() {
 fn all_permit_policy_skips_valley_check() {
     let mut snap = valley_snapshot(
         vec![
-            EdgeRel {
+            AsEdge {
                 a: 0,
                 b: 1,
-                kind: RelKind::PeerPeer,
+                kind: EdgeKind::PeerPeer,
             },
-            EdgeRel {
+            AsEdge {
                 a: 1,
                 b: 2,
-                kind: RelKind::PeerPeer,
+                kind: EdgeKind::PeerPeer,
             },
         ],
         vec![Asn(20), Asn(10)],
     );
-    snap.policy = PolicyKind::AllPermit;
-    let report = Verifier::new().verify(&snap);
+    snap.policy = PolicyMode::AllPermit;
+    let report = Verifier::default().verify(&snap);
     assert!(report.ok(), "all-permit must not run the valley check");
 }
 
@@ -571,17 +598,17 @@ fn snapshot_json_round_trips() {
 
 #[test]
 fn verifier_scratch_is_reusable_across_snapshots() {
-    let mut verifier = Verifier::new();
+    let mut verifier = Verifier::default();
     let clean = clean_snapshot();
     let mut looped = clean_snapshot();
     let Device::Member { rules, .. } = &mut looped.nodes[1].device else {
         panic!("sw20 is a member");
     };
-    rules[0].action = RuleAction::Output(2);
-    looped.intent_flows[0][0].1 = RuleAction::Output(2);
+    rules[0].action = FlowActionRepr::Output(2);
+    looped.intent_flows[0][0].1 = FlowActionRepr::Output(2);
 
     assert!(verifier.verify(&clean).ok());
-    assert_eq!(verifier.verify(&looped).count_of(ViolationKind::Loop), 1);
+    assert_eq!(errors(&verifier.verify(&looped), "loop").len(), 1);
     assert!(verifier.verify(&clean).ok(), "scratch must fully reset");
 }
 
@@ -596,7 +623,7 @@ fn as10_host() -> Ipv4Addr {
 
 #[test]
 fn connectivity_delivers_along_a_chain() {
-    let report = Verifier::new().connectivity(&clean_snapshot(), &[(0, as10_host())]);
+    let report = Verifier::default().connectivity(&clean_snapshot(), &[(0, as10_host())]);
     assert_eq!(report.delivered, 3, "{:?}", report.failures);
     assert_eq!(report.total(), 3, "the destination itself is no source");
     assert!(report.fully_connected());
@@ -609,9 +636,9 @@ fn connectivity_counts_a_loop_with_its_witness() {
     let Device::Member { rules, .. } = &mut snap.nodes[1].device else {
         panic!("sw20 is a member");
     };
-    rules[0].action = RuleAction::Output(2);
+    rules[0].action = FlowActionRepr::Output(2);
 
-    let report = Verifier::new().connectivity(&snap, &[(0, as10_host())]);
+    let report = Verifier::default().connectivity(&snap, &[(0, as10_host())]);
     assert_eq!((report.delivered, report.looped), (0, 3));
     assert!(!report.fully_connected());
     let (src, addr, witness) = &report.failures[2];
@@ -631,7 +658,7 @@ fn connectivity_counts_blackholes_with_their_witness() {
         panic!("sw30 is a member");
     };
     rules.clear();
-    let report = Verifier::new().connectivity(&snap, &[(0, as10_host())]);
+    let report = Verifier::default().connectivity(&snap, &[(0, as10_host())]);
     assert_eq!((report.delivered, report.blackholed), (1, 2));
     assert!((report.delivery_ratio() - 1.0 / 3.0).abs() < 1e-9);
     let witness = &report.failures.iter().find(|f| f.0 == 3).expect("as40").2;
@@ -643,7 +670,7 @@ fn connectivity_counts_blackholes_with_their_witness() {
         panic!("sw20 is a member");
     };
     ports[0].up = false;
-    let report = Verifier::new().connectivity(&snap, &[(0, as10_host())]);
+    let report = Verifier::default().connectivity(&snap, &[(0, as10_host())]);
     assert_eq!((report.delivered, report.blackholed), (0, 3));
     assert!(report.failures[0].2.contains("link is down"));
 }
@@ -657,7 +684,7 @@ fn gr_stale_route_is_legal_but_delivers_nothing() {
     };
     routes[0].next = NextHop::Via { peer: 2, up: false };
     routes[0].stale = true;
-    let mut verifier = Verifier::new();
+    let mut verifier = Verifier::default();
     assert!(verifier.verify(&snap).ok());
     let report = verifier.connectivity(&snap, &[(0, as10_host())]);
     assert_eq!((report.delivered, report.blackholed), (2, 1));
@@ -666,7 +693,7 @@ fn gr_stale_route_is_legal_but_delivers_nothing() {
 
 #[test]
 fn empty_connectivity_query_is_not_evidence() {
-    let report = Verifier::new().connectivity(&clean_snapshot(), &[]);
+    let report = Verifier::default().connectivity(&clean_snapshot(), &[]);
     assert_eq!(report.total(), 0);
     assert!(!report.fully_connected(), "no pairs means no evidence");
     assert_eq!(report.delivery_ratio(), 1.0);

@@ -11,7 +11,7 @@
 //!
 //! Whether traffic gets through is not measured here: every connectivity
 //! audit is a query on the static verifier's forwarding model
-//! (`bgpsdn-verify`), over a snapshot of the installed FIBs and flow
+//! (`bgpsdn-analyze`), over a snapshot of the installed FIBs and flow
 //! tables.
 
 #![warn(missing_docs)]

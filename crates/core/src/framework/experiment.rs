@@ -10,6 +10,7 @@
 
 use std::net::Ipv4Addr;
 
+use bgpsdn_analyze::{AnalysisReport, ConnectivityReport, Finding, Severity, Snapshot, Verifier};
 use bgpsdn_bgp::{Prefix, RouterCommand};
 use bgpsdn_collector::{measure, ConvergenceReport};
 use bgpsdn_netsim::ObsPrefix;
@@ -18,13 +19,25 @@ use bgpsdn_netsim::{
 };
 use bgpsdn_obs::{metrics_line, run_line, Json};
 use bgpsdn_sdn::ClusterMsg;
-use bgpsdn_verify::{ConnectivityReport, Report, Snapshot, Verifier};
 
 use super::network::{
     AsHandle, AsKind, ClusterHandle, Collector, Controller, HybridNetwork, Router, Switch,
 };
 use super::script::ScriptAction;
 use super::verify::capture_snapshot;
+
+/// What one verifier checkpoint ([`Experiment::verify_now`]) found. The
+/// frozen `benchmark/` harness reads `violations`; everything else reads
+/// the report.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    /// The verifier's report: every finding, stale-but-consistent warnings
+    /// included.
+    pub report: AnalysisReport,
+    /// The report's error findings, each recorded as a `VerifyViolation`
+    /// trace event.
+    pub violations: Vec<Finding>,
+}
 
 /// A running hybrid experiment.
 pub struct Experiment {
@@ -55,7 +68,7 @@ impl Experiment {
             phase_seq: 0,
             snapshots: Vec::new(),
             phase_open: false,
-            verifier: Verifier::new(),
+            verifier: Verifier::default(),
         }
     }
 
@@ -391,40 +404,38 @@ impl Experiment {
     /// loop-freedom, blackhole detection, intent consistency and
     /// valley-free conformance over a frozen snapshot.
     ///
-    /// Violations are recorded as `VerifyViolation` trace events and
-    /// `verify.*` counters; the returned [`Report`] carries the witnesses.
-    pub fn verify_now(&mut self) -> Report {
+    /// Error findings are recorded as `VerifyViolation` trace events and
+    /// `verify.*` counters; the returned checkpoint carries the witnesses.
+    pub fn verify_now(&mut self) -> Checkpoint {
         let snap = capture_snapshot(&self.net);
         let report = self.verifier.verify(&snap);
+        let violations: Vec<Finding> = report
+            .findings
+            .iter()
+            .filter(|f| f.severity == Severity::Error)
+            .cloned()
+            .collect();
         let now = self.net.sim.now();
-        for v in &report.violations {
-            let (check, prefix, offender, witness) = (
-                v.kind.name().to_string(),
-                v.prefix.map(ObsPrefix::from),
-                v.node.clone(),
-                v.witness.clone(),
-            );
-            self.net
-                .sim
-                .trace_mut()
-                .record(now, None, TraceCategory::Experiment, || {
-                    TraceEvent::VerifyViolation {
-                        check,
-                        prefix,
-                        offender,
-                        witness,
-                    }
-                });
+        for f in &violations {
+            let trace = self.net.sim.trace_mut();
+            trace.record(now, None, TraceCategory::Experiment, || {
+                TraceEvent::VerifyViolation {
+                    check: f.code.to_string(),
+                    prefix: f.prefix.map(ObsPrefix::from),
+                    offender: f.subject.clone(),
+                    witness: f.witness.clone().unwrap_or_else(|| f.message.clone()),
+                }
+            });
         }
         let m = self.net.sim.metrics_mut();
-        m.count(None, "verify.checks", report.checks as u64);
-        m.count(None, "verify.violations", report.violations.len() as u64);
+        m.count(None, "verify.checks", report.checks);
+        m.count(None, "verify.violations", violations.len() as u64);
         m.count(
             None,
             "verify.prefixes_checked",
-            report.prefixes_checked as u64,
+            self.verifier.prefixes_checked() as u64,
         );
-        report
+        Checkpoint { report, violations }
     }
 
     /// Run the verifier if the network was built `with_verification()`.
@@ -493,7 +504,7 @@ impl Experiment {
     /// target? A query on the verifier's forwarding model over a fresh
     /// snapshot.
     pub(crate) fn connectivity(&self, targets: &[(usize, Ipv4Addr)]) -> ConnectivityReport {
-        Verifier::new().connectivity(&capture_snapshot(&self.net), targets)
+        Verifier::default().connectivity(&capture_snapshot(&self.net), targets)
     }
 
     /// Audit data-plane connectivity from every AS to every AS's identity

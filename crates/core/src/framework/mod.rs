@@ -32,4 +32,3 @@ pub use network::{
 pub use preflight::check_plan;
 pub use script::{Script, ScriptAction, ScriptReport, StepOutcome};
 pub use traffic::ProbeReport;
-pub use verify::capture_snapshot;

@@ -5,43 +5,33 @@
 //! state — legacy Loc-RIBs, switch flow tables and port maps, the
 //! speaker's per-session adj-out, and the controller's compiled intent —
 //! and how to map simulator node ids back onto topology-plan vertices.
-//! The verifier itself (`bgpsdn-verify`) never sees a simulator type.
+//! The verifier itself (`bgpsdn-analyze`) never sees a simulator type.
 
 use std::collections::BTreeMap;
 
+use bgpsdn_analyze::{
+    ControlHealth, Device, LegacyRoute, NextHop, NodeState, PortState, SessionSnap, Snapshot,
+    SwitchRule,
+};
 use bgpsdn_bgp::PolicyMode;
 use bgpsdn_netsim::NodeId;
-use bgpsdn_sdn::FlowAction;
-use bgpsdn_verify::{
-    ControlHealth, Device, EdgeRel, LegacyRoute, NextHop, NodeState, PolicyKind, PortState,
-    RelKind, RuleAction, SessionSnap, Snapshot, SwitchRule,
-};
 
 use super::network::{AsKind, Controller, HybridNetwork, Router, Speaker, Switch};
 use crate::controller::FLOW_PRIORITY;
-use bgpsdn_topology::EdgeKind;
-
-fn rule_action(action: FlowAction) -> RuleAction {
-    match action {
-        FlowAction::Output(p) => RuleAction::Output(p),
-        FlowAction::ToController => RuleAction::ToController,
-        FlowAction::Drop => RuleAction::Drop,
-        FlowAction::Local => RuleAction::Local,
-    }
-}
 
 /// Freeze the network's forwarding and control state into a [`Snapshot`].
 ///
 /// The snapshot is self-contained: node indices are topology-plan vertex
 /// indices, ports are simulator link ids, and link/node liveness is baked
 /// into the port map and next-hop entries.
-pub fn capture_snapshot(net: &HybridNetwork) -> Snapshot {
+pub(crate) fn capture_snapshot(net: &HybridNetwork) -> Snapshot {
     let vert_of: BTreeMap<NodeId, usize> = net.ases.iter().map(|a| (a.node, a.index)).collect();
 
-    let policy = match net.plan.routers.first().map(|r| r.mode) {
-        Some(PolicyMode::GaoRexford) => PolicyKind::GaoRexford,
-        _ => PolicyKind::AllPermit,
-    };
+    let policy = net
+        .plan
+        .routers
+        .first()
+        .map_or(PolicyMode::AllPermit, |r| r.mode);
 
     // Cluster-originated prefixes, attributed to the owning member's vertex
     // (each controller reports cluster-local member indices; the cluster
@@ -96,7 +86,7 @@ pub fn capture_snapshot(net: &HybridNetwork) -> Snapshot {
                     .map(|r| SwitchRule {
                         priority: r.priority,
                         prefix: r.prefix,
-                        action: rule_action(r.action),
+                        action: r.action.repr(),
                     })
                     .collect();
                 // Canonical order: a flow table is a set keyed by
@@ -139,47 +129,27 @@ pub fn capture_snapshot(net: &HybridNetwork) -> Snapshot {
         });
     }
 
-    let edges = net
-        .plan
-        .as_graph
-        .edges
-        .iter()
-        .map(|e| EdgeRel {
-            a: e.a,
-            b: e.b,
-            kind: match e.kind {
-                EdgeKind::ProviderCustomer => RelKind::ProviderCustomer,
-                EdgeKind::PeerPeer => RelKind::PeerPeer,
-            },
-        })
-        .collect();
+    let edges = net.plan.as_graph.edges.clone();
 
     // Control health is the worst state across all deployed clusters
     // (Headless > Resyncing > Synced); with one cluster this is exactly
     // the historical single-triple classification.
-    let mut control = if net.clusters.is_empty() {
-        ControlHealth::NoCluster
-    } else {
-        ControlHealth::Synced
-    };
-    for handle in &net.clusters {
-        let ctl = net.sim.node_ref::<Controller>(handle.controller);
-        let spk = net.sim.node_ref::<Speaker>(handle.speaker);
-        let health = if !net.sim.node_is_up(handle.controller) || spk.is_headless() {
-            ControlHealth::Headless
-        } else if ctl.epoch() == 0 || ctl.resync_pending() {
-            ControlHealth::Resyncing
-        } else {
-            ControlHealth::Synced
-        };
-        control = match (control, health) {
-            (ControlHealth::Headless, _) | (_, ControlHealth::Headless) => ControlHealth::Headless,
-            (ControlHealth::Resyncing, _) | (_, ControlHealth::Resyncing) => {
+    let control = net
+        .clusters
+        .iter()
+        .map(|handle| {
+            let ctl = net.sim.node_ref::<Controller>(handle.controller);
+            let spk = net.sim.node_ref::<Speaker>(handle.speaker);
+            if !net.sim.node_is_up(handle.controller) || spk.is_headless() {
+                ControlHealth::Headless
+            } else if ctl.epoch() == 0 || ctl.resync_pending() {
                 ControlHealth::Resyncing
+            } else {
+                ControlHealth::Synced
             }
-            _ => ControlHealth::Synced,
-        };
-    }
+        })
+        .max()
+        .unwrap_or(ControlHealth::NoCluster);
 
     // Intent flows run in global member order (cluster-major — the same
     // order `member_index` assigns); sessions are concatenated in cluster
@@ -198,7 +168,7 @@ pub fn capture_snapshot(net: &HybridNetwork) -> Snapshot {
             intent_flows.push(
                 ctl.installed_table(m)
                     .iter()
-                    .map(|(p, action)| (*p, rule_action(*action)))
+                    .map(|(p, action)| (*p, action.repr()))
                     .collect(),
             );
         }

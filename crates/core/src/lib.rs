@@ -31,11 +31,10 @@ pub use controller::{
     ControllerConfig, ControllerStats, IdrController, MemberConfig, SessionConfig,
 };
 pub use framework::{
-    capture_snapshot, check_plan, job_seed, loss_ppm, render_job_artifact_into, run_campaign,
-    run_campaign_scratch, run_job, run_job_scratch, AsHandle, AsKind, CampaignGrid, CampaignJob,
-    CampaignRunReport, CliqueRunOptions, CliqueScenario, ClusterHandle, Collector, Controller,
-    DeploymentStrategy, EventKind, Experiment, FaultClasses, FaultSpec, HybridNetwork, JobOutcome,
-    JobResult, JobScratch, JobSpec, NetworkBuilder, Placement, ProbeReport, Router,
-    ScenarioOutcome, Script, ScriptAction, ScriptReport, Sim, Speaker, Switch, Topology,
-    COLLECTOR_ASN,
+    check_plan, job_seed, loss_ppm, render_job_artifact_into, run_campaign, run_campaign_scratch,
+    run_job, run_job_scratch, AsHandle, AsKind, CampaignGrid, CampaignJob, CampaignRunReport,
+    CliqueRunOptions, CliqueScenario, ClusterHandle, Collector, Controller, DeploymentStrategy,
+    EventKind, Experiment, FaultClasses, FaultSpec, HybridNetwork, JobOutcome, JobResult,
+    JobScratch, JobSpec, NetworkBuilder, Placement, ProbeReport, Router, ScenarioOutcome, Script,
+    ScriptAction, ScriptReport, Sim, Speaker, Switch, Topology, COLLECTOR_ASN,
 };

@@ -106,8 +106,8 @@ fn session_flaps_suppress_then_reuse_after_decay() {
         Some(n1),
         "after penalty decay the direct route must win again"
     );
-    let v = exp.verify_now();
-    assert!(v.ok(), "post-reuse invariant violations:\n{v}");
+    let v = exp.verify_now().report;
+    assert!(v.ok(), "post-reuse invariant violations:\n{}", v.render());
 }
 
 #[test]

@@ -319,8 +319,8 @@ fn chaos_fault_plan_converges_to_oracle_state() {
     assert_state_identical(&faulty, &oracle, "chaos schedule");
 
     // And the restored data plane must pass the full static verifier.
-    let v = faulty.verify_now();
-    assert!(v.ok(), "post-chaos invariant violations:\n{v}");
+    let v = faulty.verify_now().report;
+    assert!(v.ok(), "post-chaos invariant violations:\n{}", v.render());
 }
 
 #[test]
@@ -345,6 +345,6 @@ fn explicit_fault_plan_replays_in_offset_order() {
     quiesce(&mut exp);
     assert!(exp.controller_is_up());
     assert!(exp.connectivity_audit().fully_connected());
-    let v = exp.verify_now();
-    assert!(v.ok(), "post-replay invariant violations:\n{v}");
+    let v = exp.verify_now().report;
+    assert!(v.ok(), "post-replay invariant violations:\n{}", v.render());
 }

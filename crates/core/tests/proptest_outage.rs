@@ -175,7 +175,7 @@ proptest! {
 
         // Final sweep: the settled faulty run must pass the full static
         // verifier — loop-free, blackhole-free, intent-consistent.
-        let v = faulty.verify_now();
+        let v = faulty.verify_now().report;
         prop_assert!(v.ok(), "post-outage invariant violations:\n{}", v.render());
     }
 }

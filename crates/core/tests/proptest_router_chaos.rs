@@ -23,9 +23,7 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
-use bgpsdn_core::{
-    capture_snapshot, AsKind, Experiment, NetworkBuilder, Router, ScriptAction, Switch,
-};
+use bgpsdn_core::{AsKind, Experiment, NetworkBuilder, Router, ScriptAction, Switch};
 use bgpsdn_netsim::{LinkId, NodeId, SimDuration};
 use bgpsdn_sdn::FlowAction;
 use bgpsdn_topology::{gen, plan, AsGraph};
@@ -257,7 +255,7 @@ fn sub_prefix(base: Prefix, sub: usize) -> Prefix {
 }
 
 fn snapshot_bytes(exp: &Experiment) -> String {
-    capture_snapshot(&exp.net).to_json().to_compact()
+    exp.capture_snapshot().to_json().to_compact()
 }
 
 /// The reference's forwarding decision of any AS device for an address.
@@ -359,7 +357,7 @@ proptest! {
             "healed chaos run diverged from the fault-free oracle after {:?} (gr={})",
             ops, gr_secs
         );
-        let v = faulty.verify_now();
+        let v = faulty.verify_now().report;
         prop_assert!(v.ok(), "post-chaos invariant violations:\n{}", v.render());
     }
 

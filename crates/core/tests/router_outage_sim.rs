@@ -9,6 +9,7 @@
 //! Every test drives a faulty run and a fault-free oracle and demands the
 //! frozen verifier snapshots end up byte-identical.
 
+use bgpsdn_analyze::Severity;
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
 use bgpsdn_core::{EventKind, Experiment, JobSpec, NetworkBuilder, Router, Script, ScriptAction};
 use bgpsdn_netsim::SimDuration;
@@ -100,8 +101,8 @@ fn crash_expires_holds_and_restart_readvertises() {
         snapshot_bytes(&oracle),
         "crash+restart must converge to the fault-free snapshot"
     );
-    let v = faulty.verify_now();
-    assert!(v.ok(), "post-restart invariant violations:\n{v}");
+    let v = faulty.verify_now().report;
+    assert!(v.ok(), "post-restart invariant violations:\n{}", v.render());
 }
 
 #[test]
@@ -127,10 +128,13 @@ fn graceful_restart_retains_stale_until_peer_resumes() {
     }
     // The static verifier sees the stale route over a down next hop as
     // consistent-but-stale, not as a blackhole at the legacy router.
-    let mid = faulty.verify_now();
+    let mid = faulty.verify_now().report;
     assert!(
-        mid.stale.iter().any(|s| s.contains("consistent-but-stale")),
-        "mid-crash verify must note the stale retained paths:\n{mid}"
+        mid.findings
+            .iter()
+            .any(|f| f.severity == Severity::Warning && f.message.contains("consistent-but-stale")),
+        "mid-crash verify must note the stale retained paths:\n{}",
+        mid.render()
     );
 
     faulty.apply(&ScriptAction::RestoreRouter(1));
@@ -149,8 +153,8 @@ fn graceful_restart_retains_stale_until_peer_resumes() {
         snapshot_bytes(&oracle),
         "GR crash+restart must converge to the fault-free snapshot"
     );
-    let v = faulty.verify_now();
-    assert!(v.ok(), "post-GR invariant violations:\n{v}");
+    let v = faulty.verify_now().report;
+    assert!(v.ok(), "post-GR invariant violations:\n{}", v.render());
 }
 
 #[test]
@@ -231,8 +235,8 @@ fn silent_data_loss_is_detected_by_hold_timers() {
         snapshot_bytes(&oracle),
         "healed silent fault must converge to the fault-free snapshot"
     );
-    let v = faulty.verify_now();
-    assert!(v.ok(), "post-heal invariant violations:\n{v}");
+    let v = faulty.verify_now().report;
+    assert!(v.ok(), "post-heal invariant violations:\n{}", v.render());
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! corrupted state (flow mutations, dropped rules, stale headless tables)
 //! must produce exactly the expected violations with usable witnesses.
 
+use bgpsdn_analyze::{AnalysisReport, Finding, Severity};
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
 use bgpsdn_core::{
     DeploymentStrategy, Experiment, JobSpec, NetworkBuilder, Placement, ScriptAction, Switch,
@@ -12,9 +13,17 @@ use bgpsdn_netsim::SimDuration;
 use bgpsdn_sdn::FlowAction;
 use bgpsdn_topology::caida::SynthesisParams;
 use bgpsdn_topology::{gen, plan, AsGraph, TopologyPlan};
-use bgpsdn_verify::ViolationKind;
 
 const HOUR: SimDuration = SimDuration::from_secs(3600);
+
+/// The violations one check found: its error findings.
+fn errors<'a>(report: &'a AnalysisReport, code: &str) -> Vec<&'a Finding> {
+    report
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Error && f.code == code)
+        .collect()
+}
 
 fn clique_plan(n: usize) -> TopologyPlan {
     plan(
@@ -37,12 +46,25 @@ fn converged_clique(n: usize, members: std::ops::Range<usize>, seed: u64) -> Exp
 #[test]
 fn converged_clique_verifies_clean() {
     let mut exp = converged_clique(8, 4..8, 21);
-    let report = exp.verify_now();
-    assert!(report.ok(), "violations on a converged clique:\n{report}");
-    assert!(report.prefixes_checked >= 8, "{report}");
+    let report = exp.verify_now().report;
     assert!(
-        report.stale.is_empty(),
-        "stale notes while synced: {report}"
+        report.ok(),
+        "violations on a converged clique:\n{}",
+        report.render()
+    );
+    let prefixes_checked = exp
+        .net
+        .sim
+        .metrics()
+        .counter(None, "verify.prefixes_checked");
+    assert!(prefixes_checked >= 8, "{}", report.render());
+    assert!(
+        report
+            .findings
+            .iter()
+            .all(|f| f.severity == Severity::Error),
+        "stale notes while synced: {}",
+        report.render()
     );
     assert_eq!(exp.net.sim.metrics().counter(None, "verify.violations"), 0);
     assert!(exp.net.sim.metrics().counter(None, "verify.checks") > 0);
@@ -116,13 +138,27 @@ fn scale_scenario_verifies_clean() {
     });
     assert!(seeding.converged && exp.wait_converged(HOUR).converged);
     assert!(exp.prefix_reachable_from_all(update, 9));
-    let report = exp.verify_now();
-    assert!(report.ok(), "violations at scale steady state:\n{report}");
-    let expected_prefixes = 21 + 12 * PER_STUB as usize;
+    let before = exp
+        .net
+        .sim
+        .metrics()
+        .counter(None, "verify.prefixes_checked");
+    let report = exp.verify_now().report;
     assert!(
-        report.prefixes_checked >= expected_prefixes,
-        "checked {} of {expected_prefixes} prefixes",
-        report.prefixes_checked,
+        report.ok(),
+        "violations at scale steady state:\n{}",
+        report.render()
+    );
+    let prefixes_checked = exp
+        .net
+        .sim
+        .metrics()
+        .counter(None, "verify.prefixes_checked")
+        - before;
+    let expected_prefixes = 21 + 12 * PER_STUB;
+    assert!(
+        prefixes_checked >= expected_prefixes,
+        "checked {prefixes_checked} of {expected_prefixes} prefixes",
     );
 }
 
@@ -150,24 +186,24 @@ fn live_flow_loop_is_caught_with_witness() {
         });
     }
     exp.net.sim.trace_mut().enable_all();
-    let report = exp.verify_now();
+    let report = exp.verify_now().report;
     assert!(!report.ok());
-    assert!(report.count_of(ViolationKind::Loop) >= 1, "{report}");
-    let lp = report
-        .violations
-        .iter()
-        .find(|v| v.kind == ViolationKind::Loop)
-        .unwrap();
+    assert!(!errors(&report, "loop").is_empty(), "{}", report.render());
+    let lp = errors(&report, "loop")[0];
     assert_eq!(lp.prefix, Some(p0));
     let (n4, n5) = (exp.net.sim.node_name(m4), exp.net.sim.node_name(m5));
+    let witness = lp.witness.as_deref().unwrap_or_default();
     assert!(
-        lp.witness.contains(n4) && lp.witness.contains(n5),
-        "loop witness must name both switches: {}",
-        lp.witness
+        witness.contains(n4) && witness.contains(n5),
+        "loop witness must name both switches: {witness}"
     );
     // The corruption is also intent drift: installed rules no longer match
     // the controller's computed routes.
-    assert!(report.count_of(ViolationKind::IntentDrift) >= 2, "{report}");
+    assert!(
+        errors(&report, "intent_drift").len() >= 2,
+        "{}",
+        report.render()
+    );
     // And the violation reached the trace buffer as a typed event.
     let mut jsonl = String::new();
     exp.net.sim.trace().export_jsonl_into(&mut jsonl);
@@ -191,16 +227,16 @@ fn removed_rule_is_caught_as_intent_drift() {
             .expect("rule for p0");
         sw.table_mut().remove(old.priority, p0);
     });
-    let report = exp.verify_now();
-    assert!(report.count_of(ViolationKind::IntentDrift) >= 1, "{report}");
-    let d = report
-        .violations
-        .iter()
-        .find(|v| v.kind == ViolationKind::IntentDrift)
-        .unwrap();
+    let report = exp.verify_now().report;
+    assert!(
+        !errors(&report, "intent_drift").is_empty(),
+        "{}",
+        report.render()
+    );
+    let d = errors(&report, "intent_drift")[0];
     let name = exp.net.sim.node_name(m4);
-    assert_eq!(d.node, name, "drift must name the offending switch");
-    assert!(d.detail.contains("missing"), "{}", d.detail);
+    assert_eq!(d.subject, name, "drift must name the offending switch");
+    assert!(d.message.contains("missing"), "{}", d.message);
 }
 
 #[test]
@@ -213,15 +249,15 @@ fn dead_link_is_caught_as_blackhole() {
     // Step just far enough for the link-admin event to apply, but well
     // inside the controller's recompute delay so the stale rule survives.
     exp.net.sim.run_until(t + SimDuration::from_micros(1));
-    let report = exp.verify_now();
-    assert!(report.count_of(ViolationKind::Blackhole) >= 1, "{report}");
-    let b = report
-        .violations
-        .iter()
-        .find(|v| v.kind == ViolationKind::Blackhole)
-        .unwrap();
+    let report = exp.verify_now().report;
     assert!(
-        b.detail.contains("down") || b.witness.contains("down"),
+        !errors(&report, "blackhole").is_empty(),
+        "{}",
+        report.render()
+    );
+    let b = errors(&report, "blackhole")[0];
+    assert!(
+        b.message.contains("down") || b.witness.as_deref().unwrap_or_default().contains("down"),
         "blackhole should blame the dead link: {b}"
     );
 }
@@ -240,20 +276,22 @@ fn headless_staleness_resolves_after_recovery() {
     });
     let deadline = exp.net.sim.now() + SimDuration::from_secs(120);
     exp.net.sim.run_until(deadline);
-    let mid = exp.verify_now();
+    let mid = exp.verify_now().report;
     assert!(
-        mid.count_of(ViolationKind::Blackhole) >= 1,
-        "stale member flows must blackhole the withdrawn prefix:\n{mid}"
+        !errors(&mid, "blackhole").is_empty(),
+        "stale member flows must blackhole the withdrawn prefix:\n{}",
+        mid.render()
     );
     assert_eq!(
-        mid.count_of(ViolationKind::IntentDrift),
+        errors(&mid, "intent_drift").len(),
         0,
-        "headless mismatches are stale notes, not drift violations:\n{mid}"
+        "headless mismatches are stale notes, not drift violations:\n{}",
+        mid.render()
     );
 
     // Recovery: controller restarts, resyncs, recomputes; clean again.
     exp.apply(&ScriptAction::RestoreController);
     assert!(exp.wait_converged(HOUR).converged);
-    let after = exp.verify_now();
-    assert!(after.ok(), "post-recovery violations:\n{after}");
+    let after = exp.verify_now().report;
+    assert!(after.ok(), "post-recovery violations:\n{}", after.render());
 }

@@ -174,6 +174,16 @@ impl fmt::Display for FlowActionRepr {
     }
 }
 
+/// Inverse of the `Display` form (`output:N`, `controller`, `drop`,
+/// `local`).
+impl std::str::FromStr for FlowActionRepr {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<FlowActionRepr, String> {
+        <FlowActionRepr as WireText>::parse(s).ok_or_else(|| format!("bad flow action {s:?}"))
+    }
+}
+
 /// Why the controller recomputed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecomputeTrigger {

@@ -25,7 +25,7 @@ pub enum FlowAction {
 
 impl FlowAction {
     /// Telemetry-plane representation ([`bgpsdn_netsim::FlowActionRepr`]).
-    pub(crate) fn repr(self) -> bgpsdn_netsim::FlowActionRepr {
+    pub fn repr(self) -> bgpsdn_netsim::FlowActionRepr {
         match self {
             FlowAction::Output(p) => bgpsdn_netsim::FlowActionRepr::Output(p),
             FlowAction::ToController => bgpsdn_netsim::FlowActionRepr::ToController,

@@ -818,35 +818,59 @@ fn cmd_explain(path: &str, args: &Args) -> Result<(), String> {
 
 /// Offline verification of a run artifact: find the frozen
 /// `{"type":"snapshot",...}` line that every artifact writer emits and run
-/// the full invariant suite over it. A file without one is an error.
+/// the full invariant suite over it. A file without one is an error that
+/// names the first line that is not JSON, if any (a truncated snapshot).
 fn cmd_verify(args: &Args) -> Result<(), String> {
     let Some(path) = args.get_str("snapshot") else {
         return Err("--snapshot FILE is required".into());
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut snap = None;
-    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-        let Ok(v) = Json::parse(line) else { continue };
-        if v.get("type").and_then(Json::as_str) == Some("snapshot") {
-            snap = Some(Snapshot::from_json(&v)?);
+    let mut unparsed = None;
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        match Json::parse(line) {
+            Ok(v) if v.get("type").and_then(Json::as_str) == Some("snapshot") => {
+                let parsed = Snapshot::from_json(&v);
+                snap = Some(parsed.map_err(|e| format!("{path} line {}: {e}", i + 1))?);
+            }
+            Ok(_) => {}
+            Err(e) => {
+                unparsed.get_or_insert((i + 1, e));
+            }
         }
     }
     let Some(snap) = snap else {
+        if let Some((n, e)) = unparsed {
+            return Err(format!(
+                "{path} line {n} does not parse ({e}), and no other line holds a snapshot"
+            ));
+        }
         return Err(format!(
             "{path} has no snapshot line ({{\"type\":\"snapshot\",...}}); `bgpsdn report {path}` \
              lists the verify_violation events the run recorded"
         ));
     };
-    let mut verifier = Verifier::new();
+    let mut verifier = Verifier::default();
     let report = verifier.verify(&snap);
-    print!("{}", report.render());
+    println!(
+        "verify: {} prefixes, {} checks, {} violations, {} stale notes (control: {})",
+        verifier.prefixes_checked(),
+        report.checks,
+        report.errors(),
+        report.warnings(),
+        snap.control.name(),
+    );
+    for f in &report.findings {
+        println!("{f}");
+    }
     if report.ok() {
         Ok(())
     } else {
-        Err(format!(
-            "{} invariant violation(s)",
-            report.violations.len()
-        ))
+        Err(format!("{} invariant violation(s)", report.errors()))
     }
 }
 

@@ -9,9 +9,12 @@
 //!
 //! The workspace crates, re-exported here:
 //!
-//! * [`analyze`] — static control-plane analyzer: policy safety (dispute
-//!   wheels, Gao-Rexford conformance), reachability prediction and
-//!   path-hunting bounds, script/plan validation — `bgpsdn check`;
+//! * [`analyze`] — static analysis of both planes, reported as one
+//!   `Finding` type: policy safety (dispute wheels, Gao-Rexford
+//!   conformance), reachability prediction and path-hunting bounds,
+//!   script/plan validation (`bgpsdn check`), and data-plane verification
+//!   over frozen snapshots (`bgpsdn verify`), the one forwarding model
+//!   behind every connectivity audit;
 //! * [`netsim`] — the discrete-event network simulator (Mininet's role);
 //! * [`bgp`] — a complete BGP-4 implementation (Quagga's role);
 //! * [`sdn`] — OpenFlow-subset switches and the cluster BGP speaker
@@ -21,9 +24,7 @@
 //! * [`collector`] — route collector, convergence measurement, log
 //!   analysis, visualization;
 //! * [`core`] — the paper's contribution: the hybrid experiment framework
-//!   and the IDR SDN controller;
-//! * [`verify`] — static data-plane verification over frozen snapshots,
-//!   the one forwarding model behind every connectivity audit.
+//!   and the IDR SDN controller.
 //!
 //! ## Quickstart
 //!
@@ -60,14 +61,13 @@ pub use bgpsdn_netsim as netsim;
 pub use bgpsdn_obs as obs;
 pub use bgpsdn_sdn as sdn;
 pub use bgpsdn_topology as topology;
-pub use bgpsdn_verify as verify;
 
 /// The names almost every experiment needs.
 pub mod prelude {
     pub use bgpsdn_analyze::{
         check_actions, check_reachability, check_safety, check_safety_clusters, check_timing,
-        hunt_depth_bound, hunt_depth_bound_clusters, AnalysisReport, Finding, SafetyClustersInput,
-        SafetyInput, Severity,
+        hunt_depth_bound, hunt_depth_bound_clusters, AnalysisReport, ConnectivityReport, Finding,
+        SafetyClustersInput, SafetyInput, Severity, Snapshot, Verifier,
     };
     pub use bgpsdn_bgp::{
         pfx, Asn, BgpRouter, NeighborConfig, PolicyMode, Prefix, Relationship, RouterCommand,
@@ -91,7 +91,4 @@ pub mod prelude {
     };
     pub use bgpsdn_sdn::{ClusterMsg, FlowAction, SpeakerCmd, SpeakerEvent};
     pub use bgpsdn_topology::{caida, gen, plan, AsGraph, TopologyPlan};
-    pub use bgpsdn_verify::{
-        ConnectivityReport, Report as VerifyReport, Snapshot, Verifier, Violation, ViolationKind,
-    };
 }

@@ -1,7 +1,8 @@
 //! End-to-end CLI test of `bgpsdn verify`: the snapshot line that
 //! `bgpsdn run --trace-out` writes verifies clean, the same artifact with
 //! one member flow rule corrupted fails naming the violation, and a file
-//! without a snapshot line is rejected.
+//! without a snapshot line, with a truncated one, or with a vertex index
+//! that names no node is rejected with an error, never a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -99,4 +100,109 @@ fn verify_rejects_a_file_without_a_snapshot_line() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("no snapshot line"), "{stderr}");
+}
+
+/// A traced 8-AS run's artifact text.
+fn traced_run(name: &str) -> String {
+    let path = artifact_path(name);
+    let run = bgpsdn()
+        .args([
+            "run",
+            "--event",
+            "withdrawal",
+            "--sdn",
+            "4",
+            "--n",
+            "8",
+            "--mrai",
+            "5",
+        ])
+        .arg("--trace-out")
+        .arg(&path)
+        .output()
+        .expect("spawn bgpsdn run");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("artifact written");
+    let _ = std::fs::remove_file(&path);
+    text
+}
+
+/// `bgpsdn verify` over `text` with its snapshot line replaced by
+/// `edit(line)`: the exit code and stderr.
+fn verify_edited(name: &str, text: &str, edit: impl Fn(&str) -> String) -> (Option<i32>, String) {
+    let edited: Vec<String> = text
+        .lines()
+        .map(|l| {
+            if l.starts_with("{\"type\":\"snapshot\"") {
+                edit(l)
+            } else {
+                l.to_string()
+            }
+        })
+        .collect();
+    let path = artifact_path(name);
+    std::fs::write(&path, edited.join("\n") + "\n").expect("write edited artifact");
+    let out = verify(&path);
+    let _ = std::fs::remove_file(&path);
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `line` with the number after the first `key` at or after `from`
+/// replaced by `value`.
+fn set_number(line: &str, from: &str, key: &str, value: u64) -> String {
+    let at = line.find(from).expect("anchor present");
+    let start = at + line[at..].find(key).expect("key present") + key.len();
+    let end = start
+        + line[start..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("number ends");
+    format!("{}{value}{}", &line[..start], &line[end..])
+}
+
+#[test]
+fn verify_rejects_out_of_range_vertex_indices() {
+    let text = traced_run("indices");
+    let (code, stderr) = verify_edited("route-next", &text, |l| {
+        set_number(l, "\"routes\":", "\"next\":", 999)
+    });
+    assert_eq!(code, Some(1), "an error, not a panic: {stderr}");
+    assert!(stderr.contains("\"next\" 999"), "names the field: {stderr}");
+
+    let (code, stderr) = verify_edited("session-peer", &text, |l| {
+        set_number(l, "\"sessions\":", "\"peer\":", 77)
+    });
+    assert_eq!(code, Some(1), "an error, not a panic: {stderr}");
+    assert!(
+        stderr.contains("session \"peer\" 77"),
+        "names the field: {stderr}"
+    );
+}
+
+#[test]
+fn verify_names_the_line_of_a_truncated_snapshot() {
+    let text = traced_run("truncated");
+    let line = 1 + text
+        .lines()
+        .position(|l| l.starts_with("{\"type\":\"snapshot\""))
+        .expect("a snapshot line");
+    let (code, stderr) = verify_edited("truncated", &text, |l| {
+        assert!(l.len() > 3000, "the snapshot line is longer than the cut");
+        l[..3000].to_string()
+    });
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("line {line} ")),
+        "names the line: {stderr}"
+    );
+    assert!(
+        stderr.contains("json error at byte"),
+        "gives the parse error: {stderr}"
+    );
 }
