@@ -287,7 +287,7 @@ fn bench_trace_disabled(c: &mut Criterion) {
 }
 
 fn bench_trace_codec(c: &mut Criterion) {
-    use bgpsdn_obs::{event_line, CausalPhase, ObsPrefix, RunArtifact, TraceEvent};
+    use bgpsdn_obs::{event_line, Artifact, CausalPhase, ObsPrefix, TraceEvent};
     // The three shapes that make up ~90 % of a traced run's bytes.
     let prefix = ObsPrefix::new(0x0a01_0000, 16);
     let shapes = [
@@ -327,12 +327,7 @@ fn bench_trace_codec(c: &mut Criterion) {
         artifact.push('\n');
     }
     c.bench_function("obs/artifact_parse", |b| {
-        b.iter(|| {
-            RunArtifact::parse(black_box(&artifact))
-                .unwrap()
-                .events
-                .len()
-        })
+        b.iter(|| Artifact::parse(black_box(&artifact)).unwrap().events.len())
     });
 }
 

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bgpsdn_bgp::TimingConfig;
 use bgpsdn_netsim::{LatencyModel, SimDuration, TraceCategory};
-use bgpsdn_obs::{CampaignArtifact, CausalAnalysis, JobRecord, Json, PhaseBreakdown};
+use bgpsdn_obs::{Artifact, CausalAnalysis, JobRecord, Json, PhaseBreakdown};
 
 use super::deploy::{DeploymentStrategy, Placement};
 use super::experiment::Experiment;
@@ -529,7 +529,7 @@ impl CampaignRunReport {
 
     /// Render the merged campaign artifact for a grid.
     pub fn render_artifact(&self, grid: &CampaignGrid) -> String {
-        CampaignArtifact::render(&grid.header(self.workers, self.wall), &self.records())
+        Artifact::render(&grid.header(self.workers, self.wall), &self.records())
     }
 
     /// Jobs that panicked or errored.

@@ -17,7 +17,7 @@ use bgpsdn_netsim::ObsPrefix;
 use bgpsdn_netsim::{
     Activity, LinkId, MetricsSnapshot, NodeId, SimDuration, SimTime, TraceCategory, TraceEvent,
 };
-use bgpsdn_obs::{metrics_line, run_line, Json};
+use bgpsdn_obs::{metrics_line, write_typed_line, Json};
 use bgpsdn_sdn::ClusterMsg;
 
 use super::network::{
@@ -179,14 +179,11 @@ impl Experiment {
     /// --snapshot` input), and one metrics line per closed phase. Call
     /// after [`Experiment::finish`] so the last phase is included.
     pub fn render_artifact_into(&self, info: &Json, text: &mut String) {
-        text.push_str(&run_line(info));
+        write_typed_line(text, "run", info);
         text.push('\n');
         self.net.sim.trace().export_jsonl_into(text);
-        if let Json::Obj(mut kv) = self.capture_snapshot().to_json() {
-            kv.insert(0, ("type".into(), Json::Str("snapshot".into())));
-            text.push_str(&Json::Obj(kv).to_compact());
-            text.push('\n');
-        }
+        write_typed_line(text, "snapshot", &self.capture_snapshot().to_json());
+        text.push('\n');
         for (phase, snap) in &self.snapshots {
             text.push_str(&metrics_line(phase, snap));
             text.push('\n');

@@ -1,7 +1,7 @@
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
 use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, Placement, ScriptAction, Topology};
 use bgpsdn_netsim::SimDuration;
-use bgpsdn_obs::{Json, RunArtifact};
+use bgpsdn_obs::{Artifact, Json};
 use bgpsdn_topology::caida::SynthesisParams;
 
 #[test]
@@ -116,9 +116,10 @@ fn rendered_artifact_parses_back() {
     let mut text = String::new();
     exp.render_artifact_into(&info, &mut text);
     assert!(text.contains("\n{\"type\":\"snapshot\","));
-    let artifact = RunArtifact::parse(&text).unwrap();
+    let artifact = Artifact::parse(&text).unwrap();
     assert!(!artifact.events.is_empty());
-    assert_eq!(artifact.snapshots.len(), 2, "bring-up + withdrawal phases");
-    assert_eq!(artifact.snapshots[0].0, "bring-up");
-    assert_eq!(artifact.snapshots[1].0, "withdrawal");
+    assert!(artifact.snapshot.is_some());
+    assert_eq!(artifact.metrics.len(), 2, "bring-up + withdrawal phases");
+    assert_eq!(artifact.metrics[0].0, "bring-up");
+    assert_eq!(artifact.metrics[1].0, "withdrawal");
 }

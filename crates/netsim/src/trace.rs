@@ -165,7 +165,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsdn_obs::{ObsPrefix, RunArtifact};
+    use bgpsdn_obs::{Artifact, ObsPrefix};
 
     fn note(cat: TraceCategory, text: &str) -> TraceEvent {
         TraceEvent::Note {
@@ -285,7 +285,7 @@ mod tests {
         let mut text = String::new();
         t.export_jsonl_into(&mut text);
         assert_eq!(text.lines().count(), 2);
-        let back: Vec<TraceRecord> = RunArtifact::parse(&text)
+        let back: Vec<TraceRecord> = Artifact::parse(&text)
             .unwrap()
             .events
             .into_iter()

@@ -1,13 +1,20 @@
-//! JSONL run artifacts: writing, parsing, and analysis.
+//! JSONL artifacts: writing, the one reader, and run analysis.
 //!
-//! A run artifact is a line-oriented file; each line is one JSON object
-//! distinguished by its `"type"` member:
+//! An artifact is a line-oriented file; each line is one JSON object
+//! distinguished by its `"type"` member. A run artifact holds
 //!
 //! * `{"type":"run", ...}` — free-form run header (scenario parameters);
 //! * `{"type":"event","t":<sim ns>,"node":<id|null>,"kind":...,<fields>}` —
 //!   one typed [`TraceEvent`], flattened;
+//! * `{"type":"snapshot", ...}` — the frozen data-plane snapshot that
+//!   `bgpsdn verify --snapshot` checks;
 //! * `{"type":"metrics","phase":<name>,"metrics":[...]}` — a phase-scoped
-//!   [`MetricsSnapshot`].
+//!   [`MetricsSnapshot`];
+//!
+//! and a campaign artifact (see [`crate::campaign`]) holds one
+//! `{"type":"campaign", ...}` header, one `job` line per run and one `cell`
+//! line per grid cell. [`Artifact`] reads both, and rejects a file that
+//! mixes them.
 //!
 //! The analysis half ([`RunAnalysis`]) derives per-node update counts,
 //! recompute latency histograms and a convergence timeline purely from the
@@ -16,6 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::campaign::{aggregate_cells, CellStats, JobRecord};
 use crate::event::{PartialEvent, TraceEvent, KIND_KEY};
 use crate::json::{self, Json, JsonReader, JsonWriter};
 use crate::metrics::{Histogram, MetricsSnapshot};
@@ -123,112 +131,216 @@ fn read_kind(r: &mut JsonReader<'_>) -> Result<PartialEvent, String> {
     PartialEvent::of_kind(&kind).ok_or_else(|| format!("unknown event kind {kind:?}"))
 }
 
+/// Append one typed line (no newline) to `out`: `{"type":<kind>` followed
+/// by the members of `members`, an object (anything else adds none). Every
+/// line but the event line is written through here.
+pub fn write_typed_line(out: &mut String, kind: &str, members: &Json) {
+    let mut w = JsonWriter::new(out);
+    w.begin_object();
+    w.key(TYPE_KEY);
+    w.str(kind);
+    if let Json::Obj(members) = members {
+        for (key, value) in members {
+            w.key(key);
+            value.write_compact(w.raw());
+        }
+    }
+    w.end_object();
+}
+
+/// [`write_typed_line`] into a new string.
+pub(crate) fn typed_line(kind: &str, members: &Json) -> String {
+    let mut out = String::new();
+    write_typed_line(&mut out, kind, members);
+    out
+}
+
 /// Serialize one metrics-snapshot line.
 pub fn metrics_line(phase: &str, snapshot: &MetricsSnapshot) -> String {
-    Json::Obj(vec![
-        ("type".into(), Json::Str("metrics".into())),
-        ("phase".into(), Json::Str(phase.to_string())),
-        ("metrics".into(), snapshot.to_json()),
-    ])
-    .to_compact()
+    typed_line(
+        "metrics",
+        &Json::Obj(vec![
+            ("phase".into(), Json::Str(phase.to_string())),
+            ("metrics".into(), snapshot.to_json()),
+        ]),
+    )
 }
 
-/// Serialize the run-header line. `info` should be an object; its members
-/// are merged after the `"type"` tag.
-pub fn run_line(info: &Json) -> String {
-    let mut members: Vec<(String, Json)> = vec![("type".into(), Json::Str("run".into()))];
-    if let Json::Obj(m) = info {
-        members.extend(m.iter().cloned());
+/// What an artifact records: one run, or a campaign of runs. Each line type
+/// belongs to one kind, and an artifact holds lines of one kind only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArtifactKind {
+    /// `run`, `event`, `snapshot` and `metrics` lines: one run's telemetry.
+    Run,
+    /// `campaign`, `job` and `cell` lines: a merged parameter sweep.
+    Campaign,
+}
+
+impl ArtifactKind {
+    fn name(self) -> &'static str {
+        match self {
+            ArtifactKind::Run => "run",
+            ArtifactKind::Campaign => "campaign",
+        }
     }
-    Json::Obj(members).to_compact()
 }
 
-/// A parsed run artifact.
+/// A parsed JSONL artifact, run or campaign: the one reader behind
+/// `bgpsdn report`, `explain` and `verify`.
 #[derive(Debug, Clone, Default)]
-pub struct RunArtifact {
-    /// The run header, minus the `"type"` tag, if present.
-    pub run: Option<Json>,
+pub struct Artifact {
+    /// What the lines read so far record; `None` until a known line type.
+    pub kind: Option<ArtifactKind>,
+    /// The `run` or `campaign` header line, minus the `"type"` tag.
+    pub header: Option<Json>,
     /// All event lines in file order.
     pub events: Vec<EventRecord>,
+    /// The frozen verifier snapshot line: its line number and its text,
+    /// checked to be JSON but not decoded.
+    pub snapshot: Option<(usize, String)>,
     /// Phase-tagged metric snapshots (kept as raw JSON).
-    pub snapshots: Vec<(String, Json)>,
+    pub metrics: Vec<(String, Json)>,
+    /// All job records, in job order.
+    pub jobs: Vec<JobRecord>,
+    /// Per-cell statistics, always [`aggregate_cells`] of `jobs` — what the
+    /// writer wrote as `cell` lines, which are checked but not decoded.
+    pub cells: Vec<CellStats>,
+    /// The first line of the other kind, as the error it is.
+    mixed: Option<String>,
 }
 
-impl RunArtifact {
-    /// Parse a whole JSONL document. Unknown line types are ignored (forward
-    /// compatibility); malformed lines are errors.
-    pub fn parse(text: &str) -> Result<RunArtifact, String> {
-        let mut out = RunArtifact::default();
-        crate::jsonl::scan(text, |_, raw| out.ingest(raw))?;
-        Ok(out)
+/// The run-artifact view of [`Artifact`]. ROADMAP item 2 deletes it.
+pub type RunArtifact = Artifact;
+
+/// The campaign-artifact view of [`Artifact`]. ROADMAP item 2 deletes it.
+pub type CampaignArtifact = Artifact;
+
+impl Artifact {
+    /// Parse a whole JSONL document. Unknown line types are checked and
+    /// skipped (forward compatibility); malformed lines are errors, and so
+    /// is a line of the other kind than the first known one.
+    pub fn parse(text: &str) -> Result<Artifact, String> {
+        Artifact::read(text, None)
     }
 
-    /// Parse for reporting: a malformed *final* line (a run killed mid-write)
-    /// degrades to a warning instead of an error, and an artifact with no
-    /// trace events at all reports a warning rather than a garbled table.
-    /// Still fails when nothing recognizable survives — a file that is not
-    /// a run artifact at all should not render as an empty one.
-    pub fn parse_lenient(text: &str) -> Result<(RunArtifact, Vec<String>), String> {
-        let mut out = RunArtifact::default();
+    /// Parse for reporting: a malformed *final* line (a writer killed
+    /// mid-line) degrades to a warning instead of an error, and so does an
+    /// artifact without events or job records. Still fails when nothing
+    /// recognizable survives — a file that is no artifact at all should not
+    /// render as an empty one.
+    pub fn parse_lenient(text: &str) -> Result<(Artifact, Vec<String>), String> {
         let mut warnings = Vec::new();
-        crate::jsonl::scan_lenient(text, &mut warnings, |_, raw| out.ingest(raw))?;
-        if out.run.is_none() && out.events.is_empty() && out.snapshots.is_empty() {
-            return Err("artifact has no recognizable lines (not a run artifact?)".into());
-        }
-        if out.events.is_empty() {
-            warnings.push("artifact contains no trace events (tracing disabled?)".into());
+        let out = Artifact::read(text, Some(&mut warnings))?;
+        match out.kind {
+            None => return Err("artifact has no recognizable lines (not an artifact?)".into()),
+            Some(ArtifactKind::Run) if out.events.is_empty() => {
+                warnings.push("artifact contains no trace events (tracing disabled?)".into())
+            }
+            Some(ArtifactKind::Campaign) if out.jobs.is_empty() => {
+                warnings.push("campaign artifact contains no job records".into())
+            }
+            _ => {}
         }
         Ok((out, warnings))
     }
 
-    /// Dispatch one artifact line into the accumulating document. Event
-    /// lines — nearly all of them — are decoded straight off the bytes; a
-    /// line of unknown type is checked and skipped the same way; only the
-    /// few `run` and `metrics` lines become a [`Json`].
-    fn ingest(&mut self, raw: &str) -> Result<(), String> {
+    /// Scan `text` through [`Artifact::ingest`] (leniently with
+    /// `warnings`), fail on a mixed artifact, and aggregate the cells.
+    fn read(text: &str, warnings: Option<&mut Vec<String>>) -> Result<Artifact, String> {
+        let mut out = Artifact::default();
+        crate::jsonl::scan(text, warnings, |n, raw| out.ingest(n, raw))?;
+        if let Some(e) = out.mixed.take() {
+            return Err(e);
+        }
+        out.cells = aggregate_cells(&out.jobs);
+        Ok(out)
+    }
+
+    /// Dispatch one artifact line on its `"type"`. Event lines — nearly all
+    /// of a run's — are decoded straight off the bytes; a `snapshot` line is
+    /// checked and kept as text, `cell` and unknown lines only checked; the
+    /// few header, `metrics` and `job` lines become a [`Json`].
+    fn ingest(&mut self, lineno: usize, raw: &str) -> Result<(), String> {
         let mut r = JsonReader::new(raw);
         r.skip_ws();
         // Only an object has members, let alone a type.
         let more = r.peek() == Some(b'{') && r.open(b'}')?;
         let members = r;
-        let line_type = if r.seek_member(more, TYPE_KEY)? {
-            r.str()?
-        } else {
-            None
+        let typed = r.seek_member(more, TYPE_KEY)?;
+        let Some(line_type) = typed.then(|| r.str()).transpose()?.flatten() else {
+            json::check(raw)?;
+            return Err("missing \"type\"".into());
         };
-        match line_type.as_deref() {
-            Some(EVENT_TYPE) => {
+        let kind = match &*line_type {
+            "run" | EVENT_TYPE | "snapshot" | "metrics" => ArtifactKind::Run,
+            "campaign" | "job" | "cell" => ArtifactKind::Campaign,
+            // Unknown line type: skipped, once it is known to be JSON.
+            _ => return Ok(json::check(raw)?),
+        };
+        match self.kind {
+            Some(first) if first != kind => {
+                // Not forgiven as a cut final line: `read` reports it.
+                self.mixed.get_or_insert(format!(
+                    "line {lineno}: a {line_type:?} line in a {} artifact",
+                    first.name()
+                ));
+                return Ok(());
+            }
+            _ => self.kind = Some(kind),
+        }
+        match &*line_type {
+            EVENT_TYPE => {
                 let mut r = members;
                 self.events.push(read_event_line(&mut r, more)?);
             }
-            Some("metrics") => {
-                let v = Json::parse(raw)?;
-                let phase = v
-                    .get("phase")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string();
-                let metrics = v
-                    .get("metrics")
-                    .cloned()
-                    .ok_or_else(|| "missing \"metrics\"".to_string())?;
-                self.snapshots.push((phase, metrics));
-            }
-            Some("run") => {
-                let members = match Json::parse(raw)? {
-                    Json::Obj(m) => m.into_iter().filter(|(k, _)| k != TYPE_KEY).collect(),
-                    _ => Vec::new(),
-                };
-                self.run = Some(Json::Obj(members));
-            }
-            // Unknown line type: skipped, once it is known to be JSON.
-            Some(_) => json::check(raw)?,
-            None => {
+            "snapshot" => {
                 json::check(raw)?;
-                return Err("missing \"type\"".into());
+                self.snapshot = Some((lineno, raw.to_string()));
+            }
+            "cell" => json::check(raw)?,
+            "metrics" => {
+                let v = Json::parse(raw)?;
+                let phase = v.get("phase").and_then(Json::as_str).unwrap_or("");
+                let metrics = v.get("metrics").ok_or("missing \"metrics\"")?;
+                self.metrics.push((phase.to_string(), metrics.clone()));
+            }
+            "job" => self.jobs.push(JobRecord::from_json(&Json::parse(raw)?)?),
+            // A `run` or `campaign` header.
+            _ => {
+                if let Json::Obj(mut members) = Json::parse(raw)? {
+                    members.retain(|(k, _)| k != TYPE_KEY);
+                    self.header = Some(Json::Obj(members));
+                }
             }
         }
         Ok(())
+    }
+
+    /// Human-readable report (what `bgpsdn report` prints): the grid-cell
+    /// table of a campaign; the header, [`RunAnalysis`] and per-phase
+    /// metrics of a run.
+    pub fn render_report(&self) -> String {
+        if self.kind == Some(ArtifactKind::Campaign) {
+            return self.render_cells();
+        }
+        let mut out = String::new();
+        if let Some(run) = &self.header {
+            let _ = writeln!(out, "run: {}", run.to_compact());
+        }
+        out.push_str(&RunAnalysis::from_artifact(self).render());
+        for (phase, metrics) in &self.metrics {
+            let _ = writeln!(out, "== metrics [{phase}]");
+            let pooled = counter_sum(metrics, "core.sim.events_pooled");
+            let hot = counter_sum(metrics, "core.sim.allocs_hot");
+            if pooled + hot > 0 {
+                let _ = writeln!(
+                    out,
+                    "  sim hot path: {pooled} event slots recycled, {hot} slab growth allocations"
+                );
+            }
+            let _ = writeln!(out, "{}", metrics.to_compact());
+        }
+        out
     }
 }
 
@@ -314,7 +426,7 @@ pub struct RunAnalysis {
 
 impl RunAnalysis {
     /// Analyze a parsed artifact.
-    pub fn from_artifact(artifact: &RunArtifact) -> RunAnalysis {
+    pub fn from_artifact(artifact: &Artifact) -> RunAnalysis {
         let mut a = RunAnalysis::default();
         let mut open_phase: Option<PhaseSummary> = None;
         let mut saw_phase_marker = false;
@@ -407,12 +519,11 @@ impl RunAnalysis {
         }
         // Counters are monotonic, so the final phase snapshot carries the
         // run's cumulative totals.
-        if let Some((_, metrics)) = artifact.snapshots.last() {
-            a.sessions_reestablished =
-                snapshot_counter_sum(metrics, "bgp.router.sessions_reestablished");
-            a.stale_retained = snapshot_counter_sum(metrics, "bgp.router.stale_retained");
-            a.treat_as_withdraw = snapshot_counter_sum(metrics, "bgp.router.treat_as_withdraw");
-            a.damped_suppressed = snapshot_counter_sum(metrics, "bgp.router.damped_suppressed");
+        if let Some((_, metrics)) = artifact.metrics.last() {
+            a.sessions_reestablished = counter_sum(metrics, "bgp.router.sessions_reestablished");
+            a.stale_retained = counter_sum(metrics, "bgp.router.stale_retained");
+            a.treat_as_withdraw = counter_sum(metrics, "bgp.router.treat_as_withdraw");
+            a.damped_suppressed = counter_sum(metrics, "bgp.router.damped_suppressed");
         }
         if !saw_phase_marker && !artifact.events.is_empty() {
             // No markers: treat the whole run as one phase.
@@ -476,54 +587,34 @@ impl RunAnalysis {
             );
         }
         if !self.verify_violations.is_empty() {
-            let _ = writeln!(
-                out,
-                "== verification: {} violations",
-                self.verify_violations.len()
-            );
+            let n = self.verify_violations.len();
+            let _ = writeln!(out, "== verification: {n} violations");
             for (t, check, prefix, offender, witness) in &self.verify_violations {
-                match prefix {
-                    Some(p) => {
-                        let _ = writeln!(
-                            out,
-                            "  t={:.3}s [{check}] {p} at {offender}: {witness}",
-                            *t as f64 / 1e9
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(
-                            out,
-                            "  t={:.3}s [{check}] at {offender}: {witness}",
-                            *t as f64 / 1e9
-                        );
-                    }
-                }
+                let prefix = prefix.as_ref().map_or(String::new(), |p| format!(" {p}"));
+                let _ = writeln!(
+                    out,
+                    "  t={:.3}s [{check}]{prefix} at {offender}: {witness}",
+                    *t as f64 / 1e9
+                );
             }
         }
         let _ = writeln!(out, "== convergence timeline");
         for p in &self.phases {
-            match p.convergence_ns() {
-                Some(ns) => {
-                    let _ = writeln!(
-                        out,
-                        "  phase {:<12} start {:>10.3}s  last change {:>10.3}s  converged in {:.3}s  ({} updates)",
-                        p.name,
-                        p.start as f64 / 1e9,
-                        p.last_change.unwrap_or(p.start) as f64 / 1e9,
-                        ns as f64 / 1e9,
-                        p.updates_sent,
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "  phase {:<12} start {:>10.3}s  no routing change  ({} updates)",
-                        p.name,
-                        p.start as f64 / 1e9,
-                        p.updates_sent,
-                    );
-                }
-            }
+            let settled = match p.convergence_ns() {
+                Some(ns) => format!(
+                    "last change {:>10.3}s  converged in {:.3}s",
+                    p.last_change.unwrap_or(p.start) as f64 / 1e9,
+                    ns as f64 / 1e9,
+                ),
+                None => "no routing change".into(),
+            };
+            let _ = writeln!(
+                out,
+                "  phase {:<12} start {:>10.3}s  {settled}  ({} updates)",
+                p.name,
+                p.start as f64 / 1e9,
+                p.updates_sent,
+            );
         }
         let _ = writeln!(
             out,
@@ -556,10 +647,8 @@ impl RunAnalysis {
 
 /// Sum a named counter over every node in a raw phase metrics snapshot
 /// (the `[{"node":..,"name":..,"counter":..},..]` array form).
-fn snapshot_counter_sum(snapshot: &Json, name: &str) -> u64 {
-    let Json::Arr(entries) = snapshot else {
-        return 0;
-    };
+fn counter_sum(snapshot: &Json, name: &str) -> u64 {
+    let entries = snapshot.as_arr().unwrap_or_default();
     entries
         .iter()
         .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
@@ -579,10 +668,10 @@ mod tests {
     #[test]
     fn lines_roundtrip_through_parse() {
         let mut text = String::new();
-        text.push_str(&run_line(&Json::Obj(vec![(
-            "scenario".into(),
-            Json::Str("clique".into()),
-        )])));
+        text.push_str(&typed_line(
+            "run",
+            &Json::Obj(vec![("scenario".into(), Json::Str("clique".into()))]),
+        ));
         text.push('\n');
         text.push_str(&event_line(
             5,
@@ -594,12 +683,18 @@ mod tests {
             },
         ));
         text.push('\n');
+        let snapshot = "{\"type\":\"snapshot\",\"nodes\":[{\"a\":[]}]}";
+        text.push_str(snapshot);
+        text.push('\n');
         text.push_str(&metrics_line("bring-up", &MetricsSnapshot::default()));
         text.push('\n');
-        let artifact = RunArtifact::parse(&text).unwrap();
+        let artifact = Artifact::parse(&text).unwrap();
+        // The snapshot line is kept as its text, with its line number.
+        assert_eq!(artifact.snapshot, Some((3, snapshot.to_string())));
+        assert_eq!(artifact.kind, Some(ArtifactKind::Run));
         assert_eq!(
             artifact
-                .run
+                .header
                 .as_ref()
                 .unwrap()
                 .get("scenario")
@@ -610,20 +705,20 @@ mod tests {
         assert_eq!(artifact.events.len(), 1);
         assert_eq!(artifact.events[0].t, 5);
         assert_eq!(artifact.events[0].node, Some(3));
-        assert_eq!(artifact.snapshots.len(), 1);
-        assert_eq!(artifact.snapshots[0].0, "bring-up");
+        assert_eq!(artifact.metrics.len(), 1);
+        assert_eq!(artifact.metrics[0].0, "bring-up");
     }
 
     #[test]
     fn parse_rejects_bad_lines_and_skips_unknown_types() {
-        assert!(RunArtifact::parse("{\"type\":\"event\"}").is_err()); // no t
-        assert!(RunArtifact::parse("not json").is_err());
-        let ok = RunArtifact::parse("{\"type\":\"future-thing\",\"x\":1}\n\n").unwrap();
+        assert!(Artifact::parse("{\"type\":\"event\"}").is_err()); // no t
+        assert!(Artifact::parse("not json").is_err());
+        let ok = Artifact::parse("{\"type\":\"future-thing\",\"x\":1}\n\n").unwrap();
         assert!(ok.events.is_empty());
     }
 
     fn one_event(line: &str) -> Result<EventRecord, String> {
-        RunArtifact::parse(line).map(|a| a.events.into_iter().next().expect("one event line"))
+        Artifact::parse(line).map(|a| a.events.into_iter().next().expect("one event line"))
     }
 
     #[test]
@@ -752,7 +847,7 @@ mod tests {
             ("[1]", "missing \"type\""),
         ] {
             assert_eq!(
-                RunArtifact::parse(bad).unwrap_err(),
+                Artifact::parse(bad).unwrap_err(),
                 format!("line 1: {why}"),
                 "{bad}"
             );
@@ -764,7 +859,7 @@ mod tests {
             "{\"type\":\"later\",\"x\":[1,}",
             "{\"x\":tru,\"type\":\"event\"}",
         ] {
-            let err = RunArtifact::parse(malformed).unwrap_err();
+            let err = Artifact::parse(malformed).unwrap_err();
             assert!(
                 err.starts_with("line 1: json error at byte "),
                 "{malformed}: {err}"
@@ -785,7 +880,7 @@ mod tests {
                 format!("{{\"type\":\"snapshot\",\"nodes\":{}}}", arrays(inner)),
                 format!("{{\"nodes\":{},\"type\":\"later\"}}", arrays(inner)),
             ] {
-                let got = RunArtifact::parse(&line);
+                let got = Artifact::parse(&line);
                 assert_eq!(got.is_ok(), ok, "{inner} arrays inside: {got:?}");
                 assert_eq!(
                     Json::parse(&line).is_ok(),
@@ -800,23 +895,69 @@ mod tests {
     fn parse_lenient_degrades_gracefully() {
         // Truncated final line: everything before it survives, one warning.
         let text = "{\"type\":\"run\",\"scenario\":\"clique\"}\n{\"type\":\"event\",\"t\":1,\"no";
-        assert!(RunArtifact::parse(text).is_err());
-        let (artifact, warnings) = RunArtifact::parse_lenient(text).unwrap();
-        assert!(artifact.run.is_some());
+        assert!(Artifact::parse(text).is_err());
+        let (artifact, warnings) = Artifact::parse_lenient(text).unwrap();
+        assert!(artifact.header.is_some());
         assert!(
             warnings.iter().any(|w| w.contains("final line")),
             "{warnings:?}"
         );
         // Valid header, zero events: a warning, not a garbled table.
-        let (empty, warnings) = RunArtifact::parse_lenient("{\"type\":\"run\",\"n\":4}\n").unwrap();
+        let (empty, warnings) = Artifact::parse_lenient("{\"type\":\"run\",\"n\":4}\n").unwrap();
         assert!(empty.events.is_empty());
         assert!(
             warnings.iter().any(|w| w.contains("no trace events")),
             "{warnings:?}"
         );
         // A file with nothing recognizable is still a hard error.
-        assert!(RunArtifact::parse_lenient("this is not json\n").is_err());
-        assert!(RunArtifact::parse_lenient("").is_err());
+        assert!(Artifact::parse_lenient("this is not json\n").is_err());
+        assert!(Artifact::parse_lenient("").is_err());
+    }
+
+    #[test]
+    fn typed_lines_put_the_type_first() {
+        let members = Json::Obj(vec![
+            ("a".into(), Json::U64(1)),
+            (
+                "b".into(),
+                Json::Arr(vec![Json::Null, Json::Str("x".into())]),
+            ),
+        ]);
+        let mut want = Json::Obj(vec![("type".into(), Json::Str("run".into()))]);
+        if let (Json::Obj(w), Json::Obj(m)) = (&mut want, &members) {
+            w.extend(m.iter().cloned());
+        }
+        assert_eq!(typed_line("run", &members), want.to_compact());
+        assert_eq!(typed_line("x", &Json::Obj(vec![])), "{\"type\":\"x\"}");
+        let mut out = "earlier\n".to_string();
+        write_typed_line(&mut out, "cell", &Json::Null);
+        assert_eq!(out, "earlier\n{\"type\":\"cell\"}");
+    }
+
+    #[test]
+    fn kind_tells_runs_from_campaigns() {
+        let kind = |text: &str| Artifact::parse(text).map(|a| a.kind);
+        assert_eq!(
+            kind("{\"type\":\"run\",\"x\":1}\n"),
+            Ok(Some(ArtifactKind::Run))
+        );
+        assert_eq!(kind(""), Ok(None));
+        // A campaign without its header line is still a campaign.
+        let job = crate::campaign::tests::job(0, 0, 4, 10.0).to_line();
+        let headless = Artifact::parse(&job).unwrap();
+        assert_eq!(headless.kind, Some(ArtifactKind::Campaign));
+        assert_eq!(headless.cells.len(), 1);
+        // Mixing the kinds is an error naming the first line of the other
+        // kind, even as the final line of a lenient parse.
+        let mixed = format!("{{\"type\":\"run\"}}\n{job}\n");
+        let want = "line 2: a \"job\" line in a run artifact";
+        assert_eq!(Artifact::parse(&mixed).unwrap_err(), want);
+        assert_eq!(Artifact::parse_lenient(&mixed).unwrap_err(), want);
+        let mixed = format!("{job}\n{{\"type\":\"snapshot\"}}\n{job}\n");
+        assert_eq!(
+            Artifact::parse(&mixed).unwrap_err(),
+            "line 2: a \"snapshot\" line in a campaign artifact"
+        );
     }
 
     fn ev(t: u64, node: Option<u32>, event: TraceEvent) -> EventRecord {
@@ -854,8 +995,7 @@ mod tests {
 
     #[test]
     fn analysis_counts_and_timeline() {
-        let artifact = RunArtifact {
-            run: None,
+        let artifact = Artifact {
             events: vec![
                 ev(
                     0,
@@ -944,7 +1084,7 @@ mod tests {
                     },
                 ),
             ],
-            snapshots: vec![],
+            ..Artifact::default()
         };
         let a = RunAnalysis::from_artifact(&artifact);
         assert_eq!(a.updates_by_node.get(&1), Some(&(2, 0)));
@@ -969,8 +1109,7 @@ mod tests {
 
     #[test]
     fn analysis_counts_control_channel_events() {
-        let artifact = RunArtifact {
-            run: None,
+        let artifact = Artifact {
             events: vec![
                 ev(1, Some(4), TraceEvent::SpeakerEventDropped { session: 0 }),
                 ev(2, Some(4), TraceEvent::SpeakerHeadless { entered: true }),
@@ -994,7 +1133,7 @@ mod tests {
                     },
                 ),
             ],
-            snapshots: vec![],
+            ..Artifact::default()
         };
         let a = RunAnalysis::from_artifact(&artifact);
         assert_eq!(a.events_dropped, 1);
@@ -1038,8 +1177,7 @@ mod tests {
                 ),
             ],
         };
-        let artifact = RunArtifact {
-            run: None,
+        let artifact = Artifact {
             events: vec![
                 ev(
                     5,
@@ -1059,7 +1197,8 @@ mod tests {
                 ),
                 ev(20, Some(1), TraceEvent::SessionUp { peer: 2 }),
             ],
-            snapshots: vec![("run".into(), counters.to_json())],
+            metrics: vec![("run".into(), counters.to_json())],
+            ..Artifact::default()
         };
         let a = RunAnalysis::from_artifact(&artifact);
         assert_eq!(a.sessions, (1, 2));
@@ -1081,8 +1220,7 @@ mod tests {
 
     #[test]
     fn analysis_collects_verify_violations() {
-        let artifact = RunArtifact {
-            run: None,
+        let artifact = Artifact {
             events: vec![ev(
                 9_000_000_000,
                 None,
@@ -1093,7 +1231,7 @@ mod tests {
                     witness: "sw20 --[10.0.0.0/8 p100 output:2]--> sw30".into(),
                 },
             )],
-            snapshots: vec![],
+            ..Artifact::default()
         };
         let a = RunAnalysis::from_artifact(&artifact);
         assert_eq!(a.verify_violations.len(), 1);
@@ -1105,8 +1243,7 @@ mod tests {
 
     #[test]
     fn analysis_without_phase_markers_uses_whole_run() {
-        let artifact = RunArtifact {
-            run: None,
+        let artifact = Artifact {
             events: vec![ev(
                 7,
                 Some(1),
@@ -1116,7 +1253,7 @@ mod tests {
                     new_path: Some(vec![1]),
                 },
             )],
-            snapshots: vec![],
+            ..Artifact::default()
         };
         let a = RunAnalysis::from_artifact(&artifact);
         assert_eq!(a.phases.len(), 1);

@@ -1209,11 +1209,11 @@ impl fmt::Display for TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{event_line, RunArtifact};
+    use crate::artifact::{event_line, Artifact};
 
     fn roundtrip(e: TraceEvent) {
         let line = event_line(7, None, &e);
-        let back = RunArtifact::parse(&line).unwrap();
+        let back = Artifact::parse(&line).unwrap();
         assert_eq!(back.events.len(), 1, "{line}");
         assert_eq!(back.events[0].event, e);
     }

@@ -93,7 +93,7 @@ impl Json {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    pub(crate) fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),

@@ -1,8 +1,9 @@
-//! Shared JSONL scanning for artifact parsers.
+//! JSONL line scanning under the artifact reader.
 //!
 //! Run and campaign artifacts are both line-oriented JSON documents; this
-//! module is the one line-reader they share, and what a line holds is the
-//! caller's business. Strict scans fail on the first bad line. Lenient
+//! module is the line scanner under their one reader,
+//! [`Artifact`](crate::Artifact), and what a line holds is the caller's
+//! business. Strict scans fail on the first bad line. Lenient
 //! scans tolerate exactly one malformed *final* line — the signature of a
 //! run that died mid-write — downgrading it to a warning so `bgpsdn report`
 //! can still render everything recorded before the truncation.
@@ -10,24 +11,11 @@
 /// Scan every non-empty line of a JSONL document, handing `(line_number,
 /// trimmed line)` to `line` (line numbers are 1-based), which parses it.
 /// An error from the callback aborts the scan, prefixed with the offending
-/// line number.
-pub fn scan(text: &str, line: impl FnMut(usize, &str) -> Result<(), String>) -> Result<(), String> {
-    scan_inner(text, None, line)
-}
-
-/// Like [`scan`], but a **final** line the callback rejects is recorded in
-/// `warnings` instead of failing the whole scan: a truncated tail is the
+/// line number — except that with `lenient` warnings, a **final** line the
+/// callback rejects is recorded there instead: a truncated tail is the
 /// normal shape of an artifact whose writer was killed mid-line. Malformed
 /// lines anywhere else remain hard errors.
-pub(crate) fn scan_lenient(
-    text: &str,
-    warnings: &mut Vec<String>,
-    line: impl FnMut(usize, &str) -> Result<(), String>,
-) -> Result<(), String> {
-    scan_inner(text, Some(warnings), line)
-}
-
-fn scan_inner(
+pub fn scan(
     text: &str,
     mut lenient: Option<&mut Vec<String>>,
     mut line: impl FnMut(usize, &str) -> Result<(), String>,
@@ -59,7 +47,7 @@ mod tests {
     #[test]
     fn strict_fails_on_any_bad_line() {
         let mut seen = 0;
-        let err = scan("{\"a\":1}\nnot json\n{\"b\":2}\n", |_, raw| {
+        let err = scan("{\"a\":1}\nnot json\n{\"b\":2}\n", None, |_, raw| {
             check(raw)?;
             seen += 1;
             Ok(())
@@ -73,7 +61,7 @@ mod tests {
     fn lenient_tolerates_only_the_final_line() {
         let mut warnings = Vec::new();
         let mut seen = 0;
-        scan_lenient("{\"a\":1}\n{\"trunc", &mut warnings, |_, raw| {
+        scan("{\"a\":1}\n{\"trunc", Some(&mut warnings), |_, raw| {
             check(raw)?;
             seen += 1;
             Ok(())
@@ -83,7 +71,7 @@ mod tests {
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("line 2"), "{}", warnings[0]);
 
-        let err = scan_lenient("bad\n{\"a\":1}\n", &mut Vec::new(), |_, raw| {
+        let err = scan("bad\n{\"a\":1}\n", Some(&mut Vec::new()), |_, raw| {
             Ok(check(raw)?)
         })
         .expect_err("non-final bad line must stay fatal");
@@ -92,7 +80,7 @@ mod tests {
 
     #[test]
     fn callback_errors_carry_line_numbers() {
-        let err = scan("{\"a\":1}\n", |_, _| Err("bad \"t\"".into())).unwrap_err();
+        let err = scan("{\"a\":1}\n", None, |_, _| Err("bad \"t\"".into())).unwrap_err();
         assert_eq!(err, "line 1: bad \"t\"");
     }
 }

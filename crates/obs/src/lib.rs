@@ -12,8 +12,9 @@
 //! * [`span`]: wall-clock timing spans that cost one branch when disabled;
 //! * [`json`]: the dependency-free JSON value type, and the streaming
 //!   writer and pull reader event lines go through without building one;
-//! * [`artifact`]: JSONL run artifacts and the analysis behind
-//!   `bgpsdn report` (per-node update counts, recompute latency
+//! * [`artifact`]: the one JSONL artifact reader, [`Artifact`], for run
+//!   and campaign artifacts alike, its typed-line writer, and the analysis
+//!   behind `bgpsdn report` (per-node update counts, recompute latency
 //!   histograms, convergence timelines);
 //! * [`campaign`]: merged campaign artifacts for parameter sweeps —
 //!   per-job summary records, per-grid-cell min/median/p90/max
@@ -41,12 +42,11 @@ pub mod metrics;
 pub mod span;
 
 pub use artifact::{
-    event_line, last_routing_change, metrics_line, run_line, write_event_line, EventRecord,
-    PhaseSummary, RunAnalysis, RunArtifact, EVENT_LINE_BYTES,
+    event_line, last_routing_change, metrics_line, write_event_line, write_typed_line, Artifact,
+    ArtifactKind, CampaignArtifact, EventRecord, PhaseSummary, RunAnalysis, RunArtifact,
+    EVENT_LINE_BYTES,
 };
-pub use campaign::{
-    aggregate_cells, canonicalize_jsonl, AggStats, CampaignArtifact, CellStats, JobRecord,
-};
+pub use campaign::{aggregate_cells, canonicalize_jsonl, AggStats, CellStats, JobRecord};
 pub use causal::{
     CausalAnalysis, CausalNode, Cause, CriticalPath, HuntChain, PathStep, PhaseBreakdown,
     TriggerForensics,

@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 
 use bgpsdn_obs::{
-    event_line, write_event_line, CausalPhase, EventRecord, FlowActionRepr, Json, ObsPrefix,
-    RecomputeTrigger, RunArtifact, TraceCategory, TraceEvent,
+    event_line, write_event_line, Artifact, CausalPhase, EventRecord, FlowActionRepr, Json,
+    ObsPrefix, RecomputeTrigger, TraceCategory, TraceEvent,
 };
 
 /// The tree codec: event → `Json` → text and back, as the library did it
@@ -896,13 +896,13 @@ proptest! {
         node in arb_node(),
     ) {
         let doc = event_line(t, node, &event);
-        let artifact = RunArtifact::parse(&doc).expect("artifact line must parse");
+        let artifact = Artifact::parse(&doc).expect("artifact line must parse");
         prop_assert_eq!(artifact.events, vec![EventRecord { t, node, event }]);
     }
 
     #[test]
     fn category_is_stable_across_roundtrip(event in arb_event()) {
-        let artifact = RunArtifact::parse(&event_line(0, None, &event)).unwrap();
+        let artifact = Artifact::parse(&event_line(0, None, &event)).unwrap();
         let back = &artifact.events[0].event;
         prop_assert_eq!(back.category(), event.category());
         prop_assert_eq!(back.kind(), event.kind());
@@ -920,14 +920,14 @@ proptest! {
         for _ in 0..8 {
             let line = mangle(reference::line_members(t, node, &event), &mut dice);
             let want = reference::parse_events(&line);
-            let got = RunArtifact::parse(&line).map(|a| a.events);
+            let got = Artifact::parse(&line).map(|a| a.events);
             let agree = match (&got, &want) {
                 (Ok(got), Ok(want)) => got == want,
                 (got, want) => got.is_err() && want.is_err(),
             };
             prop_assert!(agree, "{line:?}: reader {got:?}, reference {want:?}");
             // Lenient differs from strict only in forgiving the last line.
-            let lenient = RunArtifact::parse_lenient(&line);
+            let lenient = Artifact::parse_lenient(&line);
             if let Ok(events) = &got {
                 if !events.is_empty() {
                     let (artifact, warnings) = lenient.expect("strict passed");
@@ -957,9 +957,9 @@ proptest! {
             for cut in (1..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
                 let text = format!("{before}{}\n{after}", &line[..cut]);
                 let at = format!("line {}:", i + 1);
-                let strict = RunArtifact::parse(&text).expect_err("a cut line is malformed");
+                let strict = Artifact::parse(&text).expect_err("a cut line is malformed");
                 prop_assert!(strict.starts_with(&at), "{strict}");
-                let lenient = RunArtifact::parse_lenient(&text);
+                let lenient = Artifact::parse_lenient(&text);
                 if i == last {
                     let (artifact, warnings) = lenient.expect("the tail is forgiven");
                     prop_assert_eq!(&artifact.events[..], &records[..last]);

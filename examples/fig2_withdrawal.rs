@@ -13,7 +13,7 @@ fn main() {
     let grid = CampaignGrid::fig2(10);
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
     let report = run_campaign(&grid, workers, false);
-    let artifact = CampaignArtifact::parse(&report.render_artifact(&grid)).expect("own artifact");
+    let artifact = Artifact::parse(&report.render_artifact(&grid)).expect("own artifact");
     // One line per cluster size: a roughly linear decrease of the median,
     // collapsing at full deployment.
     print!("{}", artifact.render_report());

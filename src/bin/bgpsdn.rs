@@ -17,6 +17,8 @@
 //! Each subcommand reads a fixed set of flags ([`known_flags`]); anything
 //! else on its command line is a usage error (exit 2) that names the flag.
 
+use std::fs::File;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -262,21 +264,25 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             preflight.render()
         ));
     }
+    let mut trace_out = match args.get_str("trace-out") {
+        Some(path) => Some((path, create(path)?)),
+        None => None,
+    };
     println!(
         "running {event:?} on a {n}-AS clique, {sdn} SDN members, MRAI {}, seed {}",
         spec.timing.mrai, spec.seed
     );
-    let trace_out = args.get_str("trace-out");
     let (out, exp) = spec.run(|sim| {
         if trace_out.is_some() {
             sim.trace_mut().enable_all();
             sim.set_profiling(true);
         }
     });
-    if let Some(path) = trace_out {
+    if let Some((path, file)) = &mut trace_out {
         let mut text = String::new();
         spec.render_artifact_into(None, &exp, &mut text);
-        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
+        file.write_all(text.as_bytes())
+            .map_err(|e| format!("writing {path}: {e}"))?;
         let trace = exp.net.sim.trace();
         println!(
             "trace artifact:   {path} ({} events, {} dropped, {} phases)",
@@ -300,6 +306,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return Err("audit failed".into());
     }
     Ok(())
+}
+
+/// Create an output file up front, so that a path that cannot be written
+/// fails before anything is simulated.
+fn create(path: &str) -> Result<File, String> {
+    File::create(path).map_err(|e| format!("writing {path}: {e}"))
 }
 
 fn parse_event(raw: Option<&str>) -> Result<EventKind, String> {
@@ -400,6 +412,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     }
     let default_out = format!("{}_campaign.jsonl", grid.name);
     let out_path = args.get_str("out").unwrap_or(&default_out).to_string();
+    let mut out_file = create(&out_path)?;
 
     let jobs = grid.expand();
     println!(
@@ -456,14 +469,16 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     );
 
     let merged = report.render_artifact(&grid);
-    std::fs::write(&out_path, &merged).map_err(|e| format!("writing {out_path}: {e}"))?;
+    out_file
+        .write_all(merged.as_bytes())
+        .map_err(|e| format!("writing {out_path}: {e}"))?;
     println!(
         "\ncampaign artifact: {out_path} ({} jobs, {} workers, {:.2}s wall)",
         report.results.len(),
         report.workers,
         report.wall.as_secs_f64()
     );
-    let parsed = CampaignArtifact::parse(&merged)?;
+    let parsed = Artifact::parse(&merged)?;
     print!("{}", parsed.render_report());
 
     let unhealthy: u64 = parsed
@@ -477,52 +492,35 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_report(path: &str) -> Result<(), String> {
+/// Read and parse the artifact at `path` for `report`, `explain` and
+/// `verify`, printing the reader's warnings.
+fn read_artifact(path: &str) -> Result<Artifact, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if CampaignArtifact::sniff(&text) {
-        let (campaign, warnings) = CampaignArtifact::parse_lenient(&text)?;
-        for w in &warnings {
-            eprintln!("warning: {w}");
-        }
-        print!("{}", campaign.render_report());
-        return Ok(());
-    }
-    let (artifact, warnings) = RunArtifact::parse_lenient(&text)?;
+    let (artifact, warnings) =
+        Artifact::parse_lenient(&text).map_err(|e| format!("{path}: {e}"))?;
     for w in &warnings {
         eprintln!("warning: {w}");
     }
-    if let Some(run) = &artifact.run {
-        println!("run: {}", run.to_compact());
-    }
-    let analysis = RunAnalysis::from_artifact(&artifact);
-    print!("{}", analysis.render());
-    for (phase, metrics) in &artifact.snapshots {
-        println!("== metrics [{phase}]");
-        let pooled = global_counter(metrics, "core.sim.events_pooled");
-        let hot = global_counter(metrics, "core.sim.allocs_hot");
-        if pooled + hot > 0 {
-            println!(
-                "  sim hot path: {pooled} event slots recycled, {hot} slab growth allocations"
-            );
-        }
-        println!("{}", metrics.to_compact());
-    }
-    Ok(())
+    Ok(artifact)
 }
 
-/// Pull a global (`node: null`) counter out of a raw phase metrics snapshot.
-fn global_counter(snapshot: &bgp_sdn_emu::obs::Json, name: &str) -> u64 {
-    let bgp_sdn_emu::obs::Json::Arr(entries) = snapshot else {
-        return 0;
-    };
-    entries
-        .iter()
-        .filter(|e| {
-            e.get("name").and_then(|n| n.as_str()) == Some(name)
-                && matches!(e.get("node"), Some(bgp_sdn_emu::obs::Json::Null))
-        })
-        .filter_map(|e| e.get("counter").and_then(|c| c.as_u64()))
-        .sum()
+/// [`read_artifact`] for `explain` and `verify`, which need one run's
+/// `what`: a campaign artifact is an error that points at the job artifacts.
+fn read_run_artifact(path: &str, what: &str) -> Result<Artifact, String> {
+    let artifact = read_artifact(path)?;
+    if artifact.kind == Some(ArtifactKind::Campaign) {
+        return Err(format!(
+            "{path} is a campaign artifact, which carries per-cell sums, not {what}; \
+             use `bgpsdn report` for its tables, or one job's isolated artifact \
+             (sweep --artifacts DIR)"
+        ));
+    }
+    Ok(artifact)
+}
+
+fn cmd_report(path: &str) -> Result<(), String> {
+    print!("{}", read_artifact(path)?.render_report());
+    Ok(())
 }
 
 /// One named unit of `bgpsdn check` output: an analyzer report plus
@@ -790,25 +788,13 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 /// chains, and ghost-route intervals.
 fn cmd_explain(path: &str, args: &Args) -> Result<(), String> {
     let top: usize = args.get("top", 3)?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if CampaignArtifact::sniff(&text) {
-        return Err(
-            "campaign artifacts carry per-cell phase sums, not full lineage; \
-             use `bgpsdn report` for the phase table, or explain one job's \
-             isolated artifact (sweep --artifacts DIR)"
-                .into(),
-        );
-    }
-    let (artifact, warnings) = RunArtifact::parse_lenient(&text)?;
-    for w in &warnings {
-        eprintln!("warning: {w}");
-    }
+    let artifact = read_run_artifact(path, "full lineage")?;
     let analysis =
         CausalAnalysis::from_events(artifact.events.iter().map(|r| (r.t, r.node, &r.event)));
     if args.has("json") {
         println!("{}", analysis.to_json(top).to_compact());
     } else {
-        if let Some(run) = &artifact.run {
+        if let Some(run) = &artifact.header {
             println!("run: {}", run.to_compact());
         }
         print!("{}", analysis.render(top));
@@ -816,44 +802,24 @@ fn cmd_explain(path: &str, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Offline verification of a run artifact: find the frozen
-/// `{"type":"snapshot",...}` line that every artifact writer emits and run
-/// the full invariant suite over it. A file without one is an error that
-/// names the first line that is not JSON, if any (a truncated snapshot).
+/// Offline verification of a run artifact: take the frozen
+/// `{"type":"snapshot",...}` line that every run artifact writer emits and
+/// run the full invariant suite over it.
 fn cmd_verify(args: &Args) -> Result<(), String> {
     let Some(path) = args.get_str("snapshot") else {
         return Err("--snapshot FILE is required".into());
     };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut snap = None;
-    let mut unparsed = None;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match Json::parse(line) {
-            Ok(v) if v.get("type").and_then(Json::as_str) == Some("snapshot") => {
-                let parsed = Snapshot::from_json(&v);
-                snap = Some(parsed.map_err(|e| format!("{path} line {}: {e}", i + 1))?);
-            }
-            Ok(_) => {}
-            Err(e) => {
-                unparsed.get_or_insert((i + 1, e));
-            }
-        }
-    }
-    let Some(snap) = snap else {
-        if let Some((n, e)) = unparsed {
-            return Err(format!(
-                "{path} line {n} does not parse ({e}), and no other line holds a snapshot"
-            ));
-        }
+    let artifact = read_run_artifact(path, "a snapshot")?;
+    let Some((line, raw)) = &artifact.snapshot else {
         return Err(format!(
             "{path} has no snapshot line ({{\"type\":\"snapshot\",...}}); `bgpsdn report {path}` \
              lists the verify_violation events the run recorded"
         ));
     };
+    let snap = Json::parse(raw)
+        .map_err(String::from)
+        .and_then(|v| Snapshot::from_json(&v))
+        .map_err(|e| format!("{path}: line {line}: {e}"))?;
     let mut verifier = Verifier::default();
     let report = verifier.verify(&snap);
     println!(

@@ -86,8 +86,8 @@ pub mod prelude {
         TraceCategory, TraceEvent,
     };
     pub use bgpsdn_obs::{
-        canonicalize_jsonl, CampaignArtifact, CausalAnalysis, CausalPhase, Json, PhaseBreakdown,
-        RunAnalysis, RunArtifact,
+        canonicalize_jsonl, Artifact, ArtifactKind, CausalAnalysis, CausalPhase, Json,
+        PhaseBreakdown, RunAnalysis,
     };
     pub use bgpsdn_sdn::{ClusterMsg, FlowAction, SpeakerCmd, SpeakerEvent};
     pub use bgpsdn_topology::{caida, gen, plan, AsGraph, TopologyPlan};

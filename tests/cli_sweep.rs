@@ -55,8 +55,8 @@ fn sweep_then_report() {
     // The merged artifact parses as a campaign document: header, one job
     // line per run, one aggregated cell line per grid cell.
     let text = std::fs::read_to_string(&out).expect("artifact written");
-    assert!(CampaignArtifact::sniff(&text));
-    let campaign = CampaignArtifact::parse(&text).expect("campaign parses");
+    let campaign = Artifact::parse(&text).expect("campaign parses");
+    assert_eq!(campaign.kind, Some(ArtifactKind::Campaign));
     assert_eq!(campaign.jobs.len(), 4);
     assert_eq!(campaign.cells.len(), 2);
     assert!(campaign.jobs.iter().all(|j| j.converged && j.audit_ok));
@@ -70,8 +70,8 @@ fn sweep_then_report() {
     per_job.sort();
     assert_eq!(per_job.len(), 4);
     let job_text = std::fs::read_to_string(&per_job[0]).unwrap();
-    assert!(!CampaignArtifact::sniff(&job_text), "job artifact is a run");
-    RunArtifact::parse(&job_text).expect("job artifact parses");
+    let job = Artifact::parse(&job_text).expect("job artifact parses");
+    assert_eq!(job.kind, Some(ArtifactKind::Run), "job artifact is a run");
 
     // `bgpsdn report` routes campaign artifacts to the grid-cell table.
     let report = bgpsdn().arg("report").arg(&out).output().expect("report");
@@ -87,6 +87,77 @@ fn sweep_then_report() {
 
     let _ = std::fs::remove_file(&out);
     let _ = std::fs::remove_dir_all(&art_dir);
+}
+
+#[test]
+fn sweep_fails_on_an_unwritable_out_before_any_job() {
+    let sweep = bgpsdn()
+        .args([
+            "sweep",
+            "--sizes",
+            "0",
+            "--n",
+            "4",
+            "--mrai",
+            "1",
+            "--seeds",
+            "1",
+            "--workers",
+            "1",
+            "--out",
+            "/nonexistent/x.jsonl",
+        ])
+        .output()
+        .expect("spawn bgpsdn sweep");
+    let stdout = String::from_utf8_lossy(&sweep.stdout);
+    let stderr = String::from_utf8_lossy(&sweep.stderr);
+    assert_eq!(sweep.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("/nonexistent/x.jsonl"), "{stderr}");
+    assert!(!stdout.contains("] job"), "no job may run: {stdout}");
+    assert!(!stdout.contains("converged:"), "{stdout}");
+}
+
+/// One hand-written `job` line of a campaign artifact.
+fn job_line(id: u64, cell: u64, conv_ns: u64) -> String {
+    format!(
+        "{{\"type\":\"job\",\"id\":{id},\"cell\":{cell},\"cluster\":{cell},\"loss_ppm\":0,\
+         \"ctl_latency_ns\":1000000,\"seed\":{id},\"converged\":true,\"convergence_ns\":{conv_ns},\
+         \"updates\":10,\"flow_mods\":0,\"audit_ok\":true,\"verify_violations\":0}}\n"
+    )
+}
+
+fn report(name: &str, text: &str) -> std::process::Output {
+    let path = tmp(name);
+    std::fs::write(&path, text).expect("write artifact");
+    let out = bgpsdn().arg("report").arg(&path).output().expect("report");
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+#[test]
+fn report_renders_job_lines_without_a_header_as_a_campaign() {
+    let text = job_line(0, 0, 2_000_000_000) + &job_line(1, 0, 4_000_000_000);
+    let out = report("headless.jsonl", &text);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("grid cells (2 jobs)"), "{stdout}");
+    assert!(stdout.contains("3.00s"), "the cell's median: {stdout}");
+}
+
+#[test]
+fn report_rejects_an_artifact_mixing_run_and_campaign_lines() {
+    let text = "{\"type\":\"run\",\"n\":4}\n".to_string() + &job_line(0, 0, 1);
+    let out = report("mixed.jsonl", &text);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 2: a \"job\" line in a run artifact"),
+        "names the line: {stderr}"
+    );
 }
 
 #[test]

@@ -48,11 +48,11 @@ fn run_trace_out_then_report() {
 
     // The artifact parses with the library API and carries typed events.
     let text = std::fs::read_to_string(&path).expect("artifact written");
-    let artifact = RunArtifact::parse(&text).expect("artifact parses");
-    assert!(artifact.run.is_some(), "run header line present");
+    let artifact = Artifact::parse(&text).expect("artifact parses");
+    assert!(artifact.header.is_some(), "run header line present");
     assert!(!artifact.events.is_empty(), "typed events present");
     assert_eq!(
-        artifact.snapshots.len(),
+        artifact.metrics.len(),
         2,
         "bring-up + withdrawal metric snapshots"
     );
@@ -225,6 +225,32 @@ fn report_rejects_malformed_artifacts() {
         .output()
         .expect("spawn report");
     assert!(!missing.status.success(), "missing file must fail");
+}
+
+#[test]
+fn run_fails_on_an_unwritable_trace_out_before_simulating() {
+    let run = bgpsdn()
+        .args([
+            "run",
+            "--event",
+            "withdrawal",
+            "--sdn",
+            "2",
+            "--n",
+            "4",
+            "--mrai",
+            "1",
+            "--trace-out",
+            "/nonexistent/r.jsonl",
+        ])
+        .output()
+        .expect("spawn bgpsdn run");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("/nonexistent/r.jsonl"), "{stderr}");
+    assert!(!stdout.contains("converged:"), "{stdout}");
+    assert!(stdout.is_empty(), "nothing may run: {stdout}");
 }
 
 #[test]

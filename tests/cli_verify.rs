@@ -198,11 +198,30 @@ fn verify_names_the_line_of_a_truncated_snapshot() {
     });
     assert_eq!(code, Some(1), "{stderr}");
     assert!(
-        stderr.contains(&format!("line {line} ")),
+        stderr.contains(&format!("line {line}:")),
         "names the line: {stderr}"
     );
     assert!(
         stderr.contains("json error at byte"),
         "gives the parse error: {stderr}"
     );
+}
+
+#[test]
+fn verify_names_a_campaign_artifact_and_points_at_job_artifacts() {
+    let path = artifact_path("campaign");
+    std::fs::write(
+        &path,
+        "{\"type\":\"campaign\",\"name\":\"x\"}\n\
+         {\"type\":\"job\",\"id\":0,\"cell\":0,\"cluster\":0,\"loss_ppm\":0,\
+         \"ctl_latency_ns\":1000000,\"seed\":1,\"converged\":true,\"convergence_ns\":1,\
+         \"updates\":1,\"flow_mods\":0,\"audit_ok\":true,\"verify_violations\":0}\n",
+    )
+    .expect("write artifact");
+    let out = verify(&path);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("is a campaign artifact"), "{stderr}");
+    assert!(stderr.contains("sweep --artifacts DIR"), "{stderr}");
 }
