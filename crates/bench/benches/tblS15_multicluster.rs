@@ -14,8 +14,7 @@
 
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_core::{DeploymentStrategy, JobSpec, Placement, Topology};
-use bgpsdn_netsim::Summary;
-use bgpsdn_obs::impl_to_json;
+use bgpsdn_obs::{impl_to_json, Summary};
 use bgpsdn_topology::caida::SynthesisParams;
 
 /// Member budget: the tier-1 clique plus half the mid tier.
@@ -65,11 +64,11 @@ fn sweep_point(placement: Placement, clusters: usize) -> Row {
         let (out, _) = spec.run(|_| {});
         assert!(out.converged, "withdrawal convergence");
         assert!(out.audit_ok, "the withdrawn stub prefix must be gone");
-        times.push(out.convergence);
+        times.push(out.convergence.as_secs_f64());
         // Updates count from the withdrawal on — exactly the re-convergence.
         updates.push(out.updates as f64);
     }
-    let s = Summary::of_durations(&times).unwrap();
+    let s = Summary::of(times).unwrap();
     Row {
         strategy: placement.name(),
         clusters,

@@ -10,8 +10,8 @@
 
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_core::JobSpec;
-use bgpsdn_netsim::{SimDuration, Summary};
-use bgpsdn_obs::impl_to_json;
+use bgpsdn_netsim::SimDuration;
+use bgpsdn_obs::{impl_to_json, Summary};
 
 struct Row {
     delay_ms: u64,
@@ -51,14 +51,14 @@ fn main() {
             };
             let (out, exp) = spec.run(|_| {});
             assert!(out.converged && out.audit_ok);
-            times.push(out.convergence);
+            times.push(out.convergence.as_secs_f64());
             let c = exp.net.controller.unwrap();
             let stats = exp.net.sim.node_ref::<bgpsdn_core::Controller>(c).stats();
             recomputes.push(stats.recomputes as f64);
             flow_mods.push(stats.flow_mods as f64);
             anns.push((stats.announcements + stats.withdrawals) as f64);
         }
-        let conv = Summary::of_durations(&times).unwrap();
+        let conv = Summary::of(times).unwrap();
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let row = Row {
             delay_ms,

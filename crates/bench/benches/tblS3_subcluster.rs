@@ -14,8 +14,8 @@
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{Asn, PolicyMode, TimingConfig};
 use bgpsdn_core::{Controller, Experiment, NetworkBuilder, ScriptAction};
-use bgpsdn_netsim::{SimDuration, Summary};
-use bgpsdn_obs::impl_to_json;
+use bgpsdn_netsim::SimDuration;
+use bgpsdn_obs::{impl_to_json, Summary};
 use bgpsdn_topology::{plan, AsEdge, AsGraph, EdgeKind};
 
 struct Row {
@@ -99,7 +99,7 @@ fn main() {
         exp.apply(&ScriptAction::FailEdge(a_idx, b_idx));
         let rep = exp.wait_converged(hour);
         assert!(rep.converged);
-        split_times.push(rep.duration);
+        split_times.push(rep.duration.as_secs_f64());
         let audit = exp.connectivity_audit();
         split_conn.push(audit.delivery_ratio());
         let c = exp.net.controller.unwrap();
@@ -116,7 +116,7 @@ fn main() {
         exp.apply(&ScriptAction::RestoreEdge(a_idx, b_idx));
         let rep = exp.wait_converged(hour);
         assert!(rep.converged);
-        heal_times.push(rep.duration);
+        heal_times.push(rep.duration.as_secs_f64());
         heal_conn.push(exp.connectivity_audit().delivery_ratio());
     }
 
@@ -124,13 +124,13 @@ fn main() {
     let rows = vec![
         Row {
             phase: "partition",
-            conv_median_s: Summary::of_durations(&split_times).unwrap().median,
+            conv_median_s: Summary::of(split_times).unwrap().median,
             connectivity: mean(&split_conn),
             subclusters: subclusters_after_split,
         },
         Row {
             phase: "heal",
-            conv_median_s: Summary::of_durations(&heal_times).unwrap().median,
+            conv_median_s: Summary::of(heal_times).unwrap().median,
             connectivity: mean(&heal_conn),
             subclusters: 1,
         },

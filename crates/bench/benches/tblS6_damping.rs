@@ -13,8 +13,8 @@
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{DampingConfig, PolicyMode, TimingConfig};
 use bgpsdn_core::{Experiment, NetworkBuilder, ScriptAction};
-use bgpsdn_netsim::{SimDuration, Summary};
-use bgpsdn_obs::impl_to_json;
+use bgpsdn_netsim::SimDuration;
+use bgpsdn_obs::{impl_to_json, Summary};
 use bgpsdn_topology::{gen, plan, AsGraph};
 
 struct Row {
@@ -116,10 +116,10 @@ fn main() {
         let mut sup = Vec::new();
         for r in 0..RUNS {
             let (t, s) = run_once(damping, sdn_count, 11_000 + r * 7919);
-            times.push(t);
+            times.push(t.as_secs_f64());
             sup.push(s as f64);
         }
-        let median = Summary::of_durations(&times).unwrap().median;
+        let median = Summary::of(times).unwrap().median;
         let sup_mean = sup.iter().sum::<f64>() / sup.len() as f64;
         println!(
             "{:>9} {:>4}/{N} {:>15.2}s {:>12.1}",

@@ -5,7 +5,7 @@
 //! the incremental path re-deriving exactly one prefix per trigger while
 //! the baseline re-derives all of them, for the same update convergence.
 //! What a recompute costs on the wall clock is `benchmark/`'s
-//! `core.controller.recompute_ms` and `perf_micro`'s `controller/recompute`.
+//! `core.controller.recompute_ms` and `core.controller.compute_ns_per_prefix`.
 
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};

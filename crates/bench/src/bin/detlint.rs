@@ -26,12 +26,13 @@ use bgpsdn_bench::detlint::{
 
 /// The source roots the lint guards, relative to the workspace root:
 /// everything that executes inside (or serializes the output of) the
-/// deterministic simulation. `crates/bench` itself is exempt:
-/// `src/detlint.rs` spells the patterns it lints for and `perf_micro` times
-/// kernels by design (the other targets are held to exact equality of
-/// their committed `bench-results/`, a stricter gate than a hazard count).
+/// deterministic simulation, and the reproduction targets, which must not
+/// read a clock either: their committed `bench-results/` hold simulated
+/// time and exact counts only. `crates/bench/src` is exempt because
+/// `detlint.rs` spells the patterns it lints for.
 const GUARDED: &[&str] = &[
     "src",
+    "crates/bench/benches",
     "crates/netsim/src",
     "crates/bgp/src",
     "crates/sdn/src",

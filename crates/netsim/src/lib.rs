@@ -47,7 +47,7 @@ pub use node::{Message, Node, NodeId, TimerClass, TimerToken};
 pub use packet::{DataApp, DataPacket, PacketKind};
 pub use rng::SimRng;
 pub use sim::{Ctx, Quiescence, Simulator, NAMED_TIMER_TOKENS};
-pub use stats::{Activity, ActivityBoard, SimStats, Summary};
+pub use stats::{Activity, ActivityBoard, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceCategory, TraceRecord};
 

@@ -1,15 +1,11 @@
-//! Run statistics, activity accounting and summary statistics.
+//! Run statistics and activity accounting.
 //!
 //! [`SimStats`] counts raw engine events. The [`ActivityBoard`] is the
 //! routing-plane measurement surface: nodes report semantic events
 //! ("RIB changed", "flow installed") via their context, and convergence
 //! detectors read the board instead of grovelling through traces.
-//! [`Summary`] computes the five-number boxplot summaries the paper's
-//! Figure 2 reports.
 
-use bgpsdn_obs::quantile;
-
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Raw engine counters for one run.
 #[derive(Debug, Clone, Default)]
@@ -142,62 +138,6 @@ impl ActivityBoard {
     }
 }
 
-/// Five-number summary (plus mean) over a set of durations — exactly what a
-/// boxplot row in the paper's Figure 2 needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Minimum.
-    pub min: f64,
-    /// First quartile (linear interpolation).
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-}
-
-impl Summary {
-    /// Summarize raw values. Returns `None` for an empty input.
-    pub fn of(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut v: Vec<f64> = values.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));
-        Some(Summary {
-            n: v.len(),
-            min: v[0],
-            q1: quantile(&v, 0.25),
-            median: quantile(&v, 0.5),
-            q3: quantile(&v, 0.75),
-            max: v[v.len() - 1],
-            mean: v.iter().sum::<f64>() / v.len() as f64,
-        })
-    }
-
-    /// Summarize durations, in seconds.
-    pub fn of_durations(values: &[SimDuration]) -> Option<Summary> {
-        let secs: Vec<f64> = values.iter().map(|d| d.as_secs_f64()).collect();
-        Summary::of(&secs)
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} min={:.3} q1={:.3} med={:.3} q3={:.3} max={:.3} mean={:.3}",
-            self.n, self.min, self.q1, self.median, self.q3, self.max, self.mean
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,54 +170,5 @@ mod tests {
         assert!(!Activity::SessionUp.is_routing_change());
         assert!(!Activity::PrefixOriginated.is_routing_change());
         assert!(!Activity::ControllerRecompute.is_routing_change());
-    }
-
-    #[test]
-    fn summary_single_value() {
-        let s = Summary::of(&[2.0]).unwrap();
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.median, 2.0);
-        assert_eq!(s.max, 2.0);
-        assert_eq!(s.n, 1);
-    }
-
-    #[test]
-    fn summary_known_quartiles() {
-        // 0..=8: median 4, q1 2, q3 6 under type-7 quantiles.
-        let v: Vec<f64> = (0..9).map(|x| x as f64).collect();
-        let s = Summary::of(&v).unwrap();
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.q1, 2.0);
-        assert_eq!(s.median, 4.0);
-        assert_eq!(s.q3, 6.0);
-        assert_eq!(s.max, 8.0);
-        assert_eq!(s.mean, 4.0);
-    }
-
-    #[test]
-    fn summary_interpolates() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.median, 2.5);
-        assert_eq!(s.q1, 1.75);
-        assert_eq!(s.q3, 3.25);
-        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.25), 1.75);
-    }
-
-    #[test]
-    fn summary_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
-        assert!(Summary::of_durations(&[]).is_none());
-    }
-
-    #[test]
-    fn summary_of_durations_converts_to_seconds() {
-        let s = Summary::of_durations(&[
-            SimDuration::from_millis(500),
-            SimDuration::from_millis(1500),
-        ])
-        .unwrap();
-        assert_eq!(s.min, 0.5);
-        assert_eq!(s.max, 1.5);
-        assert_eq!(s.median, 1.0);
     }
 }

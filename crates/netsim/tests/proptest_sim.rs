@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use bgpsdn_netsim::{
     Ctx, LatencyModel, LinkId, Message, Node, NodeId, SimDuration, SimRng, SimTime, Simulator,
-    Summary,
 };
+use bgpsdn_obs::Summary;
 
 #[derive(Debug, Clone)]
 struct Seq(u64);
@@ -100,7 +100,7 @@ proptest! {
     /// Boxplot summaries are always ordered and bounded.
     #[test]
     fn summary_orderings(values in prop::collection::vec(0.0f64..1e9, 1..200)) {
-        let s = Summary::of(&values).unwrap();
+        let s = Summary::of(values.iter().copied()).unwrap();
         prop_assert!(s.min <= s.q1);
         prop_assert!(s.q1 <= s.median);
         prop_assert!(s.median <= s.q3);

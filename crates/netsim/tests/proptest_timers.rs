@@ -373,3 +373,64 @@ proptest! {
         prop_assert_eq!((fired, n_fired, n_stale), reference::run(&steps));
     }
 }
+
+// ----------------------------------------------------------------------
+// Long timer loads, as exact counts
+// ----------------------------------------------------------------------
+
+/// A node that keeps its own timers busy until `left` runs out: a chain of
+/// one-shots, each scheduling its successor, or a 1 ms tick that re-arms
+/// itself and pushes a 90 ms hold timer back on every firing.
+struct TimerLoad {
+    one_shot: bool,
+    left: u32,
+}
+
+const TICK: TimerToken = TimerToken(0);
+const HOLD: TimerToken = TimerToken(1);
+
+impl Node<Tell> for TimerLoad {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Tell>) {
+        if self.one_shot {
+            for i in 0..1_000 {
+                let at = ctx.now() + SimDuration::from_micros(i);
+                ctx.schedule_timer(at, TICK, TimerClass::Progress);
+            }
+        } else {
+            ctx.set_timer(SimDuration::from_millis(1), TICK, TimerClass::Progress);
+        }
+    }
+    fn on_message(&mut self, _: &mut Ctx<'_, Tell>, _: NodeId, _: LinkId, _: Tell) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Tell>, token: TimerToken) {
+        if self.left == 0 || token == HOLD {
+            return;
+        }
+        self.left -= 1;
+        let ms = SimDuration::from_millis(1);
+        if self.one_shot {
+            ctx.schedule_timer(ctx.now() + ms, TICK, TimerClass::Progress);
+        } else {
+            ctx.set_timer(ms, TICK, TimerClass::Progress);
+            ctx.set_timer(ms * 90, HOLD, TimerClass::Progress);
+        }
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// 100 000 one-shots at a standing depth of 1 000 all fire. The re-arming
+/// tick fires 50 001 times and its hold, pushed back 50 000 times, fires
+/// once: every superseded hold firing is stale, not fired.
+#[test]
+fn timer_loads_fire_exact_counts() {
+    for (one_shot, left, fired) in [(true, 99_000, 100_000), (false, 50_000, 50_002)] {
+        let mut sim: Simulator<Tell> = Simulator::new(1);
+        sim.add_node("t", |_| TimerLoad { one_shot, left });
+        while sim.step() {}
+        assert_eq!(sim.stats().timers_fired, fired, "one_shot: {one_shot}");
+    }
+}

@@ -30,7 +30,7 @@ use crate::artifact::{typed_line, write_typed_line, Artifact};
 use crate::causal::PhaseBreakdown;
 use crate::event::CausalPhase;
 use crate::json::Json;
-use crate::metrics::quantile;
+use crate::stats::Summary;
 
 /// Summary of one campaign job (a single emulation run).
 #[derive(Debug, Clone, PartialEq)]
@@ -139,51 +139,16 @@ impl JobRecord {
     }
 }
 
-/// Order statistics over one metric of one grid cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggStats {
-    /// Sample count.
-    pub n: u64,
-    /// Minimum.
-    pub min: f64,
-    /// Median (type-7 linear interpolation).
-    pub median: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-}
-
-impl AggStats {
-    /// Summarize raw samples. Returns `None` for an empty input.
-    pub fn of(values: &[f64]) -> Option<AggStats> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut v = values.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in campaign stats"));
-        Some(AggStats {
-            n: v.len() as u64,
-            min: v[0],
-            median: quantile(&v, 0.5),
-            p90: quantile(&v, 0.9),
-            max: v[v.len() - 1],
-            mean: v.iter().sum::<f64>() / v.len() as f64,
-        })
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("n".into(), Json::U64(self.n)),
-            ("min".into(), Json::F64(self.min)),
-            ("median".into(), Json::F64(self.median)),
-            ("p90".into(), Json::F64(self.p90)),
-            ("max".into(), Json::F64(self.max)),
-            ("mean".into(), Json::F64(self.mean)),
-        ])
-    }
+/// A cell statistic's wire form: the order statistics a cell line carries.
+fn summary_json(s: &Summary) -> Json {
+    Json::Obj(vec![
+        ("n".into(), Json::U64(s.n as u64)),
+        ("min".into(), Json::F64(s.min)),
+        ("median".into(), Json::F64(s.median)),
+        ("p90".into(), Json::F64(s.p90)),
+        ("max".into(), Json::F64(s.max)),
+        ("mean".into(), Json::F64(s.mean)),
+    ])
 }
 
 /// Aggregated statistics of one grid cell (all seeds of one parameter
@@ -215,11 +180,11 @@ pub struct CellStats {
     /// Static-verifier violations summed over the cell's jobs.
     pub verify_violations: u64,
     /// Convergence time in seconds.
-    pub convergence_s: Option<AggStats>,
+    pub convergence_s: Option<Summary>,
     /// BGP updates sent.
-    pub updates: Option<AggStats>,
+    pub updates: Option<Summary>,
     /// Flow-table changes.
-    pub flow_mods: Option<AggStats>,
+    pub flow_mods: Option<Summary>,
     /// Causal phase durations summed over the cell's completed jobs
     /// (divide by `runs` for a per-job mean). Empty without causal tracing.
     pub phases: PhaseBreakdown,
@@ -252,7 +217,7 @@ impl CellStats {
             ("flow_mods", &self.flow_mods),
         ] {
             if let Some(s) = stats {
-                m.push((key.into(), s.to_json()));
+                m.push((key.into(), summary_json(s)));
             }
         }
         if self.phases.total() > 0 {
@@ -275,9 +240,6 @@ pub fn aggregate_cells(jobs: &[JobRecord]) -> Vec<CellStats> {
         .map(|(cell, members)| {
             let first = members[0];
             let ok: Vec<&&JobRecord> = members.iter().filter(|j| j.error.is_none()).collect();
-            let conv: Vec<f64> = ok.iter().map(|j| j.convergence_ns as f64 / 1e9).collect();
-            let updates: Vec<f64> = ok.iter().map(|j| j.updates as f64).collect();
-            let flow_mods: Vec<f64> = ok.iter().map(|j| j.flow_mods as f64).collect();
             let mut phases = PhaseBreakdown::default();
             for j in &ok {
                 phases.merge(&j.phases);
@@ -294,9 +256,9 @@ pub fn aggregate_cells(jobs: &[JobRecord]) -> Vec<CellStats> {
                 unconverged: ok.iter().filter(|j| !j.converged).count() as u64,
                 audit_failures: ok.iter().filter(|j| !j.audit_ok).count() as u64,
                 verify_violations: ok.iter().map(|j| j.verify_violations).sum(),
-                convergence_s: AggStats::of(&conv),
-                updates: AggStats::of(&updates),
-                flow_mods: AggStats::of(&flow_mods),
+                convergence_s: Summary::of(ok.iter().map(|j| j.convergence_ns as f64 / 1e9)),
+                updates: Summary::of(ok.iter().map(|j| j.updates as f64)),
+                flow_mods: Summary::of(ok.iter().map(|j| j.flow_mods as f64)),
                 phases,
             }
         })
@@ -352,11 +314,11 @@ impl Artifact {
             } else {
                 "-".to_string()
             };
-            let conv = |at: fn(&AggStats) -> f64| {
+            let conv = |at: fn(&Summary) -> f64| {
                 let s = c.convergence_s.as_ref();
                 s.map_or("-".into(), |s| format!("{:.2}s", at(s)))
             };
-            let med = |s: &Option<AggStats>| {
+            let med = |s: &Option<Summary>| {
                 s.as_ref()
                     .map_or("-".into(), |s| format!("{:.0}", s.median))
             };
@@ -478,19 +440,6 @@ pub(crate) mod tests {
             phases: PhaseBreakdown::default(),
             error: None,
         }
-    }
-
-    #[test]
-    fn agg_stats_quantiles() {
-        let s = AggStats::of(&[4.0, 1.0, 3.0, 2.0, 5.0]).unwrap();
-        assert_eq!(s.n, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.mean, 3.0);
-        assert!((s.p90 - 4.6).abs() < 1e-9, "type-7 p90 of 1..5 is 4.6");
-        assert_eq!(s.p90, quantile(&[1.0, 2.0, 3.0, 4.0, 5.0], 0.9));
-        assert!(AggStats::of(&[]).is_none());
     }
 
     #[test]

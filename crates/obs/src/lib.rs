@@ -10,6 +10,8 @@
 //! * [`metrics`]: [`MetricsRegistry`] — counters, gauges, and log2-bucket
 //!   histograms keyed by `(node, metric)`, with snapshot/export;
 //! * [`span`]: wall-clock timing spans that cost one branch when disabled;
+//! * [`stats`]: [`Summary`], the order statistics (type-7 quantiles) behind
+//!   every bench boxplot row and campaign cell;
 //! * [`json`]: the dependency-free JSON value type, and the streaming
 //!   writer and pull reader event lines go through without building one;
 //! * [`artifact`]: the one JSONL artifact reader, [`Artifact`], for run
@@ -40,13 +42,14 @@ pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod span;
+pub mod stats;
 
 pub use artifact::{
     event_line, last_routing_change, metrics_line, write_event_line, write_typed_line, Artifact,
     ArtifactKind, CampaignArtifact, EventRecord, PhaseSummary, RunAnalysis, RunArtifact,
     EVENT_LINE_BYTES,
 };
-pub use campaign::{aggregate_cells, canonicalize_jsonl, AggStats, CellStats, JobRecord};
+pub use campaign::{aggregate_cells, canonicalize_jsonl, CellStats, JobRecord};
 pub use causal::{
     CausalAnalysis, CausalNode, Cause, CriticalPath, HuntChain, PathStep, PhaseBreakdown,
     TriggerForensics,
@@ -55,5 +58,6 @@ pub use event::{
     CausalPhase, FlowActionRepr, ObsPrefix, RecomputeTrigger, TraceCategory, TraceEvent,
 };
 pub use json::{Json, JsonError, ToJson};
-pub use metrics::{quantile, Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use span::WallSpan;
+pub use stats::Summary;

@@ -46,16 +46,6 @@ fn log2_bucket(value: u64) -> usize {
     63 - value.max(1).leading_zeros() as usize
 }
 
-/// The `p`-quantile (`0.0..=1.0`) of an ascending, non-empty sample by
-/// linear interpolation between closest ranks (the "type 7" definition R
-/// and NumPy default to) — the one convention behind every boxplot row and
-/// campaign cell statistic.
-pub fn quantile(sorted: &[f64], p: f64) -> f64 {
-    let h = p * (sorted.len() - 1) as f64;
-    let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
-    sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
-}
-
 impl Histogram {
     /// Record one sample.
     pub fn record(&mut self, value: u64) {

@@ -27,8 +27,6 @@ fn main() {
 
     let viewer = 1usize;
     let server = 5usize;
-    let viewer_node = exp.net.ases[viewer].node;
-    let viewer_ip = exp.net.ases[viewer].router_ip;
     let server_ip = exp.net.ases[server].prefix.nth(0x77);
 
     println!(
@@ -38,45 +36,19 @@ fn main() {
     println!("probe every 100 ms; direct link fails at t=+2.0s, heals at t=+6.0s\n");
 
     let step = SimDuration::from_millis(100);
-    let mut seq = 0u64;
-    let mut last_delivered = {
-        let r = exp.net.sim.node_ref::<Router>(viewer_node);
-        r.stats().data_delivered
-    };
-    let t0 = exp.net.sim.now();
-    let mut outage_intervals = 0u32;
-    let mut timeline = String::new();
-
-    for tick in 0..100 {
-        // One probe per tick.
-        seq += 1;
-        exp.net.sim.inject(
-            viewer_node,
-            ClusterMsg::Data(DataPacket::echo_request(viewer_ip, server_ip, seq)),
-        );
-        // Scenario control.
+    let report = exp.ping_stream(viewer, server_ip, step, 100, |exp, tick| {
         if tick == 20 {
             exp.apply(&ScriptAction::FailEdge(viewer, server));
         }
         if tick == 60 {
             exp.apply(&ScriptAction::RestoreEdge(viewer, server));
         }
-        let deadline = t0 + step * (tick + 1);
-        exp.net.sim.run_until(deadline);
-
-        let delivered = exp
-            .net
-            .sim
-            .node_ref::<Router>(viewer_node)
-            .stats()
-            .data_delivered;
-        let got_reply = delivered > last_delivered;
-        last_delivered = delivered;
-        if !got_reply && tick > 0 {
-            outage_intervals += 1;
-        }
-        timeline.push(if got_reply { '#' } else { '.' });
-    }
+    });
+    let timeline: String = report
+        .timeline
+        .iter()
+        .map(|&ok| if ok { '#' } else { '.' })
+        .collect();
 
     println!("reply timeline (100 ms per column, '#'=stream alive, '.'=outage):");
     for (i, chunk) in timeline.as_bytes().chunks(50).enumerate() {
@@ -86,10 +58,13 @@ fn main() {
             String::from_utf8_lossy(chunk)
         );
     }
-    println!("\nprobes sent: {seq}, outage intervals: {outage_intervals}");
+    println!(
+        "\nprobes sent: {}, outage intervals: {}",
+        report.sent, report.outage_intervals
+    );
     println!(
         "outage ≈ {} ms (failover re-routes the stream through the cluster's",
-        outage_intervals * 100
+        report.outage_intervals * 100
     );
     println!("alternative announcements; healing brings the direct path back)");
 

@@ -82,12 +82,12 @@ pub mod prelude {
         ScriptAction, Speaker, Switch, Topology,
     };
     pub use bgpsdn_netsim::{
-        Activity, DataPacket, LatencyModel, SimDuration, SimRng, SimTime, Simulator, Summary,
-        TraceCategory, TraceEvent,
+        Activity, DataPacket, LatencyModel, SimDuration, SimRng, SimTime, Simulator, TraceCategory,
+        TraceEvent,
     };
     pub use bgpsdn_obs::{
         canonicalize_jsonl, Artifact, ArtifactKind, CausalAnalysis, CausalPhase, Json,
-        PhaseBreakdown, RunAnalysis,
+        PhaseBreakdown, RunAnalysis, Summary,
     };
     pub use bgpsdn_sdn::{ClusterMsg, FlowAction, SpeakerCmd, SpeakerEvent};
     pub use bgpsdn_topology::{caida, gen, plan, AsGraph, TopologyPlan};
