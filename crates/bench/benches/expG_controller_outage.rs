@@ -93,7 +93,7 @@ fn run_outage(outage_s: u64) -> Row {
         .skip(restore_tick as usize)
         .position(|&got| got)
         .unwrap_or(TAIL_TICKS as usize) as u64;
-    let spk = exp.net.sim.node_ref::<Speaker>(exp.net.speaker.unwrap());
+    let spk = exp.net.sim.node_ref::<Speaker>(exp.net.clusters[0].speaker);
     let stats = spk.stats();
     assert!(
         exp.connectivity_audit().fully_connected(),

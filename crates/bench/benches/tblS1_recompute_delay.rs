@@ -52,7 +52,7 @@ fn main() {
             let (out, exp) = spec.run(|_| {});
             assert!(out.converged && out.audit_ok);
             times.push(out.convergence.as_secs_f64());
-            let c = exp.net.controller.unwrap();
+            let c = exp.net.clusters[0].controller;
             let stats = exp.net.sim.node_ref::<bgpsdn_core::Controller>(c).stats();
             recomputes.push(stats.recomputes as f64);
             flow_mods.push(stats.flow_mods as f64);

@@ -102,7 +102,7 @@ fn main() {
         split_times.push(rep.duration.as_secs_f64());
         let audit = exp.connectivity_audit();
         split_conn.push(audit.delivery_ratio());
-        let c = exp.net.controller.unwrap();
+        let c = exp.net.clusters[0].controller;
         subclusters_after_split = exp
             .net
             .sim

@@ -23,12 +23,14 @@
 //! rustc's `dead_code` lint sees no further than its own crate, so a
 //! `pub fn` that nothing in the workspace calls survives `-D warnings`.
 //! The pass flags every non-test `pub fn` whose name appears in no other
-//! source file, outside comments and `use` declarations (a re-export is
-//! not a call). It matches on identifier tokens, so it never flags a
-//! function that is called by name; a name shared with another function
-//! (such as `new`) can only make it miss one. It has no baseline: the
-//! tree must pass with zero findings, and a `// detlint: allow <reason>`
-//! on the `pub fn` line exempts that one function.
+//! source file, outside comments, `use` declarations (a re-export is
+//! not a call) and the name after `fn` (a definition is not a call). It
+//! matches on identifier tokens, so it never flags a function that is
+//! called by name; a name some other function shares and is called by
+//! (such as `new` or `len`) can only make it miss one. It has no
+//! baseline: the tree must pass with zero findings, and a
+//! `// detlint: allow <reason>` on the `pub fn` line exempts that one
+//! function.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -236,9 +238,9 @@ pub fn tree_size(base: &Path, roots: &[PathBuf]) -> Result<TreeSize, String> {
     Ok(size)
 }
 
-/// The identifier tokens a file mentions as code: comments and `use`
+/// The identifier tokens a file mentions as code: comments, `use`
 /// declarations (including `pub use` re-exports, over as many lines as
-/// they run) do not count.
+/// they run) and the name a `fn` defines do not count.
 fn code_idents(text: &str) -> BTreeSet<&str> {
     let mut seen = BTreeSet::new();
     let mut in_use = false;
@@ -258,7 +260,13 @@ fn code_idents(text: &str) -> BTreeSet<&str> {
             in_use = !code.contains(';');
             continue;
         }
-        seen.extend(idents(code));
+        let mut after_fn = false;
+        for tok in idents(code) {
+            if !after_fn {
+                seen.insert(tok);
+            }
+            after_fn = tok == "fn";
+        }
     }
     seen
 }
@@ -533,6 +541,24 @@ fn main() {
             ]
         );
         assert!(found.iter().all(|f| f.path == "lib/a.rs"));
+    }
+
+    #[test]
+    fn pub_fn_pass_does_not_count_a_definition_as_a_call() {
+        let dir = std::env::temp_dir().join(format!("detlint-defn-{}", std::process::id()));
+        let (lib, user) = (dir.join("lib"), dir.join("user"));
+        std::fs::create_dir_all(&lib).unwrap();
+        std::fs::create_dir_all(&user).unwrap();
+        std::fs::write(lib.join("a.rs"), "pub fn fast() {}\npub fn slow() {}\n").unwrap();
+        std::fs::write(
+            user.join("b.rs"),
+            "fn fast() -> u32 { 1 }\nimpl T { pub fn slow(&self) {} }\nfn main() { x.slow(); }\n",
+        )
+        .unwrap();
+        let found = uncalled_pub_fns(&dir, std::slice::from_ref(&lib), &[user]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let names: Vec<&str> = found.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["fast"]);
     }
 
     #[test]

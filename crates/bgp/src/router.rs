@@ -519,7 +519,6 @@ impl<M: BgpApp> BgpRouter<M> {
             .handshake
             .peer_graceful_restart_secs()
             .unwrap_or(0);
-        ctx.report(Activity::SessionUp);
         let peer_node = self.cfg.neighbors[peer].peer;
         ctx.trace(TraceCategory::Session, || TraceEvent::SessionUp {
             peer: peer_node.0,
@@ -693,7 +692,6 @@ impl<M: BgpApp> BgpRouter<M> {
         if changed {
             self.stats.best_path_changes += 1;
             ctx.report(Activity::RibChange);
-            ctx.report(Activity::FibChange);
             ctx.count("bgp.router.best_path_changes", 1);
             // Read once; every peer of the fan-out below gets this entry.
             let best = self.loc_rib.get(prefix);
@@ -1023,7 +1021,6 @@ impl<M: BgpApp> BgpRouter<M> {
         match cmd {
             RouterCommand::Announce(p) => {
                 self.originated.insert(*p);
-                ctx.report(Activity::PrefixOriginated);
                 ctx.trace(TraceCategory::Experiment, || TraceEvent::Note {
                     category: TraceCategory::Experiment,
                     text: format!("announce {p}"),
@@ -1034,7 +1031,6 @@ impl<M: BgpApp> BgpRouter<M> {
             }
             RouterCommand::Withdraw(p) => {
                 self.originated.remove(p);
-                ctx.report(Activity::PrefixWithdrawn);
                 ctx.trace(TraceCategory::Experiment, || TraceEvent::Note {
                     category: TraceCategory::Experiment,
                     text: format!("withdraw {p}"),
@@ -1334,7 +1330,6 @@ impl<M: BgpApp> BgpRouter<M> {
             return;
         }
         self.stats.sessions_dropped += 1;
-        ctx.report(Activity::SessionDown);
         ctx.count("bgp.router.sessions_dropped", 1);
         let peer_node = self.cfg.neighbors[peer].peer;
         ctx.trace(TraceCategory::Session, || TraceEvent::SessionDown {

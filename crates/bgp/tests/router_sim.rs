@@ -151,7 +151,10 @@ fn withdraw_command_removes_prefix_everywhere() {
             "stale route survived at {nd}"
         );
     }
-    assert!(sim.board().count(Activity::PrefixWithdrawn) == 1);
+    assert!(!sim
+        .node_ref::<Router>(nodes[0])
+        .originated()
+        .any(|p| p == prefix_of(0)));
 }
 
 #[test]

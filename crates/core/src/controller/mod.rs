@@ -467,7 +467,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                 self.buffer_update(ctx, session, update, cause);
             }
             SpeakerEvent::SessionUp { session, .. } => {
-                ctx.report(Activity::SessionUp);
                 self.session_up[session] = true;
                 // A new egress changes the announcement surface of every
                 // prefix (it must receive the full table).
@@ -475,7 +474,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                 self.recompute_now(ctx, RecomputeTrigger::SessionUp);
             }
             SpeakerEvent::SessionDown { session } => {
-                ctx.report(Activity::SessionDown);
                 self.session_down(ctx, session);
             }
         }
@@ -605,7 +603,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             return;
         }
         self.stats.recomputes += 1;
-        ctx.report(Activity::ControllerRecompute);
         ctx.count("core.controller.recomputes", 1);
 
         // Causal: merge the batch's cause *set* into one ctrl_queue node —
@@ -962,7 +959,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                     self.note_known(*p);
                     self.owned.insert(*p, m);
                     self.dirty.insert(*p);
-                    ctx.report(Activity::PrefixOriginated);
                     self.mint_trigger(ctx, Some(*p));
                     self.recompute_now(ctx, RecomputeTrigger::Command);
                 }
@@ -970,7 +966,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             RouterCommand::Withdraw(p) => {
                 if self.owned.remove(p).is_some() {
                     self.dirty.insert(*p);
-                    ctx.report(Activity::PrefixWithdrawn);
                     self.mint_trigger(ctx, Some(*p));
                     self.recompute_now(ctx, RecomputeTrigger::Command);
                 }

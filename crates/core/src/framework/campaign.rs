@@ -29,9 +29,7 @@ use bgpsdn_obs::{Artifact, CausalAnalysis, JobRecord, Json, PhaseBreakdown};
 use super::deploy::{DeploymentStrategy, Placement};
 use super::experiment::Experiment;
 use super::faults::FaultSpec;
-use super::job::{
-    event_phase_name, paper_deployment, EventKind, JobSpec, ScenarioOutcome, Topology,
-};
+use super::job::{paper_deployment, EventKind, JobSpec, ScenarioOutcome, Topology};
 use super::script::{Script, ScriptAction};
 
 /// A declarative parameter grid: the cartesian product of the swept axes,
@@ -186,10 +184,7 @@ impl CampaignGrid {
         let mut kv = vec![
             ("name".into(), Json::Str(self.name.clone())),
             ("scenario".into(), Json::Str("clique".into())),
-            (
-                "event".into(),
-                Json::Str(event_phase_name(self.event).into()),
-            ),
+            ("event".into(), Json::Str(self.event.name().into())),
             ("n".into(), Json::U64(self.n as u64)),
             ("cells".into(), Json::U64(self.cell_count() as u64)),
             ("seeds".into(), Json::U64(self.seeds)),
@@ -538,15 +533,6 @@ impl CampaignRunReport {
     }
 }
 
-/// Run one campaign job to completion: build the network, bring it up,
-/// inject the event (and the job's fault schedule, if any), wait for
-/// re-convergence, audit. With `trace` the full typed-event stream is
-/// recorded (wall-clock profiling stays off so artifacts are
-/// byte-deterministic) and rendered as the job's isolated JSONL artifact.
-pub fn run_job(job: &CampaignJob, trace: bool) -> JobOutcome {
-    run_job_scratch(job, trace, &mut JobScratch::default())
-}
-
 /// Per-worker state reused across the jobs a worker claims: the size of
 /// the last artifact it rendered, which the next job's buffer is created
 /// with — every job after a worker's first renders its JSONL without
@@ -557,8 +543,13 @@ pub struct JobScratch {
     artifact_len: usize,
 }
 
-/// [`run_job`] with a caller-owned [`JobScratch`] (the worker-pool entry
-/// point; see [`run_campaign_scratch`]).
+/// Run one campaign job to completion: build the network, bring it up,
+/// inject the event (and the job's fault schedule, if any), wait for
+/// re-convergence, audit. With `trace` the full typed-event stream is
+/// recorded (wall-clock profiling stays off so artifacts are
+/// byte-deterministic) and rendered as the job's isolated JSONL artifact.
+/// `scratch` is the worker's [`JobScratch`] (see [`run_campaign_scratch`]);
+/// a one-off job passes `&mut JobScratch::default()`.
 pub fn run_job_scratch(job: &CampaignJob, trace: bool, scratch: &mut JobScratch) -> JobOutcome {
     let spec = job.spec();
     let (outcome, mut exp) = spec.run(|sim| {
@@ -607,9 +598,10 @@ pub fn run_job_scratch(job: &CampaignJob, trace: bool, scratch: &mut JobScratch)
     }
 }
 
-/// Render one job's isolated JSONL artifact into `text` (a campaign worker
-/// reuses the buffer's capacity across jobs): [`JobSpec::render_artifact_into`]
-/// of the job's spec, with the job's id and grid cell in the header.
+/// Render one job's isolated JSONL artifact into `text`:
+/// [`JobSpec::render_artifact_into`] of the job's spec, with the job's id
+/// and grid cell in the header. Only the benchmark harness calls it
+/// ([`run_job_scratch`] renders through the spec); ROADMAP item 2 settles it.
 pub fn render_job_artifact_into(job: &CampaignJob, exp: &Experiment, text: &mut String) {
     job.spec()
         .render_artifact_into(Some((job.id, job.cell)), exp, text);

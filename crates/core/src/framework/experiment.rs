@@ -200,37 +200,6 @@ impl Experiment {
         report
     }
 
-    /// Testbed-style convergence waiting: step the clock and declare
-    /// convergence after `window` of routing-plane silence — what the
-    /// paper's Mininet framework has to do, since a real network never goes
-    /// event-quiescent. Pick `window` larger than the longest protocol
-    /// timer (MRAI) or the wait will end inside an exploration round.
-    pub fn wait_converged_windowed(
-        &mut self,
-        window: SimDuration,
-        max: SimDuration,
-    ) -> ConvergenceReport {
-        let deadline = self.net.sim.now() + max;
-        let step = (window / 4).max(SimDuration::from_millis(1));
-        loop {
-            let now = self.net.sim.now();
-            let last = self
-                .net
-                .sim
-                .board()
-                .last_routing_change()
-                .unwrap_or(self.phase_start)
-                .max(self.phase_start);
-            let quiet = now.saturating_since(last) >= window;
-            if quiet || now >= deadline {
-                let report = measure(self.net.sim.board(), self.phase_start, quiet);
-                self.auto_verify_checkpoint();
-                return report;
-            }
-            self.net.sim.run_for(step);
-        }
-    }
-
     // ------------------------------------------------------------------
     // The command vocabulary
     // ------------------------------------------------------------------
@@ -378,14 +347,6 @@ impl Experiment {
     /// Whether the router device of AS `i` is currently up.
     pub fn router_is_up(&self, i: usize) -> bool {
         self.net.sim.node_is_up(self.net.ases[i].node)
-    }
-
-    /// Whether the first cluster's controller node is currently up.
-    pub fn controller_is_up(&self) -> bool {
-        self.net
-            .clusters
-            .first()
-            .is_some_and(|h| self.net.sim.node_is_up(h.controller))
     }
 
     // ------------------------------------------------------------------

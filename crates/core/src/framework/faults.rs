@@ -44,6 +44,20 @@ impl FaultClasses {
     };
 }
 
+impl std::str::FromStr for FaultClasses {
+    type Err = String;
+
+    /// `all`, `control` or `data`, as `bgpsdn --chaos-classes` spells them.
+    fn from_str(name: &str) -> Result<FaultClasses, String> {
+        match name {
+            "all" => Ok(FaultClasses::ALL),
+            "control" => Ok(FaultClasses::CONTROL_ONLY),
+            "data" => Ok(FaultClasses::DATA_PLANE),
+            other => Err(format!("must be all|control|data, got {other}")),
+        }
+    }
+}
+
 /// A seeded chaos-schedule spec: each campaign job draws its own
 /// [`FaultSpec::schedule`] from its job seed, so different seeds explore
 /// different outage patterns of the same intensity.

@@ -65,6 +65,36 @@ pub enum EventKind {
     Failover,
 }
 
+impl EventKind {
+    /// Every event's stable name, as `bgpsdn --event` spells it and trace
+    /// phases and artifact headers record it, in declaration order.
+    const NAMES: [(EventKind, &'static str); 3] = [
+        (EventKind::Withdrawal, "withdrawal"),
+        (EventKind::Announcement, "announcement"),
+        (EventKind::Failover, "failover"),
+    ];
+
+    /// The event's stable name.
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+}
+
+impl std::str::FromStr for EventKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<EventKind, String> {
+        Self::NAMES
+            .iter()
+            .find(|(_, n)| *n == name)
+            .map(|&(e, _)| e)
+            .ok_or_else(|| {
+                let names = Self::NAMES.map(|(_, n)| n).join("|");
+                format!("must be {names}, got {name:?}")
+            })
+    }
+}
+
 /// What a job run produced.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
@@ -283,7 +313,7 @@ impl JobSpec {
         let origin = self.origin;
         let origin_prefix = exp.net.ases[origin].prefix;
 
-        exp.mark_named(event_phase_name(self.event));
+        exp.mark_named(self.event.name());
         let audit_prefix = match self.event {
             // A fresh /17 inside the origin's block: unknown to everyone.
             EventKind::Announcement => origin_prefix.split().0,
@@ -353,10 +383,7 @@ impl JobSpec {
         };
         let mut info = vec![
             ("scenario".into(), Json::Str(scenario.into())),
-            (
-                "event".into(),
-                Json::Str(event_phase_name(self.event).into()),
-            ),
+            ("event".into(), Json::Str(self.event.name().into())),
         ];
         if let Some((job, cell)) = coordinates {
             info.push(("job".into(), Json::U64(job as u64)));
@@ -394,13 +421,4 @@ impl JobSpec {
 /// format that predates the deployment axes.
 pub(crate) fn paper_deployment(clusters: usize, placement: Placement) -> bool {
     clusters <= 1 && placement == Placement::Tail
-}
-
-/// The phase name a routing event runs under in trace artifacts.
-pub(crate) fn event_phase_name(event: EventKind) -> &'static str {
-    match event {
-        EventKind::Withdrawal => "withdrawal",
-        EventKind::Announcement => "announcement",
-        EventKind::Failover => "failover",
-    }
 }

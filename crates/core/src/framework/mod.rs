@@ -17,7 +17,7 @@ pub mod traffic;
 pub mod verify;
 
 pub use campaign::{
-    job_seed, loss_ppm, render_job_artifact_into, run_campaign, run_campaign_scratch, run_job,
+    job_seed, loss_ppm, render_job_artifact_into, run_campaign, run_campaign_scratch,
     run_job_scratch, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions,
     CliqueScenario, JobOutcome, JobResult, JobScratch,
 };

@@ -86,19 +86,10 @@ pub struct HybridNetwork {
     pub ases: Vec<AsHandle>,
     /// Inter-AS links, aligned with the plan's edge indices.
     pub edge_links: Vec<LinkId>,
-    /// The first cluster's BGP speaker (present when there are members).
-    /// Single-cluster shorthand for `clusters[0].speaker`.
-    pub speaker: Option<NodeId>,
-    /// The first cluster's IDR controller (present when there are members).
-    /// Single-cluster shorthand for `clusters[0].controller`.
-    pub controller: Option<NodeId>,
     /// The route collector. Every built network has one; the `Option`
-    /// stays for callers that match on it.
+    /// stays only because the benchmark harness (`stepper.rs`,
+    /// `workloads/mod.rs`) matches on it. ROADMAP item 2 settles it.
     pub collector: Option<NodeId>,
-    /// The first cluster's controller↔speaker control channel.
-    /// This is the link fault-injection targets: partitioning it or giving
-    /// it loss exercises the reliable control protocol.
-    pub speaker_link: Option<LinkId>,
     /// Every deployed cluster, in deployment order. Empty for a pure
     /// legacy network.
     pub clusters: Vec<ClusterHandle>,
@@ -330,7 +321,7 @@ impl NetworkBuilder {
             let prefix = plan.addresses.as_prefixes[i];
             let router_ip = plan.addresses.router_ips[i];
             let (node, kind) = if member_index.contains_key(&i) {
-                let node = sim.add_node(format!("sw{}", asn.0), |id| Switch::new(id, asn.0 as u64));
+                let node = sim.add_node(format!("sw{}", asn.0), |_| Switch::new(asn.0 as u64));
                 (node, AsKind::SdnMember)
             } else {
                 let mut cfg = plan.routers[i].clone();
@@ -348,17 +339,12 @@ impl NetworkBuilder {
             });
         }
 
-        // One speaker/controller pair per cluster. With a single cluster the
-        // historical node names are kept so traces stay byte-identical.
+        // One speaker/controller pair per cluster, named by cluster index.
+        // Node names reach no trace or artifact (snapshots name AS devices).
         let mut ctl_nodes: Vec<(NodeId, NodeId)> = Vec::with_capacity(k);
         for c in 0..k {
-            let (sname, cname) = if k == 1 {
-                ("speaker".to_string(), "controller".to_string())
-            } else {
-                (format!("speaker{c}"), format!("controller{c}"))
-            };
-            let sp = sim.add_node(sname, Speaker::new);
-            let ct = sim.add_node(cname, |id| {
+            let sp = sim.add_node(format!("speaker{c}"), |_| Speaker::default());
+            let ct = sim.add_node(format!("controller{c}"), |id| {
                 Controller::new(id, ControllerConfig::new(vec![], vec![], vec![], LinkId(0)))
             });
             ctl_nodes.push((sp, ct));
@@ -575,11 +561,7 @@ impl NetworkBuilder {
             });
         }
 
-        let first = cluster_handles.first();
         HybridNetwork {
-            speaker: first.map(|h| h.speaker),
-            controller: first.map(|h| h.controller),
-            speaker_link: first.map(|h| h.speaker_link),
             sim,
             ases,
             edge_links,
@@ -612,8 +594,7 @@ mod tests {
     #[test]
     fn pure_legacy_network_has_no_cluster() {
         let net = NetworkBuilder::new(clique_plan(4), 1).build();
-        assert!(net.speaker.is_none());
-        assert!(net.controller.is_none());
+        assert!(net.clusters.is_empty());
         assert!(net.collector.is_some());
         assert_eq!(net.ases.len(), 4);
         assert_eq!(net.edge_links.len(), 6);
@@ -627,8 +608,7 @@ mod tests {
         let net = NetworkBuilder::new(clique_plan(4), 1)
             .with_sdn_members([2, 3])
             .build();
-        assert!(net.speaker.is_some());
-        assert!(net.controller.is_some());
+        assert_eq!(net.clusters.len(), 1);
         assert_eq!(net.members().count(), 2);
         assert_eq!(net.legacy().count(), 2);
         assert_eq!(net.member_index[&2], 0);
@@ -656,9 +636,6 @@ mod tests {
         assert_eq!(net.members().count(), 4);
         assert_ne!(net.clusters[0].controller, net.clusters[1].controller);
         assert_ne!(net.clusters[0].speaker_link, net.clusters[1].speaker_link);
-        // The single-cluster shorthands alias cluster 0.
-        assert_eq!(net.speaker, Some(net.clusters[0].speaker));
-        assert_eq!(net.controller, Some(net.clusters[0].controller));
         // Global member indices run cluster-major.
         assert_eq!(net.member_index[&0], 0);
         assert_eq!(net.member_index[&5], 3);

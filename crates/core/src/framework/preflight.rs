@@ -28,7 +28,7 @@ use bgpsdn_topology::TopologyPlan;
 
 use super::campaign::CampaignGrid;
 use super::experiment::Experiment;
-use super::job::{event_phase_name, EventKind, JobSpec, Topology};
+use super::job::{EventKind, JobSpec, Topology};
 use super::script::Script;
 
 /// Static safety check of a topology plan + cluster membership lists:
@@ -108,7 +108,7 @@ fn check_cells(
             "grid.event_requires",
             format!(
                 "event kind `{}` needs at least {min_n} ASes, grid has n={n}",
-                event_phase_name(event)
+                event.name()
             ),
         );
     }

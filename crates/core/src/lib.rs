@@ -32,7 +32,7 @@ pub use controller::{
 };
 pub use framework::{
     check_plan, job_seed, loss_ppm, render_job_artifact_into, run_campaign, run_campaign_scratch,
-    run_job, run_job_scratch, AsHandle, AsKind, CampaignGrid, CampaignJob, CampaignRunReport,
+    run_job_scratch, AsHandle, AsKind, CampaignGrid, CampaignJob, CampaignRunReport,
     CliqueRunOptions, CliqueScenario, ClusterHandle, Collector, Controller, DeploymentStrategy,
     EventKind, Experiment, FaultClasses, FaultSpec, HybridNetwork, JobOutcome, JobResult,
     JobScratch, JobSpec, NetworkBuilder, Placement, ProbeReport, Router, ScenarioOutcome, Script,

@@ -4,8 +4,8 @@
 //! records.
 
 use bgpsdn_core::{
-    run_campaign_scratch, run_job, CampaignGrid, DeploymentStrategy, EventKind, FaultClasses,
-    FaultSpec, Placement,
+    run_campaign_scratch, run_job_scratch, CampaignGrid, DeploymentStrategy, EventKind,
+    FaultClasses, FaultSpec, JobScratch, Placement,
 };
 use bgpsdn_netsim::SimDuration;
 use bgpsdn_obs::aggregate_cells;
@@ -40,14 +40,19 @@ fn parallel_sweep_matches_serial_execution() {
     let serial: Vec<_> = grid
         .expand()
         .iter()
-        .map(|job| (job.clone(), run_job(job, false)))
+        .map(|job| {
+            (
+                job.clone(),
+                run_job_scratch(job, false, &mut JobScratch::default()),
+            )
+        })
         .collect();
 
     let report = run_campaign_scratch(
         grid.expand(),
         4,
-        || (),
-        |job, ()| run_job(job, false),
+        JobScratch::default,
+        |job, scratch| run_job_scratch(job, false, scratch),
         |_| {},
     );
     assert_eq!(report.results.len(), serial.len());
@@ -69,8 +74,8 @@ fn aggregated_medians_match_manual_computation() {
     let report = run_campaign_scratch(
         grid.expand(),
         2,
-        || (),
-        |job, ()| run_job(job, false),
+        JobScratch::default,
+        |job, scratch| run_job_scratch(job, false, scratch),
         |_| {},
     );
     let records = report.records();

@@ -33,7 +33,7 @@ fn hybrid_bring_up_full_connectivity() {
     assert!(up.converged);
 
     // Every alias session established.
-    let speaker = exp.net.speaker.unwrap();
+    let speaker = exp.net.clusters[0].speaker;
     let sp = exp.net.sim.node_ref::<Speaker>(speaker);
     for s in 0..sp.session_count() {
         assert!(sp.session_established(s), "alias session {s} down");
@@ -194,7 +194,7 @@ fn controller_loop_avoidance_counts_cluster_crossing_paths() {
         .build();
     let mut exp = Experiment::new(net);
     assert!(exp.start(HOUR).converged);
-    let c = exp.net.controller.unwrap();
+    let c = exp.net.clusters[0].controller;
     let ctl = exp.net.sim.node_ref::<Controller>(c);
     // In an all-permit clique, legacy routers re-advertise cluster routes
     // back at the cluster, so crossing paths must have been observed.
@@ -287,7 +287,7 @@ fn subcluster_partition_recovers_over_legacy_world() {
     assert!(rep.converged);
 
     // The controller now runs two sub-clusters.
-    let c = exp.net.controller.unwrap();
+    let c = exp.net.clusters[0].controller;
     let ctl = exp.net.sim.node_ref::<Controller>(c);
     assert_eq!(ctl.switch_graph().components().1, 2);
 
@@ -405,7 +405,7 @@ fn recompute_delay_batches_bursty_input() {
         };
         let mut exp = Experiment::new(s.builder().build());
         assert!(exp.start(HOUR).converged);
-        let c = exp.net.controller.unwrap();
+        let c = exp.net.clusters[0].controller;
         let before = exp.net.sim.node_ref::<Controller>(c).stats().recomputes;
         exp.mark();
         exp.apply(&ScriptAction::Withdraw {
@@ -600,49 +600,10 @@ fn script_reports_expectation_failures_without_panicking() {
 }
 
 #[test]
-fn windowed_convergence_matches_exact_measurement() {
-    // Same withdrawal measured the exact way (event quiescence) and the
-    // testbed way (stability window): identical convergence instants.
-    let run_exact = || {
-        let net = NetworkBuilder::new(clique_plan(6, 2), 91)
-            .with_sdn_members([4, 5])
-            .build();
-        let mut exp = Experiment::new(net);
-        assert!(exp.start(HOUR).converged);
-        exp.mark();
-        exp.apply(&ScriptAction::Withdraw {
-            as_index: 0,
-            prefix: None,
-        });
-        exp.wait_converged(HOUR)
-    };
-    let run_windowed = || {
-        let net = NetworkBuilder::new(clique_plan(6, 2), 91)
-            .with_sdn_members([4, 5])
-            .build();
-        let mut exp = Experiment::new(net);
-        assert!(exp.start(HOUR).converged);
-        exp.mark();
-        exp.apply(&ScriptAction::Withdraw {
-            as_index: 0,
-            prefix: None,
-        });
-        exp.wait_converged_windowed(SimDuration::from_secs(10), HOUR)
-    };
-    let exact = run_exact();
-    let windowed = run_windowed();
-    assert!(exact.converged && windowed.converged);
-    assert_eq!(
-        exact.duration, windowed.duration,
-        "both methods must agree on the convergence instant"
-    );
-}
-
-#[test]
 fn hybrid_runs_with_keepalives_enabled() {
     // Hold/keepalive timers on: the network never goes event-silent, but
-    // maintenance-class timers don't block quiescence detection, and the
-    // windowed waiter works regardless.
+    // maintenance-class timers don't block quiescence detection, so the
+    // event wait converges just as the bring-up does.
     let mut tp = clique_plan(5, 2);
     for r in &mut tp.routers {
         r.timing.hold_time_secs = 9;
@@ -655,7 +616,7 @@ fn hybrid_runs_with_keepalives_enabled() {
         as_index: 0,
         prefix: None,
     });
-    let rep = exp.wait_converged_windowed(SimDuration::from_secs(10), HOUR);
+    let rep = exp.wait_converged(HOUR);
     assert!(rep.converged);
     assert!(exp.prefix_fully_gone(exp.net.ases[0].prefix));
     // Keepalives actually flowed.
@@ -717,7 +678,7 @@ fn controller_model_matches_installed_flows() {
     let mut exp = Experiment::new(net);
     assert!(exp.start(HOUR).converged);
 
-    let c = exp.net.controller.unwrap();
+    let c = exp.net.clusters[0].controller;
     let ctl = exp.net.sim.node_ref::<Controller>(c);
     for a in exp.net.ases.iter() {
         let prefix = a.prefix;

@@ -48,8 +48,14 @@ fn quiesce(exp: &mut Experiment) {
 /// Assert the two experiments compiled byte-identical state everywhere the
 /// controller's decisions are visible.
 fn assert_state_identical(a: &Experiment, b: &Experiment, what: &str) {
-    let actl = a.net.sim.node_ref::<Controller>(a.net.controller.unwrap());
-    let bctl = b.net.sim.node_ref::<Controller>(b.net.controller.unwrap());
+    let actl = a
+        .net
+        .sim
+        .node_ref::<Controller>(a.net.clusters[0].controller);
+    let bctl = b
+        .net
+        .sim
+        .node_ref::<Controller>(b.net.clusters[0].controller);
     for m in 0..actl.member_count() {
         assert_eq!(
             actl.installed_table(m),
@@ -69,8 +75,8 @@ fn assert_state_identical(a: &Experiment, b: &Experiment, what: &str) {
             "{what}: session-up diverged at session {s}"
         );
     }
-    let aspk = a.net.sim.node_ref::<Speaker>(a.net.speaker.unwrap());
-    let bspk = b.net.sim.node_ref::<Speaker>(b.net.speaker.unwrap());
+    let aspk = a.net.sim.node_ref::<Speaker>(a.net.clusters[0].speaker);
+    let bspk = b.net.sim.node_ref::<Speaker>(b.net.clusters[0].speaker);
     for s in 0..aspk.session_count() {
         assert_eq!(
             aspk.adj_out_table(s),
@@ -148,7 +154,7 @@ fn lossy_control_channel_matches_lossless_oracle() {
     let spk = lossy
         .net
         .sim
-        .node_ref::<Speaker>(lossy.net.speaker.unwrap());
+        .node_ref::<Speaker>(lossy.net.clusters[0].speaker);
     assert!(
         spk.stats().retransmits > 0,
         "20% loss must force speaker retransmissions"
@@ -165,11 +171,11 @@ fn controller_crash_restart_matches_fault_free_oracle() {
     // Admin changes are scheduled events, so run the sim before observing.
     faulty.apply(&ScriptAction::CrashController);
     faulty.net.sim.run_for(SimDuration::from_secs(5));
-    assert!(!faulty.controller_is_up());
+    assert!(!faulty.net.sim.node_is_up(faulty.net.clusters[0].controller));
     let spk = faulty
         .net
         .sim
-        .node_ref::<Speaker>(faulty.net.speaker.unwrap());
+        .node_ref::<Speaker>(faulty.net.clusters[0].speaker);
     assert!(
         spk.is_headless(),
         "speaker must detect controller loss via its hold timer"
@@ -197,14 +203,14 @@ fn controller_crash_restart_matches_fault_free_oracle() {
     let spk = faulty
         .net
         .sim
-        .node_ref::<Speaker>(faulty.net.speaker.unwrap());
+        .node_ref::<Speaker>(faulty.net.clusters[0].speaker);
     assert!(!spk.is_headless(), "restart must end headless mode");
     assert!(spk.stats().headless_entries >= 1);
     assert!(spk.stats().resyncs >= 1, "restart must trigger a resync");
     let ctl = faulty
         .net
         .sim
-        .node_ref::<Controller>(faulty.net.controller.unwrap());
+        .node_ref::<Controller>(faulty.net.clusters[0].controller);
     assert!(ctl.stats().resyncs >= 1, "controller must adopt the resync");
     assert!(!ctl.resync_pending());
 
@@ -222,7 +228,7 @@ fn control_channel_partition_heals_via_resync() {
     let spk = faulty
         .net
         .sim
-        .node_ref::<Speaker>(faulty.net.speaker.unwrap());
+        .node_ref::<Speaker>(faulty.net.clusters[0].speaker);
     assert!(spk.is_headless(), "partition looks like controller loss");
     // A routing change during the partition: the event is dropped headless
     // and must be recovered purely from the resync snapshot.
@@ -243,7 +249,7 @@ fn control_channel_partition_heals_via_resync() {
     let spk = faulty
         .net
         .sim
-        .node_ref::<Speaker>(faulty.net.speaker.unwrap());
+        .node_ref::<Speaker>(faulty.net.clusters[0].speaker);
     assert!(!spk.is_headless());
     assert!(
         spk.stats().events_dropped > 0,
@@ -313,7 +319,7 @@ fn chaos_fault_plan_converges_to_oracle_state() {
     quiesce(&mut faulty);
     // Chaos must leave the system restored: every down fault has its up
     // twin, so the faulty run ends with controller up and channel healed.
-    assert!(faulty.controller_is_up());
+    assert!(faulty.net.sim.node_is_up(faulty.net.clusters[0].controller));
     quiesce(&mut oracle);
 
     assert_state_identical(&faulty, &oracle, "chaos schedule");
@@ -343,7 +349,7 @@ fn explicit_fault_plan_replays_in_offset_order() {
     assert!(exp.run_script(&schedule).ok());
     assert_eq!(exp.net.sim.now(), t0 + SimDuration::from_secs(8));
     quiesce(&mut exp);
-    assert!(exp.controller_is_up());
+    assert!(exp.net.sim.node_is_up(exp.net.clusters[0].controller));
     assert!(exp.connectivity_audit().fully_connected());
     let v = exp.verify_now().report;
     assert!(v.ok(), "post-replay invariant violations:\n{}", v.render());

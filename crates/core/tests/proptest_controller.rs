@@ -124,8 +124,8 @@ proptest! {
             apply(&mut full, op);
         }
 
-        let inc_ctl = inc.net.controller.expect("cluster implies controller");
-        let full_ctl = full.net.controller.expect("cluster implies controller");
+        let inc_ctl = inc.net.clusters[0].controller;
+        let full_ctl = full.net.clusters[0].controller;
         let a = inc.net.sim.node_ref::<Controller>(inc_ctl);
         let b = full.net.sim.node_ref::<Controller>(full_ctl);
 
@@ -161,7 +161,7 @@ fn sessions_of_one_member_share_the_announced_path() {
     let mut exp = build(7, true);
     let p = sub_prefix(exp.net.ases[0].prefix, 1);
     apply(&mut exp, Op::Announce { origin: 0, sub: 1 });
-    let ctl_id = exp.net.controller.expect("cluster implies controller");
+    let ctl_id = exp.net.clusters[0].controller;
     let ctl = exp.net.sim.node_ref::<Controller>(ctl_id);
     let paths: Vec<&SharedPath> = (0..ctl.session_count())
         .filter_map(|s| ctl.adj_out_table(s).get(&p))

@@ -143,11 +143,11 @@ proptest! {
         let a = faulty
             .net
             .sim
-            .node_ref::<Controller>(faulty.net.controller.unwrap());
+            .node_ref::<Controller>(faulty.net.clusters[0].controller);
         let b = oracle
             .net
             .sim
-            .node_ref::<Controller>(oracle.net.controller.unwrap());
+            .node_ref::<Controller>(oracle.net.clusters[0].controller);
         prop_assert!(!a.resync_pending(), "resync must have completed");
         for m in 0..a.member_count() {
             prop_assert_eq!(
@@ -169,7 +169,7 @@ proptest! {
         let spk = faulty
             .net
             .sim
-            .node_ref::<Speaker>(faulty.net.speaker.unwrap());
+            .node_ref::<Speaker>(faulty.net.clusters[0].speaker);
         prop_assert!(!spk.is_headless(), "speaker must have rejoined");
         prop_assert!(spk.stats().resyncs >= 1, "the outage must force a resync");
 
@@ -209,11 +209,11 @@ fn outage(exp: &mut Experiment, partition: bool, op: Op) {
 fn settle(exp: &mut Experiment) {
     for _ in 0..16 {
         quiesce(exp);
-        let spk = exp.net.sim.node_ref::<Speaker>(exp.net.speaker.unwrap());
+        let spk = exp.net.sim.node_ref::<Speaker>(exp.net.clusters[0].speaker);
         let ctl = exp
             .net
             .sim
-            .node_ref::<Controller>(exp.net.controller.unwrap());
+            .node_ref::<Controller>(exp.net.clusters[0].controller);
         if !spk.is_headless() && !ctl.resync_pending() && spk.epoch() == ctl.epoch() {
             return;
         }

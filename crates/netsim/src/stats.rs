@@ -28,105 +28,52 @@ pub struct SimStats {
     pub bytes_delivered: u64,
 }
 
-/// Semantic routing-plane activity kinds reported by nodes.
+/// Semantic routing-plane activity kinds reported by nodes. Every kind
+/// means "the routing plane is still moving" for convergence measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activity {
     /// A node's routing table (Loc-RIB or controller route store) changed.
     RibChange,
-    /// A node's forwarding state (FIB or flow table) changed.
-    FibChange,
     /// A BGP UPDATE was sent.
     UpdateSent,
-    /// A BGP UPDATE was received.
+    /// A BGP UPDATE reached the router or controller that processes it.
     UpdateReceived,
     /// A flow rule was installed, modified or removed on a switch.
     FlowInstalled,
-    /// A BGP (or controller) session reached Established.
-    SessionUp,
-    /// A session was torn down.
-    SessionDown,
-    /// A prefix was originated by its owner.
-    PrefixOriginated,
-    /// A prefix was withdrawn by its owner.
-    PrefixWithdrawn,
-    /// Controller ran a route recomputation.
-    ControllerRecompute,
 }
 
 impl Activity {
-    pub(crate) const COUNT: usize = 10;
-
-    pub(crate) fn index(self) -> usize {
-        match self {
-            Activity::RibChange => 0,
-            Activity::FibChange => 1,
-            Activity::UpdateSent => 2,
-            Activity::UpdateReceived => 3,
-            Activity::FlowInstalled => 4,
-            Activity::SessionUp => 5,
-            Activity::SessionDown => 6,
-            Activity::PrefixOriginated => 7,
-            Activity::PrefixWithdrawn => 8,
-            Activity::ControllerRecompute => 9,
-        }
-    }
-
-    /// Kinds that count as "the routing plane is still moving" for
-    /// convergence measurement.
-    pub fn is_routing_change(self) -> bool {
-        matches!(
-            self,
-            Activity::RibChange
-                | Activity::FibChange
-                | Activity::UpdateSent
-                | Activity::UpdateReceived
-                | Activity::FlowInstalled
-        )
-    }
+    const COUNT: usize = 4;
 }
 
 /// Per-kind counters and last-seen timestamps for semantic activity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ActivityBoard {
     counts: [u64; Activity::COUNT],
     last: [Option<SimTime>; Activity::COUNT],
-    last_routing_change: Option<SimTime>,
-}
-
-impl Default for ActivityBoard {
-    fn default() -> Self {
-        ActivityBoard {
-            counts: [0; Activity::COUNT],
-            last: [None; Activity::COUNT],
-            last_routing_change: None,
-        }
-    }
 }
 
 impl ActivityBoard {
     /// Record one occurrence of `kind` at `at`.
     pub fn report(&mut self, at: SimTime, kind: Activity) {
-        let i = kind.index();
+        let i = kind as usize;
         self.counts[i] += 1;
         self.last[i] = Some(at);
-        if kind.is_routing_change() {
-            self.last_routing_change = Some(at);
-        }
     }
 
     /// Total occurrences of `kind` so far.
     pub fn count(&self, kind: Activity) -> u64 {
-        self.counts[kind.index()]
+        self.counts[kind as usize]
     }
 
     /// Timestamp of the latest occurrence of `kind`.
     pub fn last(&self, kind: Activity) -> Option<SimTime> {
-        self.last[kind.index()]
+        self.last[kind as usize]
     }
 
     /// Timestamp of the latest routing-plane change of any kind.
     pub fn last_routing_change(&self) -> Option<SimTime> {
-        self.last_routing_change
+        self.last.iter().flatten().copied().max()
     }
 
     /// Reset all counters and timestamps (used between experiment phases so
@@ -149,14 +96,17 @@ mod tests {
         assert_eq!(b.last_routing_change(), None);
 
         b.report(SimTime::from_millis(5), Activity::RibChange);
+        b.report(SimTime::from_millis(7), Activity::FlowInstalled);
         b.report(SimTime::from_millis(9), Activity::UpdateSent);
-        b.report(SimTime::from_millis(7), Activity::SessionUp);
 
         assert_eq!(b.count(Activity::RibChange), 1);
         assert_eq!(b.last(Activity::RibChange), Some(SimTime::from_millis(5)));
-        // SessionUp is not a routing change
+        assert_eq!(
+            b.last(Activity::FlowInstalled),
+            Some(SimTime::from_millis(7))
+        );
+        // The latest report of any kind.
         assert_eq!(b.last_routing_change(), Some(SimTime::from_millis(9)));
-        assert_eq!(b.last(Activity::SessionUp), Some(SimTime::from_millis(7)));
 
         b.reset();
         assert_eq!(b.count(Activity::UpdateSent), 0);
@@ -165,10 +115,17 @@ mod tests {
 
     #[test]
     fn routing_change_classification() {
-        assert!(Activity::RibChange.is_routing_change());
-        assert!(Activity::FlowInstalled.is_routing_change());
-        assert!(!Activity::SessionUp.is_routing_change());
-        assert!(!Activity::PrefixOriginated.is_routing_change());
-        assert!(!Activity::ControllerRecompute.is_routing_change());
+        // Every kind moves the routing-change instant.
+        for kind in [
+            Activity::RibChange,
+            Activity::UpdateSent,
+            Activity::UpdateReceived,
+            Activity::FlowInstalled,
+        ] {
+            let mut b = ActivityBoard::default();
+            b.report(SimTime::from_millis(3), kind);
+            assert_eq!(b.last_routing_change(), Some(SimTime::from_millis(3)));
+            assert_eq!(b.count(kind), 1);
+        }
     }
 }

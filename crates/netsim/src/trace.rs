@@ -13,7 +13,6 @@
 //! and [`Trace::dropped`] counts what was evicted.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use bgpsdn_obs::{write_event_line, TraceEvent, EVENT_LINE_BYTES};
 
@@ -29,19 +28,8 @@ pub struct TraceRecord {
     pub time: SimTime,
     /// Node the event is attributed to, if any.
     pub node: Option<NodeId>,
-    /// Filter category (always `event.category()`).
-    pub category: TraceCategory,
     /// Typed payload.
     pub event: TraceEvent,
-}
-
-impl fmt::Display for TraceRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.node {
-            Some(n) => write!(f, "[{} {} {}] {}", self.time, self.category, n, self.event),
-            None => write!(f, "[{} {}] {}", self.time, self.category, self.event),
-        }
-    }
 }
 
 /// A bounded, category-filtered trace ring buffer.
@@ -106,7 +94,7 @@ impl Trace {
         debug_assert_eq!(
             event.category(),
             category,
-            "trace category mismatch for {event}"
+            "trace category mismatch for {event:?}"
         );
         if self.capacity == 0 {
             self.dropped += 1;
@@ -116,12 +104,7 @@ impl Trace {
             self.records.pop_front();
             self.dropped += 1;
         }
-        self.records.push_back(TraceRecord {
-            time,
-            node,
-            category,
-            event,
-        });
+        self.records.push_back(TraceRecord { time, node, event });
     }
 
     /// All retained records in time order.
@@ -246,20 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn display_formats() {
-        let r = TraceRecord {
-            time: SimTime::from_secs(1),
-            node: Some(NodeId(4)),
-            category: TraceCategory::Session,
-            event: TraceEvent::SessionUp { peer: 9 },
-        };
-        let s = r.to_string();
-        assert!(s.contains("session"), "{s}");
-        assert!(s.contains("n4"), "{s}");
-        assert!(s.contains("n9"), "{s}");
-    }
-
-    #[test]
     fn jsonl_export_import_roundtrip() {
         let mut t = Trace::new(10);
         t.enable_all();
@@ -292,7 +261,6 @@ mod tests {
             .map(|r| TraceRecord {
                 time: SimTime::from_nanos(r.t),
                 node: r.node.map(NodeId),
-                category: r.event.category(),
                 event: r.event,
             })
             .collect();

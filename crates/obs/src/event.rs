@@ -86,12 +86,6 @@ impl TraceCategory {
     }
 }
 
-impl fmt::Display for TraceCategory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// An IPv4 prefix in the telemetry plane (`addr`/`len`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObsPrefix {
@@ -232,12 +226,6 @@ impl RecomputeTrigger {
     }
 }
 
-impl fmt::Display for RecomputeTrigger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Phase taxonomy for causal-DAG edges: the bucket the time between a
 /// causal event and its parent is charged to. Each
 /// [`TraceEvent::Causal`] node labels the edge *into* it, so walking a
@@ -318,12 +306,6 @@ impl CausalPhase {
     /// critical path can end at).
     pub(crate) fn is_settlement(self) -> bool {
         matches!(self, CausalPhase::HuntStep | CausalPhase::FlowInstall)
-    }
-}
-
-impl fmt::Display for CausalPhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -1056,153 +1038,6 @@ wire_table! {
     Note = "note" {
         category: "cat" => Text<TraceCategory>,
         text: "text" => Str,
-    }
-}
-
-fn fmt_path(f: &mut fmt::Formatter<'_>, path: &Option<Vec<u32>>) -> fmt::Result {
-    match path {
-        None => f.write_str("-"),
-        Some(hops) => {
-            for (i, h) in hops.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(" ")?;
-                }
-                write!(f, "{h}")?;
-            }
-            if hops.is_empty() {
-                f.write_str("[]")?;
-            }
-            Ok(())
-        }
-    }
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEvent::UpdateSent {
-                peer,
-                announced,
-                withdrawn,
-            } => write!(
-                f,
-                "update -> n{peer} (+{} -{})",
-                announced.len(),
-                withdrawn.len()
-            ),
-            TraceEvent::UpdateDelivered {
-                peer,
-                announced,
-                withdrawn,
-            } => write!(
-                f,
-                "update <- n{peer} (+{} -{})",
-                announced.len(),
-                withdrawn.len()
-            ),
-            TraceEvent::RibChange {
-                prefix,
-                old_path,
-                new_path,
-            } => {
-                write!(f, "best {prefix}: ")?;
-                fmt_path(f, old_path)?;
-                f.write_str(" => ")?;
-                fmt_path(f, new_path)
-            }
-            TraceEvent::FlowInstalled {
-                prefix,
-                priority,
-                action,
-            } => write!(f, "flow + {prefix} p{priority} {action}"),
-            TraceEvent::FlowRemoved {
-                prefix,
-                priority,
-                action,
-            } => write!(f, "flow - {prefix} p{priority} {action}"),
-            TraceEvent::SessionUp { peer } => write!(f, "session up n{peer}"),
-            TraceEvent::SessionDown { peer, reason } => {
-                write!(f, "session down n{peer} ({reason})")
-            }
-            TraceEvent::ControllerRecompute {
-                trigger,
-                prefixes,
-                prefixes_recomputed,
-                flow_mods,
-                announcements,
-                withdrawals,
-                wall_ns,
-                ..
-            } => write!(
-                f,
-                "recompute[{trigger}] {prefixes} prefixes ({prefixes_recomputed} dirty), \
-                 {flow_mods} flowmods, {announcements} ann, {withdrawals} wd, {wall_ns} ns"
-            ),
-            TraceEvent::Phase { name, started } => {
-                write!(f, "phase {name} {}", if *started { "start" } else { "end" })
-            }
-            TraceEvent::LinkAdmin { link, up } => {
-                write!(f, "link {link} {}", if *up { "up" } else { "down" })
-            }
-            TraceEvent::NodeAdmin { node, up } => {
-                write!(f, "node n{node} {}", if *up { "up" } else { "down" })
-            }
-            TraceEvent::SpeakerHeadless { entered } => {
-                if *entered {
-                    f.write_str("headless: controller lost, fail-static")
-                } else {
-                    f.write_str("headless: controller back")
-                }
-            }
-            TraceEvent::ControlResync {
-                epoch,
-                sessions,
-                routes,
-            } => write!(
-                f,
-                "resync epoch {epoch} ({sessions} sessions, {routes} routes)"
-            ),
-            TraceEvent::ControlRetransmit {
-                from_controller,
-                oldest_seq,
-                outstanding,
-            } => write!(
-                f,
-                "retransmit {} seq {oldest_seq}+ ({outstanding} unacked)",
-                if *from_controller { "cmds" } else { "events" }
-            ),
-            TraceEvent::SpeakerEventDropped { session } => {
-                write!(f, "event dropped (no controller) session {session}")
-            }
-            TraceEvent::VerifyViolation {
-                check,
-                prefix,
-                offender,
-                witness,
-            } => match prefix {
-                Some(p) => write!(f, "VIOLATION [{check}] {p} at {offender}: {witness}"),
-                None => write!(f, "VIOLATION [{check}] at {offender}: {witness}"),
-            },
-            TraceEvent::Causal {
-                id,
-                parents,
-                trigger,
-                hop,
-                phase,
-                prefix,
-            } => {
-                write!(f, "causal #{id} {phase} (trigger #{trigger}, hop {hop}")?;
-                if let Some(p) = prefix {
-                    write!(f, ", {p}")?;
-                }
-                if parents.is_empty() {
-                    f.write_str(", root)")
-                } else {
-                    write!(f, ", from {parents:?})")
-                }
-            }
-            TraceEvent::Note { text, .. } => f.write_str(text),
-        }
     }
 }
 

@@ -120,7 +120,6 @@ struct SessionRuntime {
 
 /// The cluster BGP speaker node.
 pub struct ClusterSpeaker<M> {
-    id: NodeId,
     sessions: Vec<SessionRuntime>,
     by_endpoint: HashMap<(NodeId, NodeId), usize>,
     stats: SpeakerStats,
@@ -139,12 +138,11 @@ pub struct ClusterSpeaker<M> {
     _m: std::marker::PhantomData<fn() -> M>,
 }
 
-impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
+impl<M> Default for ClusterSpeaker<M> {
     /// New speaker with no sessions. Speaker and controller both start in
     /// epoch 1 with empty state, so bring-up needs no initial resync.
-    pub fn new(id: NodeId) -> Self {
+    fn default() -> Self {
         ClusterSpeaker {
-            id,
             sessions: Vec::new(),
             by_endpoint: HashMap::new(),
             stats: SpeakerStats::default(),
@@ -156,7 +154,9 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
             _m: std::marker::PhantomData,
         }
     }
+}
 
+impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     /// Attach the controller channel.
     pub fn set_controller_link(&mut self, link: LinkId) {
         self.chan.link = Some(link);
@@ -188,11 +188,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     /// Number of registered sessions.
     pub fn session_count(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// This speaker's node id.
-    pub fn node_id(&self) -> NodeId {
-        self.id
     }
 
     /// Counters.
@@ -454,7 +449,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 self.stats.sessions_up += 1;
                 self.sessions[idx].retries = 0;
                 self.sessions[idx].peer_asn = Some(open.asn);
-                ctx.report(Activity::SessionUp);
                 let ext_peer = self.sessions[idx].cfg.ext_peer;
                 ctx.trace(TraceCategory::Session, || TraceEvent::SessionUp {
                     peer: ext_peer.0,
@@ -480,7 +474,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
         self.sessions[idx].advertised.clear();
         self.sessions[idx].adj_in.clear();
         self.sessions[idx].peer_asn = None;
-        ctx.report(Activity::SessionDown);
         let ext_peer = self.sessions[idx].cfg.ext_peer;
         ctx.trace(TraceCategory::Session, || TraceEvent::SessionDown {
             peer: ext_peer.0,

@@ -53,7 +53,6 @@ pub struct SwitchStats {
 
 /// An OpenFlow switch standing in for a cluster member AS.
 pub struct SdnSwitch<M> {
-    id: NodeId,
     datapath_id: u64,
     controller_link: Option<LinkId>,
     table: FlowTable,
@@ -64,9 +63,8 @@ pub struct SdnSwitch<M> {
 
 impl<M: SdnApp + BgpApp> SdnSwitch<M> {
     /// Build a switch. `datapath_id` identifies it on the control channel.
-    pub fn new(id: NodeId, datapath_id: u64) -> Self {
+    pub fn new(datapath_id: u64) -> Self {
         SdnSwitch {
-            id,
             datapath_id,
             controller_link: None,
             table: FlowTable::new(),
@@ -104,11 +102,6 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
         &self.stats
     }
 
-    /// This switch's node id.
-    pub fn node_id(&self) -> NodeId {
-        self.id
-    }
-
     /// This switch's datapath id.
     pub fn datapath_id(&self) -> u64 {
         self.datapath_id
@@ -144,7 +137,6 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
                 ctx.end_span("sdn.flowtable.mutate_wall_ns", span);
                 if changed {
                     ctx.report(Activity::FlowInstalled);
-                    ctx.report(Activity::FibChange);
                     let prefix = ObsPrefix::from(rule.prefix);
                     let (priority, action) = (rule.priority, rule.action.repr());
                     ctx.trace(TraceCategory::Flow, || match op {

@@ -101,8 +101,8 @@ fn build(seed: u64) -> Setup {
             ..Default::default()
         });
     let ext = sim.add_node("ext", |id| Router::new(id, ext_cfg));
-    let sw = sim.add_node("member-switch", |id| Switch::new(id, 0xA));
-    let speaker = sim.add_node("speaker", Speaker::new);
+    let sw = sim.add_node("member-switch", |_| Switch::new(0xA));
+    let speaker = sim.add_node("speaker", |_| Speaker::default());
     let sink = sim.add_node("controller-sink", |_| EventSink {
         events: vec![],
         of_msgs: vec![],

@@ -85,7 +85,7 @@ impl Graph {
     }
 
     /// BFS hop distances from `src` (`None` = unreachable).
-    pub fn bfs_distances(&self, src: usize) -> Vec<Option<usize>> {
+    fn bfs_distances(&self, src: usize) -> Vec<Option<usize>> {
         let mut dist = vec![None; self.adj.len()];
         let mut q = VecDeque::new();
         dist[src] = Some(0);

@@ -52,7 +52,7 @@ fn main() {
     assert!(exp.start(SimDuration::from_secs(3600)).converged);
 
     let describe = |exp: &Experiment| {
-        let c = exp.net.controller.unwrap();
+        let c = exp.net.clusters[0].controller;
         let subclusters = exp
             .net
             .sim

@@ -157,6 +157,19 @@ impl Args {
         }
     }
 
+    /// A flag whose type names its own values: its parse error follows
+    /// the flag's name.
+    fn get_named<T: std::str::FromStr<Err = String>>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
+        match self.get_str(name) {
+            Some(v) => v.parse().map_err(|e| format!("--{name} {e}")),
+            None => Ok(default),
+        }
+    }
+
     fn get_str(&self, name: &str) -> Option<&str> {
         self.flags
             .iter()
@@ -242,10 +255,10 @@ fn check_flags(cmd: &str, known: &[&str], args: &Args) -> Result<(), String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let Some(raw) = args.get_str("event") else {
+    if !args.has("event") {
         return Err("--event is required: withdrawal|announcement|failover".into());
-    };
-    let event = parse_event(Some(raw))?;
+    }
+    let event = args.get_named("event", EventKind::Withdrawal)?;
     let (n, sdn): (usize, usize) = (args.get("n", 16)?, args.get("sdn", 0)?);
     if sdn > n {
         return Err("--sdn must be <= --n".into());
@@ -314,17 +327,6 @@ fn create(path: &str) -> Result<File, String> {
     File::create(path).map_err(|e| format!("writing {path}: {e}"))
 }
 
-fn parse_event(raw: Option<&str>) -> Result<EventKind, String> {
-    match raw {
-        None | Some("withdrawal") => Ok(EventKind::Withdrawal),
-        Some("announcement") => Ok(EventKind::Announcement),
-        Some("failover") => Ok(EventKind::Failover),
-        other => Err(format!(
-            "--event must be withdrawal|announcement|failover, got {other:?}"
-        )),
-    }
-}
-
 /// The `--chaos OUTAGES [--chaos-horizon SECS] [--chaos-classes C]` spec.
 fn fault_spec(args: &Args) -> Result<Option<FaultSpec>, String> {
     let outages: usize = args.get("chaos", 0)?;
@@ -334,16 +336,7 @@ fn fault_spec(args: &Args) -> Result<Option<FaultSpec>, String> {
     Ok(Some(FaultSpec {
         outages,
         horizon: SimDuration::from_secs(args.get("chaos-horizon", 60u64)?),
-        classes: match args.get_str("chaos-classes").unwrap_or("all") {
-            "all" => FaultClasses::ALL,
-            "control" => FaultClasses::CONTROL_ONLY,
-            "data" => FaultClasses::DATA_PLANE,
-            other => {
-                return Err(format!(
-                    "--chaos-classes must be all|control|data, got {other}"
-                ))
-            }
-        },
+        classes: args.get_named("chaos-classes", FaultClasses::ALL)?,
     }))
 }
 
@@ -359,7 +352,7 @@ fn grid_from_args(args: &Args) -> Result<CampaignGrid, String> {
         CampaignGrid {
             name: "sweep".to_string(),
             n: args.get("n", 16)?,
-            event: parse_event(args.get_str("event"))?,
+            event: args.get_named("event", EventKind::Withdrawal)?,
             cluster_sizes: args.get_list("sizes", vec![])?,
             loss: args.get_list("loss", vec![0.0])?,
             ctl_latency: args
@@ -373,9 +366,7 @@ fn grid_from_args(args: &Args) -> Result<CampaignGrid, String> {
         }
     };
     grid.clusters = args.get_list("clusters", grid.clusters)?;
-    if let Some(name) = args.get_str("strategy") {
-        grid.strategy = name.parse().map_err(|e| format!("--strategy {e}"))?;
-    }
+    grid.strategy = args.get_named("strategy", grid.strategy)?;
     grid.base_seed = args.get("base-seed", grid.base_seed)?;
     grid.faults = fault_spec(args)?;
     grid.verify = args.has("verify");

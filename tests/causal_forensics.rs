@@ -45,17 +45,13 @@ fn critical_path_matches_last_table_change() {
     assert_eq!(analysis.dangling, 0, "lineage must be complete");
     let critical_ns = critical_path_ns(&analysis);
     let phase_start = exp.phase_start();
-    let settled_ns = [
-        Activity::RibChange,
-        Activity::FibChange,
-        Activity::FlowInstalled,
-    ]
-    .into_iter()
-    .filter_map(|a| exp.net.sim.board().last(a))
-    .max()
-    .expect("tables changed")
-    .saturating_since(phase_start)
-    .as_nanos();
+    let settled_ns = [Activity::RibChange, Activity::FlowInstalled]
+        .into_iter()
+        .filter_map(|a| exp.net.sim.board().last(a))
+        .max()
+        .expect("tables changed")
+        .saturating_since(phase_start)
+        .as_nanos();
     assert_eq!(
         critical_ns, settled_ns,
         "the critical path must telescope exactly to the last table change"
@@ -120,5 +116,35 @@ fn bgp_phases_shrink_as_centralization_grows() {
     assert!(
         bgp_side[0] > bgp_side[2],
         "full centralization must actually remove BGP-side wait time: {bgp_side:?}"
+    );
+}
+
+#[test]
+fn the_report_instant_never_trails_the_measured_one() {
+    // Two convergence instants: `measure` reads the activity board, where
+    // UPDATE sends and UPDATE processing count as well as table changes;
+    // `bgpsdn report` reads only RIB and flow changes off the trace. Every
+    // traced table change has its board report in the same callback, so
+    // the report's instant is at or before the measured one.
+    let spec = JobSpec {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
+        seed: 3,
+        ..JobSpec::clique(8, 0)
+    };
+    let (out, exp) = spec.run(|sim| sim.trace_mut().enable_all());
+    assert!(out.converged);
+    let measured = (exp.phase_start() + out.convergence).as_nanos();
+    let mut text = String::new();
+    spec.render_artifact_into(None, &exp, &mut text);
+    let analysis = RunAnalysis::from_artifact(&Artifact::parse(&text).expect("parses"));
+    let phase = analysis
+        .phases
+        .iter()
+        .find(|p| p.name == "withdrawal")
+        .expect("event phase");
+    let reported = phase.last_change.expect("tables changed");
+    assert!(
+        reported <= measured,
+        "report {reported} ns trails the measured {measured} ns"
     );
 }

@@ -242,6 +242,22 @@ fn sweep_rejects_bad_grids() {
 }
 
 #[test]
+fn an_unknown_event_is_named_as_typed() {
+    // The message quotes the value itself, not an `Option`'s Debug text.
+    for args in [
+        &["run", "--event", "bogus"][..],
+        &["sweep", "--sizes", "1", "--n", "4", "--event", "bogus"][..],
+    ] {
+        let out = bgpsdn().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--event must be"), "{args:?}: {stderr}");
+        assert!(stderr.contains("got \"bogus\""), "{args:?}: {stderr}");
+        assert!(!stderr.contains("Some("), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn failover_data_chaos_grid_is_healthy() {
     // Its job 2 crashes AS2 and AS3 while the relay link 1–3 flaps; the
     // network used to end split in two over a wedged OpenSent session.

@@ -32,8 +32,8 @@ fn small_grid() -> CampaignGrid {
 #[test]
 fn same_seed_jobs_produce_byte_identical_artifacts() {
     for job in small_grid().expand() {
-        let a = run_job(&job, true);
-        let b = run_job(&job, true);
+        let a = run_job_scratch(&job, true, &mut JobScratch::default());
+        let b = run_job_scratch(&job, true, &mut JobScratch::default());
         let (a, b) = (a.artifact.expect("traced"), b.artifact.expect("traced"));
         assert!(!a.is_empty());
         assert_eq!(a, b, "job {} artifact must be byte-stable", job.id);
@@ -51,8 +51,12 @@ fn chaos_fault_jobs_are_equally_deterministic() {
     // Outage schedules derive from the job seed, so reruns replay the
     // exact same fault timeline.
     for job in grid.expand() {
-        let a = run_job(&job, true).artifact.expect("traced");
-        let b = run_job(&job, true).artifact.expect("traced");
+        let a = run_job_scratch(&job, true, &mut JobScratch::default())
+            .artifact
+            .expect("traced");
+        let b = run_job_scratch(&job, true, &mut JobScratch::default())
+            .artifact
+            .expect("traced");
         assert_eq!(a, b, "chaos job {} artifact must be byte-stable", job.id);
     }
 }
@@ -77,8 +81,12 @@ fn mixed_chaos_jobs_are_equally_deterministic() {
             job.id,
             job.cluster
         );
-        let a = run_job(&job, true).artifact.expect("traced");
-        let b = run_job(&job, true).artifact.expect("traced");
+        let a = run_job_scratch(&job, true, &mut JobScratch::default())
+            .artifact
+            .expect("traced");
+        let b = run_job_scratch(&job, true, &mut JobScratch::default())
+            .artifact
+            .expect("traced");
         assert_eq!(
             a, b,
             "mixed-chaos job {} artifact must be byte-stable",
@@ -142,8 +150,12 @@ fn multicluster_campaign_is_equally_deterministic() {
     let jobs = grid.expand();
     assert_eq!(jobs.len(), 6, "3 sizes x 2 cluster counts");
     for job in &jobs {
-        let a = run_job(job, true).artifact.expect("traced");
-        let b = run_job(job, true).artifact.expect("traced");
+        let a = run_job_scratch(job, true, &mut JobScratch::default())
+            .artifact
+            .expect("traced");
+        let b = run_job_scratch(job, true, &mut JobScratch::default())
+            .artifact
+            .expect("traced");
         assert!(!a.is_empty());
         assert_eq!(
             a,
