@@ -12,8 +12,8 @@
 
 use bgpsdn_bench::write_json;
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{Experiment, NetworkBuilder, ScriptAction, Speaker};
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_core::{Experiment, NetworkBuilder, ScriptAction};
+use bgpsdn_netsim::{Counter, SimDuration};
 use bgpsdn_obs::impl_to_json;
 use bgpsdn_topology::{plan, AsGraph, Graph};
 
@@ -93,8 +93,8 @@ fn run_outage(outage_s: u64) -> Row {
         .skip(restore_tick as usize)
         .position(|&got| got)
         .unwrap_or(TAIL_TICKS as usize) as u64;
-    let spk = exp.net.sim.node_ref::<Speaker>(exp.net.clusters[0].speaker);
-    let stats = spk.stats();
+    let speaker = exp.net.clusters[0].speaker;
+    let counter = |id| exp.net.sim.counter(speaker, id);
     assert!(
         exp.connectivity_audit().fully_connected(),
         "outage D={outage_s}s must end fully reconverged"
@@ -104,9 +104,9 @@ fn run_outage(outage_s: u64) -> Row {
         loss_ratio: report.loss_ratio,
         longest_outage_s: report.longest_outage.as_secs_f64(),
         reconverge_s: INTERVAL.saturating_mul(reconverge_ticks).as_secs_f64(),
-        resyncs: stats.resyncs,
-        retransmits: stats.retransmits,
-        headless: stats.headless_entries,
+        resyncs: counter(Counter::SpeakerResyncs),
+        retransmits: counter(Counter::CtrlRetransmits),
+        headless: counter(Counter::HeadlessEntered),
     }
 }
 

@@ -13,8 +13,8 @@
 
 use bgpsdn_bench::write_json;
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{Experiment, NetworkBuilder, Router, ScriptAction};
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_core::{Experiment, NetworkBuilder, ScriptAction};
+use bgpsdn_netsim::{Counter, SimDuration};
 use bgpsdn_obs::impl_to_json;
 use bgpsdn_topology::{gen, plan, AsGraph};
 
@@ -62,12 +62,12 @@ impl_to_json!(Row {
     stale_retained
 });
 
-/// Sum a `RouterStats` field over the surviving legacy routers (every
-/// legacy AS except the crash target AS 1).
-fn legacy_sum(exp: &Experiment, sdn: usize, field: impl Fn(&Router) -> u64) -> u64 {
+/// Sum a router counter over the surviving legacy routers (every legacy
+/// AS except the crash target AS 1).
+fn legacy_sum(exp: &Experiment, sdn: usize, id: Counter) -> u64 {
     (0..N - sdn)
         .filter(|&i| i != 1)
-        .map(|i| field(exp.net.sim.node_ref::<Router>(exp.net.ases[i].node)))
+        .map(|i| exp.net.sim.counter(exp.net.ases[i].node, id))
         .sum()
 }
 
@@ -91,7 +91,7 @@ fn run_outage(sdn: usize, gr: bool, outage_s: u64) -> Row {
         "bring-up must leave full connectivity"
     );
 
-    let churn_before = legacy_sum(&exp, sdn, |r| r.stats().updates_sent);
+    let churn_before = legacy_sum(&exp, sdn, Counter::UpdatesSent);
     let dst = exp.net.ases[1].router_ip;
     let restore_tick = CRASH_TICK + outage_s * 1000 / INTERVAL.as_millis();
     let count = restore_tick + TAIL_TICKS;
@@ -102,7 +102,7 @@ fn run_outage(sdn: usize, gr: bool, outage_s: u64) -> Row {
             e.apply(&ScriptAction::RestoreRouter(1));
         }
     });
-    let stale_retained = legacy_sum(&exp, sdn, |r| r.stats().stale_retained);
+    let stale_retained = legacy_sum(&exp, sdn, Counter::StaleRetained);
 
     // Let the rebuild finish (GR stale-flush and reconnect supervision are
     // Progress-class, so quiescence waits for them) before the final audit
@@ -129,9 +129,9 @@ fn run_outage(sdn: usize, gr: bool, outage_s: u64) -> Row {
         loss_ratio: report.loss_ratio,
         longest_outage_s: report.longest_outage.as_secs_f64(),
         reconverge_s: INTERVAL.saturating_mul(reconverge_ticks).as_secs_f64(),
-        churn_updates: legacy_sum(&exp, sdn, |r| r.stats().updates_sent) - churn_before,
-        sessions_dropped: legacy_sum(&exp, sdn, |r| r.stats().sessions_dropped),
-        sessions_reestablished: legacy_sum(&exp, sdn, |r| r.stats().sessions_reestablished),
+        churn_updates: legacy_sum(&exp, sdn, Counter::UpdatesSent) - churn_before,
+        sessions_dropped: legacy_sum(&exp, sdn, Counter::SessionsDropped),
+        sessions_reestablished: legacy_sum(&exp, sdn, Counter::SessionsReestablished),
         stale_retained,
     }
 }

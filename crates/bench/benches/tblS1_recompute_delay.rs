@@ -10,7 +10,7 @@
 
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_core::JobSpec;
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_netsim::{Counter, SimDuration};
 use bgpsdn_obs::{impl_to_json, Summary};
 
 struct Row {
@@ -53,10 +53,10 @@ fn main() {
             assert!(out.converged && out.audit_ok);
             times.push(out.convergence.as_secs_f64());
             let c = exp.net.clusters[0].controller;
-            let stats = exp.net.sim.node_ref::<bgpsdn_core::Controller>(c).stats();
-            recomputes.push(stats.recomputes as f64);
-            flow_mods.push(stats.flow_mods as f64);
-            anns.push((stats.announcements + stats.withdrawals) as f64);
+            let counter = |id| exp.net.sim.counter(c, id) as f64;
+            recomputes.push(counter(Counter::Recomputes));
+            flow_mods.push(counter(Counter::FlowModsSent));
+            anns.push(counter(Counter::Announcements) + counter(Counter::Withdrawals));
         }
         let conv = Summary::of(times).unwrap();
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;

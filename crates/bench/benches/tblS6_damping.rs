@@ -13,7 +13,7 @@
 use bgpsdn_bench::{write_json, RUNS};
 use bgpsdn_bgp::{DampingConfig, PolicyMode, TimingConfig};
 use bgpsdn_core::{Experiment, NetworkBuilder, ScriptAction};
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_netsim::{Counter, SimDuration};
 use bgpsdn_obs::{impl_to_json, Summary};
 use bgpsdn_topology::{gen, plan, AsGraph};
 
@@ -90,13 +90,7 @@ fn run_once(damping: bool, sdn_count: usize, seed: u64) -> (SimDuration, u64) {
     let suppressed: u64 = exp
         .net
         .legacy()
-        .map(|a| {
-            exp.net
-                .sim
-                .node_ref::<bgpsdn_core::Router>(a.node)
-                .stats()
-                .damped_suppressed
-        })
+        .map(|a| exp.net.sim.counter(a.node, Counter::DampedSuppressed))
         .sum();
     (recovery, suppressed)
 }

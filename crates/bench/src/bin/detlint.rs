@@ -8,10 +8,10 @@
 //! (`HashMap`/`HashSet` iteration order, host clocks, OS-seeded RNGs) and
 //! diffs the per-(file, hazard) occurrence counts against the committed
 //! baseline; then lists every `pub fn` of those crates (and of this one)
-//! that no other source file calls. Exits 0 when nothing increased and no
-//! `pub fn` is uncalled, 1 on any new or increased hazard, a baseline row
-//! naming a missing file, or an uncalled `pub fn`, 2 on usage or IO
-//! errors. `--write` regenerates the baseline after an audited change.
+//! that no other source file calls, and every row-only counter no file reads.
+//! Exits 0 if nothing increased or is unused; 1 on a new or increased hazard,
+//! a baseline row naming a missing file, an uncalled `pub fn` or a write-only
+//! counter; 2 on usage or IO errors. `--write` re-baselines an audited change.
 //! On success it also prints the size of `src` and `crates/*/src`: lines
 //! before each file's first `#[cfg(test)]`, the `pub fn` definitions and
 //! the panic sites (`.unwrap()`, `.expect(`, `panic!(`, `unreachable!(`)
@@ -21,7 +21,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use bgpsdn_bench::detlint::{
-    diff, parse_baseline, render_baseline, scan_tree, tree_size, uncalled_pub_fns, Drift,
+    diff, parse_baseline, render_baseline, scan_tree, tree_size, uncalled_pub_fns,
+    write_only_counters, Drift,
 };
 
 /// The source roots the lint guards, relative to the workspace root:
@@ -49,6 +50,9 @@ const GUARDED: &[&str] = &[
 /// `benchmark/` harness counts: what it calls stays public.
 const CALLER_ROOTS: &[&str] = &["src", "tests", "examples", "benchmark/src"];
 
+/// The file whose `counter_table!` names every counter.
+const COUNTER_TABLE: &str = "crates/obs/src/metrics.rs";
+
 /// `crates/*/<sub>` for each of `subs`, the directories that exist.
 fn crate_dirs(root: &Path, subs: &[&str]) -> Result<Vec<PathBuf>, String> {
     let crates = root.join("crates");
@@ -65,15 +69,16 @@ fn crate_dirs(root: &Path, subs: &[&str]) -> Result<Vec<PathBuf>, String> {
     Ok(dirs)
 }
 
-/// Every `pub fn` that no other file calls, as one line each; empty when
-/// the public surface is all in use.
-fn uncalled_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, String> {
+/// Every `pub fn` that no other file calls and every counter nothing
+/// reads, as one line each; empty when the public surface and the counter
+/// table are all in use.
+fn unused_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, String> {
     let mut defining = guarded.to_vec();
     defining.push(root.join("crates/bench/src"));
     let mut callers: Vec<PathBuf> = CALLER_ROOTS.iter().map(|r| root.join(r)).collect();
     callers.retain(|p| p.is_dir());
     callers.extend(crate_dirs(root, &["src", "tests", "benches"])?);
-    Ok(uncalled_pub_fns(root, &defining, &callers)?
+    let mut lines: Vec<String> = uncalled_pub_fns(root, &defining, &callers)?
         .into_iter()
         .map(|f| {
             format!(
@@ -82,7 +87,11 @@ fn uncalled_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, Stri
                 f.path, f.line, f.name
             )
         })
-        .collect())
+        .collect();
+    lines.extend(write_only_counters(root, COUNTER_TABLE, &callers)?.into_iter().map(|id| {
+        format!("detlint: {COUNTER_TABLE}: `Counter::{id}` is counted but never read; read it or delete it")
+    }));
+    Ok(lines)
 }
 
 fn usage() -> ExitCode {
@@ -203,17 +212,17 @@ fn main() -> ExitCode {
             }
         }
     }
-    let uncalled = match uncalled_report(&root, &roots) {
+    let unused = match unused_report(&root, &roots) {
         Ok(u) => u,
         Err(e) => {
             eprintln!("detlint: {e}");
             return ExitCode::from(2);
         }
     };
-    for line in &uncalled {
+    for line in &unused {
         eprintln!("{line}");
     }
-    if failed || !uncalled.is_empty() {
+    if failed || !unused.is_empty() {
         eprintln!("detlint: FAILED (baseline: {})", baseline_path.display());
         return ExitCode::FAILURE;
     }
@@ -228,7 +237,8 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "detlint: ok ({} files scanned against {} baseline entries; 0 uncalled pub fn)",
+        "detlint: ok ({} files scanned against {} baseline entries; 0 uncalled pub fn, \
+         0 write-only counters)",
         current
             .keys()
             .map(|(p, _)| p.as_str())

@@ -31,6 +31,11 @@
 //! baseline: the tree must pass with zero findings, and a
 //! `// detlint: allow <reason>` on the `pub fn` line exempts that one
 //! function.
+//!
+//! A third pass, [`write_only_counters`], does the same for counters: a
+//! row-only counter id (one artifacts never carry) that every file
+//! mentions only as the id argument of a `.count(` call is counted and
+//! never read.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -310,6 +315,59 @@ pub fn uncalled_pub_fns(
     Ok(uncalled)
 }
 
+/// Whether `code`, with comments and whitespace removed, mentions
+/// `Counter::<id>` other than as the first argument of a `.count(` call.
+fn reads_counter(code: &str, id: &str) -> bool {
+    let needle = format!("Counter::{id}");
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(&needle).any(|(at, _)| {
+        let (before, after) = (&code[..at], &code[at + needle.len()..]);
+        !after.starts_with(ident) && !before.ends_with(ident) && !before.ends_with(".count(")
+    })
+}
+
+/// Every id that the last `row_only { … }` block of the counter table
+/// `table` lists (the first may be the table macro's own pattern) and that
+/// no other file reads: each of its mentions under `callers`, which must
+/// hold the table, is the id argument of a `.count(` call. Exported
+/// counters are read by the artifacts they reach, so only row-only ones
+/// can be write-only.
+///
+/// # Errors
+///
+/// Propagates IO errors reading directories or files, and fails when no
+/// file under `callers` is `table`.
+pub fn write_only_counters(
+    base: &Path,
+    table: &str,
+    callers: &[PathBuf],
+) -> Result<Vec<String>, String> {
+    let files = read_tree(base, callers)?;
+    let (_, text) = files
+        .iter()
+        .find(|(path, _)| path == table)
+        .ok_or(format!("no {table}"))?;
+    let block = text.rsplit_once("row_only {").map_or("", |(_, rest)| rest);
+    let block = block.split_once('}').map_or(block, |(inside, _)| inside);
+    let code: Vec<String> = files
+        .iter()
+        .filter(|(path, _)| path != table)
+        .map(|(_, text)| {
+            text.lines()
+                .map(strip_comment)
+                .flat_map(str::split_whitespace)
+                .collect()
+        })
+        .collect();
+    Ok(block
+        .lines()
+        .filter_map(|line| strip_comment(line).split_once('='))
+        .map(|(id, _)| id.trim())
+        .filter(|id| !code.iter().any(|c| reads_counter(c, id)))
+        .map(String::from)
+        .collect())
+}
+
 /// Serialize counts in the committed baseline format: one
 /// `count<TAB>hazard<TAB>path` line per entry, sorted.
 pub fn render_baseline(counts: &Counts) -> String {
@@ -559,6 +617,32 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         let names: Vec<&str> = found.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["fast"]);
+    }
+
+    #[test]
+    fn counter_pass_flags_only_row_only_ids_nothing_reads() {
+        let dir = std::env::temp_dir().join(format!("detlint-counters-{}", std::process::id()));
+        let src = dir.join("src");
+        std::fs::create_dir_all(&src).unwrap();
+        let table = "counter_table! {\n    exported {\n        Sent = \"a.b.sent\",\n    }\n    \
+                     row_only {\n        /// A doc line.\n        Read = \"a.b.read\",\n        \
+                     Written = \"a.b.written\",\n        Commented = \"a.b.commented\",\n    }\n}\n";
+        std::fs::write(src.join("table.rs"), table).unwrap();
+        std::fs::write(
+            src.join("node.rs"),
+            "fn f(ctx: &mut Ctx) {\n    ctx.count(Counter::Sent, 1);\n    ctx.count(\n        \
+             Counter::Written,\n        2,\n    );\n    ctx.count(Counter::Read, 1);\n    \
+             ctx.count(Counter::Commented, 1); // Counter::Commented\n}\n",
+        )
+        .unwrap();
+        std::fs::write(
+            src.join("view.rs"),
+            "fn g(sim: &Sim) -> u64 { sim.counter(n, Counter::Read) + x[Counter::WrittenTwice] }\n",
+        )
+        .unwrap();
+        let found = write_only_counters(&dir, "src/table.rs", std::slice::from_ref(&src)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(found, ["Written", "Commented"]);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::marker::PhantomData;
 
 use bgpsdn_netsim::{
-    Activity, CausalPhase, Cause, Ctx, DataPacket, LinkId, Node, NodeId, ObsPrefix, PacketKind,
-    SimDuration, SimTime, TimerClass, TimerToken, TraceCategory, TraceEvent,
+    Activity, CausalPhase, Cause, Counter, Counters, Ctx, DataPacket, LinkId, Node, NodeId,
+    ObsPrefix, PacketKind, SimDuration, SimTime, TimerClass, TimerToken, TraceCategory, TraceEvent,
 };
 
 use crate::attrs::{PathAttributes, SharedAttrs};
@@ -86,52 +86,16 @@ fn obs_path(e: &LocRibEntry) -> Vec<u32> {
     e.attrs.as_path.flatten().into_iter().map(|a| a.0).collect()
 }
 
-/// Counters exposed for measurement and tests.
-#[derive(Debug, Clone, Default)]
+/// The router counters the benchmark harness reads, as one value; every
+/// counter is [`Simulator::counter`](bgpsdn_netsim::Simulator::counter).
+#[derive(Debug, Clone, Copy)]
 pub struct RouterStats {
     /// UPDATE messages sent.
     pub updates_sent: u64,
     /// UPDATE messages received (before processing delay).
     pub updates_received: u64,
-    /// Prefix announcements carried in sent UPDATEs.
-    pub prefixes_announced: u64,
-    /// Prefix withdrawals carried in sent UPDATEs.
-    pub prefixes_withdrawn: u64,
-    /// Routes rejected by AS_PATH loop detection.
-    pub loop_rejected: u64,
-    /// Routes rejected by import policy.
-    pub policy_rejected: u64,
-    /// NOTIFICATION messages sent.
-    pub notifications_sent: u64,
-    /// Sessions that reached Established (cumulative).
-    pub sessions_established: u64,
-    /// Sessions dropped for any reason (cumulative).
-    pub sessions_dropped: u64,
     /// Best-path changes in the Loc-RIB.
     pub best_path_changes: u64,
-    /// Envelopes that failed to decode.
-    pub decode_errors: u64,
-    /// Data packets forwarded toward a next hop.
-    pub data_forwarded: u64,
-    /// Data packets delivered locally (destination inside an owned prefix).
-    pub data_delivered: u64,
-    /// Echo replies generated.
-    pub echo_replies: u64,
-    /// Data packets dropped: no matching route.
-    pub data_no_route: u64,
-    /// Data packets dropped: TTL exhausted (forwarding loop guard).
-    pub data_ttl_exceeded: u64,
-    /// Candidates excluded from the decision by route-flap damping.
-    pub damped_suppressed: u64,
-    /// Sessions torn down by the maximum-prefix guardrail.
-    pub max_prefix_teardowns: u64,
-    /// Sessions re-established after having been down at least once.
-    pub sessions_reestablished: u64,
-    /// Routes retained as stale under RFC 4724 graceful restart.
-    pub stale_retained: u64,
-    /// Malformed UPDATEs downgraded to withdrawals per RFC 7606 instead of
-    /// resetting the session.
-    pub treat_as_withdraw: u64,
 }
 
 /// A queued outbound change for one peer and prefix.
@@ -225,7 +189,7 @@ pub struct BgpRouter<M: BgpApp> {
     wire_scratch: Writer,
     /// Grouping buffer of `send_pending`, drained by every flush.
     groups: Vec<(SharedAttrs, PrefixList)>,
-    stats: RouterStats,
+    counters: Counters,
     _m: PhantomData<fn() -> M>,
 }
 
@@ -248,7 +212,7 @@ impl<M: BgpApp> BgpRouter<M> {
             damping: HashMap::new(),
             wire_scratch: Writer::with_capacity(64),
             groups: Vec::new(),
-            stats: RouterStats::default(),
+            counters: Counters::default(),
             _m: PhantomData,
         };
         for n in neighbors {
@@ -311,9 +275,13 @@ impl<M: BgpApp> BgpRouter<M> {
         &self.adj_in
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &RouterStats {
-        &self.stats
+    /// The counters the benchmark harness reads.
+    pub fn stats(&self) -> RouterStats {
+        RouterStats {
+            updates_sent: self.counters.get(Counter::UpdatesSent),
+            updates_received: self.counters.get(Counter::UpdatesReceived),
+            best_path_changes: self.counters.get(Counter::BestPathChanges),
+        }
     }
 
     /// Prefixes this router currently originates.
@@ -379,10 +347,7 @@ impl<M: BgpApp> BgpRouter<M> {
                 announced: u.nlri.iter().map(|&p| p.into()).collect(),
                 withdrawn: u.withdrawn.iter().map(|&p| p.into()).collect(),
             });
-            self.stats.updates_sent += 1;
-            self.stats.prefixes_announced += u.nlri.len() as u64;
-            self.stats.prefixes_withdrawn += u.withdrawn.len() as u64;
-            ctx.count("bgp.router.updates_sent", 1);
+            ctx.count(Counter::UpdatesSent, 1);
             ctx.report(Activity::UpdateSent);
         } else {
             ctx.trace(TraceCategory::Msg, || TraceEvent::Note {
@@ -391,7 +356,7 @@ impl<M: BgpApp> BgpRouter<M> {
             });
         }
         if matches!(msg, BgpMessage::Notification(_)) {
-            self.stats.notifications_sent += 1;
+            ctx.count(Counter::NotificationsSent, 1);
         }
         let env =
             BgpEnvelope::with_cause_scratch(self.id, peer_node, msg, cause, &mut self.wire_scratch);
@@ -506,7 +471,6 @@ impl<M: BgpApp> BgpRouter<M> {
     }
 
     fn on_established(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
-        self.stats.sessions_established += 1;
         self.peers[peer].retries = 0;
         self.peers[peer].remote_router_id = self.peers[peer]
             .handshake
@@ -523,10 +487,9 @@ impl<M: BgpApp> BgpRouter<M> {
         ctx.trace(TraceCategory::Session, || TraceEvent::SessionUp {
             peer: peer_node.0,
         });
-        ctx.count("bgp.router.sessions_established", 1);
+        ctx.count(Counter::SessionsEstablished, 1);
         if self.peers[peer].ever_established {
-            self.stats.sessions_reestablished += 1;
-            ctx.count("bgp.router.sessions_reestablished", 1);
+            ctx.count(Counter::SessionsReestablished, 1);
         } else {
             self.peers[peer].ever_established = true;
         }
@@ -670,9 +633,8 @@ impl<M: BgpApp> BgpRouter<M> {
                 }
             });
             ctx.end_span("bgp.decision.select_wall_ns", span);
-            self.stats.damped_suppressed += suppressed_count;
             if suppressed_count > 0 {
-                ctx.count("bgp.router.damped_suppressed", suppressed_count);
+                ctx.count(Counter::DampedSuppressed, suppressed_count);
             }
             if let Some(eta) = earliest_reuse {
                 let payload = u64::from(prefix.network_u32()) << 8 | u64::from(prefix.len());
@@ -690,9 +652,8 @@ impl<M: BgpApp> BgpRouter<M> {
             None => self.loc_rib.clear(prefix).is_some(),
         };
         if changed {
-            self.stats.best_path_changes += 1;
             ctx.report(Activity::RibChange);
-            ctx.count("bgp.router.best_path_changes", 1);
+            ctx.count(Counter::BestPathChanges, 1);
             // Read once; every peer of the fan-out below gets this entry.
             let best = self.loc_rib.get(prefix);
             ctx.trace(TraceCategory::Route, || TraceEvent::RibChange {
@@ -943,9 +904,7 @@ impl<M: BgpApp> BgpRouter<M> {
             for p in &nlri {
                 if !import_ok {
                     if looped {
-                        self.stats.loop_rejected += 1;
-                    } else {
-                        self.stats.policy_rejected += 1;
+                        ctx.count(Counter::LoopRejected, 1);
                     }
                     // A rejected route still implicitly replaces (removes)
                     // any earlier accepted one from this peer.
@@ -983,7 +942,6 @@ impl<M: BgpApp> BgpRouter<M> {
                         }
                     }
                     None => {
-                        self.stats.policy_rejected += 1;
                         if self.adj_in.remove(*p, peer) {
                             touch(*p);
                         }
@@ -996,7 +954,7 @@ impl<M: BgpApp> BgpRouter<M> {
         // exceeding its allowance is cut off with a Cease notification.
         if let Some(limit) = self.cfg.neighbors[peer].max_prefixes {
             if self.adj_in.count_for_peer(peer) > limit {
-                self.stats.max_prefix_teardowns += 1;
+                ctx.count(Counter::MaxPrefixTeardowns, 1);
                 ctx.trace(TraceCategory::Session, || TraceEvent::Note {
                     category: TraceCategory::Session,
                     text: format!("max-prefix limit {limit} exceeded; tearing session down"),
@@ -1064,9 +1022,9 @@ impl<M: BgpApp> BgpRouter<M> {
     pub(crate) fn handle_data(&mut self, ctx: &mut Ctx<'_, M>, pkt: DataPacket) {
         // Local delivery?
         if self.originated.iter().any(|p| p.contains(pkt.dst)) {
-            self.stats.data_delivered += 1;
+            ctx.count(Counter::DataDelivered, 1);
             if pkt.kind == PacketKind::EchoRequest {
-                self.stats.echo_replies += 1;
+                ctx.count(Counter::EchoReplies, 1);
                 let reply = pkt.reply_to();
                 self.route_packet_out(ctx, reply);
             }
@@ -1075,7 +1033,6 @@ impl<M: BgpApp> BgpRouter<M> {
         match pkt.decrement_ttl() {
             Some(fwd) => self.route_packet_out(ctx, fwd),
             None => {
-                self.stats.data_ttl_exceeded += 1;
                 ctx.trace(TraceCategory::Msg, || TraceEvent::Note {
                     category: TraceCategory::Msg,
                     text: format!("TTL exceeded for {} -> {}", pkt.src, pkt.dst),
@@ -1090,16 +1047,16 @@ impl<M: BgpApp> BgpRouter<M> {
                 RouteSource::Local => {
                     // Destination inside one of our prefixes but not
                     // originated anymore: treat as delivered.
-                    self.stats.data_delivered += 1;
+                    ctx.count(Counter::DataDelivered, 1);
                 }
                 RouteSource::Peer(i) => {
                     let link = self.cfg.neighbors[i].link;
-                    self.stats.data_forwarded += 1;
+                    ctx.count(Counter::DataForwarded, 1);
                     ctx.send(link, M::from_data(pkt));
                 }
             },
             None => {
-                self.stats.data_no_route += 1;
+                ctx.count(Counter::NoRoute, 1);
                 ctx.trace(TraceCategory::Msg, || TraceEvent::Note {
                     category: TraceCategory::Msg,
                     text: format!("no route for {} -> {}", pkt.src, pkt.dst),
@@ -1124,7 +1081,7 @@ impl<M: BgpApp> BgpRouter<M> {
         let msg = match env.decode() {
             Ok(m) => m,
             Err(e) => {
-                self.stats.decode_errors += 1;
+                ctx.count(Counter::DecodeErrors, 1);
                 ctx.trace(TraceCategory::Session, || TraceEvent::Note {
                     category: TraceCategory::Session,
                     text: format!("decode error: {e}"),
@@ -1135,8 +1092,7 @@ impl<M: BgpApp> BgpRouter<M> {
                 // survives. Broken framing still resets the session.
                 if self.peers[peer].handshake.is_established() {
                     if let Some(upd) = UpdateMsg::salvage_withdraw(&env.bytes) {
-                        self.stats.treat_as_withdraw += 1;
-                        ctx.count("bgp.router.treat_as_withdraw", 1);
+                        ctx.count(Counter::TreatAsWithdraw, 1);
                         let src = env.src;
                         let n = upd.withdrawn.len();
                         ctx.trace(TraceCategory::Session, || TraceEvent::Note {
@@ -1221,7 +1177,7 @@ impl<M: BgpApp> BgpRouter<M> {
     /// Queue an accepted UPDATE behind the modelled CPU processing delay
     /// (FIFO per router), minting the link-propagation causal edge.
     fn queue_update(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx, upd: UpdateMsg, cause: Cause) {
-        self.stats.updates_received += 1;
+        ctx.count(Counter::UpdatesReceived, 1);
         let (lo, hi) = self.cfg.timing.processing_delay;
         let delay = ctx.rng().duration_between(lo, hi);
         let mut due = ctx.now() + delay;
@@ -1329,8 +1285,7 @@ impl<M: BgpApp> BgpRouter<M> {
         if !was_established {
             return;
         }
-        self.stats.sessions_dropped += 1;
-        ctx.count("bgp.router.sessions_dropped", 1);
+        ctx.count(Counter::SessionsDropped, 1);
         let peer_node = self.cfg.neighbors[peer].peer;
         ctx.trace(TraceCategory::Session, || TraceEvent::SessionDown {
             peer: peer_node.0,
@@ -1348,8 +1303,7 @@ impl<M: BgpApp> BgpRouter<M> {
             let retained = self.adj_in.count_for_peer(peer) as u64;
             self.peers[peer].gr_stale = true;
             self.peers[peer].gr_resumed_at = None;
-            self.stats.stale_retained += retained;
-            ctx.count("bgp.router.stale_retained", retained);
+            ctx.count(Counter::StaleRetained, retained);
             let window = SimDuration::from_secs(own_gr.min(peer_gr) as u64);
             // Progress class: a pending stale flush is protocol work — the
             // run must not count as converged while stale routes linger.
@@ -1489,7 +1443,7 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
     /// A crash loses everything volatile: sessions, RIBs, queued work and
     /// timers (the simulator already invalidated the timers). Configured
     /// state survives — `originated` is operator intent, and cumulative
-    /// stats keep counting across the outage. Restart then behaves exactly
+    /// counters keep counting across the outage. Restart then behaves exactly
     /// like a cold start: reselect origins, stagger session bring-up, and
     /// re-advertise everything as sessions come back.
     fn on_restart(&mut self, ctx: &mut Ctx<'_, M>) {
@@ -1537,6 +1491,10 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
                 self.drop_session(ctx, peer, CloseReason::LinkDown, None);
             }
         }
+    }
+
+    fn counters(&self) -> Option<&Counters> {
+        Some(&self.counters)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

@@ -6,7 +6,7 @@ use bgpsdn_bgp::{
     pfx, Asn, BgpEnvelope, BgpOnlyMsg, BgpRouter, NeighborConfig, Prefix, Relationship,
     RouterCommand, RouterConfig, SessionState, TimingConfig,
 };
-use bgpsdn_netsim::{LatencyModel, NodeId, SimDuration, SimTime, Simulator};
+use bgpsdn_netsim::{Counter, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
 
 type Router = BgpRouter<BgpOnlyMsg>;
 type Sim = Simulator<BgpOnlyMsg>;
@@ -124,9 +124,13 @@ fn corrupt_wire_bytes_drop_and_recover_the_session() {
     assert!(q.quiescent);
 
     let (ra, rb) = (sim.node_ref::<Router>(a), sim.node_ref::<Router>(b));
-    let total_decode_errors = ra.stats().decode_errors + rb.stats().decode_errors;
+    let total_decode_errors =
+        sim.counter(a, Counter::DecodeErrors) + sim.counter(b, Counter::DecodeErrors);
     assert_eq!(total_decode_errors, 1, "exactly one corrupt frame seen");
-    assert!(ra.stats().notifications_sent + rb.stats().notifications_sent >= 1);
+    assert!(
+        sim.counter(a, Counter::NotificationsSent) + sim.counter(b, Counter::NotificationsSent)
+            >= 1
+    );
     // The session recovered via retry and the full table was re-learned.
     assert_eq!(ra.session_state(b), Some(SessionState::Established));
     assert_eq!(rb.session_state(a), Some(SessionState::Established));
@@ -150,7 +154,7 @@ fn wrong_destination_envelopes_are_ignored() {
 
     let ra = sim.node_ref::<Router>(a);
     assert_eq!(ra.stats().updates_received, before);
-    assert_eq!(ra.stats().decode_errors, 0);
+    assert_eq!(sim.counter(a, Counter::DecodeErrors), 0);
     assert_eq!(ra.session_state(b), Some(SessionState::Established));
 }
 
@@ -203,9 +207,8 @@ fn repeated_link_flaps_reconverge_every_time() {
         );
         assert!(ra.best(prefix_of(1)).is_some(), "round {round}");
     }
-    let ra = sim.node_ref::<Router>(a);
-    assert!(ra.stats().sessions_established >= 6);
-    assert!(ra.stats().sessions_dropped >= 5);
+    assert!(sim.counter(a, Counter::SessionsEstablished) >= 6);
+    assert!(sim.counter(a, Counter::SessionsDropped) >= 5);
 }
 
 #[test]
@@ -253,7 +256,6 @@ fn lossy_link_converges_eventually_with_retries() {
     }
     sim.run_until(SimTime::from_secs(120));
     assert!(sim.stats().msgs_dropped_loss > 0, "loss model engaged");
-    let ra = sim.node_ref::<Router>(a);
     // No decode errors: loss drops whole messages, never corrupts them.
-    assert_eq!(ra.stats().decode_errors, 0);
+    assert_eq!(sim.counter(a, Counter::DecodeErrors), 0);
 }

@@ -5,7 +5,7 @@ use bgpsdn_bgp::{
     pfx, Asn, BgpOnlyMsg, BgpRouter, NeighborConfig, PolicyMode, Prefix, Relationship, RouteSource,
     RouterCommand, RouterConfig, SessionState, TimingConfig,
 };
-use bgpsdn_netsim::{Activity, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
+use bgpsdn_netsim::{Activity, Counter, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
 
 type Router = BgpRouter<BgpOnlyMsg>;
 type Sim = Simulator<BgpOnlyMsg>;
@@ -324,7 +324,7 @@ fn as_path_loop_rejected() {
         r2.best(pfx("10.1.0.0/16")).is_none(),
         "looped route accepted"
     );
-    assert!(r2.stats().loop_rejected >= 1);
+    assert!(sim.counter(n2, Counter::LoopRejected) >= 1);
 }
 
 #[test]
@@ -357,7 +357,7 @@ fn session_reset_recovers() {
         "session re-established after admin reset"
     );
     assert!(r0.best(prefix_of(1)).is_some(), "routes relearned");
-    assert!(r0.stats().sessions_dropped >= 1);
+    assert!(sim.counter(nodes[0], Counter::SessionsDropped) >= 1);
 }
 
 #[test]
@@ -517,7 +517,7 @@ fn updates_carry_decodable_wire_bytes() {
     let mut total_updates = 0;
     for &nd in &nodes {
         let r = sim.node_ref::<Router>(nd);
-        assert_eq!(r.stats().decode_errors, 0);
+        assert_eq!(sim.counter(nd, Counter::DecodeErrors), 0);
         total_updates += r.stats().updates_received;
         assert_eq!(r.loc_rib().len(), 4, "full reachability");
     }
@@ -548,14 +548,15 @@ fn data_plane_ping_end_to_end() {
         BgpOnlyMsg::Data(DataPacket::echo_request(src, dst, 7)),
     );
     assert!(sim.run_until_quiescent(SimTime::from_secs(10)).quiescent);
-    let r2 = sim.node_ref::<Router>(nodes[2]);
-    assert_eq!(r2.stats().data_delivered, 1);
-    assert_eq!(r2.stats().echo_replies, 1);
-    let r0 = sim.node_ref::<Router>(nodes[0]);
+    assert_eq!(sim.counter(nodes[2], Counter::DataDelivered), 1);
+    assert_eq!(sim.counter(nodes[2], Counter::EchoReplies), 1);
     // The reply came back to 0's prefix and was delivered locally.
-    assert_eq!(r0.stats().data_delivered, 1);
-    let r1 = sim.node_ref::<Router>(nodes[1]);
-    assert_eq!(r1.stats().data_forwarded, 2, "transit in both directions");
+    assert_eq!(sim.counter(nodes[0], Counter::DataDelivered), 1);
+    assert_eq!(
+        sim.counter(nodes[1], Counter::DataForwarded),
+        2,
+        "transit in both directions"
+    );
 }
 
 #[test]
@@ -581,7 +582,7 @@ fn data_plane_unroutable_is_counted() {
         )),
     );
     assert!(sim.run_until_quiescent(SimTime::from_secs(10)).quiescent);
-    assert_eq!(sim.node_ref::<Router>(nodes[0]).stats().data_no_route, 1);
+    assert_eq!(sim.counter(nodes[0], Counter::NoRoute), 1);
 }
 
 #[test]
@@ -628,7 +629,7 @@ fn route_flap_damping_suppresses_and_reuses() {
         rb.best(prefix_of(0)).is_none(),
         "flapped route must be suppressed despite being announced"
     );
-    assert!(rb.stats().damped_suppressed > 0);
+    assert!(sim.counter(b, Counter::DampedSuppressed) > 0);
     assert!(
         rb.adj_in().get(prefix_of(0), 0).is_some(),
         "the route stays in Adj-RIB-In while suppressed"
@@ -718,8 +719,11 @@ fn max_prefix_limit_tears_down_noisy_peer() {
         );
     }
     sim.run_for(SimDuration::from_secs(5));
+    assert!(
+        sim.counter(guarded, Counter::MaxPrefixTeardowns) >= 1,
+        "guardrail must fire"
+    );
     let g = sim.node_ref::<Router>(guarded);
-    assert!(g.stats().max_prefix_teardowns >= 1, "guardrail must fire");
     // All routes from the noisy peer were flushed on teardown.
     // (The session may retry and trip again; routes never accumulate past
     // the teardown.)

@@ -12,17 +12,6 @@ use bgpsdn_netsim::{Ctx, LinkId, Node, NodeId, TraceCategory, TraceEvent};
 
 use crate::logview::{LogAction, LogEntry, UpdateLog};
 
-/// Collector counters.
-#[derive(Debug, Clone, Default)]
-pub struct CollectorStats {
-    /// Sessions currently established.
-    pub sessions_up: usize,
-    /// UPDATE messages received.
-    pub updates: u64,
-    /// Decode failures.
-    pub decode_errors: u64,
-}
-
 struct MonitoredPeer {
     handshake: SessionHandshake,
     link: LinkId,
@@ -38,7 +27,6 @@ pub struct RouteCollector<M> {
     /// message starts with.
     peers: Vec<(NodeId, MonitoredPeer)>,
     log: UpdateLog,
-    stats: CollectorStats,
     _m: std::marker::PhantomData<fn() -> M>,
 }
 
@@ -51,7 +39,6 @@ impl<M: BgpApp> RouteCollector<M> {
             my_id,
             peers: Vec::new(),
             log: UpdateLog::default(),
-            stats: CollectorStats::default(),
             _m: std::marker::PhantomData,
         }
     }
@@ -87,11 +74,6 @@ impl<M: BgpApp> RouteCollector<M> {
     pub fn clear_log(&mut self) {
         self.log.clear();
     }
-
-    /// Counters.
-    pub fn stats(&self) -> &CollectorStats {
-        &self.stats
-    }
 }
 
 impl<M: BgpApp> Node<M> for RouteCollector<M> {
@@ -111,7 +93,6 @@ impl<M: BgpApp> Node<M> for RouteCollector<M> {
         let bgp = match env.decode() {
             Ok(m) => m,
             Err(e) => {
-                self.stats.decode_errors += 1;
                 ctx.trace(TraceCategory::Session, || TraceEvent::Note {
                     category: TraceCategory::Session,
                     text: format!("decode error: {e}"),
@@ -121,7 +102,6 @@ impl<M: BgpApp> Node<M> for RouteCollector<M> {
         };
         if let BgpMessage::Update(upd) = &bgp {
             if peer.handshake.is_established() {
-                self.stats.updates += 1;
                 let now = ctx.now();
                 for p in &upd.withdrawn {
                     self.log.push(LogEntry {
@@ -146,24 +126,16 @@ impl<M: BgpApp> Node<M> for RouteCollector<M> {
                 return;
             }
         }
-        let was_up = peer.handshake.is_established();
         let (to_send, event) = peer.handshake.on_message(&bgp);
         let link = peer.link;
         for m in to_send {
             let reply = BgpEnvelope::new(self.id, peer_node, &m);
             ctx.send(link, M::from_bgp(reply));
         }
-        match event {
-            Some(SessionEvent::Established(_)) => {
-                self.stats.sessions_up += 1;
-                ctx.trace(TraceCategory::Session, || TraceEvent::SessionUp {
-                    peer: peer_node.0,
-                });
-            }
-            Some(SessionEvent::Closed(_)) if was_up => {
-                self.stats.sessions_up = self.stats.sessions_up.saturating_sub(1);
-            }
-            _ => {}
+        if let Some(SessionEvent::Established(_)) = event {
+            ctx.trace(TraceCategory::Session, || TraceEvent::SessionUp {
+                peer: peer_node.0,
+            });
         }
     }
 

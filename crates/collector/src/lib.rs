@@ -21,7 +21,7 @@ pub mod convergence;
 pub mod logview;
 pub mod viz;
 
-pub use collector::{CollectorStats, RouteCollector};
+pub use collector::RouteCollector;
 pub use convergence::{measure, ConvergenceReport};
 pub use logview::{LogAction, LogEntry, UpdateLog};
 pub use viz::{render_dot, VizNode, VizRole};

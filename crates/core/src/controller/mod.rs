@@ -21,8 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bgpsdn_bgp::{Asn, BgpApp, Prefix, RouterCommand, SharedPath, UpdateMsg};
 use bgpsdn_netsim::{
-    Activity, CausalPhase, Cause, Ctx, LinkId, Node, NodeId, RecomputeTrigger, SimDuration,
-    TimerClass, TimerToken, TraceCategory, TraceEvent,
+    Activity, CausalPhase, Cause, Counter, Counters, Ctx, LinkId, Node, NodeId, RecomputeTrigger,
+    SimDuration, TimerClass, TimerToken, TraceCategory, TraceEvent,
 };
 use bgpsdn_sdn::{
     ChannelEnd, CtrlMsg, FlowAction, FlowModOp, FlowRule, OfEnvelope, OfMessage, SdnApp,
@@ -113,35 +113,16 @@ impl ControllerConfig {
     }
 }
 
-/// Controller counters.
-#[derive(Debug, Clone, Default)]
+/// The controller counters the benchmark harness reads, as one value;
+/// every counter is [`Simulator::counter`](bgpsdn_netsim::Simulator::counter).
+#[derive(Debug, Clone, Copy)]
 pub struct ControllerStats {
     /// Batched recomputations executed.
     pub recomputes: u64,
-    /// External updates buffered (pre-batch).
-    pub updates_buffered: u64,
-    /// FlowMods emitted.
-    pub flow_mods: u64,
-    /// Announcements instructed to the speaker.
-    pub announcements: u64,
-    /// Withdrawals instructed to the speaker.
-    pub withdrawals: u64,
-    /// External routes accepted into the RIB.
-    pub routes_learned: u64,
-    /// External routes rejected by cluster loop avoidance.
-    pub routes_rejected_loop: u64,
-    /// PacketIn messages received (reactive path; unused by IDR policy).
-    pub packet_ins: u64,
-    /// Prefixes in the dirty set across all recomputes.
-    pub prefixes_dirty: u64,
     /// Per-prefix Dijkstra runs actually executed.
     pub prefixes_recomputed: u64,
     /// Tracked prefixes whose cached compiled state was reused untouched.
     pub prefixes_cached: u64,
-    /// Full-state resyncs adopted from the speaker.
-    pub resyncs: u64,
-    /// Control-channel retransmission rounds toward the speaker.
-    pub retransmits: u64,
 }
 
 /// The IDR controller node.
@@ -176,7 +157,7 @@ pub struct IdrController<M> {
     /// changes alter the shared inputs of all per-prefix computations).
     all_dirty: bool,
     recompute_armed: bool,
-    stats: ControllerStats,
+    counters: Counters,
     /// Reusable Dijkstra/BFS scratch across prefixes and recomputes.
     scratch: ComputeScratch,
     /// Reusable per-prefix computation output buffer.
@@ -223,7 +204,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             dirty: BTreeSet::new(),
             all_dirty: true, // nothing is compiled yet
             recompute_armed: false,
-            stats: ControllerStats::default(),
+            counters: Counters::default(),
             scratch: ComputeScratch::default(),
             comp_buf: PrefixComputation::default(),
             memo: AnnounceMemo::default(),
@@ -241,7 +222,11 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     /// builder constructs the controller node first (its node id is needed
     /// for control links) and injects the final wiring afterwards.
     pub(crate) fn set_config(&mut self, cfg: ControllerConfig) {
-        assert_eq!(self.stats.recomputes, 0, "reconfigure only before start");
+        assert_eq!(
+            self.counters.get(Counter::Recomputes),
+            0,
+            "reconfigure only before start"
+        );
         *self = IdrController::new(self.id, cfg);
     }
 
@@ -249,9 +234,13 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     // Inspection API
     // ------------------------------------------------------------------
 
-    /// Counters.
-    pub fn stats(&self) -> &ControllerStats {
-        &self.stats
+    /// The counters the benchmark harness reads.
+    pub fn stats(&self) -> ControllerStats {
+        ControllerStats {
+            recomputes: self.counters.get(Counter::Recomputes),
+            prefixes_recomputed: self.counters.get(Counter::PrefixesRecomputed),
+            prefixes_cached: self.counters.get(Counter::PrefixesCached),
+        }
     }
 
     /// The live switch graph.
@@ -363,7 +352,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         update: Box<UpdateMsg>,
         cause: Cause,
     ) {
-        self.stats.updates_buffered += 1;
         self.pending.push((session, update, cause));
         if !self.recompute_armed {
             self.recompute_armed = true;
@@ -371,7 +359,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         }
     }
 
-    fn apply_pending(&mut self) {
+    fn apply_pending(&mut self, ctx: &mut Ctx<'_, M>) {
         let pending = std::mem::take(&mut self.pending);
         for (session, upd, cause) in pending {
             if !self.session_up[session] {
@@ -398,10 +386,9 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                 // them regardless: whether such a path is usable depends on
                 // the sub-cluster structure at computation time.
                 if !accept_route(&path, &self.member_asn_set) {
-                    self.stats.routes_rejected_loop += upd.nlri.len() as u64;
+                    ctx.count(Counter::RoutesRejectedLoop, upd.nlri.len() as u64);
                 }
                 for p in &upd.nlri {
-                    self.stats.routes_learned += 1;
                     self.note_known(*p);
                     self.ext_routes.entry(*p).or_default().insert(
                         session,
@@ -438,7 +425,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     }
 
     fn recompute_now(&mut self, ctx: &mut Ctx<'_, M>, trigger: RecomputeTrigger) {
-        self.apply_pending();
+        self.apply_pending(ctx);
         self.recompute_all(ctx, trigger);
     }
 
@@ -559,8 +546,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                 self.adj_out[s].insert(*prefix, path.clone());
             }
         }
-        self.stats.resyncs += 1;
-        ctx.count("core.ctrl.resyncs", 1);
+        ctx.count(Counter::CtrlResyncs, 1);
         ctx.trace(TraceCategory::Ctrl, || TraceEvent::ControlResync {
             epoch,
             sessions,
@@ -602,8 +588,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             self.all_dirty = true;
             return;
         }
-        self.stats.recomputes += 1;
-        ctx.count("core.controller.recomputes", 1);
+        ctx.count(Counter::Recomputes, 1);
 
         // Causal: merge the batch's cause *set* into one ctrl_queue node —
         // each parent edge spans that input's time parked in the delayed
@@ -641,11 +626,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             }
         }
         let span = ctx.span();
-        let (flow_mods_before, ann_before, wd_before) = (
-            self.stats.flow_mods,
-            self.stats.announcements,
-            self.stats.withdrawals,
-        );
+        let (mut flow_mods, mut announcements, mut withdrawals) = (0u32, 0u32, 0u32);
 
         // Prefixes with live inputs (owned or externally routed).
         let tracked = self.owned.len()
@@ -738,7 +719,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                         (FlowModOp::Delete, FlowAction::Drop)
                     }
                 };
-                self.stats.flow_mods += 1;
+                flow_mods += 1;
                 changed_any = true;
                 let msg = OfMessage::FlowMod {
                     op,
@@ -779,7 +760,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                         // announcing in this batch shares the handle.
                         let path = memo.shared(x);
                         self.adj_out[s].insert(prefix, path.clone());
-                        self.stats.announcements += 1;
+                        announcements += 1;
                         changed_any = true;
                         out_cmds.push(SpeakerCmd::Announce {
                             session: s,
@@ -793,7 +774,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                         if self.adj_out[s].remove(&prefix).is_none() {
                             continue;
                         }
-                        self.stats.withdrawals += 1;
+                        withdrawals += 1;
                         changed_any = true;
                         out_cmds.push(SpeakerCmd::Withdraw {
                             session: s,
@@ -820,12 +801,13 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
 
         let recomputed = dirty.len() as u32;
         let cached = (tracked as u32).saturating_sub(recomputed);
-        self.stats.prefixes_dirty += u64::from(recomputed);
-        self.stats.prefixes_recomputed += u64::from(recomputed);
-        self.stats.prefixes_cached += u64::from(cached);
-        ctx.count("core.controller.prefixes_dirty", u64::from(recomputed));
-        ctx.count("core.controller.prefixes_recomputed", u64::from(recomputed));
-        ctx.count("core.controller.prefixes_cached", u64::from(cached));
+        ctx.count(Counter::FlowModsSent, u64::from(flow_mods));
+        ctx.count(Counter::Announcements, u64::from(announcements));
+        ctx.count(Counter::Withdrawals, u64::from(withdrawals));
+        // `prefixes_dirty` repeats `prefixes_recomputed`; artifacts carry both.
+        ctx.count(Counter::PrefixesDirty, u64::from(recomputed));
+        ctx.count(Counter::PrefixesRecomputed, u64::from(recomputed));
+        ctx.count(Counter::PrefixesCached, u64::from(cached));
 
         if changed_any {
             ctx.report(Activity::RibChange);
@@ -835,11 +817,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
             .unwrap_or(0);
         ctx.gauge("core.controller.ext_routes", self.ext_routes.len() as i64);
         let links_up = self.sg.links().iter().filter(|l| l.up).count() as u32;
-        let (flow_mods, announcements, withdrawals) = (
-            (self.stats.flow_mods - flow_mods_before) as u32,
-            (self.stats.announcements - ann_before) as u32,
-            (self.stats.withdrawals - wd_before) as u32,
-        );
         ctx.trace(TraceCategory::Route, || TraceEvent::ControllerRecompute {
             trigger,
             prefixes: tracked as u32,
@@ -897,9 +874,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                     }
                 }
             }
-            OfMessage::PacketIn { .. } => {
-                self.stats.packet_ins += 1;
-            }
             OfMessage::TableReply { xid, rules, ports } => {
                 let m = xid as usize;
                 if m >= self.cfg.members.len() {
@@ -940,8 +914,8 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                     }
                 }
             }
-            // Hello is accepted silently: the IDR controller programs
-            // proactively.
+            // Hello and PacketIn are accepted silently: the IDR controller
+            // programs proactively.
             _ => {}
         }
     }
@@ -1017,11 +991,13 @@ impl<M: SdnApp + BgpApp> Node<M> for IdrController<M> {
         // runtime-announced prefixes) is the controller's only stable
         // storage. Everything learned — external routes, session states,
         // the installed-table model — is wiped and re-acquired from the
-        // speaker's resync and the switches' table replies.
-        let owned = std::mem::take(&mut self.owned);
+        // speaker's resync and the switches' table replies. The counters
+        // are measurement, not state: they keep counting across the outage.
+        let (owned, counters) = (std::mem::take(&mut self.owned), self.counters.clone());
         let cfg = self.cfg.clone();
         *self = IdrController::new(self.id, cfg);
         self.owned = owned;
+        self.counters = counters;
         // Unsynced until the speaker pushes a fresh snapshot (it will: our
         // heartbeats carry epoch 0, which mismatches whatever it has).
         self.chan.reset(ctx, 0);
@@ -1055,9 +1031,7 @@ impl<M: SdnApp + BgpApp> Node<M> for IdrController<M> {
             self.recompute_armed = false;
             self.recompute_now(ctx, RecomputeTrigger::UpdateBatch);
         } else if token == RETX {
-            if self.chan.retransmit(ctx) {
-                self.stats.retransmits += 1;
-            }
+            self.chan.retransmit(ctx);
         } else if token == HEARTBEAT {
             self.chan.heartbeat(ctx);
         } else if token == HOLD && self.chan.epoch() != 0 {
@@ -1073,6 +1047,10 @@ impl<M: SdnApp + BgpApp> Node<M> for IdrController<M> {
         // The speaker hears the probe, leaves headless mode, and resyncs in
         // the same event cascade.
         self.chan.on_link_change(ctx, link, up);
+    }
+
+    fn counters(&self) -> Option<&Counters> {
+        Some(&self.counters)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

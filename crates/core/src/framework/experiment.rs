@@ -15,7 +15,8 @@ use bgpsdn_bgp::{Prefix, RouterCommand};
 use bgpsdn_collector::{measure, ConvergenceReport};
 use bgpsdn_netsim::ObsPrefix;
 use bgpsdn_netsim::{
-    Activity, LinkId, MetricsSnapshot, NodeId, SimDuration, SimTime, TraceCategory, TraceEvent,
+    Activity, Counter, LinkId, MetricsSnapshot, NodeId, SimDuration, SimTime, TraceCategory,
+    TraceEvent,
 };
 use bgpsdn_obs::{metrics_line, write_typed_line, Json};
 use bgpsdn_sdn::ClusterMsg;
@@ -109,15 +110,10 @@ impl Experiment {
             self.emit_phase_marker(&name, false);
             self.phase_open = false;
         }
-        // Fold the event-slab recycling counters accumulated during the
-        // phase into the registry, so the `core.sim.*` allocation accounting
-        // lands in every phase snapshot (and in `bgpsdn report`).
-        self.net.sim.flush_pool_metrics();
-        let metrics = self.net.sim.metrics_mut();
+        let metrics = self.net.sim.take_metrics();
         if !metrics.is_empty() {
-            let snap = metrics.snapshot();
-            metrics.reset();
-            self.snapshots.push((self.phase_name.clone(), snap));
+            self.snapshots
+                .push((self.phase_name.clone(), metrics.snapshot()));
         }
     }
 
@@ -385,12 +381,11 @@ impl Experiment {
                 }
             });
         }
-        let m = self.net.sim.metrics_mut();
-        m.count(None, "verify.checks", report.checks);
-        m.count(None, "verify.violations", violations.len() as u64);
-        m.count(
-            None,
-            "verify.prefixes_checked",
+        let sim = &mut self.net.sim;
+        sim.count(Counter::VerifyChecks, report.checks);
+        sim.count(Counter::VerifyViolations, violations.len() as u64);
+        sim.count(
+            Counter::VerifyPrefixesChecked,
             self.verifier.prefixes_checked() as u64,
         );
         Checkpoint { report, violations }

@@ -9,11 +9,10 @@
 
 use std::net::Ipv4Addr;
 
-use bgpsdn_netsim::{DataPacket, SimDuration};
+use bgpsdn_netsim::{Counter, DataPacket, SimDuration};
 use bgpsdn_sdn::ClusterMsg;
 
 use super::experiment::Experiment;
-use super::network::{AsKind, Router, Switch};
 
 /// Outcome of a probe stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,23 +35,8 @@ pub struct ProbeReport {
 impl Experiment {
     /// Replies delivered so far at the source AS device.
     fn replies_at(&self, src: usize) -> u64 {
-        let a = &self.net.ases[src];
-        match a.kind {
-            AsKind::Legacy => {
-                self.net
-                    .sim
-                    .node_ref::<Router>(a.node)
-                    .stats()
-                    .data_delivered
-            }
-            AsKind::SdnMember => {
-                self.net
-                    .sim
-                    .node_ref::<Switch>(a.node)
-                    .stats()
-                    .packets_delivered
-            }
-        }
+        let node = self.net.ases[src].node;
+        self.net.sim.counter(node, Counter::DataDelivered)
     }
 
     /// Run a periodic echo stream from AS `src` to `dst_addr` for `count`

@@ -7,7 +7,8 @@
 
 use bgpsdn_bgp::{DampingConfig, PolicyMode, TimingConfig};
 use bgpsdn_core::{Experiment, NetworkBuilder, Router, ScriptAction};
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_netsim::{Counter, SimDuration};
+use bgpsdn_obs::MetricValue;
 use bgpsdn_topology::{gen, plan, AsGraph};
 
 /// ASes 0..2 legacy, 3..5 cluster members.
@@ -77,24 +78,24 @@ fn session_flaps_suppress_then_reuse_after_decay() {
     // fixed slice instead.
     exp.net.sim.run_for(SimDuration::from_secs(10));
 
-    let r0 = router(&exp, 0);
+    let node0 = exp.net.ases[0].node;
     assert!(
-        r0.stats().damped_suppressed > 0,
+        exp.net.sim.counter(node0, Counter::DampedSuppressed) > 0,
         "the flapping peer's routes must be excluded from the decision"
     );
     assert_ne!(
-        r0.next_hop_node(p1),
+        router(&exp, 0).next_hop_node(p1),
         Some(n1),
         "suppressed direct route must not carry traffic"
     );
-    let node0 = exp.net.ases[0].node.0;
+    let registry = exp.net.sim.metrics().snapshot();
     assert!(
-        exp.net
-            .sim
-            .metrics()
-            .counter(Some(node0), "bgp.router.damped_suppressed")
-            > 0,
-        "suppression must be visible to `bgpsdn report` via the registry"
+        registry.entries.iter().any(|(n, k, v)| {
+            *n == Some(node0.0)
+                && k == "bgp.router.damped_suppressed"
+                && matches!(v, MetricValue::Counter(c) if *c > 0)
+        }),
+        "suppression must be visible to `bgpsdn report` via the registry, under AS 0's node"
     );
 
     // Decay: half-life 20 s takes the ~2900 penalty under the 750 reuse
@@ -127,5 +128,6 @@ fn two_flaps_stay_below_the_suppress_threshold() {
         Some(n1),
         "an unsuppressed route must keep carrying traffic"
     );
-    assert_eq!(router(&exp, 0).stats().damped_suppressed, 0);
+    let node0 = exp.net.ases[0].node;
+    assert_eq!(exp.net.sim.counter(node0, Counter::DampedSuppressed), 0);
 }

@@ -7,7 +7,7 @@ use bgpsdn_core::{
     AsKind, Controller, EventKind, Experiment, JobSpec, NetworkBuilder, Router, Script,
     ScriptAction, Speaker, Switch,
 };
-use bgpsdn_netsim::{LatencyModel, SimDuration};
+use bgpsdn_netsim::{Counter, LatencyModel, SimDuration};
 use bgpsdn_sdn::FlowAction;
 use bgpsdn_topology::ipalloc::as_prefix;
 use bgpsdn_topology::{gen, plan, AsEdge, AsGraph, EdgeKind, TopologyPlan};
@@ -195,10 +195,9 @@ fn controller_loop_avoidance_counts_cluster_crossing_paths() {
     let mut exp = Experiment::new(net);
     assert!(exp.start(HOUR).converged);
     let c = exp.net.clusters[0].controller;
-    let ctl = exp.net.sim.node_ref::<Controller>(c);
     // In an all-permit clique, legacy routers re-advertise cluster routes
     // back at the cluster, so crossing paths must have been observed.
-    assert!(ctl.stats().routes_rejected_loop > 0);
+    assert!(exp.net.sim.counter(c, Counter::RoutesRejectedLoop) > 0);
     // And yet the data plane is loop-free.
     let audit = exp.connectivity_audit();
     assert!(audit.fully_connected(), "{:?}", audit.failures);
@@ -406,15 +405,18 @@ fn recompute_delay_batches_bursty_input() {
         let mut exp = Experiment::new(s.builder().build());
         assert!(exp.start(HOUR).converged);
         let c = exp.net.clusters[0].controller;
-        let before = exp.net.sim.node_ref::<Controller>(c).stats().recomputes;
+        let before = exp.net.sim.counter(c, Counter::Recomputes);
         exp.mark();
         exp.apply(&ScriptAction::Withdraw {
             as_index: 0,
             prefix: None,
         });
         assert!(exp.wait_converged(HOUR).converged);
-        let ctl = exp.net.sim.node_ref::<Controller>(c);
-        (ctl.stats().recomputes - before, ctl.stats().flow_mods)
+        let counter = |id| exp.net.sim.counter(c, id);
+        (
+            counter(Counter::Recomputes) - before,
+            counter(Counter::FlowModsSent),
+        )
     };
     let (recomputes_slow, _) = run(2_000);
     let (recomputes_fast, _) = run(0);
@@ -620,8 +622,8 @@ fn hybrid_runs_with_keepalives_enabled() {
     assert!(rep.converged);
     assert!(exp.prefix_fully_gone(exp.net.ases[0].prefix));
     // Keepalives actually flowed.
-    let r0 = exp.net.sim.node_ref::<Router>(exp.net.ases[0].node);
-    assert!(r0.stats().sessions_established > 0);
+    let r0 = exp.net.ases[0].node;
+    assert!(exp.net.sim.counter(r0, Counter::SessionsEstablished) > 0);
 }
 
 #[test]

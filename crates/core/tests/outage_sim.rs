@@ -11,7 +11,7 @@ use bgpsdn_core::{
     Controller, Experiment, FaultClasses, FaultSpec, NetworkBuilder, Script, ScriptAction, Speaker,
     Switch,
 };
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_netsim::{Counter, SimDuration};
 use bgpsdn_sdn::FlowRule;
 use bgpsdn_topology::{gen, plan, AsGraph};
 
@@ -151,12 +151,10 @@ fn lossy_control_channel_matches_lossless_oracle() {
     assert_state_identical(&lossy, &oracle, "loss=0.2");
 
     // The reliability machinery actually worked for a living.
-    let spk = lossy
-        .net
-        .sim
-        .node_ref::<Speaker>(lossy.net.clusters[0].speaker);
+    let speaker = lossy.net.clusters[0].speaker;
+    let spk = lossy.net.sim.node_ref::<Speaker>(speaker);
     assert!(
-        spk.stats().retransmits > 0,
+        lossy.net.sim.counter(speaker, Counter::CtrlRetransmits) > 0,
         "20% loss must force speaker retransmissions"
     );
     assert!(!spk.is_headless(), "heartbeats survive 20% loss");
@@ -200,18 +198,25 @@ fn controller_crash_restart_matches_fault_free_oracle() {
     oracle.apply(&ScriptAction::FailEdge(0, 1));
     quiesce(&mut oracle);
 
-    let spk = faulty
-        .net
-        .sim
-        .node_ref::<Speaker>(faulty.net.clusters[0].speaker);
-    assert!(!spk.is_headless(), "restart must end headless mode");
-    assert!(spk.stats().headless_entries >= 1);
-    assert!(spk.stats().resyncs >= 1, "restart must trigger a resync");
-    let ctl = faulty
-        .net
-        .sim
-        .node_ref::<Controller>(faulty.net.clusters[0].controller);
-    assert!(ctl.stats().resyncs >= 1, "controller must adopt the resync");
+    let (speaker, controller) = (
+        faulty.net.clusters[0].speaker,
+        faulty.net.clusters[0].controller,
+    );
+    let counter = |node, id| faulty.net.sim.counter(node, id);
+    assert!(
+        !faulty.net.sim.node_ref::<Speaker>(speaker).is_headless(),
+        "restart must end headless mode"
+    );
+    assert!(counter(speaker, Counter::HeadlessEntered) >= 1);
+    assert!(
+        counter(speaker, Counter::SpeakerResyncs) >= 1,
+        "restart must trigger a resync"
+    );
+    let ctl = faulty.net.sim.node_ref::<Controller>(controller);
+    assert!(
+        counter(controller, Counter::CtrlResyncs) >= 1,
+        "controller must adopt the resync"
+    );
     assert!(!ctl.resync_pending());
 
     assert_state_identical(&faulty, &oracle, "crash+restart");
@@ -246,13 +251,14 @@ fn control_channel_partition_heals_via_resync() {
     });
     quiesce(&mut oracle);
 
-    let spk = faulty
-        .net
-        .sim
-        .node_ref::<Speaker>(faulty.net.clusters[0].speaker);
-    assert!(!spk.is_headless());
+    let speaker = faulty.net.clusters[0].speaker;
+    assert!(!faulty.net.sim.node_ref::<Speaker>(speaker).is_headless());
     assert!(
-        spk.stats().events_dropped > 0,
+        faulty
+            .net
+            .sim
+            .counter(speaker, Counter::SpeakerEventsDropped)
+            > 0,
         "headless mode drops events (observable, not silent)"
     );
     assert_state_identical(&faulty, &oracle, "partition+heal");

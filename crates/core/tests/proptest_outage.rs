@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
 use bgpsdn_core::{Controller, Experiment, NetworkBuilder, ScriptAction, Speaker};
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_netsim::{Counter, SimDuration};
 use bgpsdn_topology::{gen, plan, AsGraph};
 
 /// Clique size: ASes 0..2 stay legacy, 3..5 form the cluster.
@@ -166,12 +166,13 @@ proptest! {
             );
             prop_assert_eq!(a.session_is_up(s), b.session_is_up(s));
         }
-        let spk = faulty
-            .net
-            .sim
-            .node_ref::<Speaker>(faulty.net.clusters[0].speaker);
+        let speaker = faulty.net.clusters[0].speaker;
+        let spk = faulty.net.sim.node_ref::<Speaker>(speaker);
         prop_assert!(!spk.is_headless(), "speaker must have rejoined");
-        prop_assert!(spk.stats().resyncs >= 1, "the outage must force a resync");
+        prop_assert!(
+            faulty.net.sim.counter(speaker, Counter::SpeakerResyncs) >= 1,
+            "the outage must force a resync"
+        );
 
         // Final sweep: the settled faulty run must pass the full static
         // verifier — loop-free, blackhole-free, intent-consistent.

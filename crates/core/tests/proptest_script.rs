@@ -6,13 +6,18 @@
 //! 3-member cluster, hold timers on and verification on, both runs must
 //! leave byte-identical traces (after `canonicalize_jsonl`), identical
 //! `verify.*` counters and the same final time.
+//!
+//! Over the same schedules, the two views of each counted fact must agree:
+//! every exported counter's per-phase registry entries sum to the
+//! cumulative rows `Simulator::counter` reads, and a job's outcome counts
+//! what its event phase's counters count.
 
 use proptest::prelude::*;
 
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
-use bgpsdn_core::{Experiment, NetworkBuilder, Script, ScriptAction};
-use bgpsdn_netsim::SimDuration;
-use bgpsdn_obs::canonicalize_jsonl;
+use bgpsdn_core::{Experiment, JobSpec, NetworkBuilder, Script, ScriptAction};
+use bgpsdn_netsim::{Counter, NodeId, SimDuration};
+use bgpsdn_obs::{canonicalize_jsonl, MetricValue, MetricsSnapshot};
 use bgpsdn_topology::{gen, plan, AsGraph};
 
 /// ASes 0..2 legacy, 3..5 cluster members.
@@ -161,6 +166,37 @@ fn observe(exp: &Experiment) -> (String, [u64; 3], u64) {
     )
 }
 
+/// Counter `name` summed over the nodes of one phase snapshot.
+fn snapshot_total(snap: &MetricsSnapshot, name: &str) -> u64 {
+    snap.entries
+        .iter()
+        .filter_map(|(_, key, value)| match value {
+            MetricValue::Counter(n) if key == name => Some(*n),
+            _ => None,
+        })
+        .sum()
+}
+
+/// For every exported counter: its closed phases plus the open one, as the
+/// registry saw them, against the cumulative rows of every node and of the
+/// simulator itself. The first disagreement, as `(name, phases, rows)`.
+fn views_disagree(exp: &Experiment) -> Option<(&'static str, u64, u64)> {
+    let sim = &exp.net.sim;
+    Counter::EXPORTED.iter().find_map(|&(id, name)| {
+        let phases: u64 = exp
+            .phase_snapshots()
+            .iter()
+            .map(|(_, snap)| snapshot_total(snap, name))
+            .sum::<u64>()
+            + sim.metrics().counter_total(name);
+        let rows: u64 = (0..sim.node_count() as u32)
+            .map(|n| sim.counter(NodeId(n), id))
+            .sum::<u64>()
+            + sim.counter(None, id);
+        (phases != rows).then_some((name, phases, rows))
+    })
+}
+
 proptest! {
     #[test]
     fn lowered_schedule_replays_like_the_reference_loop(
@@ -181,5 +217,43 @@ proptest! {
         lowered.wait_converged(DEADLINE);
         oracle.wait_converged(DEADLINE);
         prop_assert!(observe(&lowered) == observe(&oracle), "diverged converging after {:?}", events);
+        for exp in [&mut lowered, &mut oracle] {
+            prop_assert_eq!(views_disagree(exp), None, "open phase after {:?}", events);
+            exp.mark();
+            prop_assert_eq!(views_disagree(exp), None, "closed phase after {:?}", events);
+        }
+    }
+
+    #[test]
+    fn a_job_outcome_counts_what_its_counters_count(
+        seed in 0u64..1000,
+        outages in prop::collection::vec(arb_outage(), 1..4),
+    ) {
+        let mut spec = JobSpec::clique(N, MEMBERS.len());
+        spec.timing.hold_time_secs = HOLD_SECS;
+        spec.recompute_delay = SimDuration::from_millis(50);
+        spec.script = Some(Script::from_offsets(paired(&outages)));
+        spec.verify = true;
+        spec.seed = seed;
+        let (outcome, exp) = spec.run(|_| {});
+        prop_assert_eq!(views_disagree(&exp), None);
+        let (phase, snap) = exp.phase_snapshots().last().expect("a closed event phase");
+        prop_assert_eq!(phase.as_str(), spec.event.name());
+        let total = |id: Counter| {
+            let name = Counter::EXPORTED.iter().find(|(c, _)| *c == id).expect("exported").1;
+            snapshot_total(snap, name)
+        };
+        prop_assert_eq!(
+            outcome.updates,
+            total(Counter::UpdatesSent) + total(Counter::SpeakerUpdatesOut)
+        );
+        // The outcome counts flow-table changes; the counter, FlowMods
+        // applied. They differ only when a restarted controller re-sends
+        // rules the switches still hold.
+        let applied = total(Counter::FlowModsApplied);
+        if outages.iter().all(|&(_, _, kind, _, _)| kind != 0) {
+            prop_assert_eq!(outcome.flow_mods, applied, "seed {} {:?}", seed, outages);
+        }
+        prop_assert!(outcome.flow_mods <= applied, "seed {} {:?}", seed, outages);
     }
 }

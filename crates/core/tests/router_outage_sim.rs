@@ -12,7 +12,7 @@
 use bgpsdn_analyze::Severity;
 use bgpsdn_bgp::{PolicyMode, TimingConfig};
 use bgpsdn_core::{EventKind, Experiment, JobSpec, NetworkBuilder, Router, Script, ScriptAction};
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_netsim::{Counter, SimDuration};
 use bgpsdn_topology::{gen, plan, AsGraph};
 
 /// ASes 0..2 legacy, 3..5 cluster members.
@@ -55,6 +55,10 @@ fn router(exp: &Experiment, i: usize) -> &Router {
     exp.net.sim.node_ref::<Router>(exp.net.ases[i].node)
 }
 
+fn counter(exp: &Experiment, i: usize, id: Counter) -> u64 {
+    exp.net.sim.counter(exp.net.ases[i].node, id)
+}
+
 #[test]
 fn crash_expires_holds_and_restart_readvertises() {
     let mut faulty = build(31, 0);
@@ -75,7 +79,7 @@ fn crash_expires_holds_and_restart_readvertises() {
             "AS {i} must stop forwarding directly to the crashed router"
         );
         assert!(
-            router(&faulty, i).stats().sessions_dropped >= 1,
+            counter(&faulty, i, Counter::SessionsDropped) >= 1,
             "AS {i} must record the torn session"
         );
     }
@@ -89,7 +93,7 @@ fn crash_expires_holds_and_restart_readvertises() {
             "restart must re-advertise the full table to AS {i}"
         );
         assert!(
-            router(&faulty, i).stats().sessions_reestablished >= 1,
+            counter(&faulty, i, Counter::SessionsReestablished) >= 1,
             "AS {i} must record the re-established session"
         );
     }
@@ -124,7 +128,7 @@ fn graceful_restart_retains_stale_until_peer_resumes() {
             router(&faulty, i).route_is_gr_stale(p1),
             "AS {i}'s retained route must be marked stale"
         );
-        assert!(router(&faulty, i).stats().stale_retained > 0);
+        assert!(counter(&faulty, i, Counter::StaleRetained) > 0);
     }
     // The static verifier sees the stale route over a down next hop as
     // consistent-but-stale, not as a blackhole at the legacy router.
@@ -143,7 +147,7 @@ fn graceful_restart_retains_stale_until_peer_resumes() {
     // the re-announced routes are fresh and nothing is stale any more.
     for i in [0usize, 2] {
         assert!(!router(&faulty, i).route_is_gr_stale(p1));
-        assert!(router(&faulty, i).stats().sessions_reestablished >= 1);
+        assert!(counter(&faulty, i, Counter::SessionsReestablished) >= 1);
     }
     assert!(faulty.connectivity_audit().fully_connected());
 
@@ -193,14 +197,14 @@ fn graceful_restart_cuts_reconvergence_churn() {
     let churn = |gr_secs: u16| -> u64 {
         let mut exp = build(43, gr_secs);
         let before: u64 = (0..MEMBERS[0])
-            .map(|i| router(&exp, i).stats().updates_sent)
+            .map(|i| counter(&exp, i, Counter::UpdatesSent))
             .sum();
         exp.apply(&ScriptAction::CrashRouter(1));
         exp.net.sim.run_for(SimDuration::from_secs(6));
         exp.apply(&ScriptAction::RestoreRouter(1));
         quiesce(&mut exp);
         let after: u64 = (0..MEMBERS[0])
-            .map(|i| router(&exp, i).stats().updates_sent)
+            .map(|i| counter(&exp, i, Counter::UpdatesSent))
             .sum();
         after - before
     };
@@ -223,7 +227,7 @@ fn silent_data_loss_is_detected_by_hold_timers() {
     faulty.apply(&ScriptAction::DropEdgeTraffic(0, 1));
     faulty.net.sim.run_for(SimDuration::from_secs(6));
     assert!(
-        router(&faulty, 0).stats().sessions_dropped >= 1,
+        counter(&faulty, 0, Counter::SessionsDropped) >= 1,
         "hold timer must detect the silently dead session"
     );
 

@@ -9,7 +9,7 @@ use bgpsdn_core::{
     DeploymentStrategy, Experiment, JobSpec, NetworkBuilder, Placement, ScriptAction, Switch,
     Topology,
 };
-use bgpsdn_netsim::SimDuration;
+use bgpsdn_netsim::{Counter, SimDuration};
 use bgpsdn_sdn::FlowAction;
 use bgpsdn_topology::caida::SynthesisParams;
 use bgpsdn_topology::{gen, plan, AsGraph, TopologyPlan};
@@ -52,11 +52,7 @@ fn converged_clique_verifies_clean() {
         "violations on a converged clique:\n{}",
         report.render()
     );
-    let prefixes_checked = exp
-        .net
-        .sim
-        .metrics()
-        .counter(None, "verify.prefixes_checked");
+    let prefixes_checked = exp.net.sim.counter(None, Counter::VerifyPrefixesChecked);
     assert!(prefixes_checked >= 8, "{}", report.render());
     assert!(
         report
@@ -66,8 +62,8 @@ fn converged_clique_verifies_clean() {
         "stale notes while synced: {}",
         report.render()
     );
-    assert_eq!(exp.net.sim.metrics().counter(None, "verify.violations"), 0);
-    assert!(exp.net.sim.metrics().counter(None, "verify.checks") > 0);
+    assert_eq!(exp.net.sim.counter(None, Counter::VerifyViolations), 0);
+    assert!(exp.net.sim.counter(None, Counter::VerifyChecks) > 0);
 }
 
 #[test]
@@ -83,13 +79,13 @@ fn auto_verify_runs_at_convergence_checkpoints() {
         prefix: None,
     });
     assert!(exp.wait_converged(HOUR).converged);
-    let m = exp.net.sim.metrics();
+    let m = &exp.net.sim;
     assert!(
-        m.counter(None, "verify.checks") > 0,
+        m.counter(None, Counter::VerifyChecks) > 0,
         "auto checkpoints must run the verifier"
     );
     assert_eq!(
-        m.counter(None, "verify.violations"),
+        m.counter(None, Counter::VerifyViolations),
         0,
         "converged checkpoints must be violation-free"
     );
@@ -138,23 +134,14 @@ fn scale_scenario_verifies_clean() {
     });
     assert!(seeding.converged && exp.wait_converged(HOUR).converged);
     assert!(exp.prefix_reachable_from_all(update, 9));
-    let before = exp
-        .net
-        .sim
-        .metrics()
-        .counter(None, "verify.prefixes_checked");
+    let before = exp.net.sim.counter(None, Counter::VerifyPrefixesChecked);
     let report = exp.verify_now().report;
     assert!(
         report.ok(),
         "violations at scale steady state:\n{}",
         report.render()
     );
-    let prefixes_checked = exp
-        .net
-        .sim
-        .metrics()
-        .counter(None, "verify.prefixes_checked")
-        - before;
+    let prefixes_checked = exp.net.sim.counter(None, Counter::VerifyPrefixesChecked) - before;
     let expected_prefixes = 21 + 12 * PER_STUB;
     assert!(
         prefixes_checked >= expected_prefixes,

@@ -47,11 +47,11 @@ pub use node::{Message, Node, NodeId, TimerClass, TimerToken};
 pub use packet::{DataApp, DataPacket, PacketKind};
 pub use rng::SimRng;
 pub use sim::{Ctx, Quiescence, Simulator, NAMED_TIMER_TOKENS};
-pub use stats::{Activity, ActivityBoard, SimStats};
+pub use stats::{Activity, ActivityBoard, Counters, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceCategory, TraceRecord};
 
 pub use bgpsdn_obs::{
-    CausalPhase, Cause, FlowActionRepr, Histogram, MetricsRegistry, MetricsSnapshot, ObsPrefix,
-    RecomputeTrigger, TraceEvent, WallSpan,
+    CausalPhase, Cause, Counter, FlowActionRepr, Histogram, MetricsRegistry, MetricsSnapshot,
+    ObsPrefix, RecomputeTrigger, TraceEvent, WallSpan,
 };

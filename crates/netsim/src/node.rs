@@ -12,6 +12,7 @@ use std::fmt;
 
 use crate::link::LinkId;
 use crate::sim::Ctx;
+use crate::stats::Counters;
 
 /// Identifier of a node, dense from zero in creation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -100,6 +101,13 @@ pub trait Node<M: Message>: 'static {
 
     /// An adjacent link changed administrative/operational state.
     fn on_link_change(&mut self, _ctx: &mut Ctx<'_, M>, _link: LinkId, _up: bool) {}
+
+    /// The node's own counter row, if it keeps one: what [`Ctx::count`]
+    /// adds to and [`Simulator::counter`](crate::sim::Simulator::counter)
+    /// reads.
+    fn counters(&self) -> Option<&Counters> {
+        None
+    }
 
     /// Downcast support; implement as `self`.
     fn as_any_mut(&mut self) -> &mut dyn Any;

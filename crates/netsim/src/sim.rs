@@ -2,18 +2,19 @@
 //!
 //! [`Simulator`] owns the nodes, links, event queue, clock, RNG, trace and
 //! statistics for one run. Nodes interact with the world only through the
-//! [`Ctx`] passed to their callbacks; every effect they request (sends,
-//! timers, activity reports, trace records) is buffered and applied by the
-//! engine after the callback returns, in order. Together with the seeded RNG
-//! and the tie-breaking event queue this makes runs bit-for-bit reproducible.
+//! [`Ctx`] passed to their callbacks; every effect they request on the world
+//! (sends, timers) is buffered and applied by the engine after the callback
+//! returns, in order, while measurements (counts, activity reports, trace
+//! records) are recorded as they happen. Together with the seeded RNG and
+//! the tie-breaking event queue this makes runs bit-for-bit reproducible.
 
-use bgpsdn_obs::{CausalPhase, Cause, MetricsRegistry, ObsPrefix, TraceEvent, WallSpan};
+use bgpsdn_obs::{CausalPhase, Cause, Counter, MetricsRegistry, ObsPrefix, TraceEvent, WallSpan};
 
 use crate::event::{EventBody, EventQueue, PoolStats};
 use crate::link::{LatencyModel, Link, LinkId};
 use crate::node::{Message, Node, NodeId, TimerClass, TimerToken};
 use crate::rng::SimRng;
-use crate::stats::{Activity, ActivityBoard, SimStats};
+use crate::stats::{Activity, ActivityBoard, Counters, SimStats};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceCategory};
 
@@ -37,23 +38,6 @@ enum Action<M> {
         token: TimerToken,
         class: TimerClass,
     },
-    Report(Activity),
-    Trace {
-        category: TraceCategory,
-        event: TraceEvent,
-    },
-    Count {
-        name: &'static str,
-        delta: u64,
-    },
-    Gauge {
-        name: &'static str,
-        value: i64,
-    },
-    Observe {
-        name: &'static str,
-        value: u64,
-    },
 }
 
 /// The world as one node sees it during a callback.
@@ -63,10 +47,14 @@ pub struct Ctx<'a, M: Message> {
     rng: &'a mut SimRng,
     links: &'a [Link],
     adjacency: &'a [Vec<(LinkId, NodeId)>],
-    trace_enabled: &'a Trace,
+    trace: &'a mut Trace,
+    board: &'a mut ActivityBoard,
     profiling: bool,
     causal_enabled: bool,
     causal_seq: &'a mut u64,
+    metrics: &'a mut MetricsRegistry,
+    /// The node's counter row, if it keeps one.
+    counters: Option<Counters>,
     actions: Vec<Action<M>>,
 }
 
@@ -124,43 +112,35 @@ impl<'a, M: Message> Ctx<'a, M> {
 
     /// Report semantic routing-plane activity to the measurement board.
     pub fn report(&mut self, kind: Activity) {
-        self.actions.push(Action::Report(kind));
+        self.board.report(self.now, kind);
     }
 
     /// Record a typed trace event. The closure runs only when `category` is
     /// enabled, so hot paths pay one mask test when tracing is off. The
-    /// event's own category must match `category` (debug-asserted when the
-    /// record is applied).
+    /// event's own category must match `category` (debug-asserted).
     pub fn trace(&mut self, category: TraceCategory, event: impl FnOnce() -> TraceEvent) {
-        if self.trace_enabled.is_enabled(category) {
-            self.actions.push(Action::Trace {
-                category,
-                event: event(),
-            });
-        }
+        self.trace.record(self.now, Some(self.me), category, event);
     }
 
     /// True when `category` is being traced: the gate for work whose only
     /// consumer is a trace record (inputs a [`Ctx::trace`] closure cannot
     /// compute by itself because they predate a state change).
     pub fn tracing(&self, category: TraceCategory) -> bool {
-        self.trace_enabled.is_enabled(category)
+        self.trace.is_enabled(category)
     }
 
-    /// Add `delta` to this node's counter `name`
-    /// (`<crate>.<subsystem>.<name>` convention).
-    pub fn count(&mut self, name: &'static str, delta: u64) {
-        self.actions.push(Action::Count { name, delta });
+    /// Add `delta` to this node's counter `id`, and to the registry's
+    /// open phase when `id` is exported.
+    pub fn count(&mut self, id: Counter, delta: u64) {
+        if let Some(row) = &self.counters {
+            row.add(id, delta);
+        }
+        self.metrics.count(Some(self.me.0), id, delta);
     }
 
     /// Set this node's gauge `name`.
     pub fn gauge(&mut self, name: &'static str, value: i64) {
-        self.actions.push(Action::Gauge { name, value });
-    }
-
-    /// Record a sample into this node's histogram `name`.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.actions.push(Action::Observe { name, value });
+        self.metrics.gauge(Some(self.me.0), name, value);
     }
 
     /// Start a wall-clock span; no-op (and no clock read) unless the
@@ -175,7 +155,7 @@ impl<'a, M: Message> Ctx<'a, M> {
     #[inline]
     pub fn end_span(&mut self, name: &'static str, span: WallSpan) -> Option<u64> {
         let ns = span.elapsed_ns()?;
-        self.observe(name, ns);
+        self.metrics.observe(Some(self.me.0), name, ns);
         Some(ns)
     }
 
@@ -326,14 +306,13 @@ pub struct Simulator<M: Message> {
     metrics: MetricsRegistry,
     profiling: bool,
     causal_seq: u64,
-    stats: SimStats,
+    /// The simulator's own counter row: engine counts and run-wide facts.
+    counters: Counters,
     started: bool,
     /// Reusable action buffer handed to each dispatched node: the per-event
     /// `Vec<Action>` allocation of the old hot loop becomes a single buffer
     /// recycled for the lifetime of the simulator.
     action_scratch: Vec<Action<M>>,
-    /// Pool counters already flushed into the metrics registry.
-    pool_flushed: PoolStats,
     /// `(time, seq)` of the last popped event; pops must strictly increase.
     last_event_key: (u64, u64),
     /// Hard cap on events per `run_*` call, against livelock.
@@ -363,13 +342,12 @@ impl<M: Message> Simulator<M> {
             rng: SimRng::seed_from_u64(seed),
             board: ActivityBoard::default(),
             trace: Trace::default(),
-            metrics: MetricsRegistry::new(),
+            metrics: MetricsRegistry::default(),
             profiling: false,
             causal_seq: 0,
-            stats: SimStats::default(),
+            counters: Counters::default(),
             started: false,
             action_scratch: Vec::with_capacity(16),
-            pool_flushed: PoolStats::default(),
             last_event_key: (0, 0),
             max_events_per_run: 200_000_000,
         }
@@ -380,23 +358,25 @@ impl<M: Message> Simulator<M> {
         self.queue.pool_stats()
     }
 
-    /// Record the pool counters accumulated since the last flush as
-    /// `core.sim.events_pooled` / `core.sim.allocs_hot` metric deltas.
-    /// Experiment drivers call this at phase boundaries so the counters
-    /// land in phase snapshots (and from there in `bgpsdn report`).
-    pub fn flush_pool_metrics(&mut self) {
+    /// Close the registry's phase: fold the pool counters accumulated since
+    /// the last close in as `core.sim.events_pooled` / `core.sim.allocs_hot`
+    /// deltas, so they land in phase snapshots (and from there in `bgpsdn
+    /// report`), and hand the registry over, leaving an empty one.
+    pub fn take_metrics(&mut self) -> MetricsRegistry {
         let cur = self.queue.pool_stats();
-        // Zero deltas are skipped so an idle flush leaves the registry
-        // untouched (phase-close must stay idempotent).
-        let pooled = cur.events_pooled - self.pool_flushed.events_pooled;
-        if pooled > 0 {
-            self.metrics.count(None, "core.sim.events_pooled", pooled);
+        // The simulator's row holds what was flushed so far. Zero deltas
+        // are skipped so an idle flush leaves the registry untouched
+        // (phase-close must stay idempotent).
+        for (id, total) in [
+            (Counter::EventsPooled, cur.events_pooled),
+            (Counter::AllocsHot, cur.allocs_hot),
+        ] {
+            let delta = total - self.counters.get(id);
+            if delta > 0 {
+                self.count(id, delta);
+            }
         }
-        let allocs = cur.allocs_hot - self.pool_flushed.allocs_hot;
-        if allocs > 0 {
-            self.metrics.count(None, "core.sim.allocs_hot", allocs);
-        }
-        self.pool_flushed = cur;
+        std::mem::take(&mut self.metrics)
     }
 
     /// Add a node. The builder receives the id the node will have, so nodes
@@ -539,9 +519,38 @@ impl<M: Message> Simulator<M> {
         self.board.reset();
     }
 
-    /// Engine statistics.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
+    /// Engine statistics, read from the simulator's counter row.
+    pub fn stats(&self) -> SimStats {
+        let c = &self.counters;
+        SimStats {
+            events_processed: c.get(Counter::EventsProcessed),
+            msgs_delivered: c.get(Counter::MsgsDelivered),
+            msgs_dropped_link_down: c.get(Counter::MsgsDroppedLinkDown),
+            msgs_dropped_loss: c.get(Counter::MsgsDroppedLoss),
+            msgs_dropped_node_down: c.get(Counter::MsgsDroppedNodeDown),
+            timers_fired: c.get(Counter::TimersFired),
+            timers_stale: c.get(Counter::TimersStale),
+            bytes_delivered: c.get(Counter::BytesDelivered),
+        }
+    }
+
+    /// Add `delta` to the simulator's own counter `id`, and to the
+    /// registry's open phase, attributed to no node, when `id` is exported.
+    pub fn count(&mut self, id: Counter, delta: u64) {
+        self.counters.add(id, delta);
+        self.metrics.count(None, id, delta);
+    }
+
+    /// Counter `id` of `node` since the run began, or of the simulator
+    /// itself for `None`; 0 for a node that keeps no counter row.
+    pub fn counter(&self, node: impl Into<Option<NodeId>>, id: Counter) -> u64 {
+        match node.into() {
+            None => self.counters.get(id),
+            Some(node) => self.nodes[node.index()]
+                .as_ref()
+                .and_then(|n| n.counters())
+                .map_or(0, |c| c.get(id)),
+        }
     }
 
     /// Trace buffer (enable categories before running).
@@ -557,11 +566,6 @@ impl<M: Message> Simulator<M> {
     /// The metrics registry, read-only.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The metrics registry (snapshot/reset at phase boundaries).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
     }
 
     /// Enable or disable wall-clock profiling spans. Off by default: spans
@@ -621,12 +625,13 @@ impl<M: Message> Simulator<M> {
         debug_assert!(ev.at >= self.now, "time went backwards");
         // The queue contract: pops are strictly increasing in (time, seq).
         debug_assert!(
-            self.stats.events_processed == 0 || (ev.at.as_nanos(), ev.seq) > self.last_event_key,
+            self.counters.get(Counter::EventsProcessed) == 0
+                || (ev.at.as_nanos(), ev.seq) > self.last_event_key,
             "event queue violated (time, seq) order"
         );
         self.last_event_key = (ev.at.as_nanos(), ev.seq);
         self.now = ev.at;
-        self.stats.events_processed += 1;
+        self.count(Counter::EventsProcessed, 1);
         let span = WallSpan::start(self.profiling);
         let alive = self.step_body(ev.body);
         if let Some(ns) = span.elapsed_ns() {
@@ -650,15 +655,15 @@ impl<M: Message> Simulator<M> {
                 msg,
             } => {
                 if !link.is_control() && !self.links[link.index()].up {
-                    self.stats.msgs_dropped_link_down += 1;
+                    self.count(Counter::MsgsDroppedLinkDown, 1);
                     return true;
                 }
                 if !self.node_up[to.index()] {
-                    self.stats.msgs_dropped_node_down += 1;
+                    self.count(Counter::MsgsDroppedNodeDown, 1);
                     return true;
                 }
-                self.stats.msgs_delivered += 1;
-                self.stats.bytes_delivered += msg.wire_len() as u64;
+                self.count(Counter::MsgsDelivered, 1);
+                self.count(Counter::BytesDelivered, msg.wire_len() as u64);
                 self.dispatch(to, move |n, ctx| n.on_message(ctx, from, link, msg));
             }
             EventBody::Timer {
@@ -739,10 +744,10 @@ impl<M: Message> Simulator<M> {
     fn fire_timer(&mut self, node: NodeId, token: TimerToken, live: bool) {
         if live {
             debug_assert!(self.node_up[node.index()], "live firing for crashed {node}");
-            self.stats.timers_fired += 1;
+            self.count(Counter::TimersFired, 1);
             self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
         } else {
-            self.stats.timers_stale += 1;
+            self.count(Counter::TimersStale, 1);
         }
     }
 
@@ -824,10 +829,13 @@ impl<M: Message> Simulator<M> {
             rng: &mut self.rng,
             links: &self.links,
             adjacency: &self.adjacency,
-            trace_enabled: &self.trace,
+            trace: &mut self.trace,
+            board: &mut self.board,
             profiling: self.profiling,
             causal_enabled,
             causal_seq: &mut self.causal_seq,
+            metrics: &mut self.metrics,
+            counters: node.counters().cloned(),
             actions: std::mem::take(&mut self.action_scratch),
         };
         f(node.as_mut(), &mut ctx);
@@ -848,11 +856,11 @@ impl<M: Message> Simulator<M> {
                     let l = &mut self.links[link.index()];
                     debug_assert!(l.touches(id), "{id} sent on non-adjacent {link}");
                     if !l.up {
-                        self.stats.msgs_dropped_link_down += 1;
+                        self.count(Counter::MsgsDroppedLinkDown, 1);
                         continue;
                     }
                     if l.loss > 0.0 && self.rng.chance(l.loss) {
-                        self.stats.msgs_dropped_loss += 1;
+                        self.count(Counter::MsgsDroppedLoss, 1);
                         continue;
                     }
                     let to = l.other(id);
@@ -910,21 +918,6 @@ impl<M: Message> Simulator<M> {
                             epoch: self.crash_epochs[id.index()],
                         },
                     );
-                }
-                Action::Report(kind) => {
-                    self.board.report(self.now, kind);
-                }
-                Action::Trace { category, event } => {
-                    self.trace.record(self.now, Some(id), category, || event);
-                }
-                Action::Count { name, delta } => {
-                    self.metrics.count(Some(id.0), name, delta);
-                }
-                Action::Gauge { name, value } => {
-                    self.metrics.gauge(Some(id.0), name, value);
-                }
-                Action::Observe { name, value } => {
-                    self.metrics.observe(Some(id.0), name, value);
                 }
             }
         }

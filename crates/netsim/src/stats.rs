@@ -1,14 +1,45 @@
 //! Run statistics and activity accounting.
 //!
-//! [`SimStats`] counts raw engine events. The [`ActivityBoard`] is the
-//! routing-plane measurement surface: nodes report semantic events
-//! ("RIB changed", "flow installed") via their context, and convergence
-//! detectors read the board instead of grovelling through traces.
+//! A [`Counters`] row holds a node's (or the simulator's) cumulative
+//! counts, one slot per [`Counter`]; [`SimStats`] is the simulator's row
+//! read as one value. The [`ActivityBoard`] is the routing-plane
+//! measurement surface: nodes report semantic events ("RIB changed", "flow
+//! installed") via their context, and convergence detectors read the board
+//! instead of grovelling through traces.
+
+use std::cell::Cell;
+use std::rc::Rc;
+
+use bgpsdn_obs::Counter;
 
 use crate::time::SimTime;
 
-/// Raw engine counters for one run.
-#[derive(Debug, Clone, Default)]
+/// One cumulative counter row, indexed by [`Counter`]. It is a shared
+/// handle: a node keeps its row, and the [`Ctx`](crate::Ctx) of each of its
+/// callbacks counts into a clone of it.
+#[derive(Debug, Clone)]
+pub struct Counters(Rc<[Cell<u64>]>);
+
+impl Default for Counters {
+    fn default() -> Counters {
+        Counters((0..Counter::COUNT).map(|_| Cell::new(0)).collect())
+    }
+}
+
+impl Counters {
+    pub(crate) fn add(&self, id: Counter, delta: u64) {
+        let slot = &self.0[id as usize];
+        slot.set(slot.get() + delta);
+    }
+
+    /// Counter `id`'s value.
+    pub fn get(&self, id: Counter) -> u64 {
+        self.0[id as usize].get()
+    }
+}
+
+/// The engine counters of one run, read from the simulator's row.
+#[derive(Debug, Clone, Copy)]
 pub struct SimStats {
     /// Events processed by the main loop.
     pub events_processed: u64,

@@ -58,6 +58,6 @@ pub use event::{
     CausalPhase, FlowActionRepr, ObsPrefix, RecomputeTrigger, TraceCategory, TraceEvent,
 };
 pub use json::{Json, JsonError, ToJson};
-pub use metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, Histogram, MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use span::WallSpan;
 pub use stats::Summary;

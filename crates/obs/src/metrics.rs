@@ -2,9 +2,10 @@
 //! `(node, metric)`.
 //!
 //! Metric names follow `<crate>.<subsystem>.<name>` (e.g.
-//! `bgp.decision.select_wall_ns`). Names are `&'static str` so the hot
-//! recording path never allocates; snapshots convert to owned strings for
-//! export.
+//! `bgp.decision.select_wall_ns`). Counters are typed ids, [`Counter`],
+//! named once in its table; gauges and histograms are `&'static str`, so
+//! the hot recording path never allocates. Snapshots convert to owned
+//! strings for export.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -14,6 +15,119 @@ use crate::json::{Json, ToJson};
 /// A metric key: the node it is attributed to (None = whole-simulation) and
 /// its dotted name.
 pub type MetricKey = (Option<u32>, &'static str);
+
+/// Every counter, stated once: its id, its name and, where the name needs
+/// one, a note. Generates [`Counter`], each variant documented by its name,
+/// and the two name tables, exported counters first.
+macro_rules! counter_table {
+    (
+        exported { $( $(#[doc = $edoc:literal])* $eid:ident = $ename:literal, )* }
+        row_only { $( $(#[doc = $rdoc:literal])* $rid:ident = $rname:literal, )* }
+    ) => {
+        /// One counted fact. Nodes count through `Ctx::count` into their
+        /// own cumulative row and the simulator through `Simulator::count`
+        /// into its own; only the ids of [`Counter::EXPORTED`] also reach
+        /// the per-phase [`MetricsRegistry`], and so artifacts.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $( #[doc = concat!("`", $ename, "`")] $(#[doc = $edoc])* $eid, )*
+            $( #[doc = concat!("`", $rname, "`")] $(#[doc = $rdoc])* $rid, )*
+        }
+
+        impl Counter {
+            /// The counters that reach the per-phase registry, and so run
+            /// and campaign artifacts, in declaration order.
+            pub const EXPORTED: &'static [(Counter, &'static str)] =
+                &[$((Counter::$eid, $ename)),*];
+            /// The counters only the counting node's (or the simulator's)
+            /// own row keeps, in declaration order after the exported ones.
+            pub const ROW_ONLY: &'static [(Counter, &'static str)] =
+                &[$((Counter::$rid, $rname)),*];
+        }
+    };
+}
+
+counter_table! {
+    exported {
+        UpdatesSent = "bgp.router.updates_sent",
+        SessionsEstablished = "bgp.router.sessions_established",
+        /// Sessions established again after having been down.
+        SessionsReestablished = "bgp.router.sessions_reestablished",
+        /// Candidates excluded from the decision by route-flap damping.
+        DampedSuppressed = "bgp.router.damped_suppressed",
+        BestPathChanges = "bgp.router.best_path_changes",
+        /// Malformed UPDATEs downgraded to withdrawals per RFC 7606.
+        TreatAsWithdraw = "bgp.router.treat_as_withdraw",
+        SessionsDropped = "bgp.router.sessions_dropped",
+        /// Routes retained as stale under RFC 4724 graceful restart.
+        StaleRetained = "bgp.router.stale_retained",
+        /// Full-state resyncs a controller adopted from its speaker.
+        CtrlResyncs = "core.ctrl.resyncs",
+        /// Retransmit rounds of either end of a control channel.
+        CtrlRetransmits = "core.ctrl.retransmits",
+        Recomputes = "core.controller.recomputes",
+        /// Always equals `prefixes_recomputed`; kept for the artifact format.
+        PrefixesDirty = "core.controller.prefixes_dirty",
+        PrefixesRecomputed = "core.controller.prefixes_recomputed",
+        PrefixesCached = "core.controller.prefixes_cached",
+        HeadlessEntered = "core.speaker.headless_entered",
+        SpeakerUpdatesIn = "sdn.speaker.updates_in",
+        SpeakerUpdatesOut = "sdn.speaker.updates_out",
+        SpeakerEventsDropped = "sdn.speaker.events_dropped",
+        /// FlowMods a switch applied.
+        FlowModsApplied = "sdn.flowtable.flow_mods",
+        /// Event-queue slots recycled, flushed at phase boundaries.
+        EventsPooled = "core.sim.events_pooled",
+        /// Event-slab growths, flushed at phase boundaries.
+        AllocsHot = "core.sim.allocs_hot",
+        VerifyChecks = "verify.checks",
+        VerifyViolations = "verify.violations",
+        VerifyPrefixesChecked = "verify.prefixes_checked",
+    }
+    row_only {
+        EventsProcessed = "netsim.sim.events_processed",
+        MsgsDelivered = "netsim.sim.msgs_delivered",
+        /// Messages dropped because the link was down at send or delivery time.
+        MsgsDroppedLinkDown = "netsim.sim.msgs_dropped_link_down",
+        MsgsDroppedLoss = "netsim.sim.msgs_dropped_loss",
+        MsgsDroppedNodeDown = "netsim.sim.msgs_dropped_node_down",
+        TimersFired = "netsim.sim.timers_fired",
+        /// Timer firings suppressed because the timer was cancelled or re-armed.
+        TimersStale = "netsim.sim.timers_stale",
+        BytesDelivered = "netsim.sim.bytes_delivered",
+        /// Data packets a router or a switch forwarded.
+        DataForwarded = "netsim.data.forwarded",
+        /// Data packets a router or a switch delivered locally.
+        DataDelivered = "netsim.data.delivered",
+        EchoReplies = "netsim.data.echo_replies",
+        /// UPDATEs a router received, before its processing delay.
+        UpdatesReceived = "bgp.router.updates_received",
+        LoopRejected = "bgp.router.loop_rejected",
+        NotificationsSent = "bgp.router.notifications_sent",
+        DecodeErrors = "bgp.router.decode_errors",
+        NoRoute = "bgp.router.data_no_route",
+        MaxPrefixTeardowns = "bgp.router.max_prefix_teardowns",
+        /// FlowMods a controller emitted.
+        FlowModsSent = "core.controller.flow_mods",
+        Announcements = "core.controller.announcements",
+        Withdrawals = "core.controller.withdrawals",
+        /// External routes whose path crosses the cluster (stored regardless).
+        RoutesRejectedLoop = "core.controller.routes_rejected_loop",
+        /// Full-state resyncs a speaker initiated.
+        SpeakerResyncs = "sdn.speaker.resyncs",
+        DupSuppressed = "sdn.speaker.dup_suppressed",
+        Relayed = "sdn.switch.relayed",
+    }
+}
+
+impl Counter {
+    /// How many counters there are: the length of a counter row.
+    pub const COUNT: usize = Self::EXPORTED.len() + Self::ROW_ONLY.len();
+
+    fn exported(self) -> bool {
+        (self as usize) < Self::EXPORTED.len()
+    }
+}
 
 /// A log2-bucketed histogram of non-negative integer samples.
 ///
@@ -173,22 +287,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Look up one entry.
-    pub fn get(&self, node: Option<u32>, name: &str) -> Option<&MetricValue> {
-        self.entries
-            .iter()
-            .find(|(n, k, _)| *n == node && k == name)
-            .map(|(_, _, v)| v)
-    }
-
-    /// Counter value, defaulting to 0.
-    pub fn counter(&self, node: Option<u32>, name: &str) -> u64 {
-        match self.get(node, name) {
-            Some(MetricValue::Counter(c)) => *c,
-            _ => 0,
-        }
-    }
-
     /// JSON array form, one object per entry.
     pub fn to_json(&self) -> Json {
         Json::Arr(
@@ -226,11 +324,10 @@ impl MetricsSnapshot {
     }
 }
 
-/// One node's counters, in first-touch order. A node touches a handful of
-/// names, and the same call site passes the same `&'static str`, so a slot
-/// is found by comparing pointers; two sites that spell one name in two
-/// string literals share a slot through the string fallback.
-type CounterRow = Vec<(&'static str, u64)>;
+/// One node's exported counters for the open phase, indexed by
+/// [`Counter`]: `None` until counted, so a snapshot lists exactly the
+/// touched ones, zero deltas included.
+type CounterRow = [Option<u64>; Counter::EXPORTED.len()];
 
 /// The live registry: counters, gauges, histograms keyed by `(node, name)`.
 #[derive(Debug, Clone, Default)]
@@ -243,29 +340,21 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Add `delta` to a counter.
-    pub fn count(&mut self, node: Option<u32>, name: &'static str, delta: u64) {
+    /// Add `delta` to counter `id`, if it is exported; a row-only counter
+    /// leaves the registry untouched.
+    #[inline]
+    pub fn count(&mut self, node: Option<u32>, id: Counter, delta: u64) {
+        if !id.exported() {
+            return;
+        }
         let at = match self.counters.binary_search_by_key(&node, |(n, _)| *n) {
             Ok(at) => at,
             Err(at) => {
-                self.counters.insert(at, (node, Vec::new()));
+                self.counters.insert(at, (node, CounterRow::default()));
                 at
             }
         };
-        let row = &mut self.counters[at].1;
-        let slot = row
-            .iter()
-            .position(|(k, _)| std::ptr::eq(*k, name))
-            .or_else(|| row.iter().position(|(k, _)| *k == name));
-        match slot {
-            Some(slot) => row[slot].1 += delta,
-            None => row.push((name, delta)),
-        }
+        *self.counters[at].1[id as usize].get_or_insert(0) += delta;
     }
 
     /// Set a gauge.
@@ -281,31 +370,12 @@ impl MetricsRegistry {
             .record(value);
     }
 
-    /// Current counter value (0 when never touched).
-    pub fn counter(&self, node: Option<u32>, name: &str) -> u64 {
-        let Ok(at) = self.counters.binary_search_by_key(&node, |(n, _)| *n) else {
+    /// Sum a counter, by name, across all nodes.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        let Some(i) = Counter::EXPORTED.iter().position(|(_, n)| *n == name) else {
             return 0;
         };
-        let row = &self.counters[at].1;
-        row.iter().find(|(k, _)| *k == name).map_or(0, |(_, v)| *v)
-    }
-
-    /// The histogram for a key, if any samples were recorded.
-    pub fn histogram(&self, node: Option<u32>, name: &str) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|((n, k), _)| *n == node && *k == name)
-            .map(|(_, v)| v)
-    }
-
-    /// Sum a counter across all nodes.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .flat_map(|(_, row)| row)
-            .filter(|(k, _)| *k == name)
-            .map(|(_, v)| *v)
-            .sum()
+        self.counters.iter().filter_map(|(_, row)| row[i]).sum()
     }
 
     /// Merge every histogram with this name across nodes.
@@ -324,19 +394,14 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Forget everything (phase boundaries snapshot then reset).
-    pub fn reset(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-    }
-
     /// Owned point-in-time copy, sorted by (node, name).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut entries: Vec<(Option<u32>, String, MetricValue)> = Vec::new();
         for (node, row) in &self.counters {
-            for (name, v) in row {
-                entries.push((*node, (*name).to_string(), MetricValue::Counter(*v)));
+            for ((_, name), value) in Counter::EXPORTED.iter().zip(row) {
+                if let Some(v) = value {
+                    entries.push((*node, (*name).to_string(), MetricValue::Counter(*v)));
+                }
             }
         }
         for ((node, name), v) in &self.gauges {
@@ -357,6 +422,17 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counter `name` of `node` in `snap`, 0 when absent.
+    fn counter(snap: &MetricsSnapshot, node: Option<u32>, name: &str) -> u64 {
+        snap.entries
+            .iter()
+            .find_map(|(n, k, v)| match v {
+                MetricValue::Counter(c) if *n == node && k == name => Some(*c),
+                _ => None,
+            })
+            .unwrap_or(0)
+    }
 
     #[test]
     fn histogram_buckets_and_stats() {
@@ -411,42 +487,40 @@ mod tests {
 
     #[test]
     fn registry_keys_by_node_and_name() {
-        let mut r = MetricsRegistry::new();
-        r.count(Some(1), "bgp.router.updates_sent", 2);
-        r.count(Some(2), "bgp.router.updates_sent", 3);
-        r.count(None, "netsim.loop.events", 10);
+        let mut r = MetricsRegistry::default();
+        r.count(Some(1), Counter::UpdatesSent, 2);
+        r.count(Some(2), Counter::UpdatesSent, 3);
+        r.count(None, Counter::VerifyChecks, 10);
         r.gauge(None, "core.controller.members", 8);
         r.observe(Some(1), "bgp.decision.select_wall_ns", 1500);
-        assert_eq!(r.counter(Some(1), "bgp.router.updates_sent"), 2);
         assert_eq!(r.counter_total("bgp.router.updates_sent"), 5);
         assert_eq!(r.gauges.get(&(None, "core.controller.members")), Some(&8));
-        assert_eq!(
-            r.histogram(Some(1), "bgp.decision.select_wall_ns")
-                .unwrap()
-                .count(),
-            1
-        );
+        assert_eq!(r.histogram_merged("bgp.decision.select_wall_ns").count(), 1);
         let snap = r.snapshot();
-        assert_eq!(snap.counter(Some(2), "bgp.router.updates_sent"), 3);
+        assert_eq!(counter(&snap, Some(1), "bgp.router.updates_sent"), 2);
+        assert_eq!(counter(&snap, Some(2), "bgp.router.updates_sent"), 3);
+        let hist = snap.entries.iter().find_map(|(n, k, v)| match v {
+            MetricValue::Histogram(h) if *n == Some(1) && k == "bgp.decision.select_wall_ns" => {
+                Some(h.count())
+            }
+            _ => None,
+        });
+        assert_eq!(hist, Some(1), "the histogram is keyed by its node");
         assert_eq!(snap.entries.len(), 5);
-        r.reset();
+        r = MetricsRegistry::default();
         assert!(r.is_empty());
     }
 
-    /// Counters live in per-node rows, not in a map: touched in any node
-    /// and name order — through distinct string literals of one name too —
-    /// they must read back exactly like a `(node, name)`-keyed map.
+    /// Counters live in per-node rows indexed by id, not in a map: touched
+    /// in any node and id order, zero deltas included, they must read back
+    /// exactly like a `(node, name)`-keyed map.
     #[test]
     fn counters_touched_in_any_order_match_a_map_model() {
-        const NAMES: [&str; 4] = ["b.x.sent", "a.x.recv", "c.x.drop", "a.x.recv2"];
-        // A second literal of NAMES[1]; `to_owned` + `leak` guarantees an
-        // address of its own, whatever the linker merges.
-        let twin: &'static str = String::from(NAMES[1]).leak();
-        assert!(!std::ptr::eq(twin, NAMES[1]));
-        let mut r = MetricsRegistry::new();
+        let ids = Counter::EXPORTED;
+        let mut r = MetricsRegistry::default();
         let mut model: BTreeMap<(Option<u32>, &str), u64> = BTreeMap::new();
         let mut state = 0x2545_f491_4f6c_dd1du64;
-        for step in 0..500u64 {
+        for _ in 0..500u64 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -454,21 +528,23 @@ mod tests {
                 0 => None,
                 n => Some((n as u32 * 37) % 11),
             };
-            let mut name = NAMES[((state >> 40) % 4) as usize];
-            if name == NAMES[1] && step % 2 == 0 {
-                name = twin;
-            }
+            let (id, name) = ids[((state >> 40) % 6) as usize * 4];
             let delta = (state >> 50) % 5;
-            r.count(node, name, delta);
+            r.count(node, id, delta);
             *model.entry((node, name)).or_insert(0) += delta;
         }
-        r.gauge(Some(4), "a.x.recv", -1);
+        r.gauge(Some(4), "bgp.router.updates_sent", -1);
+        r.count(Some(4), Counter::UpdatesSent, 0);
+        model
+            .entry((Some(4), "bgp.router.updates_sent"))
+            .or_insert(0);
+        let snap = r.snapshot();
         for (&(node, name), &v) in &model {
-            assert_eq!(r.counter(node, name), v, "{node:?} {name}");
+            assert_eq!(counter(&snap, node, name), v, "{node:?} {name}");
         }
-        assert_eq!(r.counter(Some(99), NAMES[0]), 0);
-        assert_eq!(r.counter(Some(3), "never.touched"), 0);
-        for name in NAMES {
+        assert_eq!(counter(&snap, Some(99), ids[0].1), 0);
+        assert_eq!(r.counter_total("never.touched"), 0);
+        for &(_, name) in ids {
             let total: u64 = model
                 .iter()
                 .filter(|((_, k), _)| *k == name)
@@ -495,23 +571,93 @@ mod tests {
         let at = snap
             .entries
             .iter()
-            .position(|(n, k, _)| *n == Some(4) && k == "a.x.recv");
+            .position(|(n, k, _)| *n == Some(4) && k == "bgp.router.updates_sent");
         let at = at.expect("both kinds recorded");
         assert!(matches!(snap.entries[at].2, MetricValue::Counter(_)));
         assert!(matches!(snap.entries[at + 1].2, MetricValue::Gauge(-1)));
-        r.reset();
+        r = MetricsRegistry::default();
         assert!(r.is_empty());
-        assert_eq!(r.counter_total(NAMES[0]), 0);
+        assert_eq!(r.counter_total(ids[0].1), 0);
         assert!(r.snapshot().entries.is_empty());
-        r.count(Some(7), NAMES[2], 1);
-        assert_eq!(r.counter(Some(7), NAMES[2]), 1);
+        r.count(Some(7), ids[8].0, 1);
+        assert_eq!(counter(&r.snapshot(), Some(7), ids[8].1), 1);
+        // A row-only counter never reaches the registry.
+        r.count(Some(7), Counter::EventsProcessed, 1);
+        assert_eq!(r.snapshot().entries.len(), 1);
         assert!(!r.is_empty());
+    }
+
+    /// The counter table: unique, well-formed names, ids in declaration
+    /// order, and the exported set pinned, since artifacts carry it.
+    #[test]
+    fn counter_table_names_are_unique_and_well_formed() {
+        const CRATES: [&str; 7] = ["netsim", "bgp", "sdn", "core", "collector", "obs", "verify"];
+        let all: Vec<(Counter, &str)> = Counter::EXPORTED
+            .iter()
+            .chain(Counter::ROW_ONLY)
+            .copied()
+            .collect();
+        assert_eq!(all.len(), Counter::COUNT);
+        let mut seen = std::collections::BTreeSet::new();
+        for (i, &(id, name)) in all.iter().enumerate() {
+            assert_eq!(id as usize, i, "{name} is out of declaration order");
+            assert_eq!(id.exported(), i < Counter::EXPORTED.len());
+            assert!(seen.insert(name), "{name} is named twice");
+            let parts: Vec<&str> = name.split('.').collect();
+            // `<crate>.<subsystem>.<name>`; the verifier's names have no
+            // subsystem.
+            let want = if parts[0] == "verify" { 2 } else { 3 };
+            assert!(
+                CRATES.contains(&parts[0]) && parts.len() == want,
+                "{name} is not <crate>.<subsystem>.<name>"
+            );
+            for part in parts {
+                assert!(
+                    part.starts_with(|c: char| c.is_ascii_lowercase())
+                        && part
+                            .chars()
+                            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
+                    "{name}: segment {part:?}"
+                );
+            }
+        }
+        let exported: Vec<&str> = Counter::EXPORTED.iter().map(|&(_, name)| name).collect();
+        assert_eq!(
+            exported,
+            [
+                "bgp.router.updates_sent",
+                "bgp.router.sessions_established",
+                "bgp.router.sessions_reestablished",
+                "bgp.router.damped_suppressed",
+                "bgp.router.best_path_changes",
+                "bgp.router.treat_as_withdraw",
+                "bgp.router.sessions_dropped",
+                "bgp.router.stale_retained",
+                "core.ctrl.resyncs",
+                "core.ctrl.retransmits",
+                "core.controller.recomputes",
+                "core.controller.prefixes_dirty",
+                "core.controller.prefixes_recomputed",
+                "core.controller.prefixes_cached",
+                "core.speaker.headless_entered",
+                "sdn.speaker.updates_in",
+                "sdn.speaker.updates_out",
+                "sdn.speaker.events_dropped",
+                "sdn.flowtable.flow_mods",
+                "core.sim.events_pooled",
+                "core.sim.allocs_hot",
+                "verify.checks",
+                "verify.violations",
+                "verify.prefixes_checked",
+            ],
+            "a new name in artifacts is a deliberate change to this list"
+        );
     }
 
     #[test]
     fn snapshot_json_is_parseable() {
-        let mut r = MetricsRegistry::new();
-        r.count(Some(4), "x.y.z", 1);
+        let mut r = MetricsRegistry::default();
+        r.count(Some(4), Counter::SessionsDropped, 1);
         r.observe(None, "a.b.c", 9);
         let j = r.snapshot().to_json();
         let text = j.to_compact();

@@ -20,7 +20,9 @@
 
 use std::collections::VecDeque;
 
-use bgpsdn_netsim::{Ctx, LinkId, SimDuration, TimerClass, TimerToken, TraceCategory, TraceEvent};
+use bgpsdn_netsim::{
+    Counter, Ctx, LinkId, SimDuration, TimerClass, TimerToken, TraceCategory, TraceEvent,
+};
 
 use crate::app::{CtrlMsg, SdnApp};
 
@@ -161,13 +163,13 @@ impl ChannelEnd {
     }
 
     /// The retransmit timer fired: resend every unacked payload, oldest
-    /// first, back off the RTO and re-arm. False, doing nothing, when
-    /// nothing is outstanding.
-    pub fn retransmit<M: SdnApp>(&mut self, ctx: &mut Ctx<'_, M>) -> bool {
+    /// first, back off the RTO and re-arm. Nothing, when nothing is
+    /// outstanding.
+    pub fn retransmit<M: SdnApp>(&mut self, ctx: &mut Ctx<'_, M>) {
         if !self.tx.pending() {
-            return false;
+            return;
         }
-        ctx.count("core.ctrl.retransmits", 1);
+        ctx.count(Counter::CtrlRetransmits, 1);
         let (from_controller, oldest_seq, outstanding) = (
             self.from_controller,
             self.tx.oldest_seq().unwrap_or(0),
@@ -185,7 +187,6 @@ impl ChannelEnd {
         }
         self.retx_scratch = burst;
         self.arm_retransmit(ctx);
-        true
     }
 
     /// The heartbeat timer fired: send a heartbeat carrying this end's

@@ -35,5 +35,5 @@ pub use app::{
 pub use channel::ChannelEnd;
 pub use flowtable::{FlowAction, FlowRule, FlowTable};
 pub use openflow::{FlowModOp, OfEnvelope, OfMessage};
-pub use speaker::{AliasSessionConfig, ClusterSpeaker, SpeakerStats};
+pub use speaker::{AliasSessionConfig, ClusterSpeaker};
 pub use switch::{SdnSwitch, SwitchStats};

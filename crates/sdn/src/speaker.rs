@@ -34,8 +34,8 @@ use bgpsdn_bgp::{
     SessionEvent, SessionHandshake, SharedPath, UpdateMsg, CONNECT_RETRY, CONNECT_STAGGER,
 };
 use bgpsdn_netsim::{
-    Activity, CausalPhase, Cause, Ctx, LinkId, Node, NodeId, SimDuration, TimerClass, TimerToken,
-    TraceCategory, TraceEvent,
+    Activity, CausalPhase, Cause, Counter, Counters, Ctx, LinkId, Node, NodeId, SimDuration,
+    TimerClass, TimerToken, TraceCategory, TraceEvent,
 };
 
 use crate::app::{CtrlMsg, SdnApp, SessionSync, SpeakerCmd, SpeakerEvent, SpeakerSyncState};
@@ -79,29 +79,6 @@ pub struct AliasSessionConfig {
     pub via_link: LinkId,
 }
 
-/// Speaker counters.
-#[derive(Debug, Clone, Default)]
-pub struct SpeakerStats {
-    /// Decoded UPDATEs relayed up to the controller.
-    pub updates_in: u64,
-    /// UPDATEs sent on behalf of cluster members.
-    pub updates_out: u64,
-    /// Alias sessions currently established.
-    pub sessions_up: usize,
-    /// Envelope decode failures.
-    pub decode_errors: u64,
-    /// Duplicate announcements suppressed.
-    pub dup_suppressed: u64,
-    /// Controller-bound events dropped (no controller link, or headless).
-    pub events_dropped: u64,
-    /// Full-state resyncs initiated toward the controller.
-    pub resyncs: u64,
-    /// Retransmit-timer firings (each resends every unacked payload).
-    pub retransmits: u64,
-    /// Times the speaker entered headless mode (controller declared dead).
-    pub headless_entries: u64,
-}
-
 struct SessionRuntime {
     cfg: AliasSessionConfig,
     handshake: SessionHandshake,
@@ -122,7 +99,7 @@ struct SessionRuntime {
 pub struct ClusterSpeaker<M> {
     sessions: Vec<SessionRuntime>,
     by_endpoint: HashMap<(NodeId, NodeId), usize>,
-    stats: SpeakerStats,
+    counters: Counters,
     /// The speaker's end of the controller channel: events and syncs up,
     /// commands down.
     chan: ChannelEnd,
@@ -145,7 +122,7 @@ impl<M> Default for ClusterSpeaker<M> {
         ClusterSpeaker {
             sessions: Vec::new(),
             by_endpoint: HashMap::new(),
-            stats: SpeakerStats::default(),
+            counters: Counters::default(),
             chan: ChannelEnd::new(None, false, CHANNEL_TIMERS),
             wire_scratch: Writer::with_capacity(64),
             next_epoch: 2,
@@ -190,11 +167,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
         self.sessions.len()
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &SpeakerStats {
-        &self.stats
-    }
-
     /// Is session `idx` established?
     pub fn session_established(&self, idx: usize) -> bool {
         self.sessions[idx].handshake.is_established()
@@ -235,7 +207,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
         self.next_epoch += 1;
         self.chan.reset(ctx, epoch);
         self.resync_in_flight = true;
-        self.stats.resyncs += 1;
+        ctx.count(Counter::SpeakerResyncs, 1);
         let state = SpeakerSyncState {
             sessions: self
                 .sessions
@@ -270,8 +242,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
         }
         self.headless = true;
         self.resync_in_flight = false;
-        self.stats.headless_entries += 1;
-        ctx.count("core.speaker.headless_entered", 1);
+        ctx.count(Counter::HeadlessEntered, 1);
         ctx.trace(TraceCategory::Ctrl, || TraceEvent::SpeakerHeadless {
             entered: true,
         });
@@ -340,9 +311,8 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     ) {
         let s = &self.sessions[idx];
         if let BgpMessage::Update(u) = msg {
-            self.stats.updates_out += 1;
             ctx.report(Activity::UpdateSent);
-            ctx.count("sdn.speaker.updates_out", 1);
+            ctx.count(Counter::SpeakerUpdatesOut, 1);
             ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateSent {
                 peer: s.cfg.ext_peer.0,
                 announced: u.nlri.iter().map(|&p| p.into()).collect(),
@@ -369,8 +339,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 | SpeakerEvent::SessionDown { session }
                 | SpeakerEvent::Update { session, .. } => *session as u32,
             };
-            self.stats.events_dropped += 1;
-            ctx.count("sdn.speaker.events_dropped", 1);
+            ctx.count(Counter::SpeakerEventsDropped, 1);
             ctx.trace(TraceCategory::Ctrl, || TraceEvent::SpeakerEventDropped {
                 session,
             });
@@ -392,7 +361,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
         let msg = match env.decode() {
             Ok(m) => m,
             Err(e) => {
-                self.stats.decode_errors += 1;
                 ctx.trace(TraceCategory::Session, || TraceEvent::Note {
                     category: TraceCategory::Session,
                     text: format!("decode error: {e}"),
@@ -402,9 +370,8 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
         };
         let msg = match msg {
             BgpMessage::Update(upd) if self.sessions[idx].handshake.is_established() => {
-                self.stats.updates_in += 1;
                 ctx.report(Activity::UpdateReceived);
-                ctx.count("sdn.speaker.updates_in", 1);
+                ctx.count(Counter::SpeakerUpdatesIn, 1);
                 ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateDelivered {
                     peer: env.src.0,
                     announced: upd.nlri.iter().map(|&p| p.into()).collect(),
@@ -446,7 +413,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
         }
         match event {
             Some(SessionEvent::Established(open)) => {
-                self.stats.sessions_up += 1;
                 self.sessions[idx].retries = 0;
                 self.sessions[idx].peer_asn = Some(open.asn);
                 let ext_peer = self.sessions[idx].cfg.ext_peer;
@@ -469,7 +435,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     }
 
     fn session_down(&mut self, ctx: &mut Ctx<'_, M>, idx: usize, retry: bool) {
-        self.stats.sessions_up = self.stats.sessions_up.saturating_sub(1);
         self.sessions[idx].handshake.reset();
         self.sessions[idx].advertised.clear();
         self.sessions[idx].adj_in.clear();
@@ -505,7 +470,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 }
                 let key = (as_path, med);
                 if s.advertised.get(&prefix) == Some(&key) {
-                    self.stats.dup_suppressed += 1;
+                    ctx.count(Counter::DupSuppressed, 1);
                     return;
                 }
                 let mut attrs = PathAttributes::originate(s.cfg.alias_next_hop);
@@ -572,7 +537,7 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
                 }
             }
             // No retransmission while headless: an outage quiesces.
-            K_RETX if !self.headless && self.chan.retransmit(ctx) => self.stats.retransmits += 1,
+            K_RETX if !self.headless => self.chan.retransmit(ctx),
             K_HEARTBEAT => self.chan.heartbeat(ctx),
             K_HOLD => {
                 // Hold expired: nothing heard from the controller.
@@ -603,6 +568,10 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
                 self.session_down(ctx, idx, false);
             }
         }
+    }
+
+    fn counters(&self) -> Option<&Counters> {
+        Some(&self.counters)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

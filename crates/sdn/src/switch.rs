@@ -17,38 +17,20 @@ use std::collections::HashMap;
 
 use bgpsdn_bgp::BgpApp;
 use bgpsdn_netsim::{
-    Activity, CausalPhase, Ctx, LinkId, Node, NodeId, ObsPrefix, TraceCategory, TraceEvent,
+    Activity, CausalPhase, Counter, Counters, Ctx, LinkId, Node, NodeId, ObsPrefix, TraceCategory,
+    TraceEvent,
 };
 
 use crate::app::SdnApp;
 use crate::flowtable::{FlowAction, FlowTable};
 use crate::openflow::{FlowModOp, OfEnvelope, OfMessage};
 
-/// Switch counters.
-#[derive(Debug, Clone, Default)]
+/// The switch counters the benchmark harness reads, as one value; every
+/// counter is [`Simulator::counter`](bgpsdn_netsim::Simulator::counter).
+#[derive(Debug, Clone, Copy)]
 pub struct SwitchStats {
-    /// Data packets forwarded by flow match.
-    pub packets_forwarded: u64,
-    /// Data packets dropped with no matching rule.
-    pub packets_no_match: u64,
-    /// Data packets punted to the controller.
-    pub packets_to_controller: u64,
-    /// Data packets dropped by an explicit Drop rule.
-    pub packets_dropped: u64,
-    /// Data packets dropped for TTL exhaustion.
-    pub packets_ttl_exceeded: u64,
-    /// Data packets delivered locally (destination inside this AS).
-    pub packets_delivered: u64,
-    /// Echo replies generated for locally delivered echo requests.
-    pub echo_replies: u64,
     /// FlowMods applied.
     pub flow_mods: u64,
-    /// BGP envelopes relayed.
-    pub relayed: u64,
-    /// BGP envelopes dropped for lack of a relay entry.
-    pub relay_misses: u64,
-    /// Control messages that failed to decode.
-    pub decode_errors: u64,
 }
 
 /// An OpenFlow switch standing in for a cluster member AS.
@@ -57,7 +39,7 @@ pub struct SdnSwitch<M> {
     controller_link: Option<LinkId>,
     table: FlowTable,
     relay: HashMap<NodeId, LinkId>,
-    stats: SwitchStats,
+    counters: Counters,
     _m: std::marker::PhantomData<fn() -> M>,
 }
 
@@ -69,7 +51,7 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
             controller_link: None,
             table: FlowTable::new(),
             relay: HashMap::new(),
-            stats: SwitchStats::default(),
+            counters: Counters::default(),
             _m: std::marker::PhantomData,
         }
     }
@@ -97,9 +79,11 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
         &mut self.table
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &SwitchStats {
-        &self.stats
+    /// The counters the benchmark harness reads.
+    pub fn stats(&self) -> SwitchStats {
+        SwitchStats {
+            flow_mods: self.counters.get(Counter::FlowModsApplied),
+        }
     }
 
     /// This switch's datapath id.
@@ -117,7 +101,6 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
         let msg = match env.decode() {
             Ok(m) => m,
             Err(e) => {
-                self.stats.decode_errors += 1;
                 ctx.trace(TraceCategory::Flow, || TraceEvent::Note {
                     category: TraceCategory::Flow,
                     text: format!("of decode error: {e}"),
@@ -127,8 +110,7 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
         };
         match msg {
             OfMessage::FlowMod { op, rule } => {
-                self.stats.flow_mods += 1;
-                ctx.count("sdn.flowtable.flow_mods", 1);
+                ctx.count(Counter::FlowModsApplied, 1);
                 let span = ctx.span();
                 let changed = match op {
                     FlowModOp::Add => self.table.install(rule.clone()),
@@ -183,38 +165,30 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
         ingress: LinkId,
     ) {
         match self.table.lookup(pkt.dst).map(|r| r.action) {
-            Some(FlowAction::Output(port)) => match pkt.decrement_ttl() {
-                Some(fwd) => {
-                    self.stats.packets_forwarded += 1;
+            Some(FlowAction::Output(port)) => {
+                // A packet whose TTL runs out here is dropped.
+                if let Some(fwd) = pkt.decrement_ttl() {
+                    ctx.count(Counter::DataForwarded, 1);
                     ctx.send(LinkId(port), M::from_data(fwd));
                 }
-                None => {
-                    self.stats.packets_ttl_exceeded += 1;
-                }
-            },
+            }
             Some(FlowAction::ToController) => {
-                self.stats.packets_to_controller += 1;
                 let msg = OfMessage::PacketIn {
                     ingress: ingress.0,
                     packet: pkt,
                 };
                 self.send_to_controller(ctx, &msg);
             }
-            Some(FlowAction::Drop) => {
-                self.stats.packets_dropped += 1;
-            }
             Some(FlowAction::Local) => {
-                self.stats.packets_delivered += 1;
+                ctx.count(Counter::DataDelivered, 1);
                 if pkt.kind == bgpsdn_netsim::PacketKind::EchoRequest {
-                    self.stats.echo_replies += 1;
+                    ctx.count(Counter::EchoReplies, 1);
                     let reply = pkt.reply_to();
                     // Route the reply through our own flow table.
                     self.handle_data(ctx, reply, ingress);
                 }
             }
-            None => {
-                self.stats.packets_no_match += 1;
-            }
+            Some(FlowAction::Drop) | None => {}
         }
     }
 }
@@ -232,11 +206,10 @@ impl<M: SdnApp + BgpApp> Node<M> for SdnSwitch<M> {
         if let Some(env) = msg.as_bgp() {
             match self.relay.get(&env.dst) {
                 Some(&out) => {
-                    self.stats.relayed += 1;
+                    ctx.count(Counter::Relayed, 1);
                     ctx.send(out, msg.clone());
                 }
                 None => {
-                    self.stats.relay_misses += 1;
                     ctx.trace(TraceCategory::Msg, || TraceEvent::Note {
                         category: TraceCategory::Msg,
                         text: format!("relay miss for envelope to {}", env.dst),
@@ -263,6 +236,10 @@ impl<M: SdnApp + BgpApp> Node<M> for SdnSwitch<M> {
     fn on_link_change(&mut self, ctx: &mut Ctx<'_, M>, link: LinkId, up: bool) {
         let msg = OfMessage::PortStatus { port: link.0, up };
         self.send_to_controller(ctx, &msg);
+    }
+
+    fn counters(&self) -> Option<&Counters> {
+        Some(&self.counters)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

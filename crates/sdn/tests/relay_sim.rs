@@ -10,7 +10,7 @@ use bgpsdn_bgp::{
     TimingConfig,
 };
 use bgpsdn_netsim::{
-    Ctx, DataPacket, LatencyModel, LinkId, Node, NodeId, SimDuration, SimTime, Simulator,
+    Counter, Ctx, DataPacket, LatencyModel, LinkId, Node, NodeId, SimDuration, SimTime, Simulator,
 };
 use bgpsdn_sdn::{
     AliasSessionConfig, ClusterMsg, ClusterSpeaker, CtrlMsg, FlowAction, FlowModOp, FlowRule,
@@ -165,7 +165,7 @@ fn alias_session_establishes_over_relay() {
         |e| matches!(e, SpeakerEvent::SessionUp { session: 0, peer_asn } if *peer_asn == Asn(100))
     ));
     // Relay actually happened over the switch.
-    assert!(s.sim.node_ref::<Switch>(s.sw).stats().relayed >= 4);
+    assert!(s.sim.counter(s.sw, Counter::Relayed) >= 4);
 }
 
 #[test]
@@ -230,10 +230,7 @@ fn controller_announce_reaches_external_router() {
         },
     );
     assert!(s.sim.run_until_quiescent(SimTime::from_secs(30)).quiescent);
-    assert_eq!(
-        s.sim.node_ref::<Speaker>(s.speaker).stats().dup_suppressed,
-        1
-    );
+    assert_eq!(s.sim.counter(s.speaker, Counter::DupSuppressed), 1);
 
     // Withdraw removes it again.
     command(
@@ -277,14 +274,12 @@ fn flow_mods_program_the_switch_and_forward_data() {
     );
     s.sim.inject(s.sw, ClusterMsg::Data(ping));
     assert!(s.sim.run_until_quiescent(SimTime::from_secs(5)).quiescent);
-    let sw = s.sim.node_ref::<Switch>(s.sw);
-    assert_eq!(sw.stats().packets_forwarded, 1);
-    let ext = s.sim.node_ref::<Router>(s.ext);
-    assert_eq!(ext.stats().data_delivered, 1);
-    assert_eq!(ext.stats().echo_replies, 1);
+    assert_eq!(s.sim.counter(s.sw, Counter::DataForwarded), 1);
+    assert_eq!(s.sim.counter(s.ext, Counter::DataDelivered), 1);
+    assert_eq!(s.sim.counter(s.ext, Counter::EchoReplies), 1);
     // The router has no route back to 10.200/16 (nothing announced for the
     // cluster in this test), so the reply dies there — visibly.
-    assert_eq!(ext.stats().data_no_route, 1);
+    assert_eq!(s.sim.counter(s.ext, Counter::NoRoute), 1);
 
     // Delete the rule; traffic now misses.
     let del = OfMessage::FlowMod {
