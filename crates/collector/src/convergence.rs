@@ -1,18 +1,26 @@
 //! Convergence measurement.
 //!
-//! One detector: [`measure`] reads the last routing-plane change at or
-//! after an event off the simulator's [`ActivityBoard`], once the run has
-//! gone quiescent (only maintenance events left). On the board, a change
-//! is a Loc-RIB or controller route-store change, a flow-table change, an
-//! UPDATE sent, or an UPDATE processed by its receiver.
+//! A run has three convergence instants, each printed under one name:
 //!
-//! `bgpsdn report` reads a second instant offline:
-//! `bgpsdn_obs::last_routing_change` over an artifact's typed events,
-//! where only RIB and flow-table changes count. Every traced change has
-//! its board report in the same callback, so the report's instant is at
-//! or before this one; it is earlier when the last board activity is an
-//! UPDATE that changed no table (`bgpsdn run --event withdrawal --sdn 0`
-//! measures 296.262 s, and `bgpsdn report` reads 296.244 s).
+//! * **Measured** — [`measure`]: the last routing-plane change at or after
+//!   the event on the simulator's [`ActivityBoard`], read once the run has
+//!   gone quiescent (only maintenance events left). A change is a Loc-RIB
+//!   or controller route-store change, a flow-table change, an UPDATE
+//!   sent, or an UPDATE processed by its receiver. Figure 2 gates it.
+//!   `bgpsdn run` prints it as `convergence time`, `bgpsdn report` as
+//!   `converged in`.
+//! * **Collector view** — [`UpdateLog::convergence_duration`]: when the
+//!   route collector last logged an UPDATE, the paper's instrument.
+//!   `run` and `report` print it as `collector view`.
+//! * **Causal settle** — the last RIB or flow-table change a trigger's
+//!   lineage reaches in the trace (`bgpsdn_obs::CausalAnalysis`).
+//!   `bgpsdn explain` prints it as `settled in`.
+//!
+//! The experiment records the first two in each phase's `metrics` line
+//! when it closes the phase, so `report` reads them instead of deriving
+//! them.
+//!
+//! [`UpdateLog::convergence_duration`]: crate::UpdateLog::convergence_duration
 
 use bgpsdn_netsim::{ActivityBoard, SimDuration, SimTime};
 
@@ -21,10 +29,8 @@ use bgpsdn_netsim::{ActivityBoard, SimDuration, SimTime};
 pub struct ConvergenceReport {
     /// True when the network settled before the deadline.
     pub converged: bool,
-    /// Time of the last routing-plane change at or after the event
-    /// (`None`: the event caused no visible change at all).
-    pub last_change: Option<SimTime>,
-    /// `last_change - event`, or zero when nothing changed.
+    /// From the event to the last routing-plane change at or after it, or
+    /// zero when the event changed nothing.
     pub duration: SimDuration,
 }
 
@@ -34,10 +40,7 @@ pub fn measure(board: &ActivityBoard, event: SimTime, quiescent: bool) -> Conver
     let last = board.last_routing_change().filter(|&t| t >= event);
     ConvergenceReport {
         converged: quiescent,
-        last_change: last,
-        duration: last
-            .map(|t| t.saturating_since(event))
-            .unwrap_or(SimDuration::ZERO),
+        duration: last.map_or(SimDuration::ZERO, |t| t.saturating_since(event)),
     }
 }
 
@@ -53,7 +56,6 @@ mod tests {
         board.report(SimTime::from_secs(9), Activity::UpdateSent);
         let r = measure(&board, SimTime::from_secs(2), true);
         assert!(r.converged);
-        assert_eq!(r.last_change, Some(SimTime::from_secs(9)));
         assert_eq!(r.duration, SimDuration::from_secs(7));
     }
 
@@ -62,7 +64,6 @@ mod tests {
         let mut board = ActivityBoard::default();
         board.report(SimTime::from_secs(1), Activity::RibChange);
         let r = measure(&board, SimTime::from_secs(2), true);
-        assert_eq!(r.last_change, None);
         assert_eq!(r.duration, SimDuration::ZERO);
     }
 

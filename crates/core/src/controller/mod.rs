@@ -804,8 +804,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         ctx.count(Counter::FlowModsSent, u64::from(flow_mods));
         ctx.count(Counter::Announcements, u64::from(announcements));
         ctx.count(Counter::Withdrawals, u64::from(withdrawals));
-        // `prefixes_dirty` repeats `prefixes_recomputed`; artifacts carry both.
-        ctx.count(Counter::PrefixesDirty, u64::from(recomputed));
         ctx.count(Counter::PrefixesRecomputed, u64::from(recomputed));
         ctx.count(Counter::PrefixesCached, u64::from(cached));
 
@@ -820,7 +818,6 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
         ctx.trace(TraceCategory::Route, || TraceEvent::ControllerRecompute {
             trigger,
             prefixes: tracked as u32,
-            prefixes_dirty: recomputed,
             prefixes_recomputed: recomputed,
             prefixes_cached: cached,
             members: n as u32,

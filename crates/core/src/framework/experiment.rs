@@ -18,7 +18,7 @@ use bgpsdn_netsim::{
     Activity, Counter, LinkId, MetricsSnapshot, NodeId, SimDuration, SimTime, TraceCategory,
     TraceEvent,
 };
-use bgpsdn_obs::{metrics_line, write_typed_line, Json};
+use bgpsdn_obs::{metrics_line, write_typed_line, Json, PhaseConvergence};
 use bgpsdn_sdn::ClusterMsg;
 
 use super::network::{
@@ -53,6 +53,9 @@ pub struct Experiment {
     phase_seq: u32,
     /// Completed phases: `(name, metrics accumulated during that phase)`.
     snapshots: Vec<(String, MetricsSnapshot)>,
+    /// Per snapshot, the convergence of the phase it closed: `None` on a
+    /// snapshot taken after its phase had already closed.
+    convergence: Vec<Option<PhaseConvergence>>,
     /// Whether the current phase's start marker has been emitted.
     phase_open: bool,
     /// The static verifier, kept across checks so its scratch is reused.
@@ -68,6 +71,7 @@ impl Experiment {
             phase_name: "bring-up".to_string(),
             phase_seq: 0,
             snapshots: Vec::new(),
+            convergence: Vec::new(),
             phase_open: false,
             verifier: Verifier::default(),
         }
@@ -101,19 +105,30 @@ impl Experiment {
             });
     }
 
-    /// Close the current phase: emit its end marker and capture the metrics
-    /// accumulated since its start as a phase-scoped snapshot, then reset
-    /// the registry so the next phase starts from zero.
+    /// Close the current phase: emit its end marker, record its
+    /// convergence — the activity board's last routing-plane change, as
+    /// [`measure`] reads it, and the collector's view — and capture the
+    /// metrics accumulated since its start as a phase-scoped snapshot, then
+    /// reset the registry so the next phase starts from zero. Called again
+    /// after the phase closed, it snapshots only what was counted since.
     fn close_phase(&mut self) {
-        if self.phase_open {
+        let closing = self.phase_open;
+        if closing {
             let name = self.phase_name.clone();
             self.emit_phase_marker(&name, false);
             self.phase_open = false;
         }
         let metrics = self.net.sim.take_metrics();
-        if !metrics.is_empty() {
+        if closing || !metrics.is_empty() {
+            let convergence = closing.then(|| PhaseConvergence {
+                converged_ns: measure(self.net.sim.board(), self.phase_start, true)
+                    .duration
+                    .as_nanos(),
+                collector_ns: self.collector_convergence().map(SimDuration::as_nanos),
+            });
             self.snapshots
                 .push((self.phase_name.clone(), metrics.snapshot()));
+            self.convergence.push(convergence);
         }
     }
 
@@ -172,16 +187,17 @@ impl Experiment {
     /// Append this experiment's telemetry to `text` as a JSONL run
     /// artifact: a `run` header carrying `info`'s members, every retained
     /// typed trace event, the frozen verifier snapshot (`bgpsdn verify
-    /// --snapshot` input), and one metrics line per closed phase. Call
-    /// after [`Experiment::finish`] so the last phase is included.
+    /// --snapshot` input), and one metrics line per snapshot, carrying the
+    /// convergence of the phase it closed. Call after
+    /// [`Experiment::finish`] so the last phase is included.
     pub fn render_artifact_into(&self, info: &Json, text: &mut String) {
         write_typed_line(text, "run", info);
         text.push('\n');
         self.net.sim.trace().export_jsonl_into(text);
         write_typed_line(text, "snapshot", &self.capture_snapshot().to_json());
         text.push('\n');
-        for (phase, snap) in &self.snapshots {
-            text.push_str(&metrics_line(phase, snap));
+        for ((phase, snap), convergence) in self.snapshots.iter().zip(&self.convergence) {
+            text.push_str(&metrics_line(phase, *convergence, snap));
             text.push('\n');
         }
     }

@@ -40,8 +40,9 @@ impl Experiment {
     }
 
     /// Run a periodic echo stream from AS `src` to `dst_addr` for `count`
-    /// intervals of `interval` each. `on_tick(exp, tick)` runs before each
-    /// interval and is where the scenario injects failures/recoveries.
+    /// intervals of `interval` each. Each interval injects its probe, then
+    /// runs `on_tick(exp, tick)`, where the scenario injects failures and
+    /// recoveries, so a fault at tick k meets probe k on its way.
     pub fn ping_stream(
         &mut self,
         src: usize,
@@ -59,12 +60,12 @@ impl Experiment {
         let t0 = self.net.sim.now();
 
         for tick in 0..count {
-            on_tick(self, tick);
             sent += 1;
             self.net.sim.inject(
                 src_node,
                 ClusterMsg::Data(DataPacket::echo_request(src_ip, dst_addr, tick)),
             );
+            on_tick(self, tick);
             let deadline = t0 + interval.saturating_mul(tick + 1);
             self.net.sim.run_until(deadline);
             let now_seen = self.replies_at(src);

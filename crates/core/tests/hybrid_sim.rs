@@ -490,6 +490,25 @@ fn ping_stream_measures_failover_outage() {
 }
 
 #[test]
+fn a_failure_meets_the_probe_already_on_its_way() {
+    // Pure BGP 5-clique: AS 1 probes AS 0 over their direct link. The link
+    // fails at tick 10, after probe 10 left, so that probe dies on the
+    // link; the session teardown reroutes every later probe at once.
+    let net = NetworkBuilder::new(clique_plan(5, 5), 79).build();
+    let mut exp = Experiment::new(net);
+    assert!(exp.start(HOUR).converged);
+    let dst = exp.net.ases[0].prefix.nth(9);
+    let report = exp.ping_stream(1, dst, SimDuration::from_millis(100), 20, |exp, tick| {
+        if tick == 10 {
+            exp.apply(&ScriptAction::FailEdge(1, 0));
+        }
+    });
+    let lost: Vec<usize> = (0..20).filter(|&t| !report.timeline[t]).collect();
+    assert_eq!(lost, [10], "{report:?}");
+    assert_eq!(report.received, 19);
+}
+
+#[test]
 fn ping_stream_reports_total_loss_for_unreachable_target() {
     let net = NetworkBuilder::new(clique_plan(4, 0), 78).build();
     let mut exp = Experiment::new(net);

@@ -120,6 +120,6 @@ fn rendered_artifact_parses_back() {
     assert!(!artifact.events.is_empty());
     assert!(artifact.snapshot.is_some());
     assert_eq!(artifact.metrics.len(), 2, "bring-up + withdrawal phases");
-    assert_eq!(artifact.metrics[0].0, "bring-up");
-    assert_eq!(artifact.metrics[1].0, "withdrawal");
+    assert_eq!(artifact.metrics[0].phase, "bring-up");
+    assert_eq!(artifact.metrics[1].phase, "withdrawal");
 }

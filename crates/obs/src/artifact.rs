@@ -8,17 +8,19 @@
 //!   one typed [`TraceEvent`], flattened;
 //! * `{"type":"snapshot", ...}` — the frozen data-plane snapshot that
 //!   `bgpsdn verify --snapshot` checks;
-//! * `{"type":"metrics","phase":<name>,"metrics":[...]}` — a phase-scoped
-//!   [`MetricsSnapshot`];
+//! * `{"type":"metrics","phase":<name>,"converged_ns":..,"collector_ns":..,
+//!   "metrics":[...]}` — a phase-scoped [`MetricsSnapshot`], and the
+//!   phase's [`PhaseConvergence`] on the line that closed it;
 //!
 //! and a campaign artifact (see [`crate::campaign`]) holds one
 //! `{"type":"campaign", ...}` header, one `job` line per run and one `cell`
 //! line per grid cell. [`Artifact`] reads both, and rejects a file that
 //! mixes them.
 //!
-//! The analysis half ([`RunAnalysis`]) derives per-node update counts,
-//! recompute latency histograms and a convergence timeline purely from the
-//! typed events — no string parsing anywhere.
+//! The analysis half ([`RunAnalysis`]) derives per-node update counts and
+//! recompute latency histograms from the typed events, and a convergence
+//! timeline from the phase markers and the convergence each phase recorded
+//! — no string parsing anywhere.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -155,15 +157,46 @@ pub(crate) fn typed_line(kind: &str, members: &Json) -> String {
     out
 }
 
-/// Serialize one metrics-snapshot line.
-pub fn metrics_line(phase: &str, snapshot: &MetricsSnapshot) -> String {
-    typed_line(
-        "metrics",
-        &Json::Obj(vec![
-            ("phase".into(), Json::Str(phase.to_string())),
-            ("metrics".into(), snapshot.to_json()),
-        ]),
-    )
+/// A phase's convergence, taken when the run closed the phase: what the
+/// phase's `metrics` line records and `bgpsdn report` prints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseConvergence {
+    /// Phase start to the last routing-plane change on the activity board:
+    /// the measured convergence time, which Figure 2 gates.
+    pub converged_ns: u64,
+    /// Phase start to the last UPDATE the route collector logged (the
+    /// collector view; `None` without a collector).
+    pub collector_ns: Option<u64>,
+}
+
+/// Serialize one metrics-snapshot line, with the convergence of the phase
+/// when this line closed it.
+pub fn metrics_line(
+    phase: &str,
+    convergence: Option<PhaseConvergence>,
+    snapshot: &MetricsSnapshot,
+) -> String {
+    let mut members = vec![("phase".into(), Json::Str(phase.to_string()))];
+    if let Some(c) = convergence {
+        members.push(("converged_ns".into(), Json::U64(c.converged_ns)));
+        if let Some(ns) = c.collector_ns {
+            members.push(("collector_ns".into(), Json::U64(ns)));
+        }
+    }
+    members.push(("metrics".into(), snapshot.to_json()));
+    typed_line("metrics", &Json::Obj(members))
+}
+
+/// One parsed `metrics` line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseMetrics {
+    /// The phase's name.
+    pub phase: String,
+    /// The phase's convergence; `None` on a line that did not close its
+    /// phase, and in artifacts written before lines recorded it.
+    pub convergence: Option<PhaseConvergence>,
+    /// The phase's metrics snapshot, as raw JSON.
+    pub metrics: Json,
 }
 
 /// What an artifact records: one run, or a campaign of runs. Each line type
@@ -198,8 +231,8 @@ pub struct Artifact {
     /// The frozen verifier snapshot line: its line number and its text,
     /// checked to be JSON but not decoded.
     pub snapshot: Option<(usize, String)>,
-    /// Phase-tagged metric snapshots (kept as raw JSON).
-    pub metrics: Vec<(String, Json)>,
+    /// The `metrics` lines, in file order.
+    pub metrics: Vec<PhaseMetrics>,
     /// All job records, in job order.
     pub jobs: Vec<JobRecord>,
     /// Per-cell statistics, always [`aggregate_cells`] of `jobs` — what the
@@ -300,9 +333,15 @@ impl Artifact {
             "cell" => json::check(raw)?,
             "metrics" => {
                 let v = Json::parse(raw)?;
-                let phase = v.get("phase").and_then(Json::as_str).unwrap_or("");
-                let metrics = v.get("metrics").ok_or("missing \"metrics\"")?;
-                self.metrics.push((phase.to_string(), metrics.clone()));
+                let ns = |key| v.get(key).and_then(Json::as_u64);
+                self.metrics.push(PhaseMetrics {
+                    phase: v.get("phase").and_then(Json::as_str).unwrap_or("").into(),
+                    convergence: ns("converged_ns").map(|converged_ns| PhaseConvergence {
+                        converged_ns,
+                        collector_ns: ns("collector_ns"),
+                    }),
+                    metrics: v.get("metrics").ok_or("missing \"metrics\"")?.clone(),
+                });
             }
             "job" => self.jobs.push(JobRecord::from_json(&Json::parse(raw)?)?),
             // A `run` or `campaign` header.
@@ -328,7 +367,7 @@ impl Artifact {
             let _ = writeln!(out, "run: {}", run.to_compact());
         }
         out.push_str(&RunAnalysis::from_artifact(self).render());
-        for (phase, metrics) in &self.metrics {
+        for PhaseMetrics { phase, metrics, .. } in &self.metrics {
             let _ = writeln!(out, "== metrics [{phase}]");
             let pooled = counter_sum(metrics, "core.sim.events_pooled");
             let hot = counter_sum(metrics, "core.sim.allocs_hot");
@@ -344,18 +383,6 @@ impl Artifact {
     }
 }
 
-/// The latest sim-time of a routing-state change at or after `after`.
-pub fn last_routing_change<'a>(
-    events: impl IntoIterator<Item = (u64, &'a TraceEvent)>,
-    after: u64,
-) -> Option<u64> {
-    events
-        .into_iter()
-        .filter(|(t, e)| *t >= after && e.is_routing_change())
-        .map(|(t, _)| t)
-        .max()
-}
-
 /// Per-phase convergence summary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSummary {
@@ -363,19 +390,10 @@ pub struct PhaseSummary {
     pub name: String,
     /// Phase start, sim ns.
     pub start: u64,
-    /// Phase end marker, if recorded.
-    pub end: Option<u64>,
-    /// Last routing change within the phase, sim ns.
-    pub last_change: Option<u64>,
+    /// The convergence the phase's `metrics` line recorded, if any.
+    pub convergence: Option<PhaseConvergence>,
     /// UPDATE messages sent during the phase.
     pub updates_sent: u64,
-}
-
-impl PhaseSummary {
-    /// Time from phase start to last routing change (the convergence time).
-    pub fn convergence_ns(&self) -> Option<u64> {
-        self.last_change.map(|t| t.saturating_sub(self.start))
-    }
 }
 
 /// Everything `bgpsdn report` prints, computed from typed events.
@@ -428,16 +446,16 @@ impl RunAnalysis {
     /// Analyze a parsed artifact.
     pub fn from_artifact(artifact: &Artifact) -> RunAnalysis {
         let mut a = RunAnalysis::default();
-        let mut open_phase: Option<PhaseSummary> = None;
-        let mut saw_phase_marker = false;
+        // The index of the phase between its start and end markers.
+        let mut open: Option<usize> = None;
         for rec in &artifact.events {
             match &rec.event {
                 TraceEvent::UpdateSent { .. } => {
                     if let Some(node) = rec.node {
                         a.updates_by_node.entry(node).or_default().0 += 1;
                     }
-                    if let Some(p) = open_phase.as_mut() {
-                        p.updates_sent += 1;
+                    if let Some(i) = open {
+                        a.phases[i].updates_sent += 1;
                     }
                 }
                 TraceEvent::UpdateDelivered { .. } => {
@@ -468,11 +486,7 @@ impl RunAnalysis {
                 TraceEvent::SpeakerEventDropped { .. } => a.events_dropped += 1,
                 TraceEvent::ControlRetransmit { .. } => a.retransmits += 1,
                 TraceEvent::ControlResync { .. } => a.resyncs += 1,
-                TraceEvent::SpeakerHeadless { entered } => {
-                    if *entered {
-                        a.headless_entries += 1;
-                    }
-                }
+                TraceEvent::SpeakerHeadless { entered: true } => a.headless_entries += 1,
                 TraceEvent::VerifyViolation {
                     check,
                     prefix,
@@ -488,61 +502,40 @@ impl RunAnalysis {
                     ));
                 }
                 TraceEvent::Phase { name, started } => {
-                    saw_phase_marker = true;
+                    open = started.then_some(a.phases.len());
                     if *started {
-                        if let Some(p) = open_phase.take() {
-                            a.phases.push(p);
-                        }
-                        open_phase = Some(PhaseSummary {
+                        a.phases.push(PhaseSummary {
                             name: name.clone(),
                             start: rec.t,
-                            end: None,
-                            last_change: None,
+                            convergence: None,
                             updates_sent: 0,
                         });
-                    } else if let Some(mut p) = open_phase.take() {
-                        p.end = Some(rec.t);
-                        a.phases.push(p);
                     }
                 }
-                other => {
-                    if other.is_routing_change() {
-                        if let Some(p) = open_phase.as_mut() {
-                            p.last_change = Some(rec.t);
-                        }
-                    }
-                }
+                _ => {}
             }
         }
-        if let Some(p) = open_phase.take() {
-            a.phases.push(p);
-        }
-        // Counters are monotonic, so the final phase snapshot carries the
-        // run's cumulative totals.
-        if let Some((_, metrics)) = artifact.metrics.last() {
-            a.sessions_reestablished = counter_sum(metrics, "bgp.router.sessions_reestablished");
-            a.stale_retained = counter_sum(metrics, "bgp.router.stale_retained");
-            a.treat_as_withdraw = counter_sum(metrics, "bgp.router.treat_as_withdraw");
-            a.damped_suppressed = counter_sum(metrics, "bgp.router.damped_suppressed");
-        }
-        if !saw_phase_marker && !artifact.events.is_empty() {
+        if a.phases.is_empty() && !artifact.events.is_empty() {
             // No markers: treat the whole run as one phase.
-            let start = artifact.events.first().map(|r| r.t).unwrap_or(0);
-            let end = artifact.events.last().map(|r| r.t);
-            let last_change =
-                last_routing_change(artifact.events.iter().map(|r| (r.t, &r.event)), 0);
-            let updates_sent = artifact
-                .events
-                .iter()
-                .filter(|r| matches!(r.event, TraceEvent::UpdateSent { .. }))
-                .count() as u64;
             a.phases.push(PhaseSummary {
                 name: "run".into(),
-                start,
-                end,
-                last_change,
-                updates_sent,
+                start: artifact.events[0].t,
+                convergence: None,
+                updates_sent: a.updates_by_node.values().map(|c| c.0).sum(),
             });
+        }
+        // Each metrics line holds its own phase's counts: sum over them all.
+        let total = |name| {
+            let lines = artifact.metrics.iter();
+            lines.map(|m| counter_sum(&m.metrics, name)).sum()
+        };
+        a.sessions_reestablished = total("bgp.router.sessions_reestablished");
+        a.stale_retained = total("bgp.router.stale_retained");
+        a.treat_as_withdraw = total("bgp.router.treat_as_withdraw");
+        a.damped_suppressed = total("bgp.router.damped_suppressed");
+        for p in &mut a.phases {
+            let line = artifact.metrics.iter().find(|m| m.phase == p.name);
+            p.convergence = line.and_then(|m| m.convergence);
         }
         a
     }
@@ -599,22 +592,18 @@ impl RunAnalysis {
             }
         }
         let _ = writeln!(out, "== convergence timeline");
+        let s = |ns: u64| ns as f64 / 1e9;
         for p in &self.phases {
-            let settled = match p.convergence_ns() {
-                Some(ns) => format!(
-                    "last change {:>10.3}s  converged in {:.3}s",
-                    p.last_change.unwrap_or(p.start) as f64 / 1e9,
-                    ns as f64 / 1e9,
-                ),
-                None => "no routing change".into(),
-            };
-            let _ = writeln!(
-                out,
-                "  phase {:<12} start {:>10.3}s  {settled}  ({} updates)",
-                p.name,
-                p.start as f64 / 1e9,
-                p.updates_sent,
-            );
+            let _ = write!(out, "  phase {:<12} start {:>10.3}s  ", p.name, s(p.start));
+            if let Some(c) = p.convergence {
+                let _ = write!(out, "converged in {:.3}s", s(c.converged_ns));
+                if let Some(seen) = c.collector_ns {
+                    let lag = (seen as f64 - c.converged_ns as f64) / 1e9;
+                    let _ = write!(out, " (collector view {:.3}s, lag {lag:+.3}s)", s(seen));
+                }
+                out.push_str("  ");
+            }
+            let _ = writeln!(out, "({} updates)", p.updates_sent);
         }
         let _ = writeln!(
             out,
@@ -686,7 +675,12 @@ mod tests {
         let snapshot = "{\"type\":\"snapshot\",\"nodes\":[{\"a\":[]}]}";
         text.push_str(snapshot);
         text.push('\n');
-        text.push_str(&metrics_line("bring-up", &MetricsSnapshot::default()));
+        let convergence = PhaseConvergence {
+            converged_ns: 7,
+            collector_ns: None,
+        };
+        let metrics = MetricsSnapshot::default();
+        text.push_str(&metrics_line("bring-up", Some(convergence), &metrics));
         text.push('\n');
         let artifact = Artifact::parse(&text).unwrap();
         // The snapshot line is kept as its text, with its line number.
@@ -705,8 +699,14 @@ mod tests {
         assert_eq!(artifact.events.len(), 1);
         assert_eq!(artifact.events[0].t, 5);
         assert_eq!(artifact.events[0].node, Some(3));
-        assert_eq!(artifact.metrics.len(), 1);
-        assert_eq!(artifact.metrics[0].0, "bring-up");
+        assert_eq!(
+            artifact.metrics,
+            [PhaseMetrics {
+                phase: "bring-up".into(),
+                convergence: Some(convergence),
+                metrics: metrics.to_json(),
+            }]
+        );
     }
 
     #[test]
@@ -781,7 +781,6 @@ mod tests {
             event: TraceEvent::ControllerRecompute {
                 trigger: RecomputeTrigger::Resync,
                 prefixes: 4,
-                prefixes_dirty: 0,
                 prefixes_recomputed: 2,
                 prefixes_cached: 0,
                 members: 8,
@@ -794,8 +793,8 @@ mod tests {
         };
         // Fields ahead of "kind" and "type", a duplicate (the first wins),
         // unknown members with nested values, an escaped key and an escaped
-        // value, integral floats, whitespace, "dirty" absent and "cached"
-        // unusable (both read as 0), "node" absent.
+        // value, integral floats, whitespace, "cached" unusable (read as
+        // 0), "node" absent.
         let line = " { \"members\" : 8.0 , \"future\" : { \"a\" : [ 1 , { \"b\" : null } ] } ,
             \"\\u0074\" : 3e0 , \"t\" : 99 , \"kind\" : \"recompute\" , \"kind\" : \"phase\" ,
             \"trigger\" : \"re\\u0073ync\" , \"prefixes\" : 4 , \"recomputed\" : 2 ,
@@ -965,35 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn last_routing_change_counts_typed_routing_changes_only() {
-        let events = [
-            (
-                1,
-                TraceEvent::RibChange {
-                    prefix: pfx(),
-                    old_path: None,
-                    new_path: Some(vec![65001]),
-                },
-            ),
-            (
-                5,
-                TraceEvent::RibChange {
-                    prefix: pfx(),
-                    old_path: Some(vec![65001]),
-                    new_path: None,
-                },
-            ),
-            // A later session event is not a routing change and must not
-            // extend the measured transient.
-            (9, TraceEvent::SessionUp { peer: 3 }),
-        ];
-        let at = |after| last_routing_change(events.iter().map(|(t, e)| (*t, e)), after);
-        assert_eq!(at(2), Some(5));
-        // Changes before the event are excluded.
-        assert_eq!(at(6), None);
-    }
-
-    #[test]
     fn analysis_counts_and_timeline() {
         let artifact = Artifact {
             events: vec![
@@ -1038,7 +1008,6 @@ mod tests {
                     TraceEvent::ControllerRecompute {
                         trigger: RecomputeTrigger::UpdateBatch,
                         prefixes: 1,
-                        prefixes_dirty: 1,
                         prefixes_recomputed: 1,
                         prefixes_cached: 0,
                         members: 4,
@@ -1084,6 +1053,24 @@ mod tests {
                     },
                 ),
             ],
+            metrics: vec![
+                PhaseMetrics {
+                    phase: "bring-up".into(),
+                    convergence: Some(PhaseConvergence {
+                        converged_ns: 20,
+                        collector_ns: None,
+                    }),
+                    metrics: Json::Arr(vec![]),
+                },
+                PhaseMetrics {
+                    phase: "withdrawal".into(),
+                    convergence: Some(PhaseConvergence {
+                        converged_ns: 2_000_000_030,
+                        collector_ns: Some(1_985_000_000),
+                    }),
+                    metrics: Json::Arr(vec![]),
+                },
+            ],
             ..Artifact::default()
         };
         let a = RunAnalysis::from_artifact(&artifact);
@@ -1096,15 +1083,22 @@ mod tests {
         assert_eq!(a.recompute_wall_ns.max(), Some(900));
         assert_eq!(a.phases.len(), 2);
         assert_eq!(a.phases[0].name, "bring-up");
-        assert_eq!(a.phases[0].convergence_ns(), Some(20));
+        assert_eq!(a.phases[0].convergence, artifact.metrics[0].convergence);
         assert_eq!(a.phases[0].updates_sent, 1);
         assert_eq!(a.phases[1].name, "withdrawal");
         assert_eq!(a.phases[1].start, 40);
-        assert_eq!(a.phases[1].convergence_ns(), Some(30));
+        assert_eq!(a.phases[1].convergence, artifact.metrics[1].convergence);
         let report = a.render();
         assert!(report.contains("n1"), "{report}");
         assert!(report.contains("recompute"), "{report}");
-        assert!(report.contains("withdrawal"), "{report}");
+        assert!(
+            report.contains("converged in 0.000s  (1 updates)"),
+            "{report}"
+        );
+        assert!(
+            report.contains("converged in 2.000s (collector view 1.985s, lag -0.015s)"),
+            "{report}"
+        );
     }
 
     #[test]
@@ -1197,7 +1191,11 @@ mod tests {
                 ),
                 ev(20, Some(1), TraceEvent::SessionUp { peer: 2 }),
             ],
-            metrics: vec![("run".into(), counters.to_json())],
+            metrics: vec![PhaseMetrics {
+                phase: "run".into(),
+                convergence: None,
+                metrics: counters.to_json(),
+            }],
             ..Artifact::default()
         };
         let a = RunAnalysis::from_artifact(&artifact);
@@ -1258,6 +1256,51 @@ mod tests {
         let a = RunAnalysis::from_artifact(&artifact);
         assert_eq!(a.phases.len(), 1);
         assert_eq!(a.phases[0].name, "run");
-        assert_eq!(a.phases[0].convergence_ns(), Some(0));
+        assert_eq!(a.phases[0].convergence, None);
+    }
+
+    #[test]
+    fn session_health_sums_every_phase() {
+        // Each metrics line holds only its own phase's counts.
+        let line = |phase: &str, n| {
+            metrics_line(
+                phase,
+                None,
+                &MetricsSnapshot {
+                    entries: vec![(
+                        Some(1),
+                        "bgp.router.sessions_reestablished".into(),
+                        crate::metrics::MetricValue::Counter(n),
+                    )],
+                },
+            )
+        };
+        let text = format!("{}\n{}\n", line("bring-up", 2), line("withdrawal", 3));
+        let a = RunAnalysis::from_artifact(&Artifact::parse(&text).unwrap());
+        assert_eq!(a.sessions_reestablished, 5);
+    }
+
+    #[test]
+    fn an_artifact_without_recorded_convergence_still_reports() {
+        // The metrics line and recompute event as artifacts wrote them
+        // before phases recorded their convergence: a `dirty` member, no
+        // `converged_ns`.
+        let text = "{\"type\":\"run\",\"scenario\":\"clique\"}
+{\"type\":\"event\",\"t\":0,\"node\":null,\"kind\":\"phase\",\"name\":\"withdrawal\",\"started\":true}
+{\"type\":\"event\",\"t\":5,\"node\":9,\"kind\":\"recompute\",\"trigger\":\"update_batch\",\"prefixes\":4,\"dirty\":2,\"recomputed\":2,\"cached\":2,\"members\":4,\"links_up\":6,\"flow_mods\":3,\"announcements\":1,\"withdrawals\":0,\"wall_ns\":900}
+{\"type\":\"event\",\"t\":9,\"node\":null,\"kind\":\"phase\",\"name\":\"withdrawal\",\"started\":false}
+{\"type\":\"metrics\",\"phase\":\"withdrawal\",\"metrics\":[{\"node\":9,\"name\":\"core.controller.prefixes_dirty\",\"counter\":2}]}
+";
+        let artifact = Artifact::parse(text).unwrap();
+        assert_eq!(artifact.metrics[0].convergence, None);
+        let a = RunAnalysis::from_artifact(&artifact);
+        assert_eq!(a.prefixes_recomputed, 2);
+        assert_eq!(a.phases[0].convergence, None);
+        let report = artifact.render_report();
+        assert!(
+            report.contains("  phase withdrawal   start      0.000s  (0 updates)\n"),
+            "{report}"
+        );
+        assert!(!report.contains("converged in"), "{report}");
     }
 }

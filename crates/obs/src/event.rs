@@ -375,8 +375,6 @@ pub enum TraceEvent {
         trigger: RecomputeTrigger,
         /// Prefixes considered.
         prefixes: u32,
-        /// Prefixes in the dirty set for this batch.
-        prefixes_dirty: u32,
         /// Per-prefix computations actually executed.
         prefixes_recomputed: u32,
         /// Tracked prefixes served from the compiled cache.
@@ -521,17 +519,6 @@ impl TraceEvent {
             | TraceEvent::SpeakerEventDropped { .. } => TraceCategory::Ctrl,
             TraceEvent::Note { category, .. } => *category,
         }
-    }
-
-    /// True when this event represents a routing state change — the signal
-    /// the convergence detector watches.
-    pub fn is_routing_change(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::RibChange { .. }
-                | TraceEvent::FlowInstalled { .. }
-                | TraceEvent::FlowRemoved { .. }
-        )
     }
 }
 
@@ -981,7 +968,6 @@ wire_table! {
     ControllerRecompute = "recompute" {
         trigger: "trigger" => Text<RecomputeTrigger>,
         prefixes: "prefixes" => Uint<u32>,
-        prefixes_dirty: "dirty" => U32OrZero,
         prefixes_recomputed: "recomputed" => U32OrZero,
         prefixes_cached: "cached" => U32OrZero,
         members: "members" => Uint<u32>,
@@ -1094,7 +1080,6 @@ mod tests {
         roundtrip(TraceEvent::ControllerRecompute {
             trigger: RecomputeTrigger::UpdateBatch,
             prefixes: 4,
-            prefixes_dirty: 2,
             prefixes_recomputed: 2,
             prefixes_cached: 2,
             members: 8,
@@ -1200,16 +1185,5 @@ mod tests {
         assert!("10.0.0/8".parse::<ObsPrefix>().is_err());
         // Host bits are masked off.
         assert_eq!(ObsPrefix::new(0x0a0a0a0a, 8).to_string(), "10.0.0.0/8");
-    }
-
-    #[test]
-    fn routing_change_classification() {
-        assert!(TraceEvent::RibChange {
-            prefix: ObsPrefix::new(0, 0),
-            old_path: None,
-            new_path: None
-        }
-        .is_routing_change());
-        assert!(!TraceEvent::SessionUp { peer: 0 }.is_routing_change());
     }
 }

@@ -45,9 +45,9 @@ pub mod span;
 pub mod stats;
 
 pub use artifact::{
-    event_line, last_routing_change, metrics_line, write_event_line, write_typed_line, Artifact,
-    ArtifactKind, CampaignArtifact, EventRecord, PhaseSummary, RunAnalysis, RunArtifact,
-    EVENT_LINE_BYTES,
+    event_line, metrics_line, write_event_line, write_typed_line, Artifact, ArtifactKind,
+    CampaignArtifact, EventRecord, PhaseConvergence, PhaseMetrics, PhaseSummary, RunAnalysis,
+    RunArtifact, EVENT_LINE_BYTES,
 };
 pub use campaign::{aggregate_cells, canonicalize_jsonl, CellStats, JobRecord};
 pub use causal::{

@@ -66,8 +66,6 @@ counter_table! {
         /// Retransmit rounds of either end of a control channel.
         CtrlRetransmits = "core.ctrl.retransmits",
         Recomputes = "core.controller.recomputes",
-        /// Always equals `prefixes_recomputed`; kept for the artifact format.
-        PrefixesDirty = "core.controller.prefixes_dirty",
         PrefixesRecomputed = "core.controller.prefixes_recomputed",
         PrefixesCached = "core.controller.prefixes_cached",
         HeadlessEntered = "core.speaker.headless_entered",
@@ -636,7 +634,6 @@ mod tests {
                 "core.ctrl.resyncs",
                 "core.ctrl.retransmits",
                 "core.controller.recomputes",
-                "core.controller.prefixes_dirty",
                 "core.controller.prefixes_recomputed",
                 "core.controller.prefixes_cached",
                 "core.speaker.headless_entered",

@@ -108,7 +108,6 @@ mod reference {
             TraceEvent::ControllerRecompute {
                 trigger,
                 prefixes,
-                prefixes_dirty,
                 prefixes_recomputed,
                 prefixes_cached,
                 members,
@@ -120,7 +119,6 @@ mod reference {
             } => {
                 m.push(("trigger".into(), Json::Str(trigger.name().into())));
                 m.push(("prefixes".into(), Json::U64(*prefixes as u64)));
-                m.push(("dirty".into(), Json::U64(*prefixes_dirty as u64)));
                 m.push(("recomputed".into(), Json::U64(*prefixes_recomputed as u64)));
                 m.push(("cached".into(), Json::U64(*prefixes_cached as u64)));
                 m.push(("members".into(), Json::U64(*members as u64)));
@@ -373,7 +371,6 @@ mod reference {
                 prefixes: get_uint(v, "prefixes")?,
                 // Absent in artifacts written before incremental
                 // recomputation existed; default to 0 so old runs parse.
-                prefixes_dirty: get_uint(v, "dirty").unwrap_or(0),
                 prefixes_recomputed: get_uint(v, "recomputed").unwrap_or(0),
                 prefixes_cached: get_uint(v, "cached").unwrap_or(0),
                 members: get_uint(v, "members")?,
@@ -603,7 +600,7 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
         (arb_u32(), arb_text()).prop_map(|(peer, reason)| TraceEvent::SessionDown { peer, reason }),
         (
             arb_trigger(),
-            (arb_u32(), arb_u32(), arb_u32(), arb_u32()),
+            (arb_u32(), arb_u32(), arb_u32()),
             arb_u32(),
             arb_u32(),
             arb_u32(),
@@ -622,11 +619,10 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
                     withdrawals,
                     wall_ns,
                 )| {
-                    let (prefixes, prefixes_dirty, prefixes_recomputed, prefixes_cached) = counts;
+                    let (prefixes, prefixes_recomputed, prefixes_cached) = counts;
                     TraceEvent::ControllerRecompute {
                         trigger,
                         prefixes,
-                        prefixes_dirty,
                         prefixes_recomputed,
                         prefixes_cached,
                         members,
@@ -906,7 +902,6 @@ proptest! {
         let back = &artifact.events[0].event;
         prop_assert_eq!(back.category(), event.category());
         prop_assert_eq!(back.kind(), event.kind());
-        prop_assert_eq!(back.is_routing_change(), event.is_routing_change());
     }
 
     #[test]

@@ -305,9 +305,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         );
     }
     println!("converged:        {}", out.converged);
-    println!("convergence time: {}", out.convergence);
+    // In seconds to the millisecond, as `report` prints them.
+    println!("convergence time: {:.3}s", out.convergence.as_secs_f64());
     if let Some(c) = out.collector_convergence {
-        println!("collector view:   {c}");
+        println!("collector view:   {:.3}s", c.as_secs_f64());
     }
     println!("updates sent:     {}", out.updates);
     println!("flow mods:        {}", out.flow_mods);

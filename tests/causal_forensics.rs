@@ -3,9 +3,11 @@
 //! measurements — the longest critical path telescopes exactly to the
 //! last routing-table change — and the phase decomposition must explain
 //! Figure 2's shape: the BGP-side phases (MRAI batching and path
-//! hunting) shrink as the SDN fraction grows.
+//! hunting) shrink as the SDN fraction grows. The convergence `bgpsdn
+//! report` reads back from the artifact is the run's own measurement.
 
 use bgp_sdn_emu::prelude::*;
+use proptest::prelude::*;
 
 fn analyze(exp: &Experiment) -> CausalAnalysis {
     let phase_start = exp.phase_start().as_nanos();
@@ -119,32 +121,54 @@ fn bgp_phases_shrink_as_centralization_grows() {
     );
 }
 
-#[test]
-fn the_report_instant_never_trails_the_measured_one() {
-    // Two convergence instants: `measure` reads the activity board, where
-    // UPDATE sends and UPDATE processing count as well as table changes;
-    // `bgpsdn report` reads only RIB and flow changes off the trace. Every
-    // traced table change has its board report in the same callback, so
-    // the report's instant is at or before the measured one.
-    let spec = JobSpec {
-        timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
-        seed: 3,
-        ..JobSpec::clique(8, 0)
-    };
-    let (out, exp) = spec.run(|sim| sim.trace_mut().enable_all());
-    assert!(out.converged);
-    let measured = (exp.phase_start() + out.convergence).as_nanos();
-    let mut text = String::new();
-    spec.render_artifact_into(None, &exp, &mut text);
-    let analysis = RunAnalysis::from_artifact(&Artifact::parse(&text).expect("parses"));
-    let phase = analysis
-        .phases
-        .iter()
-        .find(|p| p.name == "withdrawal")
-        .expect("event phase");
-    let reported = phase.last_change.expect("tables changed");
-    assert!(
-        reported <= measured,
-        "report {reported} ns trails the measured {measured} ns"
-    );
+proptest! {
+    /// The convergence `bgpsdn report` prints is the run's own: over random
+    /// clique jobs — every event, placement and cluster count, with and
+    /// without a chaos schedule — the measured instant and the collector
+    /// view that the event phase's `metrics` line records equal the job
+    /// outcome's to the nanosecond.
+    #[test]
+    fn the_report_reads_the_measured_convergence(
+        n in 5usize..=7,
+        event in 0usize..3,
+        pick in any::<u64>(),
+        mrai in 1u64..=5,
+        outages in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let events = [EventKind::Withdrawal, EventKind::Announcement, EventKind::Failover];
+        let placements = [Placement::Tail, Placement::Random, Placement::Degree, Placement::KCore];
+        let grid = CampaignGrid {
+            n,
+            event: events[event],
+            cluster_sizes: vec![pick as usize % (n + 1)],
+            clusters: vec![1 + (pick >> 8) as usize % 2],
+            strategy: placements[(pick >> 16) as usize % placements.len()],
+            mrai: SimDuration::from_secs(mrai),
+            base_seed: seed,
+            faults: (outages > 0).then_some(FaultSpec {
+                outages,
+                horizon: SimDuration::from_secs(30),
+                classes: FaultClasses::ALL,
+            }),
+            ..CampaignGrid::fig2(1)
+        };
+        prop_assume!(grid.preflight().ok());
+        let spec = grid.expand()[0].spec();
+        let (out, exp) = spec.run(|sim| sim.trace_mut().enable(TraceCategory::Experiment));
+        let mut text = String::new();
+        spec.render_artifact_into(None, &exp, &mut text);
+        let analysis = RunAnalysis::from_artifact(&Artifact::parse(&text).expect("parses"));
+        let phase = analysis
+            .phases
+            .iter()
+            .find(|p| p.name == spec.event.name())
+            .expect("an event phase");
+        let recorded = phase.convergence.expect("the phase recorded its convergence");
+        prop_assert_eq!(recorded.converged_ns, out.convergence.as_nanos());
+        prop_assert_eq!(
+            recorded.collector_ns,
+            out.collector_convergence.map(SimDuration::as_nanos)
+        );
+    }
 }

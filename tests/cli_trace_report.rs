@@ -305,3 +305,44 @@ fn run_rejects_a_mistyped_flag() {
     assert!(err.contains("does not read --sed"), "{err}");
     assert!(run.stdout.is_empty(), "rejected before anything is printed");
 }
+
+#[test]
+fn report_prints_the_convergence_run_printed() {
+    // Pure BGP converges in seconds, a 5-of-6 cluster in milliseconds.
+    for sdn in ["0", "5"] {
+        let path = artifact_path(&format!("same-instant-{sdn}"));
+        let run = bgpsdn()
+            .args(["run", "--event", "withdrawal", "--sdn", sdn, "--n", "6"])
+            .args(["--mrai", "5", "--trace-out"])
+            .arg(&path)
+            .output()
+            .expect("spawn bgpsdn run");
+        let run_out = String::from_utf8_lossy(&run.stdout);
+        assert!(run.status.success(), "{run_out}");
+        let field = |label: &str| {
+            let line = run_out.lines().find(|l| l.starts_with(label));
+            line.and_then(|l| l.split_whitespace().last())
+                .unwrap_or_else(|| panic!("no {label:?} in {run_out}"))
+                .to_string()
+        };
+        let (measured, collector) = (field("convergence time:"), field("collector view:"));
+
+        let report = bgpsdn()
+            .arg("report")
+            .arg(&path)
+            .output()
+            .expect("spawn report");
+        assert!(report.status.success());
+        let out = String::from_utf8_lossy(&report.stdout);
+        let phase = out
+            .lines()
+            .find(|l| l.trim_start().starts_with("phase withdrawal"))
+            .unwrap_or_else(|| panic!("no withdrawal phase in {out}"));
+        let want = format!("converged in {measured} (collector view {collector}, lag ");
+        assert!(
+            phase.contains(&want),
+            "run printed {measured} / {collector}: {phase}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
