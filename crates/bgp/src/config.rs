@@ -29,8 +29,6 @@ pub struct TimingConfig {
     /// negotiated window (min of both sides) after a hold-timer expiry.
     /// 0 disables GR entirely (the default).
     pub graceful_restart_secs: u16,
-    /// Give up re-trying a session after this many consecutive failures.
-    pub max_connect_retries: u32,
 }
 
 impl Default for TimingConfig {
@@ -40,7 +38,6 @@ impl Default for TimingConfig {
             processing_delay: (SimDuration::from_millis(1), SimDuration::from_millis(10)),
             hold_time_secs: 0,
             graceful_restart_secs: 0,
-            max_connect_retries: 5,
         }
     }
 }
@@ -162,9 +159,8 @@ impl RouterConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::{
-        effective_mrai, CONNECT_RETRY, CONNECT_STAGGER, KEEPALIVE_DIVISOR, MRAI_JITTER,
-    };
+    use crate::router::{effective_mrai, MRAI_JITTER};
+    use crate::session::{CONNECT_RETRY, CONNECT_STAGGER, KEEPALIVE_DIVISOR, MAX_CONNECT_RETRIES};
 
     #[test]
     fn default_timing_matches_quagga_profile() {
@@ -174,6 +170,7 @@ mod tests {
         assert_eq!(KEEPALIVE_DIVISOR, 3);
         assert_eq!(CONNECT_STAGGER, SimDuration::from_millis(100));
         assert_eq!(CONNECT_RETRY, SimDuration::from_secs(1));
+        assert_eq!(MAX_CONNECT_RETRIES, 5);
         assert_eq!(t.hold_time_secs, 0, "keepalives off by default");
         assert_eq!(t.graceful_restart_secs, 0, "GR off by default");
     }

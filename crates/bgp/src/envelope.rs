@@ -43,22 +43,17 @@ pub struct BgpEnvelope {
 impl BgpEnvelope {
     /// Encode `msg` into an envelope with no causal lineage.
     pub fn new(src: NodeId, dst: NodeId, msg: &BgpMessage) -> Self {
-        Self::with_cause(src, dst, msg, Cause::NONE)
-    }
-
-    /// Encode `msg` into an envelope carrying causal lineage.
-    pub fn with_cause(src: NodeId, dst: NodeId, msg: &BgpMessage, cause: Cause) -> Self {
         BgpEnvelope {
             src,
             dst,
             bytes: msg.encode().into(),
-            cause,
+            cause: Cause::NONE,
         }
     }
 
-    /// [`with_cause`](Self::with_cause), encoding through a caller-owned
-    /// scratch writer. Senders on the hot path (the router, the cluster
-    /// speaker) keep one [`Writer`] per node, so a message that fits
+    /// Encode `msg` into an envelope carrying causal lineage, through a
+    /// caller-owned scratch writer. The session driver keeps one
+    /// [`Writer`] per node, so a message that fits
     /// [`WireBytes`] inline is sent without allocating and a longer one
     /// with a single exact-size allocation.
     pub fn with_cause_scratch(

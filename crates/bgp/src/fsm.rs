@@ -1,11 +1,15 @@
 //! BGP session finite-state machine (RFC 4271 §8, simplified).
 //!
 //! The simulator's links stand in for TCP, so the Connect/Active states
-//! collapse: a session starts by sending OPEN directly. The handshake logic
-//! is shared by the full router, the cluster BGP speaker and the route
-//! collector via [`SessionHandshake`].
-
-use std::fmt;
+//! collapse: a session starts by sending OPEN directly. [`SessionHandshake`]
+//! is the message-level machine only. The router and the cluster speaker
+//! reach it through the one session driver ([`crate::session`]), which
+//! settled the five rules their two copies disagreed on, each the router's:
+//! retry `r` waits `jittered(1 s · 2^(r−1))`; a retry supervises itself and
+//! resets a half-open handshake; an Established session treats a malformed
+//! UPDATE as withdraw, any other decode error resets; only the close of an
+//! Established session is reported; five retries at most. The passive
+//! route collector, which arms no timers, drives a bare handshake.
 
 use crate::msg::{BgpMessage, Capability, NotifCode, NotificationMsg, OpenMsg};
 use crate::types::{Asn, RouterId};
@@ -22,17 +26,6 @@ pub enum SessionState {
     OpenConfirm,
     /// Session fully up; UPDATEs may flow.
     Established,
-}
-
-impl fmt::Display for SessionState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SessionState::Idle => "Idle",
-            SessionState::OpenSent => "OpenSent",
-            SessionState::OpenConfirm => "OpenConfirm",
-            SessionState::Established => "Established",
-        })
-    }
 }
 
 /// Events surfaced to the owner of a handshake.
@@ -95,37 +88,14 @@ impl SessionHandshake {
         self.gr_secs = secs;
     }
 
-    /// The restart time we advertise (0 = GR disabled).
-    pub fn graceful_restart_secs(&self) -> u16 {
-        self.gr_secs
-    }
-
-    /// The peer's advertised RFC 4724 restart time, if its OPEN carried the
-    /// capability. `None` means the peer doesn't do graceful restart.
-    pub(crate) fn peer_graceful_restart_secs(&self) -> Option<u16> {
-        self.remote_open
-            .as_ref()?
-            .capabilities
-            .iter()
-            .find_map(|c| match c {
-                Capability::GracefulRestart { restart_time_secs } => Some(*restart_time_secs),
-                _ => None,
-            })
-    }
-
     /// Current state.
-    pub fn state(&self) -> SessionState {
+    pub(crate) fn state(&self) -> SessionState {
         self.state
     }
 
     /// True when UPDATEs may flow.
     pub fn is_established(&self) -> bool {
         self.state == SessionState::Established
-    }
-
-    /// The peer's OPEN message, once the handshake has seen it.
-    pub(crate) fn remote_open(&self) -> Option<&OpenMsg> {
-        self.remote_open.as_ref()
     }
 
     /// Negotiated hold time: the smaller of both proposals (0 = disabled).
@@ -147,7 +117,7 @@ impl SessionHandshake {
     }
 
     /// Actively start the session. Returns messages to send.
-    pub fn start(&mut self) -> Vec<BgpMessage> {
+    pub(crate) fn start(&mut self) -> Vec<BgpMessage> {
         match self.state {
             SessionState::Idle => {
                 self.state = SessionState::OpenSent;
@@ -158,7 +128,7 @@ impl SessionHandshake {
     }
 
     /// Reset to Idle (link down / admin). The owner handles route cleanup.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.state = SessionState::Idle;
         self.remote_open = None;
     }
@@ -376,9 +346,10 @@ mod tests {
         // b does not advertise GR.
         run_handshake(&mut a, &mut b, true, true);
         assert!(a.is_established() && b.is_established());
-        assert_eq!(b.peer_graceful_restart_secs(), Some(120));
-        assert_eq!(a.peer_graceful_restart_secs(), None);
-        assert_eq!(a.graceful_restart_secs(), 120);
+        let peer_gr = |h: &SessionHandshake| h.remote_open.as_ref()?.graceful_restart_secs();
+        assert_eq!(peer_gr(&b), Some(120));
+        assert_eq!(peer_gr(&a), None);
+        assert_eq!(a.gr_secs, 120);
     }
 
     #[test]
@@ -452,7 +423,7 @@ mod tests {
         run_handshake(&mut a, &mut b, true, true);
         a.reset();
         assert_eq!(a.state(), SessionState::Idle);
-        assert!(a.remote_open().is_none());
+        assert!(a.remote_open.is_none());
         // Can re-establish after reset.
         b.reset();
         run_handshake(&mut a, &mut b, true, false);

@@ -7,8 +7,8 @@
 //! * the RFC 4271 **wire codec** ([`msg`], [`attrs`], [`wire`]) — every
 //!   message that crosses a simulated link is encoded to and decoded from
 //!   real BGP bytes;
-//! * the **session FSM** ([`fsm`]) shared by routers, the cluster BGP
-//!   speaker and the route collector;
+//! * the **session FSM** ([`fsm`]) and the one **session driver**
+//!   ([`session`]) every router and cluster speaker session runs on;
 //! * the three **RIBs** ([`rib`]) and the RFC 4271 §9.1 **decision process**
 //!   ([`decision`]); a route's attributes are decoded once and handed from
 //!   stage to stage by [`SharedAttrs`] handle;
@@ -16,8 +16,8 @@
 //!   paper's customer-to-provider / peer-to-peer configuration) and
 //!   Quagga-style route maps;
 //! * the event-driven **router node** ([`router`]) with jittered MRAI
-//!   pacing, per-UPDATE processing delay, hold/keepalive timers, loop
-//!   detection and session retry logic.
+//!   pacing, per-UPDATE processing delay, loop detection, route-flap
+//!   damping and graceful-restart retention.
 
 #![warn(missing_docs)]
 
@@ -32,6 +32,7 @@ pub mod msg;
 pub mod policy;
 pub mod rib;
 pub mod router;
+pub mod session;
 pub mod types;
 pub mod wire;
 
@@ -48,6 +49,7 @@ pub use policy::{
     RouteMap, Rule, SetAction,
 };
 pub use rib::{AdjRibIn, AdjRibOut, LocRib, LocRibEntry, PeerIdx, RibInEntry, RouteSource};
-pub use router::{BgpRouter, RouterStats, CONNECT_RETRY, CONNECT_STAGGER};
+pub use router::{BgpRouter, RouterStats};
+pub use session::{SessionConfig, SessionOwner, Sessions};
 pub use types::{pfx, Asn, Prefix, PrefixError, RouterId, SharedPath};
 pub use wire::CodecError;

@@ -86,6 +86,14 @@ impl OpenMsg {
             ],
         }
     }
+
+    /// The sender's RFC 4724 restart time; `None` without the capability.
+    pub(crate) fn graceful_restart_secs(&self) -> Option<u16> {
+        self.capabilities.iter().find_map(|c| match c {
+            Capability::GracefulRestart { restart_time_secs } => Some(*restart_time_secs),
+            _ => None,
+        })
+    }
 }
 
 /// The prefixes of one UPDATE block. Nearly every UPDATE names one prefix

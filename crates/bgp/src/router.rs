@@ -1,7 +1,8 @@
 //! The BGP router node — the framework's Quagga `bgpd` equivalent.
 //!
 //! One router emulates one AS (the paper's one-device-per-AS abstraction).
-//! It runs the session FSM with every configured neighbor, maintains
+//! It runs a session with every configured neighbor through the session
+//! driver ([`crate::session`]), maintains
 //! Adj-RIB-In / Loc-RIB / Adj-RIB-Out, applies relationship policies and
 //! route maps, paces advertisements with a jittered per-peer MRAI timer and
 //! models per-UPDATE processing delay. All messages cross the simulated
@@ -18,44 +19,28 @@ use bgpsdn_netsim::{
 use crate::attrs::{PathAttributes, SharedAttrs};
 use crate::config::{NeighborConfig, RouterConfig};
 use crate::decision::{self, Candidate};
-use crate::envelope::{BgpApp, BgpEnvelope, RouterCommand};
-use crate::fsm::{CloseReason, SessionEvent, SessionHandshake, SessionState};
+use crate::envelope::{BgpApp, RouterCommand};
+use crate::fsm::{CloseReason, SessionState};
 use crate::inline::InlineVec;
-use crate::msg::{BgpMessage, NotifCode, NotificationMsg, PrefixList, UpdateMsg};
+use crate::msg::{BgpMessage, NotifCode, OpenMsg, PrefixList, UpdateMsg};
 use crate::policy;
 use crate::rib::{
     self, AdjRibIn, AdjRibOut, LocRib, LocRibEntry, PeerIdx, RibInEntry, RouteSource,
 };
+use crate::session::{tok, SessionConfig, SessionOwner, Sessions, FIRST_OWNER_KIND, KIND_BITS};
 use crate::types::{Asn, Prefix, RouterId};
-use crate::wire::Writer;
 
-// Timer token layout: `payload << 3 | kind`. The five per-peer timers are
-// named timers (re-armed and cancelled; payload = peer index), so their
-// tokens are small and dense as the simulator requires of named tokens.
-// K_PROCESS and K_DAMP are one-shot firings: K_PROCESS carries no payload
-// (the firing takes the front of `in_queue`), K_DAMP the prefix to
-// reselect (`network << 8 | length`).
-const K_CONNECT: u64 = 0;
-const K_MRAI: u64 = 1;
-const K_KEEPALIVE: u64 = 2;
-const K_HOLD: u64 = 3;
-const K_GRSTALE: u64 = 4;
-const K_PROCESS: u64 = 5;
-const K_DAMP: u64 = 6;
-const KIND_BITS: u32 = 3;
+// Timer kinds beside the session driver's: K_MRAI and K_GRSTALE are named
+// per-peer timers; the one-shot K_PROCESS takes the front of `in_queue`,
+// the one-shot K_DAMP carries the prefix to reselect (`network << 8 | len`).
+const K_MRAI: u64 = FIRST_OWNER_KIND;
+const K_GRSTALE: u64 = FIRST_OWNER_KIND + 1;
+const K_PROCESS: u64 = FIRST_OWNER_KIND + 2;
+const K_DAMP: u64 = FIRST_OWNER_KIND + 3;
 
 /// MRAI jitter window as fractions of the interval (RFC 4271 §9.2.1.1:
 /// 0.75–1.0).
 pub(crate) const MRAI_JITTER: (f64, f64) = (0.75, 1.0);
-/// Keepalive interval as a fraction of the hold time (RFC 4271 suggests
-/// one third).
-pub(crate) const KEEPALIVE_DIVISOR: u64 = 3;
-/// Maximum random stagger before a session's first OPEN, at start-up and
-/// after its link comes back, so OPENs do not all collide at one instant.
-pub const CONNECT_STAGGER: SimDuration = SimDuration::from_millis(100);
-/// Base delay before a failed session is retried; it doubles per
-/// consecutive failure.
-pub const CONNECT_RETRY: SimDuration = SimDuration::from_secs(1);
 
 /// The advertisement interval toward one neighbor: a monitoring session
 /// toward a route collector is not throttled, so measurements see updates
@@ -66,10 +51,6 @@ pub(crate) fn effective_mrai(neighbor: &NeighborConfig, mrai: SimDuration) -> Si
     } else {
         mrai
     }
-}
-
-fn tok(kind: u64, payload: u64) -> TimerToken {
-    TimerToken(payload << KIND_BITS | kind)
 }
 
 /// The prefix an UPDATE's causal events are attributed to (first announced,
@@ -124,16 +105,15 @@ struct PrefixCause {
     last_rib: Option<u64>,
 }
 
-#[derive(Debug)]
+/// A neighbor's routing state beside its session.
+#[derive(Debug, Default)]
 struct PeerRuntime {
-    handshake: SessionHandshake,
     remote_router_id: RouterId,
     adj_out: AdjRibOut,
     /// Changes not yet sent, prefix-sorted; drained in place on every flush
     /// so the buffer is reused for the life of the session.
     pending: Vec<(Prefix, OutChange)>,
     mrai_armed: bool,
-    retries: u32,
     /// Ever reached Established (distinguishes first bring-up from a
     /// re-establishment for the `sessions_reestablished` counter).
     ever_established: bool,
@@ -149,30 +129,12 @@ struct PeerRuntime {
     gr_resumed_at: Option<SimTime>,
 }
 
-impl PeerRuntime {
-    fn new(handshake: SessionHandshake) -> Self {
-        PeerRuntime {
-            handshake,
-            remote_router_id: RouterId(0),
-            adj_out: AdjRibOut::default(),
-            pending: Vec::new(),
-            mrai_armed: false,
-            retries: 0,
-            ever_established: false,
-            peer_gr_secs: 0,
-            gr_stale: false,
-            gr_resumed_at: None,
-        }
-    }
-}
-
 /// A BGP router attached to the simulator.
 pub struct BgpRouter<M: BgpApp> {
     id: NodeId,
     cfg: RouterConfig,
-    /// `(neighbor node, its index)`, sorted by node: the lookup every
-    /// received message starts with.
-    by_peer_node: Vec<(NodeId, PeerIdx)>,
+    /// One session per neighbor, indexed like `peers` and `cfg.neighbors`.
+    sessions: Sessions,
     peers: Vec<PeerRuntime>,
     adj_in: AdjRibIn,
     loc_rib: LocRib,
@@ -184,9 +146,6 @@ pub struct BgpRouter<M: BgpApp> {
     last_proc_due: SimTime,
     causes: HashMap<Prefix, PrefixCause>,
     damping: HashMap<(PeerIdx, Prefix), crate::damping::DampingState>,
-    /// Encode scratch reused for every outgoing message, so the send path
-    /// allocates only for a message too long to ride inline in its envelope.
-    wire_scratch: Writer,
     /// Grouping buffer of `send_pending`, drained by every flush.
     groups: Vec<(SharedAttrs, PrefixList)>,
     counters: Counters,
@@ -201,7 +160,7 @@ impl<M: BgpApp> BgpRouter<M> {
         let mut router = BgpRouter {
             id,
             cfg,
-            by_peer_node: Vec::with_capacity(neighbors.len()),
+            sessions: Sessions::default(),
             peers: Vec::with_capacity(neighbors.len()),
             adj_in: AdjRibIn::default(),
             loc_rib: LocRib::default(),
@@ -210,7 +169,6 @@ impl<M: BgpApp> BgpRouter<M> {
             last_proc_due: SimTime::ZERO,
             causes: HashMap::new(),
             damping: HashMap::new(),
-            wire_scratch: Writer::with_capacity(64),
             groups: Vec::new(),
             counters: Counters::default(),
             _m: PhantomData,
@@ -226,21 +184,18 @@ impl<M: BgpApp> BgpRouter<M> {
     /// routers bare and attach neighbors before the simulation starts.
     /// Must not be called on a running router.
     pub fn add_neighbor(&mut self, n: NeighborConfig) {
-        match self
-            .by_peer_node
-            .binary_search_by_key(&n.peer, |(node, _)| *node)
-        {
-            Ok(_) => panic!("duplicate neighbor {}", n.peer),
-            Err(at) => self.by_peer_node.insert(at, (n.peer, self.peers.len())),
-        }
-        let mut handshake = SessionHandshake::new(
-            self.cfg.asn,
-            self.cfg.router_id,
-            self.cfg.timing.hold_time_secs,
-            Some(n.remote_asn),
-        );
-        handshake.set_graceful_restart(self.cfg.timing.graceful_restart_secs);
-        self.peers.push(PeerRuntime::new(handshake));
+        self.sessions.add(SessionConfig {
+            local: self.id,
+            asn: self.cfg.asn,
+            router_id: self.cfg.router_id,
+            peer: n.peer,
+            remote_asn: n.remote_asn,
+            link: n.link,
+            hold_secs: self.cfg.timing.hold_time_secs,
+            graceful_restart_secs: self.cfg.timing.graceful_restart_secs,
+            updates_sent: Counter::UpdatesSent,
+        });
+        self.peers.push(PeerRuntime::default());
         self.cfg.neighbors.push(n);
     }
 
@@ -289,18 +244,11 @@ impl<M: BgpApp> BgpRouter<M> {
         self.originated.iter().copied()
     }
 
-    /// Index of the neighbor behind a node.
-    fn peer_idx(&self, peer: NodeId) -> Option<PeerIdx> {
-        let at = self
-            .by_peer_node
-            .binary_search_by_key(&peer, |(node, _)| *node)
-            .ok()?;
-        Some(self.by_peer_node[at].1)
-    }
-
     /// Session state toward a logical peer.
     pub fn session_state(&self, peer: NodeId) -> Option<SessionState> {
-        self.peer_idx(peer).map(|i| self.peers[i].handshake.state())
+        self.sessions
+            .find(self.id, peer)
+            .map(|i| self.sessions.state(i))
     }
 
     /// The best route for a prefix, if any.
@@ -319,48 +267,9 @@ impl<M: BgpApp> BgpRouter<M> {
 
     /// What was last advertised to a logical peer for a prefix.
     pub fn advertised_to(&self, peer: NodeId, prefix: Prefix) -> Option<&SharedAttrs> {
-        self.peers[self.peer_idx(peer)?].adj_out.get(prefix)
-    }
-
-    // ------------------------------------------------------------------
-    // Sending helpers
-    // ------------------------------------------------------------------
-
-    fn send_msg(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx, msg: &BgpMessage) {
-        self.send_msg_caused(ctx, peer, msg, Cause::NONE);
-    }
-
-    fn send_msg_caused(
-        &mut self,
-        ctx: &mut Ctx<'_, M>,
-        peer: PeerIdx,
-        msg: &BgpMessage,
-        cause: Cause,
-    ) {
-        let (peer_node, link) = {
-            let n = &self.cfg.neighbors[peer];
-            (n.peer, n.link)
-        };
-        if let BgpMessage::Update(u) = msg {
-            ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateSent {
-                peer: peer_node.0,
-                announced: u.nlri.iter().map(|&p| p.into()).collect(),
-                withdrawn: u.withdrawn.iter().map(|&p| p.into()).collect(),
-            });
-            ctx.count(Counter::UpdatesSent, 1);
-            ctx.report(Activity::UpdateSent);
-        } else {
-            ctx.trace(TraceCategory::Msg, || TraceEvent::Note {
-                category: TraceCategory::Msg,
-                text: format!("-> {peer_node} {msg}"),
-            });
-        }
-        if matches!(msg, BgpMessage::Notification(_)) {
-            ctx.count(Counter::NotificationsSent, 1);
-        }
-        let env =
-            BgpEnvelope::with_cause_scratch(self.id, peer_node, msg, cause, &mut self.wire_scratch);
-        ctx.send(link, M::from_bgp(env));
+        self.peers[self.sessions.find(self.id, peer)?]
+            .adj_out
+            .get(prefix)
     }
 
     // ------------------------------------------------------------------
@@ -415,105 +324,6 @@ impl<M: BgpApp> BgpRouter<M> {
         ctx.causal_edge(pc.current, CausalPhase::MraiWait, Some(first.into()))
     }
 
-    // ------------------------------------------------------------------
-    // Session lifecycle
-    // ------------------------------------------------------------------
-
-    fn schedule_connect(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx, delay: SimDuration) {
-        ctx.set_timer(delay, tok(K_CONNECT, peer as u64), TimerClass::Progress);
-    }
-
-    fn connect_now(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
-        if self.peers[peer].handshake.is_established() {
-            return;
-        }
-        if !ctx.link_up(self.cfg.neighbors[peer].link) {
-            return;
-        }
-        if self.peers[peer].handshake.state() != SessionState::Idle {
-            if self.peers[peer].retries == 0 {
-                // Bring-up race: the peer's OPEN already moved this
-                // handshake along before our own staggered start fired.
-                // Leave it to complete.
-                return;
-            }
-            // A supervised reconnect found the previous attempt hanging
-            // half-open: its OPEN (or the peer's reply) was lost —
-            // typically sent while the peer was crashed. Without
-            // intervention both ends can deadlock, one in OpenSent and
-            // one in OpenConfirm, each waiting for a message the other
-            // already sent. Tell the peer to discard any stale
-            // half-state, then start over.
-            let cease = BgpMessage::Notification(NotificationMsg {
-                code: NotifCode::Cease,
-                subcode: 0,
-                data: vec![],
-            });
-            self.send_msg(ctx, peer, &cease);
-            self.peers[peer].handshake.reset();
-        }
-        let msgs = self.peers[peer].handshake.start();
-        for m in msgs {
-            self.send_msg(ctx, peer, &m);
-        }
-        // A reconnect attempt supervises itself: if the handshake is still
-        // not Established when the doubled backoff elapses, the timer
-        // fires again and re-issues the OPEN. Initial bring-up (retries
-        // == 0) stays unsupervised so a fault-free run arms no extra
-        // timers. The delay is deterministic (no jitter draw) so a
-        // supervision chain never perturbs the node's RNG stream.
-        let retries = self.peers[peer].retries;
-        if retries > 0 && retries < self.cfg.timing.max_connect_retries {
-            self.peers[peer].retries += 1;
-            let delay = CONNECT_RETRY.saturating_mul(1 << retries.min(6));
-            self.schedule_connect(ctx, peer, delay);
-        }
-    }
-
-    fn on_established(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
-        self.peers[peer].retries = 0;
-        self.peers[peer].remote_router_id = self.peers[peer]
-            .handshake
-            .remote_open()
-            .expect("established implies OPEN")
-            .router_id;
-        // Capture the peer's GR capability now: the handshake forgets its
-        // OPEN on reset, but the retention decision happens after the reset.
-        self.peers[peer].peer_gr_secs = self.peers[peer]
-            .handshake
-            .peer_graceful_restart_secs()
-            .unwrap_or(0);
-        let peer_node = self.cfg.neighbors[peer].peer;
-        ctx.trace(TraceCategory::Session, || TraceEvent::SessionUp {
-            peer: peer_node.0,
-        });
-        ctx.count(Counter::SessionsEstablished, 1);
-        if self.peers[peer].ever_established {
-            ctx.count(Counter::SessionsReestablished, 1);
-        } else {
-            self.peers[peer].ever_established = true;
-        }
-        // RFC 4724: the restarting peer is back inside the GR window. Mark
-        // the resume instant — routes it re-announces from here on are
-        // fresh; the K_GRSTALE timer flushes whatever stays older.
-        if self.peers[peer].gr_stale {
-            self.peers[peer].gr_resumed_at = Some(ctx.now());
-            ctx.trace(TraceCategory::Session, || TraceEvent::Note {
-                category: TraceCategory::Session,
-                text: format!("graceful restart: {peer_node} resumed inside GR window"),
-            });
-        }
-        // Arm keepalive/hold when negotiated.
-        let hold = self.peers[peer].handshake.negotiated_hold_secs();
-        if hold > 0 {
-            let hold_d = SimDuration::from_secs(hold as u64);
-            let ka = hold_d / KEEPALIVE_DIVISOR;
-            ctx.set_timer(ka, tok(K_KEEPALIVE, peer as u64), TimerClass::Maintenance);
-            ctx.set_timer(hold_d, tok(K_HOLD, peer as u64), TimerClass::Maintenance);
-        }
-        self.export_table(ctx, peer);
-    }
-
     /// Queue the whole Loc-RIB toward one peer (initial table sync, ROUTE
     /// REFRESH) and flush.
     fn export_table(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
@@ -528,42 +338,6 @@ impl<M: BgpApp> BgpRouter<M> {
             );
         }
         self.maybe_flush(ctx, peer);
-    }
-
-    fn drop_session(
-        &mut self,
-        ctx: &mut Ctx<'_, M>,
-        peer: PeerIdx,
-        reason: CloseReason,
-        notify: Option<NotifCode>,
-    ) {
-        if let Some(code) = notify {
-            let msg = BgpMessage::Notification(NotificationMsg {
-                code,
-                subcode: 0,
-                data: vec![],
-            });
-            self.send_msg(ctx, peer, &msg);
-        }
-        let was_established = self.peers[peer].handshake.is_established();
-        self.peers[peer].handshake.reset();
-        self.cleanup_after_close(ctx, peer, was_established, &reason);
-        // Schedule a retry with exponential backoff unless the link is gone
-        // (link-up will restart the session).
-        if !matches!(reason, CloseReason::LinkDown) {
-            self.schedule_retry(ctx, peer);
-        }
-    }
-
-    /// Exponential-backoff reconnect, bounded by `max_connect_retries`.
-    fn schedule_retry(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
-        if self.peers[peer].retries >= self.cfg.timing.max_connect_retries {
-            return;
-        }
-        self.peers[peer].retries += 1;
-        let base = CONNECT_RETRY.saturating_mul(1 << (self.peers[peer].retries - 1).min(6));
-        let delay = ctx.rng().jittered(base, 0.75, 1.0);
-        self.schedule_connect(ctx, peer, delay);
     }
 
     // ------------------------------------------------------------------
@@ -640,7 +414,7 @@ impl<M: BgpApp> BgpRouter<M> {
                 let payload = u64::from(prefix.network_u32()) << 8 | u64::from(prefix.len());
                 ctx.schedule_timer(
                     now + eta + SimDuration::from_millis(1),
-                    tok(K_DAMP, payload),
+                    tok(K_DAMP, payload as usize),
                     TimerClass::Progress,
                 );
             }
@@ -697,14 +471,17 @@ impl<M: BgpApp> BgpRouter<M> {
             // One export view per best-path change, shared by every peer.
             let mut view = None;
             for (peer, rt) in self.peers.iter_mut().enumerate() {
-                Self::enqueue_export(&self.cfg, rt, peer, prefix, best, &mut view);
+                if self.sessions.is_established(peer) {
+                    Self::enqueue_export(&self.cfg, rt, peer, prefix, best, &mut view);
+                }
             }
         }
         changed
     }
 
-    /// Compute the desired advertisement of `prefix` toward `peer` (whose
-    /// runtime is `rt`), given the prefix's Loc-RIB entry `best`, and queue
+    /// Compute the desired advertisement of `prefix` toward Established
+    /// `peer` (whose runtime is `rt`), given the prefix's Loc-RIB entry
+    /// `best`, and queue
     /// the delta. `view` caches the prefix's export view across the peers of
     /// one fan-out: it is built for the first peer the route may go to and
     /// every later peer gets the same handle.
@@ -716,9 +493,6 @@ impl<M: BgpApp> BgpRouter<M> {
         best: Option<&LocRibEntry>,
         view: &mut Option<SharedAttrs>,
     ) {
-        if !rt.handshake.is_established() {
-            return;
-        }
         let change = match best {
             Some(entry) if Self::export_permitted(cfg, peer, entry.source) => {
                 let view = view.get_or_insert_with(|| Self::export_view(cfg, entry));
@@ -764,7 +538,7 @@ impl<M: BgpApp> BgpRouter<M> {
 
     /// Flush pending changes to one peer, respecting MRAI.
     fn maybe_flush(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
-        if !self.peers[peer].handshake.is_established() || self.peers[peer].pending.is_empty() {
+        if !self.sessions.is_established(peer) || self.peers[peer].pending.is_empty() {
             return;
         }
         if self.peers[peer].mrai_armed {
@@ -783,7 +557,7 @@ impl<M: BgpApp> BgpRouter<M> {
             if !really.is_empty() {
                 let cause = self.update_cause(ctx, &really);
                 let msg = BgpMessage::Update(UpdateMsg::withdraw(really));
-                self.send_msg_caused(ctx, peer, &msg, cause);
+                self.sessions.send(ctx, peer, &msg, cause);
             }
             return;
         }
@@ -793,7 +567,7 @@ impl<M: BgpApp> BgpRouter<M> {
             self.peers[peer].mrai_armed = true;
             let (lo, hi) = MRAI_JITTER;
             let delay = ctx.rng().jittered(mrai, lo, hi);
-            ctx.set_timer(delay, tok(K_MRAI, peer as u64), TimerClass::Progress);
+            ctx.set_timer(delay, tok(K_MRAI, peer), TimerClass::Progress);
         }
     }
 
@@ -828,13 +602,13 @@ impl<M: BgpApp> BgpRouter<M> {
         if !withdraws.is_empty() {
             let cause = self.update_cause(ctx, &withdraws);
             let msg = BgpMessage::Update(UpdateMsg::withdraw(withdraws));
-            self.send_msg_caused(ctx, peer, &msg, cause);
+            self.sessions.send(ctx, peer, &msg, cause);
             sent = true;
         }
         for (attrs, prefixes) in groups.drain(..) {
             let cause = self.update_cause(ctx, &prefixes);
             let msg = BgpMessage::Update(UpdateMsg::announce(prefixes, attrs));
-            self.send_msg_caused(ctx, peer, &msg, cause);
+            self.sessions.send(ctx, peer, &msg, cause);
             sent = true;
         }
         self.groups = groups;
@@ -858,7 +632,7 @@ impl<M: BgpApp> BgpRouter<M> {
         upd: UpdateMsg,
         cause: Cause,
     ) {
-        if !self.peers[peer].handshake.is_established() {
+        if !self.sessions.is_established(peer) {
             return; // session dropped while the update sat in the CPU queue
         }
         ctx.report(Activity::UpdateReceived);
@@ -959,7 +733,7 @@ impl<M: BgpApp> BgpRouter<M> {
                     category: TraceCategory::Session,
                     text: format!("max-prefix limit {limit} exceeded; tearing session down"),
                 });
-                self.drop_session(ctx, peer, CloseReason::AdminReset, Some(NotifCode::Cease));
+                self.close_session(ctx, peer, CloseReason::AdminReset, Some(NotifCode::Cease));
                 return;
             }
         }
@@ -998,14 +772,15 @@ impl<M: BgpApp> BgpRouter<M> {
                 self.flush_all(ctx);
             }
             RouterCommand::ResetSession(peer_node) => {
-                if let Some(i) = self.peer_idx(*peer_node) {
-                    self.drop_session(ctx, i, CloseReason::AdminReset, Some(NotifCode::Cease));
+                if let Some(i) = self.sessions.find(self.id, *peer_node) {
+                    self.close_session(ctx, i, CloseReason::AdminReset, Some(NotifCode::Cease));
                 }
             }
             RouterCommand::RequestRefresh(peer_node) => {
-                if let Some(i) = self.peer_idx(*peer_node) {
-                    if self.peers[i].handshake.is_established() {
-                        self.send_msg(ctx, i, &BgpMessage::RouteRefresh { afi: 1, safi: 1 });
+                if let Some(i) = self.sessions.find(self.id, *peer_node) {
+                    if self.sessions.is_established(i) {
+                        let refresh = BgpMessage::RouteRefresh { afi: 1, safi: 1 };
+                        self.sessions.send(ctx, i, &refresh, Cause::NONE);
                     }
                 }
             }
@@ -1070,129 +845,6 @@ impl<M: BgpApp> BgpRouter<M> {
         self.route_packet_out(ctx, pkt);
     }
 
-    fn handle_bgp(&mut self, ctx: &mut Ctx<'_, M>, env: &BgpEnvelope) {
-        if env.dst != self.id {
-            // Not for us: routers do not relay control traffic.
-            return;
-        }
-        let Some(peer) = self.peer_idx(env.src) else {
-            return; // unknown speaker; ignore
-        };
-        let msg = match env.decode() {
-            Ok(m) => m,
-            Err(e) => {
-                ctx.count(Counter::DecodeErrors, 1);
-                ctx.trace(TraceCategory::Session, || TraceEvent::Note {
-                    category: TraceCategory::Session,
-                    text: format!("decode error: {e}"),
-                });
-                // RFC 7606: a malformed UPDATE whose framing is intact
-                // (only attribute content is bad) is downgraded to a
-                // withdrawal of every prefix it mentioned — the session
-                // survives. Broken framing still resets the session.
-                if self.peers[peer].handshake.is_established() {
-                    if let Some(upd) = UpdateMsg::salvage_withdraw(&env.bytes) {
-                        ctx.count(Counter::TreatAsWithdraw, 1);
-                        let src = env.src;
-                        let n = upd.withdrawn.len();
-                        ctx.trace(TraceCategory::Session, || TraceEvent::Note {
-                            category: TraceCategory::Session,
-                            text: format!(
-                                "treat-as-withdraw: malformed UPDATE from {src} downgraded to {n} withdrawals"
-                            ),
-                        });
-                        self.refresh_hold(ctx, peer);
-                        self.queue_update(ctx, peer, upd, env.cause);
-                        return;
-                    }
-                }
-                self.drop_session(
-                    ctx,
-                    peer,
-                    CloseReason::LocalError(NotifCode::MessageHeader),
-                    Some(NotifCode::MessageHeader),
-                );
-                return;
-            }
-        };
-        if let BgpMessage::Update(u) = &msg {
-            ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateDelivered {
-                peer: env.src.0,
-                announced: u.nlri.iter().map(|&p| p.into()).collect(),
-                withdrawn: u.withdrawn.iter().map(|&p| p.into()).collect(),
-            });
-        } else {
-            ctx.trace(TraceCategory::Msg, || TraceEvent::Note {
-                category: TraceCategory::Msg,
-                text: format!("<- {} {}", env.src, msg),
-            });
-        }
-
-        // Any traffic refreshes the hold timer on an established session.
-        self.refresh_hold(ctx, peer);
-
-        if let BgpMessage::Update(upd) = msg {
-            if self.peers[peer].handshake.is_established() {
-                self.queue_update(ctx, peer, upd, env.cause);
-                return;
-            }
-            // Fall through to the FSM, which treats early UPDATE as an error.
-            let was = self.peers[peer].handshake.is_established();
-            let (to_send, event) = self.peers[peer]
-                .handshake
-                .on_message(&BgpMessage::Update(upd));
-            self.finish_fsm_step(ctx, peer, was, to_send, event);
-            return;
-        }
-
-        if matches!(msg, BgpMessage::RouteRefresh { .. })
-            && self.peers[peer].handshake.is_established()
-        {
-            // RFC 2918: re-send our full Adj-RIB-Out on this session.
-            self.peers[peer].adj_out.clear();
-            self.export_table(ctx, peer);
-            return;
-        }
-
-        let was = self.peers[peer].handshake.is_established();
-        let (to_send, event) = self.peers[peer].handshake.on_message(&msg);
-        self.finish_fsm_step(ctx, peer, was, to_send, event);
-    }
-
-    /// Re-arm the hold timer on an established session (any received
-    /// traffic proves the peer alive).
-    fn refresh_hold(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
-        if self.peers[peer].handshake.is_established() {
-            let hold = self.peers[peer].handshake.negotiated_hold_secs();
-            if hold > 0 {
-                ctx.set_timer(
-                    SimDuration::from_secs(hold as u64),
-                    tok(K_HOLD, peer as u64),
-                    TimerClass::Maintenance,
-                );
-            }
-        }
-    }
-
-    /// Queue an accepted UPDATE behind the modelled CPU processing delay
-    /// (FIFO per router), minting the link-propagation causal edge.
-    fn queue_update(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx, upd: UpdateMsg, cause: Cause) {
-        ctx.count(Counter::UpdatesReceived, 1);
-        let (lo, hi) = self.cfg.timing.processing_delay;
-        let delay = ctx.rng().duration_between(lo, hi);
-        let mut due = ctx.now() + delay;
-        let floor = self.last_proc_due + SimDuration::from_nanos(1);
-        if due < floor {
-            due = floor;
-        }
-        self.last_proc_due = due;
-        // Causal: the delivery closes the link-propagation edge; the
-        // queue entry inherits the lineage for the processing edge.
-        let qcause = ctx.causal_edge(cause, CausalPhase::LinkProp, first_prefix(&upd));
-        self.in_queue.push_back((peer, upd, qcause));
-        ctx.schedule_timer(due, tok(K_PROCESS, 0), TimerClass::Progress);
-    }
-
     /// End of the RFC 4724 restart window: flush every route from `peer`
     /// that wasn't re-announced since the session resumed (all of them if
     /// the peer never came back), then reconverge.
@@ -1244,60 +896,88 @@ impl<M: BgpApp> BgpRouter<M> {
             Some(t) => self.adj_in.get(prefix, i).is_none_or(|e| e.learned_at < t),
         }
     }
+}
 
-    fn finish_fsm_step(
-        &mut self,
-        ctx: &mut Ctx<'_, M>,
-        peer: PeerIdx,
-        was_established: bool,
-        to_send: Vec<BgpMessage>,
-        event: Option<SessionEvent>,
-    ) {
-        for m in to_send {
-            self.send_msg(ctx, peer, &m);
-        }
-        match event {
-            Some(SessionEvent::Established(_)) => self.on_established(ctx, peer),
-            Some(SessionEvent::Closed(reason)) => {
-                // The handshake already reset itself; run the cleanup that
-                // drop_session does for state above the FSM, then retry.
-                self.cleanup_after_close(ctx, peer, was_established, &reason);
-                self.schedule_retry(ctx, peer);
-            }
-            None => {}
-        }
+impl<M: BgpApp> SessionOwner<M> for BgpRouter<M> {
+    fn sessions(&mut self) -> &mut Sessions {
+        &mut self.sessions
     }
 
-    /// Tear down per-peer routing state after the FSM returned to Idle.
-    fn cleanup_after_close(
+    /// Queue an accepted UPDATE behind the modelled CPU processing delay
+    /// (FIFO per router), minting the link-propagation causal edge.
+    fn on_update(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx, upd: UpdateMsg, cause: Cause) {
+        ctx.count(Counter::UpdatesReceived, 1);
+        let (lo, hi) = self.cfg.timing.processing_delay;
+        let delay = ctx.rng().duration_between(lo, hi);
+        let mut due = ctx.now() + delay;
+        let floor = self.last_proc_due + SimDuration::from_nanos(1);
+        if due < floor {
+            due = floor;
+        }
+        self.last_proc_due = due;
+        // Causal: the delivery closes the link-propagation edge; the
+        // queue entry inherits the lineage for the processing edge.
+        let qcause = ctx.causal_edge(cause, CausalPhase::LinkProp, first_prefix(&upd));
+        self.in_queue.push_back((peer, upd, qcause));
+        ctx.schedule_timer(due, tok(K_PROCESS, 0), TimerClass::Progress);
+    }
+
+    /// RFC 2918: re-send the full Adj-RIB-Out on this session.
+    fn on_refresh(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
+        self.peers[peer].adj_out.clear();
+        self.export_table(ctx, peer);
+    }
+
+    fn on_up(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx, open: &OpenMsg) {
+        let rt = &mut self.peers[peer];
+        rt.remote_router_id = open.router_id;
+        // Capture the peer's GR capability now: the handshake forgets its
+        // OPEN on reset, but the retention decision happens after the reset.
+        rt.peer_gr_secs = open.graceful_restart_secs().unwrap_or(0);
+        ctx.count(Counter::SessionsEstablished, 1);
+        if rt.ever_established {
+            ctx.count(Counter::SessionsReestablished, 1);
+        } else {
+            rt.ever_established = true;
+        }
+        // RFC 4724: the restarting peer is back inside the GR window. Mark
+        // the resume instant — routes it re-announces from here on are
+        // fresh; the K_GRSTALE timer flushes whatever stays older.
+        if rt.gr_stale {
+            rt.gr_resumed_at = Some(ctx.now());
+            let peer_node = self.cfg.neighbors[peer].peer;
+            ctx.trace(TraceCategory::Session, || TraceEvent::Note {
+                category: TraceCategory::Session,
+                text: format!("graceful restart: {peer_node} resumed inside GR window"),
+            });
+        }
+        self.export_table(ctx, peer);
+    }
+
+    /// Tear down per-peer routing state after the session returned to Idle.
+    fn on_down(
         &mut self,
         ctx: &mut Ctx<'_, M>,
         peer: PeerIdx,
-        was_established: bool,
         reason: &CloseReason,
+        was_established: bool,
     ) {
         self.peers[peer].pending.clear();
         self.peers[peer].adj_out.clear();
         self.peers[peer].mrai_armed = false;
-        ctx.cancel_timer(tok(K_MRAI, peer as u64));
-        ctx.cancel_timer(tok(K_KEEPALIVE, peer as u64));
-        ctx.cancel_timer(tok(K_HOLD, peer as u64));
+        ctx.cancel_timer(tok(K_MRAI, peer));
         if !was_established {
             return;
         }
         ctx.count(Counter::SessionsDropped, 1);
         let peer_node = self.cfg.neighbors[peer].peer;
-        ctx.trace(TraceCategory::Session, || TraceEvent::SessionDown {
-            peer: peer_node.0,
-            reason: format!("{reason:?}"),
-        });
         // RFC 4724 graceful restart: a hold-timer expiry on a GR-negotiated
         // session means the peer is presumed restarting — retain its routes
         // as stale instead of flushing, and arm the restart-window timer to
         // flush whatever the peer doesn't re-announce in time. Any other
         // close reason (NOTIFICATION, link down, admin) is a deliberate
         // teardown and flushes immediately.
-        let own_gr = self.peers[peer].handshake.graceful_restart_secs();
+        let own_gr = self.cfg.timing.graceful_restart_secs;
         let peer_gr = self.peers[peer].peer_gr_secs;
         if matches!(reason, CloseReason::HoldExpired) && own_gr > 0 && peer_gr > 0 {
             let retained = self.adj_in.count_for_peer(peer) as u64;
@@ -1307,7 +987,7 @@ impl<M: BgpApp> BgpRouter<M> {
             let window = SimDuration::from_secs(own_gr.min(peer_gr) as u64);
             // Progress class: a pending stale flush is protocol work — the
             // run must not count as converged while stale routes linger.
-            ctx.set_timer(window, tok(K_GRSTALE, peer as u64), TimerClass::Progress);
+            ctx.set_timer(window, tok(K_GRSTALE, peer), TimerClass::Progress);
             ctx.trace(TraceCategory::Session, || TraceEvent::Note {
                 category: TraceCategory::Session,
                 text: format!(
@@ -1319,7 +999,7 @@ impl<M: BgpApp> BgpRouter<M> {
         if self.peers[peer].gr_stale {
             self.peers[peer].gr_stale = false;
             self.peers[peer].gr_resumed_at = None;
-            ctx.cancel_timer(tok(K_GRSTALE, peer as u64));
+            ctx.cancel_timer(tok(K_GRSTALE, peer));
         }
         let affected = self.adj_in.remove_peer(peer);
         let had_routes = !affected.is_empty();
@@ -1356,13 +1036,7 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
         for p in origins {
             self.reselect(ctx, p);
         }
-        // Stagger session bring-up so OPENs don't all collide at t=0.
-        for peer in 0..self.peers.len() {
-            let delay = ctx
-                .rng()
-                .duration_between(SimDuration::ZERO, CONNECT_STAGGER);
-            self.schedule_connect(ctx, peer, delay);
-        }
+        self.sessions.start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, _from: NodeId, link: LinkId, msg: M) {
@@ -1379,9 +1053,11 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
             }
             return;
         }
+        // Routers do not relay control traffic: an envelope for another
+        // node matches no session.
         let msg = match msg.into_bgp() {
             Ok(env) => {
-                self.handle_bgp(ctx, &env);
+                self.receive_bgp(ctx, &env);
                 return;
             }
             Err(msg) => msg,
@@ -1393,32 +1069,16 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, token: TimerToken) {
+        if self.session_timer(ctx, token) {
+            return;
+        }
         let kind = token.0 & ((1 << KIND_BITS) - 1);
         let payload = token.0 >> KIND_BITS;
         let peer = payload as usize;
         match kind {
-            K_CONNECT => self.connect_now(ctx, peer),
             K_MRAI => {
                 self.peers[peer].mrai_armed = false;
                 self.maybe_flush(ctx, peer);
-            }
-            K_KEEPALIVE => {
-                if self.peers[peer].handshake.is_established() {
-                    self.send_msg(ctx, peer, &BgpMessage::Keepalive);
-                    let hold = self.peers[peer].handshake.negotiated_hold_secs();
-                    let ka = SimDuration::from_secs(hold as u64) / KEEPALIVE_DIVISOR;
-                    ctx.set_timer(ka, token, TimerClass::Maintenance);
-                }
-            }
-            K_HOLD => {
-                if self.peers[peer].handshake.is_established() {
-                    self.drop_session(
-                        ctx,
-                        peer,
-                        CloseReason::HoldExpired,
-                        Some(NotifCode::HoldTimerExpired),
-                    );
-                }
             }
             K_PROCESS => {
                 let (from, upd, cause) = self
@@ -1448,15 +1108,10 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
     /// re-advertise everything as sessions come back.
     fn on_restart(&mut self, ctx: &mut Ctx<'_, M>) {
         for peer in self.peers.iter_mut() {
-            peer.handshake.reset();
-            peer.remote_router_id = RouterId(0);
-            peer.adj_out.clear();
-            peer.pending.clear();
-            peer.mrai_armed = false;
-            peer.retries = 0;
-            peer.peer_gr_secs = 0;
-            peer.gr_stale = false;
-            peer.gr_resumed_at = None;
+            *peer = PeerRuntime {
+                ever_established: peer.ever_established,
+                ..PeerRuntime::default()
+            };
         }
         self.adj_in = AdjRibIn::default();
         self.loc_rib = LocRib::default();
@@ -1472,25 +1127,7 @@ impl<M: BgpApp> Node<M> for BgpRouter<M> {
     }
 
     fn on_link_change(&mut self, ctx: &mut Ctx<'_, M>, link: LinkId, up: bool) {
-        let peers: InlineVec<PeerIdx, 4> = self
-            .cfg
-            .neighbors
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.link == link)
-            .map(|(i, _)| i)
-            .collect();
-        for peer in peers {
-            if up {
-                self.peers[peer].retries = 0;
-                let delay = ctx
-                    .rng()
-                    .duration_between(SimDuration::ZERO, CONNECT_STAGGER);
-                self.schedule_connect(ctx, peer, delay);
-            } else {
-                self.drop_session(ctx, peer, CloseReason::LinkDown, None);
-            }
-        }
+        self.session_link_change(ctx, link, up);
     }
 
     fn counters(&self) -> Option<&Counters> {

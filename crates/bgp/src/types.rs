@@ -35,7 +35,7 @@ impl From<u32> for Asn {
 
 /// The BGP Identifier: a 32-bit value conventionally written as an IPv4
 /// address, unique per router. Used as the final decision-process tie-break.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RouterId(pub u32);
 
 impl RouterId {

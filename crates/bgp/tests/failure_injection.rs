@@ -218,16 +218,8 @@ fn lossy_link_converges_eventually_with_retries() {
     let mut sim = Sim::new(5);
     let a_cfg = RouterConfig::new(asn_of(0))
         .with_origin(prefix_of(0))
-        .with_timing(TimingConfig {
-            mrai: SimDuration::ZERO,
-            max_connect_retries: 30,
-            ..Default::default()
-        });
-    let b_cfg = RouterConfig::new(asn_of(1)).with_timing(TimingConfig {
-        mrai: SimDuration::ZERO,
-        max_connect_retries: 30,
-        ..Default::default()
-    });
+        .with_timing(fast());
+    let b_cfg = RouterConfig::new(asn_of(1)).with_timing(fast());
     let a = sim.add_node("a", |id| Router::new(id, a_cfg));
     let b = sim.add_node("b", |id| Router::new(id, b_cfg));
     let l = sim.add_link(a, b, MS5.clone());

@@ -110,7 +110,8 @@ impl Experiment {
     /// [`measure`] reads it, and the collector's view — and capture the
     /// metrics accumulated since its start as a phase-scoped snapshot, then
     /// reset the registry so the next phase starts from zero. Called again
-    /// after the phase closed, it snapshots only what was counted since.
+    /// after the phase closed, it folds what was counted since (a final
+    /// verification) into that phase's snapshot: one snapshot per phase.
     fn close_phase(&mut self) {
         let closing = self.phase_open;
         if closing {
@@ -119,7 +120,9 @@ impl Experiment {
             self.phase_open = false;
         }
         let metrics = self.net.sim.take_metrics();
-        if closing || !metrics.is_empty() {
+        if let (false, Some((_, snapshot))) = (closing, self.snapshots.last_mut()) {
+            snapshot.absorb(metrics.snapshot());
+        } else if closing || !metrics.is_empty() {
             let convergence = closing.then(|| PhaseConvergence {
                 converged_ns: measure(self.net.sim.board(), self.phase_start, true)
                     .duration

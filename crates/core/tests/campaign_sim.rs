@@ -69,6 +69,32 @@ fn parallel_sweep_matches_serial_execution() {
 }
 
 #[test]
+fn a_verified_job_artifact_has_one_metrics_line_per_phase() {
+    // The final verification runs after the job closed its event phase;
+    // what it counts belongs to that phase's line, not to a second one.
+    let mut grid = grid();
+    grid.cluster_sizes = vec![2];
+    grid.ctl_latency.truncate(1);
+    grid.seeds = 1;
+    grid.verify = true;
+    let job = &grid.expand()[0];
+    let artifact = run_job_scratch(job, true, &mut JobScratch::default())
+        .artifact
+        .expect("traced");
+    let metrics: Vec<&str> = artifact
+        .lines()
+        .filter(|l| l.contains("\"type\":\"metrics\""))
+        .collect();
+    let phases: Vec<bool> = ["\"phase\":\"bring-up\"", "\"phase\":\"withdrawal\""]
+        .iter()
+        .map(|p| metrics.iter().filter(|l| l.contains(p)).count() == 1)
+        .collect();
+    assert_eq!(metrics.len(), 2, "{metrics:#?}");
+    assert_eq!(phases, [true, true], "{metrics:#?}");
+    assert!(metrics[1].contains("verify.checks"), "{}", metrics[1]);
+}
+
+#[test]
 fn aggregated_medians_match_manual_computation() {
     let grid = grid();
     let report = run_campaign_scratch(

@@ -285,6 +285,25 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Fold `later`, counted after this snapshot was taken, into it:
+    /// counters add, histograms merge, a gauge takes the later value.
+    pub fn absorb(&mut self, later: MetricsSnapshot) {
+        for (node, name, value) in later.entries {
+            let key = (node, name.as_str());
+            match self
+                .entries
+                .binary_search_by(|(n, k, _)| (*n, k.as_str()).cmp(&key))
+            {
+                Ok(at) => match (&mut self.entries[at].2, value) {
+                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
+                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(&b),
+                    (slot, value) => *slot = value,
+                },
+                Err(at) => self.entries.insert(at, (node, name, value)),
+            }
+        }
+    }
+
     /// JSON array form, one object per entry.
     pub fn to_json(&self) -> Json {
         Json::Arr(

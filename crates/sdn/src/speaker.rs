@@ -7,12 +7,20 @@
 //! cluster maintain their AS identity". Messages reach external routers by
 //! relay over the member's border switch.
 //!
+//! The sessions run on the router's session driver ([`Sessions`]), so a
+//! legacy neighbour meets the same connect, retry, supervision, decode and
+//! session-down rules at either end. Only data differs: an alias session
+//! proposes hold 0 (liveness is the relay link's state) and counts its
+//! UPDATEs as `sdn.speaker.updates_out`. Beside each session the speaker
+//! keeps the relay state: the Adj-RIB-In replayed on resync and the
+//! Adj-RIB-Out the controller commanded.
+//!
 //! Toward the controller the speaker exposes the structured API
 //! ([`SpeakerEvent`]/[`SpeakerCmd`]) that ExaBGP's JSON pipe provides in the
 //! paper's stack: decoded updates and session lifecycle up, announce /
-//! withdraw instructions down, each inside a sequenced [`CtrlMsg`]. The speaker itself makes no routing
-//! decisions and applies no MRAI — rate limiting is the controller's job
-//! (its delayed recomputation).
+//! withdraw instructions down, each inside a sequenced [`CtrlMsg`]. It
+//! makes no routing decisions and applies no MRAI: rate limiting is the
+//! controller's delayed recomputation.
 //!
 //! ## Surviving the controller
 //!
@@ -26,38 +34,33 @@
 //! (session states, Adj-RIB-In, Adj-RIB-Out), from which the controller
 //! rebuilds everything it missed.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+use bgpsdn_bgp::session::FIRST_OWNER_KIND;
 use bgpsdn_bgp::{
-    wire::Writer, Asn, BgpApp, BgpEnvelope, BgpMessage, PathAttributes, Prefix, RouterId,
-    SessionEvent, SessionHandshake, SharedPath, UpdateMsg, CONNECT_RETRY, CONNECT_STAGGER,
+    Asn, BgpApp, BgpMessage, CloseReason, OpenMsg, PathAttributes, Prefix, RouterId, SessionConfig,
+    SessionOwner, Sessions, SharedPath, UpdateMsg,
 };
 use bgpsdn_netsim::{
-    Activity, CausalPhase, Cause, Counter, Counters, Ctx, LinkId, Node, NodeId, SimDuration,
-    TimerClass, TimerToken, TraceCategory, TraceEvent,
+    Activity, CausalPhase, Cause, Counter, Counters, Ctx, LinkId, Node, NodeId, TimerToken,
+    TraceCategory, TraceEvent,
 };
 
 use crate::app::{CtrlMsg, SdnApp, SessionSync, SpeakerCmd, SpeakerEvent, SpeakerSyncState};
 use crate::channel::ChannelEnd;
 
-// Timer tokens, all named timers and so small and dense: `session << 3 |
-// kind`. K_CONNECT carries a session index; the others name singleton
-// timers (session 0).
-const K_CONNECT: u64 = 0;
-const K_RETX: u64 = 1;
-const K_HEARTBEAT: u64 = 2;
-const K_HOLD: u64 = 3;
-const KIND_BITS: u32 = 3;
+// The controller channel's timers: singletons (payload 0) of the kinds
+// beside the session driver's, so they never share a token with a
+// session's connect, keepalive or hold timer.
+const K_RETX: u64 = FIRST_OWNER_KIND;
+const K_HEARTBEAT: u64 = FIRST_OWNER_KIND + 1;
+const K_HOLD: u64 = FIRST_OWNER_KIND + 2;
 const CHANNEL_TIMERS: [TimerToken; 3] = [
     TimerToken(K_RETX),
     TimerToken(K_HEARTBEAT),
     TimerToken(K_HOLD),
 ];
-
-fn connect_token(session: usize) -> TimerToken {
-    TimerToken((session as u64) << KIND_BITS | K_CONNECT)
-}
 
 /// Configuration of one alias session.
 #[derive(Debug, Clone)]
@@ -79,9 +82,9 @@ pub struct AliasSessionConfig {
     pub via_link: LinkId,
 }
 
-struct SessionRuntime {
+/// An alias session's relay state beside the session itself.
+struct AliasState {
     cfg: AliasSessionConfig,
-    handshake: SessionHandshake,
     /// What the controller last announced here, for dedup. The path is
     /// interned, shared with the controller's adjacency cache.
     advertised: BTreeMap<Prefix, (SharedPath, Option<u32>)>,
@@ -90,21 +93,17 @@ struct SessionRuntime {
     /// interned exactly as the controller interns them, so a replayed
     /// snapshot reproduces the controller's state byte-for-byte.
     adj_in: BTreeMap<Prefix, (SharedPath, Option<u32>)>,
-    /// The peer's ASN from its OPEN (known while Established).
-    peer_asn: Option<Asn>,
-    retries: u32,
 }
 
 /// The cluster BGP speaker node.
 pub struct ClusterSpeaker<M> {
-    sessions: Vec<SessionRuntime>,
-    by_endpoint: HashMap<(NodeId, NodeId), usize>,
+    /// One per alias session, indexed like `sessions`.
+    aliases: Vec<AliasState>,
+    sessions: Sessions,
     counters: Counters,
     /// The speaker's end of the controller channel: events and syncs up,
     /// commands down.
     chan: ChannelEnd,
-    /// Encode scratch reused for every outgoing BGP message.
-    wire_scratch: Writer,
     /// Next epoch to open on resync (epochs are speaker-owned, monotonic).
     next_epoch: u64,
     /// Controller declared dead; forwarding is frozen fail-static.
@@ -120,11 +119,10 @@ impl<M> Default for ClusterSpeaker<M> {
     /// epoch 1 with empty state, so bring-up needs no initial resync.
     fn default() -> Self {
         ClusterSpeaker {
-            sessions: Vec::new(),
-            by_endpoint: HashMap::new(),
+            aliases: Vec::new(),
+            sessions: Sessions::default(),
             counters: Counters::default(),
             chan: ChannelEnd::new(None, false, CHANNEL_TIMERS),
-            wire_scratch: Writer::with_capacity(64),
             next_epoch: 2,
             headless: false,
             resync_in_flight: false,
@@ -142,39 +140,39 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     /// Register an alias session (before the simulation starts). Returns its
     /// speaker-local index, which the controller uses in commands.
     pub fn add_session(&mut self, cfg: AliasSessionConfig) -> usize {
-        let idx = self.sessions.len();
-        let dup = self.by_endpoint.insert((cfg.alias, cfg.ext_peer), idx);
-        assert!(dup.is_none(), "duplicate alias session");
-        let handshake = SessionHandshake::new(
-            cfg.alias_asn,
-            cfg.alias_router_id,
-            0, // hold disabled: liveness comes from link state via the switch
-            Some(cfg.remote_asn),
-        );
-        self.sessions.push(SessionRuntime {
+        let idx = self.sessions.add(SessionConfig {
+            local: cfg.alias,
+            asn: cfg.alias_asn,
+            router_id: cfg.alias_router_id,
+            peer: cfg.ext_peer,
+            remote_asn: cfg.remote_asn,
+            link: cfg.via_link,
+            // Hold disabled: liveness comes from link state via the switch.
+            hold_secs: 0,
+            graceful_restart_secs: 0,
+            updates_sent: Counter::SpeakerUpdatesOut,
+        });
+        self.aliases.push(AliasState {
             cfg,
-            handshake,
             advertised: BTreeMap::new(),
             adj_in: BTreeMap::new(),
-            peer_asn: None,
-            retries: 0,
         });
         idx
     }
 
     /// Number of registered sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.aliases.len()
     }
 
     /// Is session `idx` established?
     pub fn session_established(&self, idx: usize) -> bool {
-        self.sessions[idx].handshake.is_established()
+        self.sessions.is_established(idx)
     }
 
     /// The configuration of session `idx`.
     pub fn session_config(&self, idx: usize) -> &AliasSessionConfig {
-        &self.sessions[idx].cfg
+        &self.aliases[idx].cfg
     }
 
     /// Current resync epoch.
@@ -190,7 +188,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     /// What session `idx` has actually advertised to its peer (Adj-RIB-Out),
     /// sorted by prefix — the ground truth oracle tests compare.
     pub fn adj_out_table(&self, idx: usize) -> Vec<(Prefix, SharedPath, Option<u32>)> {
-        self.sessions[idx]
+        self.aliases[idx]
             .advertised
             .iter()
             .map(|(p, (path, med))| (*p, path.clone(), *med))
@@ -210,11 +208,13 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
         ctx.count(Counter::SpeakerResyncs, 1);
         let state = SpeakerSyncState {
             sessions: self
-                .sessions
+                .aliases
                 .iter()
-                .map(|s| SessionSync {
-                    established: s.handshake.is_established(),
-                    peer_asn: s.peer_asn,
+                .enumerate()
+                .map(|(i, s)| SessionSync {
+                    established: self.sessions.is_established(i),
+                    // The handshake refuses an OPEN from any other ASN.
+                    peer_asn: self.sessions.is_established(i).then_some(s.cfg.remote_asn),
                     adj_in: s
                         .adj_in
                         .iter()
@@ -298,38 +298,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
         }
     }
 
-    fn send_bgp(&mut self, ctx: &mut Ctx<'_, M>, idx: usize, msg: &BgpMessage) {
-        self.send_bgp_caused(ctx, idx, msg, Cause::NONE);
-    }
-
-    fn send_bgp_caused(
-        &mut self,
-        ctx: &mut Ctx<'_, M>,
-        idx: usize,
-        msg: &BgpMessage,
-        cause: Cause,
-    ) {
-        let s = &self.sessions[idx];
-        if let BgpMessage::Update(u) = msg {
-            ctx.report(Activity::UpdateSent);
-            ctx.count(Counter::SpeakerUpdatesOut, 1);
-            ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateSent {
-                peer: s.cfg.ext_peer.0,
-                announced: u.nlri.iter().map(|&p| p.into()).collect(),
-                withdrawn: u.withdrawn.iter().map(|&p| p.into()).collect(),
-            });
-        } else {
-            ctx.trace(TraceCategory::Msg, || TraceEvent::Note {
-                category: TraceCategory::Msg,
-                text: format!("alias {} -> {} {}", s.cfg.alias, s.cfg.ext_peer, msg),
-            });
-        }
-        let (alias, ext_peer, via_link) = (s.cfg.alias, s.cfg.ext_peer, s.cfg.via_link);
-        let env =
-            BgpEnvelope::with_cause_scratch(alias, ext_peer, msg, cause, &mut self.wire_scratch);
-        ctx.send(via_link, M::from_bgp(env));
-    }
-
     fn notify_controller(&mut self, ctx: &mut Ctx<'_, M>, ev: SpeakerEvent) {
         if self.chan.link.is_none() || self.headless {
             // No live controller. Drop visibly — the retained session state
@@ -353,108 +321,6 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
             });
     }
 
-    fn handle_bgp(&mut self, ctx: &mut Ctx<'_, M>, env: &BgpEnvelope) {
-        let idx = match self.by_endpoint.get(&(env.dst, env.src)) {
-            Some(&i) => i,
-            None => return, // not one of our sessions
-        };
-        let msg = match env.decode() {
-            Ok(m) => m,
-            Err(e) => {
-                ctx.trace(TraceCategory::Session, || TraceEvent::Note {
-                    category: TraceCategory::Session,
-                    text: format!("decode error: {e}"),
-                });
-                return;
-            }
-        };
-        let msg = match msg {
-            BgpMessage::Update(upd) if self.sessions[idx].handshake.is_established() => {
-                ctx.report(Activity::UpdateReceived);
-                ctx.count(Counter::SpeakerUpdatesIn, 1);
-                ctx.trace(TraceCategory::Msg, || TraceEvent::UpdateDelivered {
-                    peer: env.src.0,
-                    announced: upd.nlri.iter().map(|&p| p.into()).collect(),
-                    withdrawn: upd.withdrawn.iter().map(|&p| p.into()).collect(),
-                });
-                // Maintain the Adj-RIB-In replayed on resync, interning
-                // paths exactly as the controller does on this UPDATE.
-                let s = &mut self.sessions[idx];
-                for p in &upd.withdrawn {
-                    s.adj_in.remove(p);
-                }
-                if let Some(attrs) = &upd.attrs {
-                    let path: SharedPath = attrs.as_path.flatten().into();
-                    for p in &upd.nlri {
-                        s.adj_in.insert(*p, (path.clone(), attrs.med));
-                    }
-                }
-                // Causal: close the link-propagation edge at the speaker;
-                // the controller closes the ctrl_queue edge when its batch
-                // recomputes.
-                let first = upd.nlri.first().or_else(|| upd.withdrawn.first());
-                let cause =
-                    ctx.causal_edge(env.cause, CausalPhase::LinkProp, first.map(|&p| p.into()));
-                self.notify_controller(
-                    ctx,
-                    SpeakerEvent::Update {
-                        session: idx,
-                        update: Box::new(upd),
-                        cause,
-                    },
-                );
-                return;
-            }
-            other => other,
-        };
-        let (to_send, event) = self.sessions[idx].handshake.on_message(&msg);
-        for m in to_send {
-            self.send_bgp(ctx, idx, &m);
-        }
-        match event {
-            Some(SessionEvent::Established(open)) => {
-                self.sessions[idx].retries = 0;
-                self.sessions[idx].peer_asn = Some(open.asn);
-                let ext_peer = self.sessions[idx].cfg.ext_peer;
-                ctx.trace(TraceCategory::Session, || TraceEvent::SessionUp {
-                    peer: ext_peer.0,
-                });
-                self.notify_controller(
-                    ctx,
-                    SpeakerEvent::SessionUp {
-                        session: idx,
-                        peer_asn: open.asn,
-                    },
-                );
-            }
-            Some(SessionEvent::Closed(_)) => {
-                self.session_down(ctx, idx, true);
-            }
-            None => {}
-        }
-    }
-
-    fn session_down(&mut self, ctx: &mut Ctx<'_, M>, idx: usize, retry: bool) {
-        self.sessions[idx].handshake.reset();
-        self.sessions[idx].advertised.clear();
-        self.sessions[idx].adj_in.clear();
-        self.sessions[idx].peer_asn = None;
-        let ext_peer = self.sessions[idx].cfg.ext_peer;
-        ctx.trace(TraceCategory::Session, || TraceEvent::SessionDown {
-            peer: ext_peer.0,
-            reason: if retry { "closed" } else { "link down" }.into(),
-        });
-        self.notify_controller(ctx, SpeakerEvent::SessionDown { session: idx });
-        if retry && self.sessions[idx].retries < 5 {
-            self.sessions[idx].retries += 1;
-            let delay = ctx
-                .rng()
-                .jittered(CONNECT_RETRY, 0.75, 1.0)
-                .saturating_mul(1 << (self.sessions[idx].retries - 1).min(4));
-            ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
-        }
-    }
-
     fn handle_cmd(&mut self, ctx: &mut Ctx<'_, M>, cmd: SpeakerCmd) {
         match cmd {
             SpeakerCmd::Announce {
@@ -464,10 +330,10 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 med,
                 cause,
             } => {
-                let s = &mut self.sessions[session];
-                if !s.handshake.is_established() {
+                if !self.sessions.is_established(session) {
                     return;
                 }
+                let s = &mut self.aliases[session];
                 let key = (as_path, med);
                 if s.advertised.get(&prefix) == Some(&key) {
                     ctx.count(Counter::DupSuppressed, 1);
@@ -479,43 +345,97 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
                 s.advertised.insert(prefix, key);
                 let cause = ctx.causal_edge(cause, CausalPhase::LinkProp, Some(prefix.into()));
                 let msg = BgpMessage::Update(UpdateMsg::announce([prefix], attrs));
-                self.send_bgp_caused(ctx, session, &msg, cause);
+                self.sessions.send(ctx, session, &msg, cause);
             }
             SpeakerCmd::Withdraw {
                 session,
                 prefix,
                 cause,
             } => {
-                let s = &mut self.sessions[session];
-                if !s.handshake.is_established() {
+                if !self.sessions.is_established(session) {
                     return;
                 }
-                if s.advertised.remove(&prefix).is_none() {
+                if self.aliases[session].advertised.remove(&prefix).is_none() {
                     return; // never announced here
                 }
                 let cause = ctx.causal_edge(cause, CausalPhase::LinkProp, Some(prefix.into()));
                 let msg = BgpMessage::Update(UpdateMsg::withdraw([prefix]));
-                self.send_bgp_caused(ctx, session, &msg, cause);
+                self.sessions.send(ctx, session, &msg, cause);
             }
+        }
+    }
+}
+
+impl<M: SdnApp + BgpApp> SessionOwner<M> for ClusterSpeaker<M> {
+    fn sessions(&mut self) -> &mut Sessions {
+        &mut self.sessions
+    }
+
+    fn on_update(&mut self, ctx: &mut Ctx<'_, M>, idx: usize, upd: UpdateMsg, cause: Cause) {
+        ctx.report(Activity::UpdateReceived);
+        ctx.count(Counter::SpeakerUpdatesIn, 1);
+        // Maintain the Adj-RIB-In replayed on resync, interning paths
+        // exactly as the controller does on this UPDATE.
+        let s = &mut self.aliases[idx];
+        for p in &upd.withdrawn {
+            s.adj_in.remove(p);
+        }
+        if let Some(attrs) = &upd.attrs {
+            let path: SharedPath = attrs.as_path.flatten().into();
+            for p in &upd.nlri {
+                s.adj_in.insert(*p, (path.clone(), attrs.med));
+            }
+        }
+        // Causal: close the link-propagation edge at the speaker; the
+        // controller closes the ctrl_queue edge when its batch recomputes.
+        let first = upd.nlri.first().or_else(|| upd.withdrawn.first());
+        let cause = ctx.causal_edge(cause, CausalPhase::LinkProp, first.map(|&p| p.into()));
+        self.notify_controller(
+            ctx,
+            SpeakerEvent::Update {
+                session: idx,
+                update: Box::new(upd),
+                cause,
+            },
+        );
+    }
+
+    fn on_up(&mut self, ctx: &mut Ctx<'_, M>, idx: usize, open: &OpenMsg) {
+        self.notify_controller(
+            ctx,
+            SpeakerEvent::SessionUp {
+                session: idx,
+                peer_asn: open.asn,
+            },
+        );
+    }
+
+    fn on_down(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        idx: usize,
+        _reason: &CloseReason,
+        was_established: bool,
+    ) {
+        let s = &mut self.aliases[idx];
+        s.advertised.clear();
+        s.adj_in.clear();
+        if was_established {
+            self.notify_controller(ctx, SpeakerEvent::SessionDown { session: idx });
         }
     }
 }
 
 impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
-        for idx in 0..self.sessions.len() {
-            let delay = ctx
-                .rng()
-                .duration_between(SimDuration::ZERO, CONNECT_STAGGER);
-            ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
-        }
+        self.sessions.start(ctx);
         self.chan.start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, _from: NodeId, _link: LinkId, msg: M) {
         let msg = match msg.into_bgp() {
             Ok(env) => {
-                self.handle_bgp(ctx, &env);
+                self.receive_bgp(ctx, &env);
                 return;
             }
             Err(msg) => msg,
@@ -526,48 +446,23 @@ impl<M: SdnApp + BgpApp> Node<M> for ClusterSpeaker<M> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, token: TimerToken) {
-        match token.0 & ((1 << KIND_BITS) - 1) {
-            K_CONNECT => {
-                let idx = (token.0 >> KIND_BITS) as usize;
-                if self.sessions[idx].handshake.state() == bgpsdn_bgp::SessionState::Idle {
-                    let msgs = self.sessions[idx].handshake.start();
-                    for m in msgs {
-                        self.send_bgp(ctx, idx, &m);
-                    }
-                }
-            }
-            // No retransmission while headless: an outage quiesces.
-            K_RETX if !self.headless => self.chan.retransmit(ctx),
+        if self.session_timer(ctx, token) {
+            return;
+        }
+        match token.0 {
             K_HEARTBEAT => self.chan.heartbeat(ctx),
-            K_HOLD => {
-                // Hold expired: nothing heard from the controller.
-                self.enter_headless(ctx);
-            }
-            _ => {}
+            // Hold expired: nothing heard from the controller.
+            K_HOLD => self.enter_headless(ctx),
+            // K_RETX. No retransmission while headless: an outage quiesces.
+            _ if self.headless => {}
+            _ => self.chan.retransmit(ctx),
         }
     }
 
     fn on_link_change(&mut self, ctx: &mut Ctx<'_, M>, link: LinkId, up: bool) {
         self.chan.on_link_change(ctx, link, up);
         // A relay link failing kills every session riding it.
-        let affected: Vec<usize> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.cfg.via_link == link)
-            .map(|(i, _)| i)
-            .collect();
-        for idx in affected {
-            if up {
-                self.sessions[idx].retries = 0;
-                let delay = ctx
-                    .rng()
-                    .duration_between(SimDuration::ZERO, CONNECT_STAGGER);
-                ctx.set_timer(delay, connect_token(idx), TimerClass::Progress);
-            } else if self.sessions[idx].handshake.state() != bgpsdn_bgp::SessionState::Idle {
-                self.session_down(ctx, idx, false);
-            }
-        }
+        self.session_link_change(ctx, link, up);
     }
 
     fn counters(&self) -> Option<&Counters> {

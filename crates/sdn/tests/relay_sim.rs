@@ -6,11 +6,12 @@ use std::any::Any;
 use std::net::Ipv4Addr;
 
 use bgpsdn_bgp::{
-    pfx, Asn, BgpRouter, NeighborConfig, Relationship, RouterConfig, RouterId, SessionState,
-    TimingConfig,
+    pfx, AsPath, Asn, BgpApp, BgpEnvelope, BgpMessage, BgpRouter, NeighborConfig, PathAttributes,
+    Relationship, RouterConfig, RouterId, SessionState, TimingConfig, UpdateMsg,
 };
 use bgpsdn_netsim::{
-    Counter, Ctx, DataPacket, LatencyModel, LinkId, Node, NodeId, SimDuration, SimTime, Simulator,
+    Cause, Counter, Ctx, DataPacket, LatencyModel, LinkId, Node, NodeId, SimDuration, SimTime,
+    Simulator,
 };
 use bgpsdn_sdn::{
     AliasSessionConfig, ClusterMsg, ClusterSpeaker, CtrlMsg, FlowAction, FlowModOp, FlowRule,
@@ -344,4 +345,47 @@ fn speaker_session_survives_and_recovers_relay_flap() {
         "alias session must recover after the relay link returns"
     );
     let _ = s.sink_to_speaker;
+}
+
+#[test]
+fn alias_session_treats_a_malformed_update_as_withdraw() {
+    let mut s = build(7);
+    assert!(s.sim.run_until_quiescent(SimTime::from_secs(30)).quiescent);
+    // The external router re-announces its prefix, but the ORIGIN value is
+    // out of range: the framing is intact, only attribute content is bad.
+    let prefix = pfx("10.100.0.0/16");
+    let mut attrs = PathAttributes::originate(Ipv4Addr::new(10, 255, 0, 100));
+    attrs.as_path = AsPath::from_seq([100]);
+    let mut bytes = BgpMessage::Update(UpdateMsg::announce([prefix], attrs)).encode();
+    // 19-byte header, 2-byte withdrawn length, 2-byte attribute length,
+    // then ORIGIN's flags, type and length: its value is byte 26.
+    assert_eq!(bytes[26], 0, "ORIGIN IGP");
+    bytes[26] = 7;
+    let env = BgpEnvelope {
+        src: s.ext,
+        dst: s.sw,
+        bytes: bytes.into(),
+        cause: Cause::NONE,
+    };
+    s.sim.inject(s.speaker, ClusterMsg::from_bgp(env));
+    s.sim.run_until(s.sim.now() + SimDuration::from_secs(2));
+
+    // RFC 7606, as a router applies it: the session survives and the
+    // controller sees the UPDATE's prefixes withdrawn.
+    assert!(s.sim.node_ref::<Speaker>(s.speaker).session_established(0));
+    assert_eq!(s.sim.counter(s.speaker, Counter::TreatAsWithdraw), 1);
+    let sink = s.sim.node_ref::<EventSink>(s.sink);
+    let last = sink
+        .events
+        .iter()
+        .rev()
+        .find_map(|e| match e {
+            SpeakerEvent::Update {
+                session: 0, update, ..
+            } => Some(update),
+            _ => None,
+        })
+        .expect("updates reached the controller");
+    assert_eq!(last.withdrawn.as_slice(), [prefix]);
+    assert!(last.nlri.is_empty() && last.attrs.is_none());
 }
