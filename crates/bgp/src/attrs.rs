@@ -392,7 +392,42 @@ pub struct RawAttribute {
     pub value: Vec<u8>,
 }
 
+/// The attributes a route rarely carries: ATOMIC_AGGREGATE, AGGREGATOR,
+/// communities and unknown optional attributes. A [`PathAttributes`] holds
+/// them behind one pointer that stays null while all four are empty.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+pub struct RareAttrs {
+    /// ATOMIC_AGGREGATE marker.
+    pub atomic_aggregate: bool,
+    /// AGGREGATOR (AS, router) pair.
+    pub aggregator: Option<(Asn, Ipv4Addr)>,
+    /// Standard communities.
+    pub communities: Vec<Community>,
+    /// Unknown optional-transitive attributes passed through.
+    pub unknown: Vec<RawAttribute>,
+}
+
+/// What [`PathAttributes::rare`] reads when the block is null.
+static NO_RARE: RareAttrs = RareAttrs {
+    atomic_aggregate: false,
+    aggregator: None,
+    communities: Vec::new(),
+    unknown: Vec::new(),
+};
+
+impl RareAttrs {
+    fn is_empty(&self) -> bool {
+        *self == NO_RARE
+    }
+}
+
 /// The full set of path attributes carried by an UPDATE.
+///
+/// The five attributes every route carries are inline; the rest sit in one
+/// [`RareAttrs`] block. The form is canonical — the block is `None` exactly
+/// when it would be empty — so the derived `Eq`/`Hash` compare content, and
+/// the struct is 72 bytes: with its two reference counts, glibc's 96-byte
+/// chunk.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PathAttributes {
     /// Mandatory ORIGIN.
@@ -406,14 +441,8 @@ pub struct PathAttributes {
     /// LOCAL_PREF (mandatory on iBGP; we also use it internally to carry
     /// policy preference, but never send it on eBGP sessions).
     pub local_pref: Option<u32>,
-    /// ATOMIC_AGGREGATE marker.
-    pub atomic_aggregate: bool,
-    /// AGGREGATOR (AS, router) pair.
-    pub aggregator: Option<(Asn, Ipv4Addr)>,
-    /// Standard communities.
-    pub communities: Vec<Community>,
-    /// Unknown optional-transitive attributes passed through.
-    pub unknown: Box<[RawAttribute]>,
+    /// Null unless a peer or a route map set a rare attribute.
+    rare: Option<Box<RareAttrs>>,
 }
 
 impl PathAttributes {
@@ -425,10 +454,22 @@ impl PathAttributes {
             next_hop,
             med: None,
             local_pref: None,
-            atomic_aggregate: false,
-            aggregator: None,
-            communities: Vec::new(),
-            unknown: Box::default(),
+            rare: None,
+        }
+    }
+
+    /// The rare attributes (all empty for nearly every route).
+    pub fn rare(&self) -> &RareAttrs {
+        self.rare.as_deref().unwrap_or(&NO_RARE)
+    }
+
+    /// Edit the rare attributes; an edit that leaves them all empty frees
+    /// their block, so the form stays canonical.
+    pub fn edit_rare(&mut self, edit: impl FnOnce(&mut RareAttrs)) {
+        let rare = self.rare.get_or_insert_with(Box::default);
+        edit(rare);
+        if rare.is_empty() {
+            self.rare = None;
         }
     }
 
@@ -488,10 +529,13 @@ impl PathAttributes {
                 &lp.to_be_bytes(),
             );
         }
-        if self.atomic_aggregate {
+        let Some(rare) = self.rare.as_deref() else {
+            return;
+        };
+        if rare.atomic_aggregate {
             Self::encode_one(w, flags::TRANSITIVE, attr_code::ATOMIC_AGGREGATE, &[]);
         }
-        if let Some((asn, ip)) = self.aggregator {
+        if let Some((asn, ip)) = rare.aggregator {
             Self::encode_header(
                 w,
                 flags::OPTIONAL | flags::TRANSITIVE,
@@ -501,18 +545,18 @@ impl PathAttributes {
             w.u32(asn.0);
             w.ipv4(ip);
         }
-        if !self.communities.is_empty() {
+        if !rare.communities.is_empty() {
             Self::encode_header(
                 w,
                 flags::OPTIONAL | flags::TRANSITIVE,
                 attr_code::COMMUNITY,
-                self.communities.len() * 4,
+                rare.communities.len() * 4,
             );
-            for c in &self.communities {
+            for c in &rare.communities {
                 w.u32(c.0);
             }
         }
-        for raw in &self.unknown {
+        for raw in &rare.unknown {
             Self::encode_one(w, raw.flags & !flags::EXT_LEN, raw.code, &raw.value);
         }
     }
@@ -524,10 +568,8 @@ impl PathAttributes {
         let mut next_hop = None;
         let mut med = None;
         let mut local_pref = None;
-        let mut atomic_aggregate = false;
-        let mut aggregator = None;
-        let mut communities = Vec::new();
-        let mut unknown = Vec::new();
+        // Builds no heap block unless a rare attribute arrives.
+        let mut rare = RareAttrs::default();
 
         while !r.is_empty() {
             let flag = r.u8("attr flags")?;
@@ -555,12 +597,12 @@ impl PathAttributes {
                     local_pref = Some(body.u32("local_pref")?);
                 }
                 attr_code::ATOMIC_AGGREGATE => {
-                    atomic_aggregate = true;
+                    rare.atomic_aggregate = true;
                 }
                 attr_code::AGGREGATOR => {
                     let asn = Asn(body.u32("aggregator asn")?);
                     let ip = body.ipv4("aggregator id")?;
-                    aggregator = Some((asn, ip));
+                    rare.aggregator = Some((asn, ip));
                 }
                 attr_code::COMMUNITY => {
                     if len % 4 != 0 {
@@ -570,7 +612,7 @@ impl PathAttributes {
                         });
                     }
                     while !body.is_empty() {
-                        communities.push(Community(body.u32("community")?));
+                        rare.communities.push(Community(body.u32("community")?));
                     }
                 }
                 _ => {
@@ -580,7 +622,7 @@ impl PathAttributes {
                             reason: "unknown well-known attribute",
                         });
                     }
-                    unknown.push(RawAttribute {
+                    rare.unknown.push(RawAttribute {
                         flags: flag,
                         code,
                         value: body.take(body.remaining(), "raw attr")?.to_vec(),
@@ -611,10 +653,7 @@ impl PathAttributes {
             })?,
             med,
             local_pref,
-            atomic_aggregate,
-            aggregator,
-            communities,
-            unknown: unknown.into_boxed_slice(),
+            rare: (!rare.is_empty()).then(|| Box::new(rare)),
         })
     }
 }
@@ -703,14 +742,16 @@ mod tests {
         ]);
         a.med = Some(77);
         a.local_pref = Some(130);
-        a.atomic_aggregate = true;
-        a.aggregator = Some((Asn(65001), Ipv4Addr::new(1, 1, 1, 1)));
-        a.communities = vec![Community::new(65001, 42), Community::NO_EXPORT];
-        a.unknown = Box::new([RawAttribute {
-            flags: 0xC0,
-            code: 99,
-            value: vec![1, 2, 3],
-        }]);
+        a.edit_rare(|r| {
+            r.atomic_aggregate = true;
+            r.aggregator = Some((Asn(65001), Ipv4Addr::new(1, 1, 1, 1)));
+            r.communities = vec![Community::new(65001, 42), Community::NO_EXPORT];
+            r.unknown = vec![RawAttribute {
+                flags: 0xC0,
+                code: 99,
+                value: vec![1, 2, 3],
+            }];
+        });
         assert_eq!(roundtrip(&a), a);
     }
 

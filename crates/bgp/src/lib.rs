@@ -36,7 +36,7 @@ pub mod session;
 pub mod types;
 pub mod wire;
 
-pub use attrs::{AsPath, Community, Origin, PathAttributes, Segment, SharedAttrs};
+pub use attrs::{AsPath, Community, Origin, PathAttributes, RareAttrs, Segment, SharedAttrs};
 pub use config::{NeighborConfig, RouterConfig, TimingConfig};
 pub use damping::{DampingConfig, DampingState};
 pub use decision::{Candidate, DecisionConfig};

@@ -131,7 +131,7 @@ impl MatchCond {
             MatchCond::PrefixWithin(p) => p.covers(prefix),
             MatchCond::AsPathContains(a) => attrs.as_path.contains(*a),
             MatchCond::OriginatedBy(a) => attrs.as_path.origin_asn().unwrap_or(my_asn) == *a,
-            MatchCond::CommunityHas(c) => attrs.communities.contains(c),
+            MatchCond::CommunityHas(c) => attrs.rare().communities.contains(c),
         }
     }
 }
@@ -157,12 +157,12 @@ impl SetAction {
             SetAction::LocalPref(v) => attrs.local_pref = Some(*v),
             SetAction::Med(v) => attrs.med = Some(*v),
             SetAction::Prepend(asn, n) => attrs.as_path.prepend_n(*asn, *n as usize),
-            SetAction::AddCommunity(c) => {
-                if !attrs.communities.contains(c) {
-                    attrs.communities.push(*c);
+            SetAction::AddCommunity(c) => attrs.edit_rare(|r| {
+                if !r.communities.contains(c) {
+                    r.communities.push(*c);
                 }
-            }
-            SetAction::StripCommunities => attrs.communities.clear(),
+            }),
+            SetAction::StripCommunities => attrs.edit_rare(|r| r.communities.clear()),
         }
     }
 }
@@ -389,13 +389,13 @@ mod tests {
         let out = map.apply(pfx("10.0.0.0/8"), &a, Asn(9)).unwrap();
         assert_eq!(out.med, Some(55));
         assert_eq!(out.as_path.flatten(), vec![Asn(9), Asn(9), Asn(1)]);
-        assert_eq!(out.communities, vec![Community::new(9, 1)]);
+        assert_eq!(out.rare().communities, vec![Community::new(9, 1)]);
     }
 
     #[test]
     fn strip_communities_and_dedup() {
         let mut a = attrs(&[1]);
-        a.communities = vec![Community::new(1, 1)];
+        a.edit_rare(|r| r.communities = vec![Community::new(1, 1)]);
         let strip = RouteMap {
             rules: vec![Rule {
                 conds: vec![MatchCond::CommunityHas(Community::new(1, 1))],
@@ -405,7 +405,7 @@ mod tests {
             default_permit: true,
         };
         let out = strip.apply(pfx("10.0.0.0/8"), &a, Asn(9)).unwrap();
-        assert!(out.communities.is_empty());
+        assert!(out.rare().communities.is_empty());
 
         // AddCommunity is idempotent.
         let add = RouteMap {
@@ -421,7 +421,8 @@ mod tests {
         };
         let out = add.apply(pfx("10.0.0.0/8"), &a, Asn(9)).unwrap();
         assert_eq!(
-            out.communities
+            out.rare()
+                .communities
                 .iter()
                 .filter(|c| **c == Community::new(2, 2))
                 .count(),

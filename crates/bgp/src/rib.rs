@@ -1,10 +1,12 @@
 //! Routing Information Bases: Adj-RIB-In, Loc-RIB and Adj-RIB-Out.
 //!
-//! All maps are `BTreeMap`s so iteration order — and therefore everything
-//! downstream of it, including which UPDATE goes out first — is
-//! deterministic.
-
-use std::collections::btree_map::{BTreeMap, Entry};
+//! A router's tables name the same few hundred prefixes over and over, so
+//! each of `AdjRibIn` and `LocRib` gives a prefix a dense *slot* the first
+//! time it sees it (`SlotIndex`) and keeps its entries in slot-indexed
+//! `Vec`s. Every walk goes through the prefix-sorted index, so iteration
+//! order — and therefore everything downstream of it, including which
+//! UPDATE goes out first — is prefix order, as deterministic as a sorted
+//! map. A peer's `AdjRibOut` is keyed by the Loc-RIB's slot of the prefix.
 
 use bgpsdn_netsim::SimTime;
 
@@ -25,6 +27,45 @@ pub enum RouteSource {
     Peer(PeerIdx),
 }
 
+/// A prefix-sorted map from prefix to dense slot. A prefix keeps its slot
+/// for the life of the table, so one that returns after a withdrawal lands
+/// where it was; slots are `0..len` in order of first sight.
+#[derive(Debug, Default)]
+struct SlotIndex(Vec<(Prefix, u32)>);
+
+impl SlotIndex {
+    fn search(&self, prefix: Prefix) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&prefix, |(p, _)| *p)
+    }
+
+    /// The prefix's slot, if it has one.
+    fn find(&self, prefix: Prefix) -> Option<usize> {
+        self.search(prefix).ok().map(|i| self.0[i].1 as usize)
+    }
+
+    /// The prefix's slot, given it one if it had none.
+    fn intern(&mut self, prefix: Prefix) -> usize {
+        match self.search(prefix) {
+            Ok(i) => self.0[i].1 as usize,
+            Err(i) => {
+                let slot = self.0.len();
+                self.0.insert(i, (prefix, slot as u32));
+                debug_assert!(self.0.windows(2).all(|w| w[0].0 < w[1].0), "prefix-sorted");
+                slot
+            }
+        }
+    }
+
+    /// Every `(prefix, slot)` in prefix order.
+    fn iter(&self) -> impl Iterator<Item = (Prefix, usize)> + '_ {
+        self.0.iter().map(|&(p, slot)| (p, slot as usize))
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
 /// A route as stored in Adj-RIB-In.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RibInEntry {
@@ -38,7 +79,9 @@ pub struct RibInEntry {
 }
 
 /// One prefix's accepted routes, sorted by peer index: a flat row, so the
-/// decision process reads its candidates from consecutive memory.
+/// decision process reads its candidates from consecutive memory. A row
+/// holds exactly as many routes as it has room for (nearly every prefix
+/// has one or two), and an emptied row frees its block.
 type RibInRow = Vec<(PeerIdx, RibInEntry)>;
 
 /// Where `peer`'s route is (`Ok`) or would go (`Err`) in a row.
@@ -49,8 +92,9 @@ pub(crate) fn row_slot(row: &[(PeerIdx, RibInEntry)], peer: PeerIdx) -> Result<u
 /// Per-prefix, per-peer store of accepted routes.
 #[derive(Debug, Default)]
 pub struct AdjRibIn {
-    /// No row is empty.
-    routes: BTreeMap<Prefix, RibInRow>,
+    index: SlotIndex,
+    /// One row per slot; an empty row is a prefix without routes.
+    rows: Vec<RibInRow>,
     /// Routes currently stored per peer (indexed by `PeerIdx`, grown on
     /// demand), so the maximum-prefix guardrail reads a counter instead of
     /// scanning every prefix slot on each UPDATE.
@@ -64,7 +108,12 @@ impl AdjRibIn {
     /// still refreshes `learned_at` — graceful restart distinguishes
     /// stale-retained routes from re-announced ones by that timestamp.
     pub fn insert(&mut self, prefix: Prefix, peer: PeerIdx, entry: RibInEntry) -> bool {
-        let row = self.routes.entry(prefix).or_default();
+        let slot = self.index.intern(prefix);
+        if slot == self.rows.len() {
+            self.rows.push(Vec::new());
+        }
+        debug_assert_eq!(self.rows.len(), self.index.len());
+        let row = &mut self.rows[slot];
         match row_slot(row, peer) {
             Ok(i) => {
                 let old = &mut row[i].1;
@@ -78,6 +127,7 @@ impl AdjRibIn {
                 }
             }
             Err(i) => {
+                row.reserve_exact(1);
                 row.insert(i, (peer, entry));
                 if self.peer_counts.len() <= peer {
                     self.peer_counts.resize(peer + 1, 0);
@@ -88,19 +138,25 @@ impl AdjRibIn {
         }
     }
 
+    /// Remove the route at `at` from `row`, freeing the row once it empties.
+    fn take(row: &mut RibInRow, at: usize) {
+        row.remove(at);
+        if row.is_empty() {
+            *row = Vec::new();
+        }
+    }
+
     /// Remove the peer's route for a prefix. Returns true when a route was
     /// actually removed.
     pub fn remove(&mut self, prefix: Prefix, peer: PeerIdx) -> bool {
-        let Entry::Occupied(mut row) = self.routes.entry(prefix) else {
+        let Some(slot) = self.index.find(prefix) else {
             return false;
         };
-        let Ok(i) = row_slot(row.get(), peer) else {
+        let row = &mut self.rows[slot];
+        let Ok(i) = row_slot(row, peer) else {
             return false;
         };
-        row.get_mut().remove(i);
-        if row.get().is_empty() {
-            row.remove();
-        }
+        Self::take(row, i);
         self.peer_counts[peer] -= 1;
         true
     }
@@ -114,15 +170,15 @@ impl AdjRibIn {
         mut goes: impl FnMut(&RibInEntry) -> bool,
     ) -> InlineVec<Prefix, 8> {
         let mut affected = InlineVec::new();
-        self.routes.retain(|prefix, row| {
+        for (prefix, slot) in self.index.iter() {
+            let row = &mut self.rows[slot];
             if let Ok(i) = row_slot(row, peer) {
                 if goes(&row[i].1) {
-                    row.remove(i);
-                    affected.push(*prefix);
+                    Self::take(row, i);
+                    affected.push(prefix);
                 }
             }
-            !row.is_empty()
-        });
+        }
         if let Some(count) = self.peer_counts.get_mut(peer) {
             *count -= affected.len();
         }
@@ -146,7 +202,7 @@ impl AdjRibIn {
 
     /// One prefix's routes in peer-index order (empty when there are none).
     pub(crate) fn row(&self, prefix: Prefix) -> &[(PeerIdx, RibInEntry)] {
-        self.routes.get(&prefix).map_or(&[], Vec::as_slice)
+        self.index.find(prefix).map_or(&[], |slot| &self.rows[slot])
     }
 
     /// Candidate routes for one prefix, in peer-index order.
@@ -160,14 +216,17 @@ impl AdjRibIn {
         row_slot(row, peer).ok().map(|i| &row[i].1)
     }
 
-    /// All prefixes with at least one candidate.
+    /// All prefixes with at least one candidate, in prefix order.
     pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.routes.keys().copied()
+        self.index
+            .iter()
+            .filter(|&(_, slot)| !self.rows[slot].is_empty())
+            .map(|(p, _)| p)
     }
 
     /// Total number of stored routes across all prefixes and peers.
     pub fn route_count(&self) -> usize {
-        self.routes.values().map(|s| s.len()).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// Number of prefixes currently learned from one peer (the
@@ -192,7 +251,11 @@ pub struct LocRibEntry {
 /// The router's view of best routes.
 #[derive(Debug)]
 pub struct LocRib {
-    best: BTreeMap<Prefix, LocRibEntry>,
+    index: SlotIndex,
+    /// One entry per slot; `None` is a prefix without a best route.
+    best: Vec<Option<LocRibEntry>>,
+    /// Number of prefixes with a best route.
+    len: usize,
     /// Number of stored prefixes per prefix length, so `lpm` probes only
     /// the populated lengths (one exact-match lookup each) instead of
     /// scanning the whole table.
@@ -202,7 +265,9 @@ pub struct LocRib {
 impl Default for LocRib {
     fn default() -> Self {
         LocRib {
-            best: BTreeMap::new(),
+            index: SlotIndex::default(),
+            best: Vec::new(),
+            len: 0,
             len_counts: [0; 33],
         }
     }
@@ -212,36 +277,60 @@ impl LocRib {
     /// Set the best route for a prefix. Returns true when the selection
     /// changed (source or attributes differ).
     pub fn set(&mut self, prefix: Prefix, entry: LocRibEntry) -> bool {
-        match self.best.entry(prefix) {
-            Entry::Occupied(mut old) => {
-                let old = old.get_mut();
+        self.select(prefix, Some(entry)).is_some()
+    }
+
+    /// Set (`Some`) or clear (`None`) the best route for a prefix. Returns
+    /// the prefix's slot when the selection changed.
+    pub(crate) fn select(&mut self, prefix: Prefix, entry: Option<LocRibEntry>) -> Option<usize> {
+        let Some(entry) = entry else {
+            let slot = self.index.find(prefix)?;
+            return self.clear(prefix).map(|_| slot);
+        };
+        let slot = self.index.intern(prefix);
+        if slot == self.best.len() {
+            self.best.push(None);
+        }
+        debug_assert_eq!(self.best.len(), self.index.len());
+        let changed = match &mut self.best[slot] {
+            Some(old) => {
                 let changed = old.source != entry.source || old.attrs != entry.attrs;
                 if changed {
                     *old = entry;
                 }
                 changed
             }
-            Entry::Vacant(slot) => {
-                slot.insert(entry);
+            vacant => {
+                *vacant = Some(entry);
+                self.len += 1;
                 self.len_counts[prefix.len() as usize] += 1;
                 true
             }
-        }
+        };
+        changed.then_some(slot)
     }
 
     /// Remove the best route (prefix now unreachable). Returns the removed
     /// entry when there was one.
     pub fn clear(&mut self, prefix: Prefix) -> Option<LocRibEntry> {
-        let removed = self.best.remove(&prefix);
+        let removed = self.best[self.index.find(prefix)?].take();
         if removed.is_some() {
+            self.len -= 1;
             self.len_counts[prefix.len() as usize] -= 1;
         }
         removed
     }
 
+    /// The prefix's slot, the key of every peer's [`AdjRibOut`]: assigned
+    /// when the prefix is first [`set`](LocRib::set) and kept for the
+    /// table's life.
+    pub fn slot(&self, prefix: Prefix) -> Option<usize> {
+        self.index.find(prefix)
+    }
+
     /// Current best route for a prefix.
     pub fn get(&self, prefix: Prefix) -> Option<&LocRibEntry> {
-        self.best.get(&prefix)
+        self.best[self.slot(prefix)?].as_ref()
     }
 
     /// Longest-prefix match for a destination address (the FIB lookup).
@@ -255,78 +344,69 @@ impl LocRib {
                 continue;
             }
             let probe = Prefix::new_masked(ip, len).expect("length in range");
-            if let Some(e) = self.best.get(&probe) {
+            if let Some(e) = self.get(probe) {
                 return Some((probe, e));
             }
         }
         None
     }
 
+    /// All `(prefix, slot, best)` triples in prefix order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (Prefix, usize, &LocRibEntry)> {
+        self.index
+            .iter()
+            .filter_map(|(p, slot)| Some((p, slot, self.best[slot].as_ref()?)))
+    }
+
     /// All `(prefix, best)` pairs in prefix order.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &LocRibEntry)> {
-        self.best.iter().map(|(p, e)| (*p, e))
+        self.entries().map(|(p, _, e)| (p, e))
     }
 
     /// Number of reachable prefixes.
     pub fn len(&self) -> usize {
-        self.best.len()
+        self.len
     }
 
     /// True when no prefix is reachable.
     pub fn is_empty(&self) -> bool {
-        self.best.is_empty()
+        self.len == 0
     }
 }
 
 /// What was last advertised to one peer (for delta computation), keyed by
-/// prefix.
+/// the prefix's [`LocRib::slot`]: everything a router advertises is, or
+/// was, in its Loc-RIB.
 #[derive(Debug, Default)]
 pub struct AdjRibOut {
-    advertised: BTreeMap<Prefix, SharedAttrs>,
+    advertised: Vec<Option<SharedAttrs>>,
 }
 
 impl AdjRibOut {
     /// Record an advertisement. Returns true when it differs from what was
     /// previously advertised (i.e. an UPDATE is warranted).
-    pub fn advertise(&mut self, prefix: Prefix, attrs: SharedAttrs) -> bool {
-        match self.advertised.entry(prefix) {
-            Entry::Occupied(mut old) => {
-                let changed = *old.get() != attrs;
-                if changed {
-                    old.insert(attrs);
-                }
-                changed
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(attrs);
-                true
-            }
+    pub fn advertise(&mut self, slot: usize, attrs: SharedAttrs) -> bool {
+        if slot >= self.advertised.len() {
+            self.advertised.resize(slot + 1, None);
         }
+        let old = &mut self.advertised[slot];
+        let changed = old.as_ref() != Some(&attrs);
+        if changed {
+            *old = Some(attrs);
+        }
+        changed
     }
 
-    /// Record a withdrawal. Returns true when the prefix was advertised.
-    pub fn withdraw(&mut self, prefix: Prefix) -> bool {
-        self.advertised.remove(&prefix).is_some()
+    /// Record a withdrawal. Returns true when the slot was advertised.
+    pub fn withdraw(&mut self, slot: usize) -> bool {
+        self.advertised
+            .get_mut(slot)
+            .is_some_and(|a| a.take().is_some())
     }
 
-    /// Attributes last advertised for a prefix.
-    pub fn get(&self, prefix: Prefix) -> Option<&SharedAttrs> {
-        self.advertised.get(&prefix)
-    }
-
-    /// Everything currently advertised, in prefix order.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &SharedAttrs)> {
-        self.advertised.iter().map(|(p, a)| (*p, a))
-    }
-
-    /// Number of advertised prefixes.
-    pub fn len(&self) -> usize {
-        self.advertised.len()
-    }
-
-    /// True when nothing has been advertised.
-    pub fn is_empty(&self) -> bool {
-        self.advertised.is_empty()
+    /// Attributes last advertised for a slot.
+    pub fn get(&self, slot: usize) -> Option<&SharedAttrs> {
+        self.advertised.get(slot)?.as_ref()
     }
 
     /// Drop all state (session reset).
@@ -464,17 +544,20 @@ mod tests {
     #[test]
     fn adj_out_delta_logic() {
         let mut out = AdjRibOut::default();
-        let p = pfx("10.0.0.0/8");
+        let slot = 3;
         let a1 = SharedAttrs::from(PathAttributes::originate(Ipv4Addr::new(1, 1, 1, 1)));
         let a2 = SharedAttrs::from(PathAttributes::originate(Ipv4Addr::new(2, 2, 2, 2)));
-        assert!(out.advertise(p, a1.clone()));
-        assert!(!out.advertise(p, a1.clone()), "same attrs suppressed");
-        assert!(out.advertise(p, a2), "changed attrs re-advertised");
-        assert!(out.withdraw(p));
-        assert!(!out.withdraw(p), "double withdraw suppressed");
-        assert!(out.advertise(p, a1));
+        assert!(!out.withdraw(slot), "never advertised");
+        assert!(out.advertise(slot, a1.clone()));
+        assert!(!out.advertise(slot, a1.clone()), "same attrs suppressed");
+        assert!(out.advertise(slot, a2), "changed attrs re-advertised");
+        assert!(out.withdraw(slot));
+        assert!(!out.withdraw(slot), "double withdraw suppressed");
+        assert!(out.advertise(slot, a1.clone()));
+        assert_eq!(out.get(slot), Some(&a1));
+        assert_eq!(out.get(0), None);
         out.clear();
-        assert_eq!(out.len(), 0);
+        assert_eq!(out.get(slot), None);
     }
 
     #[test]

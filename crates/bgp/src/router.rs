@@ -86,12 +86,16 @@ enum OutChange {
     Withdraw,
 }
 
+/// A queued change: the prefix, its Loc-RIB slot (the Adj-RIB-Out key) and
+/// what to send.
+type Pending = (Prefix, usize, OutChange);
+
 /// Queue `change` for `prefix`, superseding an earlier one. The queue stays
 /// prefix-sorted, which fixes the order UPDATEs leave in.
-fn set_pending(pending: &mut Vec<(Prefix, OutChange)>, prefix: Prefix, change: OutChange) {
-    match pending.binary_search_by_key(&prefix, |(p, _)| *p) {
-        Ok(i) => pending[i].1 = change,
-        Err(i) => pending.insert(i, (prefix, change)),
+fn set_pending(pending: &mut Vec<Pending>, prefix: Prefix, slot: usize, change: OutChange) {
+    match pending.binary_search_by_key(&prefix, |(p, _, _)| *p) {
+        Ok(i) => pending[i].2 = change,
+        Err(i) => pending.insert(i, (prefix, slot, change)),
     }
 }
 
@@ -112,7 +116,7 @@ struct PeerRuntime {
     adj_out: AdjRibOut,
     /// Changes not yet sent, prefix-sorted; drained in place on every flush
     /// so the buffer is reused for the life of the session.
-    pending: Vec<(Prefix, OutChange)>,
+    pending: Vec<Pending>,
     mrai_armed: bool,
     /// Ever reached Established (distinguishes first bring-up from a
     /// re-establishment for the `sessions_reestablished` counter).
@@ -267,9 +271,10 @@ impl<M: BgpApp> BgpRouter<M> {
 
     /// What was last advertised to a logical peer for a prefix.
     pub fn advertised_to(&self, peer: NodeId, prefix: Prefix) -> Option<&SharedAttrs> {
+        let slot = self.loc_rib.slot(prefix)?;
         self.peers[self.sessions.find(self.id, peer)?]
             .adj_out
-            .get(prefix)
+            .get(slot)
     }
 
     // ------------------------------------------------------------------
@@ -327,12 +332,12 @@ impl<M: BgpApp> BgpRouter<M> {
     /// Queue the whole Loc-RIB toward one peer (initial table sync, ROUTE
     /// REFRESH) and flush.
     fn export_table(&mut self, ctx: &mut Ctx<'_, M>, peer: PeerIdx) {
-        for (p, best) in self.loc_rib.iter() {
+        for (p, slot, best) in self.loc_rib.entries() {
             Self::enqueue_export(
                 &self.cfg,
                 &mut self.peers[peer],
                 peer,
-                p,
+                (p, slot),
                 Some(best),
                 &mut None,
             );
@@ -421,11 +426,8 @@ impl<M: BgpApp> BgpRouter<M> {
             selected
         };
 
-        let changed = match new_entry {
-            Some(entry) => self.loc_rib.set(prefix, entry),
-            None => self.loc_rib.clear(prefix).is_some(),
-        };
-        if changed {
+        let changed = self.loc_rib.select(prefix, new_entry);
+        if let Some(slot) = changed {
             ctx.report(Activity::RibChange);
             ctx.count(Counter::BestPathChanges, 1);
             // Read once; every peer of the fan-out below gets this entry.
@@ -472,24 +474,24 @@ impl<M: BgpApp> BgpRouter<M> {
             let mut view = None;
             for (peer, rt) in self.peers.iter_mut().enumerate() {
                 if self.sessions.is_established(peer) {
-                    Self::enqueue_export(&self.cfg, rt, peer, prefix, best, &mut view);
+                    Self::enqueue_export(&self.cfg, rt, peer, (prefix, slot), best, &mut view);
                 }
             }
         }
-        changed
+        changed.is_some()
     }
 
-    /// Compute the desired advertisement of `prefix` toward Established
-    /// `peer` (whose runtime is `rt`), given the prefix's Loc-RIB entry
-    /// `best`, and queue
-    /// the delta. `view` caches the prefix's export view across the peers of
-    /// one fan-out: it is built for the first peer the route may go to and
-    /// every later peer gets the same handle.
+    /// Compute the desired advertisement of `prefix` (at Loc-RIB `slot`)
+    /// toward Established `peer` (whose runtime is `rt`), given the prefix's
+    /// Loc-RIB entry `best`, and queue the delta. `view` caches the prefix's
+    /// export view across the peers of one fan-out: it is built for the
+    /// first peer the route may go to and every later peer gets the same
+    /// handle.
     fn enqueue_export(
         cfg: &RouterConfig,
         rt: &mut PeerRuntime,
         peer: PeerIdx,
-        prefix: Prefix,
+        (prefix, slot): (Prefix, usize),
         best: Option<&LocRibEntry>,
         view: &mut Option<SharedAttrs>,
     ) {
@@ -507,7 +509,7 @@ impl<M: BgpApp> BgpRouter<M> {
             }
             _ => OutChange::Withdraw,
         };
-        set_pending(&mut rt.pending, prefix, change);
+        set_pending(&mut rt.pending, prefix, slot, change);
     }
 
     /// Whether a best route learned from `source` may be exported to `peer`
@@ -547,9 +549,9 @@ impl<M: BgpApp> BgpRouter<M> {
                 pending, adj_out, ..
             } = &mut self.peers[peer];
             let mut really = PrefixList::new();
-            pending.retain(|(p, change)| {
+            pending.retain(|(p, slot, change)| {
                 let withdraw = matches!(change, OutChange::Withdraw);
-                if withdraw && adj_out.withdraw(*p) {
+                if withdraw && adj_out.withdraw(*slot) {
                     really.push(*p);
                 }
                 !withdraw
@@ -581,15 +583,15 @@ impl<M: BgpApp> BgpRouter<M> {
         // Group announcements sharing identical attributes (in a fan-out:
         // the same handle) into one UPDATE.
         let mut groups = std::mem::take(&mut self.groups);
-        for (prefix, change) in pending.drain(..) {
+        for (prefix, slot, change) in pending.drain(..) {
             match change {
                 OutChange::Withdraw => {
-                    if adj_out.withdraw(prefix) {
+                    if adj_out.withdraw(slot) {
                         withdraws.push(prefix);
                     }
                 }
                 OutChange::Announce(attrs) => {
-                    if adj_out.advertise(prefix, attrs.clone()) {
+                    if adj_out.advertise(slot, attrs.clone()) {
                         match groups.iter_mut().find(|(a, _)| *a == attrs) {
                             Some((_, ps)) => ps.push(prefix),
                             None => groups.push((attrs, [prefix].into())),

@@ -11,9 +11,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bgpsdn_bgp::{
-    pfx, wire::Writer, AsPath, Asn, BgpEnvelope, BgpMessage, BgpOnlyMsg, BgpRouter, LocRibEntry,
-    NeighborConfig, PathAttributes, PolicyMode, Relationship, RibInEntry, RouterCommand,
-    RouterConfig, SharedAttrs, TimingConfig, UpdateMsg,
+    pfx, wire::Writer, AsPath, Asn, BgpEnvelope, BgpMessage, BgpOnlyMsg, BgpRouter, Community,
+    LocRibEntry, NeighborConfig, PathAttributes, PeerIdx, PolicyMode, RareAttrs, Relationship,
+    RibInEntry, RouterCommand, RouterConfig, SharedAttrs, TimingConfig, UpdateMsg,
 };
 use bgpsdn_netsim::{Cause, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
 
@@ -78,6 +78,30 @@ fn decoding_a_route_allocates_only_its_attribute_block() {
     let (msg, blocks, _) = counted(|| BgpMessage::decode(&bytes));
     assert!(msg.is_ok());
     assert_eq!(blocks, 2);
+}
+
+/// The rare attributes sit in a cold block that a decoded route opens only
+/// when it carries one: without any, the attribute block is the route's
+/// one block; ATOMIC_AGGREGATE adds the cold block, a community list the
+/// cold block and the list.
+#[test]
+fn only_a_rare_attribute_opens_the_cold_block() {
+    type Edit = fn(&mut RareAttrs);
+    let cases: [(Edit, usize); 3] = [
+        (|_| {}, 1),
+        (|r| r.atomic_aggregate = true, 2),
+        (|r| r.communities = vec![Community::NO_EXPORT], 3),
+    ];
+    for (i, (edit, expected)) in cases.into_iter().enumerate() {
+        let mut attrs = PathAttributes::originate("10.0.0.1".parse().unwrap());
+        attrs.as_path = AsPath::from_seq(65001..65004);
+        attrs.edit_rare(edit);
+        let msg = BgpMessage::Update(UpdateMsg::announce([pfx("10.1.0.0/16")], attrs));
+        let bytes = msg.encode();
+        let (back, blocks, resizes) = counted(|| BgpMessage::decode(&bytes));
+        assert_eq!(back.as_ref(), Ok(&msg), "case {i}");
+        assert_eq!((blocks, resizes), (expected, 0), "case {i}");
+    }
 }
 
 /// An UPDATE of up to three prefixes is built without touching the heap,
@@ -183,18 +207,24 @@ fn a_fan_out_builds_its_export_view_in_one_block() {
 
 /// The per-route structs, in bytes (64-bit). `PathAttributes` is what every
 /// route allocates once (plus 16 bytes of reference counts); an Adj-RIB-In
-/// row holds one `(PeerIdx, RibInEntry)` per candidate. The per-message
-/// structs are upper bounds: the compiler may find a niche for a tag.
+/// row holds one `(PeerIdx, RibInEntry)` per candidate, a Loc-RIB one
+/// `Option<LocRibEntry>` per prefix slot and a peer's Adj-RIB-Out one
+/// `Option<SharedAttrs>` per Loc-RIB slot. The per-message structs are upper
+/// bounds: the compiler may find a niche for a tag.
 #[test]
 fn per_route_structs_keep_their_size() {
     use std::mem::size_of;
     assert_eq!(size_of::<AsPath>(), 40);
-    // 120 + 16 = 136 bytes per attribute block: glibc's 144-byte chunk.
-    // Eight bytes more and every route takes the 160-byte one.
-    assert_eq!(size_of::<PathAttributes>(), 120);
+    // 72 + 16 = 88 bytes per attribute block: glibc's 96-byte chunk. Eight
+    // bytes more and every route takes the 112-byte one.
+    assert_eq!(size_of::<PathAttributes>(), 72);
     assert_eq!(size_of::<SharedAttrs>(), 8);
     assert_eq!(size_of::<RibInEntry>(), 24);
+    assert_eq!(size_of::<(PeerIdx, RibInEntry)>(), 32);
+    assert_eq!(size_of::<Vec<(PeerIdx, RibInEntry)>>(), 24);
     assert_eq!(size_of::<LocRibEntry>(), 32);
+    assert_eq!(size_of::<Option<LocRibEntry>>(), 32);
+    assert_eq!(size_of::<Option<SharedAttrs>>(), 8);
     assert!(size_of::<UpdateMsg>() <= 72);
     assert!(size_of::<BgpEnvelope>() <= 104);
 }

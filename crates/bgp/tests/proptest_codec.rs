@@ -3,7 +3,8 @@
 //! Also the shared attribute handle every decoded route travels in: it must
 //! behave exactly like the attributes it holds, and never alias a write; and
 //! the AS_PATH layout (leading AS_SEQUENCE in place, the rest behind it) must
-//! behave exactly like the plain list of wire segments it stands for.
+//! behave exactly like the plain list of wire segments it stands for, and
+//! the rare-attribute block must vanish when it empties.
 
 use std::net::Ipv4Addr;
 
@@ -11,7 +12,8 @@ use proptest::prelude::*;
 
 use bgpsdn_bgp::{
     AsPath, Asn, BgpEnvelope, BgpMessage, Capability, Community, NotifCode, NotificationMsg,
-    OpenMsg, Origin, PathAttributes, Prefix, RouterId, Segment, SharedAttrs, UpdateMsg, WireBytes,
+    OpenMsg, Origin, PathAttributes, Prefix, RouteMap, RouterId, Rule, Segment, SetAction,
+    SharedAttrs, UpdateMsg, WireBytes,
 };
 use bgpsdn_netsim::NodeId;
 
@@ -168,9 +170,11 @@ fn arb_attrs() -> impl Strategy<Value = PathAttributes> {
                 a.as_path = as_path;
                 a.med = med;
                 a.local_pref = local_pref;
-                a.atomic_aggregate = atomic;
-                a.aggregator = aggregator.map(|(asn, ip)| (Asn(asn), Ipv4Addr::from(ip)));
-                a.communities = comms.into_iter().map(Community).collect();
+                a.edit_rare(|r| {
+                    r.atomic_aggregate = atomic;
+                    r.aggregator = aggregator.map(|(asn, ip)| (Asn(asn), Ipv4Addr::from(ip)));
+                    r.communities = comms.into_iter().map(Community).collect();
+                });
                 a
             },
         )
@@ -387,6 +391,43 @@ proptest! {
         prop_assert_eq!(hash_of(&sa), hash_of(&a));
         prop_assert_eq!(hash_of(&sa), hash_of(&twin));
         prop_assert_eq!(attr_bytes(&sa), attr_bytes(&a));
+    }
+
+    /// The rare-attribute block is canonical: a community a route map adds
+    /// and then strips leaves attributes equal to, hashing like and encoding
+    /// to the same bytes as ones that never had it. An ATOMIC_AGGREGATE
+    /// keeps the block alive through the strip; without one, the block goes.
+    #[test]
+    fn a_stripped_community_leaves_no_trace(
+        base in arb_attrs(),
+        atomic in any::<bool>(),
+        community in any::<u32>(),
+    ) {
+        let mut never = PathAttributes::originate(base.next_hop);
+        never.origin = base.origin;
+        never.as_path = base.as_path.clone();
+        never.med = base.med;
+        never.local_pref = base.local_pref;
+        if atomic {
+            never.edit_rare(|r| r.atomic_aggregate = true);
+        }
+        let map = |action| RouteMap {
+            rules: vec![Rule { conds: vec![], actions: vec![action], permit: true }],
+            default_permit: true,
+        };
+        let prefix: Prefix = "10.0.0.0/8".parse().unwrap();
+        let tagged = map(SetAction::AddCommunity(Community(community)))
+            .apply(prefix, &never, Asn(1))
+            .expect("permitted");
+        prop_assert_eq!(&tagged.rare().communities, &vec![Community(community)]);
+        prop_assert_ne!(&tagged, &never);
+        let stripped = map(SetAction::StripCommunities)
+            .apply(prefix, &tagged, Asn(1))
+            .expect("permitted");
+        prop_assert_eq!(&stripped, &never);
+        prop_assert_eq!(hash_of(&stripped), hash_of(&never));
+        prop_assert_eq!(attr_bytes(&stripped), attr_bytes(&never));
+        prop_assert_eq!(stripped.rare().atomic_aggregate, atomic);
     }
 
     #[test]

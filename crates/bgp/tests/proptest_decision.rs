@@ -168,7 +168,7 @@ proptest! {
         let out = map.apply(pfx("10.0.0.0/8"), &attrs, Asn(1)).unwrap();
         prop_assert_eq!(out.local_pref, Some(lp));
         prop_assert_eq!(
-            out.communities.iter().filter(|c| c.0 == community).count(),
+            out.rare().communities.iter().filter(|c| c.0 == community).count(),
             1
         );
         prop_assert_eq!(out.as_path, attrs.as_path, "path untouched");

@@ -816,7 +816,7 @@ fn communities_cross_the_wire_and_drive_import_policy() {
     );
     // The community genuinely crossed the wire: the direct candidate holds it.
     let direct = r1.adj_in().get(prefix_of(0), 0).expect("direct candidate");
-    assert!(direct.attrs.communities.contains(&tag));
+    assert!(direct.attrs.rare().communities.contains(&tag));
 }
 
 #[test]
