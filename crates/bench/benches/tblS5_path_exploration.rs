@@ -5,8 +5,8 @@
 //! routes, which is *why* convergence improves in Figure 2.
 
 use bgpsdn_bench::{write_json, RUNS};
-use bgpsdn_core::JobSpec;
-use bgpsdn_netsim::SimTime;
+use bgpsdn_core::{Collector, JobSpec};
+use bgpsdn_netsim::{NodeId, SimTime};
 use bgpsdn_obs::impl_to_json;
 
 struct Row {
@@ -42,15 +42,16 @@ fn main() {
                 seed: 9000 + r * 7919,
                 ..JobSpec::clique(16, sdn_count)
             };
-            let (out, exp) = spec.run(|_| {});
+            // Path exploration reads the collector's entries, which it
+            // keeps only when asked. The collector is the last node built.
+            let (out, exp) = spec.run(|sim| {
+                let collector = NodeId(sim.node_count() as u32 - 1);
+                sim.with_node::<Collector, _>(collector, |c| c.log_mut().keep_entries());
+            });
             assert!(out.converged && out.audit_ok);
             updates.push(out.updates as f64);
             let collector = exp.net.collector.expect("collector enabled");
-            let log = exp
-                .net
-                .sim
-                .node_ref::<bgpsdn_core::Collector>(collector)
-                .log();
+            let log = exp.net.sim.node_ref::<Collector>(collector).log();
             let origin_prefix = exp.net.ases[0].prefix;
             let explored = log.paths_explored(origin_prefix, exp.phase_start(), SimTime::MAX);
             if !explored.is_empty() {

@@ -4,10 +4,13 @@
 //! session in this framework advertise the four-octet-AS capability
 //! (RFC 6793), so the AS4_PATH compatibility dance is unnecessary.
 
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::ops::{Deref, DerefMut};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::inline::InlineVec;
@@ -712,6 +715,57 @@ impl Hash for SharedAttrs {
     }
 }
 
+/// One network's table of Adj-RIB-In attribute blocks (Quagga's
+/// `bgp_attr_intern` across one process's routers, which share clones of
+/// it): the set, and the size at which `intern` next purges it. detlint:
+/// the set is only looked up, inserted into and `retain`ed, in any order.
+#[derive(Clone, Default)]
+pub struct AttrTable(Rc<RefCell<(AttrSet, usize)>>);
+type AttrSet = HashSet<SharedAttrs, BuildHasherDefault<MulHasher>>;
+
+impl AttrTable {
+    /// The table's block equal to `attrs`, `attrs` itself if it is new.
+    pub fn intern(&self, attrs: SharedAttrs) -> SharedAttrs {
+        let (set, purge_at) = &mut *self.0.borrow_mut();
+        if let Some(block) = set.get(&attrs) {
+            return block.clone();
+        }
+        // Purge once grown by a quarter and 64: O(1) an insert, little held garbage.
+        if set.len() >= *purge_at {
+            set.retain(|a| Arc::strong_count(&a.0) > 1);
+            *purge_at = 64 + set.len() * 5 / 4;
+        }
+        set.insert(attrs.clone());
+        attrs
+    }
+
+    /// Drop every entry that only the table holds; the number left.
+    pub fn purge(&self) -> usize {
+        let set = &mut self.0.borrow_mut().0;
+        set.retain(|a| Arc::strong_count(&a.0) > 1);
+        set.len()
+    }
+}
+
+/// rustc's "Fx" hash: cheaper than SipHash, and no key here is chosen to collide.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26) // the low bits pick the bucket
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_le_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,5 +966,29 @@ mod tests {
     fn origin_ordering_for_decision() {
         assert!(Origin::Igp < Origin::Egp);
         assert!(Origin::Egp < Origin::Incomplete);
+    }
+
+    /// A table whose blocks are let go purges itself once it has grown by a
+    /// quarter and 64, so that bounds what it holds; what is held stays.
+    #[test]
+    fn the_table_purges_what_only_it_holds() {
+        let table = AttrTable::default();
+        let attrs = |i: u32| {
+            let mut a = PathAttributes::originate(Ipv4Addr::new(10, 0, 0, 1));
+            a.med = Some(i);
+            SharedAttrs::from(a)
+        };
+        let kept: Vec<SharedAttrs> = (0..600).map(|i| table.intern(attrs(i))).collect();
+        for i in 600..5000 {
+            table.intern(attrs(i));
+            assert!(
+                table.0.borrow().0.len() <= 64 + kept.len() * 5 / 4 + 1,
+                "at {i}"
+            );
+        }
+        for (i, held) in kept.iter().enumerate() {
+            assert!(SharedAttrs::ptr_eq(held, &table.intern(attrs(i as u32))));
+        }
+        assert_eq!(table.purge(), kept.len());
     }
 }

@@ -16,7 +16,7 @@ use bgpsdn_netsim::{
     ObsPrefix, PacketKind, SimDuration, SimTime, TimerClass, TimerToken, TraceCategory, TraceEvent,
 };
 
-use crate::attrs::{PathAttributes, SharedAttrs};
+use crate::attrs::{AttrTable, PathAttributes, SharedAttrs};
 use crate::config::{NeighborConfig, RouterConfig};
 use crate::decision::{self, Candidate};
 use crate::envelope::{BgpApp, RouterCommand};
@@ -141,6 +141,7 @@ pub struct BgpRouter<M: BgpApp> {
     sessions: Sessions,
     peers: Vec<PeerRuntime>,
     adj_in: AdjRibIn,
+    attr_table: AttrTable,
     loc_rib: LocRib,
     originated: BTreeSet<Prefix>,
     /// UPDATEs waiting out their processing delay, one K_PROCESS firing
@@ -167,6 +168,7 @@ impl<M: BgpApp> BgpRouter<M> {
             sessions: Sessions::default(),
             peers: Vec::with_capacity(neighbors.len()),
             adj_in: AdjRibIn::default(),
+            attr_table: AttrTable::default(),
             loc_rib: LocRib::default(),
             originated,
             in_queue: VecDeque::new(),
@@ -181,6 +183,17 @@ impl<M: BgpApp> BgpRouter<M> {
             router.add_neighbor(n);
         }
         router
+    }
+
+    /// Take the Adj-RIB-In's blocks from `table`, not a table of its own.
+    pub fn with_attr_table(mut self, table: AttrTable) -> Self {
+        self.attr_table = table;
+        self
+    }
+
+    /// The table the Adj-RIB-In's attribute blocks come from.
+    pub fn attr_table(&self) -> &AttrTable {
+        &self.attr_table
     }
 
     /// Add a neighbor after construction. Node and link ids only exist once
@@ -699,7 +712,7 @@ impl<M: BgpApp> BgpRouter<M> {
                         let existed =
                             self.cfg.damping.is_some() && self.adj_in.get(*p, peer).is_some();
                         let entry = RibInEntry {
-                            attrs: final_attrs,
+                            attrs: self.attr_table.intern(final_attrs),
                             peer_router_id: self.peers[peer].remote_router_id,
                             learned_at: ctx.now(),
                         };

@@ -11,9 +11,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bgpsdn_bgp::{
-    pfx, wire::Writer, AsPath, Asn, BgpEnvelope, BgpMessage, BgpOnlyMsg, BgpRouter, Community,
-    LocRibEntry, NeighborConfig, PathAttributes, PeerIdx, PolicyMode, RareAttrs, Relationship,
-    RibInEntry, RouterCommand, RouterConfig, SharedAttrs, TimingConfig, UpdateMsg,
+    attrs::AttrTable, pfx, wire::Writer, AsPath, Asn, BgpEnvelope, BgpMessage, BgpOnlyMsg,
+    BgpRouter, Community, LocRibEntry, NeighborConfig, PathAttributes, PeerIdx, PolicyMode,
+    RareAttrs, Relationship, RibInEntry, RouterCommand, RouterConfig, SharedAttrs, TimingConfig,
+    UpdateMsg,
 };
 use bgpsdn_netsim::{Cause, LatencyModel, NodeId, SimDuration, SimTime, Simulator};
 
@@ -203,6 +204,80 @@ fn a_fan_out_builds_its_export_view_in_one_block() {
     });
     assert_eq!(&view, sent(1), "this is the view the hub built");
     assert_eq!((blocks, resizes), (1, 0));
+}
+
+/// A 3-router fan-out from one hub, whose advertisement of its prefix every
+/// leaf decodes into a block of its own. Two leaves are the hub's
+/// customers and import it alike (LOCAL_PREF 90); the third is its peer
+/// (LOCAL_PREF 110). With one table for the four routers, what the leaves
+/// keep is one block per distinct post-import content: two blocks for
+/// three routes. Routers with a table each keep a block per route.
+#[test]
+fn a_fan_out_keeps_one_block_per_distinct_imported_content() {
+    type Router = BgpRouter<BgpOnlyMsg>;
+    let p = pfx("203.0.113.0/24");
+    let run = |shared: Option<AttrTable>| {
+        let mut sim: Simulator<BgpOnlyMsg> = Simulator::new(3);
+        let timing = TimingConfig {
+            mrai: SimDuration::ZERO,
+            ..Default::default()
+        };
+        let asn = |i: usize| Asn(65000 + i as u32);
+        let nodes: Vec<_> = (0..4)
+            .map(|i| {
+                let cfg = RouterConfig::new(asn(i))
+                    .with_mode(PolicyMode::GaoRexford)
+                    .with_timing(timing.clone());
+                let table = shared.clone().unwrap_or_default();
+                sim.add_node(format!("r{i}"), |id| {
+                    Router::new(id, cfg).with_attr_table(table)
+                })
+            })
+            .collect();
+        // How the hub sees each leaf.
+        let leaves = [
+            Relationship::Customer,
+            Relationship::Customer,
+            Relationship::Peer,
+        ];
+        for (leaf, rel) in (1..).zip(leaves) {
+            let link = sim.add_link(
+                nodes[0],
+                nodes[leaf],
+                LatencyModel::Fixed(SimDuration::from_millis(5)),
+            );
+            sim.with_node::<Router, _>(nodes[0], |r| {
+                r.add_neighbor(NeighborConfig::new(nodes[leaf], link, asn(leaf), rel));
+            });
+            sim.with_node::<Router, _>(nodes[leaf], |r| {
+                r.add_neighbor(NeighborConfig::new(nodes[0], link, asn(0), rel.inverse()));
+            });
+        }
+        assert!(sim.run_until_quiescent(SimTime::from_secs(60)).quiescent);
+        sim.inject(nodes[0], BgpOnlyMsg::Command(RouterCommand::Announce(p)));
+        assert!(sim.run_until_quiescent(SimTime::from_secs(120)).quiescent);
+        let routes: Vec<SharedAttrs> = (1..=3)
+            .map(|leaf| {
+                let r = sim.node_ref::<Router>(nodes[leaf]);
+                assert_eq!(r.adj_in().route_count(), 1, "leaf {leaf}");
+                r.adj_in().get(p, 0).expect("learned").attrs.clone()
+            })
+            .collect();
+        if let Some(table) = &shared {
+            assert_eq!(table.purge(), 2, "the table holds what the leaves hold");
+        }
+        routes
+    };
+
+    let routes = run(Some(AttrTable::default()));
+    assert_eq!(routes[0].local_pref, Some(90));
+    assert_eq!(routes[2].local_pref, Some(110));
+    assert!(SharedAttrs::ptr_eq(&routes[0], &routes[1]));
+    assert!(!SharedAttrs::ptr_eq(&routes[0], &routes[2]));
+
+    let routes = run(None);
+    assert_eq!(routes[0], routes[1]);
+    assert!(!SharedAttrs::ptr_eq(&routes[0], &routes[1]));
 }
 
 /// The per-route structs, in bytes (64-bit). `PathAttributes` is what every

@@ -4,8 +4,8 @@
 //! updates for monitoring purposes." The collector is a passive BGP speaker:
 //! it accepts sessions from any router (monitored routers configure it as a
 //! [`Relationship::Monitor`](bgpsdn_bgp::Relationship) neighbor, export-only
-//! and unthrottled), decodes every UPDATE and appends prefix events to an
-//! [`UpdateLog`].
+//! and unthrottled), decodes every UPDATE and counts its prefix events in
+//! an [`UpdateLog`], which keeps them only when asked to.
 
 use bgpsdn_bgp::{Asn, BgpApp, BgpEnvelope, BgpMessage, RouterId, SessionEvent, SessionHandshake};
 use bgpsdn_netsim::{Ctx, LinkId, Node, NodeId, TraceCategory, TraceEvent};
@@ -70,9 +70,10 @@ impl<M: BgpApp> RouteCollector<M> {
         &self.log
     }
 
-    /// Reset the log between experiment phases.
-    pub fn clear_log(&mut self) {
-        self.log.clear();
+    /// The log, to clear it between experiment phases or have it keep
+    /// its entries.
+    pub fn log_mut(&mut self) -> &mut UpdateLog {
+        &mut self.log
     }
 }
 
@@ -106,7 +107,6 @@ impl<M: BgpApp> Node<M> for RouteCollector<M> {
                 for p in &upd.withdrawn {
                     self.log.push(LogEntry {
                         time: now,
-                        peer: peer_node,
                         peer_asn: peer.asn,
                         prefix: *p,
                         action: LogAction::Withdraw,
@@ -116,7 +116,6 @@ impl<M: BgpApp> Node<M> for RouteCollector<M> {
                     for p in &upd.nlri {
                         self.log.push(LogEntry {
                             time: now,
-                            peer: peer_node,
                             peer_asn: peer.asn,
                             prefix: *p,
                             action: LogAction::Announce(attrs.as_path.clone()),

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use bgpsdn_bgp::{AsPath, Asn, Prefix};
-use bgpsdn_netsim::{NodeId, SimDuration, SimTime};
+use bgpsdn_netsim::{SimDuration, SimTime};
 
 /// What an update said about one prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,8 +21,6 @@ pub enum LogAction {
 pub struct LogEntry {
     /// When it was received at the collector.
     pub time: SimTime,
-    /// The monitored router (logical session endpoint).
-    pub peer: NodeId,
     /// The monitored router's ASN.
     pub peer_asn: Asn,
     /// Affected prefix.
@@ -31,74 +29,64 @@ pub struct LogEntry {
     pub action: LogAction,
 }
 
-/// An append-only log of prefix events with analysis helpers.
+/// The collector's log of prefix events: a count and the last instant,
+/// which the collector view of convergence reads, and the entries, which
+/// path exploration and the timeline read, only once they are kept.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateLog {
+    len: usize,
+    last: Option<SimTime>,
+    keep: bool,
     entries: Vec<LogEntry>,
 }
 
 impl UpdateLog {
-    /// Append one entry (times must be non-decreasing; the collector
+    /// Keep every entry pushed from now on.
+    pub fn keep_entries(&mut self) {
+        self.keep = true;
+    }
+
+    /// Record one entry (times must be non-decreasing; the collector
     /// receives them in order).
     pub fn push(&mut self, entry: LogEntry) {
         debug_assert!(
-            self.entries
-                .last()
-                .map(|e| e.time <= entry.time)
-                .unwrap_or(true),
+            self.last.is_none_or(|t| t <= entry.time),
             "log must be time-ordered"
         );
-        self.entries.push(entry);
+        self.len += 1;
+        self.last = Some(entry.time);
+        if self.keep {
+            self.entries.push(entry);
+        }
     }
 
-    /// All entries in arrival order.
+    /// The kept entries in arrival order.
     pub fn entries(&self) -> &[LogEntry] {
         &self.entries
     }
 
-    /// Number of entries.
+    /// Number of entries recorded, kept or not.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
-    /// True when nothing was logged.
+    /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
-    /// Entries within `[from, to)`.
-    pub fn between(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &LogEntry> {
-        self.entries
-            .iter()
-            .filter(move |e| e.time >= from && e.time < to)
-    }
-
-    /// Entries touching one prefix.
-    fn for_prefix(&self, prefix: Prefix) -> impl Iterator<Item = &LogEntry> {
-        self.entries.iter().filter(move |e| e.prefix == prefix)
-    }
-
-    /// Timestamp of the last entry at or after `from` (the classic
-    /// "convergence instant" in collector-based measurement).
-    fn last_activity_since(&self, from: SimTime) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.time >= from)
-            .map(|e| e.time)
-    }
-
-    /// Convergence duration measured from `event` to the last observed
-    /// update (or zero when nothing was seen).
+    /// Convergence duration measured from `event` to the last recorded
+    /// update (the collector's "convergence instant"), or zero when none
+    /// was recorded at or after `event`.
     pub fn convergence_duration(&self, event: SimTime) -> SimDuration {
-        self.last_activity_since(event)
-            .map(|t| t.saturating_since(event))
-            .unwrap_or(SimDuration::ZERO)
+        self.last
+            .filter(|&t| t >= event)
+            .map_or(SimDuration::ZERO, |t| t.saturating_since(event))
     }
 
     /// Distinct AS paths each monitored router announced for `prefix`
     /// within `[from, to)` — the path-exploration count of Oliveira et al.
-    /// (the paper's convergence reference \[13\]).
+    /// (the paper's convergence reference \[13\]), over the kept entries.
     pub fn paths_explored(
         &self,
         prefix: Prefix,
@@ -106,8 +94,8 @@ impl UpdateLog {
         to: SimTime,
     ) -> BTreeMap<Asn, usize> {
         let mut seen: BTreeMap<Asn, Vec<AsPath>> = BTreeMap::new();
-        for e in self.between(from, to) {
-            if e.prefix != prefix {
+        for e in self.entries.iter().filter(|e| e.prefix == prefix) {
+            if e.time < from || e.time >= to {
                 continue;
             }
             if let LogAction::Announce(path) = &e.action {
@@ -120,11 +108,11 @@ impl UpdateLog {
         seen.into_iter().map(|(a, v)| (a, v.len())).collect()
     }
 
-    /// Render a human-readable timeline for one prefix (the route-change
-    /// view of the paper's visualization tooling).
+    /// Render a human-readable timeline of the kept entries for one prefix
+    /// (the route-change view of the paper's visualization tooling).
     pub fn render_timeline(&self, prefix: Prefix) -> String {
         let mut out = format!("timeline for {prefix}\n");
-        for e in self.for_prefix(prefix) {
+        for e in self.entries.iter().filter(|e| e.prefix == prefix) {
             match &e.action {
                 LogAction::Announce(p) => out.push_str(&format!(
                     "{:>12}  {}  + [{}]\n",
@@ -142,8 +130,10 @@ impl UpdateLog {
         out
     }
 
-    /// Forget everything (between experiment phases).
+    /// Forget everything recorded (between experiment phases).
     pub fn clear(&mut self) {
+        self.len = 0;
+        self.last = None;
         self.entries.clear();
     }
 }
@@ -156,7 +146,6 @@ mod tests {
     fn entry(ms: u64, asn: u32, prefix: &str, path: Option<&[u32]>) -> LogEntry {
         LogEntry {
             time: SimTime::from_millis(ms),
-            peer: NodeId(asn),
             peer_asn: Asn(asn),
             prefix: pfx(prefix),
             action: match path {
@@ -168,6 +157,7 @@ mod tests {
 
     fn sample() -> UpdateLog {
         let mut log = UpdateLog::default();
+        log.keep_entries();
         log.push(entry(10, 1, "10.0.0.0/16", Some(&[9])));
         log.push(entry(20, 2, "10.0.0.0/16", Some(&[1, 9])));
         log.push(entry(500, 1, "10.0.0.0/16", Some(&[2, 9])));
@@ -177,8 +167,8 @@ mod tests {
         log
     }
 
-    /// The collector keeps one entry per prefix event for the whole run, so
-    /// its size is the log's memory: a path with no tail stays inline.
+    /// A log that keeps its entries holds one per prefix event of the
+    /// phase, so this size is its memory: a path with no tail stays inline.
     #[test]
     fn a_log_entry_fits_64_bytes() {
         assert!(std::mem::size_of::<LogEntry>() <= 64);
@@ -188,11 +178,13 @@ mod tests {
     fn counts_and_windows() {
         let log = sample();
         assert_eq!(log.len(), 6);
-        assert_eq!(
-            log.between(SimTime::from_millis(20), SimTime::from_millis(900))
-                .count(),
-            2
+        // [20 ms, 900 ms) holds AS2's [1 9] and AS1's [2 9].
+        let window = log.paths_explored(
+            pfx("10.0.0.0/16"),
+            SimTime::from_millis(20),
+            SimTime::from_millis(900),
         );
+        assert_eq!(window, BTreeMap::from([(Asn(1), 1), (Asn(2), 1)]));
     }
 
     #[test]
@@ -225,6 +217,22 @@ mod tests {
         assert!(t.contains("+ [9]"));
         assert!(t.contains("- withdrawn"));
         assert!(!t.contains("10.1.0.0/16 entry"), "other prefixes excluded");
+    }
+
+    #[test]
+    fn a_log_without_entries_still_counts_and_times() {
+        let kept = sample();
+        let mut counted = UpdateLog::default();
+        for e in kept.entries() {
+            counted.push(e.clone());
+        }
+        assert_eq!(counted.len(), kept.len());
+        assert!(counted.entries().is_empty());
+        let event = SimTime::from_millis(400);
+        assert_eq!(
+            counted.convergence_duration(event),
+            kept.convergence_duration(event)
+        );
     }
 
     #[test]

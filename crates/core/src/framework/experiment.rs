@@ -167,7 +167,8 @@ impl Experiment {
         self.phase_open = true;
         self.net.sim.reset_board();
         if let Some(c) = self.net.collector {
-            self.net.sim.with_node::<Collector, _>(c, |c| c.clear_log());
+            let clear = |c: &mut Collector| c.log_mut().clear();
+            self.net.sim.with_node(c, clear);
         }
         self.phase_start = self.net.sim.now();
         self.phase_start

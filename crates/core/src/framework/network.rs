@@ -314,7 +314,8 @@ impl NetworkBuilder {
         let approx_links = n_edges + 2 * n_members + k.max(1) + n;
         let mut sim = Sim::with_event_capacity(self.seed, 2 * (approx_nodes + approx_links));
 
-        // 1. AS nodes.
+        // 1. AS nodes, sharing one attribute table that dies with the network.
+        let attr_table = bgpsdn_bgp::attrs::AttrTable::default();
         let mut ases: Vec<AsHandle> = Vec::with_capacity(n);
         for i in 0..n {
             let asn = plan.as_graph.asns[i];
@@ -326,7 +327,9 @@ impl NetworkBuilder {
             } else {
                 let mut cfg = plan.routers[i].clone();
                 cfg.damping = self.damping.clone();
-                let node = sim.add_node(format!("as{}", asn.0), |id| Router::new(id, cfg));
+                let node = sim.add_node(format!("as{}", asn.0), |id| {
+                    Router::new(id, cfg).with_attr_table(attr_table.clone())
+                });
                 (node, AsKind::Legacy)
             };
             ases.push(AsHandle {

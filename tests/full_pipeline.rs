@@ -3,6 +3,7 @@
 //! experiment → collector log analysis → visualization export.
 
 use bgp_sdn_emu::collector::{render_dot, LogAction, VizNode, VizRole};
+use bgp_sdn_emu::core::Collector;
 use bgp_sdn_emu::prelude::*;
 use bgp_sdn_emu::topology::iplane::{self, PopSynthesisParams};
 
@@ -31,7 +32,10 @@ fn topology_to_analysis_pipeline() {
     let g2 = tp.as_graph.to_graph();
     by_degree.sort_by_key(|&v| std::cmp::Reverse(g2.degree(v)));
     let members: Vec<usize> = by_degree[..3].to_vec();
-    let net = NetworkBuilder::new(tp, 2).with_sdn_members(members).build();
+    let mut net = NetworkBuilder::new(tp, 2).with_sdn_members(members).build();
+    let collector = net.collector.expect("collector on");
+    net.sim
+        .with_node::<Collector, _>(collector, |c| c.log_mut().keep_entries());
 
     // 4. Bring-up, event, convergence.
     let mut exp = Experiment::new(net);
@@ -51,12 +55,7 @@ fn topology_to_analysis_pipeline() {
     assert!(exp.prefix_fully_gone(victim_prefix));
 
     // 5. Collector log analysis: the withdrawal must be visible.
-    let collector = exp.net.collector.expect("collector on");
-    let log = exp
-        .net
-        .sim
-        .node_ref::<bgp_sdn_emu::core::Collector>(collector)
-        .log();
+    let log = exp.net.sim.node_ref::<Collector>(collector).log();
     assert!(
         log.entries()
             .iter()
