@@ -1,12 +1,14 @@
 //! **Table S5** (path exploration, paper ref [13] — Oliveira et al.,
 //! "Quantifying Path Exploration in the Internet"): how many distinct AS
-//! paths the route collector observes each router trying during a clique
-//! withdrawal, versus the SDN fraction. Centralization suppresses ghost
-//! routes, which is *why* convergence improves in Figure 2.
+//! paths each legacy router tries during a clique withdrawal, versus the
+//! SDN fraction. Centralization suppresses ghost routes, which is *why*
+//! convergence improves in Figure 2.
+
+use std::collections::BTreeMap;
 
 use bgpsdn_bench::{write_json, RUNS};
-use bgpsdn_core::{Collector, JobSpec};
-use bgpsdn_netsim::{NodeId, SimTime};
+use bgpsdn_core::JobSpec;
+use bgpsdn_netsim::{NodeId, ObsPrefix, TraceCategory, TraceEvent};
 use bgpsdn_obs::impl_to_json;
 
 struct Row {
@@ -25,8 +27,8 @@ impl_to_json!(Row {
 
 fn main() {
     println!("== Table S5: path exploration during withdrawal ==");
-    println!("16-AS clique, MRAI 30 s; distinct AS paths per legacy router as");
-    println!("seen by the route collector, {RUNS} runs/point\n");
+    println!("16-AS clique, MRAI 30 s; distinct AS paths per legacy router");
+    println!("(its best-path changes), {RUNS} runs/point\n");
     println!(
         "{:>8} {:>18} {:>10} {:>10}",
         "SDN %", "paths/router mean", "max", "updates"
@@ -42,22 +44,36 @@ fn main() {
                 seed: 9000 + r * 7919,
                 ..JobSpec::clique(16, sdn_count)
             };
-            // Path exploration reads the collector's entries, which it
-            // keeps only when asked. The collector is the last node built.
-            let (out, exp) = spec.run(|sim| {
-                let collector = NodeId(sim.node_count() as u32 - 1);
-                sim.with_node::<Collector, _>(collector, |c| c.log_mut().keep_entries());
-            });
+            // A router's tries are its best-path changes: only routers
+            // write `RibChange`, and a route lost is not a path.
+            let (out, exp) = spec.run(|sim| sim.trace_mut().enable(TraceCategory::Route));
             assert!(out.converged && out.audit_ok);
             updates.push(out.updates as f64);
-            let collector = exp.net.collector.expect("collector enabled");
-            let log = exp.net.sim.node_ref::<Collector>(collector).log();
-            let origin_prefix = exp.net.ases[0].prefix;
-            let explored = log.paths_explored(origin_prefix, exp.phase_start(), SimTime::MAX);
-            if !explored.is_empty() {
-                let total: usize = explored.values().sum();
-                mean_paths.push(total as f64 / explored.len() as f64);
-                max_paths = max_paths.max(*explored.values().max().unwrap());
+            let trace = exp.net.sim.trace();
+            assert_eq!(trace.dropped(), 0, "the trace must hold the whole run");
+            let origin_prefix = ObsPrefix::from(exp.net.ases[0].prefix);
+            let mut tried: BTreeMap<NodeId, Vec<&Vec<u32>>> = BTreeMap::new();
+            for rec in trace.records().filter(|rec| rec.time >= exp.phase_start()) {
+                let TraceEvent::RibChange {
+                    prefix,
+                    new_path: Some(path),
+                    ..
+                } = &rec.event
+                else {
+                    continue;
+                };
+                if *prefix == origin_prefix {
+                    let router = rec.node.expect("a route change is a router's");
+                    let paths = tried.entry(router).or_default();
+                    if !paths.contains(&path) {
+                        paths.push(path);
+                    }
+                }
+            }
+            if !tried.is_empty() {
+                let total: usize = tried.values().map(Vec::len).sum();
+                mean_paths.push(total as f64 / tried.len() as f64);
+                max_paths = max_paths.max(tried.values().map(Vec::len).max().unwrap());
             } else {
                 mean_paths.push(0.0);
             }

@@ -1,15 +1,15 @@
 //! BGP session finite-state machine (RFC 4271 §8, simplified).
 //!
 //! The simulator's links stand in for TCP, so the Connect/Active states
-//! collapse: a session starts by sending OPEN directly. [`SessionHandshake`]
-//! is the message-level machine only. The router and the cluster speaker
-//! reach it through the one session driver ([`crate::session`]), which
-//! settled the five rules their two copies disagreed on, each the router's:
-//! retry `r` waits `jittered(1 s · 2^(r−1))`; a retry supervises itself and
-//! resets a half-open handshake; an Established session treats a malformed
-//! UPDATE as withdraw, any other decode error resets; only the close of an
-//! Established session is reported; five retries at most. The passive
-//! route collector, which arms no timers, drives a bare handshake.
+//! collapse: a session starts by sending OPEN directly. `SessionHandshake`
+//! is the message-level machine only. The router, the cluster speaker and
+//! the route collector reach it through the one session driver
+//! ([`crate::session`]), which settled the five rules the router's and the
+//! speaker's copies disagreed on, each the router's: retry `r` waits
+//! `jittered(1 s · 2^(r−1))`; a retry supervises itself and resets a
+//! half-open handshake; an Established session treats a malformed UPDATE as
+//! withdraw, any other decode error resets; only the close of an
+//! Established session is reported; five retries at most.
 
 use crate::msg::{BgpMessage, Capability, NotifCode, NotificationMsg, OpenMsg};
 use crate::types::{Asn, RouterId};
@@ -30,7 +30,7 @@ pub enum SessionState {
 
 /// Events surfaced to the owner of a handshake.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SessionEvent {
+pub(crate) enum SessionEvent {
     /// The session reached Established; the peer's OPEN is attached.
     Established(OpenMsg),
     /// The session failed or was closed by the peer.
@@ -55,13 +55,13 @@ pub enum CloseReason {
 /// Shared handshake driver. The owner feeds it messages and transport
 /// events; it returns messages to send and state-change events.
 #[derive(Debug, Clone)]
-pub struct SessionHandshake {
+pub(crate) struct SessionHandshake {
     state: SessionState,
     my_asn: Asn,
     my_id: RouterId,
     hold_secs: u16,
-    /// Expected remote ASN; `None` accepts any (collector behaviour).
-    expect_asn: Option<Asn>,
+    /// Expected remote ASN; an OPEN from any other is refused.
+    expect_asn: Asn,
     /// RFC 4724 restart time we advertise; 0 = no GR capability.
     gr_secs: u16,
     /// The peer's OPEN once received.
@@ -70,7 +70,7 @@ pub struct SessionHandshake {
 
 impl SessionHandshake {
     /// New handshake in Idle.
-    pub fn new(my_asn: Asn, my_id: RouterId, hold_secs: u16, expect_asn: Option<Asn>) -> Self {
+    pub(crate) fn new(my_asn: Asn, my_id: RouterId, hold_secs: u16, expect_asn: Asn) -> Self {
         SessionHandshake {
             state: SessionState::Idle,
             my_asn,
@@ -94,7 +94,7 @@ impl SessionHandshake {
     }
 
     /// True when UPDATEs may flow.
-    pub fn is_established(&self) -> bool {
+    pub(crate) fn is_established(&self) -> bool {
         self.state == SessionState::Established
     }
 
@@ -134,7 +134,10 @@ impl SessionHandshake {
     }
 
     /// Feed an incoming message. Returns `(to_send, event)`.
-    pub fn on_message(&mut self, msg: &BgpMessage) -> (Vec<BgpMessage>, Option<SessionEvent>) {
+    pub(crate) fn on_message(
+        &mut self,
+        msg: &BgpMessage,
+    ) -> (Vec<BgpMessage>, Option<SessionEvent>) {
         match msg {
             BgpMessage::Open(open) => self.on_open(open),
             BgpMessage::Keepalive => self.on_keepalive(),
@@ -167,20 +170,18 @@ impl SessionHandshake {
     }
 
     fn on_open(&mut self, open: &OpenMsg) -> (Vec<BgpMessage>, Option<SessionEvent>) {
-        if let Some(expect) = self.expect_asn {
-            if open.asn != expect {
-                self.reset();
-                return (
-                    vec![BgpMessage::Notification(NotificationMsg {
-                        code: NotifCode::OpenMessage,
-                        subcode: 2, // Bad Peer AS
-                        data: open.asn.0.to_be_bytes().to_vec(),
-                    })],
-                    Some(SessionEvent::Closed(CloseReason::LocalError(
-                        NotifCode::OpenMessage,
-                    ))),
-                );
-            }
+        if open.asn != self.expect_asn {
+            self.reset();
+            return (
+                vec![BgpMessage::Notification(NotificationMsg {
+                    code: NotifCode::OpenMessage,
+                    subcode: 2, // Bad Peer AS
+                    data: open.asn.0.to_be_bytes().to_vec(),
+                })],
+                Some(SessionEvent::Closed(CloseReason::LocalError(
+                    NotifCode::OpenMessage,
+                ))),
+            );
         }
         match self.state {
             SessionState::Idle => {
@@ -247,8 +248,8 @@ mod tests {
     use super::*;
 
     fn pair() -> (SessionHandshake, SessionHandshake) {
-        let a = SessionHandshake::new(Asn(1), RouterId(1), 90, Some(Asn(2)));
-        let b = SessionHandshake::new(Asn(2), RouterId(2), 90, Some(Asn(1)));
+        let a = SessionHandshake::new(Asn(1), RouterId(1), 90, Asn(2));
+        let b = SessionHandshake::new(Asn(2), RouterId(2), 90, Asn(1));
         (a, b)
     }
 
@@ -305,8 +306,8 @@ mod tests {
 
     #[test]
     fn wrong_asn_is_refused() {
-        let mut a = SessionHandshake::new(Asn(1), RouterId(1), 90, Some(Asn(2)));
-        let mut evil = SessionHandshake::new(Asn(666), RouterId(6), 90, None);
+        let mut a = SessionHandshake::new(Asn(1), RouterId(1), 90, Asn(2));
+        let mut evil = SessionHandshake::new(Asn(666), RouterId(6), 90, Asn(1));
         let msgs = evil.start();
         let (send, ev) = a.on_message(&msgs[0]);
         assert!(matches!(
@@ -320,13 +321,16 @@ mod tests {
     }
 
     #[test]
-    fn collector_accepts_any_asn() {
-        let mut collector = SessionHandshake::new(Asn(65535), RouterId(99), 0, None);
-        let mut r = SessionHandshake::new(Asn(7), RouterId(7), 90, None);
-        let (r_ev, c_ev) = run_handshake(&mut r, &mut collector, true, false);
-        assert!(collector.is_established());
-        assert!(r.is_established());
-        assert!(!r_ev.is_empty() && !c_ev.is_empty());
+    fn a_passive_end_with_hold_0_accepts_an_open() {
+        // The route collector's end: it never starts, and proposes hold 0.
+        let mut passive = SessionHandshake::new(Asn(65535), RouterId(99), 0, Asn(7));
+        let mut r = SessionHandshake::new(Asn(7), RouterId(7), 90, Asn(65535));
+        let (r_ev, c_ev) = run_handshake(&mut r, &mut passive, true, false);
+        assert!(passive.is_established() && r.is_established());
+        assert!(matches!(c_ev[..], [SessionEvent::Established(_)]));
+        assert!(matches!(r_ev[..], [SessionEvent::Established(_)]));
+        assert_eq!(passive.negotiated_hold_secs(), 0);
+        assert_eq!(r.negotiated_hold_secs(), 0, "hold 0 disables both ends");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   message that crosses a simulated link is encoded to and decoded from
 //!   real BGP bytes;
 //! * the **session FSM** ([`fsm`]) and the one **session driver**
-//!   ([`session`]) every router and cluster speaker session runs on;
+//!   ([`session`]) every router, cluster speaker and route collector
+//!   session runs on;
 //! * the three **RIBs** ([`rib`]) and the RFC 4271 §9.1 **decision process**
 //!   ([`decision`]); a route's attributes are decoded once and handed from
 //!   stage to stage by [`SharedAttrs`] handle;
@@ -41,7 +42,7 @@ pub use config::{NeighborConfig, RouterConfig, TimingConfig};
 pub use damping::{DampingConfig, DampingState};
 pub use decision::{Candidate, DecisionConfig};
 pub use envelope::{BgpApp, BgpEnvelope, BgpOnlyMsg, RouterCommand, WireBytes};
-pub use fsm::{CloseReason, SessionEvent, SessionHandshake, SessionState};
+pub use fsm::{CloseReason, SessionState};
 pub use inline::InlineVec;
 pub use msg::{BgpMessage, Capability, NotifCode, NotificationMsg, OpenMsg, PrefixList, UpdateMsg};
 pub use policy::{

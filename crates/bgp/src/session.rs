@@ -1,13 +1,16 @@
-//! The BGP session driver: one lifecycle for every session a node opens.
+//! The BGP session driver: one lifecycle for every session a node runs.
 //!
-//! The router and the cluster speaker run their sessions through
-//! [`Sessions`]: the staggered first OPEN, retry with backoff and the
-//! supervised half-open reconnect, keepalive/hold, the receive path
-//! (endpoint lookup, decode, RFC 7606 treat-as-withdraw, the FSM step), the
-//! send path (envelope and trace) and link up/down; [`crate::fsm`] lists
-//! the rules. What differs between owners is data in each
-//! [`SessionConfig`], never a branch on the owner; the owner keeps its own
-//! per-session state and hears of the lifecycle through [`SessionOwner`].
+//! The router, the cluster speaker and the route collector run their
+//! sessions through [`Sessions`]: the staggered first OPEN, retry with
+//! backoff and the supervised half-open reconnect, keepalive/hold, the
+//! receive path (endpoint lookup, decode, RFC 7606 treat-as-withdraw, the
+//! FSM step), the send path (envelope and trace) and link up/down;
+//! [`crate::fsm`] lists the rules. What differs between owners is data in
+//! each [`SessionConfig`], never a branch on the owner; the owner keeps its
+//! own per-session state and hears of the lifecycle through
+//! [`SessionOwner`]. Passivity follows from behaviour: only a node that
+//! called [`Sessions::start`] opens, retries or reconnects a session, so
+//! the collector, which never does, only answers OPENs.
 
 use bgpsdn_netsim::{
     Activity, Cause, Counter, Ctx, LinkId, NodeId, SimDuration, TimerClass, TimerToken,
@@ -95,6 +98,9 @@ pub struct Sessions {
     /// Reused for every outgoing message, so the send path allocates only
     /// for a message too long to ride inline in its envelope.
     scratch: Writer,
+    /// Set by [`Sessions::start`]: this node opens its sessions. A node
+    /// that never starts them is passive and only answers.
+    active: bool,
 }
 
 impl Sessions {
@@ -107,7 +113,7 @@ impl Sessions {
             Err(at) => self.by_endpoint.insert(at, (key, self.list.len())),
         }
         let mut handshake =
-            SessionHandshake::new(cfg.asn, cfg.router_id, cfg.hold_secs, Some(cfg.remote_asn));
+            SessionHandshake::new(cfg.asn, cfg.router_id, cfg.hold_secs, cfg.remote_asn);
         handshake.set_graceful_restart(cfg.graceful_restart_secs);
         self.list.push(Session {
             cfg,
@@ -139,6 +145,7 @@ impl Sessions {
     /// Every session back to Idle, then a staggered first OPEN each: at
     /// start-up, and at restart after a crash lost the handshakes.
     pub fn start<M: BgpApp>(&mut self, ctx: &mut Ctx<'_, M>) {
+        self.active = true;
         for i in 0..self.list.len() {
             self.list[i].handshake.reset();
             self.connect_after_stagger(ctx, i);
@@ -183,9 +190,13 @@ impl Sessions {
         ctx.send(cfg.link, M::from_bgp(env));
     }
 
-    /// Open session `i` after a random stagger, retries cleared.
+    /// Open session `i` after a random stagger, retries cleared; a passive
+    /// node waits for the peer's OPEN instead.
     fn connect_after_stagger<M: BgpApp>(&mut self, ctx: &mut Ctx<'_, M>, i: usize) {
         self.list[i].retries = 0;
+        if !self.active {
+            return;
+        }
         let delay = ctx
             .rng()
             .duration_between(SimDuration::ZERO, CONNECT_STAGGER);
@@ -233,10 +244,10 @@ impl Sessions {
         }
     }
 
-    /// Exponential-backoff reconnect after a close.
+    /// Exponential-backoff reconnect after a close (an active node only).
     fn retry<M: BgpApp>(&mut self, ctx: &mut Ctx<'_, M>, i: usize) {
         let s = &mut self.list[i];
-        if s.retries >= MAX_CONNECT_RETRIES {
+        if !self.active || s.retries >= MAX_CONNECT_RETRIES {
             return;
         }
         s.retries += 1;

@@ -3,8 +3,8 @@
 //! The framework's measurement plane, mirroring the paper's tooling:
 //!
 //! * [`collector`]: the passive BGP route collector every router peers with;
-//! * [`logview`]: the update log and its analysis (convergence instants,
-//!   path-exploration counts, timelines);
+//! * [`logview`]: the update log, a count and the last instant (the
+//!   collector view of convergence);
 //! * [`convergence`]: the one convergence detector, [`measure`], which
 //!   reads the last routing change after an event off the activity board;
 //! * [`viz`]: Graphviz export with best-path highlighting.
@@ -23,5 +23,5 @@ pub mod viz;
 
 pub use collector::RouteCollector;
 pub use convergence::{measure, ConvergenceReport};
-pub use logview::{LogAction, LogEntry, UpdateLog};
+pub use logview::UpdateLog;
 pub use viz::{render_dot, VizNode, VizRole};

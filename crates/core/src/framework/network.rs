@@ -549,9 +549,6 @@ impl NetworkBuilder {
 
         // 6. Collector peering with every legacy router.
         let legacy: Vec<usize> = (0..n).filter(|i| !member_index.contains_key(i)).collect();
-        sim.with_node::<Collector, _>(collector_node, |c| {
-            c.reserve_peers(legacy.len());
-        });
         for i in legacy {
             let link = sim.add_link(ases[i].node, collector_node, self.ctl_latency.clone());
             let rn = ases[i].node;

@@ -7,7 +7,7 @@ use bgpsdn_core::{
     AsKind, Controller, EventKind, Experiment, JobSpec, NetworkBuilder, Router, Script,
     ScriptAction, Speaker, Switch,
 };
-use bgpsdn_netsim::{Counter, LatencyModel, SimDuration};
+use bgpsdn_netsim::{Counter, LatencyModel, SimDuration, TraceCategory, TraceEvent};
 use bgpsdn_sdn::FlowAction;
 use bgpsdn_topology::ipalloc::as_prefix;
 use bgpsdn_topology::{gen, plan, AsEdge, AsGraph, EdgeKind, TopologyPlan};
@@ -449,6 +449,50 @@ fn collector_sees_the_withdrawal_storm() {
         "collector {collector_time} vs board {}",
         out.convergence
     );
+}
+
+/// Every UPDATE a fault-free run sends is delivered: per (sender, receiver)
+/// pair, the `update_sent` and `update_delivered` records balance. A
+/// cluster's speaker sends and receives for its members' alias sessions,
+/// so a member stands for its speaker.
+#[test]
+fn every_update_sent_is_delivered_on_a_fault_free_run() {
+    for sdn in [0, 4, 8, 15] {
+        let spec = JobSpec {
+            seed: 20140817,
+            ..JobSpec::clique(16, sdn)
+        };
+        let (out, exp) = spec.run(|sim| sim.trace_mut().enable(TraceCategory::Msg));
+        assert!(out.converged && out.audit_ok);
+        let net = &exp.net;
+        let trace = net.sim.trace();
+        assert_eq!(trace.dropped(), 0);
+        let mut speaker_of = std::collections::BTreeMap::new();
+        for c in &net.clusters {
+            for &m in &c.members {
+                speaker_of.insert(net.ases[m].node.0, c.speaker.0);
+            }
+        }
+        let end = |n: u32| *speaker_of.get(&n).unwrap_or(&n);
+        let mut balance = std::collections::BTreeMap::<(u32, u32), i64>::new();
+        for rec in trace.records() {
+            let me = rec.node.expect("messages are a node's").0;
+            match rec.event {
+                TraceEvent::UpdateSent { peer, .. } => {
+                    *balance.entry((me, end(peer))).or_default() += 1;
+                }
+                TraceEvent::UpdateDelivered { peer, .. } => {
+                    *balance.entry((end(peer), me)).or_default() -= 1;
+                }
+                _ => {}
+            }
+        }
+        balance.retain(|_, n| *n != 0);
+        assert!(
+            balance.is_empty(),
+            "sdn {sdn}: unbalanced pairs {balance:?}"
+        );
+    }
 }
 
 trait SubAbs {

@@ -1,9 +1,9 @@
 //! Workspace-level integration: drive the complete pipeline across all
 //! crates — topology generation → address plan → hybrid network → live
-//! experiment → collector log analysis → visualization export.
+//! experiment → collector view of the event → visualization export.
 
-use bgp_sdn_emu::collector::{render_dot, LogAction, VizNode, VizRole};
-use bgp_sdn_emu::core::Collector;
+use bgp_sdn_emu::collector::{render_dot, VizNode, VizRole};
+use bgp_sdn_emu::netsim::{ObsPrefix, TraceCategory, TraceEvent};
 use bgp_sdn_emu::prelude::*;
 use bgp_sdn_emu::topology::iplane::{self, PopSynthesisParams};
 
@@ -34,8 +34,7 @@ fn topology_to_analysis_pipeline() {
     let members: Vec<usize> = by_degree[..3].to_vec();
     let mut net = NetworkBuilder::new(tp, 2).with_sdn_members(members).build();
     let collector = net.collector.expect("collector on");
-    net.sim
-        .with_node::<Collector, _>(collector, |c| c.log_mut().keep_entries());
+    net.sim.trace_mut().enable(TraceCategory::Msg);
 
     // 4. Bring-up, event, convergence.
     let mut exp = Experiment::new(net);
@@ -54,16 +53,18 @@ fn topology_to_analysis_pipeline() {
     assert!(rep.converged);
     assert!(exp.prefix_fully_gone(victim_prefix));
 
-    // 5. Collector log analysis: the withdrawal must be visible.
-    let log = exp.net.sim.node_ref::<Collector>(collector).log();
+    // 5. The collector's sessions delivered the withdrawal.
+    let victim_prefix = ObsPrefix::from(victim_prefix);
     assert!(
-        log.entries()
-            .iter()
-            .any(|e| e.prefix == victim_prefix && e.action == LogAction::Withdraw),
+        exp.net
+            .sim
+            .trace()
+            .records()
+            .any(|r| r.node == Some(collector)
+                && matches!(&r.event, TraceEvent::UpdateDelivered { withdrawn, .. }
+                if withdrawn.contains(&victim_prefix))),
         "collector never saw the withdrawal"
     );
-    let timeline = log.render_timeline(victim_prefix);
-    assert!(timeline.contains("withdrawn"));
 
     // 6. Visualization export.
     let nodes: Vec<VizNode> = exp
