@@ -86,12 +86,6 @@ pub struct ControllerConfig {
     /// this long before one batched recomputation runs. Zero recomputes on
     /// the next event tick.
     pub recompute_delay: SimDuration,
-    /// Incremental recomputation: track dirty prefixes and re-run the
-    /// per-prefix Dijkstra only for those, diffing against the cached
-    /// compiled state. `false` re-derives every prefix on every trigger
-    /// (the pre-optimization behavior; kept as a correctness oracle and
-    /// scaling baseline). Both modes compile identical state.
-    pub incremental: bool,
 }
 
 impl ControllerConfig {
@@ -108,7 +102,6 @@ impl ControllerConfig {
             sessions,
             speaker_link,
             recompute_delay: SimDuration::from_millis(100),
-            incremental: true,
         }
     }
 }
@@ -572,12 +565,12 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     // The centralized route computation
     // ------------------------------------------------------------------
 
-    /// One batched recomputation. In incremental mode only the prefixes in
-    /// the dirty set are re-derived; everything else keeps its cached
-    /// compiled state (`installed` / `adj_out`). This is sound because one
-    /// prefix's computation depends only on the switch graph, the session-up
-    /// vector, its owner, and its own external routes — any event touching
-    /// the shared inputs sets `all_dirty`, and per-prefix input changes mark
+    /// One batched recomputation. Only the prefixes in the dirty set are
+    /// re-derived; everything else keeps its cached compiled state
+    /// (`installed` / `adj_out`). This is sound because one prefix's
+    /// computation depends only on the switch graph, the session-up vector,
+    /// its owner, and its own external routes — any event touching the
+    /// shared inputs sets `all_dirty`, and per-prefix input changes mark
     /// that prefix. A clean prefix would therefore diff to zero messages;
     /// skipping it is observationally identical to the full sweep.
     fn recompute_all(&mut self, ctx: &mut Ctx<'_, M>, trigger: RecomputeTrigger) {
@@ -636,8 +629,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
                 .filter(|p| !self.owned.contains_key(p))
                 .count();
 
-        let full = self.all_dirty || !self.cfg.incremental;
-        self.all_dirty = false;
+        let full = std::mem::take(&mut self.all_dirty);
         let mut dirty = std::mem::take(&mut self.dirty);
         // Invariant: the dirty set never invents prefixes — everything in
         // it was learned through an update, a sync, or an origination.

@@ -620,7 +620,6 @@ pub fn run_campaign(grid: &CampaignGrid, workers: usize, trace: bool) -> Campaig
     run_campaign_scratch(
         grid.expand(),
         workers,
-        JobScratch::default,
         |job, scratch| run_job_scratch(job, trace, scratch),
         |_| {},
     )
@@ -636,18 +635,17 @@ pub fn run_campaign(grid: &CampaignGrid, workers: usize, trace: bool) -> Campaig
 /// `on_done` fires on the worker thread as each job finishes (progress
 /// reporting, streaming artifacts to disk); it must therefore be `Sync`.
 ///
-/// Every worker calls `init` once and threads the value through its jobs —
-/// scratch buffers warm up on the first job and are reused for the rest
-/// (a panicking job may leave the scratch dirty; `runner` must not assume
-/// a clean one). Results accumulate in worker-private vectors and are
+/// Every worker owns one [`JobScratch`] and threads it through its jobs —
+/// its buffers warm up on the first job and are reused for the rest (a
+/// panicking job may leave the scratch dirty; `runner` must not assume a
+/// clean one). Results accumulate in worker-private vectors and are
 /// scattered back into job order after the pool drains, so workers share
 /// nothing but the claim cursor — no per-job lock, and no false sharing
 /// on a hot array of result slots.
-pub fn run_campaign_scratch<S>(
+pub fn run_campaign_scratch(
     jobs: Vec<CampaignJob>,
     workers: usize,
-    init: impl Fn() -> S + Sync,
-    runner: impl Fn(&CampaignJob, &mut S) -> JobOutcome + Sync,
+    runner: impl Fn(&CampaignJob, &mut JobScratch) -> JobOutcome + Sync,
     on_done: impl Fn(&JobResult) + Sync,
 ) -> CampaignRunReport {
     let workers = workers.clamp(1, jobs.len().max(1));
@@ -659,7 +657,7 @@ pub fn run_campaign_scratch<S>(
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut scratch = init();
+                    let mut scratch = JobScratch::default();
                     let mut local: Vec<(usize, JobResult)> =
                         Vec::with_capacity(jobs.len() / workers + 1);
                     loop {
@@ -953,8 +951,7 @@ mod tests {
         let report = run_campaign_scratch(
             jobs,
             3,
-            || (),
-            |job, ()| {
+            |job, _| {
                 if job.id == 4 {
                     panic!("injected failure in job 4");
                 }
@@ -996,8 +993,7 @@ mod tests {
         run_campaign_scratch(
             jobs,
             1,
-            || (),
-            |job, ()| {
+            |job, _| {
                 order.lock().unwrap().push(job.id);
                 JobOutcome {
                     outcome: ScenarioOutcome {

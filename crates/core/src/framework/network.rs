@@ -142,7 +142,6 @@ pub struct NetworkBuilder {
     ctl_latency: LatencyModel,
     recompute_delay: SimDuration,
     edge_latencies: Option<Vec<SimDuration>>,
-    incremental: bool,
     control_loss: f64,
     auto_verify: bool,
     damping: Option<DampingConfig>,
@@ -159,7 +158,6 @@ impl NetworkBuilder {
             ctl_latency: LatencyModel::Fixed(SimDuration::from_millis(1)),
             recompute_delay: SimDuration::from_millis(100),
             edge_latencies: None,
-            incremental: true,
             control_loss: 0.0,
             auto_verify: false,
             damping: None,
@@ -265,14 +263,6 @@ impl NetworkBuilder {
     /// Set the controller's delayed-recomputation window.
     pub fn with_recompute_delay(mut self, d: SimDuration) -> Self {
         self.recompute_delay = d;
-        self
-    }
-
-    /// Disable incremental recomputation: the controller re-derives every
-    /// prefix on every trigger. Used as the correctness oracle and as the
-    /// scaling baseline in benchmarks.
-    pub fn with_full_recompute(mut self) -> Self {
-        self.incremental = false;
         self
     }
 
@@ -543,7 +533,6 @@ impl NetworkBuilder {
                 speaker_link,
             );
             cfg.recompute_delay = self.recompute_delay;
-            cfg.incremental = self.incremental;
             sim.with_node::<Controller, _>(handle.controller, |ctrl| ctrl.set_config(cfg));
         }
 

@@ -51,7 +51,6 @@ fn parallel_sweep_matches_serial_execution() {
     let report = run_campaign_scratch(
         grid.expand(),
         4,
-        JobScratch::default,
         |job, scratch| run_job_scratch(job, false, scratch),
         |_| {},
     );
@@ -100,7 +99,6 @@ fn aggregated_medians_match_manual_computation() {
     let report = run_campaign_scratch(
         grid.expand(),
         2,
-        JobScratch::default,
         |job, scratch| run_job_scratch(job, false, scratch),
         |_| {},
     );

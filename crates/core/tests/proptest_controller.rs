@@ -1,10 +1,10 @@
-//! Oracle property test for the controller's incremental recompute: over
-//! random announce / withdraw / link-flap sequences, the dirty-set
-//! incremental path and the full-table baseline must compile **identical**
-//! state — byte-identical installed flow tables on every member and
-//! byte-identical adj-out on every speaker session. Both runs share one
-//! seed, so any divergence is the incremental invalidation logic missing a
-//! dependency.
+//! Oracle property test for the controller's dirty-set recompute: over
+//! random announce / withdraw / link-flap sequences, after bring-up and
+//! after every step of the schedule, the compiled state — the installed
+//! flow table of every member and the adj-out of every speaker session —
+//! must equal what `mod reference` works out from scratch for every prefix
+//! the schedule can make exist. Any divergence is the recompute's
+//! invalidation logic missing a dependency.
 //!
 //! A second property pins the per-member announcement memo the recompute
 //! loop diffs against to the per-session formula it replaced.
@@ -27,6 +27,9 @@ use bgpsdn_topology::{gen, plan, AsGraph};
 /// (member↔member), and both legacy and cluster prefix origination.
 const N: usize = 6;
 const MEMBERS: [usize; 3] = [3, 4, 5];
+/// /24s per AS a schedule announces and withdraws. Few, so that a random
+/// withdrawal often hits a prefix an earlier step announced.
+const SUBS: usize = 2;
 
 /// One step of the random schedule.
 #[derive(Debug, Clone, Copy)]
@@ -44,15 +47,16 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..N, 0..4usize).prop_map(|(origin, sub)| Op::Announce { origin, sub }),
-        (0..N, 0..4usize).prop_map(|(origin, sub)| Op::Withdraw { origin, sub }),
+        (0..N, 0..SUBS).prop_map(|(origin, sub)| Op::Announce { origin, sub }),
+        (0..N, 0..SUBS).prop_map(|(origin, sub)| Op::Withdraw { origin, sub }),
         (0..N, 1..N).prop_map(|(a, d)| Op::Flap { a, b: (a + d) % N }),
     ]
 }
 
 const DEADLINE: SimDuration = SimDuration::from_secs(3600);
 
-fn build(seed: u64, incremental: bool) -> Experiment {
+/// The network after bring-up, checked against the reference.
+fn build(seed: u64) -> Result<Experiment, String> {
     let ag = AsGraph::all_peer(&gen::clique(N), 65000);
     let tp = plan(
         ag,
@@ -60,25 +64,25 @@ fn build(seed: u64, incremental: bool) -> Experiment {
         TimingConfig::with_mrai(SimDuration::ZERO),
     )
     .expect("address plan");
-    let mut b = NetworkBuilder::new(tp, seed)
+    let b = NetworkBuilder::new(tp, seed)
         .with_sdn_members(MEMBERS.to_vec())
         .with_recompute_delay(SimDuration::from_millis(50));
-    if !incremental {
-        b = b.with_full_recompute();
-    }
     let mut exp = Experiment::new(b.build());
     let up = exp.start(DEADLINE);
     assert!(up.converged, "bring-up did not converge");
-    exp
+    reference::check(&exp).map_err(|e| format!("after bring-up: {e}"))?;
+    Ok(exp)
 }
 
-fn quiesce(exp: &mut Experiment) {
+/// Run to quiescence, then check the controller against the reference.
+fn quiesce(exp: &mut Experiment) -> Result<(), String> {
     let deadline = exp.net.sim.now() + DEADLINE;
     let q = exp.net.sim.run_until_quiescent(deadline);
     assert!(q.quiescent, "schedule step did not quiesce");
+    reference::check(exp)
 }
 
-fn apply(exp: &mut Experiment, op: Op) {
+fn apply(exp: &mut Experiment, op: Op) -> Result<(), String> {
     match op {
         Op::Announce { origin, sub } => {
             let p = sub_prefix(exp.net.ases[origin].prefix, sub);
@@ -86,7 +90,7 @@ fn apply(exp: &mut Experiment, op: Op) {
                 as_index: origin,
                 prefix: Some(p),
             });
-            quiesce(exp);
+            quiesce(exp)
         }
         Op::Withdraw { origin, sub } => {
             let p = sub_prefix(exp.net.ases[origin].prefix, sub);
@@ -94,13 +98,13 @@ fn apply(exp: &mut Experiment, op: Op) {
                 as_index: origin,
                 prefix: Some(p),
             });
-            quiesce(exp);
+            quiesce(exp)
         }
         Op::Flap { a, b } => {
             exp.apply(&ScriptAction::FailEdge(a, b));
-            quiesce(exp);
+            quiesce(exp).map_err(|e| format!("with the edge down: {e}"))?;
             exp.apply(&ScriptAction::RestoreEdge(a, b));
-            quiesce(exp);
+            quiesce(exp)
         }
     }
 }
@@ -111,44 +115,165 @@ fn sub_prefix(base: Prefix, sub: usize) -> Prefix {
         .expect("aligned /24 inside the /16")
 }
 
+/// What the controller must hold once the network is quiescent, worked out
+/// from scratch: [`Controller::computation_for`] of every prefix the
+/// schedule can make exist, compiled to each member's flow action, and to
+/// each session's announced path over the routes the legacy peers actually
+/// sent the cluster (their Adj-RIB-Out toward the member).
+mod reference {
+    use bgpsdn_bgp::{Asn, Prefix};
+    use bgpsdn_core::controller::as_graph::egress_session_of;
+    use bgpsdn_core::{
+        announced_path, Controller, Experiment, ExternalRoute, MemberDecision, Router, Speaker,
+    };
+    use bgpsdn_netsim::{LinkId, NodeId};
+    use bgpsdn_sdn::FlowAction;
+
+    use super::{sub_prefix, SUBS};
+
+    /// One speaker session, resolved against the built network.
+    struct Session {
+        member: usize,
+        alias: NodeId,
+        peer: NodeId,
+        peer_asn: Asn,
+        ext_link: LinkId,
+    }
+
+    /// Every AS's own /16 and the /24s a schedule may announce in it.
+    fn universe(exp: &Experiment) -> Vec<Prefix> {
+        exp.net
+            .ases
+            .iter()
+            .flat_map(|a| {
+                std::iter::once(a.prefix).chain((0..SUBS).map(|j| sub_prefix(a.prefix, j)))
+            })
+            .collect()
+    }
+
+    /// `Err` names the member or session and the prefix where the compiled
+    /// state first differs from the reference.
+    pub fn check(exp: &Experiment) -> Result<(), String> {
+        let cluster = &exp.net.clusters[0];
+        let ctl = exp.net.sim.node_ref::<Controller>(cluster.controller);
+        let speaker = exp.net.sim.node_ref::<Speaker>(cluster.speaker);
+        if ctl.epoch() == 0 || ctl.resync_pending() {
+            return Err("controller unsynced".into());
+        }
+        let members: Vec<_> = cluster.members.iter().map(|&i| &exp.net.ases[i]).collect();
+        let member_asns: Vec<Asn> = members.iter().map(|a| a.asn).collect();
+        let sessions: Vec<Session> = (0..speaker.session_count())
+            .map(|s| {
+                let cfg = speaker.session_config(s);
+                let member = members.iter().position(|a| a.node == cfg.alias).unwrap();
+                let peer = exp
+                    .net
+                    .ases
+                    .iter()
+                    .find(|a| a.node == cfg.ext_peer)
+                    .unwrap();
+                let ext_link = exp.net.link_between(members[member].index, peer.index);
+                Session {
+                    member,
+                    alias: cfg.alias,
+                    peer: peer.node,
+                    peer_asn: peer.asn,
+                    ext_link: ext_link.unwrap(),
+                }
+            })
+            .collect();
+        assert_eq!(ctl.member_count(), members.len());
+        assert_eq!(ctl.session_count(), sessions.len());
+
+        let sg = ctl.switch_graph();
+        let universe = universe(exp);
+        for &p in &universe {
+            let comp = ctl.computation_for(p);
+            for (m, decision) in comp.decisions.iter().enumerate() {
+                let want = match *decision {
+                    MemberDecision::Unreachable => None,
+                    MemberDecision::Local => Some(FlowAction::Local),
+                    MemberDecision::ViaMember(next) => {
+                        sg.link_between(m, next).map(|l| FlowAction::Output(l.0))
+                    }
+                    MemberDecision::Egress(s) => Some(FlowAction::Output(sessions[s].ext_link.0)),
+                };
+                let have = ctl.installed_action(m, p);
+                if have != want {
+                    return Err(format!(
+                        "member {m}, prefix {p}: installed {have:?}, reference {want:?}"
+                    ));
+                }
+            }
+            let ext: Vec<ExternalRoute> = sessions
+                .iter()
+                .enumerate()
+                .filter(|&(s, _)| ctl.session_is_up(s))
+                .filter_map(|(s, sess)| {
+                    let router = exp.net.sim.node_ref::<Router>(sess.peer);
+                    let sent = router.advertised_to(sess.alias, p)?;
+                    Some(ExternalRoute {
+                        session: s,
+                        member: sess.member,
+                        as_path: sent.as_path.flatten().into(),
+                        med: sent.med,
+                    })
+                })
+                .collect();
+            for (s, sess) in sessions.iter().enumerate() {
+                let x = sess.member;
+                let want = if !ctl.session_is_up(s) || egress_session_of(x, &comp) == Some(s) {
+                    None
+                } else {
+                    announced_path(x, &comp, &ext, &member_asns)
+                        .filter(|path| !path.contains(&sess.peer_asn))
+                };
+                let have = ctl.adj_out_table(s).get(&p).map(|path| path.to_vec());
+                if have != want {
+                    return Err(format!(
+                        "session {s} at member {x}, prefix {p}: announced {have:?}, \
+                         reference {want:?}"
+                    ));
+                }
+            }
+        }
+        // Nothing stays compiled for a prefix outside the schedule's reach.
+        for m in 0..members.len() {
+            if let Some(p) = ctl
+                .installed_table(m)
+                .keys()
+                .find(|p| !universe.contains(p))
+            {
+                return Err(format!("member {m} holds a flow for {p}"));
+            }
+        }
+        for s in 0..sessions.len() {
+            if let Some(p) = ctl.adj_out_table(s).keys().find(|p| !universe.contains(p)) {
+                return Err(format!("session {s} announces {p}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 proptest! {
     #[test]
-    fn incremental_recompute_matches_full_oracle(
+    fn compiled_state_matches_reference_after_every_op(
         seed in 0u64..1000,
         ops in prop::collection::vec(arb_op(), 1..10),
     ) {
-        let mut inc = build(seed, true);
-        let mut full = build(seed, false);
-        for &op in &ops {
-            apply(&mut inc, op);
-            apply(&mut full, op);
-        }
-
-        let inc_ctl = inc.net.clusters[0].controller;
-        let full_ctl = full.net.clusters[0].controller;
-        let a = inc.net.sim.node_ref::<Controller>(inc_ctl);
-        let b = full.net.sim.node_ref::<Controller>(full_ctl);
-
-        prop_assert_eq!(a.member_count(), b.member_count());
-        for m in 0..a.member_count() {
-            prop_assert_eq!(
-                a.installed_table(m),
-                b.installed_table(m),
-                "installed flow table diverged at member {} after {:?}",
-                m,
-                ops
+        let built = build(seed);
+        prop_assert!(built.is_ok(), "seed {}: {}", seed, built.as_ref().err().unwrap());
+        let mut exp = built.unwrap();
+        for (i, &op) in ops.iter().enumerate() {
+            let step = apply(&mut exp, op);
+            prop_assert!(
+                step.is_ok(),
+                "seed {}, after {:?}: {}",
+                seed,
+                &ops[..=i],
+                step.unwrap_err()
             );
-        }
-        prop_assert_eq!(a.session_count(), b.session_count());
-        for s in 0..a.session_count() {
-            prop_assert_eq!(
-                a.adj_out_table(s),
-                b.adj_out_table(s),
-                "adj-out diverged at session {} after {:?}",
-                s,
-                ops
-            );
-            prop_assert_eq!(a.session_is_up(s), b.session_is_up(s));
         }
     }
 }
@@ -158,9 +283,9 @@ proptest! {
 /// starts with the announcing member's ASN, so equal paths mean one member.)
 #[test]
 fn sessions_of_one_member_share_the_announced_path() {
-    let mut exp = build(7, true);
+    let mut exp = build(7).unwrap();
     let p = sub_prefix(exp.net.ases[0].prefix, 1);
-    apply(&mut exp, Op::Announce { origin: 0, sub: 1 });
+    apply(&mut exp, Op::Announce { origin: 0, sub: 1 }).unwrap();
     let ctl_id = exp.net.clusters[0].controller;
     let ctl = exp.net.sim.node_ref::<Controller>(ctl_id);
     let paths: Vec<&SharedPath> = (0..ctl.session_count())

@@ -23,10 +23,9 @@ fn smoke_hybrid_withdrawal() {
 }
 
 /// A tiered hierarchy with its tier-1 mesh centralized: seed two extra /24s
-/// per stub, then probe with one more from the first stub — under the
-/// incremental recompute and under the full-table baseline.
+/// per stub, then probe with one more from the first stub.
 #[test]
-fn smoke_scale_incremental_and_full() {
+fn smoke_scale_seed_then_probe() {
     const PER_STUB: u64 = 2;
     let params = SynthesisParams {
         tier1: 3,
@@ -47,46 +46,34 @@ fn smoke_scale_incremental_and_full() {
     };
     let sub24 = |base: Prefix, j: u64| Prefix::new(base.nth(j << 8), 24).unwrap();
     let hour = SimDuration::from_secs(3600);
-    for &incremental in &[true, false] {
-        let mut builder = spec.builder();
-        if !incremental {
-            builder = builder.with_full_recompute();
+    let mut exp = Experiment::new(spec.builder().build());
+    assert!(exp.start(hour).converged);
+    exp.mark_named("seeding");
+    let mut seeded = 0;
+    for i in 7..15 {
+        for j in 0..PER_STUB {
+            exp.apply(&ScriptAction::Announce {
+                as_index: i,
+                prefix: Some(sub24(exp.net.ases[i].prefix, j)),
+            });
+            seeded += 1;
         }
-        let mut exp = Experiment::new(builder.build());
-        assert!(exp.start(hour).converged, "incremental={incremental}");
-        exp.mark_named("seeding");
-        let mut seeded = 0;
-        for i in 7..15 {
-            for j in 0..PER_STUB {
-                exp.apply(&ScriptAction::Announce {
-                    as_index: i,
-                    prefix: Some(sub24(exp.net.ases[i].prefix, j)),
-                });
-                seeded += 1;
-            }
-        }
-        let seeding = exp.wait_converged(hour);
-        let update = sub24(exp.net.ases[7].prefix, PER_STUB);
-        exp.mark_named("single-update");
-        exp.apply(&ScriptAction::Announce {
-            as_index: 7,
-            prefix: Some(update),
-        });
-        let probe = exp.wait_converged(hour);
-        eprintln!(
-            "incremental={incremental}: seeded={seeded} seed_conv={} update_conv={}",
-            seeding.duration, probe.duration
-        );
-        assert!(
-            seeding.converged && probe.converged,
-            "incremental={incremental}"
-        );
-        assert!(
-            exp.prefix_reachable_from_all(update, 7),
-            "incremental={incremental}"
-        );
-        assert_eq!(seeded, 16);
     }
+    let seeding = exp.wait_converged(hour);
+    let update = sub24(exp.net.ases[7].prefix, PER_STUB);
+    exp.mark_named("single-update");
+    exp.apply(&ScriptAction::Announce {
+        as_index: 7,
+        prefix: Some(update),
+    });
+    let probe = exp.wait_converged(hour);
+    eprintln!(
+        "seeded={seeded} seed_conv={} update_conv={}",
+        seeding.duration, probe.duration
+    );
+    assert!(seeding.converged && probe.converged);
+    assert!(exp.prefix_reachable_from_all(update, 7));
+    assert_eq!(seeded, 16);
 }
 
 #[test]

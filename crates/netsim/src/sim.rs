@@ -252,6 +252,9 @@ impl<'a, M: Message> Ctx<'a, M> {
 /// tokens ([`Ctx::schedule_timer`]) are not bounded.
 pub const NAMED_TIMER_TOKENS: u64 = 1 << 20;
 
+/// Hard cap on events per `run_*` call, against livelock.
+const MAX_EVENTS_PER_RUN: u64 = 200_000_000;
+
 /// Generation bookkeeping of one named timer.
 #[derive(Clone, Default)]
 struct TimerGen {
@@ -315,8 +318,6 @@ pub struct Simulator<M: Message> {
     action_scratch: Vec<Action<M>>,
     /// `(time, seq)` of the last popped event; pops must strictly increase.
     last_event_key: (u64, u64),
-    /// Hard cap on events per `run_*` call, against livelock.
-    pub max_events_per_run: u64,
 }
 
 impl<M: Message> Simulator<M> {
@@ -349,7 +350,6 @@ impl<M: Message> Simulator<M> {
             started: false,
             action_scratch: Vec::with_capacity(16),
             last_event_key: (0, 0),
-            max_events_per_run: 200_000_000,
         }
     }
 
@@ -763,7 +763,7 @@ impl<M: Message> Simulator<M> {
             }
             self.step();
             events += 1;
-            if events >= self.max_events_per_run {
+            if events >= MAX_EVENTS_PER_RUN {
                 panic!(
                     "run_until processed {events} events without reaching {deadline}: livelock?"
                 );
@@ -805,7 +805,7 @@ impl<M: Message> Simulator<M> {
             }
             self.step();
             events += 1;
-            if events >= self.max_events_per_run {
+            if events >= MAX_EVENTS_PER_RUN {
                 return Quiescence {
                     quiescent: false,
                     time: self.now,

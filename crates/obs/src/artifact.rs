@@ -333,6 +333,10 @@ impl Artifact {
             "cell" => json::check(raw)?,
             "metrics" => {
                 let v = Json::parse(raw)?;
+                let metrics = v.get("metrics").ok_or("missing \"metrics\"")?;
+                if metrics.as_arr().is_none() {
+                    return Err("bad \"metrics\"".into());
+                }
                 let ns = |key| v.get(key).and_then(Json::as_u64);
                 self.metrics.push(PhaseMetrics {
                     phase: v.get("phase").and_then(Json::as_str).unwrap_or("").into(),
@@ -340,7 +344,7 @@ impl Artifact {
                         converged_ns,
                         collector_ns: ns("collector_ns"),
                     }),
-                    metrics: v.get("metrics").ok_or("missing \"metrics\"")?.clone(),
+                    metrics: metrics.clone(),
                 });
             }
             "job" => self.jobs.push(JobRecord::from_json(&Json::parse(raw)?)?),
@@ -864,6 +868,24 @@ mod tests {
                 "{malformed}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn a_metrics_line_holds_an_array() {
+        let line = |metrics: &str| format!("{{\"type\":\"metrics\",\"phase\":\"x\"{metrics}}}");
+        for bad in ["5", "{}", "\"x\"", "null"] {
+            assert_eq!(
+                Artifact::parse(&line(&format!(",\"metrics\":{bad}"))).unwrap_err(),
+                "line 1: bad \"metrics\"",
+                "{bad}"
+            );
+        }
+        assert_eq!(
+            Artifact::parse(&line("")).unwrap_err(),
+            "line 1: missing \"metrics\""
+        );
+        let ok = Artifact::parse(&line(",\"metrics\":[]")).unwrap();
+        assert_eq!(ok.metrics[0].metrics, Json::Arr(Vec::new()));
     }
 
     #[test]

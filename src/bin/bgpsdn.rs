@@ -421,7 +421,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let report = run_campaign_scratch(
         jobs,
         workers,
-        JobScratch::default,
         |job, scratch| {
             let mut outcome = run_job_scratch(job, trace, scratch);
             if let (Some(dir), Some(text)) = (&artifacts_dir, outcome.artifact.take()) {
