@@ -26,7 +26,7 @@ pub enum Severity {
 
 impl Severity {
     /// Lower-case label used in renders and JSON.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Severity::Warning => "warning",
             Severity::Error => "error",
@@ -60,7 +60,7 @@ pub struct Finding {
 impl Finding {
     /// JSON object for one finding (stable key order; `subject` and
     /// `prefix` only when set).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut kv = vec![
             (
                 "severity".to_string(),
@@ -161,7 +161,7 @@ impl AnalysisReport {
     }
 
     /// Push a warning finding.
-    pub fn warning(&mut self, code: &'static str, message: impl Into<String>) {
+    pub(crate) fn warning(&mut self, code: &'static str, message: impl Into<String>) {
         self.push(Severity::Warning, code, message.into(), None);
     }
 

@@ -74,7 +74,7 @@ pub mod validate;
 mod verifier;
 
 pub use finding::{AnalysisReport, Finding, Severity};
-pub use predict::{check_reachability, components, hunt_depth_bound, hunt_depth_bound_clusters};
+pub use predict::{check_reachability, hunt_depth_bound, hunt_depth_bound_clusters};
 pub use safety::{check_safety, check_safety_clusters, SafetyClustersInput, SafetyInput};
 pub use snapshot::{
     ControlHealth, Device, LegacyRoute, NextHop, NodeState, PortState, SessionSnap, Snapshot,

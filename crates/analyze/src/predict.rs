@@ -89,7 +89,7 @@ fn policy_reachable(g: &AsGraph, mode: PolicyMode, origin: usize) -> Vec<bool> {
 
 /// Connected component membership ignoring policy: `component[v] == component[w]`
 /// iff `v` and `w` are connected in the undirected graph.
-pub fn components(g: &AsGraph) -> Vec<usize> {
+pub(crate) fn components(g: &AsGraph) -> Vec<usize> {
     let n = g.len();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     for e in &g.edges {

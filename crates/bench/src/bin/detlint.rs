@@ -8,7 +8,8 @@
 //! (`HashMap`/`HashSet` iteration order, host clocks, OS-seeded RNGs) and
 //! diffs the per-(file, hazard) occurrence counts against the committed
 //! baseline; then lists every `pub fn` of those crates (and of this one)
-//! that no other source file calls, and every row-only counter no file reads.
+//! that no file outside its own crate's library calls (such a function is
+//! `pub(crate)`), and every row-only counter no file reads.
 //! Exits 0 if nothing increased or is unused; 1 on a new or increased hazard,
 //! a baseline row naming a missing file, an uncalled `pub fn` or a write-only
 //! counter; 2 on usage or IO errors. `--write` re-baselines an audited change.
@@ -46,8 +47,9 @@ const GUARDED: &[&str] = &[
 ];
 
 /// Where a `pub fn` of the guarded roots or of `crates/bench/src` may
-/// find its callers, besides `crates/*/{src,tests,benches}`. The frozen
-/// `benchmark/` harness counts: what it calls stays public.
+/// find its callers, besides `crates/*/{src,tests,benches}`; files in the
+/// defining crate's own library do not count. The frozen `benchmark/`
+/// harness counts: what it calls stays public.
 const CALLER_ROOTS: &[&str] = &["src", "tests", "examples", "benchmark/src"];
 
 /// The file whose `counter_table!` names every counter.
@@ -69,9 +71,9 @@ fn crate_dirs(root: &Path, subs: &[&str]) -> Result<Vec<PathBuf>, String> {
     Ok(dirs)
 }
 
-/// Every `pub fn` that no other file calls and every counter nothing
-/// reads, as one line each; empty when the public surface and the counter
-/// table are all in use.
+/// Every `pub fn` that nothing outside its crate's library calls and
+/// every counter nothing reads, as one line each; empty when the public
+/// surface and the counter table are all in use.
 fn unused_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, String> {
     let mut defining = guarded.to_vec();
     defining.push(root.join("crates/bench/src"));
@@ -82,8 +84,9 @@ fn unused_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, String
         .into_iter()
         .map(|f| {
             format!(
-                "detlint: {}:{}: `pub fn {}` has no caller in any other file; delete it, \
-                 make it private, or mark the line `// detlint: allow <reason>`",
+                "detlint: {}:{}: `pub fn {}` has no caller outside its crate's library; \
+                 make it `pub(crate)`, delete it, or mark the line \
+                 `// detlint: allow <reason>`",
                 f.path, f.line, f.name
             )
         })

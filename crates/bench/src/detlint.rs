@@ -21,16 +21,19 @@
 //!
 //! A second pass, [`uncalled_pub_fns`], keeps the public surface honest:
 //! rustc's `dead_code` lint sees no further than its own crate, so a
-//! `pub fn` that nothing in the workspace calls survives `-D warnings`.
-//! The pass flags every non-test `pub fn` whose name appears in no other
-//! source file, outside comments, `use` declarations (a re-export is
-//! not a call) and the name after `fn` (a definition is not a call). It
-//! matches on identifier tokens, so it never flags a function that is
-//! called by name; a name some other function shares and is called by
-//! (such as `new` or `len`) can only make it miss one. It has no
-//! baseline: the tree must pass with zero findings, and a
-//! `// detlint: allow <reason>` on the `pub fn` line exempts that one
-//! function.
+//! `pub fn` that nothing in the workspace calls survives `-D warnings`,
+//! and so does one that only its own crate calls. The pass flags every
+//! non-test `pub fn` whose name appears in no file outside the defining
+//! crate's library (another crate's `src`, a `tests/`, `benches/` or
+//! `examples/` file, or a `src/bin/` binary), outside comments, `use`
+//! declarations (a re-export is not a call) and the name after `fn` (a
+//! definition is not a call). A function only its own crate calls is
+//! `pub(crate)`, where `dead_code` sees it. The pass matches on
+//! identifier tokens, so it never flags a function that is called by
+//! name; a name some other function shares and is called by (such as
+//! `new` or `len`) can only make it miss one. It has no baseline: the
+//! tree must pass with zero findings, and a `// detlint: allow <reason>`
+//! on the `pub fn` line exempts that one function.
 //!
 //! A third pass, [`write_only_counters`], does the same for counters: a
 //! row-only counter id (one artifacts never carry) that every file
@@ -136,7 +139,7 @@ pub fn scan_tree(base: &Path, roots: &[PathBuf]) -> Result<Counts, String> {
     Ok(counts)
 }
 
-/// One `pub fn` that no other source file mentions.
+/// One `pub fn` that no file outside its crate's library mentions.
 #[derive(Debug, PartialEq, Eq)]
 pub struct UncalledFn {
     /// Relative path of the defining file.
@@ -276,9 +279,27 @@ fn code_idents(text: &str) -> BTreeSet<&str> {
     seen
 }
 
-/// Every `pub fn` defined under `defining` whose name no other file under
-/// `callers` mentions as code (see `code_idents`). The defining roots
-/// are searched for callers too.
+/// The library a source path belongs to: the directory up to its first
+/// `src` component (`crates/core/src`). A file under that directory's
+/// `bin/` is a binary of its own, and so is one outside any `src`: both
+/// give `None`.
+fn library_of(path: &str) -> Option<&str> {
+    let mut at = 0;
+    for comp in path.split('/') {
+        if comp == "src" {
+            let end = at + comp.len();
+            return (!path[end..].starts_with("/bin/")).then_some(&path[..end]);
+        }
+        at += comp.len() + 1;
+    }
+    None
+}
+
+/// Every `pub fn` defined under `defining` whose name no file under
+/// `callers` outside the defining file's library (see `library_of`)
+/// mentions as code (see `code_idents`). A defining file outside any
+/// library counts every other file as outside. The defining roots are
+/// searched for callers too.
 ///
 /// # Errors
 ///
@@ -299,10 +320,13 @@ pub fn uncalled_pub_fns(
         .collect();
     let mut uncalled = Vec::new();
     for (path, text) in &defined {
+        let library = library_of(path);
+        let outside =
+            |other: &str| other != path && (library.is_none() || library_of(other) != library);
         for (line, name) in pub_fns(text) {
             let called = tokens
                 .iter()
-                .any(|(other, idents)| other != path && idents.contains(name.as_str()));
+                .any(|(other, idents)| outside(other) && idents.contains(name.as_str()));
             if !called {
                 uncalled.push(UncalledFn {
                     path: path.clone(),
@@ -553,11 +577,13 @@ mod tests {
     #[test]
     fn pub_fn_pass_flags_only_functions_nothing_else_mentions() {
         let dir = std::env::temp_dir().join(format!("detlint-pubfn-{}", std::process::id()));
-        let (lib, user) = (dir.join("lib"), dir.join("user"));
-        std::fs::create_dir_all(&lib).unwrap();
-        std::fs::create_dir_all(&user).unwrap();
-        std::fs::write(
-            lib.join("a.rs"),
+        let write = |rel: &str, text: &str| {
+            let path = dir.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write(
+            "crates/a/src/a.rs",
             "\
 pub fn called() {}
 pub fn reexported_only() {}
@@ -565,15 +591,21 @@ pub fn in_a_comment_only() {}
 pub fn exempt() {} // detlint: allow kept for an out-of-tree caller
 pub const fn planted() {}
 pub(crate) fn crate_visible() {}
+pub fn crate_only() {}
+pub fn tested_by_a_sibling() {}
+pub fn run_by_a_binary() {}
 #[cfg(test)]
 mod tests {
     pub fn test_helper() {}
 }
 ",
-        )
-        .unwrap();
-        std::fs::write(
-            user.join("b.rs"),
+        );
+        write(
+            "crates/a/src/lib.rs",
+            "pub use a::crate_only;\nfn inner() { crate_only(); crate_visible(); }\n",
+        );
+        write(
+            "crates/b/src/b.rs",
             "\
 pub use crate::a::reexported_only;
 use crate::a::{
@@ -585,9 +617,17 @@ fn main() {
     let url = \"http://example\"; called(); /* */ // planted()
 }
 ",
-        )
-        .unwrap();
-        let found = uncalled_pub_fns(&dir, std::slice::from_ref(&lib), &[user]).unwrap();
+        );
+        write(
+            "crates/b/tests/t.rs",
+            "#[test]\nfn t() { a::tested_by_a_sibling(); }\n",
+        );
+        write(
+            "crates/a/src/bin/tool.rs",
+            "fn main() { a::run_by_a_binary(); }\n",
+        );
+        let roots = [dir.join("crates/a/src"), dir.join("crates/b")];
+        let found = uncalled_pub_fns(&dir, &roots[..1], &roots[1..]).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         let names: Vec<(usize, &str)> = found.iter().map(|f| (f.line, f.name.as_str())).collect();
         assert_eq!(
@@ -595,10 +635,11 @@ fn main() {
             [
                 (2, "reexported_only"),
                 (3, "in_a_comment_only"),
-                (5, "planted")
+                (5, "planted"),
+                (7, "crate_only")
             ]
         );
-        assert!(found.iter().all(|f| f.path == "lib/a.rs"));
+        assert!(found.iter().all(|f| f.path == "crates/a/src/a.rs"));
     }
 
     #[test]

@@ -336,12 +336,12 @@ impl Community {
     }
 
     /// The high (AS) half.
-    pub fn asn(self) -> u16 {
+    pub(crate) fn asn(self) -> u16 {
         (self.0 >> 16) as u16
     }
 
     /// The low (value) half.
-    pub fn value(self) -> u16 {
+    pub(crate) fn value(self) -> u16 {
         self.0 as u16
     }
 

@@ -50,7 +50,7 @@ pub struct DampingState {
 
 impl DampingState {
     /// Fresh, undamped state.
-    pub fn new(now: SimTime) -> DampingState {
+    pub(crate) fn new(now: SimTime) -> DampingState {
         DampingState {
             penalty: 0.0,
             last_update: now,
@@ -95,12 +95,6 @@ impl DampingState {
         self.suppressed
     }
 
-    /// Current penalty after decay.
-    pub fn penalty(&mut self, cfg: &DampingConfig, now: SimTime) -> f64 {
-        self.decay_to(cfg, now);
-        self.penalty
-    }
-
     /// Time from `now` until a suppressed route decays to the reuse
     /// threshold (`None` when not suppressed).
     pub(crate) fn reuse_eta(&mut self, cfg: &DampingConfig, now: SimTime) -> Option<SimDuration> {
@@ -122,13 +116,19 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// The penalty of `st` after decaying it to `now`.
+    fn penalty(st: &mut DampingState, cfg: &DampingConfig, now: SimTime) -> f64 {
+        st.decay_to(cfg, now);
+        st.penalty
+    }
+
     #[test]
     fn single_flap_does_not_suppress() {
         let cfg = DampingConfig::default();
         let mut st = DampingState::new(t(0));
         assert!(!st.on_withdrawal(&cfg, t(0)));
         assert!(!st.is_suppressed(&cfg, t(1)));
-        assert!((st.penalty(&cfg, t(0)) - 1000.0).abs() < 1.0);
+        assert!((penalty(&mut st, &cfg, t(0)) - 1000.0).abs() < 1.0);
     }
 
     #[test]
@@ -152,9 +152,9 @@ mod tests {
         };
         let mut st = DampingState::new(t(0));
         st.on_withdrawal(&cfg, t(0));
-        let p = st.penalty(&cfg, t(10));
+        let p = penalty(&mut st, &cfg, t(10));
         assert!((p - 500.0).abs() < 1.0, "one half-life: {p}");
-        let p = st.penalty(&cfg, t(30));
+        let p = penalty(&mut st, &cfg, t(30));
         assert!((p - 125.0).abs() < 1.0, "three half-lives: {p}");
     }
 
@@ -184,7 +184,7 @@ mod tests {
         for _ in 0..100 {
             st.on_withdrawal(&cfg, t(0));
         }
-        assert!(st.penalty(&cfg, t(0)) <= cfg.max_penalty);
+        assert!(penalty(&mut st, &cfg, t(0)) <= cfg.max_penalty);
     }
 
     #[test]
@@ -194,6 +194,6 @@ mod tests {
         let mut b = DampingState::new(t(0));
         a.on_withdrawal(&cfg, t(0));
         b.on_attribute_change(&cfg, t(0));
-        assert!(a.penalty(&cfg, t(0)) > b.penalty(&cfg, t(0)));
+        assert!(penalty(&mut a, &cfg, t(0)) > penalty(&mut b, &cfg, t(0)));
     }
 }

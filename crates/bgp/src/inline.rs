@@ -38,7 +38,7 @@ impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
 
 impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// Empty list, nothing allocated.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -82,7 +82,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// Append an element; allocation-free until the list exceeds `N`.
-    pub fn push(&mut self, v: T) {
+    pub(crate) fn push(&mut self, v: T) {
         self.insert(self.len(), v);
     }
 
@@ -90,7 +90,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     ///
     /// # Panics
     /// When `index > len`.
-    pub fn insert(&mut self, index: usize, v: T) {
+    pub(crate) fn insert(&mut self, index: usize, v: T) {
         match &mut self.0 {
             Repr::Inline { len, slots } if (*len as usize) < N => {
                 let n = *len as usize;
@@ -110,17 +110,12 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// Keep the first `len` elements (no-op when there are fewer).
-    pub fn truncate(&mut self, len: usize) {
+    pub(crate) fn truncate(&mut self, len: usize) {
         match &mut self.0 {
             Repr::Inline { len: cur, .. } if len < *cur as usize => *cur = len as u8,
             Repr::Inline { .. } => {}
             Repr::Heap(v) => v.truncate(len),
         }
-    }
-
-    /// Drop all elements, keeping any heap allocation for reuse.
-    pub fn clear(&mut self) {
-        self.truncate(0);
     }
 }
 
@@ -339,7 +334,7 @@ mod tests {
     #[test]
     fn clear_resets_but_keeps_usable() {
         let mut v: InlineVec<u32, 2> = (0..5).collect();
-        v.clear();
+        v.truncate(0);
         assert!(v.is_empty());
         assert_eq!(v.iter().count(), 0);
         v.push(9);

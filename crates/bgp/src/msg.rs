@@ -133,11 +133,6 @@ impl UpdateMsg {
         }
     }
 
-    /// True when the message carries nothing.
-    pub fn is_empty(&self) -> bool {
-        self.withdrawn.is_empty() && self.nlri.is_empty()
-    }
-
     /// RFC 7606 "treat-as-withdraw" salvage: given the raw bytes of an
     /// UPDATE whose path attributes failed to decode, recover the prefixes
     /// it was talking about without interpreting any attribute *content*.

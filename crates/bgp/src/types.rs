@@ -144,11 +144,6 @@ impl Prefix {
         self.len
     }
 
-    /// The netmask.
-    pub fn mask(self) -> Ipv4Addr {
-        Ipv4Addr::from(Self::mask_for(self.len))
-    }
-
     /// True when `ip` falls inside this prefix.
     pub fn contains(self, ip: Ipv4Addr) -> bool {
         (u32::from(ip) & Self::mask_for(self.len)) == self.addr
@@ -305,7 +300,10 @@ mod tests {
         let p = pfx("192.168.4.0/22");
         assert_eq!(p.to_string(), "192.168.4.0/22");
         assert_eq!(p.len(), 22);
-        assert_eq!(p.mask(), Ipv4Addr::new(255, 255, 252, 0));
+        assert_eq!(
+            Ipv4Addr::from(Prefix::mask_for(p.len())),
+            Ipv4Addr::new(255, 255, 252, 0)
+        );
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Split off a sub-reader over the next `n` bytes.
-    pub fn sub(&mut self, n: usize, what: &'static str) -> Result<Reader<'a>, CodecError> {
+    pub(crate) fn sub(&mut self, n: usize, what: &'static str) -> Result<Reader<'a>, CodecError> {
         Ok(Reader::new(self.take(n, what)?))
     }
 }
@@ -159,7 +159,7 @@ impl Writer {
     }
 
     /// Drop the contents, keeping the allocation for reuse.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
     }
 
@@ -179,7 +179,7 @@ impl Writer {
     }
 
     /// The bytes written so far, without consuming the writer. Scratch
-    /// users copy these out and [`clear`](Writer::clear) for the next
+    /// users copy these out and `clear` for the next
     /// message.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf

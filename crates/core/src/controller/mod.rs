@@ -90,7 +90,7 @@ pub struct ControllerConfig {
 
 impl ControllerConfig {
     /// Config with the default 100 ms recompute delay.
-    pub fn new(
+    pub(crate) fn new(
         members: Vec<MemberConfig>,
         intra_links: Vec<(usize, usize, LinkId)>,
         sessions: Vec<SessionConfig>,
@@ -174,7 +174,7 @@ pub struct IdrController<M> {
 
 impl<M: SdnApp + BgpApp> IdrController<M> {
     /// Build the controller. Member prefixes start out announced.
-    pub fn new(id: NodeId, cfg: ControllerConfig) -> Self {
+    pub(crate) fn new(id: NodeId, cfg: ControllerConfig) -> Self {
         let n = cfg.members.len();
         let member_asns: Vec<Asn> = cfg.members.iter().map(|m| m.asn).collect();
         let owned = cfg

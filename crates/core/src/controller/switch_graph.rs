@@ -59,17 +59,12 @@ impl SwitchGraph {
     }
 
     /// Number of members.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// True when the cluster has no members.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// All intra-cluster links.
-    pub fn links(&self) -> &[IntraLink] {
+    pub(crate) fn links(&self) -> &[IntraLink] {
         &self.links
     }
 
@@ -171,24 +166,6 @@ impl SwitchGraph {
             }
         }
     }
-
-    /// Shortest member path `from → to` over up links, inclusive, or `None`
-    /// when they are in different sub-clusters.
-    pub fn path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        if from == to {
-            return Some(vec![from]);
-        }
-        let (dist, prev) = self.bfs(from);
-        dist[to]?;
-        let mut path = vec![to];
-        let mut cur = to;
-        while cur != from {
-            cur = prev[cur].expect("dist set implies prev chain");
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 #[cfg(test)]
@@ -222,12 +199,13 @@ mod tests {
     #[test]
     fn paths_and_neighbors() {
         let mut g = triangle();
-        assert_eq!(g.path(0, 2), Some(vec![0, 2]));
+        assert_eq!(g.bfs(0).0[2], Some(1));
         g.set_link_state(lid(2), false);
-        assert_eq!(g.path(0, 2), Some(vec![0, 1, 2]));
-        assert_eq!(g.path(0, 0), Some(vec![0]));
+        // The shortest path to 2 now runs 0-1-2.
+        let (dist, prev) = g.bfs(0);
+        assert_eq!((dist[2], prev[2], prev[1]), (Some(2), Some(1), Some(0)));
         g.set_link_state(lid(0), false);
-        assert_eq!(g.path(0, 2), None, "0 is isolated");
+        assert_eq!(g.bfs(0).0[2], None, "0 is isolated");
         assert!(g.neighbors_up(0).is_empty());
         assert_eq!(g.link_between(1, 2), Some(lid(1)));
         assert_eq!(g.link_between(0, 1), None);

@@ -173,7 +173,7 @@ impl CampaignGrid {
     /// artifact headers omit the `clusters` and `strategy` keys, so Fig. 2
     /// sweeps stay comparable with artifacts that predate the deployment
     /// axes. Which code runs never depends on it.
-    pub fn default_deployment(&self) -> bool {
+    pub(crate) fn default_deployment(&self) -> bool {
         self.clusters
             .iter()
             .all(|&k| paper_deployment(k, self.strategy))
@@ -213,14 +213,20 @@ impl CampaignGrid {
 
 /// Control-channel loss as exact parts-per-million (the artifact's cell
 /// key must be hashable and byte-stable; floats are neither).
-pub fn loss_ppm(loss: f64) -> u64 {
+pub(crate) fn loss_ppm(loss: f64) -> u64 {
     (loss * 1e6).round() as u64
 }
 
 /// Derive a job's RNG seed from its own parameters only (SplitMix64 over
 /// the parameter tuple). Stable under grid growth: the seed never depends
 /// on the job's index in the expansion.
-pub fn job_seed(base: u64, cluster: u64, loss_ppm: u64, latency_ns: u64, seed_index: u64) -> u64 {
+pub(crate) fn job_seed(
+    base: u64,
+    cluster: u64,
+    loss_ppm: u64,
+    latency_ns: u64,
+    seed_index: u64,
+) -> u64 {
     let mut h = base ^ 0x9e37_79b9_7f4a_7c15;
     for v in [cluster, loss_ppm, latency_ns, seed_index] {
         h = splitmix64(h ^ v.wrapping_mul(0xff51_afd7_ed55_8ccd));
@@ -431,7 +437,7 @@ pub struct CliqueRunOptions {
 
 impl CliqueRunOptions {
     /// True when the options describe the paper's deployment (see
-    /// [`CampaignGrid::default_deployment`]).
+    /// `CampaignGrid::default_deployment`).
     pub fn default_deployment(&self) -> bool {
         paper_deployment(self.clusters, self.strategy)
     }
@@ -526,11 +532,6 @@ impl CampaignRunReport {
     pub fn render_artifact(&self, grid: &CampaignGrid) -> String {
         Artifact::render(&grid.header(self.workers, self.wall), &self.records())
     }
-
-    /// Jobs that panicked or errored.
-    pub fn failed(&self) -> usize {
-        self.results.iter().filter(|r| r.outcome.is_err()).count()
-    }
 }
 
 /// Per-worker state reused across the jobs a worker claims: the size of
@@ -607,6 +608,13 @@ pub fn render_job_artifact_into(job: &CampaignJob, exp: &Experiment, text: &mut 
         .render_artifact_into(Some((job.id, job.cell)), exp, text);
 }
 
+/// How many worker threads a pool asked for `workers` runs `jobs` jobs
+/// on: at least one, and no more than there are jobs. The campaign
+/// artifact's header records this count.
+pub fn pool_workers(workers: usize, jobs: usize) -> usize {
+    workers.clamp(1, jobs.max(1))
+}
+
 /// Execute a grid on `workers` threads. See [`run_campaign_scratch`] for
 /// the pool semantics.
 pub fn run_campaign(grid: &CampaignGrid, workers: usize, trace: bool) -> CampaignRunReport {
@@ -648,7 +656,7 @@ pub fn run_campaign_scratch(
     runner: impl Fn(&CampaignJob, &mut JobScratch) -> JobOutcome + Sync,
     on_done: impl Fn(&JobResult) + Sync,
 ) -> CampaignRunReport {
-    let workers = workers.clamp(1, jobs.len().max(1));
+    let workers = pool_workers(workers, jobs.len());
     let started = std::time::Instant::now();
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<JobResult>> = Vec::new();
@@ -973,7 +981,6 @@ mod tests {
             |_| {},
         );
         assert_eq!(report.results.len(), total);
-        assert_eq!(report.failed(), 1);
         let failed = &report.results[4];
         assert!(failed
             .outcome

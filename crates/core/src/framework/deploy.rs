@@ -128,7 +128,7 @@ pub enum DeploymentStrategy {
 
 impl DeploymentStrategy {
     /// The strategy's stable name, as recorded in artifacts.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             DeploymentStrategy::Explicit(_) => "explicit",
             DeploymentStrategy::Placed { placement, .. } => placement.name(),

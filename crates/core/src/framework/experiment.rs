@@ -93,7 +93,7 @@ impl Experiment {
     /// Record a free-form experiment-level note in the trace (global: no
     /// node attribution). Campaigns use this to document per-cell decisions
     /// such as fault classes dropped as inapplicable.
-    pub fn note(&mut self, text: impl Into<String>) {
+    pub(crate) fn note(&mut self, text: impl Into<String>) {
         let now = self.net.sim.now();
         let text = text.into();
         self.net
@@ -234,7 +234,7 @@ impl Experiment {
     /// # Panics
     ///
     /// On an AS or edge the network lacks, or a cluster action without a
-    /// cluster; [`Experiment::script_preflight`] reports these up front.
+    /// cluster; `Experiment::script_preflight` reports these up front.
     pub fn apply(&mut self, action: &ScriptAction) -> (bool, Option<ConvergenceReport>) {
         match *action {
             ScriptAction::Announce { as_index, prefix }

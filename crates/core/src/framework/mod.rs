@@ -17,9 +17,9 @@ pub mod traffic;
 pub mod verify;
 
 pub use campaign::{
-    job_seed, loss_ppm, render_job_artifact_into, run_campaign, run_campaign_scratch,
-    run_job_scratch, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions,
-    CliqueScenario, JobOutcome, JobResult, JobScratch,
+    pool_workers, render_job_artifact_into, run_campaign, run_campaign_scratch, run_job_scratch,
+    CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions, CliqueScenario, JobOutcome,
+    JobResult, JobScratch,
 };
 pub use deploy::{DeploymentStrategy, Placement};
 pub use experiment::Experiment;
@@ -29,6 +29,5 @@ pub use network::{
     AsHandle, AsKind, ClusterHandle, Collector, Controller, HybridNetwork, NetworkBuilder, Router,
     Sim, Speaker, Switch, COLLECTOR_ASN,
 };
-pub use preflight::check_plan;
 pub use script::{Script, ScriptAction, ScriptReport, StepOutcome};
 pub use traffic::ProbeReport;

@@ -7,10 +7,10 @@
 //! own type. Three gates sit on top:
 //!
 //! * [`NetworkBuilder::build`](super::network::NetworkBuilder::build) runs
-//!   [`check_plan`] over the resolved cluster membership lists — none, the
+//!   `check_plan` over the resolved cluster membership lists — none, the
 //!   paper's one, or `k` — and panics on error findings;
 //! * [`Experiment::run_script`](super::experiment::Experiment) runs
-//!   [`Experiment::script_preflight`] and returns a failed pre-flight step
+//!   `Experiment::script_preflight` and returns a failed pre-flight step
 //!   instead of executing a structurally broken script — chaos schedules
 //!   included;
 //! * [`run_campaign`](super::campaign::run_campaign) and `bgpsdn sweep`
@@ -35,7 +35,7 @@ use super::script::Script;
 /// policy safety (Gao–Rexford provider hierarchy, boundary proof with each
 /// cluster contracted to its own logical vertex) and timer consistency.
 /// This is what the builder gate runs.
-pub fn check_plan(plan: &TopologyPlan, clusters: &[Vec<usize>]) -> AnalysisReport {
+pub(crate) fn check_plan(plan: &TopologyPlan, clusters: &[Vec<usize>]) -> AnalysisReport {
     let mode = plan
         .routers
         .first()
@@ -58,7 +58,7 @@ pub fn check_plan(plan: &TopologyPlan, clusters: &[Vec<usize>]) -> AnalysisRepor
 impl Experiment {
     /// Statically validate a script against this experiment's topology,
     /// cluster configuration, and timers — without executing anything.
-    pub fn script_preflight(&self, script: &Script) -> AnalysisReport {
+    pub(crate) fn script_preflight(&self, script: &Script) -> AnalysisReport {
         let members: Vec<usize> = self.net.member_index.keys().copied().collect();
         check_actions(
             &script.steps,

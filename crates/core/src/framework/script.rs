@@ -98,7 +98,7 @@ impl Experiment {
     /// With verification on, every fault step
     /// ([`ScriptAction::is_fault`]) is followed by a verifier checkpoint,
     /// as every convergence wait is. A script with pre-flight errors
-    /// ([`script_preflight`](Experiment::script_preflight): out-of-range
+    /// (`Experiment::script_preflight`: out-of-range
     /// index, unknown edge, loss outside `[0, 1]`, impossible expectation,
     /// …) comes back as one failed `pre-flight` step, nothing executed.
     pub fn run_script(&mut self, script: &Script) -> ScriptReport {

@@ -31,10 +31,10 @@ pub use controller::{
     ControllerConfig, ControllerStats, IdrController, MemberConfig, SessionConfig,
 };
 pub use framework::{
-    check_plan, job_seed, loss_ppm, render_job_artifact_into, run_campaign, run_campaign_scratch,
-    run_job_scratch, AsHandle, AsKind, CampaignGrid, CampaignJob, CampaignRunReport,
-    CliqueRunOptions, CliqueScenario, ClusterHandle, Collector, Controller, DeploymentStrategy,
-    EventKind, Experiment, FaultClasses, FaultSpec, HybridNetwork, JobOutcome, JobResult,
-    JobScratch, JobSpec, NetworkBuilder, Placement, ProbeReport, Router, ScenarioOutcome, Script,
-    ScriptAction, ScriptReport, Sim, Speaker, Switch, Topology, COLLECTOR_ASN,
+    pool_workers, render_job_artifact_into, run_campaign, run_campaign_scratch, run_job_scratch,
+    AsHandle, AsKind, CampaignGrid, CampaignJob, CampaignRunReport, CliqueRunOptions,
+    CliqueScenario, ClusterHandle, Collector, Controller, DeploymentStrategy, EventKind,
+    Experiment, FaultClasses, FaultSpec, HybridNetwork, JobOutcome, JobResult, JobScratch, JobSpec,
+    NetworkBuilder, Placement, ProbeReport, Router, ScenarioOutcome, Script, ScriptAction,
+    ScriptReport, Sim, Speaker, Switch, Topology, COLLECTOR_ASN,
 };

@@ -22,7 +22,7 @@ impl LinkId {
     pub const CONTROL: LinkId = LinkId(u32::MAX);
 
     /// Index into simulator-internal vectors.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
@@ -58,7 +58,7 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// Sample the delay for one message.
-    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match *self {
             LatencyModel::Fixed(d) => d,
             LatencyModel::Jittered { base, jitter } => {

@@ -102,7 +102,7 @@ pub(crate) struct CalendarQueue<T> {
 
 impl<T> CalendarQueue<T> {
     /// An empty queue with `capacity` slots reserved.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         CalendarQueue {
             slots: Vec::with_capacity(capacity),
             free: NIL,
@@ -127,7 +127,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Slab recycling counters.
-    pub fn pool_stats(&self) -> PoolStats {
+    pub(crate) fn pool_stats(&self) -> PoolStats {
         PoolStats {
             events_pooled: self.pooled,
             allocs_hot: self.allocs_hot,
@@ -135,7 +135,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Schedule `body` at `at` with tie-break `seq`.
-    pub fn push(&mut self, at: u64, seq: u64, body: T) {
+    pub(crate) fn push(&mut self, at: u64, seq: u64, body: T) {
         let record = Slot {
             at,
             seq,
@@ -181,7 +181,7 @@ impl<T> CalendarQueue<T> {
 
     /// Time of the earliest event, advancing the cursor as needed so that
     /// its key ends up in the front heap.
-    pub fn peek(&mut self) -> Option<u64> {
+    pub(crate) fn peek(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -196,7 +196,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Remove the earliest event: its time, sequence and payload.
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, u64, T)> {
         self.peek()?;
         let Reverse((t, seq, slot)) = self.front.pop()?;
         self.len -= 1;

@@ -91,7 +91,7 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 
     /// [`set_timer`](Self::set_timer) with an absolute firing time.
-    pub fn set_timer_at(&mut self, at: SimTime, token: TimerToken, class: TimerClass) {
+    pub(crate) fn set_timer_at(&mut self, at: SimTime, token: TimerToken, class: TimerClass) {
         self.actions.push(Action::SetTimerAt { at, token, class });
     }
 
@@ -229,19 +229,9 @@ impl<'a, M: Message> Ctx<'a, M> {
         &self.adjacency[self.me.index()]
     }
 
-    /// Look up a link by id. Panics on [`LinkId::CONTROL`].
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.links[id.index()]
-    }
-
     /// Whether `id` is operationally up.
     pub fn link_up(&self, id: LinkId) -> bool {
         self.links[id.index()].up
-    }
-
-    /// The node at the far end of `id` relative to this node.
-    pub fn peer(&self, id: LinkId) -> NodeId {
-        self.links[id.index()].other(self.me)
     }
 }
 
@@ -502,11 +492,6 @@ impl<M: Message> Simulator<M> {
     /// All links.
     pub fn links(&self) -> &[Link] {
         &self.links
-    }
-
-    /// Adjacent `(link, neighbor)` pairs of a node.
-    pub fn neighbors(&self, id: NodeId) -> &[(LinkId, NodeId)] {
-        &self.adjacency[id.index()]
     }
 
     /// The semantic activity board (measurement surface).
@@ -1405,7 +1390,6 @@ mod tests {
         assert_eq!(sim.node_count(), 2);
         assert_eq!(sim.link_count(), 1);
         assert_eq!(sim.node_name(NodeId(0)), "pinger");
-        assert_eq!(sim.neighbors(NodeId(0)).len(), 1);
     }
 
     /// Mints a root, an edge off an empty lineage and an edge off the

@@ -111,7 +111,7 @@ impl ActivityBoard {
     /// each phase measures only its own activity). A convergence
     /// measurement of "last change after the event" must reset at the phase
     /// start, not after it, or the previous phase's activity leaks into it.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = ActivityBoard::default();
     }
 }

@@ -42,7 +42,7 @@ impl SimTime {
     }
 
     /// This instant expressed in (possibly fractional) seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -56,11 +56,6 @@ impl SimTime {
     /// introduced by out-of-order bookkeeping.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating addition of a duration (no wraparound at `SimTime::MAX`).
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 }
 

@@ -50,7 +50,7 @@ impl Default for Trace {
 impl Trace {
     /// Create a trace buffer that keeps at most `capacity` records; once
     /// full, each new record evicts the oldest (drop-oldest ring).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Trace {
             mask: 0,
             records: VecDeque::new(),
@@ -126,12 +126,6 @@ impl Trace {
     /// (zero-capacity buffer).
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Drop all retained records (filter mask is kept).
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
     }
 
     /// Append every retained record to `out` as JSONL artifact lines,
@@ -212,9 +206,6 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![3, 4]);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]

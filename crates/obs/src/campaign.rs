@@ -108,7 +108,7 @@ impl JobRecord {
     }
 
     /// Parse from one artifact line (an object with `"type":"job"`).
-    pub fn from_json(v: &Json) -> Result<JobRecord, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<JobRecord, String> {
         let u = |k: &str| v.get(k).and_then(Json::as_u64).ok_or(format!("bad {k:?}"));
         let b = |k: &str| v.get(k).and_then(Json::as_bool).ok_or(format!("bad {k:?}"));
         Ok(JobRecord {

@@ -88,7 +88,7 @@ pub struct CausalNode {
     pub prefix: Option<ObsPrefix>,
 }
 
-/// Per-phase durations in nanoseconds, indexed by [`CausalPhase::index`].
+/// Per-phase durations in nanoseconds, indexed by `CausalPhase::index`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseBreakdown {
     ns: [u64; CausalPhase::ALL.len()],
@@ -96,7 +96,7 @@ pub struct PhaseBreakdown {
 
 impl PhaseBreakdown {
     /// Add `ns` nanoseconds to `phase`.
-    pub fn add(&mut self, phase: CausalPhase, ns: u64) {
+    pub(crate) fn add(&mut self, phase: CausalPhase, ns: u64) {
         self.ns[phase.index()] += ns;
     }
 
@@ -111,19 +111,19 @@ impl PhaseBreakdown {
     }
 
     /// Merge another breakdown into this one.
-    pub fn merge(&mut self, other: &PhaseBreakdown) {
+    pub(crate) fn merge(&mut self, other: &PhaseBreakdown) {
         for (a, b) in self.ns.iter_mut().zip(other.ns.iter()) {
             *a += b;
         }
     }
 
     /// `(phase, ns)` pairs in canonical order.
-    pub fn iter(&self) -> impl Iterator<Item = (CausalPhase, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (CausalPhase, u64)> + '_ {
         CausalPhase::ALL.into_iter().map(|p| (p, self.get(p)))
     }
 
     /// JSON object `{phase_name: ns, ...}` with zero phases omitted.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         Json::Obj(
             self.iter()
                 .filter(|(_, ns)| *ns > 0)
@@ -133,7 +133,7 @@ impl PhaseBreakdown {
     }
 
     /// Parse the object form; unknown phase names are errors.
-    pub fn from_json(v: &Json) -> Result<PhaseBreakdown, String> {
+    pub(crate) fn from_json(v: &Json) -> Result<PhaseBreakdown, String> {
         let Json::Obj(members) = v else {
             return Err("phase breakdown must be an object".into());
         };

@@ -295,7 +295,7 @@ impl CausalPhase {
     }
 
     /// Position in [`CausalPhase::ALL`].
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         CausalPhase::ALL
             .iter()
             .position(|p| *p == self)

@@ -15,7 +15,7 @@
 /// callback rejects is recorded there instead: a truncated tail is the
 /// normal shape of an artifact whose writer was killed mid-line. Malformed
 /// lines anywhere else remain hard errors.
-pub fn scan(
+pub(crate) fn scan(
     text: &str,
     mut lenient: Option<&mut Vec<String>>,
     mut line: impl FnMut(usize, &str) -> Result<(), String>,

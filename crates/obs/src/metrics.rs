@@ -137,7 +137,6 @@ pub struct Histogram {
     buckets: [u64; 64],
     count: u64,
     sum: u64,
-    min: u64,
     max: u64,
 }
 
@@ -147,7 +146,6 @@ impl Default for Histogram {
             buckets: [0; 64],
             count: 0,
             sum: 0,
-            min: u64::MAX,
             max: 0,
         }
     }
@@ -160,11 +158,10 @@ fn log2_bucket(value: u64) -> usize {
 
 impl Histogram {
     /// Record one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[log2_bucket(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
 
@@ -178,24 +175,19 @@ impl Histogram {
         self.sum
     }
 
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Largest sample, if any.
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 
     /// Mean sample, if any.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
     /// Approximate quantile (0.0..=1.0): the lower bound of the bucket
     /// holding the q-th sample.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
@@ -220,16 +212,13 @@ impl Histogram {
     }
 
     /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
+        self.max = self.max.max(other.max);
     }
 }
 
@@ -305,7 +294,7 @@ impl MetricsSnapshot {
     }
 
     /// JSON array form, one object per entry.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Arr(
             self.entries
                 .iter()
@@ -458,7 +447,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 7);
-        assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(1 << 40));
         // 0 and 1 share bucket 0; 2 and 3 bucket 1; 4 bucket 2.
         let buckets: Vec<(u64, u64)> = h.nonzero_buckets().collect();
@@ -497,7 +485,6 @@ mod tests {
         b.record(3);
         a.merge(&b);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Some(3));
         assert_eq!(a.max(), Some(100));
         assert_eq!(a.sum(), 108);
     }

@@ -21,12 +21,6 @@ impl WallSpan {
         }
     }
 
-    /// A span that records nothing.
-    #[inline]
-    pub fn disabled() -> WallSpan {
-        WallSpan { start: None }
-    }
-
     /// Nanoseconds since start, or None when started disabled.
     #[inline]
     pub fn elapsed_ns(&self) -> Option<u64> {
@@ -41,7 +35,6 @@ mod tests {
 
     #[test]
     fn disabled_span_reports_nothing() {
-        assert_eq!(WallSpan::disabled().elapsed_ns(), None);
         assert_eq!(WallSpan::start(false).elapsed_ns(), None);
     }
 

@@ -7,8 +7,6 @@
 //! flow down ([`SpeakerCmd`]). Both travel only inside the reliable
 //! [`CtrlMsg`] channel, never as bare messages.
 
-use std::net::Ipv4Addr;
-
 use bgpsdn_bgp::{Asn, Prefix, SharedPath, UpdateMsg};
 use bgpsdn_netsim::{Cause, Message};
 
@@ -160,7 +158,7 @@ pub enum CtrlMsg {
 
 impl CtrlMsg {
     /// The epoch carried by this message.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         match self {
             CtrlMsg::Event { epoch, .. }
             | CtrlMsg::Sync { epoch, .. }
@@ -172,7 +170,7 @@ impl CtrlMsg {
     }
 
     /// The sequence number, when the message is sequenced (payload or ack).
-    pub fn seq(&self) -> Option<u64> {
+    pub(crate) fn seq(&self) -> Option<u64> {
         match self {
             CtrlMsg::Event { seq, .. }
             | CtrlMsg::Sync { seq, .. }
@@ -186,7 +184,7 @@ impl CtrlMsg {
     /// Modeled wire size: the ExaBGP-style JSON line plus the reliability
     /// header for payloads, a small fixed frame for acks and heartbeats,
     /// and a per-route cost for snapshots.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             CtrlMsg::Event { .. } | CtrlMsg::Cmd { .. } => 144,
             CtrlMsg::EventAck { .. } | CtrlMsg::CmdAck { .. } | CtrlMsg::Heartbeat { .. } => 32,
@@ -223,13 +221,6 @@ pub trait SdnApp: Message {
     fn into_ctrl(self) -> Result<CtrlMsg, Self>
     where
         Self: Sized;
-}
-
-/// Alias address derivation: the IP the speaker answers with when speaking
-/// *as* a cluster member (used as NEXT_HOP toward external peers so the
-/// legacy data plane points at the member switch).
-pub fn alias_next_hop(member_router_ip: Ipv4Addr) -> Ipv4Addr {
-    member_router_ip
 }
 
 /// The complete hybrid-experiment message type: everything that can cross a
@@ -342,6 +333,7 @@ impl SdnApp for ClusterMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
 
     /// Every queued simulator event is one `EventBody<ClusterMsg>`, so its
     /// size (64-bit) is what the event queue pays per entry: two cache
@@ -355,12 +347,6 @@ mod tests {
         assert!(size_of::<CtrlMsg>() <= 96);
         assert!(size_of::<ClusterMsg>() <= 112);
         assert!(size_of::<bgpsdn_netsim::EventBody<ClusterMsg>>() <= 128);
-    }
-
-    #[test]
-    fn alias_next_hop_is_identity() {
-        let ip = Ipv4Addr::new(10, 3, 0, 1);
-        assert_eq!(alias_next_hop(ip), ip);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl ChannelEnd {
     }
 
     /// Arm the heartbeat and hold timers (no-op without a link).
-    pub fn start<M: SdnApp>(&self, ctx: &mut Ctx<'_, M>) {
+    pub(crate) fn start<M: SdnApp>(&self, ctx: &mut Ctx<'_, M>) {
         if self.link.is_some() {
             ctx.set_timer(HEARTBEAT_EVERY, self.heartbeat, TimerClass::Maintenance);
             self.arm_hold(ctx);

@@ -116,11 +116,6 @@ impl FlowTable {
     pub fn iter(&self) -> impl Iterator<Item = &FlowRule> {
         self.rules.iter()
     }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.rules.clear();
-    }
 }
 
 #[cfg(test)]
@@ -189,8 +184,6 @@ mod tests {
         // Removal is by (priority, prefix): the other cookie-7 rule stays.
         let kept = t.lookup(Ipv4Addr::new(20, 0, 0, 1)).expect("20/8 kept");
         assert_eq!(kept.cookie, 7);
-        t.clear();
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -29,8 +29,7 @@ pub mod speaker;
 pub mod switch;
 
 pub use app::{
-    alias_next_hop, ClusterMsg, CtrlMsg, SdnApp, SessionSync, SpeakerCmd, SpeakerEvent,
-    SpeakerSyncState,
+    ClusterMsg, CtrlMsg, SdnApp, SessionSync, SpeakerCmd, SpeakerEvent, SpeakerSyncState,
 };
 pub use channel::ChannelEnd;
 pub use flowtable::{FlowAction, FlowRule, FlowTable};

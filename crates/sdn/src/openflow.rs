@@ -317,7 +317,7 @@ pub struct OfEnvelope {
     /// Encoded bytes.
     pub bytes: Vec<u8>,
     /// Causal lineage riding alongside the wire bytes (never encoded,
-    /// never counted in [`OfEnvelope::wire_len`]); [`Cause::NONE`] when
+    /// never counted in `OfEnvelope::wire_len`); [`Cause::NONE`] when
     /// causal tracing is off.
     pub cause: Cause,
 }
@@ -345,7 +345,7 @@ impl OfEnvelope {
     }
 
     /// On-wire size (payload plus nominal TCP/IP overhead).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         self.bytes.len() + 40
     }
 }

@@ -86,11 +86,6 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
         }
     }
 
-    /// This switch's datapath id.
-    pub fn datapath_id(&self) -> u64 {
-        self.datapath_id
-    }
-
     fn send_to_controller(&mut self, ctx: &mut Ctx<'_, M>, msg: &OfMessage) {
         if let Some(link) = self.controller_link {
             ctx.send(link, M::from_of(OfEnvelope::new(msg)));

@@ -1,6 +1,6 @@
 //! Topology generators: the "artificial" topologies of the paper (clique,
-//! line, ring, star, tree, grid) and standard random models for
-//! Internet-like experiments (Erdős–Rényi, Barabási–Albert, Waxman).
+//! line, star) and standard random models for Internet-like experiments
+//! (Erdős–Rényi, Barabási–Albert, Waxman).
 //!
 //! All randomized generators take a [`SimRng`] so topologies are part of the
 //! deterministic experiment seed.
@@ -30,47 +30,12 @@ pub fn line(n: usize) -> Graph {
     g
 }
 
-/// Cycle on `n >= 3` vertices.
-pub fn ring(n: usize) -> Graph {
-    assert!(n >= 3, "ring needs >= 3 vertices");
-    let mut g = line(n);
-    g.add_edge(n - 1, 0);
-    g
-}
-
 /// Star: vertex 0 is the hub.
 pub fn star(n: usize) -> Graph {
     assert!(n >= 2, "star needs >= 2 vertices");
     let mut g = Graph::new(n);
     for i in 1..n {
         g.add_edge(0, i);
-    }
-    g
-}
-
-/// Complete `k`-ary tree with `n` vertices, root 0.
-pub fn tree(n: usize, k: usize) -> Graph {
-    assert!(k >= 1, "arity must be >= 1");
-    let mut g = Graph::new(n);
-    for i in 1..n {
-        g.add_edge((i - 1) / k, i);
-    }
-    g
-}
-
-/// `rows × cols` grid.
-pub fn grid(rows: usize, cols: usize) -> Graph {
-    let mut g = Graph::new(rows * cols);
-    let at = |r: usize, c: usize| r * cols + c;
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                g.add_edge(at(r, c), at(r, c + 1));
-            }
-            if r + 1 < rows {
-                g.add_edge(at(r, c), at(r + 1, c));
-            }
-        }
     }
     g
 }
@@ -178,46 +143,27 @@ mod tests {
         assert_eq!(g.node_count(), 16);
         assert_eq!(g.edge_count(), 16 * 15 / 2);
         assert!(g.is_connected());
-        assert_eq!(g.diameter(), Some(1));
         for v in 0..16 {
             assert_eq!(g.degree(v), 15);
         }
     }
 
     #[test]
-    fn line_ring_star() {
+    fn line_and_star() {
         let g = line(5);
-        assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.diameter(), Some(4));
-
-        let g = ring(6);
-        assert_eq!(g.edge_count(), 6);
-        assert_eq!(g.diameter(), Some(3));
-        assert!(g.degree(0) == 2);
+        assert_eq!(
+            g.edges(),
+            [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
+        );
+        assert_eq!(
+            (0..5).map(|v| g.degree(v)).collect::<Vec<_>>(),
+            [1, 2, 2, 2, 1]
+        );
 
         let g = star(7);
         assert_eq!(g.edge_count(), 6);
         assert_eq!(g.degree(0), 6);
-        assert_eq!(g.diameter(), Some(2));
-    }
-
-    #[test]
-    fn tree_structure() {
-        let g = tree(7, 2);
-        assert_eq!(g.edge_count(), 6);
-        assert!(g.is_connected());
-        assert_eq!(g.degree(0), 2);
-        // Leaves have degree 1.
-        assert_eq!(g.degree(6), 1);
-    }
-
-    #[test]
-    fn grid_structure() {
-        let g = grid(3, 4);
-        assert_eq!(g.node_count(), 12);
-        assert_eq!(g.edge_count(), 3 * 3 + 2 * 4);
-        assert!(g.is_connected());
-        assert_eq!(g.diameter(), Some(5));
+        assert!((1..7).all(|v| g.degree(v) == 1 && g.has_edge(0, v)));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Vertices are dense `usize` indices; parallel edges and self-loops are
 //! rejected. Provides the traversals and shortest-path machinery the
-//! framework needs: BFS, connected components, Dijkstra, eccentricity.
+//! framework needs: connected components and Dijkstra.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -69,11 +69,6 @@ impl Graph {
         self.adj[a].iter().any(|&(n, _)| n == b)
     }
 
-    /// Neighbors of `v` with the connecting edge index, in insertion order.
-    pub fn neighbors(&self, v: usize) -> &[(usize, usize)] {
-        &self.adj[v]
-    }
-
     /// Degree of `v`.
     pub fn degree(&self, v: usize) -> usize {
         self.adj[v].len()
@@ -82,24 +77,6 @@ impl Graph {
     /// All edges as `(a, b, weight)` in insertion order.
     pub fn edges(&self) -> &[(usize, usize, f64)] {
         &self.edges
-    }
-
-    /// BFS hop distances from `src` (`None` = unreachable).
-    fn bfs_distances(&self, src: usize) -> Vec<Option<usize>> {
-        let mut dist = vec![None; self.adj.len()];
-        let mut q = VecDeque::new();
-        dist[src] = Some(0);
-        q.push_back(src);
-        while let Some(v) = q.pop_front() {
-            let d = dist[v].expect("queued implies visited");
-            for &(n, _) in &self.adj[v] {
-                if dist[n].is_none() {
-                    dist[n] = Some(d + 1);
-                    q.push_back(n);
-                }
-            }
-        }
-        dist
     }
 
     /// Connected component id per vertex (ids dense from 0 in discovery
@@ -182,24 +159,6 @@ impl Graph {
         }
         ShortestPaths { src, dist, prev }
     }
-
-    /// Longest shortest-path hop count from `v` (`None` when the graph is
-    /// disconnected from `v`'s perspective).
-    fn eccentricity(&self, v: usize) -> Option<usize> {
-        let d = self.bfs_distances(v);
-        let mut max = 0;
-        for x in d {
-            max = max.max(x?);
-        }
-        Some(max)
-    }
-
-    /// Graph diameter in hops (`None` if disconnected or empty).
-    pub fn diameter(&self) -> Option<usize> {
-        (0..self.adj.len())
-            .map(|v| self.eccentricity(v))
-            .try_fold(0usize, |acc, e| e.map(|e| acc.max(e)))
-    }
 }
 
 /// Result of a Dijkstra run.
@@ -213,41 +172,9 @@ pub struct ShortestPaths {
     pub prev: Vec<Option<usize>>,
 }
 
-impl ShortestPaths {
-    /// The shortest path from the source to `dst`, inclusive of both ends,
-    /// or `None` when unreachable.
-    fn path_to(&self, dst: usize) -> Option<Vec<usize>> {
-        if self.dist[dst].is_infinite() {
-            return None;
-        }
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != self.src {
-            cur = self.prev[cur]?;
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Next hop from the source toward `dst`.
-    pub fn next_hop(&self, dst: usize) -> Option<usize> {
-        let p = self.path_to(dst)?;
-        p.get(1).copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn path_graph(n: usize) -> Graph {
-        let mut g = Graph::new(n);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1);
-        }
-        g
-    }
 
     #[test]
     fn construction_and_counts() {
@@ -279,13 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_distances_on_path() {
-        let g = path_graph(5);
-        let d = g.bfs_distances(0);
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3), Some(4)]);
-    }
-
-    #[test]
     fn components_and_connectivity() {
         let mut g = Graph::new(5);
         g.add_edge(0, 1);
@@ -311,10 +231,9 @@ mod tests {
         g.add_weighted_edge(2, 3, 1.0);
         g.add_weighted_edge(3, 1, 1.0);
         let sp = g.dijkstra(0);
-        assert_eq!(sp.dist[1], 3.0);
-        assert_eq!(sp.path_to(1), Some(vec![0, 2, 3, 1]));
-        assert_eq!(sp.next_hop(1), Some(2));
-        assert_eq!(sp.next_hop(0), None, "source has no next hop");
+        assert_eq!(sp.dist, [0.0, 3.0, 1.0, 2.0]);
+        // The path to 1 runs 0-2-3-1; the source has no predecessor.
+        assert_eq!(sp.prev, [None, Some(3), Some(0), Some(2)]);
     }
 
     #[test]
@@ -323,7 +242,7 @@ mod tests {
         g.add_edge(0, 1);
         let sp = g.dijkstra(0);
         assert!(sp.dist[2].is_infinite());
-        assert_eq!(sp.path_to(2), None);
+        assert_eq!(sp.prev[2], None);
     }
 
     #[test]
@@ -336,18 +255,6 @@ mod tests {
         g.add_edge(1, 3);
         g.add_edge(2, 3);
         let sp = g.dijkstra(0);
-        assert_eq!(sp.path_to(3), Some(vec![0, 1, 3]));
-    }
-
-    #[test]
-    fn eccentricity_and_diameter() {
-        let g = path_graph(5);
-        assert_eq!(g.eccentricity(0), Some(4));
-        assert_eq!(g.eccentricity(2), Some(2));
-        assert_eq!(g.diameter(), Some(4));
-
-        let mut disc = Graph::new(3);
-        disc.add_edge(0, 1);
-        assert_eq!(disc.diameter(), None);
+        assert_eq!(sp.prev[3], Some(1));
     }
 }

@@ -54,7 +54,7 @@ pub fn as_prefix(index: usize) -> Result<Prefix, AllocError> {
 }
 
 /// The router identity / next-hop address of an AS.
-pub fn router_ip(index: usize) -> Result<Ipv4Addr, AllocError> {
+pub(crate) fn router_ip(index: usize) -> Result<Ipv4Addr, AllocError> {
     Ok(as_prefix(index)?.nth(1))
 }
 

@@ -126,18 +126,8 @@ pub fn write(pg: &PopGraph) -> String {
 }
 
 impl PopGraph {
-    /// Number of PoPs.
-    pub fn len(&self) -> usize {
-        self.pops.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.pops.is_empty()
-    }
-
     /// Distinct ASes present, in order of first appearance.
-    pub fn ases(&self) -> Vec<Asn> {
+    pub(crate) fn ases(&self) -> Vec<Asn> {
         let mut seen = HashMap::new();
         let mut out = Vec::new();
         for p in &self.pops {
@@ -296,7 +286,7 @@ mod tests {
     #[test]
     fn parse_sample() {
         let pg = parse(SAMPLE).expect("parse");
-        assert_eq!(pg.len(), 4);
+        assert_eq!(pg.pops.len(), 4);
         assert_eq!(pg.links.len(), 5);
         assert_eq!(pg.ases(), vec![Asn(10), Asn(20), Asn(30)]);
         assert_eq!(pg.links[0].2, SimDuration::from_micros(500));
@@ -339,7 +329,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(11);
         let params = PopSynthesisParams::default();
         let pg = synthesize(&params, &mut rng);
-        assert!(pg.len() >= params.ases);
+        assert!(pg.pops.len() >= params.ases);
         let (g, ases, lats) = pg.collapse_to_as_graph();
         assert_eq!(ases.len(), params.ases);
         assert!(g.is_connected(), "AS-level graph must be connected");

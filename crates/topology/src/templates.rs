@@ -49,16 +49,6 @@ pub fn plan(
 }
 
 impl TopologyPlan {
-    /// Relationship of AS `b` from AS `a`'s perspective (they must be
-    /// adjacent).
-    pub fn relationship(&self, a: usize, b: usize) -> Option<Relationship> {
-        self.as_graph
-            .edges
-            .iter()
-            .find(|e| (e.a == a && e.b == b) || (e.a == b && e.b == a))
-            .map(|e| e.relationship_from(a))
-    }
-
     /// Render the Quagga-style `bgpd.conf` for AS index `i` — purely for
     /// inspection/export; the simulator consumes [`RouterConfig`] directly.
     pub fn render_quagga(&self, i: usize) -> String {
@@ -159,16 +149,6 @@ mod tests {
         assert_eq!(tp.routers[1].originate, vec![tp.addresses.as_prefixes[1]]);
         assert_eq!(tp.routers[2].router_id.as_ip(), tp.addresses.router_ips[2]);
         assert_eq!(tp.routers[0].mode, PolicyMode::GaoRexford);
-    }
-
-    #[test]
-    fn relationship_lookup_is_directional() {
-        let tp = sample_plan(PolicyMode::GaoRexford);
-        // 0 is provider of 1: from 0, 1 is a customer.
-        assert_eq!(tp.relationship(0, 1), Some(Relationship::Customer));
-        assert_eq!(tp.relationship(1, 0), Some(Relationship::Provider));
-        assert_eq!(tp.relationship(1, 2), Some(Relationship::Peer));
-        assert_eq!(tp.relationship(0, 2), None);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bgp_sdn_emu::analyze::ActionContext;
+use bgp_sdn_emu::core::pool_workers;
 use bgp_sdn_emu::obs::ToJson;
 use bgp_sdn_emu::prelude::*;
 
@@ -407,13 +408,13 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let mut out_file = create(&out_path)?;
 
     let jobs = grid.expand();
+    let workers = pool_workers(workers, jobs.len());
     println!(
-        "campaign {}: {} cells x {} seeds = {} jobs on {} workers",
+        "campaign {}: {} cells x {} seeds = {} jobs on {workers} workers",
         grid.name,
         grid.cell_count(),
         grid.seeds,
         jobs.len(),
-        workers.max(1)
     );
     let total = jobs.len();
     let done = AtomicUsize::new(0);

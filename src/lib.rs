@@ -75,11 +75,10 @@ pub mod prelude {
     };
     pub use bgpsdn_collector::{ConvergenceReport, UpdateLog};
     pub use bgpsdn_core::{
-        check_plan, run_campaign, run_campaign_scratch, run_job_scratch, AsKind, CampaignGrid,
-        CampaignJob, CampaignRunReport, ClusterHandle, Controller, DeploymentStrategy, EventKind,
-        Experiment, FaultClasses, FaultSpec, HybridNetwork, JobResult, JobScratch, JobSpec,
-        NetworkBuilder, Placement, Router, ScenarioOutcome, Script, ScriptAction, Speaker, Switch,
-        Topology,
+        run_campaign, run_campaign_scratch, run_job_scratch, AsKind, CampaignGrid, CampaignJob,
+        CampaignRunReport, ClusterHandle, Controller, DeploymentStrategy, EventKind, Experiment,
+        FaultClasses, FaultSpec, HybridNetwork, JobResult, JobScratch, JobSpec, NetworkBuilder,
+        Placement, Router, ScenarioOutcome, Script, ScriptAction, Speaker, Switch, Topology,
     };
     pub use bgpsdn_netsim::{
         Activity, DataPacket, LatencyModel, SimDuration, SimRng, SimTime, Simulator, TraceCategory,

@@ -117,6 +117,45 @@ fn sweep_fails_on_an_unwritable_out_before_any_job() {
     assert!(!stdout.contains("converged:"), "{stdout}");
 }
 
+#[test]
+fn sweep_prints_the_worker_count_its_artifact_records() {
+    // One job on four requested workers: the pool runs one.
+    let out = tmp("one-job.jsonl");
+    let sweep = bgpsdn()
+        .args([
+            "sweep",
+            "--sizes",
+            "2",
+            "--n",
+            "6",
+            "--mrai",
+            "1",
+            "--seeds",
+            "1",
+            "--workers",
+            "4",
+        ])
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("spawn bgpsdn sweep");
+    let stdout = String::from_utf8_lossy(&sweep.stdout);
+    assert!(sweep.status.success(), "{stdout}");
+    let text = std::fs::read_to_string(&out).expect("artifact written");
+    let _ = std::fs::remove_file(&out);
+    let header = Artifact::parse(&text).expect("campaign parses").header;
+    let workers = header
+        .as_ref()
+        .and_then(|h| h.get("workers"))
+        .and_then(Json::as_u64)
+        .expect("header records workers");
+    assert_eq!(workers, 1);
+    assert!(
+        stdout.contains(&format!("= 1 jobs on {workers} workers")),
+        "{stdout}"
+    );
+}
+
 /// One hand-written `job` line of a campaign artifact.
 fn job_line(id: u64, cell: u64, conv_ns: u64) -> String {
     format!(
