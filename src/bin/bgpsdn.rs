@@ -1,290 +1,64 @@
 //! `bgpsdn` — command-line front end for the hybrid BGP-SDN framework.
 //!
-//! ```text
-//! bgpsdn run    --event withdrawal|announcement|failover --sdn K
-//!               [--n SIZE] [--mrai SECS] [--seed S] [--recompute-ms MS]
-//!               [--trace-out FILE]
-//! bgpsdn sweep  --fig2 | --sizes K1,K2,... [--seeds N] [--workers W]
-//!               [--out FILE] [--artifacts DIR] [--loss L1,L2,...]
-//!               [--chaos OUTAGES] [--verify] ...
-//! bgpsdn check  [--fig2 | --sizes K1,K2,...] [--json]
-//! bgpsdn report FILE
-//! bgpsdn explain FILE [--json] [--top N]
-//! bgpsdn verify --snapshot FILE
-//! bgpsdn ping   --sdn K [--n SIZE] [--fail-at TICK] [--heal-at TICK] [--seed S]
-//! ```
-//!
-//! Each subcommand reads a fixed set of flags ([`known_flags`]); anything
-//! else on its command line is a usage error (exit 2) that names the flag.
+//! [`Command::parse`] checks the command line (`bgpsdn` alone prints the
+//! usage text); this file runs the command it returns and prints the
+//! outcome.
 
 use std::fs::File;
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bgp_sdn_emu::analyze::ActionContext;
+use bgp_sdn_emu::cli::{check_targets, CheckTarget, CliError, Command, PING_PROBES};
 use bgp_sdn_emu::core::pool_workers;
-use bgp_sdn_emu::obs::ToJson;
 use bgp_sdn_emu::prelude::*;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:
-  bgpsdn run --event withdrawal|announcement|failover --sdn K
-             [--n SIZE] [--mrai SECS] [--seed S] [--recompute-ms MS]
-             [--trace-out FILE]
-      one clique experiment, printing the outcome; with --trace-out,
-      write the full typed-event JSONL artifact
-
-  bgpsdn sweep --fig2 | --sizes K1,K2,... [options]
-      run a parameter-sweep campaign on a worker pool and merge the runs
-      into one campaign artifact with per-grid-cell statistics.
-      --fig2              the paper's Figure 2 grid (16-AS clique
-                          withdrawal, MRAI 30 s, cluster sizes 0..=16);
-                          refined only by --seeds, --base-seed, --clusters,
-                          --strategy, --chaos and --verify — spell any
-                          other grid with --sizes
-      --sizes K1,K2,...   explicit cluster-size axis
-      --clusters C1,C2,...
-                          cluster-count axis: split each cell's members
-                          into that many independent SDN clusters, each
-                          with its own controller and speaker (default 1)
-      --strategy tail|random|degree|kcore|tier
-                          deployment strategy placing the clusters
-                          (default tail, the paper's high-index layout)
-      --loss L1,L2,...    control-channel loss axis (default 0)
-      --ctl-latency-ms L1,L2,...
-                          control-channel latency axis (default 1)
-      --seeds N           repetitions per grid cell (default 10)
-      --workers W         worker threads (default: all cores)
-      --n SIZE --mrai SECS --recompute-ms MS --base-seed S
-                          shared scenario parameters
-      --event withdrawal|announcement|failover (default withdrawal)
-      --chaos OUTAGES [--chaos-horizon SECS] [--chaos-classes all|control|data]
-                          seeded per-job outage schedules
-      --verify            static-verifier checkpoints in every job
-      --out FILE          merged campaign artifact (default
-                          <name>_campaign.jsonl)
-      --artifacts DIR     also write each job's isolated JSONL artifact
-
-  bgpsdn check [--fig2 | --sizes K1,K2,...] [--json]
-      static pre-flight analysis, no simulation: campaign-grid
-      validation, per-cluster-size policy safety (provider cycles,
-      cluster boundary conflicts), valley-free reachability, predicted
-      path-hunting depth bounds, and experiment-script checking. With
-      no grid flags, runs the built-in suite (Fig. 2 grid, fail-over
-      grid, CAIDA-like hierarchy, demo script). --json emits one
-      deterministic JSON document. Exits nonzero on any finding.
-      Accepts the sweep grid flags (--n, --event, --seeds, --loss,
-      --ctl-latency-ms, --clusters, --strategy, --chaos, ...); with a
-      multi-cluster deployment, safety is checked with every cluster
-      contracted to its own logical node
-
-  bgpsdn report FILE
-      analyze a JSONL trace artifact: per-node update counts, recompute
-      latency histogram, convergence timeline; campaign artifacts render
-      as per-grid-cell tables
-
-  bgpsdn explain FILE [--json] [--top N]
-      causal convergence forensics over a run artifact's trigger
-      lineage: per-trigger timeline, phase breakdown (mrai_wait,
-      hunt_step, ctrl_recompute, ...), top-N critical paths, path
-      hunting and ghost-route intervals; --json emits the analysis
-      as one JSON document
-
-  bgpsdn verify --snapshot FILE
-      run the static data-plane verifier (loop-freedom, blackholes,
-      intent consistency, valley-free) over a JSONL artifact's frozen
-      snapshot line; exits nonzero if any invariant is violated
-
-  bgpsdn ping --sdn K [--n SIZE] [--fail-at TICK] [--heal-at TICK] [--seed S]
-      data-plane probe stream across a link failure, 80 ticks of 100 ms;
-      needs --fail-at (default 20) < --heal-at (default 50) < 80"
-    );
-    ExitCode::from(2)
-}
-
-struct Args {
-    flags: Vec<(String, String)>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Option<Args> {
-        let mut flags = Vec::new();
-        let mut it = raw.iter().peekable();
-        while let Some(flag) = it.next() {
-            let name = flag.strip_prefix("--")?;
-            // A flag followed by another flag (or by nothing) is a bare
-            // boolean switch: `--fig2`, `--verify`.
-            let value = match it.peek() {
-                Some(next) if !next.starts_with("--") => it.next().cloned()?,
-                _ => "true".to_string(),
-            };
-            flags.push((name.to_string(), value));
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let result = Command::parse(&argv).and_then(|command| {
+        match command {
+            Command::Run {
+                spec,
+                n,
+                sdn,
+                trace_out,
+            } => cmd_run(&spec, n, sdn, trace_out.as_deref()),
+            Command::Sweep {
+                grid,
+                workers,
+                out,
+                artifacts,
+            } => cmd_sweep(&grid, workers, &out, artifacts.as_deref()),
+            Command::Check { grid, json } => cmd_check(grid.as_ref(), json),
+            Command::Report { path } => cmd_report(&path),
+            Command::Explain { path, json, top } => cmd_explain(&path, json, top),
+            Command::Verify { snapshot } => cmd_verify(&snapshot),
+            Command::Ping {
+                spec,
+                n,
+                fail_at,
+                heal_at,
+            } => cmd_ping(&spec, n, fail_at, heal_at),
         }
-        Some(Args { flags })
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-
-    /// Comma-separated list flag.
-    fn get_list<T: std::str::FromStr>(
-        &self,
-        name: &str,
-        default: Vec<T>,
-    ) -> Result<Vec<T>, String> {
-        match self.get_str(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .map_err(|_| format!("bad element in --{name}: {s:?}"))
-                })
-                .collect(),
+        .map_err(CliError::Failed)
+    });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(e.exit_code())
         }
-    }
-
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flags.iter().find(|(n, _)| n == name) {
-            Some((_, v)) => v
-                .parse()
-                .map_err(|_| format!("bad value for --{name}: {v:?}")),
-            None => Ok(default),
-        }
-    }
-
-    /// A flag whose type names its own values: its parse error follows
-    /// the flag's name.
-    fn get_named<T: std::str::FromStr<Err = String>>(
-        &self,
-        name: &str,
-        default: T,
-    ) -> Result<T, String> {
-        match self.get_str(name) {
-            Some(v) => v.parse().map_err(|e| format!("--{name} {e}")),
-            None => Ok(default),
-        }
-    }
-
-    fn get_str(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
     }
 }
 
-/// The flags `cmd` reads, or `None` for an unknown subcommand.
-fn known_flags(cmd: &str) -> Option<Vec<&'static str>> {
-    // What spells a campaign grid; `sweep` runs it, `check` analyzes it.
-    const GRID: &[&str] = &[
-        "fig2",
-        "sizes",
-        "clusters",
-        "strategy",
-        "loss",
-        "ctl-latency-ms",
-        "seeds",
-        "n",
-        "mrai",
-        "recompute-ms",
-        "base-seed",
-        "event",
-        "chaos",
-        "chaos-horizon",
-        "chaos-classes",
-        "verify",
-    ];
-    let own: &[&str] = match cmd {
-        "run" => &[
-            "event",
-            "sdn",
-            "n",
-            "mrai",
-            "seed",
-            "recompute-ms",
-            "trace-out",
-        ],
-        "sweep" => &["workers", "out", "artifacts"],
-        "check" => &["json"],
-        "report" => &[],
-        "explain" => &["json", "top"],
-        "verify" => &["snapshot"],
-        "ping" => &["sdn", "n", "fail-at", "heal-at", "seed"],
-        _ => return None,
-    };
-    let grid = match cmd {
-        "sweep" | "check" => GRID,
-        _ => &[],
-    };
-    Some([own, grid].concat())
-}
-
-/// Reject what `cmd` would otherwise silently drop: a flag it does not read
-/// (`run --sed 9` must not run seed 1), or a flag the `--fig2` preset fixes
-/// (`sweep --fig2 --n 6` must not run the 16-AS grid).
-fn check_flags(cmd: &str, known: &[&str], args: &Args) -> Result<(), String> {
-    if let Some((flag, _)) = args
-        .flags
-        .iter()
-        .find(|(f, _)| !known.contains(&f.as_str()))
-    {
-        return Err(format!("`bgpsdn {cmd}` does not read --{flag}"));
-    }
-    const FIG2_FIXES: &[&str] = &[
-        "n",
-        "mrai",
-        "event",
-        "sizes",
-        "loss",
-        "ctl-latency-ms",
-        "recompute-ms",
-    ];
-    if args.has("fig2") {
-        if let Some(flag) = FIG2_FIXES.iter().find(|f| args.has(f)) {
-            return Err(format!(
-                "--fig2 fixes --{flag}; spell the grid with --sizes K1,K2,... instead"
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn cmd_run(args: &Args) -> Result<(), String> {
-    if !args.has("event") {
-        return Err("--event is required: withdrawal|announcement|failover".into());
-    }
-    let event = args.get_named("event", EventKind::Withdrawal)?;
-    let (n, sdn): (usize, usize) = (args.get("n", 16)?, args.get("sdn", 0)?);
-    if sdn > n {
-        return Err("--sdn must be <= --n".into());
-    }
-    let spec = JobSpec {
-        timing: TimingConfig::with_mrai(SimDuration::from_secs(args.get("mrai", 30u64)?)),
-        recompute_delay: SimDuration::from_millis(args.get("recompute-ms", 100u64)?),
-        event,
-        seed: args.get("seed", 1u64)?,
-        ..JobSpec::clique(n, sdn)
-    };
-    let preflight = spec.preflight();
-    if !preflight.ok() {
-        return Err(format!(
-            "job rejected by pre-flight — nothing was run:\n{}",
-            preflight.render()
-        ));
-    }
-    let mut trace_out = match args.get_str("trace-out") {
+fn cmd_run(spec: &JobSpec, n: usize, sdn: usize, trace_out: Option<&str>) -> Result<(), String> {
+    let mut trace_out = match trace_out {
         Some(path) => Some((path, create(path)?)),
         None => None,
     };
     println!(
-        "running {event:?} on a {n}-AS clique, {sdn} SDN members, MRAI {}, seed {}",
-        spec.timing.mrai, spec.seed
+        "running {:?} on a {n}-AS clique, {sdn} SDN members, MRAI {}, seed {}",
+        spec.event, spec.timing.mrai, spec.seed
     );
     let (out, exp) = spec.run(|sim| {
         if trace_out.is_some() {
@@ -329,83 +103,19 @@ fn create(path: &str) -> Result<File, String> {
     File::create(path).map_err(|e| format!("writing {path}: {e}"))
 }
 
-/// The `--chaos OUTAGES [--chaos-horizon SECS] [--chaos-classes C]` spec.
-fn fault_spec(args: &Args) -> Result<Option<FaultSpec>, String> {
-    let outages: usize = args.get("chaos", 0)?;
-    if outages == 0 {
-        return Ok(None);
-    }
-    Ok(Some(FaultSpec {
-        outages,
-        horizon: SimDuration::from_secs(args.get("chaos-horizon", 60u64)?),
-        classes: args.get_named("chaos-classes", FaultClasses::ALL)?,
-    }))
-}
-
-/// The campaign grid the grid flags describe, nothing validated: the
-/// `--fig2` preset, or the explicit `--sizes K1,K2,...` grid spelled by
-/// exactly the flags the preset fixes (`check_flags` rejects those next to
-/// `--fig2`), refined by the flags both accept.
-fn grid_from_args(args: &Args) -> Result<CampaignGrid, String> {
-    let fig2 = CampaignGrid::fig2(args.get("seeds", 10)?);
-    let mut grid = if args.has("fig2") {
-        fig2
-    } else {
-        CampaignGrid {
-            name: "sweep".to_string(),
-            n: args.get("n", 16)?,
-            event: args.get_named("event", EventKind::Withdrawal)?,
-            cluster_sizes: args.get_list("sizes", vec![])?,
-            loss: args.get_list("loss", vec![0.0])?,
-            ctl_latency: args
-                .get_list("ctl-latency-ms", vec![1u64])?
-                .into_iter()
-                .map(SimDuration::from_millis)
-                .collect(),
-            mrai: SimDuration::from_secs(args.get("mrai", 30u64)?),
-            recompute_delay: SimDuration::from_millis(args.get("recompute-ms", 100u64)?),
-            ..fig2
-        }
-    };
-    grid.clusters = args.get_list("clusters", grid.clusters)?;
-    grid.strategy = args.get_named("strategy", grid.strategy)?;
-    grid.base_seed = args.get("base-seed", grid.base_seed)?;
-    grid.faults = fault_spec(args)?;
-    grid.verify = args.has("verify");
-    Ok(grid)
-}
-
-/// Build the campaign grid a `sweep` invocation describes, rejecting what
-/// `run_campaign`'s pre-flight would.
-fn sweep_grid(args: &Args) -> Result<CampaignGrid, String> {
-    let grid = grid_from_args(args)?;
-    if grid.cluster_sizes.is_empty() {
-        return Err("sweep needs --fig2 or --sizes K1,K2,...".into());
-    }
-    let preflight = grid.preflight();
-    if !preflight.ok() {
-        return Err(format!(
-            "campaign grid `{}` rejected by pre-flight — no job was run:\n{}",
-            grid.name,
-            preflight.render()
-        ));
-    }
-    Ok(grid)
-}
-
-fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let grid = sweep_grid(args)?;
-    let workers: usize = args.get(
-        "workers",
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
-    )?;
-    let artifacts_dir = args.get_str("artifacts").map(std::path::PathBuf::from);
+fn cmd_sweep(
+    grid: &CampaignGrid,
+    workers: Option<usize>,
+    out_path: &str,
+    artifacts_dir: Option<&str>,
+) -> Result<(), String> {
+    let workers =
+        workers.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    let artifacts_dir = artifacts_dir.map(std::path::PathBuf::from);
     if let Some(dir) = &artifacts_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
-    let default_out = format!("{}_campaign.jsonl", grid.name);
-    let out_path = args.get_str("out").unwrap_or(&default_out).to_string();
-    let mut out_file = create(&out_path)?;
+    let mut out_file = create(out_path)?;
 
     let jobs = grid.expand();
     let workers = pool_workers(workers, jobs.len());
@@ -460,7 +170,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         },
     );
 
-    let merged = report.render_artifact(&grid);
+    let merged = report.render_artifact(grid);
     out_file
         .write_all(merged.as_bytes())
         .map_err(|e| format!("writing {out_path}: {e}"))?;
@@ -515,223 +225,14 @@ fn cmd_report(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// One named unit of `bgpsdn check` output: an analyzer report plus
-/// optional extra facts (the cluster placement it analyzed, the predicted
-/// hunt-depth bound).
-struct CheckTarget {
-    name: String,
-    report: AnalysisReport,
-    clusters: Option<Vec<Vec<usize>>>,
-    hunt_bound: Option<u64>,
-}
-
-impl CheckTarget {
-    fn new(name: impl Into<String>, report: AnalysisReport) -> CheckTarget {
-        CheckTarget {
-            name: name.into(),
-            report,
-            clusters: None,
-            hunt_bound: None,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        let mut kv = vec![("name".to_string(), Json::Str(self.name.clone()))];
-        if let Some(clusters) = &self.clusters {
-            kv.push(("clusters".to_string(), clusters.to_json()));
-        }
-        if let Some(b) = self.hunt_bound {
-            kv.push(("hunt_bound".to_string(), Json::U64(b)));
-        }
-        kv.push(("report".to_string(), self.report.to_json()));
-        Json::Obj(kv)
-    }
-}
-
-/// Static checks of the clique deployments a grid describes, without
-/// simulating: policy safety with every cluster contracted to its own
-/// logical node, plus the predicted path-hunting depth bound the measured
-/// `hunt_step` phases must respect. Every placement is the one its jobs
-/// deploy, resolved through each job's own spec. Returns two groups: every
-/// cluster size as one cluster of the grid's strategy (`sdn{k}`) followed
-/// by the origin's reachability, and every size split into each
-/// `count > 1` of the grid's cluster-count axis
-/// (`sdn{k}x{count}-{strategy}`); a cell checked in several placements
-/// gets one target per placement (`#0`, `#1`, ...).
-fn clique_targets(grid: &CampaignGrid) -> (Vec<CheckTarget>, Vec<CheckTarget>) {
-    let n = grid.n;
-    let g = AsGraph::all_peer(&gen::clique(n), 65000);
-    // Every distinct (size, count, placement) of `jobs`, sizes ascending
-    // and counts in axis order as the jobs expand.
-    let cells = |jobs: Vec<CampaignJob>| {
-        let mut cells = Vec::new();
-        for job in jobs.into_iter().filter(|job| job.cluster <= n) {
-            let cell = (job.cluster, job.clusters, job.spec().clusters(&g));
-            if !cells.contains(&cell) {
-                cells.push(cell);
-            }
-        }
-        cells.sort_by_key(|&(k, _, _)| k);
-        cells
-    };
-    let targets = |cells: Vec<(usize, usize, Vec<Vec<usize>>)>| -> Vec<CheckTarget> {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, (k, count, clusters))| {
-                let same = |c: &&(usize, usize, _)| (c.0, c.1) == (*k, *count);
-                let mut name = format!("clique{n}:sdn{k}");
-                if *count > 1 {
-                    name.push_str(&format!("x{count}-{}", grid.strategy.name()));
-                }
-                if cells.iter().filter(same).count() > 1 {
-                    name.push_str(&format!("#{}", cells[..i].iter().filter(same).count()));
-                }
-                let report = check_safety_clusters(&SafetyClustersInput {
-                    graph: &g,
-                    mode: PolicyMode::AllPermit,
-                    clusters,
-                    rules: &[],
-                });
-                let mut t = CheckTarget::new(name, report);
-                t.hunt_bound = Some(hunt_depth_bound_clusters(&g, clusters, 0) as u64);
-                t.clusters = Some(clusters.clone());
-                t
-            })
-            .collect()
-    };
-    // Faults never move a placement, and leaving them out keeps `spec`
-    // from building a fault schedule the grid may not support.
-    let base = CampaignGrid {
-        faults: None,
-        ..grid.clone()
-    };
-    let one_cluster = CampaignGrid {
-        clusters: vec![1],
-        ..base.clone()
-    };
-    let mut single = targets(cells(one_cluster.expand()));
-    single.push(CheckTarget::new(
-        format!("clique{n}:reachability"),
-        check_reachability(&g, PolicyMode::AllPermit, &[0]),
-    ));
-    let mut jobs = base.expand();
-    jobs.retain(|job| job.clusters > 1 && job.clusters <= job.cluster);
-    let split = targets(cells(jobs));
-    (single, split)
-}
-
-/// The built-in pre-flight suite: the Fig. 2 grid, the clique scenarios it
-/// expands to (with hunt-depth bounds), a fail-over grid, a CAIDA-like
-/// Gao-Rexford hierarchy, and the demo experiment script.
-fn builtin_targets() -> Result<Vec<CheckTarget>, String> {
-    let mut targets = Vec::new();
-    let fig2 = CampaignGrid::fig2(10);
-    targets.push(CheckTarget::new("grid:fig2", fig2.preflight()));
-    let fig2_ends = CampaignGrid {
-        cluster_sizes: vec![0, fig2.n / 2, fig2.n],
-        ..fig2
-    };
-    targets.extend(clique_targets(&fig2_ends).0);
-
-    let mut failover = CampaignGrid::fig2(10);
-    failover.name = "failover".to_string();
-    failover.event = EventKind::Failover;
-    targets.push(CheckTarget::new("grid:failover", failover.preflight()));
-
-    // The Fig. 2 clique with its members split into 2 and 4 degree-placed
-    // clusters.
-    let mut multi = CampaignGrid::fig2(10);
-    multi.name = "multicluster".to_string();
-    multi.cluster_sizes = vec![8, 16];
-    multi.clusters = vec![1, 2, 4];
-    multi.strategy = Placement::Degree;
-    targets.push(CheckTarget::new("grid:multicluster", multi.preflight()));
-    targets.extend(clique_targets(&multi).1);
-
-    // A CAIDA-like tiered hierarchy under Gao-Rexford: the provider DAG is
-    // acyclic by construction and a tier-1 origin must be valley-free
-    // reachable everywhere.
-    let params = caida::SynthesisParams::default();
-    let caida_graph = caida::synthesize(&params, &mut SimRng::seed_from_u64(1));
-    let mut report = check_safety(&SafetyInput {
-        graph: &caida_graph,
-        mode: PolicyMode::GaoRexford,
-        members: &[],
-        rules: &[],
-    });
-    report.merge(check_reachability(
-        &caida_graph,
-        PolicyMode::GaoRexford,
-        &[0],
-    ));
-    targets.push(CheckTarget::new("caida:synthetic", report));
-
-    // The demo experiment script from the quickstart, against a 6-clique
-    // with a 3-member cluster.
-    let tp = plan(
-        AsGraph::all_peer(&gen::clique(6), 65000),
-        PolicyMode::AllPermit,
-        TimingConfig::with_mrai(SimDuration::from_secs(5)),
-    )
-    .map_err(|e| e.to_string())?;
-    let members = [3usize, 4, 5];
-    let prefix = tp.addresses.as_prefixes[0];
-    let ctx = ActionContext::from_plan(&tp, &members);
-    let converge = ScriptAction::WaitConverged {
-        max: SimDuration::from_secs(3600),
-    };
-    let script = Script {
-        steps: vec![
-            ScriptAction::ExpectFullConnectivity,
-            ScriptAction::Mark,
-            ScriptAction::Withdraw {
-                as_index: 0,
-                prefix: None,
-            },
-            converge,
-            ScriptAction::ExpectGone { prefix },
-            ScriptAction::Announce {
-                as_index: 0,
-                prefix: None,
-            },
-            converge,
-            ScriptAction::ExpectReachable { prefix, origin: 0 },
-        ],
-    };
-    targets.push(CheckTarget::new(
-        "script:demo",
-        check_actions(&script.steps, &ctx),
-    ));
-    Ok(targets)
-}
-
 /// Static pre-flight analysis: validate grids, topologies, policies and
 /// scripts without running a single simulated event. Exits nonzero when
 /// any finding (error or warning) is reported.
-fn cmd_check(args: &Args) -> Result<(), String> {
-    // Any grid flag asks for a grid: `check --n 6` alone must not run the
-    // built-in suite and drop the flag.
-    let grid_requested = args.flags.iter().any(|(f, _)| f != "json");
-    let targets = if grid_requested {
-        // Unlike `sweep`, sizes and seeds are not pre-validated here —
-        // surfacing those as analyzer findings is the point.
-        let grid = grid_from_args(args)?;
-        let mut targets = vec![CheckTarget::new(
-            format!("grid:{}", grid.name),
-            grid.preflight(),
-        )];
-        let (single, split) = clique_targets(&grid);
-        targets.extend(single);
-        targets.extend(split);
-        targets
-    } else {
-        builtin_targets()?
-    };
-
+fn cmd_check(grid: Option<&CampaignGrid>, json: bool) -> Result<(), String> {
+    let targets = check_targets(grid)?;
     let errors: usize = targets.iter().map(|t| t.report.errors()).sum();
     let warnings: usize = targets.iter().map(|t| t.report.warnings()).sum();
-    if args.has("json") {
+    if json {
         let doc = Json::Obj(vec![
             ("type".to_string(), Json::Str("check".to_string())),
             (
@@ -778,12 +279,11 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 /// run artifact recorded and explain *where the time went* — per-trigger
 /// phase breakdowns, critical paths to last-route-settled, path-hunting
 /// chains, and ghost-route intervals.
-fn cmd_explain(path: &str, args: &Args) -> Result<(), String> {
-    let top: usize = args.get("top", 3)?;
+fn cmd_explain(path: &str, json: bool, top: usize) -> Result<(), String> {
     let artifact = read_run_artifact(path, "full lineage")?;
     let analysis =
         CausalAnalysis::from_events(artifact.events.iter().map(|r| (r.t, r.node, &r.event)));
-    if args.has("json") {
+    if json {
         println!("{}", analysis.to_json(top).to_compact());
     } else {
         if let Some(run) = &artifact.header {
@@ -797,10 +297,7 @@ fn cmd_explain(path: &str, args: &Args) -> Result<(), String> {
 /// Offline verification of a run artifact: take the frozen
 /// `{"type":"snapshot",...}` line that every run artifact writer emits and
 /// run the full invariant suite over it.
-fn cmd_verify(args: &Args) -> Result<(), String> {
-    let Some(path) = args.get_str("snapshot") else {
-        return Err("--snapshot FILE is required".into());
-    };
+fn cmd_verify(path: &str) -> Result<(), String> {
     let artifact = read_run_artifact(path, "a snapshot")?;
     let Some((line, raw)) = &artifact.snapshot else {
         return Err(format!(
@@ -832,38 +329,7 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Probes `bgpsdn ping` sends, one per 100 ms tick.
-const PING_PROBES: u64 = 80;
-
-fn cmd_ping(args: &Args) -> Result<(), String> {
-    let sdn: usize = args.get("sdn", 3)?;
-    let n: usize = args.get("n", 6)?;
-    let fail_at: u64 = args.get("fail-at", 20)?;
-    let heal_at: u64 = args.get("heal-at", 50)?;
-    // The probe runs from AS 1 to the member AS n-1: they must differ.
-    if n < 3 {
-        return Err(format!(
-            "--n {n} is too small for the ping demo: it needs at least 3"
-        ));
-    }
-    if sdn == 0 || sdn >= n {
-        return Err("--sdn must be in 1..n-1 for the ping demo".into());
-    }
-    // A tick outside the stream never fires: the timeline would hide it.
-    let ticks = [("fail-at", fail_at), ("heal-at", heal_at)];
-    if let Some((flag, tick)) = ticks.into_iter().find(|&(_, t)| t >= PING_PROBES) {
-        return Err(format!(
-            "--{flag} {tick} is past the {PING_PROBES}-tick stream"
-        ));
-    }
-    if fail_at >= heal_at {
-        return Err("--fail-at must come before --heal-at".into());
-    }
-    let spec = JobSpec {
-        timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),
-        seed: args.get("seed", 7u64)?,
-        ..JobSpec::clique(n, sdn)
-    };
+fn cmd_ping(spec: &JobSpec, n: usize, fail_at: u64, heal_at: u64) -> Result<(), String> {
     let mut exp = Experiment::new(spec.builder().build());
     if !exp.start(SimDuration::from_secs(3600)).converged {
         return Err("bring-up did not converge".into());
@@ -899,46 +365,4 @@ fn cmd_ping(args: &Args) -> Result<(), String> {
         report.longest_outage
     );
     Ok(())
-}
-
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = argv.split_first() else {
-        return usage();
-    };
-    let Some(known) = known_flags(cmd) else {
-        return usage();
-    };
-    // `report FILE` and `explain FILE [flags]` take the path positionally.
-    let (path, flags) = match cmd.as_str() {
-        "report" | "explain" => match rest.split_first() {
-            Some((path, flags)) if !path.starts_with("--") => (path.as_str(), flags),
-            _ => return usage(),
-        },
-        _ => ("", rest),
-    };
-    let Some(args) = Args::parse(flags) else {
-        return usage();
-    };
-    if let Err(e) = check_flags(cmd, &known, &args) {
-        eprintln!("error: {e} (run `bgpsdn` alone for usage)");
-        return ExitCode::from(2);
-    }
-    let result = match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "sweep" => cmd_sweep(&args),
-        "check" => cmd_check(&args),
-        "report" => cmd_report(path),
-        "explain" => cmd_explain(path, &args),
-        "verify" => cmd_verify(&args),
-        "ping" => cmd_ping(&args),
-        _ => return usage(),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }

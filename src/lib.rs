@@ -26,6 +26,8 @@
 //! * [`core`] — the paper's contribution: the hybrid experiment framework
 //!   and the IDR SDN controller.
 //!
+//! [`cli`] parses the `bgpsdn` command line into one typed command.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -61,6 +63,8 @@ pub use bgpsdn_netsim as netsim;
 pub use bgpsdn_obs as obs;
 pub use bgpsdn_sdn as sdn;
 pub use bgpsdn_topology as topology;
+
+pub mod cli;
 
 /// The names almost every experiment needs.
 pub mod prelude {

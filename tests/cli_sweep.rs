@@ -351,6 +351,29 @@ fn sweep_rejects_flags_it_would_drop() {
 }
 
 #[test]
+fn a_switch_given_a_value_is_a_usage_error() {
+    // `--verify false` used to read as `--verify`, and the sweep verified.
+    // An unwritable `--out` keeps a sweep that is not rejected from running.
+    let out = ["--seeds", "1", "--out", "/nonexistent/switch.jsonl"];
+    for (args, flag) in [
+        (
+            &["sweep", "--sizes", "2", "--n", "6", "--verify", "false"][..],
+            "--verify",
+        ),
+        (&["sweep", "--fig2", "1"][..], "--fig2"),
+        (&["check", "--json", "false"][..], "--json"),
+    ] {
+        let args = if args[0] == "sweep" {
+            [args, &out[..]].concat()
+        } else {
+            args.to_vec()
+        };
+        let err = usage_error(&args);
+        assert!(err.contains(flag), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn fig2_subcommand_is_gone() {
     // `sweep --fig2` is Figure 2; the serial twin prints the usage text.
     let err = usage_error(&["fig2", "--runs", "3"]);

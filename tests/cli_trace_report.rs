@@ -307,6 +307,51 @@ fn run_rejects_a_mistyped_flag() {
 }
 
 #[test]
+fn run_rejects_a_repeated_flag() {
+    // The first `--seed` used to win, and seed 1 ran without a word.
+    let args = [
+        "run",
+        "--event",
+        "withdrawal",
+        "--sdn",
+        "2",
+        "--seed",
+        "1",
+        "--seed",
+        "9",
+    ];
+    let run = bgpsdn().args(args).output().expect("spawn bgpsdn run");
+    assert_eq!(run.status.code(), Some(2), "a usage error");
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("--seed"), "names the flag: {err}");
+    assert!(run.stdout.is_empty(), "rejected before anything is printed");
+}
+
+#[test]
+fn run_names_a_stray_argument() {
+    // It used to get the bare usage text, which does not say what is wrong.
+    let run = bgpsdn()
+        .args(["run", "--event", "withdrawal", "stray"])
+        .output()
+        .expect("spawn bgpsdn run");
+    assert_eq!(run.status.code(), Some(2), "a usage error");
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("stray"), "names the argument: {err}");
+    assert!(run.stdout.is_empty(), "rejected before anything is printed");
+}
+
+#[test]
+fn an_unread_flag_is_named_ahead_of_a_bad_value() {
+    let run = bgpsdn()
+        .args(["run", "--sed", "9", "--n", "x"])
+        .output()
+        .expect("spawn bgpsdn run");
+    assert_eq!(run.status.code(), Some(2), "a usage error, not a bad value");
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("does not read --sed"), "{err}");
+}
+
+#[test]
 fn report_prints_the_convergence_run_printed() {
     // Pure BGP converges in seconds, a 5-of-6 cluster in milliseconds.
     for sdn in ["0", "5"] {

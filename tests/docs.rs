@@ -1,16 +1,29 @@
 //! The prose stays within budget and points at real code: DESIGN.md stays
 //! under 40 000 bytes and DESIGN.md and EXPERIMENTS.md together under
 //! 100 000 bytes, every file path either names (from the repo root, or
-//! crate-relative under `crates/`) exists, and every `--bench NAME` is a
-//! bench target.
+//! crate-relative under `crates/`) exists, every `--bench NAME` is a
+//! bench target, and every `bgpsdn` command line the docs show parses.
+//! The binary stays thin: `src/bin/bgpsdn.rs` holds at most 400 lines.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+
+use bgp_sdn_emu::cli::Command;
 
 const DOCS: [&str; 2] = ["DESIGN.md", "EXPERIMENTS.md"];
 const BUDGET: usize = 100_000;
 /// DESIGN.md's own share: one current architecture document, not a history.
 const DESIGN_BUDGET: usize = 40_000;
+/// `src/bin/bgpsdn.rs` runs what `cli` parses, and no more.
+const BIN_LINES: usize = 400;
+/// The docs that show `bgpsdn` command lines; the verify skill calls the
+/// binary `$B`.
+const COMMAND_DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
 /// A token ending in one of these names a file. (`.jsonl` is left out: the
 /// docs name run artifacts, which are written, not kept.)
 const EXTENSIONS: [&str; 6] = [".rs", ".json", ".md", ".yml", ".toml", ".lock"];
@@ -122,4 +135,99 @@ fn tokens_are_read_as_the_docs_write_them() {
                 then (tests/docs.rs) and e.g. v1.2 or bench-results/<target>.json.";
     assert_eq!(file_tokens(text), ["obs/src/metrics.rs", "tests/docs.rs"]);
     assert_eq!(bench_names(text), ["tblS7_scale"]);
+}
+
+/// The arguments of every `bgpsdn CMD ...` (or `$B CMD ...`) in `text`,
+/// and whether it is a whole command: a code-block line (with its `\`
+/// continuations joined and `#` comment cut) is, an inline code span is a
+/// fragment. Optional brackets and `...` are dropped, and a shell operator
+/// ends the command.
+fn invocations(text: &str) -> Vec<(Vec<String>, bool)> {
+    let (mut snippets, mut prose, mut pending) = (Vec::new(), String::new(), String::new());
+    let mut in_block = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            in_block = !in_block;
+        } else if in_block {
+            let code = line.split(" #").next().unwrap_or_default().trim_end();
+            pending.push_str(code.trim_end_matches('\\'));
+            pending.push(' ');
+            if !code.ends_with('\\') {
+                snippets.push((std::mem::take(&mut pending), true));
+            }
+        } else {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    let spans = prose.split('`').skip(1).step_by(2);
+    snippets.extend(spans.map(|span| (span.to_string(), false)));
+    let mut found = Vec::new();
+    for (snippet, whole) in &snippets {
+        let tokens: Vec<&str> = snippet.split_whitespace().collect();
+        for (i, _) in tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| ["bgpsdn", "$B"].contains(t))
+        {
+            let args: Vec<String> = tokens[i + 1..]
+                .iter()
+                .take_while(|t| !["|", ">", "&&", ";", "+"].contains(t))
+                .map(|t| t.trim_matches(|c| c == '[' || c == ']'))
+                .filter(|t| !t.is_empty() && *t != "...")
+                .map(str::to_string)
+                .collect();
+            // A subcommand named alone is prose about it, not a command line.
+            if args.len() > 1 && args[0].starts_with(|c: char| c.is_ascii_lowercase()) {
+                found.push((args, *whole));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn every_command_line_the_docs_show_parses() {
+    let mut checked = 0;
+    let mut rejected = Vec::new();
+    for doc in COMMAND_DOCS {
+        for (args, whole) in invocations(&read(doc)) {
+            checked += 1;
+            // A fragment's placeholder (`FILE`, `N`) may be a bad value
+            // (exit 1); a flag or subcommand `bgpsdn` does not read never is.
+            match Command::parse(&args) {
+                Err(e) if whole || e.exit_code() == 2 => {
+                    rejected.push(format!("{doc}: bgpsdn {}\n  {e}", args.join(" ")));
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(checked >= 20, "only {checked} command lines found");
+    assert!(rejected.is_empty(), "{}", rejected.join("\n"));
+}
+
+#[test]
+fn command_lines_are_read_as_the_docs_write_them() {
+    let text = "Run `bgpsdn explain FILE [--json] [--top N]`, not `bgpsdn run`:\n\
+                ```sh\n$B sweep --sizes 0,4 \\\n   --verify   # a comment\n\
+                $B report /tmp/c.jsonl | head\n```\n";
+    let line = |args: &[&str], whole| (args.iter().map(|a| a.to_string()).collect(), whole);
+    assert_eq!(
+        invocations(text),
+        [
+            line(&["sweep", "--sizes", "0,4", "--verify"], true),
+            line(&["report", "/tmp/c.jsonl"], true),
+            line(&["explain", "FILE", "--json", "--top", "N"], false),
+        ]
+    );
+}
+
+#[test]
+fn the_binary_stays_thin() {
+    let lines = read("src/bin/bgpsdn.rs").lines().count();
+    assert!(
+        lines <= BIN_LINES,
+        "src/bin/bgpsdn.rs is {lines} lines, over its {BIN_LINES}: flags and checks belong in src/cli.rs"
+    );
 }
