@@ -6,9 +6,7 @@
 //! state from any starting point and message ordering. The framework's
 //! `PolicyMode::GaoRexford` template enforces (b) by construction, so the
 //! static proof obligation reduces to (a): acyclicity of the annotated
-//! provider hierarchy. This pass checks it with an explicit witness cycle
-//! rather than the boolean answer [`AsGraph::provider_hierarchy_acyclic`]
-//! gives.
+//! provider hierarchy. This pass checks it and names a witness cycle.
 //!
 //! The hybrid deployment adds a twist the plain theorem does not cover: the
 //! paper's SDN cluster behaves as **one logical routing node** (members
@@ -219,7 +217,7 @@ pub(crate) fn sanitize_clusters(clusters: &[Vec<usize>], n: usize) -> Vec<Vec<us
 
 /// Provider hierarchy acyclicity on the raw graph. Under AllPermit the
 /// annotations are ignored by policy, so a cycle is only suspicious
-/// (likely a bad `infer_by_degree` run), not an error.
+/// (likely a mislabelled dataset), not an error.
 fn check_raw_hierarchy(g: &AsGraph, mode: PolicyMode, report: &mut AnalysisReport) {
     report.checked();
     if let Some(cycle) = provider_cycle(g) {
@@ -692,7 +690,7 @@ mod tests {
     #[test]
     fn seeded_wheel_is_flagged_via_rules() {
         let g = AsGraph::all_peer(&gen::clique(4), 65000);
-        let rules = crate::spp::bad_gadget_rules();
+        let rules = crate::spp::tests::bad_gadget_rules();
         let r = check_safety(&SafetyInput {
             graph: &g,
             mode: PolicyMode::AllPermit,

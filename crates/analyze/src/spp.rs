@@ -31,10 +31,7 @@
 //! Gao–Rexford theorem — the safety pass only reaches for the explicit
 //! solver when override rules are present.
 
-use bgpsdn_bgp::{
-    export_allowed, import_allowed, import_local_pref, Asn, MatchCond, PolicyMode, Relationship,
-    RouteMap, Rule, SetAction,
-};
+use bgpsdn_bgp::{export_allowed, import_allowed, import_local_pref, PolicyMode, Relationship};
 use bgpsdn_topology::AsGraph;
 
 /// Decision-process default LOCAL_PREF (what the simulator's decision uses
@@ -55,41 +52,6 @@ pub struct PathRule {
     pub contains: Option<usize>,
     /// `Some(lp)` permits with that LOCAL_PREF; `None` denies the path.
     pub action: Option<u32>,
-}
-
-impl PathRule {
-    /// Compile a rule list into per-session [`RouteMap`]s, keyed by
-    /// `(at, from)` AS indices — what a simulation installs as
-    /// `NeighborConfig::import_map` to realize the same policy the static
-    /// model analyzed. Rules keep their relative order within a session.
-    pub fn route_maps(rules: &[PathRule], asns: &[Asn]) -> Vec<(usize, usize, RouteMap)> {
-        let mut maps: Vec<(usize, usize, RouteMap)> = Vec::new();
-        for r in rules {
-            let rule = Rule {
-                conds: r
-                    .contains
-                    .map(|c| vec![MatchCond::AsPathContains(asns[c])])
-                    .unwrap_or_default(),
-                actions: r
-                    .action
-                    .map(|lp| vec![SetAction::LocalPref(lp)])
-                    .unwrap_or_default(),
-                permit: r.action.is_some(),
-            };
-            match maps.iter_mut().find(|(a, f, _)| (*a, *f) == (r.at, r.from)) {
-                Some((_, _, map)) => map.rules.push(rule),
-                None => maps.push((
-                    r.at,
-                    r.from,
-                    RouteMap {
-                        rules: vec![rule],
-                        default_permit: true,
-                    },
-                )),
-            }
-        }
-        maps
-    }
 }
 
 /// Enumeration limits for explicit SPP instances.
@@ -381,41 +343,6 @@ impl SppInstance {
     }
 }
 
-/// The canonical BAD GADGET override rules on a 4-node graph: origin 0,
-/// rim 1, 2, 3, every pair adjacent. Each rim node prefers the two-hop
-/// path through its clockwise neighbor over its direct path and permits
-/// nothing else — the smallest instance with a dispute wheel and no stable
-/// assignment. Used by the mutation tests and the simulator
-/// cross-validation (it must be flagged statically *and* observably
-/// oscillate when run).
-pub fn bad_gadget_rules() -> Vec<PathRule> {
-    let mut rules = Vec::new();
-    for (at, via, third) in [(1usize, 2usize, 3usize), (2, 3, 1), (3, 1, 2)] {
-        // Deny the three-hop path through both other rim nodes.
-        rules.push(PathRule {
-            at,
-            from: via,
-            contains: Some(third),
-            action: None,
-        });
-        // Prefer the two-hop path through the clockwise neighbor.
-        rules.push(PathRule {
-            at,
-            from: via,
-            contains: None,
-            action: Some(200),
-        });
-        // Never route through the counter-clockwise neighbor.
-        rules.push(PathRule {
-            at,
-            from: third,
-            contains: None,
-            action: None,
-        });
-    }
-    rules
-}
-
 /// Render a witness cycle with ASNs: `AS65001 -> AS65002 -> AS65001`.
 pub(crate) fn render_cycle(g: &AsGraph, cycle: &[usize]) -> String {
     use std::fmt::Write as _;
@@ -430,9 +357,45 @@ pub(crate) fn render_cycle(g: &AsGraph, cycle: &[usize]) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use bgpsdn_bgp::Asn;
     use bgpsdn_topology::{gen, AsEdge, EdgeKind};
+
+    /// The canonical BAD GADGET override rules on a 4-node graph: origin 0,
+    /// rim 1, 2, 3, every pair adjacent. Each rim node prefers the two-hop
+    /// path through its clockwise neighbor over its direct path and permits
+    /// nothing else — the smallest instance with a dispute wheel and no stable
+    /// assignment. Used by the mutation tests and the simulator
+    /// cross-validation (it must be flagged statically *and* observably
+    /// oscillate when run).
+    pub(crate) fn bad_gadget_rules() -> Vec<PathRule> {
+        let mut rules = Vec::new();
+        for (at, via, third) in [(1usize, 2usize, 3usize), (2, 3, 1), (3, 1, 2)] {
+            // Deny the three-hop path through both other rim nodes.
+            rules.push(PathRule {
+                at,
+                from: via,
+                contains: Some(third),
+                action: None,
+            });
+            // Prefer the two-hop path through the clockwise neighbor.
+            rules.push(PathRule {
+                at,
+                from: via,
+                contains: None,
+                action: Some(200),
+            });
+            // Never route through the counter-clockwise neighbor.
+            rules.push(PathRule {
+                at,
+                from: third,
+                contains: None,
+                action: None,
+            });
+        }
+        rules
+    }
 
     fn peer_clique(n: usize) -> AsGraph {
         AsGraph::all_peer(&gen::clique(n), 65000)
@@ -549,18 +512,5 @@ mod tests {
         assert!(
             SppInstance::build(&g, PolicyMode::AllPermit, 0, &[], SppCaps::default()).is_none()
         );
-    }
-
-    #[test]
-    fn route_map_compilation_groups_by_session() {
-        let rules = bad_gadget_rules();
-        let asns: Vec<Asn> = (0..4).map(|i| Asn(65000 + i)).collect();
-        let maps = PathRule::route_maps(&rules, &asns);
-        assert_eq!(maps.len(), 6, "two sessions per rim node");
-        let (at, from, map) = &maps[0];
-        assert_eq!((*at, *from), (1, 2));
-        assert_eq!(map.rules.len(), 2, "deny-specific then permit-set");
-        assert!(!map.rules[0].permit);
-        assert!(map.rules[1].permit);
     }
 }

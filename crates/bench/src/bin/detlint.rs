@@ -8,8 +8,9 @@
 //! (`HashMap`/`HashSet` iteration order, host clocks, OS-seeded RNGs) and
 //! diffs the per-(file, hazard) occurrence counts against the committed
 //! baseline; then lists every `pub fn` of those crates (and of this one)
-//! that no file outside its own crate's library calls (such a function is
-//! `pub(crate)`), and every row-only counter no file reads.
+//! that no file outside its own crate's library and its tests calls (such
+//! a function is `pub(crate)`, or belongs in the tests), and every row-only
+//! counter no file reads.
 //! Exits 0 if nothing increased or is unused; 1 on a new or increased hazard,
 //! a baseline row naming a missing file, an uncalled `pub fn` or a write-only
 //! counter; 2 on usage or IO errors. `--write` re-baselines an audited change.
@@ -18,84 +19,13 @@
 //! the panic sites (`.unwrap()`, `.expect(`, `panic!(`, `unreachable!(`)
 //! among them.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bgpsdn_bench::detlint::{
-    diff, parse_baseline, render_baseline, scan_tree, tree_size, uncalled_pub_fns,
-    write_only_counters, Drift,
+    crate_dirs, diff, guarded_roots, parse_baseline, render_baseline, scan_tree, tree_size,
+    unused_report, Drift,
 };
-
-/// The source roots the lint guards, relative to the workspace root:
-/// everything that executes inside (or serializes the output of) the
-/// deterministic simulation, and the reproduction targets, which must not
-/// read a clock either: their committed `bench-results/` hold simulated
-/// time and exact counts only. `crates/bench/src` is exempt because
-/// `detlint.rs` spells the patterns it lints for.
-const GUARDED: &[&str] = &[
-    "src",
-    "crates/bench/benches",
-    "crates/netsim/src",
-    "crates/bgp/src",
-    "crates/sdn/src",
-    "crates/topology/src",
-    "crates/collector/src",
-    "crates/core/src",
-    "crates/obs/src",
-    "crates/verify/src",
-    "crates/analyze/src",
-];
-
-/// Where a `pub fn` of the guarded roots or of `crates/bench/src` may
-/// find its callers, besides `crates/*/{src,tests,benches}`; files in the
-/// defining crate's own library do not count. The frozen `benchmark/`
-/// harness counts: what it calls stays public.
-const CALLER_ROOTS: &[&str] = &["src", "tests", "examples", "benchmark/src"];
-
-/// The file whose `counter_table!` names every counter.
-const COUNTER_TABLE: &str = "crates/obs/src/metrics.rs";
-
-/// `crates/*/<sub>` for each of `subs`, the directories that exist.
-fn crate_dirs(root: &Path, subs: &[&str]) -> Result<Vec<PathBuf>, String> {
-    let crates = root.join("crates");
-    let entries =
-        std::fs::read_dir(&crates).map_err(|e| format!("reading {}: {e}", crates.display()))?;
-    let mut dirs = Vec::new();
-    for entry in entries {
-        let dir = entry
-            .map_err(|e| format!("reading {}: {e}", crates.display()))?
-            .path();
-        dirs.extend(subs.iter().map(|sub| dir.join(sub)));
-    }
-    dirs.retain(|p| p.is_dir());
-    Ok(dirs)
-}
-
-/// Every `pub fn` that nothing outside its crate's library calls and
-/// every counter nothing reads, as one line each; empty when the public
-/// surface and the counter table are all in use.
-fn unused_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, String> {
-    let mut defining = guarded.to_vec();
-    defining.push(root.join("crates/bench/src"));
-    let mut callers: Vec<PathBuf> = CALLER_ROOTS.iter().map(|r| root.join(r)).collect();
-    callers.retain(|p| p.is_dir());
-    callers.extend(crate_dirs(root, &["src", "tests", "benches"])?);
-    let mut lines: Vec<String> = uncalled_pub_fns(root, &defining, &callers)?
-        .into_iter()
-        .map(|f| {
-            format!(
-                "detlint: {}:{}: `pub fn {}` has no caller outside its crate's library; \
-                 make it `pub(crate)`, delete it, or mark the line \
-                 `// detlint: allow <reason>`",
-                f.path, f.line, f.name
-            )
-        })
-        .collect();
-    lines.extend(write_only_counters(root, COUNTER_TABLE, &callers)?.into_iter().map(|id| {
-        format!("detlint: {COUNTER_TABLE}: `Counter::{id}` is counted but never read; read it or delete it")
-    }));
-    Ok(lines)
-}
 
 fn usage() -> ExitCode {
     eprintln!("usage: detlint [--root DIR] [--baseline FILE] [--write]");
@@ -125,11 +55,7 @@ fn main() -> ExitCode {
     });
     let baseline_path = baseline_path.unwrap_or_else(|| root.join("detlint.baseline"));
 
-    let roots: Vec<PathBuf> = GUARDED
-        .iter()
-        .map(|r| root.join(r))
-        .filter(|p| p.is_dir())
-        .collect();
+    let roots = guarded_roots(&root);
     if roots.is_empty() {
         eprintln!("detlint: no guarded source roots under {}", root.display());
         return ExitCode::from(2);

@@ -24,21 +24,24 @@
 //! `pub fn` that nothing in the workspace calls survives `-D warnings`,
 //! and so does one that only its own crate calls. The pass flags every
 //! non-test `pub fn` whose name appears in no file outside the defining
-//! crate's library (another crate's `src`, a `tests/`, `benches/` or
-//! `examples/` file, or a `src/bin/` binary), outside comments, `use`
-//! declarations (a re-export is not a call) and the name after `fn` (a
-//! definition is not a call). A function only its own crate calls is
-//! `pub(crate)`, where `dead_code` sees it. The pass matches on
-//! identifier tokens, so it never flags a function that is called by
-//! name; a name some other function shares and is called by (such as
-//! `new` or `len`) can only make it miss one. It has no baseline: the
-//! tree must pass with zero findings, and a `// detlint: allow <reason>`
-//! on the `pub fn` line exempts that one function.
+//! crate's library (another crate's `src`, a `benches/` or `examples/`
+//! file, or a `src/bin/` binary), outside comments, `use` declarations (a
+//! re-export is not a call) and the name after `fn` (a definition is not a
+//! call). A `tests/` file is not a caller: what only tests call belongs in
+//! the tests. A function only its own crate calls is `pub(crate)`, where
+//! `dead_code` sees it. The pass matches on identifier tokens, so it never
+//! flags a function that is called by name; a name some other function
+//! shares and is called by (such as `new` or `len`) can only make it miss
+//! one. It has no baseline: the tree must pass with zero findings, and a
+//! `// detlint: allow <reason>` on the `pub fn` line, or on a comment line
+//! directly above it, exempts that one function (`test-oracle <reason>`
+//! for an accessor or step that only a test's oracle calls).
 //!
 //! A third pass, [`write_only_counters`], does the same for counters: a
 //! row-only counter id (one artifacts never carry) that every file
 //! mentions only as the id argument of a `.count(` call is counted and
-//! never read.
+//! never read. Here tests do count: a counter a test reads as an oracle is
+//! read. [`unused_report`] runs both passes over a workspace.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -141,7 +144,7 @@ pub fn scan_tree(base: &Path, roots: &[PathBuf]) -> Result<Counts, String> {
 
 /// One `pub fn` that no file outside its crate's library mentions.
 #[derive(Debug, PartialEq, Eq)]
-pub struct UncalledFn {
+pub(crate) struct UncalledFn {
     /// Relative path of the defining file.
     pub path: String,
     /// 1-based line of the definition.
@@ -203,13 +206,20 @@ fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
 
 /// The `pub fn` names a file defines before its first `#[cfg(test)]`,
 /// with their 1-based lines. A definition whose line carries
-/// [`ALLOW_MARKER`] is left out.
+/// [`ALLOW_MARKER`], or whose previous line is a comment carrying it, is
+/// left out.
 fn pub_fns(text: &str) -> Vec<(usize, String)> {
-    non_test_lines(text)
-        .enumerate()
-        .filter(|(_, line)| !line.contains(ALLOW_MARKER))
-        .filter_map(|(i, line)| pub_fn_name(line).map(|name| (i + 1, name.to_string())))
-        .collect()
+    let mut above = "";
+    let mut found = Vec::new();
+    for (i, line) in non_test_lines(text).enumerate() {
+        let exempt = line.contains(ALLOW_MARKER)
+            || (above.trim_start().starts_with("//") && above.contains(ALLOW_MARKER));
+        if let Some(name) = pub_fn_name(line).filter(|_| !exempt) {
+            found.push((i + 1, name.to_string()));
+        }
+        above = line;
+    }
+    found
 }
 
 /// How big a source tree is, in the three numbers the ROADMAP tracks.
@@ -304,7 +314,7 @@ fn library_of(path: &str) -> Option<&str> {
 /// # Errors
 ///
 /// Propagates IO errors reading directories or files.
-pub fn uncalled_pub_fns(
+pub(crate) fn uncalled_pub_fns(
     base: &Path,
     defining: &[PathBuf],
     callers: &[PathBuf],
@@ -361,7 +371,7 @@ fn reads_counter(code: &str, id: &str) -> bool {
 ///
 /// Propagates IO errors reading directories or files, and fails when no
 /// file under `callers` is `table`.
-pub fn write_only_counters(
+pub(crate) fn write_only_counters(
     base: &Path,
     table: &str,
     callers: &[PathBuf],
@@ -390,6 +400,100 @@ pub fn write_only_counters(
         .filter(|id| !code.iter().any(|c| reads_counter(c, id)))
         .map(String::from)
         .collect())
+}
+
+/// The source roots the hazard scan guards, relative to the workspace
+/// root: everything that executes inside (or serializes the output of) the
+/// deterministic simulation, and the reproduction targets, which must not
+/// read a clock either: their committed `bench-results/` hold simulated
+/// time and exact counts only. `crates/bench/src` is exempt because
+/// `detlint.rs` spells the patterns it lints for.
+const GUARDED: &[&str] = &[
+    "src",
+    "crates/bench/benches",
+    "crates/netsim/src",
+    "crates/bgp/src",
+    "crates/sdn/src",
+    "crates/topology/src",
+    "crates/collector/src",
+    "crates/core/src",
+    "crates/obs/src",
+    "crates/verify/src",
+    "crates/analyze/src",
+];
+
+/// Where a `pub fn` of the guarded roots or of `crates/bench/src` may
+/// find its callers, besides `crates/*/{src,benches}`; files in the
+/// defining crate's own library do not count, and neither do tests. The
+/// frozen `benchmark/` harness counts: what it calls stays public.
+const CALLER_ROOTS: &[&str] = &["src", "examples", "benchmark/src"];
+
+/// The file whose `counter_table!` names every counter.
+const COUNTER_TABLE: &str = "crates/obs/src/metrics.rs";
+
+/// `crates/*/<sub>` for each of `subs`, the directories that exist.
+///
+/// # Errors
+///
+/// Propagates IO errors reading `root/crates`.
+pub fn crate_dirs(root: &Path, subs: &[&str]) -> Result<Vec<PathBuf>, String> {
+    let crates = root.join("crates");
+    let entries =
+        std::fs::read_dir(&crates).map_err(|e| format!("reading {}: {e}", crates.display()))?;
+    let mut dirs = Vec::new();
+    for entry in entries {
+        let dir = entry
+            .map_err(|e| format!("reading {}: {e}", crates.display()))?
+            .path();
+        dirs.extend(subs.iter().map(|sub| dir.join(sub)));
+    }
+    dirs.retain(|p| p.is_dir());
+    Ok(dirs)
+}
+
+/// The guarded source roots (see `GUARDED`) that exist under `root`.
+pub fn guarded_roots(root: &Path) -> Vec<PathBuf> {
+    GUARDED
+        .iter()
+        .map(|r| root.join(r))
+        .filter(|p| p.is_dir())
+        .collect()
+}
+
+/// Every `pub fn` under `guarded` or `crates/bench/src` that nothing
+/// outside its crate's library but tests calls, and every counter nothing
+/// reads (tests included), as one line each; empty when the public surface
+/// and the counter table are all in use.
+///
+/// # Errors
+///
+/// Propagates IO errors reading directories or files.
+pub fn unused_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, String> {
+    let mut defining = guarded.to_vec();
+    defining.push(root.join("crates/bench/src"));
+    defining.retain(|p| p.is_dir());
+    let mut callers: Vec<PathBuf> = CALLER_ROOTS.iter().map(|r| root.join(r)).collect();
+    callers.retain(|p| p.is_dir());
+    callers.extend(crate_dirs(root, &["src", "benches"])?);
+    let mut lines: Vec<String> = uncalled_pub_fns(root, &defining, &callers)?
+        .into_iter()
+        .map(|f| {
+            format!(
+                "detlint: {}:{}: `pub fn {}` has no caller outside its crate's library and \
+                 its tests; make it `pub(crate)`, delete it, move it into the tests that \
+                 use it, or mark the line `// detlint: allow <reason>`",
+                f.path, f.line, f.name
+            )
+        })
+        .collect();
+    let mut readers = callers;
+    readers.push(root.join("tests"));
+    readers.extend(crate_dirs(root, &["tests"])?);
+    readers.retain(|p| p.is_dir());
+    lines.extend(write_only_counters(root, COUNTER_TABLE, &readers)?.into_iter().map(|id| {
+        format!("detlint: {COUNTER_TABLE}: `Counter::{id}` is counted but never read; read it or delete it")
+    }));
+    Ok(lines)
 }
 
 /// Serialize counts in the committed baseline format: one
@@ -589,6 +693,8 @@ pub fn called() {}
 pub fn reexported_only() {}
 pub fn in_a_comment_only() {}
 pub fn exempt() {} // detlint: allow kept for an out-of-tree caller
+// detlint: allow test-oracle exempt from the line above
+pub fn exempt_from_above() {}
 pub const fn planted() {}
 pub(crate) fn crate_visible() {}
 pub fn crate_only() {}
@@ -635,11 +741,40 @@ fn main() {
             [
                 (2, "reexported_only"),
                 (3, "in_a_comment_only"),
-                (5, "planted"),
-                (7, "crate_only")
+                (7, "planted"),
+                (9, "crate_only")
             ]
         );
         assert!(found.iter().all(|f| f.path == "crates/a/src/a.rs"));
+    }
+
+    #[test]
+    fn unused_report_counts_tests_as_readers_but_not_as_callers() {
+        let dir = std::env::temp_dir().join(format!("detlint-report-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = dir.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write(
+            "crates/a/src/lib.rs",
+            "pub fn only_tested() {}\npub fn used() {}\n",
+        );
+        write("examples/e.rs", "fn main() { a::used(); }\n");
+        write(
+            "crates/a/tests/t.rs",
+            "#[test]\nfn t() { a::only_tested(); sim.counter(n, Counter::Read); }\n",
+        );
+        write(
+            COUNTER_TABLE,
+            "counter_table! {\n    row_only {\n        Read = \"a.read\",\n        \
+             Unread = \"a.unread\",\n    }\n}\n",
+        );
+        let lines = unused_report(&dir, &[dir.join("crates/a/src")]).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].contains("crates/a/src/lib.rs:1: `pub fn only_tested`"));
+        assert!(lines[1].contains("`Counter::Unread`"));
     }
 
     #[test]

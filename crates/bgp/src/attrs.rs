@@ -141,6 +141,7 @@ impl AsPath {
     /// A path of the given wire segments, nearest first — how a path with an
     /// AS_SET is stated. Empty segments are dropped and a segment of more
     /// than 255 ASNs is split: the wire carries neither.
+    // detlint: allow test-oracle builds the AS_SET paths proptest_codec draws
     pub fn from_segments(segments: impl IntoIterator<Item = Segment>) -> AsPath {
         let mut path = AsPath::empty();
         for seg in segments {
@@ -179,6 +180,7 @@ impl AsPath {
     /// Prepend one AS (what a router does on eBGP export). A leading
     /// AS_SEQUENCE that already holds 255 ASNs stays as it is and a new one
     /// starts in front of it (RFC 4271 §5.1.2).
+    // detlint: allow test-oracle step proptest_codec drives against its model
     pub fn prepend(&mut self, asn: Asn) {
         if self.lead.len() == MAX_SEGMENT_ASNS {
             let full = std::mem::take(&mut self.lead);
@@ -189,6 +191,7 @@ impl AsPath {
     }
 
     /// Prepend the same AS `n` times (path prepending policy action).
+    // detlint: allow test-oracle step proptest_codec drives against its model
     pub fn prepend_n(&mut self, asn: Asn, n: usize) {
         for _ in 0..n {
             self.prepend(asn);
@@ -197,6 +200,7 @@ impl AsPath {
 
     /// Decision-process length: each sequence member counts 1, each set
     /// counts 1 in total (RFC 4271 §9.1.2.2 a).
+    // detlint: allow test-oracle read-only view proptest_codec checks against its model
     pub fn path_len(&self) -> usize {
         let rest: usize = self
             .rest()
@@ -215,12 +219,14 @@ impl AsPath {
     }
 
     /// The neighboring AS: first AS of the first segment.
+    // detlint: allow test-oracle read-only view proptest_codec checks against its model
     pub fn first_asn(&self) -> Option<Asn> {
         let (_, first) = self.wire_segments().next()?;
         first.first().copied()
     }
 
     /// The originating AS: last AS of the last segment.
+    // detlint: allow test-oracle read-only view proptest_codec checks against its model
     pub fn origin_asn(&self) -> Option<Asn> {
         let (_, last) = self.wire_segments().last()?;
         last.last().copied()
@@ -331,6 +337,7 @@ pub struct Community(pub u32);
 
 impl Community {
     /// Build from the conventional `asn:value` halves.
+    // detlint: allow test-oracle builds the community values the policy tests match on
     pub fn new(asn: u16, value: u16) -> Community {
         Community(((asn as u32) << 16) | value as u32)
     }
@@ -462,12 +469,14 @@ impl PathAttributes {
     }
 
     /// The rare attributes (all empty for nearly every route).
+    // detlint: allow test-oracle read-only view the codec and router tests check
     pub fn rare(&self) -> &RareAttrs {
         self.rare.as_deref().unwrap_or(&NO_RARE)
     }
 
     /// Edit the rare attributes; an edit that leaves them all empty frees
     /// their block, so the form stays canonical.
+    // detlint: allow test-oracle step proptest_codec and proptest_intern drive
     pub fn edit_rare(&mut self, edit: impl FnOnce(&mut RareAttrs)) {
         let rare = self.rare.get_or_insert_with(Box::default);
         edit(rare);
@@ -676,6 +685,7 @@ pub struct SharedAttrs(Arc<PathAttributes>);
 impl SharedAttrs {
     /// True when both handles point at the same allocation (equal without
     /// comparing contents).
+    // detlint: allow test-oracle read-only view the intern and allocation tests check
     pub fn ptr_eq(a: &SharedAttrs, b: &SharedAttrs) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
     }
@@ -725,6 +735,7 @@ type AttrSet = HashSet<SharedAttrs, BuildHasherDefault<MulHasher>>;
 
 impl AttrTable {
     /// The table's block equal to `attrs`, `attrs` itself if it is new.
+    // detlint: allow test-oracle step proptest_intern drives against its reference
     pub fn intern(&self, attrs: SharedAttrs) -> SharedAttrs {
         let (set, purge_at) = &mut *self.0.borrow_mut();
         if let Some(block) = set.get(&attrs) {
@@ -740,6 +751,7 @@ impl AttrTable {
     }
 
     /// Drop every entry that only the table holds; the number left.
+    // detlint: allow test-oracle counts the live blocks attr_table_sim and proptest_intern check
     pub fn purge(&self) -> usize {
         let set = &mut self.0.borrow_mut().0;
         set.retain(|a| Arc::strong_count(&a.0) > 1);

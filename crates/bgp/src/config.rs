@@ -136,24 +136,6 @@ impl RouterConfig {
             damping: None,
         }
     }
-
-    /// Originate a prefix at startup (builder style).
-    pub fn with_origin(mut self, p: Prefix) -> Self {
-        self.originate.push(p);
-        self
-    }
-
-    /// Set the policy mode (builder style).
-    pub fn with_mode(mut self, mode: PolicyMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Set timing (builder style).
-    pub fn with_timing(mut self, t: TimingConfig) -> Self {
-        self.timing = t;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -180,17 +162,6 @@ mod tests {
         let c = RouterConfig::new(Asn(0x0102));
         assert_eq!(c.next_hop, Ipv4Addr::new(10, 255, 1, 2));
         assert_eq!(c.router_id.as_ip(), Ipv4Addr::new(10, 255, 1, 2));
-    }
-
-    #[test]
-    fn builder_chains() {
-        let c = RouterConfig::new(Asn(1))
-            .with_mode(PolicyMode::GaoRexford)
-            .with_origin(crate::types::pfx("10.1.0.0/16"))
-            .with_timing(TimingConfig::with_mrai(SimDuration::from_secs(5)));
-        assert_eq!(c.mode, PolicyMode::GaoRexford);
-        assert_eq!(c.originate.len(), 1);
-        assert_eq!(c.timing.mrai, SimDuration::from_secs(5));
     }
 
     #[test]

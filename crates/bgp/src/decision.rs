@@ -62,6 +62,7 @@ impl<'a> Candidate<'a> {
 }
 
 /// Compare two candidates; `Ordering::Greater` means `a` is preferred.
+// detlint: allow test-oracle step proptest_decision drives against its reference
 pub fn compare(a: &Candidate<'_>, b: &Candidate<'_>, cfg: &DecisionConfig) -> Ordering {
     // 0. A locally originated route always wins (administrative weight).
     let a_local = a.source == RouteSource::Local;

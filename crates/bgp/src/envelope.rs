@@ -42,6 +42,7 @@ pub struct BgpEnvelope {
 
 impl BgpEnvelope {
     /// Encode `msg` into an envelope with no causal lineage.
+    // detlint: allow test-oracle encodes the messages the session tests inject
     pub fn new(src: NodeId, dst: NodeId, msg: &BgpMessage) -> Self {
         BgpEnvelope {
             src,
@@ -56,6 +57,7 @@ impl BgpEnvelope {
     /// [`Writer`] per node, so a message that fits
     /// [`WireBytes`] inline is sent without allocating and a longer one
     /// with a single exact-size allocation.
+    // detlint: allow test-oracle encoder proptest_codec checks against BgpEnvelope::new
     pub fn with_cause_scratch(
         src: NodeId,
         dst: NodeId,

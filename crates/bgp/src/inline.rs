@@ -77,6 +77,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// True when the elements live on the heap.
+    // detlint: allow test-oracle read-only view the allocation tests check
     pub fn spilled(&self) -> bool {
         matches!(self.0, Repr::Heap(_))
     }

@@ -73,7 +73,7 @@ pub struct OpenMsg {
 impl OpenMsg {
     /// Standard OPEN for this framework: 4-octet-AS + MP-IPv4 + route
     /// refresh capabilities.
-    pub fn standard(asn: Asn, router_id: RouterId, hold_time_secs: u16) -> OpenMsg {
+    pub(crate) fn standard(asn: Asn, router_id: RouterId, hold_time_secs: u16) -> OpenMsg {
         OpenMsg {
             version: 4,
             asn,
@@ -141,6 +141,7 @@ impl UpdateMsg {
     /// as prefixes. Returns a pure withdrawal of every mentioned prefix, or
     /// `None` when the framing itself is broken (header, lengths, prefix
     /// encodings) — those errors still warrant a session reset.
+    // detlint: allow test-oracle step proptest_codec drives against its model
     pub fn salvage_withdraw(bytes: &[u8]) -> Option<UpdateMsg> {
         let mut r = Reader::new(bytes);
         let marker = r.take(16, "marker").ok()?;

@@ -198,19 +198,6 @@ impl Default for RouteMap {
 }
 
 impl RouteMap {
-    /// A permit-all map.
-    pub fn permit_all() -> RouteMap {
-        RouteMap::default()
-    }
-
-    /// A deny-all map.
-    pub fn deny_all() -> RouteMap {
-        RouteMap {
-            rules: vec![],
-            default_permit: false,
-        }
-    }
-
     /// Apply to a route. Returns the transformed attributes or `None` when
     /// denied. The input attributes are cloned only on permit.
     pub fn apply(
@@ -451,11 +438,12 @@ mod tests {
     #[test]
     fn deny_all_and_permit_all() {
         let a = attrs(&[1]);
-        assert!(RouteMap::permit_all()
-            .apply(pfx("1.0.0.0/8"), &a, Asn(9))
-            .is_some());
-        assert!(RouteMap::deny_all()
-            .apply(pfx("1.0.0.0/8"), &a, Asn(9))
-            .is_none());
+        let permit_all = RouteMap::default();
+        assert!(permit_all.apply(pfx("1.0.0.0/8"), &a, Asn(9)).is_some());
+        let deny_all = RouteMap {
+            rules: vec![],
+            default_permit: false,
+        };
+        assert!(deny_all.apply(pfx("1.0.0.0/8"), &a, Asn(9)).is_none());
     }
 }

@@ -28,7 +28,7 @@ use crate::rib::{
     self, AdjRibIn, AdjRibOut, LocRib, LocRibEntry, PeerIdx, RibInEntry, RouteSource,
 };
 use crate::session::{tok, SessionConfig, SessionOwner, Sessions, FIRST_OWNER_KIND, KIND_BITS};
-use crate::types::{Asn, Prefix, RouterId};
+use crate::types::{Prefix, RouterId};
 
 // Timer kinds beside the session driver's: K_MRAI and K_GRSTALE are named
 // per-peer timers; the one-shot K_PROCESS takes the front of `in_queue`,
@@ -220,11 +220,6 @@ impl<M: BgpApp> BgpRouter<M> {
     // Inspection API (used by experiments, the collector and tests)
     // ------------------------------------------------------------------
 
-    /// This router's ASN.
-    pub fn asn(&self) -> Asn {
-        self.cfg.asn
-    }
-
     /// The configuration the router runs.
     pub fn config(&self) -> &RouterConfig {
         &self.cfg
@@ -233,6 +228,7 @@ impl<M: BgpApp> BgpRouter<M> {
     /// Mutable configuration access for pre-start tuning (route maps,
     /// per-neighbor knobs). Changing wiring-level fields (peers, links) on
     /// a running router is not supported.
+    // detlint: allow test-oracle pre-start policy router_sim and static_analysis install
     pub fn config_mut(&mut self) -> &mut RouterConfig {
         &mut self.cfg
     }
@@ -262,6 +258,7 @@ impl<M: BgpApp> BgpRouter<M> {
     }
 
     /// Session state toward a logical peer.
+    // detlint: allow test-oracle read-only view the session tests check
     pub fn session_state(&self, peer: NodeId) -> Option<SessionState> {
         self.sessions
             .find(self.id, peer)

@@ -30,12 +30,16 @@ fn fast() -> TimingConfig {
 
 fn pair(seed: u64) -> (Sim, NodeId, NodeId) {
     let mut sim = Sim::new(seed);
-    let a_cfg = RouterConfig::new(asn_of(0))
-        .with_origin(prefix_of(0))
-        .with_timing(fast());
-    let b_cfg = RouterConfig::new(asn_of(1))
-        .with_origin(prefix_of(1))
-        .with_timing(fast());
+    let a_cfg = RouterConfig {
+        originate: vec![prefix_of(0)],
+        timing: fast(),
+        ..RouterConfig::new(asn_of(0))
+    };
+    let b_cfg = RouterConfig {
+        originate: vec![prefix_of(1)],
+        timing: fast(),
+        ..RouterConfig::new(asn_of(1))
+    };
     let a = sim.add_node("a", |id| Router::new(id, a_cfg));
     let b = sim.add_node("b", |id| Router::new(id, b_cfg));
     let l = sim.add_link(a, b, MS5.clone());
@@ -95,12 +99,16 @@ impl bgpsdn_netsim::Node<BgpOnlyMsg> for Corruptor {
 fn corrupt_wire_bytes_drop_and_recover_the_session() {
     // a — corruptor — b; the corruptor mangles the 3rd UPDATE in flight.
     let mut sim = Sim::new(1);
-    let a_cfg = RouterConfig::new(asn_of(0))
-        .with_origin(prefix_of(0))
-        .with_timing(fast());
-    let b_cfg = RouterConfig::new(asn_of(1))
-        .with_origin(prefix_of(1))
-        .with_timing(fast());
+    let a_cfg = RouterConfig {
+        originate: vec![prefix_of(0)],
+        timing: fast(),
+        ..RouterConfig::new(asn_of(0))
+    };
+    let b_cfg = RouterConfig {
+        originate: vec![prefix_of(1)],
+        timing: fast(),
+        ..RouterConfig::new(asn_of(1))
+    };
     let a = sim.add_node("a", |id| Router::new(id, a_cfg));
     let b = sim.add_node("b", |id| Router::new(id, b_cfg));
     let m = sim.add_node("corruptor", |_| Corruptor {
@@ -216,10 +224,15 @@ fn lossy_link_converges_eventually_with_retries() {
     // 30% loss on the only link: session setup and updates retry via the
     // connect/backoff machinery until everything lands.
     let mut sim = Sim::new(5);
-    let a_cfg = RouterConfig::new(asn_of(0))
-        .with_origin(prefix_of(0))
-        .with_timing(fast());
-    let b_cfg = RouterConfig::new(asn_of(1)).with_timing(fast());
+    let a_cfg = RouterConfig {
+        originate: vec![prefix_of(0)],
+        timing: fast(),
+        ..RouterConfig::new(asn_of(0))
+    };
+    let b_cfg = RouterConfig {
+        timing: fast(),
+        ..RouterConfig::new(asn_of(1))
+    };
     let a = sim.add_node("a", |id| Router::new(id, a_cfg));
     let b = sim.add_node("b", |id| Router::new(id, b_cfg));
     let l = sim.add_link(a, b, MS5.clone());

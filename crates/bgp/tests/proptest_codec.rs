@@ -222,7 +222,17 @@ fn arb_message() -> impl Strategy<Value = BgpMessage> {
             prop::option::of(0u16..=0x0FFF)
         )
             .prop_map(|(asn, rid, hold, gr)| {
-                let mut open = OpenMsg::standard(Asn(asn), RouterId(rid), hold);
+                let mut open = OpenMsg {
+                    version: 4,
+                    asn: Asn(asn),
+                    hold_time_secs: hold,
+                    router_id: RouterId(rid),
+                    capabilities: vec![
+                        Capability::MultiProtocol { afi: 1, safi: 1 },
+                        Capability::RouteRefresh,
+                        Capability::FourOctetAs(Asn(asn)),
+                    ],
+                };
                 if let Some(restart_time_secs) = gr {
                     open.capabilities
                         .push(Capability::GracefulRestart { restart_time_secs });

@@ -123,8 +123,8 @@ proptest! {
         prop_assert_eq!(best.source, expect);
     }
 
-    /// permit_all is the identity, deny_all annihilates, and a prefix-scoped
-    /// deny only affects matching prefixes.
+    /// An empty permit map is the identity, an empty deny map annihilates,
+    /// and a prefix-scoped deny only affects matching prefixes.
     #[test]
     fn route_map_dispositions(third_octet in 0u8..255, len in 9u8..32) {
         let p = bgpsdn_bgp::Prefix::new_masked(
@@ -133,8 +133,9 @@ proptest! {
         let attrs = attrs_of(&CandSpec {
             local_pref: None, path_len: 2, origin: Origin::Igp, med: None, router_id: 1,
         }, 7);
-        prop_assert_eq!(RouteMap::permit_all().apply(p, &attrs, Asn(1)), Some(attrs.clone()));
-        prop_assert_eq!(RouteMap::deny_all().apply(p, &attrs, Asn(1)), None);
+        prop_assert_eq!(RouteMap::default().apply(p, &attrs, Asn(1)), Some(attrs.clone()));
+        let deny_all = RouteMap { rules: vec![], default_permit: false };
+        prop_assert_eq!(deny_all.apply(p, &attrs, Asn(1)), None);
 
         let scoped = RouteMap {
             rules: vec![Rule {

@@ -35,11 +35,13 @@ fn build(
     let mut sim = Sim::new(seed);
     let mut nodes = Vec::new();
     for i in 0..n {
-        let mut cfg = RouterConfig::new(asn_of(i))
-            .with_mode(mode)
-            .with_timing(timing.clone());
+        let mut cfg = RouterConfig {
+            mode,
+            timing: timing.clone(),
+            ..RouterConfig::new(asn_of(i))
+        };
         if originate.contains(&i) {
-            cfg = cfg.with_origin(prefix_of(i));
+            cfg.originate.push(prefix_of(i));
         }
         let id = sim.add_node(format!("r{i}"), |id| Router::new(id, cfg));
         nodes.push(id);
@@ -294,9 +296,12 @@ fn as_path_loop_rejected() {
     let mut sim = Sim::new(8);
     let shared = Asn(64999);
     let mk = |asn: Asn, origin: Option<Prefix>| {
-        let mut cfg = RouterConfig::new(asn).with_timing(fast_timing());
+        let mut cfg = RouterConfig {
+            timing: fast_timing(),
+            ..RouterConfig::new(asn)
+        };
         if let Some(p) = origin {
-            cfg = cfg.with_origin(p);
+            cfg.originate.push(p);
         }
         cfg
     };
@@ -590,10 +595,15 @@ fn route_flap_damping_suppresses_and_reuses() {
     use bgpsdn_bgp::DampingConfig;
     // A (origin, flapping) --- B (damping enabled).
     let mut sim = Sim::new(55);
-    let a_cfg = RouterConfig::new(asn_of(0))
-        .with_origin(prefix_of(0))
-        .with_timing(fast_timing());
-    let mut b_cfg = RouterConfig::new(asn_of(1)).with_timing(fast_timing());
+    let a_cfg = RouterConfig {
+        originate: vec![prefix_of(0)],
+        timing: fast_timing(),
+        ..RouterConfig::new(asn_of(0))
+    };
+    let mut b_cfg = RouterConfig {
+        timing: fast_timing(),
+        ..RouterConfig::new(asn_of(1))
+    };
     b_cfg.damping = Some(DampingConfig {
         half_life: SimDuration::from_secs(20),
         ..Default::default()
@@ -691,8 +701,14 @@ fn route_refresh_resends_full_table() {
 #[test]
 fn max_prefix_limit_tears_down_noisy_peer() {
     let mut sim = Sim::new(61);
-    let noisy_cfg = RouterConfig::new(asn_of(0)).with_timing(fast_timing());
-    let guarded_cfg = RouterConfig::new(asn_of(1)).with_timing(fast_timing());
+    let noisy_cfg = RouterConfig {
+        timing: fast_timing(),
+        ..RouterConfig::new(asn_of(0))
+    };
+    let guarded_cfg = RouterConfig {
+        timing: fast_timing(),
+        ..RouterConfig::new(asn_of(1))
+    };
     let noisy = sim.add_node("noisy", |id| Router::new(id, noisy_cfg));
     let guarded = sim.add_node("guarded", |id| Router::new(id, guarded_cfg));
     let l = sim.add_link(noisy, guarded, MS5.clone());
@@ -835,7 +851,7 @@ fn fan_out_hands_one_export_view_to_every_peer() {
         None,
     );
     sim.with_node::<Router, _>(nodes[0], |r| {
-        r.config_mut().neighbors[3].export_map = Some(RouteMap::permit_all());
+        r.config_mut().neighbors[3].export_map = Some(RouteMap::default());
     });
     assert!(sim.run_until_quiescent(SimTime::from_secs(60)).quiescent);
 
@@ -1025,8 +1041,10 @@ fn monitor_session_is_not_mrai_throttled() {
         None,
     );
     let collector_asn = Asn(65535);
-    let cfg = RouterConfig::new(collector_asn)
-        .with_timing(TimingConfig::with_mrai(SimDuration::from_secs(30)));
+    let cfg = RouterConfig {
+        timing: TimingConfig::with_mrai(SimDuration::from_secs(30)),
+        ..RouterConfig::new(collector_asn)
+    };
     let collector = sim.add_node("collector", |id| Router::new(id, cfg));
     let link = sim.add_link(nodes[0], collector, MS5.clone());
     sim.with_node::<Router, _>(nodes[0], |r| {

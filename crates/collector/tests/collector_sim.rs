@@ -29,9 +29,11 @@ fn monitored() -> (Sim, NodeId, NodeId, LinkId) {
         mrai: SimDuration::ZERO,
         ..Default::default()
     };
-    let cfg = RouterConfig::new(ROUTER_ASN)
-        .with_origin(pfx("10.1.0.0/16"))
-        .with_timing(timing);
+    let cfg = RouterConfig {
+        originate: vec![pfx("10.1.0.0/16")],
+        timing,
+        ..RouterConfig::new(ROUTER_ASN)
+    };
     let r = sim.add_node("r", |id| Router::new(id, cfg));
     let c = sim.add_node("collector", |id| {
         Collector::new(id, COLLECTOR_ASN, RouterId(99))

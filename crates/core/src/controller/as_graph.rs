@@ -95,7 +95,11 @@ pub struct ComputeScratch {
 /// `owner` is the member originating the prefix (if cluster-owned); `ext`
 /// are the accepted external routes. Deterministic: ties break toward the
 /// lower session index, then the lower member index.
-pub fn compute(sg: &SwitchGraph, owner: Option<usize>, ext: &[ExternalRoute]) -> PrefixComputation {
+pub(crate) fn compute(
+    sg: &SwitchGraph,
+    owner: Option<usize>,
+    ext: &[ExternalRoute],
+) -> PrefixComputation {
     let mut out = PrefixComputation::default();
     compute_into(sg, owner, ext, &mut ComputeScratch::default(), &mut out);
     out
@@ -224,6 +228,7 @@ pub fn compute_into<R: Borrow<ExternalRoute>>(
 /// The AS sequence member `x` would advertise for this prefix: its own ASN,
 /// the member ASNs along the internal path, then (for an egress) the
 /// external AS path. `None` when `x` cannot reach the prefix.
+// detlint: allow test-oracle the from-scratch reference of proptest_controller
 pub fn announced_path(
     x: usize,
     comp: &PrefixComputation,
@@ -268,6 +273,7 @@ fn announced_path_into<R: Borrow<ExternalRoute>>(
 
 /// The session the best route of member `x` ultimately egresses through,
 /// if its path leaves the cluster.
+// detlint: allow test-oracle the from-scratch reference of proptest_controller
 pub fn egress_session_of(x: usize, comp: &PrefixComputation) -> Option<usize> {
     let mut cur = x;
     for _ in 0..=comp.decisions.len() {
@@ -318,6 +324,7 @@ impl AnnounceMemo {
     /// no route, its best route egresses through `s` itself (split horizon),
     /// or the peer is already on the path (it would loop-reject the route
     /// anyway; skipping saves churn).
+    // detlint: allow test-oracle the from-scratch reference of proptest_controller
     pub fn path_toward<R: Borrow<ExternalRoute>>(
         &mut self,
         x: usize,

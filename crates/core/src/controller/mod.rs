@@ -253,6 +253,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
 
     /// The controller's current decision for a prefix (computed on demand
     /// from live state; what the last recompute compiled).
+    // detlint: allow test-oracle read-only view hybrid_sim and proptest_controller check
     pub fn computation_for(&self, prefix: Prefix) -> PrefixComputation {
         let owner = self.owned.get(&prefix).copied();
         let (comp, comp_asns) = self.component_asns();
@@ -269,33 +270,39 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     }
 
     /// The flow action the controller believes is installed at a member.
+    // detlint: allow test-oracle read-only view hybrid_sim and proptest_controller check
     pub fn installed_action(&self, member: usize, prefix: Prefix) -> Option<FlowAction> {
         self.installed[member].get(&prefix).copied()
     }
 
     /// The full compiled flow table the controller believes is installed at
     /// a member (the incremental recompute's per-prefix cache).
+    // detlint: allow test-oracle read-only view the controller oracles check
     pub fn installed_table(&self, member: usize) -> &BTreeMap<Prefix, FlowAction> {
         &self.installed[member]
     }
 
     /// The full announcement state for a speaker session (prefix → AS path
     /// last instructed to the speaker).
+    // detlint: allow test-oracle read-only view the controller oracles check
     pub fn adj_out_table(&self, session: usize) -> &BTreeMap<Prefix, SharedPath> {
         &self.adj_out[session]
     }
 
     /// Whether a speaker session is currently up from the controller's view.
+    // detlint: allow test-oracle read-only view the controller oracles check
     pub fn session_is_up(&self, session: usize) -> bool {
         self.session_up[session]
     }
 
     /// Number of cluster members (bound for [`Self::installed_table`]).
+    // detlint: allow test-oracle read-only view the controller oracles check
     pub fn member_count(&self) -> usize {
         self.cfg.members.len()
     }
 
     /// Number of speaker sessions (bound for [`Self::adj_out_table`]).
+    // detlint: allow test-oracle read-only view the controller oracles check
     pub fn session_count(&self) -> usize {
         self.cfg.sessions.len()
     }
@@ -307,6 +314,7 @@ impl<M: SdnApp + BgpApp> IdrController<M> {
     }
 
     /// Whether a resync is still waiting on switch table replies.
+    // detlint: allow test-oracle read-only view the controller oracles check
     pub fn resync_pending(&self) -> bool {
         self.table_syncs_pending > 0
     }

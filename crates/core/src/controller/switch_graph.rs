@@ -70,6 +70,7 @@ impl SwitchGraph {
 
     /// Update a link's state from a PortStatus. Returns true when this
     /// link is an intra-cluster link and its state actually changed.
+    // detlint: allow test-oracle step proptest_switch_graph drives against its edge list
     pub fn set_link_state(&mut self, link: LinkId, up: bool) -> bool {
         for l in &mut self.links {
             if l.link == link {
@@ -83,13 +84,8 @@ impl SwitchGraph {
         false
     }
 
-    /// Up neighbors of a member: `(other member, link)`.
-    pub fn neighbors_up(&self, m: usize) -> Vec<(usize, LinkId)> {
-        self.neighbors_up_iter(m).collect()
-    }
-
-    /// Non-allocating variant of [`neighbors_up`](Self::neighbors_up) —
-    /// iterates in link insertion order, so traversals stay deterministic.
+    /// Up neighbors of a member: `(other member, link)`, in link insertion
+    /// order, so traversals stay deterministic.
     pub(crate) fn neighbors_up_iter(&self, m: usize) -> impl Iterator<Item = (usize, LinkId)> + '_ {
         self.adj[m].iter().filter_map(|&(nbr, i)| {
             let l = &self.links[i];
@@ -98,6 +94,7 @@ impl SwitchGraph {
     }
 
     /// The link between two members, if up.
+    // detlint: allow test-oracle read-only view proptest_switch_graph checks against its edge list
     pub fn link_between(&self, a: usize, b: usize) -> Option<LinkId> {
         self.neighbors_up_iter(a)
             .find(|&(nbr, _)| nbr == b)
@@ -129,17 +126,8 @@ impl SwitchGraph {
     }
 
     /// BFS hop distances from `src` over up links, with the predecessor
-    /// member toward `src`.
-    pub fn bfs(&self, src: usize) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
-        let mut dist = Vec::new();
-        let mut prev = Vec::new();
-        let mut q = VecDeque::new();
-        self.bfs_into(src, &mut dist, &mut prev, &mut q);
-        (dist, prev)
-    }
-
-    /// BFS into caller-provided buffers, so a hot loop running one search
-    /// per prefix reuses its allocations instead of growing fresh vectors.
+    /// member toward `src`, into caller-provided buffers, so a hot loop
+    /// running one search per prefix reuses its allocations.
     pub(crate) fn bfs_into(
         &self,
         src: usize,
@@ -176,6 +164,12 @@ mod tests {
         LinkId(i)
     }
 
+    fn bfs(g: &SwitchGraph, src: usize) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
+        let (mut dist, mut prev) = (Vec::new(), Vec::new());
+        g.bfs_into(src, &mut dist, &mut prev, &mut VecDeque::new());
+        (dist, prev)
+    }
+
     fn triangle() -> SwitchGraph {
         SwitchGraph::new(3, vec![(0, 1, lid(0)), (1, 2, lid(1)), (0, 2, lid(2))])
     }
@@ -199,14 +193,14 @@ mod tests {
     #[test]
     fn paths_and_neighbors() {
         let mut g = triangle();
-        assert_eq!(g.bfs(0).0[2], Some(1));
+        assert_eq!(bfs(&g, 0).0[2], Some(1));
         g.set_link_state(lid(2), false);
         // The shortest path to 2 now runs 0-1-2.
-        let (dist, prev) = g.bfs(0);
+        let (dist, prev) = bfs(&g, 0);
         assert_eq!((dist[2], prev[2], prev[1]), (Some(2), Some(1), Some(0)));
         g.set_link_state(lid(0), false);
-        assert_eq!(g.bfs(0).0[2], None, "0 is isolated");
-        assert!(g.neighbors_up(0).is_empty());
+        assert_eq!(bfs(&g, 0).0[2], None, "0 is isolated");
+        assert!(g.neighbors_up_iter(0).next().is_none());
         assert_eq!(g.link_between(1, 2), Some(lid(1)));
         assert_eq!(g.link_between(0, 1), None);
     }
@@ -214,7 +208,7 @@ mod tests {
     #[test]
     fn bfs_distances() {
         let g = SwitchGraph::new(4, vec![(0, 1, lid(0)), (1, 2, lid(1)), (2, 3, lid(2))]);
-        let (dist, _) = g.bfs(0);
+        let (dist, _) = bfs(&g, 0);
         assert_eq!(dist, vec![Some(0), Some(1), Some(2), Some(3)]);
     }
 

@@ -100,7 +100,7 @@ impl CampaignGrid {
     }
 
     /// Number of jobs the grid expands into.
-    pub fn job_count(&self) -> usize {
+    pub(crate) fn job_count(&self) -> usize {
         self.cell_count() * self.seeds as usize
     }
 

@@ -156,6 +156,7 @@ impl DeploymentStrategy {
     /// Fails fast on an infeasible deployment: zero clusters with a
     /// non-zero budget, a budget smaller than the cluster count or larger
     /// than the topology, out-of-range or duplicated explicit members.
+    // detlint: allow test-oracle the placement cli_check and campaign_sim check a run against
     pub fn assign(&self, graph: &AsGraph, seed: u64) -> Result<Vec<Vec<usize>>, String> {
         let n = graph.len();
         let resolved = match self {

@@ -360,11 +360,6 @@ impl Experiment {
         self.apply(&ScriptAction::RestoreEdge(a, b));
     }
 
-    /// Whether the router device of AS `i` is currently up.
-    pub fn router_is_up(&self, i: usize) -> bool {
-        self.net.sim.node_is_up(self.net.ases[i].node)
-    }
-
     // ------------------------------------------------------------------
     // Static verification
     // ------------------------------------------------------------------

@@ -108,6 +108,7 @@ pub struct HybridNetwork {
 
 impl HybridNetwork {
     /// The link between two AS indices, if adjacent in the plan.
+    // detlint: allow test-oracle read-only view the verifier and chaos tests address links by
     pub fn link_between(&self, a: usize, b: usize) -> Option<LinkId> {
         self.plan
             .as_graph
@@ -224,6 +225,7 @@ impl NetworkBuilder {
     /// Choose cluster membership through a [`DeploymentStrategy`], resolved
     /// against the plan's AS graph (and the experiment seed, for the random
     /// strategy) when the network is built.
+    // detlint: allow test-oracle builder proptest_deployment compares with with_sdn_members
     pub fn with_deployment(mut self, strategy: DeploymentStrategy) -> Self {
         self.deployment = Some(strategy);
         self
@@ -238,6 +240,7 @@ impl NetworkBuilder {
 
     /// Per-edge fixed latencies (e.g. from an iPlane-derived topology),
     /// aligned with the plan's edge order. Overrides the latency model.
+    // detlint: allow test-oracle PAPER.md §1.1 dataset loader; no dataset in tree
     pub fn with_edge_latencies(mut self, latencies: Vec<SimDuration>) -> Self {
         assert_eq!(latencies.len(), self.plan.as_graph.edges.len());
         self.edge_latencies = Some(latencies);

@@ -31,6 +31,7 @@ impl Script {
     /// [`RunFor`](ScriptAction::RunFor) of the gap since the previous one —
     /// none for a zero gap. Replayed from time `t`, every action fires at
     /// `t + offset`.
+    // detlint: allow test-oracle step proptest_script drives against its replay oracle
     pub fn from_offsets(mut events: Vec<(SimDuration, ScriptAction)>) -> Script {
         events.sort_by_key(|&(at, _)| at);
         let mut steps = Vec::with_capacity(events.len() * 2);

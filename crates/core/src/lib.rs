@@ -23,8 +23,8 @@ pub mod controller;
 pub mod framework;
 
 pub use controller::as_graph::{
-    accept_route, announced_path, compute, compute_into, AnnounceMemo, ComputeScratch,
-    ExternalRoute, MemberDecision, PrefixComputation,
+    accept_route, announced_path, compute_into, AnnounceMemo, ComputeScratch, ExternalRoute,
+    MemberDecision, PrefixComputation,
 };
 pub use controller::switch_graph::{IntraLink, SwitchGraph};
 pub use controller::{

@@ -8,7 +8,7 @@ use bgpsdn_core::{
     FaultClasses, FaultSpec, JobScratch, Placement,
 };
 use bgpsdn_netsim::SimDuration;
-use bgpsdn_obs::aggregate_cells;
+use bgpsdn_obs::Artifact;
 use bgpsdn_topology::{gen, AsGraph};
 
 fn grid() -> CampaignGrid {
@@ -34,7 +34,7 @@ fn grid() -> CampaignGrid {
 fn parallel_sweep_matches_serial_execution() {
     let grid = grid();
     assert_eq!(grid.cell_count(), 4, "2 sizes x 2 latencies");
-    assert_eq!(grid.job_count(), 8);
+    assert_eq!(grid.expand().len(), 8);
 
     // Serial reference: run each job directly, in expansion order.
     let serial: Vec<_> = grid
@@ -103,7 +103,8 @@ fn aggregated_medians_match_manual_computation() {
         |_| {},
     );
     let records = report.records();
-    let cells = aggregate_cells(&records);
+    let artifact = Artifact::parse(&report.render_artifact(&grid)).expect("campaign artifact");
+    let cells = artifact.cells;
     assert_eq!(cells.len(), 4);
 
     for cell in &cells {

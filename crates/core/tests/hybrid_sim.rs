@@ -9,8 +9,7 @@ use bgpsdn_core::{
 };
 use bgpsdn_netsim::{Counter, LatencyModel, SimDuration, TraceCategory, TraceEvent};
 use bgpsdn_sdn::FlowAction;
-use bgpsdn_topology::ipalloc::as_prefix;
-use bgpsdn_topology::{gen, plan, AsEdge, AsGraph, EdgeKind, TopologyPlan};
+use bgpsdn_topology::{gen, plan, AddressPlan, AsEdge, AsGraph, EdgeKind, TopologyPlan};
 
 fn clique_plan(n: usize, mrai_secs: u64) -> TopologyPlan {
     plan(
@@ -123,7 +122,7 @@ fn announcement_event_reaches_everyone() {
 /// audit.
 #[test]
 fn an_announcement_withdrawn_again_fails_its_audit() {
-    let (lo, _) = as_prefix(0).unwrap().split();
+    let (lo, _) = AddressPlan::build(1, 0).expect("plan").as_prefixes[0].split();
     for &k in &[0usize, 3] {
         let s = JobSpec {
             timing: TimingConfig::with_mrai(SimDuration::from_secs(5)),

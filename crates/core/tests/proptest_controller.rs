@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use bgpsdn_bgp::{Asn, PolicyMode, Prefix, SharedPath, TimingConfig};
 use bgpsdn_core::controller::as_graph::egress_session_of;
 use bgpsdn_core::{
-    announced_path, compute, AnnounceMemo, Controller, Experiment, ExternalRoute, NetworkBuilder,
-    ScriptAction, SwitchGraph,
+    announced_path, compute_into, AnnounceMemo, ComputeScratch, Controller, Experiment,
+    ExternalRoute, NetworkBuilder, PrefixComputation, ScriptAction, SwitchGraph,
 };
 use bgpsdn_netsim::{LinkId, SimDuration};
 use bgpsdn_topology::{gen, plan, AsGraph};
@@ -295,7 +295,10 @@ fn sessions_of_one_member_share_the_announced_path() {
     for (i, a) in paths.iter().enumerate() {
         for b in &paths[i + 1..] {
             if a == b {
-                assert!(a.same_interned(b), "equal paths {a} allocated twice");
+                assert!(
+                    std::ptr::eq(a.as_slice(), b.as_slice()),
+                    "equal paths {a} allocated twice"
+                );
                 shared_pairs += 1;
             }
         }
@@ -359,7 +362,8 @@ proptest! {
                 Some(ExternalRoute { session: s, member: r.0 % n, as_path, med: None })
             })
             .collect();
-        let comp = compute(&sg, owner.map(|o| o % n), &ext);
+        let mut comp = PrefixComputation::default();
+        compute_into(&sg, owner.map(|o| o % n), &ext, &mut ComputeScratch::default(), &mut comp);
 
         // The memo is fed borrowed routes, as the controller feeds it.
         let borrowed: Vec<&ExternalRoute> = ext.iter().collect();
@@ -392,7 +396,7 @@ proptest! {
         }
         for (x, hs) in handles.iter().enumerate() {
             for h in hs {
-                prop_assert!(h.same_interned(&hs[0]), "member {} allocated twice", x);
+                prop_assert!(std::ptr::eq(h.as_slice(), hs[0].as_slice()), "member {} allocated twice", x);
             }
         }
     }

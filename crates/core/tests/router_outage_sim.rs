@@ -67,7 +67,7 @@ fn crash_expires_holds_and_restart_readvertises() {
 
     faulty.apply(&ScriptAction::CrashRouter(1));
     faulty.net.sim.run_for(SimDuration::from_secs(6));
-    assert!(!faulty.router_is_up(1));
+    assert!(!faulty.net.sim.node_is_up(faulty.net.ases[1].node));
     // Hold timers expired at the peers: the direct route via the crashed
     // router is withdrawn, not silently retained. (The SDN cluster may
     // still offer transit — its speaker sessions negotiate hold 0 — so
@@ -86,7 +86,7 @@ fn crash_expires_holds_and_restart_readvertises() {
 
     faulty.apply(&ScriptAction::RestoreRouter(1));
     quiesce(&mut faulty);
-    assert!(faulty.router_is_up(1));
+    assert!(faulty.net.sim.node_is_up(faulty.net.ases[1].node));
     for i in [0usize, 2] {
         assert!(
             router(&faulty, i).loc_rib().get(p1).is_some(),

@@ -9,8 +9,8 @@ use bgpsdn_core::{
     DeploymentStrategy, Experiment, JobSpec, NetworkBuilder, Placement, ScriptAction, Switch,
     Topology,
 };
-use bgpsdn_netsim::{Counter, SimDuration};
-use bgpsdn_sdn::FlowAction;
+use bgpsdn_netsim::{Counter, NodeId, SimDuration};
+use bgpsdn_sdn::{ClusterMsg, FlowAction, FlowModOp, FlowRule, OfEnvelope, OfMessage, SdnApp};
 use bgpsdn_topology::caida::SynthesisParams;
 use bgpsdn_topology::{gen, plan, AsGraph, TopologyPlan};
 
@@ -23,6 +23,26 @@ fn errors<'a>(report: &'a AnalysisReport, code: &str) -> Vec<&'a Finding> {
         .iter()
         .filter(|f| f.severity == Severity::Error && f.code == code)
         .collect()
+}
+
+/// Change a member's flow table out from under the controller's intent, as
+/// a stray FlowMod on its control channel would.
+fn flow_mod(exp: &mut Experiment, node: NodeId, op: FlowModOp, rule: FlowRule) {
+    let env = OfEnvelope::new(&OfMessage::FlowMod { op, rule });
+    exp.net.sim.inject(node, ClusterMsg::from_of(env));
+    exp.net.sim.run_for(SimDuration::from_millis(1));
+}
+
+/// A member's installed rule for `prefix`.
+fn rule_for(exp: &Experiment, node: NodeId, prefix: Prefix) -> FlowRule {
+    exp.net
+        .sim
+        .node_ref::<Switch>(node)
+        .table()
+        .iter()
+        .find(|r| r.prefix == prefix)
+        .cloned()
+        .expect("converged member has a rule for every prefix")
 }
 
 fn clique_plan(n: usize) -> TopologyPlan {
@@ -158,19 +178,13 @@ fn live_flow_loop_is_caught_with_witness() {
     // Point both members' rules for AS0's prefix at each other: a
     // two-switch forwarding loop the control plane never intended.
     for node in [m4, m5] {
-        exp.net.sim.with_node::<Switch, _>(node, |sw| {
-            let old = sw
-                .table()
-                .iter()
-                .find(|r| r.prefix == p0)
-                .cloned()
-                .expect("converged member has a rule for every prefix");
-            sw.table_mut().remove(old.priority, p0);
-            sw.table_mut().install(bgpsdn_sdn::FlowRule {
-                action: FlowAction::Output(link.0),
-                ..old
-            });
-        });
+        let old = rule_for(&exp, node, p0);
+        flow_mod(&mut exp, node, FlowModOp::Delete, old.clone());
+        let looping = FlowRule {
+            action: FlowAction::Output(link.0),
+            ..old
+        };
+        flow_mod(&mut exp, node, FlowModOp::Add, looping);
     }
     exp.net.sim.trace_mut().enable_all();
     let report = exp.verify_now().report;
@@ -205,15 +219,8 @@ fn removed_rule_is_caught_as_intent_drift() {
     let mut exp = converged_clique(8, 4..8, 25);
     let p0 = exp.net.ases[0].prefix;
     let m4 = exp.net.ases[4].node;
-    exp.net.sim.with_node::<Switch, _>(m4, |sw| {
-        let old = sw
-            .table()
-            .iter()
-            .find(|r| r.prefix == p0)
-            .cloned()
-            .expect("rule for p0");
-        sw.table_mut().remove(old.priority, p0);
-    });
+    let old = rule_for(&exp, m4, p0);
+    flow_mod(&mut exp, m4, FlowModOp::Delete, old);
     let report = exp.verify_now().report;
     assert!(
         !errors(&report, "intent_drift").is_empty(),

@@ -72,6 +72,7 @@ impl SimRng {
     }
 
     /// Uniform integer in `[lo, hi)`. Panics when `lo >= hi`.
+    // detlint: allow test-oracle step proptest_sim drives
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range {lo}..{hi}");
         lo + self.below(hi - lo)
@@ -114,14 +115,6 @@ impl SimRng {
             return SimDuration::from_nanos(lo);
         }
         SimDuration::from_nanos(self.range_u64(lo, hi))
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below_usize(i + 1);
-            xs.swap(i, j);
-        }
     }
 
     /// Pick a uniformly random element, or `None` for an empty slice.
@@ -220,16 +213,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(fa.next_u64(), fb.next_u64());
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::seed_from_u64(11);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

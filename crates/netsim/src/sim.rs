@@ -434,6 +434,7 @@ impl<M: Message> Simulator<M> {
     }
 
     /// Schedule a node crash/restore at an absolute time.
+    // detlint: allow test-oracle step proptest_timers drives against its reference
     pub fn schedule_node_admin(&mut self, at: SimTime, node: NodeId, up: bool) {
         assert!(at >= self.now, "cannot schedule in the past");
         self.queue.push(at, EventBody::NodeAdmin { node, up });
@@ -451,6 +452,7 @@ impl<M: Message> Simulator<M> {
     }
 
     /// Deliver `msg` to `to` at an absolute time, as driver input.
+    // detlint: allow test-oracle step proptest_timers drives against its reference
     pub fn inject_at(&mut self, at: SimTime, to: NodeId, msg: M) {
         assert!(at >= self.now, "cannot inject in the past");
         self.queue.push(
@@ -490,6 +492,7 @@ impl<M: Message> Simulator<M> {
     }
 
     /// All links.
+    // detlint: allow test-oracle read-only view the session tests find link ids by
     pub fn links(&self) -> &[Link] {
         &self.links
     }

@@ -98,6 +98,7 @@ impl ActivityBoard {
     }
 
     /// Timestamp of the latest occurrence of `kind`.
+    // detlint: allow test-oracle read-only view causal_forensics checks
     pub fn last(&self, kind: Activity) -> Option<SimTime> {
         self.last[kind as usize]
     }

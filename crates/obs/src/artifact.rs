@@ -235,7 +235,7 @@ pub struct Artifact {
     pub metrics: Vec<PhaseMetrics>,
     /// All job records, in job order.
     pub jobs: Vec<JobRecord>,
-    /// Per-cell statistics, always [`aggregate_cells`] of `jobs` — what the
+    /// Per-cell statistics, always `aggregate_cells` of `jobs` — what the
     /// writer wrote as `cell` lines, which are checked but not decoded.
     pub cells: Vec<CellStats>,
     /// The first line of the other kind, as the error it is.

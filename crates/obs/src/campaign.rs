@@ -230,7 +230,7 @@ impl CellStats {
 /// Group job records by cell and compute each cell's statistics. Cells come
 /// back sorted by cell index; jobs that carry an `error` count as `failed`
 /// and contribute nothing to the order statistics.
-pub fn aggregate_cells(jobs: &[JobRecord]) -> Vec<CellStats> {
+pub(crate) fn aggregate_cells(jobs: &[JobRecord]) -> Vec<CellStats> {
     let mut by_cell: BTreeMap<u64, Vec<&JobRecord>> = BTreeMap::new();
     for j in jobs {
         by_cell.entry(j.cell).or_default().push(j);

@@ -81,6 +81,7 @@ impl TraceCategory {
     }
 
     /// Inverse of [`TraceCategory::name`].
+    // detlint: allow test-oracle inverse of name() that proptest_event round-trips
     pub fn from_name(name: &str) -> Option<TraceCategory> {
         TraceCategory::all().into_iter().find(|c| c.name() == name)
     }
@@ -290,6 +291,7 @@ impl CausalPhase {
     }
 
     /// Inverse of [`CausalPhase::name`].
+    // detlint: allow test-oracle inverse of name() that proptest_event round-trips
     pub fn from_name(name: &str) -> Option<CausalPhase> {
         CausalPhase::ALL.into_iter().find(|p| p.name() == name)
     }

@@ -49,7 +49,7 @@ pub use artifact::{
     CampaignArtifact, EventRecord, PhaseConvergence, PhaseMetrics, PhaseSummary, RunAnalysis,
     RunArtifact, EVENT_LINE_BYTES,
 };
-pub use campaign::{aggregate_cells, canonicalize_jsonl, CellStats, JobRecord};
+pub use campaign::{canonicalize_jsonl, CellStats, JobRecord};
 pub use causal::{
     CausalAnalysis, CausalNode, Cause, CriticalPath, HuntChain, PathStep, PhaseBreakdown,
     TriggerForensics,

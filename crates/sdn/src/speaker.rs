@@ -176,6 +176,7 @@ impl<M: SdnApp + BgpApp> ClusterSpeaker<M> {
     }
 
     /// Current resync epoch.
+    // detlint: allow test-oracle read-only view proptest_outage checks
     pub fn epoch(&self) -> u64 {
         self.chan.epoch()
     }

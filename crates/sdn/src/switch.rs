@@ -72,13 +72,6 @@ impl<M: SdnApp + BgpApp> SdnSwitch<M> {
         &self.table
     }
 
-    /// Mutable flow table access, for fault injection: corrupting an entry
-    /// out from under the controller's intent is how verifier tests prove
-    /// the static checks catch real data-plane drift.
-    pub fn table_mut(&mut self) -> &mut FlowTable {
-        &mut self.table
-    }
-
     /// The counters the benchmark harness reads.
     pub fn stats(&self) -> SwitchStats {
         SwitchStats {

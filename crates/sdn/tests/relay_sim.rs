@@ -95,12 +95,14 @@ fn build(seed: u64) -> Setup {
     let ext_asn = Asn(100);
     let member_asn = Asn(200);
 
-    let ext_cfg = RouterConfig::new(ext_asn)
-        .with_origin(pfx("10.100.0.0/16"))
-        .with_timing(TimingConfig {
+    let ext_cfg = RouterConfig {
+        originate: vec![pfx("10.100.0.0/16")],
+        timing: TimingConfig {
             mrai: SimDuration::ZERO,
             ..Default::default()
-        });
+        },
+        ..RouterConfig::new(ext_asn)
+    };
     let ext = sim.add_node("ext", |id| Router::new(id, ext_cfg));
     let sw = sim.add_node("member-switch", |_| Switch::new(0xA));
     let speaker = sim.add_node("speaker", |_| Speaker::default());

@@ -10,10 +10,11 @@
 //! ```
 //!
 //! [`parse`] reads that exact format, so a user with a copy of the dataset
-//! can load it directly. Because the dataset itself cannot be redistributed,
-//! [`synthesize`] generates a statistically similar topology — a tiered,
-//! provider-hierarchy-acyclic AS graph with heavy-tailed degrees — which
-//! exercises the same code paths (documented substitution, see DESIGN.md).
+//! can load it directly. Because the dataset itself cannot be redistributed
+//! and none is in the tree, [`synthesize`] generates a statistically
+//! similar topology — a tiered, provider-hierarchy-acyclic AS graph with
+//! heavy-tailed degrees — which exercises the same code paths (documented
+//! substitution, see DESIGN.md).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -65,6 +66,7 @@ impl std::error::Error for CaidaError {}
 
 /// Parse CAIDA `as-rel.txt` content into an [`AsGraph`]. Vertex indices are
 /// assigned in order of first appearance, so parsing is deterministic.
+// detlint: allow test-oracle PAPER.md §1.1 dataset loader; no dataset in tree
 pub fn parse(content: &str) -> Result<AsGraph, CaidaError> {
     let mut index: HashMap<u32, usize> = HashMap::new();
     let mut asns: Vec<Asn> = Vec::new();
@@ -117,19 +119,6 @@ pub fn parse(content: &str) -> Result<AsGraph, CaidaError> {
         edges.push(AsEdge { a: ia, b: ib, kind });
     }
     Ok(AsGraph { asns, edges })
-}
-
-/// Serialize an [`AsGraph`] in CAIDA `as-rel.txt` format.
-pub fn write(ag: &AsGraph) -> String {
-    let mut out = String::from("# generated by bgpsdn-topology (CAIDA as-rel format)\n");
-    for e in &ag.edges {
-        let (a, b) = (ag.asns[e.a].0, ag.asns[e.b].0);
-        match e.kind {
-            EdgeKind::ProviderCustomer => out.push_str(&format!("{a}|{b}|-1\n")),
-            EdgeKind::PeerPeer => out.push_str(&format!("{a}|{b}|0\n")),
-        }
-    }
-    out
 }
 
 /// Parameters for [`synthesize`].
@@ -239,6 +228,20 @@ pub fn synthesize(params: &SynthesisParams, rng: &mut SimRng) -> AsGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::is_connected;
+
+    /// Serialize an [`AsGraph`] in CAIDA `as-rel.txt` format.
+    fn write(ag: &AsGraph) -> String {
+        let mut out = String::from("# generated by bgpsdn-topology (CAIDA as-rel format)\n");
+        for e in &ag.edges {
+            let (a, b) = (ag.asns[e.a].0, ag.asns[e.b].0);
+            match e.kind {
+                EdgeKind::ProviderCustomer => out.push_str(&format!("{a}|{b}|-1\n")),
+                EdgeKind::PeerPeer => out.push_str(&format!("{a}|{b}|0\n")),
+            }
+        }
+        out
+    }
 
     const SAMPLE: &str = "\
 # serial-1 style file
@@ -293,7 +296,7 @@ mod tests {
         let ag = synthesize(&p, &mut rng);
         assert_eq!(ag.len(), 100);
         assert!(ag.provider_hierarchy_acyclic());
-        assert!(ag.to_graph().is_connected());
+        assert!(is_connected(&ag.to_graph()));
         // Stubs have no customers.
         for s in 84..100 {
             assert!(ag.customers_of(s).is_empty());

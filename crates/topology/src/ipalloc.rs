@@ -44,7 +44,7 @@ pub const MAX_ASES: usize = 6 * 256;
 pub const MAX_LINKS: usize = 1 << 18;
 
 /// The prefix an AS originates.
-pub fn as_prefix(index: usize) -> Result<Prefix, AllocError> {
+pub(crate) fn as_prefix(index: usize) -> Result<Prefix, AllocError> {
     if index >= MAX_ASES {
         return Err(AllocError::TooManyAses(index + 1));
     }

@@ -4,13 +4,15 @@
 //! based on measured Internet data or theoretical models". This crate
 //! supplies both halves:
 //!
-//! * [`gen`]: artificial topologies (clique, line, ring, star, tree, grid)
-//!   and random models (Erdős–Rényi, Barabási–Albert, Waxman);
-//! * [`caida`] / [`iplane`]: parsers for the CAIDA AS-relationship and
-//!   iPlane Inter-PoP dataset formats, plus synthetic generators with the
-//!   same statistical shape (the real datasets cannot be redistributed);
+//! * [`gen`]: artificial topologies (clique, line, star) and random
+//!   models (Erdős–Rényi, Barabási–Albert, Waxman);
+//! * [`caida`]: a parser for the CAIDA AS-relationship format, plus a
+//!   synthetic generator with the same statistical shape (the real
+//!   dataset cannot be redistributed);
+//! * [`iplane`]: a parser for the iPlane Inter-PoP format and its
+//!   collapse to AS granularity;
 //! * [`relationships`]: AS graphs annotated with customer-provider /
-//!   peer-peer relationships, inference, and valley-free checking;
+//!   peer-peer relationships;
 //! * [`ipalloc`]: the automatic IP address plan;
 //! * [`templates`]: per-AS router configuration skeletons and Quagga-style
 //!   rendering.
@@ -25,7 +27,7 @@ pub mod iplane;
 pub mod relationships;
 pub mod templates;
 
-pub use graph::{Graph, ShortestPaths};
+pub use graph::Graph;
 pub use ipalloc::{AddressPlan, AllocError};
 pub use relationships::{AsEdge, AsGraph, EdgeKind};
 pub use templates::{plan, TopologyPlan};

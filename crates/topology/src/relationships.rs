@@ -88,60 +88,13 @@ impl AsGraph {
             edges: g
                 .edges()
                 .iter()
-                .map(|&(a, b, _)| AsEdge {
+                .map(|&(a, b)| AsEdge {
                     a,
                     b,
                     kind: EdgeKind::PeerPeer,
                 })
                 .collect(),
         }
-    }
-
-    /// Degree-based relationship inference: for each link, the clearly
-    /// higher-degree endpoint becomes the provider; endpoints with degree
-    /// ratio below `peer_ratio` become peers. This is the standard cheap
-    /// approximation of the Gao algorithm used when no measured relationship
-    /// data is available.
-    pub fn infer_by_degree(g: &Graph, base_asn: u32, peer_ratio: f64) -> AsGraph {
-        assert!(peer_ratio >= 1.0);
-        let edges = g
-            .edges()
-            .iter()
-            .map(|&(a, b, _)| {
-                let (da, db) = (g.degree(a) as f64, g.degree(b) as f64);
-                let kind = if da / db <= peer_ratio && db / da <= peer_ratio {
-                    EdgeKind::PeerPeer
-                } else if da > db {
-                    return AsEdge {
-                        a,
-                        b,
-                        kind: EdgeKind::ProviderCustomer,
-                    };
-                } else {
-                    return AsEdge {
-                        a: b,
-                        b: a,
-                        kind: EdgeKind::ProviderCustomer,
-                    };
-                };
-                AsEdge { a, b, kind }
-            })
-            .collect();
-        AsGraph {
-            asns: (0..g.node_count())
-                .map(|i| Asn(base_asn + i as u32))
-                .collect(),
-            edges,
-        }
-    }
-
-    /// The plain connectivity graph.
-    pub fn to_graph(&self) -> Graph {
-        let mut g = Graph::new(self.asns.len());
-        for e in &self.edges {
-            g.add_edge(e.a, e.b);
-        }
-        g
     }
 
     /// `(provider-customer, peer-peer)` edge counts.
@@ -153,33 +106,6 @@ impl AsGraph {
             .count();
         (pc, self.edges.len() - pc)
     }
-
-    /// True when the provider hierarchy is acyclic (no AS is transitively
-    /// its own provider) — a sanity requirement for Gao–Rexford stability.
-    pub fn provider_hierarchy_acyclic(&self) -> bool {
-        // Kahn's algorithm over the customer -> provider direction.
-        let n = self.len();
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n]; // customer -> providers
-        let mut indeg = vec![0usize; n];
-        for e in &self.edges {
-            if e.kind == EdgeKind::ProviderCustomer {
-                out[e.b].push(e.a);
-                indeg[e.a] += 1;
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut seen = 0;
-        while let Some(v) = queue.pop() {
-            seen += 1;
-            for &p in &out[v] {
-                indeg[p] -= 1;
-                if indeg[p] == 0 {
-                    queue.push(p);
-                }
-            }
-        }
-        seen == n
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +113,8 @@ mod tests {
     use super::*;
     use crate::gen;
 
-    /// Neighbour lookups the tests of this crate check graphs with.
+    /// Neighbour lookups and the oracles the tests of this crate check
+    /// graphs with.
     impl AsGraph {
         /// Customers of `v` (vertex indices).
         pub(crate) fn customers_of(&self, v: usize) -> Vec<usize> {
@@ -205,6 +132,42 @@ mod tests {
                 .filter(|e| e.kind == EdgeKind::ProviderCustomer && e.b == v)
                 .map(|e| e.a)
                 .collect()
+        }
+
+        /// The plain connectivity graph.
+        pub(crate) fn to_graph(&self) -> Graph {
+            let mut g = Graph::new(self.asns.len());
+            for e in &self.edges {
+                g.add_edge(e.a, e.b);
+            }
+            g
+        }
+
+        /// True when the provider hierarchy is acyclic (no AS is transitively
+        /// its own provider) — a sanity requirement for Gao–Rexford stability.
+        pub(crate) fn provider_hierarchy_acyclic(&self) -> bool {
+            // Kahn's algorithm over the customer -> provider direction.
+            let n = self.len();
+            let mut out: Vec<Vec<usize>> = vec![Vec::new(); n]; // customer -> providers
+            let mut indeg = vec![0usize; n];
+            for e in &self.edges {
+                if e.kind == EdgeKind::ProviderCustomer {
+                    out[e.b].push(e.a);
+                    indeg[e.a] += 1;
+                }
+            }
+            let mut queue: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+            let mut seen = 0;
+            while let Some(v) = queue.pop() {
+                seen += 1;
+                for &p in &out[v] {
+                    indeg[p] -= 1;
+                    if indeg[p] == 0 {
+                        queue.push(p);
+                    }
+                }
+            }
+            seen == n
         }
     }
 
@@ -238,26 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_inference_on_star() {
-        // Hub has degree 6, leaves degree 1: hub must be everyone's provider.
-        let ag = AsGraph::infer_by_degree(&gen::star(7), 1, 2.0);
-        assert_eq!(ag.relationship_counts(), (6, 0));
-        let customers: Vec<(usize, usize)> = ag.edges.iter().map(|e| (e.a, e.b)).collect();
-        assert_eq!(customers, (1..7).map(|v| (0, v)).collect::<Vec<_>>());
-        assert!(ag.provider_hierarchy_acyclic());
-    }
-
-    #[test]
-    fn degree_inference_equal_degrees_peer() {
-        let mut ring = Graph::new(5);
-        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)] {
-            ring.add_edge(a, b);
-        }
-        let ag = AsGraph::infer_by_degree(&ring, 1, 2.0);
-        assert_eq!(ag.relationship_counts(), (0, 5));
-    }
-
-    #[test]
     fn to_graph_roundtrip() {
         // A 3x3 grid: corners of degree 2, edge midpoints 3, centre 4.
         let mut g = Graph::new(9);
@@ -267,10 +210,10 @@ mod tests {
         for (a, b) in [(0, 3), (3, 6), (1, 4), (4, 7), (2, 5), (5, 8)] {
             g.add_edge(a, b);
         }
-        let ag = AsGraph::infer_by_degree(&g, 100, 1.5);
-        let g2 = ag.to_graph();
+        let g2 = AsGraph::all_peer(&g, 100).to_graph();
         assert_eq!(g2.node_count(), g.node_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
+        assert_eq!(g2.edges(), g.edges());
+        assert!((0..9).all(|v| g2.degree(v) == g.degree(v)));
     }
 
     #[test]

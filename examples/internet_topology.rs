@@ -27,14 +27,6 @@ fn main() {
     println!(
         "synthetic CAIDA-style topology: {n} ASes, {pc} provider-customer + {pp} peering links"
     );
-    println!("(the parser in bgpsdn_topology::caida reads the real as-rel.txt format too)\n");
-
-    // The same content as a CAIDA as-rel file, roundtripped for show.
-    let rel_file = caida::write(&ag);
-    println!(
-        "as-rel excerpt:\n{}",
-        rel_file.lines().take(5).collect::<Vec<_>>().join("\n")
-    );
 
     let topo = plan(
         ag,

@@ -338,7 +338,7 @@ fn grid(f: &mut Flags) -> CampaignGrid {
     let fig2 = CampaignGrid::fig2(f.get("seeds").unwrap_or(10));
     let mut grid = if f.switch("fig2") {
         for flag in FIG2_FIXES {
-            if f.take(flag).is_some() {
+            if f.raw(flag).is_some() {
                 f.misuse(format!(
                     "--fig2 fixes --{flag}; spell the grid with --sizes K1,K2,... instead"
                 ));
@@ -366,21 +366,16 @@ fn grid(f: &mut Flags) -> CampaignGrid {
     grid.clusters = f.list("clusters").unwrap_or(grid.clusters);
     grid.strategy = f.named("strategy").unwrap_or(grid.strategy);
     grid.base_seed = f.get("base-seed").unwrap_or(grid.base_seed);
-    // `--chaos OUTAGES [--chaos-horizon SECS] [--chaos-classes C]`.
-    let (horizon, classes) = ("chaos-horizon", "chaos-classes");
-    grid.faults = match f.get("chaos").unwrap_or(0) {
-        // Read all the same: with no outages, there is nothing to shape.
-        0 => {
-            f.take(horizon);
-            f.take(classes);
-            None
-        }
-        outages => Some(FaultSpec {
-            outages,
-            horizon: SimDuration::from_secs(f.get(horizon).unwrap_or(60)),
-            classes: f.named(classes).unwrap_or(FaultClasses::ALL),
-        }),
-    };
+    // `--chaos OUTAGES [--chaos-horizon SECS] [--chaos-classes C]`: all
+    // three are checked, and shape faults only when there are outages.
+    let outages = f.get("chaos").unwrap_or(0);
+    let horizon = SimDuration::from_secs(f.get("chaos-horizon").unwrap_or(60));
+    let classes = f.named("chaos-classes").unwrap_or(FaultClasses::ALL);
+    grid.faults = (outages > 0).then_some(FaultSpec {
+        outages,
+        horizon,
+        classes,
+    });
     grid.verify = f.switch("verify");
     grid
 }
@@ -437,9 +432,14 @@ impl<'a> Flags<'a> {
         Some(self.unread.remove(at).1)
     }
 
-    /// Take `--name` off the command line; a bare one reads `true`.
+    /// Take `--name` off the command line with its value; a bare one is a
+    /// misuse and reads as absent.
     fn take(&mut self, name: &str) -> Option<&'a str> {
-        self.raw(name).map(|v| v.unwrap_or("true"))
+        let value = self.raw(name)?;
+        if value.is_none() {
+            self.misuse(format!("--{name} needs a value"));
+        }
+        value
     }
 
     /// Take the switch `--name`: whether it is given.
@@ -834,14 +834,48 @@ mod tests {
             ),
             (
                 &["check", "--sizes", "2", "--chaos-horizon", "x"][..],
-                "no outages",
+                "bad value for --chaos-horizon",
             ),
         ] {
             match parse(args) {
                 Err(CliError::Failed(e)) => assert!(e.contains(needle), "{args:?}: {e}"),
-                Ok(_) => assert_eq!(needle, "no outages", "{args:?}"),
-                Err(e) => panic!("{args:?}: {e}"),
+                other => panic!("{args:?}: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn chaos_shape_flags_are_checked_without_outages() {
+        for args in [
+            &["check", "--sizes", "2", "--chaos-classes", "bogus"][..],
+            &[
+                "sweep",
+                "--sizes",
+                "2",
+                "--chaos",
+                "0",
+                "--chaos-classes",
+                "bogus",
+            ][..],
+        ] {
+            let err = parse(args).expect_err("a bad --chaos-classes");
+            assert!(
+                err.to_string().contains("--chaos-classes"),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bare_value_flag_is_a_usage_error() {
+        for args in [
+            &["run", "--event", "withdrawal", "--trace-out"][..],
+            &["verify", "--snapshot"][..],
+            &["sweep", "--sizes", "2", "--out", "--verify"][..],
+        ] {
+            let err = parse(args).expect_err("a bare value flag");
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+            assert!(err.to_string().contains("needs a value"), "{args:?}: {err}");
         }
     }
 

@@ -5,16 +5,22 @@
 use bgp_sdn_emu::collector::{render_dot, VizNode, VizRole};
 use bgp_sdn_emu::netsim::{ObsPrefix, TraceCategory, TraceEvent};
 use bgp_sdn_emu::prelude::*;
-use bgp_sdn_emu::topology::iplane::{self, PopSynthesisParams};
+use bgp_sdn_emu::topology::caida::{self, SynthesisParams};
+use bgp_sdn_emu::topology::iplane;
 
 const HOUR: SimDuration = SimDuration::from_secs(3600);
 
 #[test]
 fn topology_to_analysis_pipeline() {
-    // 1. Topology from a generator + relationship inference.
-    let g = gen::barabasi_albert(12, 2, &mut SimRng::seed_from_u64(1));
-    let ag = AsGraph::infer_by_degree(&g, 65000, 1.5);
-    assert!(ag.provider_hierarchy_acyclic());
+    // 1. Topology from the CAIDA-style generator.
+    let params = SynthesisParams {
+        tier1: 3,
+        mid: 3,
+        stubs: 6,
+        base_asn: 65000,
+        ..Default::default()
+    };
+    let ag = caida::synthesize(&params, &mut SimRng::seed_from_u64(1));
 
     // 2. Address plan + router templates.
     let tp = plan(
@@ -29,8 +35,9 @@ fn topology_to_analysis_pipeline() {
 
     // 3. Hybrid network with a 3-member cluster at the densest ASes.
     let mut by_degree: Vec<usize> = (0..12).collect();
-    let g2 = tp.as_graph.to_graph();
-    by_degree.sort_by_key(|&v| std::cmp::Reverse(g2.degree(v)));
+    let edges = &tp.as_graph.edges;
+    by_degree
+        .sort_by_key(|&v| std::cmp::Reverse(edges.iter().filter(|e| e.a == v || e.b == v).count()));
     let members: Vec<usize> = by_degree[..3].to_vec();
     let mut net = NetworkBuilder::new(tp, 2).with_sdn_members(members).build();
     let collector = net.collector.expect("collector on");
@@ -94,18 +101,26 @@ fn topology_to_analysis_pipeline() {
 
 #[test]
 fn iplane_latencies_feed_the_simulation() {
-    // Synthesize an iPlane-style PoP graph, collapse to AS level and run a
-    // network whose link latencies come from the dataset.
-    let mut rng = SimRng::seed_from_u64(7);
-    let params = PopSynthesisParams {
-        ases: 10,
-        ..Default::default()
+    // Parse an iPlane inter-PoP sample, collapse it to AS level and run a
+    // network whose link latencies come from the dataset. AS 100 has two
+    // PoPs joined by an intra-AS link, which the collapse drops.
+    let pg = iplane::parse(
+        "100,0 100,1 400\n100,0 101,0 12000\n100,1 101,0 9000\n101,0 102,0 30000\n\
+         102,0 103,0 2500\n103,0 104,0 7000\n104,0 100,1 15000\n",
+    )
+    .expect("sample parses");
+    let (g, asns, latencies) = pg.collapse_to_as_graph();
+    assert_eq!(latencies.len(), 5, "one link per AS pair");
+    assert_eq!(
+        latencies[0],
+        SimDuration::from_millis(9),
+        "100-101 at its minimum"
+    );
+    let ag = AsGraph {
+        asns,
+        ..AsGraph::all_peer(&g, 0)
     };
-    let pg = iplane::synthesize(&params, &mut rng);
-    // Exercise the dataset format both directions.
-    let pg = iplane::parse(&iplane::write(&pg)).expect("format roundtrip");
-    let (ag, latencies) = pg.to_as_graph_all_peer();
-    assert_eq!(ag.len(), 10);
+    assert_eq!(ag.len(), 5);
 
     let tp = plan(
         ag,
@@ -115,7 +130,7 @@ fn iplane_latencies_feed_the_simulation() {
     .expect("plan");
     let net = NetworkBuilder::new(tp, 8)
         .with_edge_latencies(latencies)
-        .with_sdn_members([8, 9])
+        .with_sdn_members([3, 4])
         .build();
     let mut exp = Experiment::new(net);
     assert!(exp.start(HOUR).converged);

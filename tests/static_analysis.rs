@@ -15,12 +15,79 @@
 //!   of traced Figure 2 runs must stay within `hunt_depth_bound` at every
 //!   centralization level.
 
-use bgp_sdn_emu::analyze::spp::{bad_gadget_rules, PathRule, SppCaps, SppInstance, SppOutcome};
+use bgp_sdn_emu::analyze::spp::{PathRule, SppCaps, SppInstance, SppOutcome};
+use bgp_sdn_emu::bgp::{MatchCond, RouteMap, Rule, SetAction};
 use bgp_sdn_emu::prelude::*;
 use bgp_sdn_emu::topology::{AsEdge, EdgeKind};
 use proptest::prelude::*;
 
 const HOUR: SimDuration = SimDuration::from_secs(3600);
+
+/// The canonical BAD GADGET override rules on a 4-node graph: origin 0,
+/// rim 1, 2, 3, every pair adjacent. Each rim node prefers the two-hop
+/// path through its clockwise neighbor over its direct path and permits
+/// nothing else — the smallest instance with a dispute wheel and no stable
+/// assignment.
+fn bad_gadget_rules() -> Vec<PathRule> {
+    let mut rules = Vec::new();
+    for (at, via, third) in [(1usize, 2usize, 3usize), (2, 3, 1), (3, 1, 2)] {
+        // Deny the three-hop path through both other rim nodes.
+        rules.push(PathRule {
+            at,
+            from: via,
+            contains: Some(third),
+            action: None,
+        });
+        // Prefer the two-hop path through the clockwise neighbor.
+        rules.push(PathRule {
+            at,
+            from: via,
+            contains: None,
+            action: Some(200),
+        });
+        // Never route through the counter-clockwise neighbor.
+        rules.push(PathRule {
+            at,
+            from: third,
+            contains: None,
+            action: None,
+        });
+    }
+    rules
+}
+
+/// Compile a rule list into per-session [`RouteMap`]s, keyed by
+/// `(at, from)` AS indices — what a simulation installs as
+/// `NeighborConfig::import_map` to realize the same policy the static
+/// model analyzed. Rules keep their relative order within a session.
+fn route_maps(rules: &[PathRule], asns: &[Asn]) -> Vec<(usize, usize, RouteMap)> {
+    let mut maps: Vec<(usize, usize, RouteMap)> = Vec::new();
+    for r in rules {
+        let rule = Rule {
+            conds: r
+                .contains
+                .map(|c| vec![MatchCond::AsPathContains(asns[c])])
+                .unwrap_or_default(),
+            actions: r
+                .action
+                .map(|lp| vec![SetAction::LocalPref(lp)])
+                .unwrap_or_default(),
+            permit: r.action.is_some(),
+        };
+        match maps.iter_mut().find(|(a, f, _)| (*a, *f) == (r.at, r.from)) {
+            Some((_, _, map)) => map.rules.push(rule),
+            None => maps.push((
+                r.at,
+                r.from,
+                RouteMap {
+                    rules: vec![rule],
+                    default_permit: true,
+                },
+            )),
+        }
+    }
+    maps
+}
 
 /// A random Gao–Rexford AS graph that is safe by construction: node 0 is
 /// the unique top provider (every other node picks a provider of lower
@@ -163,7 +230,7 @@ fn bad_gadget_observably_oscillates_in_simulation() {
     )
     .expect("plan");
     let asns = tp.as_graph.asns.clone();
-    let maps = PathRule::route_maps(&bad_gadget_rules(), &asns);
+    let maps = route_maps(&bad_gadget_rules(), &asns);
 
     let net = NetworkBuilder::new(tp, 7).build();
     let mut exp = Experiment::new(net);
@@ -188,6 +255,19 @@ fn bad_gadget_observably_oscillates_in_simulation() {
         !up.converged,
         "BAD GADGET quiesced — the static Wheel verdict would be wrong"
     );
+}
+
+#[test]
+fn route_map_compilation_groups_by_session() {
+    let rules = bad_gadget_rules();
+    let asns: Vec<Asn> = (0..4).map(|i| Asn(65000 + i)).collect();
+    let maps = route_maps(&rules, &asns);
+    assert_eq!(maps.len(), 6, "two sessions per rim node");
+    let (at, from, map) = &maps[0];
+    assert_eq!((*at, *from), (1, 2));
+    assert_eq!(map.rules.len(), 2, "deny-specific then permit-set");
+    assert!(!map.rules[0].permit);
+    assert!(map.rules[1].permit);
 }
 
 /// Table S14: the ghost paths explored during traced Figure 2 withdrawals
