@@ -209,11 +209,6 @@ impl AnalysisReport {
         self.findings.len() - self.errors()
     }
 
-    /// The first error-severity finding, if any.
-    pub fn first_error(&self) -> Option<&Finding> {
-        self.findings.iter().find(|f| f.severity == Severity::Error)
-    }
-
     /// Human-readable rendering: one line per finding, or a clean summary.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -249,8 +244,13 @@ impl AnalysisReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The first error-severity finding, if any.
+    pub(crate) fn first_error(r: &AnalysisReport) -> Option<&Finding> {
+        r.findings.iter().find(|f| f.severity == Severity::Error)
+    }
 
     #[test]
     fn report_accounting() {
@@ -263,7 +263,7 @@ mod tests {
         assert!(!r.ok());
         assert_eq!(r.errors(), 1);
         assert_eq!(r.warnings(), 1);
-        assert_eq!(r.first_error().unwrap().code, "test.err");
+        assert_eq!(first_error(&r).unwrap().code, "test.err");
         let rendered = r.render();
         assert!(rendered.contains("witness: AS1 -> AS2 -> AS1"));
         assert!(rendered.contains("1 error(s), 1 warning(s), 3 checks"));

@@ -205,6 +205,7 @@ fn list_asns(g: &AsGraph, nodes: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finding::tests::first_error;
     use bgpsdn_bgp::Asn;
     use bgpsdn_topology::{gen, AsEdge, EdgeKind};
 
@@ -246,7 +247,7 @@ mod tests {
         let g = graph(3, vec![pp(0, 1)]);
         let r = check_reachability(&g, PolicyMode::AllPermit, &[0]);
         assert!(!r.ok());
-        let f = r.first_error().unwrap();
+        let f = first_error(&r).unwrap();
         assert_eq!(f.code, "predict.partition");
         assert_eq!(f.witness.as_deref(), Some("AS65002"));
     }

@@ -455,6 +455,7 @@ fn render_clusters_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finding::tests::first_error;
     use bgpsdn_bgp::Asn;
     use bgpsdn_topology::gen;
 
@@ -510,7 +511,7 @@ mod tests {
             rules: &[],
         });
         assert!(!r.ok());
-        let f = r.first_error().unwrap();
+        let f = first_error(&r).unwrap();
         assert_eq!(f.code, "safety.provider_cycle");
         assert!(f.witness.as_deref().unwrap().contains("AS65000"));
     }
@@ -564,7 +565,7 @@ mod tests {
             rules: &[],
         });
         assert!(!r.ok());
-        assert_eq!(r.first_error().unwrap().code, "cluster.member_range");
+        assert_eq!(first_error(&r).unwrap().code, "cluster.member_range");
         assert!(r
             .findings
             .iter()
@@ -617,7 +618,7 @@ mod tests {
             clusters: &[vec![0, 1], vec![1, 2]],
             rules: &[],
         });
-        assert_eq!(r.first_error().unwrap().code, "cluster.member_overlap");
+        assert_eq!(first_error(&r).unwrap().code, "cluster.member_overlap");
     }
 
     #[test]
@@ -698,7 +699,7 @@ mod tests {
             rules: &rules,
         });
         assert!(!r.ok());
-        let f = r.first_error().unwrap();
+        let f = first_error(&r).unwrap();
         assert_eq!(f.code, "safety.dispute_wheel");
         assert!(f.witness.is_some());
     }

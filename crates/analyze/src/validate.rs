@@ -522,6 +522,7 @@ pub fn check_timing(hold_secs: u64, graceful_restart_secs: u64) -> AnalysisRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finding::tests::first_error;
     use bgpsdn_bgp::pfx;
 
     fn ctx(edges: &[(usize, usize)], prefixes: &[Prefix]) -> ActionContext {
@@ -545,7 +546,7 @@ mod tests {
             }],
             &c,
         );
-        assert_eq!(r.first_error().unwrap().code, "script.index_range");
+        assert_eq!(first_error(&r).unwrap().code, "script.index_range");
     }
 
     #[test]
@@ -553,7 +554,7 @@ mod tests {
         let edges = [(0, 1)];
         let c = ctx(&edges, &[]);
         let r = check_actions(&[ScriptAction::FailEdge(2, 3)], &c);
-        assert_eq!(r.first_error().unwrap().code, "script.unknown_edge");
+        assert_eq!(first_error(&r).unwrap().code, "script.unknown_edge");
     }
 
     #[test]
@@ -561,9 +562,9 @@ mod tests {
         let edges = [(0, 1)];
         let c = ctx(&edges, &[]);
         let r = check_actions(&[ScriptAction::SetEdgeLoss(0, 1, 1.5)], &c);
-        assert_eq!(r.first_error().unwrap().code, "script.loss_range");
+        assert_eq!(first_error(&r).unwrap().code, "script.loss_range");
         let r = check_actions(&[ScriptAction::SetEdgeLoss(0, 1, f64::NAN)], &c);
-        assert_eq!(r.first_error().unwrap().code, "script.loss_range");
+        assert_eq!(first_error(&r).unwrap().code, "script.loss_range");
     }
 
     #[test]
@@ -571,7 +572,7 @@ mod tests {
         let edges = [(0, 1)];
         let c = ctx(&edges, &[]);
         let r = check_actions(&[ScriptAction::CrashController], &c);
-        assert_eq!(r.first_error().unwrap().code, "script.no_cluster");
+        assert_eq!(first_error(&r).unwrap().code, "script.no_cluster");
     }
 
     #[test]
@@ -589,7 +590,7 @@ mod tests {
             }],
             &c,
         );
-        assert_eq!(r.first_error().unwrap().code, "script.expect_unreachable");
+        assert_eq!(first_error(&r).unwrap().code, "script.expect_unreachable");
         // Wrong origin is an error.
         let r = check_actions(
             &[
@@ -605,7 +606,7 @@ mod tests {
             &c,
         );
         assert_eq!(
-            r.first_error().unwrap().code,
+            first_error(&r).unwrap().code,
             "script.expect_origin_mismatch"
         );
         // Gone-while-announced with no fault is an error; after a fault it
@@ -621,7 +622,7 @@ mod tests {
             &c,
         );
         assert_eq!(
-            r.first_error().unwrap().code,
+            first_error(&r).unwrap().code,
             "script.expect_gone_announced"
         );
         let r = check_actions(
@@ -679,7 +680,7 @@ mod tests {
         // ...and expecting one gone without a withdraw or fault is impossible.
         let r = check_actions(&[ScriptAction::ExpectGone { prefix: p }], &c);
         assert_eq!(
-            r.first_error().unwrap().code,
+            first_error(&r).unwrap().code,
             "script.expect_gone_announced"
         );
         // Withdrawing a seeded prefix is not "unannounced".
@@ -761,7 +762,7 @@ mod tests {
         assert!(check_timing(9, 0).clean());
         assert!(check_timing(0, 0).clean());
         let r = check_timing(0, 120);
-        assert_eq!(r.first_error().unwrap().code, "timing.gr_without_hold");
+        assert_eq!(first_error(&r).unwrap().code, "timing.gr_without_hold");
         let r = check_timing(9, 5);
         assert!(r.ok());
         assert_eq!(r.findings[0].code, "timing.gr_shorter_than_hold");

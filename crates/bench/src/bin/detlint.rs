@@ -6,25 +6,26 @@
 //!
 //! Scans the simulation-critical crates for determinism hazards
 //! (`HashMap`/`HashSet` iteration order, host clocks, OS-seeded RNGs) and
-//! diffs the per-(file, hazard) occurrence counts against the committed
-//! baseline; then lists every `pub fn` of those crates (and of this one)
-//! that no file outside its own crate's library and its tests calls (such
-//! a function is `pub(crate)`, or belongs in the tests), and every row-only
-//! counter no file reads.
+//! diffs the per-(file, hazard) occurrence counts, and the panic-site count
+//! of `src` and `crates/*/src` (`.unwrap()`, `.expect(`, `panic!(`,
+//! `unreachable!(` before each file's first `#[cfg(test)]`), against the
+//! committed baseline; then lists every `pub fn` of those crates (and of
+//! this one) that no file outside its own crate's library and the tests
+//! calls (such a function is `pub(crate)`, or belongs in the tests), and
+//! every row-only counter no file reads.
 //! Exits 0 if nothing increased or is unused; 1 on a new or increased hazard,
-//! a baseline row naming a missing file, an uncalled `pub fn` or a write-only
-//! counter; 2 on usage or IO errors. `--write` re-baselines an audited change.
-//! On success it also prints the size of `src` and `crates/*/src`: lines
-//! before each file's first `#[cfg(test)]`, the `pub fn` definitions and
-//! the panic sites (`.unwrap()`, `.expect(`, `panic!(`, `unreachable!(`)
-//! among them.
+//! more panic sites, a baseline row naming a missing file, an uncalled
+//! `pub fn` or a write-only counter; 2 on usage or IO errors. `--write`
+//! re-baselines an audited change. On success it also prints the size of
+//! `src` and `crates/*/src`: the lines before each file's first
+//! `#[cfg(test)]`, the `pub fn` definitions and the panic sites among them.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bgpsdn_bench::detlint::{
-    crate_dirs, diff, guarded_roots, parse_baseline, render_baseline, scan_tree, tree_size,
-    unused_report, Drift,
+    diff, guarded_roots, library_size, parse_baseline, render_baseline, scan_tree, unused_report,
+    Baseline, Drift,
 };
 
 fn usage() -> ExitCode {
@@ -60,17 +61,23 @@ fn main() -> ExitCode {
         eprintln!("detlint: no guarded source roots under {}", root.display());
         return ExitCode::from(2);
     }
-    let current = match scan_tree(&root, &roots) {
-        Ok(c) => c,
+    let scan = scan_tree(&root, &roots).and_then(|hazards| Ok((hazards, library_size(&root)?)));
+    let (hazards, size) = match scan {
+        Ok(scan) => scan,
         Err(e) => {
             eprintln!("detlint: {e}");
             return ExitCode::from(2);
         }
     };
+    let current = Baseline {
+        hazards,
+        panic_sites: size.panic_sites,
+    };
 
     if write {
         let text = format!(
-            "# detlint baseline: audited determinism-hazard counts per (file, hazard).\n\
+            "# detlint baseline: the panic-site count of src + crates/*/src, then audited\n\
+             # determinism-hazard counts per (file, hazard).\n\
              # Regenerate with: cargo run -p bgpsdn-bench --bin detlint -- --write\n{}",
             render_baseline(&current)
         );
@@ -81,7 +88,7 @@ fn main() -> ExitCode {
         println!(
             "detlint: wrote {} ({} entries)",
             baseline_path.display(),
-            current.len()
+            current.hazards.len()
         );
         return ExitCode::SUCCESS;
     }
@@ -105,7 +112,7 @@ fn main() -> ExitCode {
     };
 
     let drifts = diff(&current, &baseline, |path| root.join(path).is_file());
-    let mut failed = false;
+    let failed = drifts.iter().any(Drift::fails);
     for d in &drifts {
         match d {
             Drift::Increased {
@@ -114,7 +121,6 @@ fn main() -> ExitCode {
                 was,
                 now,
             } => {
-                failed = true;
                 eprintln!(
                     "detlint: {path}: `{hazard}` count rose {was} -> {now}; use the \
                      deterministic alternative (BTreeMap/BTreeSet, SimTime, SimRng) or \
@@ -122,7 +128,6 @@ fn main() -> ExitCode {
                 );
             }
             Drift::Missing { path, hazard } => {
-                failed = true;
                 eprintln!(
                     "detlint: the baseline counts `{hazard}` in {path}, which no longer \
                      exists; refresh the baseline with --write"
@@ -137,6 +142,18 @@ fn main() -> ExitCode {
                 eprintln!(
                     "detlint: note: {path}: `{hazard}` improved {was} -> {now}; refresh \
                      the baseline with --write"
+                );
+            }
+            Drift::PanicSites { was, now } if d.fails() => {
+                eprintln!(
+                    "detlint: panic sites rose {was} -> {now}; return an error instead of \
+                     panicking, or move the panic into a test"
+                );
+            }
+            Drift::PanicSites { was, now } => {
+                eprintln!(
+                    "detlint: note: panic sites fell {was} -> {now}; refresh the baseline \
+                     with --write"
                 );
             }
         }
@@ -155,25 +172,16 @@ fn main() -> ExitCode {
         eprintln!("detlint: FAILED (baseline: {})", baseline_path.display());
         return ExitCode::FAILURE;
     }
-    let size = match crate_dirs(&root, &["src"]).and_then(|mut dirs| {
-        dirs.push(root.join("src"));
-        tree_size(&root, &dirs)
-    }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("detlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
     println!(
         "detlint: ok ({} files scanned against {} baseline entries; 0 uncalled pub fn, \
          0 write-only counters)",
         current
+            .hazards
             .keys()
             .map(|(p, _)| p.as_str())
             .collect::<std::collections::BTreeSet<_>>()
             .len(),
-        baseline.len()
+        baseline.hazards.len()
     );
     println!(
         "detlint: size of src and crates/*/src: {} non-test lines, {} pub fn, {} panic sites",

@@ -17,7 +17,9 @@
 //! Decreases are reported as stale-baseline notices (refresh with
 //! `--write`). Individual lines can be exempted with a trailing
 //! `// detlint: allow` comment; test modules (everything after a
-//! `#[cfg(test)]` line) are skipped entirely.
+//! `#[cfg(test)]` line) are skipped entirely. The baseline also records
+//! the panic-site count of `src` + `crates/*/src` ([`library_size`]),
+//! which may only fall the same way.
 //!
 //! A second pass, [`uncalled_pub_fns`], keeps the public surface honest:
 //! rustc's `dead_code` lint sees no further than its own crate, so a
@@ -26,16 +28,18 @@
 //! non-test `pub fn` whose name appears in no file outside the defining
 //! crate's library (another crate's `src`, a `benches/` or `examples/`
 //! file, or a `src/bin/` binary), outside comments, `use` declarations (a
-//! re-export is not a call) and the name after `fn` (a definition is not a
-//! call). A `tests/` file is not a caller: what only tests call belongs in
-//! the tests. A function only its own crate calls is `pub(crate)`, where
-//! `dead_code` sees it. The pass matches on identifier tokens, so it never
-//! flags a function that is called by name; a name some other function
-//! shares and is called by (such as `new` or `len`) can only make it miss
-//! one. It has no baseline: the tree must pass with zero findings, and a
-//! `// detlint: allow <reason>` on the `pub fn` line, or on a comment line
-//! directly above it, exempts that one function (`test-oracle <reason>`
-//! for an accessor or step that only a test's oracle calls).
+//! re-export is not a call), the name after `fn` (a definition is not a
+//! call) and each file's test modules. Tests are not callers, neither a
+//! `tests/` file nor another crate's `#[cfg(test)]` module: what only
+//! tests call belongs in the tests. A function only its own crate calls is
+//! `pub(crate)`, where `dead_code` sees it. The pass matches on identifier
+//! tokens, so it never flags a function that is called by name; a name
+//! some other function shares and is called by (such as `new` or `len`)
+//! can only make it miss one. It has no baseline: the tree must pass with
+//! zero findings, and a `// detlint: allow <reason>` on the `pub fn` line,
+//! or on a comment line directly above it, exempts that one function
+//! (`test-oracle <reason>` for an accessor or step that only a test's
+//! oracle calls).
 //!
 //! A third pass, [`write_only_counters`], does the same for counters: a
 //! row-only counter id (one artifacts never carry) that every file
@@ -63,21 +67,12 @@ pub const ALLOW_MARKER: &str = "detlint: allow";
 pub type Counts = BTreeMap<(String, String), usize>;
 
 /// Count hazard occurrences in one file's source text. Lines after a
-/// `#[cfg(test)]` marker, comment-only lines, and lines carrying the
-/// [`ALLOW_MARKER`] are skipped.
+/// `#[cfg(test)]` marker (see `non_test_lines`), comment-only lines, and
+/// lines carrying the [`ALLOW_MARKER`] are skipped.
 fn scan_source(text: &str) -> BTreeMap<String, usize> {
     let mut counts = BTreeMap::new();
-    let mut in_tests = false;
-    for line in text.lines() {
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("#[cfg(test)]") {
-            in_tests = true;
-        }
-        if in_tests
-            || trimmed.starts_with("//")
-            || trimmed.starts_with("//!")
-            || line.contains(ALLOW_MARKER)
-        {
+    for line in non_test_lines(text) {
+        if line.trim_start().starts_with("//") || line.contains(ALLOW_MARKER) {
             continue;
         }
         for &hazard in HAZARDS {
@@ -243,7 +238,7 @@ const PANIC_PATTERNS: [&str; 4] = [".unwrap()", ".expect(", "panic!(", "unreacha
 /// # Errors
 ///
 /// Propagates IO errors reading directories or files.
-pub fn tree_size(base: &Path, roots: &[PathBuf]) -> Result<TreeSize, String> {
+pub(crate) fn tree_size(base: &Path, roots: &[PathBuf]) -> Result<TreeSize, String> {
     let mut size = TreeSize::default();
     for (_, text) in read_tree(base, roots)? {
         for line in non_test_lines(&text) {
@@ -256,13 +251,14 @@ pub fn tree_size(base: &Path, roots: &[PathBuf]) -> Result<TreeSize, String> {
     Ok(size)
 }
 
-/// The identifier tokens a file mentions as code: comments, `use`
-/// declarations (including `pub use` re-exports, over as many lines as
-/// they run) and the name a `fn` defines do not count.
+/// The identifier tokens a file mentions as code: its test modules (see
+/// `non_test_lines`), comments, `use` declarations (including `pub use`
+/// re-exports, over as many lines as they run) and the name a `fn`
+/// defines do not count.
 fn code_idents(text: &str) -> BTreeSet<&str> {
     let mut seen = BTreeSet::new();
     let mut in_use = false;
-    for line in text.lines() {
+    for line in non_test_lines(text) {
         let code = strip_comment(line);
         let trimmed = code.trim_start();
         if !in_use {
@@ -307,9 +303,9 @@ fn library_of(path: &str) -> Option<&str> {
 
 /// Every `pub fn` defined under `defining` whose name no file under
 /// `callers` outside the defining file's library (see `library_of`)
-/// mentions as code (see `code_idents`). A defining file outside any
-/// library counts every other file as outside. The defining roots are
-/// searched for callers too.
+/// mentions as code outside its test modules (see `code_idents`). A
+/// defining file outside any library counts every other file as outside.
+/// The defining roots are searched for callers too.
 ///
 /// # Errors
 ///
@@ -431,12 +427,24 @@ const CALLER_ROOTS: &[&str] = &["src", "examples", "benchmark/src"];
 /// The file whose `counter_table!` names every counter.
 const COUNTER_TABLE: &str = "crates/obs/src/metrics.rs";
 
+/// The size of `src` + `crates/*/src` under `root`: the numbers the
+/// ROADMAP tracks, and the panic-site count the baseline records.
+///
+/// # Errors
+///
+/// Propagates IO errors reading directories or files.
+pub fn library_size(root: &Path) -> Result<TreeSize, String> {
+    let mut dirs = crate_dirs(root, &["src"])?;
+    dirs.push(root.join("src"));
+    tree_size(root, &dirs)
+}
+
 /// `crates/*/<sub>` for each of `subs`, the directories that exist.
 ///
 /// # Errors
 ///
 /// Propagates IO errors reading `root/crates`.
-pub fn crate_dirs(root: &Path, subs: &[&str]) -> Result<Vec<PathBuf>, String> {
+pub(crate) fn crate_dirs(root: &Path, subs: &[&str]) -> Result<Vec<PathBuf>, String> {
     let crates = root.join("crates");
     let entries =
         std::fs::read_dir(&crates).map_err(|e| format!("reading {}: {e}", crates.display()))?;
@@ -496,11 +504,25 @@ pub fn unused_report(root: &Path, guarded: &[PathBuf]) -> Result<Vec<String>, St
     Ok(lines)
 }
 
-/// Serialize counts in the committed baseline format: one
-/// `count<TAB>hazard<TAB>path` line per entry, sorted.
-pub fn render_baseline(counts: &Counts) -> String {
-    let mut out = String::new();
-    for ((path, hazard), n) in counts {
+/// The baseline's name for the panic-site count.
+const PANIC_ROW: &str = "panic sites";
+
+/// What the committed baseline records, and what a scan of the tree
+/// measures against it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Baseline {
+    /// Audited hazard counts per `(file, hazard)`.
+    pub hazards: Counts,
+    /// Panic sites in `src` + `crates/*/src` (see [`TreeSize`]).
+    pub panic_sites: usize,
+}
+
+/// Serialize a baseline in the committed format: a
+/// `count<TAB>panic sites` line, then one `count<TAB>hazard<TAB>path` line
+/// per hazard entry, sorted.
+pub fn render_baseline(baseline: &Baseline) -> String {
+    let mut out = format!("{}\t{PANIC_ROW}\n", baseline.panic_sites);
+    for ((path, hazard), n) in &baseline.hazards {
         out.push_str(&format!("{n}\t{hazard}\t{path}\n"));
     }
     out
@@ -510,25 +532,34 @@ pub fn render_baseline(counts: &Counts) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line.
-pub fn parse_baseline(text: &str) -> Result<Counts, String> {
-    let mut counts = Counts::new();
+/// Returns a message naming the first malformed line, or saying that the
+/// panic-site line is missing.
+pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
+    let mut hazards = Counts::new();
+    let mut panic_sites = None;
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let mut parts = line.splitn(3, '\t');
-        let (n, hazard, path) = match (parts.next(), parts.next(), parts.next()) {
-            (Some(n), Some(h), Some(p)) => (n, h, p),
-            _ => return Err(format!("baseline line {}: expected 3 fields", i + 1)),
+        let count = |n: &str| {
+            n.parse::<usize>()
+                .map_err(|_| format!("baseline line {}: bad count {n:?}", i + 1))
         };
-        let n: usize = n
-            .parse()
-            .map_err(|_| format!("baseline line {}: bad count {n:?}", i + 1))?;
-        counts.insert((path.to_string(), hazard.to_string()), n);
+        match (parts.next(), parts.next(), parts.next()) {
+            (Some(n), Some(PANIC_ROW), None) => panic_sites = Some(count(n)?),
+            (Some(n), Some(h), Some(p)) => {
+                hazards.insert((p.to_string(), h.to_string()), count(n)?);
+            }
+            _ => return Err(format!("baseline line {}: expected 3 fields", i + 1)),
+        }
     }
-    Ok(counts)
+    let panic_sites = panic_sites.ok_or(format!("baseline has no `{PANIC_ROW}` line"))?;
+    Ok(Baseline {
+        hazards,
+        panic_sites,
+    })
 }
 
 /// One difference between the scan and the baseline.
@@ -564,12 +595,43 @@ pub enum Drift {
         /// Current count.
         now: usize,
     },
+    /// The panic-site count moved: a rise fails the lint, a fall is a
+    /// stale baseline.
+    PanicSites {
+        /// Baseline count.
+        was: usize,
+        /// Current count.
+        now: usize,
+    },
+}
+
+impl Drift {
+    /// Whether this difference fails the lint (the rest are notices that
+    /// `--write` clears).
+    pub fn fails(&self) -> bool {
+        match self {
+            Drift::Increased { .. } | Drift::Missing { .. } => true,
+            Drift::Stale { .. } => false,
+            Drift::PanicSites { was, now } => now > was,
+        }
+    }
 }
 
 /// Diff a fresh scan against the committed baseline. `file_exists` says
 /// whether a baseline row's path is still in the tree.
-pub fn diff(current: &Counts, baseline: &Counts, file_exists: impl Fn(&str) -> bool) -> Vec<Drift> {
+pub fn diff(
+    current: &Baseline,
+    baseline: &Baseline,
+    file_exists: impl Fn(&str) -> bool,
+) -> Vec<Drift> {
     let mut drifts = Vec::new();
+    if current.panic_sites != baseline.panic_sites {
+        drifts.push(Drift::PanicSites {
+            was: baseline.panic_sites,
+            now: current.panic_sites,
+        });
+    }
+    let (current, baseline) = (&current.hazards, &baseline.hazards);
     for ((path, hazard), &now) in current {
         let was = baseline.get(&(path.clone(), hazard.clone())).copied();
         match was {
@@ -634,24 +696,49 @@ mod tests {
         assert_eq!(counts.get("HashSet"), None, "test module must be skipped");
     }
 
+    /// A baseline of the given hazard rows and panic-site count.
+    fn baseline(rows: &[(&str, &str, usize)], panic_sites: usize) -> Baseline {
+        let hazards = rows
+            .iter()
+            .map(|&(path, hazard, n)| ((path.to_string(), hazard.to_string()), n))
+            .collect();
+        Baseline {
+            hazards,
+            panic_sites,
+        }
+    }
+
     #[test]
     fn baseline_round_trips() {
-        let mut counts = Counts::new();
-        counts.insert(("a/b.rs".into(), "HashMap".into()), 3);
-        counts.insert(("c.rs".into(), "SystemTime".into()), 1);
+        let counts = baseline(&[("a/b.rs", "HashMap", 3), ("c.rs", "SystemTime", 1)], 61);
         let text = render_baseline(&counts);
         assert_eq!(parse_baseline(&text).unwrap(), counts);
+        let without_panic_row: String = text.lines().skip(1).map(|l| format!("{l}\n")).collect();
+        assert!(parse_baseline(&without_panic_row).is_err());
+    }
+
+    #[test]
+    fn diff_flags_a_rise_in_panic_sites_and_notes_a_fall() {
+        let base = baseline(&[("a.rs", "HashMap", 2)], 61);
+        let rose = diff(&baseline(&[("a.rs", "HashMap", 2)], 62), &base, |_| true);
+        assert_eq!(rose, [Drift::PanicSites { was: 61, now: 62 }]);
+        assert!(rose[0].fails());
+        let fell = diff(&baseline(&[("a.rs", "HashMap", 2)], 60), &base, |_| true);
+        assert_eq!(fell, [Drift::PanicSites { was: 61, now: 60 }]);
+        assert!(!fell[0].fails());
     }
 
     #[test]
     fn diff_flags_increases_and_reports_stale() {
-        let mut base = Counts::new();
-        base.insert(("a.rs".into(), "HashMap".into()), 2);
-        base.insert(("gone.rs".into(), "SystemTime".into()), 1);
-        let mut cur = Counts::new();
-        cur.insert(("a.rs".into(), "HashMap".into()), 3);
-        cur.insert(("new.rs".into(), "thread_rng".into()), 1);
-        base.insert(("shrunk.rs".into(), "SystemTime".into()), 1);
+        let base = baseline(
+            &[
+                ("a.rs", "HashMap", 2),
+                ("gone.rs", "SystemTime", 1),
+                ("shrunk.rs", "SystemTime", 1),
+            ],
+            0,
+        );
+        let cur = baseline(&[("a.rs", "HashMap", 3), ("new.rs", "thread_rng", 1)], 0);
         let drifts = diff(&cur, &base, |p| p != "gone.rs");
         assert!(drifts.contains(&Drift::Increased {
             path: "a.rs".into(),
@@ -793,6 +880,29 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         let names: Vec<&str> = found.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["fast"]);
+    }
+
+    #[test]
+    fn pub_fn_pass_does_not_count_another_crates_test_module_as_a_caller() {
+        let dir = std::env::temp_dir().join(format!("detlint-testmod-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = dir.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write(
+            "crates/a/src/lib.rs",
+            "pub fn only_unit_tested() {}\npub fn used() {}\n",
+        );
+        write(
+            "crates/b/src/lib.rs",
+            "fn f() { a::used(); }\n#[cfg(test)]\nmod tests {\n    \
+             fn t() { a::only_unit_tested(); }\n}\n",
+        );
+        let found = uncalled_pub_fns(&dir, &[dir.join("crates/a/src")], &[dir.join("crates/b")]);
+        let _ = std::fs::remove_dir_all(&dir);
+        let names: Vec<String> = found.unwrap().into_iter().map(|f| f.name).collect();
+        assert_eq!(names, ["only_unit_tested"]);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The workspace passes its own determinism lint: what the `detlint` binary
-//! checks, run by `cargo test` so a change that adds a hazard, an uncalled
-//! `pub fn` or a write-only counter fails tier-1 and not only CI's lint job.
+//! checks, run by `cargo test` so a change that adds a hazard or a panic
+//! site, an uncalled `pub fn` or a write-only counter fails tier-1 and not
+//! only CI's lint job.
 
 use std::path::{Path, PathBuf};
 
-use bgpsdn_bench::detlint::{diff, guarded_roots, parse_baseline, scan_tree, unused_report, Drift};
+use bgpsdn_bench::detlint::{
+    diff, guarded_roots, library_size, parse_baseline, scan_tree, unused_report, Baseline, Drift,
+};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -13,12 +16,17 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn no_hazard_rises_above_the_baseline() {
     let root = workspace_root();
-    let current = scan_tree(&root, &guarded_roots(&root)).expect("scan the guarded roots");
+    let current = Baseline {
+        hazards: scan_tree(&root, &guarded_roots(&root)).expect("scan the guarded roots"),
+        panic_sites: library_size(&root)
+            .expect("measure the libraries")
+            .panic_sites,
+    };
     let text = std::fs::read_to_string(root.join("detlint.baseline")).expect("read the baseline");
     let baseline = parse_baseline(&text).expect("parse the baseline");
     let failing: Vec<Drift> = diff(&current, &baseline, |path| root.join(path).is_file())
         .into_iter()
-        .filter(|d| !matches!(d, Drift::Stale { .. }))
+        .filter(Drift::fails)
         .collect();
     assert!(failing.is_empty(), "{failing:#?}");
 }

@@ -161,7 +161,7 @@ mod tests {
     fn router_config_derives_identity() {
         let c = RouterConfig::new(Asn(0x0102));
         assert_eq!(c.next_hop, Ipv4Addr::new(10, 255, 1, 2));
-        assert_eq!(c.router_id.as_ip(), Ipv4Addr::new(10, 255, 1, 2));
+        assert_eq!(Ipv4Addr::from(c.router_id.0), Ipv4Addr::new(10, 255, 1, 2));
     }
 
     #[test]

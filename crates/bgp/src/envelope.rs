@@ -75,7 +75,7 @@ impl BgpEnvelope {
     }
 
     /// Decode the carried message.
-    pub fn decode(&self) -> Result<BgpMessage, CodecError> {
+    pub(crate) fn decode(&self) -> Result<BgpMessage, CodecError> {
         BgpMessage::decode(&self.bytes)
     }
 

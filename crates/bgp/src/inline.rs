@@ -44,6 +44,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 
     /// Empty list with room for `n` elements: allocated (exactly once, if
     /// it does not grow past `n`) only when `n` exceeds `N`.
+    // detlint: allow test-oracle builds the spilled buffers proptest_codec compares with inline ones
     pub fn with_capacity(n: usize) -> Self {
         if n <= N {
             Self::default()

@@ -200,6 +200,7 @@ impl Default for RouteMap {
 impl RouteMap {
     /// Apply to a route. Returns the transformed attributes or `None` when
     /// denied. The input attributes are cloned only on permit.
+    // detlint: allow test-oracle step the policy properties drive
     pub fn apply(
         &self,
         prefix: Prefix,

@@ -213,6 +213,7 @@ impl AdjRibIn {
     }
 
     /// The peer's route for a prefix, if accepted.
+    // detlint: allow test-oracle read-only view the RIB and router tests check
     pub fn get(&self, prefix: Prefix, peer: PeerIdx) -> Option<&RibInEntry> {
         let row = self.row(prefix);
         row_slot(row, peer).ok().map(|i| &row[i].1)
@@ -311,6 +312,7 @@ impl LocRib {
 
     /// Remove the best route (prefix now unreachable). Returns the removed
     /// entry when there was one.
+    // detlint: allow test-oracle step proptest_rib drives against its reference
     pub fn clear(&mut self, prefix: Prefix) -> Option<LocRibEntry> {
         let removed = self.best[self.index.find(prefix)?].take();
         if removed.is_some() {
@@ -323,11 +325,13 @@ impl LocRib {
     /// The prefix's slot, the key of every peer's [`AdjRibOut`]: assigned
     /// when the prefix is first [`set`](LocRib::set) and kept for the
     /// table's life.
+    // detlint: allow test-oracle read-only view proptest_rib checks against its reference
     pub fn slot(&self, prefix: Prefix) -> Option<usize> {
         self.index.find(prefix)
     }
 
     /// Current best route for a prefix.
+    // detlint: allow test-oracle read-only view proptest_rib and the outage tests check
     pub fn get(&self, prefix: Prefix) -> Option<&LocRibEntry> {
         self.best[self.slot(prefix)?].as_ref()
     }
@@ -368,6 +372,7 @@ impl LocRib {
     }
 
     /// True when no prefix is reachable.
+    // detlint: allow len_without_is_empty companion of the public len
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -398,6 +403,7 @@ impl AdjRibOut {
     }
 
     /// Record a withdrawal. Returns true when the slot was advertised.
+    // detlint: allow test-oracle step proptest_rib drives against its reference
     pub fn withdraw(&mut self, slot: usize) -> bool {
         self.advertised
             .get_mut(slot)
@@ -405,11 +411,13 @@ impl AdjRibOut {
     }
 
     /// Attributes last advertised for a slot.
+    // detlint: allow test-oracle read-only view proptest_rib checks against its reference
     pub fn get(&self, slot: usize) -> Option<&SharedAttrs> {
         self.advertised.get(slot)?.as_ref()
     }
 
     /// Drop all state (session reset).
+    // detlint: allow test-oracle step proptest_rib drives against its reference
     pub fn clear(&mut self) {
         self.advertised.clear();
     }

@@ -192,6 +192,7 @@ impl<M: BgpApp> BgpRouter<M> {
     }
 
     /// The table the Adj-RIB-In's attribute blocks come from.
+    // detlint: allow test-oracle read-only view attr_table_sim checks every router shares
     pub fn attr_table(&self) -> &AttrTable {
         &self.attr_table
     }

@@ -43,16 +43,11 @@ impl RouterId {
     pub fn from_ip(ip: Ipv4Addr) -> Self {
         RouterId(u32::from(ip))
     }
-
-    /// View as an IPv4 address.
-    pub fn as_ip(self) -> Ipv4Addr {
-        Ipv4Addr::from(self.0)
-    }
 }
 
 impl fmt::Display for RouterId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.as_ip())
+        write!(f, "{}", Ipv4Addr::from(self.0))
     }
 }
 
@@ -155,15 +150,10 @@ impl Prefix {
         other.len >= self.len && (other.addr & Self::mask_for(self.len)) == self.addr
     }
 
-    /// Number of host addresses (saturating for /0).
-    pub fn size(self) -> u64 {
-        1u64 << (32 - self.len as u64)
-    }
-
     /// The `i`-th address inside the prefix (panics when out of range);
     /// used by the IP allocator to hand out host addresses.
     pub fn nth(self, i: u64) -> Ipv4Addr {
-        assert!(i < self.size(), "host index {i} out of {self}");
+        assert!(i < 1u64 << (32 - self.len), "host index {i} out of {self}");
         Ipv4Addr::from(self.addr + i as u32)
     }
 
@@ -213,6 +203,7 @@ impl FromStr for Prefix {
 
 /// Convenience constructor used pervasively in tests and examples:
 /// `pfx("10.0.1.0/24")`. Panics on bad input.
+// detlint: allow test-oracle names the prefixes the unit and simulation tests use
 pub fn pfx(s: &str) -> Prefix {
     s.parse().unwrap_or_else(|e| panic!("pfx({s:?}): {e}"))
 }
@@ -286,7 +277,7 @@ mod tests {
     #[test]
     fn router_id_roundtrip() {
         let id = RouterId::from_ip(Ipv4Addr::new(10, 0, 0, 7));
-        assert_eq!(id.as_ip(), Ipv4Addr::new(10, 0, 0, 7));
+        assert_eq!(Ipv4Addr::from(id.0), Ipv4Addr::new(10, 0, 0, 7));
         assert_eq!(id.to_string(), "10.0.0.7");
     }
 
@@ -345,9 +336,13 @@ mod tests {
     #[test]
     fn nth_and_size() {
         let p = pfx("10.0.0.0/30");
-        assert_eq!(p.size(), 4);
         assert_eq!(p.nth(1), Ipv4Addr::new(10, 0, 0, 1));
         assert_eq!(p.nth(3), Ipv4Addr::new(10, 0, 0, 3));
+        // A /0 holds 2^32 hosts: the bound itself must not overflow.
+        assert_eq!(
+            pfx("0.0.0.0/0").nth(u64::from(u32::MAX)),
+            Ipv4Addr::BROADCAST
+        );
     }
 
     #[test]

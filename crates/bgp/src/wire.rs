@@ -169,6 +169,7 @@ impl Writer {
     }
 
     /// True when nothing was written.
+    // detlint: allow len_without_is_empty companion of the public len
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
@@ -181,6 +182,7 @@ impl Writer {
     /// The bytes written so far, without consuming the writer. Scratch
     /// users copy these out and `clear` for the next
     /// message.
+    // detlint: allow test-oracle read-only view proptest_codec compares with a fresh encoding
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }

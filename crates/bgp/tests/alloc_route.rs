@@ -142,7 +142,7 @@ fn building_and_enveloping_a_short_update_allocates_nothing() {
 fn a_fan_out_builds_its_export_view_in_one_block() {
     type Router = BgpRouter<BgpOnlyMsg>;
     const LEAVES: usize = 8;
-    let mut sim: Simulator<BgpOnlyMsg> = Simulator::new(16);
+    let mut sim: Simulator<BgpOnlyMsg> = Simulator::with_event_capacity(16, 0);
     let timing = TimingConfig {
         mrai: SimDuration::ZERO,
         ..Default::default()
@@ -219,7 +219,7 @@ fn a_fan_out_keeps_one_block_per_distinct_imported_content() {
     type Router = BgpRouter<BgpOnlyMsg>;
     let p = pfx("203.0.113.0/24");
     let run = |shared: Option<AttrTable>| {
-        let mut sim: Simulator<BgpOnlyMsg> = Simulator::new(3);
+        let mut sim: Simulator<BgpOnlyMsg> = Simulator::with_event_capacity(3, 0);
         let timing = TimingConfig {
             mrai: SimDuration::ZERO,
             ..Default::default()

@@ -29,7 +29,7 @@ fn fast() -> TimingConfig {
 }
 
 fn pair(seed: u64) -> (Sim, NodeId, NodeId) {
-    let mut sim = Sim::new(seed);
+    let mut sim = Sim::with_event_capacity(seed, 0);
     let a_cfg = RouterConfig {
         originate: vec![prefix_of(0)],
         timing: fast(),
@@ -98,7 +98,7 @@ impl bgpsdn_netsim::Node<BgpOnlyMsg> for Corruptor {
 #[test]
 fn corrupt_wire_bytes_drop_and_recover_the_session() {
     // a — corruptor — b; the corruptor mangles the 3rd UPDATE in flight.
-    let mut sim = Sim::new(1);
+    let mut sim = Sim::with_event_capacity(1, 0);
     let a_cfg = RouterConfig {
         originate: vec![prefix_of(0)],
         timing: fast(),
@@ -223,7 +223,7 @@ fn repeated_link_flaps_reconverge_every_time() {
 fn lossy_link_converges_eventually_with_retries() {
     // 30% loss on the only link: session setup and updates retry via the
     // connect/backoff machinery until everything lands.
-    let mut sim = Sim::new(5);
+    let mut sim = Sim::with_event_capacity(5, 0);
     let a_cfg = RouterConfig {
         originate: vec![prefix_of(0)],
         timing: fast(),

@@ -304,8 +304,11 @@ fn check_envelope_inline_or_spilled(msg: &BgpMessage) {
     };
     assert_eq!(spilled, env);
     assert_eq!(spilled.wire_len(), env.wire_len());
-    assert_eq!(spilled.decode().as_ref(), Ok(msg));
-    assert_eq!(env.decode().as_ref(), Ok(msg));
+    assert_eq!(
+        BgpMessage::decode(spilled.bytes.as_slice()).as_ref(),
+        Ok(msg)
+    );
+    assert_eq!(BgpMessage::decode(env.bytes.as_slice()).as_ref(), Ok(msg));
 }
 
 #[test]
@@ -606,7 +609,7 @@ proptest! {
         prop_assert_eq!(&spilled, &inline);
         prop_assert_eq!(hash_of(&spilled), hash_of(&inline));
         prop_assert_eq!(attr_bytes(&path_attrs(&spilled)), attr_bytes(&path_attrs(&inline)));
-        let mut built = AsPath::empty();
+        let mut built = AsPath::default();
         for asn in asns.iter().rev() {
             built.prepend(Asn(*asn));
         }

@@ -32,7 +32,7 @@ fn build(
     originate: &[usize],
     relationships: Option<&dyn Fn(usize, usize) -> Relationship>,
 ) -> (Sim, Vec<NodeId>) {
-    let mut sim = Sim::new(seed);
+    let mut sim = Sim::with_event_capacity(seed, 0);
     let mut nodes = Vec::new();
     for i in 0..n {
         let mut cfg = RouterConfig {
@@ -278,7 +278,7 @@ fn link_failure_triggers_failover() {
     let fail_link = sim
         .links()
         .iter()
-        .find(|l| l.touches(nodes[0]) && l.touches(first_hop))
+        .find(|l| [l.a, l.b] == [nodes[0], first_hop] || [l.b, l.a] == [nodes[0], first_hop])
         .unwrap()
         .id;
     sim.set_link_admin(fail_link, false);
@@ -293,7 +293,7 @@ fn link_failure_triggers_failover() {
 fn as_path_loop_rejected() {
     // 0(as A) - 1(as B) - 2(as A again): 2 must reject 0's routes because
     // its own ASN already appears in the path.
-    let mut sim = Sim::new(8);
+    let mut sim = Sim::with_event_capacity(8, 0);
     let shared = Asn(64999);
     let mk = |asn: Asn, origin: Option<Prefix>| {
         let mut cfg = RouterConfig {
@@ -594,7 +594,7 @@ fn data_plane_unroutable_is_counted() {
 fn route_flap_damping_suppresses_and_reuses() {
     use bgpsdn_bgp::DampingConfig;
     // A (origin, flapping) --- B (damping enabled).
-    let mut sim = Sim::new(55);
+    let mut sim = Sim::with_event_capacity(55, 0);
     let a_cfg = RouterConfig {
         originate: vec![prefix_of(0)],
         timing: fast_timing(),
@@ -700,7 +700,7 @@ fn route_refresh_resends_full_table() {
 
 #[test]
 fn max_prefix_limit_tears_down_noisy_peer() {
-    let mut sim = Sim::new(61);
+    let mut sim = Sim::with_event_capacity(61, 0);
     let noisy_cfg = RouterConfig {
         timing: fast_timing(),
         ..RouterConfig::new(asn_of(0))

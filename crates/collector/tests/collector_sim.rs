@@ -24,7 +24,7 @@ const SETTLE: SimDuration = SimDuration::from_secs(10);
 /// A router originating 10.1.0.0/16, monitored by a collector over one
 /// 5 ms link, with session and message tracing on.
 fn monitored() -> (Sim, NodeId, NodeId, LinkId) {
-    let mut sim = Sim::new(7);
+    let mut sim = Sim::with_event_capacity(7, 0);
     let timing = TimingConfig {
         mrai: SimDuration::ZERO,
         ..Default::default()

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use bgpsdn_collector::UpdateLog;
-use bgpsdn_netsim::SimTime;
+use bgpsdn_netsim::{SimDuration, SimTime};
 
 /// The update log as it was before it counted: every prefix event in a
 /// `Vec`, and every reader a scan of it.
@@ -66,7 +66,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 /// Instants worth asking about: before, inside and after the program.
 fn probes(end: SimTime) -> Vec<SimTime> {
-    let end_ms = end.as_millis();
+    let end_ms = end.as_nanos() / 1_000_000;
     [0, end_ms / 3, end_ms / 2, end_ms, end_ms + 1]
         .into_iter()
         .map(SimTime::from_millis)
@@ -84,7 +84,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Update { dt_ms, prefixes } => {
-                    now = SimTime::from_millis(now.as_millis() + dt_ms);
+                    now += SimDuration::from_millis(dt_ms);
                     counted.push(now, prefixes);
                     for _ in 0..prefixes {
                         model.push(now);

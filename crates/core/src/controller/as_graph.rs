@@ -313,6 +313,7 @@ struct MemberPath {
 
 impl AnnounceMemo {
     /// Forget the previous prefix; `n` is the member count.
+    // detlint: allow test-oracle the from-scratch reference of proptest_controller
     pub fn reset(&mut self, n: usize) {
         self.buf.clear();
         self.members.clear();
@@ -354,6 +355,7 @@ impl AnnounceMemo {
 
     /// The interned form of the path [`path_toward`](Self::path_toward) just
     /// returned for member `x`, allocated on first use.
+    // detlint: allow test-oracle the from-scratch reference of proptest_controller
     pub fn shared(&mut self, x: usize) -> SharedPath {
         let mp = self.members[x].as_mut().expect("member path was walked");
         let (start, end) = mp.range.expect("member has a path");

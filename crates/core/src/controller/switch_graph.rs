@@ -36,6 +36,7 @@ pub struct SwitchGraph {
 
 impl SwitchGraph {
     /// A graph over `n` members with the given links (all initially up).
+    // detlint: allow test-oracle builds the graphs proptest_switch_graph and proptest_controller drive
     pub fn new(n: usize, links: Vec<(usize, usize, LinkId)>) -> SwitchGraph {
         let mut adj = vec![Vec::new(); n];
         for (i, &(a, b, _)) in links.iter().enumerate() {

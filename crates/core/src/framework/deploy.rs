@@ -314,7 +314,7 @@ fn tiers(graph: &AsGraph) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsdn_topology::gen;
+    use bgpsdn_topology::{gen, Graph};
 
     fn clique(n: usize) -> AsGraph {
         AsGraph::all_peer(&gen::clique(n), 65000)
@@ -379,7 +379,11 @@ mod tests {
     #[test]
     fn degree_prefers_the_core_of_a_star() {
         // Star: vertex 0 is the hub.
-        let g = AsGraph::all_peer(&gen::star(9), 65000);
+        let mut star = Graph::new(9);
+        for v in 1..9 {
+            star.add_edge(0, v);
+        }
+        let g = AsGraph::all_peer(&star, 65000);
         let strat = DeploymentStrategy::Placed {
             placement: Placement::Degree,
             clusters: 1,
@@ -391,9 +395,10 @@ mod tests {
     #[test]
     fn kcore_ranks_clique_over_pendant() {
         // A 4-clique with a pendant vertex 4 attached to vertex 0.
-        let mut raw = gen::clique(4);
-        raw.add_node();
-        raw.add_edge(0, 4);
+        let mut raw = Graph::new(5);
+        for (a, b) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)] {
+            raw.add_edge(a, b);
+        }
         let g = AsGraph::all_peer(&raw, 65000);
         let strat = DeploymentStrategy::Placed {
             placement: Placement::KCore,

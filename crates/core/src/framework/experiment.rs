@@ -194,7 +194,7 @@ impl Experiment {
     /// --snapshot` input), and one metrics line per snapshot, carrying the
     /// convergence of the phase it closed. Call after
     /// [`Experiment::finish`] so the last phase is included.
-    pub fn render_artifact_into(&self, info: &Json, text: &mut String) {
+    pub(crate) fn render_artifact_into(&self, info: &Json, text: &mut String) {
         write_typed_line(text, "run", info);
         text.push('\n');
         self.net.sim.trace().export_jsonl_into(text);

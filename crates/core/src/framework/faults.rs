@@ -98,6 +98,7 @@ impl FaultSpec {
     /// windows 12–20 s; schedules holding router or link faults need hold
     /// timers ([`ScriptAction::needs_hold_timers`]). Returns the schedule
     /// and a note naming every requested class that had nothing to fault.
+    // detlint: allow test-oracle the schedule outage_sim replays against its fault-free oracle
     pub fn schedule(
         &self,
         seed: u64,

@@ -75,6 +75,7 @@ impl EventKind {
     ];
 
     /// The event's stable name.
+    // detlint: allow test-oracle names the event phase the script and forensics tests look up
     pub fn name(self) -> &'static str {
         Self::NAMES[self as usize].1
     }
@@ -368,7 +369,7 @@ impl JobSpec {
     /// Render the run's JSONL artifact into `text`: a `run` header naming
     /// the job — its campaign coordinates `(job id, grid cell)` when it
     /// has them — then the experiment's telemetry as
-    /// [`Experiment::render_artifact_into`] lays it out. `bgpsdn run
+    /// `Experiment::render_artifact_into` lays it out. `bgpsdn run
     /// --trace-out` and every traced campaign job write this one format,
     /// so `bgpsdn report` and `bgpsdn verify` read both.
     pub fn render_artifact_into(

@@ -592,7 +592,7 @@ mod tests {
         assert_eq!(net.edge_links.len(), 6);
         assert_eq!(net.legacy().count(), 4);
         // 6 AS links + 4 collector links.
-        assert_eq!(net.sim.link_count(), 10);
+        assert_eq!(net.sim.links().len(), 10);
     }
 
     #[test]
@@ -606,7 +606,7 @@ mod tests {
         assert_eq!(net.member_index[&2], 0);
         assert_eq!(net.member_index[&3], 1);
         // Links: 6 AS + 2 relay + 2 ctl + 1 speaker-ctl + 2 collector = 13.
-        assert_eq!(net.sim.link_count(), 13);
+        assert_eq!(net.sim.links().len(), 13);
         assert!(net.link_between(0, 1).is_some());
         assert!(net.link_between(0, 0).is_none());
     }
@@ -635,7 +635,7 @@ mod tests {
         assert_eq!(net.cluster_for(4).unwrap().members, vec![4, 5]);
         // Links: 15 AS edges + 2 clusters x (2 relay + 2 ctl + 1 channel)
         // + 2 collector links for the two legacy ASes.
-        assert_eq!(net.sim.link_count(), 15 + 10 + 2);
+        assert_eq!(net.sim.links().len(), 15 + 10 + 2);
     }
 
     #[test]

@@ -213,9 +213,15 @@ mod tests {
     use crate::framework::faults::{FaultClasses, FaultSpec};
     use crate::framework::network::NetworkBuilder;
     use crate::framework::script::ScriptAction;
+    use bgpsdn_analyze::{Finding, Severity};
     use bgpsdn_bgp::TimingConfig;
     use bgpsdn_netsim::SimDuration;
     use bgpsdn_topology::{gen, plan, AsGraph};
+
+    /// The first error-severity finding, if any.
+    fn first_error(r: &AnalysisReport) -> Option<&Finding> {
+        r.findings.iter().find(|f| f.severity == Severity::Error)
+    }
 
     fn clique_plan(n: usize) -> TopologyPlan {
         plan(
@@ -243,7 +249,7 @@ mod tests {
             }],
         };
         let report = exp.script_preflight(&script);
-        assert_eq!(report.first_error().unwrap().code, "script.index_range");
+        assert_eq!(first_error(&report).unwrap().code, "script.index_range");
     }
 
     #[test]
@@ -324,7 +330,7 @@ mod tests {
         let mut grid = CampaignGrid::fig2(3);
         grid.cluster_sizes.push(99);
         assert_eq!(
-            grid.preflight().first_error().unwrap().code,
+            first_error(&grid.preflight()).unwrap().code,
             "grid.cluster_size"
         );
         let mut grid = CampaignGrid::fig2(3);
@@ -334,7 +340,7 @@ mod tests {
             classes: FaultClasses::ALL,
         });
         assert_eq!(
-            grid.preflight().first_error().unwrap().code,
+            first_error(&grid.preflight()).unwrap().code,
             "grid.chaos_horizon"
         );
     }
@@ -342,7 +348,7 @@ mod tests {
     #[test]
     fn job_preflight_applies_the_grid_rules_to_one_job() {
         assert!(JobSpec::clique(16, 8).preflight().clean());
-        let code = |spec: JobSpec| spec.preflight().first_error().map(|f| f.code);
+        let code = |spec: JobSpec| first_error(&spec.preflight()).map(|f| f.code);
         let failover = |topology| JobSpec {
             event: EventKind::Failover,
             ..JobSpec::new(topology)
@@ -378,7 +384,7 @@ mod tests {
 
     #[test]
     fn grid_mutations_are_each_caught() {
-        let code = |grid: CampaignGrid| grid.preflight().first_error().map(|f| f.code);
+        let code = |grid: CampaignGrid| first_error(&grid.preflight()).map(|f| f.code);
         let base = || CampaignGrid::fig2(10);
         let mut g = base();
         g.cluster_sizes = vec![20];
@@ -417,12 +423,12 @@ mod tests {
         g.cluster_sizes = vec![0, 2];
         g.clusters = vec![4];
         assert_eq!(
-            g.preflight().first_error().unwrap().code,
+            first_error(&g.preflight()).unwrap().code,
             "grid.cluster_count"
         );
         g.clusters = vec![0];
         assert_eq!(
-            g.preflight().first_error().unwrap().code,
+            first_error(&g.preflight()).unwrap().code,
             "grid.cluster_count"
         );
     }

@@ -1,7 +1,7 @@
 use bgpsdn_bgp::{PolicyMode, Prefix, TimingConfig};
 use bgpsdn_core::{DeploymentStrategy, Experiment, JobSpec, Placement, ScriptAction, Topology};
 use bgpsdn_netsim::SimDuration;
-use bgpsdn_obs::{Artifact, Json};
+use bgpsdn_obs::Artifact;
 use bgpsdn_topology::caida::SynthesisParams;
 
 #[test]
@@ -99,9 +99,8 @@ fn rendered_artifact_parses_back() {
         sim.set_profiling(true);
     });
     assert!(out.converged);
-    let info = Json::Obj(vec![("bench".into(), Json::Str("test".into()))]);
     let mut text = String::new();
-    exp.render_artifact_into(&info, &mut text);
+    scenario.render_artifact_into(None, &exp, &mut text);
     assert!(text.contains("\n{\"type\":\"snapshot\","));
     let artifact = Artifact::parse(&text).unwrap();
     assert!(!artifact.events.is_empty());

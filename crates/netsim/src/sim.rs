@@ -311,14 +311,10 @@ pub struct Simulator<M: Message> {
 }
 
 impl<M: Message> Simulator<M> {
-    /// Create an empty simulator with the given experiment seed.
-    pub fn new(seed: u64) -> Self {
-        Self::with_event_capacity(seed, 0)
-    }
-
-    /// [`Simulator::new`] with `events` slots of event-queue capacity
-    /// pre-reserved. Builders that know the node/link counts up front use
-    /// this so the dispatch loop never reallocates the event slab.
+    /// An empty simulator with the given experiment seed and `events` slots
+    /// of event-queue capacity pre-reserved (0 reserves none). Builders that
+    /// know the node/link counts up front reserve, so the dispatch loop
+    /// never reallocates the event slab.
     pub fn with_event_capacity(seed: u64, events: usize) -> Self {
         Simulator {
             now: SimTime::ZERO,
@@ -476,11 +472,6 @@ impl<M: Message> Simulator<M> {
         self.nodes.len()
     }
 
-    /// Number of links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// The display name given to a node.
     pub fn node_name(&self, id: NodeId) -> &str {
         &self.node_names[id.index()]
@@ -492,7 +483,7 @@ impl<M: Message> Simulator<M> {
     }
 
     /// All links.
-    // detlint: allow test-oracle read-only view the session tests find link ids by
+    // detlint: allow test-oracle read-only view the session and network tests find links by
     pub fn links(&self) -> &[Link] {
         &self.links
     }
@@ -842,7 +833,7 @@ impl<M: Message> Simulator<M> {
                 Action::Send { link, msg } => {
                     assert!(!link.is_control(), "cannot send on the control sentinel");
                     let l = &mut self.links[link.index()];
-                    debug_assert!(l.touches(id), "{id} sent on non-adjacent {link}");
+                    debug_assert!(id == l.a || id == l.b, "{id} sent on non-adjacent {link}");
                     if !l.up {
                         self.count(Counter::MsgsDroppedLinkDown, 1);
                         continue;
@@ -973,7 +964,7 @@ mod tests {
     }
 
     fn build(seed: u64, jitter_ms: u64, count: u32) -> (Simulator<TestMsg>, NodeId, LinkId) {
-        let mut sim = Simulator::new(seed);
+        let mut sim = Simulator::with_event_capacity(seed, 0);
         let a = sim.add_node("pinger", |_| Pinger {
             count,
             pongs: vec![],
@@ -1106,7 +1097,7 @@ mod tests {
 
     #[test]
     fn quiescence_ignores_maintenance_timers() {
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         let n = sim.add_node("t", |_| TimerNode { fired: vec![] });
         let q = sim.run_until_quiescent(SimTime::from_secs(100));
         assert!(q.quiescent);
@@ -1146,7 +1137,7 @@ mod tests {
 
     #[test]
     fn timer_rearm_and_cancel() {
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         let n = sim.add_node("r", |_| RearmNode { fired: 0 });
         let q = sim.run_until_quiescent(SimTime::from_secs(10));
         assert!(q.quiescent);
@@ -1184,7 +1175,7 @@ mod tests {
 
     #[test]
     fn timer_table_is_bounded_by_armed_timers_not_tokens_ever_used() {
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         let n = sim.add_node("o", |_| OneShotNode { left: 100_000 });
         while sim.step() {}
         assert_eq!(sim.stats().timers_fired, 100_000);
@@ -1215,7 +1206,7 @@ mod tests {
                 self
             }
         }
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         sim.add_node("s", |_| Sparse);
         sim.step();
     }
@@ -1248,7 +1239,7 @@ mod tests {
 
     #[test]
     fn superseded_firing_stays_stale_after_the_timer_fired_and_restarted() {
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         let n = sim.add_node("e", |_| EarlierRearmNode { fired_at: vec![] });
         let q = sim.run_until_quiescent(SimTime::from_secs(10));
         assert!(q.quiescent);
@@ -1264,7 +1255,7 @@ mod tests {
 
     #[test]
     fn restore_before_a_dead_firing_pops_keeps_it_suppressed() {
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         let n = sim.add_node("t", |_| TimerNode { fired: vec![] });
         // Crash at 1.5 s, restore at 2.5 s: the WORK firing armed at start is
         // still queued for 3 s when on_restart re-arms WORK for 5.5 s.
@@ -1306,7 +1297,7 @@ mod tests {
                 self
             }
         }
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         let n = sim.add_node("sink", |_| Sink { got: vec![] });
         sim.inject(n, TestMsg::Ping(9));
         sim.inject_at(SimTime::from_secs(1), n, TestMsg::Ping(10));
@@ -1330,7 +1321,7 @@ mod tests {
 
     #[test]
     fn crash_invalidates_timers_and_restore_restarts() {
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         let n = sim.add_node("t", |_| TimerNode { fired: vec![] });
         // Crash at 1.5s: the keepalive armed at 1s and the WORK timer armed
         // at start (due 3s) must both die with the node.
@@ -1353,7 +1344,7 @@ mod tests {
 
     #[test]
     fn redundant_node_admin_is_a_no_op() {
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         let n = sim.add_node("t", |_| TimerNode { fired: vec![] });
         sim.run_until(SimTime::from_secs(5));
         let fired_before = sim.stats().timers_fired;
@@ -1371,7 +1362,7 @@ mod tests {
 
     #[test]
     fn run_until_advances_clock_to_deadline() {
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         sim.run_until(SimTime::from_secs(4));
         assert_eq!(sim.now(), SimTime::from_secs(4));
         sim.run_for(SimDuration::from_secs(1));
@@ -1380,7 +1371,7 @@ mod tests {
 
     #[test]
     fn node_added_after_start_gets_on_start() {
-        let mut sim: Simulator<TestMsg> = Simulator::new(1);
+        let mut sim: Simulator<TestMsg> = Simulator::with_event_capacity(1, 0);
         sim.run_until(SimTime::from_secs(1));
         let n = sim.add_node("late", |_| TimerNode { fired: vec![] });
         sim.run_until_quiescent(SimTime::from_secs(100));
@@ -1391,7 +1382,7 @@ mod tests {
     fn names_and_counts() {
         let (sim, _, _) = build(1, 0, 1);
         assert_eq!(sim.node_count(), 2);
-        assert_eq!(sim.link_count(), 1);
+        assert_eq!(sim.links().len(), 1);
         assert_eq!(sim.node_name(NodeId(0)), "pinger");
     }
 
@@ -1418,7 +1409,7 @@ mod tests {
     #[test]
     fn lineage_primitives_draw_ids_only_for_recorded_events() {
         for traced in [true, false] {
-            let mut sim = Simulator::new(1);
+            let mut sim = Simulator::with_event_capacity(1, 0);
             if traced {
                 sim.trace_mut().enable(TraceCategory::Causal);
             }

@@ -118,6 +118,7 @@ impl Trace {
     }
 
     /// True when nothing is retained.
+    // detlint: allow len_without_is_empty companion of the public len
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }

@@ -176,7 +176,7 @@ fn replay(q: &mut impl Queue, ops: &[Op]) -> Replay {
 /// `(time, seq)`-ordered: FIFO within every burst. Returns the calendar
 /// queue's replay and its slab counters.
 fn check_against_reference(ops: &[Op]) -> Result<(Replay, PoolStats), TestCaseError> {
-    let mut q = EventQueue::<NoMsg>::new();
+    let mut q = EventQueue::<NoMsg>::with_capacity(0);
     let cal = replay(&mut q, ops);
     let heap = replay(&mut reference::HeapQueue::default(), ops);
     prop_assert_eq!(&cal.popped, &heap.popped, "pop sequences diverged");

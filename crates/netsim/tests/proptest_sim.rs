@@ -59,7 +59,7 @@ proptest! {
         jitter_us in 0u64..1_000_000,
         count in 1u64..60,
     ) {
-        let mut sim = Simulator::new(seed);
+        let mut sim = Simulator::with_event_capacity(seed, 0);
         let a = sim.add_node("s", |_| Sender { count });
         let b = sim.add_node("r", |_| Receiver { got: vec![] });
         sim.add_link(
@@ -80,7 +80,7 @@ proptest! {
     #[test]
     fn runs_are_deterministic(seed in any::<u64>(), count in 1u64..40) {
         let run = || {
-            let mut sim = Simulator::new(seed);
+            let mut sim = Simulator::with_event_capacity(seed, 0);
             let a = sim.add_node("s", |_| Sender { count });
             let b = sim.add_node("r", |_| Receiver { got: vec![] });
             sim.add_link(

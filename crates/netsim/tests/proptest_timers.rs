@@ -158,7 +158,7 @@ impl Node<Tell> for Scripted {
 /// Every `on_timer` call in order, then `timers_fired` and `timers_stale`.
 fn simulate(steps: &[Step]) -> (Vec<Firing>, u64, u64) {
     let log = Rc::new(RefCell::new(Vec::new()));
-    let mut sim: Simulator<Tell> = Simulator::new(1);
+    let mut sim: Simulator<Tell> = Simulator::with_event_capacity(1, 0);
     let nodes: Vec<NodeId> = (0..NODES)
         .map(|i| {
             sim.add_node(format!("n{i}"), |_| Scripted {
@@ -428,7 +428,7 @@ impl Node<Tell> for TimerLoad {
 #[test]
 fn timer_loads_fire_exact_counts() {
     for (one_shot, left, fired) in [(true, 99_000, 100_000), (false, 50_000, 50_002)] {
-        let mut sim: Simulator<Tell> = Simulator::new(1);
+        let mut sim: Simulator<Tell> = Simulator::with_event_capacity(1, 0);
         sim.add_node("t", |_| TimerLoad { one_shot, left });
         while sim.step() {}
         assert_eq!(sim.stats().timers_fired, fired, "one_shot: {one_shot}");

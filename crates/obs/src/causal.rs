@@ -101,11 +101,13 @@ impl PhaseBreakdown {
     }
 
     /// Nanoseconds charged to `phase`.
+    // detlint: allow test-oracle read-only view causal_forensics checks
     pub fn get(&self, phase: CausalPhase) -> u64 {
         self.ns[phase.index()]
     }
 
     /// Sum over all phases.
+    // detlint: allow test-oracle read-only view causal_forensics checks
     pub fn total(&self) -> u64 {
         self.ns.iter().sum()
     }
@@ -238,7 +240,7 @@ pub struct TriggerForensics {
 
 impl TriggerForensics {
     /// `settle_t - start_t`: the trigger's convergence time.
-    pub fn convergence_ns(&self) -> Option<u64> {
+    pub(crate) fn convergence_ns(&self) -> Option<u64> {
         self.settle_t.map(|t| t - self.start_t)
     }
 }

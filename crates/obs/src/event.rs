@@ -67,6 +67,7 @@ impl TraceCategory {
     }
 
     /// Short lowercase name (stable; used in JSONL).
+    // detlint: allow test-oracle the name proptest_event's reference codec writes
     pub fn name(self) -> &'static str {
         match self {
             TraceCategory::Msg => "msg",
@@ -200,6 +201,7 @@ pub enum RecomputeTrigger {
 
 impl RecomputeTrigger {
     /// Stable lowercase name.
+    // detlint: allow test-oracle the name proptest_event's reference codec writes
     pub fn name(self) -> &'static str {
         match self {
             RecomputeTrigger::UpdateBatch => "update_batch",
@@ -276,6 +278,7 @@ impl CausalPhase {
     ];
 
     /// Stable lowercase name (used in JSONL).
+    // detlint: allow test-oracle the name proptest_event's reference codec writes
     pub fn name(self) -> &'static str {
         match self {
             CausalPhase::Trigger => "trigger",
@@ -862,6 +865,7 @@ macro_rules! wire_table {
     )*) => {
         impl TraceEvent {
             /// Stable kind tag used in the JSONL schema.
+            // detlint: allow test-oracle the tag proptest_event compares after a round trip
             pub fn kind(&self) -> &'static str {
                 match self {
                     $( TraceEvent::$variant { .. } => $kind, )*

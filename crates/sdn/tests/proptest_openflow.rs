@@ -143,10 +143,10 @@ proptest! {
         for r in &rules {
             table.install(r.clone());
         }
-        prop_assert_eq!(table.len(), rules.len());
+        prop_assert_eq!(table.iter().count(), rules.len());
         for r in &rules {
             prop_assert!(table.remove(r.priority, r.prefix));
         }
-        prop_assert!(table.is_empty());
+        prop_assert!(table.iter().next().is_none());
     }
 }

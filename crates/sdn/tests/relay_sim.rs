@@ -91,7 +91,7 @@ fn command(s: &mut Setup, seq: u64, cmd: SpeakerCmd) {
 }
 
 fn build(seed: u64) -> Setup {
-    let mut sim = Sim::new(seed);
+    let mut sim = Sim::with_event_capacity(seed, 0);
     let ext_asn = Asn(100);
     let member_asn = Asn(200);
 
@@ -266,7 +266,7 @@ fn flow_mods_program_the_switch_and_forward_data() {
     };
     s.sim.inject(s.sw, ClusterMsg::Of(OfEnvelope::new(&fm)));
     assert!(s.sim.run_until_quiescent(SimTime::from_secs(5)).quiescent);
-    assert_eq!(s.sim.node_ref::<Switch>(s.sw).table().len(), 1);
+    assert_eq!(s.sim.node_ref::<Switch>(s.sw).table().iter().count(), 1);
 
     // Data packet entering the switch flows out to the external router and
     // gets answered (the router owns 10.100/16).
@@ -296,7 +296,7 @@ fn flow_mods_program_the_switch_and_forward_data() {
     };
     s.sim.inject(s.sw, ClusterMsg::Of(OfEnvelope::new(&del)));
     assert!(s.sim.run_until_quiescent(SimTime::from_secs(5)).quiescent);
-    assert!(s.sim.node_ref::<Switch>(s.sw).table().is_empty());
+    assert_eq!(s.sim.node_ref::<Switch>(s.sw).table().iter().count(), 0);
 }
 
 #[test]
@@ -328,7 +328,7 @@ fn speaker_session_survives_and_recovers_relay_flap() {
         .sim
         .links()
         .iter()
-        .find(|l| l.touches(s.speaker) && l.touches(s.sw))
+        .find(|l| [l.a, l.b] == [s.speaker, s.sw] || [l.b, l.a] == [s.speaker, s.sw])
         .unwrap()
         .id;
     s.sim.set_link_admin(relay, false);

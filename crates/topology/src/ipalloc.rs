@@ -83,6 +83,7 @@ pub struct AddressPlan {
 
 impl AddressPlan {
     /// Build the full plan.
+    // detlint: allow test-oracle the plan address_plan_disjoint and hybrid_sim check
     pub fn build(ases: usize, links: usize) -> Result<AddressPlan, AllocError> {
         let mut as_prefixes = Vec::with_capacity(ases);
         let mut router_ips = Vec::with_capacity(ases);

@@ -167,7 +167,7 @@ mod tests {
         let mut out = String::from("# iPlane inter-PoP format\n");
         for &(a, b, lat) in &pg.links {
             let (a, b) = (pg.pops[a], pg.pops[b]);
-            let us = lat.as_micros();
+            let us = lat.as_nanos() / 1_000;
             out.push_str(&format!(
                 "{},{} {},{} {us}\n",
                 a.asn.0, a.pop, b.asn.0, b.pop

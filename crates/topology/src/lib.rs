@@ -4,11 +4,12 @@
 //! based on measured Internet data or theoretical models". This crate
 //! supplies both halves:
 //!
-//! * [`gen`]: artificial topologies (clique, line, star) and random
-//!   models (Erdős–Rényi, Barabási–Albert, Waxman);
+//! * [`gen`]: the artificial topology of the paper's Figure 2, the
+//!   16-AS clique;
 //! * [`caida`]: a parser for the CAIDA AS-relationship format, plus a
 //!   synthetic generator with the same statistical shape (the real
-//!   dataset cannot be redistributed);
+//!   dataset cannot be redistributed), the source of every sparse,
+//!   Internet-like graph;
 //! * [`iplane`]: a parser for the iPlane Inter-PoP format and its
 //!   collapse to AS granularity;
 //! * [`relationships`]: AS graphs annotated with customer-provider /

@@ -73,6 +73,7 @@ impl AsGraph {
     }
 
     /// True when there are no ASes.
+    // detlint: allow len_without_is_empty companion of the public len
     pub fn is_empty(&self) -> bool {
         self.asns.is_empty()
     }
@@ -213,7 +214,6 @@ mod tests {
         let g2 = AsGraph::all_peer(&g, 100).to_graph();
         assert_eq!(g2.node_count(), g.node_count());
         assert_eq!(g2.edges(), g.edges());
-        assert!((0..9).all(|v| g2.degree(v) == g.degree(v)));
     }
 
     #[test]

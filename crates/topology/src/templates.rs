@@ -147,7 +147,10 @@ mod tests {
         assert_eq!(tp.routers.len(), 3);
         assert_eq!(tp.routers[0].asn, Asn(65001));
         assert_eq!(tp.routers[1].originate, vec![tp.addresses.as_prefixes[1]]);
-        assert_eq!(tp.routers[2].router_id.as_ip(), tp.addresses.router_ips[2]);
+        assert_eq!(
+            std::net::Ipv4Addr::from(tp.routers[2].router_id.0),
+            tp.addresses.router_ips[2]
+        );
         assert_eq!(tp.routers[0].mode, PolicyMode::GaoRexford);
     }
 

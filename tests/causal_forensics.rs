@@ -26,7 +26,7 @@ fn critical_path_ns(analysis: &CausalAnalysis) -> u64 {
     analysis
         .triggers
         .iter()
-        .filter_map(|t| t.convergence_ns())
+        .filter_map(|t| t.settle_t.map(|s| s - t.start_t))
         .max()
         .expect("withdrawal trigger settles")
 }

@@ -166,15 +166,22 @@ fn whole_pipeline_is_deterministic() {
 }
 
 #[test]
-fn random_waxman_topology_builds_and_converges() {
-    // Arbitrary random geometric topology through the whole stack: Waxman
-    // graph, connectivity repair, degree-inferred identities, hybrid build,
-    // convergence, full-mesh forwarding audit.
-    let mut rng = SimRng::seed_from_u64(33);
-    let (mut g, coords) = gen::waxman(25, 0.9, 0.4, &mut rng);
-    assert_eq!(coords.len(), 25);
-    gen::ensure_connected(&mut g, &mut rng);
-    let ag = AsGraph::all_peer(&g, 65000);
+fn synthesized_sparse_topology_builds_and_converges() {
+    // A sparse graph that is not a clique through the whole stack: CAIDA-
+    // style synthesis, all-permit policies, hybrid build, convergence,
+    // full-mesh forwarding audit.
+    let params = SynthesisParams {
+        tier1: 3,
+        mid: 7,
+        stubs: 15,
+        base_asn: 65000,
+        ..Default::default()
+    };
+    let ag = caida::synthesize(&params, &mut SimRng::seed_from_u64(33));
+    let degree = |v: usize| ag.edges.iter().filter(|e| e.a == v || e.b == v).count();
+    // Highest degree first; the sort is stable, so ties keep AS order.
+    let mut order: Vec<usize> = (0..ag.len()).collect();
+    order.sort_by_key(|&v| std::cmp::Reverse(degree(v)));
     let tp = plan(
         ag,
         PolicyMode::AllPermit,
@@ -182,27 +189,25 @@ fn random_waxman_topology_builds_and_converges() {
     )
     .expect("plan");
 
-    // Cluster = the three highest-degree vertices.
-    let mut order: Vec<usize> = (0..25).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+    // Cluster = the three highest-degree ASes.
     let net = NetworkBuilder::new(tp, 34)
         .with_sdn_members(order[..3].iter().copied())
         .build();
     let mut exp = Experiment::new(net);
-    assert!(exp.start(SimDuration::from_secs(3600)).converged);
+    assert!(exp.start(HOUR).converged);
     let audit = exp.connectivity_audit();
     assert!(
         audit.fully_connected(),
-        "waxman hybrid failures: {:?}",
+        "sparse hybrid failures: {:?}",
         audit.failures.len()
     );
-    // A random victim withdrawal cleans up globally.
-    let victim = order[24];
+    // A withdrawal at the lowest-degree AS cleans up globally.
+    let victim = *order.last().expect("ASes");
     exp.mark();
     exp.apply(&ScriptAction::Withdraw {
         as_index: victim,
         prefix: None,
     });
-    assert!(exp.wait_converged(SimDuration::from_secs(3600)).converged);
+    assert!(exp.wait_converged(HOUR).converged);
     assert!(exp.prefix_fully_gone(exp.net.ases[victim].prefix));
 }

@@ -213,7 +213,11 @@ fn bad_gadget_is_flagged_statically_with_the_rim() {
         rules: &rules,
     });
     assert!(!report.ok());
-    let first = report.first_error().expect("an error finding");
+    let first = report
+        .findings
+        .iter()
+        .find(|f| f.severity == Severity::Error)
+        .expect("an error finding");
     assert_eq!(first.code, "safety.dispute_wheel");
 }
 
